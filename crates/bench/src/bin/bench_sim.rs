@@ -12,13 +12,10 @@
 
 use abft_bench::print_header;
 use abft_coop_core::report::TextTable;
-use abft_coop_core::{
-    run_strategy_miss_stream, run_strategy_sampled, run_strategy_source, CampaignClient,
-    CampaignSpec, Strategy,
-};
+use abft_coop_core::{run_cell, CampaignClient, CampaignSpec, Strategy};
 use abft_memsim::miss_stream::MissStream;
 use abft_memsim::workloads::{KernelKind, KernelParams};
-use abft_memsim::{SimPointConfig, SimPointSelection, SystemConfig, TraceCache};
+use abft_memsim::{SimInput, SimPointConfig, SimPointSelection, SystemConfig, TraceCache};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,10 +56,10 @@ fn measure(kind: KernelKind, cache: &TraceCache) -> Row {
     // trusted.
     let strategy = Strategy::PartialChipkillSecded;
     let t0 = Instant::now();
-    let full = run_strategy_source(&mut packed.replay(), &cfg, strategy);
+    let full = run_cell(SimInput::Source(&mut packed.replay()), &cfg, strategy);
     let full_replay_secs = t0.elapsed().as_secs_f64().max(1e-9);
     let t0 = Instant::now();
-    let filtered = run_strategy_miss_stream(&ms, &cfg, strategy);
+    let filtered = run_cell(SimInput::MissStream(&ms), &cfg, strategy);
     let filtered_replay_secs = t0.elapsed().as_secs_f64().max(1e-9);
     assert_eq!(full, filtered, "{}: filtered replay must be bit-identical", kind.label());
 
@@ -94,7 +91,7 @@ fn grid_secs(cache: &Arc<TraceCache>, filtered: bool) -> f64 {
             .collect();
         jobs.into_par_iter().for_each(|(params, s)| {
             let packed = cache.get(params);
-            run_strategy_source(&mut packed.replay(), &cfg, s);
+            run_cell(SimInput::Source(&mut packed.replay()), &cfg, s);
         });
     }
     t0.elapsed().as_secs_f64().max(1e-9)
@@ -181,10 +178,11 @@ fn simpoint_paper_scale(cache: &TraceCache) -> SimPointBench {
 
     let strategy = Strategy::PartialChipkillSecded;
     let t0 = Instant::now();
-    let exact = run_strategy_miss_stream(&ms, &cfg, strategy);
+    let exact = run_cell(SimInput::MissStream(&ms), &cfg, strategy);
     let exact_replay_secs = t0.elapsed().as_secs_f64().max(1e-9);
     let t0 = Instant::now();
-    let sampled = run_strategy_sampled(&ms, &sel, &cfg, strategy);
+    let sampled =
+        run_cell(SimInput::SampledMissStream { stream: &ms, selection: &sel }, &cfg, strategy);
     let sampled_replay_secs = t0.elapsed().as_secs_f64().max(1e-9);
 
     SimPointBench {
@@ -211,8 +209,9 @@ fn simpoint_crosscheck(cache: &TraceCache) -> (f64, f64) {
         let ms = cache.get_filtered(params, &cfg);
         let sel = SimPointSelection::build(&ms, SimPointConfig::default());
         for s in Strategy::ALL {
-            let exact = run_strategy_miss_stream(&ms, &cfg, s);
-            let sampled = run_strategy_sampled(&ms, &sel, &cfg, s);
+            let exact = run_cell(SimInput::MissStream(&ms), &cfg, s);
+            let sampled =
+                run_cell(SimInput::SampledMissStream { stream: &ms, selection: &sel }, &cfg, s);
             worst_cycles = worst_cycles.max(rel_err(sampled.cycles as f64, exact.cycles as f64));
             worst_energy = worst_energy.max(rel_err(sampled.mem_total_j(), exact.mem_total_j()));
         }
@@ -315,7 +314,7 @@ fn main() {
     // Per-kernel throughput floors: seeded at ~0.9x the measured rate the
     // first time they are written, then preserved verbatim, so every later
     // run gates its filtered-replay Macc/s against the committed floor —
-    // the performance counterpart of REPOLINT.json's rule_totals ratchet.
+    // the performance counterpart of repolint.ratchet's rule_totals ratchet.
     // A regression (e.g. re-virtualizing the default replay path) fails
     // the bench instead of silently shipping slower numbers.
     let prior = std::fs::read_to_string("BENCH_sim.json").unwrap_or_default();

@@ -14,13 +14,58 @@
 //!
 //! Usage: `store_gate <store-dir> <out-file> [--expect <cold-file>]`
 
-use abft_campaign_server::protocol::format_cell;
-use abft_coop_core::{CampaignClient, CampaignSpec};
+use abft_coop_core::{CampaignClient, CampaignResult, CampaignSpec, Strategy};
 use abft_memsim::simpoint::SimPointConfig;
-use abft_memsim::workloads::KernelKind;
+use abft_memsim::workloads::{KernelKind, KernelParams};
 use abft_memsim::TraceCache;
 use std::fmt::Write as _;
 use std::sync::Arc;
+
+/// Stable token for a strategy (no spaces; the human-facing labels embed
+/// `+` and spaces).
+fn strategy_token(s: Strategy) -> &'static str {
+    match s {
+        Strategy::NoEcc => "no-ecc",
+        Strategy::WholeChipkill => "w-ck",
+        Strategy::PartialChipkillNoEcc => "p-ck-no-ecc",
+        Strategy::WholeSecded => "w-sd",
+        Strategy::PartialSecdedNoEcc => "p-sd-no-ecc",
+        Strategy::PartialChipkillSecded => "p-ck-p-sd",
+    }
+}
+
+/// Stable token for a workload: `kind:field:field:...` with ABFT flags
+/// as `0`/`1`.
+fn workload_token(p: KernelParams) -> String {
+    let flag = u8::from;
+    match p {
+        KernelParams::Dgemm(d) => {
+            format!("dgemm:{}:{}:{}:{}", d.n, d.nb, flag(d.abft), d.verify_interval)
+        }
+        KernelParams::Cholesky(c) => format!("cholesky:{}:{}:{}", c.n, c.nb, flag(c.abft)),
+        KernelParams::Cg(c) => {
+            format!("cg:{}:{}:{}:{}", c.grid, c.iterations, flag(c.abft), c.verify_interval)
+        }
+        KernelParams::Hpl(h) => format!("hpl:{}:{}:{}", h.n, h.nb, flag(h.abft)),
+    }
+}
+
+/// One canonical line per cell; every float travels as the hex of its
+/// IEEE-754 bit pattern, so the cold and warm files compare bit-exactly.
+fn format_cell(index: usize, r: &CampaignResult) -> String {
+    format!(
+        "cell {index} {} {} {} cycles={} instr={} seconds={:016x} ipc={:016x} mem_j={:016x} sys_j={:016x}",
+        workload_token(r.workload),
+        strategy_token(r.strategy),
+        r.config_tag,
+        r.stats.cycles,
+        r.stats.instructions,
+        r.stats.seconds.to_bits(),
+        r.stats.ipc().to_bits(),
+        r.stats.mem_total_j().to_bits(),
+        r.stats.system_j().to_bits(),
+    )
+}
 
 fn fail(msg: &str) -> ! {
     eprintln!("store_gate: {msg}");

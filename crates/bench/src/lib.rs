@@ -24,7 +24,9 @@
 //! the (kernel x strategy x config) cells run on a rayon pool — set
 //! `RAYON_NUM_THREADS` to bound the workers — and setting
 //! `ABFT_ARTIFACT_STORE` to a directory makes every binary persist and
-//! reuse generated traces/miss-streams across processes.
+//! reuse generated traces/miss-streams across processes (`ABFT_SIMPOINT`
+//! likewise switches every grid to sampled replay). A gate that needs a
+//! single cell outside a grid calls [`abft_coop_core::run_cell`].
 
 use abft_coop_core::{BasicTest, CampaignClient, CampaignRun, CampaignSpec, Progress};
 use abft_memsim::workloads::{KernelKind, KernelParams};
@@ -92,7 +94,7 @@ pub fn kernel_trace(kind: KernelKind) -> Arc<PackedTrace> {
 /// hierarchy is simulated at most once per process; every further policy
 /// run replays only the L2 miss tail). Replay it with
 /// [`abft_memsim::system::Machine::simulate`] or
-/// [`abft_coop_core::run_strategy_miss_stream`].
+/// [`abft_coop_core::run_cell`].
 pub fn kernel_miss_stream(kind: KernelKind) -> Arc<MissStream> {
     TraceCache::global().get_filtered(KernelParams::default_for(kind), &SystemConfig::default())
 }

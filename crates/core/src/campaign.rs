@@ -1,45 +1,46 @@
-//! The parallel campaign engine: one API for every harness binary.
+//! The parallel campaign engine: one spec in, one [`CampaignRun`] out.
 //!
 //! The paper's evaluation (Sections 5.1-5.3) is a grid of
-//! (kernel x ECC strategy x system config) simulations. [`Campaign`] is
-//! the builder for that grid: name the workloads, strategies and config
-//! variants, then [`Campaign::run`] expands them into independent jobs
-//! and executes the jobs on a rayon worker pool. Kernel traces — the
-//! dominant fixed cost — are generated once per process through the
-//! shared [`TraceCache`] in the packed 8-byte encoding, and the cache
-//! hierarchy is simulated once per (workload x cache geometry x thread
-//! count) by the second memo level ([`TraceCache::get_filtered`]): jobs
-//! replay only the `Arc<MissStream>` L2 miss tail through the memory
-//! controller and DRAM, which is bit-identical to the full path (cache
-//! outcomes are ECC-independent) at O(LLC misses) instead of
+//! (kernel x ECC strategy x system config) simulations. A
+//! [`CampaignSpec`] names the workloads, strategies and config variants;
+//! [`run_grid`] — reached through [`crate::CampaignClient::run`], the
+//! only caller — expands them into independent cells and executes the
+//! cells on a rayon worker pool, each through [`run_cell`]. Kernel
+//! traces — the dominant fixed cost — are generated once per process
+//! through the shared [`TraceCache`] in the packed 8-byte encoding, and
+//! the cache hierarchy is simulated once per (workload x cache geometry x
+//! thread count) by the second memo level ([`TraceCache::get_filtered`]):
+//! cells replay only the `Arc<MissStream>` L2 miss tail through the
+//! memory controller and DRAM, which is bit-identical to the full path
+//! (cache outcomes are ECC-independent) at O(LLC misses) instead of
 //! O(accesses) per grid cell.
 //!
-//! Every job runs on a fresh [`Machine`], so results are bit-identical
+//! Every cell runs on a fresh [`Machine`], so results are bit-identical
 //! regardless of worker count or completion order (the simulator itself
 //! is deterministic; see `tests/campaign_determinism.rs`).
 //!
 //! ```no_run
-//! use abft_coop_core::{Campaign, Strategy};
+//! use abft_coop_core::{CampaignClient, CampaignSpec, Strategy};
 //! use abft_memsim::KernelKind;
 //!
-//! let run = Campaign::new()
+//! let spec = CampaignSpec::builder()
 //!     .kernels(KernelKind::ALL)          // 4 kernels x
 //!     .strategies(Strategy::ALL)         // 6 strategies x 1 default config
-//!     .run();                            // = 24 jobs, 4 trace generations
+//!     .build();                          // = 24 cells, 4 trace generations
+//! let run = CampaignClient::local().run(&spec);
 //! let dgemm = run.basic_test(KernelKind::Dgemm);
 //! println!("W_CK memory energy x{:.2}", dgemm.mem_energy_norm(Strategy::WholeChipkill));
 //! run.write_json("reproduction-output/basic_tests.json").unwrap();
 //! ```
 
+use crate::client::CampaignSpec;
 use crate::experiment::{BasicTest, StrategyResult};
 use crate::strategy::Strategy;
-use abft_memsim::miss_stream::MissStream;
-use abft_memsim::simpoint::{SimPointConfig, SimPointSelection};
-use abft_memsim::system::{Machine, SimRequest, SimStats};
-use abft_memsim::trace::Trace;
+use abft_memsim::simpoint::SimPointConfig;
+use abft_memsim::system::{Machine, SimInput, SimRequest, SimStats};
 use abft_memsim::trace_cache::{FilterKey, TraceCache};
 use abft_memsim::workloads::{abft_region_ids, KernelKind, KernelParams};
-use abft_memsim::{AccessSource, SystemConfig};
+use abft_memsim::SystemConfig;
 use rayon::prelude::*;
 use std::io::Write;
 use std::path::Path;
@@ -47,56 +48,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Run one (stream, config, strategy) cell on a fresh machine — the job
-/// primitive every campaign cell shares. The source may be anything
-/// pull-based: a packed-cache replay, a live kernel generator, or a trace
-/// file; the simulator drains it in bounded-memory chunks.
-pub fn run_strategy_source<S: AccessSource + ?Sized>(
-    mut src: &mut S,
-    cfg: &SystemConfig,
-    strategy: Strategy,
-) -> SimStats {
-    let regions = abft_region_ids(src.regions());
-    let assign = strategy.assignment(&regions);
-    Machine::new(cfg.clone()).simulate(SimRequest::source(&mut src, assign))
-}
-
-/// [`run_strategy_source`] over a materialized trace (the compatibility
-/// adapter for hand-built traces; bit-identical to streaming).
-pub fn run_strategy_job(trace: &Trace, cfg: &SystemConfig, strategy: Strategy) -> SimStats {
-    run_strategy_source(&mut trace.replay(), cfg, strategy)
-}
-
-/// [`run_strategy_source`] over a cache-filtered miss stream — the fast
-/// path every campaign cell takes. Bit-identical to the full run over the
-/// stream the [`MissStream`] was filtered from; the machine config's
-/// cache geometry and thread count must match the filter's
-/// (see [`abft_memsim::trace_cache::FilterKey`]).
-pub fn run_strategy_miss_stream(
-    ms: &MissStream,
-    cfg: &SystemConfig,
-    strategy: Strategy,
-) -> SimStats {
-    let regions = abft_region_ids(ms.regions());
-    let assign = strategy.assignment(&regions);
-    Machine::new(cfg.clone()).simulate(SimRequest::miss_stream(ms, assign))
-}
-
-/// [`run_strategy_miss_stream`] through SimPoint-style phase sampling:
-/// replays only the selection's weighted representative slices and scales
-/// the accumulated DRAM statistics by cluster weights. An estimate (error
-/// bounded empirically in `tests/simpoint_equivalence.rs` and gated in
-/// `bench_sim`), not bit-identical — use it when the exact replay's
-/// O(LLC misses) is still too slow, e.g. paper-scale matrices.
-pub fn run_strategy_sampled(
-    ms: &MissStream,
-    sel: &SimPointSelection,
-    cfg: &SystemConfig,
-    strategy: Strategy,
-) -> SimStats {
-    let regions = abft_region_ids(ms.regions());
-    let assign = strategy.assignment(&regions);
-    Machine::new(cfg.clone()).simulate(SimRequest::sampled(ms, sel, assign))
+/// Run one (input, config, strategy) cell on a fresh machine — the one
+/// way a [`Strategy`] becomes [`SimStats`]. The input picks the replay
+/// path: a materialized trace or pull-based source goes through the full
+/// cache hierarchy; a cache-filtered miss stream replays only the DRAM
+/// tail (bit-identical, provided the config's cache geometry and thread
+/// count match the filter's [`FilterKey`]); a sampled miss stream
+/// replays only its weighted representative slices (an estimate, error
+/// bounded in `tests/simpoint_equivalence.rs` and gated in `bench_sim`).
+pub fn run_cell(input: SimInput<'_>, cfg: &SystemConfig, strategy: Strategy) -> SimStats {
+    let assign = strategy.assignment(&abft_region_ids(input.regions()));
+    Machine::new(cfg.clone()).simulate(SimRequest::new(input, assign))
 }
 
 /// One completed campaign cell.
@@ -117,8 +79,8 @@ pub struct CampaignResult {
     pub wall: Duration,
 }
 
-/// Progress snapshot handed to the [`Campaign::on_progress`] hook after
-/// every completed job.
+/// Progress snapshot handed to the [`crate::CampaignClient::on_progress`]
+/// hook after every completed job.
 #[derive(Debug, Clone)]
 pub struct Progress {
     /// Jobs completed so far (including this one).
@@ -172,275 +134,146 @@ pub struct CampaignMetrics {
     /// Representative slices replayed across all sampled cells.
     pub slices_replayed: u64,
     /// Worst a-priori heterogeneity error budget across the selections
-    /// used (see [`SimPointSelection::est_error`]); 0 when sampling is
-    /// off.
+    /// used (see [`abft_memsim::SimPointSelection::est_error`]); 0 when
+    /// sampling is off.
     pub est_error_budget: f64,
-    /// End-to-end wall-clock of [`Campaign::run`].
+    /// End-to-end wall-clock of the run.
     pub wall: Duration,
 }
 
-/// Shared per-job progress callback (see [`Campaign::on_progress`]).
+/// Shared per-job progress callback (see
+/// [`crate::CampaignClient::on_progress`]).
 pub type ProgressHook = Arc<dyn Fn(&Progress) + Send + Sync>;
 
-/// Builder for a (workload x config x strategy) simulation grid.
-#[derive(Default)]
-pub struct Campaign {
-    workloads: Vec<KernelParams>,
-    strategies: Vec<Strategy>,
-    configs: Vec<(String, SystemConfig)>,
-    threads: Option<usize>,
-    progress: Option<ProgressHook>,
+/// The engine: expand `spec` into cells, pre-warm every distinct miss
+/// stream (and phase selection, when `sampling` is on), replay each cell
+/// through [`run_cell`] on the worker pool, and assemble the counters.
+/// `sampling` is passed beside the spec because the caller resolves it
+/// (the spec's own setting, else the environment's).
+pub(crate) fn run_grid(
+    spec: &CampaignSpec,
     sampling: Option<SimPointConfig>,
-}
+    cache: &TraceCache,
+    progress: Option<&ProgressHook>,
+) -> CampaignRun {
+    let CampaignSpec { workloads, strategies, configs, .. } = spec;
 
-impl Campaign {
-    /// An empty campaign. Without further calls, [`run`](Campaign::run)
-    /// covers all four kernels at default scale, all six strategies, and
-    /// the default system config.
-    pub fn new() -> Self {
-        Campaign::default()
-    }
-
-    /// Add one kernel at its default (Table-3-scaled) workload.
-    pub fn kernel(self, kind: KernelKind) -> Self {
-        self.workload(KernelParams::default_for(kind))
-    }
-
-    /// Add several kernels at their default workloads.
-    pub fn kernels(mut self, kinds: impl IntoIterator<Item = KernelKind>) -> Self {
-        for k in kinds {
-            self.workloads.push(KernelParams::default_for(k));
-        }
-        self
-    }
-
-    /// Add one fully-specified workload (kernel + scale).
-    pub fn workload(mut self, params: impl Into<KernelParams>) -> Self {
-        self.workloads.push(params.into());
-        self
-    }
-
-    /// Add several fully-specified workloads.
-    pub fn workloads(mut self, params: impl IntoIterator<Item = KernelParams>) -> Self {
-        self.workloads.extend(params);
-        self
-    }
-
-    /// Add one strategy (default when none are added: all six).
-    pub fn strategy(mut self, s: Strategy) -> Self {
-        self.strategies.push(s);
-        self
-    }
-
-    /// Add several strategies.
-    pub fn strategies(mut self, ss: impl IntoIterator<Item = Strategy>) -> Self {
-        self.strategies.extend(ss);
-        self
-    }
-
-    /// Add a tagged system-config variant (default when none are added:
-    /// `("default", SystemConfig::default())`).
-    pub fn config(mut self, tag: impl Into<String>, cfg: SystemConfig) -> Self {
-        self.configs.push((tag.into(), cfg));
-        self
-    }
-
-    /// Pin the worker count (default: the rayon global default, which
-    /// honours `RAYON_NUM_THREADS`). `threads(1)` is the serial path.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n.max(1));
-        self
-    }
-
-    /// Enable SimPoint-style phase sampling for every cell: each job
-    /// replays only the weighted representative slices of its miss
-    /// stream instead of the whole DRAM tail. Results become estimates
-    /// (error budget surfaced in [`CampaignMetrics::est_error_budget`]);
-    /// leave sampling off when bit-exact statistics are required.
-    pub fn sampling(mut self, cfg: SimPointConfig) -> Self {
-        self.sampling = Some(cfg);
-        self
-    }
-
-    /// [`Campaign::sampling`] with an optional config (what the client
-    /// facade threads through).
-    pub fn sampling_opt(mut self, cfg: Option<SimPointConfig>) -> Self {
-        self.sampling = cfg;
-        self
-    }
-
-    /// Install a hook called after every completed job (liveness
-    /// reporting for long campaigns). May be called from worker threads.
-    pub fn on_progress(mut self, hook: impl Fn(&Progress) + Send + Sync + 'static) -> Self {
-        self.progress = Some(Arc::new(hook));
-        self
-    }
-
-    /// [`Campaign::on_progress`] with an already-shared hook (what
-    /// [`crate::client::CampaignClient`] threads through).
-    pub fn on_progress_hook(mut self, hook: Option<ProgressHook>) -> Self {
-        self.progress = hook;
-        self
-    }
-
-    /// Execute the grid against the process-wide [`TraceCache`].
-    pub fn run(self) -> CampaignRun {
-        self.run_with_cache(TraceCache::global())
-    }
-
-    /// Execute the grid against an explicit cache (tests use private
-    /// caches to observe hit/build counts from a clean slate).
-    pub fn run_with_cache(self, cache: &TraceCache) -> CampaignRun {
-        let workloads = if self.workloads.is_empty() {
-            KernelKind::ALL.iter().map(|&k| KernelParams::default_for(k)).collect()
-        } else {
-            self.workloads
-        };
-        let strategies =
-            if self.strategies.is_empty() { Strategy::ALL.to_vec() } else { self.strategies };
-        let configs = if self.configs.is_empty() {
-            vec![("default".to_string(), SystemConfig::default())]
-        } else {
-            self.configs
-        };
-
-        // Deterministic nested order: workload, then config, then strategy.
-        let mut jobs: Vec<(KernelParams, usize, Strategy)> = Vec::new();
-        for &w in &workloads {
-            for c in 0..configs.len() {
-                for &s in &strategies {
-                    jobs.push((w, c, s));
-                }
+    // Deterministic nested order: workload, then config, then strategy.
+    let mut jobs: Vec<(KernelParams, usize, Strategy)> = Vec::new();
+    for &w in workloads {
+        for c in 0..configs.len() {
+            for &s in strategies {
+                jobs.push((w, c, s));
             }
         }
+    }
 
-        let total = jobs.len();
-        let completed = AtomicUsize::new(0);
-        let hits0 = cache.hits();
-        let builds0 = cache.builds();
-        let filter_hits0 = cache.miss_hits();
-        let filter_builds0 = cache.miss_builds();
-        let simpoint_hits0 = cache.simpoint_hits();
-        let simpoint_builds0 = cache.simpoint_builds();
-        let store0 = cache.store_metrics();
-        let sampling = self.sampling;
-        let progress = self.progress.clone();
-        let start = Instant::now(); // repolint:allow(DET002,DET004) wall time is reporting-only progress metadata
+    let total = jobs.len();
+    let completed = AtomicUsize::new(0);
+    let hits0 = cache.hits();
+    let builds0 = cache.builds();
+    let filter_hits0 = cache.miss_hits();
+    let filter_builds0 = cache.miss_builds();
+    let simpoint_hits0 = cache.simpoint_hits();
+    let simpoint_builds0 = cache.simpoint_builds();
+    let store0 = cache.store_metrics();
+    let start = Instant::now(); // repolint:allow(DET002,DET004) wall time is reporting-only progress metadata
 
-        // Pre-build every distinct miss stream in parallel (each pulls its
-        // packed trace through the first memo level on demand). Without
-        // this the workload-major job order makes all workers start on the
-        // same kernel and serialize behind one memo slot's build; warming
-        // first costs max(build times) instead of their sum. Config
-        // variants sharing a cache geometry and thread count dedup to one
-        // filter pass here.
-        let mut distinct: Vec<(KernelParams, usize, FilterKey)> = Vec::new();
-        for &w in &workloads {
-            for (c, (_, cfg)) in configs.iter().enumerate() {
-                let key = FilterKey::new(w, cfg);
-                if !distinct.iter().any(|(_, _, k)| *k == key) {
-                    distinct.push((w, c, key));
-                }
+    // Pre-build every distinct miss stream in parallel (each pulls its
+    // packed trace through the first memo level on demand). Without
+    // this the workload-major job order makes all workers start on the
+    // same kernel and serialize behind one memo slot's build; warming
+    // first costs max(build times) instead of their sum. Config
+    // variants sharing a cache geometry and thread count dedup to one
+    // filter pass here.
+    let mut distinct: Vec<(KernelParams, usize, FilterKey)> = Vec::new();
+    for &w in workloads {
+        for (c, (_, cfg)) in configs.iter().enumerate() {
+            let key = FilterKey::new(w, cfg);
+            if !distinct.iter().any(|(_, _, k)| *k == key) {
+                distinct.push((w, c, key));
             }
         }
+    }
 
-        // For the sampling accounting pass below: the (workload, config)
-        // pair of every job, before `jobs` moves into the executor.
-        let job_cells: Vec<(KernelParams, usize)> = jobs.iter().map(|&(w, c, _)| (w, c)).collect();
-
-        let execute = || -> Vec<CampaignResult> {
-            distinct.into_par_iter().for_each(|(w, c, _)| {
-                cache.get_filtered(w, &configs[c].1);
-                if let Some(sp) = &sampling {
-                    cache.get_simpoints(w, &configs[c].1, sp);
-                }
-            });
-            jobs.into_par_iter()
-                .map(|(workload, cfg_idx, strategy)| {
-                    let (tag, cfg) = &configs[cfg_idx];
-                    // repolint:allow(DET002,DET004) wall time is reporting-only progress metadata
-                    let job_start = Instant::now();
-                    let ms = cache.get_filtered(workload, cfg);
-                    let stats = match &sampling {
-                        Some(sp) => {
-                            let sel = cache.get_simpoints(workload, cfg, sp);
-                            run_strategy_sampled(&ms, &sel, cfg, strategy)
-                        }
-                        None => run_strategy_miss_stream(&ms, cfg, strategy),
-                    };
-                    let wall = job_start.elapsed();
-                    let result = CampaignResult {
-                        kernel: workload.kind(),
-                        workload,
-                        strategy,
-                        config_tag: tag.clone(),
-                        stats,
-                        wall,
-                    };
-                    if let Some(hook) = &progress {
-                        let done = completed.fetch_add(1, Ordering::SeqCst) + 1;
-                        hook(&Progress {
-                            completed: done,
-                            total,
-                            kernel: result.kernel,
-                            strategy,
-                            config_tag: result.config_tag.clone(),
-                            job_wall: wall,
-                            cache_hits: cache.hits(),
-                            cache_builds: cache.builds(),
-                        });
+    // Each cell comes back with the phase count and error budget of the
+    // selection it replayed (zeros on the exact path).
+    let execute = || -> Vec<(CampaignResult, u64, f64)> {
+        distinct.into_par_iter().for_each(|(w, c, _)| {
+            cache.get_filtered(w, &configs[c].1);
+            if let Some(sp) = &sampling {
+                cache.get_simpoints(w, &configs[c].1, sp);
+            }
+        });
+        jobs.into_par_iter()
+            .map(|(workload, cfg_idx, strategy)| {
+                let (tag, cfg) = &configs[cfg_idx];
+                // repolint:allow(DET002,DET004) wall time is reporting-only progress metadata
+                let job_start = Instant::now();
+                let ms = cache.get_filtered(workload, cfg);
+                let (stats, phases, est_error) = match &sampling {
+                    Some(sp) => {
+                        let sel = cache.get_simpoints(workload, cfg, sp);
+                        let input = SimInput::SampledMissStream { stream: &ms, selection: &sel };
+                        (run_cell(input, cfg, strategy), sel.phases().len() as u64, sel.est_error())
                     }
-                    result
-                })
-                .collect()
-        };
+                    None => (run_cell(SimInput::MissStream(&ms), cfg, strategy), 0, 0.0),
+                };
+                let wall = job_start.elapsed();
+                let result = CampaignResult {
+                    kernel: workload.kind(),
+                    workload,
+                    strategy,
+                    config_tag: tag.clone(),
+                    stats,
+                    wall,
+                };
+                if let Some(hook) = progress {
+                    let done = completed.fetch_add(1, Ordering::SeqCst) + 1;
+                    hook(&Progress {
+                        completed: done,
+                        total,
+                        kernel: result.kernel,
+                        strategy,
+                        config_tag: result.config_tag.clone(),
+                        job_wall: wall,
+                        cache_hits: cache.hits(),
+                        cache_builds: cache.builds(),
+                    });
+                }
+                (result, phases, est_error)
+            })
+            .collect()
+    };
 
-        let results = match self.threads {
-            Some(n) => rayon::ThreadPoolBuilder::new()
-                .num_threads(n)
-                .build()
-                .expect("thread pool") // repolint:allow(PANIC001) no recovery path if OS thread spawn fails at startup
-                .install(execute),
-            None => execute(),
-        };
+    let cells = match spec.threads {
+        Some(n) => rayon::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build()
+            .expect("thread pool") // repolint:allow(PANIC001) no recovery path if OS thread spawn fails at startup
+            .install(execute),
+        None => execute(),
+    };
 
-        let store = cache.store_metrics().since(&store0);
-        // Snapshot the simpoint counters before the accounting pass below,
-        // whose memo lookups would otherwise inflate the hit delta.
-        let simpoint_hits = cache.simpoint_hits() - simpoint_hits0;
-        let simpoint_builds = cache.simpoint_builds() - simpoint_builds0;
-        let mut sampled_cells = 0usize;
-        let mut slices_replayed = 0u64;
-        let mut est_error_budget = 0.0f64;
-        if let Some(sp) = &sampling {
-            for (w, c) in job_cells {
-                let sel = cache.get_simpoints(w, &configs[c].1, sp);
-                sampled_cells += 1;
-                slices_replayed += sel.phases().len() as u64;
-                est_error_budget = est_error_budget.max(sel.est_error());
-            }
-        }
-        CampaignRun {
-            results,
-            metrics: CampaignMetrics {
-                jobs: total,
-                cache_hits: cache.hits() - hits0,
-                cache_builds: cache.builds() - builds0,
-                filter_hits: cache.miss_hits() - filter_hits0,
-                filter_builds: cache.miss_builds() - filter_builds0,
-                store_hits: store.hits,
-                store_misses: store.misses,
-                store_writes: store.writes,
-                store_evictions: store.evictions,
-                simpoint_hits,
-                simpoint_builds,
-                sampled_cells,
-                slices_replayed,
-                est_error_budget,
-                wall: start.elapsed(),
-            },
-        }
-    }
+    let store = cache.store_metrics().since(&store0);
+    let metrics = CampaignMetrics {
+        jobs: total,
+        cache_hits: cache.hits() - hits0,
+        cache_builds: cache.builds() - builds0,
+        filter_hits: cache.miss_hits() - filter_hits0,
+        filter_builds: cache.miss_builds() - filter_builds0,
+        store_hits: store.hits,
+        store_misses: store.misses,
+        store_writes: store.writes,
+        store_evictions: store.evictions,
+        simpoint_hits: cache.simpoint_hits() - simpoint_hits0,
+        simpoint_builds: cache.simpoint_builds() - simpoint_builds0,
+        sampled_cells: if sampling.is_some() { total } else { 0 },
+        slices_replayed: cells.iter().map(|c| c.1).sum(),
+        est_error_budget: cells.iter().map(|c| c.2).fold(0.0, f64::max),
+        wall: start.elapsed(),
+    };
+    CampaignRun { results: cells.into_iter().map(|c| c.0).collect(), metrics }
 }
 
 /// The results of a finished campaign.
@@ -654,22 +487,29 @@ fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{CampaignClient, CampaignSpecBuilder};
     use abft_memsim::workloads::DgemmParams;
 
     fn tiny() -> KernelParams {
         KernelParams::Dgemm(DgemmParams { n: 128, nb: 64, abft: true, verify_interval: 2 })
     }
 
+    /// Run a spec over `tiny()` against a private cache.
+    fn run_tiny(cache: &Arc<TraceCache>, spec: CampaignSpecBuilder) -> CampaignRun {
+        CampaignClient::with_cache(Arc::clone(cache)).run(&spec.workload(tiny()).build())
+    }
+
     #[test]
     fn grid_order_is_workload_config_strategy() {
-        let cache = TraceCache::new();
-        let run = Campaign::new()
-            .workload(tiny())
-            .strategies([Strategy::NoEcc, Strategy::WholeChipkill])
-            .config("a", SystemConfig::default())
-            .config("b", SystemConfig::default())
-            .threads(2)
-            .run_with_cache(&cache);
+        let cache = Arc::new(TraceCache::new());
+        let run = run_tiny(
+            &cache,
+            CampaignSpec::builder()
+                .strategies([Strategy::NoEcc, Strategy::WholeChipkill])
+                .config("a", SystemConfig::default())
+                .config("b", SystemConfig::default())
+                .threads(2),
+        );
         let seen: Vec<(String, Strategy)> =
             run.results.iter().map(|r| (r.config_tag.clone(), r.strategy)).collect();
         assert_eq!(
@@ -693,44 +533,48 @@ mod tests {
 
     #[test]
     fn progress_hook_sees_every_job() {
-        let cache = TraceCache::new();
+        let cache = Arc::new(TraceCache::new());
         let count = Arc::new(AtomicUsize::new(0));
         let count2 = Arc::clone(&count);
-        let run = Campaign::new()
+        let spec = CampaignSpec::builder()
             .workload(tiny())
             .strategies([Strategy::NoEcc, Strategy::WholeSecded, Strategy::WholeChipkill])
             .threads(3)
+            .build();
+        let run = CampaignClient::with_cache(cache)
             .on_progress(move |p| {
                 assert!(p.completed <= p.total);
                 assert_eq!(p.total, 3);
                 count2.fetch_add(1, Ordering::SeqCst);
             })
-            .run_with_cache(&cache);
+            .run(&spec);
         assert_eq!(count.load(Ordering::SeqCst), 3);
         assert_eq!(run.results.len(), 3);
     }
 
     #[test]
     fn basic_test_view_matches_direct_run() {
-        let cache = TraceCache::new();
-        let run = Campaign::new().workload(tiny()).threads(2).run_with_cache(&cache);
+        let cache = Arc::new(TraceCache::new());
+        let run = run_tiny(&cache, CampaignSpec::builder().threads(2));
         let bt = run.basic_test(KernelKind::Dgemm);
         assert_eq!(bt.rows.len(), 6);
         let trace = tiny().build();
-        let direct = run_strategy_job(&trace, &SystemConfig::default(), Strategy::WholeChipkill);
+        let direct =
+            run_cell(SimInput::Trace(&trace), &SystemConfig::default(), Strategy::WholeChipkill);
         assert_eq!(bt.row(Strategy::WholeChipkill).stats, direct);
     }
 
     #[test]
     fn sampled_campaign_reports_sampling_metrics() {
-        let cache = TraceCache::new();
+        let cache = Arc::new(TraceCache::new());
         let sp = SimPointConfig { interval: 2048, max_phases: 4, ..Default::default() };
-        let run = Campaign::new()
-            .workload(tiny())
-            .strategies([Strategy::NoEcc, Strategy::WholeChipkill])
-            .sampling(sp)
-            .threads(2)
-            .run_with_cache(&cache);
+        let run = run_tiny(
+            &cache,
+            CampaignSpec::builder()
+                .strategies([Strategy::NoEcc, Strategy::WholeChipkill])
+                .sampling(sp)
+                .threads(2),
+        );
         assert_eq!(run.metrics.jobs, 2);
         assert_eq!(run.metrics.sampled_cells, 2);
         assert_eq!(run.metrics.simpoint_builds, 1, "one selection per distinct filter key");
@@ -741,8 +585,7 @@ mod tests {
         assert!(json.contains("\"simpoint_builds\": 1"));
         assert!(json.contains("\"est_error_budget\""));
         // An unsampled campaign reports sampling as off.
-        let exact =
-            Campaign::new().workload(tiny()).strategy(Strategy::NoEcc).run_with_cache(&cache);
+        let exact = run_tiny(&cache, CampaignSpec::builder().strategy(Strategy::NoEcc));
         assert_eq!(exact.metrics.sampled_cells, 0);
         assert_eq!(exact.metrics.slices_replayed, 0);
         assert_eq!(exact.metrics.est_error_budget, 0.0);
@@ -750,8 +593,8 @@ mod tests {
 
     #[test]
     fn json_is_structurally_sound() {
-        let cache = TraceCache::new();
-        let run = Campaign::new().workload(tiny()).strategy(Strategy::NoEcc).run_with_cache(&cache);
+        let cache = Arc::new(TraceCache::new());
+        let run = run_tiny(&cache, CampaignSpec::builder().strategy(Strategy::NoEcc));
         let json = run.to_json();
         assert!(json.contains("\"kernel\": \"FT-DGEMM\""));
         assert!(json.contains("\"strategy\": \"No ECC\""));

@@ -1,48 +1,46 @@
-//! The unified campaign client: every harness binary's one way to run a
+//! The campaign client: every harness binary's one way to run a
 //! simulation grid.
 //!
-//! [`CampaignSpec`] is the declarative description of a grid — workloads,
-//! strategies, tagged config variants, worker count, and optionally an
-//! on-disk artifact store — built with [`CampaignSpec::builder`].
-//! [`CampaignClient`] executes specs through a [`GridRunner`]:
-//!
-//! * [`CampaignClient::local`] — the in-process engine: the
-//!   [`Campaign`] builder over the process-wide `TraceCache`, with an
-//!   [`ArtifactStore`] attached when the spec names a store directory
-//!   (or the `ABFT_ARTIFACT_STORE` environment variable does).
-//! * `abft-campaign-server`'s in-process handle also implements
-//!   [`GridRunner`], so a binary flips from solo execution to submitting
-//!   against a shared warm job server by swapping the runner, not the
-//!   code around it.
+//! [`CampaignSpec`] is the one description of a grid — workloads,
+//! strategies, tagged config variants, worker count, optionally phase
+//! sampling and an on-disk artifact store — built with
+//! [`CampaignSpec::builder`]. [`CampaignClient::run`] resolves the
+//! environment (a store directory from the spec or `ABFT_ARTIFACT_STORE`,
+//! sampling from the spec or `ABFT_SIMPOINT`) and hands the spec to the
+//! one engine in [`crate::campaign`], over the process-wide `TraceCache`
+//! ([`CampaignClient::local`]) or a private one
+//! ([`CampaignClient::with_cache`]).
 //!
 //! ```no_run
 //! use abft_coop_core::{CampaignClient, CampaignSpec, Strategy};
 //! use abft_memsim::KernelKind;
 //!
 //! let spec = CampaignSpec::builder()
-//!     .kernel(KernelKind::Dgemm)
-//!     .grid(KernelKind::ALL, Strategy::ALL)
-//!     .store("artifact-store")
+//!     .kernels(KernelKind::ALL)          // 4 kernels x
+//!     .strategies(Strategy::ALL)         // 6 strategies x 1 default config
+//!     .store("artifact-store")           // = 24 cells, 4 trace generations
 //!     .build();
 //! let run = CampaignClient::local().run(&spec);
 //! println!("{} cells, {} artifact hits", run.results.len(), run.metrics.store_hits);
 //! ```
 
-use crate::campaign::{Campaign, CampaignRun, ProgressHook};
+use crate::campaign::{run_grid, CampaignRun, Progress, ProgressHook};
 use crate::strategy::Strategy;
 use abft_memsim::simpoint::SimPointConfig;
 use abft_memsim::workloads::{KernelKind, KernelParams};
 use abft_memsim::{ArtifactStore, SystemConfig, TraceCache};
-use std::path::{Path, PathBuf};
+use std::ffi::OsString;
+use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Environment variable naming a store directory every local grid run
-/// should persist artifacts to (the spec's explicit
-/// [`CampaignSpecBuilder::store`] wins when both are set).
+/// Environment variable naming a store directory every grid run should
+/// persist artifacts to (the spec's explicit
+/// [`CampaignSpecBuilder::store`] wins when both are set; an empty value
+/// counts as unset).
 pub const STORE_ENV: &str = "ABFT_ARTIFACT_STORE";
 
-/// Environment variable enabling SimPoint phase sampling for every local
-/// grid run (the spec's explicit [`CampaignSpecBuilder::sampling`] wins
+/// Environment variable enabling SimPoint phase sampling for every grid
+/// run (the spec's explicit [`CampaignSpecBuilder::sampling`] wins
 /// when both are set). `1` or `default` selects
 /// [`SimPointConfig::default`]; otherwise the value is parsed as
 /// `interval,max_phases,seed,iterations[,strata]`. Malformed values
@@ -79,23 +77,34 @@ pub fn parse_simpoint_env(value: &str) -> Option<SimPointConfig> {
 
 /// A declarative (workload × config × strategy) grid: what to simulate,
 /// under which configs, with which ECC strategies, and where (if
-/// anywhere) to persist the generated artifacts.
-#[derive(Debug, Clone, Default)]
+/// anywhere) to persist the generated artifacts. Only
+/// [`CampaignSpecBuilder::build`] makes one, so the three lists are
+/// never empty.
+#[derive(Debug, Clone)]
 pub struct CampaignSpec {
-    workloads: Vec<KernelParams>,
-    strategies: Vec<Strategy>,
-    configs: Vec<(String, SystemConfig)>,
-    threads: Option<usize>,
+    pub(crate) workloads: Vec<KernelParams>,
+    pub(crate) strategies: Vec<Strategy>,
+    pub(crate) configs: Vec<(String, SystemConfig)>,
+    pub(crate) threads: Option<usize>,
     store_dir: Option<PathBuf>,
     sampling: Option<SimPointConfig>,
 }
 
 impl CampaignSpec {
-    /// Start building a spec. An empty spec resolves to the paper's
+    /// Start building a spec. An empty builder resolves to the paper's
     /// basic-test grid: all four kernels at default scale, all six
     /// strategies, the default system config.
     pub fn builder() -> CampaignSpecBuilder {
-        CampaignSpecBuilder { spec: CampaignSpec::default() }
+        CampaignSpecBuilder {
+            spec: CampaignSpec {
+                workloads: Vec::new(),
+                strategies: Vec::new(),
+                configs: Vec::new(),
+                threads: None,
+                store_dir: None,
+                sampling: None,
+            },
+        }
     }
 
     /// The basic-test grid for a set of kernels (all six strategies,
@@ -104,80 +113,20 @@ impl CampaignSpec {
         CampaignSpec::builder().kernels(kinds).build()
     }
 
-    /// The workloads the grid covers (defaults resolved).
-    pub fn workloads(&self) -> Vec<KernelParams> {
-        if self.workloads.is_empty() {
-            KernelKind::ALL.iter().map(|&k| KernelParams::default_for(k)).collect()
-        } else {
-            self.workloads.clone()
-        }
-    }
-
-    /// The strategies the grid covers (defaults resolved).
-    pub fn strategies(&self) -> Vec<Strategy> {
-        if self.strategies.is_empty() {
-            Strategy::ALL.to_vec()
-        } else {
-            self.strategies.clone()
-        }
-    }
-
-    /// The tagged config variants the grid covers (defaults resolved).
-    pub fn configs(&self) -> Vec<(String, SystemConfig)> {
-        if self.configs.is_empty() {
-            vec![("default".to_string(), SystemConfig::default())]
-        } else {
-            self.configs.clone()
-        }
-    }
-
-    /// The pinned worker count, if any.
-    pub fn threads(&self) -> Option<usize> {
-        self.threads
-    }
-
-    /// The artifact-store directory, if the spec names one.
-    pub fn store_dir(&self) -> Option<&Path> {
-        self.store_dir.as_deref()
-    }
-
-    /// The SimPoint sampling config, if the spec enables phase sampling.
-    pub fn sampling(&self) -> Option<SimPointConfig> {
-        self.sampling
-    }
-
     /// Total grid cells the spec expands to.
     pub fn cells(&self) -> usize {
-        self.workloads().len() * self.strategies().len() * self.configs().len()
-    }
-
-    /// Lower the spec onto the imperative [`Campaign`] builder (resolved,
-    /// so the engine sees explicit lists).
-    pub fn to_campaign(&self) -> Campaign {
-        let mut c = Campaign::new().workloads(self.workloads()).strategies(self.strategies());
-        for (tag, cfg) in self.configs() {
-            c = c.config(tag, cfg);
-        }
-        if let Some(n) = self.threads {
-            c = c.threads(n);
-        }
-        c.sampling_opt(self.sampling)
+        self.workloads.len() * self.strategies.len() * self.configs.len()
     }
 }
 
 /// Fluent constructor for [`CampaignSpec`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CampaignSpecBuilder {
     spec: CampaignSpec,
 }
 
 impl CampaignSpecBuilder {
-    /// Add one kernel at its default (Table-3-scaled) workload.
-    pub fn kernel(self, kind: KernelKind) -> Self {
-        self.workload(KernelParams::default_for(kind))
-    }
-
-    /// Add several kernels at their default workloads.
+    /// Add several kernels at their default (Table-3-scaled) workloads.
     pub fn kernels(mut self, kinds: impl IntoIterator<Item = KernelKind>) -> Self {
         self.spec.workloads.extend(kinds.into_iter().map(KernelParams::default_for));
         self
@@ -207,15 +156,6 @@ impl CampaignSpecBuilder {
         self
     }
 
-    /// Add a whole (kernels × strategies) block in one call.
-    pub fn grid(
-        self,
-        kinds: impl IntoIterator<Item = KernelKind>,
-        ss: impl IntoIterator<Item = Strategy>,
-    ) -> Self {
-        self.kernels(kinds).strategies(ss)
-    }
-
     /// Add a tagged system-config variant (default when none are added:
     /// `("default", SystemConfig::default())`).
     pub fn config(mut self, tag: impl Into<String>, cfg: SystemConfig) -> Self {
@@ -223,7 +163,8 @@ impl CampaignSpecBuilder {
         self
     }
 
-    /// Pin the worker count (`threads(1)` is the serial path).
+    /// Pin the worker count (default: the rayon global default, which
+    /// honours `RAYON_NUM_THREADS`). `threads(1)` is the serial path.
     pub fn threads(mut self, n: usize) -> Self {
         self.spec.threads = Some(n.max(1));
         self
@@ -236,127 +177,101 @@ impl CampaignSpecBuilder {
     }
 
     /// Replay only weighted representative slices (SimPoint phase
-    /// sampling) instead of the full miss stream for every cell.
+    /// sampling) instead of the full miss stream for every cell. Results
+    /// become estimates (error budget surfaced in
+    /// [`crate::CampaignMetrics::est_error_budget`]); leave sampling off
+    /// when bit-exact statistics are required.
     pub fn sampling(mut self, cfg: SimPointConfig) -> Self {
         self.spec.sampling = Some(cfg);
         self
     }
 
-    /// Seal the spec.
+    /// Seal the spec, resolving each empty list to its default.
     pub fn build(self) -> CampaignSpec {
-        self.spec
+        let mut spec = self.spec;
+        if spec.workloads.is_empty() {
+            spec.workloads = KernelKind::ALL.map(KernelParams::default_for).to_vec();
+        }
+        if spec.strategies.is_empty() {
+            spec.strategies = Strategy::ALL.to_vec();
+        }
+        if spec.configs.is_empty() {
+            spec.configs.push(("default".to_string(), SystemConfig::default()));
+        }
+        spec
     }
 }
 
-/// Something that can execute a [`CampaignSpec`]: the in-process engine
-/// ([`LocalRunner`]), or a handle to a shared campaign-server instance.
-pub trait GridRunner: Send + Sync {
-    /// Execute the grid, delivering per-job progress through `hook`.
-    /// Results arrive in the deterministic grid order (workload-major,
-    /// then config, then strategy) regardless of execution order.
-    fn run_grid(&self, spec: &CampaignSpec, hook: Option<ProgressHook>) -> CampaignRun;
+/// The store directory a run persists to: the spec's, else the
+/// [`STORE_ENV`] value unless it is empty (`VAR=` is the usual shell way
+/// to "unset", and an empty root would litter the working directory).
+fn resolve_store_dir(spec: &CampaignSpec, env: Option<OsString>) -> Option<PathBuf> {
+    spec.store_dir.clone().or_else(|| env.filter(|v| !v.is_empty()).map(PathBuf::from))
 }
 
-/// The in-process [`GridRunner`]: the [`Campaign`] engine over the
-/// process-wide trace cache (or a private one), with the artifact store
-/// attached when the spec or [`STORE_ENV`] names a directory.
-#[derive(Default)]
-pub struct LocalRunner {
+/// The facade every harness binary runs grids through: a trace cache
+/// (the process-wide one, or a private one) plus an optional progress
+/// hook.
+#[derive(Clone, Default)]
+pub struct CampaignClient {
     cache: Option<Arc<TraceCache>>,
+    progress: Option<ProgressHook>,
 }
 
-impl LocalRunner {
-    /// Run against the process-wide [`TraceCache::global`].
-    pub fn new() -> Self {
-        LocalRunner::default()
+impl CampaignClient {
+    /// A client over the process-wide [`TraceCache::global`].
+    pub fn local() -> CampaignClient {
+        CampaignClient::default()
     }
 
-    /// Run against a private cache (isolated counters; what the gate
+    /// A client over a private cache (isolated counters; what the gate
     /// binaries and tests use to observe cold/warm behaviour cleanly).
-    pub fn with_cache(cache: Arc<TraceCache>) -> Self {
-        LocalRunner { cache: Some(cache) }
+    pub fn with_cache(cache: Arc<TraceCache>) -> CampaignClient {
+        CampaignClient { cache: Some(cache), progress: None }
     }
 
-    fn cache(&self) -> &TraceCache {
-        match &self.cache {
+    /// Install a hook called after every completed job (liveness
+    /// reporting for long campaigns). May be called from worker threads.
+    pub fn on_progress(mut self, hook: impl Fn(&Progress) + Send + Sync + 'static) -> Self {
+        self.progress = Some(Arc::new(hook));
+        self
+    }
+
+    /// Execute a spec and collect the full run: attach the artifact
+    /// store when the spec or [`STORE_ENV`] names a directory, resolve
+    /// sampling from the spec or [`SIMPOINT_ENV`], then run the grid.
+    pub fn run(&self, spec: &CampaignSpec) -> CampaignRun {
+        let cache = match &self.cache {
             Some(cache) => cache,
             None => TraceCache::global(),
-        }
-    }
-}
-
-impl GridRunner for LocalRunner {
-    fn run_grid(&self, spec: &CampaignSpec, hook: Option<ProgressHook>) -> CampaignRun {
-        let cache = self.cache();
-        let dir = spec
-            .store_dir()
-            .map(PathBuf::from)
-            .or_else(|| std::env::var_os(STORE_ENV).map(PathBuf::from));
-        if let Some(dir) = dir {
+        };
+        if let Some(dir) = resolve_store_dir(spec, std::env::var_os(STORE_ENV)) {
             match ArtifactStore::open(&dir) {
                 Ok(store) => cache.attach_store(Arc::new(store)),
                 // Degrade to memory-only: a missing or unwritable store
                 // directory must never fail the simulation itself.
                 Err(e) => {
+                    // repolint:allow(PERF004) once per run, before any cell replays
                     eprintln!("[campaign] artifact store {} unavailable: {e}", dir.display())
                 }
             }
         }
-        let mut campaign = spec.to_campaign();
-        if spec.sampling().is_none() {
-            if let Some(raw) = std::env::var_os(SIMPOINT_ENV) {
-                let raw = raw.to_string_lossy();
-                match parse_simpoint_env(&raw) {
-                    Some(sp) => campaign = campaign.sampling(sp),
-                    // Degrade to exact replay: a malformed sampling knob
-                    // must never fail (or silently skew) the simulation.
-                    None => eprintln!(
-                        "[campaign] ignoring {SIMPOINT_ENV}={raw:?}: expected \
-                         \"1\", \"default\", or \"interval,max_phases,seed,iterations\""
-                    ),
-                }
+        let sampling = spec.sampling.or_else(|| {
+            let raw = std::env::var_os(SIMPOINT_ENV)?;
+            let raw = raw.to_string_lossy();
+            let parsed = parse_simpoint_env(&raw);
+            if parsed.is_none() {
+                // Degrade to exact replay: a malformed sampling knob
+                // must never fail (or silently skew) the simulation.
+                // repolint:allow(PERF004) once per run, before any cell replays
+                eprintln!(
+                    "[campaign] ignoring {SIMPOINT_ENV}={raw:?}: expected \
+                     \"1\", \"default\", or \"interval,max_phases,seed,iterations\""
+                );
             }
-        }
-        campaign.on_progress_hook(hook).run_with_cache(cache)
-    }
-}
-
-/// The facade every harness binary runs grids through. Wraps a
-/// [`GridRunner`] plus an optional progress hook.
-#[derive(Clone)]
-pub struct CampaignClient {
-    runner: Arc<dyn GridRunner>,
-    progress: Option<ProgressHook>,
-}
-
-impl CampaignClient {
-    /// A client over the in-process engine and the process-wide cache.
-    pub fn local() -> CampaignClient {
-        CampaignClient::with_runner(Arc::new(LocalRunner::new()))
-    }
-
-    /// A client over the in-process engine and a private cache.
-    pub fn with_cache(cache: Arc<TraceCache>) -> CampaignClient {
-        CampaignClient::with_runner(Arc::new(LocalRunner::with_cache(cache)))
-    }
-
-    /// A client over any [`GridRunner`] (e.g. a campaign-server handle).
-    pub fn with_runner(runner: Arc<dyn GridRunner>) -> CampaignClient {
-        CampaignClient { runner, progress: None }
-    }
-
-    /// Install a per-job progress hook for every grid this client runs.
-    pub fn on_progress(
-        mut self,
-        hook: impl Fn(&crate::campaign::Progress) + Send + Sync + 'static,
-    ) -> Self {
-        self.progress = Some(Arc::new(hook));
-        self
-    }
-
-    /// Execute a spec and collect the full run.
-    pub fn run(&self, spec: &CampaignSpec) -> CampaignRun {
-        self.runner.run_grid(spec, self.progress.clone())
+            parsed
+        });
+        run_grid(spec, sampling, cache, self.progress.as_ref())
     }
 }
 
@@ -403,18 +318,18 @@ mod tests {
     fn builder_threads_sampling_through_the_spec() {
         let sp = SimPointConfig { interval: 2048, max_phases: 4, ..SimPointConfig::default() };
         let spec = CampaignSpec::builder().workload(tiny()).sampling(sp).build();
-        assert_eq!(spec.sampling(), Some(sp));
-        assert!(CampaignSpec::builder().build().sampling().is_none());
+        assert_eq!(spec.sampling, Some(sp));
+        assert!(CampaignSpec::builder().build().sampling.is_none());
     }
 
     #[test]
     fn empty_spec_resolves_to_the_basic_grid() {
         let spec = CampaignSpec::builder().build();
-        assert_eq!(spec.workloads().len(), 4);
-        assert_eq!(spec.strategies().len(), 6);
-        assert_eq!(spec.configs().len(), 1);
+        assert_eq!(spec.workloads.len(), 4);
+        assert_eq!(spec.strategies.len(), 6);
+        assert_eq!(spec.configs.len(), 1);
         assert_eq!(spec.cells(), 24);
-        assert!(spec.store_dir().is_none());
+        assert!(spec.store_dir.is_none());
     }
 
     #[test]
@@ -428,8 +343,18 @@ mod tests {
             .store("/tmp/unused")
             .build();
         assert_eq!(spec.cells(), 4);
-        assert_eq!(spec.threads(), Some(2));
-        assert_eq!(spec.store_dir(), Some(Path::new("/tmp/unused")));
+        assert_eq!(spec.threads, Some(2));
+        assert_eq!(spec.store_dir, Some(PathBuf::from("/tmp/unused")));
+    }
+
+    #[test]
+    fn empty_store_env_counts_as_unset() {
+        let bare = CampaignSpec::builder().build();
+        assert_eq!(resolve_store_dir(&bare, None), None);
+        assert_eq!(resolve_store_dir(&bare, Some("".into())), None, "`VAR=` must not root at cwd");
+        assert_eq!(resolve_store_dir(&bare, Some("env-dir".into())), Some("env-dir".into()));
+        let named = CampaignSpec::builder().store("spec-dir").build();
+        assert_eq!(resolve_store_dir(&named, Some("env-dir".into())), Some("spec-dir".into()));
     }
 
     #[test]
@@ -441,9 +366,9 @@ mod tests {
         assert_eq!(run.results.len(), 1);
         assert_eq!(run.metrics.cache_builds, 1);
         assert_eq!(run.metrics.store_hits, 0, "no store attached");
-        // The facade and the raw engine agree bit-for-bit.
-        let direct = crate::campaign::run_strategy_job(
-            &tiny().build(),
+        // The grid cell and a direct full-hierarchy cell agree bit-for-bit.
+        let direct = crate::campaign::run_cell(
+            abft_memsim::SimInput::Trace(&tiny().build()),
             &SystemConfig::default(),
             Strategy::NoEcc,
         );

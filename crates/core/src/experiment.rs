@@ -67,14 +67,19 @@ impl BasicTest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::Campaign;
-    use abft_memsim::workloads::{CgParams, DgemmParams};
+    use crate::client::{CampaignClient, CampaignSpec};
+    use abft_memsim::workloads::{CgParams, DgemmParams, KernelParams};
+
+    /// The six-strategy basic test of one workload (process-wide cache).
+    pub(super) fn basic_test_of(w: impl Into<KernelParams>) -> BasicTest {
+        let w = w.into();
+        CampaignClient::local()
+            .run(&CampaignSpec::builder().workload(w).build())
+            .basic_test(w.kind())
+    }
 
     fn small_dgemm() -> BasicTest {
-        Campaign::new()
-            .workload(DgemmParams { n: 384, nb: 64, abft: true, verify_interval: 4 })
-            .run()
-            .basic_test(KernelKind::Dgemm)
+        basic_test_of(DgemmParams { n: 384, nb: 64, abft: true, verify_interval: 4 })
     }
 
     #[test]
@@ -120,10 +125,8 @@ mod tests {
     fn cg_is_the_most_ecc_sensitive_kernel() {
         // Sanity proxy of the paper's Figure 5: CG (memory intensive) pays
         // more for whole chipkill than DGEMM pays relative to its W_SD.
-        let cg = Campaign::new()
-            .workload(CgParams { grid: 192, iterations: 4, abft: true, verify_interval: 2 })
-            .run()
-            .basic_test(KernelKind::Cg);
+        let cg =
+            basic_test_of(CgParams { grid: 192, iterations: 4, abft: true, verify_interval: 2 });
         assert!(
             cg.mem_energy_norm(Strategy::WholeChipkill) > cg.mem_energy_norm(Strategy::WholeSecded)
         );
@@ -196,17 +199,14 @@ pub fn fault_adjusted(
 
 #[cfg(test)]
 mod fault_adjusted_tests {
+    use super::tests::basic_test_of;
     use super::*;
-    use crate::campaign::Campaign;
     use crate::strategy::Strategy;
     use abft_memsim::workloads::DgemmParams;
 
     #[test]
     fn are_beats_ase_at_field_error_rates_and_loses_in_storms() {
-        let bt = Campaign::new()
-            .workload(DgemmParams { n: 384, nb: 64, abft: true, verify_interval: 4 })
-            .run()
-            .basic_test(KernelKind::Dgemm);
+        let bt = basic_test_of(DgemmParams { n: 384, nb: 64, abft: true, verify_interval: 4 });
         let day = 86_400.0;
         let gb = 1u64 << 30;
         // A day of FT-DGEMM, 2 GB ABFT data, 6 GB other.

@@ -5,12 +5,12 @@
 //!
 //! * [`strategy`] — the six basic-test ECC strategies (No ECC, W_CK,
 //!   P_CK+No_ECC, W_SD, P_SD+No_ECC, P_CK+P_SD).
-//! * [`campaign`] — the parallel campaign engine: a builder-style
-//!   [`Campaign`] expands (workload x config x strategy) grids into jobs
-//!   run on a rayon pool with traces shared through the process-wide
-//!   `TraceCache`.
+//! * [`campaign`] — the one campaign engine: a [`CampaignSpec`]'s
+//!   (workload x config x strategy) grid expands into cells run through
+//!   [`run_cell`] on a rayon pool, with traces and miss streams shared
+//!   through the `TraceCache`; results come back as a [`CampaignRun`].
 //! * `experiment` — the Section 5.1 metrics ([`BasicTest`] and the
-//!   fault-adjusted projections); [`Campaign`] is the only driver.
+//!   fault-adjusted projections), assembled from a [`CampaignRun`].
 //! * `errorflow` — end-to-end Case 1-4 drills against the real stack
 //!   (bit-true ECC, MC error registers, OS interrupt path, sysfs, ABFT
 //!   correction) plus ARE-vs-ASE population summaries.
@@ -19,10 +19,10 @@
 //! * `adaptive` — the run-time controller that watches observed error
 //!   rates and retunes ECC through `assign_ecc` (the paper's closing
 //!   "co-design and adaptive policy" claim, executable).
-//! * [`client`] — the [`CampaignClient`] facade: harness binaries
-//!   describe grids declaratively with [`CampaignSpec`] and execute
-//!   them through a [`GridRunner`] (in-process engine + artifact store,
-//!   or a shared campaign-server handle).
+//! * [`client`] — [`CampaignSpec`], the one grid description, and the
+//!   [`CampaignClient`] facade every harness binary runs it through
+//!   (trace cache + artifact store + sampling resolved from the spec or
+//!   the environment, then the engine).
 //! * [`report`] — text tables and the [`ReportSink`] emission trait for
 //!   the per-figure harness binaries.
 
@@ -37,12 +37,10 @@ pub mod strategy;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveController, Stance, Transition};
 pub use campaign::{
-    run_strategy_job, run_strategy_miss_stream, run_strategy_sampled, run_strategy_source,
-    Campaign, CampaignMetrics, CampaignResult, CampaignRun, Progress, ProgressHook,
+    run_cell, CampaignMetrics, CampaignResult, CampaignRun, Progress, ProgressHook,
 };
 pub use client::{
-    parse_simpoint_env, CampaignClient, CampaignSpec, CampaignSpecBuilder, GridRunner, LocalRunner,
-    SIMPOINT_ENV, STORE_ENV,
+    parse_simpoint_env, CampaignClient, CampaignSpec, CampaignSpecBuilder, SIMPOINT_ENV, STORE_ENV,
 };
 pub use errorflow::{
     drill_chip_fault, drill_matrix, summarize_cases, CaseSummary, DetectedBy, DrillResult,

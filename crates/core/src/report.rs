@@ -81,8 +81,7 @@ pub fn joules(x: f64) -> String {
 /// Where a harness binary's output goes: headed sections, rendered
 /// tables, free-form notes, and named machine-readable artifacts
 /// (`*.json` / `*.csv`). Implementations decide the medium — the
-/// terminal ([`StdoutSink`]), a report file ([`FileSink`]), or a
-/// campaign-server result stream.
+/// terminal ([`StdoutSink`]) or a report file ([`FileSink`]).
 ///
 /// Emission is best-effort by design: a full disk or closed pipe must
 /// never fail the simulation whose results are being reported, so

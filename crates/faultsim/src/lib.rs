@@ -14,7 +14,7 @@
 //!   accounting.
 //! * [`campaign`] — Monte-Carlo fault campaigns over realistic pattern
 //!   mixes, producing ARE/ASE outcome distributions (the `FaultCampaign*`
-//!   namespace; the simulation-grid `Campaign` lives in `abft-coop-core`).
+//!   namespace; the simulation-grid `CampaignSpec` lives in `abft-coop-core`).
 
 pub mod campaign;
 pub mod fit;

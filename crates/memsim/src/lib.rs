@@ -51,7 +51,7 @@ pub use dram::{AddressMap, Dram, DramLocation};
 pub use miss_stream::{MissEvent, MissEventKind, MissStream, SliceCursor};
 pub use packed::{PackedBuilder, PackedReplay, PackedTrace};
 pub use simpoint::{SimPointConfig, SimPointPhase, SimPointSelection};
-pub use store::{ArtifactStore, StableDigest, StoreError, StoreMetrics};
+pub use store::{ArtifactStore, StoreError, StoreMetrics};
 pub use stream::{AccessSink, AccessSource, TraceReplay, DEFAULT_CHUNK};
 pub use system::{EccAssignment, Machine, RowPolicy, SimInput, SimRequest, SimStats};
 pub use trace::{Access, Region, RegionId, RegionMap, Trace};

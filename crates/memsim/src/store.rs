@@ -97,11 +97,8 @@ impl From<std::io::Error> for StoreError {
 }
 
 /// Incremental FNV-1a digest over a canonical byte encoding — the
-/// content address of every artifact, and reusable by higher layers
-/// (the campaign server keys grid cells with it) for any value that can
-/// be reduced to a stable byte walk.
-#[derive(Debug, Clone)]
-pub struct StableDigest(u128);
+/// content address of every artifact.
+struct StableDigest(u128);
 
 const FNV128_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV128_PRIME: u128 = 0x0000000001000000000000000000013b;
@@ -110,12 +107,12 @@ const FNV64_PRIME: u64 = 0x00000100000001b3;
 
 impl StableDigest {
     /// A fresh digest at the FNV-1a offset basis.
-    pub fn new() -> Self {
+    fn new() -> Self {
         StableDigest(FNV128_OFFSET)
     }
 
     /// Fold raw bytes into the digest.
-    pub fn bytes(&mut self, bytes: &[u8]) {
+    fn bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u128;
             self.0 = self.0.wrapping_mul(FNV128_PRIME);
@@ -123,30 +120,19 @@ impl StableDigest {
     }
 
     /// Fold a `u64` (little-endian) into the digest.
-    pub fn u64(&mut self, v: u64) {
+    fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
 
-    /// Fold an `f64` bit pattern into the digest (exact, not lossy).
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
     /// Fold a length-prefixed string token into the digest.
-    pub fn str_token(&mut self, s: &str) {
+    fn str_token(&mut self, s: &str) {
         self.u64(s.len() as u64);
         self.bytes(s.as_bytes());
     }
 
     /// The 128-bit digest value.
-    pub fn finish(&self) -> u128 {
+    fn finish(&self) -> u128 {
         self.0
-    }
-}
-
-impl Default for StableDigest {
-    fn default() -> Self {
-        StableDigest::new()
     }
 }
 
@@ -608,9 +594,17 @@ pub struct ArtifactStore {
 }
 
 impl ArtifactStore {
-    /// Open (creating if absent) a store rooted at `root`.
+    /// Open (creating if absent) a store rooted at `root`. An empty
+    /// path is rejected: `create_dir_all("")` succeeds, and every blob
+    /// would then land in the working directory.
     pub fn open(root: impl Into<PathBuf>) -> Result<ArtifactStore, StoreError> {
         let root = root.into();
+        if root.as_os_str().is_empty() {
+            return Err(StoreError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "store root is an empty path",
+            )));
+        }
         std::fs::create_dir_all(&root)?;
         Ok(ArtifactStore {
             root,
@@ -818,6 +812,14 @@ mod tests {
             std::env::temp_dir().join(format!("abft-store-unit-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         ArtifactStore::open(dir).unwrap()
+    }
+
+    #[test]
+    fn an_empty_root_is_rejected_not_rooted_at_the_cwd() {
+        match ArtifactStore::open("") {
+            Err(StoreError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+            other => panic!("empty root must be an InvalidInput error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -187,6 +187,18 @@ pub enum SimInput<'a> {
     },
 }
 
+impl SimInput<'_> {
+    /// The region registry of whatever is replayed.
+    pub fn regions(&self) -> &RegionMap {
+        match self {
+            SimInput::Trace(t) => &t.regions,
+            SimInput::Source(s) => s.regions(),
+            SimInput::MissStream(ms) => ms.regions(),
+            SimInput::SampledMissStream { stream, .. } => stream.regions(),
+        }
+    }
+}
+
 /// One simulation request: an input, an ECC assignment, and optionally a
 /// custom protection policy — the single argument of
 /// [`Machine::simulate`], replacing the former seven `run_*` entry
@@ -212,24 +224,25 @@ pub struct SimRequest<'a> {
 }
 
 impl<'a> SimRequest<'a> {
+    /// Replay any input form under `assign` (programmed assignment,
+    /// default ECC-chip power state).
+    pub fn new(input: SimInput<'a>, assign: EccAssignment) -> SimRequest<'a> {
+        SimRequest { input, assign, policy: None, ecc_chips_powered: None }
+    }
+
     /// Replay a materialized trace under `assign`.
     pub fn trace(trace: &'a Trace, assign: EccAssignment) -> SimRequest<'a> {
-        SimRequest { input: SimInput::Trace(trace), assign, policy: None, ecc_chips_powered: None }
+        SimRequest::new(SimInput::Trace(trace), assign)
     }
 
     /// Replay a pull-based access stream under `assign`.
     pub fn source(src: &'a mut dyn AccessSource, assign: EccAssignment) -> SimRequest<'a> {
-        SimRequest { input: SimInput::Source(src), assign, policy: None, ecc_chips_powered: None }
+        SimRequest::new(SimInput::Source(src), assign)
     }
 
     /// Replay a cache-filtered miss stream under `assign`.
     pub fn miss_stream(ms: &'a MissStream, assign: EccAssignment) -> SimRequest<'a> {
-        SimRequest {
-            input: SimInput::MissStream(ms),
-            assign,
-            policy: None,
-            ecc_chips_powered: None,
-        }
+        SimRequest::new(SimInput::MissStream(ms), assign)
     }
 
     /// Replay only the selected representative phases of a miss stream,
@@ -239,12 +252,7 @@ impl<'a> SimRequest<'a> {
         selection: &'a SimPointSelection,
         assign: EccAssignment,
     ) -> SimRequest<'a> {
-        SimRequest {
-            input: SimInput::SampledMissStream { stream: ms, selection },
-            assign,
-            policy: None,
-            ecc_chips_powered: None,
-        }
+        SimRequest::new(SimInput::SampledMissStream { stream: ms, selection }, assign)
     }
 
     /// Attach a custom protection policy (suppresses range-register
@@ -340,13 +348,7 @@ impl Machine {
         match policy {
             Some(p) => self.dispatch(input, powered, p),
             None => {
-                let regions = match &input {
-                    SimInput::Trace(t) => &t.regions,
-                    SimInput::Source(s) => s.regions(),
-                    SimInput::MissStream(ms) => ms.regions(),
-                    SimInput::SampledMissStream { stream, .. } => stream.regions(),
-                };
-                let regions = regions.clone();
+                let regions = input.regions().clone();
                 self.program_ecc(&regions, &assign);
                 let mut fallback = |_: &Access, mc: &MemoryController, paddr: u64| {
                     AccessKind::Scheme(mc.scheme_for(paddr))

@@ -31,6 +31,12 @@ pub struct RuleCfg {
     /// PERF rules deliberately do not (binaries print and allocate as
     /// their job — only the replay entry points define hotness).
     pub entry_points: Vec<String>,
+    /// Whether `entry_points` came from the config file rather than the
+    /// built-in defaults. A listed name that matches no workspace
+    /// function is a hard error (a rename would otherwise turn the rule
+    /// into a silent no-op); the defaults are exempt so fixture
+    /// workspaces need not define every root.
+    pub entry_points_listed: bool,
 }
 
 impl RuleCfg {
@@ -51,7 +57,7 @@ impl RuleCfg {
             },
             entry_points: if code == "DET004" || code.starts_with("PERF") {
                 vec![
-                    "Campaign::run".to_string(),
+                    "CampaignClient::run".to_string(),
                     "Machine::simulate".to_string(),
                     "MissStream::build".to_string(),
                     "MissStream::events_from".to_string(),
@@ -59,6 +65,7 @@ impl RuleCfg {
             } else {
                 Vec::new()
             },
+            entry_points_listed: false,
         }
     }
 }
@@ -152,7 +159,10 @@ impl Config {
                         "crates" => rule.crates = Some(parse_list(value, lineno)?),
                         "path_contains" => rule.path_contains = parse_list(value, lineno)?,
                         "fn_contains" => rule.fn_contains = parse_list(value, lineno)?,
-                        "entry_points" => rule.entry_points = parse_list(value, lineno)?,
+                        "entry_points" => {
+                            rule.entry_points = parse_list(value, lineno)?;
+                            rule.entry_points_listed = true;
+                        }
                         _ => return Err(format!("line {lineno}: unknown rule key {key}")),
                     }
                 }

@@ -107,17 +107,18 @@ impl Workspace {
     }
 
     /// Run every enabled rule (per-file and semantic) over the
-    /// workspace, in canonical order.
-    pub fn lint(&self, cfg: &Config) -> Vec<Diagnostic> {
+    /// workspace, in canonical order. Fails on a config-listed entry
+    /// point that names no function (see [`rules::run_semantic`]).
+    pub fn lint(&self, cfg: &Config) -> Result<Vec<Diagnostic>, String> {
         let ctxs: Vec<FileCtx<'_>> =
             self.files.iter().map(|p| FileCtx::new(&p.rel, &p.crate_name, &p.file)).collect();
         let mut out = Vec::new();
         for ctx in &ctxs {
             rules::run_all(ctx, cfg, &mut out);
         }
-        rules::run_semantic(self, &ctxs, cfg, &mut out);
+        rules::run_semantic(self, &ctxs, cfg, &mut out)?;
         sort_diags(&mut out);
-        out
+        Ok(out)
     }
 }
 
@@ -269,7 +270,7 @@ pub fn check_workspace(root: &Path, cfg: &Config, base: &Baseline) -> Result<Rep
     // repolint:allow(DET002,DET004) analysis wall-time is reporting-only metadata
     let started = std::time::Instant::now();
     let ws = Workspace::load(root, cfg)?;
-    let mut report = apply_baseline(ws.files.len(), ws.lint(cfg), base);
+    let mut report = apply_baseline(ws.files.len(), ws.lint(cfg)?, base);
     report.analysis_ms = started.elapsed().as_millis();
     Ok(report)
 }

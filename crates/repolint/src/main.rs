@@ -22,7 +22,8 @@ struct Args {
     baseline: Option<PathBuf>,
     /// Rule-code prefixes to keep enabled (e.g. `CONC`, `DET004,CONC`).
     rules: Option<Vec<String>>,
-    /// Prior REPOLINT.json whose `rule_totals` no rule may regress above.
+    /// Reference file (a prior `--json` report, or just its
+    /// `"rule_totals":{..}` object) no rule's total may regress above.
     ratchet: Option<PathBuf>,
 }
 
@@ -151,16 +152,22 @@ fn run() -> Result<ExitCode, String> {
 
     let mut ratchet_failures = Vec::new();
     if let Some(prior) = &args.ratchet {
-        if prior.exists() {
-            let text =
-                std::fs::read_to_string(prior).map_err(|e| format!("{}: {e}", prior.display()))?;
-            let prior_totals = parse_rule_totals(&text);
-            for (rule, &n) in &report.rule_totals {
-                if let Some(&allowed) = prior_totals.get(rule.as_str()) {
-                    if n > allowed {
-                        ratchet_failures
-                            .push(format!("{rule}: {n} finding(s), ratchet allows {allowed}"));
-                    }
+        // A missing reference is an error, not "nothing to compare": a
+        // fresh clone must not ratchet against thin air.
+        let text = std::fs::read_to_string(prior)
+            .map_err(|e| format!("--ratchet {}: {e}", prior.display()))?;
+        let prior_totals = parse_rule_totals(&text);
+        if prior_totals.is_empty() {
+            return Err(format!(
+                "--ratchet {}: no \"rule_totals\" to compare with",
+                prior.display()
+            ));
+        }
+        for (rule, &n) in &report.rule_totals {
+            if let Some(&allowed) = prior_totals.get(rule.as_str()) {
+                if n > allowed {
+                    ratchet_failures
+                        .push(format!("{rule}: {n} finding(s), ratchet allows {allowed}"));
                 }
             }
         }
@@ -180,8 +187,10 @@ fn run() -> Result<ExitCode, String> {
     Ok(if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
-/// Pull the `"rule_totals":{"RULE":N,..}` object out of a prior JSON
-/// report with plain string ops (the build vendors no JSON parser).
+/// Pull the `"rule_totals":{"RULE":N,..}` object out of a ratchet
+/// reference (a full JSON report or the committed `repolint.ratchet`,
+/// which holds only that object) with plain string ops (the build
+/// vendors no JSON parser).
 fn parse_rule_totals(text: &str) -> std::collections::BTreeMap<String, usize> {
     let mut out = std::collections::BTreeMap::new();
     let Some(start) = text.find("\"rule_totals\":{") else { return out };
@@ -238,9 +247,9 @@ mod tests {
     }
 
     #[test]
-    fn ratchet_parser_tolerates_missing_section() {
-        // Reports from before the ratchet existed have no rule_totals;
-        // every rule is then unconstrained rather than an error.
+    fn ratchet_parser_finds_nothing_without_the_section() {
+        // `run` turns an empty result into an error: a reference that
+        // constrains no rule is a ratchet that checks nothing.
         assert!(parse_rule_totals("{\"diagnostics\":[],\"counts\":{}}").is_empty());
         assert!(parse_rule_totals("").is_empty());
     }

@@ -143,6 +143,7 @@ mod tests {
     fn api_findings(sources: &[(&str, &str, &str)]) -> Vec<(String, usize, String)> {
         let ws = Workspace::from_sources(sources).expect("fixture parses");
         ws.lint(&Config::default())
+            .expect("lint")
             .into_iter()
             .filter(|d| d.rule == "API001")
             .map(|d| (d.path, d.line, d.message))

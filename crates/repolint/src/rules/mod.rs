@@ -8,7 +8,7 @@ use crate::diag::{Diagnostic, Severity};
 use crate::guards::{self, FnConc};
 use crate::hotness::Hotness;
 use crate::source::FileCtx;
-use crate::symbols::SymbolTable;
+use crate::symbols::{FnSym, SymbolTable};
 use crate::Workspace;
 
 pub mod api001;
@@ -95,13 +95,37 @@ pub fn run_all(ctx: &FileCtx<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
     }
 }
 
+/// Whether an `entry_points` name (`Type::method` or a bare function
+/// name) names `f`.
+pub(crate) fn is_entry_point(entry: &str, f: &FnSym) -> bool {
+    f.qual() == entry || f.name == entry
+}
+
 /// Run the semantic rules over the whole workspace; the symbol table
-/// and call graph are built once and shared.
-pub fn run_semantic(ws: &Workspace, ctxs: &[FileCtx<'_>], cfg: &Config, out: &mut Vec<Diagnostic>) {
+/// and call graph are built once and shared. Fails when the config file
+/// lists an entry point that names no workspace function: the roots are
+/// matched by name, so a renamed function would otherwise disable the
+/// rule without a single finding.
+pub fn run_semantic(
+    ws: &Workspace,
+    ctxs: &[FileCtx<'_>],
+    cfg: &Config,
+    out: &mut Vec<Diagnostic>,
+) -> Result<(), String> {
     if SEMANTIC.iter().all(|(code, _)| cfg.rule(code).severity == Severity::Allow) {
-        return;
+        return Ok(());
     }
     let table = SymbolTable::build(ws);
+    for (code, rule_cfg) in cfg.rules.iter().filter(|(_, r)| r.entry_points_listed) {
+        for e in &rule_cfg.entry_points {
+            if !table.fns.iter().any(|f| is_entry_point(e, f)) {
+                return Err(format!(
+                    "[rules.{code}] entry_points: `{e}` matches no function in the workspace \
+                     (renamed or deleted? the rule would silently check nothing)"
+                ));
+            }
+        }
+    }
     let graph = CallGraph::build(ws, &table);
     let conc = table
         .fns
@@ -129,7 +153,7 @@ pub fn run_semantic(ws: &Workspace, ctxs: &[FileCtx<'_>], cfg: &Config, out: &mu
             .fns
             .iter()
             .enumerate()
-            .filter(|(_, f)| eps.iter().any(|e| f.qual() == **e || f.name == **e))
+            .filter(|(_, f)| eps.iter().any(|e| is_entry_point(e, f)))
             .map(|(i, _)| i)
             .collect();
         Hotness::build(ws, &table, &graph, &roots)
@@ -154,6 +178,7 @@ pub fn run_semantic(ws: &Workspace, ctxs: &[FileCtx<'_>], cfg: &Config, out: &mu
             out.push(d);
         }
     }
+    Ok(())
 }
 
 /// Shared constructor so every rule emits the same shape.

@@ -158,7 +158,7 @@ proptest! {
         let ws = Workspace::from_sources(&[("crates/t/src/lib.rs", "t", &src)])
             .expect("generated program parses");
         let conc001: Vec<_> =
-            ws.lint(&Config::default()).into_iter().filter(|d| d.rule == "CONC001").collect();
+            ws.lint(&Config::default()).expect("lint").into_iter().filter(|d| d.rule == "CONC001").collect();
         prop_assert!(
             conc001.is_empty(),
             "blocking calls at {recv_lines:?} are all outside live regions, \

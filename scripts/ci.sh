@@ -10,16 +10,16 @@ cargo fmt --check
 
 echo "=== repolint (per-file lints + workspace semantic analysis) ==="
 # The JSON report is written even when findings fail the gate, so CI can
-# upload REPOLINT.json as an artifact either way; any finding not in the
-# ratcheting baseline fails the stage, and --ratchet fails it if any
-# rule's pre-baseline total regresses above the committed REPOLINT.json.
-# The new report lands in a temp file first so the ratchet reference is
-# still intact while the binary reads it.
-if cargo repolint --json --ratchet REPOLINT.json > REPOLINT.json.tmp; then
-    mv REPOLINT.json.tmp REPOLINT.json
+# upload REPOLINT.json (git-ignored) as an artifact either way; any
+# finding not in the ratcheting baseline fails the stage, and --ratchet
+# fails it if any rule's pre-baseline total regresses above the committed
+# repolint.ratchet (a missing or empty reference is itself an error). The
+# reference holds only the report's rule_totals, so a green run leaves
+# the tree clean; to ratchet down after a cleanup:
+#   sed -n 's/.*\("rule_totals":{[^}]*}\).*/{\1}/p' REPOLINT.json > repolint.ratchet
+if cargo repolint --json --ratchet repolint.ratchet > REPOLINT.json; then
     sed -n 's/.*"analysis_ms":\([0-9]*\).*/repolint clean — analysis took \1 ms, report at REPOLINT.json/p' REPOLINT.json
 else
-    mv REPOLINT.json.tmp REPOLINT.json
     echo "repolint found non-baseline findings or a per-rule ratchet regression (REPOLINT.json):"
     cargo repolint || true
     exit 1

@@ -2,7 +2,7 @@
 # Regenerate every table/figure of the paper plus the ablation studies.
 # Usage: scripts/reproduce_all.sh [outdir]
 #
-# Each binary drives the shared Campaign engine, so its simulation grid
+# Each binary drives the shared campaign engine, so its simulation grid
 # runs on a rayon pool; export RAYON_NUM_THREADS=N to bound the workers
 # (results are bit-identical at any worker count).
 set -euo pipefail

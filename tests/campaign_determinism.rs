@@ -16,17 +16,24 @@ fn small_workloads() -> [KernelParams; 4] {
     ]
 }
 
-fn run_with_threads(cache: &TraceCache, threads: usize) -> CampaignRun {
-    Campaign::new()
+fn run_with_threads(cache: &Arc<TraceCache>, threads: usize) -> CampaignRun {
+    run_grid(cache, threads, None)
+}
+
+fn run_grid(cache: &Arc<TraceCache>, threads: usize, sp: Option<SimPointConfig>) -> CampaignRun {
+    let mut spec = CampaignSpec::builder()
         .workloads(small_workloads())
         .strategies(Strategy::ALL)
-        .threads(threads)
-        .run_with_cache(cache)
+        .threads(threads);
+    if let Some(sp) = sp {
+        spec = spec.sampling(sp);
+    }
+    CampaignClient::with_cache(Arc::clone(cache)).run(&spec.build())
 }
 
 #[test]
 fn parallel_campaign_is_bit_identical_to_serial() {
-    let cache = TraceCache::new();
+    let cache = Arc::new(TraceCache::new());
     let serial = run_with_threads(&cache, 1);
     let parallel = run_with_threads(&cache, 4);
 
@@ -49,7 +56,7 @@ fn parallel_campaign_is_bit_identical_to_serial() {
     for w in small_workloads() {
         let trace = w.build();
         for s in Strategy::ALL {
-            let direct = run_strategy_job(&trace, &SystemConfig::default(), s);
+            let direct = run_cell(SimInput::Trace(&trace), &SystemConfig::default(), s);
             let cell = parallel.get(w.kind(), s, "default").expect("every grid cell is present");
             assert_eq!(cell.stats, direct, "{} / {}", w.label(), s.label());
         }
@@ -58,7 +65,7 @@ fn parallel_campaign_is_bit_identical_to_serial() {
 
 #[test]
 fn trace_cache_shares_one_generation_per_workload() {
-    let cache = TraceCache::new();
+    let cache = Arc::new(TraceCache::new());
 
     let first = run_with_threads(&cache, 4);
     assert_eq!(first.metrics.jobs, 24);
@@ -81,4 +88,45 @@ fn trace_cache_shares_one_generation_per_workload() {
         let b = cache.get(w);
         assert!(Arc::ptr_eq(&a, &b), "{}: repeat lookups must share the Arc", w.label());
     }
+}
+
+#[test]
+fn sampled_campaign_is_bit_identical_across_workers_and_looks_each_selection_up_once() {
+    let sp = SimPointConfig { interval: 2048, max_phases: 6, ..SimPointConfig::default() };
+    let cache = Arc::new(TraceCache::new());
+
+    // Cold: the pre-warm builds the 4 selections, each of the 24 jobs
+    // hits once — and nothing looks a selection up a second time to
+    // account for it.
+    let hits0 = cache.simpoint_hits();
+    let serial = run_grid(&cache, 1, Some(sp));
+    assert_eq!(serial.metrics.simpoint_builds, 4, "one selection per workload");
+    assert_eq!(serial.metrics.simpoint_hits, 24);
+    assert_eq!(cache.simpoint_hits() - hits0, 24, "jobs only: no post-run accounting lookups");
+
+    // Warm: 4 pre-warm hits + 24 job hits = distinct + jobs.
+    let hits1 = cache.simpoint_hits();
+    let parallel = run_grid(&cache, 4, Some(sp));
+    assert_eq!(parallel.metrics.simpoint_builds, 0);
+    assert_eq!(parallel.metrics.simpoint_hits, 28);
+    assert_eq!(cache.simpoint_hits() - hits1, 28, "distinct + jobs");
+
+    assert_eq!(serial.results.len(), 24);
+    for (a, b) in serial.results.iter().zip(&parallel.results) {
+        assert_eq!((a.kernel, a.strategy, &a.config_tag), (b.kernel, b.strategy, &b.config_tag));
+        assert_eq!(
+            a.stats,
+            b.stats,
+            "sampled {} / {} differs between 1 and 4 workers",
+            a.kernel.label(),
+            a.strategy.label()
+        );
+    }
+    for m in [&serial.metrics, &parallel.metrics] {
+        assert_eq!(m.sampled_cells, 24);
+        assert!(m.slices_replayed >= 24, "every cell replays at least one slice");
+        assert!(m.est_error_budget > 0.0 && m.est_error_budget <= 1.0);
+    }
+    assert_eq!(serial.metrics.slices_replayed, parallel.metrics.slices_replayed);
+    assert_eq!(serial.metrics.est_error_budget, parallel.metrics.est_error_budget);
 }

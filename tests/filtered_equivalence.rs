@@ -36,8 +36,8 @@ fn filtered_replay_is_bit_identical_for_every_kernel_and_strategy() {
         let packed = Arc::new(params.build_packed());
         let ms = filter(&packed, &cfg);
         for s in Strategy::ALL {
-            let full = run_strategy_source(&mut packed.replay(), &cfg, s);
-            let filtered = run_strategy_miss_stream(&ms, &cfg, s);
+            let full = run_cell(SimInput::Source(&mut packed.replay()), &cfg, s);
+            let filtered = run_cell(SimInput::MissStream(&ms), &cfg, s);
             assert_eq!(full, filtered, "{} / {}", params.label(), s.label());
         }
     }
@@ -83,8 +83,8 @@ fn filtered_replay_is_bit_identical_across_geometries_and_threads() {
     {
         let ms = filter(&packed, &cfg);
         for s in [Strategy::WholeChipkill, Strategy::PartialChipkillSecded] {
-            let full = run_strategy_source(&mut packed.replay(), &cfg, s);
-            let filtered = run_strategy_miss_stream(&ms, &cfg, s);
+            let full = run_cell(SimInput::Source(&mut packed.replay()), &cfg, s);
+            let filtered = run_cell(SimInput::MissStream(&ms), &cfg, s);
             assert_eq!(full, filtered, "{tag} / {}", s.label());
         }
     }
@@ -102,8 +102,8 @@ fn stall_factor_variants_share_a_filter_but_still_match() {
     let ms = filter(&packed, &base);
     for mlp in [1.0, 0.5, 0.25] {
         let cfg = SystemConfig { stall_factor: base.stall_factor * mlp, ..base.clone() };
-        let full = run_strategy_source(&mut packed.replay(), &cfg, Strategy::WholeChipkill);
-        let filtered = run_strategy_miss_stream(&ms, &cfg, Strategy::WholeChipkill);
+        let full = run_cell(SimInput::Source(&mut packed.replay()), &cfg, Strategy::WholeChipkill);
+        let filtered = run_cell(SimInput::MissStream(&ms), &cfg, Strategy::WholeChipkill);
         assert_eq!(full, filtered, "stall_factor x{mlp}");
     }
 }

@@ -61,8 +61,9 @@ fn sampled_replay_tracks_exact_replay_for_every_kernel_and_strategy() {
             sel.slices()
         );
         for s in Strategy::ALL {
-            let exact = run_strategy_miss_stream(&ms, &cfg, s);
-            let sampled = run_strategy_sampled(&ms, &sel, &cfg, s);
+            let exact = run_cell(SimInput::MissStream(&ms), &cfg, s);
+            let sampled =
+                run_cell(SimInput::SampledMissStream { stream: &ms, selection: &sel }, &cfg, s);
             let tag = format!("{} / {}", params.label(), s.label());
 
             // The paper-facing quantities: time and energy, within 2%.
@@ -130,8 +131,12 @@ fn saturated_phase_budget_reproduces_exact_dram_counts() {
     assert_eq!(sel.clusters() as u64, sel.slices());
     assert_eq!(sel.replayed_events(), ms.events());
     assert_eq!(sel.est_error(), 0.0);
-    let exact = run_strategy_miss_stream(&ms, &cfg, Strategy::PartialChipkillSecded);
-    let sampled = run_strategy_sampled(&ms, &sel, &cfg, Strategy::PartialChipkillSecded);
+    let exact = run_cell(SimInput::MissStream(&ms), &cfg, Strategy::PartialChipkillSecded);
+    let sampled = run_cell(
+        SimInput::SampledMissStream { stream: &ms, selection: &sel },
+        &cfg,
+        Strategy::PartialChipkillSecded,
+    );
     assert_eq!(sampled.dram_reads, exact.dram_reads);
     assert_eq!(sampled.dram_writes, exact.dram_writes);
     assert_eq!(sampled.per_scheme, exact.per_scheme);
@@ -148,8 +153,16 @@ fn selection_and_sampled_replay_are_deterministic() {
     let a = SimPointSelection::build(&ms, sampling());
     let b = SimPointSelection::build(&ms, sampling());
     assert_eq!(a, b, "same stream + same config must cluster identically");
-    let s1 = run_strategy_sampled(&ms, &a, &cfg, Strategy::WholeChipkill);
-    let s2 = run_strategy_sampled(&ms, &b, &cfg, Strategy::WholeChipkill);
+    let s1 = run_cell(
+        SimInput::SampledMissStream { stream: &ms, selection: &a },
+        &cfg,
+        Strategy::WholeChipkill,
+    );
+    let s2 = run_cell(
+        SimInput::SampledMissStream { stream: &ms, selection: &b },
+        &cfg,
+        Strategy::WholeChipkill,
+    );
     assert_eq!(s1, s2, "sampled replay is deterministic");
     // A different seed may pick different representatives...
     let other = SimPointSelection::build(&ms, SimPointConfig { seed: 1234, ..sampling() });

@@ -11,13 +11,18 @@ fn small_cg() -> CgParams {
 fn small_tests() -> Vec<BasicTest> {
     // Reduced-dimension grid; traces come from the process-wide cache, so
     // the tests in this file share one generation per workload.
-    Campaign::new()
+    let spec = CampaignSpec::builder()
         .workload(DgemmParams { n: 384, nb: 64, abft: true, verify_interval: 4 })
         .workload(CholeskyParams { n: 512, nb: 64, abft: true })
         .workload(small_cg())
         .workload(HplParams { n: 512, nb: 64, abft: true })
-        .run()
-        .basic_tests()
+        .build();
+    CampaignClient::local().run(&spec).basic_tests()
+}
+
+fn small_cg_test() -> BasicTest {
+    let spec = CampaignSpec::builder().workload(small_cg()).build();
+    CampaignClient::local().run(&spec).basic_test(KernelKind::Cg)
 }
 
 #[test]
@@ -67,7 +72,7 @@ fn table4_ordering_holds_at_reduced_scale() {
 
 #[test]
 fn measured_profiles_drive_the_policy_sensibly() {
-    let bt = Campaign::new().workload(small_cg()).run().basic_test(KernelKind::Cg);
+    let bt = small_cg_test();
     let profiles = profiles_from_basic_test(&bt);
     assert_eq!(profiles.len(), 3);
     for p in &profiles {
@@ -101,7 +106,7 @@ fn measured_profiles_drive_the_policy_sensibly() {
 
 #[test]
 fn weak_and_strong_scaling_consume_measured_profiles() {
-    let bt = Campaign::new().workload(small_cg()).run().basic_test(KernelKind::Cg);
+    let bt = small_cg_test();
     let scaling_cfg = ScalingConfig::default();
     for prof in profiles_from_basic_test(&bt) {
         let weak = weak_scaling(&prof, &scaling_cfg);
