@@ -7,8 +7,8 @@
 //! its full-path counterpart before timing is reported. Writes
 //! `BENCH_sim.json` (consumed by `scripts/ci.sh` as the perf smoke gate)
 //! and prints a summary table. The committed report carries per-kernel
-//! `perf_floors` on the filtered-replay access rate; a run below a floor
-//! fails, so replay-path slowdowns are caught like lint regressions.
+//! `ns_per_event_ceilings` on filtered replay; a run above a ceiling
+//! fails, so replay-loop slowdowns are caught like lint regressions.
 
 use abft_bench::print_header;
 use abft_coop_core::report::TextTable;
@@ -34,11 +34,12 @@ impl Row {
         self.full_replay_secs / self.filtered_replay_secs
     }
 
-    /// Source-stream accesses retired per second of filtered replay — the
-    /// effective simulation rate a campaign cell sees once the memo is
-    /// warm.
-    fn filtered_aps(&self) -> f64 {
-        self.accesses as f64 / self.filtered_replay_secs
+    /// Filtered-replay time per miss event replayed: the cost of the
+    /// replay loop itself, whatever share of the kernel's accesses the
+    /// caches absorbed (accesses per second would reward a high L2 hit
+    /// rate instead).
+    fn ns_per_event(&self) -> f64 {
+        self.filtered_replay_secs * 1e9 / self.events as f64
     }
 }
 
@@ -58,10 +59,16 @@ fn measure(kind: KernelKind, cache: &TraceCache) -> Row {
     let t0 = Instant::now();
     let full = run_cell(SimInput::Source(&mut packed.replay()), &cfg, strategy);
     let full_replay_secs = t0.elapsed().as_secs_f64().max(1e-9);
-    let t0 = Instant::now();
-    let filtered = run_cell(SimInput::MissStream(&ms), &cfg, strategy);
-    let filtered_replay_secs = t0.elapsed().as_secs_f64().max(1e-9);
-    assert_eq!(full, filtered, "{}: filtered replay must be bit-identical", kind.label());
+    // The filtered replay is what the ns-per-event ceilings gate, and at
+    // 15-200 ms a single shot of it swings by a third on a shared box:
+    // time the fastest of three.
+    let mut filtered_replay_secs = f64::INFINITY;
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        let filtered = run_cell(SimInput::MissStream(&ms), &cfg, strategy);
+        filtered_replay_secs = filtered_replay_secs.min(t0.elapsed().as_secs_f64().max(1e-9));
+        assert_eq!(full, filtered, "{}: filtered replay must be bit-identical", kind.label());
+    }
 
     Row {
         kernel: kind.label(),
@@ -117,13 +124,14 @@ fn disk_grid(dir: &std::path::Path, expect_warm: bool) -> f64 {
     secs
 }
 
-/// Pull the `"perf_floors":{"KERNEL":N,..}` object out of the committed
-/// `BENCH_sim.json` with plain string ops (the workspace vendors no JSON
-/// parser). Reports from before the floors existed yield an empty map.
-fn parse_floors(text: &str) -> Vec<(String, f64)> {
+/// Pull the `"ns_per_event_ceilings":{"KERNEL":N,..}` object out of the
+/// committed `BENCH_sim.json` with plain string ops (the workspace
+/// vendors no JSON parser). A report without one yields an empty map.
+fn parse_ceilings(text: &str) -> Vec<(String, f64)> {
+    const KEY: &str = "\"ns_per_event_ceilings\":";
     let mut out = Vec::new();
-    let Some(start) = text.find("\"perf_floors\":") else { return out };
-    let body = &text[start + "\"perf_floors\":".len()..];
+    let Some(start) = text.find(KEY) else { return out };
+    let body = &text[start + KEY.len()..];
     let Some(open) = body.find('{') else { return out };
     let body = &body[open + 1..];
     let Some(end) = body.find('}') else { return out };
@@ -232,7 +240,7 @@ fn main() {
         "full s",
         "filtered s",
         "speedup",
-        "filtered Macc/s",
+        "ns/miss event",
     ]);
     for r in &rows {
         t.row(&[
@@ -243,7 +251,7 @@ fn main() {
             format!("{:.2}", r.full_replay_secs),
             format!("{:.3}", r.filtered_replay_secs),
             format!("{:.1}x", r.speedup()),
-            format!("{:.1}", r.filtered_aps() / 1e6),
+            format!("{:.1}", r.ns_per_event()),
         ]);
     }
     print!("{}", t.render());
@@ -311,34 +319,34 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Per-kernel throughput floors: seeded at ~0.9x the measured rate the
-    // first time they are written, then preserved verbatim, so every later
-    // run gates its filtered-replay Macc/s against the committed floor —
-    // the performance counterpart of repolint.ratchet's rule_totals ratchet.
-    // A regression (e.g. re-virtualizing the default replay path) fails
-    // the bench instead of silently shipping slower numbers.
+    // Per-kernel ceilings on replay ns per miss event: seeded at 1.25x
+    // the measured cost the first time they are written, then preserved
+    // verbatim, so every later run gates its replay loop against the
+    // committed ceiling — the performance counterpart of
+    // repolint.ratchet's rule_totals ratchet. A regression (e.g.
+    // re-virtualizing the default replay path) fails the bench instead
+    // of silently shipping slower numbers.
     let prior = std::fs::read_to_string("BENCH_sim.json").unwrap_or_default();
-    let mut floors = parse_floors(&prior);
-    if floors.is_empty() {
-        floors =
-            rows.iter().map(|r| (r.kernel.to_string(), (r.filtered_aps() * 0.9).round())).collect();
-        println!("seeding perf floors at 0.9x measured filtered-replay rates");
+    let mut ceilings = parse_ceilings(&prior);
+    if ceilings.is_empty() {
+        ceilings = rows.iter().map(|r| (r.kernel.to_string(), r.ns_per_event() * 1.25)).collect();
+        println!("seeding ns-per-miss-event ceilings at 1.25x the measured replay cost");
     }
-    let mut floor_fail = false;
+    let mut over_ceiling = false;
     for r in &rows {
-        if let Some((_, floor)) = floors.iter().find(|(k, _)| k == r.kernel) {
-            if r.filtered_aps() < *floor {
+        if let Some((_, ceiling)) = ceilings.iter().find(|(k, _)| k == r.kernel) {
+            if r.ns_per_event() > *ceiling {
                 eprintln!(
-                    "bench_sim: {} filtered replay {:.1} Macc/s below the {:.1} Macc/s floor",
+                    "bench_sim: {} filtered replay {:.1} ns per miss event, above the {:.1} ns ceiling",
                     r.kernel,
-                    r.filtered_aps() / 1e6,
-                    floor / 1e6,
+                    r.ns_per_event(),
+                    ceiling,
                 );
-                floor_fail = true;
+                over_ceiling = true;
             }
         }
     }
-    if floor_fail {
+    if over_ceiling {
         std::process::exit(1);
     }
 
@@ -349,7 +357,7 @@ fn main() {
             "    {{\"kernel\": \"{}\", \"accesses\": {}, \"miss_events\": {}, \
              \"filter_build_secs\": {:.4}, \"full_replay_secs\": {:.4}, \
              \"filtered_replay_secs\": {:.4}, \"replay_speedup\": {:.2}, \
-             \"filtered_accesses_per_sec\": {:.0}}}{}",
+             \"filtered_ns_per_event\": {:.2}}}{}",
             r.kernel,
             r.accesses,
             r.events,
@@ -357,12 +365,13 @@ fn main() {
             r.full_replay_secs,
             r.filtered_replay_secs,
             r.speedup(),
-            r.filtered_aps(),
+            r.ns_per_event(),
             if i + 1 < rows.len() { "," } else { "" },
         );
     }
-    let floors_json: Vec<String> = floors.iter().map(|(k, f)| format!("\"{k}\": {f:.0}")).collect();
-    let _ = writeln!(json, "  ],\n  \"perf_floors\": {{{}}},", floors_json.join(", "));
+    let ceilings_json: Vec<String> =
+        ceilings.iter().map(|(k, c)| format!("\"{k}\": {c:.2}")).collect();
+    let _ = writeln!(json, "  ],\n  \"ns_per_event_ceilings\": {{{}}},", ceilings_json.join(", "));
     let _ = write!(
         json,
         "  \"fig07_grid\": {{\"jobs\": 24, \"full_secs\": {full_grid_secs:.4}, \

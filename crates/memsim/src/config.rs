@@ -361,6 +361,13 @@ impl SystemConfig {
                 return Err(err(field, v, "must be at least 1"));
             }
         }
+        if !self.channels.is_multiple_of(2) {
+            return Err(err(
+                "channels",
+                self.channels,
+                "Chipkill lock-steps channel pairs; the channel count must be even",
+            ));
+        }
         if self.row_bytes == 0 || !self.row_bytes.is_power_of_two() {
             return Err(err("row_bytes", self.row_bytes, "row buffer size is not a power of two"));
         }
@@ -401,6 +408,23 @@ impl SystemConfig {
         }
         if !(self.timing.tck_ns.is_finite() && self.timing.tck_ns > 0.0) {
             return Err(err("timing", self.timing.tck_ns, "tCK (ns) is not positive"));
+        }
+        // The refresh check is `start % t_refi_ns < t_rfc_ns`: a zero or
+        // non-finite interval turns it off silently (`% 0.0` is NaN), and
+        // a blackout as long as the interval stalls every request.
+        let (t_refi, t_rfc) = (self.timing.t_refi_ns, self.timing.t_rfc_ns);
+        if !(t_refi.is_finite() && t_refi > 0.0) {
+            return Err(err("timing.t_refi_ns", t_refi, "refresh interval (ns) is not positive"));
+        }
+        if !(t_rfc.is_finite() && t_rfc >= 0.0) {
+            return Err(err("timing.t_rfc_ns", t_rfc, "refresh cycle time (ns) is negative"));
+        }
+        if t_rfc >= t_refi {
+            return Err(err(
+                "timing.t_rfc_ns",
+                t_rfc,
+                format!("refresh blackout is not shorter than the refresh interval ({t_refi} ns)"),
+            ));
         }
         Ok(())
     }
@@ -714,6 +738,14 @@ mod tests {
         );
         assert_eq!(SystemConfig::builder().clock_ghz(0.0).build().unwrap_err().field, "clock_ghz");
 
+        // Chipkill pairs channel 2k with 2k+1.
+        for odd in [1, 3] {
+            let e = SystemConfig::builder().channels(odd).build().unwrap_err();
+            assert_eq!((e.field, e.value.as_str()), ("channels", odd.to_string().as_str()));
+            assert!(e.reason.contains("Chipkill lock-steps channel pairs"), "{e}");
+        }
+        SystemConfig::builder().channels(6).build().unwrap();
+
         // Chip counts must track the device width.
         let cfg = SystemConfig { data_chips_per_rank: 8, ..Default::default() };
         let e = cfg.validate().unwrap_err();
@@ -726,6 +758,30 @@ mod tests {
 
         let err = SystemConfig::builder().stall_factor(1.5).build().unwrap_err();
         assert_eq!(err.value, "1.5");
+    }
+
+    #[test]
+    fn builder_rejects_impossible_refresh_timing() {
+        let with = |t_refi_ns: f64, t_rfc_ns: f64| {
+            SystemConfig::builder()
+                .timing(DramTiming { t_refi_ns, t_rfc_ns, ..DramTiming::default() })
+                .build()
+        };
+        for bad in [0.0, -7800.0, f64::NAN, f64::INFINITY] {
+            let e = with(bad, 110.0).unwrap_err();
+            assert_eq!(e.field, "timing.t_refi_ns", "t_refi_ns = {bad}");
+        }
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let e = with(7800.0, bad).unwrap_err();
+            assert_eq!(e.field, "timing.t_rfc_ns", "t_rfc_ns = {bad}");
+        }
+        // A blackout as long as the interval never lets a request start.
+        let e = with(7800.0, 7800.0).unwrap_err();
+        assert_eq!((e.field, e.value.as_str()), ("timing.t_rfc_ns", "7800"));
+        assert_eq!(with(110.0, 7800.0).unwrap_err().field, "timing.t_rfc_ns");
+        // No refresh blackout at all is a legal model.
+        with(7800.0, 0.0).unwrap();
+        with(7812.5, 110.0).unwrap();
     }
 
     #[test]

@@ -243,6 +243,26 @@ impl MemoryController {
         self.default_scheme
     }
 
+    /// [`MemoryController::scheme_for`] with its reach: `(lo, hi, scheme)`
+    /// such that every address in `[lo, hi)` — `paddr` among them, below
+    /// `u64::MAX` — gets `scheme`, so a caller sweeping lines can keep
+    /// the answer until it leaves the span. Ranges before the matching
+    /// one clip the span, which keeps it exact under `scheme_for`'s
+    /// first-match order whatever the registers hold.
+    pub(crate) fn scheme_span(&self, paddr: u64) -> (u64, u64, EccScheme) {
+        let (mut lo, mut hi) = (0, u64::MAX);
+        for r in &self.ranges {
+            if paddr < r.base {
+                hi = hi.min(r.base);
+            } else if paddr >= r.end {
+                lo = lo.max(r.end);
+            } else {
+                return (lo.max(r.base), hi.min(r.end), r.scheme);
+            }
+        }
+        (lo, hi, self.default_scheme)
+    }
+
     // ------------------------------------------------------------------
     // Functional (data-carrying) path
     // ------------------------------------------------------------------

@@ -29,6 +29,22 @@ pub enum AccessKind {
 }
 
 impl AccessKind {
+    /// Every kind, in [`AccessKind::index`] order.
+    const ALL: [AccessKind; 4] = [
+        AccessKind::Scheme(EccScheme::None),
+        AccessKind::Scheme(EccScheme::Secded),
+        AccessKind::Scheme(EccScheme::Chipkill),
+        AccessKind::FineSecded,
+    ];
+
+    /// Slot of this kind in the [`Dram`] cost table.
+    fn index(self) -> usize {
+        match self {
+            AccessKind::Scheme(s) => scheme_index(s),
+            AccessKind::FineSecded => 3,
+        }
+    }
+
     fn chips(self, cfg: &SystemConfig) -> f64 {
         match self {
             AccessKind::Scheme(s) => cfg.chips_per_access(s) as f64,
@@ -67,22 +83,64 @@ pub struct AddressMap {
     banks_per_rank: u32,
     cols_per_row: u32,
     line_bytes: u64,
+    /// Field widths when every field count is a power of two (Table 3
+    /// is): [`AddressMap::decode`] then shifts and masks. `None` keeps
+    /// the division chain, the only decode for any other geometry.
+    widths: Option<FieldWidths>,
+}
+
+/// log2 of each field count, LSB field first.
+#[derive(Debug, Clone, Copy)]
+struct FieldWidths {
+    line: u32,
+    channel: u32,
+    col: u32,
+    bank: u32,
+    rank: u32,
 }
 
 impl AddressMap {
     /// Build from the system configuration.
     pub fn new(cfg: &SystemConfig) -> Self {
-        AddressMap {
-            channels: cfg.channels as u32,
-            ranks_per_channel: (cfg.dimms_per_channel * cfg.ranks_per_dimm) as u32,
-            banks_per_rank: cfg.banks_per_rank as u32,
-            cols_per_row: (cfg.row_bytes / cfg.l2.line_bytes) as u32,
-            line_bytes: cfg.l2.line_bytes as u64,
-        }
+        let channels = cfg.channels as u32;
+        let ranks_per_channel = (cfg.dimms_per_channel * cfg.ranks_per_dimm) as u32;
+        let banks_per_rank = cfg.banks_per_rank as u32;
+        let cols_per_row = (cfg.row_bytes / cfg.l2.line_bytes) as u32;
+        let line_bytes = cfg.l2.line_bytes as u64;
+        let pow2 = line_bytes.is_power_of_two()
+            && [channels, cols_per_row, banks_per_rank, ranks_per_channel]
+                .iter()
+                .all(|n| n.is_power_of_two());
+        let widths = pow2.then(|| FieldWidths {
+            line: line_bytes.trailing_zeros(),
+            channel: channels.trailing_zeros(),
+            col: cols_per_row.trailing_zeros(),
+            bank: banks_per_rank.trailing_zeros(),
+            rank: ranks_per_channel.trailing_zeros(),
+        });
+        AddressMap { channels, ranks_per_channel, banks_per_rank, cols_per_row, line_bytes, widths }
     }
 
     /// Decode a physical address.
+    #[inline]
     pub fn decode(&self, paddr: u64) -> DramLocation {
+        let Some(w) = self.widths else {
+            return self.decode_by_division(paddr);
+        };
+        let mut a = paddr >> w.line;
+        let channel = a as u32 & (self.channels - 1);
+        a >>= w.channel;
+        let col = a as u32 & (self.cols_per_row - 1);
+        a >>= w.col;
+        let bank = a as u32 & (self.banks_per_rank - 1);
+        a >>= w.bank;
+        let rank = a as u32 & (self.ranks_per_channel - 1);
+        a >>= w.rank;
+        DramLocation { channel, rank, bank, row: a, col }
+    }
+
+    /// The decode for any geometry: peel each field off by division.
+    fn decode_by_division(&self, paddr: u64) -> DramLocation {
         let mut a = paddr / self.line_bytes;
         let channel = (a % self.channels as u64) as u32;
         a /= self.channels as u64;
@@ -193,14 +251,77 @@ struct BankState {
     free_ns: f64,
 }
 
+/// What one request of a given [`AccessKind`] costs — everything about
+/// it that is fixed once the configuration is. Each entry is evaluated in
+/// [`Dram::new`] with the expression, in the operand order, that the
+/// per-request model (kept as the tests' `reference_access_kind`)
+/// evaluates, so the f64s are the same bits.
+#[derive(Debug, Clone, Copy)]
+struct KindCosts {
+    /// Service latency (ns) by [`RowOutcome`] (`Hit`, `Closed`, `Conflict`).
+    latency_ns: [f64; 3],
+    /// Dynamic energy (nJ), `[write][row miss]`.
+    nj: [[f64; 2]; 2],
+    /// Slot in [`DramStats::per_scheme`].
+    scheme_slot: usize,
+    /// Whether the request lock-steps a channel pair (Chipkill).
+    lockstep: bool,
+}
+
+impl KindCosts {
+    fn new(kind: AccessKind, cfg: &SystemConfig) -> KindCosts {
+        let t = cfg.timing;
+        // Lock-stepped 144-bit transfers move 64 B in half the beats;
+        // fine-grained sub-ranked transfers occupy a quarter of the
+        // channel's width-time; the ECC pipeline adds its decode latency.
+        let (burst_ns, scheme) = match kind {
+            AccessKind::Scheme(EccScheme::Chipkill) => (t.burst_ns() / 2.0, EccScheme::Chipkill),
+            AccessKind::Scheme(s) => (t.burst_ns(), s),
+            AccessKind::FineSecded => (t.burst_ns() / 4.0, EccScheme::Secded),
+        };
+        let decode_cycles = scheme.decode_latency_cycles();
+        let latency_ns = [t.hit_ns(), t.closed_ns(), t.conflict_ns()]
+            .map(|array_ns| array_ns - t.burst_ns() + burst_ns + decode_cycles as f64 * t.tck_ns);
+        // Energy: per-chip coefficients x chips the request makes busy.
+        let e = cfg.energy;
+        let chips = kind.chips(cfg);
+        let nj = [e.read_nj_per_chip, e.write_nj_per_chip].map(|burst_nj_per_chip| {
+            [false, true].map(|row_miss| {
+                let mut nj = burst_nj_per_chip * chips;
+                if row_miss {
+                    nj += e.act_nj_per_chip * chips;
+                }
+                nj += scheme.correction_energy_pj() / 1000.0;
+                nj
+            })
+        });
+        KindCosts {
+            latency_ns,
+            nj,
+            scheme_slot: scheme_index(scheme),
+            lockstep: kind == AccessKind::Scheme(EccScheme::Chipkill),
+        }
+    }
+}
+
 /// The memory device array.
 #[derive(Debug, Clone)]
 pub struct Dram {
     cfg: SystemConfig,
     map: AddressMap,
+    /// Per-kind request costs, by [`AccessKind::index`].
+    costs: [KindCosts; 4],
+    /// Open-page policy: a serviced row stays open.
+    keep_open: bool,
+    ranks_per_chan: usize,
+    banks_per_rank: usize,
     /// `[channel][rank][bank]`, flattened.
     banks: Vec<BankState>,
     channel_free_ns: Vec<f64>,
+    /// `[lo, hi)`: start times the last refresh check that found no
+    /// stall proved refresh-free (see [`Dram::past_refresh`]). Empty until
+    /// the first such check.
+    refresh_free_ns: (f64, f64),
     /// Accumulated busy time per rank (`[channel][rank]`, flattened):
     /// while a rank is idle its CKE is dropped and it sits in precharge
     /// power-down, the DRAMSim2 behaviour the standby model follows.
@@ -221,12 +342,17 @@ impl Dram {
     /// Build the device array.
     pub fn new(cfg: SystemConfig) -> Self {
         let map = AddressMap::new(&cfg);
-        let nbanks = cfg.channels * cfg.dimms_per_channel * cfg.ranks_per_dimm * cfg.banks_per_rank;
-        let nranks = cfg.channels * cfg.dimms_per_channel * cfg.ranks_per_dimm;
+        let ranks_per_chan = cfg.dimms_per_channel * cfg.ranks_per_dimm;
+        let nranks = cfg.channels * ranks_per_chan;
         Dram {
             map,
-            banks: vec![BankState { open_row: None, free_ns: 0.0 }; nbanks],
+            costs: AccessKind::ALL.map(|kind| KindCosts::new(kind, &cfg)),
+            keep_open: cfg.row_policy == crate::config::RowPolicy::Open,
+            ranks_per_chan,
+            banks_per_rank: cfg.banks_per_rank,
+            banks: vec![BankState { open_row: None, free_ns: 0.0 }; nranks * cfg.banks_per_rank],
             channel_free_ns: vec![0.0; cfg.channels],
+            refresh_free_ns: (0.0, 0.0),
             rank_busy_ns: vec![0.0; nranks],
             stats: DramStats::default(),
             cfg,
@@ -236,13 +362,6 @@ impl Dram {
     /// The address map.
     pub fn address_map(&self) -> &AddressMap {
         &self.map
-    }
-
-    fn bank_index(&self, loc: &DramLocation) -> usize {
-        ((loc.channel as usize * self.cfg.dimms_per_channel * self.cfg.ranks_per_dimm)
-            + loc.rank as usize)
-            * self.cfg.banks_per_rank
-            + loc.bank as usize
     }
 
     /// Service one 64-byte access under `scheme`, arriving at `start_ns`.
@@ -264,28 +383,26 @@ impl Dram {
         write: bool,
         kind: AccessKind,
     ) -> ServiceResult {
-        let t = self.cfg.timing;
+        let costs = self.costs[kind.index()];
         let loc = self.map.decode(paddr);
         // Chipkill locks a channel pair; the partner channel services the
         // same bank coordinates.
-        let lockstep = kind == AccessKind::Scheme(EccScheme::Chipkill);
-        let c0 = if lockstep { loc.channel & !1 } else { loc.channel };
-        let c1 = if lockstep { c0 + 1 } else { c0 };
+        let lockstep = costs.lockstep;
+        let c0 = if lockstep { loc.channel & !1 } else { loc.channel } as usize;
+        let c1 = c0 + 1;
 
         // Earliest start: all involved channels and banks free, and not
         // inside the rank's periodic refresh window (tREFI cadence, tRFC
         // blackout — the rank is unavailable while refreshing).
-        let mut avail = start_ns;
-        for c in c0..=c1 {
-            avail = avail.max(self.channel_free_ns[c as usize]);
+        let mut avail = start_ns.max(self.channel_free_ns[c0]);
+        if lockstep {
+            avail = avail.max(self.channel_free_ns[c1]);
         }
-        let phase = avail % t.t_refi_ns;
-        if phase < t.t_rfc_ns {
-            avail += t.t_rfc_ns - phase;
-            self.stats.refresh_stalls += 1;
-        }
-        let bi0 = self.bank_index(&DramLocation { channel: c0, ..loc });
-        let bi1 = self.bank_index(&DramLocation { channel: c1, ..loc });
+        avail = self.past_refresh(avail);
+        let rank0 = c0 * self.ranks_per_chan + loc.rank as usize;
+        let rank1 = rank0 + self.ranks_per_chan;
+        let bi0 = rank0 * self.banks_per_rank + loc.bank as usize;
+        let bi1 = rank1 * self.banks_per_rank + loc.bank as usize;
         avail = avail.max(self.banks[bi0].free_ns);
         if lockstep {
             avail = avail.max(self.banks[bi1].free_ns);
@@ -298,75 +415,66 @@ impl Dram {
             Some(_) => RowOutcome::Conflict,
             None => RowOutcome::Closed,
         };
-        let array_ns = match row {
-            RowOutcome::Hit => t.hit_ns(),
-            RowOutcome::Closed => t.closed_ns(),
-            RowOutcome::Conflict => t.conflict_ns(),
-        };
-        // Lock-stepped 144-bit transfers move 64 B in half the beats;
-        // fine-grained sub-ranked transfers occupy a quarter of the
-        // channel's width-time; the ECC pipeline adds its decode latency.
-        let (burst_ns, decode_cycles) = match kind {
-            AccessKind::Scheme(EccScheme::Chipkill) => {
-                (t.burst_ns() / 2.0, EccScheme::Chipkill.decode_latency_cycles())
-            }
-            AccessKind::Scheme(s) => (t.burst_ns(), s.decode_latency_cycles()),
-            AccessKind::FineSecded => {
-                (t.burst_ns() / 4.0, EccScheme::Secded.decode_latency_cycles())
-            }
-        };
-        let latency_ns = array_ns - t.burst_ns() + burst_ns + decode_cycles as f64 * t.tck_ns;
-        let completion = avail + latency_ns;
+        let completion = avail + costs.latency_ns[row as usize];
 
         // Occupancy: the channel(s) carry the burst; the bank is busy until
         // the access completes (open-page: row stays open).
-        for c in c0..=c1 {
-            self.channel_free_ns[c as usize] = completion;
-        }
-        let keep_open = self.cfg.row_policy == crate::config::RowPolicy::Open;
-        self.banks[bi0].open_row = if keep_open { Some(loc.row) } else { None };
-        self.banks[bi0].free_ns = completion;
-        if lockstep {
-            self.banks[bi1].open_row = if keep_open { Some(loc.row) } else { None };
-            self.banks[bi1].free_ns = completion;
-        }
+        let bank = BankState {
+            open_row: if self.keep_open { Some(loc.row) } else { None },
+            free_ns: completion,
+        };
         // Rank busy accounting for the power-down standby model.
         let busy = completion - avail;
-        let ranks_per_chan = self.cfg.dimms_per_channel * self.cfg.ranks_per_dimm;
-        self.rank_busy_ns[c0 as usize * ranks_per_chan + loc.rank as usize] += busy;
+        self.channel_free_ns[c0] = completion;
+        self.banks[bi0] = bank;
+        self.rank_busy_ns[rank0] += busy;
         if lockstep {
-            self.rank_busy_ns[c1 as usize * ranks_per_chan + loc.rank as usize] += busy;
+            self.channel_free_ns[c1] = completion;
+            self.banks[bi1] = bank;
+            self.rank_busy_ns[rank1] += busy;
         }
 
-        // Energy: per-chip coefficients x chips the request makes busy.
-        let e = self.cfg.energy;
-        let chips = kind.chips(&self.cfg);
-        let mut nj = if write { e.write_nj_per_chip } else { e.read_nj_per_chip } * chips;
-        if row != RowOutcome::Hit {
-            nj += e.act_nj_per_chip * chips;
-            self.stats.activations += 1;
-        } else {
-            self.stats.row_hits += 1;
-        }
-        if let AccessKind::Scheme(s) = kind {
-            nj += s.correction_energy_pj() / 1000.0;
-            self.stats.per_scheme[scheme_index(s)] += 1;
-        } else {
-            nj += EccScheme::Secded.correction_energy_pj() / 1000.0;
-            self.stats.per_scheme[scheme_index(EccScheme::Secded)] += 1;
-        }
-        self.stats.dynamic_nj += nj;
-        if write {
-            self.stats.writes += 1;
-        } else {
-            self.stats.reads += 1;
-        }
+        let row_miss = row != RowOutcome::Hit;
+        self.stats.activations += row_miss as u64;
+        self.stats.row_hits += !row_miss as u64;
+        self.stats.per_scheme[costs.scheme_slot] += 1;
+        self.stats.dynamic_nj += costs.nj[write as usize][row_miss as usize];
+        self.stats.writes += write as u64;
+        self.stats.reads += !write as u64;
         self.stats.queue_ns_total += queue_ns;
         self.stats.latency_ns_total += completion - start_ns;
 
         #[cfg(feature = "validate")]
         self.audit_invariants();
         ServiceResult { completion_ns: completion, queue_ns, row }
+    }
+
+    /// Push a start time out of the refresh blackout it falls in, if any.
+    ///
+    /// `avail % t_refi_ns` decides, and is the only thing that does. A
+    /// check that finds phase `p >= t_rfc_ns` also proves every start in
+    /// `[avail, avail + (t_refi_ns - p))` refresh-free: `%` is exact, so
+    /// those starts have phases in `[p, t_refi_ns)`. The interval is
+    /// remembered, pulled in by four ulps to cover the rounding of its
+    /// own end point, and the `%` is skipped while starts stay inside it —
+    /// so the shortcut only ever answers "no stall" where `%` already
+    /// did, for any `0 <= t_rfc_ns < t_refi_ns`
+    /// ([`SystemConfig::validate`] requires that).
+    #[inline]
+    fn past_refresh(&mut self, avail: f64) -> f64 {
+        let (lo, hi) = self.refresh_free_ns;
+        if lo <= avail && avail < hi {
+            return avail;
+        }
+        let t = &self.cfg.timing;
+        let phase = avail % t.t_refi_ns;
+        if phase < t.t_rfc_ns {
+            self.stats.refresh_stalls += 1;
+            return avail + (t.t_rfc_ns - phase);
+        }
+        let free_until = (avail + (t.t_refi_ns - phase)) * (1.0 - 4.0 * f64::EPSILON);
+        self.refresh_free_ns = (avail, free_until);
+        avail
     }
 
     /// Feature `validate`: audit the DRAM model's state-machine
@@ -472,6 +580,7 @@ impl Dram {
         for r in &mut self.rank_busy_ns {
             *r = 0.0;
         }
+        self.refresh_free_ns = (0.0, 0.0);
         self.stats = DramStats::default();
     }
 }
@@ -479,9 +588,242 @@ impl Dram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{DeviceWidth, DramTiming, RowPolicy};
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn cfg() -> SystemConfig {
         SystemConfig::default()
+    }
+
+    /// The referee: the per-request model as it stood before the cost
+    /// tables, the shift/mask decode and the refresh-free window — division
+    /// decode, every cost re-derived from `cfg`, an unconditional `%`.
+    fn reference_access_kind(
+        d: &mut Dram,
+        start_ns: f64,
+        paddr: u64,
+        write: bool,
+        kind: AccessKind,
+    ) -> ServiceResult {
+        let bank_index = |cfg: &SystemConfig, loc: &DramLocation| {
+            ((loc.channel as usize * cfg.dimms_per_channel * cfg.ranks_per_dimm)
+                + loc.rank as usize)
+                * cfg.banks_per_rank
+                + loc.bank as usize
+        };
+        let t = d.cfg.timing;
+        let loc = d.map.decode_by_division(paddr);
+        let lockstep = kind == AccessKind::Scheme(EccScheme::Chipkill);
+        let c0 = if lockstep { loc.channel & !1 } else { loc.channel };
+        let c1 = if lockstep { c0 + 1 } else { c0 };
+
+        let mut avail = start_ns;
+        for c in c0..=c1 {
+            avail = avail.max(d.channel_free_ns[c as usize]);
+        }
+        let phase = avail % t.t_refi_ns;
+        if phase < t.t_rfc_ns {
+            avail += t.t_rfc_ns - phase;
+            d.stats.refresh_stalls += 1;
+        }
+        let bi0 = bank_index(&d.cfg, &DramLocation { channel: c0, ..loc });
+        let bi1 = bank_index(&d.cfg, &DramLocation { channel: c1, ..loc });
+        avail = avail.max(d.banks[bi0].free_ns);
+        if lockstep {
+            avail = avail.max(d.banks[bi1].free_ns);
+        }
+        let queue_ns = avail - start_ns;
+
+        let row = match d.banks[bi0].open_row {
+            Some(r) if r == loc.row => RowOutcome::Hit,
+            Some(_) => RowOutcome::Conflict,
+            None => RowOutcome::Closed,
+        };
+        let array_ns = match row {
+            RowOutcome::Hit => t.hit_ns(),
+            RowOutcome::Closed => t.closed_ns(),
+            RowOutcome::Conflict => t.conflict_ns(),
+        };
+        let (burst_ns, decode_cycles) = match kind {
+            AccessKind::Scheme(EccScheme::Chipkill) => {
+                (t.burst_ns() / 2.0, EccScheme::Chipkill.decode_latency_cycles())
+            }
+            AccessKind::Scheme(s) => (t.burst_ns(), s.decode_latency_cycles()),
+            AccessKind::FineSecded => {
+                (t.burst_ns() / 4.0, EccScheme::Secded.decode_latency_cycles())
+            }
+        };
+        let latency_ns = array_ns - t.burst_ns() + burst_ns + decode_cycles as f64 * t.tck_ns;
+        let completion = avail + latency_ns;
+
+        for c in c0..=c1 {
+            d.channel_free_ns[c as usize] = completion;
+        }
+        let keep_open = d.cfg.row_policy == RowPolicy::Open;
+        d.banks[bi0].open_row = if keep_open { Some(loc.row) } else { None };
+        d.banks[bi0].free_ns = completion;
+        if lockstep {
+            d.banks[bi1].open_row = if keep_open { Some(loc.row) } else { None };
+            d.banks[bi1].free_ns = completion;
+        }
+        let busy = completion - avail;
+        let ranks_per_chan = d.cfg.dimms_per_channel * d.cfg.ranks_per_dimm;
+        d.rank_busy_ns[c0 as usize * ranks_per_chan + loc.rank as usize] += busy;
+        if lockstep {
+            d.rank_busy_ns[c1 as usize * ranks_per_chan + loc.rank as usize] += busy;
+        }
+
+        let e = d.cfg.energy;
+        let chips = kind.chips(&d.cfg);
+        let mut nj = if write { e.write_nj_per_chip } else { e.read_nj_per_chip } * chips;
+        if row != RowOutcome::Hit {
+            nj += e.act_nj_per_chip * chips;
+            d.stats.activations += 1;
+        } else {
+            d.stats.row_hits += 1;
+        }
+        if let AccessKind::Scheme(s) = kind {
+            nj += s.correction_energy_pj() / 1000.0;
+            d.stats.per_scheme[scheme_index(s)] += 1;
+        } else {
+            nj += EccScheme::Secded.correction_energy_pj() / 1000.0;
+            d.stats.per_scheme[scheme_index(EccScheme::Secded)] += 1;
+        }
+        d.stats.dynamic_nj += nj;
+        if write {
+            d.stats.writes += 1;
+        } else {
+            d.stats.reads += 1;
+        }
+        d.stats.queue_ns_total += queue_ns;
+        d.stats.latency_ns_total += completion - start_ns;
+        ServiceResult { completion_ns: completion, queue_ns, row }
+    }
+
+    /// Table 3, a small power-of-two node, and two nodes whose channel or
+    /// rank counts are not powers of two (the division decode's cases).
+    fn geometry(which: usize) -> crate::config::SystemConfigBuilder {
+        let b = SystemConfig::builder();
+        match which {
+            0 => b,
+            1 => b.channels(2).dimms_per_channel(1).ranks_per_dimm(1),
+            2 => b.channels(6).dimms_per_channel(3),
+            _ => b.dimms_per_channel(3).banks_per_rank(6),
+        }
+    }
+
+    fn stats_bits(s: &DramStats) -> ([u64; 8], [u64; 3]) {
+        (
+            [
+                s.reads,
+                s.writes,
+                s.row_hits,
+                s.activations,
+                s.refresh_stalls,
+                s.dynamic_nj.to_bits(),
+                s.queue_ns_total.to_bits(),
+                s.latency_ns_total.to_bits(),
+            ],
+            s.per_scheme,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn production_path_is_bit_identical_to_the_reference_model(
+            seed: u64,
+            which in 0usize..4,
+            x8: bool,
+            closed_page: bool,
+            t_refi_ns in prop::sample::select(vec![7800.0, 7812.5, 7800.1]),
+            // A 3 us mean gap walks 4000 requests across ~1500 refresh
+            // boundaries; the short gaps queue requests behind each other.
+            mean_gap_ns in prop::sample::select(vec![0.0, 25.0, 3000.0]),
+        ) {
+            let cfg = geometry(which)
+                .device_width(if x8 { DeviceWidth::X8 } else { DeviceWidth::X4 })
+                .row_policy(if closed_page { RowPolicy::Closed } else { RowPolicy::Open })
+                .timing(DramTiming { t_refi_ns, ..DramTiming::default() })
+                .build()
+                .unwrap();
+            let t_rfc_ns = cfg.timing.t_rfc_ns;
+            let mut fast = Dram::new(cfg.clone());
+            let mut slow = Dram::new(cfg);
+            let rng = &mut ChaCha8Rng::seed_from_u64(seed);
+            let mut now_ns = 0.0f64;
+            let mut paddr = 0u64;
+            for i in 0..4000 {
+                now_ns += rng.random_range(0.0..=2.0 * mean_gap_ns);
+                // Arrivals run backwards (a request issued at an earlier
+                // timestamp than its predecessor, as a write-back behind a
+                // demand is) and land on the edges of refresh blackouts.
+                let start_ns = match rng.random_range(0..8) {
+                    0 => (now_ns - rng.random_range(0.0..500.0)).max(0.0),
+                    1 => {
+                        let boundary = (now_ns / t_refi_ns).ceil() * t_refi_ns;
+                        boundary + rng.random_range(-2.0..t_rfc_ns + 2.0)
+                    }
+                    _ => now_ns,
+                };
+                // Line sweeps (row hits, channel rotation) broken by jumps.
+                paddr = if rng.random_bool(0.7) {
+                    paddr + 64
+                } else {
+                    rng.random_range(0..1u64 << 28) * 64
+                };
+                let kind = AccessKind::ALL[rng.random_range(0..4)];
+                let write = rng.random_bool(0.3);
+                let got = fast.access_kind(start_ns, paddr, write, kind);
+                let want = reference_access_kind(&mut slow, start_ns, paddr, write, kind);
+                let bits = |r: ServiceResult| (r.completion_ns.to_bits(), r.queue_ns.to_bits(), r.row);
+                prop_assert!(
+                    bits(got) == bits(want),
+                    "request {i} at {start_ns} ns, paddr {paddr:#x}, {kind:?}: {got:?} != {want:?}"
+                );
+            }
+            prop_assert_eq!(stats_bits(&fast.stats), stats_bits(&slow.stats));
+            let busy = |d: &Dram| d.rank_busy().iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(busy(&fast), busy(&slow));
+            if mean_gap_ns == 3000.0 {
+                prop_assert!(now_ns > 1000.0 * t_refi_ns, "walked {} ns", now_ns);
+                prop_assert!(slow.stats.refresh_stalls > 0);
+            }
+        }
+
+        #[test]
+        fn shift_decode_matches_division_and_round_trips(which in 0usize..4, line: u64) {
+            let cfg = geometry(which).build().unwrap();
+            let map = AddressMap::new(&cfg);
+            prop_assert_eq!(map.widths.is_some(), which < 2);
+            // Any address decodes alike; line-aligned ones below the
+            // encoder's 64-bit reach also come back.
+            prop_assert_eq!(map.decode(line), map.decode_by_division(line));
+            let paddr = (line >> 8) * cfg.l2.line_bytes as u64;
+            let loc = map.decode(paddr);
+            prop_assert_eq!(loc, map.decode_by_division(paddr));
+            prop_assert_eq!(map.encode(&loc), paddr);
+        }
+    }
+
+    #[test]
+    fn refresh_free_window_never_hides_a_stall() {
+        // Sweep start times in sub-ns steps across many refresh periods,
+        // with an interval that is not a whole number of steps: the window
+        // must give way to `%` before each blackout, wherever it falls.
+        let timing = DramTiming { t_refi_ns: 7800.1, ..DramTiming::default() };
+        let mut d = Dram::new(SystemConfig::builder().timing(timing).build().unwrap());
+        let mut stalls = 0u64;
+        for i in 0..400_000u64 {
+            let avail = i as f64 * 0.37;
+            let stalled = avail % timing.t_refi_ns < timing.t_rfc_ns;
+            stalls += stalled as u64;
+            assert_eq!(d.past_refresh(avail) != avail, stalled, "start {avail} ns");
+        }
+        assert!(stalls > 1000 && d.stats.refresh_stalls == stalls);
     }
 
     #[test]

@@ -291,7 +291,7 @@ impl MissStream {
 
     /// Iterate the decoded events in recorded (DRAM-access) order.
     pub fn iter(&self) -> MissEvents<'_> {
-        MissEvents { ms: self, idx: 0, run_pos: 0, cycles: 0 }
+        self.events_from(SliceCursor::start())
     }
 
     /// Resume decoding mid-stream from a saved [`SliceCursor`] — the
@@ -304,7 +304,20 @@ impl MissStream {
     /// positions of a full [`MissStream::iter`] walk.
     pub fn events_from(&self, cursor: SliceCursor) -> MissEvents<'_> {
         debug_assert!(cursor.idx.is_multiple_of(2), "cursor must point at a record head");
-        MissEvents { ms: self, idx: cursor.idx, run_pos: cursor.run_pos, cycles: cursor.cycles }
+        let mut events = MissEvents {
+            ms: self,
+            idx: cursor.idx,
+            cycles: cursor.cycles,
+            left: 0,
+            trigger: Access { addr: 0, region: 0, write: false, work: 0 },
+            wb_line: 0,
+            kind_bits: KIND_DEMAND,
+            delta: 0,
+        };
+        if cursor.run_pos > 0 && cursor.idx + 1 < self.words.len() {
+            events.load_record(cursor.run_pos);
+        }
+        events
     }
 
     /// Crate-internal: the raw two-word event records (store-blob
@@ -537,48 +550,68 @@ impl SliceCursor {
 }
 
 /// Streaming decode of a [`MissStream`]'s events (runs expanded back into
-/// individual events; the cycle track accumulates deltas).
+/// individual events; the cycle track accumulates deltas). A record is
+/// unpacked once, when its run starts; every event of the run is the
+/// previous one stepped by a line.
 #[derive(Debug)]
 pub struct MissEvents<'a> {
     ms: &'a MissStream,
+    /// Word index of the next record to unpack.
     idx: usize,
-    run_pos: usize,
     cycles: u64,
+    /// Events of the unpacked record still to yield.
+    left: usize,
+    /// The next event of the unpacked record: its trigger, write-back
+    /// line, kind and cycle delta.
+    trigger: Access,
+    wb_line: u64,
+    kind_bits: u64,
+    delta: u64,
+}
+
+impl MissEvents<'_> {
+    /// Unpack the record at `idx` and step past the `skip` events of its
+    /// run that were already consumed.
+    fn load_record(&mut self, skip: usize) {
+        let w0 = self.ms.words[self.idx];
+        let w1 = self.ms.words[self.idx + 1];
+        self.idx += 2;
+        // The packed 8-bit run field is split here: the kind occupies the
+        // high two bits, the 6-bit run length the low six.
+        let run = ((w0 >> RUN_SHIFT) as usize & (MAX_MISS_RUN - 1)) + 1;
+        self.kind_bits = (w0 >> KIND_SHIFT) & KIND_MASK;
+        let head = unpack(w0, &self.ms.bases);
+        self.delta = w1 & MAX_MISS_DELTA;
+        let zz = w1 >> WB_SHIFT;
+        let wb_delta = ((zz >> 1) as i64) ^ -((zz & 1) as i64);
+        self.left = run.saturating_sub(skip);
+        self.trigger = Access { addr: head.addr + 64 * skip as u64, ..head };
+        self.wb_line = ((head.addr >> 6) as i64 + wb_delta) as u64 + skip as u64;
+    }
 }
 
 impl Iterator for MissEvents<'_> {
     type Item = MissEvent;
 
+    #[inline]
     fn next(&mut self) -> Option<MissEvent> {
-        if self.idx + 1 >= self.ms.words.len() {
-            return None;
+        if self.left == 0 {
+            if self.idx + 1 >= self.ms.words.len() {
+                return None;
+            }
+            self.load_record(0);
         }
-        let w0 = self.ms.words[self.idx];
-        let w1 = self.ms.words[self.idx + 1];
-        // The packed 8-bit run field is split here: the kind occupies the
-        // high two bits, the 6-bit run length the low six.
-        let run = ((w0 >> RUN_SHIFT) as usize & (MAX_MISS_RUN - 1)) + 1;
-        let kind_bits = (w0 >> KIND_SHIFT) & KIND_MASK;
-        let head = unpack(w0, &self.ms.bases);
-        let delta = w1 & MAX_MISS_DELTA;
-        let zz = w1 >> WB_SHIFT;
-        let wb_delta = ((zz >> 1) as i64) ^ -((zz & 1) as i64);
-
-        let i = self.run_pos as u64;
-        self.cycles += delta;
-        let trigger = Access { addr: head.addr + 64 * i, ..head };
-        let wb_line = ((head.addr >> 6) as i64 + wb_delta) as u64 + i;
-        let kind = match kind_bits {
+        self.cycles += self.delta;
+        let kind = match self.kind_bits {
             KIND_DEMAND => MissEventKind::Demand { writeback: None },
-            KIND_DEMAND_WB => MissEventKind::Demand { writeback: Some(wb_line << 6) },
-            _ => MissEventKind::Writeback(wb_line << 6),
+            KIND_DEMAND_WB => MissEventKind::Demand { writeback: Some(self.wb_line << 6) },
+            _ => MissEventKind::Writeback(self.wb_line << 6),
         };
-        self.run_pos += 1;
-        if self.run_pos == run {
-            self.idx += 2;
-            self.run_pos = 0;
-        }
-        Some(MissEvent { trigger, core_cycles: self.cycles, kind })
+        let ev = MissEvent { trigger: self.trigger, core_cycles: self.cycles, kind };
+        self.left -= 1;
+        self.trigger.addr += 64;
+        self.wb_line += 1;
+        Some(ev)
     }
 }
 
@@ -677,6 +710,55 @@ mod tests {
                 MissEventKind::Demand { writeback: Some(w) } => assert_eq!(w, *wb),
                 MissEventKind::Demand { writeback: None } => assert_eq!(*wb, u64::MAX),
                 MissEventKind::Writeback(w) => assert_eq!(w, *wb),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn resuming_at_any_event_yields_the_tail_of_a_full_walk(seed: u64) {
+            use proptest::prelude::*;
+            use rand::{Rng, SeedableRng};
+            // Caches of a few lines, so a short trace of write sweeps and
+            // scattered accesses leaves demand, demand + write-back and
+            // stand-alone write-back records, single events and runs.
+            let l1 = CacheConfig { capacity: 512, ways: 2, line_bytes: 64, latency_cycles: 1 };
+            let l2 = CacheConfig { capacity: 2048, ways: 4, line_bytes: 64, latency_cycles: 20 };
+            let rng = &mut rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut rm = RegionMap::new();
+            let regions: Vec<_> = (0..3).map(|i| rm.alloc(&format!("r{i}"), 64 * 256, i == 0)).collect();
+            let bases: Vec<u64> = regions.iter().map(|&r| rm.get(r).base).collect();
+            let mut t = Trace::new(rm);
+            while t.accesses.len() < 600 {
+                let r = rng.random_range(0..regions.len());
+                let (write, work) = (rng.random_bool(0.5), rng.random_range(0..3));
+                let first = rng.random_range(0..200u64);
+                for line in first..first + rng.random_range(1..40) {
+                    t.push(bases[r] + line * 64, regions[r], write, work);
+                }
+            }
+            let ms = MissStream::build(&mut t.replay(), l1, l2, 1);
+            let all: Vec<MissEvent> = ms.iter().collect();
+            prop_assert_eq!(all.len() as u64, ms.events());
+
+            // One cursor per event, read off the raw records.
+            let mut cursors = Vec::new();
+            let mut cycles = 0u64;
+            for (rec, w) in ms.raw_words().chunks_exact(2).enumerate() {
+                let run = ((w[0] >> RUN_SHIFT) as usize & (MAX_MISS_RUN - 1)) + 1;
+                for run_pos in 0..run {
+                    cursors.push(SliceCursor::at(2 * rec, run_pos, cycles));
+                    cycles += w[1] & MAX_MISS_DELTA;
+                }
+            }
+            cursors.push(SliceCursor::at(ms.raw_words().len(), 0, cycles));
+            prop_assert_eq!(cursors.len(), all.len() + 1);
+            prop_assert!(cursors.iter().any(|c| c.run_pos > 1), "no run was resumed mid-way");
+            for (k, &cursor) in cursors.iter().enumerate() {
+                let tail: Vec<MissEvent> = ms.events_from(cursor).collect();
+                prop_assert!(tail == all[k..], "resumed at event {k} ({cursor:?})");
             }
         }
     }

@@ -168,6 +168,38 @@ where
     }
 }
 
+/// The default policy: protect every request by the scheme the MC's
+/// range registers give its address. A line sweep stays inside one
+/// region for thousands of requests, so the policy keeps the span of
+/// addresses its last register scan answered for
+/// ([`MemoryController::scheme_span`]) and scans again only on leaving
+/// it. Valid for one [`Machine::simulate`] call: the registers cannot be
+/// reprogrammed while the drive loop borrows the controller.
+#[derive(Debug)]
+struct RangeRegisterPolicy {
+    /// `[lo, hi)` the cached scheme holds on.
+    lo: u64,
+    hi: u64,
+    scheme: EccScheme,
+}
+
+impl RangeRegisterPolicy {
+    /// An empty span: the first request scans the registers.
+    fn new() -> Self {
+        RangeRegisterPolicy { lo: 0, hi: 0, scheme: EccScheme::None }
+    }
+}
+
+impl RowPolicy for RangeRegisterPolicy {
+    #[inline]
+    fn choose(&mut self, _: &Access, mc: &MemoryController, paddr: u64) -> AccessKind {
+        if paddr < self.lo || paddr >= self.hi {
+            (self.lo, self.hi, self.scheme) = mc.scheme_span(paddr);
+        }
+        AccessKind::Scheme(self.scheme)
+    }
+}
+
 /// What a [`SimRequest`] replays: the four input forms every simulation
 /// funnels through.
 pub enum SimInput<'a> {
@@ -350,10 +382,7 @@ impl Machine {
             None => {
                 let regions = input.regions().clone();
                 self.program_ecc(&regions, &assign);
-                let mut fallback = |_: &Access, mc: &MemoryController, paddr: u64| {
-                    AccessKind::Scheme(mc.scheme_for(paddr))
-                };
-                self.dispatch(input, powered, &mut fallback)
+                self.dispatch(input, powered, &mut RangeRegisterPolicy::new())
             }
         }
     }
@@ -954,6 +983,55 @@ mod tests {
         assert!(s.llc_misses_other() > 0);
         let ratio = s.abft_ref_ratio();
         assert!(ratio > 10.0 && ratio < 20.0, "ratio {ratio}");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn span_cached_policy_answers_like_a_register_scan(
+            seed: u64,
+            ranges in 0usize..=crate::controller::ECC_RANGE_SLOTS,
+        ) {
+            use proptest::prelude::*;
+            use rand::{Rng, SeedableRng};
+            let rng = &mut rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            // Disjoint ranges between sorted cut points (some adjacent,
+            // some apart), programmed in no particular order.
+            let mut cuts: Vec<u64> = (0..2 * ranges).map(|_| rng.random_range(0..1u64 << 20) * 64).collect();
+            cuts.sort_unstable();
+            let mut spans: Vec<(u64, u64)> =
+                cuts.chunks_exact(2).map(|c| (c[0], c[1])).filter(|(b, e)| b < e).collect();
+            for i in (1..spans.len()).rev() {
+                spans.swap(i, rng.random_range(0..=i));
+            }
+            let schemes = [EccScheme::None, EccScheme::Secded, EccScheme::Chipkill];
+            let mut mc =
+                MemoryController::new(AddressMap::new(&SystemConfig::default()), schemes[rng.random_range(0..3)]);
+            for &(base, end) in &spans {
+                mc.program_range(base, end, schemes[rng.random_range(0..3)]).unwrap();
+            }
+
+            let trigger = Access { addr: 0, region: 0, write: false, work: 0 };
+            let mut policy = RangeRegisterPolicy::new();
+            let mut edges: Vec<u64> = vec![0, u64::MAX - 1, u64::MAX];
+            for &(base, end) in &spans {
+                edges.extend([base.saturating_sub(1), base, base + 64, end - 1, end]);
+            }
+            let mut paddr = 0u64;
+            for _ in 0..2000 {
+                // Line sweeps that cross range edges, the edges themselves,
+                // and jumps anywhere.
+                paddr = match rng.random_range(0..10) {
+                    0 => edges[rng.random_range(0..edges.len())],
+                    1 => rng.random_range(0..(1u64 << 26) + 4096),
+                    _ => paddr.saturating_add(64),
+                };
+                let got = policy.choose(&trigger, &mc, paddr);
+                prop_assert!(
+                    got == AccessKind::Scheme(mc.scheme_for(paddr)),
+                    "paddr {paddr:#x} under {:?}: {got:?}", mc.ranges()
+                );
+            }
+        }
     }
 
     #[test]

@@ -31,14 +31,22 @@ echo "=== cargo build --release --workspace ==="
 # the bench binaries the stages below execute.
 cargo build --release --workspace
 
+echo "=== benchmarks/ (perfbench) builds and passes its tests against these crates ==="
+# perfbench is a package of its own outside the workspace, so nothing above
+# compiles it: a changed signature in memsim or core would otherwise break
+# the benchmark the PR pipeline runs without any stage here noticing.
+cargo build --release --offline --manifest-path benchmarks/Cargo.toml
+cargo test -q --offline --manifest-path benchmarks/Cargo.toml
+
 echo "=== trace-pipeline smoke bench (writes BENCH_trace.json) ==="
 ./target/release/bench_trace
 
 echo "=== two-phase simulation smoke bench (writes BENCH_sim.json) ==="
 # Besides the bit-identity and SimPoint-error gates, this enforces the
-# per-kernel perf_floors committed in BENCH_sim.json: filtered-replay
-# Macc/s below a floor fails the stage (the throughput ratchet that
-# keeps the monomorphized replay path from quietly re-virtualizing).
+# per-kernel ns_per_event_ceilings committed in BENCH_sim.json: filtered
+# replay costing more ns per miss event than its ceiling fails the stage
+# (the ratchet that keeps per-request work from creeping back into the
+# replay loop, whatever the kernel's cache hit rate).
 ./target/release/bench_sim
 
 echo "=== artifact-store gate (fig07 grid, cold then warm disk, separate processes) ==="
