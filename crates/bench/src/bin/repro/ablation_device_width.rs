@@ -3,15 +3,14 @@
 //! chips)"; Section 2.2 prices x8 chipkill at 18.75%-37.5% storage
 //! overhead. This study reruns the FT-DGEMM basic test on both widths.
 
-use abft_bench::{print_header, run_grid};
-use abft_coop_core::report::{norm, pct, ReportSink, StdoutSink, TextTable};
+use crate::run_grid;
+use abft_coop_core::report::{norm, pct, Report, TextTable};
 use abft_coop_core::{CampaignSpec, Strategy};
 use abft_memsim::config::DeviceWidth;
 use abft_memsim::workloads::{DgemmParams, KernelKind};
 use abft_memsim::SystemConfig;
 
-fn main() {
-    print_header("Ablation — DRAM device width (FT-DGEMM trace)");
+pub fn run(out: &mut Report) {
     let spec = CampaignSpec::builder()
         .workload(DgemmParams { n: 768, nb: 64, abft: true, verify_interval: 4 })
         .strategies([Strategy::NoEcc, Strategy::WholeChipkill, Strategy::PartialChipkillNoEcc])
@@ -34,10 +33,9 @@ fn main() {
                 norm(st.ipc() / base.ipc()),
             ]);
         }
-        println!("{label}: partial-chipkill memory-energy saving = {}", pct(saving));
+        writeln!(out, "{label}: partial-chipkill memory-energy saving = {}", pct(saving));
     }
-    let mut sink = StdoutSink::new();
-    sink.table(&t);
-    sink.note("\nx8 chipkill overfetches relatively more (19/8 vs 36/16 chips), so");
-    sink.note("relaxing ECC on ABFT data saves even more energy on x8 parts.");
+    out.table(&t);
+    writeln!(out, "\nx8 chipkill overfetches relatively more (19/8 vs 36/16 chips), so");
+    writeln!(out, "relaxing ECC on ABFT data saves even more energy on x8 parts.");
 }

@@ -7,16 +7,14 @@
 //! arrive between examinations; any event overwritten in the ring before
 //! the drain is lost (ABFT must then fall back to full verification).
 
-use abft_bench::print_header;
-use abft_coop_core::report::{pct, TextTable};
+use abft_coop_core::report::{pct, Report, TextTable};
 use abft_ecc::EccScheme;
 use abft_faultsim::Injector;
 use abft_memsim::controller::MemoryController;
 use abft_memsim::dram::AddressMap;
 use abft_memsim::SystemConfig;
 
-fn main() {
-    print_header("Ablation — error-register depth vs lost error reports");
+pub fn run(out: &mut Report) {
     let cfg = SystemConfig::default();
     let mut inj = Injector::new(7);
     // Burst sizes drawn from a Poisson-ish schedule: mean 2 events per
@@ -52,7 +50,7 @@ fn main() {
             pct(lost as f64 / total.max(1) as f64),
         ]);
     }
-    print!("{}", t.render());
-    println!("\nAt the paper's n = 6 the loss rate collapses to ~0 even at two");
-    println!("uncorrectable events per examination period — the design point.");
+    write!(out, "{}", t.render());
+    writeln!(out, "\nAt the paper's n = 6 the loss rate collapses to ~0 even at two");
+    writeln!(out, "uncorrectable events per examination period — the design point.");
 }

@@ -2,17 +2,15 @@
 //! the `stall_factor` knob (the fraction of DRAM latency the pipeline
 //! cannot hide) moves the Figure 7 performance gaps.
 
-use abft_bench::{print_header, run_grid};
-use abft_coop_core::report::norm;
-use abft_coop_core::report::{ReportSink, StdoutSink, TextTable};
+use crate::run_grid;
+use abft_coop_core::report::{norm, Report, TextTable};
 use abft_coop_core::{CampaignSpec, Strategy};
 use abft_memsim::workloads::{CgParams, KernelKind};
 use abft_memsim::SystemConfig;
 
 const STALL_FACTORS: [f64; 6] = [0.1, 0.2, 0.35, 0.5, 0.75, 1.0];
 
-fn main() {
-    print_header("Ablation — MLP sensitivity (FT-CG trace, W_CK vs No-ECC IPC gap)");
+pub fn run(out: &mut Report) {
     let mut spec = CampaignSpec::builder()
         .workload(CgParams { grid: 384, iterations: 6, abft: true, verify_interval: 4 })
         .strategies([Strategy::NoEcc, Strategy::WholeChipkill]);
@@ -34,13 +32,12 @@ fn main() {
             norm(wck.ipc() / base.ipc()),
         ]);
     }
-    let mut sink = StdoutSink::new();
-    sink.table(&t);
-    sink.note("\nReading the trend: with high MLP (low stall factor) the machine runs");
-    sink.note("bandwidth-bound, which is precisely where chipkill's channel lock-step");
-    sink.note("hurts most (half the independent channels). With little MLP the");
-    sink.note("machine is latency-bound everywhere and the relative gap shrinks —");
-    sink.note("Section 5.1's observation that parallelism 'can partially hide' the");
-    sink.note("per-access ECC latency while the paper's Section 2.2 bandwidth cost");
-    sink.note("('fewer opportunities for rank-level parallelism') remains.");
+    out.table(&t);
+    writeln!(out, "\nReading the trend: with high MLP (low stall factor) the machine runs");
+    writeln!(out, "bandwidth-bound, which is precisely where chipkill's channel lock-step");
+    writeln!(out, "hurts most (half the independent channels). With little MLP the");
+    writeln!(out, "machine is latency-bound everywhere and the relative gap shrinks —");
+    writeln!(out, "Section 5.1's observation that parallelism 'can partially hide' the");
+    writeln!(out, "per-access ECC latency while the paper's Section 2.2 bandwidth cost");
+    writeln!(out, "('fewer opportunities for rank-level parallelism') remains.");
 }

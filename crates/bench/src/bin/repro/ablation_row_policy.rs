@@ -3,8 +3,8 @@
 //! energy savings of partial ECC; a closed-page machine shows the
 //! counterfactual.
 
-use abft_bench::{print_header, run_grid};
-use abft_coop_core::report::{norm, ReportSink, StdoutSink, TextTable};
+use crate::run_grid;
+use abft_coop_core::report::{norm, Report, TextTable};
 use abft_coop_core::{CampaignSpec, Strategy};
 use abft_memsim::config::RowPolicy;
 use abft_memsim::workloads::{DgemmParams, KernelKind};
@@ -14,8 +14,7 @@ fn config_with_policy(policy: RowPolicy) -> SystemConfig {
     SystemConfig { row_policy: policy, ..SystemConfig::default() }
 }
 
-fn main() {
-    print_header("Ablation — row-buffer policy (FT-DGEMM trace)");
+pub fn run(out: &mut Report) {
     let spec = CampaignSpec::builder()
         .workload(DgemmParams { n: 768, nb: 64, abft: true, verify_interval: 4 })
         .strategies([Strategy::WholeChipkill, Strategy::PartialChipkillNoEcc])
@@ -47,9 +46,8 @@ fn main() {
             ]);
         }
     }
-    let mut sink = StdoutSink::new();
-    sink.table(&t);
-    sink.note("\nClosed-page pays an activate on every access: dynamic energy rises");
-    sink.note("across the board and the relative partial-ECC saving persists — the");
-    sink.note("row buffer only damps, never creates, the effect (Section 5.1).");
+    out.table(&t);
+    writeln!(out, "\nClosed-page pays an activate on every access: dynamic energy rises");
+    writeln!(out, "across the board and the relative partial-ECC saving persists — the");
+    writeln!(out, "row buffer only damps, never creates, the effect (Section 5.1).");
 }

@@ -2,14 +2,12 @@
 //! and error-exposure latency — the knob trading Figure 3's overhead
 //! against the window in which relaxed-ECC errors stay uncorrected.
 
-use abft_bench::print_header;
-use abft_coop_core::report::{pct, TextTable};
+use abft_coop_core::report::{pct, Report, TextTable};
 use abft_kernels::dgemm::{ft_dgemm, ft_dgemm_with, FtDgemmOptions};
 use abft_kernels::VerifyMode;
 use abft_linalg::gen::random_matrix;
 
-fn main() {
-    print_header("Ablation — ABFT verification interval (FT-DGEMM)");
+pub fn run(out: &mut Report) {
     let n = 384;
     let a = random_matrix(n, n, 1);
     let b = random_matrix(n, n, 2);
@@ -40,8 +38,8 @@ fn main() {
             format!("{exposure}"),
         ]);
     }
-    print!("{}", t.render());
-    println!("\nShorter intervals buy a smaller exposure window (fewer chances for");
-    println!("Case-3 accumulation) at a steeper verification bill — the trade the");
-    println!("paper's hardware-assisted verification dissolves.");
+    write!(out, "{}", t.render());
+    writeln!(out, "\nShorter intervals buy a smaller exposure window (fewer chances for");
+    writeln!(out, "Case-3 accumulation) at a steeper verification bill — the trade the");
+    writeln!(out, "paper's hardware-assisted verification dissolves.");
 }

@@ -2,15 +2,15 @@
 //! simulation framework as actually implemented by this workspace,
 //! with live configuration values.
 
-use abft_bench::print_header;
+use abft_coop_core::report::Report;
 use abft_ecc::EccScheme;
 use abft_memsim::controller::{ECC_RANGE_SLOTS, ERROR_REGISTERS};
 use abft_memsim::SystemConfig;
 
-fn main() {
-    print_header("Figure 2 / Figure 4 — architecture overview (as implemented)");
+pub fn run(out: &mut Report) {
     let cfg = SystemConfig::default();
-    println!(
+    writeln!(
+        out,
         r#"
 Figure 2 — memory organization and the enhanced controller:
 

@@ -1,17 +1,14 @@
 //! Section 4 quantified: end-to-end error drills through the real stack
 //! (Cases 1-4) and an ARE-vs-ASE population summary.
 
-use abft_bench::print_header;
-use abft_coop_core::report::TextTable;
+use abft_coop_core::report::{Report, TextTable};
 use abft_coop_core::{drill_matrix, summarize_cases, DetectedBy};
 use abft_ecc::EccScheme;
 use abft_faultsim::scenarios::RecoveryCosts;
 use abft_faultsim::{ErrorPattern, Injector};
 
-fn main() {
-    print_header("Section 4 — Error-handling cases, end to end");
-
-    println!("End-to-end drills (bit-true ECC + OS interrupt path + ABFT repair):\n");
+pub fn run(out: &mut Report) {
+    writeln!(out, "End-to-end drills (bit-true ECC + OS interrupt path + ABFT repair):\n");
     let mut t = TextTable::new(&[
         "Scheme on data",
         "Injected bits",
@@ -36,9 +33,9 @@ fn main() {
         ]);
         assert!(r.data_restored || r.detected_by == DetectedBy::Nothing);
     }
-    print!("{}", t.render());
+    write!(out, "{}", t.render());
 
-    println!("\nPopulation summary over sampled error patterns (Case 1-4 accounting):\n");
+    writeln!(out, "\nPopulation summary over sampled error patterns (Case 1-4 accounting):\n");
     let mut inj = Injector::new(2013);
     let mut patterns = Vec::new();
     for _ in 0..900 {
@@ -71,8 +68,8 @@ fn main() {
         s.ase_restarts.to_string(),
         s.ase_blind_restarts.to_string(),
     ]);
-    print!("{}", t.render());
-    println!("\nCase counts [both correct, only ABFT, only ECC, neither]: {:?}", s.counts);
-    println!("The cooperative exposure path turns every Case-2 crash of traditional");
-    println!("ASE into an in-place ABFT repair.");
+    write!(out, "{}", t.render());
+    writeln!(out, "\nCase counts [both correct, only ABFT, only ECC, neither]: {:?}", s.counts);
+    writeln!(out, "The cooperative exposure path turns every Case-2 crash of traditional");
+    writeln!(out, "ASE into an in-place ABFT repair.");
 }

@@ -2,11 +2,9 @@
 //! periodic checkpointing across system MTTFs.
 
 use abft_analysis::checkpoint::sweep;
-use abft_bench::print_header;
-use abft_coop_core::report::{pct, TextTable};
+use abft_coop_core::report::{pct, Report, TextTable};
 
-fn main() {
-    print_header("Checkpoint/restart vs ABFT — overhead across system MTTFs");
+pub fn run(out: &mut Report) {
     // Profile: 2-minute checkpoint writes, 5-minute restarts, a 3% ABFT
     // tax (the basic tests' measured band), 1-second ABFT recoveries.
     let mttfs = [900.0, 1800.0, 3600.0, 4.0 * 3600.0, 24.0 * 3600.0];
@@ -21,8 +19,8 @@ fn main() {
             pct(r.abft_overhead),
         ]);
     }
-    print!("{}", t.render());
-    println!("\nThe paper's premise (Section 1): ABFT 'can reduce or even eliminate");
-    println!("the expensive periodic checkpoint/rollback' — at every realistic MTTF");
-    println!("the ABFT tax undercuts optimal checkpointing by a wide margin.");
+    write!(out, "{}", t.render());
+    writeln!(out, "\nThe paper's premise (Section 1): ABFT 'can reduce or even eliminate");
+    writeln!(out, "the expensive periodic checkpoint/rollback' — at every realistic MTTF");
+    writeln!(out, "the ABFT tax undercuts optimal checkpointing by a wide margin.");
 }

@@ -2,16 +2,14 @@
 //! (fail-continue, from the paper's related work \[9\]\[14\]) and the
 //! two-error power-sum checksums — exercised under injected faults.
 
-use abft_bench::print_header;
-use abft_coop_core::report::TextTable;
+use abft_coop_core::report::{Report, TextTable};
 use abft_kernels::cholesky::{ft_cholesky_with, FtCholeskyOptions};
 use abft_kernels::lu::{ft_lu_with, FtLuOptions};
 use abft_kernels::qr::{ft_qr_with, FtQrOptions};
 use abft_kernels::VerifyMode;
 use abft_linalg::gen::{random_diag_dominant, random_matrix, random_spd, random_vector};
 
-fn main() {
-    print_header("Extension kernels — FT-LU, FT-QR, multi-error FT-Cholesky");
+pub fn run(out: &mut Report) {
     let n = 128;
     let mut t = TextTable::new(&["kernel", "injected", "corrected", "uncorrectable", "solve ok"]);
 
@@ -100,8 +98,8 @@ fn main() {
             rec.approx_eq(&a, 1e-8, 1e-8).to_string(),
         ]);
     }
-    print!("{}", t.render());
-    println!("\nAll three go beyond the paper's headline kernels, per its Section 2.1");
-    println!("remark that sophisticated checksum vectors widen correction capability");
-    println!("and its related-work coverage of LU/QR ABFT.");
+    write!(out, "{}", t.render());
+    writeln!(out, "\nAll three go beyond the paper's headline kernels, per its Section 2.1");
+    writeln!(out, "remark that sophisticated checksum vectors widen correction capability");
+    writeln!(out, "and its related-work coverage of LU/QR ABFT.");
 }

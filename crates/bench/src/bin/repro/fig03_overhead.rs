@@ -1,13 +1,11 @@
 //! Figure 3: ABFT overhead breakdown — checksum vs verification share for
 //! the three fail-continue kernels, one task each.
 
-use abft_bench::print_header;
-use abft_coop_core::report::{pct, TextTable};
+use abft_coop_core::report::{pct, Report, TextTable};
 use abft_kernels::overhead::{measure, FailContinueKernel, OverheadScale};
 use abft_kernels::VerifyMode;
 
-fn main() {
-    print_header("Figure 3 — ABFT overhead breakdown (checksum vs verification)");
+pub fn run(out: &mut Report) {
     let scale = OverheadScale::default();
     let mut t = TextTable::new(&[
         "Kernel",
@@ -24,7 +22,7 @@ fn main() {
             pct(r.stats.overhead_ratio()),
         ]);
     }
-    print!("{}", t.render());
-    println!("\nPaper (Figure 3): verification is responsible for a large part of the");
-    println!("overhead for all three kernels.");
+    write!(out, "{}", t.render());
+    writeln!(out, "\nPaper (Figure 3): verification is responsible for a large part of the");
+    writeln!(out, "overhead for all three kernels.");
 }

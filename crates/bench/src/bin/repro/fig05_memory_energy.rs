@@ -1,13 +1,12 @@
 //! Figure 5: memory energy (dynamic + standby) for the six ECC
 //! strategies, normalized to No-ECC.
 
-use abft_bench::{all_basic_tests, print_header};
-use abft_coop_core::report::{norm, pct, ReportSink, StdoutSink, TextTable};
+use crate::all_basic_tests;
+use abft_coop_core::report::{norm, pct, Report, TextTable};
 use abft_coop_core::Strategy;
 
-fn main() {
-    print_header("Figure 5 — Memory energy for ABFT with different ECC strategies");
-    let tests = all_basic_tests();
+pub fn run(out: &mut Report) {
+    let tests = all_basic_tests(out);
     let mut t = TextTable::new(&[
         "Kernel",
         "Strategy",
@@ -27,17 +26,17 @@ fn main() {
             ]);
         }
     }
-    let mut sink = StdoutSink::new();
-    sink.table(&t);
-    sink.note("\nHeadlines vs paper:");
+    out.table(&t);
+    writeln!(out, "\nHeadlines vs paper:");
     for bt in &tests {
-        sink.note(&format!(
+        writeln!(
+            out,
             "  {:12} partial-CK saves {} of W_CK memory energy (paper: DGEMM 49%, CG 38%); \
              P_CK+P_SD saves {} (paper: DGEMM 48%, CG 33%); W_SD costs {} over No-ECC (paper: ~12%)",
             bt.kernel.label(),
             pct(bt.partial_mem_saving(Strategy::PartialChipkillNoEcc)),
             pct(bt.partial_mem_saving(Strategy::PartialChipkillSecded)),
             pct(bt.mem_energy_norm(Strategy::WholeSecded) - 1.0),
-        ));
+        );
     }
 }

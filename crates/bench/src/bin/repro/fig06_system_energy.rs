@@ -1,13 +1,12 @@
 //! Figure 6: system energy (processor + memory) for the six ECC
 //! strategies, normalized to No-ECC.
 
-use abft_bench::{all_basic_tests, print_header};
-use abft_coop_core::report::{norm, pct, ReportSink, StdoutSink, TextTable};
+use crate::all_basic_tests;
+use abft_coop_core::report::{norm, pct, Report, TextTable};
 use abft_coop_core::Strategy;
 
-fn main() {
-    print_header("Figure 6 — System energy for ABFT with different ECC strategies");
-    let tests = all_basic_tests();
+pub fn run(out: &mut Report) {
+    let tests = all_basic_tests(out);
     let mut t = TextTable::new(&[
         "Kernel",
         "Strategy",
@@ -27,15 +26,15 @@ fn main() {
             ]);
         }
     }
-    let mut sink = StdoutSink::new();
-    sink.table(&t);
-    sink.note("\nHeadlines vs paper (partial chipkill system-energy saving vs W_CK):");
+    out.table(&t);
+    writeln!(out, "\nHeadlines vs paper (partial chipkill system-energy saving vs W_CK):");
     let paper = ["22%", "8%", "25%", "10%"];
     for (bt, p) in tests.iter().zip(paper) {
-        sink.note(&format!(
+        writeln!(
+            out,
             "  {:12} measured {}  (paper: up to {p})",
             bt.kernel.label(),
             pct(bt.partial_system_saving(abft_coop_core::Strategy::PartialChipkillNoEcc)),
-        ));
+        );
     }
 }

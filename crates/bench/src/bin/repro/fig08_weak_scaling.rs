@@ -1,14 +1,13 @@
 //! Figure 8: weak-scaling comparison of energy benefit and ABFT recovery
 //! cost (FT-CG, 3000x3000-class per process, 100 -> 819,200 processes).
 
+use crate::run_grid;
 use abft_analysis::{profiles_from_basic_test, weak_scaling, ScalingConfig};
-use abft_bench::{print_header, run_grid};
-use abft_coop_core::report::{ReportSink, StdoutSink, TextTable};
+use abft_coop_core::report::{Report, TextTable};
 use abft_coop_core::CampaignSpec;
 use abft_memsim::workloads::KernelKind;
 
-fn main() {
-    print_header("Figure 8 — Weak scaling: energy benefit vs ABFT recovery cost (FT-CG)");
+pub fn run(out: &mut Report) {
     eprintln!("[measuring single-process FT-CG profile ...]");
     let bt = run_grid(&CampaignSpec::basic([KernelKind::Cg])).basic_test(KernelKind::Cg);
     let cfg = ScalingConfig::default();
@@ -30,9 +29,8 @@ fn main() {
             ]);
         }
     }
-    let mut sink = StdoutSink::new();
-    sink.table(&t);
-    sink.note("\nPaper shape: benefit and recovery both grow ~linearly with scale; the");
-    sink.note("benefit stays well above the recovery cost; P_CK+P_SD has much lower");
-    sink.note("recovery cost than the no-ECC-relaxed strategies.");
+    out.table(&t);
+    writeln!(out, "\nPaper shape: benefit and recovery both grow ~linearly with scale; the");
+    writeln!(out, "benefit stays well above the recovery cost; P_CK+P_SD has much lower");
+    writeln!(out, "recovery cost than the no-ECC-relaxed strategies.");
 }

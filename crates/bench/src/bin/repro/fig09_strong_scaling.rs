@@ -2,14 +2,13 @@
 //! recovery cost (100 x 12K x 12K FT-CG base, strong scaled to 3,200
 //! processes).
 
+use crate::run_grid;
 use abft_analysis::{profiles_from_basic_test, strong_scaling, ScalingConfig};
-use abft_bench::{print_header, run_grid};
-use abft_coop_core::report::{ReportSink, StdoutSink, TextTable};
+use abft_coop_core::report::{Report, TextTable};
 use abft_coop_core::CampaignSpec;
 use abft_memsim::workloads::KernelKind;
 
-fn main() {
-    print_header("Figure 9 — Strong scaling: energy benefit vs ABFT recovery cost (FT-CG)");
+pub fn run(out: &mut Report) {
     eprintln!("[measuring single-process FT-CG profile ...]");
     let bt = run_grid(&CampaignSpec::basic([KernelKind::Cg])).basic_test(KernelKind::Cg);
     let cfg = ScalingConfig::default();
@@ -25,9 +24,8 @@ fn main() {
             ]);
         }
     }
-    let mut sink = StdoutSink::new();
-    sink.table(&t);
-    sink.note("\nPaper shape: the benefit rises to a sweet point then falls (caching");
-    sink.note("erodes main-memory traffic as per-process problems shrink); recovery");
-    sink.note("cost falls monotonically; P_CK+P_SD is the most energy efficient.");
+    out.table(&t);
+    writeln!(out, "\nPaper shape: the benefit rises to a sweet point then falls (caching");
+    writeln!(out, "erodes main-memory traffic as per-process problems shrink); recovery");
+    writeln!(out, "cost falls monotonically; P_CK+P_SD is the most energy efficient.");
 }

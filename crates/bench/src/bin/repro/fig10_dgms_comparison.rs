@@ -2,16 +2,15 @@
 //! flexible ECC) vs the cooperative ABFT-directed scheme, for FT-DGEMM
 //! (high spatial locality) and FT-Pred-CG (low spatial locality).
 
-use abft_bench::{kernel_miss_stream, print_header, run_grid};
-use abft_coop_core::report::{norm, pct, ReportSink, StdoutSink, TextTable};
+use crate::run_grid;
+use abft_coop_core::report::{norm, pct, Report, TextTable};
 use abft_coop_core::{CampaignSpec, Strategy};
 use abft_dgms::run_dgms_miss_stream;
 use abft_memsim::system::Machine;
-use abft_memsim::workloads::KernelKind;
-use abft_memsim::SystemConfig;
+use abft_memsim::workloads::{KernelKind, KernelParams};
+use abft_memsim::{SystemConfig, TraceCache};
 
-fn main() {
-    print_header("Figure 10 — DGMS vs the cooperative ABFT+ECC scheme (error-free)");
+pub fn run(out: &mut Report) {
     let kinds = [KernelKind::Dgemm, KernelKind::Cg];
     let spec = CampaignSpec::builder()
         .kernels(kinds)
@@ -34,7 +33,8 @@ fn main() {
         // The campaign already filtered this kernel's miss stream into the
         // process-wide cache; the DGMS pass replays the same stream under
         // its granularity predictor (bit-identical to the full run).
-        let ms = kernel_miss_stream(kind);
+        let ms = TraceCache::global()
+            .get_filtered(KernelParams::default_for(kind), &SystemConfig::default());
         let mut m = Machine::new(SystemConfig::default());
         let (dgms, coarse) = run_dgms_miss_stream(&mut m, &ms);
         for (label, s, cf) in [
@@ -52,14 +52,14 @@ fn main() {
         }
         let perf_gain = dgms.seconds / ours.seconds - 1.0;
         let energy_save = 1.0 - ours.mem_total_j() / dgms.mem_total_j();
-        println!(
+        writeln!(
+            out,
             "{}: ours vs DGMS — {} faster, {} less memory energy (paper: DGEMM +18% perf / 49% energy; CG perf close / DGMS +24% energy)",
             kind.label(),
             pct(perf_gain),
             pct(energy_save)
         );
     }
-    let mut sink = StdoutSink::new();
-    sink.table(&t);
-    sink.artifact("fig10_cells.csv", &run.to_csv());
+    out.table(&t);
+    out.artifact("fig10_cells.csv", &run.to_csv());
 }

@@ -2,12 +2,10 @@
 //! field-realistic error-pattern mix (the statistical form of Section 4's
 //! discussion).
 
-use abft_bench::print_header;
-use abft_coop_core::report::{pct, TextTable};
+use abft_coop_core::report::{pct, Report, TextTable};
 use abft_faultsim::{run_fault_campaign_with_progress, FaultCampaignConfig};
 
-fn main() {
-    print_header("Monte-Carlo fault campaign — ARE vs ASE distributions");
+pub fn run(out: &mut Report) {
     for errors_per_run in [0.1, 0.5, 2.0, 10.0] {
         let cfg = FaultCampaignConfig { errors_per_run, trials: 20_000, ..Default::default() };
         let r = run_fault_campaign_with_progress(&cfg, |p| {
@@ -18,7 +16,8 @@ fn main() {
                 );
             }
         });
-        println!(
+        writeln!(
+            out,
             "\nerrors/run = {errors_per_run}  (cases [both, only-ABFT, only-ECC, neither] = {:?})",
             r.case_counts
         );
@@ -36,10 +35,10 @@ fn main() {
                 pct(s.restart_fraction),
             ]);
         }
-        print!("{}", t.render());
+        write!(out, "{}", t.render());
     }
-    println!("\n'Given the rareness of errors, ARE wins over ASE in terms of");
-    println!("performance and energy for most of cases. ... if the error rates are");
-    println!("extremely high ... ARE loses to ASE because of high recovery cost,");
-    println!("which is rare in real cases.' — Section 4, reproduced above.");
+    writeln!(out, "\n'Given the rareness of errors, ARE wins over ASE in terms of");
+    writeln!(out, "performance and energy for most of cases. ... if the error rates are");
+    writeln!(out, "extremely high ... ARE loses to ASE because of high recovery cost,");
+    writeln!(out, "which is rare in real cases.' — Section 4, reproduced above.");
 }

@@ -3,8 +3,7 @@
 //! fewer accumulate into SECDED-uncorrectable pairs that must fall back
 //! to the cooperative ABFT path.
 
-use abft_bench::print_header;
-use abft_coop_core::report::{pct, TextTable};
+use abft_coop_core::report::{pct, Report, TextTable};
 use abft_ecc::{EccOutcome, EccScheme};
 use abft_memsim::controller::MemoryController;
 use abft_memsim::dram::AddressMap;
@@ -12,8 +11,7 @@ use abft_memsim::SystemConfig;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-fn main() {
-    print_header("Scrub-interval study — fault accumulation under SECDED");
+pub fn run(out: &mut Report) {
     let cfg = SystemConfig::default();
     let lines = 4096u64; // a 256 KB SECDED-protected region
     let strikes = 6000u32; // heavy accelerated fault load
@@ -55,9 +53,9 @@ fn main() {
             pct(bad as f64 / lines as f64),
         ]);
     }
-    print!("{}", t.render());
-    println!("\nFrequent scrubbing drains single-bit faults before they pair up —");
-    println!("shrinking the population of SECDED-uncorrectable errors that the");
-    println!("cooperative interrupt -> sysfs -> ABFT path (or, traditionally, a");
-    println!("panic) must absorb.");
+    write!(out, "{}", t.render());
+    writeln!(out, "\nFrequent scrubbing drains single-bit faults before they pair up —");
+    writeln!(out, "shrinking the population of SECDED-uncorrectable errors that the");
+    writeln!(out, "cooperative interrupt -> sysfs -> ABFT path (or, traditionally, a");
+    writeln!(out, "panic) must absorb.");
 }

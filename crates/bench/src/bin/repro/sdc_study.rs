@@ -3,14 +3,12 @@
 //! available to the simulator via `classify_against_truth`; this is the
 //! quantitative backdrop for the paper's Case 2/4 discussion.
 
-use abft_bench::print_header;
-use abft_coop_core::report::{pct, TextTable};
+use abft_coop_core::report::{pct, Report, TextTable};
 use abft_ecc::{classify_against_truth, EccScheme, ProtectedLine, TruthOutcome};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-fn main() {
-    print_header("Silent-data-corruption study — random k-bit line errors");
+pub fn run(out: &mut Report) {
     let mut rng = ChaCha8Rng::seed_from_u64(2013);
     let trials = 4000;
     let mut t = TextTable::new(&["scheme", "bits", "corrected", "detected", "silent (SDC)"]);
@@ -48,8 +46,8 @@ fn main() {
             ]);
         }
     }
-    print!("{}", t.render());
-    println!("\nReading: chipkill corrects multi-bit patterns that land in one chip");
-    println!("and detects the rest; SECDED silently passes some >=3-bit patterns;");
-    println!("no-ECC is 100% silent — exactly the exposure ABFT's checksums cover.");
+    write!(out, "{}", t.render());
+    writeln!(out, "\nReading: chipkill corrects multi-bit patterns that land in one chip");
+    writeln!(out, "and detects the rest; SECDED silently passes some >=3-bit patterns;");
+    writeln!(out, "no-ECC is 100% silent — exactly the exposure ABFT's checksums cover.");
 }

@@ -1,15 +1,13 @@
 //! Table 1: ABFT performance improvement with simplified (hardware-
 //! assisted) verification, no ECC relaxing.
 
-use abft_bench::print_header;
-use abft_coop_core::report::{pct, TextTable};
+use abft_coop_core::report::{pct, Report, TextTable};
 use abft_coop_runtime::SysfsChannel;
 use abft_kernels::overhead::{
     simplified_verification_improvement, FailContinueKernel, OverheadScale,
 };
 
-fn main() {
-    print_header("Table 1 — ABFT performance improvement with simplified verification");
+pub fn run(out: &mut Report) {
     let scale = OverheadScale::default();
     // Median of repeated timings: wall-clock noise is the main enemy here.
     let mut t = TextTable::new(&["Kernel", "Improvement (measured)", "Paper"]);
@@ -21,5 +19,5 @@ fn main() {
         gains.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
         t.row(&[k.label().to_string(), pct(gains[1]), p.to_string()]);
     }
-    print!("{}", t.render());
+    write!(out, "{}", t.render());
 }

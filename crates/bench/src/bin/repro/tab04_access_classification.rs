@@ -1,13 +1,12 @@
 //! Table 4: classification of last-level-cache references by ABFT
 //! protection of the accessed blocks.
 
-use abft_bench::{print_header, run_grid};
-use abft_coop_core::report::{ReportSink, StdoutSink, TextTable};
+use crate::run_grid;
+use abft_coop_core::report::{Report, TextTable};
 use abft_coop_core::{CampaignSpec, Strategy};
 use abft_memsim::workloads::KernelKind;
 
-fn main() {
-    print_header("Table 4 — Classification of cacheline accesses by ABFT protection");
+pub fn run(out: &mut Report) {
     let spec =
         CampaignSpec::builder().kernels(KernelKind::ALL).strategy(Strategy::WholeChipkill).build();
     let run = run_grid(&spec);
@@ -23,7 +22,6 @@ fn main() {
             format!("{p:.0}"),
         ]);
     }
-    let mut sink = StdoutSink::new();
-    sink.table(&t);
-    sink.artifact("tab04_cells.csv", &run.to_csv());
+    out.table(&t);
+    out.artifact("tab04_cells.csv", &run.to_csv());
 }

@@ -30,7 +30,6 @@
 //! let run = CampaignClient::local().run(&spec);
 //! let dgemm = run.basic_test(KernelKind::Dgemm);
 //! println!("W_CK memory energy x{:.2}", dgemm.mem_energy_norm(Strategy::WholeChipkill));
-//! run.write_json("reproduction-output/basic_tests.json").unwrap();
 //! ```
 
 use crate::client::CampaignSpec;
@@ -42,8 +41,6 @@ use abft_memsim::trace_cache::{FilterKey, TraceCache};
 use abft_memsim::workloads::{abft_region_ids, KernelKind, KernelParams};
 use abft_memsim::SystemConfig;
 use rayon::prelude::*;
-use std::io::Write;
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -55,7 +52,8 @@ use std::time::{Duration, Instant};
 /// tail (bit-identical, provided the config's cache geometry and thread
 /// count match the filter's [`FilterKey`]); a sampled miss stream
 /// replays only its weighted representative slices (an estimate, error
-/// bounded in `tests/simpoint_equivalence.rs` and gated in `bench_sim`).
+/// bounded in `tests/simpoint_equivalence.rs` and by perfbench's
+/// `sampled_err_pct`).
 pub fn run_cell(input: SimInput<'_>, cfg: &SystemConfig, strategy: Strategy) -> SimStats {
     let assign = strategy.assignment(&abft_region_ids(input.regions()));
     Machine::new(cfg.clone()).simulate(SimRequest::new(input, assign))
@@ -405,8 +403,8 @@ impl CampaignRun {
     }
 
     /// Machine-readable CSV of every cell — the spreadsheet-shaped
-    /// sibling of [`CampaignRun::to_json`], emitted through the same
-    /// [`crate::report::ReportSink`] plumbing by the harness binaries.
+    /// sibling of [`CampaignRun::to_json`]; `repro --out` writes both as
+    /// [`crate::report::Report`] artifacts.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
             "kernel,workload,strategy,config,wall_seconds,instructions,cycles,seconds,ipc,\
@@ -440,19 +438,6 @@ impl CampaignRun {
             ));
         }
         out
-    }
-
-    /// Write [`CampaignRun::to_json`] to a file, creating parent
-    /// directories (the harness binaries use `reproduction-output/`).
-    pub fn write_json(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_json().as_bytes())
     }
 }
 

@@ -23,8 +23,8 @@
 //!   [`CampaignClient`] facade every harness binary runs it through
 //!   (trace cache + artifact store + sampling resolved from the spec or
 //!   the environment, then the engine).
-//! * [`report`] — text tables and the [`ReportSink`] emission trait for
-//!   the per-figure harness binaries.
+//! * [`report`] — text tables and the [`Report`] the `repro` experiments
+//!   write through.
 
 pub(crate) mod adaptive;
 pub mod campaign;
@@ -47,5 +47,5 @@ pub use errorflow::{
 };
 pub use experiment::{fault_adjusted, BasicTest, FaultAdjusted, StrategyResult};
 pub use policy::{decide, PolicyDecision, PolicyInputs};
-pub use report::{FileSink, ReportSink, StdoutSink, TextTable};
+pub use report::{Report, TextTable};
 pub use strategy::Strategy;

@@ -1,10 +1,9 @@
-//! Report emission for the harness binaries (one per paper
-//! table/figure): plain-text table rendering plus the [`ReportSink`]
-//! trait every binary routes its sections, tables, and JSON/CSV
-//! artifacts through.
+//! Report emission for the `repro` experiments (one per paper
+//! table/figure): plain-text table rendering plus the [`Report`] every
+//! experiment routes its text and JSON/CSV artifacts through.
 
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// A rendered table: header plus rows of equal arity.
 #[derive(Debug, Clone, Default)]
@@ -65,142 +64,57 @@ pub fn norm(x: f64) -> String {
     format!("{x:.3}")
 }
 
-/// Format joules with adaptive units.
-pub fn joules(x: f64) -> String {
-    if x >= 1e6 {
-        format!("{:.2} MJ", x / 1e6)
-    } else if x >= 1e3 {
-        format!("{:.2} kJ", x / 1e3)
-    } else if x >= 1.0 {
-        format!("{x:.2} J")
-    } else {
-        format!("{:.2} mJ", x * 1e3)
-    }
-}
-
-/// Where a harness binary's output goes: headed sections, rendered
-/// tables, free-form notes, and named machine-readable artifacts
-/// (`*.json` / `*.csv`). Implementations decide the medium — the
-/// terminal ([`StdoutSink`]) or a report file ([`FileSink`]).
+/// Where one experiment's output goes: its text into `writer` (stdout,
+/// a `<name>.txt` file, or a `Vec<u8>` in tests), its machine-readable
+/// artifacts (`*.json` / `*.csv`) under `artifact_dir` when one is given.
 ///
-/// Emission is best-effort by design: a full disk or closed pipe must
-/// never fail the simulation whose results are being reported, so
-/// implementations log I/O failures instead of propagating them.
-pub trait ReportSink {
-    /// Start a titled section of the report.
-    fn section(&mut self, title: &str);
-
-    /// Emit a rendered table into the current section.
-    fn table(&mut self, table: &TextTable);
-
-    /// Emit a free-form line (caveats, totals, provenance).
-    fn note(&mut self, text: &str);
-
-    /// Emit a named machine-readable artifact. `name` is a relative
-    /// file name whose extension declares the format (`.json`, `.csv`);
-    /// file-backed sinks write it under their artifact directory.
-    fn artifact(&mut self, name: &str, contents: &str);
+/// `write!` / `writeln!` work on a `Report` directly. The experiment
+/// bodies do not handle I/O errors line by line: the first one is kept,
+/// later output is dropped, and [`Report::finish`] returns it.
+pub struct Report<'a> {
+    writer: &'a mut dyn Write,
+    artifact_dir: Option<&'a Path>,
+    error: Option<std::io::Error>,
 }
 
-fn write_artifact_under(dir: &Path, name: &str, contents: &str) -> std::io::Result<PathBuf> {
-    let path = dir.join(name);
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(&path, contents)?;
-    Ok(path)
-}
-
-/// The default sink: sections/tables/notes to stdout, artifacts to an
-/// artifact directory (`reproduction-output/` unless overridden).
-#[derive(Debug, Clone)]
-pub struct StdoutSink {
-    artifact_dir: PathBuf,
-}
-
-impl Default for StdoutSink {
-    fn default() -> Self {
-        StdoutSink { artifact_dir: PathBuf::from("reproduction-output") }
-    }
-}
-
-impl StdoutSink {
-    /// Sink with the conventional `reproduction-output/` artifact dir.
-    pub fn new() -> Self {
-        StdoutSink::default()
+impl<'a> Report<'a> {
+    /// Report into `writer`; artifacts are written only when
+    /// `artifact_dir` is given.
+    pub fn new(writer: &'a mut dyn Write, artifact_dir: Option<&'a Path>) -> Self {
+        Report { writer, artifact_dir, error: None }
     }
 
-    /// Sink writing artifacts under `dir` instead.
-    pub fn with_artifact_dir(dir: impl Into<PathBuf>) -> Self {
-        StdoutSink { artifact_dir: dir.into() }
-    }
-}
-
-impl ReportSink for StdoutSink {
-    fn section(&mut self, title: &str) {
-        println!("\n=== {title} ===\n");
-    }
-
-    fn table(&mut self, table: &TextTable) {
-        println!("{}", table.render());
-    }
-
-    fn note(&mut self, text: &str) {
-        println!("{text}");
-    }
-
-    fn artifact(&mut self, name: &str, contents: &str) {
-        match write_artifact_under(&self.artifact_dir, name, contents) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {name}: {e}"),
+    /// The target of `write!(report, ..)` / `writeln!(report, ..)`.
+    pub fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) {
+        if self.error.is_none() {
+            self.error = self.writer.write_fmt(args).err();
         }
     }
-}
 
-/// A sink writing the rendered report to one file and artifacts as
-/// siblings next to it. Buffered; flushed on drop.
-#[derive(Debug)]
-pub struct FileSink {
-    out: std::io::BufWriter<std::fs::File>,
-    artifact_dir: PathBuf,
-}
-
-impl FileSink {
-    /// Create (truncate) `path` for the report text; artifacts land in
-    /// its parent directory.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<FileSink> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent)?;
-        }
-        let artifact_dir = path.parent().map_or_else(|| PathBuf::from("."), Path::to_path_buf);
-        Ok(FileSink { out: std::io::BufWriter::new(std::fs::File::create(path)?), artifact_dir })
+    /// Emit a rendered table followed by a blank line.
+    pub fn table(&mut self, table: &TextTable) {
+        self.write_fmt(format_args!("{}\n", table.render()));
     }
 
-    fn emit(&mut self, text: &str) {
-        if let Err(e) = writeln!(self.out, "{text}") {
-            eprintln!("warning: report write failed: {e}");
+    /// Write a named machine-readable artifact under the artifact
+    /// directory; without one the contents are dropped. `name` is a
+    /// relative file name whose extension declares the format.
+    pub fn artifact(&mut self, name: &str, contents: &str) {
+        let Some(dir) = self.artifact_dir else { return };
+        if self.error.is_none() {
+            let path = dir.join(name);
+            match std::fs::write(&path, contents) {
+                Ok(()) => eprintln!("wrote {}", path.display()),
+                Err(e) => self.error = Some(e),
+            }
         }
     }
-}
 
-impl ReportSink for FileSink {
-    fn section(&mut self, title: &str) {
-        self.emit(&format!("\n=== {title} ===\n"));
-    }
-
-    fn table(&mut self, table: &TextTable) {
-        self.emit(&table.render());
-    }
-
-    fn note(&mut self, text: &str) {
-        self.emit(text);
-    }
-
-    fn artifact(&mut self, name: &str, contents: &str) {
-        match write_artifact_under(&self.artifact_dir.clone(), name, contents) {
-            Ok(path) => self.emit(&format!("wrote {}", path.display())),
-            Err(e) => eprintln!("warning: could not write {name}: {e}"),
+    /// Flush the writer and return the first I/O error met, if any.
+    pub fn finish(mut self) -> std::io::Result<()> {
+        match self.error.take() {
+            Some(e) => Err(e),
+            None => self.writer.flush(),
         }
     }
 }
@@ -229,45 +143,53 @@ mod tests {
     }
 
     #[test]
-    fn file_sink_writes_report_and_sibling_artifacts() {
+    fn report_text_lands_in_the_writer_and_artifacts_only_under_a_dir() {
         let dir = std::env::temp_dir().join(format!("abft-report-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let report = dir.join("report.txt");
-        {
-            let mut sink = FileSink::create(&report).expect("create sink");
-            sink.section("Figure X");
-            let mut t = TextTable::new(&["k", "v"]);
-            t.row(&["a".into(), "1".into()]);
-            sink.table(&t);
-            sink.note("caveat");
-            sink.artifact("figx.json", "{\"ok\": true}");
-        }
-        let text = std::fs::read_to_string(&report).expect("report exists");
-        assert!(text.contains("=== Figure X ==="));
-        assert!(text.contains("caveat"));
-        let art = std::fs::read_to_string(dir.join("figx.json")).expect("artifact exists");
-        assert_eq!(art, "{\"ok\": true}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let mut t = TextTable::new(&["k", "v"]);
+        t.row(&["a".into(), "1".into()]);
+        let emit = |artifact_dir: Option<&Path>| {
+            let mut text = Vec::new();
+            let mut report = Report::new(&mut text, artifact_dir);
+            report.table(&t);
+            writeln!(report, "caveat {}", 7);
+            report.artifact("cells.csv", "a,b\n1,2\n");
+            report.finish().expect("no I/O error");
+            String::from_utf8(text).expect("utf-8")
+        };
 
-    #[test]
-    fn stdout_sink_writes_artifacts_under_its_directory() {
-        let dir = std::env::temp_dir().join(format!("abft-stdout-art-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut sink = StdoutSink::with_artifact_dir(&dir);
-        sink.artifact("cells.csv", "a,b\n1,2\n");
+        let text = emit(None);
+        assert_eq!(text, format!("{}\ncaveat 7\n", t.render()));
+        assert!(!Path::new("cells.csv").exists(), "no dir, no file");
+
+        assert_eq!(emit(Some(&dir)), text, "the artifact dir does not change the text");
         let art = std::fs::read_to_string(dir.join("cells.csv")).expect("artifact exists");
         assert_eq!(art, "a,b\n1,2\n");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
+    fn report_keeps_the_first_io_error_for_finish() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut full = Full;
+        let mut report = Report::new(&mut full, None);
+        writeln!(report, "lost");
+        writeln!(report, "also lost");
+        assert_eq!(report.finish().expect_err("write failed").to_string(), "disk full");
+    }
+
+    #[test]
     fn formatting_helpers() {
         assert_eq!(pct(0.123), "12.3%");
         assert_eq!(norm(1.23456), "1.235");
-        assert_eq!(joules(0.5), "500.00 mJ");
-        assert_eq!(joules(2.0), "2.00 J");
-        assert_eq!(joules(2500.0), "2.50 kJ");
-        assert_eq!(joules(2.5e6), "2.50 MJ");
     }
 }

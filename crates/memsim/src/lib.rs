@@ -42,7 +42,6 @@ pub mod stream;
 pub mod system;
 pub mod trace;
 pub mod trace_cache;
-pub mod tracefile;
 pub mod workloads;
 
 pub use config::{ConfigError, SystemConfig, SystemConfigBuilder};
@@ -56,5 +55,4 @@ pub use stream::{AccessSink, AccessSource, TraceReplay, DEFAULT_CHUNK};
 pub use system::{EccAssignment, Machine, RowPolicy, SimInput, SimRequest, SimStats};
 pub use trace::{Access, Region, RegionId, RegionMap, Trace};
 pub use trace_cache::{FilterKey, TraceCache};
-pub use tracefile::TraceFileSource;
 pub use workloads::{KernelKind, KernelParams, KernelStream};

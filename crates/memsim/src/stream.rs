@@ -13,8 +13,6 @@
 //! * [`crate::workloads::KernelStream`] — generate a kernel's reference
 //!   stream step by step, never materializing more than one outer-loop
 //!   iteration.
-//! * [`crate::tracefile::TraceFileSource`] — stream a trace file from
-//!   disk without loading it.
 //!
 //! The dual trait [`AccessSink`] is the producer side: workload
 //! generators emit into any sink (a [`Trace`], a packed builder, a chunk

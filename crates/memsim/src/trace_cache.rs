@@ -10,7 +10,7 @@
 //! encoding (built straight from the step emitters, never materializing
 //! `Vec<Access>`), its resident cost sits an order of magnitude below the
 //! old materialized-`Trace` cache (16 B per record plus `Vec` growth
-//! slack; see `BENCH_trace.json` for measured per-kernel ratios).
+//! slack; perfbench reports the packed side as `packed.bytes_per_access`).
 //!
 //! Concurrency: the map lock is held only to look up or insert a
 //! per-key slot; the (expensive) generation itself runs outside the map

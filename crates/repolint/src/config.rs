@@ -27,9 +27,10 @@ pub struct RuleCfg {
     /// FP001: function-name substrings that put a function in scope.
     pub fn_contains: Vec<String>,
     /// DET004 / PERF00x: reachability roots, as `Type::method` or bare
-    /// function names. DET004 always adds binary `main`s on top; the
-    /// PERF rules deliberately do not (binaries print and allocate as
-    /// their job — only the replay entry points define hotness).
+    /// function names. DET004 always adds binaries' free functions on
+    /// top; the PERF rules deliberately do not (binaries print and
+    /// allocate as their job — only the replay entry points define
+    /// hotness).
     pub entry_points: Vec<String>,
     /// Whether `entry_points` came from the config file rather than the
     /// built-in defaults. A listed name that matches no workspace

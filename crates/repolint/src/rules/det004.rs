@@ -5,7 +5,9 @@
 //! actually relies on — that *no such source is reachable* from a
 //! simulation entry point through any chain of workspace calls. Roots
 //! are the configured `entry_points` (`Type::method` or bare function
-//! names) plus every binary `main`; sinks are `Instant::now`,
+//! names) plus every free function of a binary target (`repro` reaches
+//! its experiments through a table of `fn` pointers, which the call
+//! graph does not follow); sinks are `Instant::now`,
 //! `SystemTime::now`, `thread_rng`, `from_entropy` and `rand::random`
 //! call sites in library code of the scoped crates. The diagnostic
 //! reconstructs the offending call chain so the path from entry point
@@ -45,13 +47,12 @@ fn is_sink(display: &str) -> Option<&'static str> {
 pub fn check(sem: &SemanticCtx<'_>, cfg: &RuleCfg, out: &mut Vec<Diagnostic>) {
     let table = &sem.table;
 
-    // Roots: configured entry points plus every binary `main`.
+    // Roots: configured entry points plus every binary's free functions.
     let mut roots = Vec::new();
     for (i, f) in table.fns.iter().enumerate() {
         let is_entry = cfg.entry_points.iter().any(|e| is_entry_point(e, f));
-        let is_bin_main =
-            f.name == "main" && sem.ctxs[f.file].kind == FileKind::Bin && f.self_ty.is_none();
-        if is_entry || is_bin_main {
+        let is_bin_fn = sem.ctxs[f.file].kind == FileKind::Bin && f.self_ty.is_none();
+        if is_entry || is_bin_fn {
             roots.push(i);
         }
     }

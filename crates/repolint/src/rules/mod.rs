@@ -294,8 +294,8 @@ pub fn explain(code: &str) -> Option<&'static str> {
         "PERF001" => {
             "PERF001 — heap allocation inside a loop in hot code.\n\
              Why: the campaign's wall-clock is bounded by the filtered-replay inner loops\n\
-             (BENCH_sim.json measures them in ns per miss event); an allocator round-trip per\n\
-             event or per phase dwarfs the arithmetic it feeds. The hotness analysis proves the loop\n\
+             (perfbench measures them as `campaign_ns_per_event` on `grid_replay`); an allocator\n\
+             round-trip per event or per phase dwarfs the arithmetic it feeds. The hotness analysis proves the loop\n\
              is reachable from a replay entry point and the diagnostic prints that chain.\n\
              Fix: hoist the allocation above the loop, reuse a preallocated buffer\n\
              (`clear()` + refill), or write into a caller-provided slice."

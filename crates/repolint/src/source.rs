@@ -191,7 +191,7 @@ mod tests {
     #[test]
     fn classifies_paths() {
         assert_eq!(file_kind("crates/memsim/src/dram.rs"), FileKind::Lib);
-        assert_eq!(file_kind("crates/bench/src/bin/trace_stats.rs"), FileKind::Bin);
+        assert_eq!(file_kind("crates/bench/src/bin/repro/trace_stats.rs"), FileKind::Bin);
         assert_eq!(file_kind("src/main.rs"), FileKind::Bin);
         assert_eq!(file_kind("tests/streaming_equivalence.rs"), FileKind::Test);
         assert_eq!(file_kind("examples/quickstart.rs"), FileKind::Example);

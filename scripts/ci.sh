@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The full CI gate: formatting, the repolint static-analysis pass, release
-# build, the test suite (plain and with the memsim `validate` invariant
-# audits), and a warning-free clippy pass. Usage: scripts/ci.sh
+# build, the reproduction-output drift gate, the artifact-store gate, the
+# test suite (plain and with the memsim `validate` invariant audits), a
+# warning-free clippy pass, and a clean working tree at the end.
+# Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,7 +30,7 @@ fi
 echo "=== cargo build --release --workspace ==="
 # --workspace matters: the root manifest is both a package and a workspace,
 # so a bare `cargo build` only covers the root package and never produces
-# the bench binaries the stages below execute.
+# the `repro` and `store_gate` binaries the stages below execute.
 cargo build --release --workspace
 
 echo "=== benchmarks/ (perfbench) builds and passes its tests against these crates ==="
@@ -38,27 +40,33 @@ echo "=== benchmarks/ (perfbench) builds and passes its tests against these crat
 cargo build --release --offline --manifest-path benchmarks/Cargo.toml
 cargo test -q --offline --manifest-path benchmarks/Cargo.toml
 
-echo "=== trace-pipeline smoke bench (writes BENCH_trace.json) ==="
-./target/release/bench_trace
-
-echo "=== two-phase simulation smoke bench (writes BENCH_sim.json) ==="
-# Besides the bit-identity and SimPoint-error gates, this enforces the
-# per-kernel ns_per_event_ceilings committed in BENCH_sim.json: filtered
-# replay costing more ns per miss event than its ceiling fails the stage
-# (the ratchet that keeps per-request work from creeping back into the
-# replay loop, whatever the kernel's cache hit rate).
-./target/release/bench_sim
+echo "=== drift gate (repro all vs the committed reproduction-output/) ==="
+# One process regenerates every experiment; each one whose output is
+# deterministic (`repro list` marks the three that print measured
+# wall-clock) must match the committed <name>.txt byte for byte. To accept
+# a deliberate change: scripts/reproduce_all.sh, then commit the files.
+CI_TMP="$(mktemp -d)"
+trap 'rm -rf "$CI_TMP"' EXIT
+./target/release/repro all --out "$CI_TMP/repro"
+drifted=()
+for name in $(./target/release/repro list | awk '$2 == "deterministic" { print $1 }'); do
+    if ! cmp -s "reproduction-output/$name.txt" "$CI_TMP/repro/$name.txt"; then
+        drifted+=("reproduction-output/$name.txt")
+    fi
+done
+if [ "${#drifted[@]}" -ne 0 ]; then
+    echo "committed outputs differ from what the code prints:"
+    printf '  %s\n' "${drifted[@]}"
+    exit 1
+fi
 
 echo "=== artifact-store gate (fig07 grid, cold then warm disk, separate processes) ==="
 # Two fresh processes over one store directory: the first populates it,
 # the second must complete with zero regenerations, >=90% artifact hits,
 # and byte-identical cell output (bit-identical SimStats across
 # processes).
-STORE_GATE_DIR="$(mktemp -d)"
-trap 'rm -rf "$STORE_GATE_DIR"' EXIT
-./target/release/store_gate "$STORE_GATE_DIR/store" "$STORE_GATE_DIR/cold.txt"
-./target/release/store_gate "$STORE_GATE_DIR/store" "$STORE_GATE_DIR/warm.txt" \
-    --expect "$STORE_GATE_DIR/cold.txt"
+./target/release/store_gate "$CI_TMP/store" "$CI_TMP/cold.txt"
+./target/release/store_gate "$CI_TMP/store" "$CI_TMP/warm.txt" --expect "$CI_TMP/cold.txt"
 
 echo "=== cargo test -q --workspace ==="
 cargo test -q --workspace
@@ -70,5 +78,14 @@ cargo test -q --features validate --test campaign_determinism --test streaming_e
 
 echo "=== cargo clippy --workspace -- -D warnings ==="
 cargo clippy --workspace -- -D warnings
+
+echo "=== the run left the tree clean ==="
+# Every stage above writes only to ignored paths or a temp dir; a tracked
+# file rewritten by a green run would be committed by the next `git add -A`.
+if [ -n "$(git status --porcelain)" ]; then
+    echo "ci.sh left the working tree dirty (or started from uncommitted changes):"
+    git status --porcelain
+    exit 1
+fi
 
 echo "CI gate passed."

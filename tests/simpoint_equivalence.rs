@@ -334,6 +334,9 @@ proptest! {
         let total: f64 = sel.phases().iter().map(|p| p.weight).sum();
         prop_assert!((total - 1.0).abs() < 1e-9, "weights sum to {}", total);
         prop_assert!(sel.clusters() as u64 <= (max_phases as u64).min(sel.slices()));
+        // The replay budget: at most `strata` whole slices per cluster,
+        // whatever the stream's length (31.2 M events at paper scale).
+        prop_assert!(sel.phases().len() <= sel.clusters() * SimPointConfig::default().strata);
 
         // Per-slice fingerprints: equal dimensionality, event-rate
         // normalized (finite, non-negative).

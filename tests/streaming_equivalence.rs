@@ -75,7 +75,7 @@ fn packed_grid_footprint_is_at_least_3x_smaller() {
     // actually-allocated capacity, doubling growth included); the packed
     // cache keeps run-coalesced 8-byte words. The PR's acceptance floor
     // is a 3x aggregate drop; run coalescing puts the measured ratio far
-    // above it (see BENCH_trace.json for the default-scale numbers).
+    // above it (perfbench reports `packed.bytes_per_access` at default scale).
     let mut materialized_total = 0u64;
     let mut packed_total = 0u64;
     for params in small_grid() {
