@@ -20,19 +20,22 @@ pub enum CacheOutcome {
     },
 }
 
+/// Marks a way that holds no line.
+const INVALID: u64 = u64::MAX;
+
 /// One set-associative write-back cache.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: usize,
+    set_mask: usize,
     line_shift: u32,
-    /// `tags[set * ways + way]` = line address (addr >> line_shift), or
-    /// `u64::MAX` when invalid.
-    tags: Vec<u64>,
-    /// LRU stamps, larger = more recent.
-    stamps: Vec<u64>,
-    dirty: Vec<bool>,
-    clock: u64,
+    /// `entries[set * ways..][..ways]` is one set, most recently used
+    /// first: `line << 1 | dirty`, or [`INVALID`]. Position is the LRU
+    /// state, so a lookup touches one contiguous run of words. Ways are
+    /// only ever invalid from construction, and a fill enters at the
+    /// front and drops the tail, so the invalid ways are always the last
+    /// ones: "first invalid way, else LRU" is simply "the tail".
+    entries: Vec<u64>,
     /// Statistics.
     pub hits: u64,
     /// Statistics.
@@ -44,15 +47,18 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two");
-        assert!(cfg.line_bytes.is_power_of_two(), "line size must be a power of two");
+        // A line address shares its word with the dirty bit and must
+        // stay clear of `INVALID`: 62 bits, true of any address once a
+        // line is four bytes.
+        assert!(
+            cfg.line_bytes.is_power_of_two() && cfg.line_bytes >= 4,
+            "line size must be a power of two of at least 4 bytes"
+        );
         Cache {
             cfg,
-            sets,
+            set_mask: sets - 1,
             line_shift: cfg.line_bytes.trailing_zeros(),
-            tags: vec![u64::MAX; sets * cfg.ways],
-            stamps: vec![0; sets * cfg.ways],
-            dirty: vec![false; sets * cfg.ways],
-            clock: 0,
+            entries: vec![INVALID; sets * cfg.ways],
             hits: 0,
             misses: 0,
         }
@@ -63,69 +69,31 @@ impl Cache {
         &self.cfg
     }
 
-    #[inline]
-    fn line_of(&self, addr: u64) -> u64 {
-        addr >> self.line_shift
-    }
-
     /// Access `addr`; on miss the line is filled (write-allocate) and a
     /// dirty victim, if any, is reported for write-back.
     pub fn access(&mut self, addr: u64, write: bool) -> CacheOutcome {
-        let line = self.line_of(addr);
-        let set = (line as usize) & (self.sets - 1);
-        let base = set * self.cfg.ways;
-        self.clock += 1;
+        let line = addr >> self.line_shift;
+        let base = (line as usize & self.set_mask) * self.cfg.ways;
+        let set = &mut self.entries[base..base + self.cfg.ways];
 
-        // One scan serves both the hit probe and victim selection: while
-        // looking for the line, remember the first invalid way and the
-        // LRU way among the valid ones, so a miss needs no second pass.
-        let mut invalid: Option<usize> = None;
-        let mut lru = 0;
-        let mut best = u64::MAX;
-        for w in 0..self.cfg.ways {
-            let tag = self.tags[base + w];
-            if tag == line {
+        // One pass from the MRU end is the hit probe, the LRU update and
+        // the victim choice: the line enters at the front and every entry
+        // passed moves down a way, until the line's old entry is met (a
+        // hit: the shift stops there, the dirty bit is kept) or the tail
+        // falls off (a miss: the tail was the LRU way, or an invalid one).
+        let fill = line << 1 | write as u64;
+        let mut displaced = fill;
+        for way in 0..set.len() {
+            displaced = std::mem::replace(&mut set[way], displaced);
+            if displaced >> 1 == line {
+                set[0] = fill | displaced;
                 self.hits += 1;
-                self.stamps[base + w] = self.clock;
-                if write {
-                    self.dirty[base + w] = true;
-                }
                 return CacheOutcome::Hit;
-            }
-            if tag == u64::MAX {
-                if invalid.is_none() {
-                    invalid = Some(w);
-                }
-            } else if self.stamps[base + w] < best {
-                best = self.stamps[base + w];
-                lru = w;
             }
         }
         self.misses += 1;
-        // Victim priority is unchanged: first invalid way, else LRU.
-        let slot = base + invalid.unwrap_or(lru);
-        let writeback = if self.tags[slot] != u64::MAX && self.dirty[slot] {
-            Some(self.tags[slot] << self.line_shift)
-        } else {
-            None
-        };
-        self.tags[slot] = line;
-        self.stamps[slot] = self.clock;
-        self.dirty[slot] = write;
-        CacheOutcome::Miss { writeback }
-    }
-
-    /// Invalidate everything (keeps statistics).
-    pub fn flush(&mut self) -> Vec<u64> {
-        let mut dirty_lines = Vec::new(); // repolint:allow(PERF001) one writeback list per flush, not per access
-        for i in 0..self.tags.len() {
-            if self.tags[i] != u64::MAX && self.dirty[i] {
-                dirty_lines.push(self.tags[i] << self.line_shift);
-            }
-            self.tags[i] = u64::MAX;
-            self.dirty[i] = false;
-        }
-        dirty_lines
+        let dirty_victim = displaced != INVALID && displaced & 1 == 1;
+        CacheOutcome::Miss { writeback: dirty_victim.then(|| displaced >> 1 << self.line_shift) }
     }
 
     /// Hit rate so far.
@@ -195,16 +163,6 @@ mod tests {
         c.access(0x0100, false);
         let out = c.access(0x0200, false);
         assert_eq!(out, CacheOutcome::Miss { writeback: Some(0x0000) });
-    }
-
-    #[test]
-    fn flush_returns_dirty_lines() {
-        let mut c = tiny();
-        c.access(0x0000, true);
-        c.access(0x0040, false);
-        let dirty = c.flush();
-        assert_eq!(dirty, vec![0x0000]);
-        assert!(matches!(c.access(0x0040, false), CacheOutcome::Miss { .. }));
     }
 
     #[test]

@@ -42,6 +42,8 @@ pub mod stream;
 pub mod system;
 pub mod trace;
 pub mod trace_cache;
+#[cfg(test)]
+mod walk_reference;
 pub mod workloads;
 
 pub use config::{ConfigError, SystemConfig, SystemConfigBuilder};

@@ -136,99 +136,128 @@ pub struct MissStream {
     threads: usize,
 }
 
+/// What one L1 → L2 walk of a stream leaves behind besides its events:
+/// every policy-independent count of the run.
+pub(crate) struct Walk {
+    pub accesses: u64,
+    /// Retired instructions counted while draining (`work + 1` each).
+    pub retired: u64,
+    /// Final pure core-cycle count (DRAM stalls excluded).
+    pub core_cycles: u64,
+    pub l1_hits: u64,
+    pub l1_misses: u64,
+    pub l2_hits: u64,
+    pub l2_misses: u64,
+    pub tallies: Vec<RegionTally>,
+}
+
+/// Drive `src` through fresh L1/L2 caches and hand every DRAM-visible
+/// event, in DRAM-access order, to `on_event` — the one cache-hierarchy
+/// walk, which [`MissStream::build`] records and the full path of
+/// [`crate::system::Machine::simulate`] services as it goes. The source
+/// is rewound first, so a fresh and a drained stream behave identically.
+///
+/// Thread-level concurrency: `threads` in-order workers interleave their
+/// instruction streams, so per-thread cycles (compute + cache latencies)
+/// compress by the thread count on the machine timeline, while every
+/// access still reaches the shared memory system. The core-cycle count is
+/// `⌊Σ thread cycles / threads⌋`, divided only where an event observes it:
+/// exactly what carrying the remainder from access to access yields, as
+/// `cycles · threads + carry = Σ` with `carry < threads` throughout. DRAM
+/// stalls are machine-level and never enter the sum; a consumer adds them
+/// on top ([`MissEvent::core_cycles`]).
+pub(crate) fn walk<S: AccessSource + ?Sized>(
+    src: &mut S,
+    l1_cfg: CacheConfig,
+    l2_cfg: CacheConfig,
+    threads: usize,
+    mut on_event: impl FnMut(&MissEvent),
+) -> Walk {
+    src.reset();
+    let mut l1 = Cache::new(l1_cfg);
+    let mut l2 = Cache::new(l2_cfg);
+    let mut tallies = vec![RegionTally::default(); src.regions().regions().len()];
+    let threads = threads.max(1) as u64;
+    let mut thread_cycles = 0u64;
+    let mut retired = 0u64;
+    let mut accesses = 0u64;
+
+    let mut chunk: Vec<Access> = Vec::with_capacity(DEFAULT_CHUNK);
+    while src.fill(&mut chunk, DEFAULT_CHUNK) > 0 {
+        accesses += chunk.len() as u64;
+        for a in &chunk {
+            retired += a.work as u64 + 1;
+            thread_cycles += a.work as u64;
+            let rt = &mut tallies[a.region as usize];
+            rt.refs += 1;
+            let CacheOutcome::Miss { writeback } = l1.access(a.addr, a.write) else {
+                thread_cycles += l1_cfg.latency_cycles;
+                continue;
+            };
+            rt.l1_misses += 1;
+            if let Some(wb) = writeback {
+                // The L1 victim is installed dirty in L2 (the full line
+                // travels down, so no DRAM fill is needed); only a dirty
+                // line L2 evicts to make room reaches memory.
+                if let CacheOutcome::Miss { writeback: Some(wb2) } = l2.access(wb, true) {
+                    let kind = MissEventKind::Writeback(wb2);
+                    on_event(&MissEvent {
+                        trigger: *a,
+                        core_cycles: thread_cycles / threads,
+                        kind,
+                    });
+                }
+            }
+            if let CacheOutcome::Miss { writeback } = l2.access(a.addr, a.write) {
+                rt.llc_misses += 1;
+                let kind = MissEventKind::Demand { writeback };
+                on_event(&MissEvent { trigger: *a, core_cycles: thread_cycles / threads, kind });
+            }
+            thread_cycles += l2_cfg.latency_cycles;
+        }
+    }
+    // The L2's own counters include the L1 victims installed into it; as
+    // a level of the hierarchy it is asked once per L1 miss.
+    let l2_misses: u64 = tallies.iter().map(|t| t.llc_misses).sum();
+    Walk {
+        accesses,
+        retired,
+        core_cycles: thread_cycles / threads,
+        l1_hits: l1.hits,
+        l1_misses: l1.misses,
+        l2_hits: l1.misses - l2_misses,
+        l2_misses,
+        tallies,
+    }
+}
+
 impl MissStream {
-    /// Drive `src` through L1/L2 once and record the DRAM-visible tail.
-    /// The walk mirrors the full source-replay path of
-    /// [`crate::system::Machine::simulate`]
-    /// with the DRAM calls replaced by event recording (stall = 0, so the
-    /// recorded cycle track is the pure core-cycle component).
+    /// Drive `src` through L1/L2 once ([`walk`]) and record the
+    /// DRAM-visible tail.
     pub fn build<S: AccessSource + ?Sized>(
         src: &mut S,
         l1_cfg: CacheConfig,
         l2_cfg: CacheConfig,
         threads: usize,
     ) -> MissStream {
-        src.reset();
-        let mut l1 = Cache::new(l1_cfg);
-        let mut l2 = Cache::new(l2_cfg);
         let regions = src.regions().clone();
         let bases: Vec<u64> = regions.regions().iter().map(|r| r.base).collect();
         let mut enc = Encoder::new(&bases);
-        let mut tallies = vec![RegionTally::default(); regions.regions().len()];
-
-        let threads_u = threads.max(1) as u64;
-        let mut cycles: u64 = 0;
-        let mut carry: u64 = 0;
-        let bump = |cycles: &mut u64, carry: &mut u64, thread_cycles: u64| {
-            let total = thread_cycles + *carry;
-            *cycles += total / threads_u;
-            *carry = total % threads_u;
-        };
-        let mut l1_hits = 0u64;
-        let mut l1_misses = 0u64;
-        let mut l2_hits = 0u64;
-        let mut l2_misses = 0u64;
-        let mut retired = 0u64;
-        let mut accesses = 0u64;
-
-        let mut chunk: Vec<Access> = Vec::with_capacity(DEFAULT_CHUNK);
-        while src.fill(&mut chunk, DEFAULT_CHUNK) > 0 {
-            for a in &chunk {
-                accesses += 1;
-                retired += a.work as u64 + 1;
-                bump(&mut cycles, &mut carry, a.work as u64);
-                let rt = &mut tallies[a.region as usize];
-                rt.refs += 1;
-                match l1.access(a.addr, a.write) {
-                    CacheOutcome::Hit => {
-                        bump(&mut cycles, &mut carry, l1_cfg.latency_cycles);
-                        l1_hits += 1;
-                        continue;
-                    }
-                    CacheOutcome::Miss { writeback } => {
-                        l1_misses += 1;
-                        rt.l1_misses += 1;
-                        if let Some(wb) = writeback {
-                            if let CacheOutcome::Miss { writeback: Some(wb2) } = l2.access(wb, true)
-                            {
-                                enc.push(a, cycles, KIND_WRITEBACK, Some(wb2));
-                            }
-                        }
-                    }
-                }
-                match l2.access(a.addr, a.write) {
-                    CacheOutcome::Hit => {
-                        bump(&mut cycles, &mut carry, l2_cfg.latency_cycles);
-                        l2_hits += 1;
-                    }
-                    CacheOutcome::Miss { writeback } => {
-                        l2_misses += 1;
-                        tallies[a.region as usize].llc_misses += 1;
-                        match writeback {
-                            Some(wb) => enc.push(a, cycles, KIND_DEMAND_WB, Some(wb)),
-                            None => enc.push(a, cycles, KIND_DEMAND, None),
-                        }
-                        bump(&mut cycles, &mut carry, l2_cfg.latency_cycles);
-                    }
-                }
-            }
-        }
-
-        let instructions = src.instructions_hint().unwrap_or(retired);
+        let walked = walk(src, l1_cfg, l2_cfg, threads, |ev| enc.push(ev));
         let (words, events) = enc.finish();
         let ms = MissStream {
             regions,
             bases,
             words,
             events,
-            accesses,
-            instructions,
-            core_cycles: cycles,
-            l1_hits,
-            l1_misses,
-            l2_hits,
-            l2_misses,
-            tallies,
+            accesses: walked.accesses,
+            instructions: src.instructions_hint().unwrap_or(walked.retired),
+            core_cycles: walked.core_cycles,
+            l1_hits: walked.l1_hits,
+            l1_misses: walked.l1_misses,
+            l2_hits: walked.l2_hits,
+            l2_misses: walked.l2_misses,
+            tallies: walked.tallies,
             l1_cfg,
             l2_cfg,
             threads: threads.max(1),
@@ -466,15 +495,20 @@ impl<'a> Encoder<'a> {
         Encoder { bases, words: Vec::new(), pending: None, head: None, last_cycles: 0, events: 0 }
     }
 
-    fn push(&mut self, a: &Access, cycles: u64, kind: u64, wb: Option<u64>) {
+    fn push(&mut self, ev: &MissEvent) {
+        let a = &ev.trigger;
+        let (kind, wb_line) = match ev.kind {
+            MissEventKind::Demand { writeback: None } => (KIND_DEMAND, 0),
+            MissEventKind::Demand { writeback: Some(wb) } => (KIND_DEMAND_WB, wb >> 6),
+            MissEventKind::Writeback(wb) => (KIND_WRITEBACK, wb >> 6),
+        };
         self.events += 1;
-        let delta = cycles - self.last_cycles;
+        let delta = ev.core_cycles - self.last_cycles;
         assert!(
             delta <= MAX_MISS_DELTA,
             "miss stream: cycle delta {delta} exceeds the {DELTA_BITS}-bit range"
         );
-        self.last_cycles = cycles;
-        let wb_line = wb.map(|w| w >> 6).unwrap_or(0);
+        self.last_cycles = ev.core_cycles;
         if let (Some((pw0, pwb, pdelta, run)), Some(head)) = (&mut self.pending, &self.head) {
             let same_attrs =
                 head.region == a.region && head.write == a.write && head.work == a.work;

@@ -18,19 +18,25 @@
 //! under the store root):
 //!
 //! ```text
-//! header:  magic "ABFTART1" | u32 kind | u32 version | u128 key digest
+//! header:  magic "ABFTART1" | u32 kind | u32 version (2) | u128 key digest
 //! payload: varint-compressed artifact body (xor-delta words)
-//! footer:  u64 payload length | u64 FNV-1a checksum | magic "ABFTEND1"
+//! footer:  u64 payload length | u64 payload checksum | magic "ABFTEND1"
 //! ```
 //!
-//! The footer is verified on every load — length and checksum first, the
-//! header key digest against the requested key after — and any mismatch
-//! (truncation, bit rot, digest collision, interrupted write that dodged
-//! the temp-file rename) **evicts** the entry: the file is deleted and
-//! the caller regenerates, so a corrupt blob is never deserialized into a
-//! wrong result. Writes go through a temp file in the same directory plus
-//! an atomic rename, so a crash mid-write leaves no partial artifact
-//! under an addressable name.
+//! The checksum is FNV-1a taken a 64-bit little-endian word at a time:
+//! each step is a bijection of the state for a fixed word and of the word
+//! for a fixed state, so a change confined to one aligned 8-byte word of
+//! the payload — every single-bit and single-byte flip — always changes
+//! it. The footer is verified on every load — length and checksum first,
+//! the header key digest against the requested key after, for a miss
+//! stream the geometry inside the payload against the key's last — and
+//! any mismatch (truncation, bit rot, digest collision, an older format
+//! version) **evicts** the entry: the file is deleted and the caller
+//! regenerates, so a corrupt blob is never deserialized into a wrong
+//! result. Writes go through a temp file of their own in the same
+//! directory plus an atomic rename, so neither a crash mid-write nor a
+//! second writer of the same key leaves a partial artifact under an
+//! addressable name.
 //!
 //! Counters ([`ArtifactStore::metrics`]) are plumbed through
 //! [`crate::trace_cache::TraceCache`] into the campaign layer's metrics.
@@ -47,7 +53,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 const BLOB_MAGIC: &[u8; 8] = b"ABFTART1";
 const END_MAGIC: &[u8; 8] = b"ABFTEND1";
-const FORMAT_VERSION: u32 = 1;
+/// Version 2 reframed the checksum from byte-wise to word-wise FNV-1a;
+/// the payload encoding is unchanged. Older blobs fail the version check
+/// and are evicted and regenerated like any other unusable blob.
+const FORMAT_VERSION: u32 = 2;
 const KIND_TRACE: u32 = 1;
 const KIND_MISS: u32 = 2;
 const KIND_SIMPOINT: u32 = 3;
@@ -136,12 +145,20 @@ impl StableDigest {
     }
 }
 
-/// FNV-1a 64 over a byte slice (the blob payload checksum).
+/// The blob payload checksum: FNV-1a 64 folded eight little-endian bytes
+/// per step, the last `len % 8` bytes one at a time. Xor with a word and
+/// multiplication by the odd prime are both bijections of the state, so
+/// two payloads that differ inside a single step can never collide.
 fn checksum(bytes: &[u8]) -> u64 {
     let mut h = FNV64_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV64_PRIME);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(w);
+        h = (h ^ u64::from_le_bytes(le)).wrapping_mul(FNV64_PRIME);
+    }
+    for &b in words.remainder() {
+        h = (h ^ b as u64).wrapping_mul(FNV64_PRIME);
     }
     h
 }
@@ -308,6 +325,10 @@ fn get_regions(cur: &mut &[u8]) -> Result<RegionMap, StoreError> {
 /// delta against word-0s and word-1s against word-1s).
 fn put_words(buf: &mut Vec<u8>, words: impl Iterator<Item = u64>, count: u64, stride: usize) {
     put_varint(buf, count);
+    // The words are nearly all of a blob: sized once here (a delta rarely
+    // needs more than its word's eight bytes), the buffer does not grow
+    // and copy itself while they are written.
+    buf.reserve(count as usize * 8 + FOOTER_BYTES);
     let mut prev = [0u64; 2];
     for (i, w) in words.enumerate() {
         let slot = i % stride;
@@ -334,13 +355,11 @@ fn get_words(cur: &mut &[u8], stride: usize) -> Result<Vec<u64>, StoreError> {
     Ok(words)
 }
 
-fn encode_trace(t: &PackedTrace) -> Vec<u8> {
-    let mut buf = Vec::new(); // repolint:allow(PERF001) one buffer per artifact encode
-    put_regions(&mut buf, t.regions());
-    put_varint(&mut buf, t.len());
-    put_varint(&mut buf, t.instructions());
-    put_words(&mut buf, t.words(), t.word_count(), 1);
-    buf
+fn encode_trace(buf: &mut Vec<u8>, t: &PackedTrace) {
+    put_regions(buf, t.regions());
+    put_varint(buf, t.len());
+    put_varint(buf, t.instructions());
+    put_words(buf, t.words(), t.word_count(), 1);
 }
 
 fn decode_trace(mut cur: &[u8]) -> Result<PackedTrace, StoreError> {
@@ -354,33 +373,31 @@ fn decode_trace(mut cur: &[u8]) -> Result<PackedTrace, StoreError> {
     Ok(PackedTrace::from_raw_parts(regions, words, len, instructions))
 }
 
-fn encode_miss(ms: &MissStream) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_regions(&mut buf, ms.regions());
-    put_varint(&mut buf, ms.events());
-    put_varint(&mut buf, ms.accesses());
-    put_varint(&mut buf, ms.instructions());
-    put_varint(&mut buf, ms.core_cycles());
-    put_varint(&mut buf, ms.l1_hits);
-    put_varint(&mut buf, ms.l1_misses);
-    put_varint(&mut buf, ms.l2_hits);
-    put_varint(&mut buf, ms.l2_misses);
-    put_varint(&mut buf, ms.raw_tallies().len() as u64);
+fn encode_miss(buf: &mut Vec<u8>, ms: &MissStream) {
+    put_regions(buf, ms.regions());
+    put_varint(buf, ms.events());
+    put_varint(buf, ms.accesses());
+    put_varint(buf, ms.instructions());
+    put_varint(buf, ms.core_cycles());
+    put_varint(buf, ms.l1_hits);
+    put_varint(buf, ms.l1_misses);
+    put_varint(buf, ms.l2_hits);
+    put_varint(buf, ms.l2_misses);
+    put_varint(buf, ms.raw_tallies().len() as u64);
     for t in ms.raw_tallies() {
-        put_varint(&mut buf, t.refs);
-        put_varint(&mut buf, t.l1_misses);
-        put_varint(&mut buf, t.llc_misses);
+        put_varint(buf, t.refs);
+        put_varint(buf, t.l1_misses);
+        put_varint(buf, t.llc_misses);
     }
     let (l1, l2, threads) = ms.filter_config();
     for c in [&l1, &l2] {
-        put_varint(&mut buf, c.capacity as u64);
-        put_varint(&mut buf, c.ways as u64);
-        put_varint(&mut buf, c.line_bytes as u64);
-        put_varint(&mut buf, c.latency_cycles);
+        put_varint(buf, c.capacity as u64);
+        put_varint(buf, c.ways as u64);
+        put_varint(buf, c.line_bytes as u64);
+        put_varint(buf, c.latency_cycles);
     }
-    put_varint(&mut buf, threads as u64);
-    put_words(&mut buf, ms.raw_words().iter().copied(), ms.raw_words().len() as u64, 2);
-    buf
+    put_varint(buf, threads as u64);
+    put_words(buf, ms.raw_words().iter().copied(), ms.raw_words().len() as u64, 2);
 }
 
 fn get_cache_cfg(cur: &mut &[u8]) -> Result<CacheConfig, StoreError> {
@@ -442,35 +459,33 @@ fn decode_miss(mut cur: &[u8]) -> Result<MissStream, StoreError> {
     }))
 }
 
-fn encode_simpoint(sel: &SimPointSelection) -> Vec<u8> {
-    let mut buf = Vec::new();
+fn encode_simpoint(buf: &mut Vec<u8>, sel: &SimPointSelection) {
     let cfg = sel.config();
-    put_varint(&mut buf, cfg.interval);
-    put_varint(&mut buf, cfg.max_phases as u64);
-    put_varint(&mut buf, cfg.seed);
-    put_varint(&mut buf, cfg.iterations as u64);
-    put_varint(&mut buf, cfg.strata as u64);
-    put_varint(&mut buf, sel.events());
-    put_varint(&mut buf, sel.slices());
-    put_varint(&mut buf, sel.dim() as u64);
-    put_varint(&mut buf, sel.est_error().to_bits());
+    put_varint(buf, cfg.interval);
+    put_varint(buf, cfg.max_phases as u64);
+    put_varint(buf, cfg.seed);
+    put_varint(buf, cfg.iterations as u64);
+    put_varint(buf, cfg.strata as u64);
+    put_varint(buf, sel.events());
+    put_varint(buf, sel.slices());
+    put_varint(buf, sel.dim() as u64);
+    put_varint(buf, sel.est_error().to_bits());
     for &v in sel.raw_fingerprints() {
-        put_varint(&mut buf, v.to_bits());
+        put_varint(buf, v.to_bits());
     }
     for &a in sel.assignments() {
-        put_varint(&mut buf, a as u64);
+        put_varint(buf, a as u64);
     }
-    put_varint(&mut buf, sel.phases().len() as u64);
+    put_varint(buf, sel.phases().len() as u64);
     for p in sel.phases() {
-        put_varint(&mut buf, p.weight.to_bits());
-        put_varint(&mut buf, p.start);
-        put_varint(&mut buf, p.end);
-        put_varint(&mut buf, p.scale.to_bits());
-        put_varint(&mut buf, p.cursor.idx as u64);
-        put_varint(&mut buf, p.cursor.run_pos as u64);
-        put_varint(&mut buf, p.cursor.cycles);
+        put_varint(buf, p.weight.to_bits());
+        put_varint(buf, p.start);
+        put_varint(buf, p.end);
+        put_varint(buf, p.scale.to_bits());
+        put_varint(buf, p.cursor.idx as u64);
+        put_varint(buf, p.cursor.run_pos as u64);
+        put_varint(buf, p.cursor.cycles);
     }
-    buf
 }
 
 fn decode_simpoint(mut cur: &[u8]) -> Result<SimPointSelection, StoreError> {
@@ -653,17 +668,34 @@ impl ArtifactStore {
     /// Persist a packed trace (best-effort; the caller already holds the
     /// in-memory artifact either way).
     pub fn save_trace(&self, params: KernelParams, t: &PackedTrace) -> Result<(), StoreError> {
-        self.save_blob(&self.trace_path(params), KIND_TRACE, trace_key(params), encode_trace(t))
+        self.save_blob(&self.trace_path(params), KIND_TRACE, trace_key(params), |buf| {
+            encode_trace(buf, t)
+        })
     }
 
     /// Load a miss stream, or `None` when absent or evicted as corrupt.
+    /// The payload repeats the filter geometry the key digest already
+    /// covers; a blob whose two copies disagree is corrupt, and is evicted
+    /// here rather than failing the geometry assertion at replay.
     pub fn load_miss(&self, key: &FilterKey) -> Option<MissStream> {
-        self.load_blob(&self.miss_path(key), KIND_MISS, miss_key(key), decode_miss)
+        self.load_blob(&self.miss_path(key), KIND_MISS, miss_key(key), |payload| {
+            let ms = decode_miss(payload)?;
+            if ms.matches(&key.l1, &key.l2, key.threads) {
+                Ok(ms)
+            } else {
+                Err(StoreError::KeyMismatch)
+            }
+        })
     }
 
-    /// Persist a miss stream.
+    /// Persist a miss stream. A stream filtered under another geometry
+    /// than the key's is refused ([`StoreError::KeyMismatch`]): no load
+    /// would ever accept it.
     pub fn save_miss(&self, key: &FilterKey, ms: &MissStream) -> Result<(), StoreError> {
-        self.save_blob(&self.miss_path(key), KIND_MISS, miss_key(key), encode_miss(ms))
+        if !ms.matches(&key.l1, &key.l2, key.threads) {
+            return Err(StoreError::KeyMismatch);
+        }
+        self.save_blob(&self.miss_path(key), KIND_MISS, miss_key(key), |buf| encode_miss(buf, ms))
     }
 
     /// Load a phase selection, or `None` when absent or evicted as
@@ -692,30 +724,38 @@ impl ArtifactStore {
             &self.simpoint_path(key, cfg),
             KIND_SIMPOINT,
             simpoint_key(key, cfg),
-            encode_simpoint(sel),
+            |buf| encode_simpoint(buf, sel),
         )
     }
 
+    /// Frame and write one blob; `write_payload` appends the payload
+    /// straight after the header, so the artifact's bytes exist once.
     fn save_blob(
         &self,
         path: &Path,
         kind: u32,
         key: u128,
-        payload: Vec<u8>,
+        write_payload: impl FnOnce(&mut Vec<u8>),
     ) -> Result<(), StoreError> {
-        let mut blob = Vec::with_capacity(HEADER_BYTES + payload.len() + FOOTER_BYTES); // repolint:allow(PERF001) one blob per artifact write
+        let mut blob = Vec::with_capacity(HEADER_BYTES + FOOTER_BYTES); // repolint:allow(PERF001) one buffer per artifact write
         blob.extend_from_slice(BLOB_MAGIC);
         blob.extend_from_slice(&kind.to_le_bytes());
         blob.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         blob.extend_from_slice(&key.to_le_bytes());
-        blob.extend_from_slice(&payload);
-        blob.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        blob.extend_from_slice(&checksum(&payload).to_le_bytes());
+        write_payload(&mut blob);
+        let payload = &blob[HEADER_BYTES..];
+        let (len, sum) = (payload.len() as u64, checksum(payload));
+        blob.extend_from_slice(&len.to_le_bytes());
+        blob.extend_from_slice(&sum.to_le_bytes());
         blob.extend_from_slice(END_MAGIC);
         // Temp file + rename: a crash mid-write never leaves a partial
         // blob under an addressable name, and the rename is atomic on
-        // the same filesystem.
-        let tmp = path.with_extension(format!("tmp{}", std::process::id())); // repolint:allow(PERF001) one temp-file name per artifact write
+        // the same filesystem. The name is unique per write, not per
+        // process: two writers of one key must not share a temp file, or
+        // one renames it while the other is still writing.
+        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("tmp{}-{seq}", std::process::id())); // repolint:allow(PERF001) one temp-file name per artifact write
         std::fs::write(&tmp, &blob)?;
         if let Err(e) = std::fs::rename(&tmp, path) {
             let _ = std::fs::remove_file(&tmp);
@@ -938,6 +978,230 @@ mod tests {
         // A fresh save then load works again.
         store.save_trace(tiny(), &built).unwrap();
         assert!(store.load_trace(tiny()).is_some());
+    }
+
+    /// A few hundred accesses through caches of a few lines: a trace, a
+    /// miss stream and a phase selection whose blobs are small enough to
+    /// attack at every byte.
+    fn small_artifacts() -> (FilterKey, SimPointConfig, PackedTrace, MissStream, SimPointSelection)
+    {
+        let mut rm = RegionMap::new();
+        let a = rm.alloc("a", 64 * 96, true);
+        let b = rm.alloc("b", 64 * 96, false);
+        let mut t = crate::trace::Trace::new(rm.clone());
+        for pass in 0..3u64 {
+            for i in 0..96u64 {
+                t.push(rm.get(a).base + i * 64, a, pass == 1, 2);
+                t.push(rm.get(b).base + (i * 7 % 96) * 64, b, i % 3 == 0, (i % 4) as u32);
+            }
+        }
+        let key = FilterKey {
+            params: tiny(),
+            l1: CacheConfig { capacity: 512, ways: 2, line_bytes: 64, latency_cycles: 1 },
+            l2: CacheConfig { capacity: 2048, ways: 4, line_bytes: 64, latency_cycles: 20 },
+            threads: 3,
+        };
+        let packed = PackedTrace::from_source(&mut t.replay());
+        let ms = MissStream::build(&mut t.replay(), key.l1, key.l2, key.threads);
+        let sp = SimPointConfig { interval: 32, max_phases: 4, ..Default::default() };
+        let sel = SimPointSelection::build(&ms, sp);
+        assert!(ms.events() > 200 && sel.phases().len() > 1, "artifacts must not be trivial");
+        (key, sp, packed, ms, sel)
+    }
+
+    /// `blob` written under `path` must be unloadable: `load` returns
+    /// `false`, the file is gone and exactly one eviction is counted.
+    fn assert_evicted(
+        store: &ArtifactStore,
+        path: &Path,
+        blob: &[u8],
+        load: &dyn Fn() -> bool,
+        what: std::fmt::Arguments<'_>,
+    ) {
+        let before = store.metrics().evictions;
+        std::fs::write(path, blob).unwrap();
+        assert!(!load(), "{what}: a damaged blob was served");
+        assert!(!path.exists(), "{what}: the damaged blob was left in place");
+        assert_eq!(store.metrics().evictions, before + 1, "{what}");
+    }
+
+    #[test]
+    fn every_byte_flip_and_every_truncation_of_every_blob_kind_is_evicted() {
+        let store = temp_store("hostile");
+        let (key, sp, packed, ms, sel) = small_artifacts();
+        store.save_trace(key.params, &packed).unwrap();
+        store.save_miss(&key, &ms).unwrap();
+        store.save_simpoint(&key, &sp, &sel).unwrap();
+        let kinds: [(PathBuf, &dyn Fn() -> bool); 3] = [
+            (store.trace_path(key.params), &|| store.load_trace(key.params).is_some()),
+            (store.miss_path(&key), &|| store.load_miss(&key).is_some()),
+            (store.simpoint_path(&key, &sp), &|| store.load_simpoint(&key, &sp).is_some()),
+        ];
+        for (path, load) in kinds {
+            let blob = std::fs::read(&path).unwrap();
+            assert!(load(), "the intact blob loads");
+            assert!(blob.len() < 8192, "{} bytes is not a small blob", blob.len());
+            for at in 0..blob.len() {
+                // One bit per offset, every bit position in turn, then
+                // the whole byte.
+                for mask in [1u8 << (at % 8), 0xff] {
+                    let mut bad = blob.clone();
+                    bad[at] ^= mask;
+                    let what = format_args!("{path:?} ^{mask:#x} at {at}");
+                    assert_evicted(&store, &path, &bad, load, what);
+                }
+            }
+            for len in 0..blob.len() {
+                assert_evicted(
+                    &store,
+                    &path,
+                    &blob[..len],
+                    load,
+                    format_args!("{path:?} cut to {len}"),
+                );
+            }
+        }
+    }
+
+    /// Damage that a checksum cannot see (the writer's own bug, or an
+    /// attacker who recomputes it) must still come back as a typed error
+    /// or a value, never a panic or an allocation sized by the payload's
+    /// own claims. `validate` builds audit what they reconstruct and are
+    /// meant to abort on an inconsistent artifact, so this runs without.
+    #[cfg(not(feature = "validate"))]
+    #[test]
+    fn payload_damage_under_a_matching_checksum_never_panics() {
+        fn damage(write_payload: impl FnOnce(&mut Vec<u8>), decode: impl Fn(&[u8])) {
+            let mut payload = Vec::new();
+            write_payload(&mut payload);
+            for at in 0..payload.len() {
+                for mask in [1u8 << (at % 8), 0x80, 0xff] {
+                    let mut bad = payload.clone();
+                    bad[at] ^= mask;
+                    decode(&bad);
+                }
+            }
+        }
+        let (key, _, packed, ms, sel) = small_artifacts();
+        damage(|p| encode_trace(p, &packed), |p| drop(decode_trace(p)));
+        damage(
+            |p| encode_miss(p, &ms),
+            |p| drop(decode_miss(p).map(|ms| ms.matches(&key.l1, &key.l2, key.threads))),
+        );
+        damage(|p| encode_simpoint(p, &sel), |p| drop(decode_simpoint(p)));
+        // A count no payload could back is refused before any allocation.
+        let mut huge = Vec::new();
+        put_varint(&mut huge, u64::MAX);
+        assert!(matches!(get_words(&mut huge.as_slice(), 1), Err(StoreError::Malformed(_))));
+    }
+
+    /// Byte-wise FNV-1a 64: the version-1 payload checksum.
+    fn checksum_v1(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(FNV64_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(FNV64_PRIME))
+    }
+
+    #[test]
+    fn the_checksum_is_pinned_to_format_version_2() {
+        // 27 bytes: three whole words and a three-byte tail. A change to
+        // either value is a new blob format and needs a version bump.
+        let text = b"abft-coop artifact store v2";
+        assert_eq!(text.len(), 27);
+        assert_eq!(FORMAT_VERSION, 2);
+        assert_eq!(checksum(text), 0xb470_c350_285a_86eb);
+        assert_ne!(checksum(text), checksum_v1(text));
+        assert_eq!(checksum(b""), FNV64_OFFSET);
+    }
+
+    #[test]
+    fn a_version_1_blob_under_a_current_name_is_evicted_and_rebuilt() {
+        let store = Arc::new(temp_store("v1"));
+        let mut payload = Vec::new();
+        encode_trace(&mut payload, &tiny().build_packed());
+        // Exactly what version 1 wrote for this artifact.
+        let mut blob = Vec::new();
+        blob.extend_from_slice(BLOB_MAGIC);
+        blob.extend_from_slice(&KIND_TRACE.to_le_bytes());
+        blob.extend_from_slice(&1u32.to_le_bytes());
+        blob.extend_from_slice(&trace_key(tiny()).to_le_bytes());
+        blob.extend_from_slice(&payload);
+        blob.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        blob.extend_from_slice(&checksum_v1(&payload).to_le_bytes());
+        blob.extend_from_slice(END_MAGIC);
+        std::fs::write(store.trace_path(tiny()), &blob).unwrap();
+
+        let cache = crate::trace_cache::TraceCache::with_store(Arc::clone(&store));
+        let rebuilt = cache.get(tiny());
+        assert_eq!(cache.builds(), 1, "the old blob must not be served");
+        assert_eq!(store.metrics().evictions, 1);
+        assert_eq!(store.metrics().writes, 1, "the rebuilt artifact replaces it");
+        let loaded = store.load_trace(tiny()).expect("the rewritten blob is current");
+        assert!(loaded.words().eq(rebuilt.words()));
+    }
+
+    #[test]
+    fn a_miss_blob_whose_payload_geometry_differs_from_its_key_is_evicted() {
+        let store = temp_store("geometry");
+        let (key, _, _, ms, _) = small_artifacts();
+        let other = FilterKey { threads: key.threads + 1, ..key };
+        assert!(matches!(store.save_miss(&other, &ms), Err(StoreError::KeyMismatch)));
+        assert!(!store.miss_path(&other).exists());
+        assert_eq!(store.metrics().writes, 0);
+
+        // Well-framed and well-checksummed, under `other`'s digest, with
+        // `key`'s geometry inside: a hit would panic at replay.
+        store
+            .save_blob(&store.miss_path(&other), KIND_MISS, miss_key(&other), |buf| {
+                encode_miss(buf, &ms)
+            })
+            .unwrap();
+        assert!(store.load_miss(&other).is_none());
+        assert!(!store.miss_path(&other).exists(), "the inconsistent blob is evicted");
+        assert_eq!(store.metrics().evictions, 1);
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_key_never_expose_a_partial_blob() {
+        let store = temp_store("race");
+        // The framing is what is under test, so the payload is opaque —
+        // and large, so that a write is long enough to be caught halfway.
+        let payload: Vec<u8> =
+            (0..1u32 << 19).map(|i| (i.wrapping_mul(2654435761) >> 24) as u8).collect();
+        let path = store.root().join("raced.trace");
+        let start = std::sync::Barrier::new(3);
+        let writers_left = AtomicU64::new(2);
+        let loads = std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    // Counted as finished even if a save fails, or the
+                    // loader below would spin forever.
+                    let failed = (0..200).find_map(|_| {
+                        let fill = |buf: &mut Vec<u8>| buf.extend_from_slice(&payload);
+                        store.save_blob(&path, KIND_TRACE, 7, fill).err()
+                    });
+                    writers_left.fetch_sub(1, Ordering::SeqCst);
+                    assert!(failed.is_none(), "a save failed: {failed:?}");
+                });
+            }
+            let loader = s.spawn(|| {
+                start.wait();
+                let mut served = 0u64;
+                while writers_left.load(Ordering::SeqCst) > 0 {
+                    // A load that sees other bytes than were saved counts
+                    // as an eviction, like any failed check.
+                    let same = |p: &[u8]| (p == payload).then_some(()).ok_or(StoreError::BadKind);
+                    served += store.load_blob(&path, KIND_TRACE, 7, same).is_some() as u64;
+                }
+                served
+            });
+            loader.join().expect("loader thread")
+        });
+        let m = store.metrics();
+        assert_eq!(m.evictions, 0, "a partial blob was addressable ({loads} loads served)");
+        assert_eq!(m.writes, 400);
+        let left: Vec<_> =
+            std::fs::read_dir(store.root()).unwrap().map(|e| e.unwrap().path()).collect();
+        assert_eq!(left, [path], "temp files must not outlive their writes");
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Whole-node trace-driven simulation: in-order core(s) + L1/L2 caches +
 //! memory controller + DRAM, with the energy account of Section 5.
 
-use crate::cache::{Cache, CacheOutcome};
 use crate::config::SystemConfig;
 use crate::controller::MemoryController;
 use crate::dram::{AccessKind, AddressMap, Dram, DramStats};
-use crate::miss_stream::{MissEvent, MissEventKind, MissStream};
+use crate::miss_stream::{self, MissEvent, MissEventKind, MissStream, RegionTally};
 use crate::simpoint::SimPointSelection;
-use crate::stream::{AccessSource, DEFAULT_CHUNK};
+use crate::stream::AccessSource;
 use crate::trace::{Access, RegionId, RegionMap, Trace};
 use abft_ecc::EccScheme;
 
@@ -304,8 +303,6 @@ impl<'a> SimRequest<'a> {
 /// The simulated node.
 pub struct Machine {
     cfg: SystemConfig,
-    l1: Cache,
-    l2: Cache,
     dram: Dram,
     /// The enhanced memory controller.
     pub controller: MemoryController,
@@ -323,8 +320,6 @@ impl Machine {
         }
         let map = AddressMap::new(&cfg);
         Machine {
-            l1: Cache::new(cfg.l1),
-            l2: Cache::new(cfg.l2),
             dram: Dram::new(cfg.clone()),
             controller: MemoryController::new(map, EccScheme::Chipkill),
             cfg,
@@ -361,7 +356,7 @@ impl Machine {
     /// funnels through; the former `run_*` wrappers delegated here until
     /// their removal.
     ///
-    /// Sources are consumed in bounded-memory chunks ([`DEFAULT_CHUNK`]
+    /// Sources are consumed in bounded-memory chunks ([`crate::stream::DEFAULT_CHUNK`]
     /// accesses at a time), so the peak footprint is independent of the
     /// stream length. Virtual addresses are mapped to physical
     /// identically (the runtime crate provides real paging when needed —
@@ -405,127 +400,45 @@ impl Machine {
         }
     }
 
-    /// The full-hierarchy engine: streams `src` through L1/L2/MC/DRAM
-    /// under `policy`. The source is rewound before the run, so a freshly
-    /// created or an already-drained stream behave identically.
+    /// The full-hierarchy engine: streams `src` through L1/L2
+    /// ([`miss_stream::walk`]) and services each DRAM-visible event as it
+    /// falls out, through the same [`replay_one`] the filtered replay
+    /// uses — the machine timeline at an event is the walk's pure core
+    /// cycles plus the DRAM stalls so far, on either path.
     fn drive_source<S: AccessSource + ?Sized, P: RowPolicy + ?Sized>(
         &mut self,
         src: &mut S,
         ecc_chips_powered: bool,
         policy: &mut P,
     ) -> SimStats {
-        src.reset();
-        self.l1 = Cache::new(self.cfg.l1);
-        self.l2 = Cache::new(self.cfg.l2);
         self.dram.reset();
-
         let cycle_ns = self.cfg.cycle_ns();
-        let mut regions: Vec<RegionStats> = src
-            .regions()
-            .regions()
-            .iter()
-            .map(|r| RegionStats {
-                name: r.name.clone(), // repolint:allow(PERF002) once per region per replay, not per access
-                abft_protected: r.abft_protected,
-                abft_detectable: r.abft_detectable,
-                ..Default::default()
-            })
-            .collect();
+        let stall_factor = self.cfg.stall_factor;
+        let mut stall_acc: u64 = 0;
+        let walked = miss_stream::walk(src, self.cfg.l1, self.cfg.l2, self.cfg.threads, |ev| {
+            replay_one(
+                &mut self.dram,
+                &self.controller,
+                ev,
+                &mut stall_acc,
+                cycle_ns,
+                stall_factor,
+                policy,
+            )
+        });
 
-        // Thread-level concurrency: `threads` in-order workers interleave
-        // their instruction streams, so per-thread cycles (compute + cache
-        // latencies) compress by the thread count on the machine timeline,
-        // while every access still reaches the shared memory system —
-        // multiplying bandwidth pressure exactly as the 4-core Table 3
-        // machine does. DRAM stalls are machine-level (shared-resource
-        // saturation) and are not divided.
-        let threads = self.cfg.threads.max(1) as u64;
-        let mut cycles: u64 = 0;
-        let mut thread_cycle_carry: u64 = 0;
-        let bump = |cycles: &mut u64, carry: &mut u64, thread_cycles: u64| {
-            let total = thread_cycles + *carry;
-            *cycles += total / threads;
-            *carry = total % threads;
-        };
-        let mut l1_hits = 0u64;
-        let mut l1_misses = 0u64;
-        let mut l2_hits = 0u64;
-        let mut l2_misses = 0u64;
-
-        let mut retired: u64 = 0;
-        let mut chunk: Vec<crate::trace::Access> = Vec::with_capacity(DEFAULT_CHUNK);
-        while src.fill(&mut chunk, DEFAULT_CHUNK) > 0 {
-            for a in &chunk {
-                retired += a.work as u64 + 1;
-                bump(&mut cycles, &mut thread_cycle_carry, a.work as u64);
-                let rs = &mut regions[a.region as usize];
-                rs.refs += 1;
-                match self.l1.access(a.addr, a.write) {
-                    CacheOutcome::Hit => {
-                        bump(&mut cycles, &mut thread_cycle_carry, self.cfg.l1.latency_cycles);
-                        l1_hits += 1;
-                        continue;
-                    }
-                    CacheOutcome::Miss { writeback } => {
-                        l1_misses += 1;
-                        rs.l1_misses += 1;
-                        if let Some(wb) = writeback {
-                            // The L1 victim is installed dirty in L2 (the
-                            // full line travels down, so no DRAM fill is
-                            // needed); only a dirty line L2 evicts to make
-                            // room reaches memory.
-                            if let CacheOutcome::Miss { writeback: Some(wb2) } =
-                                self.l2.access(wb, true)
-                            {
-                                let now = cycles as f64 * cycle_ns;
-                                let kind = policy.choose(a, &self.controller, wb2);
-                                self.dram.access_kind(now, wb2, true, kind);
-                            }
-                        }
-                    }
-                }
-                match self.l2.access(a.addr, a.write) {
-                    CacheOutcome::Hit => {
-                        bump(&mut cycles, &mut thread_cycle_carry, self.cfg.l2.latency_cycles);
-                        l2_hits += 1;
-                    }
-                    CacheOutcome::Miss { writeback } => {
-                        l2_misses += 1;
-                        rs.llc_misses += 1;
-                        let now = cycles as f64 * cycle_ns;
-                        let kind = policy.choose(a, &self.controller, a.addr);
-                        // Demand miss: the line fill is a DRAM *read* even
-                        // for stores (write-allocate); the dirty data
-                        // leaves the cache later as a write-back.
-                        let res = self.dram.access_kind(now, a.addr, false, kind);
-                        // Demand miss: the in-order pipeline hides part of
-                        // the latency through memory-level parallelism.
-                        let lat_ns = res.completion_ns - now;
-                        let stall = (lat_ns * self.cfg.stall_factor / cycle_ns) as u64;
-                        bump(&mut cycles, &mut thread_cycle_carry, self.cfg.l2.latency_cycles);
-                        cycles += stall;
-                        if let Some(wb) = writeback {
-                            let kind = policy.choose(a, &self.controller, wb);
-                            self.dram.access_kind(now, wb, true, kind);
-                        }
-                    }
-                }
-            }
-        }
-
-        // `push` maintains the same sum, so for sources that know their
-        // total this is exact, and for generators it is the identical
-        // accumulation.
-        let instructions = src.instructions_hint().unwrap_or(retired);
         self.assemble_stats(AssembleInputs {
-            instructions,
-            cycles,
+            // `push` maintains the same sum, so for sources that know
+            // their total this is exact, and for generators it is the
+            // identical accumulation.
+            instructions: src.instructions_hint().unwrap_or(walked.retired),
+            cycles: walked.core_cycles + stall_acc,
             ecc_chips_powered,
-            l1_hits,
-            l1_misses,
-            l2_hits,
-            l2_misses,
-            regions,
+            l1_hits: walked.l1_hits,
+            l1_misses: walked.l1_misses,
+            l2_hits: walked.l2_hits,
+            l2_misses: walked.l2_misses,
+            regions: tally_regions(src.regions(), &walked.tallies),
         })
     }
 
@@ -594,7 +507,7 @@ impl Machine {
             l1_misses: ms.l1_misses,
             l2_hits: ms.l2_hits,
             l2_misses: ms.l2_misses,
-            regions: tally_regions(ms),
+            regions: tally_regions(ms.regions(), &ms.tallies),
         })
     }
 
@@ -670,7 +583,7 @@ impl Machine {
             l1_misses: ms.l1_misses,
             l2_hits: ms.l2_hits,
             l2_misses: ms.l2_misses,
-            regions: tally_regions(ms),
+            regions: tally_regions(ms.regions(), &ms.tallies),
         })
     }
 
@@ -769,11 +682,11 @@ fn replay_one<P: RowPolicy + ?Sized>(
 
 /// Per-region stats from the tallies the filter recorded — exact and
 /// policy-independent, shared by the exact and sampled replay paths.
-fn tally_regions(ms: &MissStream) -> Vec<RegionStats> {
-    ms.regions()
+fn tally_regions(regions: &RegionMap, tallies: &[RegionTally]) -> Vec<RegionStats> {
+    regions
         .regions()
         .iter()
-        .zip(&ms.tallies)
+        .zip(tallies)
         .map(|(r, t)| RegionStats {
             name: r.name.clone(), // repolint:allow(PERF002) once per region per replay, not per access
             abft_protected: r.abft_protected,

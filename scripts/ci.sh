@@ -72,7 +72,13 @@ echo "=== cargo test -q --workspace ==="
 cargo test -q --workspace
 
 echo "=== cargo test -q --features validate (memsim invariant audits on) ==="
+# The memsim unit tests include the two independent references the fast
+# paths are pinned to: `dram::tests` (reference_access_kind) and
+# `walk_reference` (stamp-LRU cache + carry-bump walk vs the one L1/L2
+# walker); the second is named so that a rename cannot silently drop it.
 cargo test -q -p abft-memsim --features validate
+refs="$(cargo test -q -p abft-memsim --features validate walk_reference:: 2>&1)"
+grep -Eq "test result: ok\. [1-9][0-9]* passed" <<<"$refs" || { echo "$refs"; exit 1; }
 cargo test -q --features validate --test campaign_determinism --test streaming_equivalence \
     --test filtered_equivalence --test simpoint_equivalence
 
