@@ -1,16 +1,24 @@
 //! CI gate for the artifact store: runs the Figure 7 grid (4 kernels x
 //! 6 strategies) from a fresh in-memory cache against an on-disk store
 //! and writes every cell as one canonical line (floats as exact IEEE-754
-//! bit patterns). `scripts/ci.sh` runs it twice in separate processes
-//! over the same store directory; the second run passes `--expect` with
-//! the first run's output and the gate then asserts
+//! bit patterns). `scripts/ci.sh` runs it three times in separate
+//! processes over the same store directory; the later runs pass `--expect`
+//! with the first run's output and the gate then asserts
 //!
 //! * the output files are byte-identical (bit-identical `SimStats`
 //!   across processes),
 //! * nothing was regenerated (zero trace builds, zero filter builds,
 //!   zero SimPoint cluster rebuilds — the grid runs with phase sampling
-//!   on, so selections are persisted and reloaded too),
+//!   on, so selections are persisted and reloaded too) and no store
+//!   lookup missed,
 //! * the artifact hit rate is >= 90%.
+//!
+//! The grid is sampled, and a warm sampled process needs only the
+//! `.simpoint` blobs — each holds the phase selection and the records its
+//! representative slices replay. ci.sh deletes every `.trace` and `.miss`
+//! blob before the third run, which must pass the same three checks: a
+//! cell that still reached for the miss stream would count a store miss
+//! and a filter build.
 //!
 //! Usage: `store_gate <store-dir> <out-file> [--expect <cold-file>]`
 
@@ -136,6 +144,9 @@ fn main() {
                  {} simpoint cluster rebuilds",
                 m.cache_builds, m.filter_builds, m.simpoint_builds
             ));
+        }
+        if m.store_misses != 0 {
+            fail(&format!("warm-disk run missed the store {} time(s)", m.store_misses));
         }
         let lookups = m.store_hits + m.store_misses;
         let hit_rate = if lookups == 0 { 0.0 } else { m.store_hits as f64 / lookups as f64 };

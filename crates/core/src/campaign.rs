@@ -13,7 +13,10 @@
 //! cells replay only the `Arc<MissStream>` L2 miss tail through the
 //! memory controller and DRAM, which is bit-identical to the full path
 //! (cache outcomes are ECC-independent) at O(LLC misses) instead of
-//! O(accesses) per grid cell.
+//! O(accesses) per grid cell. With phase sampling on, a cell asks for the
+//! `Arc<PhaseSample>` instead ([`TraceCache::get_sampled`]) and for
+//! nothing else: the selection plus the few records it replays, which a
+//! process over a warm store loads without ever reading the miss stream.
 //!
 //! Every cell runs on a fresh [`Machine`], so results are bit-identical
 //! regardless of worker count or completion order (the simulator itself
@@ -50,10 +53,10 @@ use std::time::{Duration, Instant};
 /// path: a materialized trace or pull-based source goes through the full
 /// cache hierarchy; a cache-filtered miss stream replays only the DRAM
 /// tail (bit-identical, provided the config's cache geometry and thread
-/// count match the filter's [`FilterKey`]); a sampled miss stream
-/// replays only its weighted representative slices (an estimate, error
-/// bounded in `tests/simpoint_equivalence.rs` and by perfbench's
-/// `sampled_err_pct`).
+/// count match the filter's [`FilterKey`]); a sampled miss stream, or
+/// the phase sample condensed from one, replays only its weighted
+/// representative slices (an estimate, error bounded in
+/// `tests/simpoint_equivalence.rs` and by perfbench's `sampled_err_pct`).
 pub fn run_cell(input: SimInput<'_>, cfg: &SystemConfig, strategy: Strategy) -> SimStats {
     let assign = strategy.assignment(&abft_region_ids(input.regions()));
     Machine::new(cfg.clone()).simulate(SimRequest::new(input, assign))
@@ -144,7 +147,7 @@ pub struct CampaignMetrics {
 pub type ProgressHook = Arc<dyn Fn(&Progress) + Send + Sync>;
 
 /// The engine: expand `spec` into cells, pre-warm every distinct miss
-/// stream (and phase selection, when `sampling` is on), replay each cell
+/// stream (or, when `sampling` is on, phase sample), replay each cell
 /// through [`run_cell`] on the worker pool, and assemble the counters.
 /// `sampling` is passed beside the spec because the caller resolves it
 /// (the spec's own setting, else the environment's).
@@ -178,7 +181,8 @@ pub(crate) fn run_grid(
     let start = Instant::now(); // repolint:allow(DET002,DET004) wall time is reporting-only progress metadata
 
     // Pre-build every distinct miss stream in parallel (each pulls its
-    // packed trace through the first memo level on demand). Without
+    // packed trace through the first memo level on demand; a phase
+    // sample pulls its stream the same way, if the store has none). Without
     // this the workload-major job order makes all workers start on the
     // same kernel and serialize behind one memo slot's build; warming
     // first costs max(build times) instead of their sum. Config
@@ -197,25 +201,26 @@ pub(crate) fn run_grid(
     // Each cell comes back with the phase count and error budget of the
     // selection it replayed (zeros on the exact path).
     let execute = || -> Vec<(CampaignResult, u64, f64)> {
-        distinct.into_par_iter().for_each(|(w, c, _)| {
-            cache.get_filtered(w, &configs[c].1);
-            if let Some(sp) = &sampling {
-                cache.get_simpoints(w, &configs[c].1, sp);
-            }
+        distinct.into_par_iter().for_each(|(w, c, _)| match &sampling {
+            Some(sp) => drop(cache.get_sampled(w, &configs[c].1, sp)),
+            None => drop(cache.get_filtered(w, &configs[c].1)),
         });
         jobs.into_par_iter()
             .map(|(workload, cfg_idx, strategy)| {
                 let (tag, cfg) = &configs[cfg_idx];
                 // repolint:allow(DET002,DET004) wall time is reporting-only progress metadata
                 let job_start = Instant::now();
-                let ms = cache.get_filtered(workload, cfg);
                 let (stats, phases, est_error) = match &sampling {
                     Some(sp) => {
-                        let sel = cache.get_simpoints(workload, cfg, sp);
-                        let input = SimInput::SampledMissStream { stream: &ms, selection: &sel };
-                        (run_cell(input, cfg, strategy), sel.phases().len() as u64, sel.est_error())
+                        let sample = cache.get_sampled(workload, cfg, sp);
+                        let sel = sample.selection();
+                        let stats = run_cell(SimInput::Sample(&sample), cfg, strategy);
+                        (stats, sel.phases().len() as u64, sel.est_error())
                     }
-                    None => (run_cell(SimInput::MissStream(&ms), cfg, strategy), 0, 0.0),
+                    None => {
+                        let ms = cache.get_filtered(workload, cfg);
+                        (run_cell(SimInput::MissStream(&ms), cfg, strategy), 0, 0.0)
+                    }
                 };
                 let wall = job_start.elapsed();
                 let result = CampaignResult {
@@ -291,34 +296,20 @@ impl CampaignRun {
         self.results.iter().find(|r| r.kernel == kernel && r.strategy == s && r.config_tag == tag)
     }
 
-    /// Assemble the classic [`BasicTest`] view for one kernel under the
-    /// given config tag (rows in the campaign's strategy order).
-    pub fn basic_test_for(&self, kernel: KernelKind, tag: &str) -> BasicTest {
-        let workload = self
-            .results
-            .iter()
-            .find(|r| r.kernel == kernel && r.config_tag == tag)
-            // repolint:allow(PANIC001) documented API contract: caller names a cell the campaign ran
-            .unwrap_or_else(|| panic!("campaign has no {} cells tagged {tag:?}", kernel.label()))
-            .workload;
-        let rows: Vec<StrategyResult> = self
-            .results
-            .iter()
-            .filter(|r| r.workload == workload && r.config_tag == tag)
+    /// The classic [`BasicTest`] view for one kernel under the first
+    /// config (rows in the campaign's strategy order) — of the first
+    /// matching workload when several share the kernel, and with no rows
+    /// when the campaign ran none.
+    pub fn basic_test(&self, kernel: KernelKind) -> BasicTest {
+        let tag = self.results.first().map_or("", |r| r.config_tag.as_str());
+        let mut cells =
+            self.results.iter().filter(|r| r.kernel == kernel && r.config_tag == tag).peekable();
+        let workload = cells.peek().map(|r| r.workload);
+        let rows = cells
+            .filter(|r| Some(r.workload) == workload)
             .map(|r| StrategyResult { strategy: r.strategy, stats: r.stats.clone() })
             .collect();
         BasicTest { kernel, rows }
-    }
-
-    /// [`BasicTest`] view for one kernel under the first config.
-    pub fn basic_test(&self, kernel: KernelKind) -> BasicTest {
-        let tag = self
-            .results
-            .first()
-            .map(|r| r.config_tag.clone())
-            // repolint:allow(PANIC001) documented API contract: views require a non-empty campaign
-            .expect("campaign produced no results");
-        self.basic_test_for(kernel, &tag)
     }
 
     /// [`BasicTest`] views for every distinct kernel, in grid order
@@ -543,6 +534,7 @@ mod tests {
         let run = run_tiny(&cache, CampaignSpec::builder().threads(2));
         let bt = run.basic_test(KernelKind::Dgemm);
         assert_eq!(bt.rows.len(), 6);
+        assert!(run.basic_test(KernelKind::Cg).rows.is_empty(), "no such cells, no rows");
         let trace = tiny().build();
         let direct =
             run_cell(SimInput::Trace(&trace), &SystemConfig::default(), Strategy::WholeChipkill);

@@ -48,28 +48,80 @@ pub const STORE_ENV: &str = "ABFT_ARTIFACT_STORE";
 /// never a correctness dependency.
 pub const SIMPOINT_ENV: &str = "ABFT_SIMPOINT";
 
+/// Why a [`SIMPOINT_ENV`]-style value was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SimPointEnvError {
+    /// Neither `1`/`default` nor four or five comma-separated fields;
+    /// carries the number of fields found.
+    FieldCount(usize),
+    /// A field that is not an unsigned integer of its type's range.
+    NotANumber {
+        /// The [`SimPointConfig`] field the value was for.
+        field: &'static str,
+        /// What stood in its place.
+        value: String,
+    },
+    /// A zero in a field the sampler needs at least one of (every one but
+    /// `seed`): a zero `interval` once meant a slice per event.
+    Zero {
+        /// The [`SimPointConfig`] field that was zero.
+        field: &'static str,
+    },
+}
+
+impl std::fmt::Display for SimPointEnvError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SimPointEnvError::FieldCount(n) => write!(
+                f,
+                "expected \"1\", \"default\", or \"interval,max_phases,seed,iterations[,strata]\", \
+                 found {n} comma-separated field(s)"
+            ),
+            SimPointEnvError::NotANumber { field, value } => {
+                write!(f, "`{field}` is not an unsigned integer: {value:?}")
+            }
+            SimPointEnvError::Zero { field } => write!(f, "`{field}` must be at least 1"),
+        }
+    }
+}
+
+impl std::error::Error for SimPointEnvError {}
+
+/// One CSV field of a [`SIMPOINT_ENV`] value; `min` is 1 for the fields
+/// that may not be zero and 0 for the seed.
+fn simpoint_field<T>(field: &'static str, value: &str, min: T) -> Result<T, SimPointEnvError>
+where
+    T: std::str::FromStr + PartialOrd,
+{
+    let n = value
+        .parse::<T>()
+        .map_err(|_| SimPointEnvError::NotANumber { field, value: value.to_string() })?;
+    if n < min {
+        return Err(SimPointEnvError::Zero { field });
+    }
+    Ok(n)
+}
+
 /// Parse a [`SIMPOINT_ENV`]-style value: `1`/`default` for the default
 /// config, or `interval,max_phases,seed,iterations[,strata]` CSV
-/// (`strata` falls back to the default when omitted).
-pub fn parse_simpoint_env(value: &str) -> Option<SimPointConfig> {
+/// (`strata` falls back to the default when omitted). Every field but
+/// `seed` must be at least 1.
+pub fn parse_simpoint_env(value: &str) -> Result<SimPointConfig, SimPointEnvError> {
     let v = value.trim();
-    if v.is_empty() {
-        return None;
-    }
     if v == "1" || v.eq_ignore_ascii_case("default") {
-        return Some(SimPointConfig::default());
+        return Ok(SimPointConfig::default());
     }
     let parts: Vec<&str> = v.split(',').map(str::trim).collect();
     if parts.len() != 4 && parts.len() != 5 {
-        return None;
+        return Err(SimPointEnvError::FieldCount(parts.len()));
     }
-    Some(SimPointConfig {
-        interval: parts[0].parse().ok()?,
-        max_phases: parts[1].parse().ok()?,
-        seed: parts[2].parse().ok()?,
-        iterations: parts[3].parse().ok()?,
+    Ok(SimPointConfig {
+        interval: simpoint_field("interval", parts[0], 1)?,
+        max_phases: simpoint_field("max_phases", parts[1], 1)?,
+        seed: simpoint_field("seed", parts[2], 0)?,
+        iterations: simpoint_field("iterations", parts[3], 1)?,
         strata: match parts.get(4) {
-            Some(p) => p.parse().ok()?,
+            Some(p) => simpoint_field("strata", p, 1)?,
             None => SimPointConfig::default().strata,
         },
     })
@@ -259,17 +311,12 @@ impl CampaignClient {
         let sampling = spec.sampling.or_else(|| {
             let raw = std::env::var_os(SIMPOINT_ENV)?;
             let raw = raw.to_string_lossy();
-            let parsed = parse_simpoint_env(&raw);
-            if parsed.is_none() {
-                // Degrade to exact replay: a malformed sampling knob
-                // must never fail (or silently skew) the simulation.
+            // Degrade to exact replay: a malformed sampling knob must
+            // never fail (or silently skew) the simulation.
+            parse_simpoint_env(&raw)
                 // repolint:allow(PERF004) once per run, before any cell replays
-                eprintln!(
-                    "[campaign] ignoring {SIMPOINT_ENV}={raw:?}: expected \
-                     \"1\", \"default\", or \"interval,max_phases,seed,iterations\""
-                );
-            }
-            parsed
+                .map_err(|e| eprintln!("[campaign] ignoring {SIMPOINT_ENV}={raw:?}: {e}"))
+                .ok()
         });
         run_grid(spec, sampling, cache, self.progress.as_ref())
     }
@@ -285,12 +332,13 @@ mod tests {
     }
 
     #[test]
-    fn simpoint_env_values_parse_or_degrade() {
-        assert_eq!(parse_simpoint_env("1"), Some(SimPointConfig::default()));
-        assert_eq!(parse_simpoint_env("default"), Some(SimPointConfig::default()));
+    fn simpoint_env_values_parse_or_say_which_field_is_wrong() {
+        use SimPointEnvError::{FieldCount, NotANumber, Zero};
+        assert_eq!(parse_simpoint_env("1"), Ok(SimPointConfig::default()));
+        assert_eq!(parse_simpoint_env(" Default "), Ok(SimPointConfig::default()));
         assert_eq!(
             parse_simpoint_env("4096, 8, 7, 12"),
-            Some(SimPointConfig {
+            Ok(SimPointConfig {
                 interval: 4096,
                 max_phases: 8,
                 seed: 7,
@@ -299,19 +347,75 @@ mod tests {
             })
         );
         assert_eq!(
-            parse_simpoint_env("4096,8,7,12,2"),
-            Some(SimPointConfig {
+            parse_simpoint_env("4096,8,0,12,2"),
+            Ok(SimPointConfig {
                 interval: 4096,
                 max_phases: 8,
-                seed: 7,
+                seed: 0,
                 iterations: 12,
                 strata: 2
             })
         );
-        assert_eq!(parse_simpoint_env(""), None);
-        assert_eq!(parse_simpoint_env("4096,8"), None);
-        assert_eq!(parse_simpoint_env("4096,8,x,12"), None);
-        assert_eq!(parse_simpoint_env("4096,8,7,12,x"), None);
+        assert_eq!(parse_simpoint_env(""), Err(FieldCount(1)));
+        assert_eq!(parse_simpoint_env("4096,8"), Err(FieldCount(2)));
+        assert_eq!(parse_simpoint_env("1,2,3,4,5,6"), Err(FieldCount(6)));
+        let nan = |field, value: &str| Err(NotANumber { field, value: value.to_string() });
+        assert_eq!(parse_simpoint_env("4096,8,x,12"), nan("seed", "x"));
+        assert_eq!(parse_simpoint_env("4096,8,7,12,"), nan("strata", ""));
+        assert_eq!(parse_simpoint_env("-1,8,7,12"), nan("interval", "-1"));
+        assert_eq!(parse_simpoint_env("4096,99999999999999999999,7,12"), {
+            nan("max_phases", "99999999999999999999")
+        });
+        // A zero was clamped to one before: `0,...` asked for a slice, and a
+        // fingerprint row, per event of the stream.
+        for (value, field) in [
+            ("0,8,7,12", "interval"),
+            ("4096,0,7,12", "max_phases"),
+            ("4096,8,7,0", "iterations"),
+            ("4096,8,7,12,0", "strata"),
+        ] {
+            assert_eq!(parse_simpoint_env(value), Err(Zero { field }), "{value}");
+        }
+        let shown = parse_simpoint_env("0,8,7,12").unwrap_err().to_string();
+        assert!(shown.contains("`interval`") && shown.contains("at least 1"), "{shown}");
+        let shown = parse_simpoint_env("4096,8,x,12").unwrap_err().to_string();
+        assert!(shown.contains("`seed`") && shown.contains("\"x\""), "{shown}");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn simpoint_env_never_panics_and_round_trips_every_valid_config(
+            bytes in proptest::collection::vec(0u8..=255, 0..24),
+            picks in proptest::collection::vec(0usize..16, 0..24),
+            interval in 1u64..=u64::MAX,
+            max_phases in 1usize..=usize::MAX,
+            seed: u64,
+            iterations in 1usize..=usize::MAX,
+            strata in 1usize..=usize::MAX,
+        ) {
+            use proptest::prelude::*;
+            // Any bytes at all, and strings of the grammar's own pieces
+            // (which get past the field count): an answer, never a panic.
+            let _ = parse_simpoint_env(&String::from_utf8_lossy(&bytes));
+            const PIECES: [&str; 16] = [
+                ",", ",", ",", "0", "1", "7", "42", "18446744073709551615",
+                "18446744073709551616", "-", "+", " ", "x", "default", "1e3", "\u{0663}",
+            ];
+            let soup: String = picks.iter().map(|&i| PIECES[i]).collect();
+            if let Ok(cfg) = parse_simpoint_env(&soup) {
+                prop_assert!(
+                    cfg.interval > 0 && cfg.max_phases > 0 && cfg.iterations > 0 && cfg.strata > 0,
+                    "{soup:?} gave {cfg:?}"
+                );
+            }
+
+            let cfg = SimPointConfig { interval, max_phases, seed, iterations, strata };
+            let csv = format!("{interval},{max_phases},{seed},{iterations},{strata}");
+            prop_assert_eq!(parse_simpoint_env(&csv), Ok(cfg));
+            let spaced = format!(" {interval} , {max_phases},{seed} ,{iterations}");
+            let defaulted = SimPointConfig { strata: SimPointConfig::default().strata, ..cfg };
+            prop_assert_eq!(parse_simpoint_env(&spaced), Ok(defaulted));
+        }
     }
 
     #[test]

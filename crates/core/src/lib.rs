@@ -40,7 +40,8 @@ pub use campaign::{
     run_cell, CampaignMetrics, CampaignResult, CampaignRun, Progress, ProgressHook,
 };
 pub use client::{
-    parse_simpoint_env, CampaignClient, CampaignSpec, CampaignSpecBuilder, SIMPOINT_ENV, STORE_ENV,
+    parse_simpoint_env, CampaignClient, CampaignSpec, CampaignSpecBuilder, SimPointEnvError,
+    SIMPOINT_ENV, STORE_ENV,
 };
 pub use errorflow::{
     drill_chip_fault, drill_matrix, summarize_cases, CaseSummary, DetectedBy, DrillResult,

@@ -21,10 +21,11 @@
 //!   the DRAM-visible L2 miss tail of a workload, built once per cache
 //!   geometry and replayed per ECC policy.
 //! * [`simpoint`] — SimPoint-style phase sampling over miss streams:
-//!   slice, fingerprint, seeded k-means, and the weighted
-//!   representative-phase selection the sampled replay path consumes.
+//!   slice, fingerprint, seeded k-means, the weighted
+//!   representative-phase selection, and the [`simpoint::PhaseSample`]
+//!   holding the slices it replays — all a sampled cell reads.
 //! * [`store`] — the content-addressed on-disk [`store::ArtifactStore`]:
-//!   compressed packed-trace, miss-stream, and phase-selection blobs
+//!   compressed packed-trace, miss-stream, and phase-selection-with-sample blobs
 //!   with integrity footers, layered under the [`trace_cache`] so
 //!   warm-disk processes skip generation entirely.
 //! * [`workloads`] — streaming trace generators replaying the blocked
@@ -51,7 +52,7 @@ pub use controller::{MemoryController, ERROR_REGISTERS};
 pub use dram::{AddressMap, Dram, DramLocation};
 pub use miss_stream::{MissEvent, MissEventKind, MissStream, SliceCursor};
 pub use packed::{PackedBuilder, PackedReplay, PackedTrace};
-pub use simpoint::{SimPointConfig, SimPointPhase, SimPointSelection};
+pub use simpoint::{PhaseSample, SimPointConfig, SimPointPhase, SimPointSelection};
 pub use store::{ArtifactStore, StoreError, StoreMetrics};
 pub use stream::{AccessSink, AccessSource, TraceReplay, DEFAULT_CHUNK};
 pub use system::{EccAssignment, Machine, RowPolicy, SimInput, SimRequest, SimStats};

@@ -118,9 +118,7 @@ pub struct RegionTally {
 #[derive(Debug, Clone)]
 pub struct MissStream {
     regions: RegionMap,
-    bases: Vec<u64>,
-    /// Two words per record (see the module docs for the layout).
-    words: Box<[u64]>,
+    records: MissRecords,
     events: u64,
     accesses: u64,
     instructions: u64,
@@ -134,6 +132,36 @@ pub struct MissStream {
     l1_cfg: CacheConfig,
     l2_cfg: CacheConfig,
     threads: usize,
+}
+
+/// Everything a [`MissStream`] holds besides its event records: the
+/// policy-independent aggregates replay folds into
+/// [`crate::system::SimStats`] and the filter geometry they hold under. A
+/// [`crate::simpoint::PhaseSample`] carries a copy beside the few records
+/// it replays, and the artifact store writes it as the head of both blobs.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct StreamTotals {
+    pub regions: RegionMap,
+    pub events: u64,
+    pub accesses: u64,
+    pub instructions: u64,
+    /// Final pure core-cycle count (the replay adds accumulated stalls).
+    pub core_cycles: u64,
+    pub l1_hits: u64,
+    pub l1_misses: u64,
+    pub l2_hits: u64,
+    pub l2_misses: u64,
+    pub tallies: Vec<RegionTally>,
+    pub l1_cfg: CacheConfig,
+    pub l2_cfg: CacheConfig,
+    pub threads: usize,
+}
+
+impl StreamTotals {
+    /// Whether a machine configuration matches the filter geometry.
+    pub fn matches(&self, l1: &CacheConfig, l2: &CacheConfig, threads: usize) -> bool {
+        self.l1_cfg == *l1 && self.l2_cfg == *l2 && self.threads == threads.max(1)
+    }
 }
 
 /// What one L1 → L2 walk of a stream leaves behind besides its events:
@@ -241,14 +269,13 @@ impl MissStream {
         threads: usize,
     ) -> MissStream {
         let regions = src.regions().clone();
-        let bases: Vec<u64> = regions.regions().iter().map(|r| r.base).collect();
+        let bases = region_bases(&regions);
         let mut enc = Encoder::new(&bases);
         let walked = walk(src, l1_cfg, l2_cfg, threads, |ev| enc.push(ev));
         let (words, events) = enc.finish();
         let ms = MissStream {
             regions,
-            bases,
-            words,
+            records: MissRecords { bases, words },
             events,
             accesses: walked.accesses,
             instructions: src.instructions_hint().unwrap_or(walked.retired),
@@ -304,7 +331,7 @@ impl MissStream {
 
     /// Bytes held by the packed event records.
     pub fn packed_bytes(&self) -> u64 {
-        self.words.len() as u64 * 8
+        self.records.words.len() as u64 * 8
     }
 
     /// The cache geometry and thread count the stream was filtered under
@@ -332,37 +359,38 @@ impl MissStream {
     /// is O(1) and the decoded events are bit-identical to the same
     /// positions of a full [`MissStream::iter`] walk.
     pub fn events_from(&self, cursor: SliceCursor) -> MissEvents<'_> {
-        debug_assert!(cursor.idx.is_multiple_of(2), "cursor must point at a record head");
-        let mut events = MissEvents {
-            ms: self,
-            idx: cursor.idx,
-            cycles: cursor.cycles,
-            left: 0,
-            trigger: Access { addr: 0, region: 0, write: false, work: 0 },
-            wb_line: 0,
-            kind_bits: KIND_DEMAND,
-            delta: 0,
-        };
-        if cursor.run_pos > 0 && cursor.idx + 1 < self.words.len() {
-            events.load_record(cursor.run_pos);
+        self.records.events_from(cursor)
+    }
+
+    /// A copy of everything but the records (what a
+    /// [`crate::simpoint::PhaseSample`] keeps of the stream it condenses).
+    pub(crate) fn totals(&self) -> StreamTotals {
+        StreamTotals {
+            regions: self.regions.clone(),
+            events: self.events,
+            accesses: self.accesses,
+            instructions: self.instructions,
+            core_cycles: self.core_cycles,
+            l1_hits: self.l1_hits,
+            l1_misses: self.l1_misses,
+            l2_hits: self.l2_hits,
+            l2_misses: self.l2_misses,
+            tallies: self.tallies.clone(),
+            l1_cfg: self.l1_cfg,
+            l2_cfg: self.l2_cfg,
+            threads: self.threads,
         }
-        events
     }
 
     /// Crate-internal: the raw two-word event records (store-blob
     /// serialization writes them verbatim).
     pub(crate) fn raw_words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Crate-internal: the per-region tallies in region-id order.
-    pub(crate) fn raw_tallies(&self) -> &[RegionTally] {
-        &self.tallies
+        &self.records.words
     }
 
     /// Crate-internal: the region base table `unpack` decodes against.
     pub(crate) fn raw_bases(&self) -> &[u64] {
-        &self.bases
+        &self.records.bases
     }
 
     /// Crate-internal: rebuild a stream from store-blob raw parts. The
@@ -370,24 +398,22 @@ impl MissStream {
     /// feature the reconstructed stream is audited, so a corrupted blob
     /// that survived the integrity footer still cannot materialize an
     /// inconsistent stream silently in validating builds.
-    pub(crate) fn from_raw_parts(parts: MissStreamParts) -> MissStream {
-        let bases: Vec<u64> = parts.regions.regions().iter().map(|r| r.base).collect();
+    pub(crate) fn from_raw_parts(totals: StreamTotals, words: Vec<u64>) -> MissStream {
         let ms = MissStream {
-            regions: parts.regions,
-            bases,
-            words: parts.words.into_boxed_slice(),
-            events: parts.events,
-            accesses: parts.accesses,
-            instructions: parts.instructions,
-            core_cycles: parts.core_cycles,
-            l1_hits: parts.l1_hits,
-            l1_misses: parts.l1_misses,
-            l2_hits: parts.l2_hits,
-            l2_misses: parts.l2_misses,
-            tallies: parts.tallies,
-            l1_cfg: parts.l1_cfg,
-            l2_cfg: parts.l2_cfg,
-            threads: parts.threads,
+            records: MissRecords::new(&totals.regions, words),
+            regions: totals.regions,
+            events: totals.events,
+            accesses: totals.accesses,
+            instructions: totals.instructions,
+            core_cycles: totals.core_cycles,
+            l1_hits: totals.l1_hits,
+            l1_misses: totals.l1_misses,
+            l2_hits: totals.l2_hits,
+            l2_misses: totals.l2_misses,
+            tallies: totals.tallies,
+            l1_cfg: totals.l1_cfg,
+            l2_cfg: totals.l2_cfg,
+            threads: totals.threads,
         };
         #[cfg(feature = "validate")]
         ms.audit_invariants();
@@ -401,25 +427,26 @@ impl MissStream {
     /// identities.
     #[cfg(feature = "validate")]
     pub fn audit_invariants(&self) {
+        let MissRecords { bases, words } = &self.records;
         debug_assert!(
-            self.words.len().is_multiple_of(2),
+            words.len().is_multiple_of(2),
             "miss stream holds {} words; records are word pairs",
-            self.words.len()
+            words.len()
         );
         let mut events = 0u64;
         let mut demands = 0u64;
         let mut cycles = 0u64;
-        for rec in self.words.chunks_exact(2) {
+        for rec in words.chunks_exact(2) {
             let kind = (rec[0] >> KIND_SHIFT) & KIND_MASK;
             debug_assert!(kind <= KIND_WRITEBACK, "unknown miss-event kind {kind}");
-            let rl = ((rec[0] >> RUN_SHIFT) & (MAX_MISS_RUN as u64 - 1)) + 1;
+            let rl = run_len(rec[0]);
             // `unpack` ignores the run bits, so the kind/run split is
             // invisible to it.
-            let region = unpack(rec[0], &self.bases).region;
+            let region = unpack(rec[0], bases).region;
             debug_assert!(
-                (region as usize) < self.bases.len(),
+                (region as usize) < bases.len(),
                 "miss event references region {region} of {}",
-                self.bases.len()
+                bases.len()
             );
             let delta = rec[1] & MAX_MISS_DELTA;
             cycles += delta * rl;
@@ -457,24 +484,14 @@ impl MissStream {
     }
 }
 
-/// Crate-internal bundle of everything a [`MissStream`] is made of, in
-/// serializable form — the unit the artifact store persists and restores
-/// ([`MissStream::from_raw_parts`]).
-pub(crate) struct MissStreamParts {
-    pub regions: RegionMap,
-    pub words: Vec<u64>,
-    pub events: u64,
-    pub accesses: u64,
-    pub instructions: u64,
-    pub core_cycles: u64,
-    pub l1_hits: u64,
-    pub l1_misses: u64,
-    pub l2_hits: u64,
-    pub l2_misses: u64,
-    pub tallies: Vec<RegionTally>,
-    pub l1_cfg: CacheConfig,
-    pub l2_cfg: CacheConfig,
-    pub threads: usize,
+/// Events the record whose first word is `w0` covers.
+pub(crate) fn run_len(w0: u64) -> u64 {
+    ((w0 >> RUN_SHIFT) & (MAX_MISS_RUN as u64 - 1)) + 1
+}
+
+/// The base table [`unpack`] decodes a registry's records against.
+fn region_bases(regions: &RegionMap) -> Vec<u64> {
+    regions.regions().iter().map(|r| r.base).collect()
 }
 
 /// Run-coalescing encoder for miss-stream records.
@@ -583,13 +600,49 @@ impl SliceCursor {
     }
 }
 
+/// Two-word event records and the base table they decode against — what
+/// [`MissEvents`] walks. A [`MissStream`] holds all of a stream's; a
+/// [`crate::simpoint::PhaseSample`] holds the slices it kept of one.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct MissRecords {
+    pub bases: Vec<u64>,
+    /// Two words per record (see the module docs for the layout).
+    pub words: Box<[u64]>,
+}
+
+impl MissRecords {
+    /// `words` as records of a stream over `regions`.
+    pub fn new(regions: &RegionMap, words: Vec<u64>) -> MissRecords {
+        MissRecords { bases: region_bases(regions), words: words.into_boxed_slice() }
+    }
+
+    /// Decode from `cursor` on (see [`MissStream::events_from`]).
+    pub fn events_from(&self, cursor: SliceCursor) -> MissEvents<'_> {
+        debug_assert!(cursor.idx.is_multiple_of(2), "cursor must point at a record head");
+        let mut events = MissEvents {
+            ms: self,
+            idx: cursor.idx,
+            cycles: cursor.cycles,
+            left: 0,
+            trigger: Access { addr: 0, region: 0, write: false, work: 0 },
+            wb_line: 0,
+            kind_bits: KIND_DEMAND,
+            delta: 0,
+        };
+        if cursor.run_pos > 0 && cursor.idx + 1 < self.words.len() {
+            events.load_record(cursor.run_pos);
+        }
+        events
+    }
+}
+
 /// Streaming decode of a [`MissStream`]'s events (runs expanded back into
 /// individual events; the cycle track accumulates deltas). A record is
 /// unpacked once, when its run starts; every event of the run is the
 /// previous one stepped by a line.
 #[derive(Debug)]
 pub struct MissEvents<'a> {
-    ms: &'a MissStream,
+    ms: &'a MissRecords,
     /// Word index of the next record to unpack.
     idx: usize,
     cycles: u64,
@@ -647,6 +700,31 @@ impl Iterator for MissEvents<'_> {
         self.wb_line += 1;
         Some(ev)
     }
+}
+
+/// Test input: a short seeded trace of write sweeps and scattered
+/// accesses through caches of a few lines, so its stream holds demand,
+/// demand + write-back and stand-alone write-back records, single events
+/// and runs.
+#[cfg(test)]
+pub(crate) fn few_line_stream(seed: u64) -> MissStream {
+    use rand::{Rng, SeedableRng};
+    let l1 = CacheConfig { capacity: 512, ways: 2, line_bytes: 64, latency_cycles: 1 };
+    let l2 = CacheConfig { capacity: 2048, ways: 4, line_bytes: 64, latency_cycles: 20 };
+    let rng = &mut rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let mut rm = RegionMap::new();
+    let regions: Vec<_> = (0..3).map(|i| rm.alloc(&format!("r{i}"), 64 * 256, i == 0)).collect();
+    let bases: Vec<u64> = regions.iter().map(|&r| rm.get(r).base).collect();
+    let mut t = crate::trace::Trace::new(rm);
+    while t.accesses.len() < 600 {
+        let r = rng.random_range(0..regions.len());
+        let (write, work) = (rng.random_bool(0.5), rng.random_range(0..3));
+        let first = rng.random_range(0..200u64);
+        for line in first..first + rng.random_range(1..40) {
+            t.push(bases[r] + line * 64, regions[r], write, work);
+        }
+    }
+    MissStream::build(&mut t.replay(), l1, l2, 1)
 }
 
 #[cfg(test)]
@@ -754,26 +832,7 @@ mod tests {
         #[test]
         fn resuming_at_any_event_yields_the_tail_of_a_full_walk(seed: u64) {
             use proptest::prelude::*;
-            use rand::{Rng, SeedableRng};
-            // Caches of a few lines, so a short trace of write sweeps and
-            // scattered accesses leaves demand, demand + write-back and
-            // stand-alone write-back records, single events and runs.
-            let l1 = CacheConfig { capacity: 512, ways: 2, line_bytes: 64, latency_cycles: 1 };
-            let l2 = CacheConfig { capacity: 2048, ways: 4, line_bytes: 64, latency_cycles: 20 };
-            let rng = &mut rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let mut rm = RegionMap::new();
-            let regions: Vec<_> = (0..3).map(|i| rm.alloc(&format!("r{i}"), 64 * 256, i == 0)).collect();
-            let bases: Vec<u64> = regions.iter().map(|&r| rm.get(r).base).collect();
-            let mut t = Trace::new(rm);
-            while t.accesses.len() < 600 {
-                let r = rng.random_range(0..regions.len());
-                let (write, work) = (rng.random_bool(0.5), rng.random_range(0..3));
-                let first = rng.random_range(0..200u64);
-                for line in first..first + rng.random_range(1..40) {
-                    t.push(bases[r] + line * 64, regions[r], write, work);
-                }
-            }
-            let ms = MissStream::build(&mut t.replay(), l1, l2, 1);
+            let ms = few_line_stream(seed);
             let all: Vec<MissEvent> = ms.iter().collect();
             prop_assert_eq!(all.len() as u64, ms.events());
 

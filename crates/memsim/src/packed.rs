@@ -105,11 +105,18 @@ pub fn run_len(word: u64) -> usize {
     ((word >> RUN_SHIFT) & ((1 << RUN_BITS) - 1)) as usize + 1
 }
 
+/// The region id a packed word names — [`unpack`] indexes the base table
+/// with it, so a decoder of outside bytes checks it first.
+#[inline]
+pub(crate) fn region_of(word: u64) -> RegionId {
+    ((word >> REGION_SHIFT) & ((1 << REGION_BITS) - 1)) as RegionId
+}
+
 /// Unpack the head access of a word's run, given the per-region base
 /// table. Access `i` of the run is the head with `addr + 64 * i`.
 #[inline]
 pub fn unpack(word: u64, bases: &[u64]) -> Access {
-    let region = ((word >> REGION_SHIFT) & ((1 << REGION_BITS) - 1)) as RegionId;
+    let region = region_of(word);
     Access {
         addr: (bases[region as usize] & !63) + (word >> OFFSET_SHIFT),
         region,

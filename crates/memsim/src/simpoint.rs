@@ -39,16 +39,24 @@
 //! `max_phases >= slices` every slice represents itself with scale 1 and
 //! the sampled replay degenerates to the exact filtered replay.
 //!
+//! 5. **Condense**: replay reads nothing of the stream but its totals and
+//!    the representative slices, so [`PhaseSample::condense`] copies
+//!    exactly those out of it. The sample is what a campaign cell
+//!    replays and what the artifact store keeps beside the selection: a
+//!    later process loads the few records it needs, never the stream.
+//!
 //! Everything here is deterministic: same stream + same
-//! [`SimPointConfig`] ⇒ identical fingerprints, clusters, and phases —
-//! which is also what lets the artifact store persist selections
+//! [`SimPointConfig`] ⇒ identical fingerprints, clusters, phases and
+//! sample — which is also what lets the artifact store persist them
 //! content-addressed by `(FilterKey, SimPointConfig)`.
 
 use crate::miss_stream::{
-    MissStream, SliceCursor, KIND_DEMAND, KIND_MASK, KIND_SHIFT, KIND_WRITEBACK, MAX_MISS_DELTA,
-    MAX_MISS_RUN, RUN_SHIFT, WB_SHIFT,
+    run_len, MissEvents, MissRecords, MissStream, RegionTally, SliceCursor, StreamTotals,
+    KIND_DEMAND, KIND_MASK, KIND_SHIFT, KIND_WRITEBACK, MAX_MISS_DELTA, MAX_MISS_RUN, RUN_SHIFT,
+    WB_SHIFT,
 };
-use crate::packed::unpack;
+use crate::packed::{region_of, unpack};
+use std::sync::Arc;
 
 /// Parameters of the phase-sampling pass. All-integer (and therefore
 /// `Eq + Ord + Hash`): the config participates in memo keys and in the
@@ -330,7 +338,7 @@ impl SimPointSelection {
     }
 
     /// Crate-internal: rebuild from store-blob raw parts (audited under
-    /// `validate`, mirroring [`MissStream::from_raw_parts`]).
+    /// `validate`, like [`MissStream::from_raw_parts`]).
     pub(crate) fn from_raw_parts(parts: SimPointParts) -> SimPointSelection {
         let sel = SimPointSelection {
             config: parts.config,
@@ -394,8 +402,184 @@ impl SimPointSelection {
     }
 }
 
-/// Crate-internal serializable bundle (the artifact store's unit),
-/// mirroring [`crate::miss_stream::MissStreamParts`].
+/// A phase selection together with everything sampled replay reads of the
+/// stream it was built from: the stream's policy-independent totals and,
+/// copied verbatim, the records its representative slices replay — the
+/// SimPoint practice of checkpointing simulation points. It is
+/// self-contained: a sampled cell asks the
+/// [`TraceCache`](crate::trace_cache::TraceCache) for this and nothing
+/// else, so a process over a warm store never loads the miss stream.
+///
+/// Slice `k` is the records from the one holding phase `k`'s first event
+/// to the one holding its last, `words[offsets[k]..offsets[k + 1]]` (the
+/// last slice runs to the end). A record decodes from its own two words
+/// and the cycle track before it, and a phase's
+/// [`SliceCursor`] carries that track and the position inside the first
+/// record, so the cursor survives condensing with only its record index
+/// rebased to `offsets[k]`: the slice decodes the very events the full
+/// stream decodes from the cursor. Two adjacent phases that share a
+/// record each hold a copy of it. The selection itself keeps its
+/// full-stream cursors and still pairs with the whole [`MissStream`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct PhaseSample {
+    totals: StreamTotals,
+    /// The slices' records, one slice after another.
+    records: MissRecords,
+    /// Word index of each phase's first record, in phase order.
+    offsets: Vec<usize>,
+    selection: Arc<SimPointSelection>,
+}
+
+impl PhaseSample {
+    /// Copy out of `ms` what replaying `selection` reads of it. With
+    /// `max_phases >= slices` that is the whole stream.
+    pub fn condense(ms: &MissStream, selection: Arc<SimPointSelection>) -> PhaseSample {
+        assert!(
+            selection.matches(ms),
+            "phase selection was built for a {}-event stream, but this stream has {} events",
+            selection.events(),
+            ms.events()
+        );
+        let all = ms.raw_words();
+        let mut words = Vec::new();
+        let mut offsets = Vec::with_capacity(selection.phases().len());
+        for ph in selection.phases() {
+            let cursor = ph.cursor();
+            // Events from the head of the first record through the
+            // phase's last one.
+            let mut left = cursor.run_pos as u64 + ph.events();
+            let mut end = cursor.idx;
+            while left > 0 {
+                left = left.saturating_sub(run_len(all[end]));
+                end += 2;
+            }
+            offsets.push(words.len());
+            words.extend_from_slice(&all[cursor.idx..end]);
+        }
+        let totals = ms.totals();
+        let sample = PhaseSample {
+            records: MissRecords::new(&totals.regions, words),
+            totals,
+            offsets,
+            selection,
+        };
+        #[cfg(feature = "validate")]
+        sample.audit_invariants();
+        sample
+    }
+
+    /// The phase selection the slices were cut for.
+    pub fn selection(&self) -> &Arc<SimPointSelection> {
+        &self.selection
+    }
+
+    /// Bytes held by the slices' records.
+    pub fn packed_bytes(&self) -> u64 {
+        self.records.words.len() as u64 * 8
+    }
+
+    /// The totals of the stream the sample was condensed from.
+    pub(crate) fn totals(&self) -> &StreamTotals {
+        &self.totals
+    }
+
+    /// Crate-internal: the slices' records and where each starts (the
+    /// store's serialization unit).
+    pub(crate) fn raw_parts(&self) -> (&[u64], &[usize]) {
+        (&self.records.words, &self.offsets)
+    }
+
+    /// The decoder at phase `k`'s first event; the phase's
+    /// [`SimPointPhase::events`] next events are the slice.
+    pub(crate) fn open(&self, k: usize) -> MissEvents<'_> {
+        let at = self.selection.phases()[k].cursor();
+        self.records.events_from(SliceCursor::at(self.offsets[k], at.run_pos, at.cycles))
+    }
+
+    /// Crate-internal: assemble a sample from store-blob parts, refusing
+    /// parts that do not fit together — the blob's checksum vouches for
+    /// its bytes, not for the writer, and replay indexes by all of these.
+    pub(crate) fn from_raw_parts(
+        totals: StreamTotals,
+        words: Vec<u64>,
+        offsets: Vec<usize>,
+        selection: SimPointSelection,
+    ) -> Result<PhaseSample, &'static str> {
+        let sample = PhaseSample {
+            records: MissRecords::new(&totals.regions, words),
+            totals,
+            offsets,
+            selection: Arc::new(selection),
+        };
+        sample.check()?;
+        Ok(sample)
+    }
+
+    /// What is wrong with the sample, if anything: every word belongs to
+    /// a slice, the slices sit in phase order, each covers its phase's
+    /// events with records that name known regions, and the totals agree
+    /// with the selection and with their own tallies.
+    fn check(&self) -> Result<(), &'static str> {
+        let t = &self.totals;
+        let MissRecords { bases, words } = &self.records;
+        let phases = self.selection.phases();
+        if t.events != self.selection.events() {
+            return Err("sample and selection disagree on the stream's events");
+        }
+        if t.tallies.len() != t.regions.regions().len() {
+            return Err("tally count");
+        }
+        let sum = |f: fn(&RegionTally) -> u64| -> u64 { t.tallies.iter().map(f).sum() };
+        if t.accesses != sum(|r| r.refs)
+            || t.l1_misses != sum(|r| r.l1_misses)
+            || t.l2_misses != sum(|r| r.llc_misses)
+        {
+            return Err("region tallies do not sum to the totals");
+        }
+        if !words.len().is_multiple_of(2) {
+            return Err("odd sample word count");
+        }
+        if self.offsets.len() != phases.len() {
+            return Err("offset count");
+        }
+        // The first slice starts at word 0; no slices, no words.
+        if self.offsets.first().copied().unwrap_or(words.len()) != 0 {
+            return Err("sample words outside every slice");
+        }
+        for (k, ph) in phases.iter().enumerate() {
+            let start = self.offsets[k];
+            let end = self.offsets.get(k + 1).copied().unwrap_or(words.len());
+            if !start.is_multiple_of(2) || start >= end || end > words.len() {
+                return Err("slice offsets");
+            }
+            let slice = &words[start..end];
+            let run_pos = ph.cursor().run_pos as u64;
+            if run_pos >= run_len(slice[0]) {
+                return Err("phase cursor past its record");
+            }
+            let mut covered = 0u64;
+            for rec in slice.chunks_exact(2) {
+                if region_of(rec[0]) as usize >= bases.len() {
+                    return Err("sample record region");
+                }
+                covered += run_len(rec[0]);
+            }
+            if covered < run_pos + ph.events() {
+                return Err("slice short of its phase");
+            }
+        }
+        Ok(())
+    }
+
+    /// Feature `validate`: audit what [`PhaseSample::condense`] built by
+    /// the rules a loaded sample must pass.
+    #[cfg(feature = "validate")]
+    pub fn audit_invariants(&self) {
+        debug_assert_eq!(self.check(), Ok(()), "phase sample parts do not fit together");
+    }
+}
+
+/// Crate-internal serializable bundle (the artifact store's unit).
 pub(crate) struct SimPointParts {
     pub config: SimPointConfig,
     pub events: u64,
@@ -759,6 +943,62 @@ mod tests {
             let got: Vec<_> = ms.events_from(p.cursor()).take(p.events() as usize).collect();
             let want = &all[p.start as usize..p.end as usize];
             assert_eq!(got.as_slice(), want, "slice [{}, {})", p.start, p.end);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn a_condensed_sample_decodes_every_phase_like_the_full_stream(seed: u64) {
+            use crate::miss_stream::MissEvent;
+            use proptest::prelude::*;
+            use rand::{Rng, SeedableRng};
+            let ms = crate::miss_stream::few_line_stream(seed);
+            let all: Vec<MissEvent> = ms.iter().collect();
+            let rng = &mut rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            // An interval that leaves a short final slice.
+            let mut interval = rng.random_range(5..48u64);
+            while ms.events().is_multiple_of(interval) {
+                interval += 1;
+            }
+            let slices = ms.events().div_ceil(interval) as usize;
+            prop_assert!(slices > 4, "{} events make {slices} slices of {interval}", ms.events());
+
+            // What the slices must have met between them: a phase that
+            // starts inside a run, one that ends inside a run, two adjacent
+            // phases holding a copy each of the record they share, the
+            // short final slice, and every slice its own phase.
+            let mut seen = [false; 5];
+            let budgets = [usize::MAX, slices, rng.random_range(1..slices), 1];
+            for max_phases in budgets {
+                let strata = rng.random_range(1..4);
+                let cfg = SimPointConfig { interval, max_phases, strata, ..Default::default() };
+                let sel = Arc::new(SimPointSelection::build(&ms, cfg));
+                let sample = PhaseSample::condense(&ms, Arc::clone(&sel));
+                prop_assert_eq!(sample.check(), Ok(()));
+                prop_assert_eq!(sample.offsets.len(), sel.phases().len());
+                for (k, ph) in sel.phases().iter().enumerate() {
+                    let got: Vec<MissEvent> = sample.open(k).take(ph.events() as usize).collect();
+                    prop_assert!(
+                        got == all[ph.start as usize..ph.end as usize],
+                        "phase {k} [{}, {}) of {cfg:?}", ph.start, ph.end
+                    );
+                    let end = sample.offsets.get(k + 1).copied().unwrap_or(sample.records.words.len());
+                    let slice = &sample.records.words[sample.offsets[k]..end];
+                    let covered: u64 = slice.chunks_exact(2).map(|rec| run_len(rec[0])).sum();
+                    let run_pos = ph.cursor().run_pos as u64;
+                    seen[0] |= run_pos > 0;
+                    seen[1] |= covered > run_pos + ph.events();
+                    seen[2] |= run_pos > 0
+                        && k > 0
+                        && sel.phases()[k - 1].end == ph.start
+                        && sample.records.words[sample.offsets[k] - 2..sample.offsets[k]] == slice[..2];
+                    seen[3] |= ph.end == ms.events() && ph.events() < interval;
+                }
+                seen[4] |= sel.phases().len() == slices && sample.records.words.len() >= ms.raw_words().len();
+            }
+            prop_assert!(seen == [true; 5], "slices too tame at interval {interval}: {seen:?}");
         }
     }
 

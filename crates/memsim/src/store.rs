@@ -12,16 +12,26 @@
 //!   thread count), which fully determines the DRAM-visible tail;
 //! * phase selections — the [`FilterKey`] extended with the
 //!   [`SimPointConfig`], which fully determines the deterministic
-//!   slicing, fingerprinting, and clustering result.
+//!   slicing, fingerprinting, and clustering result; behind the selection
+//!   the same blob carries its [`PhaseSample`] — the stream's totals and
+//!   the records the representative slices replay — so a sampled cell in
+//!   a warm process reads this blob and never the miss stream's.
 //!
 //! Blob layout (`<digest>.trace` / `<digest>.miss` / `<digest>.simpoint`
 //! under the store root):
 //!
 //! ```text
-//! header:  magic "ABFTART1" | u32 kind | u32 version (2) | u128 key digest
+//! header:  magic "ABFTART1" | u32 kind | u32 version (3) | u128 key digest
 //! payload: varint-compressed artifact body (xor-delta words)
 //! footer:  u64 payload length | u64 payload checksum | magic "ABFTEND1"
 //! ```
+//!
+//! A `.simpoint` payload is two sections: the selection, then the sample
+//! (the head of a miss payload, the slices' records xor-delta coded like a
+//! miss stream's, one word offset per phase).
+//! [`ArtifactStore::load_simpoint`] decodes the first and stops;
+//! [`ArtifactStore::load_sample`] decodes both and checks that they fit
+//! each other and the key.
 //!
 //! The checksum is FNV-1a taken a 64-bit little-endian word at a time:
 //! each step is a bijection of the state for a fixed word and of the word
@@ -29,7 +39,8 @@
 //! the payload — every single-bit and single-byte flip — always changes
 //! it. The footer is verified on every load — length and checksum first,
 //! the header key digest against the requested key after, for a miss
-//! stream the geometry inside the payload against the key's last — and
+//! stream or a phase sample the geometry inside the payload against the
+//! key's last — and
 //! any mismatch (truncation, bit rot, digest collision, an older format
 //! version) **evicts** the entry: the file is deleted and the caller
 //! regenerates, so a corrupt blob is never deserialized into a wrong
@@ -42,9 +53,11 @@
 //! [`crate::trace_cache::TraceCache`] into the campaign layer's metrics.
 
 use crate::config::CacheConfig;
-use crate::miss_stream::{MissStream, MissStreamParts, RegionTally, SliceCursor};
+use crate::miss_stream::{MissStream, RegionTally, SliceCursor, StreamTotals};
 use crate::packed::PackedTrace;
-use crate::simpoint::{SimPointConfig, SimPointParts, SimPointPhase, SimPointSelection};
+use crate::simpoint::{
+    PhaseSample, SimPointConfig, SimPointParts, SimPointPhase, SimPointSelection,
+};
 use crate::trace::{Region, RegionMap};
 use crate::trace_cache::FilterKey;
 use crate::workloads::KernelParams;
@@ -54,9 +67,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const BLOB_MAGIC: &[u8; 8] = b"ABFTART1";
 const END_MAGIC: &[u8; 8] = b"ABFTEND1";
 /// Version 2 reframed the checksum from byte-wise to word-wise FNV-1a;
-/// the payload encoding is unchanged. Older blobs fail the version check
-/// and are evicted and regenerated like any other unusable blob.
-const FORMAT_VERSION: u32 = 2;
+/// version 3 put the phase sample behind the selection in `.simpoint`
+/// payloads (the other two kinds kept their bytes). Older blobs fail the
+/// version check and are evicted and regenerated like any other unusable
+/// blob.
+const FORMAT_VERSION: u32 = 3;
 const KIND_TRACE: u32 = 1;
 const KIND_MISS: u32 = 2;
 const KIND_SIMPOINT: u32 = 3;
@@ -373,30 +388,34 @@ fn decode_trace(mut cur: &[u8]) -> Result<PackedTrace, StoreError> {
     Ok(PackedTrace::from_raw_parts(regions, words, len, instructions))
 }
 
-fn encode_miss(buf: &mut Vec<u8>, ms: &MissStream) {
-    put_regions(buf, ms.regions());
-    put_varint(buf, ms.events());
-    put_varint(buf, ms.accesses());
-    put_varint(buf, ms.instructions());
-    put_varint(buf, ms.core_cycles());
-    put_varint(buf, ms.l1_hits);
-    put_varint(buf, ms.l1_misses);
-    put_varint(buf, ms.l2_hits);
-    put_varint(buf, ms.l2_misses);
-    put_varint(buf, ms.raw_tallies().len() as u64);
-    for t in ms.raw_tallies() {
-        put_varint(buf, t.refs);
-        put_varint(buf, t.l1_misses);
-        put_varint(buf, t.llc_misses);
+/// The head of a miss payload and of a `.simpoint` blob's sample section.
+fn put_totals(buf: &mut Vec<u8>, t: &StreamTotals) {
+    put_regions(buf, &t.regions);
+    put_varint(buf, t.events);
+    put_varint(buf, t.accesses);
+    put_varint(buf, t.instructions);
+    put_varint(buf, t.core_cycles);
+    put_varint(buf, t.l1_hits);
+    put_varint(buf, t.l1_misses);
+    put_varint(buf, t.l2_hits);
+    put_varint(buf, t.l2_misses);
+    put_varint(buf, t.tallies.len() as u64);
+    for r in &t.tallies {
+        put_varint(buf, r.refs);
+        put_varint(buf, r.l1_misses);
+        put_varint(buf, r.llc_misses);
     }
-    let (l1, l2, threads) = ms.filter_config();
-    for c in [&l1, &l2] {
+    for c in [&t.l1_cfg, &t.l2_cfg] {
         put_varint(buf, c.capacity as u64);
         put_varint(buf, c.ways as u64);
         put_varint(buf, c.line_bytes as u64);
         put_varint(buf, c.latency_cycles);
     }
-    put_varint(buf, threads as u64);
+    put_varint(buf, t.threads as u64);
+}
+
+fn encode_miss(buf: &mut Vec<u8>, ms: &MissStream) {
+    put_totals(buf, &ms.totals());
     put_words(buf, ms.raw_words().iter().copied(), ms.raw_words().len() as u64, 2);
 }
 
@@ -409,41 +428,30 @@ fn get_cache_cfg(cur: &mut &[u8]) -> Result<CacheConfig, StoreError> {
     })
 }
 
-fn decode_miss(mut cur: &[u8]) -> Result<MissStream, StoreError> {
-    let regions = get_regions(&mut cur)?;
-    let events = get_varint(&mut cur)?;
-    let accesses = get_varint(&mut cur)?;
-    let instructions = get_varint(&mut cur)?;
-    let core_cycles = get_varint(&mut cur)?;
-    let l1_hits = get_varint(&mut cur)?;
-    let l1_misses = get_varint(&mut cur)?;
-    let l2_hits = get_varint(&mut cur)?;
-    let l2_misses = get_varint(&mut cur)?;
-    let tally_count = get_varint(&mut cur)?;
+fn get_totals(cur: &mut &[u8]) -> Result<StreamTotals, StoreError> {
+    let regions = get_regions(cur)?;
+    let events = get_varint(cur)?;
+    let accesses = get_varint(cur)?;
+    let instructions = get_varint(cur)?;
+    let core_cycles = get_varint(cur)?;
+    let l1_hits = get_varint(cur)?;
+    let l1_misses = get_varint(cur)?;
+    let l2_hits = get_varint(cur)?;
+    let l2_misses = get_varint(cur)?;
+    let tally_count = get_varint(cur)?;
     if tally_count != regions.regions().len() as u64 {
         return Err(StoreError::Malformed("tally count"));
     }
     let mut tallies = Vec::with_capacity(tally_count as usize);
     for _ in 0..tally_count {
         tallies.push(RegionTally {
-            refs: get_varint(&mut cur)?,
-            l1_misses: get_varint(&mut cur)?,
-            llc_misses: get_varint(&mut cur)?,
+            refs: get_varint(cur)?,
+            l1_misses: get_varint(cur)?,
+            llc_misses: get_varint(cur)?,
         });
     }
-    let l1_cfg = get_cache_cfg(&mut cur)?;
-    let l2_cfg = get_cache_cfg(&mut cur)?;
-    let threads = get_varint(&mut cur)? as usize;
-    let words = get_words(&mut cur, 2)?;
-    if !cur.is_empty() {
-        return Err(StoreError::Malformed("trailing miss payload"));
-    }
-    if !words.len().is_multiple_of(2) {
-        return Err(StoreError::Malformed("odd miss word count"));
-    }
-    Ok(MissStream::from_raw_parts(MissStreamParts {
+    Ok(StreamTotals {
         regions,
-        words,
         events,
         accesses,
         instructions,
@@ -453,10 +461,22 @@ fn decode_miss(mut cur: &[u8]) -> Result<MissStream, StoreError> {
         l2_hits,
         l2_misses,
         tallies,
-        l1_cfg,
-        l2_cfg,
-        threads,
-    }))
+        l1_cfg: get_cache_cfg(cur)?,
+        l2_cfg: get_cache_cfg(cur)?,
+        threads: get_varint(cur)? as usize,
+    })
+}
+
+fn decode_miss(mut cur: &[u8]) -> Result<MissStream, StoreError> {
+    let totals = get_totals(&mut cur)?;
+    let words = get_words(&mut cur, 2)?;
+    if !cur.is_empty() {
+        return Err(StoreError::Malformed("trailing miss payload"));
+    }
+    if !words.len().is_multiple_of(2) {
+        return Err(StoreError::Malformed("odd miss word count"));
+    }
+    Ok(MissStream::from_raw_parts(totals, words))
 }
 
 fn encode_simpoint(buf: &mut Vec<u8>, sel: &SimPointSelection) {
@@ -488,18 +508,20 @@ fn encode_simpoint(buf: &mut Vec<u8>, sel: &SimPointSelection) {
     }
 }
 
-fn decode_simpoint(mut cur: &[u8]) -> Result<SimPointSelection, StoreError> {
+/// Decode the selection section of a `.simpoint` payload, leaving `cur` at
+/// the sample section behind it.
+fn decode_simpoint(cur: &mut &[u8]) -> Result<SimPointSelection, StoreError> {
     let config = SimPointConfig {
-        interval: get_varint(&mut cur)?,
-        max_phases: get_varint(&mut cur)? as usize,
-        seed: get_varint(&mut cur)?,
-        iterations: get_varint(&mut cur)? as usize,
-        strata: get_varint(&mut cur)? as usize,
+        interval: get_varint(cur)?,
+        max_phases: get_varint(cur)? as usize,
+        seed: get_varint(cur)?,
+        iterations: get_varint(cur)? as usize,
+        strata: get_varint(cur)? as usize,
     };
-    let events = get_varint(&mut cur)?;
-    let slices = get_varint(&mut cur)?;
-    let dim = get_varint(&mut cur)? as usize;
-    let est_error = f64::from_bits(get_varint(&mut cur)?);
+    let events = get_varint(cur)?;
+    let slices = get_varint(cur)?;
+    let dim = get_varint(cur)? as usize;
+    let est_error = f64::from_bits(get_varint(cur)?);
     // Each fingerprint/assignment entry costs at least one payload byte;
     // reject counts the remaining payload cannot possibly hold.
     let fp_count = slices.checked_mul(dim as u64).ok_or(StoreError::Malformed("fp count"))?;
@@ -508,29 +530,29 @@ fn decode_simpoint(mut cur: &[u8]) -> Result<SimPointSelection, StoreError> {
     }
     let mut fingerprints = Vec::with_capacity(fp_count as usize);
     for _ in 0..fp_count {
-        fingerprints.push(f64::from_bits(get_varint(&mut cur)?));
+        fingerprints.push(f64::from_bits(get_varint(cur)?));
     }
     let mut assignments = Vec::with_capacity(slices as usize);
     for _ in 0..slices {
-        let a = get_varint(&mut cur)?;
+        let a = get_varint(cur)?;
         if a > u32::MAX as u64 {
             return Err(StoreError::Malformed("cluster id"));
         }
         assignments.push(a as u32);
     }
-    let phase_count = get_varint(&mut cur)?;
+    let phase_count = get_varint(cur)?;
     if phase_count > slices {
         return Err(StoreError::Malformed("phase count"));
     }
     let mut phases = Vec::with_capacity(phase_count as usize);
     for _ in 0..phase_count {
-        let weight = f64::from_bits(get_varint(&mut cur)?);
-        let start = get_varint(&mut cur)?;
-        let end = get_varint(&mut cur)?;
-        let scale = f64::from_bits(get_varint(&mut cur)?);
-        let idx = get_varint(&mut cur)? as usize;
-        let run_pos = get_varint(&mut cur)? as usize;
-        let cycles = get_varint(&mut cur)?;
+        let weight = f64::from_bits(get_varint(cur)?);
+        let start = get_varint(cur)?;
+        let end = get_varint(cur)?;
+        let scale = f64::from_bits(get_varint(cur)?);
+        let idx = get_varint(cur)? as usize;
+        let run_pos = get_varint(cur)? as usize;
+        let cycles = get_varint(cur)?;
         if end <= start || end > events {
             return Err(StoreError::Malformed("phase range"));
         }
@@ -542,9 +564,6 @@ fn decode_simpoint(mut cur: &[u8]) -> Result<SimPointSelection, StoreError> {
             cursor: SliceCursor::at(idx, run_pos, cycles),
         });
     }
-    if !cur.is_empty() {
-        return Err(StoreError::Malformed("trailing simpoint payload"));
-    }
     Ok(SimPointSelection::from_raw_parts(SimPointParts {
         config,
         events,
@@ -555,6 +574,33 @@ fn decode_simpoint(mut cur: &[u8]) -> Result<SimPointSelection, StoreError> {
         phases,
         est_error,
     }))
+}
+
+/// The sample section: the condensed stream's totals, the slices' records
+/// and where each slice starts.
+fn encode_sample(buf: &mut Vec<u8>, sample: &PhaseSample) {
+    let (words, offsets) = sample.raw_parts();
+    put_totals(buf, sample.totals());
+    put_words(buf, words.iter().copied(), words.len() as u64, 2);
+    for &at in offsets {
+        put_varint(buf, at as u64);
+    }
+}
+
+/// Decode a whole `.simpoint` payload: the selection, then the sample
+/// cut for it (one slice offset per phase of the selection).
+fn decode_sample(mut cur: &[u8]) -> Result<PhaseSample, StoreError> {
+    let selection = decode_simpoint(&mut cur)?;
+    let totals = get_totals(&mut cur)?;
+    let words = get_words(&mut cur, 2)?;
+    let mut offsets = Vec::with_capacity(selection.phases().len());
+    for _ in selection.phases() {
+        offsets.push(get_varint(&mut cur)? as usize);
+    }
+    if !cur.is_empty() {
+        return Err(StoreError::Malformed("trailing simpoint payload"));
+    }
+    PhaseSample::from_raw_parts(totals, words, offsets, selection).map_err(StoreError::Malformed)
 }
 
 // ---------------------------------------------------------------------
@@ -698,8 +744,11 @@ impl ArtifactStore {
         self.save_blob(&self.miss_path(key), KIND_MISS, miss_key(key), |buf| encode_miss(buf, ms))
     }
 
-    /// Load a phase selection, or `None` when absent or evicted as
-    /// corrupt. Warm processes then skip slicing and clustering entirely.
+    /// Load the phase selection of a `.simpoint` blob, or `None` when the
+    /// blob is absent or evicted as corrupt. The whole payload is
+    /// checksummed, but only its selection section is decoded: the
+    /// selection pairs with the full stream ([`ArtifactStore::load_miss`]),
+    /// the sample behind it is [`ArtifactStore::load_sample`]'s.
     pub fn load_simpoint(
         &self,
         key: &FilterKey,
@@ -709,22 +758,52 @@ impl ArtifactStore {
             &self.simpoint_path(key, cfg),
             KIND_SIMPOINT,
             simpoint_key(key, cfg),
-            decode_simpoint,
+            |mut payload| decode_simpoint(&mut payload),
         )
     }
 
-    /// Persist a phase selection.
+    /// Load a phase sample — all a sampled cell replays — or `None` when
+    /// the blob is absent or evicted as corrupt. Beyond the framing checks
+    /// the parts must fit together (slice offsets, slice lengths, region
+    /// ids, tallies and event counts: `PhaseSample`'s own audit) and the
+    /// filter geometry inside the payload must be the key's, so a blob
+    /// that would fail at replay is evicted here instead.
+    pub fn load_sample(&self, key: &FilterKey, cfg: &SimPointConfig) -> Option<PhaseSample> {
+        self.load_blob(
+            &self.simpoint_path(key, cfg),
+            KIND_SIMPOINT,
+            simpoint_key(key, cfg),
+            |payload| {
+                let sample = decode_sample(payload)?;
+                if sample.totals().matches(&key.l1, &key.l2, key.threads) {
+                    Ok(sample)
+                } else {
+                    Err(StoreError::KeyMismatch)
+                }
+            },
+        )
+    }
+
+    /// Persist a phase sample: its selection, then its slices. A sample
+    /// condensed under another geometry than the key's is refused
+    /// ([`StoreError::KeyMismatch`]), as by [`ArtifactStore::save_miss`].
     pub fn save_simpoint(
         &self,
         key: &FilterKey,
         cfg: &SimPointConfig,
-        sel: &SimPointSelection,
+        sample: &PhaseSample,
     ) -> Result<(), StoreError> {
+        if !sample.totals().matches(&key.l1, &key.l2, key.threads) {
+            return Err(StoreError::KeyMismatch);
+        }
         self.save_blob(
             &self.simpoint_path(key, cfg),
             KIND_SIMPOINT,
             simpoint_key(key, cfg),
-            |buf| encode_simpoint(buf, sel),
+            |buf| {
+                encode_simpoint(buf, sample.selection());
+                encode_sample(buf, sample);
+            },
         )
     }
 
@@ -914,11 +993,8 @@ mod tests {
         let ms = MissStream::build(&mut packed.replay(), key.l1, key.l2, key.threads);
         store.save_miss(&key, &ms).unwrap();
         let loaded = store.load_miss(&key).expect("intact blob loads");
-        assert_eq!(loaded.events(), ms.events());
-        assert_eq!(loaded.accesses(), ms.accesses());
-        assert_eq!(loaded.core_cycles(), ms.core_cycles());
+        assert_eq!(loaded.totals(), ms.totals());
         assert_eq!(loaded.raw_words(), ms.raw_words());
-        assert_eq!(loaded.raw_tallies(), ms.raw_tallies());
         assert!(loaded.matches(&cfg.l1, &cfg.l2, cfg.threads));
         let evs: Vec<_> = loaded.iter().collect();
         let expect: Vec<_> = ms.iter().collect();
@@ -932,11 +1008,21 @@ mod tests {
         let key = FilterKey::new(tiny(), &cfg);
         let packed = Arc::new(tiny().build_packed());
         let ms = MissStream::build(&mut packed.replay(), key.l1, key.l2, key.threads);
-        let sp = SimPointConfig { interval: 2048, max_phases: 6, ..Default::default() };
-        let sel = SimPointSelection::build(&ms, sp);
-        store.save_simpoint(&key, &sp, &sel).unwrap();
+        let sp = SimPointConfig { interval: 512, max_phases: 3, strata: 2, ..Default::default() };
+        let sel = Arc::new(SimPointSelection::build(&ms, sp));
+        let sample = PhaseSample::condense(&ms, Arc::clone(&sel));
+        assert!(sample.packed_bytes() < ms.packed_bytes() / 2, "six slices are not the stream");
+        store.save_simpoint(&key, &sp, &sample).unwrap();
         let loaded = store.load_simpoint(&key, &sp).expect("intact blob loads");
-        assert_eq!(loaded, sel, "selection must round-trip bit-identically");
+        assert_eq!(loaded, *sel, "selection must round-trip bit-identically");
+        let loaded = store.load_sample(&key, &sp).expect("intact blob loads");
+        assert_eq!(loaded, sample, "sample must round-trip bit-identically");
+        for (k, ph) in sel.phases().iter().enumerate() {
+            let n = ph.events() as usize;
+            let got: Vec<_> = loaded.open(k).take(n).collect();
+            let want: Vec<_> = ms.events_from(ph.cursor()).take(n).collect();
+            assert_eq!(got, want, "phase {k} decodes the stream's events");
+        }
         // A different sampling config addresses a different blob.
         let other = SimPointConfig { interval: 4096, ..sp };
         assert_ne!(simpoint_key(&key, &sp), simpoint_key(&key, &other));
@@ -981,10 +1067,9 @@ mod tests {
     }
 
     /// A few hundred accesses through caches of a few lines: a trace, a
-    /// miss stream and a phase selection whose blobs are small enough to
+    /// miss stream and a phase sample whose blobs are small enough to
     /// attack at every byte.
-    fn small_artifacts() -> (FilterKey, SimPointConfig, PackedTrace, MissStream, SimPointSelection)
-    {
+    fn small_artifacts() -> (FilterKey, SimPointConfig, PackedTrace, MissStream, PhaseSample) {
         let mut rm = RegionMap::new();
         let a = rm.alloc("a", 64 * 96, true);
         let b = rm.alloc("b", 64 * 96, false);
@@ -1004,9 +1089,10 @@ mod tests {
         let packed = PackedTrace::from_source(&mut t.replay());
         let ms = MissStream::build(&mut t.replay(), key.l1, key.l2, key.threads);
         let sp = SimPointConfig { interval: 32, max_phases: 4, ..Default::default() };
-        let sel = SimPointSelection::build(&ms, sp);
+        let sel = Arc::new(SimPointSelection::build(&ms, sp));
         assert!(ms.events() > 200 && sel.phases().len() > 1, "artifacts must not be trivial");
-        (key, sp, packed, ms, sel)
+        let sample = PhaseSample::condense(&ms, sel);
+        (key, sp, packed, ms, sample)
     }
 
     /// `blob` written under `path` must be unloadable: `load` returns
@@ -1028,14 +1114,16 @@ mod tests {
     #[test]
     fn every_byte_flip_and_every_truncation_of_every_blob_kind_is_evicted() {
         let store = temp_store("hostile");
-        let (key, sp, packed, ms, sel) = small_artifacts();
+        let (key, sp, packed, ms, sample) = small_artifacts();
         store.save_trace(key.params, &packed).unwrap();
         store.save_miss(&key, &ms).unwrap();
-        store.save_simpoint(&key, &sp, &sel).unwrap();
-        let kinds: [(PathBuf, &dyn Fn() -> bool); 3] = [
+        store.save_simpoint(&key, &sp, &sample).unwrap();
+        // The `.simpoint` blob has two readers; each must refuse all of it.
+        let kinds: [(PathBuf, &dyn Fn() -> bool); 4] = [
             (store.trace_path(key.params), &|| store.load_trace(key.params).is_some()),
             (store.miss_path(&key), &|| store.load_miss(&key).is_some()),
             (store.simpoint_path(&key, &sp), &|| store.load_simpoint(&key, &sp).is_some()),
+            (store.simpoint_path(&key, &sp), &|| store.load_sample(&key, &sp).is_some()),
         ];
         for (path, load) in kinds {
             let blob = std::fs::read(&path).unwrap();
@@ -1060,6 +1148,8 @@ mod tests {
                     format_args!("{path:?} cut to {len}"),
                 );
             }
+            // Evicted by now; the blob's other reader wants it back.
+            std::fs::write(&path, &blob).unwrap();
         }
     }
 
@@ -1082,17 +1172,115 @@ mod tests {
                 }
             }
         }
-        let (key, _, packed, ms, sel) = small_artifacts();
+        let (key, _, packed, ms, sample) = small_artifacts();
         damage(|p| encode_trace(p, &packed), |p| drop(decode_trace(p)));
         damage(
             |p| encode_miss(p, &ms),
             |p| drop(decode_miss(p).map(|ms| ms.matches(&key.l1, &key.l2, key.threads))),
         );
-        damage(|p| encode_simpoint(p, &sel), |p| drop(decode_simpoint(p)));
-        // A count no payload could back is refused before any allocation.
+        damage(
+            |p| {
+                encode_simpoint(p, sample.selection());
+                encode_sample(p, &sample);
+            },
+            |mut p| {
+                // A sample that decodes has passed its audit: replaying
+                // every slice of it must be safe.
+                if let Ok(s) = decode_sample(p) {
+                    for (k, ph) in s.selection().phases().iter().enumerate() {
+                        assert_eq!(
+                            s.open(k).take(ph.events() as usize).count() as u64,
+                            ph.events()
+                        );
+                    }
+                }
+                drop(decode_simpoint(&mut p));
+            },
+        );
+        // A count no payload could back is refused before any allocation:
+        // of words, of fingerprint rows (slices x dim), of phases.
         let mut huge = Vec::new();
         put_varint(&mut huge, u64::MAX);
         assert!(matches!(get_words(&mut huge.as_slice(), 1), Err(StoreError::Malformed(_))));
+        for field in [6, 7] {
+            let mut p = Vec::new();
+            (0..9).for_each(|i| put_varint(&mut p, if i == field { u64::MAX } else { 1 }));
+            assert!(matches!(decode_sample(&p), Err(StoreError::Malformed(_))), "field {field}");
+        }
+    }
+
+    /// `payload` framed as a current `.simpoint` blob under `key`/`sp`.
+    fn write_simpoint_blob(
+        store: &ArtifactStore,
+        key: &FilterKey,
+        sp: &SimPointConfig,
+        payload: &[u8],
+    ) {
+        let path = store.simpoint_path(key, sp);
+        let fill = |buf: &mut Vec<u8>| buf.extend_from_slice(payload);
+        store.save_blob(&path, KIND_SIMPOINT, simpoint_key(key, sp), fill).unwrap();
+    }
+
+    #[test]
+    fn a_well_checksummed_but_inconsistent_sample_is_evicted() {
+        let store = temp_store("inconsistent");
+        let (key, sp, _, _, sample) = small_artifacts();
+        let sel = sample.selection();
+        let (words, offsets) = sample.raw_parts();
+        assert!(offsets.len() > 2 && words.len() > 4);
+
+        type Parts = (StreamTotals, Vec<u64>, Vec<usize>);
+        type Damage = fn(&mut Parts);
+        let cases: [(&str, Damage); 12] = [
+            ("an offset too few", |p| p.2.truncate(1)),
+            ("an offset too many", |p| p.2.push(0)),
+            ("an odd offset", |p| p.2[1] += 1),
+            ("offsets that do not ascend", |p| p.2[2] = p.2[1]),
+            ("a first slice that is not first", |p| p.2[0] = 2),
+            ("an offset past the words", |p| *p.2.last_mut().unwrap() = p.1.len() + 2),
+            ("a slice short of its phase", |p| p.1.truncate(p.1.len() - 2)),
+            ("an odd word count", |p| p.1.truncate(p.1.len() - 1)),
+            ("a record of an unknown region", |p| p.1[0] |= 0x3f << 17),
+            ("a tally too few", |p| p.0.tallies.truncate(1)),
+            ("tallies that do not sum to the totals", |p| p.0.accesses += 1),
+            ("an event count that is not the selection's", |p| p.0.events += 1),
+        ];
+        for (what, damage) in cases {
+            let mut parts = (sample.totals().clone(), words.to_vec(), offsets.to_vec());
+            damage(&mut parts);
+            let mut payload = Vec::new();
+            encode_simpoint(&mut payload, sel);
+            put_totals(&mut payload, &parts.0);
+            put_words(&mut payload, parts.1.iter().copied(), parts.1.len() as u64, 2);
+            parts.2.iter().for_each(|&at| put_varint(&mut payload, at as u64));
+            assert!(
+                matches!(decode_sample(&payload), Err(StoreError::Malformed(_))),
+                "{what}: {:?}",
+                decode_sample(&payload).map(drop)
+            );
+            let before = store.metrics().evictions;
+            write_simpoint_blob(&store, &key, &sp, &payload);
+            assert!(store.load_sample(&key, &sp).is_none(), "{what}: served");
+            assert!(!store.simpoint_path(&key, &sp).exists(), "{what}: left in place");
+            assert_eq!(store.metrics().evictions, before + 1, "{what}");
+        }
+    }
+
+    #[test]
+    fn a_sample_whose_payload_geometry_differs_from_its_key_is_evicted() {
+        let store = temp_store("sample-geometry");
+        let (key, sp, _, _, sample) = small_artifacts();
+        let other = FilterKey { threads: key.threads + 1, ..key };
+        assert!(matches!(store.save_simpoint(&other, &sp, &sample), Err(StoreError::KeyMismatch)));
+        assert_eq!(store.metrics().writes, 0);
+
+        let mut payload = Vec::new();
+        encode_simpoint(&mut payload, sample.selection());
+        encode_sample(&mut payload, &sample);
+        write_simpoint_blob(&store, &other, &sp, &payload);
+        assert!(store.load_sample(&other, &sp).is_none());
+        assert!(!store.simpoint_path(&other, &sp).exists(), "the inconsistent blob is evicted");
+        assert_eq!(store.metrics().evictions, 1);
     }
 
     /// Byte-wise FNV-1a 64: the version-1 payload checksum.
@@ -1101,12 +1289,13 @@ mod tests {
     }
 
     #[test]
-    fn the_checksum_is_pinned_to_format_version_2() {
+    fn the_checksum_is_pinned_to_the_format_version() {
         // 27 bytes: three whole words and a three-byte tail. A change to
-        // either value is a new blob format and needs a version bump.
+        // the sum is a new blob format and needs a version bump; version 3
+        // kept version 2's.
         let text = b"abft-coop artifact store v2";
         assert_eq!(text.len(), 27);
-        assert_eq!(FORMAT_VERSION, 2);
+        assert_eq!(FORMAT_VERSION, 3);
         assert_eq!(checksum(text), 0xb470_c350_285a_86eb);
         assert_ne!(checksum(text), checksum_v1(text));
         assert_eq!(checksum(b""), FNV64_OFFSET);
@@ -1136,6 +1325,43 @@ mod tests {
         assert_eq!(store.metrics().writes, 1, "the rebuilt artifact replaces it");
         let loaded = store.load_trace(tiny()).expect("the rewritten blob is current");
         assert!(loaded.words().eq(rebuilt.words()));
+    }
+
+    #[test]
+    fn a_version_2_simpoint_blob_is_evicted_and_rebuilt_with_its_sample() {
+        let store = Arc::new(temp_store("v2"));
+        let cfg = SystemConfig::default();
+        let key = FilterKey::new(tiny(), &cfg);
+        let sp = SimPointConfig { interval: 2048, max_phases: 4, ..Default::default() };
+        let packed = Arc::new(tiny().build_packed());
+        let ms = MissStream::build(&mut packed.replay(), key.l1, key.l2, key.threads);
+        // Exactly what version 2 wrote: the selection and nothing after.
+        let mut payload = Vec::new();
+        encode_simpoint(&mut payload, &SimPointSelection::build(&ms, sp));
+        let mut blob = Vec::new();
+        blob.extend_from_slice(BLOB_MAGIC);
+        blob.extend_from_slice(&KIND_SIMPOINT.to_le_bytes());
+        blob.extend_from_slice(&2u32.to_le_bytes());
+        blob.extend_from_slice(&simpoint_key(&key, &sp).to_le_bytes());
+        blob.extend_from_slice(&payload);
+        blob.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        blob.extend_from_slice(&checksum(&payload).to_le_bytes());
+        blob.extend_from_slice(END_MAGIC);
+        std::fs::write(store.simpoint_path(&key, &sp), &blob).unwrap();
+
+        let cache = crate::trace_cache::TraceCache::with_store(Arc::clone(&store));
+        let rebuilt = cache.get_sampled(tiny(), &cfg, &sp);
+        assert_eq!(cache.simpoint_builds(), 1, "the old blob must not be served");
+        assert_eq!(store.metrics().evictions, 1);
+        assert_eq!(store.metrics().writes, 3, "trace, stream, and the selection with its sample");
+        let loaded = store.load_sample(&key, &sp).expect("the rewritten blob is current");
+        assert_eq!(loaded, *rebuilt);
+        // The same bytes under the current version number are no sample
+        // either: the payload ends where the sample should start.
+        blob[12..16].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+        std::fs::write(store.simpoint_path(&key, &sp), &blob).unwrap();
+        assert!(store.load_sample(&key, &sp).is_none());
+        assert_eq!(store.metrics().evictions, 2);
     }
 
     #[test]

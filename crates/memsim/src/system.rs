@@ -1,11 +1,14 @@
 //! Whole-node trace-driven simulation: in-order core(s) + L1/L2 caches +
 //! memory controller + DRAM, with the energy account of Section 5.
 
+use crate::config::CacheConfig;
 use crate::config::SystemConfig;
 use crate::controller::MemoryController;
 use crate::dram::{AccessKind, AddressMap, Dram, DramStats};
-use crate::miss_stream::{self, MissEvent, MissEventKind, MissStream, RegionTally};
-use crate::simpoint::SimPointSelection;
+use crate::miss_stream::{
+    self, MissEvent, MissEventKind, MissEvents, MissStream, RegionTally, StreamTotals,
+};
+use crate::simpoint::{PhaseSample, SimPointPhase, SimPointSelection};
 use crate::stream::AccessSource;
 use crate::trace::{Access, RegionId, RegionMap, Trace};
 use abft_ecc::EccScheme;
@@ -199,7 +202,7 @@ impl RowPolicy for RangeRegisterPolicy {
     }
 }
 
-/// What a [`SimRequest`] replays: the four input forms every simulation
+/// What a [`SimRequest`] replays: the five input forms every simulation
 /// funnels through.
 pub enum SimInput<'a> {
     /// A materialized trace (replayed through the full cache hierarchy).
@@ -216,6 +219,10 @@ pub enum SimInput<'a> {
         /// The phase selection ([`SimPointSelection::build`]).
         selection: &'a SimPointSelection,
     },
+    /// A phase sample: the same replay as
+    /// [`SimInput::SampledMissStream`] over the stream and selection it
+    /// was condensed from, bit for bit, reading only what it holds.
+    Sample(&'a PhaseSample),
 }
 
 impl SimInput<'_> {
@@ -226,6 +233,7 @@ impl SimInput<'_> {
             SimInput::Source(s) => s.regions(),
             SimInput::MissStream(ms) => ms.regions(),
             SimInput::SampledMissStream { stream, .. } => stream.regions(),
+            SimInput::Sample(sample) => &sample.totals().regions,
         }
     }
 }
@@ -284,6 +292,11 @@ impl<'a> SimRequest<'a> {
         assign: EccAssignment,
     ) -> SimRequest<'a> {
         SimRequest::new(SimInput::SampledMissStream { stream: ms, selection }, assign)
+    }
+
+    /// Replay a phase sample: [`SimRequest::sampled`] without the stream.
+    pub fn sample(sample: &'a PhaseSample, assign: EccAssignment) -> SimRequest<'a> {
+        SimRequest::new(SimInput::Sample(sample), assign)
     }
 
     /// Attach a custom protection policy (suppresses range-register
@@ -351,7 +364,8 @@ impl Machine {
     }
 
     /// Run one simulation request — the single entry point every input
-    /// form (trace, stream, miss stream, sampled miss stream) and every
+    /// form (trace, stream, miss stream, sampled miss stream, phase
+    /// sample) and every
     /// protection mode (programmed assignment or custom [`RowPolicy`])
     /// funnels through; the former `run_*` wrappers delegated here until
     /// their removal.
@@ -395,7 +409,20 @@ impl Machine {
             SimInput::Source(s) => self.drive_source(s, powered, policy),
             SimInput::MissStream(ms) => self.drive_miss(ms, powered, policy),
             SimInput::SampledMissStream { stream, selection } => {
-                self.drive_sampled(stream, selection, powered, policy)
+                assert!(
+                    selection.matches(stream),
+                    // repolint:allow(PANIC001) documented replay contract: the selection is keyed on the stream
+                    "phase selection was built for a {}-event stream, but this stream has {} events",
+                    selection.events(),
+                    stream.events()
+                );
+                let phases = selection.phases();
+                let open = |k: usize| stream.events_from(phases[k].cursor());
+                self.drive_sampled(&stream.totals(), phases, open, powered, policy)
+            }
+            SimInput::Sample(sample) => {
+                let phases = sample.selection().phases();
+                self.drive_sampled(sample.totals(), phases, |k| sample.open(k), powered, policy)
             }
         }
     }
@@ -445,9 +472,14 @@ impl Machine {
     /// Panic unless `ms` was filtered under this machine's geometry (the
     /// replay contract: the stream is keyed on cache configuration).
     fn assert_geometry(&self, ms: &MissStream) {
-        let (l1, l2, threads) = ms.filter_config();
+        self.assert_filter_config(ms.filter_config());
+    }
+
+    /// [`Machine::assert_geometry`] for anything that records the
+    /// geometry it was filtered under.
+    fn assert_filter_config(&self, (l1, l2, threads): (CacheConfig, CacheConfig, usize)) {
         assert!(
-            ms.matches(&self.cfg.l1, &self.cfg.l2, self.cfg.threads),
+            (l1, l2, threads) == (self.cfg.l1, self.cfg.l2, self.cfg.threads.max(1)),
             // repolint:allow(PANIC001) documented replay contract: the stream is keyed on geometry
             "miss stream was filtered under {l1:?}/{l2:?}/{threads} threads, \
              but this machine runs {:?}/{:?}/{} threads",
@@ -521,21 +553,19 @@ impl Machine {
     /// `max_phases >= slices` every slice is its own phase at scale 1 and
     /// the estimate coincides with exact replay (modulo the f64
     /// delta-summation of the energy account).
-    fn drive_sampled<P: RowPolicy + ?Sized>(
+    ///
+    /// It reads the stream through `totals` and `open(k)` — the decoder
+    /// at phase `k`'s first event — alone, so the full stream with its
+    /// selection and a [`PhaseSample`] are replayed by the same loop.
+    fn drive_sampled<'a, P: RowPolicy + ?Sized>(
         &mut self,
-        ms: &MissStream,
-        sel: &SimPointSelection,
+        totals: &StreamTotals,
+        phases: &[SimPointPhase],
+        open: impl Fn(usize) -> MissEvents<'a>,
         ecc_chips_powered: bool,
         policy: &mut P,
     ) -> SimStats {
-        self.assert_geometry(ms);
-        assert!(
-            sel.matches(ms),
-            // repolint:allow(PANIC001) documented replay contract: the selection is keyed on the stream
-            "phase selection was built for a {}-event stream, but this stream has {} events",
-            sel.events(),
-            ms.events()
-        );
+        self.assert_filter_config((totals.l1_cfg, totals.l2_cfg, totals.threads));
         self.dram.reset();
         let cycle_ns = self.cfg.cycle_ns();
         let stall_factor = self.cfg.stall_factor;
@@ -546,11 +576,11 @@ impl Machine {
         // Reused per-phase snapshot buffer: the phase loop must not
         // allocate (PERF001) — only `copy_from_slice` into this.
         let mut busy_before = vec![0.0f64; ranks];
-        for ph in sel.phases() {
+        for (k, ph) in phases.iter().enumerate() {
             let before = self.dram.stats;
             busy_before.copy_from_slice(self.dram.rank_busy());
             let stalls_before = stall_acc;
-            for ev in ms.events_from(ph.cursor()).take(ph.events() as usize) {
+            for ev in open(k).take(ph.events() as usize) {
                 replay_one(
                     &mut self.dram,
                     &self.controller,
@@ -576,14 +606,14 @@ impl Machine {
         self.dram.stats = est.into_stats();
         self.dram.set_rank_busy(busy_est);
         self.assemble_stats(AssembleInputs {
-            instructions: ms.instructions(),
-            cycles: ms.core_cycles + stalls,
+            instructions: totals.instructions,
+            cycles: totals.core_cycles + stalls,
             ecc_chips_powered,
-            l1_hits: ms.l1_hits,
-            l1_misses: ms.l1_misses,
-            l2_hits: ms.l2_hits,
-            l2_misses: ms.l2_misses,
-            regions: tally_regions(ms.regions(), &ms.tallies),
+            l1_hits: totals.l1_hits,
+            l1_misses: totals.l1_misses,
+            l2_hits: totals.l2_hits,
+            l2_misses: totals.l2_misses,
+            regions: tally_regions(&totals.regions, &totals.tallies),
         })
     }
 

@@ -60,7 +60,7 @@ impl Region {
 pub const PAGE_BYTES: u64 = 4096;
 
 /// Registry of regions with non-overlapping, page-aligned address ranges.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegionMap {
     regions: Vec<Region>,
     next_base: u64,

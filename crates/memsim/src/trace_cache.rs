@@ -21,7 +21,7 @@
 use crate::config::{CacheConfig, SystemConfig};
 use crate::miss_stream::MissStream;
 use crate::packed::PackedTrace;
-use crate::simpoint::{SimPointConfig, SimPointSelection};
+use crate::simpoint::{PhaseSample, SimPointConfig, SimPointSelection};
 use crate::store::{ArtifactStore, StoreMetrics};
 use crate::workloads::KernelParams;
 use std::collections::BTreeMap;
@@ -59,14 +59,16 @@ type SlotMap<K, V> = Mutex<BTreeMap<K, Arc<OnceLock<Arc<V>>>>>;
 /// Shared, lazily-built store of generated kernel traces in packed form,
 /// keyed by kernel + scale — plus a second memo level of cache-filtered
 /// [`MissStream`]s keyed by [`FilterKey`], so campaigns replay only the
-/// DRAM-visible miss tail per (kernel × policy) grid cell.
+/// DRAM-visible miss tail per (kernel × policy) grid cell — and a third of
+/// [`PhaseSample`]s keyed by that and the [`SimPointConfig`], all a
+/// sampled cell replays.
 #[derive(Debug, Default)]
 pub struct TraceCache {
     // Ordered maps so diagnostics that walk the cache (`resident_bytes`,
     // future dump/report paths) visit workloads deterministically.
     slots: SlotMap<KernelParams, PackedTrace>,
     miss_slots: SlotMap<FilterKey, MissStream>,
-    simpoint_slots: SlotMap<(FilterKey, SimPointConfig), SimPointSelection>,
+    simpoint_slots: SlotMap<(FilterKey, SimPointConfig), PhaseSample>,
     hits: AtomicU64,
     builds: AtomicU64,
     miss_hits: AtomicU64,
@@ -201,11 +203,57 @@ impl TraceCache {
         Arc::clone(ms)
     }
 
-    /// The phase selection for a workload under a system configuration's
-    /// filter geometry and a sampling configuration: sliced, fingerprinted
-    /// and clustered on first request (building the miss stream through
-    /// [`TraceCache::get_filtered`] if needed), shared (pointer-equal
-    /// `Arc`) on every subsequent one. Replay it with
+    /// The phase sample for a workload under a system configuration's
+    /// filter geometry and a sampling configuration — everything a
+    /// sampled cell replays ([`crate::system::SimInput::Sample`]). First
+    /// request: loaded from the store's `.simpoint` blob when there is one,
+    /// and then the miss stream is never touched; otherwise the stream
+    /// ([`TraceCache::get_filtered`]) is sliced, fingerprinted and
+    /// clustered, the representative slices are copied out of it, and the
+    /// pair is persisted. Shared (pointer-equal `Arc`) on every later one.
+    pub fn get_sampled(
+        &self,
+        params: KernelParams,
+        cfg: &SystemConfig,
+        sp: &SimPointConfig,
+    ) -> Arc<PhaseSample> {
+        let key = FilterKey::new(params, cfg);
+        let slot = {
+            let mut slots = self.simpoint_slots.lock().unwrap_or_else(|e| e.into_inner());
+            Arc::clone(slots.entry((key, *sp)).or_default())
+        };
+        if let Some(sample) = slot.get() {
+            self.simpoint_hits.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(sample);
+        }
+        let mut built_here = false;
+        let sample = slot.get_or_init(|| {
+            built_here = true;
+            if let Some(store) = self.store() {
+                if let Some(sample) = store.load_sample(&key, sp) {
+                    // Disk hit: slicing and clustering never run (and
+                    // neither does anything beneath them).
+                    return Arc::new(sample);
+                }
+            }
+            self.simpoint_builds.fetch_add(1, Ordering::Relaxed);
+            let ms = self.get_filtered(params, cfg);
+            let selection = Arc::new(SimPointSelection::build(&ms, *sp));
+            let sample = Arc::new(PhaseSample::condense(&ms, selection));
+            if let Some(store) = self.store() {
+                let _ = store.save_simpoint(&key, sp, &sample);
+            }
+            sample
+        });
+        if !built_here {
+            self.simpoint_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        Arc::clone(sample)
+    }
+
+    /// The phase selection of [`TraceCache::get_sampled`]'s sample (one
+    /// lookup of it). Its cursors point into the full stream, so it pairs
+    /// with [`TraceCache::get_filtered`] for
     /// [`crate::system::SimRequest::sampled`].
     pub fn get_simpoints(
         &self,
@@ -213,37 +261,7 @@ impl TraceCache {
         cfg: &SystemConfig,
         sp: &SimPointConfig,
     ) -> Arc<SimPointSelection> {
-        let key = FilterKey::new(params, cfg);
-        let slot = {
-            let mut slots = self.simpoint_slots.lock().unwrap_or_else(|e| e.into_inner());
-            Arc::clone(slots.entry((key, *sp)).or_default())
-        };
-        if let Some(sel) = slot.get() {
-            self.simpoint_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(sel);
-        }
-        let mut built_here = false;
-        let sel = slot.get_or_init(|| {
-            built_here = true;
-            if let Some(store) = self.store() {
-                if let Some(sel) = store.load_simpoint(&key, sp) {
-                    // Disk hit: slicing and clustering never run (and
-                    // neither does anything beneath them).
-                    return Arc::new(sel);
-                }
-            }
-            self.simpoint_builds.fetch_add(1, Ordering::Relaxed);
-            let ms = self.get_filtered(params, cfg);
-            let sel = Arc::new(SimPointSelection::build(&ms, *sp));
-            if let Some(store) = self.store() {
-                let _ = store.save_simpoint(&key, sp, &sel);
-            }
-            sel
-        });
-        if !built_here {
-            self.simpoint_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        Arc::clone(sel)
+        Arc::clone(self.get_sampled(params, cfg, sp).selection())
     }
 
     /// Lookups served without generating a trace.
@@ -292,10 +310,15 @@ impl TraceCache {
         slots.values().filter_map(|s| s.get()).map(|t| t.packed_bytes()).sum()
     }
 
-    /// Total bytes resident in cached miss streams.
+    /// Total bytes resident in cached miss-event records: whole miss
+    /// streams, and the slices of phase samples.
     pub fn miss_resident_bytes(&self) -> u64 {
-        let slots = self.miss_slots.lock().unwrap_or_else(|e| e.into_inner());
-        slots.values().filter_map(|s| s.get()).map(|m| m.packed_bytes()).sum()
+        let streams: u64 = {
+            let slots = self.miss_slots.lock().unwrap_or_else(|e| e.into_inner());
+            slots.values().filter_map(|s| s.get()).map(|m| m.packed_bytes()).sum()
+        };
+        let slots = self.simpoint_slots.lock().unwrap_or_else(|e| e.into_inner());
+        streams + slots.values().filter_map(|s| s.get()).map(|p| p.packed_bytes()).sum::<u64>()
     }
 }
 
@@ -406,6 +429,41 @@ mod tests {
         let d = warm.get_simpoints(tiny_dgemm(), &cfg, &sp);
         assert_eq!(warm.simpoint_builds(), 0);
         assert_eq!(*d, *a);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_warm_sample_lookup_reads_no_trace_and_no_miss_stream() {
+        let dir =
+            std::env::temp_dir().join(format!("abft-sample-cache-unit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(ArtifactStore::open(&dir).unwrap());
+        let cfg = SystemConfig::default();
+        let sp = SimPointConfig { interval: 512, max_phases: 3, strata: 2, ..Default::default() };
+        let cold = TraceCache::with_store(Arc::clone(&store));
+        let built = cold.get_sampled(tiny_dgemm(), &cfg, &sp);
+        assert_eq!((cold.builds(), cold.miss_builds(), cold.simpoint_builds()), (1, 1, 1));
+        assert_eq!(store.metrics().writes, 3);
+        // One lookup, whichever way the sample is asked for.
+        assert!(Arc::ptr_eq(&cold.get_simpoints(tiny_dgemm(), &cfg, &sp), built.selection()));
+        assert_eq!(cold.simpoint_hits(), 1);
+        let stream = cold.get_filtered(tiny_dgemm(), &cfg);
+        assert_eq!(cold.miss_resident_bytes(), stream.packed_bytes() + built.packed_bytes());
+
+        // With the other two blobs gone a fresh cache still serves the
+        // sample, and holds nothing else.
+        std::fs::remove_file(store.trace_path(tiny_dgemm())).unwrap();
+        std::fs::remove_file(store.miss_path(&FilterKey::new(tiny_dgemm(), &cfg))).unwrap();
+        let before = store.metrics();
+        let warm = TraceCache::with_store(Arc::clone(&store));
+        let loaded = warm.get_sampled(tiny_dgemm(), &cfg, &sp);
+        assert_eq!(*loaded, *built);
+        assert_eq!((warm.builds(), warm.miss_builds(), warm.simpoint_builds()), (0, 0, 0));
+        let m = store.metrics().since(&before);
+        assert_eq!((m.hits, m.misses, m.writes), (1, 0, 0));
+        assert_eq!(warm.resident_bytes(), 0);
+        assert_eq!(warm.miss_resident_bytes(), loaded.packed_bytes());
+        assert!(loaded.packed_bytes() > 0 && loaded.packed_bytes() < stream.packed_bytes() / 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

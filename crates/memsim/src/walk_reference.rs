@@ -261,7 +261,7 @@ proptest::proptest! {
                 prop_assert_eq!(ms.core_cycles(), want.core_cycles);
                 prop_assert_eq!((ms.l1_hits, ms.l1_misses), want.l1);
                 prop_assert_eq!((ms.l2_hits, ms.l2_misses), want.l2);
-                prop_assert_eq!(ms.raw_tallies(), &want.tallies[..]);
+                prop_assert_eq!(&ms.tallies, &want.tallies);
             }
         }
         prop_assert!(seen == [true; 3], "trace too tame: event kinds seen {seen:?}");

@@ -61,12 +61,16 @@ if [ "${#drifted[@]}" -ne 0 ]; then
 fi
 
 echo "=== artifact-store gate (fig07 grid, cold then warm disk, separate processes) ==="
-# Two fresh processes over one store directory: the first populates it,
-# the second must complete with zero regenerations, >=90% artifact hits,
-# and byte-identical cell output (bit-identical SimStats across
-# processes).
+# Fresh processes over one store directory: the first populates it, the
+# second must complete with zero regenerations, no store miss, >=90%
+# artifact hits, and byte-identical cell output (bit-identical SimStats
+# across processes). The grid is phase-sampled, and a sampled cell reads
+# its `.simpoint` blob and nothing else: the third run, after the traces
+# and miss streams are deleted, must pass the same checks.
 ./target/release/store_gate "$CI_TMP/store" "$CI_TMP/cold.txt"
 ./target/release/store_gate "$CI_TMP/store" "$CI_TMP/warm.txt" --expect "$CI_TMP/cold.txt"
+rm "$CI_TMP/store"/*.miss "$CI_TMP/store"/*.trace
+./target/release/store_gate "$CI_TMP/store" "$CI_TMP/sample.txt" --expect "$CI_TMP/cold.txt"
 
 echo "=== cargo test -q --workspace ==="
 cargo test -q --workspace

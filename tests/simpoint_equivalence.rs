@@ -11,7 +11,8 @@ use abft_coop::abft_memsim::dram::AccessKind;
 use abft_coop::abft_memsim::system::Machine;
 use abft_coop::abft_memsim::workloads::{CholeskyParams, HplParams};
 use abft_coop::abft_memsim::{
-    Access, EccAssignment, MemoryController, MissStream, SimPointSelection,
+    Access, ArtifactStore, EccAssignment, FilterKey, MemoryController, MissStream, PhaseSample,
+    SimPointSelection,
 };
 use abft_coop::prelude::Strategy;
 use abft_coop::prelude::*;
@@ -114,6 +115,46 @@ fn sampled_replay_tracks_exact_replay_for_every_kernel_and_strategy() {
             assert!(sel.est_error() >= 0.0 && sel.est_error() <= 1.0, "{tag}");
         }
     }
+}
+
+#[test]
+fn a_phase_sample_replays_bit_for_bit_like_the_full_stream() {
+    // The sample holds only the representative slices' records, yet every
+    // statistic — estimated or exact — must equal what the selection
+    // replays out of the whole stream: condensed in memory, and again
+    // after a trip through the store.
+    let cfg = SystemConfig::default();
+    let dir = std::env::temp_dir().join(format!("abft-it-sample-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ArtifactStore::open(&dir).expect("open store");
+    // Finer than `sampling()`: on the smallest kernel that keeps every
+    // slice, and a sample that is the whole stream proves little.
+    let sp = SimPointConfig { interval: 512, max_phases: 4, strata: 2, ..sampling() };
+    for params in small_grid() {
+        let packed = Arc::new(params.build_packed());
+        let ms = filter(&packed, &cfg);
+        let sel = Arc::new(SimPointSelection::build(&ms, sp));
+        let sample = PhaseSample::condense(&ms, Arc::clone(&sel));
+        assert!(
+            sample.packed_bytes() < ms.packed_bytes(),
+            "{}: {} phases of {} slices are not the stream",
+            params.label(),
+            sel.phases().len(),
+            sel.slices()
+        );
+        let key = FilterKey::new(params, &cfg);
+        store.save_simpoint(&key, &sp, &sample).expect("save sample");
+        let loaded = store.load_sample(&key, &sp).expect("the blob just written loads");
+        assert_eq!(loaded, sample, "{}", params.label());
+        for s in Strategy::ALL {
+            let full =
+                run_cell(SimInput::SampledMissStream { stream: &ms, selection: &sel }, &cfg, s);
+            let tag = format!("{} / {}", params.label(), s.label());
+            assert_eq!(run_cell(SimInput::Sample(&sample), &cfg, s), full, "{tag}: in memory");
+            assert_eq!(run_cell(SimInput::Sample(&loaded), &cfg, s), full, "{tag}: from the store");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -361,7 +402,9 @@ fn selections_audit_clean_under_validate() {
             SimPointConfig::default(),
             SimPointConfig { interval: 1024, max_phases: 3, ..SimPointConfig::default() },
         ] {
-            SimPointSelection::build(&ms, sp).audit_invariants();
+            let sel = Arc::new(SimPointSelection::build(&ms, sp));
+            sel.audit_invariants();
+            PhaseSample::condense(&ms, sel).audit_invariants();
         }
     }
 }
