@@ -11,18 +11,9 @@
 //! body token ranges, which is exactly what an AST lint engine needs,
 //! without modelling expression grammar.
 //!
-//! On top of the item layer sits an *expression* layer ([`expr`]): a
-//! tolerant Pratt parser over an item's body token range that recovers
-//! paths, call sites, method calls, field accesses, operators, casts and
-//! struct literals, degrading to opaque nodes on anything it does not
-//! model. It never fails: lint passes that consume it (call-graph
-//! construction, unit-taint dataflow) see a best-effort tree.
-//!
 //! Known, accepted limitations (not exercised by this workspace):
 //! const-generic brace expressions in `impl` headers, and items nested
 //! inside function bodies are not recursed into.
-
-pub mod expr;
 
 use std::fmt;
 

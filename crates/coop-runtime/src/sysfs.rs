@@ -2,9 +2,8 @@
 //! Section 3.2.1): the OS handler publishes corrupted-data virtual
 //! addresses; the ABFT layer polls them during (simplified) verification.
 
-use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One exposed error: enough for ABFT to map the corruption back to a
 /// specific element of a protected structure.
@@ -35,20 +34,26 @@ impl SysfsChannel {
         Self::default()
     }
 
+    /// The queue, poisoned or not: every update is one push or one drain,
+    /// so a thread that panicked while holding the lock left it valid.
+    fn lock(&self) -> MutexGuard<'_, VecDeque<ErrorReport>> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Kernel side: publish a report.
     pub fn publish(&self, report: ErrorReport) {
-        self.queue.lock().push_back(report);
+        self.lock().push_back(report);
     }
 
     /// User side: drain all pending reports (the ABFT "simplified
     /// verification" read).
     pub fn poll(&self) -> Vec<ErrorReport> {
-        self.queue.lock().drain(..).collect()
+        self.lock().drain(..).collect()
     }
 
     /// Number of pending reports without draining.
     pub fn pending(&self) -> usize {
-        self.queue.lock().len()
+        self.lock().len()
     }
 }
 

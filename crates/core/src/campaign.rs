@@ -178,7 +178,7 @@ pub(crate) fn run_grid(
     let simpoint_hits0 = cache.simpoint_hits();
     let simpoint_builds0 = cache.simpoint_builds();
     let store0 = cache.store_metrics();
-    let start = Instant::now(); // repolint:allow(DET002,DET004) wall time is reporting-only progress metadata
+    let start = Instant::now(); // repolint:allow(DET002) wall time is reporting-only progress metadata
 
     // Pre-build every distinct miss stream in parallel (each pulls its
     // packed trace through the first memo level on demand; a phase
@@ -208,7 +208,7 @@ pub(crate) fn run_grid(
         jobs.into_par_iter()
             .map(|(workload, cfg_idx, strategy)| {
                 let (tag, cfg) = &configs[cfg_idx];
-                // repolint:allow(DET002,DET004) wall time is reporting-only progress metadata
+                // repolint:allow(DET002) wall time is reporting-only progress metadata
                 let job_start = Instant::now();
                 let (stats, phases, est_error) = match &sampling {
                     Some(sp) => {

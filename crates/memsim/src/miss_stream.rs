@@ -117,31 +117,21 @@ pub struct RegionTally {
 /// [`crate::system::Machine::simulate`].
 #[derive(Debug, Clone)]
 pub struct MissStream {
-    regions: RegionMap,
+    totals: StreamTotals,
     records: MissRecords,
-    events: u64,
-    accesses: u64,
-    instructions: u64,
-    /// Final pure core-cycle count (the replay adds accumulated stalls).
-    pub(crate) core_cycles: u64,
-    pub(crate) l1_hits: u64,
-    pub(crate) l1_misses: u64,
-    pub(crate) l2_hits: u64,
-    pub(crate) l2_misses: u64,
-    pub(crate) tallies: Vec<RegionTally>,
-    l1_cfg: CacheConfig,
-    l2_cfg: CacheConfig,
-    threads: usize,
 }
 
 /// Everything a [`MissStream`] holds besides its event records: the
-/// policy-independent aggregates replay folds into
-/// [`crate::system::SimStats`] and the filter geometry they hold under. A
-/// [`crate::simpoint::PhaseSample`] carries a copy beside the few records
-/// it replays, and the artifact store writes it as the head of both blobs.
+/// policy-independent aggregates of one L1 → L2 [`walk`], which replay
+/// folds into [`crate::system::SimStats`], and the filter geometry they
+/// hold under. A [`crate::simpoint::PhaseSample`] carries a copy beside the
+/// few records it replays, and the artifact store writes it as the head of
+/// both blobs.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct StreamTotals {
     pub regions: RegionMap,
+    /// DRAM-visible events recorded (expanded across runs); 0 where the
+    /// walk's events were serviced as they fell out, not recorded.
     pub events: u64,
     pub accesses: u64,
     pub instructions: u64,
@@ -164,21 +154,6 @@ impl StreamTotals {
     }
 }
 
-/// What one L1 → L2 walk of a stream leaves behind besides its events:
-/// every policy-independent count of the run.
-pub(crate) struct Walk {
-    pub accesses: u64,
-    /// Retired instructions counted while draining (`work + 1` each).
-    pub retired: u64,
-    /// Final pure core-cycle count (DRAM stalls excluded).
-    pub core_cycles: u64,
-    pub l1_hits: u64,
-    pub l1_misses: u64,
-    pub l2_hits: u64,
-    pub l2_misses: u64,
-    pub tallies: Vec<RegionTally>,
-}
-
 /// Drive `src` through fresh L1/L2 caches and hand every DRAM-visible
 /// event, in DRAM-access order, to `on_event` — the one cache-hierarchy
 /// walk, which [`MissStream::build`] records and the full path of
@@ -194,14 +169,21 @@ pub(crate) struct Walk {
 /// `cycles · threads + carry = Σ` with `carry < threads` throughout. DRAM
 /// stalls are machine-level and never enter the sum; a consumer adds them
 /// on top ([`MissEvent::core_cycles`]).
+///
+/// Returns every policy-independent count of the run, with `events` left
+/// at 0: the walk hands events out, and it is `on_event` that knows what
+/// became of them.
 pub(crate) fn walk<S: AccessSource + ?Sized>(
     src: &mut S,
     l1_cfg: CacheConfig,
     l2_cfg: CacheConfig,
     threads: usize,
     mut on_event: impl FnMut(&MissEvent),
-) -> Walk {
+) -> StreamTotals {
     src.reset();
+    // Copied before the walk's buffers exist: made after them, this small
+    // allocation pins the heap above them (+3.4 MiB peak RSS at paper scale).
+    let regions = src.regions().clone();
     let mut l1 = Cache::new(l1_cfg);
     let mut l2 = Cache::new(l2_cfg);
     let mut tallies = vec![RegionTally::default(); src.regions().regions().len()];
@@ -247,15 +229,23 @@ pub(crate) fn walk<S: AccessSource + ?Sized>(
     // The L2's own counters include the L1 victims installed into it; as
     // a level of the hierarchy it is asked once per L1 miss.
     let l2_misses: u64 = tallies.iter().map(|t| t.llc_misses).sum();
-    Walk {
+    StreamTotals {
+        regions,
+        events: 0,
         accesses,
-        retired,
+        // `push` maintains the same sum, so for sources that know their
+        // total this is exact, and for generators it is the identical
+        // accumulation.
+        instructions: src.instructions_hint().unwrap_or(retired),
         core_cycles: thread_cycles / threads,
         l1_hits: l1.hits,
         l1_misses: l1.misses,
         l2_hits: l1.misses - l2_misses,
         l2_misses,
         tallies,
+        l1_cfg,
+        l2_cfg,
+        threads: threads as usize,
     }
 }
 
@@ -268,27 +258,12 @@ impl MissStream {
         l2_cfg: CacheConfig,
         threads: usize,
     ) -> MissStream {
-        let regions = src.regions().clone();
-        let bases = region_bases(&regions);
+        let bases = region_bases(src.regions());
         let mut enc = Encoder::new(&bases);
-        let walked = walk(src, l1_cfg, l2_cfg, threads, |ev| enc.push(ev));
+        let mut totals = walk(src, l1_cfg, l2_cfg, threads, |ev| enc.push(ev));
         let (words, events) = enc.finish();
-        let ms = MissStream {
-            regions,
-            records: MissRecords { bases, words },
-            events,
-            accesses: walked.accesses,
-            instructions: src.instructions_hint().unwrap_or(walked.retired),
-            core_cycles: walked.core_cycles,
-            l1_hits: walked.l1_hits,
-            l1_misses: walked.l1_misses,
-            l2_hits: walked.l2_hits,
-            l2_misses: walked.l2_misses,
-            tallies: walked.tallies,
-            l1_cfg,
-            l2_cfg,
-            threads: threads.max(1),
-        };
+        totals.events = events;
+        let ms = MissStream { totals, records: MissRecords { bases, words } };
         #[cfg(feature = "validate")]
         ms.audit_invariants();
         ms
@@ -296,36 +271,36 @@ impl MissStream {
 
     /// The region registry of the filtered stream.
     pub fn regions(&self) -> &RegionMap {
-        &self.regions
+        &self.totals.regions
     }
 
     /// DRAM-visible events recorded (expanded across runs).
     pub fn events(&self) -> u64 {
-        self.events
+        self.totals.events
     }
 
     /// Core accesses the filter phase consumed.
     pub fn accesses(&self) -> u64 {
-        self.accesses
+        self.totals.accesses
     }
 
     /// Retired instructions of the underlying stream.
     pub fn instructions(&self) -> u64 {
-        self.instructions
+        self.totals.instructions
     }
 
     /// Final pure core-cycle count (DRAM stalls excluded).
     pub fn core_cycles(&self) -> u64 {
-        self.core_cycles
+        self.totals.core_cycles
     }
 
     /// Fraction of core accesses that survive the cache filter as L2
     /// demand misses (the replay-phase work ratio).
     pub fn miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
+        if self.totals.accesses == 0 {
             0.0
         } else {
-            self.l2_misses as f64 / self.accesses as f64
+            self.totals.l2_misses as f64 / self.totals.accesses as f64
         }
     }
 
@@ -337,12 +312,12 @@ impl MissStream {
     /// The cache geometry and thread count the stream was filtered under
     /// (replay must run on a machine with the same values).
     pub fn filter_config(&self) -> (CacheConfig, CacheConfig, usize) {
-        (self.l1_cfg, self.l2_cfg, self.threads)
+        (self.totals.l1_cfg, self.totals.l2_cfg, self.totals.threads)
     }
 
     /// Whether a machine configuration matches the filter geometry.
     pub fn matches(&self, l1: &CacheConfig, l2: &CacheConfig, threads: usize) -> bool {
-        self.l1_cfg == *l1 && self.l2_cfg == *l2 && self.threads == threads.max(1)
+        self.totals.matches(l1, l2, threads)
     }
 
     /// Iterate the decoded events in recorded (DRAM-access) order.
@@ -362,24 +337,10 @@ impl MissStream {
         self.records.events_from(cursor)
     }
 
-    /// A copy of everything but the records (what a
-    /// [`crate::simpoint::PhaseSample`] keeps of the stream it condenses).
-    pub(crate) fn totals(&self) -> StreamTotals {
-        StreamTotals {
-            regions: self.regions.clone(),
-            events: self.events,
-            accesses: self.accesses,
-            instructions: self.instructions,
-            core_cycles: self.core_cycles,
-            l1_hits: self.l1_hits,
-            l1_misses: self.l1_misses,
-            l2_hits: self.l2_hits,
-            l2_misses: self.l2_misses,
-            tallies: self.tallies.clone(),
-            l1_cfg: self.l1_cfg,
-            l2_cfg: self.l2_cfg,
-            threads: self.threads,
-        }
+    /// Everything but the records (what a
+    /// [`crate::simpoint::PhaseSample`] keeps a copy of).
+    pub(crate) fn totals(&self) -> &StreamTotals {
+        &self.totals
     }
 
     /// Crate-internal: the raw two-word event records (store-blob
@@ -399,22 +360,7 @@ impl MissStream {
     /// that survived the integrity footer still cannot materialize an
     /// inconsistent stream silently in validating builds.
     pub(crate) fn from_raw_parts(totals: StreamTotals, words: Vec<u64>) -> MissStream {
-        let ms = MissStream {
-            records: MissRecords::new(&totals.regions, words),
-            regions: totals.regions,
-            events: totals.events,
-            accesses: totals.accesses,
-            instructions: totals.instructions,
-            core_cycles: totals.core_cycles,
-            l1_hits: totals.l1_hits,
-            l1_misses: totals.l1_misses,
-            l2_hits: totals.l2_hits,
-            l2_misses: totals.l2_misses,
-            tallies: totals.tallies,
-            l1_cfg: totals.l1_cfg,
-            l2_cfg: totals.l2_cfg,
-            threads: totals.threads,
-        };
+        let ms = MissStream { records: MissRecords::new(&totals.regions, words), totals };
         #[cfg(feature = "validate")]
         ms.audit_invariants();
         ms
@@ -427,6 +373,7 @@ impl MissStream {
     /// identities.
     #[cfg(feature = "validate")]
     pub fn audit_invariants(&self) {
+        let t = &self.totals;
         let MissRecords { bases, words } = &self.records;
         debug_assert!(
             words.len().is_multiple_of(2),
@@ -451,36 +398,36 @@ impl MissStream {
             let delta = rec[1] & MAX_MISS_DELTA;
             cycles += delta * rl;
             debug_assert!(
-                cycles <= self.core_cycles,
+                cycles <= t.core_cycles,
                 "decoded cycle track {cycles} exceeds the recorded total {}",
-                self.core_cycles
+                t.core_cycles
             );
             events += rl;
             if kind != KIND_WRITEBACK {
                 demands += rl;
             }
         }
-        debug_assert!(events == self.events, "runs cover {events} of {} events", self.events);
+        debug_assert!(events == t.events, "runs cover {events} of {} events", t.events);
         debug_assert!(
-            demands == self.l2_misses,
+            demands == t.l2_misses,
             "demand events {demands} must equal LLC misses {}",
-            self.l2_misses
+            t.l2_misses
         );
         debug_assert!(
-            self.l1_hits + self.l1_misses == self.accesses,
+            t.l1_hits + t.l1_misses == t.accesses,
             "L1 accounting does not cover the stream"
         );
         debug_assert!(
-            self.l2_hits + self.l2_misses == self.l1_misses,
+            t.l2_hits + t.l2_misses == t.l1_misses,
             "L2 accounting does not cover the L1 miss stream"
         );
-        let refs: u64 = self.tallies.iter().map(|t| t.refs).sum();
-        let llc: u64 = self.tallies.iter().map(|t| t.llc_misses).sum();
-        let l1m: u64 = self.tallies.iter().map(|t| t.l1_misses).sum();
-        debug_assert!(refs == self.accesses, "region refs {refs} != accesses {}", self.accesses);
-        debug_assert!(llc == self.l2_misses, "region LLC tallies do not sum to the miss count");
-        debug_assert!(l1m == self.l1_misses, "region L1 tallies do not sum to the miss count");
-        debug_assert!(self.instructions >= self.accesses, "each access retires an instruction");
+        let refs: u64 = t.tallies.iter().map(|t| t.refs).sum();
+        let llc: u64 = t.tallies.iter().map(|t| t.llc_misses).sum();
+        let l1m: u64 = t.tallies.iter().map(|t| t.l1_misses).sum();
+        debug_assert!(refs == t.accesses, "region refs {refs} != accesses {}", t.accesses);
+        debug_assert!(llc == t.l2_misses, "region LLC tallies do not sum to the miss count");
+        debug_assert!(l1m == t.l1_misses, "region L1 tallies do not sum to the miss count");
+        debug_assert!(t.instructions >= t.accesses, "each access retires an instruction");
     }
 }
 
@@ -754,7 +701,7 @@ mod tests {
         let t = sweep_trace(1024, 3);
         let ms = MissStream::build(&mut t.replay(), cfg.l1, cfg.l2, cfg.threads);
         assert_eq!(ms.accesses(), 2048);
-        assert_eq!(ms.l2_misses, 1024, "only the first pass misses L2");
+        assert_eq!(ms.totals().l2_misses, 1024, "only the first pass misses L2");
         assert_eq!(ms.instructions(), t.instructions);
         assert!(ms.events() >= 1024);
         assert!(ms.miss_ratio() > 0.49 && ms.miss_ratio() < 0.51);

@@ -332,7 +332,7 @@ impl PackedBuilder {
     fn push_word(&mut self, word: u64) {
         self.cur.push(word);
         if self.cur.len() == SEG_WORDS {
-            let full = std::mem::replace(&mut self.cur, Vec::with_capacity(SEG_WORDS)); // repolint:allow(PERF001) one fresh segment per SEG_WORDS events, amortized
+            let full = std::mem::replace(&mut self.cur, Vec::with_capacity(SEG_WORDS));
             self.segs.push(full.into_boxed_slice());
         }
     }

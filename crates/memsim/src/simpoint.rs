@@ -456,7 +456,7 @@ impl PhaseSample {
             offsets.push(words.len());
             words.extend_from_slice(&all[cursor.idx..end]);
         }
-        let totals = ms.totals();
+        let totals = ms.totals().clone();
         let sample = PhaseSample {
             records: MissRecords::new(&totals.regions, words),
             totals,

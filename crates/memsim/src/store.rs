@@ -415,7 +415,7 @@ fn put_totals(buf: &mut Vec<u8>, t: &StreamTotals) {
 }
 
 fn encode_miss(buf: &mut Vec<u8>, ms: &MissStream) {
-    put_totals(buf, &ms.totals());
+    put_totals(buf, ms.totals());
     put_words(buf, ms.raw_words().iter().copied(), ms.raw_words().len() as u64, 2);
 }
 

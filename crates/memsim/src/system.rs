@@ -411,14 +411,14 @@ impl Machine {
             SimInput::SampledMissStream { stream, selection } => {
                 assert!(
                     selection.matches(stream),
-                    // repolint:allow(PANIC001) documented replay contract: the selection is keyed on the stream
+                    // Documented replay contract: the selection is keyed on the stream.
                     "phase selection was built for a {}-event stream, but this stream has {} events",
                     selection.events(),
                     stream.events()
                 );
                 let phases = selection.phases();
                 let open = |k: usize| stream.events_from(phases[k].cursor());
-                self.drive_sampled(&stream.totals(), phases, open, powered, policy)
+                self.drive_sampled(stream.totals(), phases, open, powered, policy)
             }
             SimInput::Sample(sample) => {
                 let phases = sample.selection().phases();
@@ -454,19 +454,7 @@ impl Machine {
             )
         });
 
-        self.assemble_stats(AssembleInputs {
-            // `push` maintains the same sum, so for sources that know
-            // their total this is exact, and for generators it is the
-            // identical accumulation.
-            instructions: src.instructions_hint().unwrap_or(walked.retired),
-            cycles: walked.core_cycles + stall_acc,
-            ecc_chips_powered,
-            l1_hits: walked.l1_hits,
-            l1_misses: walked.l1_misses,
-            l2_hits: walked.l2_hits,
-            l2_misses: walked.l2_misses,
-            regions: tally_regions(src.regions(), &walked.tallies),
-        })
+        self.assemble_stats(&walked, stall_acc, ecc_chips_powered)
     }
 
     /// Panic unless `ms` was filtered under this machine's geometry (the
@@ -480,7 +468,7 @@ impl Machine {
     fn assert_filter_config(&self, (l1, l2, threads): (CacheConfig, CacheConfig, usize)) {
         assert!(
             (l1, l2, threads) == (self.cfg.l1, self.cfg.l2, self.cfg.threads.max(1)),
-            // repolint:allow(PANIC001) documented replay contract: the stream is keyed on geometry
+            // Documented replay contract: the stream is keyed on geometry.
             "miss stream was filtered under {l1:?}/{l2:?}/{threads} threads, \
              but this machine runs {:?}/{:?}/{} threads",
             self.cfg.l1,
@@ -531,16 +519,7 @@ impl Machine {
             );
         }
 
-        self.assemble_stats(AssembleInputs {
-            instructions: ms.instructions(),
-            cycles: ms.core_cycles + stall_acc,
-            ecc_chips_powered,
-            l1_hits: ms.l1_hits,
-            l1_misses: ms.l1_misses,
-            l2_hits: ms.l2_hits,
-            l2_misses: ms.l2_misses,
-            regions: tally_regions(ms.regions(), &ms.tallies),
-        })
+        self.assemble_stats(ms.totals(), stall_acc, ecc_chips_powered)
     }
 
     /// The sampled-replay engine: drives only the representative slice of
@@ -605,32 +584,22 @@ impl Machine {
         let stalls = est.stalls.round() as u64;
         self.dram.stats = est.into_stats();
         self.dram.set_rank_busy(busy_est);
-        self.assemble_stats(AssembleInputs {
-            instructions: totals.instructions,
-            cycles: totals.core_cycles + stalls,
-            ecc_chips_powered,
-            l1_hits: totals.l1_hits,
-            l1_misses: totals.l1_misses,
-            l2_hits: totals.l2_hits,
-            l2_misses: totals.l2_misses,
-            regions: tally_regions(&totals.regions, &totals.tallies),
-        })
+        self.assemble_stats(totals, stalls, ecc_chips_powered)
     }
 
     /// Fold the run counters and the DRAM state into a [`SimStats`] — the
     /// single implementation both the full path and the filtered replay
     /// use, so their derived metrics share every formula bit for bit.
-    fn assemble_stats(&self, inputs: AssembleInputs) -> SimStats {
-        let AssembleInputs {
-            instructions,
-            cycles,
-            ecc_chips_powered,
-            l1_hits,
-            l1_misses,
-            l2_hits,
-            l2_misses,
-            regions,
-        } = inputs;
+    fn assemble_stats(
+        &self,
+        totals: &StreamTotals,
+        stalls: u64,
+        ecc_chips_powered: bool,
+    ) -> SimStats {
+        let &StreamTotals { instructions, l1_hits, l1_misses, l2_hits, l2_misses, .. } = totals;
+        // The machine's cycle counter: the walk's pure core cycles plus
+        // the DRAM stalls the replay accumulated.
+        let cycles = totals.core_cycles + stalls;
         let cycle_ns = self.cfg.cycle_ns();
         let seconds = cycles as f64 * cycle_ns * 1e-9;
         let ipc = if cycles == 0 { 0.0 } else { instructions as f64 / cycles as f64 };
@@ -672,7 +641,7 @@ impl Machine {
                     0.0
                 }
             },
-            regions,
+            regions: tally_regions(&totals.regions, &totals.tallies),
         }
     }
 }
@@ -776,19 +745,6 @@ impl ScaledDram {
             latency_ns_total: self.latency_ns_total,
         }
     }
-}
-
-/// The policy-independent counters [`Machine::assemble_stats`] folds with
-/// the DRAM state (named fields keep the two call sites honest).
-struct AssembleInputs {
-    instructions: u64,
-    cycles: u64,
-    ecc_chips_powered: bool,
-    l1_hits: u64,
-    l1_misses: u64,
-    l2_hits: u64,
-    l2_misses: u64,
-    regions: Vec<RegionStats>,
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use crate::config::{CacheConfig, SystemConfig};
 use crate::miss_stream::MissStream;
 use crate::packed::PackedTrace;
 use crate::simpoint::{PhaseSample, SimPointConfig, SimPointSelection};
-use crate::store::{ArtifactStore, StoreMetrics};
+use crate::store::{ArtifactStore, StoreError, StoreMetrics};
 use crate::workloads::KernelParams;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -118,89 +118,95 @@ impl TraceCache {
         self.store().map(|s| s.metrics()).unwrap_or_default()
     }
 
+    /// The ladder every memo level climbs: look the key's slot up under
+    /// the map lock; serve a filled slot as a hit; otherwise initialise it
+    /// — from the attached store when it has the blob, else by counting a
+    /// build, building and persisting best-effort — while concurrent
+    /// requesters of the same key block on the slot and count as hits.
+    #[allow(clippy::too_many_arguments)]
+    fn memo<K: Ord, V>(
+        &self,
+        slots: &SlotMap<K, V>,
+        hits: &AtomicU64,
+        builds: &AtomicU64,
+        key: K,
+        load: impl FnOnce(&ArtifactStore) -> Option<V>,
+        build: impl FnOnce() -> V,
+        save: impl FnOnce(&ArtifactStore, &V) -> Result<(), StoreError>,
+    ) -> Arc<V> {
+        let slot = {
+            let mut slots = slots.lock().unwrap_or_else(|e| e.into_inner());
+            Arc::clone(slots.entry(key).or_default())
+        };
+        if let Some(value) = slot.get() {
+            hits.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(value);
+        }
+        let mut built_here = false;
+        let value = slot.get_or_init(|| {
+            built_here = true;
+            if let Some(value) = self.store().and_then(|store| load(&store)) {
+                // Disk hit: nothing was generated, so the build counter
+                // stays put (the store counts its own hits).
+                return Arc::new(value);
+            }
+            builds.fetch_add(1, Ordering::Relaxed);
+            let value = Arc::new(build());
+            if let Some(store) = self.store() {
+                // Best-effort persist: the in-memory artifact serves the
+                // process either way, and the store counts write errors
+                // as absent blobs on the next cold start.
+                let _ = save(&store, &value);
+            }
+            value
+        });
+        if !built_here {
+            // Lost the build race (or arrived between the fast-path check
+            // and `get_or_init`): this lookup was served from cache.
+            hits.fetch_add(1, Ordering::Relaxed);
+        }
+        Arc::clone(value)
+    }
+
     /// The packed trace for a workload: generated on first request, shared
     /// (same allocation, pointer-equal `Arc`) on every subsequent one.
     /// Replay it with [`PackedTrace::replay`], or materialize a full
     /// [`crate::trace::Trace`] with [`PackedTrace::materialize`] when a
     /// consumer genuinely needs random access.
     pub fn get(&self, params: KernelParams) -> Arc<PackedTrace> {
-        let slot = {
-            let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-            Arc::clone(slots.entry(params).or_default())
-        };
-        if let Some(trace) = slot.get() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(trace);
-        }
-        let mut built_here = false;
-        let trace = slot.get_or_init(|| {
-            built_here = true;
-            if let Some(store) = self.store() {
-                if let Some(t) = store.load_trace(params) {
-                    // Disk hit: no generation happened, so the build
-                    // counter stays put (the store counts its own hits).
-                    return Arc::new(t);
-                }
-            }
-            self.builds.fetch_add(1, Ordering::Relaxed);
-            let t = Arc::new(params.build_packed());
-            if let Some(store) = self.store() {
-                // Best-effort persist: the in-memory artifact serves the
-                // process either way, and the store counts write errors
-                // as absent blobs on the next cold start.
-                let _ = store.save_trace(params, &t);
-            }
-            t
-        });
-        if !built_here {
-            // Lost the build race (or arrived between the fast-path check
-            // and `get_or_init`): this lookup was served from cache.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        Arc::clone(trace)
+        self.memo(
+            &self.slots,
+            &self.hits,
+            &self.builds,
+            params,
+            |store| store.load_trace(params),
+            || params.build_packed(),
+            |store, t| store.save_trace(params, t),
+        )
     }
 
     /// The cache-filtered miss stream for a workload under a system
     /// configuration's cache geometry and thread count: filtered on first
     /// request (generating the packed trace through [`TraceCache::get`]
     /// if needed), shared (pointer-equal `Arc`) on every subsequent one.
-    /// Replay it with [`crate::system::Machine::simulate`].
+    /// A disk hit on this tier runs neither the cache filter nor the
+    /// trace generation beneath it. Replay the stream with
+    /// [`crate::system::Machine::simulate`].
     ///
     /// Config variants differing only in DRAM organization, timing,
     /// energy or `stall_factor` — everything the cache hierarchy cannot
     /// see — resolve to the same [`FilterKey`] and share one stream.
     pub fn get_filtered(&self, params: KernelParams, cfg: &SystemConfig) -> Arc<MissStream> {
         let key = FilterKey::new(params, cfg);
-        let slot = {
-            let mut slots = self.miss_slots.lock().unwrap_or_else(|e| e.into_inner());
-            Arc::clone(slots.entry(key).or_default())
-        };
-        if let Some(ms) = slot.get() {
-            self.miss_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(ms);
-        }
-        let mut built_here = false;
-        let ms = slot.get_or_init(|| {
-            built_here = true;
-            if let Some(store) = self.store() {
-                if let Some(ms) = store.load_miss(&key) {
-                    // Disk hit on the filtered tier: neither the cache
-                    // filter nor the underlying trace generation runs.
-                    return Arc::new(ms);
-                }
-            }
-            self.miss_builds.fetch_add(1, Ordering::Relaxed);
-            let packed = self.get(params);
-            let ms = Arc::new(MissStream::build(&mut packed.replay(), key.l1, key.l2, key.threads));
-            if let Some(store) = self.store() {
-                let _ = store.save_miss(&key, &ms);
-            }
-            ms
-        });
-        if !built_here {
-            self.miss_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        Arc::clone(ms)
+        self.memo(
+            &self.miss_slots,
+            &self.miss_hits,
+            &self.miss_builds,
+            key,
+            |store| store.load_miss(&key),
+            || MissStream::build(&mut self.get(params).replay(), key.l1, key.l2, key.threads),
+            |store, ms| store.save_miss(&key, ms),
+        )
     }
 
     /// The phase sample for a workload under a system configuration's
@@ -218,37 +224,19 @@ impl TraceCache {
         sp: &SimPointConfig,
     ) -> Arc<PhaseSample> {
         let key = FilterKey::new(params, cfg);
-        let slot = {
-            let mut slots = self.simpoint_slots.lock().unwrap_or_else(|e| e.into_inner());
-            Arc::clone(slots.entry((key, *sp)).or_default())
-        };
-        if let Some(sample) = slot.get() {
-            self.simpoint_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(sample);
-        }
-        let mut built_here = false;
-        let sample = slot.get_or_init(|| {
-            built_here = true;
-            if let Some(store) = self.store() {
-                if let Some(sample) = store.load_sample(&key, sp) {
-                    // Disk hit: slicing and clustering never run (and
-                    // neither does anything beneath them).
-                    return Arc::new(sample);
-                }
-            }
-            self.simpoint_builds.fetch_add(1, Ordering::Relaxed);
-            let ms = self.get_filtered(params, cfg);
-            let selection = Arc::new(SimPointSelection::build(&ms, *sp));
-            let sample = Arc::new(PhaseSample::condense(&ms, selection));
-            if let Some(store) = self.store() {
-                let _ = store.save_simpoint(&key, sp, &sample);
-            }
-            sample
-        });
-        if !built_here {
-            self.simpoint_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        Arc::clone(sample)
+        self.memo(
+            &self.simpoint_slots,
+            &self.simpoint_hits,
+            &self.simpoint_builds,
+            (key, *sp),
+            |store| store.load_sample(&key, sp),
+            || {
+                let ms = self.get_filtered(params, cfg);
+                let selection = Arc::new(SimPointSelection::build(&ms, *sp));
+                PhaseSample::condense(&ms, selection)
+            },
+            |store, sample| store.save_simpoint(&key, sp, sample),
+        )
     }
 
     /// The phase selection of [`TraceCache::get_sampled`]'s sample (one

@@ -1,7 +1,8 @@
 //! Workspace call graph over the symbol table.
 //!
-//! For every function body, the expression layer yields its call sites;
-//! each site is resolved against the symbol table:
+//! For every function body, the token scan ([`crate::hotness::scan_fn`])
+//! yields its call sites with their loop depth; each site is resolved
+//! against the symbol table:
 //!
 //! - **Paths** (`helper(..)`, `module::helper(..)`, `Type::assoc(..)`,
 //!   `abft_memsim::Machine::new(..)`) resolve through the defining
@@ -9,107 +10,73 @@
 //!   associated-function type, and module suffix.
 //! - **Method calls** (`x.step(..)`) cannot see the receiver's type at
 //!   this layer, so they conservatively fan out to *every* workspace
-//!   method of that name (trait-method fallback); a name with no
-//!   workspace candidates becomes an **unknown-callee** edge.
+//!   method of that name (trait-method fallback).
 //!
-//! The graph therefore over-approximates: reachability answers "may
-//! call", never "does not call" — the right polarity for determinism
-//! proofs, where a missed edge would silently hide a violation.
+//! A site that matches no workspace definition (an external function, a
+//! tuple-struct constructor, a call through a local binding) is not an
+//! edge and is not kept. The graph over-approximates what it does keep:
+//! it answers "may call", never "does not call".
 
+use crate::hotness::{scan_fn, FnLoops};
 use crate::symbols::SymbolTable;
 use crate::Workspace;
-use syn::expr::{self, Expr};
 
 /// One call site inside a function body.
 #[derive(Debug, Clone)]
 pub struct CallSite {
     /// Resolved callee indices into [`SymbolTable::fns`] (several for
-    /// the method-name fallback).
+    /// the method-name fallback); never empty.
     pub targets: Vec<usize>,
-    /// True when no workspace definition matched (external or opaque
-    /// callee) — the conservative "unknown callee" edge.
-    pub unknown: bool,
     /// Source spelling: `a::b::c` for paths, `.name` for method calls.
     pub display: String,
     /// 1-based line of the call.
     pub line: usize,
+    /// Loop-nesting depth of the call within its function.
+    pub depth: u32,
 }
 
-/// The workspace call graph; `calls[i]` are the call sites of
+/// The workspace call graph; `calls[i]` and `loops[i]` belong to
 /// `SymbolTable::fns[i]`.
 #[derive(Debug, Default)]
 pub struct CallGraph {
     /// Per-function call sites.
     pub calls: Vec<Vec<CallSite>>,
+    /// Per-function loop facts and PERF sink candidates, from the same
+    /// scan that found the call sites.
+    pub loops: Vec<FnLoops>,
 }
 
 impl CallGraph {
-    /// Build the graph for every function with a body.
+    /// Scan every function with a body and resolve its call sites.
     pub fn build(ws: &Workspace, table: &SymbolTable) -> CallGraph {
-        let mut calls = Vec::with_capacity(table.fns.len());
+        let mut graph = CallGraph::default();
         for (fi, f) in table.fns.iter().enumerate() {
-            let mut sites = Vec::new();
-            if let Some((lo, hi)) = f.body {
-                let tokens = &ws.files[f.file].file.tokens;
-                let stmts = expr::parse_stmts(tokens, lo, hi);
-                expr::walk_stmts(&stmts, &mut |e| match e {
-                    Expr::Call { func, line, .. } => {
-                        if let Expr::Path { segs, .. } = func.as_ref() {
-                            sites.push(resolve_path(table, fi, segs, *line));
-                        } else {
-                            sites.push(CallSite {
-                                targets: Vec::new(),
-                                unknown: true,
-                                display: "<expr>()".to_string(),
-                                line: *line,
-                            });
-                        }
-                    }
-                    Expr::MethodCall { method, line, .. } => {
-                        sites.push(resolve_method(table, method, *line));
-                    }
-                    _ => {}
-                });
-            }
-            calls.push(sites);
+            let (loops, scanned) = match f.body {
+                Some(body) => scan_fn(&ws.files[f.file].file.tokens, body),
+                None => Default::default(),
+            };
+            let sites = scanned
+                .iter()
+                .map(|c| CallSite {
+                    targets: if c.method {
+                        resolve_method(table, &c.segs[0])
+                    } else {
+                        resolve_path(table, fi, &c.segs)
+                    },
+                    display: c.display(),
+                    line: c.line,
+                    depth: c.depth,
+                })
+                .filter(|s| !s.targets.is_empty());
+            graph.calls.push(sites.collect());
+            graph.loops.push(loops);
         }
-        CallGraph { calls }
-    }
-
-    /// Breadth-first reachability from `roots`; returns, for every
-    /// reached function, the `(caller, call line)` it was first reached
-    /// through (roots map to `None`). Test-marked functions are not
-    /// traversed.
-    pub fn reach(
-        &self,
-        table: &SymbolTable,
-        roots: &[usize],
-    ) -> Vec<Option<Option<(usize, usize)>>> {
-        let mut state: Vec<Option<Option<(usize, usize)>>> = vec![None; table.fns.len()];
-        let mut queue = std::collections::VecDeque::new();
-        for &r in roots {
-            if state[r].is_none() && !table.fns[r].is_test {
-                state[r] = Some(None);
-                queue.push_back(r);
-            }
-        }
-        while let Some(f) = queue.pop_front() {
-            for site in &self.calls[f] {
-                for &t in &site.targets {
-                    if state[t].is_none() && !table.fns[t].is_test {
-                        state[t] = Some(Some((f, site.line)));
-                        queue.push_back(t);
-                    }
-                }
-            }
-        }
-        state
+        graph
     }
 }
 
-/// Resolve a path call from function `caller`.
-fn resolve_path(table: &SymbolTable, caller: usize, segs: &[String], line: usize) -> CallSite {
-    let display = segs.join("::");
+/// The workspace functions a path call from function `caller` may reach.
+fn resolve_path(table: &SymbolTable, caller: usize, segs: &[String]) -> Vec<usize> {
     let from = &table.fns[caller];
 
     // Expand the head segment through the defining file's `use` bindings.
@@ -130,7 +97,7 @@ fn resolve_path(table: &SymbolTable, caller: usize, segs: &[String], line: usize
             }
             "std" | "core" | "alloc" => {
                 // External standard library: never a workspace fn.
-                return CallSite { targets: Vec::new(), unknown: true, display, line };
+                return Vec::new();
             }
             _ => {
                 if path.len() > 1 {
@@ -145,9 +112,7 @@ fn resolve_path(table: &SymbolTable, caller: usize, segs: &[String], line: usize
         }
     }
 
-    let Some(name) = path.last().cloned() else {
-        return CallSite { targets: Vec::new(), unknown: true, display, line };
-    };
+    let Some(name) = path.last().cloned() else { return Vec::new() };
     let in_scope = |idx: &usize| -> bool {
         crate_scope.as_deref().is_none_or(|c| table.fns[*idx].crate_name == c)
     };
@@ -190,20 +155,16 @@ fn resolve_path(table: &SymbolTable, caller: usize, segs: &[String], line: usize
         };
     }
     // Tuple-struct constructors (`Cycles(x)`) and external fns resolve to
-    // nothing; that is an unknown edge, not an error.
-    let unknown = targets.is_empty();
-    CallSite { targets, unknown, display, line }
+    // nothing.
+    targets
 }
 
-/// Resolve a method call by name across every workspace method
-/// (trait-method fallback).
-fn resolve_method(table: &SymbolTable, method: &str, line: usize) -> CallSite {
-    let targets: Vec<usize> = table
+/// Every workspace method of this name (trait-method fallback).
+pub(crate) fn resolve_method(table: &SymbolTable, method: &str) -> Vec<usize> {
+    table
         .fns_named(method)
         .iter()
         .copied()
         .filter(|&i| table.fns[i].self_ty.is_some() || table.fns[i].in_trait_decl)
-        .collect();
-    let unknown = targets.is_empty();
-    CallSite { targets, unknown, display: format!(".{method}"), line }
+        .collect()
 }

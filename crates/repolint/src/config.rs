@@ -2,39 +2,44 @@
 //!
 //! The build environment vendors no `toml` crate, so the config format is
 //! the small TOML subset the file actually needs: `[run]` / `[rules.CODE]`
-//! section headers, `key = "string"` and `key = ["a", "b"]` assignments,
-//! `#` comments. Anything else is a hard error so typos cannot silently
-//! disable a rule.
+//! section headers, `key = ["a", "b"]` assignments, `#` comments.
+//! Anything else is a hard error so typos cannot silently disable a rule.
 
-use crate::diag::Severity;
 use std::collections::BTreeMap;
 
 /// All rule codes the engine knows about.
 pub const RULES: &[&str] = &[
-    "DET001", "DET002", "DET003", "DET004", "PANIC001", "FP001", "UNIT001", "API001", "CONC001",
-    "CONC002", "CONC003", "CONC004", "PERF001", "PERF002", "PERF003", "PERF004",
+    "DET001", "DET002", "DET003", "PANIC001", "FP001", "API001", "PERF001", "PERF002", "PERF003",
+    "PERF004",
 ];
+
+/// The `[rules.CODE]` section a rule is configured under: its own,
+/// except that PERF001–PERF004 share one hot set and one crate scope,
+/// both set under `[rules.PERF001]`.
+fn section_of(code: &str) -> &str {
+    if code.starts_with("PERF") {
+        "PERF001"
+    } else {
+        code
+    }
+}
 
 /// Per-rule configuration.
 #[derive(Debug, Clone)]
 pub struct RuleCfg {
-    /// Effective severity.
-    pub severity: Severity,
     /// When set, the rule only applies to files of these crates.
     pub crates: Option<Vec<String>>,
     /// FP001: path substrings that put a file in scope.
     pub path_contains: Vec<String>,
     /// FP001: function-name substrings that put a function in scope.
     pub fn_contains: Vec<String>,
-    /// DET004 / PERF00x: reachability roots, as `Type::method` or bare
-    /// function names. DET004 always adds binaries' free functions on
-    /// top; the PERF rules deliberately do not (binaries print and
-    /// allocate as their job — only the replay entry points define
-    /// hotness).
+    /// PERF001: the hot set's roots, as `Type::method` or bare function
+    /// names. Binaries print and allocate as their job, so only the
+    /// replay entry points define hotness.
     pub entry_points: Vec<String>,
     /// Whether `entry_points` came from the config file rather than the
     /// built-in defaults. A listed name that matches no workspace
-    /// function is a hard error (a rename would otherwise turn the rule
+    /// function is a hard error (a rename would otherwise turn the rules
     /// into a silent no-op); the defaults are exempt so fixture
     /// workspaces need not define every root.
     pub entry_points_listed: bool,
@@ -42,32 +47,32 @@ pub struct RuleCfg {
 
 impl RuleCfg {
     fn new(code: &str) -> RuleCfg {
-        let scoped = code == "FP001";
+        let list = |names: &[&str]| names.iter().map(|s| (*s).to_string()).collect();
+        let (path_contains, fn_contains): (&[&str], &[&str]) = match code {
+            "FP001" => (&["checksum", "verify"], &["checksum", "verify", "residual"]),
+            _ => (&[], &[]),
+        };
+        let entry_points: &[&str] = match code {
+            "PERF001" => &[
+                "CampaignClient::run",
+                "Machine::simulate",
+                "MissStream::build",
+                "MissStream::events_from",
+            ],
+            _ => &[],
+        };
         RuleCfg {
-            severity: Severity::Error,
             crates: None,
-            path_contains: if scoped {
-                vec!["checksum".to_string(), "verify".to_string()]
-            } else {
-                Vec::new()
-            },
-            fn_contains: if scoped {
-                vec!["checksum".to_string(), "verify".to_string(), "residual".to_string()]
-            } else {
-                Vec::new()
-            },
-            entry_points: if code == "DET004" || code.starts_with("PERF") {
-                vec![
-                    "CampaignClient::run".to_string(),
-                    "Machine::simulate".to_string(),
-                    "MissStream::build".to_string(),
-                    "MissStream::events_from".to_string(),
-                ]
-            } else {
-                Vec::new()
-            },
+            path_contains: list(path_contains),
+            fn_contains: list(fn_contains),
+            entry_points: list(entry_points),
             entry_points_listed: false,
         }
+    }
+
+    /// Whether the rule's crate scope includes `crate_name`.
+    pub fn covers(&self, crate_name: &str) -> bool {
+        self.crates.as_ref().is_none_or(|crates| crates.iter().any(|c| c == crate_name))
     }
 }
 
@@ -76,14 +81,15 @@ impl RuleCfg {
 pub struct Config {
     /// Repo-relative path prefixes to skip entirely.
     pub excludes: Vec<String>,
-    /// Per-rule settings, keyed by rule code.
+    /// Per-rule settings, keyed by config section (a rule code; the PERF
+    /// family has the one entry `PERF001`).
     pub rules: BTreeMap<String, RuleCfg>,
 }
 
 impl Default for Config {
     fn default() -> Config {
         let mut rules = BTreeMap::new();
-        for code in RULES {
+        for code in RULES.iter().filter(|code| section_of(code) == **code) {
             rules.insert((*code).to_string(), RuleCfg::new(code));
         }
         Config { excludes: vec!["crates/compat".to_string(), "target".to_string()], rules }
@@ -91,9 +97,9 @@ impl Default for Config {
 }
 
 impl Config {
-    /// Look up a rule's config (every known rule is always present).
+    /// Look up a known rule's config.
     pub fn rule(&self, code: &str) -> &RuleCfg {
-        &self.rules[code]
+        &self.rules[section_of(code)]
     }
 
     /// Parse the config file text.
@@ -130,7 +136,11 @@ impl Config {
                         .strip_prefix("rules.")
                         .ok_or_else(|| format!("line {lineno}: unknown section [{name}]"))?;
                     if !cfg.rules.contains_key(code) {
-                        return Err(format!("line {lineno}: unknown rule {code}"));
+                        let known: Vec<&str> = cfg.rules.keys().map(String::as_str).collect();
+                        return Err(format!(
+                            "line {lineno}: no section [rules.{code}]; there are: {}",
+                            known.join(", ")
+                        ));
                     }
                 }
                 section = name.to_string();
@@ -152,11 +162,6 @@ impl Config {
                         return Err(format!("line {lineno}: unknown rule {code}"));
                     };
                     match key {
-                        "severity" => {
-                            let v = parse_string(value, lineno)?;
-                            rule.severity = Severity::parse(&v)
-                                .ok_or_else(|| format!("line {lineno}: bad severity {v:?}"))?;
-                        }
                         "crates" => rule.crates = Some(parse_list(value, lineno)?),
                         "path_contains" => rule.path_contains = parse_list(value, lineno)?,
                         "fn_contains" => rule.fn_contains = parse_list(value, lineno)?,
@@ -206,19 +211,23 @@ mod tests {
     fn parses_sections_and_lists() {
         let cfg = Config::parse(
             "# comment\n[run]\nexclude = [\"crates/compat\", \"target\"]\n\n\
-             [rules.DET001]\nseverity = \"warn\"\ncrates = [\"abft-memsim\"]\n",
+             [rules.DET001]\ncrates = [\"abft-memsim\"]\n\
+             [rules.PERF001]\nentry_points = [\n    \"Engine::run\",\n]\n",
         )
         .unwrap();
         assert_eq!(cfg.excludes, vec!["crates/compat", "target"]);
-        assert_eq!(cfg.rule("DET001").severity, Severity::Warn);
-        assert_eq!(cfg.rule("DET001").crates.as_deref(), Some(&["abft-memsim".to_string()][..]));
-        assert_eq!(cfg.rule("DET002").severity, Severity::Error);
+        assert!(cfg.rule("DET001").covers("abft-memsim") && !cfg.rule("DET001").covers("abft-ecc"));
+        assert!(cfg.rule("DET002").covers("abft-ecc"));
+        // The PERF family reads the one section.
+        assert_eq!(cfg.rule("PERF003").entry_points, vec!["Engine::run"]);
+        assert!(cfg.rule("PERF003").entry_points_listed);
     }
 
     #[test]
     fn rejects_unknown_rules_and_keys() {
         assert!(Config::parse("[rules.NOPE]\n").is_err());
+        assert!(Config::parse("[rules.PERF002]\n").is_err(), "the family's section is PERF001");
         assert!(Config::parse("[run]\nfrobnicate = \"x\"\n").is_err());
-        assert!(Config::parse("[rules.DET001]\nseverity = \"fatal\"\n").is_err());
+        assert!(Config::parse("[rules.DET001]\nseverity = \"error\"\n").is_err());
     }
 }

@@ -1,43 +1,10 @@
-//! Diagnostic model and rendering (human text + JSON).
+//! Diagnostic model and rendering.
 
 use std::fmt;
 
-/// How a rule's findings are treated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Rule disabled.
-    Allow,
-    /// Reported but does not fail the check.
-    Warn,
-    /// Reported and fails the check.
-    Error,
-}
-
-impl Severity {
-    /// Parse a config value.
-    pub fn parse(s: &str) -> Option<Severity> {
-        match s {
-            "allow" => Some(Severity::Allow),
-            "warn" => Some(Severity::Warn),
-            "error" => Some(Severity::Error),
-            _ => None,
-        }
-    }
-
-    /// Config/JSON spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Allow => "allow",
-            Severity::Warn => "warn",
-            Severity::Error => "error",
-        }
-    }
-}
-
 /// A secondary location attached to a finding — one hop of a
-/// reconstructed call chain. The human and JSON renderings inline the
-/// chain into the message; the SARIF rendering emits these as
-/// `relatedLocations` so viewers can step through the chain.
+/// reconstructed call chain. The text rendering inlines the chain into
+/// the message; this is the same chain in structured form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Related {
     /// Repo-relative path with forward slashes.
@@ -49,13 +16,11 @@ pub struct Related {
     pub message: String,
 }
 
-/// One finding at a source location.
+/// One finding at a source location. Every finding fails the check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Rule code (`DET001`, ...).
     pub rule: &'static str,
-    /// Effective severity after config.
-    pub severity: Severity,
     /// Repo-relative path with forward slashes.
     pub path: String,
     /// 1-based source line.
@@ -69,87 +34,11 @@ pub struct Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}[{}]: {}:{}: {}",
-            self.severity.as_str(),
-            self.rule,
-            self.path,
-            self.line,
-            self.message
-        )
-    }
-}
-
-/// Escape a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-impl Diagnostic {
-    /// Render as a JSON object (stable key order).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"rule\":\"{}\",\"severity\":\"{}\",\"path\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
-            self.rule,
-            self.severity.as_str(),
-            json_escape(&self.path),
-            self.line,
-            json_escape(&self.message)
-        )
+        write!(f, "error[{}]: {}:{}: {}", self.rule, self.path, self.line, self.message)
     }
 }
 
 /// Sort diagnostics into the canonical reporting order.
 pub fn sort_diags(diags: &mut [Diagnostic]) {
     diags.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escape_covers_every_class_of_special_character() {
-        assert_eq!(
-            json_escape("quote \" slash \\ newline \n tab \t cr \r bell \u{7}"),
-            "quote \\\" slash \\\\ newline \\n tab \\t cr \\r bell \\u0007"
-        );
-        assert_eq!(
-            json_escape("plain ascii and ünïcode stay verbatim"),
-            "plain ascii and ünïcode stay verbatim"
-        );
-    }
-
-    #[test]
-    fn diagnostic_json_snapshot() {
-        // Message and path route through the shared escaper; a literal
-        // backtick-quoted rust string with quotes must survive parsing.
-        let d = Diagnostic {
-            rule: "PANIC001",
-            severity: Severity::Error,
-            path: "crates/x/src/a \"b\".rs".to_string(),
-            line: 3,
-            message: "call to `expect(\"msg\")` in library code".to_string(),
-            related: Vec::new(),
-        };
-        assert_eq!(
-            d.to_json(),
-            "{\"rule\":\"PANIC001\",\"severity\":\"error\",\
-             \"path\":\"crates/x/src/a \\\"b\\\".rs\",\"line\":3,\
-             \"message\":\"call to `expect(\\\"msg\\\")` in library code\"}"
-        );
-    }
 }

@@ -13,40 +13,31 @@
 //! - **FP001** — no exact `f64` equality in checksum/verify code
 //!
 //! On top of the per-file rules sits a *semantic* layer built from a
-//! workspace-wide symbol table ([`symbols`]) and call graph
-//! ([`callgraph`]):
+//! workspace-wide symbol table ([`symbols`]) and a call graph
+//! ([`callgraph`]) resolved from one token scan per function body
+//! ([`hotness`]):
 //!
-//! - **DET004** — interprocedural determinism: no entropy/wall-clock
-//!   source may be reachable from a simulation entry point; the
-//!   diagnostic carries the offending call chain
-//! - **UNIT001** — unit-taint dataflow: no mixing of cycles, ns, bytes,
-//!   cache lines or pJ/nJ/mJ in arithmetic without an explicit
-//!   conversion
 //! - **API001** — no dead `pub` items (never referenced from another
 //!   crate, a binary, a test or a bench)
-//! - **CONC001–CONC004** — concurrency safety: no guard held across a
-//!   (possibly transitive) blocking call, no lock-order cycles, no
-//!   non-`Send`-pattern state reachable from spawned threads, no
-//!   detached threads in library code
+//! - **PERF001–PERF004** — no allocation, clone or `dyn` dispatch in a
+//!   loop reachable from a replay entry point, and no formatted output
+//!   anywhere reachable; the diagnostic carries the hot call chain
 //!
-//! Violations are suppressed per site with a documented
-//! `// repolint:allow(RULE) reason` comment, configured in
-//! `repolint.toml`, and grandfathered (ratchet-only) via
-//! `repolint.baseline`. See DESIGN.md §3.12 and §3.14.
+//! Every finding is an error. A violation is suppressed per site with a
+//! documented `repolint:allow(RULE) reason` line comment; a comment that
+//! names no rule, or that no longer suppresses anything, is itself a
+//! finding. Scoping lives in `repolint.toml`. See DESIGN.md §3.12.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod config;
 pub mod diag;
-pub mod guards;
 pub mod hotness;
 pub mod rules;
 pub mod source;
 pub mod symbols;
 
-use baseline::Baseline;
 use config::Config;
-use diag::{sort_diags, Diagnostic, Severity};
+use diag::{sort_diags, Diagnostic};
 use source::FileCtx;
 use std::collections::BTreeMap;
 use std::fs;
@@ -106,9 +97,10 @@ impl Workspace {
         Ok(Workspace { files })
     }
 
-    /// Run every enabled rule (per-file and semantic) over the
-    /// workspace, in canonical order. Fails on a config-listed entry
-    /// point that names no function (see [`rules::run_semantic`]).
+    /// Run every rule (per-file and semantic) over the workspace, then
+    /// the check of the suppression comments themselves, in canonical
+    /// order. Fails on a config-listed entry point that names no
+    /// function (see [`rules::run_semantic`]).
     pub fn lint(&self, cfg: &Config) -> Result<Vec<Diagnostic>, String> {
         let ctxs: Vec<FileCtx<'_>> =
             self.files.iter().map(|p| FileCtx::new(&p.rel, &p.crate_name, &p.file)).collect();
@@ -117,6 +109,9 @@ impl Workspace {
             rules::run_all(ctx, cfg, &mut out);
         }
         rules::run_semantic(self, &ctxs, cfg, &mut out)?;
+        for ctx in &ctxs {
+            rules::check_allows(ctx, cfg, true, &mut out);
+        }
         sort_diags(&mut out);
         Ok(out)
     }
@@ -125,15 +120,8 @@ impl Workspace {
 /// Outcome of a workspace check.
 #[derive(Debug)]
 pub struct Report {
-    /// Non-baselined findings, in canonical order.
+    /// The findings, in canonical order.
     pub diagnostics: Vec<Diagnostic>,
-    /// Current per-`(rule, path)` counts (for `--update-baseline`).
-    pub counts: BTreeMap<(String, String), usize>,
-    /// Pre-baseline finding totals per rule (the ratchet input: a later
-    /// run may not regress any rule above these).
-    pub rule_totals: BTreeMap<String, usize>,
-    /// How many findings the baseline absorbed.
-    pub baselined: usize,
     /// How many `.rs` files were linted.
     pub files: usize,
     /// Analysis wall-time (load + parse + all passes), milliseconds.
@@ -141,115 +129,14 @@ pub struct Report {
 }
 
 impl Report {
-    /// True when the check should fail CI.
+    /// True when the check should fail CI: any finding does.
     pub fn failed(&self) -> bool {
-        self.diagnostics.iter().any(|d| d.severity == Severity::Error)
-    }
-
-    /// Render the whole report as one JSON document.
-    pub fn to_json(&self) -> String {
-        let mut per_rule: BTreeMap<&str, usize> = BTreeMap::new();
-        for d in &self.diagnostics {
-            *per_rule.entry(d.rule).or_default() += 1;
-        }
-        let diags: Vec<String> = self.diagnostics.iter().map(Diagnostic::to_json).collect();
-        let counts: Vec<String> = per_rule
-            .iter()
-            .map(|(rule, n)| format!("\"{}\":{n}", diag::json_escape(rule)))
-            .collect();
-        let totals: Vec<String> = self
-            .rule_totals
-            .iter()
-            .map(|(rule, n)| format!("\"{}\":{n}", diag::json_escape(rule)))
-            .collect();
-        format!(
-            "{{\"diagnostics\":[{}],\"counts\":{{{}}},\"rule_totals\":{{{}}},\"total\":{},\
-             \"baselined\":{},\"files\":{},\"analysis_ms\":{}}}",
-            diags.join(","),
-            counts.join(","),
-            totals.join(","),
-            self.diagnostics.len(),
-            self.baselined,
-            self.files,
-            self.analysis_ms
-        )
-    }
-
-    /// Render the findings as a SARIF 2.1.0 log: one run, every known
-    /// rule declared in the driver (short description = first line of
-    /// its `explain` text), and call-chain hops emitted as
-    /// `relatedLocations` so SARIF viewers can step through the chain
-    /// that the text rendering inlines into the message.
-    pub fn to_sarif(&self) -> String {
-        let rules: Vec<String> = config::RULES
-            .iter()
-            .map(|code| {
-                let short =
-                    rules::explain(code).and_then(|t| t.lines().next()).unwrap_or(code).trim();
-                format!(
-                    "{{\"id\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}}}}",
-                    diag::json_escape(code),
-                    diag::json_escape(short)
-                )
-            })
-            .collect();
-        let results: Vec<String> = self.diagnostics.iter().map(sarif_result).collect();
-        format!(
-            "{{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
-             \"version\":\"2.1.0\",\"runs\":[{{\"tool\":{{\"driver\":{{\"name\":\"repolint\",\
-             \"rules\":[{}]}}}},\"results\":[{}]}}]}}",
-            rules.join(","),
-            results.join(",")
-        )
+        !self.diagnostics.is_empty()
     }
 }
 
-/// The `physicalLocation` member shared by `locations` and
-/// `relatedLocations` entries.
-fn sarif_phys(path: &str, line: usize) -> String {
-    format!(
-        "\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}},\
-         \"region\":{{\"startLine\":{}}}}}",
-        diag::json_escape(path),
-        line
-    )
-}
-
-/// One SARIF `result` object for a diagnostic.
-fn sarif_result(d: &Diagnostic) -> String {
-    // SARIF has no "allow" level and repolint never reports allowed
-    // findings, so only error/warn reach this point.
-    let level = match d.severity {
-        Severity::Error => "error",
-        _ => "warning",
-    };
-    let mut out = format!(
-        "{{\"ruleId\":\"{}\",\"level\":\"{level}\",\"message\":{{\"text\":\"{}\"}},\
-         \"locations\":[{{{}}}]",
-        d.rule,
-        diag::json_escape(&d.message),
-        sarif_phys(&d.path, d.line)
-    );
-    if !d.related.is_empty() {
-        let rel: Vec<String> = d
-            .related
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{{},\"message\":{{\"text\":\"{}\"}}}}",
-                    sarif_phys(&r.path, r.line),
-                    diag::json_escape(&r.message)
-                )
-            })
-            .collect();
-        out.push_str(&format!(",\"relatedLocations\":[{}]", rel.join(",")));
-    }
-    out.push('}');
-    out
-}
-
-/// Lint one file's source text. This is the engine's core entry point;
-/// the workspace walk and the unit-test fixtures both go through it.
+/// Lint one file's source text with the per-file rules (the semantic
+/// rules need a [`Workspace`]); the unit-test fixtures go through it.
 pub fn lint_source(
     rel_path: &str,
     crate_name: &str,
@@ -260,48 +147,19 @@ pub fn lint_source(
     let ctx = FileCtx::new(rel_path, crate_name, &file);
     let mut out = Vec::new();
     rules::run_all(&ctx, cfg, &mut out);
+    rules::check_allows(&ctx, cfg, false, &mut out);
     sort_diags(&mut out);
     Ok(out)
 }
 
 /// Walk the workspace under `root` and lint every `.rs` file outside the
-/// configured excludes, applying the baseline.
-pub fn check_workspace(root: &Path, cfg: &Config, base: &Baseline) -> Result<Report, String> {
-    // repolint:allow(DET002,DET004) analysis wall-time is reporting-only metadata
+/// configured excludes.
+pub fn check_workspace(root: &Path, cfg: &Config) -> Result<Report, String> {
+    // repolint:allow(DET002) analysis wall-time is reporting-only metadata
     let started = std::time::Instant::now();
     let ws = Workspace::load(root, cfg)?;
-    let mut report = apply_baseline(ws.files.len(), ws.lint(cfg)?, base);
-    report.analysis_ms = started.elapsed().as_millis();
-    Ok(report)
-}
-
-/// Split linted diagnostics into baselined and reported halves.
-fn apply_baseline(files: usize, all: Vec<Diagnostic>, base: &Baseline) -> Report {
-    let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
-    let mut rule_totals: BTreeMap<String, usize> =
-        config::RULES.iter().map(|r| ((*r).to_string(), 0)).collect();
-    for d in &all {
-        *counts.entry((d.rule.to_string(), d.path.clone())).or_default() += 1;
-        *rule_totals.entry(d.rule.to_string()).or_default() += 1;
-    }
-
-    // Baseline: the first `allowance` findings of each (rule, path) pair
-    // are absorbed; anything beyond that is reported.
-    let mut absorbed: BTreeMap<(String, String), usize> = BTreeMap::new();
-    let mut diagnostics = Vec::new();
-    let mut baselined = 0usize;
-    for d in all {
-        let key = (d.rule.to_string(), d.path.clone());
-        let used = absorbed.entry(key).or_default();
-        if *used < base.allowance(d.rule, &d.path) {
-            *used += 1;
-            baselined += 1;
-        } else {
-            diagnostics.push(d);
-        }
-    }
-
-    Report { diagnostics, counts, rule_totals, baselined, files, analysis_ms: 0 }
+    let diagnostics = ws.lint(cfg)?;
+    Ok(Report { diagnostics, files: ws.files.len(), analysis_ms: started.elapsed().as_millis() })
 }
 
 fn rel_path(root: &Path, path: &Path) -> String {
@@ -387,118 +245,55 @@ pub(crate) mod engine_tests {
     }
 
     #[test]
-    fn json_report_snapshot() {
-        let src = "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
-        let diagnostics = lint_str("crates/memsim/src/x.rs", "abft-memsim", src);
-        let mut counts = BTreeMap::new();
-        let mut rule_totals = BTreeMap::new();
-        for d in &diagnostics {
-            *counts.entry((d.rule.to_string(), d.path.clone())).or_default() += 1;
-            *rule_totals.entry(d.rule.to_string()).or_default() += 1;
-        }
-        let report =
-            Report { diagnostics, counts, rule_totals, baselined: 0, files: 1, analysis_ms: 7 };
-        assert_eq!(
-            report.to_json(),
-            "{\"diagnostics\":[{\"rule\":\"PANIC001\",\"severity\":\"error\",\
-             \"path\":\"crates/memsim/src/x.rs\",\"line\":2,\"message\":\"`.unwrap()` in library \
-             code can abort a whole campaign; return a typed error (or use assert! for a \
-             documented invariant)\"}],\"counts\":{\"PANIC001\":1},\
-             \"rule_totals\":{\"PANIC001\":1},\"total\":1,\"baselined\":0,\
-             \"files\":1,\"analysis_ms\":7}"
-        );
-        assert!(report.failed());
+    fn an_allow_that_names_no_rule_is_a_finding() {
+        let src =
+            "pub fn f() -> u32 {\n    // repolint:allow(NOSUCH) typo for PANIC001\n    1\n}\n";
+        let diags = lint_str("crates/memsim/src/x.rs", "abft-memsim", src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!((diags[0].rule, diags[0].line), ("ALLOW", 2));
+        assert!(diags[0].message.contains("`repolint:allow(NOSUCH)` names no rule"), "{diags:?}");
     }
 
     #[test]
-    fn sarif_snapshot_with_related_locations() {
-        // Hand-built report: one chained finding (relatedLocations) and
-        // one plain warning, so the snapshot pins every branch of the
-        // SARIF rendering.
-        let diagnostics = vec![
-            Diagnostic {
-                rule: "PERF001",
-                severity: Severity::Error,
-                path: "crates/memsim/src/x.rs".to_string(),
-                line: 9,
-                message: "heap allocation `Vec::new` on the hot replay path".to_string(),
-                related: vec![diag::Related {
-                    path: "crates/memsim/src/system.rs".to_string(),
-                    line: 4,
-                    message: "calls `x::f` inside a loop (x2)".to_string(),
-                }],
-            },
-            Diagnostic {
-                rule: "DET002",
-                severity: Severity::Warn,
-                path: "crates/memsim/src/y.rs".to_string(),
-                line: 2,
-                message: "wall-clock read".to_string(),
-                related: Vec::new(),
-            },
-        ];
-        let report = Report {
-            diagnostics,
-            counts: BTreeMap::new(),
-            rule_totals: BTreeMap::new(),
-            baselined: 0,
-            files: 2,
-            analysis_ms: 0,
-        };
-        let sarif = report.to_sarif();
-
-        // Envelope.
-        assert!(sarif.starts_with(
-            "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
-             \"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\"name\":\"repolint\",\
-             \"rules\":["
-        ));
-        // The driver declares every known rule exactly once, with the
-        // first line of its explain text as the short description.
-        for code in config::RULES {
-            assert_eq!(
-                sarif.matches(&format!("{{\"id\":\"{code}\",\"shortDescription\"")).count(),
-                1,
-                "driver must declare {code} once"
-            );
-        }
-        // Result rendering, chained and plain.
-        assert!(sarif.contains(
-            "{\"ruleId\":\"PERF001\",\"level\":\"error\",\
-             \"message\":{\"text\":\"heap allocation `Vec::new` on the hot replay path\"},\
-             \"locations\":[{\"physicalLocation\":{\"artifactLocation\":\
-             {\"uri\":\"crates/memsim/src/x.rs\"},\"region\":{\"startLine\":9}}}],\
-             \"relatedLocations\":[{\"physicalLocation\":{\"artifactLocation\":\
-             {\"uri\":\"crates/memsim/src/system.rs\"},\"region\":{\"startLine\":4}},\
-             \"message\":{\"text\":\"calls `x::f` inside a loop (x2)\"}}]}"
-        ));
-        assert!(sarif.ends_with(
-            "{\"ruleId\":\"DET002\",\"level\":\"warning\",\
-             \"message\":{\"text\":\"wall-clock read\"},\
-             \"locations\":[{\"physicalLocation\":{\"artifactLocation\":\
-             {\"uri\":\"crates/memsim/src/y.rs\"},\"region\":{\"startLine\":2}}}]}]}]}"
-        ));
+    fn an_allow_that_suppresses_nothing_is_a_finding() {
+        // Line 3 is suppressed and stays quiet; the allow on line 5 sits
+        // above code that no longer unwraps; the one on line 7 gives no
+        // reason, so it suppresses nothing and the unwrap fires as well.
+        let src = "pub fn f(x: Option<u32>) -> u32 {\n\
+                   \x20   // repolint:allow(PANIC001) checked by the caller\n\
+                   \x20   let a = x.unwrap();\n\
+                   \x20   // repolint:allow(PANIC001) was an unwrap once\n\
+                   \x20   let b = x.unwrap_or(0);\n\
+                   \x20   // repolint:allow(PANIC001)\n\
+                   \x20   a + b + x.unwrap()\n\
+                   }\n";
+        let diags = lint_str("crates/memsim/src/x.rs", "abft-memsim", src);
+        let got: Vec<(&str, usize)> = diags.iter().map(|d| (d.rule, d.line)).collect();
+        assert_eq!(got, vec![("ALLOW", 4), ("ALLOW", 6), ("PANIC001", 7)], "{diags:?}");
+        assert!(diags[0].message.contains("stale `repolint:allow(PANIC001)`"), "{diags:?}");
+        assert!(diags[0].message.contains("line 5"), "{diags:?}");
     }
 
     #[test]
-    fn severity_allow_disables_and_warn_does_not_fail() {
-        let src = "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
+    fn an_unused_allow_is_stale_only_where_its_rule_was_checked() {
+        let src =
+            "pub fn f() -> u32 {\n    // repolint:allow(DET002,PERF001) not needed\n    1\n}\n";
         let mut cfg = Config::default();
-        cfg.rules.get_mut("PANIC001").unwrap().severity = Severity::Allow;
-        assert!(lint_source("crates/m/src/x.rs", "m", src, &cfg).unwrap().is_empty());
-
-        cfg.rules.get_mut("PANIC001").unwrap().severity = Severity::Warn;
-        let diags = lint_source("crates/m/src/x.rs", "m", src, &cfg).unwrap();
-        assert_eq!(diags.len(), 1);
-        let report = Report {
-            diagnostics: diags,
-            counts: BTreeMap::new(),
-            rule_totals: BTreeMap::new(),
-            baselined: 0,
-            files: 1,
-            analysis_ms: 0,
-        };
-        assert!(!report.failed(), "warn severity must not fail the check");
+        cfg.rules.get_mut("DET002").unwrap().crates = Some(vec!["abft-memsim".to_string()]);
+        // DET002 ran on this crate, so its half is stale; the PERF rules
+        // need the workspace, which `lint_source` does not have.
+        let diags = lint_source("crates/memsim/src/x.rs", "abft-memsim", src, &cfg).unwrap();
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].message.contains("repolint:allow(DET002)"), "{diags:?}");
+        // Outside DET002's crate scope nothing checked it.
+        assert!(lint_source("crates/abft/src/x.rs", "abft-kernels", src, &cfg).unwrap().is_empty());
+        // With the workspace-wide rules run, the PERF half is stale too.
+        let ws =
+            Workspace::from_sources(&[("crates/abft/src/lib.rs", "abft-kernels", src)]).unwrap();
+        let diags = ws.lint(&cfg).unwrap();
+        let stale: Vec<_> = diags.iter().filter(|d| d.rule == "ALLOW").collect();
+        assert_eq!(stale.len(), 1, "{diags:?}");
+        assert!(stale[0].message.contains("repolint:allow(PERF001)"), "{diags:?}");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! make its never-called methods live, and a live module must not make
 //! its unreferenced contents live. Name-level matching means same-named
 //! items shadow each other's liveness — the conservative direction for
-//! a ratcheting lint. Trait-impl methods, trait-declaration methods and
+//! a lint gate. Trait-impl methods, trait-declaration methods and
 //! `main` are exempt (their liveness is structural, not referential).
 
 use crate::config::RuleCfg;

@@ -12,9 +12,9 @@
 //! allocate and print as their job, and crate scoping narrows the rules
 //! to the crates whose throughput the campaign actually depends on.
 //!
-//! Every diagnostic carries the DET004-style call chain that makes the
-//! function hot, with loop-carrying frames marked (`in loop x2`), so
-//! the *why* is auditable without rerunning the analysis.
+//! Every diagnostic carries the call chain that makes the function hot,
+//! with loop-carrying frames marked (`in loop x2`), so the *why* is
+//! auditable without rerunning the analysis.
 
 use crate::config::RuleCfg;
 use crate::diag::{Diagnostic, Related};
@@ -29,68 +29,45 @@ use crate::source::FileKind;
 /// access stream.
 const FIRE_AT: u32 = 2;
 
-/// PERF001 — heap allocation inside a loop in hot code. `format!` is an
-/// allocation too; on cold error paths it is idiomatic, so it only
-/// counts with loop heat behind it, like every other allocation here.
-pub fn check001(sem: &SemanticCtx<'_>, cfg: &RuleCfg, out: &mut Vec<Diagnostic>) {
-    check_sinks(sem, cfg, out, "PERF001", |kind, total| {
-        matches!(kind, SinkKind::Alloc | SinkKind::Format) && total >= FIRE_AT
-    });
-}
-
-/// PERF002 — `.clone()` / `.to_owned()` in a hot loop.
-pub fn check002(sem: &SemanticCtx<'_>, cfg: &RuleCfg, out: &mut Vec<Diagnostic>) {
-    check_sinks(sem, cfg, out, "PERF002", |kind, total| {
-        kind == SinkKind::Clone && total >= FIRE_AT
-    });
-}
-
-/// PERF003 — dynamic dispatch through `dyn` in a hot loop.
-pub fn check003(sem: &SemanticCtx<'_>, cfg: &RuleCfg, out: &mut Vec<Diagnostic>) {
-    check_sinks(sem, cfg, out, "PERF003", |kind, total| {
-        kind == SinkKind::DynCall && total >= FIRE_AT
-    });
-}
-
-/// PERF004 — formatted *output* (`println!`/`write!`-family) anywhere in
-/// hot-reachable library code: reporting belongs to binaries and the
-/// reporting layer, so any heat at all is a finding.
-pub fn check004(sem: &SemanticCtx<'_>, cfg: &RuleCfg, out: &mut Vec<Diagnostic>) {
-    check_sinks(sem, cfg, out, "PERF004", |kind, _| kind == SinkKind::Fmt);
-}
-
-/// What a sink costs and how to pay less, per rule.
-fn advice(rule: &str, kind: SinkKind) -> &'static str {
-    match rule {
-        "PERF001" => "hoist the allocation out of the loop or reuse a preallocated buffer",
-        "PERF002" => "borrow instead of cloning, or move the clone out of the loop",
-        "PERF003" => {
-            "devirtualize: make the caller generic over the trait so the callee can inline"
+/// The rule a sink of this kind breaks at this total heat, with what it
+/// is called and how to pay less.
+///
+/// - PERF001 — heap allocation inside a loop in hot code. `format!` is an
+///   allocation too; on cold error paths it is idiomatic, so it only
+///   counts with loop heat behind it, like every other allocation here.
+/// - PERF002 — `.clone()` / `.to_owned()` in a hot loop.
+/// - PERF003 — dynamic dispatch through `dyn` in a hot loop.
+/// - PERF004 — formatted *output* (`println!`/`write!`-family) anywhere
+///   in hot-reachable library code: reporting belongs to binaries and the
+///   reporting layer, so any heat at all is a finding.
+fn rule_for(kind: SinkKind, total: u32) -> Option<(&'static str, &'static str, &'static str)> {
+    let looped = total >= FIRE_AT;
+    Some(match kind {
+        SinkKind::Alloc | SinkKind::Format if looped => (
+            "PERF001",
+            "heap allocation",
+            "hoist the allocation out of the loop or reuse a preallocated buffer",
+        ),
+        SinkKind::Clone if looped => {
+            ("PERF002", "clone", "borrow instead of cloning, or move the clone out of the loop")
         }
-        _ if kind == SinkKind::Format => {
-            "build the string at the reporting layer, not on the replay path"
-        }
-        _ => "move reporting to the caller or gate it behind the reporting layer",
-    }
+        SinkKind::DynCall if looped => (
+            "PERF003",
+            "dynamic dispatch",
+            "devirtualize: make the caller generic over the trait so the callee can inline",
+        ),
+        SinkKind::Fmt => (
+            "PERF004",
+            "formatted output",
+            "move reporting to the caller or gate it behind the reporting layer",
+        ),
+        _ => return None,
+    })
 }
 
-fn noun(rule: &str) -> &'static str {
-    match rule {
-        "PERF001" => "heap allocation",
-        "PERF002" => "clone",
-        "PERF003" => "dynamic dispatch",
-        _ => "formatted output",
-    }
-}
-
-/// The shared join of token-level sinks against the workspace hot set.
-fn check_sinks(
-    sem: &SemanticCtx<'_>,
-    cfg: &RuleCfg,
-    out: &mut Vec<Diagnostic>,
-    rule: &'static str,
-    want: impl Fn(SinkKind, u32) -> bool,
-) {
+/// PERF001–PERF004: the join of token-level sinks against the workspace
+/// hot set, scoped by the one `[rules.PERF001]` config the family shares.
+pub fn check(sem: &SemanticCtx<'_>, cfg: &RuleCfg, out: &mut Vec<Diagnostic>) {
     let hot = &sem.hot;
     for (fi, f) in sem.table.fns.iter().enumerate() {
         let Some(base) = hot.heat.get(fi).copied().flatten() else { continue };
@@ -98,14 +75,13 @@ fn check_sinks(
         if ctx.kind != FileKind::Lib {
             continue;
         }
-        if let Some(crates) = &cfg.crates {
-            if !crates.iter().any(|c| c == &f.crate_name) {
-                continue;
-            }
+        if !cfg.covers(&f.crate_name) {
+            continue;
         }
-        for s in &hot.loops[fi].sinks {
+        for s in &sem.graph.loops[fi].sinks {
             let total = base.saturating_add(s.depth).min(HEAT_CAP);
-            if !want(s.kind, total) || ctx.in_test(s.line) {
+            let Some((rule, noun, advice)) = rule_for(s.kind, total) else { continue };
+            if ctx.in_test(s.line) {
                 continue;
             }
             let (chain, related) = hot_chain(sem, fi);
@@ -119,14 +95,9 @@ fn check_sinks(
                 ctx.path,
                 s.line,
                 format!(
-                    "{} `{}` on the hot replay path at {heat_note}; hot via: {chain} -> `{}` \
-                     ({}:{}); {}",
-                    noun(rule),
-                    s.display,
-                    s.display,
-                    ctx.path,
-                    s.line,
-                    advice(rule, s.kind),
+                    "{noun} `{}` on the hot replay path at {heat_note}; hot via: {chain} -> `{}` \
+                     ({}:{}); {advice}",
+                    s.display, s.display, ctx.path, s.line,
                 ),
             );
             d.related = related;
@@ -136,9 +107,8 @@ fn check_sinks(
 }
 
 /// Reconstruct the hottest-path chain `root -> ... -> fns[fi]` as the
-/// message fragment plus one [`Related`] location per hop (the SARIF
-/// relatedLocations payload). Loop-carrying frames are marked with the
-/// call-site depth that amplified the heat.
+/// message fragment plus one [`Related`] location per hop. Loop-carrying
+/// frames are marked with the call-site depth that amplified the heat.
 fn hot_chain(sem: &SemanticCtx<'_>, fi: usize) -> (String, Vec<Related>) {
     let table = &sem.table;
     let hot = &sem.hot;

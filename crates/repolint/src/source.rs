@@ -2,6 +2,7 @@
 //! ranges, suppression comments, and token-stream helpers shared by the
 //! rules.
 
+use std::cell::Cell;
 use syn::{Comment, File, Item, Token, TokenKind};
 
 /// What kind of target a `.rs` file belongs to.
@@ -34,15 +35,20 @@ pub fn file_kind(rel: &str) -> FileKind {
     }
 }
 
-/// One parsed suppression comment.
+/// One rule of one parsed suppression comment.
 #[derive(Debug, Clone)]
 pub struct Suppression {
     /// Rule code the comment allows.
     pub rule: String,
+    /// Line of the comment itself.
+    pub line: usize,
     /// Source line the suppression covers.
     pub target_line: usize,
     /// True when a justification follows the `allow(...)`.
     pub has_reason: bool,
+    /// Set once the comment has suppressed a finding; one that never
+    /// does is stale ([`crate::rules::check_allows`]).
+    pub used: Cell<bool>,
 }
 
 /// Everything a rule needs to know about one file.
@@ -75,9 +81,17 @@ impl<'a> FileCtx<'a> {
         self.test_ranges.iter().any(|&(lo, hi)| line >= lo && line <= hi)
     }
 
-    /// True when a documented `repolint:allow` covers this rule + line.
+    /// True when a documented `repolint:allow` covers this rule + line;
+    /// marks every such comment as used.
     pub fn suppressed(&self, rule: &str, line: usize) -> bool {
-        self.suppressions.iter().any(|s| s.has_reason && s.rule == rule && s.target_line == line)
+        let mut hit = false;
+        for s in &self.suppressions {
+            if s.has_reason && s.rule == rule && s.target_line == line {
+                s.used.set(true);
+                hit = true;
+            }
+        }
+        hit
     }
 
     /// Name of the innermost `fn` whose token range contains `tok_idx`.
@@ -110,14 +124,16 @@ fn collect_test_ranges(items: &[Item], out: &mut Vec<(usize, usize)>) {
     }
 }
 
-/// Parse `// repolint:allow(RULE[,RULE]) reason` comments. A suppression
-/// covers the code on its own line (trailing comment) or, for a comment
-/// on a line of its own, the next line that has any token.
+/// Parse `// repolint:allow(RULE[,RULE]) reason` comments — plain line
+/// comments that start with the marker, so prose that merely mentions
+/// the syntax is not one. A suppression covers the code on its own line
+/// (trailing comment) or, for a comment on a line of its own, the next
+/// line that has any token.
 fn collect_suppressions(comments: &[Comment], tokens: &[Token]) -> Vec<Suppression> {
     let mut out = Vec::new();
     for c in comments {
-        let Some(at) = c.text.find("repolint:allow(") else { continue };
-        let rest = &c.text[at + "repolint:allow(".len()..];
+        let Some(body) = c.text.strip_prefix("//") else { continue };
+        let Some(rest) = body.trim_start().strip_prefix("repolint:allow(") else { continue };
         let Some(close) = rest.find(')') else { continue };
         let reason = rest[close + 1..].trim();
         let has_reason = !reason.is_empty();
@@ -129,7 +145,13 @@ fn collect_suppressions(comments: &[Comment], tokens: &[Token]) -> Vec<Suppressi
         for rule in rest[..close].split(',') {
             let rule = rule.trim();
             if !rule.is_empty() {
-                out.push(Suppression { rule: rule.to_string(), target_line, has_reason });
+                out.push(Suppression {
+                    rule: rule.to_string(),
+                    line: c.line,
+                    target_line,
+                    has_reason,
+                    used: Cell::new(false),
+                });
             }
         }
     }

@@ -21,18 +21,12 @@ pub struct FnSym {
     pub name: String,
     /// Enclosing `impl` self type, for methods/associated functions.
     pub self_ty: Option<String>,
-    /// Trait being implemented, when inside `impl Trait for Type`.
-    pub trait_impl: Option<String>,
     /// True when declared inside a `trait` definition.
     pub in_trait_decl: bool,
     /// Body token range in the file's token stream, when present.
     pub body: Option<(usize, usize)>,
-    /// 1-based line of the definition.
-    pub line: usize,
     /// True when the definition is inside test-marked code.
     pub is_test: bool,
-    /// Visibility modifier.
-    pub vis: Visibility,
 }
 
 impl FnSym {
@@ -198,12 +192,9 @@ fn collect_items(
                         module: module.to_vec(),
                         name: name.clone(),
                         self_ty: self_ty.map(str::to_string),
-                        trait_impl: trait_impl.map(str::to_string),
                         in_trait_decl,
                         body: item.body,
-                        line: item.line,
                         is_test,
-                        vis: item.vis,
                     });
                 }
             }

@@ -117,19 +117,65 @@ fn trait_method_calls_fall_back_to_all_implementors() {
     );
 }
 
-#[test]
-fn reachability_walks_the_whole_chain_and_records_parents() {
-    let ws = fixture();
-    let (table, graph) = build(&ws);
-    let main = fn_index(&table, "main");
-    let absorb = fn_index(&table, "Ring::absorb");
-    let checksum = fn_index(&table, "checksum");
-    let state = graph.reach(&table, &[main]);
-    // Everything on the chain is reached; the root has no parent.
-    assert_eq!(state[main], Some(None));
-    for (label, fi) in [("checksum", checksum), ("Ring::absorb", absorb)] {
-        let reached = state[fi].unwrap_or_else(|| panic!("{label} not reached"));
-        let (parent, _line) = reached.expect("non-root hop records its caller");
-        assert!(state[parent].is_some(), "{label}'s parent must itself be reached");
+/// Every `(callee, line)` edge out of `caller`.
+fn edges(table: &SymbolTable, graph: &CallGraph, caller: &str) -> Vec<(String, usize)> {
+    let mut out = Vec::new();
+    for site in &graph.calls[fn_index(table, caller)] {
+        out.extend(site.targets.iter().map(|&t| (table.fns[t].qual(), site.line)));
     }
+    out
+}
+
+#[test]
+fn calls_in_let_else_if_let_closures_and_loop_heads_are_edges_and_attributes_are_not() {
+    // The shapes a statement-level expression parser tends to lose.
+    let src = "pub fn walk(v: &[Vec<u64>], i: usize) -> u64 {\n\
+               \x20   let Some(first) = v.first() else { return fallback(); };\n\
+               \x20   if let Some(x) = probe(first) { return x; }\n\
+               \x20   let fold = |a: u64, b: &u64| combine(a, *b);\n\
+               \x20   for x in &v[index_of(i)] { visit(*x); }\n\
+               \x20   #[cfg(feature = \"x\")]\n\
+               \x20   audit(v);\n\
+               \x20   first.iter().fold(0, fold)\n\
+               }\n\
+               fn fallback() -> u64 { 0 }\n\
+               fn probe(v: &[u64]) -> Option<u64> { v.first().copied() }\n\
+               fn combine(a: u64, b: u64) -> u64 { a + b }\n\
+               fn index_of(i: usize) -> usize { i }\n\
+               fn visit(_x: u64) {}\n\
+               fn audit(_v: &[Vec<u64>]) {}\n\
+               fn cfg(_on: bool) {}\n";
+    let ws = Workspace::from_sources(&[("crates/a/src/lib.rs", "a", src)]).expect("parses");
+    let (table, graph) = build(&ws);
+    let want = [
+        ("fallback", 2),
+        ("probe", 3),
+        ("combine", 4),
+        ("index_of", 5),
+        ("visit", 5),
+        ("audit", 7),
+    ];
+    let want: Vec<(String, usize)> = want.iter().map(|&(n, l)| (n.to_string(), l)).collect();
+    assert_eq!(edges(&table, &graph, "walk"), want, "and no edge to `cfg` from the attribute");
+}
+
+#[test]
+fn a_call_through_a_local_is_not_a_call_to_a_workspace_function() {
+    let src = "pub fn drive(encode: impl Fn(u64) -> u64, items: &[u64]) -> u64 {\n\
+               \x20   let decode = pick();\n\
+               \x20   items.iter().map(|scale| encode(decode(*scale))).sum::<u64>() + crate::scale(1)\n\
+               }\n\
+               fn pick() -> fn(u64) -> u64 { decode }\n\
+               pub fn encode(x: u64) -> u64 { x }\n\
+               pub fn decode(x: u64) -> u64 { x }\n\
+               pub fn scale(x: u64) -> u64 { x }\n";
+    let ws = Workspace::from_sources(&[("crates/a/src/lib.rs", "a", src)]).expect("parses");
+    let (table, graph) = build(&ws);
+    // The parameter, the `let` and the closure parameter hide the three
+    // same-named functions from bare calls; a qualified path still
+    // reaches the function.
+    assert_eq!(
+        edges(&table, &graph, "drive"),
+        vec![("pick".to_string(), 2), ("scale".to_string(), 3)]
+    );
 }

@@ -1,7 +1,7 @@
-//! End-to-end checks for the workspace walk, excludes, and the
-//! baseline ratchet, against a scratch mini-workspace on disk.
+//! End-to-end checks against a scratch mini-workspace on disk: the walk
+//! and its excludes, DET002 below an entry point, and the hard error on
+//! a config-listed entry point that names nothing.
 
-use repolint::baseline::Baseline;
 use repolint::check_workspace;
 use repolint::config::Config;
 use std::fs;
@@ -47,8 +47,7 @@ fn walks_excludes_and_reports() {
     ws.write("crates/compat/fake/src/lib.rs", "pub fn f() { None::<u32>.unwrap(); }\n");
     ws.write("target/debug/build/gen.rs", "pub fn f() { None::<u32>.unwrap(); }\n");
 
-    let report =
-        check_workspace(&ws.root, &Config::default(), &Baseline::default()).expect("check");
+    let report = check_workspace(&ws.root, &Config::default()).expect("check");
     assert_eq!(report.files, 2, "compat and target are excluded");
     assert_eq!(report.diagnostics.len(), 1);
     let d = &report.diagnostics[0];
@@ -57,36 +56,7 @@ fn walks_excludes_and_reports() {
 }
 
 #[test]
-fn baseline_absorbs_exactly_and_ratchets() {
-    let ws = Scratch::new("baseline");
-    ws.write("Cargo.toml", MANIFEST);
-    ws.write("crates/demo/Cargo.toml", MANIFEST);
-    ws.write(
-        "crates/demo/src/lib.rs",
-        "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n\
-         pub fn g(x: Option<u32>) -> u32 {\n    x.expect(\"g\")\n}\n",
-    );
-    ws.write("crates/demo/src/bin/tool.rs", USER);
-
-    // A baseline covering one of the two findings: the second still fails.
-    let base = Baseline::parse("PANIC001 crates/demo/src/lib.rs 1\n").expect("baseline");
-    let report = check_workspace(&ws.root, &Config::default(), &base).expect("check");
-    assert_eq!(report.baselined, 1);
-    assert_eq!(report.diagnostics.len(), 1);
-    assert_eq!(report.diagnostics[0].line, 5, "later finding reported, earlier absorbed");
-
-    // A generous baseline absorbs both; rendering the *current* counts
-    // ratchets it back down to what is actually present.
-    let base = Baseline::parse("PANIC001 crates/demo/src/lib.rs 5\n").expect("baseline");
-    let report = check_workspace(&ws.root, &Config::default(), &base).expect("check");
-    assert!(!report.failed());
-    assert_eq!(report.baselined, 2);
-    let rendered = Baseline::render(&report.counts);
-    assert!(rendered.contains("PANIC001 crates/demo/src/lib.rs 2"), "{rendered}");
-}
-
-#[test]
-fn clean_tree_passes_with_empty_baseline() {
+fn clean_tree_passes() {
     let ws = Scratch::new("clean");
     ws.write("Cargo.toml", MANIFEST);
     ws.write("crates/demo/Cargo.toml", MANIFEST);
@@ -95,8 +65,83 @@ fn clean_tree_passes_with_empty_baseline() {
         "pub fn f(x: Option<u32>) -> Result<u32, ()> {\n    x.ok_or(())\n}\n",
     );
     ws.write("crates/demo/src/bin/tool.rs", USER);
-    let report =
-        check_workspace(&ws.root, &Config::default(), &Baseline::default()).expect("check");
+    let report = check_workspace(&ws.root, &Config::default()).expect("check");
     assert!(!report.failed());
     assert!(report.diagnostics.is_empty());
+}
+
+const CLEAN_HELPERS: &str = "fn tally() { fold(); }\nfn fold() {}\n";
+const DIRTY_HELPERS: &str = "fn tally() { fold(); }\n\
+                             fn fold() { let _t = std::time::Instant::now(); }\n\
+                             pub fn orphan() { let _t = std::time::Instant::now(); }\n";
+
+/// A campaign crate whose entry point reaches `fold` through `tally`.
+fn campaign_ws(tag: &str, helpers: &str) -> Scratch {
+    let ws = Scratch::new(tag);
+    ws.write("Cargo.toml", MANIFEST);
+    ws.write("crates/core/Cargo.toml", "[package]\nname = \"demo-core\"\n");
+    ws.write(
+        "crates/core/src/lib.rs",
+        &format!(
+            "pub struct CampaignClient;\n\
+             impl CampaignClient {{\n\
+             \x20   pub fn run(&self) {{ tally(); }}\n\
+             }}\n\
+             {helpers}"
+        ),
+    );
+    ws
+}
+
+#[test]
+fn a_wall_clock_read_is_a_finding_whether_or_not_an_entry_point_reaches_it() {
+    // One `Instant::now()` two calls below `CampaignClient::run`, one in
+    // a function nothing calls: DET002 needs no roots, so it sees both.
+    let ws = campaign_ws("dirty", DIRTY_HELPERS);
+    let report = check_workspace(&ws.root, &Config::default()).expect("check runs");
+    let det: Vec<(&str, usize)> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "DET002")
+        .map(|d| (d.path.as_str(), d.line))
+        .collect();
+    assert_eq!(
+        det,
+        vec![("crates/core/src/lib.rs", 6), ("crates/core/src/lib.rs", 7)],
+        "{:?}",
+        report.diagnostics
+    );
+    assert!(report.failed());
+
+    let ws = campaign_ws("undirty", CLEAN_HELPERS);
+    let report = check_workspace(&ws.root, &Config::default()).expect("check runs");
+    assert!(report.diagnostics.iter().all(|d| d.rule != "DET002"), "{:?}", report.diagnostics);
+}
+
+#[test]
+fn a_config_listed_entry_point_that_matches_nothing_is_a_hard_error() {
+    let ws = campaign_ws("stale", CLEAN_HELPERS);
+
+    // The pre-rename name: without the check the PERF rules would lose
+    // their only root and have nothing to call hot.
+    let stale = "[rules.PERF001]\nentry_points = [\"Campaign::run\"]\n";
+    let err = check_workspace(&ws.root, &Config::parse(stale).expect("parses"))
+        .expect_err("a stale entry point must not lint as clean");
+    assert!(err.contains("PERF001") && err.contains("`Campaign::run`"), "{err}");
+
+    // Through the CLI the same config exits 2, naming both.
+    ws.write("repolint.toml", stale);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repolint"))
+        .args(["check", "--root"])
+        .arg(&ws.root)
+        .output()
+        .expect("repolint runs");
+    assert_eq!(out.status.code(), Some(2), "exit status {:?}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("PERF001") && stderr.contains("`Campaign::run`"), "{stderr}");
+
+    // Listing the name the function really has resolves.
+    let live = "[rules.PERF001]\nentry_points = [\"CampaignClient::run\"]\n";
+    check_workspace(&ws.root, &Config::parse(live).expect("parses"))
+        .expect("a live entry point lints");
 }
