@@ -4,8 +4,11 @@
 //! (kernel x ECC strategy x system config) simulations. A
 //! [`CampaignSpec`] names the workloads, strategies and config variants;
 //! [`run_grid`] — reached through [`crate::CampaignClient::run`], the
-//! only caller — expands them into independent cells and executes the
-//! cells on a rayon worker pool, each through [`run_cell`]. Kernel
+//! only caller — expands them into independent cells and executes them on
+//! a rayon worker pool, a chunk of one (workload, config) row's strategies
+//! per task, each through [`run_cells`]: the strategies of a row replay
+//! one and the same miss stream, so a task decodes it once and services
+//! every event on one lane per strategy. Kernel
 //! traces — the dominant fixed cost — are generated once per process
 //! through the shared [`TraceCache`] in the packed 8-byte encoding, and
 //! the cache hierarchy is simulated once per (workload x cache geometry x
@@ -18,9 +21,11 @@
 //! nothing else: the selection plus the few records it replays, which a
 //! process over a warm store loads without ever reading the miss stream.
 //!
-//! Every cell runs on a fresh [`Machine`], so results are bit-identical
-//! regardless of worker count or completion order (the simulator itself
-//! is deterministic; see `tests/campaign_determinism.rs`).
+//! Every cell runs on a fresh node of its own — a lane shares nothing
+//! with its neighbours but the read-only stream — so results are
+//! bit-identical regardless of worker count, lane split or completion
+//! order (the simulator itself is deterministic; see
+//! `tests/campaign_determinism.rs`).
 //!
 //! ```no_run
 //! use abft_coop_core::{CampaignClient, CampaignSpec, Strategy};
@@ -39,7 +44,7 @@ use crate::client::CampaignSpec;
 use crate::experiment::{BasicTest, StrategyResult};
 use crate::strategy::Strategy;
 use abft_memsim::simpoint::SimPointConfig;
-use abft_memsim::system::{Machine, SimInput, SimRequest, SimStats};
+use abft_memsim::system::{Machine, SimInput, SimStats};
 use abft_memsim::trace_cache::{FilterKey, TraceCache};
 use abft_memsim::workloads::{abft_region_ids, KernelKind, KernelParams};
 use abft_memsim::SystemConfig;
@@ -48,18 +53,34 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Run one (input, config, strategy) cell on a fresh machine — the one
-/// way a [`Strategy`] becomes [`SimStats`]. The input picks the replay
-/// path: a materialized trace or pull-based source goes through the full
-/// cache hierarchy; a cache-filtered miss stream replays only the DRAM
-/// tail (bit-identical, provided the config's cache geometry and thread
-/// count match the filter's [`FilterKey`]); a sampled miss stream, or
-/// the phase sample condensed from one, replays only its weighted
-/// representative slices (an estimate, error bounded in
+/// Run the cells of one (input, config) row — one per strategy, each on a
+/// fresh node — in a single pass over the input
+/// ([`Machine::simulate_lanes`]): the one way a [`Strategy`] becomes
+/// [`SimStats`]. Result `i` is `strategies[i]`'s, bit for bit what that
+/// strategy yields alone; no strategy, no result. The input picks the
+/// replay path: a materialized trace or pull-based source goes through the
+/// full cache hierarchy (one walk for the row); a cache-filtered miss
+/// stream replays only the DRAM tail (bit-identical, provided the config's
+/// cache geometry and thread count match the filter's [`FilterKey`]); a
+/// sampled miss stream, or the phase sample condensed from one, replays
+/// only its weighted representative slices (an estimate, error bounded in
 /// `tests/simpoint_equivalence.rs` and by perfbench's `sampled_err_pct`).
+pub fn run_cells(
+    input: SimInput<'_>,
+    cfg: &SystemConfig,
+    strategies: &[Strategy],
+) -> Vec<SimStats> {
+    let abft = abft_region_ids(input.regions());
+    let assign = |s: &Strategy| s.assignment(&abft);
+    let assigns: Vec<_> = strategies.iter().map(assign).collect();
+    Machine::simulate_lanes(cfg, input, &assigns)
+}
+
+/// One (input, config, strategy) cell: the one-strategy row of
+/// [`run_cells`].
 pub fn run_cell(input: SimInput<'_>, cfg: &SystemConfig, strategy: Strategy) -> SimStats {
-    let assign = strategy.assignment(&abft_region_ids(input.regions()));
-    Machine::new(cfg.clone()).simulate(SimRequest::new(input, assign))
+    let mut row = run_cells(input, cfg, &[strategy]);
+    row.pop().unwrap_or_else(|| unreachable!("one strategy in, one SimStats out"))
 }
 
 /// One completed campaign cell.
@@ -75,8 +96,10 @@ pub struct CampaignResult {
     pub config_tag: String,
     /// Simulation statistics.
     pub stats: SimStats,
-    /// Wall-clock this job took (simulation only; trace generation is
-    /// accounted to whichever job built the cache entry).
+    /// Wall-clock this cell took (simulation only; trace generation is
+    /// accounted to whichever job built the cache entry): its task's
+    /// wall-clock divided evenly among the cells the task replayed
+    /// together, so the cells' walls still sum to the workers' busy time.
     pub wall: Duration,
 }
 
@@ -146,11 +169,36 @@ pub struct CampaignMetrics {
 /// [`crate::CampaignClient::on_progress`]).
 pub type ProgressHook = Arc<dyn Fn(&Progress) + Send + Sync>;
 
+/// One cell as its task hands it back: a [`CampaignResult`] still to be
+/// given its config tag (one `String` clone per cell, made after the
+/// parallel section, outside the task loops), plus the phase count and
+/// error budget of the selection it replayed (zeros on the exact path).
+struct Cell {
+    workload: KernelParams,
+    cfg_idx: usize,
+    strategy: Strategy,
+    stats: SimStats,
+    wall: Duration,
+    phases: u64,
+    est_error: f64,
+}
+
 /// The engine: expand `spec` into cells, pre-warm every distinct miss
-/// stream (or, when `sampling` is on, phase sample), replay each cell
-/// through [`run_cell`] on the worker pool, and assemble the counters.
-/// `sampling` is passed beside the spec because the caller resolves it
-/// (the spec's own setting, else the environment's).
+/// stream (or, when `sampling` is on, phase sample), replay the cells on
+/// the worker pool — a chunk of one row's strategies per task, through
+/// [`run_cells`] — and assemble the counters. `sampling` is passed beside
+/// the spec because the caller resolves it (the spec's own setting, else
+/// the environment's).
+///
+/// **How a row is cut.** With `S` strategies on `W` workers a task takes
+/// `ceil(S / W)` consecutive strategies of one (workload, config) row, so
+/// every row is cut into the same number of chunks and the pool — which
+/// deals tasks out round-robin — gives each worker an equal share of
+/// *every* row. Rows differ in length by an order of magnitude (the
+/// default grid's four are 1.24 / 0.59 / 5.89 / 0.53 M events), so whole
+/// rows per task would fuse more and balance far worse; this is the most
+/// fusion that keeps the per-cell split's balance (1 worker: the whole
+/// row in one pass; `W >= S`: one cell per task).
 pub(crate) fn run_grid(
     spec: &CampaignSpec,
     sampling: Option<SimPointConfig>,
@@ -159,17 +207,7 @@ pub(crate) fn run_grid(
 ) -> CampaignRun {
     let CampaignSpec { workloads, strategies, configs, .. } = spec;
 
-    // Deterministic nested order: workload, then config, then strategy.
-    let mut jobs: Vec<(KernelParams, usize, Strategy)> = Vec::new();
-    for &w in workloads {
-        for c in 0..configs.len() {
-            for &s in strategies {
-                jobs.push((w, c, s));
-            }
-        }
-    }
-
-    let total = jobs.len();
+    let total = spec.cells();
     let completed = AtomicUsize::new(0);
     let hits0 = cache.hits();
     let builds0 = cache.builds();
@@ -198,65 +236,84 @@ pub(crate) fn run_grid(
         }
     }
 
-    // Each cell comes back with the phase count and error budget of the
-    // selection it replayed (zeros on the exact path).
-    let execute = || -> Vec<(CampaignResult, u64, f64)> {
+    let execute = || -> Vec<Vec<Cell>> {
         distinct.into_par_iter().for_each(|(w, c, _)| match &sampling {
             Some(sp) => drop(cache.get_sampled(w, &configs[c].1, sp)),
             None => drop(cache.get_filtered(w, &configs[c].1)),
         });
-        jobs.into_par_iter()
-            .map(|(workload, cfg_idx, strategy)| {
+        // Deterministic nested order: workload, then config, then strategy.
+        let lanes = strategies.len().div_ceil(rayon::current_num_threads());
+        let mut tasks: Vec<(KernelParams, usize, &[Strategy])> = Vec::new();
+        for &w in workloads {
+            for c in 0..configs.len() {
+                tasks.extend(strategies.chunks(lanes).map(|chunk| (w, c, chunk)));
+            }
+        }
+        tasks
+            .into_par_iter()
+            .map(|(workload, cfg_idx, chunk)| {
                 let (tag, cfg) = &configs[cfg_idx];
                 // repolint:allow(DET002) wall time is reporting-only progress metadata
                 let job_start = Instant::now();
+                // One lookup per task: the row's lanes share the stream.
                 let (stats, phases, est_error) = match &sampling {
                     Some(sp) => {
                         let sample = cache.get_sampled(workload, cfg, sp);
                         let sel = sample.selection();
-                        let stats = run_cell(SimInput::Sample(&sample), cfg, strategy);
+                        let stats = run_cells(SimInput::Sample(&sample), cfg, chunk);
                         (stats, sel.phases().len() as u64, sel.est_error())
                     }
                     None => {
                         let ms = cache.get_filtered(workload, cfg);
-                        (run_cell(SimInput::MissStream(&ms), cfg, strategy), 0, 0.0)
+                        (run_cells(SimInput::MissStream(&ms), cfg, chunk), 0, 0.0)
                     }
                 };
-                let wall = job_start.elapsed();
-                let result = CampaignResult {
-                    kernel: workload.kind(),
-                    workload,
-                    strategy,
-                    config_tag: tag.clone(),
-                    stats,
-                    wall,
-                };
+                let wall = job_start.elapsed() / chunk.len() as u32;
                 if let Some(hook) = progress {
-                    let done = completed.fetch_add(1, Ordering::SeqCst) + 1;
-                    hook(&Progress {
-                        completed: done,
+                    let mut report = Progress {
+                        completed: 0,
                         total,
-                        kernel: result.kernel,
-                        strategy,
-                        config_tag: result.config_tag.clone(),
+                        kernel: workload.kind(),
+                        strategy: chunk[0],
+                        config_tag: tag.clone(),
                         job_wall: wall,
                         cache_hits: cache.hits(),
                         cache_builds: cache.builds(),
-                    });
+                    };
+                    for &strategy in chunk {
+                        report.completed = completed.fetch_add(1, Ordering::SeqCst) + 1;
+                        report.strategy = strategy;
+                        hook(&report);
+                    }
                 }
-                (result, phases, est_error)
+                chunk
+                    .iter()
+                    .zip(stats)
+                    .map(|(&strategy, stats)| Cell {
+                        workload,
+                        cfg_idx,
+                        strategy,
+                        stats,
+                        wall,
+                        phases,
+                        est_error,
+                    })
+                    .collect()
             })
             .collect()
     };
 
-    let cells = match spec.threads {
+    let cells: Vec<Cell> = match spec.threads {
         Some(n) => rayon::ThreadPoolBuilder::new()
             .num_threads(n)
             .build()
             .expect("thread pool") // repolint:allow(PANIC001) no recovery path if OS thread spawn fails at startup
             .install(execute),
         None => execute(),
-    };
+    }
+    .into_iter()
+    .flatten()
+    .collect();
 
     let store = cache.store_metrics().since(&store0);
     let metrics = CampaignMetrics {
@@ -272,11 +329,22 @@ pub(crate) fn run_grid(
         simpoint_hits: cache.simpoint_hits() - simpoint_hits0,
         simpoint_builds: cache.simpoint_builds() - simpoint_builds0,
         sampled_cells: if sampling.is_some() { total } else { 0 },
-        slices_replayed: cells.iter().map(|c| c.1).sum(),
-        est_error_budget: cells.iter().map(|c| c.2).fold(0.0, f64::max),
+        slices_replayed: cells.iter().map(|c| c.phases).sum(),
+        est_error_budget: cells.iter().map(|c| c.est_error).fold(0.0, f64::max),
         wall: start.elapsed(),
     };
-    CampaignRun { results: cells.into_iter().map(|c| c.0).collect(), metrics }
+    let results = cells
+        .into_iter()
+        .map(|cell| CampaignResult {
+            kernel: cell.workload.kind(),
+            workload: cell.workload,
+            strategy: cell.strategy,
+            config_tag: configs[cell.cfg_idx].0.clone(),
+            stats: cell.stats,
+            wall: cell.wall,
+        })
+        .collect();
+    CampaignRun { results, metrics }
 }
 
 /// The results of a finished campaign.
@@ -504,28 +572,104 @@ mod tests {
             run.metrics.filter_builds, 1,
             "both configs share the default cache geometry = one filter pass"
         );
-        assert_eq!(run.metrics.filter_hits, 4, "the pre-warm filters; every job hits");
+        assert_eq!(
+            run.metrics.filter_hits, 4,
+            "the pre-warm filters; 2 strategies on 2 workers = one cell per task, every task hits"
+        );
     }
 
     #[test]
-    fn progress_hook_sees_every_job() {
+    fn progress_hook_sees_every_cell_once_whatever_the_lane_split() {
+        use std::sync::Mutex;
+        let strategies = [Strategy::NoEcc, Strategy::WholeSecded, Strategy::WholeChipkill];
+        // 1 worker: one three-lane task; 2: a two-lane and a one-lane
+        // task; 3: three one-lane tasks.
+        for threads in [1, 2, 3] {
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let seen2 = Arc::clone(&seen);
+            let spec = CampaignSpec::builder()
+                .workload(tiny())
+                .strategies(strategies)
+                .threads(threads)
+                .build();
+            let run = CampaignClient::with_cache(Arc::new(TraceCache::new()))
+                .on_progress(move |p| {
+                    assert_eq!(p.total, 3);
+                    seen2.lock().unwrap().push((p.completed, p.strategy));
+                })
+                .run(&spec);
+            let mut seen = seen.lock().unwrap().clone();
+            seen.sort_by_key(|&(completed, _)| completed);
+            let counts: Vec<usize> = seen.iter().map(|&(completed, _)| completed).collect();
+            assert_eq!(
+                counts,
+                [1, 2, 3],
+                "{threads} worker(s): `completed` counts cells up to `total`"
+            );
+            for s in strategies {
+                let reports = seen.iter().filter(|&&(_, seen)| seen == s).count();
+                assert_eq!(reports, 1, "{threads} worker(s): {s} reported {reports} times");
+            }
+            assert_eq!(run.results.len(), 3);
+        }
+    }
+
+    #[test]
+    fn an_empty_row_yields_nothing() {
+        let trace = tiny().build();
+        let cfg = SystemConfig::default();
+        assert!(run_cells(SimInput::Trace(&trace), &cfg, &[]).is_empty());
+        assert!(Machine::simulate_lanes(&cfg, SimInput::Trace(&trace), &[]).is_empty());
+    }
+
+    #[test]
+    fn a_one_strategy_spec_runs_one_lane_tasks_like_run_cell() {
+        let cache = Arc::new(TraceCache::new());
+        let s = Strategy::PartialChipkillSecded;
+        let run = run_tiny(&cache, CampaignSpec::builder().strategy(s).threads(1));
+        assert_eq!(run.results.len(), 1);
+        assert_eq!(run.metrics.filter_hits, 1, "one row of one strategy = one task = one lookup");
+        let ms = cache.get_filtered(tiny(), &SystemConfig::default());
+        let input = || SimInput::MissStream(&ms);
+        assert_eq!(run.results[0].stats, run_cell(input(), &SystemConfig::default(), s));
+        assert_eq!(
+            run_cells(input(), &SystemConfig::default(), &[s]),
+            [run.results[0].stats.clone()]
+        );
+    }
+
+    #[test]
+    fn a_strategy_listed_twice_gets_two_equal_cells() {
+        let listed = [Strategy::WholeChipkill, Strategy::NoEcc, Strategy::WholeChipkill];
+        for threads in [1, 2, 3] {
+            let cache = Arc::new(TraceCache::new());
+            let run = run_tiny(&cache, CampaignSpec::builder().strategies(listed).threads(threads));
+            let got: Vec<Strategy> = run.results.iter().map(|r| r.strategy).collect();
+            assert_eq!(got, listed, "{threads} worker(s)");
+            assert_eq!(run.results[0].stats, run.results[2].stats, "{threads} worker(s)");
+            assert_ne!(run.results[0].stats, run.results[1].stats, "{threads} worker(s)");
+        }
+    }
+
+    #[test]
+    fn more_workers_than_cells_still_runs_every_cell_once() {
         let cache = Arc::new(TraceCache::new());
         let count = Arc::new(AtomicUsize::new(0));
         let count2 = Arc::clone(&count);
         let spec = CampaignSpec::builder()
             .workload(tiny())
-            .strategies([Strategy::NoEcc, Strategy::WholeSecded, Strategy::WholeChipkill])
-            .threads(3)
+            .strategies([Strategy::NoEcc, Strategy::WholeChipkill])
+            .threads(16)
             .build();
-        let run = CampaignClient::with_cache(cache)
-            .on_progress(move |p| {
-                assert!(p.completed <= p.total);
-                assert_eq!(p.total, 3);
+        let run = CampaignClient::with_cache(Arc::clone(&cache))
+            .on_progress(move |_| {
                 count2.fetch_add(1, Ordering::SeqCst);
             })
             .run(&spec);
-        assert_eq!(count.load(Ordering::SeqCst), 3);
-        assert_eq!(run.results.len(), 3);
+        assert_eq!(count.load(Ordering::SeqCst), 2);
+        let got: Vec<Strategy> = run.results.iter().map(|r| r.strategy).collect();
+        assert_eq!(got, [Strategy::NoEcc, Strategy::WholeChipkill]);
+        assert_eq!(run.metrics.filter_hits, 2, "ceil(2 / 16) = 1 lane per task, 2 tasks");
     }
 
     #[test]

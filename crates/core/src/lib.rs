@@ -6,9 +6,11 @@
 //! * [`strategy`] — the six basic-test ECC strategies (No ECC, W_CK,
 //!   P_CK+No_ECC, W_SD, P_SD+No_ECC, P_CK+P_SD).
 //! * [`campaign`] — the one campaign engine: a [`CampaignSpec`]'s
-//!   (workload x config x strategy) grid expands into cells run through
-//!   [`run_cell`] on a rayon pool, with traces and miss streams shared
-//!   through the `TraceCache`; results come back as a [`CampaignRun`].
+//!   (workload x config x strategy) grid expands into cells run on a rayon
+//!   pool, a chunk of one row's strategies at a time through [`run_cells`]
+//!   ([`run_cell`] is its one-strategy call), with traces and miss streams
+//!   shared through the `TraceCache`; results come back as a
+//!   [`CampaignRun`].
 //! * `experiment` — the Section 5.1 metrics ([`BasicTest`] and the
 //!   fault-adjusted projections), assembled from a [`CampaignRun`].
 //! * `errorflow` — end-to-end Case 1-4 drills against the real stack
@@ -37,7 +39,7 @@ pub mod strategy;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveController, Stance, Transition};
 pub use campaign::{
-    run_cell, CampaignMetrics, CampaignResult, CampaignRun, Progress, ProgressHook,
+    run_cell, run_cells, CampaignMetrics, CampaignResult, CampaignRun, Progress, ProgressHook,
 };
 pub use client::{
     parse_simpoint_env, CampaignClient, CampaignSpec, CampaignSpecBuilder, SimPointEnvError,

@@ -383,8 +383,29 @@ impl Dram {
         write: bool,
         kind: AccessKind,
     ) -> ServiceResult {
+        self.service(start_ns, self.map.decode(paddr), write, kind)
+    }
+
+    /// [`Dram::access_kind`] for a line whose coordinates are already
+    /// decoded. Where the line lives depends on the geometry alone, how it
+    /// is serviced on this device's state: a row replay
+    /// ([`crate::system::Machine::simulate_lanes`]) decodes each line once
+    /// and services it on every lane's `Dram`.
+    ///
+    /// `#[inline(always)]` is measured, not habit (DESIGN.md §3.13): as an
+    /// outlined call, or left to the compiler's own choice, a one-lane
+    /// replay merely matched the per-cell loop it replaced and six lanes
+    /// ran 0.80x; inlined into the lane loop, one lane ran 0.91x and six
+    /// lanes 0.62x.
+    #[inline(always)]
+    pub(crate) fn service(
+        &mut self,
+        start_ns: f64,
+        loc: DramLocation,
+        write: bool,
+        kind: AccessKind,
+    ) -> ServiceResult {
         let costs = self.costs[kind.index()];
-        let loc = self.map.decode(paddr);
         // Chipkill locks a channel pair; the partner channel services the
         // same bank coordinates.
         let lockstep = costs.lockstep;
@@ -555,9 +576,8 @@ impl Dram {
 
     /// Crate-internal: replace the per-rank busy-time track with a scaled
     /// reconstruction (see [`Dram::rank_busy`]).
-    pub(crate) fn set_rank_busy(&mut self, busy: Vec<f64>) {
-        assert_eq!(busy.len(), self.rank_busy_ns.len());
-        self.rank_busy_ns = busy;
+    pub(crate) fn set_rank_busy(&mut self, busy: &[f64]) {
+        self.rank_busy_ns.copy_from_slice(busy);
     }
 
     /// Mean rank busy fraction over an interval (diagnostic).

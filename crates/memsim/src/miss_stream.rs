@@ -650,27 +650,48 @@ impl Iterator for MissEvents<'_> {
 }
 
 /// Test input: a short seeded trace of write sweeps and scattered
-/// accesses through caches of a few lines, so its stream holds demand,
+/// accesses over `regions` regions, with the few-line L1 and L2 it is
+/// meant to be filtered through, so that its stream holds demand,
 /// demand + write-back and stand-alone write-back records, single events
 /// and runs.
 #[cfg(test)]
-pub(crate) fn few_line_stream(seed: u64) -> MissStream {
+pub(crate) fn few_line_trace(
+    seed: u64,
+    regions: usize,
+) -> (crate::trace::Trace, CacheConfig, CacheConfig) {
     use rand::{Rng, SeedableRng};
     let l1 = CacheConfig { capacity: 512, ways: 2, line_bytes: 64, latency_cycles: 1 };
     let l2 = CacheConfig { capacity: 2048, ways: 4, line_bytes: 64, latency_cycles: 20 };
     let rng = &mut rand_chacha::ChaCha8Rng::seed_from_u64(seed);
     let mut rm = RegionMap::new();
-    let regions: Vec<_> = (0..3).map(|i| rm.alloc(&format!("r{i}"), 64 * 256, i == 0)).collect();
+    let regions: Vec<_> =
+        (0..regions).map(|i| rm.alloc(&format!("r{i}"), 64 * 256, i == 0)).collect();
     let bases: Vec<u64> = regions.iter().map(|&r| rm.get(r).base).collect();
     let mut t = crate::trace::Trace::new(rm);
     while t.accesses.len() < 600 {
         let r = rng.random_range(0..regions.len());
         let (write, work) = (rng.random_bool(0.5), rng.random_range(0..3));
         let first = rng.random_range(0..200u64);
-        for line in first..first + rng.random_range(1..40) {
+        // One sweep in four is longer than the L2 and keeps rewriting
+        // three lines of its own, which stay in the L1 while the sweep
+        // pushes them out of the L2: when the L1 lets go of one the L2 has
+        // to make room — a stand-alone write-back.
+        let hot = rng.random_bool(0.25).then(|| bases[r] + rng.random_range(200..253u64) * 64);
+        let lines = if hot.is_some() { rng.random_range(33..56) } else { rng.random_range(1..40) };
+        for line in first..first + lines {
             t.push(bases[r] + line * 64, regions[r], write, work);
+            if let Some(hot) = hot {
+                t.push(hot + line % 3 * 64, regions[r], true, work);
+            }
         }
     }
+    (t, l1, l2)
+}
+
+/// [`few_line_trace`] over three regions, filtered on one thread.
+#[cfg(test)]
+pub(crate) fn few_line_stream(seed: u64) -> MissStream {
+    let (t, l1, l2) = few_line_trace(seed, 3);
     MissStream::build(&mut t.replay(), l1, l2, 1)
 }
 

@@ -177,7 +177,7 @@ where
 /// ([`MemoryController::scheme_span`]) and scans again only on leaving
 /// it. Valid for one [`Machine::simulate`] call: the registers cannot be
 /// reprogrammed while the drive loop borrows the controller.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct RangeRegisterPolicy {
     /// `[lo, hi)` the cached scheme holds on.
     lo: u64,
@@ -321,16 +321,32 @@ pub struct Machine {
     pub controller: MemoryController,
 }
 
+/// Panic on impossible geometry ([`Machine::new`]'s contract).
+fn assert_valid(cfg: &SystemConfig) {
+    if let Err(e) = cfg.validate() {
+        // repolint:allow(PANIC001) documented constructor contract; builder() is the fallible path
+        panic!("{e}");
+    }
+}
+
+/// Program `assign` into a controller whose range registers are clear.
+fn program(mc: &mut MemoryController, regions: &RegionMap, assign: &EccAssignment) {
+    mc.set_default_scheme(assign.default_scheme);
+    for &(rid, scheme) in &assign.overrides {
+        let r = regions.get(rid);
+        mc.program_range(r.base, r.end(), scheme)
+            // repolint:allow(PANIC001) documented hardware contract: at most 8 range registers
+            .expect("range registers exhausted: more than 8 relaxed regions");
+    }
+}
+
 impl Machine {
     /// Build a node from configuration with a strong default ECC.
     /// Panics on impossible geometry; use [`SystemConfig::builder`] (or
     /// [`SystemConfig::validate`]) to reject bad configurations as values
     /// instead.
     pub fn new(cfg: SystemConfig) -> Self {
-        if let Err(e) = cfg.validate() {
-            // repolint:allow(PANIC001) documented constructor contract; builder() is the fallible path
-            panic!("{e}");
-        }
+        assert_valid(&cfg);
         let map = AddressMap::new(&cfg);
         Machine {
             dram: Dram::new(cfg.clone()),
@@ -348,19 +364,12 @@ impl Machine {
     /// assignment. Regions sharing a relaxed scheme and adjacency could be
     /// merged; we program one range per override (<= 8 as in hardware).
     pub fn program_ecc(&mut self, regions: &RegionMap, assign: &EccAssignment) {
-        self.controller.set_default_scheme(assign.default_scheme);
         // Clear old ranges.
         let bases: Vec<u64> = self.controller.ranges().iter().map(|r| r.base).collect();
         for b in bases {
             self.controller.clear_range(b);
         }
-        for &(rid, scheme) in &assign.overrides {
-            let r = regions.get(rid);
-            self.controller
-                .program_range(r.base, r.end(), scheme)
-                // repolint:allow(PANIC001) documented hardware contract: at most 8 range registers
-                .expect("range registers exhausted: more than 8 relaxed regions");
-        }
+        program(&mut self.controller, regions, assign);
     }
 
     /// Run one simulation request — the single entry point every input
@@ -377,303 +386,378 @@ impl Machine {
     /// for timing/energy the identity map is exact because regions are
     /// page aligned and disjoint).
     ///
-    /// The `dyn RowPolicy` boundary stops here: the drive loops below
-    /// are generic over the policy, so the default (range-register
-    /// lookup) policy monomorphizes straight into the per-event replay
-    /// loop instead of paying an indirect call per DRAM request. A
-    /// custom policy keeps exactly one `dyn` layer — the one the caller
-    /// handed in.
+    /// This is the one-lane case of the row replay
+    /// ([`Machine::simulate_lanes`]): the lane borrows the machine's own
+    /// DRAM and controller. The `dyn RowPolicy` boundary stops here: the
+    /// drive loops below are generic over the policy, so the default
+    /// (range-register lookup) policy monomorphizes straight into the
+    /// per-event replay loop instead of paying an indirect call per DRAM
+    /// request. A custom policy keeps exactly one `dyn` layer — the one
+    /// the caller handed in — and is always a one-lane replay.
     pub fn simulate(&mut self, req: SimRequest<'_>) -> SimStats {
         let SimRequest { input, assign, policy, ecc_chips_powered } = req;
         let powered = ecc_chips_powered.unwrap_or_else(|| assign.any_ecc());
-        match policy {
-            Some(p) => self.dispatch(input, powered, p),
+        let mut stats = match policy {
+            Some(policy) => {
+                let lane = Lane::new(&mut self.dram, &self.controller, policy, powered);
+                replay(&self.cfg, input, &mut [lane])
+            }
             None => {
-                let regions = input.regions().clone();
-                self.program_ecc(&regions, &assign);
-                self.dispatch(input, powered, &mut RangeRegisterPolicy::new())
+                self.program_ecc(input.regions(), &assign);
+                let policy = &mut RangeRegisterPolicy::new();
+                let lane = Lane::new(&mut self.dram, &self.controller, policy, powered);
+                replay(&self.cfg, input, &mut [lane])
             }
-        }
+        };
+        stats.pop().unwrap_or_else(|| unreachable!("one lane in, one SimStats out"))
     }
 
-    /// Route one input form to its drive loop, monomorphized per policy
-    /// type (see [`Machine::simulate`] on why this is generic).
-    fn dispatch<P: RowPolicy + ?Sized>(
-        &mut self,
+    /// Replay `input` once under every assignment of `assigns` — a row of
+    /// the evaluation grid: one pass over the events (one decode of each
+    /// record and of each line's DRAM coordinates, or one cache walk for
+    /// a trace or source) services every event on one *lane* per
+    /// assignment, each a whole private simulation on a fresh node.
+    ///
+    /// Result `i` equals
+    /// `Machine::new(cfg.clone()).simulate(SimRequest::new(input, assigns[i].clone()))`
+    /// bit for bit, whatever the other lanes are, in any order, with
+    /// duplicates; no assignment, no result. Panics as [`Machine::new`]
+    /// and [`Machine::simulate`] do.
+    pub fn simulate_lanes(
+        cfg: &SystemConfig,
         input: SimInput<'_>,
-        powered: bool,
-        policy: &mut P,
-    ) -> SimStats {
-        match input {
-            SimInput::Trace(t) => self.drive_source(&mut t.replay(), powered, policy),
-            SimInput::Source(s) => self.drive_source(s, powered, policy),
-            SimInput::MissStream(ms) => self.drive_miss(ms, powered, policy),
-            SimInput::SampledMissStream { stream, selection } => {
-                assert!(
-                    selection.matches(stream),
-                    // Documented replay contract: the selection is keyed on the stream.
-                    "phase selection was built for a {}-event stream, but this stream has {} events",
-                    selection.events(),
-                    stream.events()
-                );
-                let phases = selection.phases();
-                let open = |k: usize| stream.events_from(phases[k].cursor());
-                self.drive_sampled(stream.totals(), phases, open, powered, policy)
-            }
-            SimInput::Sample(sample) => {
-                let phases = sample.selection().phases();
-                self.drive_sampled(sample.totals(), phases, |k| sample.open(k), powered, policy)
-            }
+        assigns: &[EccAssignment],
+    ) -> Vec<SimStats> {
+        assert_valid(cfg);
+        // Every lane starts from the same pristine node: built once, copied.
+        let mut drams = vec![Dram::new(cfg.clone()); assigns.len()];
+        let mut controllers =
+            vec![MemoryController::new(AddressMap::new(cfg), EccScheme::Chipkill); assigns.len()];
+        let mut policies = vec![RangeRegisterPolicy::new(); assigns.len()];
+        for (mc, assign) in controllers.iter_mut().zip(assigns) {
+            program(mc, input.regions(), assign);
         }
+        let mut lanes: Vec<_> = drams
+            .iter_mut()
+            .zip(&controllers)
+            .zip(&mut policies)
+            .zip(assigns)
+            .map(|(((dram, mc), policy), assign)| Lane::new(dram, mc, policy, assign.any_ecc()))
+            .collect();
+        replay(cfg, input, &mut lanes)
     }
+}
 
-    /// The full-hierarchy engine: streams `src` through L1/L2
-    /// ([`miss_stream::walk`]) and services each DRAM-visible event as it
-    /// falls out, through the same [`replay_one`] the filtered replay
-    /// uses — the machine timeline at an event is the walk's pure core
-    /// cycles plus the DRAM stalls so far, on either path.
-    fn drive_source<S: AccessSource + ?Sized, P: RowPolicy + ?Sized>(
-        &mut self,
-        src: &mut S,
+/// One assignment's private simulation inside a replay: its device
+/// array, its programmed controller, its policy (with whatever the policy
+/// caches) and its own DRAM stall track. Lanes share nothing but the
+/// read-only event stream, so each is exactly the simulation it would be
+/// alone.
+struct Lane<'a, P: ?Sized> {
+    dram: &'a mut Dram,
+    mc: &'a MemoryController,
+    policy: &'a mut P,
+    ecc_chips_powered: bool,
+    /// Accumulated DRAM stalls: the policy-dependent half of the cycle
+    /// decomposition. At each event the lane's timeline reads `pure core
+    /// cycles + stalls so far`, exactly as the full path's `cycles` does
+    /// (stalls are added outside the thread-compression carry there, so
+    /// the pure track is policy-independent). The sampled replay leaves
+    /// its weight-scaled estimate here.
+    stall_acc: u64,
+}
+
+impl<'a, P: RowPolicy + ?Sized> Lane<'a, P> {
+    /// A lane at time zero: quiet device, no stalls yet.
+    fn new(
+        dram: &'a mut Dram,
+        mc: &'a MemoryController,
+        policy: &'a mut P,
         ecc_chips_powered: bool,
-        policy: &mut P,
-    ) -> SimStats {
-        self.dram.reset();
-        let cycle_ns = self.cfg.cycle_ns();
-        let stall_factor = self.cfg.stall_factor;
-        let mut stall_acc: u64 = 0;
-        let walked = miss_stream::walk(src, self.cfg.l1, self.cfg.l2, self.cfg.threads, |ev| {
-            replay_one(
-                &mut self.dram,
-                &self.controller,
-                ev,
-                &mut stall_acc,
-                cycle_ns,
-                stall_factor,
-                policy,
-            )
-        });
-
-        self.assemble_stats(&walked, stall_acc, ecc_chips_powered)
+    ) -> Self {
+        dram.reset();
+        Lane { dram, mc, policy, ecc_chips_powered, stall_acc: 0 }
     }
+}
 
-    /// Panic unless `ms` was filtered under this machine's geometry (the
-    /// replay contract: the stream is keyed on cache configuration).
-    fn assert_geometry(&self, ms: &MissStream) {
-        self.assert_filter_config(ms.filter_config());
-    }
-
-    /// [`Machine::assert_geometry`] for anything that records the
-    /// geometry it was filtered under.
-    fn assert_filter_config(&self, (l1, l2, threads): (CacheConfig, CacheConfig, usize)) {
-        assert!(
-            (l1, l2, threads) == (self.cfg.l1, self.cfg.l2, self.cfg.threads.max(1)),
-            // Documented replay contract: the stream is keyed on geometry.
-            "miss stream was filtered under {l1:?}/{l2:?}/{threads} threads, \
-             but this machine runs {:?}/{:?}/{} threads",
-            self.cfg.l1,
-            self.cfg.l2,
-            self.cfg.threads
-        );
-    }
-
-    /// The exact filtered-replay engine: drives every event of the miss
-    /// stream through MC + DRAM. Bit-identical to [`Machine::simulate`]
-    /// over the stream the [`MissStream`] was built from, at
-    /// O(LLC misses) instead of O(accesses) — the cache hierarchy was
-    /// already simulated by [`MissStream::build`] and its outcomes are
-    /// ECC-independent. The policy observes the same triggering accesses
-    /// and physical line addresses in the same DRAM-access order as the
-    /// full path, so stateful policies (e.g. the DGMS granularity
-    /// predictor) behave identically.
-    ///
-    /// The machine's cycle counter is reconstructed as the stream's
-    /// recorded pure core cycles plus the DRAM stalls accumulated during
-    /// replay — the exact decomposition the full path computes, so the
-    /// returned [`SimStats`] is bit-identical.
-    fn drive_miss<P: RowPolicy + ?Sized>(
-        &mut self,
-        ms: &MissStream,
-        ecc_chips_powered: bool,
-        policy: &mut P,
-    ) -> SimStats {
-        self.assert_geometry(ms);
-        self.dram.reset();
-        let cycle_ns = self.cfg.cycle_ns();
-        let stall_factor = self.cfg.stall_factor;
-        // Accumulated DRAM stalls: the policy-dependent half of the cycle
-        // decomposition. At each event the machine timeline reads
-        // `pure core cycles + stalls so far`, exactly as the full path's
-        // `cycles` does (stalls are added outside the thread-compression
-        // carry there, so the pure track is policy-independent).
-        let mut stall_acc: u64 = 0;
-        for ev in ms.iter() {
-            replay_one(
-                &mut self.dram,
-                &self.controller,
-                &ev,
-                &mut stall_acc,
-                cycle_ns,
-                stall_factor,
-                policy,
+/// Route one input form to its drive loop, monomorphized per policy type
+/// (see [`Machine::simulate`] on why this is generic), and fold every
+/// lane's outcome into its [`SimStats`].
+fn replay<P: RowPolicy + ?Sized>(
+    cfg: &SystemConfig,
+    input: SimInput<'_>,
+    lanes: &mut [Lane<'_, P>],
+) -> Vec<SimStats> {
+    match input {
+        SimInput::Trace(t) => drive_source(cfg, &mut t.replay(), lanes),
+        SimInput::Source(s) => drive_source(cfg, s, lanes),
+        SimInput::MissStream(ms) => drive_miss(cfg, ms, lanes),
+        SimInput::SampledMissStream { stream, selection } => {
+            assert!(
+                selection.matches(stream),
+                // Documented replay contract: the selection is keyed on the stream.
+                "phase selection was built for a {}-event stream, but this stream has {} events",
+                selection.events(),
+                stream.events()
             );
+            let phases = selection.phases();
+            let open = |k: usize| stream.events_from(phases[k].cursor());
+            drive_sampled(cfg, stream.totals(), phases, open, lanes)
         }
-
-        self.assemble_stats(ms.totals(), stall_acc, ecc_chips_powered)
-    }
-
-    /// The sampled-replay engine: drives only the representative slice of
-    /// each selected phase through MC + DRAM, scales every phase's DRAM
-    /// statistic deltas and stall cycles by its cluster weight, and folds
-    /// the scaled totals through the same [`Machine::assemble_stats`] the
-    /// exact paths use. Reference counters (instructions, cache tallies,
-    /// region stats, pure core cycles) stay exact — they were recorded at
-    /// filter time; only the DRAM-derived quantities are estimates. With
-    /// `max_phases >= slices` every slice is its own phase at scale 1 and
-    /// the estimate coincides with exact replay (modulo the f64
-    /// delta-summation of the energy account).
-    ///
-    /// It reads the stream through `totals` and `open(k)` — the decoder
-    /// at phase `k`'s first event — alone, so the full stream with its
-    /// selection and a [`PhaseSample`] are replayed by the same loop.
-    fn drive_sampled<'a, P: RowPolicy + ?Sized>(
-        &mut self,
-        totals: &StreamTotals,
-        phases: &[SimPointPhase],
-        open: impl Fn(usize) -> MissEvents<'a>,
-        ecc_chips_powered: bool,
-        policy: &mut P,
-    ) -> SimStats {
-        self.assert_filter_config((totals.l1_cfg, totals.l2_cfg, totals.threads));
-        self.dram.reset();
-        let cycle_ns = self.cfg.cycle_ns();
-        let stall_factor = self.cfg.stall_factor;
-        let mut stall_acc: u64 = 0;
-        let mut est = ScaledDram::default();
-        let ranks = self.dram.rank_busy().len();
-        let mut busy_est = vec![0.0f64; ranks];
-        // Reused per-phase snapshot buffer: the phase loop must not
-        // allocate (PERF001) — only `copy_from_slice` into this.
-        let mut busy_before = vec![0.0f64; ranks];
-        for (k, ph) in phases.iter().enumerate() {
-            let before = self.dram.stats;
-            busy_before.copy_from_slice(self.dram.rank_busy());
-            let stalls_before = stall_acc;
-            for ev in open(k).take(ph.events() as usize) {
-                replay_one(
-                    &mut self.dram,
-                    &self.controller,
-                    &ev,
-                    &mut stall_acc,
-                    cycle_ns,
-                    stall_factor,
-                    policy,
-                );
-            }
-            est.add_delta(&before, &self.dram.stats, ph.scale());
-            // Rank busy time feeds the standby-energy activity fraction
-            // against the *scaled* wall time, so it must be scaled like
-            // every other per-phase delta.
-            for (acc, (a, b)) in
-                busy_est.iter_mut().zip(self.dram.rank_busy().iter().zip(&busy_before))
-            {
-                *acc += (a - b) * ph.scale();
-            }
-            est.stalls += (stall_acc - stalls_before) as f64 * ph.scale();
-        }
-        let stalls = est.stalls.round() as u64;
-        self.dram.stats = est.into_stats();
-        self.dram.set_rank_busy(busy_est);
-        self.assemble_stats(totals, stalls, ecc_chips_powered)
-    }
-
-    /// Fold the run counters and the DRAM state into a [`SimStats`] — the
-    /// single implementation both the full path and the filtered replay
-    /// use, so their derived metrics share every formula bit for bit.
-    fn assemble_stats(
-        &self,
-        totals: &StreamTotals,
-        stalls: u64,
-        ecc_chips_powered: bool,
-    ) -> SimStats {
-        let &StreamTotals { instructions, l1_hits, l1_misses, l2_hits, l2_misses, .. } = totals;
-        // The machine's cycle counter: the walk's pure core cycles plus
-        // the DRAM stalls the replay accumulated.
-        let cycles = totals.core_cycles + stalls;
-        let cycle_ns = self.cfg.cycle_ns();
-        let seconds = cycles as f64 * cycle_ns * 1e-9;
-        let ipc = if cycles == 0 { 0.0 } else { instructions as f64 / cycles as f64 };
-        let mem_dynamic_j = self.dram.stats.dynamic_nj * 1e-9;
-        let mem_standby_j =
-            self.dram.standby_nj(cycles as f64 * cycle_ns, ecc_chips_powered) * 1e-9;
-        let proc_j = self.cfg.proc_power.watts_at(ipc) * seconds;
-
-        SimStats {
-            instructions,
-            cycles,
-            seconds,
-            ipc,
-            mem_dynamic_j,
-            mem_standby_j,
-            proc_j,
-            l1_hit_rate: if l1_hits + l1_misses == 0 {
-                0.0
-            } else {
-                l1_hits as f64 / (l1_hits + l1_misses) as f64
-            },
-            l2_hit_rate: if l2_hits + l2_misses == 0 {
-                0.0
-            } else {
-                l2_hits as f64 / (l2_hits + l2_misses) as f64
-            },
-            row_hit_rate: self.dram.stats.row_hit_rate(),
-            dram_reads: self.dram.stats.reads,
-            dram_writes: self.dram.stats.writes,
-            per_scheme: self.dram.stats.per_scheme,
-            avg_dram_latency_ns: self.dram.stats.avg_latency_ns(),
-            avg_dram_queue_ns: self.dram.stats.avg_queue_ns(),
-            dram_bandwidth_gbps: {
-                let bytes = (self.dram.stats.reads + self.dram.stats.writes) * 64;
-                let ns = cycles as f64 * cycle_ns;
-                if ns > 0.0 {
-                    bytes as f64 / ns
-                } else {
-                    0.0
-                }
-            },
-            regions: tally_regions(&totals.regions, &totals.tallies),
+        SimInput::Sample(sample) => {
+            let phases = sample.selection().phases();
+            drive_sampled(cfg, sample.totals(), phases, |k| sample.open(k), lanes)
         }
     }
 }
 
-/// Replay one miss-stream event through MC + DRAM — the shared inner
-/// loop of the exact and the sampled filtered-replay engines, so the two
-/// paths cannot drift.
-#[inline]
-fn replay_one<P: RowPolicy + ?Sized>(
-    dram: &mut Dram,
-    mc: &MemoryController,
-    ev: &MissEvent,
-    stall_acc: &mut u64,
+/// The full-hierarchy engine: streams `src` through L1/L2
+/// ([`miss_stream::walk`]) once and services each DRAM-visible event as
+/// it falls out, through the same [`replay_event`] the filtered replay
+/// uses — a lane's timeline at an event is the walk's pure core cycles
+/// plus the lane's DRAM stalls so far, on either path.
+fn drive_source<S: AccessSource + ?Sized, P: RowPolicy + ?Sized>(
+    cfg: &SystemConfig,
+    src: &mut S,
+    lanes: &mut [Lane<'_, P>],
+) -> Vec<SimStats> {
+    let map = AddressMap::new(cfg);
+    let (cycle_ns, stall_factor) = (cfg.cycle_ns(), cfg.stall_factor);
+    let walked = miss_stream::walk(src, cfg.l1, cfg.l2, cfg.threads, |ev| {
+        replay_event(&map, cycle_ns, stall_factor, ev, lanes)
+    });
+    assemble_lanes(cfg, &walked, lanes)
+}
+
+/// Panic unless a stream filtered under `(l1, l2, threads)` may replay
+/// on a `cfg` node (the replay contract: the stream is keyed on cache
+/// geometry and thread count).
+fn assert_geometry(cfg: &SystemConfig, (l1, l2, threads): (CacheConfig, CacheConfig, usize)) {
+    assert!(
+        (l1, l2, threads) == (cfg.l1, cfg.l2, cfg.threads.max(1)),
+        // Documented replay contract: the stream is keyed on geometry.
+        "miss stream was filtered under {l1:?}/{l2:?}/{threads} threads, \
+         but this machine runs {:?}/{:?}/{} threads",
+        cfg.l1,
+        cfg.l2,
+        cfg.threads
+    );
+}
+
+/// The exact filtered-replay engine: drives every event of the miss
+/// stream through MC + DRAM. Bit-identical to [`Machine::simulate`]
+/// over the stream the [`MissStream`] was built from, at
+/// O(LLC misses) instead of O(accesses) — the cache hierarchy was
+/// already simulated by [`MissStream::build`] and its outcomes are
+/// ECC-independent. The policy observes the same triggering accesses
+/// and physical line addresses in the same DRAM-access order as the
+/// full path, so stateful policies (e.g. the DGMS granularity
+/// predictor) behave identically.
+///
+/// A lane's cycle counter is reconstructed as the stream's recorded pure
+/// core cycles plus the DRAM stalls the lane accumulated during replay —
+/// the exact decomposition the full path computes, so the returned
+/// [`SimStats`] are bit-identical.
+fn drive_miss<P: RowPolicy + ?Sized>(
+    cfg: &SystemConfig,
+    ms: &MissStream,
+    lanes: &mut [Lane<'_, P>],
+) -> Vec<SimStats> {
+    assert_geometry(cfg, ms.filter_config());
+    let map = AddressMap::new(cfg);
+    let (cycle_ns, stall_factor) = (cfg.cycle_ns(), cfg.stall_factor);
+    for ev in ms.iter() {
+        replay_event(&map, cycle_ns, stall_factor, &ev, lanes);
+    }
+    assemble_lanes(cfg, ms.totals(), lanes)
+}
+
+/// What the sampled replay keeps per lane: the weight-scaled estimate so
+/// far, and the lane's counters as they stood when the current phase
+/// opened.
+#[derive(Clone, Default)]
+struct PhaseFold {
+    est: ScaledDram,
+    before: DramStats,
+    stalls_before: u64,
+}
+
+/// The sampled-replay engine: drives only the representative slice of
+/// each selected phase through MC + DRAM, scales every phase's DRAM
+/// statistic deltas and stall cycles by its cluster weight, and folds
+/// the scaled totals through the same [`assemble_lanes`] the exact paths
+/// use. Reference counters (instructions, cache tallies, region stats,
+/// pure core cycles) stay exact — they were recorded at filter time; only
+/// the DRAM-derived quantities are estimates. With `max_phases >= slices`
+/// every slice is its own phase at scale 1 and the estimate coincides
+/// with exact replay (modulo the f64 delta-summation of the energy
+/// account).
+///
+/// It reads the stream through `totals` and `open(k)` — the decoder at
+/// phase `k`'s first event — alone, so the full stream with its selection
+/// and a [`PhaseSample`] are replayed by the same loop. Each phase is
+/// opened once, whatever the lane count; the snapshots and the fold around
+/// it are per lane.
+fn drive_sampled<'a, P: RowPolicy + ?Sized>(
+    cfg: &SystemConfig,
+    totals: &StreamTotals,
+    phases: &[SimPointPhase],
+    open: impl Fn(usize) -> MissEvents<'a>,
+    lanes: &mut [Lane<'_, P>],
+) -> Vec<SimStats> {
+    assert_geometry(cfg, (totals.l1_cfg, totals.l2_cfg, totals.threads));
+    let map = AddressMap::new(cfg);
+    let (cycle_ns, stall_factor) = (cfg.cycle_ns(), cfg.stall_factor);
+    // Per-lane snapshots, made before the phase loop, which must not
+    // allocate (PERF001) — only copy into these. Rank busy time is kept
+    // flat, lane `i`'s ranks at `busy(i)`.
+    let mut folds = vec![PhaseFold::default(); lanes.len()];
+    let ranks = lanes.first().map_or(0, |lane| lane.dram.rank_busy().len());
+    let busy = |i: usize| i * ranks..(i + 1) * ranks;
+    let mut busy_est = vec![0.0f64; lanes.len() * ranks];
+    let mut busy_before = vec![0.0f64; lanes.len() * ranks];
+    for (k, ph) in phases.iter().enumerate() {
+        for (i, (lane, fold)) in lanes.iter().zip(&mut folds).enumerate() {
+            fold.before = lane.dram.stats;
+            busy_before[busy(i)].copy_from_slice(lane.dram.rank_busy());
+            fold.stalls_before = lane.stall_acc;
+        }
+        for ev in open(k).take(ph.events() as usize) {
+            replay_event(&map, cycle_ns, stall_factor, &ev, lanes);
+        }
+        for (i, (lane, fold)) in lanes.iter().zip(&mut folds).enumerate() {
+            fold.est.add_delta(&fold.before, &lane.dram.stats, ph.scale());
+            // Rank busy time feeds the standby-energy activity fraction
+            // against the *scaled* wall time, so it must be scaled like
+            // every other per-phase delta.
+            for (acc, (a, b)) in busy_est[busy(i)]
+                .iter_mut()
+                .zip(lane.dram.rank_busy().iter().zip(&busy_before[busy(i)]))
+            {
+                *acc += (a - b) * ph.scale();
+            }
+            fold.est.stalls += (lane.stall_acc - fold.stalls_before) as f64 * ph.scale();
+        }
+    }
+    for (i, (lane, fold)) in lanes.iter_mut().zip(folds).enumerate() {
+        lane.stall_acc = fold.est.stalls.round() as u64;
+        lane.dram.stats = fold.est.into_stats();
+        lane.dram.set_rank_busy(&busy_est[busy(i)]);
+    }
+    assemble_lanes(cfg, totals, lanes)
+}
+
+/// Every lane's [`SimStats`], in lane order. The per-region rows are
+/// policy-independent: tallied once, one copy per lane.
+fn assemble_lanes<P: ?Sized>(
+    cfg: &SystemConfig,
+    totals: &StreamTotals,
+    lanes: &[Lane<'_, P>],
+) -> Vec<SimStats> {
+    let regions = tally_regions(&totals.regions, &totals.tallies);
+    lanes
+        .iter()
+        .zip(std::iter::repeat_n(regions, lanes.len()))
+        .map(|(lane, regions)| assemble_stats(cfg, totals, lane, regions))
+        .collect()
+}
+
+/// Fold the run counters and one lane's DRAM state into a [`SimStats`] —
+/// the single implementation the full path, the filtered replay and the
+/// sampled replay use, so their derived metrics share every formula bit
+/// for bit.
+fn assemble_stats<P: ?Sized>(
+    cfg: &SystemConfig,
+    totals: &StreamTotals,
+    lane: &Lane<'_, P>,
+    regions: Vec<RegionStats>,
+) -> SimStats {
+    let &StreamTotals { instructions, l1_hits, l1_misses, l2_hits, l2_misses, .. } = totals;
+    let dram = &*lane.dram;
+    // The lane's cycle counter: the walk's pure core cycles plus the
+    // DRAM stalls the replay accumulated.
+    let cycles = totals.core_cycles + lane.stall_acc;
+    let cycle_ns = cfg.cycle_ns();
+    let seconds = cycles as f64 * cycle_ns * 1e-9;
+    let ipc = if cycles == 0 { 0.0 } else { instructions as f64 / cycles as f64 };
+    let mem_dynamic_j = dram.stats.dynamic_nj * 1e-9;
+    let mem_standby_j = dram.standby_nj(cycles as f64 * cycle_ns, lane.ecc_chips_powered) * 1e-9;
+    let proc_j = cfg.proc_power.watts_at(ipc) * seconds;
+
+    SimStats {
+        instructions,
+        cycles,
+        seconds,
+        ipc,
+        mem_dynamic_j,
+        mem_standby_j,
+        proc_j,
+        l1_hit_rate: if l1_hits + l1_misses == 0 {
+            0.0
+        } else {
+            l1_hits as f64 / (l1_hits + l1_misses) as f64
+        },
+        l2_hit_rate: if l2_hits + l2_misses == 0 {
+            0.0
+        } else {
+            l2_hits as f64 / (l2_hits + l2_misses) as f64
+        },
+        row_hit_rate: dram.stats.row_hit_rate(),
+        dram_reads: dram.stats.reads,
+        dram_writes: dram.stats.writes,
+        per_scheme: dram.stats.per_scheme,
+        avg_dram_latency_ns: dram.stats.avg_latency_ns(),
+        avg_dram_queue_ns: dram.stats.avg_queue_ns(),
+        dram_bandwidth_gbps: {
+            let bytes = (dram.stats.reads + dram.stats.writes) * 64;
+            let ns = cycles as f64 * cycle_ns;
+            if ns > 0.0 {
+                bytes as f64 / ns
+            } else {
+                0.0
+            }
+        },
+        regions,
+    }
+}
+
+/// Replay one miss-stream event through every lane's MC + DRAM — the
+/// shared inner loop of the full, the exact filtered and the sampled
+/// engines, so the three cannot drift. What the event is and where its
+/// one or two lines live is the same for every lane and is worked out
+/// once, outside the lane loop; inside it, each lane does what a replay
+/// of its own would: its timeline from its own stalls, then demand,
+/// stall, coupled write-back, in that order.
+#[inline(always)]
+fn replay_event<P: RowPolicy + ?Sized>(
+    map: &AddressMap,
     cycle_ns: f64,
     stall_factor: f64,
-    policy: &mut P,
+    ev: &MissEvent,
+    lanes: &mut [Lane<'_, P>],
 ) {
-    let cycles_now = ev.core_cycles + *stall_acc;
-    let now = cycles_now as f64 * cycle_ns;
     match ev.kind {
         MissEventKind::Writeback(wb) => {
-            let kind = policy.choose(&ev.trigger, mc, wb);
-            dram.access_kind(now, wb, true, kind);
+            let loc = map.decode(wb);
+            for lane in lanes {
+                let now = (ev.core_cycles + lane.stall_acc) as f64 * cycle_ns;
+                let kind = lane.policy.choose(&ev.trigger, lane.mc, wb);
+                lane.dram.service(now, loc, true, kind);
+            }
         }
         MissEventKind::Demand { writeback } => {
-            let kind = policy.choose(&ev.trigger, mc, ev.trigger.addr);
-            let res = dram.access_kind(now, ev.trigger.addr, false, kind);
-            let lat_ns = res.completion_ns - now;
-            *stall_acc += (lat_ns * stall_factor / cycle_ns) as u64;
-            if let Some(wb) = writeback {
-                let kind = policy.choose(&ev.trigger, mc, wb);
-                dram.access_kind(now, wb, true, kind);
+            let loc = map.decode(ev.trigger.addr);
+            let writeback = writeback.map(|wb| (wb, map.decode(wb)));
+            for lane in lanes {
+                let now = (ev.core_cycles + lane.stall_acc) as f64 * cycle_ns;
+                let kind = lane.policy.choose(&ev.trigger, lane.mc, ev.trigger.addr);
+                let res = lane.dram.service(now, loc, false, kind);
+                let lat_ns = res.completion_ns - now;
+                lane.stall_acc += (lat_ns * stall_factor / cycle_ns) as u64;
+                if let Some((wb, wb_loc)) = writeback {
+                    let kind = lane.policy.choose(&ev.trigger, lane.mc, wb);
+                    lane.dram.service(now, wb_loc, true, kind);
+                }
             }
         }
     }
@@ -700,8 +784,8 @@ fn tally_regions(regions: &RegionMap, tallies: &[RegionTally]) -> Vec<RegionStat
 /// Weight-scaled DRAM statistic accumulator for sampled replay: per-phase
 /// deltas of every [`DramStats`] field (and the stall cycles) are summed
 /// in f64 under the phase's cluster scale, then rounded back into a
-/// synthetic [`DramStats`] for [`Machine::assemble_stats`].
-#[derive(Default)]
+/// synthetic [`DramStats`] for [`assemble_stats`].
+#[derive(Clone, Default)]
 struct ScaledDram {
     reads: f64,
     writes: f64,
@@ -750,6 +834,7 @@ impl ScaledDram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::ECC_RANGE_SLOTS;
     use crate::trace::RegionMap;
 
     fn linear_trace(region_bytes: u64, passes: usize, work: u32, abft: bool) -> Trace {
@@ -929,6 +1014,103 @@ mod tests {
                     got == AccessKind::Scheme(mc.scheme_for(paddr)),
                     "paddr {paddr:#x} under {:?}: {got:?}", mc.ranges()
                 );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn every_lane_is_the_simulation_it_would_be_alone(
+            seed: u64,
+            geometry in 0usize..3,
+            x8: bool,
+            closed_page: bool,
+        ) {
+            use crate::config::{DeviceWidth, RowPolicy as PagePolicy};
+            use crate::miss_stream::few_line_trace;
+            use proptest::prelude::*;
+            use rand::{Rng, SeedableRng};
+            use std::sync::Arc;
+            let rng = &mut rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+
+            // Table 3, a small power-of-two node, and the 6-channel x
+            // 3-DIMM node only the division decode can address.
+            let (trace, l1, l2) = few_line_trace(seed, ECC_RANGE_SLOTS);
+            let node = SystemConfig::builder();
+            let cfg = match geometry {
+                0 => node,
+                1 => node.channels(2).dimms_per_channel(1).ranks_per_dimm(1),
+                _ => node.channels(6).dimms_per_channel(3),
+            }
+            .l1(l1)
+            .l2(l2)
+            .threads(1)
+            .device_width(if x8 { DeviceWidth::X8 } else { DeviceWidth::X4 })
+            .row_policy(if closed_page { PagePolicy::Closed } else { PagePolicy::Open })
+            .build()
+            .unwrap();
+            let ms = MissStream::build(&mut trace.replay(), l1, l2, 1);
+            let interval = rng.random_range(5..48);
+            let max_phases = rng.random_range(1..=ms.events().div_ceil(interval)) as usize;
+            let sp = crate::simpoint::SimPointConfig { interval, max_phases, ..Default::default() };
+            let selection = Arc::new(SimPointSelection::build(&ms, sp));
+            let sample = PhaseSample::condense(&ms, Arc::clone(&selection));
+
+            // 0-6 lanes in no order, drawn with repetition from the six
+            // strategies' shapes: one scheme everywhere, or a strong
+            // default relaxed on 0-8 regions.
+            use EccScheme::{Chipkill, None as NoEcc, Secded};
+            let mut assigns: Vec<EccAssignment> = Vec::new();
+            for _ in 0..rng.random_range(0..=6) {
+                let mut regions: Vec<RegionId> = (0..ECC_RANGE_SLOTS as RegionId).collect();
+                regions.retain(|_| rng.random_bool(0.5));
+                let assign = match rng.random_range(0..8) {
+                    0 => EccAssignment::uniform(NoEcc),
+                    1 => EccAssignment::uniform(Secded),
+                    2 => EccAssignment::uniform(Chipkill),
+                    3 => EccAssignment::relaxed(Chipkill, NoEcc, &regions),
+                    4 => EccAssignment::relaxed(Secded, NoEcc, &regions),
+                    5 => EccAssignment::relaxed(Chipkill, Secded, &regions),
+                    _ if assigns.is_empty() => EccAssignment::uniform(Chipkill),
+                    _ => assigns[rng.random_range(0..assigns.len())].clone(),
+                };
+                assigns.push(assign);
+            }
+
+            fn input<'a>(
+                form: &str,
+                ms: &'a MissStream,
+                selection: &'a SimPointSelection,
+                sample: &'a PhaseSample,
+                src: &'a mut dyn AccessSource,
+            ) -> SimInput<'a> {
+                match form {
+                    "miss stream" => SimInput::MissStream(ms),
+                    "sampled miss stream" => SimInput::SampledMissStream { stream: ms, selection },
+                    "sample" => SimInput::Sample(sample),
+                    _ => SimInput::Source(src),
+                }
+            }
+            for form in ["miss stream", "sampled miss stream", "sample", "source"] {
+                let src = &mut trace.replay();
+                let row = Machine::simulate_lanes(
+                    &cfg,
+                    input(form, &ms, &selection, &sample, src),
+                    &assigns,
+                );
+                prop_assert_eq!(row.len(), assigns.len());
+                for (i, (lane, assign)) in row.iter().zip(&assigns).enumerate() {
+                    let alone = Machine::new(cfg.clone()).simulate(SimRequest::new(
+                        input(form, &ms, &selection, &sample, src),
+                        assign.clone(),
+                    ));
+                    prop_assert!(
+                        *lane == alone,
+                        "{form}: lane {i} of {assigns:?}\n in the row: {lane:?}\n alone: {alone:?}"
+                    );
+                }
             }
         }
     }

@@ -11,7 +11,7 @@ pub struct Related {
     pub path: String,
     /// 1-based source line.
     pub line: usize,
-    /// What this location contributes (e.g. "calls `replay_one` inside
+    /// What this location contributes (e.g. "calls `replay_event` inside
     /// a loop (x1)").
     pub message: String,
 }

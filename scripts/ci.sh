@@ -37,18 +37,38 @@ echo "=== drift gate (repro all vs the committed reproduction-output/) ==="
 # a deliberate change: scripts/reproduce_all.sh, then commit the files.
 CI_TMP="$(mktemp -d)"
 trap 'rm -rf "$CI_TMP"' EXIT
-./target/release/repro all --out "$CI_TMP/repro"
-drifted=()
-for name in $(./target/release/repro list | awk '$2 == "deterministic" { print $1 }'); do
-    if ! cmp -s "reproduction-output/$name.txt" "$CI_TMP/repro/$name.txt"; then
-        drifted+=("reproduction-output/$name.txt")
+# check_drift DIR NAME...: reproduction-output/NAME.txt equals DIR/NAME.txt.
+check_drift() {
+    local dir="$1" name drifted=()
+    shift
+    for name in "$@"; do
+        if ! cmp -s "reproduction-output/$name.txt" "$dir/$name.txt"; then
+            drifted+=("reproduction-output/$name.txt")
+        fi
+    done
+    if [ "${#drifted[@]}" -ne 0 ]; then
+        echo "committed outputs differ from what the code prints ($dir):"
+        printf '  %s\n' "${drifted[@]}"
+        exit 1
     fi
-done
-if [ "${#drifted[@]}" -ne 0 ]; then
-    echo "committed outputs differ from what the code prints:"
-    printf '  %s\n' "${drifted[@]}"
-    exit 1
-fi
+}
+./target/release/repro all --out "$CI_TMP/repro"
+check_drift "$CI_TMP/repro" $(./target/release/repro list | awk '$2 == "deterministic" { print $1 }')
+
+echo "=== drift gate, one worker (the campaign experiments as whole-row tasks) ==="
+# A campaign task replays ceil(strategies / workers) strategies of a row
+# side by side (campaign::run_grid), so the run above cut the rows by this
+# machine's core count. On one worker a task is a whole row — six lanes for
+# fig05-07 — and the ten experiments that run campaigns must print the same
+# committed bytes: a lane split that moves a digit of a figure fails here
+# by name.
+campaigns=(
+    tab04_access_classification fig05_memory_energy fig06_system_energy fig07_performance
+    fig08_weak_scaling fig09_strong_scaling fig10_dgms_comparison
+    ablation_row_policy ablation_mlp ablation_device_width
+)
+RAYON_NUM_THREADS=1 ./target/release/repro "${campaigns[@]}" --out "$CI_TMP/repro-1-worker"
+check_drift "$CI_TMP/repro-1-worker" "${campaigns[@]}"
 
 echo "=== artifact-store gate (fig07 grid, cold then warm disk, separate processes) ==="
 # Fresh processes over one store directory: the first populates it, the
@@ -67,12 +87,16 @@ cargo test -q --workspace
 
 echo "=== cargo test -q --features validate (memsim invariant audits on) ==="
 # The memsim unit tests include the two independent references the fast
-# paths are pinned to: `dram::tests` (reference_access_kind) and
+# paths are pinned to — `dram::tests` (reference_access_kind) and
 # `walk_reference` (stamp-LRU cache + carry-bump walk vs the one L1/L2
-# walker); the second is named so that a rename cannot silently drop it.
+# walker) — and the proptest that pins every lane of a row replay to the
+# simulation it would be alone; the last two are named so that a rename
+# cannot silently drop them.
 cargo test -q -p abft-memsim --features validate
-refs="$(cargo test -q -p abft-memsim --features validate walk_reference:: 2>&1)"
-grep -Eq "test result: ok\. [1-9][0-9]* passed" <<<"$refs" || { echo "$refs"; exit 1; }
+for pinned in walk_reference:: every_lane_is_the_simulation_it_would_be_alone; do
+    refs="$(cargo test -q -p abft-memsim --features validate "$pinned" 2>&1)"
+    grep -Eq "test result: ok\. [1-9][0-9]* passed" <<<"$refs" || { echo "$refs"; exit 1; }
+done
 cargo test -q --features validate --test campaign_determinism --test streaming_equivalence \
     --test filtered_equivalence --test simpoint_equivalence
 

@@ -35,10 +35,10 @@ pub mod prelude {
         profiles_from_basic_test, strong_scaling, weak_scaling, ScalingConfig,
     };
     pub use abft_coop_core::{
-        decide, drill_chip_fault, drill_matrix, fault_adjusted, run_cell, summarize_cases,
-        AdaptiveConfig, AdaptiveController, BasicTest, CampaignClient, CampaignMetrics,
-        CampaignResult, CampaignRun, CampaignSpec, PolicyInputs, Progress, Stance, Strategy,
-        StrategyResult,
+        decide, drill_chip_fault, drill_matrix, fault_adjusted, run_cell, run_cells,
+        summarize_cases, AdaptiveConfig, AdaptiveController, BasicTest, CampaignClient,
+        CampaignMetrics, CampaignResult, CampaignRun, CampaignSpec, PolicyInputs, Progress, Stance,
+        Strategy, StrategyResult,
     };
     pub use abft_coop_runtime::{EccRuntime, RetirePolicy, SwapSpace, SysfsChannel};
     pub use abft_ecc::{EccOutcome, EccScheme, ProtectedLine};

@@ -31,14 +31,21 @@ fn filtered_replay_is_bit_identical_for_every_kernel_and_strategy() {
     // Uniform chipkill, uniform SECDED, no ECC, and both relaxed
     // (range-register) assignments — all six strategies — against the
     // full path, for all four kernels, off one shared filter pass each.
+    // The row form must agree cell by cell: one cache walk, or one pass
+    // over the stream, feeding six lanes.
     let cfg = SystemConfig::default();
     for params in small_grid() {
         let packed = Arc::new(params.build_packed());
         let ms = filter(&packed, &cfg);
-        for s in Strategy::ALL {
+        let full_row = run_cells(SimInput::Source(&mut packed.replay()), &cfg, &Strategy::ALL);
+        let filtered_row = run_cells(SimInput::MissStream(&ms), &cfg, &Strategy::ALL);
+        assert_eq!(full_row.len(), Strategy::ALL.len(), "{}", params.label());
+        assert_eq!(full_row, filtered_row, "{}: row over source vs stream", params.label());
+        for (s, in_row) in Strategy::ALL.into_iter().zip(&full_row) {
             let full = run_cell(SimInput::Source(&mut packed.replay()), &cfg, s);
             let filtered = run_cell(SimInput::MissStream(&ms), &cfg, s);
             assert_eq!(full, filtered, "{} / {}", params.label(), s.label());
+            assert_eq!(full, *in_row, "{} / {}: alone vs in the row", params.label(), s.label());
         }
     }
 }
