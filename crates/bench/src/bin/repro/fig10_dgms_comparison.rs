@@ -5,10 +5,10 @@
 use crate::run_grid;
 use abft_coop_core::report::{norm, pct, Report, TextTable};
 use abft_coop_core::{CampaignSpec, Strategy};
-use abft_dgms::run_dgms_miss_stream;
+use abft_dgms::run_dgms;
 use abft_memsim::system::Machine;
 use abft_memsim::workloads::{KernelKind, KernelParams};
-use abft_memsim::{SystemConfig, TraceCache};
+use abft_memsim::{SimInput, SystemConfig, TraceCache};
 
 pub fn run(out: &mut Report) {
     let kinds = [KernelKind::Dgemm, KernelKind::Cg];
@@ -35,8 +35,8 @@ pub fn run(out: &mut Report) {
         // its granularity predictor (bit-identical to the full run).
         let ms = TraceCache::global()
             .get_filtered(KernelParams::default_for(kind), &SystemConfig::default());
-        let mut m = Machine::new(SystemConfig::default());
-        let (dgms, coarse) = run_dgms_miss_stream(&mut m, &ms);
+        let m = Machine::new(SystemConfig::default());
+        let (dgms, coarse) = run_dgms(&m, SimInput::MissStream(&ms));
         for (label, s, cf) in [
             ("W_CK", wck, String::new()),
             ("DGMS", &dgms, format!("{coarse:.2}")),

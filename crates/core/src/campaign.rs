@@ -3,7 +3,7 @@
 //! The paper's evaluation (Sections 5.1-5.3) is a grid of
 //! (kernel x ECC strategy x system config) simulations. A
 //! [`CampaignSpec`] names the workloads, strategies and config variants;
-//! [`run_grid`] — reached through [`crate::CampaignClient::run`], the
+//! `run_grid` — reached through [`crate::CampaignClient::run`], the
 //! only caller — expands them into independent cells and executes them on
 //! a rayon worker pool, a chunk of one (workload, config) row's strategies
 //! per task, each through [`run_cells`]: the strategies of a row replay
@@ -58,12 +58,12 @@ use std::time::{Duration, Instant};
 /// ([`Machine::simulate_lanes`]): the one way a [`Strategy`] becomes
 /// [`SimStats`]. Result `i` is `strategies[i]`'s, bit for bit what that
 /// strategy yields alone; no strategy, no result. The input picks the
-/// replay path: a materialized trace or pull-based source goes through the
-/// full cache hierarchy (one walk for the row); a cache-filtered miss
-/// stream replays only the DRAM tail (bit-identical, provided the config's
-/// cache geometry and thread count match the filter's [`FilterKey`]); a
-/// sampled miss stream, or the phase sample condensed from one, replays
-/// only its weighted representative slices (an estimate, error bounded in
+/// replay path: a pull-based source goes through the full cache hierarchy
+/// (one walk for the row); a cache-filtered miss stream replays only the
+/// DRAM tail (bit-identical, provided the config's cache geometry and
+/// thread count match the filter's [`FilterKey`]); a sampled miss stream,
+/// or the phase sample condensed from one, replays only its weighted
+/// representative slices (an estimate, error bounded in
 /// `tests/simpoint_equivalence.rs` and by perfbench's `sampled_err_pct`).
 pub fn run_cells(
     input: SimInput<'_>,
@@ -616,10 +616,10 @@ mod tests {
 
     #[test]
     fn an_empty_row_yields_nothing() {
-        let trace = tiny().build();
         let cfg = SystemConfig::default();
-        assert!(run_cells(SimInput::Trace(&trace), &cfg, &[]).is_empty());
-        assert!(Machine::simulate_lanes(&cfg, SimInput::Trace(&trace), &[]).is_empty());
+        let src = &mut tiny().stream();
+        assert!(run_cells(SimInput::Source(src), &cfg, &[]).is_empty());
+        assert!(Machine::simulate_lanes(&cfg, SimInput::Source(src), &[]).is_empty());
     }
 
     #[test]
@@ -679,9 +679,11 @@ mod tests {
         let bt = run.basic_test(KernelKind::Dgemm);
         assert_eq!(bt.rows.len(), 6);
         assert!(run.basic_test(KernelKind::Cg).rows.is_empty(), "no such cells, no rows");
-        let trace = tiny().build();
-        let direct =
-            run_cell(SimInput::Trace(&trace), &SystemConfig::default(), Strategy::WholeChipkill);
+        let direct = run_cell(
+            SimInput::Source(&mut tiny().stream()),
+            &SystemConfig::default(),
+            Strategy::WholeChipkill,
+        );
         assert_eq!(bt.row(Strategy::WholeChipkill).stats, direct);
     }
 

@@ -472,7 +472,7 @@ mod tests {
         assert_eq!(run.metrics.store_hits, 0, "no store attached");
         // The grid cell and a direct full-hierarchy cell agree bit-for-bit.
         let direct = crate::campaign::run_cell(
-            abft_memsim::SimInput::Trace(&tiny().build()),
+            abft_memsim::SimInput::Source(&mut tiny().stream()),
             &SystemConfig::default(),
             Strategy::NoEcc,
         );

@@ -126,7 +126,7 @@ mod tests {
     }
 
     #[test]
-    fn partial_strategies_relax_only_abft_regions() {
+    fn partial_strategies_relax_abft_regions_only() {
         let a = Strategy::PartialChipkillSecded.assignment(&[2, 5]);
         assert_eq!(a.default_scheme, EccScheme::Chipkill);
         assert_eq!(a.overrides, vec![(2, EccScheme::Secded), (5, EccScheme::Secded)]);

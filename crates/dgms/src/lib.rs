@@ -14,7 +14,7 @@
 use abft_ecc::EccScheme;
 use abft_memsim::dram::AccessKind;
 use abft_memsim::system::{Machine, SimStats};
-use abft_memsim::{Access, AccessSource, EccAssignment, MemoryController, MissStream, SimRequest};
+use abft_memsim::{EccAssignment, SimInput, SimRequest};
 use std::collections::HashMap;
 
 /// Size of the spatial-pattern tracking granule (one OS page).
@@ -130,55 +130,34 @@ impl SpatialPredictor {
     }
 }
 
-/// Run a kernel access stream through the machine under DGMS prediction.
-/// Accepts any [`AccessSource`] — a packed-cache replay, a live kernel
-/// generator, or a materialized trace's `replay()`.
+/// Run any simulation input through the machine under DGMS prediction: a
+/// live kernel generator or a packed-cache replay (`SimInput::Source`), or
+/// the cache-filtered miss stream of one (`SimInput::MissStream`) — bit
+/// identical, because the policy hook fires per DRAM request, not per core
+/// reference, and the filtered replay presents exactly those requests in
+/// the same order, so the stateful pattern table evolves identically.
+/// Returns the statistics and the fraction of requests predicted coarse.
 ///
 /// Note the hardware-only view: the predictor sees physical addresses and
 /// nothing else; ABFT-protected and unprotected data are indistinguishable
-/// to it. The ECC chips are always powered (every access carries ECC).
-pub fn run_dgms<S: AccessSource + ?Sized>(
-    machine: &mut Machine,
-    mut src: &mut S,
-) -> (SimStats, f64) {
+/// to it. Every access carries ECC, so the assignment the request names is
+/// uniform chipkill: nothing is programmed from it under a policy, and it
+/// keeps the ECC chips powered.
+pub fn run_dgms(machine: &Machine, input: SimInput<'_>) -> (SimStats, f64) {
     let mut predictor = SpatialPredictor::default();
-    let mut policy =
-        |_: &Access, _: &MemoryController, paddr: u64| -> AccessKind { predictor.predict(paddr) };
+    let mut policy = |paddr: u64| predictor.predict(paddr);
     let stats = machine.simulate(
-        SimRequest::source(&mut src, EccAssignment::uniform(EccScheme::None))
-            .with_policy(&mut policy)
-            .ecc_chips_powered(true),
+        SimRequest::new(input, EccAssignment::uniform(EccScheme::Chipkill))
+            .with_policy(&mut policy),
     );
-    let frac = predictor.coarse_fraction();
-    (stats, frac)
-}
-
-/// Replay a cache-filtered miss stream under DGMS prediction — the
-/// filtered counterpart of [`run_dgms`], bit-identical to it over the
-/// stream the [`MissStream`] was built from.
-///
-/// The predictor only ever observed DRAM-bound requests (the policy hook
-/// fires per memory access, not per core reference), and the filtered
-/// replay presents exactly those requests in the same order, so the
-/// stateful pattern table evolves identically.
-pub fn run_dgms_miss_stream(machine: &mut Machine, ms: &MissStream) -> (SimStats, f64) {
-    let mut predictor = SpatialPredictor::default();
-    let mut policy =
-        |_: &Access, _: &MemoryController, paddr: u64| -> AccessKind { predictor.predict(paddr) };
-    let stats = machine.simulate(
-        SimRequest::miss_stream(ms, EccAssignment::uniform(EccScheme::None))
-            .with_policy(&mut policy)
-            .ecc_chips_powered(true),
-    );
-    let frac = predictor.coarse_fraction();
-    (stats, frac)
+    (stats, predictor.coarse_fraction())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abft_memsim::workloads::{cg_trace, dgemm_trace, CgParams, DgemmParams, KernelParams};
-    use abft_memsim::SystemConfig;
+    use abft_memsim::workloads::{CgParams, DgemmParams, KernelParams};
+    use abft_memsim::{MissStream, SystemConfig, Trace};
 
     #[test]
     fn dense_streams_predict_coarse() {
@@ -209,9 +188,10 @@ mod tests {
         // Section 5.3: "all memory accesses are attributed with
         // coarse-grained chipkill protection, because FT-DGEMM has high
         // spatial locality".
-        let t = dgemm_trace(&DgemmParams { n: 256, nb: 64, abft: true, verify_interval: 4 });
-        let mut m = Machine::new(SystemConfig::default());
-        let (stats, coarse_frac) = run_dgms(&mut m, &mut t.replay());
+        let params =
+            KernelParams::Dgemm(DgemmParams { n: 256, nb: 64, abft: true, verify_interval: 4 });
+        let m = Machine::new(SystemConfig::default());
+        let (stats, coarse_frac) = run_dgms(&m, SimInput::Source(&mut params.stream()));
         // (A small trace pays proportionally more predictor warm-up; the
         // Figure 10 harness at full scale classifies >90% coarse.)
         assert!(coarse_frac > 0.8, "coarse fraction {coarse_frac}");
@@ -219,27 +199,41 @@ mod tests {
     }
 
     #[test]
-    fn filtered_replay_matches_full_dgms_run() {
-        // The DGMS predictor is the hardest client of the filtered path:
-        // it is stateful and epoch-based, so any reordering or dropped
-        // request in the miss stream would desynchronize its table.
+    fn every_input_form_gives_one_dgms_result() {
+        // The DGMS predictor is the hardest client of the replay seam: it
+        // is stateful and epoch-based, so any reordered, dropped or extra
+        // request — from the generator's chunking, the packed runs, a
+        // materialized trace or the miss filter — would desynchronize its
+        // table.
         let params =
             KernelParams::Cg(CgParams { grid: 96, iterations: 2, abft: true, verify_interval: 2 });
         let cfg = SystemConfig::default();
+        let m = Machine::new(cfg.clone());
         let packed = std::sync::Arc::new(params.build_packed());
-        let (full, full_frac) = run_dgms(&mut Machine::new(cfg.clone()), &mut packed.replay());
+        let trace = Trace::from_source(&mut params.stream());
         let ms = MissStream::build(&mut packed.replay(), cfg.l1, cfg.l2, cfg.threads);
-        let (filtered, filtered_frac) = run_dgms_miss_stream(&mut Machine::new(cfg), &ms);
-        assert_eq!(full, filtered);
-        assert_eq!(full_frac.to_bits(), filtered_frac.to_bits());
+
+        let (stream, frac) = run_dgms(&m, SimInput::Source(&mut params.stream()));
+        for (form, (stats, f)) in [
+            ("packed replay", run_dgms(&m, SimInput::Source(&mut packed.replay()))),
+            ("trace replay", run_dgms(&m, SimInput::Source(&mut trace.replay()))),
+            ("miss stream", run_dgms(&m, SimInput::MissStream(&ms))),
+        ] {
+            assert_eq!(stats, stream, "{form}");
+            assert_eq!(f.to_bits(), frac.to_bits(), "{form}");
+        }
     }
 
     #[test]
     fn dgms_energy_for_dgemm_close_to_whole_chipkill() {
-        let t = dgemm_trace(&DgemmParams { n: 384, nb: 64, abft: true, verify_interval: 4 });
-        let mut m = Machine::new(SystemConfig::default());
-        let (dgms, _) = run_dgms(&mut m, &mut t.replay());
-        let wck = m.simulate(SimRequest::trace(&t, EccAssignment::uniform(EccScheme::Chipkill)));
+        let params =
+            KernelParams::Dgemm(DgemmParams { n: 384, nb: 64, abft: true, verify_interval: 4 });
+        let m = Machine::new(SystemConfig::default());
+        let (dgms, _) = run_dgms(&m, SimInput::Source(&mut params.stream()));
+        let wck = m.simulate(SimRequest::source(
+            &mut params.stream(),
+            EccAssignment::uniform(EccScheme::Chipkill),
+        ));
         let ratio = dgms.mem_dynamic_j() / wck.mem_dynamic_j();
         assert!(ratio > 0.85 && ratio < 1.1, "DGMS ~ W_CK for DGEMM, ratio {ratio}");
     }
@@ -263,25 +257,13 @@ mod tests {
 
     #[test]
     fn cg_gets_a_mix_of_granularities() {
-        let t = cg_trace(&CgParams { grid: 96, iterations: 3, abft: true, verify_interval: 2 });
-        let mut m = Machine::new(SystemConfig::default());
-        let (_, coarse_frac) = run_dgms(&mut m, &mut t.replay());
+        let params =
+            KernelParams::Cg(CgParams { grid: 96, iterations: 3, abft: true, verify_interval: 2 });
+        let m = Machine::new(SystemConfig::default());
+        let (_, coarse_frac) = run_dgms(&m, SimInput::Source(&mut params.stream()));
         assert!(
             coarse_frac > 0.3 && coarse_frac < 0.995,
             "CG should mix coarse and fine, got {coarse_frac}"
         );
-    }
-
-    #[test]
-    fn streamed_generator_matches_materialized_replay() {
-        use abft_memsim::workloads::KernelParams;
-        let params =
-            KernelParams::Cg(CgParams { grid: 64, iterations: 2, abft: true, verify_interval: 2 });
-        let t = params.build();
-        let mut m = Machine::new(SystemConfig::default());
-        let (from_trace, f1) = run_dgms(&mut m, &mut t.replay());
-        let (from_stream, f2) = run_dgms(&mut m, &mut params.stream());
-        assert_eq!(from_trace, from_stream, "DGMS must be stream/materialize agnostic");
-        assert_eq!(f1, f2);
     }
 }

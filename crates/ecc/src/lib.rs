@@ -10,7 +10,7 @@
 //!   at 18.75% storage overhead (Sections 2.2 and 3.1).
 //! * [`rs`] — the shared generic Reed-Solomon machinery.
 //! * [`gf`] — the underlying GF(2^4) arithmetic.
-//! * [`line`] — 64-byte cache-line protection assembled from code words.
+//! * [`mod@line`] — 64-byte cache-line protection assembled from code words.
 //! * [`scheme`] — per-scheme cost/reliability attributes (chips per
 //!   access, channels, storage overhead) used by the memory simulator.
 //! * [`outcome`] — decode outcome classification, including ground-truth

@@ -263,10 +263,9 @@ impl Default for SystemConfig {
 /// A rejected [`SystemConfig`]: which parameter is impossible, the value
 /// it held, and why it was rejected.
 ///
-/// Produced by [`SystemConfig::validate`] / [`SystemConfigBuilder::build`]
-/// so that impossible cache or DRAM geometry is reported at construction
-/// instead of panicking deep inside [`crate::cache::Cache::new`] or the
-/// address decoder mid-simulation.
+/// Produced by [`SystemConfig::validate`] so that impossible cache or DRAM
+/// geometry is reported at construction instead of panicking deep inside
+/// [`crate::cache::Cache::new`] or the address decoder mid-simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
     /// The offending parameter ("l2", "row_bytes", ...).
@@ -320,15 +319,12 @@ fn validate_cache(prefix: &'static str, c: &CacheConfig) -> Result<(), ConfigErr
 }
 
 impl SystemConfig {
-    /// A validating builder starting from the Table 3 defaults.
-    pub fn builder() -> SystemConfigBuilder {
-        SystemConfigBuilder { cfg: SystemConfig::default() }
-    }
-
     /// Check every geometric and physical constraint the simulator relies
     /// on. [`crate::system::Machine::new`] calls this, so an impossible
     /// configuration fails fast with a named parameter instead of an
-    /// assert deep in the cache or DRAM model.
+    /// assert deep in the cache or DRAM model. A configuration is a plain
+    /// struct (`SystemConfig { threads: 1, ..Default::default() }`); this
+    /// is the fallible way to accept one.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !(self.clock_ghz.is_finite() && self.clock_ghz > 0.0) {
             return Err(err("clock_ghz", self.clock_ghz, "not a positive clock"));
@@ -502,133 +498,6 @@ impl SystemConfig {
     }
 }
 
-/// Fluent, validating constructor for [`SystemConfig`].
-///
-/// Starts from the Table 3 defaults; every setter overrides one knob and
-/// [`SystemConfigBuilder::build`] rejects impossible geometry with a
-/// [`ConfigError`] naming the offending field and the rejected value.
-///
-/// ```
-/// use abft_memsim::SystemConfig;
-/// let cfg = SystemConfig::builder().threads(1).stall_factor(0.5).build().unwrap();
-/// assert_eq!(cfg.threads, 1);
-/// assert!(SystemConfig::builder().row_bytes(100).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct SystemConfigBuilder {
-    cfg: SystemConfig,
-}
-
-impl SystemConfigBuilder {
-    /// Core clock in GHz.
-    pub fn clock_ghz(mut self, v: f64) -> Self {
-        self.cfg.clock_ghz = v;
-        self
-    }
-
-    /// Number of in-order cores.
-    pub fn cores(mut self, v: usize) -> Self {
-        self.cfg.cores = v;
-        self
-    }
-
-    /// Concurrent worker threads driving the memory system.
-    pub fn threads(mut self, v: usize) -> Self {
-        self.cfg.threads = v;
-        self
-    }
-
-    /// L1 data cache geometry.
-    pub fn l1(mut self, v: CacheConfig) -> Self {
-        self.cfg.l1 = v;
-        self
-    }
-
-    /// L2 unified cache geometry.
-    pub fn l2(mut self, v: CacheConfig) -> Self {
-        self.cfg.l2 = v;
-        self
-    }
-
-    /// Memory channels.
-    pub fn channels(mut self, v: usize) -> Self {
-        self.cfg.channels = v;
-        self
-    }
-
-    /// DIMMs per channel.
-    pub fn dimms_per_channel(mut self, v: usize) -> Self {
-        self.cfg.dimms_per_channel = v;
-        self
-    }
-
-    /// Ranks per DIMM.
-    pub fn ranks_per_dimm(mut self, v: usize) -> Self {
-        self.cfg.ranks_per_dimm = v;
-        self
-    }
-
-    /// Banks per rank.
-    pub fn banks_per_rank(mut self, v: usize) -> Self {
-        self.cfg.banks_per_rank = v;
-        self
-    }
-
-    /// Row-buffer size per bank in bytes.
-    pub fn row_bytes(mut self, v: usize) -> Self {
-        self.cfg.row_bytes = v;
-        self
-    }
-
-    /// Total DRAM capacity in bytes.
-    pub fn capacity_bytes(mut self, v: u64) -> Self {
-        self.cfg.capacity_bytes = v;
-        self
-    }
-
-    /// DRAM timing parameters.
-    pub fn timing(mut self, v: DramTiming) -> Self {
-        self.cfg.timing = v;
-        self
-    }
-
-    /// DRAM energy coefficients.
-    pub fn energy(mut self, v: DramEnergy) -> Self {
-        self.cfg.energy = v;
-        self
-    }
-
-    /// Processor power model.
-    pub fn proc_power(mut self, v: ProcessorPower) -> Self {
-        self.cfg.proc_power = v;
-        self
-    }
-
-    /// Unhidden fraction of DRAM miss latency, in `[0, 1]`.
-    pub fn stall_factor(mut self, v: f64) -> Self {
-        self.cfg.stall_factor = v;
-        self
-    }
-
-    /// DRAM device width (also sets the per-rank chip counts).
-    pub fn device_width(mut self, v: DeviceWidth) -> Self {
-        self.cfg = self.cfg.with_device_width(v);
-        self
-    }
-
-    /// Row-buffer management policy.
-    pub fn row_policy(mut self, v: RowPolicy) -> Self {
-        self.cfg.row_policy = v;
-        self
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<SystemConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -682,90 +551,95 @@ mod tests {
     }
 
     #[test]
-    fn builder_accepts_possible_geometry() {
-        let cfg = SystemConfig::builder()
-            .threads(2)
-            .channels(2)
-            .l1(CacheConfig { capacity: 32 * 1024, ways: 8, line_bytes: 64, latency_cycles: 2 })
-            .stall_factor(0.2)
-            .device_width(DeviceWidth::X8)
-            .build()
-            .unwrap();
+    fn validate_accepts_possible_geometry() {
+        let cfg = SystemConfig {
+            threads: 2,
+            channels: 2,
+            l1: CacheConfig { capacity: 32 * 1024, ways: 8, line_bytes: 64, latency_cycles: 2 },
+            stall_factor: 0.2,
+            ..SystemConfig::default()
+        }
+        .with_device_width(DeviceWidth::X8);
+        cfg.validate().unwrap();
         assert_eq!(cfg.threads, 2);
         assert_eq!(cfg.l1.sets(), 64);
         assert_eq!(cfg.data_chips_per_rank, 8);
     }
 
+    /// The error `validate` rejects `cfg` with.
+    fn rejected(cfg: SystemConfig) -> ConfigError {
+        cfg.validate().unwrap_err()
+    }
+
     #[test]
-    fn builder_rejects_impossible_geometry() {
+    fn validate_rejects_impossible_geometry() {
+        let node = SystemConfig::default;
         // Non-power-of-two set count.
-        let e = SystemConfig::builder()
-            .l2(CacheConfig {
+        let e = rejected(SystemConfig {
+            l2: CacheConfig {
                 capacity: 3 * 1024 * 1024,
                 ways: 16,
                 line_bytes: 64,
                 latency_cycles: 20,
-            })
-            .build()
-            .unwrap_err();
+            },
+            ..node()
+        });
         assert_eq!(e.field, "l2");
 
         // Capacity not a multiple of ways x line.
-        let e = SystemConfig::builder()
-            .l1(CacheConfig { capacity: 1000, ways: 4, line_bytes: 64, latency_cycles: 1 })
-            .build()
-            .unwrap_err();
+        let e = rejected(SystemConfig {
+            l1: CacheConfig { capacity: 1000, ways: 4, line_bytes: 64, latency_cycles: 1 },
+            ..node()
+        });
         assert_eq!(e.field, "l1");
 
         // Mismatched line sizes.
-        let e = SystemConfig::builder()
-            .l1(CacheConfig { capacity: 16 * 1024, ways: 4, line_bytes: 32, latency_cycles: 1 })
-            .build()
-            .unwrap_err();
+        let e = rejected(SystemConfig {
+            l1: CacheConfig { capacity: 16 * 1024, ways: 4, line_bytes: 32, latency_cycles: 1 },
+            ..node()
+        });
         assert_eq!(e.field, "l2");
 
         // Row buffer must be a power of two and hold a line.
-        let e = SystemConfig::builder().row_bytes(100).build().unwrap_err();
+        let e = rejected(SystemConfig { row_bytes: 100, ..node() });
         assert_eq!((e.field, e.value.as_str()), ("row_bytes", "100"));
-        assert_eq!(SystemConfig::builder().row_bytes(32).build().unwrap_err().field, "row_bytes");
+        assert_eq!(rejected(SystemConfig { row_bytes: 32, ..node() }).field, "row_bytes");
 
         // Degenerate organization and physics.
-        assert_eq!(SystemConfig::builder().channels(0).build().unwrap_err().field, "channels");
-        assert_eq!(SystemConfig::builder().threads(0).build().unwrap_err().field, "threads");
-        assert_eq!(
-            SystemConfig::builder().stall_factor(1.5).build().unwrap_err().field,
-            "stall_factor"
-        );
-        assert_eq!(SystemConfig::builder().clock_ghz(0.0).build().unwrap_err().field, "clock_ghz");
+        assert_eq!(rejected(SystemConfig { channels: 0, ..node() }).field, "channels");
+        assert_eq!(rejected(SystemConfig { threads: 0, ..node() }).field, "threads");
+        assert_eq!(rejected(SystemConfig { stall_factor: 1.5, ..node() }).field, "stall_factor");
+        assert_eq!(rejected(SystemConfig { clock_ghz: 0.0, ..node() }).field, "clock_ghz");
 
         // Chipkill pairs channel 2k with 2k+1.
         for odd in [1, 3] {
-            let e = SystemConfig::builder().channels(odd).build().unwrap_err();
+            let e = rejected(SystemConfig { channels: odd, ..node() });
             assert_eq!((e.field, e.value.as_str()), ("channels", odd.to_string().as_str()));
             assert!(e.reason.contains("Chipkill lock-steps channel pairs"), "{e}");
         }
-        SystemConfig::builder().channels(6).build().unwrap();
+        SystemConfig { channels: 6, ..node() }.validate().unwrap();
 
         // Chip counts must track the device width.
-        let cfg = SystemConfig { data_chips_per_rank: 8, ..Default::default() };
-        let e = cfg.validate().unwrap_err();
+        let e = rejected(SystemConfig { data_chips_per_rank: 8, ..node() });
         assert_eq!((e.field, e.value.as_str()), ("data_chips_per_rank", "8"));
 
         // The rendered error names the field AND the rejected value.
-        let err = SystemConfig::builder().row_bytes(100).build().unwrap_err();
+        let err = rejected(SystemConfig { row_bytes: 100, ..node() });
         assert!(err.to_string().contains("row_bytes"));
         assert!(err.to_string().contains("100"), "the offending value must not be lost: {err}");
 
-        let err = SystemConfig::builder().stall_factor(1.5).build().unwrap_err();
+        let err = rejected(SystemConfig { stall_factor: 1.5, ..node() });
         assert_eq!(err.value, "1.5");
     }
 
     #[test]
-    fn builder_rejects_impossible_refresh_timing() {
+    fn validate_rejects_impossible_refresh_timing() {
         let with = |t_refi_ns: f64, t_rfc_ns: f64| {
-            SystemConfig::builder()
-                .timing(DramTiming { t_refi_ns, t_rfc_ns, ..DramTiming::default() })
-                .build()
+            SystemConfig {
+                timing: DramTiming { t_refi_ns, t_rfc_ns, ..DramTiming::default() },
+                ..SystemConfig::default()
+            }
+            .validate()
         };
         for bad in [0.0, -7800.0, f64::NAN, f64::INFINITY] {
             let e = with(bad, 110.0).unwrap_err();

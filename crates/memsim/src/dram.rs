@@ -588,21 +588,6 @@ impl Dram {
         let s: f64 = self.rank_busy_ns.iter().map(|b| (b / elapsed_ns).clamp(0.0, 1.0)).sum();
         s / self.rank_busy_ns.len() as f64
     }
-
-    /// Reset bus/bank state and statistics.
-    pub fn reset(&mut self) {
-        for b in &mut self.banks {
-            *b = BankState { open_row: None, free_ns: 0.0 };
-        }
-        for c in &mut self.channel_free_ns {
-            *c = 0.0;
-        }
-        for r in &mut self.rank_busy_ns {
-            *r = 0.0;
-        }
-        self.refresh_free_ns = (0.0, 0.0);
-        self.stats = DramStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -724,13 +709,13 @@ mod tests {
 
     /// Table 3, a small power-of-two node, and two nodes whose channel or
     /// rank counts are not powers of two (the division decode's cases).
-    fn geometry(which: usize) -> crate::config::SystemConfigBuilder {
-        let b = SystemConfig::builder();
+    fn geometry(which: usize) -> SystemConfig {
+        let node = cfg();
         match which {
-            0 => b,
-            1 => b.channels(2).dimms_per_channel(1).ranks_per_dimm(1),
-            2 => b.channels(6).dimms_per_channel(3),
-            _ => b.dimms_per_channel(3).banks_per_rank(6),
+            0 => node,
+            1 => SystemConfig { channels: 2, dimms_per_channel: 1, ranks_per_dimm: 1, ..node },
+            2 => SystemConfig { channels: 6, dimms_per_channel: 3, ..node },
+            _ => SystemConfig { dimms_per_channel: 3, banks_per_rank: 6, ..node },
         }
     }
 
@@ -764,12 +749,13 @@ mod tests {
             // boundaries; the short gaps queue requests behind each other.
             mean_gap_ns in prop::sample::select(vec![0.0, 25.0, 3000.0]),
         ) {
-            let cfg = geometry(which)
-                .device_width(if x8 { DeviceWidth::X8 } else { DeviceWidth::X4 })
-                .row_policy(if closed_page { RowPolicy::Closed } else { RowPolicy::Open })
-                .timing(DramTiming { t_refi_ns, ..DramTiming::default() })
-                .build()
-                .unwrap();
+            let cfg = SystemConfig {
+                row_policy: if closed_page { RowPolicy::Closed } else { RowPolicy::Open },
+                timing: DramTiming { t_refi_ns, ..DramTiming::default() },
+                ..geometry(which)
+            }
+            .with_device_width(if x8 { DeviceWidth::X8 } else { DeviceWidth::X4 });
+            cfg.validate().unwrap();
             let t_rfc_ns = cfg.timing.t_rfc_ns;
             let mut fast = Dram::new(cfg.clone());
             let mut slow = Dram::new(cfg);
@@ -816,7 +802,8 @@ mod tests {
 
         #[test]
         fn shift_decode_matches_division_and_round_trips(which in 0usize..4, line: u64) {
-            let cfg = geometry(which).build().unwrap();
+            let cfg = geometry(which);
+            cfg.validate().unwrap();
             let map = AddressMap::new(&cfg);
             prop_assert_eq!(map.widths.is_some(), which < 2);
             // Any address decodes alike; line-aligned ones below the
@@ -835,7 +822,7 @@ mod tests {
         // with an interval that is not a whole number of steps: the window
         // must give way to `%` before each blackout, wherever it falls.
         let timing = DramTiming { t_refi_ns: 7800.1, ..DramTiming::default() };
-        let mut d = Dram::new(SystemConfig::builder().timing(timing).build().unwrap());
+        let mut d = Dram::new(SystemConfig { timing, ..cfg() });
         let mut stalls = 0u64;
         for i in 0..400_000u64 {
             let avail = i as f64 * 0.37;
@@ -923,7 +910,7 @@ mod tests {
             d.access(i as f64 * 1000.0, i * 64, false, EccScheme::None);
         }
         let none_nj = d.stats.dynamic_nj;
-        d.reset();
+        let mut d = Dram::new(cfg());
         for i in 0..64u64 {
             d.access(i as f64 * 1000.0, i * 64, false, EccScheme::Chipkill);
         }
@@ -939,7 +926,7 @@ mod tests {
             d.access(i as f64 * 1000.0, i * 64, false, EccScheme::None);
         }
         let none_nj = d.stats.dynamic_nj;
-        d.reset();
+        let mut d = Dram::new(cfg());
         for i in 0..64u64 {
             d.access(i as f64 * 1000.0, i * 64, false, EccScheme::Secded);
         }
@@ -1009,12 +996,12 @@ mod tests {
     #[test]
     fn x8_devices_scale_chipkill_energy() {
         let x8 = cfg().with_device_width(crate::config::DeviceWidth::X8);
-        let mut d = Dram::new(x8);
+        let mut d = Dram::new(x8.clone());
         for i in 0..64u64 {
             d.access(i as f64 * 1000.0, i * 64, false, EccScheme::None);
         }
         let none_nj = d.stats.dynamic_nj;
-        d.reset();
+        let mut d = Dram::new(x8);
         for i in 0..64u64 {
             d.access(i as f64 * 1000.0, i * 64, false, EccScheme::Chipkill);
         }

@@ -5,7 +5,8 @@
 //! Pin + McSim + DRAMSim2 stack:
 //!
 //! * [`config`] — the Table 3 system parameters.
-//! * [`trace`] — region-tagged cache-line reference streams.
+//! * [`trace`] — the region registry, the access record, and the
+//!   materialized [`trace::Trace`] the suites use as their reference.
 //! * [`cache`] — L1/L2 set-associative LRU write-back caches.
 //! * [`dram`] — DDR3-667 channel/rank/bank model with open-page row
 //!   buffers and a Micron-style energy account.
@@ -14,7 +15,9 @@
 //! * [`system`] — the whole node; runs access streams into
 //!   [`system::SimStats`].
 //! * [`stream`] — the pull-based [`stream::AccessSource`] /
-//!   [`stream::AccessSink`] traits every producer and consumer meet at.
+//!   [`stream::AccessSink`] traits every producer and consumer meet at;
+//!   a simulation takes a source, a miss stream or a phase sample
+//!   ([`system::SimInput`]), never a materialized trace.
 //! * [`packed`] — the 8-byte packed access encoding and the compact
 //!   [`packed::PackedTrace`] store.
 //! * [`miss_stream`] — the cache-filtered [`miss_stream::MissStream`]:
@@ -47,7 +50,7 @@ pub mod trace_cache;
 mod walk_reference;
 pub mod workloads;
 
-pub use config::{ConfigError, SystemConfig, SystemConfigBuilder};
+pub use config::{ConfigError, SystemConfig};
 pub use controller::{MemoryController, ERROR_REGISTERS};
 pub use dram::{AddressMap, Dram, DramLocation};
 pub use miss_stream::{MissEvent, MissEventKind, MissStream, SliceCursor};
@@ -55,7 +58,7 @@ pub use packed::{PackedBuilder, PackedReplay, PackedTrace};
 pub use simpoint::{PhaseSample, SimPointConfig, SimPointPhase, SimPointSelection};
 pub use store::{ArtifactStore, StoreError, StoreMetrics};
 pub use stream::{AccessSink, AccessSource, TraceReplay, DEFAULT_CHUNK};
-pub use system::{EccAssignment, Machine, RowPolicy, SimInput, SimRequest, SimStats};
+pub use system::{EccAssignment, Machine, ProtectionPolicy, SimInput, SimRequest, SimStats};
 pub use trace::{Access, Region, RegionId, RegionMap, Trace};
 pub use trace_cache::{FilterKey, TraceCache};
 pub use workloads::{KernelKind, KernelParams, KernelStream};

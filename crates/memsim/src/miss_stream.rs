@@ -250,7 +250,7 @@ pub(crate) fn walk<S: AccessSource + ?Sized>(
 }
 
 impl MissStream {
-    /// Drive `src` through L1/L2 once ([`walk`]) and record the
+    /// Drive `src` through L1/L2 once (`walk`) and record the
     /// DRAM-visible tail.
     pub fn build<S: AccessSource + ?Sized>(
         src: &mut S,

@@ -24,14 +24,17 @@
 //! asserted lossless at pack time.
 //!
 //! [`PackedTrace`] stores the words in fixed-size segments with *zero*
-//! growth slack (full segments are boxed exact-size). Between the 8-byte
+//! growth slack (full segments are boxed exact-size). It converts two
+//! ways and no more: [`PackedTrace::from_source`] packs any stream (the
+//! kernels emit straight into a [`PackedBuilder`] instead) and
+//! [`PackedTrace::replay`] streams it back. Between the 8-byte
 //! word (vs 16-byte `Access` structs plus up to 2x `Vec` doubling slack)
 //! and run coalescing, resident trace footprints drop well over 3x on
 //! the default kernel grid (`tests/streaming_equivalence.rs` holds the 3x
 //! floor; perfbench reports `packed.bytes_per_access`).
 
 use crate::stream::{AccessSink, AccessSource, DEFAULT_CHUNK};
-use crate::trace::{Access, RegionId, RegionMap, Trace};
+use crate::trace::{Access, RegionId, RegionMap};
 use std::sync::Arc;
 
 const WORK_BITS: u32 = 16;
@@ -152,11 +155,6 @@ impl PackedTrace {
         b.finish()
     }
 
-    /// Pack a materialized trace.
-    pub fn from_trace(t: &Trace) -> PackedTrace {
-        PackedTrace::from_source(&mut t.replay())
-    }
-
     /// The region registry.
     pub fn regions(&self) -> &RegionMap {
         &self.regions
@@ -182,23 +180,10 @@ impl PackedTrace {
         self.segs.iter().map(|s| s.len() as u64 * 8).sum()
     }
 
-    /// Bytes the same stream costs as an exact-size materialized
-    /// `Vec<Access>` (16 B per expanded record, growth slack not
-    /// counted), for footprint comparisons.
-    pub fn materialized_bytes(&self) -> u64 {
-        self.len * std::mem::size_of::<Access>() as u64
-    }
-
     /// A pull-based stream over the packed accesses. The replay holds an
     /// `Arc` clone, so campaign jobs share one packed allocation.
     pub fn replay(self: &Arc<Self>) -> PackedReplay {
         PackedReplay { trace: Arc::clone(self), seg: 0, idx: 0, run_pos: 0 }
-    }
-
-    /// Materialize the full `Vec<Access>` form (the compatibility
-    /// adapter for consumers that genuinely need random access).
-    pub fn materialize(self: &Arc<Self>) -> Trace {
-        Trace::from_source(&mut self.replay())
     }
 
     /// Crate-internal: number of packed words across all segments (the
@@ -445,6 +430,7 @@ impl AccessSource for PackedReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Trace;
 
     fn sample_trace(accesses: u64) -> Trace {
         let mut rm = RegionMap::new();
@@ -476,12 +462,12 @@ mod tests {
     fn packed_replay_is_bit_identical_and_half_the_bytes() {
         // Cross a segment boundary to exercise multi-segment replay.
         let t = sample_trace(SEG_WORDS as u64 + 1234);
-        let p = Arc::new(PackedTrace::from_trace(&t));
+        let p = Arc::new(PackedTrace::from_source(&mut t.replay()));
         assert_eq!(p.len(), t.accesses.len() as u64);
         assert_eq!(p.instructions(), t.instructions);
-        assert_eq!(p.materialized_bytes(), 2 * p.len() * 8);
+        assert_eq!(std::mem::size_of::<Access>(), 2 * 8, "a word is half a materialized record");
         assert!(p.packed_bytes() <= p.len() * 8 + (SEG_WORDS as u64) * 8);
-        let back = p.materialize();
+        let back = Trace::from_source(&mut p.replay());
         assert_eq!(back.accesses, t.accesses);
         assert_eq!(back.instructions, t.instructions);
         assert_eq!(back.regions.regions(), t.regions.regions());
@@ -490,7 +476,7 @@ mod tests {
     #[test]
     fn replay_reset_restarts() {
         let t = sample_trace(500);
-        let p = Arc::new(PackedTrace::from_trace(&t));
+        let p = Arc::new(PackedTrace::from_source(&mut t.replay()));
         let mut r = p.replay();
         let mut chunk = Vec::new();
         r.fill(&mut chunk, 100);
@@ -530,7 +516,7 @@ mod tests {
         let mut v: Vec<Access> = Vec::new();
         v.emit_span(r, base, 4096 * 64, false, 4096 * 3);
         v.emit(base + 8, r, true, 7);
-        assert_eq!(p.materialize().accesses, v);
+        assert_eq!(Trace::from_source(&mut p.replay()).accesses, v);
         // Runs split across tiny chunk boundaries still expand exactly.
         let mut replay = p.replay();
         let mut out = Vec::new();

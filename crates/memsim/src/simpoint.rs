@@ -28,7 +28,7 @@
 //!    each segment is represented by its member nearest the segment
 //!    mean; a [`SimPointPhase`] records the representative's event
 //!    range, the segment's event weight, and a saved
-//!    [`SliceCursor`](crate::miss_stream::SliceCursor) so replay can
+//!    [`SliceCursor`] so replay can
 //!    seek into the run-coalesced delta-encoded records in O(1).
 //!
 //! [`crate::system::Machine::simulate`] replays only the representative

@@ -3,22 +3,21 @@
 //! The paper's Pin→McSim stack never holds a whole trace in memory — it
 //! streams references into the timing model. [`AccessSource`] is that
 //! interface: a resumable producer of [`Access`] records that the
-//! simulator drains in bounded-memory chunks. Everything that used to
-//! require a materialized [`Trace`] is now an adapter over this trait:
+//! simulator drains in bounded-memory chunks. The product has two
+//! producers, and the suites a third:
 //!
-//! * [`Trace::replay`] — replay an in-memory trace (the compatibility
-//!   path; bit-identical to iterating `trace.accesses`).
-//! * [`crate::packed::PackedReplay`] — replay a compact 8-byte-per-record
-//!   packed trace (what the [`crate::trace_cache::TraceCache`] memoizes).
 //! * [`crate::workloads::KernelStream`] — generate a kernel's reference
 //!   stream step by step, never materializing more than one outer-loop
 //!   iteration.
+//! * [`crate::packed::PackedReplay`] — replay a compact 8-byte-per-run
+//!   packed trace (what the [`crate::trace_cache::TraceCache`] memoizes).
+//! * [`Trace::replay`] — replay a materialized [`Trace`], the reference
+//!   the equivalence suites compare the other two against
+//!   ([`Trace::from_source`] materializes any source).
 //!
-//! The dual trait [`AccessSink`] is the producer side: workload
-//! generators emit into any sink (a [`Trace`], a packed builder, a chunk
-//! buffer), which is how the materialized and streaming paths are
-//! guaranteed to produce identical reference sequences — they run the
-//! same emission code.
+//! The dual trait [`AccessSink`] is the producer side: the kernels' step
+//! emitters write into any sink — the stream's chunk buffer or the packed
+//! builder — so the streaming and packed forms run the same emission code.
 
 use crate::trace::{Access, RegionId, RegionMap, Trace};
 
@@ -57,34 +56,9 @@ pub trait AccessSource {
     }
 }
 
-/// Forwarding impl so a `&mut S` is itself a source — lets callers hand
-/// generic `S: AccessSource + ?Sized` borrows to APIs that take
-/// `&mut dyn AccessSource` (e.g. [`crate::system::SimRequest::source`]).
-impl<S: AccessSource + ?Sized> AccessSource for &mut S {
-    fn regions(&self) -> &RegionMap {
-        (**self).regions()
-    }
-
-    fn fill(&mut self, buf: &mut Vec<Access>, max: usize) -> usize {
-        (**self).fill(buf, max)
-    }
-
-    fn reset(&mut self) {
-        (**self).reset()
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        (**self).len_hint()
-    }
-
-    fn instructions_hint(&self) -> Option<u64> {
-        (**self).instructions_hint()
-    }
-}
-
 /// A consumer of emitted accesses — the generator-facing dual of
-/// [`AccessSource`]. [`Trace`] implements it (append), as does the packed
-/// builder and the plain `Vec<Access>` chunk buffer.
+/// [`AccessSource`], implemented by the packed builder and the plain
+/// `Vec<Access>` chunk buffer.
 pub trait AccessSink {
     /// Record one reference.
     fn emit(&mut self, addr: u64, region: RegionId, write: bool, work: u32);
@@ -100,12 +74,6 @@ pub trait AccessSink {
             self.emit(a, region, write, per);
             a += 64;
         }
-    }
-}
-
-impl AccessSink for Trace {
-    fn emit(&mut self, addr: u64, region: RegionId, write: bool, work: u32) {
-        self.push(addr, region, write, work);
     }
 }
 
@@ -128,9 +96,12 @@ impl Trace {
         TraceReplay { trace: self, pos: 0 }
     }
 
-    /// Materialize a full trace by draining a source (the one adapter
-    /// every legacy `Vec<Access>` consumer goes through).
+    /// Materialize a source — the one way to get a [`Trace`] of a stream,
+    /// and what the type is for: the `Vec<Access>` the equivalence suites
+    /// hold the streaming and packed forms against. The source is rewound
+    /// first, so a fresh and a half-drained one materialize alike.
     pub fn from_source<S: AccessSource + ?Sized>(src: &mut S) -> Trace {
+        src.reset();
         let mut t = Trace::new(src.regions().clone());
         if let Some(n) = src.len_hint() {
             t.accesses.reserve_exact(n as usize);
@@ -140,9 +111,6 @@ impl Trace {
             for a in &chunk {
                 t.push(a.addr, a.region, a.write, a.work);
             }
-        }
-        if let Some(instructions) = src.instructions_hint() {
-            t.instructions = instructions;
         }
         t
     }
@@ -225,14 +193,44 @@ mod tests {
     }
 
     #[test]
-    fn emit_span_matches_trace_stream() {
+    fn from_source_rewinds_a_half_drained_source() {
+        use crate::workloads::{CgParams, KernelParams};
+        let params =
+            KernelParams::Cg(CgParams { grid: 128, iterations: 2, abft: true, verify_interval: 2 });
+        let fresh = Trace::from_source(&mut params.stream());
+        assert!(fresh.len() > 2 * DEFAULT_CHUNK, "the workload must outlast the drained part");
+        // A chunk and a half in: the half chunk ends inside a kernel step
+        // and inside a packed run.
+        let drained = |src: &mut dyn AccessSource| {
+            let mut chunk = Vec::new();
+            assert_eq!(src.fill(&mut chunk, DEFAULT_CHUNK), DEFAULT_CHUNK);
+            assert_eq!(src.fill(&mut chunk, DEFAULT_CHUNK / 2), DEFAULT_CHUNK / 2);
+            Trace::from_source(src)
+        };
+        let packed = std::sync::Arc::new(params.build_packed());
+        for (form, t) in [
+            ("kernel stream", drained(&mut params.stream())),
+            ("packed replay", drained(&mut packed.replay())),
+        ] {
+            assert_eq!(t.len(), fresh.len(), "{form}");
+            assert!(t.accesses == fresh.accesses, "{form}");
+            assert_eq!(t.instructions, fresh.instructions, "{form}");
+        }
+    }
+
+    #[test]
+    fn emit_span_touches_every_line_once() {
         let mut rm = RegionMap::new();
         let r = rm.alloc("v", 640, true);
         let base = rm.get(r).base;
-        let mut t = Trace::new(rm.clone());
-        t.stream(r, base, 640, false, 1000);
         let mut v: Vec<Access> = Vec::new();
-        v.emit_span(r, base, 640, false, 1000);
-        assert_eq!(v, t.accesses);
+        v.emit_span(r, base + 8, 640, false, 1000);
+        assert_eq!(v.len(), 10);
+        for (i, a) in v.iter().enumerate() {
+            assert_eq!(
+                *a,
+                Access { addr: base + 64 * i as u64, region: r, write: false, work: 100 }
+            );
+        }
     }
 }

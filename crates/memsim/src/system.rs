@@ -10,7 +10,7 @@ use crate::miss_stream::{
 };
 use crate::simpoint::{PhaseSample, SimPointPhase, SimPointSelection};
 use crate::stream::AccessSource;
-use crate::trace::{Access, RegionId, RegionMap, Trace};
+use crate::trace::{RegionId, RegionMap};
 use abft_ecc::EccScheme;
 
 /// Per-region access statistics (feeds Table 4).
@@ -152,61 +152,61 @@ impl EccAssignment {
 /// every line the memory system services. The default policy (when a
 /// [`SimRequest`] carries none) consults the MC's programmed range
 /// registers; the DGMS comparator plugs its granularity predictor in
-/// here. Any `FnMut(&Access, &MemoryController, u64) -> AccessKind`
-/// closure is a policy via the blanket impl.
-pub trait RowPolicy {
-    /// Pick the protection for one DRAM request. `trigger` is the core
-    /// access that caused it; `paddr` is the physical line being
-    /// serviced (the demand line or a write-back victim).
-    fn choose(&mut self, trigger: &Access, mc: &MemoryController, paddr: u64) -> AccessKind;
+/// here. A policy is hardware: it sees the physical line address and
+/// nothing else (the paper's Section 5.3 point about DGMS). Any
+/// `FnMut(u64) -> AccessKind` closure is a policy via the blanket impl.
+pub trait ProtectionPolicy {
+    /// Pick the protection for one DRAM request to the physical line
+    /// `paddr` (a demand line or a write-back victim).
+    fn choose(&mut self, paddr: u64) -> AccessKind;
 }
 
-impl<F> RowPolicy for F
+impl<F> ProtectionPolicy for F
 where
-    F: FnMut(&Access, &MemoryController, u64) -> AccessKind,
+    F: FnMut(u64) -> AccessKind,
 {
-    fn choose(&mut self, trigger: &Access, mc: &MemoryController, paddr: u64) -> AccessKind {
-        self(trigger, mc, paddr)
+    fn choose(&mut self, paddr: u64) -> AccessKind {
+        self(paddr)
     }
 }
 
-/// The default policy: protect every request by the scheme the MC's
-/// range registers give its address. A line sweep stays inside one
+/// The default policy: protect every request by the scheme the range
+/// registers of `mc` give its address. A line sweep stays inside one
 /// region for thousands of requests, so the policy keeps the span of
 /// addresses its last register scan answered for
 /// ([`MemoryController::scheme_span`]) and scans again only on leaving
-/// it. Valid for one [`Machine::simulate`] call: the registers cannot be
-/// reprogrammed while the drive loop borrows the controller.
+/// it — valid because the registers cannot be reprogrammed while the
+/// policy borrows the controller.
 #[derive(Debug, Clone)]
-struct RangeRegisterPolicy {
+struct RangeRegisterPolicy<'m> {
+    mc: &'m MemoryController,
     /// `[lo, hi)` the cached scheme holds on.
     lo: u64,
     hi: u64,
     scheme: EccScheme,
 }
 
-impl RangeRegisterPolicy {
+impl<'m> RangeRegisterPolicy<'m> {
     /// An empty span: the first request scans the registers.
-    fn new() -> Self {
-        RangeRegisterPolicy { lo: 0, hi: 0, scheme: EccScheme::None }
+    fn new(mc: &'m MemoryController) -> Self {
+        RangeRegisterPolicy { mc, lo: 0, hi: 0, scheme: EccScheme::None }
     }
 }
 
-impl RowPolicy for RangeRegisterPolicy {
+impl ProtectionPolicy for RangeRegisterPolicy<'_> {
     #[inline]
-    fn choose(&mut self, _: &Access, mc: &MemoryController, paddr: u64) -> AccessKind {
+    fn choose(&mut self, paddr: u64) -> AccessKind {
         if paddr < self.lo || paddr >= self.hi {
-            (self.lo, self.hi, self.scheme) = mc.scheme_span(paddr);
+            (self.lo, self.hi, self.scheme) = self.mc.scheme_span(paddr);
         }
         AccessKind::Scheme(self.scheme)
     }
 }
 
-/// What a [`SimRequest`] replays: the five input forms every simulation
-/// funnels through.
+/// What a [`SimRequest`] replays: the four input forms every simulation
+/// funnels through. (A materialized [`crate::trace::Trace`] is a source:
+/// `SimInput::Source(&mut trace.replay())`.)
 pub enum SimInput<'a> {
-    /// A materialized trace (replayed through the full cache hierarchy).
-    Trace(&'a Trace),
     /// A pull-based access stream (full cache hierarchy, bounded memory).
     Source(&'a mut dyn AccessSource),
     /// A cache-filtered miss stream (exact DRAM-tail replay).
@@ -229,7 +229,6 @@ impl SimInput<'_> {
     /// The region registry of whatever is replayed.
     pub fn regions(&self) -> &RegionMap {
         match self {
-            SimInput::Trace(t) => &t.regions,
             SimInput::Source(s) => s.regions(),
             SimInput::MissStream(ms) => ms.regions(),
             SimInput::SampledMissStream { stream, .. } => stream.regions(),
@@ -240,75 +239,62 @@ impl SimInput<'_> {
 
 /// One simulation request: an input, an ECC assignment, and optionally a
 /// custom protection policy — the single argument of
-/// [`Machine::simulate`], replacing the former seven `run_*` entry
-/// points.
+/// [`Machine::simulate`].
 ///
-/// Semantics: with `policy == None` the machine programs its MC range
-/// registers from `assign` and protects every request by the programmed
-/// scheme (the classic path). With a custom policy the range registers
-/// are left untouched and the policy decides per request; `assign` then
-/// only informs the ECC-chip standby-power default. `ecc_chips_powered`
-/// overrides that default when set (a whole-node No-ECC configuration
-/// parks the chips).
-pub struct SimRequest<'a> {
+/// Semantics: with `policy == None` the node's range registers are
+/// programmed from `assign` and every request is protected by the
+/// programmed scheme (the classic path). With a custom policy nothing is
+/// programmed and the policy decides per request. Either way the ECC
+/// chips are powered iff [`EccAssignment::any_ecc`] — a whole-node No-ECC
+/// assignment parks them — so a policy that hands out ECC of its own
+/// comes with an assignment that says so (DGMS: uniform chipkill).
+///
+/// The policy borrow has a lifetime of its own (`'p`), so a caller can
+/// build a policy locally around an input it was handed.
+pub struct SimRequest<'i, 'p> {
     /// What to replay.
-    pub input: SimInput<'a>,
+    pub input: SimInput<'i>,
     /// ECC assignment (programmed when no custom policy is given).
     pub assign: EccAssignment,
     /// Optional custom per-request protection policy.
-    pub policy: Option<&'a mut dyn RowPolicy>,
-    /// Override for the ECC-chip standby power state; defaults to
-    /// [`EccAssignment::any_ecc`].
-    pub ecc_chips_powered: Option<bool>,
+    pub policy: Option<&'p mut (dyn ProtectionPolicy + 'p)>,
 }
 
-impl<'a> SimRequest<'a> {
-    /// Replay any input form under `assign` (programmed assignment,
-    /// default ECC-chip power state).
-    pub fn new(input: SimInput<'a>, assign: EccAssignment) -> SimRequest<'a> {
-        SimRequest { input, assign, policy: None, ecc_chips_powered: None }
-    }
-
-    /// Replay a materialized trace under `assign`.
-    pub fn trace(trace: &'a Trace, assign: EccAssignment) -> SimRequest<'a> {
-        SimRequest::new(SimInput::Trace(trace), assign)
+impl<'i, 'p> SimRequest<'i, 'p> {
+    /// Replay any input form under `assign` (programmed assignment).
+    pub fn new(input: SimInput<'i>, assign: EccAssignment) -> Self {
+        SimRequest { input, assign, policy: None }
     }
 
     /// Replay a pull-based access stream under `assign`.
-    pub fn source(src: &'a mut dyn AccessSource, assign: EccAssignment) -> SimRequest<'a> {
+    pub fn source(src: &'i mut dyn AccessSource, assign: EccAssignment) -> Self {
         SimRequest::new(SimInput::Source(src), assign)
     }
 
     /// Replay a cache-filtered miss stream under `assign`.
-    pub fn miss_stream(ms: &'a MissStream, assign: EccAssignment) -> SimRequest<'a> {
+    pub fn miss_stream(ms: &'i MissStream, assign: EccAssignment) -> Self {
         SimRequest::new(SimInput::MissStream(ms), assign)
     }
 
     /// Replay only the selected representative phases of a miss stream,
     /// scaling the accumulated statistics by cluster weights.
     pub fn sampled(
-        ms: &'a MissStream,
-        selection: &'a SimPointSelection,
+        ms: &'i MissStream,
+        selection: &'i SimPointSelection,
         assign: EccAssignment,
-    ) -> SimRequest<'a> {
+    ) -> Self {
         SimRequest::new(SimInput::SampledMissStream { stream: ms, selection }, assign)
     }
 
     /// Replay a phase sample: [`SimRequest::sampled`] without the stream.
-    pub fn sample(sample: &'a PhaseSample, assign: EccAssignment) -> SimRequest<'a> {
+    pub fn sample(sample: &'i PhaseSample, assign: EccAssignment) -> Self {
         SimRequest::new(SimInput::Sample(sample), assign)
     }
 
     /// Attach a custom protection policy (suppresses range-register
     /// programming; see the type-level semantics).
-    pub fn with_policy(mut self, policy: &'a mut dyn RowPolicy) -> SimRequest<'a> {
+    pub fn with_policy(mut self, policy: &'p mut (dyn ProtectionPolicy + 'p)) -> Self {
         self.policy = Some(policy);
-        self
-    }
-
-    /// Override the ECC-chip standby power state.
-    pub fn ecc_chips_powered(mut self, powered: bool) -> SimRequest<'a> {
-        self.ecc_chips_powered = Some(powered);
         self
     }
 }
@@ -316,7 +302,6 @@ impl<'a> SimRequest<'a> {
 /// The simulated node.
 pub struct Machine {
     cfg: SystemConfig,
-    dram: Dram,
     /// The enhanced memory controller.
     pub controller: MemoryController,
 }
@@ -324,35 +309,33 @@ pub struct Machine {
 /// Panic on impossible geometry ([`Machine::new`]'s contract).
 fn assert_valid(cfg: &SystemConfig) {
     if let Err(e) = cfg.validate() {
-        // repolint:allow(PANIC001) documented constructor contract; builder() is the fallible path
+        // repolint:allow(PANIC001) documented constructor contract; validate() is the fallible path
         panic!("{e}");
     }
 }
 
 /// Program `assign` into a controller whose range registers are clear.
+/// Panics when the registers refuse an override: more relaxed regions
+/// than slots, or a region listed twice.
 fn program(mc: &mut MemoryController, regions: &RegionMap, assign: &EccAssignment) {
     mc.set_default_scheme(assign.default_scheme);
     for &(rid, scheme) in &assign.overrides {
         let r = regions.get(rid);
-        mc.program_range(r.base, r.end(), scheme)
-            // repolint:allow(PANIC001) documented hardware contract: at most 8 range registers
-            .expect("range registers exhausted: more than 8 relaxed regions");
+        if let Err(e) = mc.program_range(r.base, r.end(), scheme) {
+            // repolint:allow(PANIC001) documented hardware contract: 8 disjoint range registers
+            panic!("cannot relax region {rid} ({:?}) to {scheme:?}: {e}", r.name);
+        }
     }
 }
 
 impl Machine {
     /// Build a node from configuration with a strong default ECC.
-    /// Panics on impossible geometry; use [`SystemConfig::builder`] (or
-    /// [`SystemConfig::validate`]) to reject bad configurations as values
-    /// instead.
+    /// Panics on impossible geometry; call [`SystemConfig::validate`]
+    /// first to reject a bad configuration as a value instead.
     pub fn new(cfg: SystemConfig) -> Self {
         assert_valid(&cfg);
-        let map = AddressMap::new(&cfg);
-        Machine {
-            dram: Dram::new(cfg.clone()),
-            controller: MemoryController::new(map, EccScheme::Chipkill),
-            cfg,
-        }
+        let controller = MemoryController::new(AddressMap::new(&cfg), EccScheme::Chipkill);
+        Machine { controller, cfg }
     }
 
     /// Access to the configuration.
@@ -363,6 +346,8 @@ impl Machine {
     /// Program the MC's range registers from a region registry and an
     /// assignment. Regions sharing a relaxed scheme and adjacency could be
     /// merged; we program one range per override (<= 8 as in hardware).
+    /// [`Machine::simulate`] neither needs nor sees this: every simulation
+    /// programs a fresh controller of its own.
     pub fn program_ecc(&mut self, regions: &RegionMap, assign: &EccAssignment) {
         // Clear old ranges.
         let bases: Vec<u64> = self.controller.ranges().iter().map(|r| r.base).collect();
@@ -373,11 +358,9 @@ impl Machine {
     }
 
     /// Run one simulation request — the single entry point every input
-    /// form (trace, stream, miss stream, sampled miss stream, phase
-    /// sample) and every
-    /// protection mode (programmed assignment or custom [`RowPolicy`])
-    /// funnels through; the former `run_*` wrappers delegated here until
-    /// their removal.
+    /// form (stream, miss stream, sampled miss stream, phase sample) and
+    /// every protection mode (programmed assignment or custom
+    /// [`ProtectionPolicy`]) funnels through.
     ///
     /// Sources are consumed in bounded-memory chunks ([`crate::stream::DEFAULT_CHUNK`]
     /// accesses at a time), so the peak footprint is independent of the
@@ -386,28 +369,23 @@ impl Machine {
     /// for timing/energy the identity map is exact because regions are
     /// page aligned and disjoint).
     ///
-    /// This is the one-lane case of the row replay
-    /// ([`Machine::simulate_lanes`]): the lane borrows the machine's own
-    /// DRAM and controller. The `dyn RowPolicy` boundary stops here: the
-    /// drive loops below are generic over the policy, so the default
-    /// (range-register lookup) policy monomorphizes straight into the
-    /// per-event replay loop instead of paying an indirect call per DRAM
-    /// request. A custom policy keeps exactly one `dyn` layer — the one
-    /// the caller handed in — and is always a one-lane replay.
-    pub fn simulate(&mut self, req: SimRequest<'_>) -> SimStats {
-        let SimRequest { input, assign, policy, ecc_chips_powered } = req;
-        let powered = ecc_chips_powered.unwrap_or_else(|| assign.any_ecc());
+    /// Without a policy this *is* the one-lane row
+    /// ([`Machine::simulate_lanes`] over `[assign]`). The
+    /// `dyn ProtectionPolicy` boundary stops here: the drive loops below
+    /// are generic over the policy, so the default (range-register
+    /// lookup) policy monomorphizes straight into the per-event replay
+    /// loop instead of paying an indirect call per DRAM request. A custom
+    /// policy keeps exactly one `dyn` layer — the one the caller handed
+    /// in — around the same fresh node, and is always a one-lane replay.
+    /// Every call starts from a quiet device and leaves `self` as it was.
+    pub fn simulate(&self, req: SimRequest<'_, '_>) -> SimStats {
+        let SimRequest { input, assign, policy } = req;
         let mut stats = match policy {
             Some(policy) => {
-                let lane = Lane::new(&mut self.dram, &self.controller, policy, powered);
+                let lane = Lane::new(Dram::new(self.cfg.clone()), policy, assign.any_ecc());
                 replay(&self.cfg, input, &mut [lane])
             }
-            None => {
-                self.program_ecc(input.regions(), &assign);
-                let policy = &mut RangeRegisterPolicy::new();
-                let lane = Lane::new(&mut self.dram, &self.controller, policy, powered);
-                replay(&self.cfg, input, &mut [lane])
-            }
+            None => Machine::simulate_lanes(&self.cfg, input, std::slice::from_ref(&assign)),
         };
         stats.pop().unwrap_or_else(|| unreachable!("one lane in, one SimStats out"))
     }
@@ -415,14 +393,13 @@ impl Machine {
     /// Replay `input` once under every assignment of `assigns` — a row of
     /// the evaluation grid: one pass over the events (one decode of each
     /// record and of each line's DRAM coordinates, or one cache walk for
-    /// a trace or source) services every event on one *lane* per
-    /// assignment, each a whole private simulation on a fresh node.
+    /// a source) services every event on one *lane* per assignment, each
+    /// a whole private simulation on a fresh node.
     ///
-    /// Result `i` equals
-    /// `Machine::new(cfg.clone()).simulate(SimRequest::new(input, assigns[i].clone()))`
-    /// bit for bit, whatever the other lanes are, in any order, with
-    /// duplicates; no assignment, no result. Panics as [`Machine::new`]
-    /// and [`Machine::simulate`] do.
+    /// Result `i` is what a row of `assigns[i]` alone gives, bit for bit,
+    /// whatever the other lanes are, in any order, with duplicates; no
+    /// assignment, no result. Panics as [`Machine::new`] does, and when an
+    /// assignment does not fit the range registers.
     pub fn simulate_lanes(
         cfg: &SystemConfig,
         input: SimInput<'_>,
@@ -430,32 +407,30 @@ impl Machine {
     ) -> Vec<SimStats> {
         assert_valid(cfg);
         // Every lane starts from the same pristine node: built once, copied.
-        let mut drams = vec![Dram::new(cfg.clone()); assigns.len()];
         let mut controllers =
             vec![MemoryController::new(AddressMap::new(cfg), EccScheme::Chipkill); assigns.len()];
-        let mut policies = vec![RangeRegisterPolicy::new(); assigns.len()];
         for (mc, assign) in controllers.iter_mut().zip(assigns) {
             program(mc, input.regions(), assign);
         }
+        let mut policies: Vec<_> = controllers.iter().map(RangeRegisterPolicy::new).collect();
+        let drams = vec![Dram::new(cfg.clone()); assigns.len()];
         let mut lanes: Vec<_> = drams
-            .iter_mut()
-            .zip(&controllers)
+            .into_iter()
             .zip(&mut policies)
             .zip(assigns)
-            .map(|(((dram, mc), policy), assign)| Lane::new(dram, mc, policy, assign.any_ecc()))
+            .map(|((dram, policy), assign)| Lane::new(dram, policy, assign.any_ecc()))
             .collect();
         replay(cfg, input, &mut lanes)
     }
 }
 
 /// One assignment's private simulation inside a replay: its device
-/// array, its programmed controller, its policy (with whatever the policy
-/// caches) and its own DRAM stall track. Lanes share nothing but the
-/// read-only event stream, so each is exactly the simulation it would be
-/// alone.
+/// array, its policy (with whatever the policy holds and caches — the
+/// default one, its programmed controller) and its own DRAM stall track.
+/// Lanes share nothing but the read-only event stream, so each is exactly
+/// the simulation it would be alone.
 struct Lane<'a, P: ?Sized> {
-    dram: &'a mut Dram,
-    mc: &'a MemoryController,
+    dram: Dram,
     policy: &'a mut P,
     ecc_chips_powered: bool,
     /// Accumulated DRAM stalls: the policy-dependent half of the cycle
@@ -467,29 +442,22 @@ struct Lane<'a, P: ?Sized> {
     stall_acc: u64,
 }
 
-impl<'a, P: RowPolicy + ?Sized> Lane<'a, P> {
-    /// A lane at time zero: quiet device, no stalls yet.
-    fn new(
-        dram: &'a mut Dram,
-        mc: &'a MemoryController,
-        policy: &'a mut P,
-        ecc_chips_powered: bool,
-    ) -> Self {
-        dram.reset();
-        Lane { dram, mc, policy, ecc_chips_powered, stall_acc: 0 }
+impl<'a, P: ProtectionPolicy + ?Sized> Lane<'a, P> {
+    /// A lane at time zero over a quiet device: no stalls yet.
+    fn new(dram: Dram, policy: &'a mut P, ecc_chips_powered: bool) -> Self {
+        Lane { dram, policy, ecc_chips_powered, stall_acc: 0 }
     }
 }
 
 /// Route one input form to its drive loop, monomorphized per policy type
 /// (see [`Machine::simulate`] on why this is generic), and fold every
 /// lane's outcome into its [`SimStats`].
-fn replay<P: RowPolicy + ?Sized>(
+fn replay<P: ProtectionPolicy + ?Sized>(
     cfg: &SystemConfig,
     input: SimInput<'_>,
     lanes: &mut [Lane<'_, P>],
 ) -> Vec<SimStats> {
     match input {
-        SimInput::Trace(t) => drive_source(cfg, &mut t.replay(), lanes),
         SimInput::Source(s) => drive_source(cfg, s, lanes),
         SimInput::MissStream(ms) => drive_miss(cfg, ms, lanes),
         SimInput::SampledMissStream { stream, selection } => {
@@ -516,7 +484,7 @@ fn replay<P: RowPolicy + ?Sized>(
 /// it falls out, through the same [`replay_event`] the filtered replay
 /// uses — a lane's timeline at an event is the walk's pure core cycles
 /// plus the lane's DRAM stalls so far, on either path.
-fn drive_source<S: AccessSource + ?Sized, P: RowPolicy + ?Sized>(
+fn drive_source<S: AccessSource + ?Sized, P: ProtectionPolicy + ?Sized>(
     cfg: &SystemConfig,
     src: &mut S,
     lanes: &mut [Lane<'_, P>],
@@ -549,16 +517,15 @@ fn assert_geometry(cfg: &SystemConfig, (l1, l2, threads): (CacheConfig, CacheCon
 /// over the stream the [`MissStream`] was built from, at
 /// O(LLC misses) instead of O(accesses) — the cache hierarchy was
 /// already simulated by [`MissStream::build`] and its outcomes are
-/// ECC-independent. The policy observes the same triggering accesses
-/// and physical line addresses in the same DRAM-access order as the
-/// full path, so stateful policies (e.g. the DGMS granularity
-/// predictor) behave identically.
+/// ECC-independent. The policy observes the same physical line
+/// addresses in the same DRAM-access order as the full path, so stateful
+/// policies (e.g. the DGMS granularity predictor) behave identically.
 ///
 /// A lane's cycle counter is reconstructed as the stream's recorded pure
 /// core cycles plus the DRAM stalls the lane accumulated during replay —
 /// the exact decomposition the full path computes, so the returned
 /// [`SimStats`] are bit-identical.
-fn drive_miss<P: RowPolicy + ?Sized>(
+fn drive_miss<P: ProtectionPolicy + ?Sized>(
     cfg: &SystemConfig,
     ms: &MissStream,
     lanes: &mut [Lane<'_, P>],
@@ -598,7 +565,7 @@ struct PhaseFold {
 /// and a [`PhaseSample`] are replayed by the same loop. Each phase is
 /// opened once, whatever the lane count; the snapshots and the fold around
 /// it are per lane.
-fn drive_sampled<'a, P: RowPolicy + ?Sized>(
+fn drive_sampled<'a, P: ProtectionPolicy + ?Sized>(
     cfg: &SystemConfig,
     totals: &StreamTotals,
     phases: &[SimPointPhase],
@@ -673,7 +640,7 @@ fn assemble_stats<P: ?Sized>(
     regions: Vec<RegionStats>,
 ) -> SimStats {
     let &StreamTotals { instructions, l1_hits, l1_misses, l2_hits, l2_misses, .. } = totals;
-    let dram = &*lane.dram;
+    let dram = &lane.dram;
     // The lane's cycle counter: the walk's pure core cycles plus the
     // DRAM stalls the replay accumulated.
     let cycles = totals.core_cycles + lane.stall_acc;
@@ -729,7 +696,7 @@ fn assemble_stats<P: ?Sized>(
 /// of its own would: its timeline from its own stalls, then demand,
 /// stall, coupled write-back, in that order.
 #[inline(always)]
-fn replay_event<P: RowPolicy + ?Sized>(
+fn replay_event<P: ProtectionPolicy + ?Sized>(
     map: &AddressMap,
     cycle_ns: f64,
     stall_factor: f64,
@@ -741,7 +708,7 @@ fn replay_event<P: RowPolicy + ?Sized>(
             let loc = map.decode(wb);
             for lane in lanes {
                 let now = (ev.core_cycles + lane.stall_acc) as f64 * cycle_ns;
-                let kind = lane.policy.choose(&ev.trigger, lane.mc, wb);
+                let kind = lane.policy.choose(wb);
                 lane.dram.service(now, loc, true, kind);
             }
         }
@@ -750,12 +717,12 @@ fn replay_event<P: RowPolicy + ?Sized>(
             let writeback = writeback.map(|wb| (wb, map.decode(wb)));
             for lane in lanes {
                 let now = (ev.core_cycles + lane.stall_acc) as f64 * cycle_ns;
-                let kind = lane.policy.choose(&ev.trigger, lane.mc, ev.trigger.addr);
+                let kind = lane.policy.choose(ev.trigger.addr);
                 let res = lane.dram.service(now, loc, false, kind);
                 let lat_ns = res.completion_ns - now;
                 lane.stall_acc += (lat_ns * stall_factor / cycle_ns) as u64;
                 if let Some((wb, wb_loc)) = writeback {
-                    let kind = lane.policy.choose(&ev.trigger, lane.mc, wb);
+                    let kind = lane.policy.choose(wb);
                     lane.dram.service(now, wb_loc, true, kind);
                 }
             }
@@ -835,7 +802,12 @@ impl ScaledDram {
 mod tests {
     use super::*;
     use crate::controller::ECC_RANGE_SLOTS;
-    use crate::trace::RegionMap;
+    use crate::trace::{RegionMap, Trace};
+
+    /// `trace` through the full hierarchy of `m` under `assign`.
+    fn run(m: &Machine, trace: &Trace, assign: EccAssignment) -> SimStats {
+        m.simulate(SimRequest::source(&mut trace.replay(), assign))
+    }
 
     fn linear_trace(region_bytes: u64, passes: usize, work: u32, abft: bool) -> Trace {
         let mut rm = RegionMap::new();
@@ -854,21 +826,21 @@ mod tests {
 
     #[test]
     fn small_working_set_stays_in_cache() {
-        let mut m = Machine::new(SystemConfig::default());
+        let m = Machine::new(SystemConfig::default());
         // 8 KB fits in the 16 KB L1 after the first pass; with compute
         // work between accesses the in-order core stays near IPC 1.
         let t = linear_trace(8 * 1024, 50, 10, true);
-        let s = m.simulate(SimRequest::trace(&t, EccAssignment::uniform(EccScheme::None)));
+        let s = run(&m, &t, EccAssignment::uniform(EccScheme::None));
         assert!(s.l1_hit_rate > 0.85, "l1 hit rate {}", s.l1_hit_rate);
         assert!(s.ipc > 0.85, "ipc {}", s.ipc);
     }
 
     #[test]
     fn streaming_set_misses_llc_and_stalls() {
-        let mut m = Machine::new(SystemConfig::default());
+        let m = Machine::new(SystemConfig::default());
         // 32 MB streamed twice: far beyond the 8MB L2.
         let t = linear_trace(32 * 1024 * 1024, 2, 2, true);
-        let s = m.simulate(SimRequest::trace(&t, EccAssignment::uniform(EccScheme::None)));
+        let s = run(&m, &t, EccAssignment::uniform(EccScheme::None));
         assert!(s.l2_hit_rate < 0.1, "l2 hit rate {}", s.l2_hit_rate);
         assert!(s.ipc < 1.0);
         assert!(s.dram_reads > 900_000);
@@ -879,17 +851,13 @@ mod tests {
         // A policy that always answers chipkill is the default path with
         // the uniform chipkill assignment: same timing, energy, traffic.
         let t = linear_trace(4 * 1024 * 1024, 2, 4, true);
-        let mut m1 = Machine::new(SystemConfig::default());
-        let uniform =
-            m1.simulate(SimRequest::trace(&t, EccAssignment::uniform(EccScheme::Chipkill)));
-        let mut m2 = Machine::new(SystemConfig::default());
-        let mut policy = |_: &Access, _: &MemoryController, _: u64| -> AccessKind {
-            AccessKind::Scheme(EccScheme::Chipkill)
-        };
+        let m1 = Machine::new(SystemConfig::default());
+        let uniform = run(&m1, &t, EccAssignment::uniform(EccScheme::Chipkill));
+        let m2 = Machine::new(SystemConfig::default());
+        let mut policy = |_: u64| AccessKind::Scheme(EccScheme::Chipkill);
         let custom = m2.simulate(
-            SimRequest::trace(&t, EccAssignment::uniform(EccScheme::Chipkill))
-                .with_policy(&mut policy)
-                .ecc_chips_powered(true),
+            SimRequest::source(&mut t.replay(), EccAssignment::uniform(EccScheme::Chipkill))
+                .with_policy(&mut policy),
         );
         assert_eq!(uniform.cycles, custom.cycles);
         assert_eq!(uniform.dram_reads, custom.dram_reads);
@@ -900,9 +868,9 @@ mod tests {
     #[test]
     fn chipkill_costs_more_energy_than_no_ecc() {
         let t = linear_trace(16 * 1024 * 1024, 2, 4, true);
-        let mut m = Machine::new(SystemConfig::default());
-        let none = m.simulate(SimRequest::trace(&t, EccAssignment::uniform(EccScheme::None)));
-        let ck = m.simulate(SimRequest::trace(&t, EccAssignment::uniform(EccScheme::Chipkill)));
+        let m = Machine::new(SystemConfig::default());
+        let none = run(&m, &t, EccAssignment::uniform(EccScheme::None));
+        let ck = run(&m, &t, EccAssignment::uniform(EccScheme::Chipkill));
         assert!(ck.mem_dynamic_j > 2.0 * none.mem_dynamic_j);
         assert!(ck.mem_dynamic_j < 2.5 * none.mem_dynamic_j);
         assert!(ck.ipc <= none.ipc, "lock-step cannot be faster");
@@ -929,14 +897,11 @@ mod tests {
                 a += 64;
             }
         }
-        let mut m = Machine::new(SystemConfig::default());
-        let whole_ck =
-            m.simulate(SimRequest::trace(&t, EccAssignment::uniform(EccScheme::Chipkill)));
-        let part = m.simulate(SimRequest::trace(
-            &t,
-            EccAssignment::relaxed(EccScheme::Chipkill, EccScheme::None, &[big]),
-        ));
-        let none = m.simulate(SimRequest::trace(&t, EccAssignment::uniform(EccScheme::None)));
+        let m = Machine::new(SystemConfig::default());
+        let whole_ck = run(&m, &t, EccAssignment::uniform(EccScheme::Chipkill));
+        let part =
+            run(&m, &t, EccAssignment::relaxed(EccScheme::Chipkill, EccScheme::None, &[big]));
+        let none = run(&m, &t, EccAssignment::uniform(EccScheme::None));
         assert!(part.mem_dynamic_j < whole_ck.mem_dynamic_j);
         assert!(part.mem_dynamic_j > none.mem_dynamic_j);
         // Most accesses hit the relaxed region.
@@ -961,8 +926,8 @@ mod tests {
             t.push(addr, b, false, 1);
             addr += 64;
         }
-        let mut m = Machine::new(SystemConfig::default());
-        let s = m.simulate(SimRequest::trace(&t, EccAssignment::uniform(EccScheme::Secded)));
+        let m = Machine::new(SystemConfig::default());
+        let s = run(&m, &t, EccAssignment::uniform(EccScheme::Secded));
         assert!(s.llc_misses_abft() > 0);
         assert!(s.llc_misses_other() > 0);
         let ratio = s.abft_ref_ratio();
@@ -994,8 +959,7 @@ mod tests {
                 mc.program_range(base, end, schemes[rng.random_range(0..3)]).unwrap();
             }
 
-            let trigger = Access { addr: 0, region: 0, write: false, work: 0 };
-            let mut policy = RangeRegisterPolicy::new();
+            let mut policy = RangeRegisterPolicy::new(&mc);
             let mut edges: Vec<u64> = vec![0, u64::MAX - 1, u64::MAX];
             for &(base, end) in &spans {
                 edges.extend([base.saturating_sub(1), base, base + 64, end - 1, end]);
@@ -1009,7 +973,7 @@ mod tests {
                     1 => rng.random_range(0..(1u64 << 26) + 4096),
                     _ => paddr.saturating_add(64),
                 };
-                let got = policy.choose(&trigger, &mc, paddr);
+                let got = policy.choose(paddr);
                 prop_assert!(
                     got == AccessKind::Scheme(mc.scheme_for(paddr)),
                     "paddr {paddr:#x} under {:?}: {got:?}", mc.ranges()
@@ -1028,7 +992,7 @@ mod tests {
             x8: bool,
             closed_page: bool,
         ) {
-            use crate::config::{DeviceWidth, RowPolicy as PagePolicy};
+            use crate::config::{DeviceWidth, RowPolicy};
             use crate::miss_stream::few_line_trace;
             use proptest::prelude::*;
             use rand::{Rng, SeedableRng};
@@ -1038,19 +1002,20 @@ mod tests {
             // Table 3, a small power-of-two node, and the 6-channel x
             // 3-DIMM node only the division decode can address.
             let (trace, l1, l2) = few_line_trace(seed, ECC_RANGE_SLOTS);
-            let node = SystemConfig::builder();
+            let node = SystemConfig {
+                l1,
+                l2,
+                threads: 1,
+                row_policy: if closed_page { RowPolicy::Closed } else { RowPolicy::Open },
+                ..SystemConfig::default()
+            }
+            .with_device_width(if x8 { DeviceWidth::X8 } else { DeviceWidth::X4 });
             let cfg = match geometry {
                 0 => node,
-                1 => node.channels(2).dimms_per_channel(1).ranks_per_dimm(1),
-                _ => node.channels(6).dimms_per_channel(3),
-            }
-            .l1(l1)
-            .l2(l2)
-            .threads(1)
-            .device_width(if x8 { DeviceWidth::X8 } else { DeviceWidth::X4 })
-            .row_policy(if closed_page { PagePolicy::Closed } else { PagePolicy::Open })
-            .build()
-            .unwrap();
+                1 => SystemConfig { channels: 2, dimms_per_channel: 1, ranks_per_dimm: 1, ..node },
+                _ => SystemConfig { channels: 6, dimms_per_channel: 3, ..node },
+            };
+            cfg.validate().unwrap();
             let ms = MissStream::build(&mut trace.replay(), l1, l2, 1);
             let interval = rng.random_range(5..48);
             let max_phases = rng.random_range(1..=ms.events().div_ceil(interval)) as usize;
@@ -1113,6 +1078,77 @@ mod tests {
                 }
             }
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn a_policy_sees_the_same_lines_from_a_source_and_from_its_miss_stream(seed: u64) {
+            use crate::miss_stream::few_line_trace;
+            use proptest::prelude::*;
+            let (trace, l1, l2) = few_line_trace(seed, 3);
+            let m = Machine::new(SystemConfig { l1, l2, threads: 1, ..SystemConfig::default() });
+            let ms = MissStream::build(&mut trace.replay(), l1, l2, 1);
+            // What the seam carries, read off the records: an event's demand
+            // line, then its coupled write-back; a stand-alone write-back.
+            let (mut lines, mut kinds) = (Vec::new(), [false; 3]);
+            for ev in ms.iter() {
+                match ev.kind {
+                    MissEventKind::Writeback(wb) => {
+                        kinds[0] = true;
+                        lines.push(wb);
+                    }
+                    MissEventKind::Demand { writeback } => {
+                        kinds[1 + writeback.is_some() as usize] = true;
+                        lines.push(ev.trigger.addr);
+                        lines.extend(writeback);
+                    }
+                }
+            }
+            prop_assume!(kinds == [true; 3]);
+
+            let seen_through = |input: SimInput<'_>| {
+                let mut seen = Vec::new();
+                let mut policy = |paddr: u64| {
+                    seen.push(paddr);
+                    AccessKind::Scheme(EccScheme::Secded)
+                };
+                let assign = EccAssignment::uniform(EccScheme::Secded);
+                m.simulate(SimRequest::new(input, assign).with_policy(&mut policy));
+                seen
+            };
+            prop_assert!(seen_through(SimInput::Source(&mut trace.replay())) == lines);
+            prop_assert!(seen_through(SimInput::MissStream(&ms)) == lines);
+        }
+    }
+
+    /// Set a node up with each of `regions` regions relaxed to No-ECC, then
+    /// the `extra` overrides.
+    fn relax(regions: usize, extra: &[(RegionId, EccScheme)]) {
+        let mut rm = RegionMap::new();
+        let ids: Vec<RegionId> =
+            (0..regions).map(|i| rm.alloc(&format!("r{i}"), 4096, true)).collect();
+        let mut assign = EccAssignment::relaxed(EccScheme::Chipkill, EccScheme::None, &ids);
+        assign.overrides.extend_from_slice(extra);
+        run(&Machine::new(SystemConfig::default()), &Trace::new(rm), assign);
+    }
+
+    #[test]
+    fn as_many_relaxed_regions_as_range_registers_fit() {
+        relax(ECC_RANGE_SLOTS, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "range register slots are in use")]
+    fn a_ninth_relaxed_region_is_refused_for_want_of_a_slot() {
+        relax(ECC_RANGE_SLOTS + 1, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps")]
+    fn a_region_relaxed_twice_is_refused_as_an_overlap() {
+        relax(2, &[(1, EccScheme::Secded)]);
     }
 
     #[test]

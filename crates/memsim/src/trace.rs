@@ -133,7 +133,13 @@ impl RegionMap {
     }
 }
 
-/// A kernel trace: the region registry plus the reference stream.
+/// A materialized trace: the region registry plus the whole reference
+/// stream, 16 bytes a record. The product never holds one — kernels stream
+/// ([`crate::workloads::KernelStream`]) or pack
+/// ([`crate::packed::PackedTrace`]). This is the reference the equivalence
+/// suites compare those against and the fixture hand-written tests `push`
+/// into; [`Trace::from_source`] materializes any stream and
+/// [`Trace::replay`] streams a trace back.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Region registry.
@@ -155,25 +161,6 @@ impl Trace {
     pub fn push(&mut self, addr: u64, region: RegionId, write: bool, work: u32) {
         self.accesses.push(Access { addr, region, write, work });
         self.instructions += work as u64 + 1;
-    }
-
-    /// Touch every line of `bytes` bytes starting at `addr` once,
-    /// spreading `total_work` instructions uniformly across the touches.
-    pub fn stream(
-        &mut self,
-        region: RegionId,
-        addr: u64,
-        bytes: u64,
-        write: bool,
-        total_work: u64,
-    ) {
-        let lines = bytes.div_ceil(64).max(1);
-        let per = (total_work / lines) as u32;
-        let mut a = addr & !63;
-        for _ in 0..lines {
-            self.push(a, region, write, per);
-            a += 64;
-        }
     }
 
     /// Number of references.
@@ -221,19 +208,6 @@ mod tests {
         let mut m = RegionMap::new();
         let a = m.alloc("v", 800, true);
         assert_eq!(m.elem_addr(a, 3, 8), m.get(a).base + 24);
-    }
-
-    #[test]
-    fn stream_touches_every_line_once() {
-        let mut m = RegionMap::new();
-        let a = m.alloc("v", 640, true);
-        let base = m.get(a).base;
-        let mut t = Trace::new(m);
-        t.stream(a, base, 640, false, 1000);
-        assert_eq!(t.len(), 10);
-        assert!(t.accesses.iter().all(|x| x.addr % 64 == 0));
-        assert_eq!(t.accesses[0].work, 100);
-        assert_eq!(t.instructions, 10 * 101);
     }
 
     #[test]

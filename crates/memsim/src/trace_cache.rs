@@ -8,9 +8,9 @@
 //! running 24 (kernel x strategy) jobs performs exactly 4 trace
 //! generations — and because the cache stores the packed run-coalesced
 //! encoding (built straight from the step emitters, never materializing
-//! `Vec<Access>`), its resident cost sits an order of magnitude below the
-//! old materialized-`Trace` cache (16 B per record plus `Vec` growth
-//! slack; perfbench reports the packed side as `packed.bytes_per_access`).
+//! `Vec<Access>`), its resident cost sits an order of magnitude below a
+//! materialized `Trace` (16 B per record plus `Vec` growth slack;
+//! perfbench reports the packed side as `packed.bytes_per_access`).
 //!
 //! Concurrency: the map lock is held only to look up or insert a
 //! per-key slot; the (expensive) generation itself runs outside the map
@@ -170,9 +170,7 @@ impl TraceCache {
 
     /// The packed trace for a workload: generated on first request, shared
     /// (same allocation, pointer-equal `Arc`) on every subsequent one.
-    /// Replay it with [`PackedTrace::replay`], or materialize a full
-    /// [`crate::trace::Trace`] with [`PackedTrace::materialize`] when a
-    /// consumer genuinely needs random access.
+    /// Replay it with [`PackedTrace::replay`].
     pub fn get(&self, params: KernelParams) -> Arc<PackedTrace> {
         self.memo(
             &self.slots,
@@ -349,13 +347,14 @@ mod tests {
     }
 
     #[test]
-    fn cached_trace_matches_direct_build() {
+    fn cached_trace_matches_the_generator() {
+        use crate::trace::Trace;
         let cache = TraceCache::new();
         let packed = cache.get(tiny_dgemm());
-        let direct = tiny_dgemm().build();
+        let direct = Trace::from_source(&mut tiny_dgemm().stream());
         assert_eq!(packed.len(), direct.len() as u64);
         assert_eq!(packed.instructions(), direct.instructions);
-        assert_eq!(packed.materialize().accesses, direct.accesses);
+        assert_eq!(Trace::from_source(&mut packed.replay()).accesses, direct.accesses);
     }
 
     #[test]

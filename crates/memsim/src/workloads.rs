@@ -14,9 +14,9 @@
 //! factorizations, a CG iteration) that writes into any
 //! [`AccessSink`]. [`KernelParams::stream`] wraps the steps as a resumable
 //! [`AccessSource`] that never materializes more than one step;
-//! [`KernelParams::build`] runs the *same* step emitters into a [`Trace`],
-//! so the materialized and streaming paths produce bit-identical
-//! reference sequences by construction.
+//! [`KernelParams::build_packed`] runs the *same* step emitters straight
+//! into packed storage, so the two produce the same reference sequence by
+//! construction (and a test holds them to it).
 //!
 //! ABFT-protected structures per kernel (Section 2.1):
 //! * FT-DGEMM — the encoded matrices `A^c`, `B^c` and the result `C^f`.
@@ -27,7 +27,7 @@
 
 use crate::packed::{PackedBuilder, PackedTrace};
 use crate::stream::{AccessSink, AccessSource};
-use crate::trace::{Access, RegionId, RegionMap, Trace};
+use crate::trace::{Access, RegionId, RegionMap};
 
 const LINE: u64 = 64;
 const F64: u64 = 8;
@@ -83,11 +83,6 @@ pub fn abft_region_ids(regions: &RegionMap) -> Vec<RegionId> {
         .filter(|(_, r)| r.abft_protected)
         .map(|(i, _)| i as RegionId)
         .collect()
-}
-
-/// IDs of the ABFT-protected regions of a materialized trace.
-pub fn abft_regions(trace: &Trace) -> Vec<RegionId> {
-    abft_region_ids(&trace.regions)
 }
 
 // ---------------------------------------------------------------------
@@ -224,12 +219,6 @@ fn dgemm_step<S: AccessSink + ?Sized>(p: &DgemmParams, l: &DgemmLayout, kt: u64,
     }
 }
 
-/// Generate the FT-DGEMM trace: outer-product `C^f = A^c B^c` with periodic
-/// checksum verification on `C^f`.
-pub fn dgemm_trace(p: &DgemmParams) -> Trace {
-    KernelParams::Dgemm(*p).build()
-}
-
 // ---------------------------------------------------------------------
 // FT-Cholesky
 // ---------------------------------------------------------------------
@@ -343,12 +332,6 @@ fn cholesky_step<S: AccessSink + ?Sized>(
         touch_tile(t, l.ra, l.ba, lda, n, k, chk_rows, nb, true, 0);
         t.emit_span(l.rinfo, l.binfo, 256, true, 64);
     }
-}
-
-/// Generate the FT-Cholesky trace: right-looking blocked factorization with
-/// per-step checksum verification (Section 2.1's 4-step iteration).
-pub fn cholesky_trace(p: &CholeskyParams) -> Trace {
-    KernelParams::Cholesky(*p).build()
 }
 
 // ---------------------------------------------------------------------
@@ -549,11 +532,6 @@ fn cg_step<S: AccessSink + ?Sized>(p: &CgParams, l: &CgLayout, it: u64, t: &mut 
     }
 }
 
-/// Generate the FT-CG trace following the paper's Figure 1 line by line.
-pub fn cg_trace(p: &CgParams) -> Trace {
-    KernelParams::Cg(*p).build()
-}
-
 // ---------------------------------------------------------------------
 // FT-HPL
 // ---------------------------------------------------------------------
@@ -687,21 +665,9 @@ fn hpl_step<S: AccessSink + ?Sized>(p: &HplParams, l: &HplLayout, kt: u64, t: &m
     }
 }
 
-/// Generate the FT-HPL trace: blocked LU with partial pivoting and row
-/// checksums, one representative process of the paper's 2x2 grid.
-pub fn hpl_trace(p: &HplParams) -> Trace {
-    KernelParams::Hpl(*p).build()
-}
-
 // ---------------------------------------------------------------------
-// Basic-test bundle
+// Workloads
 // ---------------------------------------------------------------------
-
-/// Generate the basic-test trace for a kernel at the default
-/// (Table-3-scaled) parameters.
-pub fn basic_trace(kind: KernelKind) -> Trace {
-    KernelParams::default_for(kind).build()
-}
 
 /// Fully-specified workload: kernel + scale, in one hashable value.
 ///
@@ -721,8 +687,8 @@ pub enum KernelParams {
 }
 
 impl KernelParams {
-    /// The default (Table-3-scaled) workload for a kernel — what
-    /// [`basic_trace`] generates.
+    /// The default (Table-3-scaled) workload for a kernel — the basic
+    /// tests' problem.
     pub fn default_for(kind: KernelKind) -> Self {
         match kind {
             KernelKind::Dgemm => KernelParams::Dgemm(DgemmParams::default()),
@@ -782,21 +748,12 @@ impl KernelParams {
         }
     }
 
-    /// Materialize the full trace (24 B per record; prefer
-    /// [`KernelParams::stream`] or [`KernelParams::build_packed`] —
-    /// both cost a third of the memory or less).
-    pub fn build(self) -> Trace {
-        let layout = KernelLayout::new(self);
-        let mut t = Trace::new(layout.regions().clone());
-        for step in 0..self.steps() {
-            emit_kernel_step(&self, &layout, step, &mut t);
-        }
-        t
-    }
-
     /// Generate straight into packed 8-byte storage without ever holding
-    /// `Access` records — the lowest-memory build path and what the
-    /// [`crate::trace_cache::TraceCache`] memoizes.
+    /// `Access` records — what the [`crate::trace_cache::TraceCache`]
+    /// memoizes. The step emitters write into the packed builder directly,
+    /// not through [`KernelParams::stream`]'s step buffer, so "stream ==
+    /// packed, access for access" checks the chunked generator against
+    /// direct emission.
     pub fn build_packed(self) -> PackedTrace {
         let layout = KernelLayout::new(self);
         let mut b = PackedBuilder::new(layout.regions().clone()); // repolint:allow(PERF002) one region-table copy per trace build
@@ -935,6 +892,12 @@ impl AccessSource for KernelStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Trace;
+
+    /// The workload's whole reference stream, materialized.
+    fn trace_of(p: impl Into<KernelParams>) -> Trace {
+        Trace::from_source(&mut p.into().stream())
+    }
 
     fn check_addresses_in_regions(t: &Trace) {
         for a in &t.accesses {
@@ -969,11 +932,11 @@ mod tests {
     }
 
     #[test]
-    fn dgemm_trace_structure() {
-        let t = dgemm_trace(&DgemmParams { n: 256, nb: 64, abft: true, verify_interval: 2 });
+    fn dgemm_stream_structure() {
+        let t = trace_of(DgemmParams { n: 256, nb: 64, abft: true, verify_interval: 2 });
         assert!(!t.is_empty());
         check_addresses_in_regions(&t);
-        assert_eq!(abft_regions(&t).len(), 3, "A, B, C");
+        assert_eq!(abft_region_ids(&t.regions).len(), 3, "A, B, C");
         let abft_refs: u64 =
             t.accesses.iter().filter(|a| t.regions.get(a.region).abft_protected).count() as u64;
         let other = t.len() as u64 - abft_refs;
@@ -981,18 +944,18 @@ mod tests {
     }
 
     #[test]
-    fn cholesky_trace_structure() {
-        let t = cholesky_trace(&CholeskyParams { n: 256, nb: 64, abft: true });
+    fn cholesky_stream_structure() {
+        let t = trace_of(CholeskyParams { n: 256, nb: 64, abft: true });
         check_addresses_in_regions(&t);
-        assert_eq!(abft_regions(&t).len(), 1);
+        assert_eq!(abft_region_ids(&t.regions).len(), 1);
         assert!(t.instructions > 0);
     }
 
     #[test]
-    fn cg_trace_structure() {
-        let t = cg_trace(&CgParams { grid: 64, iterations: 3, abft: true, verify_interval: 2 });
+    fn cg_stream_structure() {
+        let t = trace_of(CgParams { grid: 64, iterations: 3, abft: true, verify_interval: 2 });
         check_addresses_in_regions(&t);
-        assert_eq!(abft_regions(&t).len(), 5, "r, p, q, x, b");
+        assert_eq!(abft_region_ids(&t.regions).len(), 5, "r, p, q, x, b");
         // CG is the least skewed kernel: non-ABFT operator traffic is a
         // large minority.
         let abft_refs =
@@ -1002,30 +965,30 @@ mod tests {
     }
 
     #[test]
-    fn hpl_trace_structure() {
-        let t = hpl_trace(&HplParams { n: 256, nb: 64, abft: true });
+    fn hpl_stream_structure() {
+        let t = trace_of(HplParams { n: 256, nb: 64, abft: true });
         check_addresses_in_regions(&t);
-        assert_eq!(abft_regions(&t).len(), 2, "matrix + rhs");
+        assert_eq!(abft_region_ids(&t.regions).len(), 2, "matrix + rhs");
     }
 
     #[test]
     fn abft_off_reduces_traffic() {
-        let on = dgemm_trace(&DgemmParams { n: 256, nb: 64, abft: true, verify_interval: 1 });
-        let off = dgemm_trace(&DgemmParams { n: 256, nb: 64, abft: false, verify_interval: 1 });
+        let on = trace_of(DgemmParams { n: 256, nb: 64, abft: true, verify_interval: 1 });
+        let off = trace_of(DgemmParams { n: 256, nb: 64, abft: false, verify_interval: 1 });
         assert!(on.len() > off.len());
         assert!(on.instructions > off.instructions);
     }
 
     #[test]
     fn traces_are_deterministic() {
-        let a = cg_trace(&CgParams { grid: 32, iterations: 2, abft: true, verify_interval: 2 });
-        let b = cg_trace(&CgParams { grid: 32, iterations: 2, abft: true, verify_interval: 2 });
+        let a = trace_of(CgParams { grid: 32, iterations: 2, abft: true, verify_interval: 2 });
+        let b = trace_of(CgParams { grid: 32, iterations: 2, abft: true, verify_interval: 2 });
         assert_eq!(a.accesses, b.accesses);
         assert_eq!(a.instructions, b.instructions);
     }
 
     #[test]
-    fn stream_matches_build_for_every_kernel() {
+    fn stream_matches_packed_for_every_kernel() {
         let workloads: [KernelParams; 4] = [
             DgemmParams { n: 192, nb: 64, abft: true, verify_interval: 2 }.into(),
             CholeskyParams { n: 192, nb: 64, abft: true }.into(),
@@ -1033,7 +996,11 @@ mod tests {
             HplParams { n: 192, nb: 64, abft: true }.into(),
         ];
         for w in workloads {
-            let built = w.build();
+            // Direct emission: the step emitters write into the packed
+            // builder, no step buffer and no chunking in between.
+            let packed = std::sync::Arc::new(w.build_packed());
+            let direct = Trace::from_source(&mut packed.replay());
+            assert_eq!(packed.len(), direct.len() as u64);
             // Odd chunk size so chunk boundaries never line up with steps.
             let mut stream = w.stream();
             let mut streamed: Vec<Access> = Vec::new();
@@ -1041,26 +1008,14 @@ mod tests {
             while stream.fill(&mut chunk, 1013) > 0 {
                 streamed.extend_from_slice(&chunk);
             }
-            assert_eq!(streamed, built.accesses, "{}", w.label());
-            assert_eq!(stream.regions().regions(), built.regions.regions());
-            // Reset replays the identical sequence.
-            stream.reset();
+            assert_eq!(streamed, direct.accesses, "{}", w.label());
+            assert_eq!(stream.regions().regions(), direct.regions.regions());
+            // A rewound stream replays the identical sequence, and what it
+            // retires (counted access by access) is what the builder counted.
             let again = Trace::from_source(&mut stream);
-            assert_eq!(again.accesses, built.accesses);
-            assert_eq!(again.instructions, built.instructions);
+            assert_eq!(again.accesses, direct.accesses);
+            assert_eq!(again.instructions, packed.instructions());
         }
-    }
-
-    #[test]
-    fn build_packed_matches_build() {
-        use std::sync::Arc;
-        let w: KernelParams = DgemmParams { n: 192, nb: 64, abft: true, verify_interval: 2 }.into();
-        let built = w.build();
-        let packed = Arc::new(w.build_packed());
-        assert_eq!(packed.len(), built.len() as u64);
-        assert_eq!(packed.instructions(), built.instructions);
-        let back = packed.materialize();
-        assert_eq!(back.accesses, built.accesses);
     }
 
     #[test]
@@ -1076,9 +1031,9 @@ mod tests {
     }
 
     #[test]
-    fn default_basic_traces_have_llc_scale_working_sets() {
+    fn default_workloads_have_llc_scale_working_sets() {
         for kind in KernelKind::ALL {
-            let t = basic_trace(kind);
+            let t = trace_of(KernelParams::default_for(kind));
             let total_bytes: u64 = t.regions.regions().iter().map(|r| r.bytes).sum();
             assert!(
                 total_bytes > 8 * 1024 * 1024,

@@ -299,7 +299,7 @@ fn bare_dyn(ty: &[Token]) -> bool {
 }
 
 /// The names a signature binds: `(every parameter, the parameters with
-/// a bare-`dyn` type such as `policy: &mut dyn RowPolicy`)`. The
+/// a bare-`dyn` type such as `policy: &mut dyn ProtectionPolicy`)`. The
 /// parameter list is the first paren group after `fn name<..>` (a
 /// generic bound such as `F: Fn(u64)` has parens of its own); inside it,
 /// an ident immediately followed by `:` opens a parameter whose type

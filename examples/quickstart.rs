@@ -45,16 +45,18 @@ fn main() {
         rt.controller.ranges().len()
     );
 
-    // 3. What does that buy? Run the FT-DGEMM memory trace through the
-    //    simulated node under whole-chipkill vs the cooperative setting.
+    // 3. What does that buy? Stream the FT-DGEMM reference sequence through
+    //    the simulated node once; whole chipkill and the cooperative setting
+    //    are two lanes of that one pass.
     println!("\nSimulating the memory system (this takes a few seconds) ...");
-    let trace = dgemm_trace(&DgemmParams { n: 768, nb: 64, abft: true, verify_interval: 4 });
-    let regions = abft_regions(&trace);
-    let mut machine = Machine::new(cfg);
-    let wck =
-        machine.simulate(SimRequest::trace(&trace, Strategy::WholeChipkill.assignment(&regions)));
-    let ours = machine
-        .simulate(SimRequest::trace(&trace, Strategy::PartialChipkillSecded.assignment(&regions)));
+    let params =
+        KernelParams::Dgemm(DgemmParams { n: 768, nb: 64, abft: true, verify_interval: 4 });
+    let row = run_cells(
+        SimInput::Source(&mut params.stream()),
+        &cfg,
+        &[Strategy::WholeChipkill, Strategy::PartialChipkillSecded],
+    );
+    let (wck, ours) = (&row[0], &row[1]);
     println!("  whole chipkill : {:.3} J memory, IPC {:.2}", wck.mem_total_j(), wck.ipc());
     println!(
         "  cooperative    : {:.3} J memory, IPC {:.2}  ({:.0}% memory energy saved)",

@@ -2,7 +2,8 @@
 # The full CI gate: formatting, the repolint static-analysis pass, release
 # build, the reproduction-output drift gate, the artifact-store gate, the
 # test suite (plain and with the memsim `validate` invariant audits), a
-# warning-free clippy pass, and a clean working tree at the end.
+# warning-free clippy pass, warning-free rustdoc, and a clean working tree
+# at the end.
 # Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -103,6 +104,11 @@ cargo test -q --features validate --test campaign_determinism --test streaming_e
 echo "=== cargo clippy --workspace --all-targets -- -D warnings ==="
 # --all-targets: tests, examples and the `repro` binary are linted too.
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "=== cargo doc --workspace --no-deps, warnings denied ==="
+# A doc comment that links to a deleted, renamed or private item is a
+# rustdoc warning and nothing else: no build, test or clippy stage sees it.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "=== the run left the tree clean ==="
 # Every stage above writes only to ignored paths or a temp dir; a tracked

@@ -54,11 +54,10 @@ pub mod prelude {
     pub use abft_linalg::{poisson_2d, CsrMatrix, Matrix};
     pub use abft_memsim::system::Machine;
     pub use abft_memsim::workloads::{
-        abft_regions, basic_trace, cg_trace, dgemm_trace, CgParams, DgemmParams, KernelKind,
-        KernelParams,
+        abft_region_ids, CgParams, DgemmParams, KernelKind, KernelParams,
     };
     pub use abft_memsim::{
         AccessSink, AccessSource, MissStream, PackedTrace, SimInput, SimPointConfig,
-        SimPointSelection, SimRequest, SystemConfig, SystemConfigBuilder, TraceCache,
+        SimPointSelection, SimRequest, SystemConfig, TraceCache,
     };
 }

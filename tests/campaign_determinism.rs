@@ -98,9 +98,9 @@ fn parallel_campaign_is_bit_identical_to_serial() {
 
     // The campaign results also match the one-cell primitive run by hand.
     for w in small_workloads() {
-        let trace = w.build();
+        let src = &mut w.stream();
         for s in Strategy::ALL {
-            let direct = run_cell(SimInput::Trace(&trace), &SystemConfig::default(), s);
+            let direct = run_cell(SimInput::Source(src), &SystemConfig::default(), s);
             let cell = serial.get(w.kind(), s, "default").expect("every grid cell is present");
             assert_eq!(cell.stats, direct, "{} / {}", w.label(), s.label());
         }

@@ -6,7 +6,7 @@
 //! and thread counts. Cache outcomes are ECC-independent, so one filter
 //! pass per (workload x geometry x threads) serves every policy.
 
-use abft_coop::abft_dgms::{run_dgms, run_dgms_miss_stream};
+use abft_coop::abft_dgms::run_dgms;
 use abft_coop::abft_memsim::system::Machine;
 use abft_coop::abft_memsim::workloads::{CholeskyParams, HplParams};
 use abft_coop::abft_memsim::MissStream;
@@ -59,8 +59,9 @@ fn filtered_replay_is_bit_identical_under_the_dgms_policy() {
     for params in small_grid() {
         let packed = Arc::new(params.build_packed());
         let ms = filter(&packed, &cfg);
-        let (full, full_frac) = run_dgms(&mut Machine::new(cfg.clone()), &mut packed.replay());
-        let (filtered, frac) = run_dgms_miss_stream(&mut Machine::new(cfg.clone()), &ms);
+        let m = Machine::new(cfg.clone());
+        let (full, full_frac) = run_dgms(&m, SimInput::Source(&mut packed.replay()));
+        let (filtered, frac) = run_dgms(&m, SimInput::MissStream(&ms));
         assert_eq!(full, filtered, "{}", params.label());
         assert_eq!(full_frac.to_bits(), frac.to_bits(), "{}", params.label());
     }

@@ -28,10 +28,10 @@ fn random_trace(seed: u64, accesses: usize) -> Trace {
 #[test]
 fn accounting_identities_hold_across_strategies() {
     let t = random_trace(1, 200_000);
-    let regions = abft_regions(&t);
-    let mut m = Machine::new(SystemConfig::default());
+    let regions = abft_region_ids(&t.regions);
+    let m = Machine::new(SystemConfig::default());
     for s in Strategy::ALL {
-        let st = m.simulate(SimRequest::trace(&t, s.assignment(&regions)));
+        let st = m.simulate(SimRequest::source(&mut t.replay(), s.assignment(&regions)));
         // Reference conservation.
         let refs: u64 = st.regions.iter().map(|r| r.refs).sum();
         assert_eq!(refs, t.accesses.len() as u64, "{s}");
@@ -61,18 +61,19 @@ fn accounting_identities_hold_across_strategies() {
 #[test]
 fn scheme_classification_respects_the_assignment() {
     let t = random_trace(2, 100_000);
-    let regions = abft_regions(&t);
-    let mut m = Machine::new(SystemConfig::default());
+    let regions = abft_region_ids(&t.regions);
+    let m = Machine::new(SystemConfig::default());
 
     // Uniform strategies: single scheme bucket.
-    let st = m.simulate(SimRequest::trace(&t, EccAssignment::uniform(EccScheme::Secded)));
+    let st =
+        m.simulate(SimRequest::source(&mut t.replay(), EccAssignment::uniform(EccScheme::Secded)));
     assert_eq!(st.per_scheme[0], 0);
     assert_eq!(st.per_scheme[2], 0);
     assert!(st.per_scheme[1] > 0);
 
     // Partial: both buckets populated, nothing else.
-    let st = m.simulate(SimRequest::trace(
-        &t,
+    let st = m.simulate(SimRequest::source(
+        &mut t.replay(),
         EccAssignment::relaxed(EccScheme::Chipkill, EccScheme::None, &regions),
     ));
     assert!(st.per_scheme[0] > 0, "relaxed accesses");
@@ -83,16 +84,16 @@ fn scheme_classification_respects_the_assignment() {
 #[test]
 fn identical_traces_produce_identical_results() {
     let t = random_trace(3, 50_000);
-    let regions = abft_regions(&t);
+    let regions = abft_region_ids(&t.regions);
     let assign = Strategy::PartialChipkillSecded.assignment(&regions);
-    let mut m1 = Machine::new(SystemConfig::default());
-    let mut m2 = Machine::new(SystemConfig::default());
-    let a = m1.simulate(SimRequest::trace(&t, assign.clone()));
-    let b = m2.simulate(SimRequest::trace(&t, assign.clone()));
+    let m1 = Machine::new(SystemConfig::default());
+    let m2 = Machine::new(SystemConfig::default());
+    let a = m1.simulate(SimRequest::source(&mut t.replay(), assign.clone()));
+    let b = m2.simulate(SimRequest::source(&mut t.replay(), assign.clone()));
     assert_eq!(a, b, "the simulator is deterministic");
-    // And re-running on the same machine resets state fully.
-    let c = m1.simulate(SimRequest::trace(&t, assign));
-    assert_eq!(a, c, "machine state resets between runs");
+    // And re-running on the same machine starts from a quiet node again.
+    let c = m1.simulate(SimRequest::source(&mut t.replay(), assign));
+    assert_eq!(a, c, "no state carries over between runs");
 }
 
 #[test]
@@ -106,10 +107,10 @@ fn more_threads_never_slow_the_machine_down_on_compute_bound_work() {
     }
     let c1 = SystemConfig { threads: 1, ..Default::default() };
     let c4 = SystemConfig { threads: 4, ..Default::default() };
-    let s1 =
-        Machine::new(c1).simulate(SimRequest::trace(&t, EccAssignment::uniform(EccScheme::None)));
-    let s4 =
-        Machine::new(c4).simulate(SimRequest::trace(&t, EccAssignment::uniform(EccScheme::None)));
+    let s1 = Machine::new(c1)
+        .simulate(SimRequest::source(&mut t.replay(), EccAssignment::uniform(EccScheme::None)));
+    let s4 = Machine::new(c4)
+        .simulate(SimRequest::source(&mut t.replay(), EccAssignment::uniform(EccScheme::None)));
     assert!(s4.cycles < s1.cycles, "4 threads must compress compute-bound wall clock");
     assert!(s4.ipc() > 2.0 * s1.ipc());
 }

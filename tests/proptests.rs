@@ -191,6 +191,7 @@ proptest! {
         use abft_coop::abft_memsim::workloads::{
             CgParams, CholeskyParams, DgemmParams, HplParams, KernelParams,
         };
+        use abft_coop::abft_memsim::{Access, Trace};
         let n = nb * tiles;
         let abft = abft_bit == 1;
         let params = match kind_idx {
@@ -199,12 +200,12 @@ proptest! {
             2 => KernelParams::Cg(CgParams { grid, iterations, abft, verify_interval: 2 }),
             _ => KernelParams::Hpl(HplParams { n, nb, abft }),
         };
-        let built = params.build();
+        let built = Trace::from_source(&mut params.stream());
         let packed = std::sync::Arc::new(params.build_packed());
         prop_assert_eq!(packed.len(), built.accesses.len() as u64);
         prop_assert_eq!(packed.instructions(), built.instructions);
-        prop_assert!(packed.packed_bytes() <= packed.materialized_bytes());
-        let back = packed.materialize();
+        prop_assert!(packed.packed_bytes() <= packed.len() * std::mem::size_of::<Access>() as u64);
+        let back = Trace::from_source(&mut packed.replay());
         prop_assert_eq!(&back.accesses, &built.accesses);
         prop_assert_eq!(back.instructions, built.instructions);
         prop_assert_eq!(back.regions.regions(), built.regions.regions());

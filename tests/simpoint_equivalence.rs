@@ -11,8 +11,8 @@ use abft_coop::abft_memsim::dram::AccessKind;
 use abft_coop::abft_memsim::system::Machine;
 use abft_coop::abft_memsim::workloads::{CholeskyParams, HplParams};
 use abft_coop::abft_memsim::{
-    Access, ArtifactStore, EccAssignment, FilterKey, MemoryController, MissStream, PhaseSample,
-    SimPointSelection,
+    ArtifactStore, EccAssignment, FilterKey, MemoryController, MissStream, PhaseSample, RegionMap,
+    SimPointSelection, Trace,
 };
 use abft_coop::prelude::Strategy;
 use abft_coop::prelude::*;
@@ -219,14 +219,20 @@ fn selection_and_sampled_replay_are_deterministic() {
 // replay loop, with a caller policy the request keeps one `dyn` layer.
 // These proofs pin the two dispatch paths to bit-identical behaviour —
 // a hand-written policy that consults the programmed range registers
-// must reproduce the default path exactly, on every input form. (They
-// replaced the deleted `run_*` shim-equivalence tests and cover the
-// same entry-point surface, now through `simulate` alone.)
+// must reproduce the default path exactly, on every input form.
 
-/// The default protection policy, spelled as an explicit closure: what
-/// `simulate` falls back to when the request carries no policy.
-fn range_lookup_policy(_: &Access, mc: &MemoryController, paddr: u64) -> AccessKind {
-    AccessKind::Scheme(mc.scheme_for(paddr))
+/// A controller programmed from `assign` by hand: what `simulate` sets up
+/// for itself when the request carries no policy.
+fn programmed(cfg: &SystemConfig, regions: &RegionMap, assign: &EccAssignment) -> MemoryController {
+    let mut m = Machine::new(cfg.clone());
+    m.program_ecc(regions, assign);
+    m.controller
+}
+
+/// The default protection policy, spelled as an explicit closure over a
+/// controller the caller programmed: a plain register scan per request.
+fn range_lookup_policy(mc: &MemoryController) -> impl FnMut(u64) -> AccessKind + '_ {
+    |paddr| AccessKind::Scheme(mc.scheme_for(paddr))
 }
 
 #[test]
@@ -234,33 +240,26 @@ fn default_dispatch_is_bit_identical_to_a_dyn_range_lookup_policy() {
     let cfg = SystemConfig::default();
     let params =
         KernelParams::Dgemm(DgemmParams { n: 192, nb: 64, abft: true, verify_interval: 2 });
-    let trace = params.build();
-    let regions = abft_regions(&trace);
+    let trace = Trace::from_source(&mut params.stream());
+    let regions = abft_region_ids(&trace.regions);
+    let m = Machine::new(cfg.clone());
     for s in [Strategy::WholeChipkill, Strategy::PartialChipkillSecded, Strategy::NoEcc] {
         let assign = s.assignment(&regions);
-        let fast = Machine::new(cfg.clone()).simulate(SimRequest::trace(&trace, assign.clone()));
-        // The dyn path skips the implicit `program_ecc`, so program the
-        // ranges by hand before handing over the equivalent policy.
-        let mut m = Machine::new(cfg.clone());
-        m.program_ecc(&trace.regions, &assign);
-        let mut p = range_lookup_policy;
-        let powered = assign.any_ecc();
+        // The dyn path programs nothing, so the equivalent policy scans a
+        // controller programmed by hand.
+        let mc = programmed(&cfg, &trace.regions, &assign);
+
+        let fast = m.simulate(SimRequest::source(&mut trace.replay(), assign.clone()));
         let slow = m.simulate(
-            SimRequest::trace(&trace, assign.clone())
-                .with_policy(&mut p)
-                .ecc_chips_powered(powered),
+            SimRequest::source(&mut trace.replay(), assign.clone())
+                .with_policy(&mut range_lookup_policy(&mc)),
         );
         assert_eq!(fast, slow, "trace path / {}", s.label());
 
-        let fast_src = Machine::new(cfg.clone())
-            .simulate(SimRequest::source(&mut params.stream(), assign.clone()));
-        let mut m = Machine::new(cfg.clone());
-        m.program_ecc(&trace.regions, &assign);
-        let mut p = range_lookup_policy;
+        let fast_src = m.simulate(SimRequest::source(&mut params.stream(), assign.clone()));
         let slow_src = m.simulate(
             SimRequest::source(&mut params.stream(), assign.clone())
-                .with_policy(&mut p)
-                .ecc_chips_powered(powered),
+                .with_policy(&mut range_lookup_policy(&mc)),
         );
         assert_eq!(fast_src, slow_src, "source path / {}", s.label());
     }
@@ -274,14 +273,11 @@ fn default_dispatch_matches_dyn_policy_on_the_miss_stream_path() {
     let packed = Arc::new(params.build_packed());
     let ms = filter(&packed, &cfg);
     let assign = EccAssignment::uniform(abft_coop::abft_ecc::EccScheme::Chipkill);
-    let fast = Machine::new(cfg.clone()).simulate(SimRequest::miss_stream(&ms, assign.clone()));
-    let mut m = Machine::new(cfg.clone());
-    m.program_ecc(ms.regions(), &assign);
-    let mut p = range_lookup_policy;
+    let m = Machine::new(cfg.clone());
+    let fast = m.simulate(SimRequest::miss_stream(&ms, assign.clone()));
+    let mc = programmed(&cfg, ms.regions(), &assign);
     let slow = m.simulate(
-        SimRequest::miss_stream(&ms, assign.clone())
-            .with_policy(&mut p)
-            .ecc_chips_powered(assign.any_ecc()),
+        SimRequest::miss_stream(&ms, assign.clone()).with_policy(&mut range_lookup_policy(&mc)),
     );
     assert_eq!(fast, slow);
 }
@@ -289,7 +285,7 @@ fn default_dispatch_matches_dyn_policy_on_the_miss_stream_path() {
 /// An address-keyed stateless policy: deterministic, and distinct from
 /// anything the range registers could express, so the custom-policy code
 /// path is genuinely exercised.
-fn page_parity_policy(_: &Access, _: &MemoryController, paddr: u64) -> AccessKind {
+fn page_parity_policy(paddr: u64) -> AccessKind {
     if (paddr >> 12) & 1 == 0 {
         AccessKind::Scheme(EccScheme::Chipkill)
     } else {
@@ -302,22 +298,19 @@ fn custom_policy_is_deterministic_and_identical_across_trace_and_source() {
     let cfg = SystemConfig::default();
     let params =
         KernelParams::Dgemm(DgemmParams { n: 192, nb: 64, abft: true, verify_interval: 2 });
-    let trace = params.build();
-    let assign = EccAssignment::uniform(EccScheme::None);
+    let trace = Trace::from_source(&mut params.stream());
+    // Every request carries ECC under this policy, so the chips are powered.
+    let assign = EccAssignment::uniform(EccScheme::Chipkill);
 
     // A materialized trace and the equivalent generator stream are the
     // same access sequence, so a stateless policy must produce
     // bit-identical stats on both.
     let mut p = page_parity_policy;
-    let via_trace = Machine::new(cfg.clone()).simulate(
-        SimRequest::trace(&trace, assign.clone()).with_policy(&mut p).ecc_chips_powered(true),
-    );
+    let via_trace = Machine::new(cfg.clone())
+        .simulate(SimRequest::source(&mut trace.replay(), assign.clone()).with_policy(&mut p));
     let mut p = page_parity_policy;
-    let via_source = Machine::new(cfg.clone()).simulate(
-        SimRequest::source(&mut params.stream(), assign.clone())
-            .with_policy(&mut p)
-            .ecc_chips_powered(true),
-    );
+    let via_source = Machine::new(cfg.clone())
+        .simulate(SimRequest::source(&mut params.stream(), assign.clone()).with_policy(&mut p));
     assert_eq!(via_trace, via_source, "trace vs source under one policy");
 
     // And the filtered-replay policy path is deterministic.
@@ -325,9 +318,8 @@ fn custom_policy_is_deterministic_and_identical_across_trace_and_source() {
     let ms = filter(&packed, &cfg);
     let run = |aa: &EccAssignment| {
         let mut p = page_parity_policy;
-        Machine::new(cfg.clone()).simulate(
-            SimRequest::miss_stream(&ms, aa.clone()).with_policy(&mut p).ecc_chips_powered(true),
-        )
+        Machine::new(cfg.clone())
+            .simulate(SimRequest::miss_stream(&ms, aa.clone()).with_policy(&mut p))
     };
     assert_eq!(run(&assign), run(&assign), "miss-stream policy path is deterministic");
 }

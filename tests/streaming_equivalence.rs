@@ -5,7 +5,7 @@
 //! resident trace footprint by at least the advertised 3x.
 
 use abft_coop::abft_memsim::system::Machine;
-use abft_coop::abft_memsim::trace::Access;
+use abft_coop::abft_memsim::trace::{Access, Trace};
 use abft_coop::abft_memsim::workloads::{
     abft_region_ids, CgParams, CholeskyParams, DgemmParams, HplParams, KernelParams,
 };
@@ -25,11 +25,11 @@ fn small_grid() -> Vec<KernelParams> {
 #[test]
 fn streaming_replay_is_bit_identical_to_materialized_for_every_kernel() {
     for params in small_grid() {
-        let trace = params.build();
+        let trace = Trace::from_source(&mut params.stream());
         let assign = Strategy::PartialChipkillSecded.assignment(&abft_region_ids(&trace.regions));
 
         let materialized = Machine::new(SystemConfig::default())
-            .simulate(SimRequest::trace(&trace, assign.clone()));
+            .simulate(SimRequest::source(&mut trace.replay(), assign.clone()));
         let generator = Machine::new(SystemConfig::default())
             .simulate(SimRequest::source(&mut params.stream(), assign.clone()));
         let packed = Arc::new(params.build_packed());
@@ -57,12 +57,12 @@ fn every_strategy_agrees_between_trace_and_stream() {
     // accounting) must also be stream-agnostic, not just the default path.
     let params =
         KernelParams::Dgemm(DgemmParams { n: 192, nb: 64, abft: true, verify_interval: 2 });
-    let trace = params.build();
+    let trace = Trace::from_source(&mut params.stream());
     let regions = abft_region_ids(&trace.regions);
     for s in Strategy::ALL {
         let assign = s.assignment(&regions);
         let from_trace = Machine::new(SystemConfig::default())
-            .simulate(SimRequest::trace(&trace, assign.clone()));
+            .simulate(SimRequest::source(&mut trace.replay(), assign.clone()));
         let from_stream = Machine::new(SystemConfig::default())
             .simulate(SimRequest::source(&mut params.stream(), assign.clone()));
         assert_eq!(from_trace, from_stream, "{s}");
@@ -79,7 +79,7 @@ fn packed_grid_footprint_is_at_least_3x_smaller() {
     let mut materialized_total = 0u64;
     let mut packed_total = 0u64;
     for params in small_grid() {
-        let trace = params.build();
+        let trace = Trace::from_source(&mut params.stream());
         let len = trace.accesses.len() as u64;
         materialized_total +=
             trace.accesses.capacity() as u64 * std::mem::size_of::<Access>() as u64;
