@@ -344,20 +344,6 @@ pub fn ft_pcg(a: &CsrMatrix, b: &[f64], x0: &[f64], opts: &FtCgOptions) -> FtCgR
     ft_pcg_with(a, b, x0, opts, |_, _| {})
 }
 
-/// Generic-operator FT-PCG without fault injection.
-pub fn ft_pcg_operator<O>(
-    a: &O,
-    diag: &[f64],
-    b: &[f64],
-    x0: &[f64],
-    opts: &FtCgOptions,
-) -> FtCgResult
-where
-    O: LinearOperator + ?Sized,
-{
-    ft_pcg_operator_with(a, diag, b, x0, opts, |_, _| {})
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,12 +370,13 @@ mod tests {
 
     #[test]
     fn generic_operator_path_matches_csr_entry_point() {
-        // `ft_pcg` is sugar over `ft_pcg_operator` with the CSR diagonal;
-        // driving the generic entry point directly must be bit-identical.
+        // `ft_pcg` is sugar over `ft_pcg_operator_with` with the CSR
+        // diagonal; driving the generic entry point directly must be
+        // bit-identical.
         let (a, b, x0) = setup(16);
         let opts = FtCgOptions::default();
         let via_csr = ft_pcg(&a, &b, &x0, &opts);
-        let via_operator = ft_pcg_operator(&a, &a.diagonal(), &b, &x0, &opts);
+        let via_operator = ft_pcg_operator_with(&a, &a.diagonal(), &b, &x0, &opts, |_, _| {});
         assert!(via_operator.converged);
         assert_eq!(via_operator.iterations, via_csr.iterations);
         assert_eq!(via_operator.residual_norm.to_bits(), via_csr.residual_norm.to_bits());

@@ -267,11 +267,6 @@ pub fn ft_hpl_with(
     Ok(FtHplResult { lu: ext.submatrix(0, 0, n, n), pivots, recoveries, stats })
 }
 
-/// FT-HPL without failures.
-pub fn ft_hpl(a: &Matrix, opts: &FtHplOptions) -> Result<FtHplResult, FactorError> {
-    ft_hpl_with(a, opts, &[])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,7 +278,7 @@ mod tests {
         let a = random_diag_dominant(n, 1);
         let x_true = random_vector(n, 2);
         let b = a.matvec(&x_true);
-        let r = ft_hpl(&a, &FtHplOptions { block: 16, ..Default::default() }).unwrap();
+        let r = ft_hpl_with(&a, &FtHplOptions { block: 16, ..Default::default() }, &[]).unwrap();
         let x = r.solve(&b);
         for i in 0..n {
             assert!((x[i] - x_true[i]).abs() < 1e-8, "x[{i}]");

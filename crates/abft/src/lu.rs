@@ -198,11 +198,6 @@ where
     Ok(FtLuResult { lu: ext.submatrix(0, 0, n, n), pivots, stats })
 }
 
-/// FT-LU without fault injection.
-pub fn ft_lu(a: &Matrix, opts: &FtLuOptions) -> Result<FtLuResult, FactorError> {
-    ft_lu_with(a, opts, |_, _| {})
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,7 +209,8 @@ mod tests {
         let a = random_diag_dominant(n, 41);
         let x_true = random_vector(n, 42);
         let b = a.matvec(&x_true);
-        let r = ft_lu(&a, &FtLuOptions { block: 16, ..Default::default() }).unwrap();
+        let r =
+            ft_lu_with(&a, &FtLuOptions { block: 16, ..Default::default() }, |_, _| {}).unwrap();
         assert_eq!(r.stats.corrections, 0);
         assert_eq!(r.stats.uncorrectable, 0);
         let x = r.solve(&b);
@@ -227,7 +223,8 @@ mod tests {
     fn checksums_stay_clean_through_pivoting() {
         // Heavy pivoting (random matrix) must not trip the verification.
         let a = abft_linalg::gen::random_matrix(48, 48, 43);
-        let r = ft_lu(&a, &FtLuOptions { block: 12, ..Default::default() }).unwrap();
+        let r =
+            ft_lu_with(&a, &FtLuOptions { block: 12, ..Default::default() }, |_, _| {}).unwrap();
         assert_eq!(r.stats.corrections, 0, "round-off must stay below tolerance");
         assert_eq!(r.stats.uncorrectable, 0);
     }

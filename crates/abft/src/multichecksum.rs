@@ -21,9 +21,6 @@ use abft_linalg::Matrix;
 /// Relative tolerance for floating-point checksum comparison.
 const RTOL: f64 = 1e-8;
 
-/// Maximum number of simultaneous errors correctable per column.
-pub const MAX_CORRECTABLE: usize = 2;
-
 /// A located and measured error.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocatedError {
@@ -285,7 +282,7 @@ mod tests {
             other => panic!("expected double, got {other:?}"),
         }
         let (fixed, bad) = c.examine_and_correct(&mut m);
-        assert_eq!((fixed, bad), (MAX_CORRECTABLE as u64, 0), "correction capacity per column");
+        assert_eq!((fixed, bad), (2, 0), "correction capacity per column");
         assert!(m.approx_eq(&m0, 1e-9, 1e-9), "exactly restored");
     }
 

@@ -167,11 +167,6 @@ fn math_val(w: &Matrix, i: usize, col: usize, frozen: usize) -> f64 {
     }
 }
 
-/// FT-QR without fault injection.
-pub fn ft_qr(a: &Matrix, opts: &FtQrOptions) -> FtQrResult {
-    ft_qr_with(a, opts, |_, _| {})
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,7 +176,7 @@ mod tests {
     #[test]
     fn clean_run_factors_correctly() {
         let a = random_matrix(32, 32, 81);
-        let r = ft_qr(&a, &FtQrOptions::default());
+        let r = ft_qr_with(&a, &FtQrOptions::default(), |_, _| {});
         assert_eq!(r.stats.corrections, 0);
         assert_eq!(r.stats.uncorrectable, 0);
         let rec = matmul(&r.factors.q(), &r.factors.r());

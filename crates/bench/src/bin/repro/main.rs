@@ -301,7 +301,9 @@ mod tests {
     }
 
     /// DESIGN.md §4 is the registry in prose: its "Regenerator" column
-    /// names each experiment as `repro <name>`.
+    /// names each experiment as `repro <name>`. A row without one is a
+    /// kept mechanism, and names its gate there instead: a test file, then
+    /// the entry points that file calls.
     #[test]
     fn registry_matches_the_design_experiment_index() {
         let design = std::fs::read_to_string(repo_root().join("DESIGN.md")).expect("DESIGN.md");
@@ -315,6 +317,20 @@ mod tests {
             .collect();
         let registered: BTreeSet<&str> = REGISTRY.iter().map(|e| e.name).collect();
         assert_eq!(documented, registered);
+
+        let rows = section.lines().filter(|l| l.starts_with("| ")).skip(1); // header
+        for row in rows.filter(|r| !r.contains("`repro ")) {
+            let gate = row.trim_end().trim_end_matches('|').rsplit('|').next().expect("a cell");
+            let mut names = gate.split('`').skip(1).step_by(2);
+            let file = names.next().unwrap_or_else(|| panic!("no regenerator, no gate: {row}"));
+            let test = std::fs::read_to_string(repo_root().join(file))
+                .unwrap_or_else(|e| panic!("gate `{file}`: {e}\n{row}"));
+            let entry_points: Vec<&str> = names.collect();
+            assert!(!entry_points.is_empty(), "gate names no entry point: {row}");
+            for entry in entry_points {
+                assert!(test.contains(entry), "`{file}` never mentions `{entry}`\n{row}");
+            }
+        }
     }
 
     #[test]

@@ -9,17 +9,11 @@
 //!   virtual addresses, and the panic-mode fallback for non-ABFT data.
 //! * [`sysfs`] — the kernel/user shared error-report channel the ABFT
 //!   layer polls for hardware-assisted (simplified) verification.
-//! * `retire` — hard-fault page retirement and data migration
-//!   (Section 3.1's spare-frame remapping).
 
 pub mod pages;
-pub(crate) mod paging;
-pub(crate) mod retire;
 pub(crate) mod runtime;
 pub mod sysfs;
 
 pub use pages::{FrameAllocator, FrameRun, PageTable, PAGE_BYTES};
-pub use paging::{PagingError, SwapSpace};
-pub use retire::RetirePolicy;
 pub use runtime::{AllocId, EccRuntime, InterruptOutcome, RuntimeError};
 pub use sysfs::{ErrorReport, SysfsChannel};

@@ -2,8 +2,8 @@
 //!
 //! `malloc_ecc` "allocates contiguous physical pages" (Section 3.2.1); the
 //! allocator hands out contiguous frame runs and the page table remembers
-//! each page's ECC type so paging in from auxiliary storage can restore
-//! the desired protection.
+//! each page's ECC type ("such that data can be fetched into physical
+//! memory devices with desired ECC protection").
 
 use abft_ecc::EccScheme;
 use std::collections::BTreeMap;
@@ -154,11 +154,6 @@ impl PageTable {
     pub fn ecc_of(&self, vaddr: u64) -> Option<EccScheme> {
         self.entries.get(&(vaddr / PAGE_BYTES)).map(|e| e.ecc)
     }
-
-    /// Number of mapped pages.
-    pub fn mapped_pages(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 #[cfg(test)]
@@ -225,7 +220,6 @@ mod tests {
         let mut pt = PageTable::default();
         pt.map_run(0, FrameRun { first_frame: 0, frames: 4 }, EccScheme::Secded);
         pt.unmap(0, 4);
-        assert_eq!(pt.mapped_pages(), 0);
         assert_eq!(pt.translate(0), None);
     }
 }

@@ -2,10 +2,10 @@
 //! (`malloc_ecc`, `free_ecc`, `assign_ecc`), the OS interrupt handler, and
 //! the sysfs-like error channel to the ABFT layer (Section 3.2.1).
 
-use crate::pages::{FrameAllocator, PageTable, PAGE_BYTES};
+use crate::pages::{FrameAllocator, FrameRun, PageTable, PAGE_BYTES};
 use crate::sysfs::{ErrorReport, SysfsChannel};
 use abft_ecc::{EccOutcome, EccScheme};
-use abft_memsim::controller::MemoryController;
+use abft_memsim::controller::{EccRange, MemoryController, RangeError};
 use abft_memsim::dram::AddressMap;
 use abft_memsim::SystemConfig;
 
@@ -24,13 +24,25 @@ struct Allocation {
     name: String,
 }
 
+impl Allocation {
+    /// The physical extent and the scheme it asks the MC for.
+    fn extent(&self) -> EccRange {
+        EccRange {
+            base: self.paddr,
+            end: self.paddr + self.frames * PAGE_BYTES,
+            scheme: self.scheme,
+        }
+    }
+}
+
 /// Runtime errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeError {
     /// Physical memory exhausted.
     OutOfMemory,
-    /// The MC's 8 range registers are all in use.
-    OutOfEccRanges,
+    /// The MC refused the register set the call needs; only
+    /// [`RangeError::OutOfSlots`] means the 8 register pairs ran out.
+    Range(RangeError),
     /// Unknown allocation handle.
     BadHandle,
 }
@@ -39,13 +51,19 @@ impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RuntimeError::OutOfMemory => write!(f, "physical memory exhausted"),
-            RuntimeError::OutOfEccRanges => write!(f, "no free ECC range registers"),
+            RuntimeError::Range(e) => write!(f, "ECC range registers: {e}"),
             RuntimeError::BadHandle => write!(f, "unknown allocation handle"),
         }
     }
 }
 
 impl std::error::Error for RuntimeError {}
+
+impl From<RangeError> for RuntimeError {
+    fn from(e: RangeError) -> Self {
+        RuntimeError::Range(e)
+    }
+}
 
 /// What the OS did with a batch of uncorrectable-error interrupts.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -94,6 +112,7 @@ impl EccRuntime {
     /// `void *malloc_ecc(size_t n, int ecc_type)`: allocate contiguous
     /// physical pages, program the MC range registers, and record the
     /// mapping. Returns the allocation handle and its virtual address.
+    /// An `Err` leaves the runtime as it was.
     ///
     /// # Examples
     /// ```
@@ -113,24 +132,18 @@ impl EccRuntime {
         ecc_type: EccScheme,
     ) -> Result<(AllocId, u64), RuntimeError> {
         let run = self.frames.alloc(bytes).ok_or(RuntimeError::OutOfMemory)?;
+        let extent = EccRange {
+            base: run.base_paddr(),
+            end: run.base_paddr() + run.bytes(),
+            scheme: ecc_type,
+        };
+        if let Err(e) = self.program_ranges(None, Some(extent)) {
+            self.frames.free(run);
+            return Err(e);
+        }
         let vaddr = self.next_vpage * PAGE_BYTES;
         self.next_vpage += run.frames + 1; // guard page
         self.page_table.map_run(vaddr / PAGE_BYTES, run, ecc_type);
-        // Relaxed (non-default) schemes occupy an MC range register;
-        // same-scheme neighbours are merged into one register pair.
-        if ecc_type != self.controller.default_scheme() {
-            self.controller
-                .program_range_coalescing(
-                    run.base_paddr(),
-                    run.base_paddr() + run.bytes(),
-                    ecc_type,
-                )
-                .map_err(|_| {
-                    self.page_table.unmap(vaddr / PAGE_BYTES, run.frames);
-                    self.frames.free(run);
-                    RuntimeError::OutOfEccRanges
-                })?;
-        }
         let id = AllocId(self.allocs.len() as u32);
         self.allocs.push(Some(Allocation {
             vaddr,
@@ -143,40 +156,43 @@ impl EccRuntime {
         Ok((id, vaddr))
     }
 
-    /// `void free_ecc(void *ptr)`: release the pages and the MC range.
+    /// `void free_ecc(void *ptr)`: release the pages and their share of
+    /// the MC range registers.
+    ///
+    /// Neighbours of one scheme share a register pair, so freeing the
+    /// middle of a merged run splits it and needs one more pair. With all
+    /// 8 in use that fails with [`RangeError::OutOfSlots`] and, like every
+    /// `Err` here, leaves the runtime as it was: free an end of the run, or
+    /// another allocation, first.
     pub fn free_ecc(&mut self, id: AllocId) -> Result<(), RuntimeError> {
-        let slot = self.allocs.get_mut(id.0 as usize).ok_or(RuntimeError::BadHandle)?;
-        let a = slot.take().ok_or(RuntimeError::BadHandle)?;
-        self.controller.clear_range(a.paddr);
-        self.page_table.unmap(a.vaddr / PAGE_BYTES, a.frames);
-        self.frames
-            .free(crate::pages::FrameRun { first_frame: a.paddr / PAGE_BYTES, frames: a.frames });
+        let a = self.live(id)?;
+        let (vpage, run) = (
+            a.vaddr / PAGE_BYTES,
+            FrameRun { first_frame: a.paddr / PAGE_BYTES, frames: a.frames },
+        );
+        self.program_ranges(Some(id), None)?;
+        self.allocs[id.0 as usize] = None;
+        self.page_table.unmap(vpage, run.frames);
+        self.frames.free(run);
         Ok(())
     }
 
     /// `void assign_ecc(void *ptr, int ecc_type)`: retune the protection of
-    /// a live allocation ("dynamic refinement of ECC protection").
+    /// a live allocation ("dynamic refinement of ECC protection"). An
+    /// `Err` leaves the runtime as it was.
     ///
     /// The stored lines are re-encoded under the new scheme — the
     /// compatible data layout of Section 3.1 means switching schemes "does
     /// not disrupt existing data".
     pub fn assign_ecc(&mut self, id: AllocId, ecc_type: EccScheme) -> Result<(), RuntimeError> {
-        let a = self
-            .allocs
-            .get_mut(id.0 as usize)
-            .and_then(|s| s.as_mut())
-            .ok_or(RuntimeError::BadHandle)?;
-        let (paddr, frames, vaddr, old) = (a.paddr, a.frames, a.vaddr, a.scheme);
-        a.scheme = ecc_type;
+        let a = self.live(id)?;
+        let (paddr, frames, vaddr) = (a.paddr, a.frames, a.vaddr);
+        let retuned = EccRange { scheme: ecc_type, ..a.extent() };
+        self.program_ranges(Some(id), Some(retuned))?;
+        if let Some(a) = &mut self.allocs[id.0 as usize] {
+            a.scheme = ecc_type;
+        }
         self.page_table.set_ecc(vaddr / PAGE_BYTES, frames, ecc_type);
-        if old != self.controller.default_scheme() {
-            self.controller.clear_range(paddr);
-        }
-        if ecc_type != self.controller.default_scheme() {
-            self.controller
-                .program_range(paddr, paddr + frames * PAGE_BYTES, ecc_type)
-                .map_err(|_| RuntimeError::OutOfEccRanges)?;
-        }
         // Re-encode any stored lines under the new scheme.
         for off in (0..frames * PAGE_BYTES).step_by(64) {
             let line = paddr + off;
@@ -188,15 +204,41 @@ impl EccRuntime {
         Ok(())
     }
 
-    /// Allocate raw frames outside any named allocation (spare frames for
-    /// migration, paging targets).
-    pub(crate) fn alloc_frames_raw(&mut self, frames: u64) -> Option<crate::pages::FrameRun> {
-        self.frames.alloc(frames * crate::pages::PAGE_BYTES)
+    fn live(&self, id: AllocId) -> Result<&Allocation, RuntimeError> {
+        self.allocs.get(id.0 as usize).and_then(|s| s.as_ref()).ok_or(RuntimeError::BadHandle)
     }
 
-    /// Release raw frames (paging internals).
-    pub(crate) fn free_frames_internal(&mut self, run: crate::pages::FrameRun) {
-        self.frames.free(run);
+    /// The one place the range registers are written: they are a function
+    /// of the allocation table. The table here is the live allocations
+    /// minus `without` plus `with`; each maximal run of physically
+    /// contiguous extents sharing a non-default scheme gets one register
+    /// pair — "their address ranges may be combined to use the same ECC
+    /// registers" (Section 3.2.1) — and the MC takes the whole set or, on
+    /// any [`RangeError`], keeps the one it had.
+    fn program_ranges(
+        &mut self,
+        without: Option<AllocId>,
+        with: Option<EccRange>,
+    ) -> Result<(), RuntimeError> {
+        let default = self.controller.default_scheme();
+        let mut extents: Vec<EccRange> = self
+            .allocs
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| without != Some(AllocId(i as u32)))
+            .filter_map(|(_, a)| a.as_ref().map(Allocation::extent))
+            .chain(with)
+            .filter(|r| r.scheme != default)
+            .collect();
+        extents.sort_by_key(|r| r.base);
+        let mut ranges: Vec<EccRange> = Vec::new();
+        for r in extents {
+            match ranges.last_mut() {
+                Some(last) if last.end == r.base && last.scheme == r.scheme => last.end = r.end,
+                _ => ranges.push(r),
+            }
+        }
+        Ok(self.controller.set_ranges(&ranges)?)
     }
 
     /// The ECC scheme a live allocation currently has.
@@ -215,11 +257,7 @@ impl EccRuntime {
 
     /// Store a slice of doubles into an allocation through the MC encoder.
     pub fn store_f64(&mut self, id: AllocId, data: &[f64]) -> Result<(), RuntimeError> {
-        let a = self
-            .allocs
-            .get(id.0 as usize)
-            .and_then(|s| s.as_ref())
-            .ok_or(RuntimeError::BadHandle)?;
+        let a = self.live(id)?;
         assert!(data.len() as u64 * 8 <= a.bytes, "slice larger than allocation");
         let paddr = a.paddr;
         for (i, chunk) in data.chunks(8).enumerate() {
@@ -240,11 +278,7 @@ impl EccRuntime {
         len: usize,
         now_ns: f64,
     ) -> Result<(Vec<f64>, EccOutcome), RuntimeError> {
-        let a = self
-            .allocs
-            .get(id.0 as usize)
-            .and_then(|s| s.as_ref())
-            .ok_or(RuntimeError::BadHandle)?;
+        let a = self.live(id)?;
         let paddr = a.paddr;
         let mut out = Vec::with_capacity(len);
         let mut merged = EccOutcome::Clean;
@@ -352,7 +386,11 @@ mod tests {
             r.malloc_ecc(&format!("a{i}"), 4096, scheme).unwrap();
         }
         let err = r.malloc_ecc("one_too_many", 4096, EccScheme::Secded).unwrap_err();
-        assert_eq!(err, RuntimeError::OutOfEccRanges);
+        assert_eq!(err, RuntimeError::Range(RangeError::OutOfSlots));
+        assert_eq!(
+            err.to_string(),
+            "ECC range registers: all 8 ECC range register slots are in use"
+        );
     }
 
     #[test]

@@ -131,35 +131,6 @@ pub fn drill_matrix(scheme: EccScheme, elem: usize, bits: &[u32]) -> DrillResult
     }
 }
 
-/// Drill a whole-chip fault (the chipkill headline case): a protected
-/// matrix lives under chipkill; one x4 chip goes bad across a line.
-pub fn drill_chip_fault(chip: usize, pattern: u8) -> DrillResult {
-    let cfg = SystemConfig::default();
-    let mut rt = EccRuntime::new(&cfg);
-    let n = 16usize;
-    let a = random_matrix(n, n, 7);
-    let (id, _) =
-        rt.malloc_ecc("matrix", (n * n * 8) as u64, EccScheme::Chipkill).expect("allocation"); // repolint:allow(PANIC001) drill scaffolding; setup failure has no recovery path
-    rt.store_f64(id, a.as_slice()).expect("store"); // repolint:allow(PANIC001) drill scaffolding; setup failure has no recovery path
-
-    // Fail the chip on the first line of the allocation.
-    let paddr = rt.page_table.translate(rt.vaddr_of(id).expect("live")).expect("mapped"); // repolint:allow(PANIC001) drill scaffolding; setup failure has no recovery path
-    rt.controller.inject_chip_fault(paddr, chip, pattern);
-    let (data, outcome) = rt.load_f64(id, n * n, 0.0).expect("load"); // repolint:allow(PANIC001) drill scaffolding; setup failure has no recovery path
-    let m = Matrix::from_col_major(n, n, data);
-    DrillResult {
-        detected_by: match outcome {
-            EccOutcome::Corrected { .. } => DetectedBy::EccCorrected,
-            EccOutcome::DetectedUncorrectable => DetectedBy::CooperativeAbft,
-            EccOutcome::Clean => DetectedBy::Nothing,
-        },
-        data_restored: m.approx_eq(&a, 0.0, 0.0),
-        abft_corrections: 0,
-        ecc_corrections: rt.controller.corrections.iter().sum(),
-        restarted: false,
-    }
-}
-
 /// Aggregate ARE-vs-ASE comparison over an error-pattern population
 /// (the Section 4 discussion quantified).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -215,6 +186,35 @@ pub fn summarize_cases(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Drill a whole-chip fault (the chipkill headline case): a protected
+    /// matrix lives under chipkill; one x4 chip goes bad across a line.
+    fn drill_chip_fault(chip: usize, pattern: u8) -> DrillResult {
+        let cfg = SystemConfig::default();
+        let mut rt = EccRuntime::new(&cfg);
+        let n = 16usize;
+        let a = random_matrix(n, n, 7);
+        let (id, _) =
+            rt.malloc_ecc("matrix", (n * n * 8) as u64, EccScheme::Chipkill).expect("allocation");
+        rt.store_f64(id, a.as_slice()).expect("store");
+
+        // Fail the chip on the first line of the allocation.
+        let paddr = rt.page_table.translate(rt.vaddr_of(id).expect("live")).expect("mapped");
+        rt.controller.inject_chip_fault(paddr, chip, pattern);
+        let (data, outcome) = rt.load_f64(id, n * n, 0.0).expect("load");
+        let m = Matrix::from_col_major(n, n, data);
+        DrillResult {
+            detected_by: match outcome {
+                EccOutcome::Corrected { .. } => DetectedBy::EccCorrected,
+                EccOutcome::DetectedUncorrectable => DetectedBy::CooperativeAbft,
+                EccOutcome::Clean => DetectedBy::Nothing,
+            },
+            data_restored: m.approx_eq(&a, 0.0, 0.0),
+            abft_corrections: 0,
+            ecc_corrections: rt.controller.corrections.iter().sum(),
+            restarted: false,
+        }
+    }
 
     #[test]
     fn single_bit_under_secded_is_hardware_corrected() {

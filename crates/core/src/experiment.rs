@@ -71,7 +71,7 @@ mod tests {
     use abft_memsim::workloads::{CgParams, DgemmParams, KernelParams};
 
     /// The six-strategy basic test of one workload (process-wide cache).
-    pub(super) fn basic_test_of(w: impl Into<KernelParams>) -> BasicTest {
+    fn basic_test_of(w: impl Into<KernelParams>) -> BasicTest {
         let w = w.into();
         CampaignClient::local()
             .run(&CampaignSpec::builder().workload(w).build())
@@ -131,114 +131,5 @@ mod tests {
             cg.mem_energy_norm(Strategy::WholeChipkill) > cg.mem_energy_norm(Strategy::WholeSecded)
         );
         assert!(cg.ipc_norm(Strategy::WholeChipkill) < 0.98);
-    }
-}
-
-/// A basic-test result adjusted for expected fault handling over a
-/// deployment window — the bridge between the error-free Section 5.1
-/// measurements and the Section 5.2 fault models (Equations 3-5).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultAdjusted {
-    /// The strategy.
-    pub strategy: crate::strategy::Strategy,
-    /// Expected errors reaching ABFT over the window (Equation 4).
-    pub expected_errors: f64,
-    /// Energy spent in ABFT recoveries (J).
-    pub recovery_energy_j: f64,
-    /// Time spent in ABFT recoveries (s).
-    pub recovery_time_s: f64,
-    /// Window system energy including recoveries (J).
-    pub total_energy_j: f64,
-    /// Window wall-clock including recoveries (s).
-    pub total_seconds: f64,
-}
-
-/// Project one strategy's measured profile over a deployment window.
-///
-/// * `window_s` — application run length at the measured rate.
-/// * `abft_bytes` / `other_bytes` — the node's protected split.
-/// * `t_c_seconds` / `e_c_joules` — per-error ABFT recovery costs.
-pub fn fault_adjusted(
-    bt: &BasicTest,
-    s: crate::strategy::Strategy,
-    window_s: f64,
-    abft_bytes: u64,
-    other_bytes: u64,
-    t_c_seconds: f64,
-    e_c_joules: f64,
-) -> FaultAdjusted {
-    use abft_faultsim::models::{expected_errors, mttf_hetero_seconds, EccRegionTerm};
-    let st = &bt.row(s).stats;
-    let power_w = st.system_j() / st.seconds;
-    // Residual error rates per region under this strategy (Table 5).
-    let regions = [
-        EccRegionTerm {
-            fr_fit_per_mbit: abft_faultsim::fit_per_mbit(s.relaxed_scheme()),
-            mbit: abft_bytes as f64 * 8.0 / 1e6,
-            age_factor: 1.0,
-        },
-        EccRegionTerm {
-            fr_fit_per_mbit: abft_faultsim::fit_per_mbit(s.strong_scheme()),
-            mbit: other_bytes as f64 * 8.0 / 1e6,
-            age_factor: 1.0,
-        },
-    ];
-    let mttf = mttf_hetero_seconds(&regions, 1);
-    let errors = expected_errors(window_s, 0.0, mttf);
-    let recovery_time_s = errors * t_c_seconds;
-    let recovery_energy_j = errors * e_c_joules;
-    FaultAdjusted {
-        strategy: s,
-        expected_errors: errors,
-        recovery_energy_j,
-        recovery_time_s,
-        total_energy_j: power_w * window_s + recovery_energy_j,
-        total_seconds: window_s + recovery_time_s,
-    }
-}
-
-#[cfg(test)]
-mod fault_adjusted_tests {
-    use super::tests::basic_test_of;
-    use super::*;
-    use crate::strategy::Strategy;
-    use abft_memsim::workloads::DgemmParams;
-
-    #[test]
-    fn are_beats_ase_at_field_error_rates_and_loses_in_storms() {
-        let bt = basic_test_of(DgemmParams { n: 384, nb: 64, abft: true, verify_interval: 4 });
-        let day = 86_400.0;
-        let gb = 1u64 << 30;
-        // A day of FT-DGEMM, 2 GB ABFT data, 6 GB other.
-        let are =
-            fault_adjusted(&bt, Strategy::PartialChipkillNoEcc, day, 2 * gb, 6 * gb, 0.8, 120.0);
-        let ase = fault_adjusted(&bt, Strategy::WholeChipkill, day, 2 * gb, 6 * gb, 0.8, 120.0);
-        // Field rates: a handful of ABFT recoveries per day at most.
-        assert!(are.expected_errors < 50.0, "errors {}", are.expected_errors);
-        assert!(ase.expected_errors < 1e-3, "chipkill residual is negligible");
-        assert!(
-            are.total_energy_j < ase.total_energy_j,
-            "ARE wins the day: {} vs {}",
-            are.total_energy_j,
-            ase.total_energy_j
-        );
-
-        // Error storm: inflate the window's exposure via a huge protected
-        // region — recovery eventually swamps the ECC savings.
-        let storm = fault_adjusted(
-            &bt,
-            Strategy::PartialChipkillNoEcc,
-            day,
-            40_000 * gb,
-            6 * gb,
-            0.8,
-            120.0,
-        );
-        let storm_ase =
-            fault_adjusted(&bt, Strategy::WholeChipkill, day, 40_000 * gb, 6 * gb, 0.8, 120.0);
-        assert!(
-            storm.total_energy_j > storm_ase.total_energy_j,
-            "extreme rates flip the verdict (Section 4's caveat)"
-        );
     }
 }

@@ -11,33 +11,28 @@
 //!   ([`run_cell`] is its one-strategy call), with traces and miss streams
 //!   shared through the `TraceCache`; results come back as a
 //!   [`CampaignRun`].
-//! * `experiment` — the Section 5.1 metrics ([`BasicTest`] and the
-//!   fault-adjusted projections), assembled from a [`CampaignRun`].
+//! * `experiment` — the Section 5.1 metrics ([`BasicTest`]), assembled
+//!   from a [`CampaignRun`].
 //! * `errorflow` — end-to-end Case 1-4 drills against the real stack
 //!   (bit-true ECC, MC error registers, OS interrupt path, sysfs, ABFT
 //!   correction) plus ARE-vs-ASE population summaries.
-//! * [`policy`] — the adaptive ARE/ASE decision from the Equation (7)/(8)
-//!   MTTF thresholds.
-//! * `adaptive` — the run-time controller that watches observed error
-//!   rates and retunes ECC through `assign_ecc` (the paper's closing
-//!   "co-design and adaptive policy" claim, executable).
-//! * [`client`] — [`CampaignSpec`], the one grid description, and the
+//! * [`policy`] — the ARE/ASE decision from the Equation (7)/(8) MTTF
+//!   thresholds.
+//! * `client` — [`CampaignSpec`], the one grid description, and the
 //!   [`CampaignClient`] facade every harness binary runs it through
 //!   (trace cache + artifact store + sampling resolved from the spec or
 //!   the environment, then the engine).
 //! * [`report`] — text tables and the [`Report`] the `repro` experiments
 //!   write through.
 
-pub(crate) mod adaptive;
 pub mod campaign;
-pub mod client;
+pub(crate) mod client;
 pub(crate) mod errorflow;
 pub(crate) mod experiment;
 pub mod policy;
 pub mod report;
 pub mod strategy;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveController, Stance, Transition};
 pub use campaign::{
     run_cell, run_cells, CampaignMetrics, CampaignResult, CampaignRun, Progress, ProgressHook,
 };
@@ -45,10 +40,8 @@ pub use client::{
     parse_simpoint_env, CampaignClient, CampaignSpec, CampaignSpecBuilder, SimPointEnvError,
     SIMPOINT_ENV, STORE_ENV,
 };
-pub use errorflow::{
-    drill_chip_fault, drill_matrix, summarize_cases, CaseSummary, DetectedBy, DrillResult,
-};
-pub use experiment::{fault_adjusted, BasicTest, FaultAdjusted, StrategyResult};
+pub use errorflow::{drill_matrix, summarize_cases, CaseSummary, DetectedBy, DrillResult};
+pub use experiment::{BasicTest, StrategyResult};
 pub use policy::{decide, PolicyDecision, PolicyInputs};
 pub use report::{Report, TextTable};
 pub use strategy::Strategy;

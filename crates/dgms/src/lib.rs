@@ -118,16 +118,6 @@ impl SpatialPredictor {
             self.coarse as f64 / t as f64
         }
     }
-
-    /// Fraction of fine predictions later invalidated by density in the
-    /// same epoch (prediction-quality diagnostic).
-    pub fn fine_misprediction_rate(&self) -> f64 {
-        if self.fine == 0 {
-            0.0
-        } else {
-            self.fine_mispredictions as f64 / self.fine as f64
-        }
-    }
 }
 
 /// Run any simulation input through the machine under DGMS prediction: a
@@ -246,7 +236,6 @@ mod tests {
             p.predict(0x40000 + line * 64);
         }
         assert!(p.fine_mispredictions >= 15);
-        assert!(p.fine_misprediction_rate() > 0.5);
         // Sparse accesses never register mispredictions.
         let mut q = SpatialPredictor::new(16, 1_000_000);
         for page in 0..100u64 {

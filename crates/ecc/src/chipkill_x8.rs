@@ -53,11 +53,6 @@ pub fn inject_chip_error(word: &mut ChipkillX8Word, chip: usize, pattern: u8) {
     word.symbols[chip] ^= pattern;
 }
 
-/// Storage overhead of the x8 scheme (Section 2.2: 18.75% at 3-of-16).
-pub fn storage_overhead() -> f64 {
-    CHECK_SYMBOLS as f64 / DATA_SYMBOLS as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,10 +101,5 @@ mod tests {
                 assert_eq!(o, EccOutcome::DetectedUncorrectable, "pair ({a},{b})");
             }
         }
-    }
-
-    #[test]
-    fn storage_overhead_matches_section_2_2() {
-        assert!((storage_overhead() - 0.1875).abs() < 1e-12);
     }
 }

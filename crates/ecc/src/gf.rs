@@ -62,10 +62,8 @@ impl Gf16 {
         Gf16(v)
     }
 
-    /// The primitive element `α` (= the polynomial `x`).
-    pub const ALPHA: Gf16 = Gf16(2);
-
-    /// `α^k` for any exponent (negative handled via the group order).
+    /// `α^k` for any exponent (negative handled via the group order); the
+    /// primitive element `α` is the polynomial `x`.
     pub fn alpha_pow(k: i32) -> Gf16 {
         let k = k.rem_euclid(GROUP_ORDER as i32) as usize;
         Gf16(tables().exp[k])
@@ -80,23 +78,6 @@ impl Gf16 {
         assert!(self.0 != 0, "inverse of zero in GF(16)");
         let t = tables();
         Gf16(t.exp[GROUP_ORDER - t.log[self.0 as usize] as usize])
-    }
-
-    /// `self^k` for `k >= 0`.
-    pub fn pow(self, mut k: u32) -> Gf16 {
-        if self.0 == 0 {
-            return if k == 0 { Gf16::ONE } else { Gf16::ZERO };
-        }
-        let mut base = self;
-        let mut acc = Gf16::ONE;
-        while k > 0 {
-            if k & 1 == 1 {
-                acc = acc * base;
-            }
-            base = base * base;
-            k >>= 1;
-        }
-        acc
     }
 
     /// Discrete logarithm base α (None for zero).
@@ -202,18 +183,16 @@ mod tests {
         }
         assert_eq!(seen.len(), GROUP_ORDER);
         assert_eq!(Gf16::alpha_pow(GROUP_ORDER as i32), Gf16::ONE);
-        assert_eq!(Gf16::alpha_pow(-1) * Gf16::ALPHA, Gf16::ONE);
+        assert_eq!(Gf16::alpha_pow(-1) * Gf16::alpha_pow(1), Gf16::ONE);
     }
 
     #[test]
-    fn pow_and_log_agree() {
+    fn alpha_pow_and_log_agree() {
         for a in all_nonzero() {
-            let l = a.log().expect("nonzero") as u32;
-            assert_eq!(Gf16::ALPHA.pow(l), a);
+            let l = a.log().expect("nonzero") as i32;
+            assert_eq!(Gf16::alpha_pow(l), a);
         }
         assert_eq!(Gf16::ZERO.log(), None);
-        assert_eq!(Gf16::ZERO.pow(0), Gf16::ONE);
-        assert_eq!(Gf16::ZERO.pow(3), Gf16::ZERO);
     }
 
     #[test]
@@ -274,8 +253,6 @@ impl Gf256 {
     pub const ZERO: Gf256 = Gf256(0);
     /// The multiplicative identity.
     pub const ONE: Gf256 = Gf256(1);
-    /// The primitive element.
-    pub const ALPHA: Gf256 = Gf256(2);
 
     /// `α^k` for any exponent.
     pub fn alpha_pow(k: i32) -> Gf256 {

@@ -21,11 +21,6 @@ pub enum EccOutcome {
 }
 
 impl EccOutcome {
-    /// True when the memory controller would raise an interrupt.
-    pub fn raises_interrupt(self) -> bool {
-        matches!(self, EccOutcome::DetectedUncorrectable)
-    }
-
     /// Merge two per-word outcomes into a per-line outcome (worst wins;
     /// corrected bit counts accumulate).
     pub fn merge(self, other: EccOutcome) -> EccOutcome {
@@ -85,13 +80,6 @@ mod tests {
             Corrected { bits_flipped: 1 }.merge(DetectedUncorrectable),
             DetectedUncorrectable
         );
-    }
-
-    #[test]
-    fn interrupts_only_on_uncorrectable() {
-        assert!(!EccOutcome::Clean.raises_interrupt());
-        assert!(!EccOutcome::Corrected { bits_flipped: 1 }.raises_interrupt());
-        assert!(EccOutcome::DetectedUncorrectable.raises_interrupt());
     }
 
     #[test]

@@ -39,23 +39,6 @@ impl EccScheme {
         }
     }
 
-    /// Physical channels occupied by one access.
-    pub fn channels_per_access(self) -> u32 {
-        match self {
-            EccScheme::None | EccScheme::Secded => 1,
-            EccScheme::Chipkill => 2,
-        }
-    }
-
-    /// Storage overhead as a fraction of data capacity (both real ECC
-    /// schemes dedicate 2-of-18 chips, i.e. 12.5%, as in Section 2.2).
-    pub fn storage_overhead(self) -> f64 {
-        match self {
-            EccScheme::None => 0.0,
-            EccScheme::Secded | EccScheme::Chipkill => 0.125,
-        }
-    }
-
     /// Extra memory-controller pipeline latency (in DRAM cycles) for
     /// check/correct logic. Corrections take "a few clock cycles" ([12, 23]
     /// in the paper) and are typically hidden by memory parallelism.
@@ -76,12 +59,6 @@ impl EccScheme {
             EccScheme::Chipkill => 0.9,
         }
     }
-
-    /// True if `self` offers at least the protection of `other`
-    /// (None < Secded < Chipkill).
-    pub fn at_least(self, other: EccScheme) -> bool {
-        self >= other
-    }
 }
 
 impl std::fmt::Display for EccScheme {
@@ -98,9 +75,6 @@ mod tests {
     fn ordering_reflects_strength() {
         assert!(EccScheme::Chipkill > EccScheme::Secded);
         assert!(EccScheme::Secded > EccScheme::None);
-        assert!(EccScheme::Chipkill.at_least(EccScheme::Secded));
-        assert!(!EccScheme::None.at_least(EccScheme::Secded));
-        assert!(EccScheme::Secded.at_least(EccScheme::Secded));
     }
 
     #[test]
@@ -110,14 +84,6 @@ mod tests {
         assert_eq!(EccScheme::None.chips_per_access(), 16);
         assert_eq!(EccScheme::Secded.chips_per_access(), 18);
         assert_eq!(EccScheme::Chipkill.chips_per_access(), 36);
-        assert_eq!(EccScheme::Chipkill.channels_per_access(), 2);
-    }
-
-    #[test]
-    fn storage_overhead_is_one_eighth_for_real_ecc() {
-        assert_eq!(EccScheme::Secded.storage_overhead(), 0.125);
-        assert_eq!(EccScheme::Chipkill.storage_overhead(), 0.125);
-        assert_eq!(EccScheme::None.storage_overhead(), 0.0);
     }
 
     #[test]

@@ -146,14 +146,9 @@ pub struct McProgress {
     pub errors_sampled: u64,
 }
 
-/// Run the campaign.
-pub fn run_fault_campaign(cfg: &FaultCampaignConfig) -> FaultCampaignResult {
-    run_fault_campaign_with_progress(cfg, |_| {})
-}
-
 /// Run the campaign, reporting liveness roughly once per percent of
-/// trials (and on the final trial). The RNG consumption is identical to
-/// [`run_fault_campaign`], so results are bit-identical for the same seed.
+/// trials (and on the final trial). The hook never touches the RNG, so
+/// results are bit-identical for the same seed whatever it does.
 pub fn run_fault_campaign_with_progress(
     cfg: &FaultCampaignConfig,
     mut progress: impl FnMut(&McProgress),
@@ -228,10 +223,11 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic_per_seed() {
-        let a = run_fault_campaign(&small());
-        let b = run_fault_campaign(&small());
+        let a = run_fault_campaign_with_progress(&small(), |_| {});
+        let b = run_fault_campaign_with_progress(&small(), |_| {});
         assert_eq!(a, b);
-        let c = run_fault_campaign(&FaultCampaignConfig { seed: 99, ..small() });
+        let c =
+            run_fault_campaign_with_progress(&FaultCampaignConfig { seed: 99, ..small() }, |_| {});
         assert_ne!(a, c);
     }
 
@@ -239,7 +235,11 @@ mod tests {
     fn progress_hook_is_monotone_and_bit_preserving() {
         let mut snapshots: Vec<McProgress> = Vec::new();
         let with = run_fault_campaign_with_progress(&small(), |p| snapshots.push(*p));
-        assert_eq!(with, run_fault_campaign(&small()), "hook must not perturb the RNG stream");
+        assert_eq!(
+            with,
+            run_fault_campaign_with_progress(&small(), |_| {}),
+            "hook must not perturb the RNG stream"
+        );
         assert!(snapshots.len() >= 100, "about one report per percent");
         assert_eq!(snapshots.last().unwrap().trials_done, 3000);
         for w in snapshots.windows(2) {
@@ -250,14 +250,14 @@ mod tests {
 
     #[test]
     fn poisson_mean_is_respected() {
-        let r = run_fault_campaign(&small());
+        let r = run_fault_campaign_with_progress(&small(), |_| {});
         let mean = r.total_errors as f64 / 3000.0;
         assert!((mean - 0.5).abs() < 0.05, "sampled mean {mean}");
     }
 
     #[test]
     fn case1_dominates_under_the_field_mix() {
-        let r = run_fault_campaign(&small());
+        let r = run_fault_campaign_with_progress(&small(), |_| {});
         let total: u64 = r.case_counts.iter().sum();
         assert!(r.case_counts[0] as f64 / total as f64 > 0.9, "{:?}", r.case_counts);
     }
@@ -266,22 +266,25 @@ mod tests {
     fn cooperative_ase_restarts_least() {
         // The Section 4 ranking: blind ASE restarts on Cases 2+4,
         // cooperative ASE only on 4, ARE on 3+4.
-        let r = run_fault_campaign(&small());
+        let r = run_fault_campaign_with_progress(&small(), |_| {});
         assert!(r.ase_coop.restart_fraction <= r.ase_blind.restart_fraction);
         assert!(r.ase_coop.restart_fraction <= r.are.restart_fraction);
     }
 
     #[test]
     fn blind_ase_pays_more_energy_than_cooperative() {
-        let r = run_fault_campaign(&small());
+        let r = run_fault_campaign_with_progress(&small(), |_| {});
         assert!(r.ase_blind.mean_energy_j >= r.ase_coop.mean_energy_j);
         assert!(r.ase_blind.p99_energy_j >= r.ase_coop.p99_energy_j);
     }
 
     #[test]
     fn higher_error_rates_scale_costs() {
-        let lo = run_fault_campaign(&small());
-        let hi = run_fault_campaign(&FaultCampaignConfig { errors_per_run: 5.0, ..small() });
+        let lo = run_fault_campaign_with_progress(&small(), |_| {});
+        let hi = run_fault_campaign_with_progress(
+            &FaultCampaignConfig { errors_per_run: 5.0, ..small() },
+            |_| {},
+        );
         assert!(hi.are.mean_energy_j > 5.0 * lo.are.mean_energy_j);
     }
 }

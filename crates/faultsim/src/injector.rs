@@ -5,7 +5,6 @@
 //! flips into matrix/vector elements, plus Poisson-sampled error schedules
 //! derived from the Table 5 FIT rates.
 
-use abft_linalg::Matrix;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -17,14 +16,6 @@ use rand_chacha::ChaCha8Rng;
 pub fn flip_f64_bit(value: f64, bit: u32) -> f64 {
     assert!(bit < 64, "f64 has 64 bits");
     f64::from_bits(value.to_bits() ^ (1u64 << bit))
-}
-
-/// Flip `bit` of element `(row, col)` of a matrix, returning the original
-/// value (for ground-truth bookkeeping).
-pub fn inject_matrix_bit(m: &mut Matrix, row: usize, col: usize, bit: u32) -> f64 {
-    let old = m[(row, col)];
-    m[(row, col)] = flip_f64_bit(old, bit);
-    old
 }
 
 /// Flip `bit` of element `idx` of a vector, returning the original value.
@@ -150,15 +141,6 @@ mod tests {
     #[test]
     fn sign_bit_flip_negates() {
         assert_eq!(flip_f64_bit(2.5, 63), -2.5);
-    }
-
-    #[test]
-    fn matrix_injection_returns_original() {
-        let mut m = Matrix::zeros(3, 3);
-        m[(1, 2)] = 7.0;
-        let old = inject_matrix_bit(&mut m, 1, 2, 51);
-        assert_eq!(old, 7.0);
-        assert_ne!(m[(1, 2)], 7.0);
     }
 
     #[test]

@@ -23,8 +23,8 @@ pub mod models;
 pub mod scenarios;
 
 pub use campaign::{
-    run_fault_campaign, run_fault_campaign_with_progress, FaultCampaignConfig, FaultCampaignResult,
-    McProgress, PatternMix,
+    run_fault_campaign_with_progress, FaultCampaignConfig, FaultCampaignResult, McProgress,
+    PatternMix,
 };
 pub use fit::{
     age_factor, errors_per_second, expected_errors as fit_expected_errors, fit_per_mbit, table5,

@@ -25,13 +25,6 @@ pub fn xpby(x: &[f64], beta: f64, y: &mut [f64]) {
     }
 }
 
-/// Scale `x` by `alpha` in place.
-pub fn scal(alpha: f64, x: &mut [f64]) {
-    for xi in x {
-        *xi *= alpha;
-    }
-}
-
 /// Euclidean norm.
 pub fn nrm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
@@ -43,27 +36,9 @@ pub fn copy(src: &[f64], dst: &mut [f64]) {
     dst.copy_from_slice(src);
 }
 
-/// Sum of the entries (the plain checksum reduction `e^T x`).
-pub fn asum_signed(x: &[f64]) -> f64 {
-    x.iter().sum()
-}
-
 /// Weighted sum `sum_i w_i x_i` (weighted checksum reduction).
 pub fn wsum(w: &[f64], x: &[f64]) -> f64 {
     dot(w, x)
-}
-
-/// Max-norm distance between two vectors.
-pub fn max_abs_diff(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "max_abs_diff length mismatch");
-    x.iter().zip(y).fold(0.0_f64, |m, (a, b)| m.max((a - b).abs()))
-}
-
-/// Index of the entry with the largest absolute value (LAPACK `idamax`).
-///
-/// Returns `None` for an empty slice.
-pub fn idamax(x: &[f64]) -> Option<usize> {
-    x.iter().enumerate().max_by(|(_, a), (_, b)| a.abs().total_cmp(&b.abs())).map(|(i, _)| i)
 }
 
 #[cfg(test)]
@@ -96,29 +71,15 @@ mod tests {
     }
 
     #[test]
-    fn idamax_finds_peak() {
-        assert_eq!(idamax(&[1.0, -9.0, 3.0]), Some(1));
-        assert_eq!(idamax(&[]), None);
-    }
-
-    #[test]
     fn checksum_reductions() {
-        assert_eq!(asum_signed(&[1.0, -2.0, 4.0]), 3.0);
         assert_eq!(wsum(&[1.0, 2.0, 3.0], &[1.0, 1.0, 1.0]), 6.0);
     }
 
     #[test]
-    fn scal_and_copy() {
-        let mut x = vec![1.0, 2.0];
-        scal(3.0, &mut x);
-        assert_eq!(x, vec![3.0, 6.0]);
+    fn copy_copies() {
+        let x = vec![3.0, 6.0];
         let mut d = vec![0.0; 2];
         copy(&x, &mut d);
         assert_eq!(d, x);
-    }
-
-    #[test]
-    fn max_abs_diff_basic() {
-        assert_eq!(max_abs_diff(&[1.0, 5.0], &[1.5, 4.0]), 1.0);
     }
 }

@@ -44,15 +44,6 @@ pub trait Preconditioner {
     fn solve(&self, r: &[f64], z: &mut [f64]);
 }
 
-/// Identity preconditioner (plain CG).
-pub struct IdentityPrecond;
-
-impl Preconditioner for IdentityPrecond {
-    fn solve(&self, r: &[f64], z: &mut [f64]) {
-        z.copy_from_slice(r);
-    }
-}
-
 /// Jacobi (diagonal) preconditioner `M = diag(A)`.
 pub struct JacobiPrecond {
     inv_diag: Vec<f64>,
@@ -68,12 +59,6 @@ impl JacobiPrecond {
     /// Build from the diagonal of a CSR operator.
     pub fn from_csr(a: &CsrMatrix) -> Self {
         Self::new(&a.diagonal())
-    }
-
-    /// Build from the diagonal of a dense operator.
-    pub fn from_dense(a: &Matrix) -> Self {
-        let d: Vec<f64> = (0..a.rows()).map(|i| a[(i, i)]).collect();
-        Self::new(&d)
     }
 }
 
@@ -243,15 +228,13 @@ mod tests {
     use crate::gen::{random_spd, random_vector};
     use crate::sparse::poisson_2d;
 
-    #[test]
-    fn jacobi_from_dense_matches_explicit_diagonal() {
-        let a = random_spd(12, 31);
-        let d: Vec<f64> = (0..12).map(|i| a[(i, i)]).collect();
-        let r = random_vector(12, 32);
-        let (mut z1, mut z2) = (vec![0.0; 12], vec![0.0; 12]);
-        JacobiPrecond::from_dense(&a).solve(&r, &mut z1);
-        JacobiPrecond::new(&d).solve(&r, &mut z2);
-        assert_eq!(z1, z2);
+    /// Identity preconditioner (plain CG).
+    struct IdentityPrecond;
+
+    impl Preconditioner for IdentityPrecond {
+        fn solve(&self, r: &[f64], z: &mut [f64]) {
+            z.copy_from_slice(r);
+        }
     }
 
     #[test]
@@ -277,7 +260,8 @@ mod tests {
         assert!(plain.converged && jac.converged);
         // For the uniform-diagonal Poisson operator Jacobi == scaled identity,
         // so iteration counts match; mainly assert correctness of both paths.
-        let r = a.spmv(&jac.x);
+        let mut r = vec![0.0; a.rows()];
+        a.spmv_into(&jac.x, &mut r);
         for (ri, bi) in r.iter().zip(&b) {
             assert!((ri - bi).abs() < 1e-8);
         }
@@ -316,8 +300,9 @@ mod tests {
         // The FT-CG detection invariant (Equation 1): r + A x = b.
         let a = poisson_2d(10, 10);
         let b: Vec<f64> = (0..100).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
+        let mut ax = vec![0.0; 100];
         pcg_with(&a, &IdentityPrecond, &b, &vec![0.0; 100], 1e-12, 50, |st| {
-            let ax = a.spmv(&st.x);
+            a.spmv_into(&st.x, &mut ax);
             for i in 0..100 {
                 assert!((st.r[i] + ax[i] - b[i]).abs() < 1e-8, "invariant at iter {}", st.iter);
             }

@@ -122,30 +122,11 @@ pub fn cholesky_blocked(a: &mut Matrix, block: usize) -> Result<(), FactorError>
     cholesky_blocked_with(a, block, |_, _, _| Ok(()))
 }
 
-/// Solve `A x = b` given the Cholesky factor `L` (lower triangular):
-/// forward then backward substitution.
-pub fn cholesky_solve(l: &Matrix, b: &[f64]) -> Vec<f64> {
-    let n = l.rows();
-    assert_eq!(b.len(), n, "rhs length mismatch");
-    let mut y = b.to_vec();
-    // L y = b
-    crate::blas2::trsv_lower(l, &mut y, false);
-    // L^T x = y (hand-rolled: reads L column-wise so L^T is never formed)
-    for i in (0..n).rev() {
-        let mut s = y[i];
-        for p in i + 1..n {
-            s -= l[(p, i)] * y[p];
-        }
-        y[i] = s / l[(i, i)];
-    }
-    y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::blas3::{gemm, Trans};
-    use crate::gen::{random_spd, random_vector};
+    use crate::gen::random_spd;
 
     fn check_factor(n: usize, block: usize, seed: u64) {
         let a = random_spd(n, seed);
@@ -184,20 +165,6 @@ mod tests {
         match err {
             FactorError::NotPositiveDefinite { index, .. } => assert_eq!(index, 2),
             other => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
-    fn solve_round_trip() {
-        let n = 24;
-        let a = random_spd(n, 7);
-        let x_true = random_vector(n, 8);
-        let b = a.matvec(&x_true);
-        let mut l = a.clone();
-        cholesky_blocked(&mut l, 8).unwrap();
-        let x = cholesky_solve(&l, &b);
-        for i in 0..n {
-            assert!((x[i] - x_true[i]).abs() < 1e-8, "x[{i}]");
         }
     }
 

@@ -15,7 +15,7 @@
 //! * [`lu`] — blocked LU with partial pivoting + solve (the HPL core).
 //! * [`cg`] — preconditioned conjugate gradient matching the paper's
 //!   Figure 1, with an observer hook for online invariant checking.
-//! * [`sparse`] — CSR matrices and the 2-D Poisson operator (the
+//! * `sparse` — CSR matrices and the 2-D Poisson operator (the
 //!   low-locality CG workload).
 //! * [`gen`] — seeded workload generators.
 
@@ -28,15 +28,14 @@ pub mod gen;
 pub mod lu;
 pub(crate) mod matrix;
 pub mod qr;
-pub mod sparse;
+pub(crate) mod sparse;
 
 pub use blas3::{gemm, matmul, Trans};
 pub use cg::{
     pcg, pcg_with, CgControl, CgResult, CgState, JacobiPrecond, LinearOperator, Preconditioner,
 };
-pub use cholesky::{cholesky_blocked, cholesky_blocked_with, cholesky_solve, FactorError};
-pub use lu::refine_solution;
+pub use cholesky::{cholesky_blocked, cholesky_blocked_with, FactorError};
 pub use lu::{lu_blocked, lu_blocked_with, LuFactors};
 pub use matrix::Matrix;
 pub use qr::{householder_qr, householder_qr_with, QrFactors};
-pub use sparse::{poisson_2d, poisson_3d, CsrMatrix};
+pub use sparse::{poisson_2d, CsrMatrix};

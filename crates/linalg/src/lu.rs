@@ -155,25 +155,6 @@ impl LuFactors {
     pub fn u(&self) -> Matrix {
         self.lu.triu()
     }
-
-    /// Reconstruct `P A` (for verification): `L * U`.
-    pub fn reconstruct_pa(&self) -> Matrix {
-        let mut c = Matrix::zeros(self.lu.rows(), self.lu.cols());
-        gemm(1.0, &self.l(), Trans::No, &self.u(), Trans::No, 0.0, &mut c);
-        c
-    }
-
-    /// Apply the pivot permutation to a full matrix (rows), giving `P A`
-    /// from `A`.
-    pub fn permute_rows(&self, a: &Matrix) -> Matrix {
-        let mut m = a.clone();
-        for (k, &p) in self.pivots.iter().enumerate() {
-            if p != k {
-                m.swap_rows(k, p);
-            }
-        }
-        m
-    }
 }
 
 #[cfg(test)]
@@ -184,9 +165,12 @@ mod tests {
     fn check_lu(n: usize, block: usize, seed: u64) {
         let a = random_matrix(n, n, seed);
         let f = lu_blocked(a.clone(), block).expect("random dense should factor");
-        let pa = f.permute_rows(&a);
+        let mut pa = a;
+        for (k, &p) in f.pivots.iter().enumerate() {
+            pa.swap_rows(k, p);
+        }
         assert!(
-            f.reconstruct_pa().approx_eq(&pa, 1e-10, 1e-10),
+            crate::blas3::matmul(&f.l(), &f.u()).approx_eq(&pa, 1e-10, 1e-10),
             "L U must equal P A (n={n}, block={block})"
         );
     }
@@ -240,78 +224,5 @@ mod tests {
         })
         .unwrap();
         assert_eq!(steps, vec![(0, 0), (1, 4), (2, 8), (3, 12)]);
-    }
-}
-
-/// Iterative refinement: polish an LU solve against the original matrix.
-///
-/// Each sweep computes the residual `r = b - A x` and corrects
-/// `x += A^{-1} r` using the existing factors — the classic cure for
-/// round-off (and for small ABFT-corrected perturbations left in the
-/// factors). Returns the refined solution and the final residual norm.
-pub fn refine_solution(
-    a: &Matrix,
-    factors: &LuFactors,
-    b: &[f64],
-    x0: &[f64],
-    sweeps: usize,
-) -> (Vec<f64>, f64) {
-    let mut x = x0.to_vec();
-    let mut res_norm = 0.0;
-    for _ in 0..sweeps.max(1) {
-        let ax = a.matvec(&x);
-        let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
-        res_norm = crate::blas1::nrm2(&r);
-        if res_norm == 0.0 {
-            break;
-        }
-        let dx = factors.solve(&r);
-        for (xi, di) in x.iter_mut().zip(&dx) {
-            *xi += di;
-        }
-    }
-    let ax = a.matvec(&x);
-    let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
-    (x, crate::blas1::nrm2(&r).min(res_norm))
-}
-
-#[cfg(test)]
-mod refine_tests {
-    use super::*;
-    use crate::gen::{random_diag_dominant, random_vector};
-
-    #[test]
-    fn refinement_tightens_the_residual() {
-        let n = 40;
-        let a = random_diag_dominant(n, 61);
-        let x_true = random_vector(n, 62);
-        let b = a.matvec(&x_true);
-        let f = lu_blocked(a.clone(), 8).unwrap();
-        let x0 = f.solve(&b);
-        let r0 = {
-            let ax = a.matvec(&x0);
-            crate::blas1::nrm2(&b.iter().zip(&ax).map(|(u, v)| u - v).collect::<Vec<_>>())
-        };
-        let (x, r) = refine_solution(&a, &f, &b, &x0, 3);
-        assert!(r <= r0 + 1e-18, "residual must not grow: {r} vs {r0}");
-        for i in 0..n {
-            assert!((x[i] - x_true[i]).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn refinement_recovers_from_a_perturbed_start() {
-        let n = 32;
-        let a = random_diag_dominant(n, 63);
-        let x_true = random_vector(n, 64);
-        let b = a.matvec(&x_true);
-        let f = lu_blocked(a.clone(), 8).unwrap();
-        // Start from a deliberately damaged solution (e.g. an ABFT repair
-        // that fixed the factors after the solve used them).
-        let mut x0 = f.solve(&b);
-        x0[7] += 0.5;
-        let (x, r) = refine_solution(&a, &f, &b, &x0, 4);
-        assert!(r < 1e-8);
-        assert!((x[7] - x_true[7]).abs() < 1e-8);
     }
 }

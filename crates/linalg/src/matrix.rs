@@ -50,8 +50,9 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Create from rows given as nested slices (row-major input, handy in tests).
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
+    /// Create from rows given as nested slices (row-major input).
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: &[&[f64]]) -> Self {
         let r = rows.len();
         let c = if r == 0 { 0 } else { rows[0].len() };
         assert!(rows.iter().all(|row| row.len() == c), "ragged rows");
@@ -144,21 +145,9 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm.
-    pub fn norm_fro(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute entry.
     pub fn norm_max(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
-    }
-
-    /// One-norm (max column absolute sum).
-    pub fn norm_one(&self) -> f64 {
-        (0..self.cols)
-            .map(|j| self.col(j).iter().map(|x| x.abs()).sum::<f64>())
-            .fold(0.0_f64, f64::max)
     }
 
     /// Elementwise `self - other` (shapes must agree).
@@ -173,13 +162,6 @@ impl Matrix {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in add");
         let data = self.data.iter().zip(&other.data).map(|(a, b)| a + b).collect();
         Matrix { rows: self.rows, cols: self.cols, data }
-    }
-
-    /// Scale every entry by `alpha` in place.
-    pub fn scale_in_place(&mut self, alpha: f64) {
-        for x in &mut self.data {
-            *x *= alpha;
-        }
     }
 
     /// Matrix-vector product `y = A x`.
@@ -198,12 +180,6 @@ impl Matrix {
         y
     }
 
-    /// Transposed matrix-vector product `y = A^T x`.
-    pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.rows, "matvec_t dimension mismatch");
-        (0..self.cols).map(|j| self.col(j).iter().zip(x).map(|(a, b)| a * b).sum()).collect()
-    }
-
     /// True when `|self - other|_max <= atol + rtol * |other|_max`.
     pub fn approx_eq(&self, other: &Matrix, rtol: f64, atol: f64) -> bool {
         if self.shape() != other.shape() {
@@ -214,7 +190,8 @@ impl Matrix {
     }
 
     /// Lower-triangular copy (entries above the diagonal zeroed).
-    pub fn tril(&self) -> Matrix {
+    #[cfg(test)]
+    pub(crate) fn tril(&self) -> Matrix {
         Matrix::from_fn(self.rows, self.cols, |i, j| if i >= j { self[(i, j)] } else { 0.0 })
     }
 
@@ -331,18 +308,15 @@ mod tests {
     }
 
     #[test]
-    fn norms() {
+    fn norm_max_is_the_largest_magnitude() {
         let m = Matrix::from_rows(&[&[3.0, 0.0], &[4.0, 0.0]]);
-        assert!((m.norm_fro() - 5.0).abs() < 1e-12);
         assert_eq!(m.norm_max(), 4.0);
-        assert_eq!(m.norm_one(), 7.0);
     }
 
     #[test]
     fn matvec_basic() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(a.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
-        assert_eq!(a.matvec_t(&[1.0, 1.0]), vec![4.0, 6.0]);
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! little reuse. A CSR 5-point Poisson operator reproduces that access
 //! profile on laptop-scale inputs.
 
-use crate::matrix::Matrix;
-
 /// Compressed sparse row matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
@@ -65,15 +63,7 @@ impl CsrMatrix {
         self.values.len()
     }
 
-    /// Sparse matrix-vector product `y = A x`.
-    pub fn spmv(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "spmv dimension mismatch");
-        let mut y = vec![0.0; self.rows];
-        self.spmv_into(x, &mut y);
-        y
-    }
-
-    /// Sparse matrix-vector product into an existing buffer.
+    /// Sparse matrix-vector product `y = A x` into an existing buffer.
     pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "spmv dimension mismatch");
         assert_eq!(y.len(), self.rows, "spmv output mismatch");
@@ -99,31 +89,16 @@ impl CsrMatrix {
         d
     }
 
-    /// Densify (test helper; O(rows*cols) memory).
-    pub fn to_dense(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.rows, self.cols);
+    /// Densify (O(rows*cols) memory).
+    #[cfg(test)]
+    pub(crate) fn to_dense(&self) -> crate::Matrix {
+        let mut m = crate::Matrix::zeros(self.rows, self.cols);
         for i in 0..self.rows {
             for k in self.row_ptr[i]..self.row_ptr[i + 1] {
                 m[(i, self.col_idx[k])] += self.values[k];
             }
         }
         m
-    }
-
-    /// True if structurally and numerically symmetric.
-    pub fn is_symmetric(&self) -> bool {
-        if self.rows != self.cols {
-            return false;
-        }
-        let d = self.to_dense();
-        for i in 0..self.rows {
-            for j in 0..i {
-                if (d[(i, j)] - d[(j, i)]).abs() > 1e-14 {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 
@@ -148,42 +123,6 @@ pub fn poisson_2d(nx: usize, ny: usize) -> CsrMatrix {
             }
             if iy + 1 < ny {
                 triplets.push((r, id(ix, iy + 1), -1.0));
-            }
-        }
-    }
-    CsrMatrix::from_triplets(n, n, &triplets)
-}
-
-/// 7-point finite-difference Laplacian on an `nx x ny x nz` grid
-/// (Dirichlet boundaries) — the 3-D analogue of [`poisson_2d`], with a
-/// wider bandwidth and poorer gather locality (a harsher CG workload).
-pub fn poisson_3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
-    let n = nx * ny * nz;
-    let mut triplets = Vec::with_capacity(7 * n);
-    let id = |ix: usize, iy: usize, iz: usize| (iz * ny + iy) * nx + ix;
-    for iz in 0..nz {
-        for iy in 0..ny {
-            for ix in 0..nx {
-                let r = id(ix, iy, iz);
-                triplets.push((r, r, 6.0));
-                if ix > 0 {
-                    triplets.push((r, id(ix - 1, iy, iz), -1.0));
-                }
-                if ix + 1 < nx {
-                    triplets.push((r, id(ix + 1, iy, iz), -1.0));
-                }
-                if iy > 0 {
-                    triplets.push((r, id(ix, iy - 1, iz), -1.0));
-                }
-                if iy + 1 < ny {
-                    triplets.push((r, id(ix, iy + 1, iz), -1.0));
-                }
-                if iz > 0 {
-                    triplets.push((r, id(ix, iy, iz - 1), -1.0));
-                }
-                if iz + 1 < nz {
-                    triplets.push((r, id(ix, iy, iz + 1), -1.0));
-                }
             }
         }
     }
@@ -216,7 +155,8 @@ mod tests {
     fn spmv_matches_dense() {
         let a = poisson_2d(4, 3);
         let x: Vec<f64> = (0..12).map(|i| (i as f64).sin()).collect();
-        let sparse_y = a.spmv(&x);
+        let mut sparse_y = vec![0.0; 12];
+        a.spmv_into(&x, &mut sparse_y);
         let dense_y = a.to_dense().matvec(&x);
         for (s, d) in sparse_y.iter().zip(&dense_y) {
             assert!((s - d).abs() < 1e-14);
@@ -227,7 +167,8 @@ mod tests {
     fn poisson_structure() {
         let a = poisson_2d(5, 5);
         assert_eq!(a.rows(), 25);
-        assert!(a.is_symmetric());
+        let d = a.to_dense();
+        assert!(d.approx_eq(&d.transpose(), 0.0, 1e-14), "symmetric");
         // 25 diagonal entries plus two entries per grid edge
         // (horizontal edges: 4*5, vertical edges: 5*4).
         assert_eq!(a.nnz(), 25 + 2 * (4 * 5 + 5 * 4));
@@ -236,39 +177,11 @@ mod tests {
     }
 
     #[test]
-    fn poisson_3d_structure() {
-        let a = poisson_3d(4, 3, 2);
-        assert_eq!(a.rows(), 24);
-        assert!(a.is_symmetric());
-        let d = a.diagonal();
-        assert!(d.iter().all(|&v| v == 6.0));
-        // Interior-point row sums to 0; boundaries positive (SPD with
-        // Dirichlet).
-        let y = a.spmv(&[1.0; 24]);
-        assert!(y.iter().all(|&v| v >= 0.0));
-    }
-
-    #[test]
-    fn poisson_3d_cg_converges() {
-        let a = poisson_3d(6, 6, 6);
-        let n = a.rows();
-        let b = vec![1.0; n];
-        let r = crate::cg::pcg(
-            &a,
-            &crate::cg::JacobiPrecond::from_csr(&a),
-            &b,
-            &vec![0.0; n],
-            1e-10,
-            500,
-        );
-        assert!(r.converged);
-    }
-
-    #[test]
     fn spmv_constant_vector_interior_zero() {
         // Laplacian of a constant is zero away from the boundary.
         let a = poisson_2d(5, 5);
-        let y = a.spmv(&[1.0; 25]);
+        let mut y = vec![0.0; 25];
+        a.spmv_into(&[1.0; 25], &mut y);
         assert_eq!(y[12], 0.0); // center point
         assert!(y[0] > 0.0); // corner feels the Dirichlet boundary
     }

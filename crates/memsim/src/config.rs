@@ -449,21 +449,6 @@ impl SystemConfig {
         }
     }
 
-    /// Total ranks in the node.
-    pub fn total_ranks(&self) -> usize {
-        self.channels * self.dimms_per_channel * self.ranks_per_dimm
-    }
-
-    /// Total data chips in the node.
-    pub fn total_data_chips(&self) -> usize {
-        self.total_ranks() * self.data_chips_per_rank
-    }
-
-    /// Total ECC chips in the node.
-    pub fn total_ecc_chips(&self) -> usize {
-        self.total_ranks() * self.ecc_chips_per_rank
-    }
-
     /// Core cycle time in ns.
     pub fn cycle_ns(&self) -> f64 {
         1.0 / self.clock_ghz
@@ -508,9 +493,6 @@ mod tests {
         assert_eq!(c.cores, 4);
         assert_eq!(c.l1.sets(), 64);
         assert_eq!(c.l2.sets(), 8192);
-        assert_eq!(c.total_ranks(), 32);
-        assert_eq!(c.total_data_chips(), 512);
-        assert_eq!(c.total_ecc_chips(), 64);
         assert!(c.table3().contains("4 channels"));
     }
 

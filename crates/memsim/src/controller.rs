@@ -160,70 +160,26 @@ impl MemoryController {
         Ok(())
     }
 
-    /// Program a range, merging with an adjacent or overlapping-free
-    /// neighbour of the same scheme when possible — "multiple data
-    /// structures may use the same relaxed ECC scheme, and their address
-    /// ranges may be combined to use the same ECC registers"
-    /// (Section 3.2.1). Falls back to a fresh slot otherwise.
-    pub fn program_range_coalescing(
-        &mut self,
-        base: u64,
-        end: u64,
-        scheme: EccScheme,
-    ) -> Result<(), RangeError> {
-        if base >= end {
-            return Err(RangeError::Empty);
-        }
-        if self.ranges.iter().any(|r| base < r.end && r.base < end) {
-            return Err(RangeError::Overlap);
-        }
-        // Adjacent same-scheme neighbour (allowing a small guard gap of
-        // one page, since allocations are page-aligned)? The gap being
-        // bridged must not belong to any other range.
-        const GUARD: u64 = 4096;
-        let gap_free = |ranges: &[EccRange], lo: u64, hi: u64| {
-            ranges.iter().all(|o| hi <= o.base || o.end <= lo)
-        };
-        for i in 0..self.ranges.len() {
-            let r = self.ranges[i];
-            if r.scheme != scheme {
-                continue;
-            }
-            if base >= r.end && base - r.end <= GUARD && gap_free(&self.ranges, r.end, base) {
-                self.ranges[i].end = end;
-                return Ok(());
-            }
-            if r.base >= end && r.base - end <= GUARD && gap_free(&self.ranges, end, r.base) {
-                self.ranges[i].base = base;
-                return Ok(());
+    /// Replace the whole register file with `ranges`, under
+    /// [`MemoryController::program_range`]'s checks; on the first range
+    /// that fails one, the registers keep what they held.
+    pub fn set_ranges(&mut self, ranges: &[EccRange]) -> Result<(), RangeError> {
+        let held = std::mem::take(&mut self.ranges);
+        for r in ranges {
+            if let Err(e) = self.program_range(r.base, r.end, r.scheme) {
+                self.ranges = held;
+                return Err(e);
             }
         }
-        if self.ranges.len() >= ECC_RANGE_SLOTS {
-            return Err(RangeError::OutOfSlots);
-        }
-        self.ranges.push(EccRange { base, end, scheme });
-        #[cfg(feature = "validate")]
-        self.audit_invariants();
         Ok(())
     }
 
-    /// Remove the range registers covering `base` (from `free_ecc`).
+    /// Remove the range registers starting at `base`.
     /// Returns true if a range was removed.
     pub fn clear_range(&mut self, base: u64) -> bool {
         let before = self.ranges.len();
         self.ranges.retain(|r| r.base != base);
         before != self.ranges.len()
-    }
-
-    /// Reassign the scheme of the range starting at `base` (`assign_ecc`).
-    pub fn reassign_range(&mut self, base: u64, scheme: EccScheme) -> bool {
-        for r in &mut self.ranges {
-            if r.base == base {
-                r.scheme = scheme;
-                return true;
-            }
-        }
-        false
     }
 
     /// Currently programmed ranges.
@@ -460,10 +416,6 @@ mod tests {
         let mut m = mc();
         assert_eq!(m.program_range(0x2000, 0x2000, EccScheme::None), Err(RangeError::Empty));
         assert_eq!(m.program_range(0x3000, 0x2000, EccScheme::None), Err(RangeError::Empty));
-        assert_eq!(
-            m.program_range_coalescing(0x2000, 0x1000, EccScheme::None),
-            Err(RangeError::Empty)
-        );
         assert_eq!(RangeError::Empty.to_string(), "empty ECC range (base >= end)");
         assert!(m.ranges().is_empty());
     }
@@ -478,14 +430,31 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_reassign() {
+    fn clear_range_restores_the_default() {
         let mut m = mc();
         m.program_range(0x1000, 0x2000, EccScheme::None).unwrap();
-        assert!(m.reassign_range(0x1000, EccScheme::Secded));
-        assert_eq!(m.scheme_for(0x1800), EccScheme::Secded);
         assert!(m.clear_range(0x1000));
         assert_eq!(m.scheme_for(0x1800), EccScheme::Chipkill);
         assert!(!m.clear_range(0x1000));
+    }
+
+    #[test]
+    fn set_ranges_is_all_or_nothing() {
+        let mut m = mc();
+        let r = |base, end, scheme| EccRange { base, end, scheme };
+        m.set_ranges(&[r(0x1000, 0x2000, EccScheme::None)]).unwrap();
+        let held = m.ranges().to_vec();
+        let nine: Vec<EccRange> =
+            (0..9u64).map(|i| r(i << 16, (i << 16) + 0x1000, EccScheme::Secded)).collect();
+        assert_eq!(m.set_ranges(&nine), Err(RangeError::OutOfSlots));
+        let overlap = [r(0x0, 0x3000, EccScheme::None), r(0x2000, 0x4000, EccScheme::Secded)];
+        assert_eq!(m.set_ranges(&overlap), Err(RangeError::Overlap));
+        assert_eq!(m.set_ranges(&[r(0x5000, 0x5000, EccScheme::None)]), Err(RangeError::Empty));
+        assert_eq!(m.ranges(), held);
+        m.set_ranges(&nine[..8]).unwrap();
+        assert_eq!(m.ranges().len(), 8);
+        m.set_ranges(&[]).unwrap();
+        assert!(m.ranges().is_empty());
     }
 
     #[test]
@@ -577,32 +546,6 @@ mod tests {
         m2.inject_bit_flip(0x9000, 50);
         let (_, o) = m2.read_line(0x9000, 2.0);
         assert_eq!(o, EccOutcome::DetectedUncorrectable);
-    }
-
-    #[test]
-    fn coalescing_merges_same_scheme_neighbours() {
-        let mut m = mc();
-        for i in 0..20u64 {
-            m.program_range_coalescing(i * 0x2000, i * 0x2000 + 0x1000, EccScheme::None).unwrap();
-        }
-        // 20 allocations separated by one guard page each share one slot.
-        assert_eq!(m.ranges().len(), 1);
-        assert_eq!(m.scheme_for(0x11_000), EccScheme::None);
-        // A different scheme takes a new slot.
-        m.program_range_coalescing(0x100_0000, 0x100_1000, EccScheme::Secded).unwrap();
-        assert_eq!(m.ranges().len(), 2);
-    }
-
-    #[test]
-    fn coalescing_still_caps_distinct_ranges() {
-        let mut m = mc();
-        for i in 0..8u64 {
-            m.program_range_coalescing(i << 24, (i << 24) + 0x1000, EccScheme::None).unwrap();
-        }
-        assert_eq!(
-            m.program_range_coalescing(9 << 24, (9 << 24) + 0x1000, EccScheme::None),
-            Err(RangeError::OutOfSlots)
-        );
     }
 
     #[test]

@@ -294,16 +294,6 @@ impl MissStream {
         self.totals.core_cycles
     }
 
-    /// Fraction of core accesses that survive the cache filter as L2
-    /// demand misses (the replay-phase work ratio).
-    pub fn miss_ratio(&self) -> f64 {
-        if self.totals.accesses == 0 {
-            0.0
-        } else {
-            self.totals.l2_misses as f64 / self.totals.accesses as f64
-        }
-    }
-
     /// Bytes held by the packed event records.
     pub fn packed_bytes(&self) -> u64 {
         self.records.words.len() as u64 * 8
@@ -725,7 +715,6 @@ mod tests {
         assert_eq!(ms.totals().l2_misses, 1024, "only the first pass misses L2");
         assert_eq!(ms.instructions(), t.instructions);
         assert!(ms.events() >= 1024);
-        assert!(ms.miss_ratio() > 0.49 && ms.miss_ratio() < 0.51);
         assert!(ms.core_cycles() > 0);
         assert!(ms.packed_bytes() > 0);
     }

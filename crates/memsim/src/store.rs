@@ -749,6 +749,7 @@ impl ArtifactStore {
     /// checksummed, but only its selection section is decoded: the
     /// selection pairs with the full stream ([`ArtifactStore::load_miss`]),
     /// the sample behind it is [`ArtifactStore::load_sample`]'s.
+    // repolint:allow(API001) perfbench: benchmarks/README.md "API surface"
     pub fn load_simpoint(
         &self,
         key: &FilterKey,

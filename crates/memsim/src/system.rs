@@ -365,7 +365,7 @@ impl Machine {
     /// Sources are consumed in bounded-memory chunks ([`crate::stream::DEFAULT_CHUNK`]
     /// accesses at a time), so the peak footprint is independent of the
     /// stream length. Virtual addresses are mapped to physical
-    /// identically (the runtime crate provides real paging when needed —
+    /// identically (the runtime crate keeps a real page table —
     /// for timing/energy the identity map is exact because regions are
     /// page aligned and disjoint).
     ///

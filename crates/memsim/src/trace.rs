@@ -122,15 +122,6 @@ impl RegionMap {
     pub fn find(&self, addr: u64) -> Option<RegionId> {
         self.regions.iter().position(|r| r.contains(addr)).map(|i| i as RegionId)
     }
-
-    /// Byte address of element `index` (of `elem_bytes`-sized elements)
-    /// within region `id`.
-    pub fn elem_addr(&self, id: RegionId, index: u64, elem_bytes: u64) -> u64 {
-        let r = self.get(id);
-        let a = r.base + index * elem_bytes;
-        debug_assert!(a < r.end(), "element index beyond region {}", r.name);
-        a
-    }
 }
 
 /// A materialized trace: the region registry plus the whole reference
@@ -201,13 +192,6 @@ mod tests {
         assert_eq!(m.find(0), None);
         // Guard page between regions resolves to nothing.
         assert_eq!(m.find(m.get(a).end()), None);
-    }
-
-    #[test]
-    fn elem_addr_indexes_elements() {
-        let mut m = RegionMap::new();
-        let a = m.alloc("v", 800, true);
-        assert_eq!(m.elem_addr(a, 3, 8), m.get(a).base + 24);
     }
 
     #[test]

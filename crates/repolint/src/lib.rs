@@ -18,7 +18,8 @@
 //! ([`hotness`]):
 //!
 //! - **API001** — no dead `pub` items (never referenced from another
-//!   crate, a binary, a test or a bench)
+//!   crate or another target: a binary, an example, a bench or an
+//!   integration test — the crate's own unit tests do not count)
 //! - **PERF001–PERF004** — no allocation, clone or `dyn` dispatch in a
 //!   loop reachable from a replay entry point, and no formatted output
 //!   anywhere reachable; the diagnostic carries the hot call chain
@@ -135,23 +136,6 @@ impl Report {
     }
 }
 
-/// Lint one file's source text with the per-file rules (the semantic
-/// rules need a [`Workspace`]); the unit-test fixtures go through it.
-pub fn lint_source(
-    rel_path: &str,
-    crate_name: &str,
-    src: &str,
-    cfg: &Config,
-) -> Result<Vec<Diagnostic>, String> {
-    let file = syn::parse_file(src).map_err(|e| format!("{rel_path}:{e}"))?;
-    let ctx = FileCtx::new(rel_path, crate_name, &file);
-    let mut out = Vec::new();
-    rules::run_all(&ctx, cfg, &mut out);
-    rules::check_allows(&ctx, cfg, false, &mut out);
-    sort_diags(&mut out);
-    Ok(out)
-}
-
 /// Walk the workspace under `root` and lint every `.rs` file outside the
 /// configured excludes.
 pub fn check_workspace(root: &Path, cfg: &Config) -> Result<Report, String> {
@@ -235,10 +219,27 @@ fn crate_name_for(
     Ok(name)
 }
 
-/// Unit-test support: lint a source string with the default config.
+/// Unit-test support: lint a source string.
 #[cfg(test)]
 pub(crate) mod engine_tests {
     use super::*;
+
+    /// Lint one file's source text with the per-file rules (the semantic
+    /// rules need a [`Workspace`]); the unit-test fixtures go through it.
+    pub fn lint_source(
+        rel_path: &str,
+        crate_name: &str,
+        src: &str,
+        cfg: &Config,
+    ) -> Result<Vec<Diagnostic>, String> {
+        let file = syn::parse_file(src).map_err(|e| format!("{rel_path}:{e}"))?;
+        let ctx = FileCtx::new(rel_path, crate_name, &file);
+        let mut out = Vec::new();
+        rules::run_all(&ctx, cfg, &mut out);
+        rules::check_allows(&ctx, cfg, false, &mut out);
+        sort_diags(&mut out);
+        Ok(out)
+    }
 
     pub fn lint_str(rel_path: &str, crate_name: &str, src: &str) -> Vec<Diagnostic> {
         lint_source(rel_path, crate_name, src, &Config::default()).expect("fixture parses")

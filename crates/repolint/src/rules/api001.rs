@@ -1,17 +1,18 @@
 //! API001: dead `pub` items.
 //!
-//! A `pub` item in library code that no *other* crate, binary, test,
-//! example or bench ever reaches — directly or through the live parts
-//! of its own crate — is surface area without a consumer: nothing
-//! exercises it, and it advertises capabilities the workspace does not
-//! actually have. The rule flags such items; the fix is to delete them
-//! or narrow them to `pub(crate)`.
+//! A `pub` item in library code that no *other* crate, binary,
+//! integration test, example or bench ever reaches — directly or through
+//! the live parts of its own crate — is surface area without a consumer:
+//! nothing exercises it, and it advertises capabilities the workspace
+//! does not actually have. The rule flags such items; the fix is to
+//! delete them or narrow them to `pub(crate)`.
 //!
 //! Liveness is a token-level mark-and-sweep, computed per crate:
 //!
-//! - **Seeds**: every identifier that appears in another crate's files,
-//!   in any non-library target (binary, test, example, bench), or
-//!   inside same-crate test code.
+//! - **Seeds**: every identifier that appears in another crate's files
+//!   or in any non-library target (binary, integration test, example,
+//!   bench). The crate's own `#[cfg(test)]` code is not a reacher: an
+//!   item only its unit test calls backs nothing the workspace ships.
 //! - **Propagation**: when a named definition (fn, struct, enum, const,
 //!   static, type alias, trait) of the crate is live, every identifier
 //!   inside its token range — signature and body — becomes live too.
@@ -95,22 +96,23 @@ pub fn check(sem: &SemanticCtx<'_>, cfg: &RuleCfg, out: &mut Vec<Diagnostic>) {
             item.line,
             format!(
                 "dead pub item {what}: never referenced from another crate, a binary, \
-                 a test or a bench (directly or through live code); delete it or narrow \
-                 it to pub(crate)"
+                 an integration test or a bench (directly or through live code); delete \
+                 it or narrow it to pub(crate)"
             ),
         ));
     }
 }
 
-/// Identifiers visible to `crate_name` from outside its own non-test
-/// library code: other crates, non-library targets, and test regions.
+/// Identifiers visible to `crate_name` from outside its own library
+/// code: other crates and non-library targets.
 fn seed_idents(sem: &SemanticCtx<'_>, crate_name: &str) -> BTreeSet<String> {
     let mut seeds = BTreeSet::new();
     for (fi, pf) in sem.ws.files.iter().enumerate() {
-        let ctx = &sem.ctxs[fi];
-        let foreign = pf.crate_name != crate_name || ctx.kind != FileKind::Lib;
+        if pf.crate_name == crate_name && sem.ctxs[fi].kind == FileKind::Lib {
+            continue;
+        }
         for t in &pf.file.tokens {
-            if t.kind == TokenKind::Ident && (foreign || ctx.in_test(t.line)) {
+            if t.kind == TokenKind::Ident {
                 seeds.insert(t.text.clone());
             }
         }
@@ -120,8 +122,13 @@ fn seed_idents(sem: &SemanticCtx<'_>, crate_name: &str) -> BTreeSet<String> {
 
 /// Collect named definition units. `impl` blocks, modules and `use`
 /// items are containers/references, not definitions: recurse or skip.
+/// Test-only items are no units — a `#[test] fn` that happens to share a
+/// live name must not pass liveness on to what it calls.
 fn collect_units(items: &[Item], fi: usize, out: &mut Vec<(String, usize, (usize, usize))>) {
     for item in items {
+        if item.attrs.iter().any(syn::Attribute::is_test_marker) {
+            continue;
+        }
         match item.kind {
             ItemKind::Use => {}
             ItemKind::Impl | ItemKind::Mod => collect_units(&item.children, fi, out),
@@ -211,7 +218,7 @@ mod tests {
     }
 
     #[test]
-    fn tests_benches_and_trait_members_count_or_are_exempt() {
+    fn other_targets_count_own_unit_tests_do_not_and_trait_members_are_exempt() {
         let got = api_findings(&[
             (
                 "crates/a/src/lib.rs",
@@ -227,9 +234,12 @@ mod tests {
             ("crates/a/tests/policy.rs", "a", "use a::Policy;\n#[test]\nfn t() {}\n"),
         ]);
         // `P` is dead; `Policy` is used from an integration test;
-        // `decide` (trait decl + impl) is never reported as an item;
-        // bench/test references keep the two fns alive.
-        assert_eq!(got.len(), 1, "{got:?}");
-        assert!(got[0].2.contains("`P`"), "{got:?}");
+        // `decide` (trait decl + impl) is never reported as an item; the
+        // bench keeps `from_bench` alive; the crate's own unit test does
+        // not keep `from_test` alive.
+        let names: Vec<&str> = got.iter().map(|(_, _, m)| m.as_str()).collect();
+        assert_eq!(got.len(), 2, "{got:?}");
+        assert!(names.iter().any(|m| m.contains("`P`")), "{names:?}");
+        assert!(names.iter().any(|m| m.contains("`from_test`")), "{names:?}");
     }
 }

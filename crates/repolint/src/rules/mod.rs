@@ -193,9 +193,12 @@ pub fn explain(code: &str) -> Option<&'static str> {
         }
         "API001" => {
             "API001 — dead `pub` items.\n\
-             Why: an exported item no binary, test, bench or other crate references is\n\
-             untested surface area that still constrains refactoring.\n\
-             Fix: make it private, delete it, or reference it from a test."
+             Why: an exported item that no other crate and no other target (binary,\n\
+             example, bench, integration test) reaches backs nothing the workspace ships.\n\
+             The crate's own `#[cfg(test)]` code does not count: an item only its unit test\n\
+             calls is dead code with a test attached.\n\
+             Fix: delete it with that unit test, narrow it to `pub(crate)`, or — for a\n\
+             test fixture — move it under `#[cfg(test)]`."
         }
         "PERF001" => {
             "PERF001 — heap allocation inside a loop in hot code.\n\

@@ -8,7 +8,7 @@ use abft_coop::abft_faultsim::models;
 use abft_coop::prelude::*;
 
 fn main() {
-    println!("== ARE vs ASE: the adaptive policy across deployment scales ==\n");
+    println!("== ARE vs ASE: the Equation (7)/(8) decision across deployment scales ==\n");
 
     // Measured-class inputs (see the fig08/fig09 harnesses for the real
     // measurement path).
@@ -44,34 +44,6 @@ fn main() {
             d.mttf_hetero_s,
             d.mttf_thr_s,
             if d.use_are { "ARE (relax ECC)" } else { "ASE (keep strong ECC)" }
-        );
-    }
-
-    // The run-time side of the same decision: an adaptive controller
-    // watching observed errors and retuning ECC through assign_ecc.
-    println!("\nAdaptive controller drill (run-time ECC retuning):");
-    let mut rt = EccRuntime::new(&SystemConfig::default());
-    let (id, _) = rt.malloc_ecc("krylov", 1 << 20, EccScheme::None).unwrap();
-    let mut ctl = AdaptiveController::new(AdaptiveConfig::default(), vec![id]);
-    println!("  t=0s    stance {:?}, scheme {:?}", ctl.stance(), rt.scheme_of(id).unwrap());
-    // An error storm hits between t=10 and t=40.
-    for k in 0..80 {
-        ctl.record_error(10.0 + k as f64 * 0.4);
-    }
-    if let Some(tr) = ctl.step(&mut rt, 42.0) {
-        println!(
-            "  t=42s   storm detected (observed MTTF {:.2} s) -> {:?}, scheme {:?}",
-            tr.observed_mttf_s,
-            tr.to,
-            rt.scheme_of(id).unwrap()
-        );
-    }
-    if let Some(tr) = ctl.step(&mut rt, 600.0) {
-        println!(
-            "  t=600s  calm again (observed MTTF {:.0}) -> {:?}, scheme {:?}",
-            tr.observed_mttf_s,
-            tr.to,
-            rt.scheme_of(id).unwrap()
         );
     }
 

@@ -35,29 +35,27 @@ pub mod prelude {
         profiles_from_basic_test, strong_scaling, weak_scaling, ScalingConfig,
     };
     pub use abft_coop_core::{
-        decide, drill_chip_fault, drill_matrix, fault_adjusted, run_cell, run_cells,
-        summarize_cases, AdaptiveConfig, AdaptiveController, BasicTest, CampaignClient,
-        CampaignMetrics, CampaignResult, CampaignRun, CampaignSpec, PolicyInputs, Progress, Stance,
-        Strategy, StrategyResult,
+        decide, drill_matrix, run_cell, run_cells, summarize_cases, BasicTest, CampaignClient,
+        CampaignRun, CampaignSpec, PolicyInputs, Strategy,
     };
-    pub use abft_coop_runtime::{EccRuntime, RetirePolicy, SwapSpace, SysfsChannel};
-    pub use abft_ecc::{EccOutcome, EccScheme, ProtectedLine};
+    pub use abft_coop_runtime::EccRuntime;
+    pub use abft_ecc::{EccOutcome, EccScheme};
     pub use abft_faultsim::{ErrorPattern, Injector, RecoveryCosts};
-    pub use abft_kernels::cg::{ft_pcg, ft_pcg_with, FtCgOptions};
-    pub use abft_kernels::cholesky::{ft_cholesky, ft_cholesky_with, FtCholeskyOptions};
-    pub use abft_kernels::dgemm::{ft_dgemm, ft_dgemm_with, FtDgemmOptions};
-    pub use abft_kernels::hpl::{ft_hpl, ft_hpl_with, FailStop, FtHplOptions};
-    pub use abft_kernels::lu::{ft_lu, ft_lu_with, FtLuOptions};
+    pub use abft_kernels::cg::{ft_pcg_with, FtCgOptions};
+    pub use abft_kernels::cholesky::{ft_cholesky_with, FtCholeskyOptions};
+    pub use abft_kernels::dgemm::{ft_dgemm_with, FtDgemmOptions};
+    pub use abft_kernels::hpl::{ft_hpl_with, FailStop, FtHplOptions};
+    pub use abft_kernels::lu::{ft_lu_with, FtLuOptions};
     pub use abft_kernels::multichecksum::MultiChecksums;
-    pub use abft_kernels::qr::{ft_qr, ft_qr_with, FtQrOptions};
+    pub use abft_kernels::qr::{ft_qr_with, FtQrOptions};
     pub use abft_kernels::VerifyMode;
-    pub use abft_linalg::{poisson_2d, CsrMatrix, Matrix};
+    pub use abft_linalg::{poisson_2d, Matrix};
     pub use abft_memsim::system::Machine;
     pub use abft_memsim::workloads::{
         abft_region_ids, CgParams, DgemmParams, KernelKind, KernelParams,
     };
     pub use abft_memsim::{
-        AccessSink, AccessSource, MissStream, PackedTrace, SimInput, SimPointConfig,
-        SimPointSelection, SimRequest, SystemConfig, TraceCache,
+        MissStream, PackedTrace, SimInput, SimPointConfig, SimPointSelection, SimRequest,
+        SystemConfig, TraceCache,
     };
 }

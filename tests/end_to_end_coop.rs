@@ -2,7 +2,12 @@
 //! allocation, ECC relaxation, bit-true corruption, MC interrupt, OS
 //! reverse mapping, sysfs exposure, ABFT repair.
 
+mod common;
+
+use abft_coop::abft_coop_runtime::{AllocId, RuntimeError};
+use abft_coop::abft_memsim::controller::RangeError;
 use abft_coop::prelude::*;
+use common::mc_disagreement;
 
 #[test]
 fn malloc_ecc_relax_corrupt_repair_cycle() {
@@ -107,4 +112,118 @@ fn error_registers_survive_bursts_up_to_design_depth() {
     let out = rt.handle_interrupt(0.0);
     assert_eq!(out.exposed.len(), 6, "all six events retained and exposed");
     assert_eq!(rt.controller.errors_overwritten, 0);
+}
+
+// ----- the range registers are a function of the allocation table -------
+//
+// `malloc_ecc` merges physically adjacent same-scheme allocations into one
+// register pair; each scenario below once left the MC applying a scheme
+// the OS did not record. Frames are handed out first-fit from 0, so 64 of
+// them cover everything these tests allocate.
+
+const PAGE: u64 = 4096;
+
+/// Two relaxed 16-page allocations sharing one register pair.
+fn two_merged() -> (EccRuntime, AllocId, AllocId) {
+    let mut rt = EccRuntime::new(&SystemConfig::default());
+    let (a, _) = rt.malloc_ecc("a", 16 * PAGE, EccScheme::None).unwrap();
+    let (b, _) = rt.malloc_ecc("b", 16 * PAGE, EccScheme::None).unwrap();
+    assert_eq!(rt.controller.ranges().len(), 1);
+    assert_eq!(mc_disagreement(&rt, 64), None);
+    (rt, a, b)
+}
+
+#[test]
+fn freeing_the_head_of_a_merged_range_keeps_the_tail_relaxed() {
+    let (mut rt, a, b) = two_merged();
+    rt.free_ecc(a).unwrap();
+    assert_eq!(rt.scheme_of(b), Some(EccScheme::None));
+    assert_eq!(rt.controller.scheme_for(16 * PAGE), EccScheme::None, "b keeps its register");
+    assert_eq!(rt.controller.scheme_for(0), EccScheme::Chipkill, "a's frames are default again");
+    assert_eq!(mc_disagreement(&rt, 64), None);
+}
+
+#[test]
+fn a_strong_allocation_reusing_freed_frames_is_protected_by_the_mc() {
+    let (mut rt, _a, b) = two_merged();
+    rt.free_ecc(b).unwrap();
+    assert_eq!(mc_disagreement(&rt, 64), None);
+    // Same size, first fit: c lands on b's frames.
+    let (c, vaddr) = rt.malloc_ecc("c", 16 * PAGE, EccScheme::Chipkill).unwrap();
+    assert_eq!(rt.page_table.translate(vaddr), Some(16 * PAGE));
+    assert_eq!(rt.controller.scheme_for(16 * PAGE), EccScheme::Chipkill);
+    assert_eq!(mc_disagreement(&rt, 64), None);
+    // And the protection is real: a strike on c is corrected in hardware.
+    let data = vec![2.5f64; 64];
+    rt.store_f64(c, &data).unwrap();
+    rt.inject_element_bit(c, 7, 33);
+    let (back, o) = rt.load_f64(c, 64, 0.0).unwrap();
+    assert!(matches!(o, EccOutcome::Corrected { .. }), "{o:?}");
+    assert_eq!(back, data);
+}
+
+#[test]
+fn assign_ecc_inside_a_merged_range_splits_it() {
+    let (mut rt, a, b) = two_merged();
+    rt.assign_ecc(b, EccScheme::Secded).unwrap();
+    assert_eq!(rt.scheme_of(a), Some(EccScheme::None));
+    assert_eq!(rt.scheme_of(b), Some(EccScheme::Secded));
+    assert_eq!(rt.controller.ranges().len(), 2);
+    assert_eq!(mc_disagreement(&rt, 64), None);
+    // Back to the neighbour's scheme: one pair again.
+    rt.assign_ecc(b, EccScheme::None).unwrap();
+    assert_eq!(rt.controller.ranges().len(), 1);
+    assert_eq!(mc_disagreement(&rt, 64), None);
+}
+
+#[test]
+fn a_strong_page_between_two_relaxed_allocations_is_not_bridged() {
+    let mut rt = EccRuntime::new(&SystemConfig::default());
+    rt.malloc_ecc("a", 16 * PAGE, EccScheme::None).unwrap();
+    let (x, vaddr) = rt.malloc_ecc("x", PAGE, EccScheme::Chipkill).unwrap();
+    rt.malloc_ecc("b", 16 * PAGE, EccScheme::None).unwrap();
+    let paddr = rt.page_table.translate(vaddr).unwrap();
+    assert_eq!(rt.scheme_of(x), Some(EccScheme::Chipkill));
+    assert_eq!(rt.controller.scheme_for(paddr), EccScheme::Chipkill);
+    assert_eq!(rt.controller.ranges().len(), 2, "one pair on each side of x");
+    assert_eq!(mc_disagreement(&rt, 64), None);
+}
+
+#[test]
+fn only_a_ninth_register_pair_reads_as_out_of_slots() {
+    // N N N S N S N S N S: eight pairs, the first one merged.
+    let mut rt = EccRuntime::new(&SystemConfig::default());
+    let mut ids = Vec::new();
+    for k in 0..10 {
+        let scheme = if k >= 3 && k % 2 == 1 { EccScheme::Secded } else { EccScheme::None };
+        ids.push(rt.malloc_ecc("v", PAGE, scheme).unwrap().0);
+    }
+    assert_eq!(rt.controller.ranges().len(), 8);
+    let out_of_slots = RuntimeError::Range(RangeError::OutOfSlots);
+    let held = rt.controller.ranges().to_vec();
+
+    // A ninth pair: refused, frames returned, registers untouched.
+    assert_eq!(rt.malloc_ecc("ninth", PAGE, EccScheme::None), Err(out_of_slots.clone()));
+    assert_eq!(rt.assign_ecc(ids[1], EccScheme::Secded), Err(out_of_slots.clone()));
+    assert_eq!(rt.scheme_of(ids[1]), Some(EccScheme::None), "a failed assign changes nothing");
+    // Freeing the middle of the merged run would split it: a ninth pair.
+    assert_eq!(rt.free_ecc(ids[1]), Err(out_of_slots));
+    assert_eq!(rt.scheme_of(ids[1]), Some(EccScheme::None), "still live");
+    assert_eq!(rt.controller.ranges(), held);
+    assert_eq!(mc_disagreement(&rt, 64), None);
+
+    // What needs no new pair still works with all eight in use: a default
+    // allocation, a retune that merges into a neighbour, an end of the run.
+    rt.malloc_ecc("os", PAGE, EccScheme::Chipkill).unwrap();
+    rt.assign_ecc(ids[9], EccScheme::None).unwrap(); // N S -> N N: one pair fewer
+    rt.assign_ecc(ids[9], EccScheme::Secded).unwrap();
+    rt.free_ecc(ids[0]).unwrap();
+    rt.free_ecc(ids[1]).unwrap();
+    assert_eq!(rt.free_ecc(ids[1]), Err(RuntimeError::BadHandle));
+    assert_eq!(rt.controller.ranges().len(), 8);
+    assert_eq!(mc_disagreement(&rt, 64), None);
+    // The freed frames are the first fit for the same size again.
+    let (_, vaddr) = rt.malloc_ecc("reuse", 2 * PAGE, EccScheme::None).unwrap();
+    assert_eq!(rt.page_table.translate(vaddr), Some(0));
+    assert_eq!(mc_disagreement(&rt, 64), None);
 }

@@ -183,32 +183,3 @@ fn ft_lu_and_ft_qr_under_scheduled_faults() {
         assert!((xq[i] - x_true[i]).abs() < 1e-6);
     }
 }
-
-#[test]
-fn adaptive_controller_full_loop_with_real_errors() {
-    use abft_coop::prelude::*;
-    // End-to-end: real uncorrectable errors flow through the interrupt
-    // path; the controller watches them and escalates; after escalation
-    // the same strike pattern is absorbed by hardware.
-    let cfg = SystemConfig::default();
-    let mut rt = EccRuntime::new(&cfg);
-    let (id, _) = rt.malloc_ecc("krylov", 1 << 16, EccScheme::None).unwrap();
-    let data = vec![1.5f64; 4096];
-    rt.store_f64(id, &data).unwrap();
-    let mut ctl = AdaptiveController::new(AdaptiveConfig::default(), vec![id]);
-
-    // Storm: silent corruptions under No-ECC, caught by ABFT verification
-    // (modeled here as direct observations fed to the controller).
-    for k in 0..120 {
-        rt.inject_element_bit(id, k % 4096, 50);
-        ctl.record_error(k as f64 * 0.25);
-    }
-    let tr = ctl.step(&mut rt, 30.0).expect("escalation");
-    assert_eq!(tr.to, Stance::Strong);
-    assert_eq!(rt.scheme_of(id), Some(EccScheme::Chipkill));
-
-    // Post-escalation: the next strike is hardware-corrected.
-    rt.inject_element_bit(id, 100, 50);
-    let (_, o) = rt.load_f64(id, 4096, 0.0).unwrap();
-    assert!(matches!(o, EccOutcome::Corrected { .. }));
-}

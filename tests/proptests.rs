@@ -7,6 +7,8 @@ use abft_coop::abft_kernels::ColChecksums;
 use abft_coop::prelude::*;
 use proptest::prelude::*;
 
+mod common;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -385,28 +387,57 @@ proptest! {
         prop_assert!(corrected);
     }
 
-    // ----- paging round trips -------------------------------------------
+    // ----- range registers follow the allocation table -------------------
 
     #[test]
-    fn paging_round_trips_any_payload(
-        seed in 0u64..500,
-        scheme in prop::sample::select(vec![
-            EccScheme::None,
-            EccScheme::Secded,
-            EccScheme::Chipkill,
-        ]),
+    fn range_registers_follow_any_malloc_assign_free_sequence(
+        ops in prop::collection::vec(0u64..3 * 3 * 8 * 8, 1..48),
     ) {
-        use abft_coop::prelude::*;
-        let mut rt = EccRuntime::new(&SystemConfig::default());
-        let mut swap = SwapSpace::new();
-        let (id, vaddr) = rt.malloc_ecc("m", 4096, scheme).unwrap();
-        let data = abft_coop::abft_linalg::gen::random_vector(512, seed);
-        rt.store_f64(id, &data).unwrap();
-        rt.page_out(vaddr, &mut swap).unwrap();
-        rt.page_in(vaddr, &mut swap).unwrap();
-        let (back, o) = rt.load_f64(id, 512, 0.0).unwrap();
-        prop_assert_eq!(back, data);
-        prop_assert_eq!(o, EccOutcome::Clean);
+        use abft_coop::abft_coop_runtime::PAGE_BYTES;
+        // 96 frames and allocations of 1-8 pages: memory and the eight
+        // register pairs both run out, so the `Err` paths are walked too.
+        const FRAMES: u64 = 96;
+        let cfg = SystemConfig { capacity_bytes: FRAMES * PAGE_BYTES, ..Default::default() };
+        let mut rt = EccRuntime::new(&cfg);
+        let schemes = [EccScheme::None, EccScheme::Secded, EccScheme::Chipkill];
+        let mut live = Vec::new();
+        let state = |rt: &EccRuntime, live: &[_]| {
+            let schemes: Vec<_> = live.iter().map(|&id| rt.scheme_of(id)).collect();
+            (rt.controller.ranges().to_vec(), schemes)
+        };
+        for op in ops {
+            let (kind, scheme) = (op % 3, schemes[(op / 3 % 3) as usize]);
+            let (pages, pick) = (op / 9 % 8 + 1, (op / 72) as usize);
+            let before = state(&rt, &live);
+            let result = match kind {
+                0 => rt.malloc_ecc("v", pages * PAGE_BYTES, scheme).map(|(id, _)| live.push(id)),
+                _ if live.is_empty() => Ok(()),
+                1 => rt.assign_ecc(live[pick % live.len()], scheme),
+                _ => {
+                    let id = live[pick % live.len()];
+                    rt.free_ecc(id).map(|()| live.retain(|&l| l != id))
+                }
+            };
+            if result.is_err() {
+                // A failed call leaves no mark.
+                prop_assert_eq!(before, state(&rt, &live));
+            }
+            prop_assert_eq!(common::mc_disagreement(&rt, FRAMES), None);
+            for &id in &live {
+                let vaddr = rt.vaddr_of(id).expect("live");
+                prop_assert_eq!(rt.scheme_of(id), rt.page_table.ecc_of(vaddr));
+            }
+        }
+        // Frame conservation: ends of merged runs first (a middle can need
+        // a ninth pair), until everything is free and one allocation can
+        // take the whole memory again.
+        while !live.is_empty() {
+            let n = live.len();
+            live.retain(|&id| rt.free_ecc(id).is_err());
+            prop_assert!(live.len() < n, "no allocation could be freed");
+        }
+        prop_assert!(rt.controller.ranges().is_empty());
+        prop_assert!(rt.malloc_ecc("all", FRAMES * PAGE_BYTES, EccScheme::Secded).is_ok());
     }
 
     // ----- checkpoint model ----------------------------------------------
