@@ -21,10 +21,10 @@
 //!    recomputation (`r := b - A x`, `q := A p`).
 
 use crate::checksum::{vector_sums, Violation};
-use crate::verify::{FtStats, VerifyMode};
+use crate::cost;
+use crate::verify::{due, FtStats, VerifyMode};
 use abft_linalg::blas1::dot;
 use abft_linalg::{CgControl, CgState, CsrMatrix, JacobiPrecond, LinearOperator, Preconditioner};
-use std::time::Instant;
 
 /// FT-CG options.
 #[derive(Debug, Clone)]
@@ -82,6 +82,7 @@ impl Sums {
 /// `Err(())` = mismatch the sums could not localize.
 fn check_vector(v: &mut [f64], maintained: Sums, stats: &mut FtStats) -> Result<bool, ()> {
     let (s, ws) = vector_sums(v);
+    stats.verify += cost::col_sums(v.len(), 1, 2);
     let scale = s.abs().max(maintained.s.abs()).max(1.0);
     let d = s - maintained.s;
     if d.abs() <= SUM_RTOL * scale * (v.len() as f64).sqrt() {
@@ -191,9 +192,16 @@ where
     assert_eq!(diag.len(), n, "diagonal dimension mismatch");
     let m = JacobiPrecond::new(diag);
     let mut stats = FtStats::default();
+    let apply = cost::spmv(a.nnz(), n);
+    let sums = cost::col_sums(n, 1, 2);
+    // Figure 1, lines 3-11: q = A p; p . q, r . z and the convergence norm;
+    // the x, r and p updates; the Jacobi solve.
+    let iteration = apply + cost::dot(n) * 3 + cost::axpy(n) * 3 + cost::diag_solve(n);
+    // Carrying the sums across it: two dots against p for S_q; the plain
+    // and weighted sums of z = M^{-1} r, formed and summed in one sweep.
+    let maintenance = cost::dot(n) * 2 + cost::weighted_dot(n);
 
     // --- checksum setup -------------------------------------------------
-    let te = Instant::now();
     let ones = vec![1.0; n];
     let wvec: Vec<f64> = (1..=n).map(|i| i as f64).collect();
     let inv_diag: Vec<f64> = diag.iter().map(|d| 1.0 / d).collect();
@@ -215,20 +223,23 @@ where
         p_prev: z0,
     };
     let b_sums = Sums::of(b);
-    stats.checksum_time += te.elapsed();
+    // r0 and z0 as line 1 computes them, A e and A w, the inverse
+    // diagonal, and the sums of r0, z0, x0 and b.
+    stats.checksum += apply * 3 + cost::axpy(n) + cost::diag_solve(n) + cost::scal(n) + sums * 4;
 
-    let tk = Instant::now();
+    // Line 1: r0 = b - A x0, z0 = M^{-1} r0, rho0 = r0 . z0.
+    stats.compute += apply + cost::axpy(n) + cost::diag_solve(n) + cost::dot(n);
     let mut result = abft_linalg::pcg_with(a, &m, b, x0, opts.tol, opts.max_iter, |st| {
+        stats.compute += iteration;
+
         // --- checksum maintenance ---------------------------------------
-        let te = Instant::now();
         carrier.advance(st.alpha);
         carrier.refresh_p_from(&st.r, st.beta);
-        stats.checksum_time += te.elapsed();
+        stats.checksum += maintenance;
 
         inject(st.iter, st);
 
-        if st.iter % opts.verify_interval == 0 {
-            let tv = Instant::now();
+        if due(st.iter - 1, opts.max_iter, opts.verify_interval) {
             stats.verifications += 1;
             match &opts.mode {
                 VerifyMode::Full => {
@@ -247,8 +258,10 @@ where
                     }
                     // b is read-only: verify against its static sums.
                     // (b is owned by the caller; corruption of b is
-                    // detected and reported, not repaired here.)
+                    // detected and reported, not repaired here.) The max
+                    // |b| scale of the backstop below rides this sweep.
                     let (sb, _) = vector_sums(b);
+                    stats.verify += sums;
                     if (sb - b_sums.s).abs() > SUM_RTOL * sb.abs().max(1.0) * (n as f64).sqrt() {
                         stats.uncorrectable += 1;
                     }
@@ -258,6 +271,7 @@ where
 
                     // Equation (1) backstop: r + A x =? b, one SpMV.
                     let ax = a.apply_vec(&st.x);
+                    stats.verify += apply + cost::axpy(n);
                     let scale = b.iter().fold(1.0_f64, |mm, &v| mm.max(v.abs()));
                     let mut worst: f64 = 0.0;
                     for i in 0..n {
@@ -279,12 +293,15 @@ where
                         st.z = z;
                         stats.corrections += 1;
                         carrier.rebaseline(st);
+                        stats.verify +=
+                            cost::axpy(n) + cost::diag_solve(n) + apply + cost::dot(n) + sums * 4;
                     }
                 }
                 VerifyMode::HardwareAssisted(ch) => {
                     // Repair only the OS-reported locations: rebuild each
                     // named element from the maintained sums.
                     let reports = ch.poll();
+                    stats.verify += cost::poll();
                     for rep in reports {
                         let (vec, maintained): (&mut Vec<f64>, Sums) = match rep.name.as_str() {
                             "vector_r" => (&mut st.r, carrier.r),
@@ -293,19 +310,17 @@ where
                             "vector_x" => (&mut st.x, carrier.x),
                             _ => continue,
                         };
-                        let (s, _) = vector_sums(vec);
+                        let (s, ws) = vector_sums(vec);
+                        stats.verify += sums;
                         let d = s - maintained.s;
                         if d.abs() <= SUM_RTOL * s.abs().max(1.0) {
                             continue;
                         }
                         // The report pins the corrupted cache line; the sum
-                        // delta repairs the element within it.
-                        let viol = Violation { index: 0, delta: d, weighted_delta: 0.0 };
+                        // delta repairs the element within it: the one whose
+                        // repair restores the weighted sum too.
                         let lo = rep.element;
                         let hi = (rep.element + 8).min(vec.len());
-                        // Find the element whose repair restores the
-                        // weighted sum too.
-                        let (_, ws) = vector_sums(vec);
                         let wd = ws - maintained.ws;
                         for (e, v) in vec.iter_mut().enumerate().take(hi).skip(lo) {
                             if ((e + 1) as f64 * d - wd).abs() <= 1e-6 * wd.abs().max(1.0) {
@@ -314,21 +329,16 @@ where
                                 break;
                             }
                         }
-                        let _ = viol;
                     }
                 }
             }
-            stats.verify_time += tv.elapsed();
         }
-        // Remember p for next iteration's S_q.
-        let te = Instant::now();
+        // Remember p for next iteration's S_q. Not counted: the algorithm
+        // takes S_q at line 3 from the live p; the copy exists because
+        // this observer runs after line 10 has overwritten it.
         carrier.p_prev.copy_from_slice(&st.p);
-        stats.checksum_time += te.elapsed();
         CgControl::Continue
     });
-    let total = tk.elapsed();
-    stats.compute_time =
-        total.saturating_sub(stats.checksum_time).saturating_sub(stats.verify_time);
 
     FtCgResult {
         x: std::mem::take(&mut result.x),

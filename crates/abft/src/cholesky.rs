@@ -17,11 +17,11 @@
 //! mismatched column through the weighted sum, and repairs in place.
 
 use crate::checksum::{ColChecksums, CHECK_RTOL};
+use crate::cost::{self, Cost};
 use crate::multichecksum::{ColumnFinding, MultiChecksums};
-use crate::verify::{FtStats, VerifyMode};
+use crate::verify::{due, FtStats, VerifyMode};
 use abft_linalg::cholesky::FactorError;
 use abft_linalg::{gemm, Matrix, Trans};
-use std::time::Instant;
 
 /// FT-Cholesky options.
 #[derive(Debug, Clone)]
@@ -76,6 +76,8 @@ struct State {
     b: usize,
     nt: usize,
     multi: bool,
+    /// One sweep of a block against its checksum rows (encode or verify).
+    sweep: Cost,
 }
 
 impl State {
@@ -107,6 +109,7 @@ impl State {
     fn verify_all(&mut self, stats: &mut FtStats) {
         for it in 0..self.nt {
             for jt in 0..=it {
+                stats.verify += self.sweep;
                 // repolint:allow(PANIC001) construction invariant: every lower-triangle block is encoded
                 let chk = self.chk[it * self.nt + jt].clone().expect("encoded");
                 let mut blk = self.block(it, jt);
@@ -166,37 +169,42 @@ where
     let n = a.rows();
     let b = opts.block;
     assert!(a.is_square(), "Cholesky needs a square matrix");
+    assert!(b > 0, "block size must be positive");
     assert!(n.is_multiple_of(b), "dimension must be a multiple of the block size");
     let nt = n / b;
 
     let mut stats = FtStats::default();
+    // Checksum rows per block: two vectors, or four under the multi-error
+    // scheme; what they add to a TRSM and to a trailing update.
+    let v = if opts.multi_error { 4 } else { 2 };
+    let sweep = cost::col_sums(b, b, v);
+    let chk_trsm = cost::trsm(b + v, b) - cost::trsm(b, b);
+    let chk_update = cost::gemm(b + v, b, b) - cost::gemm(b, b, b);
     let mut st =
-        State { a: a.clone(), chk: vec![None; nt * nt], n, b, nt, multi: opts.multi_error };
+        State { a: a.clone(), chk: vec![None; nt * nt], n, b, nt, multi: opts.multi_error, sweep };
 
     // Initial encoding of every lower-triangle block.
-    let t0 = Instant::now();
     for it in 0..nt {
         for jt in 0..=it {
             st.encode_block(it, jt);
+            stats.checksum += sweep;
         }
     }
-    stats.checksum_time += t0.elapsed();
 
     for kt in 0..nt {
         // (1) factor the diagonal block.
-        let tc = Instant::now();
         let mut a11 = st.block(kt, kt);
         potf2_block(&mut a11, kt * b)?;
         st.set_block(kt, kt, &a11);
-        stats.compute_time += tc.elapsed();
+        stats.compute += cost::potf2(b);
         // Re-encode its checksums (potf2 is nonlinear).
-        let te = Instant::now();
         st.encode_block(kt, kt);
-        stats.checksum_time += te.elapsed();
+        stats.checksum += sweep;
 
         // (2) panel TRSM + checksum co-update.
-        let tc = Instant::now();
         for it in kt + 1..nt {
+            stats.compute += cost::trsm(b, b);
+            stats.checksum += chk_trsm;
             let mut blk = st.block(it, kt);
             abft_linalg::blas3::trsm_right_lower_trans(&a11, &mut blk);
             st.set_block(it, kt, &blk);
@@ -215,20 +223,20 @@ where
                 None => unreachable!("panel blocks are encoded"),
             }
         }
-        stats.compute_time += tc.elapsed();
 
         // (3) trailing update + checksum co-update.
         for jt in kt + 1..nt {
             for it in jt..nt {
-                let tc = Instant::now();
                 let li = st.block(it, kt);
                 let lj = st.block(jt, kt);
                 let mut blk = st.block(it, jt);
                 gemm(-1.0, &li, Trans::No, &lj, Trans::Yes, 1.0, &mut blk);
                 st.set_block(it, jt, &blk);
-                stats.compute_time += tc.elapsed();
+                // A diagonal tile's update is a SYRK: the upper half the
+                // gemm above also computes is this implementation's.
+                stats.compute += if it == jt { cost::syrk(b, b) } else { cost::gemm(b, b, b) };
+                stats.checksum += chk_update;
 
-                let te = Instant::now();
                 // chk(it,jt) -= chk(it,kt) * L(jt,kt)^T  — row-vector gemm.
                 let chk_panel = st.chk_of(it, kt).clone();
                 match (st.chk[it * nt + jt].as_mut(), &chk_panel) {
@@ -250,20 +258,19 @@ where
                     }
                     _ => unreachable!("checksum kinds are uniform"),
                 }
-                stats.checksum_time += te.elapsed();
             }
         }
 
         inject(kt, &mut st.a);
 
         // (4) periodic examination.
-        if (kt + 1) % opts.verify_interval == 0 || kt + 1 == nt {
-            let tv = Instant::now();
+        if due(kt, nt, opts.verify_interval) {
             stats.verifications += 1;
             match &opts.mode {
                 VerifyMode::Full => st.verify_all(&mut stats),
                 VerifyMode::HardwareAssisted(ch) => {
                     let reports = ch.poll();
+                    stats.verify += cost::poll();
                     for rep in &reports {
                         // The report names elements of the matrix region
                         // (column-major, leading dimension n): repair each
@@ -283,6 +290,7 @@ where
                             };
                             let others: f64 =
                                 (0..b).filter(|&r| r != li).map(|r| blk[(r, lj)]).sum();
+                            stats.verify += cost::col_sums(b, 1, 1);
                             let fixed = plain_sum - others;
                             if (blk[(li, lj)] - fixed).abs() > CHECK_RTOL * fixed.abs().max(1.0) {
                                 blk[(li, lj)] = fixed;
@@ -293,7 +301,6 @@ where
                     }
                 }
             }
-            stats.verify_time += tv.elapsed();
         }
     }
 

@@ -9,9 +9,9 @@
 //! column and row and repairing it in place.
 
 use crate::checksum::CHECK_RTOL;
-use crate::verify::{FtStats, VerifyMode};
+use crate::cost;
+use crate::verify::{due, FtStats, VerifyMode};
 use abft_linalg::{gemm, Matrix, Trans};
-use std::time::Instant;
 
 /// FT-DGEMM options.
 #[derive(Debug, Clone)]
@@ -72,6 +72,7 @@ pub fn encode_b(b: &Matrix) -> Matrix {
 /// columns and rows, correct single errors at their intersections.
 /// `m x n` is the logical (unencoded) size of `C`; `cf` is `(m+1) x (n+1)`.
 fn verify_and_correct(cf: &mut Matrix, m: usize, n: usize, stats: &mut FtStats) {
+    stats.verify += cost::col_sums(m, n, 1) + cost::col_sums(n, m, 1);
     // Column checksums: e^T C vs row m.
     let mut bad_cols: Vec<(usize, f64)> = Vec::new();
     for j in 0..n {
@@ -123,6 +124,7 @@ fn verify_and_correct(cf: &mut Matrix, m: usize, n: usize, stats: &mut FtStats) 
             // pattern — rebuild the column checksum from the data.
             let sum: f64 = cf.col(j)[..m].iter().sum();
             cf[(m, j)] = sum;
+            stats.verify += cost::col_sums(m, 1, 1);
             stats.uncorrectable += 1;
         }
     }
@@ -134,6 +136,7 @@ fn verify_and_correct(cf: &mut Matrix, m: usize, n: usize, stats: &mut FtStats) 
                 sum += cf[(i, j)];
             }
             cf[(i, n)] = sum;
+            stats.verify += cost::col_sums(n, 1, 1);
             stats.uncorrectable += 1;
         }
     }
@@ -159,6 +162,7 @@ fn assisted_repair(
             // Column mismatch: the candidate error magnitude.
             let col = cf.col(j);
             let csum: f64 = col[..m].iter().sum();
+            stats.verify += cost::col_sums(m, 1, 1);
             let dj = csum - col[m];
             if dj.abs() <= CHECK_RTOL * csum.abs().max(1.0) * m as f64 {
                 continue;
@@ -168,6 +172,7 @@ fn assisted_repair(
             for c in 0..n {
                 rsum += cf[(i, c)];
             }
+            stats.verify += cost::col_sums(n, 1, 1);
             let di = rsum - cf[(i, n)];
             if (di - dj).abs() <= 1e-6 * dj.abs().max(di.abs()).max(1.0) {
                 cf[(i, j)] -= dj;
@@ -193,37 +198,37 @@ where
     let (m, k) = a.shape();
     let n = b.cols();
     assert_eq!(b.rows(), k, "inner dimension mismatch");
+    assert!(opts.panel > 0, "panel width must be positive");
 
-    let t0 = Instant::now();
     let ac = encode_a(a);
     let bc = encode_b(b);
     let mut stats = FtStats::default();
-    stats.checksum_time += t0.elapsed();
+    stats.checksum += cost::col_sums(m, k, 1) + cost::col_sums(n, k, 1);
 
     let mut cf = Matrix::zeros(m + 1, n + 1);
     let panels = k.div_ceil(opts.panel);
     for p in 0..panels {
         let k0 = p * opts.panel;
         let kw = opts.panel.min(k - k0);
-        let tc = Instant::now();
         let ap = ac.submatrix(0, k0, m + 1, kw);
         let bp = bc.submatrix(k0, 0, kw, n + 1);
         gemm(1.0, &ap, Trans::No, &bp, Trans::No, 1.0, &mut cf);
-        stats.compute_time += tc.elapsed();
+        // The checksum row and column ride inside the panel product.
+        stats.compute += cost::gemm(m, n, kw);
+        stats.checksum += cost::gemm(m + 1, n + 1, kw) - cost::gemm(m, n, kw);
 
         inject(p, &mut cf);
 
-        if (p + 1) % opts.verify_interval == 0 || p + 1 == panels {
-            let tv = Instant::now();
+        if due(p, panels, opts.verify_interval) {
             stats.verifications += 1;
             match &opts.mode {
                 VerifyMode::Full => verify_and_correct(&mut cf, m, n, &mut stats),
                 VerifyMode::HardwareAssisted(ch) => {
                     let reports = ch.poll();
+                    stats.verify += cost::poll();
                     assisted_repair(&mut cf, m, n, &reports, &mut stats);
                 }
             }
-            stats.verify_time += tv.elapsed();
         }
     }
     FtDgemmResult { c: cf.submatrix(0, 0, m, n), stats }

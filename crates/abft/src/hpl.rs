@@ -20,10 +20,10 @@
 //!   copies (we keep the archive current under later row swaps exactly as
 //!   the surviving processes do).
 
-use crate::verify::{FtStats, VerifyMode};
+use crate::cost;
+use crate::verify::{due, FtStats, VerifyMode};
 use abft_linalg::cholesky::FactorError;
 use abft_linalg::Matrix;
-use std::time::Instant;
 
 /// FT-HPL options.
 #[derive(Debug, Clone)]
@@ -164,13 +164,17 @@ pub fn ft_hpl_with(
 ) -> Result<FtHplResult, FactorError> {
     let n = a.rows();
     assert!(a.is_square(), "HPL factors a square system");
+    assert!(opts.block > 0, "panel width must be positive");
     assert!(n.is_multiple_of(opts.block), "dimension must be a multiple of the panel width");
     assert!(n.is_multiple_of(opts.process_cols), "dimension must split across process columns");
 
     let mut stats = FtStats::default();
-    let te = Instant::now();
     let mut ext = encode(a, opts.process_cols);
-    stats.checksum_time += te.elapsed();
+    // One sweep of the matrix against the checksum block-column: every
+    // checksum entry is the sum of its `process_cols` members. Encoding,
+    // a recovery and a verification each cost one.
+    let sweep = cost::col_sums(opts.process_cols, n * (n / opts.process_cols), 1);
+    stats.checksum += sweep;
 
     let total_cols = ext.cols();
     let nb = opts.block;
@@ -193,13 +197,11 @@ pub fn ft_hpl_with(
                 }
             }
             // ... and recover it.
-            let tr = Instant::now();
             recover_process(&mut ext, &archive, n, opts.process_cols, f.process, k);
-            stats.verify_time += tr.elapsed();
+            stats.verify += sweep;
             recoveries += 1;
         }
 
-        let tc = Instant::now();
         // Panel factorization with partial pivoting; every row operation
         // spans all columns (including the checksum block-column).
         for j in k..k + nb {
@@ -237,30 +239,31 @@ pub fn ft_hpl_with(
                     ext[(i, c)] -= l * ujc;
                 }
             }
+            // Column j's elimination; the checksum block-column rides inside it.
+            let data = cost::eliminate(n - j - 1, n - j - 1);
+            stats.compute += data;
+            stats.checksum += cost::eliminate(n - j - 1, total_cols - j - 1) - data;
         }
-        stats.compute_time += tc.elapsed();
 
-        // Archive this panel's columns (the broadcast copy).
-        let te = Instant::now();
+        // Archive this panel's columns (the broadcast copy HPL makes with
+        // or without fault tolerance: a copy, not counted).
         for c in k..k + nb {
             for i in 0..n {
                 archive[(i, c)] = ext[(i, c)];
             }
         }
-        stats.checksum_time += te.elapsed();
 
         // Periodic verification of the checksum relationship (cheap for
         // fail-stop FT-HPL — no error location needed).
-        if (kt + 1) % opts.verify_interval == 0 || kt + 1 == nt {
-            let tv = Instant::now();
+        if due(kt, nt, opts.verify_interval) {
             stats.verifications += 1;
             if let VerifyMode::Full = opts.mode {
+                stats.verify += sweep;
                 let v = checksum_violation(&ext, n, opts.process_cols, k + nb);
                 if v > 1e-6 {
                     stats.uncorrectable += 1;
                 }
             }
-            stats.verify_time += tv.elapsed();
         }
     }
 

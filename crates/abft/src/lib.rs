@@ -17,11 +17,13 @@
 //!   errors per column (Section 2.1's "sophisticated checksum vectors").
 //! * [`checksum`] — the shared plain + weighted checksum machinery.
 //! * [`verify`] — full vs hardware-assisted verification (Section 3.2.2).
-//! * [`overhead`] — the Figure 3 / Table 1 instrumentation harness.
+//! * [`overhead`] — the Figure 3 / Table 1 harness: each phase's counted
+//!   [`Cost`] (flops and words) and its roofline time.
 
 pub mod cg;
 pub mod checksum;
 pub mod cholesky;
+mod cost;
 pub mod dgemm;
 pub mod hpl;
 pub mod lu;
@@ -31,6 +33,7 @@ pub mod qr;
 pub mod verify;
 
 pub use checksum::{ColChecksums, Violation};
+pub use cost::Cost;
 pub use dgemm::{ft_dgemm, ft_dgemm_with, FtDgemmOptions, FtDgemmResult};
 pub use multichecksum::{ColumnFinding, LocatedError, MultiChecksums};
 pub use verify::{FtStats, VerifyMode};

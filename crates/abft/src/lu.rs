@@ -20,10 +20,10 @@
 //! factor is protected by other means — here, FT-HPL's broadcast-archive
 //! mechanism) and are reported as uncorrectable.
 
-use crate::verify::{FtStats, VerifyMode};
+use crate::cost;
+use crate::verify::{due, FtStats, VerifyMode};
 use abft_linalg::cholesky::FactorError;
 use abft_linalg::Matrix;
-use std::time::Instant;
 
 /// FT-LU options.
 #[derive(Debug, Clone)]
@@ -75,6 +75,7 @@ fn math_val(ext: &Matrix, i: usize, c: usize, factored: usize) -> f64 {
 /// Verify all row checksums against the mathematical matrix; correct one
 /// error per row. `factored` = columns already holding L multipliers.
 fn verify_rows(ext: &mut Matrix, n: usize, factored: usize, stats: &mut FtStats) {
+    stats.verify += cost::col_sums(n, n, 2);
     for i in 0..n {
         let mut s = 0.0;
         let mut ws = 0.0;
@@ -121,13 +122,13 @@ where
 {
     let n = a.rows();
     assert!(a.is_square(), "LU factors a square system");
+    assert!(opts.block > 0, "panel width must be positive");
     assert!(n.is_multiple_of(opts.block), "dimension must be a multiple of the panel width");
     let nb = opts.block;
     let nt = n / nb;
 
     let mut stats = FtStats::default();
     // Encode [A | Ae | Aw].
-    let te = Instant::now();
     let mut ext = Matrix::zeros(n, n + 2);
     ext.set_submatrix(0, 0, a);
     for i in 0..n {
@@ -141,14 +142,13 @@ where
         ext[(i, n)] = s;
         ext[(i, n + 1)] = ws;
     }
-    stats.checksum_time += te.elapsed();
+    stats.checksum += cost::col_sums(n, n, 2);
 
     let total_cols = n + 2;
     let mut pivots = vec![0usize; n];
 
     for kt in 0..nt {
         let k = kt * nb;
-        let tc = Instant::now();
         for j in k..k + nb {
             let mut piv = j;
             let mut pmax = ext[(j, j)].abs();
@@ -180,18 +180,19 @@ where
                     ext[(i, c)] -= l * ujc;
                 }
             }
+            // Column j's elimination; the two checksum columns ride inside it.
+            let data = cost::eliminate(n - j - 1, n - j - 1);
+            stats.compute += data;
+            stats.checksum += cost::eliminate(n - j - 1, total_cols - j - 1) - data;
         }
-        stats.compute_time += tc.elapsed();
 
         inject(kt, &mut ext);
 
-        if (kt + 1) % opts.verify_interval == 0 || kt + 1 == nt {
-            let tv = Instant::now();
+        if due(kt, nt, opts.verify_interval) {
             stats.verifications += 1;
             if let VerifyMode::Full = opts.mode {
                 verify_rows(&mut ext, n, k + nb, &mut stats);
             }
-            stats.verify_time += tv.elapsed();
         }
     }
 

@@ -36,7 +36,7 @@ impl FailContinueKernel {
 }
 
 /// Problem scale for the overhead measurements (one task per the paper;
-/// dimensions scaled to keep wall-clock reasonable).
+/// dimensions scaled so that running the real kernels stays cheap).
 #[derive(Debug, Clone, Copy)]
 pub struct OverheadScale {
     /// Matrix dimension for DGEMM/Cholesky.
@@ -53,48 +53,30 @@ impl Default for OverheadScale {
     }
 }
 
-/// One kernel's overhead measurement.
-#[derive(Debug, Clone)]
-pub struct OverheadReport {
-    /// Which kernel.
-    pub kernel: FailContinueKernel,
-    /// The fault-tolerance accounting.
-    pub stats: FtStats,
-    /// Checksum share of the overhead (Figure 3 lower bar).
-    pub checksum_share: f64,
-    /// Verification share of the overhead (Figure 3 upper bar).
-    pub verify_share: f64,
-}
-
-/// Run one kernel with the given verification mode and report its
-/// overhead breakdown. The paper's worst-case scenario uses an aggressive
-/// verification interval (every step / small interval).
-pub fn measure(
-    kernel: FailContinueKernel,
-    scale: &OverheadScale,
-    mode: VerifyMode,
-) -> OverheadReport {
-    let stats = match kernel {
+/// Run one kernel with the given verification mode and return its counted
+/// phases. The paper's worst-case scenario uses an aggressive verification
+/// interval (every step / small interval).
+pub fn measure(kernel: FailContinueKernel, scale: &OverheadScale, mode: VerifyMode) -> FtStats {
+    match kernel {
         FailContinueKernel::Dgemm => {
             let a = random_matrix(scale.n, scale.n, 11);
             let b = random_matrix(scale.n, scale.n, 12);
-            let r = ft_dgemm(&a, &b, &FtDgemmOptions { panel: 16, verify_interval: 2, mode });
-            r.stats
+            ft_dgemm(&a, &b, &FtDgemmOptions { panel: 16, verify_interval: 2, mode }).stats
         }
         FailContinueKernel::Cholesky => {
             let a = random_spd(scale.n, 13);
-            let r = ft_cholesky(
+            ft_cholesky(
                 &a,
                 &FtCholeskyOptions { block: 32, verify_interval: 2, mode, multi_error: false },
             )
-            .expect("SPD input factors"); // repolint:allow(PANIC001) random_spd input is SPD by construction
-            r.stats
+            .expect("SPD input factors") // repolint:allow(PANIC001) random_spd input is SPD by construction
+            .stats
         }
         FailContinueKernel::PredCg => {
             let a = poisson_2d(scale.grid, scale.grid);
             let n = a.rows();
             let b: Vec<f64> = (0..n).map(|i| ((i % 17) as f64) - 8.0).collect();
-            let r = ft_pcg(
+            ft_pcg(
                 &a,
                 &b,
                 &vec![0.0; n],
@@ -104,44 +86,31 @@ pub fn measure(
                     verify_interval: 5,
                     mode,
                 },
-            );
-            r.stats
+            )
+            .stats
         }
-    };
-    let verify_share = stats.verify_share();
-    OverheadReport { kernel, checksum_share: 1.0 - verify_share, verify_share, stats }
+    }
 }
 
-/// The Table 1 experiment: relative improvement of total run time with
-/// simplified (hardware-assisted) verification over full verification,
-/// without any ECC relaxing.
-pub fn simplified_verification_improvement(
-    kernel: FailContinueKernel,
-    scale: &OverheadScale,
-    sysfs: abft_coop_runtime::SysfsChannel,
-) -> f64 {
-    let full = measure(kernel, scale, VerifyMode::Full);
-    let assisted = measure(kernel, scale, VerifyMode::HardwareAssisted(sysfs));
-    let t_full = full.stats.compute_time + full.stats.overhead();
-    let t_assisted = assisted.stats.compute_time + assisted.stats.overhead();
-    (t_full.as_secs_f64() - t_assisted.as_secs_f64()) / t_full.as_secs_f64()
+/// The Table 1 experiment: relative improvement of the run's roofline time
+/// with simplified (hardware-assisted) verification over full
+/// verification, without any ECC relaxing.
+pub fn simplified_verification_improvement(full: &FtStats, assisted: &FtStats) -> f64 {
+    1.0 - assisted.cycles() / full.cycles()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Cost;
+    use abft_coop_runtime::SysfsChannel;
 
     fn small() -> OverheadScale {
         OverheadScale { n: 192, grid: 48, cg_iters: 60 }
     }
 
-    /// Median of three runs: wall-clock instrumentation jitters when the
-    /// whole test suite runs in parallel.
-    fn median_share(k: FailContinueKernel) -> f64 {
-        let mut shares: Vec<f64> =
-            (0..3).map(|_| measure(k, &small(), VerifyMode::Full).verify_share).collect();
-        shares.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-        shares[1]
+    fn assisted() -> VerifyMode {
+        VerifyMode::HardwareAssisted(SysfsChannel::new())
     }
 
     #[test]
@@ -149,28 +118,128 @@ mod tests {
         // Figure 3: "the verification is responsible for a large part of
         // the overhead" for all three fail-continue kernels.
         for k in FailContinueKernel::ALL {
-            let share = median_share(k);
-            assert!(share > 0.3, "{}: verify share {} too small", k.label(), share);
-            let r = measure(k, &small(), VerifyMode::Full);
-            assert!((r.verify_share + r.checksum_share - 1.0).abs() < 1e-9);
-            assert!(r.stats.verifications > 0);
+            let s = measure(k, &small(), VerifyMode::Full);
+            assert!(s.verify_share() > 0.3, "{}: verify share {}", k.label(), s.verify_share());
+            assert!(s.verifications > 0);
         }
     }
 
     #[test]
     fn assisted_verification_is_cheaper() {
         // Table 1's mechanism: polling the (empty) error channel is far
-        // cheaper than recomputing checksums. Median of five to ride out
-        // scheduler noise under parallel test execution.
+        // cheaper than recomputing checksums.
         for k in FailContinueKernel::ALL {
-            let mut gains: Vec<f64> = (0..5)
-                .map(|_| {
-                    let ch = abft_coop_runtime::SysfsChannel::new();
-                    simplified_verification_improvement(k, &small(), ch)
-                })
-                .collect();
-            gains.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-            assert!(gains[2] > 0.0, "{}: expected speedup, got {:?}", k.label(), gains);
+            let full = measure(k, &small(), VerifyMode::Full);
+            let gain =
+                simplified_verification_improvement(&full, &measure(k, &small(), assisted()));
+            assert!(gain > 0.0, "{}: expected speedup, got {gain}", k.label());
         }
+    }
+
+    #[test]
+    fn two_runs_count_the_same() {
+        for k in FailContinueKernel::ALL {
+            for mode in [VerifyMode::Full, assisted()] {
+                assert_eq!(measure(k, &small(), mode.clone()), measure(k, &small(), mode));
+            }
+        }
+    }
+
+    #[test]
+    fn the_assisted_run_differs_from_the_full_run_in_verify_only() {
+        // Table 1's premise: same kernel, same checksums, another way to
+        // examine them.
+        for k in FailContinueKernel::ALL {
+            let full = measure(k, &small(), VerifyMode::Full);
+            let polled = measure(k, &small(), assisted());
+            assert_eq!(polled.compute, full.compute, "{}", k.label());
+            assert_eq!(polled.checksum, full.checksum, "{}", k.label());
+            assert_eq!(polled.verifications, full.verifications, "{}", k.label());
+            // A clean run: one 64-byte poll per examination, nothing else.
+            assert_eq!(polled.verify, Cost { flops: 0, words: 8 * full.verifications });
+            assert!(full.verify.words > polled.verify.words);
+        }
+    }
+
+    #[test]
+    fn ft_dgemm_counts_match_their_closed_forms() {
+        let (m, k, n) = (40, 24, 56);
+        let a = random_matrix(m, k, 1);
+        let b = random_matrix(k, n, 2);
+        let opts = FtDgemmOptions { panel: 10, verify_interval: 2, mode: VerifyMode::Full };
+        let s = ft_dgemm(&a, &b, &opts).stats;
+        let (m, k, n) = (m as u64, k as u64, n as u64);
+        let panels = 3; // 10 + 10 + 4
+        assert_eq!(s.verifications, 2); // after panel 2, and the last
+        assert_eq!(s.compute.flops, 2 * m * n * k);
+        assert_eq!(s.compute.words, m * k + k * n + panels * 2 * m * n);
+        let encode = m * k + k * n; // e^T A and B e: one addition per element
+        assert_eq!(s.compute.flops + s.checksum.flops - encode, 2 * (m + 1) * (n + 1) * k);
+        // Column sums and row sums of the m x n product, per examination.
+        assert_eq!(s.verify.flops, s.verifications * 2 * m * n);
+        assert_eq!(s.verify.words, s.verifications * (2 * m * n + m + n));
+    }
+
+    #[test]
+    fn ft_cholesky_compute_is_a_third_of_n_cubed() {
+        let n = 384.0_f64;
+        let s = measure(FailContinueKernel::Cholesky, &OverheadScale::default(), VerifyMode::Full);
+        let flops = s.compute.flops as f64;
+        assert!((flops / (n * n * n / 3.0) - 1.0).abs() < 0.01, "{flops}");
+    }
+
+    #[test]
+    fn ft_cg_counts_follow_nnz_and_n() {
+        let scale = small();
+        let s = measure(FailContinueKernel::PredCg, &scale, VerifyMode::Full);
+        let n = (scale.grid * scale.grid) as u64;
+        let nnz = poisson_2d(scale.grid, scale.grid).nnz() as u64;
+        let iters = scale.cg_iters as u64;
+        assert_eq!(s.verifications, iters / 5);
+        // Line 1, then per iteration an SpMV, three dots, three vector
+        // updates and the Jacobi solve.
+        assert_eq!(s.compute.flops, (2 * nnz + 5 * n) + iters * (2 * nnz + 13 * n));
+        assert_eq!(s.compute.words, (nnz + 10 * n) + iters * (nnz + 20 * n));
+        // Set-up (three SpMVs, r0, z0, 1/d, four vector sums), then per
+        // iteration two dots for S_q and the summed Jacobi solve for S_p.
+        assert_eq!(s.checksum.flops, (6 * nnz + 16 * n) + iters * 8 * n);
+        assert_eq!(s.checksum.words, (3 * nnz + 18 * n + 8) + iters * 6 * n);
+        // Per examination five vector sums, the r + A x = b SpMV and its
+        // comparison sweep.
+        assert_eq!(s.verify.flops, s.verifications * (2 * nnz + 17 * n));
+        assert_eq!(s.verify.words, s.verifications * (nnz + 10 * n + 10));
+    }
+
+    /// Bosilca et al.'s form, on the counts: with the panel width and the
+    /// examination period fixed, the number of examinations grows with n.
+    #[test]
+    fn dgemm_maintenance_falls_as_one_over_n_and_verification_does_not() {
+        let ratios = |n: usize| {
+            let scale = OverheadScale { n, ..small() };
+            let s = measure(FailContinueKernel::Dgemm, &scale, VerifyMode::Full);
+            let c = s.compute.cycles();
+            (s.checksum.cycles() / c, s.verify.cycles() / c)
+        };
+        let (chk96, ver96) = ratios(96);
+        let (chk192, ver192) = ratios(192);
+        let (chk384, ver384) = ratios(384);
+        // Encoding and the checksum row / column are O(n^2) beside O(n^3).
+        assert!((chk192 / chk96 - 0.5).abs() < 0.02, "{chk96} {chk192}");
+        assert!((chk384 / chk192 - 0.5).abs() < 0.02, "{chk192} {chk384}");
+        // n / (panel * interval) sweeps of O(n^2) each are O(n^3) too.
+        assert!((ver192 / ver96 - 1.0).abs() < 0.02, "{ver96} {ver192}");
+        assert!((ver384 / ver192 - 1.0).abs() < 0.02, "{ver192} {ver384}");
+    }
+
+    /// FT-Cholesky checksums every b x b block, so both its maintenance and
+    /// its verification are a fixed fraction (~ 1 / b) of the compute.
+    #[test]
+    fn cholesky_overhead_is_set_by_the_block_size_not_by_n() {
+        let ratio = |n: usize| {
+            let scale = OverheadScale { n, ..small() };
+            measure(FailContinueKernel::Cholesky, &scale, VerifyMode::Full).overhead_ratio()
+        };
+        let (r192, r384) = (ratio(192), ratio(384));
+        assert!(r384 / r192 > 0.8, "{r192} {r384}");
     }
 }

@@ -16,10 +16,10 @@
 //! and `d` its magnitude. Stored reflector entries (below the diagonal of
 //! finished columns) are outside this encoding, like FT-LU's `L`.
 
-use crate::verify::{FtStats, VerifyMode};
+use crate::cost;
+use crate::verify::{due, FtStats, VerifyMode};
 use abft_linalg::qr::QrFactors;
 use abft_linalg::Matrix;
-use std::time::Instant;
 
 /// FT-QR options.
 #[derive(Debug, Clone)]
@@ -60,7 +60,6 @@ where
     let mut stats = FtStats::default();
 
     // Encode column checksums (plain + row-weighted).
-    let te = Instant::now();
     let mut c = vec![0.0; n];
     let mut wc = vec![0.0; n];
     for j in 0..n {
@@ -69,10 +68,7 @@ where
             wc[j] += (i + 1) as f64 * a[(i, j)];
         }
     }
-    stats.checksum_time += te.elapsed();
-
-    let verify_interval = opts.verify_interval.max(1);
-    let mut next_verify = verify_interval - 1;
+    stats.checksum += cost::col_sums(m, n, 2);
 
     let factors = abft_linalg::qr::householder_qr_with(a, |j, tau, w| {
         // --- checksum maintenance for the reflector just applied --------
@@ -83,7 +79,6 @@ where
         // so  c' = c + tau (e^T v) (v^T A_new) — all quantities available
         // from the post-update state. Cost O(m (n - j)), the same order as
         // the reflector update itself.
-        let te = Instant::now();
         if tau != 0.0 {
             // v: implicit 1 at row j, stored below the diagonal.
             let mut e_v = 1.0;
@@ -107,16 +102,16 @@ where
                 c[col] += tau * e_v * z;
                 wc[col] += tau * w_v * z;
             }
+            // The two sums of v, then v^T A_new over the trailing columns.
+            stats.checksum += cost::col_sums(m - j, 1, 2) + cost::gemm(1, n - j - 1, m - j);
         }
-        stats.checksum_time += te.elapsed();
 
         inject(j, w);
 
-        if j == next_verify || j + 1 == n {
-            next_verify += verify_interval;
-            let tv = Instant::now();
+        if due(j, n, opts.verify_interval) {
             stats.verifications += 1;
             if let VerifyMode::Full = opts.mode {
+                stats.verify += cost::col_sums(m, n, 2);
                 for col in 0..n {
                     let frozen = (j + 1).min(n);
                     let mut s = 0.0;
@@ -149,7 +144,6 @@ where
                     }
                 }
             }
-            stats.verify_time += tv.elapsed();
         }
     });
     FtQrResult { factors, stats }

@@ -2,8 +2,8 @@
 //! hardware-assisted ("simplified") verification of Section 3.2.2, which
 //! reads the error locations the OS exposed instead of recomputing sums.
 
+use crate::cost::Cost;
 use abft_coop_runtime::SysfsChannel;
-use std::time::Duration;
 
 /// How an ABFT kernel verifies at each examination point.
 #[derive(Debug, Clone, Default)]
@@ -18,16 +18,27 @@ pub enum VerifyMode {
     HardwareAssisted(SysfsChannel),
 }
 
-/// Time/occurrence accounting for one ABFT run — feeds Figure 3 and
-/// Table 1.
-#[derive(Debug, Clone, Default)]
+/// Whether step `step` (0-based) of `steps` ends in an examination when
+/// the kernel examines every `interval` steps: every `interval`-th step
+/// and always the last one. An interval of 0 examines as 1 does.
+pub(crate) fn due(step: usize, steps: usize, interval: usize) -> bool {
+    (step + 1).is_multiple_of(interval.max(1)) || step + 1 == steps
+}
+
+/// Cost/occurrence accounting for one ABFT run — feeds Figure 3 and
+/// Table 1. The three phases are counted from the loop nests (see
+/// [`Cost`]), so two runs of one input return equal stats.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FtStats {
-    /// Time spent building and maintaining checksums.
-    pub checksum_time: Duration,
-    /// Time spent in verification (checksum comparison or report polls).
-    pub verify_time: Duration,
-    /// Time spent in the numerical kernel itself.
-    pub compute_time: Duration,
+    /// The numerical kernel itself. (FT-QR's reflectors run inside
+    /// `abft_linalg::qr` and are not counted.)
+    pub compute: Cost,
+    /// Building and maintaining checksums, including the checksum rows
+    /// and columns that ride inside the kernel's own updates.
+    pub checksum: Cost,
+    /// Verification: checksum recomputation and comparison, or report
+    /// polls and the repairs they name.
+    pub verify: Cost,
     /// Errors corrected by ABFT.
     pub corrections: u64,
     /// Checksum violations seen but not correctable (multi-error in one
@@ -38,30 +49,31 @@ pub struct FtStats {
 }
 
 impl FtStats {
-    /// Total fault-tolerance overhead time.
-    pub fn overhead(&self) -> Duration {
-        self.checksum_time + self.verify_time
+    /// Roofline cycles of the fault-tolerance overhead.
+    pub fn overhead_cycles(&self) -> f64 {
+        self.checksum.cycles() + self.verify.cycles()
+    }
+
+    /// Roofline cycles of the whole run.
+    pub fn cycles(&self) -> f64 {
+        self.compute.cycles() + self.overhead_cycles()
     }
 
     /// Fraction of the overhead spent verifying (the Figure 3 split).
     pub fn verify_share(&self) -> f64 {
-        let o = self.overhead().as_secs_f64();
-        // repolint:allow(FP001) exact-zero division guard, not a tolerance check
-        if o == 0.0 {
+        if self.checksum + self.verify == Cost::default() {
             0.0
         } else {
-            self.verify_time.as_secs_f64() / o
+            self.verify.cycles() / self.overhead_cycles()
         }
     }
 
     /// Overhead relative to the pure compute time.
     pub fn overhead_ratio(&self) -> f64 {
-        let c = self.compute_time.as_secs_f64();
-        // repolint:allow(FP001) exact-zero division guard, not a tolerance check
-        if c == 0.0 {
+        if self.compute == Cost::default() {
             0.0
         } else {
-            self.overhead().as_secs_f64() / c
+            self.overhead_cycles() / self.compute.cycles()
         }
     }
 }
@@ -69,6 +81,14 @@ impl FtStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cg::{ft_pcg, FtCgOptions};
+    use crate::cholesky::{ft_cholesky, FtCholeskyOptions};
+    use crate::dgemm::{ft_dgemm, FtDgemmOptions};
+    use crate::hpl::{ft_hpl_with, FtHplOptions};
+    use crate::lu::{ft_lu_with, FtLuOptions};
+    use crate::qr::{ft_qr_with, FtQrOptions};
+    use abft_linalg::gen::{random_diag_dominant, random_matrix, random_spd};
+    use abft_linalg::poisson_2d;
 
     #[test]
     fn default_mode_is_full() {
@@ -77,14 +97,79 @@ mod tests {
 
     #[test]
     fn stats_shares() {
+        // Memory-bound phases: 4 words every 3 cycles on the Table 3 machine.
         let s = FtStats {
-            checksum_time: Duration::from_millis(30),
-            verify_time: Duration::from_millis(70),
-            compute_time: Duration::from_millis(1000),
+            checksum: Cost { flops: 0, words: 400 },
+            verify: Cost { flops: 0, words: 1200 },
+            compute: Cost { flops: 96_000, words: 0 },
             ..Default::default()
         };
-        assert!((s.verify_share() - 0.7).abs() < 1e-9);
-        assert!((s.overhead_ratio() - 0.1).abs() < 1e-9);
+        assert!((s.verify_share() - 0.75).abs() < 1e-12);
+        assert!((s.overhead_ratio() - 0.1).abs() < 1e-12);
+        assert!((s.cycles() - 13_200.0).abs() < 1e-9);
         assert_eq!(FtStats::default().verify_share(), 0.0);
+        assert_eq!(FtStats::default().overhead_ratio(), 0.0);
+    }
+
+    #[test]
+    fn due_examines_every_interval_and_always_at_the_end() {
+        let examined = |steps, interval| -> Vec<usize> {
+            (0..steps).filter(|&s| due(s, steps, interval)).collect()
+        };
+        assert_eq!(examined(7, 3), [2, 5, 6]);
+        assert_eq!(examined(6, 3), [2, 5]);
+        assert_eq!(examined(4, 1), [0, 1, 2, 3]);
+        assert_eq!(examined(4, 0), examined(4, 1));
+        assert_eq!(examined(4, 9), [3]);
+    }
+
+    /// `verify_interval: 0` used to be a remainder by zero in five of the
+    /// six kernels (FT-QR clamped it); now all six read it as 1.
+    #[test]
+    fn interval_zero_examines_as_interval_one_in_every_kernel() {
+        type Run = fn(usize) -> (Vec<f64>, FtStats);
+        let kernels: [(&str, Run); 6] = [
+            ("dgemm", |verify_interval| {
+                let (a, b) = (random_matrix(24, 24, 1), random_matrix(24, 24, 2));
+                let r = ft_dgemm(
+                    &a,
+                    &b,
+                    &FtDgemmOptions { panel: 6, verify_interval, ..Default::default() },
+                );
+                (r.c.as_slice().to_vec(), r.stats)
+            }),
+            ("cholesky", |verify_interval| {
+                let opts = FtCholeskyOptions { block: 8, verify_interval, ..Default::default() };
+                let r = ft_cholesky(&random_spd(32, 3), &opts).unwrap();
+                (r.l.as_slice().to_vec(), r.stats)
+            }),
+            ("cg", |verify_interval| {
+                let a = poisson_2d(8, 8);
+                let b = vec![1.0; a.rows()];
+                let opts = FtCgOptions { verify_interval, ..Default::default() };
+                let r = ft_pcg(&a, &b, &vec![0.0; a.rows()], &opts);
+                (r.x, r.stats)
+            }),
+            ("lu", |verify_interval| {
+                let opts = FtLuOptions { block: 8, verify_interval, ..Default::default() };
+                let r = ft_lu_with(&random_diag_dominant(32, 4), &opts, |_, _| {}).unwrap();
+                (r.lu.as_slice().to_vec(), r.stats)
+            }),
+            ("qr", |verify_interval| {
+                let opts = FtQrOptions { verify_interval, ..Default::default() };
+                let r = ft_qr_with(&random_matrix(16, 16, 5), &opts, |_, _| {});
+                (r.factors.qr.as_slice().to_vec(), r.stats)
+            }),
+            ("hpl", |verify_interval| {
+                let opts = FtHplOptions { block: 8, verify_interval, ..Default::default() };
+                let r = ft_hpl_with(&random_diag_dominant(32, 6), &opts, &[]).unwrap();
+                (r.lu.as_slice().to_vec(), r.stats)
+            }),
+        ];
+        for (name, run) in kernels {
+            let (every_step, stats) = run(1);
+            assert!(stats.verifications > 1, "{name}");
+            assert_eq!(run(0), (every_step, stats), "{name}");
+        }
     }
 }

@@ -17,11 +17,13 @@ pub fn run(out: &mut Report) {
         "verify share",
         "panels-to-repair (worst case)",
     ]);
+    let mut previous = (f64::INFINITY, f64::INFINITY);
     for interval in [1usize, 2, 4, 8, 16] {
         let opts = FtDgemmOptions { panel: 24, verify_interval: interval, mode: VerifyMode::Full };
-        let clean = ft_dgemm(&a, &b, &opts);
-        // Exposure: inject right after a verification and count panels
-        // until the repair lands.
+        let clean = ft_dgemm(&a, &b, &opts).stats;
+        let (overhead, share) = (clean.overhead_ratio(), clean.verify_share());
+        assert!(overhead < previous.0 && share < previous.1, "interval {interval}");
+        previous = (overhead, share);
         // Worst-case exposure: inject right after panel 0; the repair
         // lands at the first verification boundary (panel interval - 1).
         let r = ft_dgemm_with(&a, &b, &opts, |p, cf| {
@@ -31,12 +33,7 @@ pub fn run(out: &mut Report) {
         });
         assert!(r.stats.corrections >= 1, "interval {interval}");
         let exposure = interval - 1;
-        t.row(&[
-            interval.to_string(),
-            pct(clean.stats.overhead_ratio()),
-            pct(clean.stats.verify_share()),
-            format!("{exposure}"),
-        ]);
+        t.row(&[interval.to_string(), pct(overhead), pct(share), format!("{exposure}")]);
     }
     write!(out, "{}", t.render());
     writeln!(out, "\nShorter intervals buy a smaller exposure window (fewer chances for");

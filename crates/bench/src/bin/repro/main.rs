@@ -61,38 +61,35 @@ struct Experiment {
     name: &'static str,
     /// The header line of the experiment's output.
     title: &'static str,
-    /// The output reports measured wall-clock, so it differs run to run
-    /// and the drift gate in `scripts/ci.sh` does not compare it.
-    wall_clock: bool,
     run: fn(&mut Report),
 }
 
 /// Every experiment, in the order `all` runs them.
 #[rustfmt::skip]
 const REGISTRY: [Experiment; 23] = [
-    Experiment { name: "tab05_error_rates", title: "Table 5 — Error rate with ECC in place (FIT = failures per billion hours)", wall_clock: false, run: tab05_error_rates::run },
-    Experiment { name: "fig03_overhead", title: "Figure 3 — ABFT overhead breakdown (checksum vs verification)", wall_clock: true, run: fig03_overhead::run },
-    Experiment { name: "tab01_simplified_verification", title: "Table 1 — ABFT performance improvement with simplified verification", wall_clock: true, run: tab01_simplified_verification::run },
-    Experiment { name: "tab04_access_classification", title: "Table 4 — Classification of cacheline accesses by ABFT protection", wall_clock: false, run: tab04_access_classification::run },
-    Experiment { name: "fig05_memory_energy", title: "Figure 5 — Memory energy for ABFT with different ECC strategies", wall_clock: false, run: fig05_memory_energy::run },
-    Experiment { name: "fig06_system_energy", title: "Figure 6 — System energy for ABFT with different ECC strategies", wall_clock: false, run: fig06_system_energy::run },
-    Experiment { name: "fig07_performance", title: "Figure 7 — Performance (IPC) for ABFT with different ECC strategies", wall_clock: false, run: fig07_performance::run },
-    Experiment { name: "fig08_weak_scaling", title: "Figure 8 — Weak scaling: energy benefit vs ABFT recovery cost (FT-CG)", wall_clock: false, run: fig08_weak_scaling::run },
-    Experiment { name: "fig09_strong_scaling", title: "Figure 9 — Strong scaling: energy benefit vs ABFT recovery cost (FT-CG)", wall_clock: false, run: fig09_strong_scaling::run },
-    Experiment { name: "fig10_dgms_comparison", title: "Figure 10 — DGMS vs the cooperative ABFT+ECC scheme (error-free)", wall_clock: false, run: fig10_dgms_comparison::run },
-    Experiment { name: "cases_error_handling", title: "Section 4 — Error-handling cases, end to end", wall_clock: false, run: cases_error_handling::run },
-    Experiment { name: "ablation_error_registers", title: "Ablation — error-register depth vs lost error reports", wall_clock: false, run: ablation_error_registers::run },
-    Experiment { name: "ablation_verify_interval", title: "Ablation — ABFT verification interval (FT-DGEMM)", wall_clock: true, run: ablation_verify_interval::run },
-    Experiment { name: "ablation_row_policy", title: "Ablation — row-buffer policy (FT-DGEMM trace)", wall_clock: false, run: ablation_row_policy::run },
-    Experiment { name: "ablation_mlp", title: "Ablation — MLP sensitivity (FT-CG trace, W_CK vs No-ECC IPC gap)", wall_clock: false, run: ablation_mlp::run },
-    Experiment { name: "ablation_device_width", title: "Ablation — DRAM device width (FT-DGEMM trace)", wall_clock: false, run: ablation_device_width::run },
-    Experiment { name: "sdc_study", title: "Silent-data-corruption study — random k-bit line errors", wall_clock: false, run: sdc_study::run },
-    Experiment { name: "scrub_study", title: "Scrub-interval study — fault accumulation under SECDED", wall_clock: false, run: scrub_study::run },
-    Experiment { name: "monte_carlo_campaign", title: "Monte-Carlo fault campaign — ARE vs ASE distributions", wall_clock: false, run: monte_carlo_campaign::run },
-    Experiment { name: "checkpoint_vs_abft", title: "Checkpoint/restart vs ABFT — overhead across system MTTFs", wall_clock: false, run: checkpoint_vs_abft::run },
-    Experiment { name: "arch_overview", title: "Figure 2 / Figure 4 — architecture overview (as implemented)", wall_clock: false, run: arch_overview::run },
-    Experiment { name: "extended_kernels", title: "Extension kernels — FT-LU, FT-QR, multi-error FT-Cholesky", wall_clock: false, run: extended_kernels::run },
-    Experiment { name: "trace_stats", title: "Trace inspector", wall_clock: false, run: trace_stats::run },
+    Experiment { name: "tab05_error_rates", title: "Table 5 — Error rate with ECC in place (FIT = failures per billion hours)", run: tab05_error_rates::run },
+    Experiment { name: "fig03_overhead", title: "Figure 3 — ABFT overhead breakdown (checksum vs verification)", run: fig03_overhead::run },
+    Experiment { name: "tab01_simplified_verification", title: "Table 1 — ABFT performance improvement with simplified verification", run: tab01_simplified_verification::run },
+    Experiment { name: "tab04_access_classification", title: "Table 4 — Classification of cacheline accesses by ABFT protection", run: tab04_access_classification::run },
+    Experiment { name: "fig05_memory_energy", title: "Figure 5 — Memory energy for ABFT with different ECC strategies", run: fig05_memory_energy::run },
+    Experiment { name: "fig06_system_energy", title: "Figure 6 — System energy for ABFT with different ECC strategies", run: fig06_system_energy::run },
+    Experiment { name: "fig07_performance", title: "Figure 7 — Performance (IPC) for ABFT with different ECC strategies", run: fig07_performance::run },
+    Experiment { name: "fig08_weak_scaling", title: "Figure 8 — Weak scaling: energy benefit vs ABFT recovery cost (FT-CG)", run: fig08_weak_scaling::run },
+    Experiment { name: "fig09_strong_scaling", title: "Figure 9 — Strong scaling: energy benefit vs ABFT recovery cost (FT-CG)", run: fig09_strong_scaling::run },
+    Experiment { name: "fig10_dgms_comparison", title: "Figure 10 — DGMS vs the cooperative ABFT+ECC scheme (error-free)", run: fig10_dgms_comparison::run },
+    Experiment { name: "cases_error_handling", title: "Section 4 — Error-handling cases, end to end", run: cases_error_handling::run },
+    Experiment { name: "ablation_error_registers", title: "Ablation — error-register depth vs lost error reports", run: ablation_error_registers::run },
+    Experiment { name: "ablation_verify_interval", title: "Ablation — ABFT verification interval (FT-DGEMM)", run: ablation_verify_interval::run },
+    Experiment { name: "ablation_row_policy", title: "Ablation — row-buffer policy (FT-DGEMM trace)", run: ablation_row_policy::run },
+    Experiment { name: "ablation_mlp", title: "Ablation — MLP sensitivity (FT-CG trace, W_CK vs No-ECC IPC gap)", run: ablation_mlp::run },
+    Experiment { name: "ablation_device_width", title: "Ablation — DRAM device width (FT-DGEMM trace)", run: ablation_device_width::run },
+    Experiment { name: "sdc_study", title: "Silent-data-corruption study — random k-bit line errors", run: sdc_study::run },
+    Experiment { name: "scrub_study", title: "Scrub-interval study — fault accumulation under SECDED", run: scrub_study::run },
+    Experiment { name: "monte_carlo_campaign", title: "Monte-Carlo fault campaign — ARE vs ASE distributions", run: monte_carlo_campaign::run },
+    Experiment { name: "checkpoint_vs_abft", title: "Checkpoint/restart vs ABFT — overhead across system MTTFs", run: checkpoint_vs_abft::run },
+    Experiment { name: "arch_overview", title: "Figure 2 / Figure 4 — architecture overview (as implemented)", run: arch_overview::run },
+    Experiment { name: "extended_kernels", title: "Extension kernels — FT-LU, FT-QR, multi-error FT-Cholesky", run: extended_kernels::run },
+    Experiment { name: "trace_stats", title: "Trace inspector", run: trace_stats::run },
 ];
 
 impl Experiment {
@@ -196,8 +193,7 @@ fn execute(cmd: Command) -> std::io::Result<()> {
         Command::List => {
             let mut stdout = std::io::stdout();
             for e in &REGISTRY {
-                let kind = if e.wall_clock { "wall-clock" } else { "deterministic" };
-                writeln!(stdout, "{:30} {kind:13} {}", e.name, e.title)?;
+                writeln!(stdout, "{:30} {}", e.name, e.title)?;
             }
         }
         Command::Run { experiments, out } => {
@@ -334,8 +330,8 @@ mod tests {
     }
 
     #[test]
-    fn every_deterministic_experiment_has_a_committed_output() {
-        for e in REGISTRY.iter().filter(|e| !e.wall_clock) {
+    fn every_experiment_has_a_committed_output() {
+        for e in &REGISTRY {
             let path = committed_output(e.name);
             assert!(path.is_file(), "{} is missing; run scripts/reproduce_all.sh", path.display());
         }

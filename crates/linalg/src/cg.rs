@@ -9,6 +9,8 @@ use crate::sparse::CsrMatrix;
 pub trait LinearOperator {
     /// Problem dimension.
     fn dim(&self) -> usize;
+    /// Stored entries one application reads (what its cost scales with).
+    fn nnz(&self) -> usize;
     /// Apply the operator into `y`.
     fn apply(&self, x: &[f64], y: &mut [f64]);
     /// Apply and allocate.
@@ -23,6 +25,9 @@ impl LinearOperator for Matrix {
     fn dim(&self) -> usize {
         self.rows()
     }
+    fn nnz(&self) -> usize {
+        self.rows() * self.cols()
+    }
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         y.fill(0.0);
         crate::blas2::gemv(1.0, self, x, 1.0, y);
@@ -32,6 +37,9 @@ impl LinearOperator for Matrix {
 impl LinearOperator for CsrMatrix {
     fn dim(&self) -> usize {
         self.rows()
+    }
+    fn nnz(&self) -> usize {
+        CsrMatrix::nnz(self)
     }
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         self.spmv_into(x, y);

@@ -3,9 +3,9 @@
 //! Simulated time must come from the simulator's own clock; host
 //! wall-clock (`Instant::now`, `SystemTime::now`) feeding any simulated
 //! quantity makes runs irreproducible. Binaries, benches and tests may
-//! time things for reporting, so only library code is in scope, and
-//! crates whose documented purpose is overhead timing are excluded via
-//! the `crates` list in `repolint.toml`.
+//! time things for reporting, so only library code is in scope: the
+//! crates of the `crates` list in `repolint.toml`, which names every
+//! library crate of the workspace.
 
 use crate::config::RuleCfg;
 use crate::diag::Diagnostic;

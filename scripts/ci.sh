@@ -32,10 +32,9 @@ cargo build --release --offline --manifest-path benchmarks/Cargo.toml
 cargo test -q --offline --manifest-path benchmarks/Cargo.toml
 
 echo "=== drift gate (repro all vs the committed reproduction-output/) ==="
-# One process regenerates every experiment; each one whose output is
-# deterministic (`repro list` marks the three that print measured
-# wall-clock) must match the committed <name>.txt byte for byte. To accept
-# a deliberate change: scripts/reproduce_all.sh, then commit the files.
+# One process regenerates every experiment `repro list` names; each must
+# match the committed <name>.txt byte for byte. To accept a deliberate
+# change: scripts/reproduce_all.sh, then commit the files.
 CI_TMP="$(mktemp -d)"
 trap 'rm -rf "$CI_TMP"' EXIT
 # check_drift DIR NAME...: reproduction-output/NAME.txt equals DIR/NAME.txt.
@@ -54,7 +53,7 @@ check_drift() {
     fi
 }
 ./target/release/repro all --out "$CI_TMP/repro"
-check_drift "$CI_TMP/repro" $(./target/release/repro list | awk '$2 == "deterministic" { print $1 }')
+check_drift "$CI_TMP/repro" $(./target/release/repro list | awk '{ print $1 }')
 
 echo "=== drift gate, one worker (the campaign experiments as whole-row tasks) ==="
 # A campaign task replays ceil(strategies / workers) strategies of a row
