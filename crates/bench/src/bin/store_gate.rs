@@ -13,6 +13,10 @@
 //!   lookup missed,
 //! * the artifact hit rate is >= 90%.
 //!
+//! The first run fails when an artifact it built could not be persisted
+//! (`write_failures`): the later runs would regenerate it and blame the
+//! wrong process.
+//!
 //! The grid is sampled, and a warm sampled process needs only the
 //! `.simpoint` blobs — each holds the phase selection and the records its
 //! representative slices replay. ci.sh deletes every `.trace` and `.miss`
@@ -118,7 +122,8 @@ fn main() {
     let m = &run.metrics;
     eprintln!(
         "store_gate: jobs={} cache_builds={} filter_builds={} simpoint_builds={} \
-         sampled_cells={} store_hits={} store_misses={} store_writes={} store_evictions={}",
+         sampled_cells={} store_hits={} store_misses={} store_writes={} store_evictions={} \
+         write_failures={}",
         m.jobs,
         m.cache_builds,
         m.filter_builds,
@@ -128,6 +133,7 @@ fn main() {
         m.store_misses,
         m.store_writes,
         m.store_evictions,
+        m.write_failures,
     );
 
     if let Some(cold_file) = expect {
@@ -161,6 +167,12 @@ fn main() {
              hit rate {hit_rate:.2}"
         );
     } else {
+        if m.write_failures != 0 {
+            fail(&format!(
+                "cold run could not persist {} artifact(s); the warm runs would regenerate them",
+                m.write_failures
+            ));
+        }
         println!("store_gate: cold run OK — {} artifacts written", m.store_writes);
     }
 }

@@ -148,6 +148,8 @@ pub struct CampaignMetrics {
     pub store_writes: u64,
     /// Corrupt artifact blobs evicted during the run.
     pub store_evictions: u64,
+    /// Artifacts built during the run that the store could not persist.
+    pub write_failures: u64,
     /// Phase-selection lookups served from the memo or the store.
     pub simpoint_hits: u64,
     /// Phase selections actually built (sliced + clustered) during the
@@ -326,6 +328,7 @@ pub(crate) fn run_grid(
         store_misses: store.misses,
         store_writes: store.writes,
         store_evictions: store.evictions,
+        write_failures: store.write_failures,
         simpoint_hits: cache.simpoint_hits() - simpoint_hits0,
         simpoint_builds: cache.simpoint_builds() - simpoint_builds0,
         sampled_cells: if sampling.is_some() { total } else { 0 },
@@ -399,7 +402,7 @@ impl CampaignRun {
             "\"jobs\": {}, \"cache_hits\": {}, \"cache_builds\": {}, \
              \"filter_hits\": {}, \"filter_builds\": {}, \
              \"store_hits\": {}, \"store_misses\": {}, \"store_writes\": {}, \
-             \"store_evictions\": {}, \
+             \"store_evictions\": {}, \"write_failures\": {}, \
              \"simpoint_hits\": {}, \"simpoint_builds\": {}, \
              \"sampled_cells\": {}, \"slices_replayed\": {}, \
              \"est_error_budget\": {:.6}, \"wall_seconds\": {:.6}",
@@ -412,6 +415,7 @@ impl CampaignRun {
             self.metrics.store_misses,
             self.metrics.store_writes,
             self.metrics.store_evictions,
+            self.metrics.write_failures,
             self.metrics.simpoint_hits,
             self.metrics.simpoint_builds,
             self.metrics.sampled_cells,

@@ -71,26 +71,23 @@ impl Cache {
 
     /// Access `addr`; on miss the line is filled (write-allocate) and a
     /// dirty victim, if any, is reported for write-back.
+    #[inline(always)]
     pub fn access(&mut self, addr: u64, write: bool) -> CacheOutcome {
         let line = addr >> self.line_shift;
-        let base = (line as usize & self.set_mask) * self.cfg.ways;
-        let set = &mut self.entries[base..base + self.cfg.ways];
-
-        // One pass from the MRU end is the hit probe, the LRU update and
-        // the victim choice: the line enters at the front and every entry
-        // passed moves down a way, until the line's old entry is met (a
-        // hit: the shift stops there, the dirty bit is kept) or the tail
-        // falls off (a miss: the tail was the LRU way, or an invalid one).
-        let fill = line << 1 | write as u64;
-        let mut displaced = fill;
-        for way in 0..set.len() {
-            displaced = std::mem::replace(&mut set[way], displaced);
-            if displaced >> 1 == line {
-                set[0] = fill | displaced;
-                self.hits += 1;
-                return CacheOutcome::Hit;
-            }
-        }
+        let set = line as usize & self.set_mask;
+        // The probe is one body instantiated per set length, chosen from
+        // the geometry: Table 3's 4-way L1 and 16-way L2 get a set whose
+        // length the compiler knows (a shift for the base, the swap chain
+        // unrolled), any other associativity the slice.
+        let displaced = match self.cfg.ways {
+            4 => probe(&mut self.entries.as_chunks_mut::<4>().0[set], line, write),
+            16 => probe(&mut self.entries.as_chunks_mut::<16>().0[set], line, write),
+            ways => probe(&mut self.entries[set * ways..][..ways], line, write),
+        };
+        let Some(displaced) = displaced else {
+            self.hits += 1;
+            return CacheOutcome::Hit;
+        };
         self.misses += 1;
         let dirty_victim = displaced != INVALID && displaced & 1 == 1;
         CacheOutcome::Miss { writeback: dirty_victim.then(|| displaced >> 1 << self.line_shift) }
@@ -105,6 +102,26 @@ impl Cache {
             self.hits as f64 / total as f64
         }
     }
+}
+
+/// One pass from the MRU end is the hit probe, the LRU update and the
+/// victim choice: the line enters at the front and every entry passed
+/// moves down a way, until the line's old entry is met (a hit: the shift
+/// stops there, the dirty bit is kept — `None`) or the tail falls off (a
+/// miss: the tail was the LRU way, or an invalid one — `Some(tail)`).
+#[inline(always)]
+fn probe<S: AsMut<[u64]> + ?Sized>(set: &mut S, line: u64, write: bool) -> Option<u64> {
+    let set = set.as_mut();
+    let fill = line << 1 | write as u64;
+    let mut displaced = fill;
+    for way in 0..set.len() {
+        displaced = std::mem::replace(&mut set[way], displaced);
+        if displaced >> 1 == line {
+            set[0] = fill | displaced;
+            return None;
+        }
+    }
+    Some(displaced)
 }
 
 #[cfg(test)]

@@ -301,6 +301,14 @@ fn validate_cache(prefix: &'static str, c: &CacheConfig) -> Result<(), ConfigErr
     if c.line_bytes == 0 || !c.line_bytes.is_power_of_two() {
         return Err(err(field, c.line_bytes, "line size is not a power of two"));
     }
+    if c.line_bytes < 64 {
+        return Err(err(
+            field,
+            c.line_bytes,
+            "line is smaller than the 64-byte DRAM burst, the granularity at which \
+             miss-stream records hold write-back addresses",
+        ));
+    }
     if c.ways == 0 {
         return Err(err(field, c.ways, "associativity must be at least 1"));
     }
@@ -577,10 +585,23 @@ mod tests {
 
         // Mismatched line sizes.
         let e = rejected(SystemConfig {
-            l1: CacheConfig { capacity: 16 * 1024, ways: 4, line_bytes: 32, latency_cycles: 1 },
+            l1: CacheConfig { capacity: 16 * 1024, ways: 4, line_bytes: 128, latency_cycles: 1 },
             ..node()
         });
         assert_eq!(e.field, "l2");
+        assert!(e.reason.contains("line sizes differ"), "{e}");
+
+        // A line below the 64-byte burst: a miss-stream record would drop
+        // the low bits of its write-back address. 128-byte lines are legal.
+        let lines = |line_bytes| SystemConfig {
+            l1: CacheConfig { line_bytes, ..node().l1 },
+            l2: CacheConfig { line_bytes, ..node().l2 },
+            ..node()
+        };
+        let e = rejected(lines(32));
+        assert_eq!((e.field, e.value.as_str()), ("l1", "32"));
+        assert!(e.reason.contains("64-byte DRAM burst"), "{e}");
+        lines(128).validate().unwrap();
 
         // Row buffer must be a power of two and hold a line.
         let e = rejected(SystemConfig { row_bytes: 100, ..node() });

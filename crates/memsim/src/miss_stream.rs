@@ -49,7 +49,7 @@
 use crate::cache::{Cache, CacheOutcome};
 use crate::config::CacheConfig;
 use crate::packed::{pack, unpack};
-use crate::stream::{AccessSource, DEFAULT_CHUNK};
+use crate::stream::{AccessSource, RunChunk, RUN_CHUNK};
 use crate::trace::{Access, RegionMap};
 
 pub(crate) const KIND_SHIFT: u32 = 29;
@@ -158,7 +158,10 @@ impl StreamTotals {
 /// event, in DRAM-access order, to `on_event` — the one cache-hierarchy
 /// walk, which [`MissStream::build`] records and the full path of
 /// [`crate::system::Machine::simulate`] services as it goes. The source
-/// is rewound first, so a fresh and a drained stream behave identically.
+/// is rewound first, so a fresh and a drained stream behave identically,
+/// and pulled a chunk of line sweeps at a time
+/// ([`AccessSource::fill_runs`]): a packed replay hands its runs out
+/// whole, any other source one access a run.
 ///
 /// Thread-level concurrency: `threads` in-order workers interleave their
 /// instruction streams, so per-thread cycles (compute + cache latencies)
@@ -192,38 +195,47 @@ pub(crate) fn walk<S: AccessSource + ?Sized>(
     let mut retired = 0u64;
     let mut accesses = 0u64;
 
-    let mut chunk: Vec<Access> = Vec::with_capacity(DEFAULT_CHUNK);
-    while src.fill(&mut chunk, DEFAULT_CHUNK) > 0 {
-        accesses += chunk.len() as u64;
-        for a in &chunk {
-            retired += a.work as u64 + 1;
-            thread_cycles += a.work as u64;
-            let rt = &mut tallies[a.region as usize];
-            rt.refs += 1;
-            let CacheOutcome::Miss { writeback } = l1.access(a.addr, a.write) else {
-                thread_cycles += l1_cfg.latency_cycles;
-                continue;
-            };
-            rt.l1_misses += 1;
-            if let Some(wb) = writeback {
-                // The L1 victim is installed dirty in L2 (the full line
-                // travels down, so no DRAM fill is needed); only a dirty
-                // line L2 evicts to make room reaches memory.
-                if let CacheOutcome::Miss { writeback: Some(wb2) } = l2.access(wb, true) {
-                    let kind = MissEventKind::Writeback(wb2);
-                    on_event(&MissEvent {
-                        trigger: *a,
-                        core_cycles: thread_cycles / threads,
-                        kind,
-                    });
+    // What a sweep's accesses share — instructions retired, references,
+    // the region whose tally they land in — is settled once per sweep.
+    let mut chunk = RunChunk::with_capacity(RUN_CHUNK);
+    loop {
+        let pulled = src.fill_runs(&mut chunk, RUN_CHUNK);
+        if pulled == 0 {
+            break;
+        }
+        accesses += pulled as u64;
+        for run in &chunk.runs {
+            let (head, len) = (run.head, run.len as u64);
+            retired += len * (head.work as u64 + 1);
+            let rt = &mut tallies[head.region as usize];
+            rt.refs += len;
+            for a in run.accesses() {
+                thread_cycles += a.work as u64;
+                let CacheOutcome::Miss { writeback } = l1.access(a.addr, a.write) else {
+                    thread_cycles += l1_cfg.latency_cycles;
+                    continue;
+                };
+                rt.l1_misses += 1;
+                if let Some(wb) = writeback {
+                    // The L1 victim is installed dirty in L2 (the full line
+                    // travels down, so no DRAM fill is needed); only a dirty
+                    // line L2 evicts to make room reaches memory.
+                    if let CacheOutcome::Miss { writeback: Some(wb2) } = l2.access(wb, true) {
+                        let kind = MissEventKind::Writeback(wb2);
+                        on_event(&MissEvent {
+                            trigger: a,
+                            core_cycles: thread_cycles / threads,
+                            kind,
+                        });
+                    }
                 }
+                if let CacheOutcome::Miss { writeback } = l2.access(a.addr, a.write) {
+                    rt.llc_misses += 1;
+                    let kind = MissEventKind::Demand { writeback };
+                    on_event(&MissEvent { trigger: a, core_cycles: thread_cycles / threads, kind });
+                }
+                thread_cycles += l2_cfg.latency_cycles;
             }
-            if let CacheOutcome::Miss { writeback } = l2.access(a.addr, a.write) {
-                rt.llc_misses += 1;
-                let kind = MissEventKind::Demand { writeback };
-                on_event(&MissEvent { trigger: *a, core_cycles: thread_cycles / threads, kind });
-            }
-            thread_cycles += l2_cfg.latency_cycles;
         }
     }
     // The L2's own counters include the L1 victims installed into it; as
@@ -258,6 +270,15 @@ impl MissStream {
         l2_cfg: CacheConfig,
         threads: usize,
     ) -> MissStream {
+        // A record holds its write-back address in 64-byte units (the DRAM
+        // burst); a shorter line has address bits below that.
+        assert!(
+            l1_cfg.line_bytes >= 64 && l2_cfg.line_bytes >= 64,
+            "miss stream: {}- / {}-byte cache lines are below the 64-byte DRAM burst its \
+             records hold write-back addresses at",
+            l1_cfg.line_bytes,
+            l2_cfg.line_bytes
+        );
         let bases = region_bases(src.regions());
         let mut enc = Encoder::new(&bases);
         let mut totals = walk(src, l1_cfg, l2_cfg, threads, |ev| enc.push(ev));
@@ -435,20 +456,37 @@ fn region_bases(regions: &RegionMap) -> Vec<u64> {
 struct Encoder<'a> {
     bases: &'a [u64],
     words: Vec<u64>,
-    /// Pending run: head word0 (kind included, run field zero), head
-    /// write-back line, per-event cycle delta, run length.
-    pending: Option<(u64, u64, u64, usize)>,
+    /// Events in the pending run; 0 when there is none, and then the four
+    /// fields below are stale.
+    run: usize,
+    /// Head word 0 of the pending run (kind included, run field zero).
+    w0: u64,
     /// Head trigger of the pending run (for the +64/line extension check).
-    head: Option<Access>,
+    head: Access,
+    /// Head write-back line of the pending run.
+    wb_line: u64,
+    /// Per-event cycle delta of the pending run.
+    delta: u64,
     last_cycles: u64,
     events: u64,
 }
 
 impl<'a> Encoder<'a> {
     fn new(bases: &'a [u64]) -> Self {
-        Encoder { bases, words: Vec::new(), pending: None, head: None, last_cycles: 0, events: 0 }
+        Encoder {
+            bases,
+            words: Vec::new(),
+            run: 0,
+            w0: 0,
+            head: Access { addr: 0, region: 0, write: false, work: 0 },
+            wb_line: 0,
+            delta: 0,
+            last_cycles: 0,
+            events: 0,
+        }
     }
 
+    #[inline]
     fn push(&mut self, ev: &MissEvent) {
         let a = &ev.trigger;
         let (kind, wb_line) = match ev.kind {
@@ -463,42 +501,50 @@ impl<'a> Encoder<'a> {
             "miss stream: cycle delta {delta} exceeds the {DELTA_BITS}-bit range"
         );
         self.last_cycles = ev.core_cycles;
-        if let (Some((pw0, pwb, pdelta, run)), Some(head)) = (&mut self.pending, &self.head) {
-            let same_attrs =
-                head.region == a.region && head.write == a.write && head.work == a.work;
-            let head_kind = (*pw0 >> KIND_SHIFT) & KIND_MASK;
-            let extends = *run < MAX_MISS_RUN
-                && head_kind == kind
-                && same_attrs
-                && a.addr == head.addr + 64 * *run as u64
-                && *pdelta == delta
-                && (kind == KIND_DEMAND || wb_line == *pwb + *run as u64);
-            if extends {
-                *run += 1;
-                return;
-            }
+        // One test, no short circuit: nine compares cost less than nine
+        // branches, and whether an event extends the run depends on the data.
+        let (head, run) = (&self.head, self.run as u64);
+        let extends = (self.run != 0)
+            & (self.run < MAX_MISS_RUN)
+            & ((self.w0 >> KIND_SHIFT) & KIND_MASK == kind)
+            & (head.region == a.region)
+            & (head.write == a.write)
+            & (head.work == a.work)
+            & (a.addr == head.addr + 64 * run)
+            & (self.delta == delta)
+            & ((kind == KIND_DEMAND) | (wb_line == self.wb_line + run));
+        if extends {
+            self.run += 1;
+            return;
         }
         self.flush();
-        let w0 = pack(a, self.bases[a.region as usize]) | (kind << KIND_SHIFT);
-        self.pending = Some((w0, wb_line, delta, 1));
-        self.head = Some(*a);
+        self.w0 = pack(a, self.bases[a.region as usize]) | (kind << KIND_SHIFT);
+        self.head = *a;
+        self.wb_line = wb_line;
+        self.delta = delta;
+        self.run = 1;
     }
 
     fn flush(&mut self) {
-        if let (Some((w0, wb_line, delta, run)), Some(head)) =
-            (self.pending.take(), self.head.take())
-        {
-            let kind = (w0 >> KIND_SHIFT) & KIND_MASK;
-            let wb_delta =
-                if kind == KIND_DEMAND { 0i64 } else { wb_line as i64 - (head.addr >> 6) as i64 };
-            let zz = ((wb_delta << 1) ^ (wb_delta >> 63)) as u64;
-            assert!(
-                zz < (1u64 << (64 - WB_SHIFT)),
-                "miss stream: write-back delta {wb_delta} lines exceeds the 33-bit range"
-            );
-            self.words.push(w0 | (((run - 1) as u64) << RUN_SHIFT));
-            self.words.push((zz << WB_SHIFT) | delta);
+        let run = std::mem::take(&mut self.run);
+        if run == 0 {
+            return;
         }
+        let kind = (self.w0 >> KIND_SHIFT) & KIND_MASK;
+        let wb_delta = if kind == KIND_DEMAND {
+            0i64
+        } else {
+            self.wb_line as i64 - (self.head.addr >> 6) as i64
+        };
+        let zz = ((wb_delta << 1) ^ (wb_delta >> 63)) as u64;
+        assert!(
+            zz < (1u64 << (64 - WB_SHIFT)),
+            "miss stream: write-back delta {wb_delta} lines exceeds the 33-bit range"
+        );
+        self.words.extend_from_slice(&[
+            self.w0 | (((run - 1) as u64) << RUN_SHIFT),
+            (zz << WB_SHIFT) | self.delta,
+        ]);
     }
 
     fn finish(mut self) -> (Box<[u64]>, u64) {
@@ -811,6 +857,17 @@ mod tests {
                 prop_assert!(tail == all[k..], "resumed at event {k} ({cursor:?})");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "below the 64-byte DRAM burst")]
+    fn lines_shorter_than_a_record_unit_are_refused() {
+        // Half the write-backs of 32-byte-line caches sit at odd 32-byte
+        // lines, which `wb >> 6` cannot hold.
+        let l1 = CacheConfig { capacity: 1024, ways: 2, line_bytes: 32, latency_cycles: 1 };
+        let l2 = CacheConfig { capacity: 4096, ways: 4, line_bytes: 32, latency_cycles: 20 };
+        let t = sweep_trace(64, 1);
+        MissStream::build(&mut t.replay(), l1, l2, 1);
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //! so one word encodes up to 256 consecutive accesses. Replay expands
 //! runs back into individual [`Access`] records, so the compression is
 //! invisible to consumers — bit-identical to the materialized original,
-//! asserted lossless at pack time.
+//! asserted lossless at pack time — or, to a consumer that asks
+//! ([`AccessSource::fill_runs`]: the L1 → L2 walker), hands the runs out
+//! as they are stored.
 //!
 //! [`PackedTrace`] stores the words in fixed-size segments with *zero*
 //! growth slack (full segments are boxed exact-size). It converts two
@@ -33,7 +35,7 @@
 //! the default kernel grid (`tests/streaming_equivalence.rs` holds the 3x
 //! floor; perfbench reports `packed.bytes_per_access`).
 
-use crate::stream::{AccessSink, AccessSource, DEFAULT_CHUNK};
+use crate::stream::{AccessSink, AccessSource, Run, RunChunk, DEFAULT_CHUNK};
 use crate::trace::{Access, RegionId, RegionMap};
 use std::sync::Arc;
 
@@ -317,7 +319,7 @@ impl PackedBuilder {
     fn push_word(&mut self, word: u64) {
         self.cur.push(word);
         if self.cur.len() == SEG_WORDS {
-            let full = std::mem::replace(&mut self.cur, Vec::with_capacity(SEG_WORDS));
+            let full = std::mem::replace(&mut self.cur, Vec::with_capacity(SEG_WORDS)); // repolint:allow(PERF001) one segment per 64 K words; copying out of a reused buffer costs 1.5 MiB of peak RSS
             self.segs.push(full.into_boxed_slice());
         }
     }
@@ -368,17 +370,71 @@ impl AccessSink for PackedBuilder {
         self.flush_pending();
         self.pending = Some((Access { addr, region, write, work }, 1));
     }
+
+    /// The sweep as `lines` [`emit`](AccessSink::emit)s would leave it:
+    /// the pending run takes what it has room for if the sweep continues
+    /// it, the rest goes out in whole runs.
+    fn emit_lines(&mut self, addr: u64, region: RegionId, write: bool, work: u32, lines: u64) {
+        self.len += lines;
+        self.instructions += lines * (work as u64 + 1);
+        let (mut addr, mut lines) = (addr, lines);
+        if let Some((head, run)) = &mut self.pending {
+            if head.region == region
+                && head.write == write
+                && head.work == work
+                && addr == head.addr + 64 * *run as u64
+            {
+                let take = lines.min((MAX_PACKED_RUN - *run) as u64);
+                *run += take as usize;
+                addr += 64 * take;
+                lines -= take;
+            }
+        }
+        while lines > 0 {
+            self.flush_pending();
+            let take = lines.min(MAX_PACKED_RUN as u64);
+            self.pending = Some((Access { addr, region, write, work }, take as usize));
+            addr += 64 * take;
+            lines -= take;
+        }
+    }
 }
 
-/// Streaming replay of a [`PackedTrace`]: expands each word's run back
-/// into individual accesses (a chunk boundary may split a run, so the
-/// position inside the current run is part of the cursor).
+/// Streaming replay of a [`PackedTrace`]: hands each word's run out whole
+/// ([`AccessSource::fill_runs`]) or expanded back into individual accesses
+/// ([`AccessSource::fill`]); a chunk boundary may split a run either way,
+/// so the position inside the current run is part of the cursor.
 #[derive(Debug)]
 pub struct PackedReplay {
     trace: Arc<PackedTrace>,
     seg: usize,
     idx: usize,
     run_pos: usize,
+}
+
+impl PackedReplay {
+    /// What is left of the run under the cursor, cut at `max` accesses;
+    /// the cursor moves past what is returned. `None` at the end of the
+    /// stream.
+    #[inline]
+    fn next_run(&mut self, max: usize) -> Option<Run> {
+        let seg = self.trace.segs.get(self.seg)?;
+        let word = seg[self.idx];
+        let head = unpack(word, &self.trace.bases);
+        let rl = run_len(word);
+        let take = max.min(rl - self.run_pos);
+        let head = Access { addr: head.addr + 64 * self.run_pos as u64, ..head };
+        self.run_pos += take;
+        if self.run_pos == rl {
+            self.run_pos = 0;
+            self.idx += 1;
+            if self.idx == seg.len() {
+                self.idx = 0;
+                self.seg += 1;
+            }
+        }
+        Some(Run { head, len: take as u32 })
+    }
 }
 
 impl AccessSource for PackedReplay {
@@ -388,28 +444,24 @@ impl AccessSource for PackedReplay {
 
     fn fill(&mut self, buf: &mut Vec<Access>, max: usize) -> usize {
         buf.clear();
-        while buf.len() < max && self.seg < self.trace.segs.len() {
-            let seg = &self.trace.segs[self.seg];
-            while buf.len() < max && self.idx < seg.len() {
-                let word = seg[self.idx];
-                let head = unpack(word, &self.trace.bases);
-                let rl = run_len(word);
-                let take = (max - buf.len()).min(rl - self.run_pos);
-                for i in self.run_pos..self.run_pos + take {
-                    buf.push(Access { addr: head.addr + 64 * i as u64, ..head });
-                }
-                self.run_pos += take;
-                if self.run_pos == rl {
-                    self.idx += 1;
-                    self.run_pos = 0;
-                }
-            }
-            if self.idx == seg.len() {
-                self.seg += 1;
-                self.idx = 0;
-            }
+        while buf.len() < max {
+            let Some(run) = self.next_run(max - buf.len()) else { break };
+            buf.extend(run.accesses());
         }
         buf.len()
+    }
+
+    /// The words' runs as they are stored, no `Access` record in between;
+    /// only the run the bound falls in is split.
+    fn fill_runs(&mut self, chunk: &mut RunChunk, max: usize) -> usize {
+        chunk.runs.clear();
+        let mut filled = 0;
+        while filled < max {
+            let Some(run) = self.next_run(max - filled) else { break };
+            filled += run.len as usize;
+            chunk.runs.push(run);
+        }
+        filled
     }
 
     fn reset(&mut self) {
@@ -525,5 +577,38 @@ mod tests {
             out.extend_from_slice(&chunk);
         }
         assert_eq!(out, v);
+    }
+
+    #[test]
+    fn emit_lines_leaves_the_runs_per_line_emission_leaves() {
+        let mut rm = RegionMap::new();
+        let r = rm.alloc("v", 1 << 20, true);
+        let base = rm.get(r).base;
+        // (address, write, lines); `None` lines is a plain `emit`.
+        let script = [
+            (base, false, None),
+            (base + 64, false, Some(10)), // joins the pending run of one
+            (base + 64 * 11, false, Some(300)), // fills it to 256, 55 over
+            (base, false, Some(0)),       // nothing at all
+            (base + 64 * 311, true, Some(2)), // contiguous but a write: a new run
+            (base + 64 * 313, true, None), // an `emit` joins the sweep's run
+            (base + 8, true, Some(600)),  // unaligned: 256 + 256 + 88
+        ];
+        let mut swept = PackedBuilder::new(rm.clone());
+        let mut by_line = PackedBuilder::new(rm.clone());
+        for (addr, write, lines) in script {
+            match lines {
+                None => swept.emit(addr, r, write, 3),
+                Some(lines) => swept.emit_lines(addr, r, write, 3, lines),
+            }
+            for i in 0..lines.unwrap_or(1) {
+                by_line.emit(addr + 64 * i, r, write, 3);
+            }
+        }
+        let (swept, by_line) = (swept.finish(), by_line.finish());
+        assert_eq!(swept.words().map(run_len).collect::<Vec<_>>(), [256, 55, 3, 256, 256, 88]);
+        assert!(swept.words().eq(by_line.words()));
+        assert_eq!(swept.len(), 1 + 10 + 300 + 2 + 1 + 600);
+        assert_eq!((swept.len(), swept.instructions()), (by_line.len(), by_line.instructions()));
     }
 }

@@ -616,6 +616,10 @@ pub struct StoreMetrics {
     pub writes: u64,
     /// Corrupt blobs deleted instead of trusted.
     pub evictions: u64,
+    /// Artifacts a [`crate::trace_cache::TraceCache`] built and could not
+    /// persist (a full or read-only store, a refused key): the process was
+    /// served from memory, the next one rebuilds.
+    pub write_failures: u64,
 }
 
 impl StoreMetrics {
@@ -626,6 +630,7 @@ impl StoreMetrics {
             misses: self.misses - earlier.misses,
             writes: self.writes - earlier.writes,
             evictions: self.evictions - earlier.evictions,
+            write_failures: self.write_failures - earlier.write_failures,
         }
     }
 
@@ -652,6 +657,7 @@ pub struct ArtifactStore {
     misses: AtomicU64,
     writes: AtomicU64,
     evictions: AtomicU64,
+    write_failures: AtomicU64,
 }
 
 impl ArtifactStore {
@@ -673,6 +679,7 @@ impl ArtifactStore {
             misses: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            write_failures: AtomicU64::new(0),
         })
     }
 
@@ -703,7 +710,13 @@ impl ArtifactStore {
             misses: self.misses.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            write_failures: self.write_failures.load(Ordering::Relaxed),
         }
+    }
+
+    /// Count an artifact that a `save_*` call returned an error for.
+    pub(crate) fn count_write_failure(&self) {
+        self.write_failures.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Load a packed trace, or `None` when absent or evicted as corrupt.

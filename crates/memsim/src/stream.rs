@@ -18,12 +18,24 @@
 //! The dual trait [`AccessSink`] is the producer side: the kernels' step
 //! emitters write into any sink — the stream's chunk buffer or the packed
 //! builder — so the streaming and packed forms run the same emission code.
+//!
+//! The unit both traits also speak is the line sweep, a [`Run`]: the
+//! generators emit sweeps ([`AccessSink::emit_lines`]) and the cache walker
+//! pulls them ([`AccessSource::fill_runs`]). Both methods are provided in
+//! terms of the per-access ones; the packed builder and the packed replay,
+//! which store sweeps, override them and never take one apart.
 
 use crate::trace::{Access, RegionId, RegionMap, Trace};
 
 /// Default number of accesses the simulator pulls per chunk (512 KB of
 /// transient buffer at 16 B per record).
 pub const DEFAULT_CHUNK: usize = 32 * 1024;
+
+/// Accesses the L1 → L2 walker pulls per [`RunChunk`]: as many as make the
+/// run buffer, were every run a single access, the size of a
+/// [`DEFAULT_CHUNK`] of `Access` records — the buffer it replaced.
+pub(crate) const RUN_CHUNK: usize =
+    DEFAULT_CHUNK * std::mem::size_of::<Access>() / std::mem::size_of::<Run>();
 
 /// A resumable, pull-based producer of memory accesses.
 ///
@@ -43,6 +55,22 @@ pub trait AccessSource {
     /// Rewind to the beginning of the stream.
     fn reset(&mut self);
 
+    /// The run-level pull: clear `chunk` and refill it with runs covering
+    /// up to `max` accesses in stream order (a run that would cross the
+    /// bound is split there); returns the accesses covered (0 =
+    /// exhausted). It advances the same cursor as
+    /// [`fill`](AccessSource::fill). Provided: each access pulled through
+    /// `fill` is a run of one. A source that holds its stream as line
+    /// sweeps ([`crate::packed::PackedReplay`]) overrides it to hand them
+    /// out whole, so the consumer ([`crate::miss_stream`]'s walker) pays
+    /// its per-access bookkeeping once per sweep.
+    fn fill_runs(&mut self, chunk: &mut RunChunk, max: usize) -> usize {
+        let n = self.fill(&mut chunk.accesses, max);
+        chunk.runs.clear();
+        chunk.runs.extend(chunk.accesses.iter().map(|&head| Run { head, len: 1 }));
+        n
+    }
+
     /// Exact total number of accesses, if known without draining.
     fn len_hint(&self) -> Option<u64> {
         None
@@ -56,6 +84,42 @@ pub trait AccessSource {
     }
 }
 
+/// A line sweep: `len` accesses to consecutive 64-byte lines, alike in
+/// region, direction and work. Access `i` is `head` with `addr + 64 * i`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    /// The first access of the sweep.
+    pub head: Access,
+    /// Accesses in the sweep, at least 1.
+    pub len: u32,
+}
+
+impl Run {
+    /// The sweep's accesses, in order.
+    #[inline]
+    pub(crate) fn accesses(self) -> impl Iterator<Item = Access> {
+        let head = self.head;
+        (0..self.len as u64).map(move |i| Access { addr: head.addr + 64 * i, ..head })
+    }
+}
+
+/// The buffer [`AccessSource::fill_runs`] fills.
+#[derive(Debug, Default)]
+pub struct RunChunk {
+    /// The runs of the last pull, in stream order.
+    pub runs: Vec<Run>,
+    /// Where the provided `fill_runs` pulls `Access` records before it
+    /// wraps them; a source that overrides it leaves this empty.
+    accesses: Vec<Access>,
+}
+
+impl RunChunk {
+    /// A chunk with room for `runs` runs.
+    pub fn with_capacity(runs: usize) -> Self {
+        RunChunk { runs: Vec::with_capacity(runs), accesses: Vec::new() }
+    }
+}
+
 /// A consumer of emitted accesses — the generator-facing dual of
 /// [`AccessSource`], implemented by the packed builder and the plain
 /// `Vec<Access>` chunk buffer.
@@ -63,17 +127,26 @@ pub trait AccessSink {
     /// Record one reference.
     fn emit(&mut self, addr: u64, region: RegionId, write: bool, work: u32);
 
+    /// Record `lines` references alike in `region`, `write` and `work`, at
+    /// `addr`, `addr + 64`, … — one line sweep. Provided as that many
+    /// [`emit`](AccessSink::emit)s; a sink that stores sweeps
+    /// ([`crate::packed::PackedBuilder`]) overrides it with arithmetic on
+    /// the sweep, to the same stream.
+    fn emit_lines(&mut self, addr: u64, region: RegionId, write: bool, work: u32, lines: u64) {
+        let mut a = addr;
+        for _ in 0..lines {
+            self.emit(a, region, write, work);
+            a += 64;
+        }
+    }
+
     /// Touch every line of `bytes` bytes starting at `addr` once,
     /// spreading `total_work` instructions uniformly across the touches
     /// (the streaming sweep primitive shared by every kernel generator).
     fn emit_span(&mut self, region: RegionId, addr: u64, bytes: u64, write: bool, total_work: u64) {
         let lines = bytes.div_ceil(64).max(1);
         let per = (total_work / lines) as u32;
-        let mut a = addr & !63;
-        for _ in 0..lines {
-            self.emit(a, region, write, per);
-            a += 64;
-        }
+        self.emit_lines(addr & !63, region, write, per, lines);
     }
 }
 
@@ -215,6 +288,40 @@ mod tests {
             assert_eq!(t.len(), fresh.len(), "{form}");
             assert!(t.accesses == fresh.accesses, "{form}");
             assert_eq!(t.instructions, fresh.instructions, "{form}");
+        }
+    }
+
+    #[test]
+    fn the_run_level_pull_splits_runs_at_the_bound_and_rewinds() {
+        use crate::workloads::{CgParams, KernelParams};
+        let params =
+            KernelParams::Cg(CgParams { grid: 48, iterations: 2, abft: true, verify_interval: 2 });
+        let fresh = Trace::from_source(&mut params.stream());
+        let packed = std::sync::Arc::new(params.build_packed());
+        assert!(packed.words().any(|w| crate::packed::run_len(w) > 7), "no run to split");
+        // Pull up to `bound` accesses at a time until `upto` are out.
+        let pull = |src: &mut dyn AccessSource, bound: usize, upto: usize| {
+            let (mut chunk, mut out) = (RunChunk::default(), Vec::new());
+            while out.len() < upto {
+                let n = src.fill_runs(&mut chunk, bound);
+                assert!(n > 0 && n <= bound);
+                assert_eq!(chunk.runs.iter().map(|r| r.len as usize).sum::<usize>(), n);
+                out.extend(chunk.runs.iter().flat_map(|run| run.accesses()));
+            }
+            out
+        };
+        // The kernel stream has the provided pull, the packed replay its own.
+        let sources: [(&str, Box<dyn AccessSource>); 2] = [
+            ("kernel stream", Box::new(params.stream())),
+            ("packed replay", Box::new(packed.replay())),
+        ];
+        for (form, mut src) in sources {
+            let half = pull(&mut *src, 7, fresh.len() / 2);
+            assert!(half == fresh.accesses[..half.len()], "{form}: first half");
+            src.reset();
+            let all = pull(&mut *src, 100, fresh.len());
+            assert!(all == fresh.accesses, "{form}: after reset");
+            assert_eq!(src.fill_runs(&mut RunChunk::default(), 100), 0, "{form}: drained");
         }
     }
 

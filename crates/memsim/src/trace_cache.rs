@@ -154,9 +154,11 @@ impl TraceCache {
             let value = Arc::new(build());
             if let Some(store) = self.store() {
                 // Best-effort persist: the in-memory artifact serves the
-                // process either way, and the store counts write errors
-                // as absent blobs on the next cold start.
-                let _ = save(&store, &value);
+                // process either way. A failed write is counted, so that a
+                // campaign over a full or read-only store says so.
+                if save(&store, &value).is_err() {
+                    store.count_write_failure();
+                }
             }
             value
         });
@@ -455,6 +457,25 @@ mod tests {
         assert_eq!(warm.miss_resident_bytes(), loaded.packed_bytes());
         assert!(loaded.packed_bytes() > 0 && loaded.packed_bytes() < stream.packed_bytes() / 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_blob_write_is_counted_and_the_artifact_still_served() {
+        let dir =
+            std::env::temp_dir().join(format!("abft-write-failure-unit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(ArtifactStore::open(&dir).unwrap());
+        // The store's directory becomes a file: every write under it fails.
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::write(&dir, b"not a directory").unwrap();
+        let cache = TraceCache::with_store(Arc::clone(&store));
+        let packed = cache.get(tiny_dgemm());
+        assert!(!packed.is_empty());
+        assert_eq!(cache.builds(), 1);
+        let m = store.metrics();
+        assert_eq!((m.write_failures, m.writes), (1, 0));
+        assert_eq!(m.since(&StoreMetrics::default()).write_failures, 1);
+        let _ = std::fs::remove_file(&dir);
     }
 
     #[test]

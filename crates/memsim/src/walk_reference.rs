@@ -15,9 +15,11 @@
 use crate::cache::{Cache, CacheOutcome};
 use crate::config::CacheConfig;
 use crate::miss_stream::{walk, MissEvent, MissEventKind, MissStream, RegionTally};
-use crate::stream::AccessSource;
+use crate::packed::{run_len, PackedReplay, PackedTrace, MAX_PACKED_RUN};
+use crate::stream::{AccessSource, RunChunk};
 use crate::trace::{Access, RegionMap, Trace};
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// The cache model as it was: a way is found by scanning the tags, LRU
 /// order lives in per-way stamps drawn from a per-cache clock.
@@ -222,7 +224,40 @@ fn sweep_and_scatter(rng: &mut impl Rng, accesses: usize) -> Trace {
     t
 }
 
-/// A source that does not know its totals, so the walk has to count.
+/// Line-aligned sweeps of 2–600 lines over three regions, reads and
+/// writes, work 0..=5, now and then the head of the last sweep again (an
+/// L1 hit or two). Aligned, so the packed form holds them as runs of
+/// every length up to [`MAX_PACKED_RUN`] and, split, past it — what the
+/// sub-line offsets of [`sweep_and_scatter`] never let it do.
+fn aligned_sweeps(rng: &mut impl Rng, accesses: usize) -> Trace {
+    let mut rm = RegionMap::new();
+    let regions: Vec<_> = (0..3).map(|i| rm.alloc(&format!("r{i}"), 64 * 1024, i == 0)).collect();
+    let bases: Vec<u64> = regions.iter().map(|&r| rm.get(r).base).collect();
+    let mut t = Trace::new(rm);
+    while t.accesses.len() < accesses {
+        let r = rng.random_range(0..regions.len());
+        let (write, work) = (rng.random_bool(0.4), rng.random_range(0..6));
+        let first = rng.random_range(0..400u64);
+        let lines = match rng.random_range(0..4) {
+            0 => rng.random_range(2..12),
+            1 => rng.random_range(250..264),
+            _ => rng.random_range(2..=600),
+        };
+        for line in first..first + lines {
+            t.push(bases[r] + line * 64, regions[r], write, work);
+        }
+        if rng.random_bool(0.3) {
+            for line in first..first + rng.random_range(1..4) {
+                t.push(bases[r] + line * 64, regions[r], !write, work);
+            }
+        }
+    }
+    t
+}
+
+/// A source that does not know its totals, so the walk has to count — and
+/// that has only the per-access pull, so the walk gets its runs from the
+/// provided [`AccessSource::fill_runs`], one access each.
 struct Unhinted<S>(S);
 
 impl<S: AccessSource> AccessSource for Unhinted<S> {
@@ -237,6 +272,25 @@ impl<S: AccessSource> AccessSource for Unhinted<S> {
     }
 }
 
+/// A packed replay that keeps its own run-level pull and forgets its
+/// totals: the walk has to count whole runs.
+struct UnhintedRuns(PackedReplay);
+
+impl AccessSource for UnhintedRuns {
+    fn regions(&self) -> &RegionMap {
+        self.0.regions()
+    }
+    fn fill(&mut self, buf: &mut Vec<Access>, max: usize) -> usize {
+        self.0.fill(buf, max)
+    }
+    fn fill_runs(&mut self, chunk: &mut RunChunk, max: usize) -> usize {
+        self.0.fill_runs(chunk, max)
+    }
+    fn reset(&mut self) {
+        self.0.reset()
+    }
+}
+
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
 
@@ -244,42 +298,63 @@ proptest::proptest! {
     fn walker_matches_the_stamp_lru_carry_bump_reference(seed: u64) {
         use proptest::prelude::*;
         let rng = &mut rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let t = sweep_and_scatter(rng, 3000);
+        let scattered = sweep_and_scatter(rng, 3000);
+        let swept = aligned_sweeps(rng, 3000);
+        // The same accesses as line sweeps: fewer words than accesses, and
+        // sweeps long enough to fill a word and spill into the next.
+        let packed = Arc::new(PackedTrace::from_source(&mut swept.replay()));
+        prop_assert_eq!(packed.len(), swept.accesses.len() as u64);
+        prop_assert!(packed.word_count() < packed.len() / 8, "{} words", packed.word_count());
+        let runs: Vec<usize> = packed.words().map(run_len).collect();
+        prop_assert!(runs.contains(&MAX_PACKED_RUN) && runs.iter().any(|&r| (2..16).contains(&r)));
+
         let mut seen = [false; 3];
         for (l1, l2) in geometries() {
             for threads in [1usize, 2, 3, 4, 7] {
-                let want = reference_walk(&t, l1, l2, threads);
-                for e in &want.events {
-                    match e.kind {
-                        MissEventKind::Demand { writeback: None } => seen[0] = true,
-                        MissEventKind::Demand { writeback: Some(_) } => seen[1] = true,
-                        MissEventKind::Writeback(_) => seen[2] = true,
+                for (t, packed) in [(&scattered, None), (&swept, Some(&packed))] {
+                    let want = reference_walk(t, l1, l2, threads);
+                    for e in &want.events {
+                        match e.kind {
+                            MissEventKind::Demand { writeback: None } => seen[0] = true,
+                            MissEventKind::Demand { writeback: Some(_) } => seen[1] = true,
+                            MissEventKind::Writeback(_) => seen[2] = true,
+                        }
+                    }
+
+                    // Access by access (the provided run-level pull), and
+                    // sweep by sweep (the packed replay's own).
+                    type Source<'a> = Box<dyn AccessSource + 'a>;
+                    let mut sources: Vec<(&str, Source, Source)> =
+                        vec![("per access", Box::new(Unhinted(t.replay())), Box::new(t.replay()))];
+                    if let Some(packed) = packed {
+                        let bare = UnhintedRuns(packed.replay());
+                        sources.push(("per run", Box::new(bare), Box::new(packed.replay())));
+                    }
+                    for (form, mut bare, mut hinted) in sources {
+                        let mut events = Vec::new();
+                        let w = walk(&mut *bare, l1, l2, threads, |ev| events.push(*ev));
+                        let got = Walked {
+                            events,
+                            core_cycles: w.core_cycles,
+                            l1: (w.l1_hits, w.l1_misses),
+                            l2: (w.l2_hits, w.l2_misses),
+                            tallies: w.tallies,
+                        };
+                        prop_assert!(got == want, "walk {form} diverges under {l1:?}/{l2:?}/{threads} threads");
+                        prop_assert_eq!(w.accesses, t.accesses.len() as u64);
+                        prop_assert_eq!(w.instructions, t.instructions);
+
+                        // And through the encoder: what a replay decodes.
+                        let ms = MissStream::build(&mut *hinted, l1, l2, threads);
+                        let decoded: Vec<MissEvent> = ms.iter().collect();
+                        prop_assert!(decoded == want.events, "decoded events diverge {form} under {l1:?}/{l2:?}/{threads}");
+                        prop_assert_eq!(ms.core_cycles(), want.core_cycles);
+                        let totals = ms.totals();
+                        prop_assert_eq!((totals.l1_hits, totals.l1_misses), want.l1);
+                        prop_assert_eq!((totals.l2_hits, totals.l2_misses), want.l2);
+                        prop_assert_eq!(&totals.tallies, &want.tallies);
                     }
                 }
-
-                let mut events = Vec::new();
-                let src = &mut Unhinted(t.replay());
-                let w = walk(src, l1, l2, threads, |ev| events.push(*ev));
-                let got = Walked {
-                    events,
-                    core_cycles: w.core_cycles,
-                    l1: (w.l1_hits, w.l1_misses),
-                    l2: (w.l2_hits, w.l2_misses),
-                    tallies: w.tallies,
-                };
-                prop_assert!(got == want, "walk diverges under {l1:?}/{l2:?}/{threads} threads");
-                prop_assert_eq!(w.accesses, t.accesses.len() as u64);
-                prop_assert_eq!(w.instructions, t.instructions);
-
-                // And through the encoder: what a replay decodes.
-                let ms = MissStream::build(&mut t.replay(), l1, l2, threads);
-                let decoded: Vec<MissEvent> = ms.iter().collect();
-                prop_assert!(decoded == want.events, "decoded events diverge under {l1:?}/{l2:?}/{threads}");
-                prop_assert_eq!(ms.core_cycles(), want.core_cycles);
-                let totals = ms.totals();
-                prop_assert_eq!((totals.l1_hits, totals.l1_misses), want.l1);
-                prop_assert_eq!((totals.l2_hits, totals.l2_misses), want.l2);
-                prop_assert_eq!(&totals.tallies, &want.tallies);
             }
         }
         prop_assert!(seen == [true; 3], "trace too tame: event kinds seen {seen:?}");

@@ -113,11 +113,7 @@ fn touch_tile<S: AccessSink + ?Sized>(
     let per = (work_total / total) as u32;
     for j in 0..cols {
         let col_addr = base + ((col0 + j) * ld + row0) * F64;
-        let mut a = col_addr & !(LINE - 1);
-        for _ in 0..lines_per_col {
-            t.emit(a, region, write, per);
-            a += LINE;
-        }
+        t.emit_lines(col_addr & !(LINE - 1), region, write, per, lines_per_col);
     }
 }
 
@@ -463,13 +459,9 @@ fn cg_spmv<S: AccessSink + ?Sized>(
     let mut i = 0u64;
     while i < n {
         let voff = (i * 5 * F64) & !(LINE - 1);
-        for line in 0..5 {
-            t.emit(l.bvals + voff + line * LINE, l.rvals, false, 2);
-        }
+        t.emit_lines(l.bvals + voff, l.rvals, false, 2, 5);
         let coff = (i * 5 * 4) & !(LINE - 1);
-        for line in 0..3 {
-            t.emit(l.bcols + coff + line * LINE, l.rcols, false, 0);
-        }
+        t.emit_lines(l.bcols + coff, l.rcols, false, 0, 3);
         t.emit(bsrc + i * F64, src, false, 2);
         if i >= g {
             t.emit(bsrc + (i - g) * F64, src, false, 2);
@@ -1020,6 +1012,42 @@ mod tests {
             let again = Trace::from_source(&mut stream);
             assert_eq!(again.accesses, direct.accesses);
             assert_eq!(again.instructions, packed.instructions());
+        }
+    }
+
+    /// `build_packed` hands the packed builder whole sweeps (its own
+    /// `emit_lines`); the stream's step buffer takes them line by line (the
+    /// provided one) and `from_source` packs access by access.
+    fn assert_sweeps_pack_as_lines_do(w: KernelParams) {
+        let swept = w.build_packed();
+        let by_line = PackedTrace::from_source(&mut w.stream());
+        assert!(swept.words().eq(by_line.words()), "{w:?}");
+        assert_eq!((swept.len(), swept.instructions()), (by_line.len(), by_line.instructions()));
+    }
+
+    #[test]
+    fn default_kernels_pack_the_same_words_by_sweep_and_by_line() {
+        for kind in KernelKind::ALL {
+            assert_sweeps_pack_as_lines_do(KernelParams::default_for(kind));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn sweep_emission_packs_the_words_line_emission_packs(
+            tiles in 1usize..4,
+            grid in 8usize..40,
+            iterations in 1usize..3,
+            verify_interval in 1usize..3,
+            abft: bool,
+        ) {
+            let (n, nb) = (64 * tiles, 64);
+            assert_sweeps_pack_as_lines_do(DgemmParams { n, nb, abft, verify_interval }.into());
+            assert_sweeps_pack_as_lines_do(CholeskyParams { n, nb, abft }.into());
+            assert_sweeps_pack_as_lines_do(CgParams { grid, iterations, abft, verify_interval }.into());
+            assert_sweeps_pack_as_lines_do(HplParams { n, nb, abft }.into());
         }
     }
 

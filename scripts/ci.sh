@@ -24,12 +24,18 @@ echo "=== cargo build --release --workspace ==="
 # the `repro` and `store_gate` binaries the stages below execute.
 cargo build --release --workspace
 
-echo "=== benchmarks/ (perfbench) builds and passes its tests against these crates ==="
+echo "=== benchmarks/ (perfbench) builds, passes its tests and runs a cold grid against these crates ==="
 # perfbench is a package of its own outside the workspace, so nothing above
 # compiles it: a changed signature in memsim or core would otherwise break
 # the benchmark the PR pipeline runs without any stage here noticing.
 cargo build --release --offline --manifest-path benchmarks/Cargo.toml
 cargo test -q --offline --manifest-path benchmarks/Cargo.toml
+# And runs: a cold rep pins what it must do (`cache_builds == 4`,
+# `filter_builds == 4`, `store_writes == 8`) and checks every cell, so a
+# change that trips a pin fails here and not first in the PR pipeline. Five
+# reps, about ten seconds; the timings are not read.
+cargo run --release -q --offline --manifest-path benchmarks/Cargo.toml -- \
+    --workload grid_cold --seconds 1 >/dev/null
 
 echo "=== drift gate (repro all vs the committed reproduction-output/) ==="
 # One process regenerates every experiment `repro list` names; each must
@@ -98,10 +104,12 @@ echo "=== cargo test -q --features validate (memsim invariant audits on) ==="
 # paths are pinned to — `dram::tests` (reference_access_kind) and
 # `walk_reference` (stamp-LRU cache + carry-bump walk vs the one L1/L2
 # walker) — and the proptest that pins every lane of a row replay to the
-# simulation it would be alone; the last two are named so that a rename
-# cannot silently drop them.
+# simulation it would be alone; those two, and the proptest that holds the
+# packed builder's sweep-level emission to line-by-line emission, are named
+# so that a rename cannot silently drop them.
 cargo test -q -p abft-memsim --features validate
-for pinned in walk_reference:: every_lane_is_the_simulation_it_would_be_alone; do
+for pinned in walk_reference:: every_lane_is_the_simulation_it_would_be_alone \
+    sweep_emission_packs_the_words_line_emission_packs; do
     refs="$(cargo test -q -p abft-memsim --features validate "$pinned" 2>&1)"
     grep -Eq "test result: ok\. [1-9][0-9]* passed" <<<"$refs" || { echo "$refs"; exit 1; }
 done

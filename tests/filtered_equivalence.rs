@@ -85,10 +85,20 @@ fn filtered_replay_is_bit_identical_across_geometries_and_threads() {
     serial.threads = 1;
     let mut wide = base.clone();
     wide.threads = 8;
+    // Twice the DRAM burst: a record's 64-byte write-back unit still holds
+    // every line address (below 64 bytes it could not, and `validate` and
+    // `MissStream::build` refuse).
+    let mut long_lines = base.clone();
+    long_lines.l1.line_bytes = 128;
+    long_lines.l2.line_bytes = 128;
 
-    for (tag, cfg) in
-        [("half-l2", half_l2), ("quarter-l1", tiny_l1), ("1-thread", serial), ("8-thread", wide)]
-    {
+    for (tag, cfg) in [
+        ("half-l2", half_l2),
+        ("quarter-l1", tiny_l1),
+        ("1-thread", serial),
+        ("8-thread", wide),
+        ("128-byte-lines", long_lines),
+    ] {
         let ms = filter(&packed, &cfg);
         for s in [Strategy::WholeChipkill, Strategy::PartialChipkillSecded] {
             let full = run_cell(SimInput::Source(&mut packed.replay()), &cfg, s);
