@@ -337,6 +337,15 @@ impl SystemConfig {
         if !(self.clock_ghz.is_finite() && self.clock_ghz > 0.0) {
             return Err(err("clock_ghz", self.clock_ghz, "not a positive clock"));
         }
+        // Every replayed instant is `cycles · cycle_ns`: an infinite cycle
+        // makes the first one NaN (0 · ∞), a subnormal one loses digits.
+        if !self.cycle_ns().is_normal() {
+            return Err(err(
+                "clock_ghz",
+                self.clock_ghz,
+                format!("cycle time {} ns is not a finite normal number", self.cycle_ns()),
+            ));
+        }
         if self.cores == 0 {
             return Err(err("cores", self.cores, "at least one core is required"));
         }
@@ -410,8 +419,12 @@ impl SystemConfig {
                 ),
             ));
         }
-        if !(self.timing.tck_ns.is_finite() && self.timing.tck_ns > 0.0) {
-            return Err(err("timing", self.timing.tck_ns, "tCK (ns) is not positive"));
+        if !(self.timing.tck_ns.is_normal() && self.timing.tck_ns > 0.0) {
+            return Err(err(
+                "timing.tck_ns",
+                self.timing.tck_ns,
+                "tCK (ns) is not a positive finite normal number",
+            ));
         }
         // The refresh check is `start % t_refi_ns < t_rfc_ns`: a zero or
         // non-finite interval turns it off silently (`% 0.0` is NaN), and
@@ -429,6 +442,32 @@ impl SystemConfig {
                 t_rfc,
                 format!("refresh blackout is not shorter than the refresh interval ({t_refi} ns)"),
             ));
+        }
+        // Joules are sums and products of these: one NaN poisons a cell,
+        // one negative coefficient quietly subtracts energy.
+        let e = &self.energy;
+        for (field, v) in [
+            ("energy.act_nj_per_chip", e.act_nj_per_chip),
+            ("energy.read_nj_per_chip", e.read_nj_per_chip),
+            ("energy.write_nj_per_chip", e.write_nj_per_chip),
+            ("energy.standby_mw_per_chip", e.standby_mw_per_chip),
+            ("energy.powerdown_mw_per_chip", e.powerdown_mw_per_chip),
+            ("proc_power.max_watts", self.proc_power.max_watts),
+        ] {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(err(field, v, "not a finite non-negative energy or power"));
+            }
+        }
+        let p = &self.proc_power;
+        if !(0.0..=1.0).contains(&p.idle_fraction) {
+            return Err(err(
+                "proc_power.idle_fraction",
+                p.idle_fraction,
+                "not a fraction in [0, 1]",
+            ));
+        }
+        if !(p.peak_ipc.is_finite() && p.peak_ipc > 0.0) {
+            return Err(err("proc_power.peak_ipc", p.peak_ipc, "not a positive finite IPC"));
         }
         Ok(())
     }
@@ -659,6 +698,77 @@ mod tests {
         // No refresh blackout at all is a legal model.
         with(7800.0, 0.0).unwrap();
         with(7812.5, 110.0).unwrap();
+    }
+
+    // The six configs below each used to pass `validate` and then print a
+    // NaN, an infinity or quietly wrong joules.
+
+    #[test]
+    fn a_clock_whose_cycle_is_not_a_normal_number_is_refused() {
+        // 1 / 1e-310 GHz is an infinite cycle: every `now` is 0 · ∞ = NaN.
+        let e = rejected(SystemConfig { clock_ghz: 1e-310, ..SystemConfig::default() });
+        assert_eq!((e.field, e.value.parse::<f64>()), ("clock_ghz", Ok(1e-310)));
+        assert!(e.reason.contains("inf ns"), "{e}");
+        // And 1 / 1e308 GHz a subnormal one.
+        let e = rejected(SystemConfig { clock_ghz: 1e308, ..SystemConfig::default() });
+        assert_eq!(e.field, "clock_ghz");
+    }
+
+    #[test]
+    fn a_nan_activation_energy_is_refused() {
+        let energy = DramEnergy { act_nj_per_chip: f64::NAN, ..DramEnergy::default() };
+        let e = rejected(SystemConfig { energy, ..SystemConfig::default() });
+        assert_eq!((e.field, e.value.as_str()), ("energy.act_nj_per_chip", "NaN"));
+    }
+
+    #[test]
+    fn a_negative_read_energy_is_refused() {
+        let energy = DramEnergy { read_nj_per_chip: -6.2, ..DramEnergy::default() };
+        let e = rejected(SystemConfig { energy, ..SystemConfig::default() });
+        assert_eq!((e.field, e.value.as_str()), ("energy.read_nj_per_chip", "-6.2"));
+        let energy = DramEnergy { write_nj_per_chip: f64::INFINITY, ..DramEnergy::default() };
+        let e = rejected(SystemConfig { energy, ..SystemConfig::default() });
+        assert_eq!(e.field, "energy.write_nj_per_chip");
+    }
+
+    #[test]
+    fn a_negative_standby_power_is_refused() {
+        let energy = DramEnergy { standby_mw_per_chip: -18.0, ..DramEnergy::default() };
+        let e = rejected(SystemConfig { energy, ..SystemConfig::default() });
+        assert_eq!((e.field, e.value.as_str()), ("energy.standby_mw_per_chip", "-18"));
+        let energy = DramEnergy { powerdown_mw_per_chip: -1.0, ..DramEnergy::default() };
+        let e = rejected(SystemConfig { energy, ..SystemConfig::default() });
+        assert_eq!(e.field, "energy.powerdown_mw_per_chip");
+    }
+
+    #[test]
+    fn a_nan_processor_power_is_refused() {
+        let proc = |proc_power| rejected(SystemConfig { proc_power, ..SystemConfig::default() });
+        let e = proc(ProcessorPower { max_watts: f64::NAN, ..ProcessorPower::default() });
+        assert_eq!((e.field, e.value.as_str()), ("proc_power.max_watts", "NaN"));
+        for idle_fraction in [-0.1, 1.5, f64::NAN] {
+            let e = proc(ProcessorPower { idle_fraction, ..ProcessorPower::default() });
+            assert_eq!(e.field, "proc_power.idle_fraction", "idle_fraction = {idle_fraction}");
+        }
+        for peak_ipc in [0.0, -4.0, f64::INFINITY, f64::NAN] {
+            let e = proc(ProcessorPower { peak_ipc, ..ProcessorPower::default() });
+            assert_eq!(e.field, "proc_power.peak_ipc", "peak_ipc = {peak_ipc}");
+        }
+        // The bounds themselves are legal.
+        let edge = ProcessorPower { max_watts: 0.0, idle_fraction: 1.0, peak_ipc: 1e-3 };
+        SystemConfig { proc_power: edge, ..SystemConfig::default() }.validate().unwrap();
+    }
+
+    #[test]
+    fn a_subnormal_dram_clock_is_refused() {
+        let timing = DramTiming { tck_ns: 1e-320, ..DramTiming::default() };
+        let e = rejected(SystemConfig { timing, ..SystemConfig::default() });
+        assert_eq!(e.field, "timing.tck_ns");
+        for tck_ns in [0.0, -3.0, f64::NAN, f64::INFINITY] {
+            let timing = DramTiming { tck_ns, ..DramTiming::default() };
+            let e = rejected(SystemConfig { timing, ..SystemConfig::default() });
+            assert_eq!(e.field, "timing.tck_ns", "tck_ns = {tck_ns}");
+        }
     }
 
     #[test]

@@ -330,6 +330,23 @@ pub struct Dram {
     pub stats: DramStats,
 }
 
+/// The later of two instants — `f64::max` as a compare and a select,
+/// without the NaN fix-up `maxnum` costs on the request's critical path.
+/// The two differ only when an operand is NaN, or on `max(0.0, -0.0)`;
+/// every instant a replay under a validated [`SystemConfig`] produces is a
+/// sum of non-negative finite products (`cycles · cycle_ns`, latencies,
+/// blackouts), so neither happens, and `dram::tests`' referee, which keeps
+/// `f64::max`, holds `service` to it bit for bit.
+#[inline(always)]
+fn later(a: f64, b: f64) -> f64 {
+    debug_assert!(!a.is_nan() && !b.is_nan(), "a NaN instant: {a} vs {b}");
+    if b > a {
+        b
+    } else {
+        a
+    }
+}
+
 fn scheme_index(s: EccScheme) -> usize {
     match s {
         EccScheme::None => 0,
@@ -392,6 +409,9 @@ impl Dram {
     /// replay merely matched the per-cell loop it replaced and six lanes
     /// ran 0.80x; inlined into the lane loop, one lane ran 0.91x and six
     /// lanes 0.62x.
+    ///
+    /// `start_ns` must not be NaN (see `later`); a replay under a
+    /// validated config never hands it one.
     #[inline(always)]
     pub(crate) fn service(
         &mut self,
@@ -410,18 +430,18 @@ impl Dram {
         // Earliest start: all involved channels and banks free, and not
         // inside the rank's periodic refresh window (tREFI cadence, tRFC
         // blackout — the rank is unavailable while refreshing).
-        let mut avail = start_ns.max(self.channel_free_ns[c0]);
+        let mut avail = later(start_ns, self.channel_free_ns[c0]);
         if lockstep {
-            avail = avail.max(self.channel_free_ns[c1]);
+            avail = later(avail, self.channel_free_ns[c1]);
         }
         avail = self.past_refresh(avail);
         let rank0 = c0 * self.ranks_per_chan + loc.rank as usize;
         let rank1 = rank0 + self.ranks_per_chan;
         let bi0 = rank0 * self.banks_per_rank + loc.bank as usize;
         let bi1 = rank1 * self.banks_per_rank + loc.bank as usize;
-        avail = avail.max(self.banks[bi0].free_ns);
+        avail = later(avail, self.banks[bi0].free_ns);
         if lockstep {
-            avail = avail.max(self.banks[bi1].free_ns);
+            avail = later(avail, self.banks[bi1].free_ns);
         }
         let queue_ns = avail - start_ns;
 
@@ -577,7 +597,7 @@ impl Dram {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::{DeviceWidth, DramTiming, RowPolicy};
     use proptest::prelude::*;
@@ -591,7 +611,8 @@ mod tests {
     /// The referee: the per-request model as it stood before the cost
     /// tables, the shift/mask decode and the refresh-free window — division
     /// decode, every cost re-derived from `cfg`, an unconditional `%`.
-    fn reference_access_kind(
+    /// `system`'s `reference_replay` drives it too.
+    pub(crate) fn reference_access_kind(
         d: &mut Dram,
         start_ns: f64,
         paddr: u64,

@@ -52,8 +52,7 @@
 
 use crate::miss_stream::{
     run_len, MissEvents, MissRecords, MissStream, RegionTally, SliceCursor, StreamTotals,
-    KIND_DEMAND, KIND_MASK, KIND_SHIFT, KIND_WRITEBACK, MAX_MISS_DELTA, MAX_MISS_RUN, RUN_SHIFT,
-    WB_SHIFT,
+    KIND_DEMAND, KIND_MASK, KIND_SHIFT, KIND_WRITEBACK, MAX_MISS_DELTA, WB_SHIFT,
 };
 use crate::packed::{region_of, unpack};
 use std::sync::Arc;
@@ -615,13 +614,22 @@ const ROW_GRANULE_SHIFT: u32 = 15;
 const ROW_TABLE: usize = 16;
 
 impl FingerprintScan {
+    /// The scan counts down to the next slice boundary instead of dividing
+    /// each record's event index by `interval`, and tallies a slice's
+    /// counts in integers, converted and divided once per slice: every
+    /// count is below 2^53, so `tally as f64` is the f64 sum the counts
+    /// would have added up to. The cycle dimension is not a count — a
+    /// slice's cycles are not bounded by 2^53 — and stays an f64 sum in
+    /// record order. `simpoint::tests`' `reference_scan`, the scan as it
+    /// was, holds it to the same bits (DESIGN.md §3.15).
     fn run(ms: &MissStream, interval: u64) -> FingerprintScan {
         let bases = ms.raw_bases();
         let regions = bases.len();
         let dim = 2 * regions + 4;
-        let total = ms.events();
-        let slices = total.div_ceil(interval) as usize;
-        let mut fingerprints = vec![0f64; slices * dim];
+        let (cycle_dim, write_dim, switch_dim, runs_dim) =
+            (2 * regions, 2 * regions + 1, 2 * regions + 2, 2 * regions + 3);
+        let slices = ms.events().div_ceil(interval) as usize;
+        let mut fingerprints = Vec::with_capacity(slices * dim);
         let mut cursors: Vec<SliceCursor> = Vec::with_capacity(slices);
 
         // Open-row proxy: one granule id per table entry, carried across
@@ -632,7 +640,7 @@ impl FingerprintScan {
         // switches) from scatter phases (a switch per event), which is
         // what drives DRAM activate energy and timing.
         let mut open = [u64::MAX; ROW_TABLE];
-        let mut row_switches = |lo: u64, hi: u64| -> f64 {
+        let mut row_switches = |lo: u64, hi: u64| -> u64 {
             let mut n = 0u64;
             let mut g = lo >> ROW_GRANULE_SHIFT;
             let last = hi >> ROW_GRANULE_SHIFT;
@@ -647,16 +655,30 @@ impl FingerprintScan {
                 }
                 g += 1;
             }
-            n as f64
+            n
+        };
+
+        // The slice being scanned: its counts (the cycle slot unused), its
+        // cycle sum, and how many of its `interval` events are still to
+        // come. Normalizing to rates lets a short final slice compare
+        // fairly with full ones.
+        let mut tally = vec![0u64; dim];
+        let mut slice_cycles = 0f64;
+        let mut left = 0u64;
+        let mut flush = |tally: &mut [u64], slice_cycles: &mut f64, events: u64| {
+            let ev = events as f64;
+            fingerprints.extend(tally.iter().map(|&n| n as f64 / ev));
+            let row = fingerprints.len() - dim;
+            fingerprints[row + cycle_dim] = std::mem::take(slice_cycles) / ev;
+            tally.fill(0);
         };
 
         let words = ms.raw_words();
         let mut cycles = 0u64;
-        let mut event_idx = 0u64;
         let mut idx = 0usize;
         while idx + 1 < words.len() {
             let w0 = words[idx];
-            let run = ((w0 >> RUN_SHIFT) as usize & (MAX_MISS_RUN - 1)) + 1;
+            let run = run_len(w0);
             let kind = (w0 >> KIND_SHIFT) & KIND_MASK;
             let head = unpack(w0, bases);
             let delta = words[idx + 1] & MAX_MISS_DELTA;
@@ -666,56 +688,49 @@ impl FingerprintScan {
             let zz = words[idx + 1] >> WB_SHIFT;
             let wb_delta = ((zz >> 1) as i64) ^ -((zz & 1) as i64);
             let wb_line0 = (head.addr >> 6) as i64 + wb_delta;
-            let mut consumed = 0usize;
+            let r = head.region as usize;
+            let mut consumed = 0u64;
             while consumed < run {
-                let into_slice = event_idx % interval;
-                if into_slice == 0 {
-                    cursors.push(SliceCursor::at(idx, consumed, cycles));
+                if left == 0 {
+                    if !cursors.is_empty() {
+                        flush(&mut tally, &mut slice_cycles, interval);
+                    }
+                    cursors.push(SliceCursor::at(idx, consumed as usize, cycles));
+                    left = interval;
                 }
-                let s = (event_idx / interval) as usize;
-                let batch = ((run - consumed) as u64).min(interval - into_slice);
-                let fp = &mut fingerprints[s * dim..(s + 1) * dim];
-                let b = batch as f64;
-                let r = head.region as usize;
-                let lo = consumed as u64;
-                let hi = lo + batch - 1;
+                let batch = (run - consumed).min(left);
+                let (lo, hi) = (consumed, consumed + batch - 1);
                 if kind == KIND_WRITEBACK {
-                    fp[regions + r] += b;
+                    tally[regions + r] += batch;
                 } else {
-                    fp[r] += b;
-                    fp[2 * regions + 2] += row_switches(head.addr + 64 * lo, head.addr + 64 * hi);
+                    tally[r] += batch;
+                    tally[switch_dim] += row_switches(head.addr + 64 * lo, head.addr + 64 * hi);
                     if kind != KIND_DEMAND {
-                        fp[regions + r] += b;
+                        tally[regions + r] += batch;
                     }
                 }
                 if kind != KIND_DEMAND {
                     let wb_lo = ((wb_line0 + lo as i64) as u64) << 6;
                     let wb_hi = ((wb_line0 + hi as i64) as u64) << 6;
-                    fp[2 * regions + 2] += row_switches(wb_lo, wb_hi);
+                    tally[switch_dim] += row_switches(wb_lo, wb_hi);
                 }
-                fp[2 * regions] += (delta * batch) as f64;
+                slice_cycles += (delta * batch) as f64;
                 if head.write {
-                    fp[2 * regions + 1] += b;
+                    tally[write_dim] += batch;
                 }
                 // Record density: how many coalesced runs the slice's
                 // events arrive in (inverse mean run length) — bursty
                 // back-to-back streams vs isolated misses queue very
                 // differently at the controller.
-                fp[2 * regions + 3] += 1.0;
+                tally[runs_dim] += 1;
                 cycles += delta * batch;
-                event_idx += batch;
-                consumed += batch as usize;
+                left -= batch;
+                consumed += batch;
             }
             idx += 2;
         }
-
-        // Normalize each slice to rates so short final slices compare
-        // fairly with full ones.
-        for s in 0..slices {
-            let ev = (total - s as u64 * interval).min(interval) as f64;
-            for v in &mut fingerprints[s * dim..(s + 1) * dim] {
-                *v /= ev;
-            }
+        if !cursors.is_empty() {
+            flush(&mut tally, &mut slice_cycles, interval - left);
         }
         FingerprintScan { dim, fingerprints, cursors }
     }
@@ -882,7 +897,176 @@ fn kmeans(
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use crate::workloads::{DgemmParams, KernelParams};
+    use crate::miss_stream::{MAX_MISS_RUN, RUN_SHIFT};
+    use crate::workloads::{DgemmParams, KernelKind, KernelParams};
+
+    /// The referee: [`FingerprintScan::run`] as it stood before the
+    /// countdown and the integer tallies — a division and a remainder by
+    /// `interval` per batch, f64 read-modify-writes into the slice's row,
+    /// one normalizing pass at the end. Kept verbatim, as `dram.rs` keeps
+    /// `reference_access_kind` and `walk_reference` the stamp-LRU walk.
+    fn reference_scan(ms: &MissStream, interval: u64) -> FingerprintScan {
+        let bases = ms.raw_bases();
+        let regions = bases.len();
+        let dim = 2 * regions + 4;
+        let total = ms.events();
+        let slices = total.div_ceil(interval) as usize;
+        let mut fingerprints = vec![0f64; slices * dim];
+        let mut cursors: Vec<SliceCursor> = Vec::with_capacity(slices);
+
+        // Open-row proxy: one granule id per table entry, carried across
+        // slice boundaries (the real row buffers carry state too). A
+        // touched granule that is not the one "open" in its entry counts
+        // as a row switch — the per-slice rate of these is the feature
+        // that separates streaming phases (long sequential runs, few
+        // switches) from scatter phases (a switch per event), which is
+        // what drives DRAM activate energy and timing.
+        let mut open = [u64::MAX; ROW_TABLE];
+        let mut row_switches = |lo: u64, hi: u64| -> f64 {
+            let mut n = 0u64;
+            let mut g = lo >> ROW_GRANULE_SHIFT;
+            let last = hi >> ROW_GRANULE_SHIFT;
+            loop {
+                let slot = (g as usize) % ROW_TABLE;
+                if open[slot] != g {
+                    open[slot] = g;
+                    n += 1;
+                }
+                if g >= last {
+                    break;
+                }
+                g += 1;
+            }
+            n as f64
+        };
+
+        let words = ms.raw_words();
+        let mut cycles = 0u64;
+        let mut event_idx = 0u64;
+        let mut idx = 0usize;
+        while idx + 1 < words.len() {
+            let w0 = words[idx];
+            let run = ((w0 >> RUN_SHIFT) as usize & (MAX_MISS_RUN - 1)) + 1;
+            let kind = (w0 >> KIND_SHIFT) & KIND_MASK;
+            let head = unpack(w0, bases);
+            let delta = words[idx + 1] & MAX_MISS_DELTA;
+            // Write-back line of the run head (signed line delta from the
+            // trigger line, zigzag-encoded); successive run events write
+            // back successive lines.
+            let zz = words[idx + 1] >> WB_SHIFT;
+            let wb_delta = ((zz >> 1) as i64) ^ -((zz & 1) as i64);
+            let wb_line0 = (head.addr >> 6) as i64 + wb_delta;
+            let mut consumed = 0usize;
+            while consumed < run {
+                let into_slice = event_idx % interval;
+                if into_slice == 0 {
+                    cursors.push(SliceCursor::at(idx, consumed, cycles));
+                }
+                let s = (event_idx / interval) as usize;
+                let batch = ((run - consumed) as u64).min(interval - into_slice);
+                let fp = &mut fingerprints[s * dim..(s + 1) * dim];
+                let b = batch as f64;
+                let r = head.region as usize;
+                let lo = consumed as u64;
+                let hi = lo + batch - 1;
+                if kind == KIND_WRITEBACK {
+                    fp[regions + r] += b;
+                } else {
+                    fp[r] += b;
+                    fp[2 * regions + 2] += row_switches(head.addr + 64 * lo, head.addr + 64 * hi);
+                    if kind != KIND_DEMAND {
+                        fp[regions + r] += b;
+                    }
+                }
+                if kind != KIND_DEMAND {
+                    let wb_lo = ((wb_line0 + lo as i64) as u64) << 6;
+                    let wb_hi = ((wb_line0 + hi as i64) as u64) << 6;
+                    fp[2 * regions + 2] += row_switches(wb_lo, wb_hi);
+                }
+                fp[2 * regions] += (delta * batch) as f64;
+                if head.write {
+                    fp[2 * regions + 1] += b;
+                }
+                // Record density: how many coalesced runs the slice's
+                // events arrive in (inverse mean run length) — bursty
+                // back-to-back streams vs isolated misses queue very
+                // differently at the controller.
+                fp[2 * regions + 3] += 1.0;
+                cycles += delta * batch;
+                event_idx += batch;
+                consumed += batch as usize;
+            }
+            idx += 2;
+        }
+
+        // Normalize each slice to rates so short final slices compare
+        // fairly with full ones.
+        for s in 0..slices {
+            let ev = (total - s as u64 * interval).min(interval) as f64;
+            for v in &mut fingerprints[s * dim..(s + 1) * dim] {
+                *v /= ev;
+            }
+        }
+        FingerprintScan { dim, fingerprints, cursors }
+    }
+
+    /// Where the scan of `ms` at `interval` first differs from
+    /// [`reference_scan`]'s — dimension, cursors, or a fingerprint by bit
+    /// pattern — if anywhere.
+    fn scan_mismatch(ms: &MissStream, interval: u64) -> Option<String> {
+        let (got, want) = (FingerprintScan::run(ms, interval), reference_scan(ms, interval));
+        let bits =
+            |s: &FingerprintScan| s.fingerprints.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        if got.dim != want.dim || got.cursors != want.cursors {
+            return Some(format!("interval {interval}: dim or cursors differ"));
+        }
+        let (g, w) = (bits(&got), bits(&want));
+        let at = g.iter().zip(&w).position(|(a, b)| a != b);
+        (g.len() != w.len() || at.is_some()).then(|| {
+            format!(
+                "interval {interval}: {} vs {} values, first difference at {at:?}",
+                g.len(),
+                w.len()
+            )
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn the_scan_is_reference_scan_bit_for_bit(seed: u64) {
+            use proptest::prelude::*;
+            use rand::{Rng, SeedableRng};
+            let ms = crate::miss_stream::few_line_stream(seed);
+            let rng = &mut rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let beyond = ms.events() + rng.random_range(1..100);
+            // What the intervals must have met: a run split across a slice
+            // boundary, a short final slice, a one-event slice.
+            let mut seen = [false; 3];
+            for interval in (1..64).chain([beyond]) {
+                prop_assert_eq!(scan_mismatch(&ms, interval), None);
+                let scan = FingerprintScan::run(&ms, interval);
+                seen[0] |= scan.cursors.iter().any(|c| c.run_pos > 0);
+                let last = ms.events() - (scan.cursors.len() as u64 - 1) * interval;
+                seen[1] |= last < interval;
+                seen[2] |= interval == 1 || last == 1;
+            }
+            prop_assert!(seen == [true; 3], "{} events too tame: {seen:?}", ms.events());
+        }
+    }
+
+    #[test]
+    fn the_scan_is_reference_scan_on_the_default_kernels() {
+        let cfg = SystemConfig::default();
+        for kind in KernelKind::ALL {
+            let mut stream = KernelParams::default_for(kind).stream();
+            let ms = MissStream::build(&mut stream, cfg.l1, cfg.l2, cfg.threads);
+            for interval in [32768, 4097, 1000] {
+                assert_eq!(scan_mismatch(&ms, interval), None, "{kind:?}");
+            }
+        }
+    }
 
     fn small_stream() -> MissStream {
         let params =

@@ -489,10 +489,9 @@ fn drive_source<S: AccessSource + ?Sized, P: ProtectionPolicy + ?Sized>(
     src: &mut S,
     lanes: &mut [Lane<'_, P>],
 ) -> Vec<SimStats> {
-    let map = AddressMap::new(cfg);
-    let (cycle_ns, stall_factor) = (cfg.cycle_ns(), cfg.stall_factor);
+    let (map, clock) = (AddressMap::new(cfg), Clock::new(cfg));
     let walked = miss_stream::walk(src, cfg.l1, cfg.l2, cfg.threads, |ev| {
-        replay_event(&map, cycle_ns, stall_factor, ev, lanes)
+        replay_event(&map, &clock, ev, lanes)
     });
     assemble_lanes(cfg, &walked, lanes)
 }
@@ -531,10 +530,9 @@ fn drive_miss<P: ProtectionPolicy + ?Sized>(
     lanes: &mut [Lane<'_, P>],
 ) -> Vec<SimStats> {
     assert_geometry(cfg, ms.filter_config());
-    let map = AddressMap::new(cfg);
-    let (cycle_ns, stall_factor) = (cfg.cycle_ns(), cfg.stall_factor);
+    let (map, clock) = (AddressMap::new(cfg), Clock::new(cfg));
     for ev in ms.iter() {
-        replay_event(&map, cycle_ns, stall_factor, &ev, lanes);
+        replay_event(&map, &clock, &ev, lanes);
     }
     assemble_lanes(cfg, ms.totals(), lanes)
 }
@@ -573,8 +571,7 @@ fn drive_sampled<'a, P: ProtectionPolicy + ?Sized>(
     lanes: &mut [Lane<'_, P>],
 ) -> Vec<SimStats> {
     assert_geometry(cfg, (totals.l1_cfg, totals.l2_cfg, totals.threads));
-    let map = AddressMap::new(cfg);
-    let (cycle_ns, stall_factor) = (cfg.cycle_ns(), cfg.stall_factor);
+    let (map, clock) = (AddressMap::new(cfg), Clock::new(cfg));
     // Per-lane snapshots, made before the phase loop, which must not
     // allocate (PERF001) — only copy into these. Rank busy time is kept
     // flat, lane `i`'s ranks at `busy(i)`.
@@ -590,7 +587,7 @@ fn drive_sampled<'a, P: ProtectionPolicy + ?Sized>(
             fold.stalls_before = lane.stall_acc;
         }
         for ev in open(k).take(ph.events() as usize) {
-            replay_event(&map, cycle_ns, stall_factor, &ev, lanes);
+            replay_event(&map, &clock, &ev, lanes);
         }
         for (i, (lane, fold)) in lanes.iter().zip(&mut folds).enumerate() {
             fold.est.add_delta(&fold.before, &lane.dram.stats, ph.scale());
@@ -698,8 +695,7 @@ fn assemble_stats<P: ?Sized>(
 #[inline(always)]
 fn replay_event<P: ProtectionPolicy + ?Sized>(
     map: &AddressMap,
-    cycle_ns: f64,
-    stall_factor: f64,
+    clock: &Clock,
     ev: &MissEvent,
     lanes: &mut [Lane<'_, P>],
 ) {
@@ -707,7 +703,7 @@ fn replay_event<P: ProtectionPolicy + ?Sized>(
         MissEventKind::Writeback(wb) => {
             let loc = map.decode(wb);
             for lane in lanes {
-                let now = (ev.core_cycles + lane.stall_acc) as f64 * cycle_ns;
+                let now = clock.now_ns(ev.core_cycles + lane.stall_acc);
                 let kind = lane.policy.choose(wb);
                 lane.dram.service(now, loc, true, kind);
             }
@@ -716,17 +712,70 @@ fn replay_event<P: ProtectionPolicy + ?Sized>(
             let loc = map.decode(ev.trigger.addr);
             let writeback = writeback.map(|wb| (wb, map.decode(wb)));
             for lane in lanes {
-                let now = (ev.core_cycles + lane.stall_acc) as f64 * cycle_ns;
+                let now = clock.now_ns(ev.core_cycles + lane.stall_acc);
                 let kind = lane.policy.choose(ev.trigger.addr);
                 let res = lane.dram.service(now, loc, false, kind);
-                let lat_ns = res.completion_ns - now;
-                lane.stall_acc += (lat_ns * stall_factor / cycle_ns) as u64;
+                lane.stall_acc += clock.stall_cycles(res.completion_ns - now);
                 if let Some((wb, wb_loc)) = writeback {
                     let kind = lane.policy.choose(wb);
                     lane.dram.service(now, wb_loc, true, kind);
                 }
             }
         }
+    }
+}
+
+/// The core clock a replay runs every lane's timeline on, built once per
+/// replay from the config: core cycles to an arrival time, and a demand's
+/// DRAM latency to the core cycles it stalls. Each step is the old
+/// spelling's bits by a shorter chain (DESIGN.md §3.13, "The chain,
+/// shortened"); `system::tests`' `reference_replay` holds it there.
+#[derive(Debug, Clone, Copy)]
+struct Clock {
+    cycle_ns: f64,
+    stall_factor: f64,
+    /// `stall_factor / cycle_ns`, kept iff multiplying by it rounds like
+    /// multiplying by `stall_factor` and then dividing by `cycle_ns`.
+    stall_per_ns: Option<f64>,
+}
+
+impl Clock {
+    fn new(cfg: &SystemConfig) -> Clock {
+        let (cycle_ns, stall_factor) = (cfg.cycle_ns(), cfg.stall_factor);
+        // Scaling by 2^k commutes with rounding while no result leaves the
+        // normal range, so with `cycle_ns` = 2^k (Table 3's 2 GHz is 2^-1)
+        // `x · s / 2^k` and `x · (s / 2^k)` are the same f64 once
+        // `s / 2^k` is exact (zero or normal) and `x · s` is normal
+        // whenever the stall reaches ½ cycle (`cycle_ns` ≥ 2^-1021); a
+        // stall below ½ cycle truncates to 0 on either side. Any other
+        // clock keeps the division — chosen from the config, as
+        // `AddressMap::new` chooses shift-and-mask.
+        const MANTISSA: u64 = (1 << 52) - 1;
+        let pow2 = cycle_ns.to_bits() & MANTISSA == 0 && cycle_ns.is_normal();
+        let per_ns = stall_factor / cycle_ns;
+        let exact = pow2 && cycle_ns > f64::MIN_POSITIVE && (per_ns == 0.0 || per_ns.is_normal());
+        Clock { cycle_ns, stall_factor, stall_per_ns: exact.then_some(per_ns) }
+    }
+
+    /// The lane's arrival time at `cycles`: crossing to f64 through `i64`
+    /// (one instruction; `u64` is a sequence) is the same rounding of the
+    /// same value below 2^63.
+    #[inline(always)]
+    fn now_ns(&self, cycles: u64) -> f64 {
+        debug_assert!(cycles < 1 << 63, "{cycles} cycles do not fit an i64");
+        cycles as i64 as f64 * self.cycle_ns
+    }
+
+    /// Core cycles a demand serviced in `lat_ns` stalls, truncated; back
+    /// through `i64`, which truncates a value in `[0, 2^63)` as `u64` does.
+    #[inline(always)]
+    fn stall_cycles(&self, lat_ns: f64) -> u64 {
+        let stall = match self.stall_per_ns {
+            Some(per_ns) => lat_ns * per_ns,
+            None => lat_ns * self.stall_factor / self.cycle_ns,
+        };
+        debug_assert!((0.0..(1u64 << 63) as f64).contains(&stall), "stall {stall} cycles");
+        stall as i64 as u64
     }
 }
 
@@ -1077,6 +1126,139 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The referee for the stall step: a one-lane replay of `input` (a miss
+    /// stream, or a phase sample) under `assign` whose per-event body is
+    /// the one that stood before [`Clock`] and `dram::later` — `u64 as f64`
+    /// arrivals, `reference_access_kind`'s `f64::max`, and
+    /// `(lat * stall_factor / cycle_ns) as u64`, operand for operand. The
+    /// sample's phase fold is `drive_sampled`'s.
+    fn reference_replay(
+        cfg: &SystemConfig,
+        input: SimInput<'_>,
+        assign: &EccAssignment,
+    ) -> SimStats {
+        use crate::dram::tests::reference_access_kind;
+        let mut mc = MemoryController::new(AddressMap::new(cfg), EccScheme::Chipkill);
+        program(&mut mc, input.regions(), assign);
+        let mut policy = RangeRegisterPolicy::new(&mc);
+        let mut lane = Lane::new(Dram::new(cfg.clone()), &mut policy, assign.any_ecc());
+        let (cycle_ns, stall_factor) = (cfg.cycle_ns(), cfg.stall_factor);
+        let step = |lane: &mut Lane<'_, RangeRegisterPolicy<'_>>, ev: &MissEvent| {
+            let now = (ev.core_cycles + lane.stall_acc) as f64 * cycle_ns;
+            match ev.kind {
+                MissEventKind::Writeback(wb) => {
+                    let kind = lane.policy.choose(wb);
+                    reference_access_kind(&mut lane.dram, now, wb, true, kind);
+                }
+                MissEventKind::Demand { writeback } => {
+                    let kind = lane.policy.choose(ev.trigger.addr);
+                    let res =
+                        reference_access_kind(&mut lane.dram, now, ev.trigger.addr, false, kind);
+                    let lat_ns = res.completion_ns - now;
+                    lane.stall_acc += (lat_ns * stall_factor / cycle_ns) as u64;
+                    if let Some(wb) = writeback {
+                        let kind = lane.policy.choose(wb);
+                        reference_access_kind(&mut lane.dram, now, wb, true, kind);
+                    }
+                }
+            }
+        };
+        let totals = match input {
+            SimInput::MissStream(ms) => {
+                ms.iter().for_each(|ev| step(&mut lane, &ev));
+                ms.totals()
+            }
+            SimInput::Sample(sample) => {
+                let (mut est, mut busy) =
+                    (ScaledDram::default(), vec![0.0; lane.dram.rank_busy().len()]);
+                for (k, ph) in sample.selection().phases().iter().enumerate() {
+                    let (before, stalls_before) = (lane.dram.stats, lane.stall_acc);
+                    let busy_before = lane.dram.rank_busy().to_vec();
+                    sample.open(k).take(ph.events() as usize).for_each(|ev| step(&mut lane, &ev));
+                    est.add_delta(&before, &lane.dram.stats, ph.scale());
+                    for (acc, (a, b)) in
+                        busy.iter_mut().zip(lane.dram.rank_busy().iter().zip(&busy_before))
+                    {
+                        *acc += (a - b) * ph.scale();
+                    }
+                    est.stalls += (lane.stall_acc - stalls_before) as f64 * ph.scale();
+                }
+                lane.stall_acc = est.stalls.round() as u64;
+                lane.dram.stats = est.into_stats();
+                lane.dram.set_rank_busy(&busy);
+                sample.totals()
+            }
+            _ => unreachable!("the referee replays a miss stream or a sample"),
+        };
+        assemble_lanes(cfg, totals, std::slice::from_ref(&lane)).remove(0)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn every_lane_is_reference_replay_bit_for_bit(seed: u64) {
+            use crate::config::RowPolicy;
+            use crate::miss_stream::few_line_trace;
+            use proptest::prelude::*;
+            use rand::{Rng, SeedableRng};
+            let rng = &mut rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let (trace, l1, l2) = few_line_trace(seed, ECC_RANGE_SLOTS);
+            let ms = MissStream::build(&mut trace.replay(), l1, l2, 1);
+            let every_slice = crate::simpoint::SimPointConfig {
+                interval: rng.random_range(5..48),
+                max_phases: usize::MAX,
+                ..Default::default()
+            };
+            let selection = std::sync::Arc::new(SimPointSelection::build(&ms, every_slice));
+            let sample = PhaseSample::condense(&ms, selection);
+            let input = |sampled: bool| {
+                if sampled { SimInput::Sample(&sample) } else { SimInput::MissStream(&ms) }
+            };
+            use EccScheme::{Chipkill, None as NoEcc, Secded};
+            let mut regions: Vec<RegionId> = (0..ECC_RANGE_SLOTS as RegionId).collect();
+            regions.retain(|_| rng.random_bool(0.5));
+            let assigns = [
+                EccAssignment::uniform(NoEcc),
+                EccAssignment::uniform(Chipkill),
+                EccAssignment::relaxed(Chipkill, NoEcc, &regions),
+                EccAssignment::relaxed(Secded, NoEcc, &regions),
+            ];
+
+            // Power-of-two cycles take the multiply arm, the rest divide.
+            let mut arms = [false; 2];
+            for (clock_ghz, multiplies) in
+                [(0.5, true), (1.0, true), (2.0, true), (4.0, true), (1.7, false), (2.5, false), (3.0, false)]
+            {
+                for stall_factor in [0.0, 0.35, 1.0, rng.random_range(0.0..1.0)] {
+                    for row_policy in [RowPolicy::Open, RowPolicy::Closed] {
+                        let cfg = SystemConfig { l1, l2, threads: 1, clock_ghz, stall_factor, row_policy, ..SystemConfig::default() };
+                        cfg.validate().unwrap();
+                        let clock = Clock::new(&cfg);
+                        prop_assert!(clock.stall_per_ns.is_some() == multiplies, "{clock_ghz} GHz");
+                        arms[clock.stall_per_ns.is_some() as usize] = true;
+                        // By bit pattern: `{:?}` prints the shortest string
+                        // that reads back as the same f64.
+                        for sampled in [false, true] {
+                            let want: Vec<String> = assigns
+                                .iter()
+                                .map(|assign| format!("{:?}", reference_replay(&cfg, input(sampled), assign)))
+                                .collect();
+                            let row = Machine::simulate_lanes(&cfg, input(sampled), &assigns);
+                            let got: Vec<String> = row.iter().map(|s| format!("{s:?}")).collect();
+                            prop_assert!(
+                                got == want,
+                                "sampled {sampled} at {clock_ghz} GHz, stall factor {stall_factor}, \
+                                 {row_policy:?}:\n{got:#?}\n{want:#?}"
+                            );
+                        }
+                    }
+                }
+            }
+            prop_assert!(arms == [true; 2], "stall arms taken: {arms:?}");
         }
     }
 

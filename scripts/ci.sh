@@ -24,7 +24,7 @@ echo "=== cargo build --release --workspace ==="
 # the `repro` and `store_gate` binaries the stages below execute.
 cargo build --release --workspace
 
-echo "=== benchmarks/ (perfbench) builds, passes its tests and runs a cold grid against these crates ==="
+echo "=== benchmarks/ (perfbench) builds, passes its tests and runs a cold grid and a sampled paper-scale run against these crates ==="
 # perfbench is a package of its own outside the workspace, so nothing above
 # compiles it: a changed signature in memsim or core would otherwise break
 # the benchmark the PR pipeline runs without any stage here noticing.
@@ -36,6 +36,12 @@ cargo test -q --offline --manifest-path benchmarks/Cargo.toml
 # reps, about ten seconds; the timings are not read.
 cargo run --release -q --offline --manifest-path benchmarks/Cargo.toml -- \
     --workload grid_cold --seconds 1 >/dev/null
+# And the workload perf claims are made on: about 15 s, most of it the
+# set-up's six exact replays of paper-scale FT-CG. Every rep checks each
+# sampled cell within 2% of exact replay and that the selection covers the
+# stream, so a scan or stall-step change that moves bits fails here.
+cargo run --release -q --offline --manifest-path benchmarks/Cargo.toml -- \
+    --workload paper_sampled --seconds 1 >/dev/null
 
 echo "=== drift gate (repro all vs the committed reproduction-output/) ==="
 # One process regenerates every experiment `repro list` names; each must
@@ -100,16 +106,18 @@ echo "=== cargo test -q --workspace ==="
 cargo test -q --workspace
 
 echo "=== cargo test -q --features validate (memsim invariant audits on) ==="
-# The memsim unit tests include the two independent references the fast
-# paths are pinned to — `dram::tests` (reference_access_kind) and
-# `walk_reference` (stamp-LRU cache + carry-bump walk vs the one L1/L2
-# walker) — and the proptest that pins every lane of a row replay to the
-# simulation it would be alone; those two, and the proptest that holds the
+# The memsim unit tests include the independent references the fast paths
+# are pinned to — `dram::tests` (reference_access_kind), `walk_reference`
+# (stamp-LRU cache + carry-bump walk vs the one L1/L2 walker),
+# `reference_replay` (the stall step as it was spelled, division and
+# `f64::max` included) and `reference_scan` (the SimPoint fingerprint scan
+# as it was) — and the proptest that pins every lane of a row replay to the
+# simulation it would be alone; those, and the proptest that holds the
 # packed builder's sweep-level emission to line-by-line emission, are named
 # so that a rename cannot silently drop them.
 cargo test -q -p abft-memsim --features validate
 for pinned in walk_reference:: every_lane_is_the_simulation_it_would_be_alone \
-    sweep_emission_packs_the_words_line_emission_packs; do
+    sweep_emission_packs_the_words_line_emission_packs reference_replay reference_scan; do
     refs="$(cargo test -q -p abft-memsim --features validate "$pinned" 2>&1)"
     grep -Eq "test result: ok\. [1-9][0-9]* passed" <<<"$refs" || { echo "$refs"; exit 1; }
 done
