@@ -461,6 +461,69 @@ mod tests {
         assert_eq!(resolve_store_dir(&named, Some("env-dir".into())), Some("spec-dir".into()));
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn store_env_never_panics_from_resolve_to_open(
+            bytes in proptest::collection::vec(0u8..=255, 0..24),
+            picks in proptest::collection::vec(0usize..10, 0..8),
+        ) {
+            use proptest::prelude::*;
+            use std::os::unix::ffi::OsStringExt;
+            // Arbitrary bytes, and strings of the awkward pieces: empty,
+            // whitespace, NUL, non-UTF-8, dots. No `/`, so each value is
+            // one path component, opened under a scratch root rather than
+            // the working directory ("." and ".." open the root itself or
+            // the temp dir above it, both existing).
+            const PIECES: [&[u8]; 10] =
+                [b"", b" ", b"\t", b"\n", b"\0", b"\xff", b"\xc3", b".", b"..", b"store"];
+            let soup: Vec<u8> = picks.iter().flat_map(|&i| PIECES[i].iter().copied()).collect();
+            let root = std::env::temp_dir().join(format!("abft-store-env-{}", std::process::id()));
+            let bare = CampaignSpec::builder().build();
+            for raw in [bytes, soup] {
+                let raw: Vec<u8> = raw.into_iter().map(|b| if b == b'/' { b'_' } else { b }).collect();
+                let env = OsString::from_vec(raw);
+                let dir = resolve_store_dir(&bare, Some(env.clone()));
+                prop_assert!(dir.is_none() == env.is_empty(), "{env:?} resolved to {dir:?}");
+                if let Some(dir) = dir {
+                    // A value either way: a store, or why there is none.
+                    if ArtifactStore::open(root.join(&dir)).is_ok() {
+                        prop_assert!(root.join(&dir).is_dir(), "{:?}", dir);
+                    }
+                }
+            }
+            let _ = std::fs::remove_dir_all(&root);
+        }
+    }
+
+    #[test]
+    fn a_store_root_that_is_a_file_degrades_to_a_run_without_a_store() {
+        let file = std::env::temp_dir().join(format!("abft-client-file-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let spec = |store: Option<&PathBuf>| {
+            let b = CampaignSpec::builder()
+                .workload(tiny())
+                .strategies([Strategy::NoEcc, Strategy::WholeChipkill])
+                .threads(1);
+            match store {
+                Some(dir) => b.store(dir).build(),
+                None => b.build(),
+            }
+        };
+        let run = |spec| CampaignClient::with_cache(Arc::new(TraceCache::new())).run(&spec);
+        let (degraded, plain) = (run(spec(Some(&file))), run(spec(None)));
+        let m = &degraded.metrics;
+        let counters = (m.store_hits, m.store_misses, m.store_writes, m.store_evictions);
+        assert_eq!((counters, m.write_failures), ((0, 0, 0, 0), 0));
+        assert_eq!(degraded.results.len(), plain.results.len());
+        for (a, b) in degraded.results.iter().zip(&plain.results) {
+            assert_eq!(a.stats, b.stats, "a run without its store must be the run without one");
+        }
+        assert_eq!(std::fs::read(&file).unwrap(), b"not a directory", "the file is left alone");
+        let _ = std::fs::remove_file(&file);
+    }
+
     #[test]
     fn local_client_runs_a_spec_through_the_engine() {
         let cache = Arc::new(TraceCache::new());

@@ -155,8 +155,7 @@ impl MemoryController {
             return Err(RangeError::Overlap);
         }
         self.ranges.push(EccRange { base, end, scheme });
-        #[cfg(feature = "validate")]
-        self.audit_invariants();
+        self.audit();
         Ok(())
     }
 
@@ -322,8 +321,7 @@ impl MemoryController {
         }
         self.errors.push(ErrorRecord { site, paddr: line, time_ns: now_ns });
         self.interrupt = true;
-        #[cfg(feature = "validate")]
-        self.audit_invariants();
+        self.audit();
     }
 
     /// Interrupt line state.
@@ -343,11 +341,10 @@ impl MemoryController {
         &self.errors
     }
 
-    /// Feature `validate`: audit the controller's architectural
-    /// invariants (DESIGN.md §3.12). Backed by `debug_assert!`, so the
-    /// checks vanish in release builds even with the feature on.
-    #[cfg(feature = "validate")]
-    pub fn audit_invariants(&self) {
+    /// Debug builds: the controller's architectural invariants after a
+    /// register write or an error record (DESIGN.md §3.12). Backed by
+    /// `debug_assert!`, so the checks vanish in release builds.
+    fn audit(&self) {
         debug_assert!(
             self.errors.len() <= self.error_depth,
             "error ring holds {} records but depth is {}",

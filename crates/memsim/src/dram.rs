@@ -480,8 +480,7 @@ impl Dram {
         self.stats.queue_ns_total += queue_ns;
         self.stats.latency_ns_total += completion - start_ns;
 
-        #[cfg(feature = "validate")]
-        self.audit_invariants();
+        self.audit_counts();
         ServiceResult { completion_ns: completion, queue_ns, row }
     }
 
@@ -513,11 +512,11 @@ impl Dram {
         avail
     }
 
-    /// Feature `validate`: audit the DRAM model's state-machine
-    /// invariants after an access (DESIGN.md §3.12). `debug_assert!`
-    /// backed, so release builds pay nothing even with the feature on.
-    #[cfg(feature = "validate")]
-    pub fn audit_invariants(&self) {
+    /// Debug builds: the counters' identities after an access — each is
+    /// exactly one of a row hit or an activation, of one scheme, and the
+    /// energy stays finite and non-negative (DESIGN.md §3.12). O(1), so
+    /// it runs on every [`Dram::service`].
+    fn audit_counts(&self) {
         let accesses = self.stats.reads + self.stats.writes;
         debug_assert!(
             self.stats.row_hits + self.stats.activations == accesses,
@@ -530,6 +529,18 @@ impl Dram {
             self.stats.per_scheme.iter().sum::<u64>() == accesses,
             "per-scheme access counts must sum to reads + writes"
         );
+        debug_assert!(
+            self.stats.dynamic_nj.is_finite() && self.stats.dynamic_nj >= 0.0,
+            "dynamic energy must be finite and non-negative"
+        );
+    }
+
+    /// Debug builds: the device state a replay leaves — no row open under
+    /// the closed-page policy, every bank and channel free at a finite,
+    /// non-negative instant (DESIGN.md §3.12). A scan of every bank, so it
+    /// runs once per lane, when the lane's stats are assembled, not per
+    /// access: per access it made the debug suites four times slower.
+    pub(crate) fn audit_state(&self) {
         if self.cfg.row_policy == crate::config::RowPolicy::Closed {
             debug_assert!(
                 self.banks.iter().all(|b| b.open_row.is_none()),
@@ -543,10 +554,6 @@ impl Dram {
         debug_assert!(
             self.channel_free_ns.iter().all(|c| c.is_finite() && *c >= 0.0),
             "channel free time must be finite and non-negative"
-        );
-        debug_assert!(
-            self.stats.dynamic_nj.is_finite() && self.stats.dynamic_nj >= 0.0,
-            "dynamic energy must be finite and non-negative"
         );
     }
 

@@ -48,7 +48,7 @@
 
 use crate::cache::{Cache, CacheOutcome};
 use crate::config::CacheConfig;
-use crate::packed::{pack, unpack};
+use crate::packed::{pack, region_of, run_end, unpack};
 use crate::stream::{AccessSource, RunChunk, RUN_CHUNK};
 use crate::trace::{Access, RegionMap};
 
@@ -151,6 +151,35 @@ impl StreamTotals {
     /// Whether a machine configuration matches the filter geometry.
     pub fn matches(&self, l1: &CacheConfig, l2: &CacheConfig, threads: usize) -> bool {
         self.l1_cfg == *l1 && self.l2_cfg == *l2 && self.threads == threads.max(1)
+    }
+
+    /// What is wrong with the totals, if anything: one tally per region,
+    /// tallies that sum to the counts they break down, L1 and L2
+    /// accounting that covers the stream, and an instruction per access at
+    /// least. Sums are checked, not wrapped: the values may be a blob's.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.tallies.len() != self.regions.regions().len() {
+            return Err("tally count");
+        }
+        let sum = |f: fn(&RegionTally) -> u64| {
+            self.tallies.iter().try_fold(0u64, |acc, r| acc.checked_add(f(r)))
+        };
+        if sum(|r| r.refs) != Some(self.accesses)
+            || sum(|r| r.l1_misses) != Some(self.l1_misses)
+            || sum(|r| r.llc_misses) != Some(self.l2_misses)
+        {
+            return Err("region tallies do not sum to the totals");
+        }
+        if self.l1_hits.checked_add(self.l1_misses) != Some(self.accesses) {
+            return Err("L1 accounting does not cover the stream");
+        }
+        if self.l2_hits.checked_add(self.l2_misses) != Some(self.l1_misses) {
+            return Err("L2 accounting does not cover the L1 misses");
+        }
+        if self.instructions < self.accesses {
+            return Err("fewer instructions than accesses");
+        }
+        Ok(())
     }
 }
 
@@ -285,8 +314,7 @@ impl MissStream {
         let (words, events) = enc.finish();
         totals.events = events;
         let ms = MissStream { totals, records: MissRecords { bases, words } };
-        #[cfg(feature = "validate")]
-        ms.audit_invariants();
+        debug_assert_eq!(ms.check(), Ok(()), "miss stream");
         ms
     }
 
@@ -366,85 +394,87 @@ impl MissStream {
     }
 
     /// Crate-internal: rebuild a stream from store-blob raw parts. The
-    /// base table is re-derived from the registry; under the `validate`
-    /// feature the reconstructed stream is audited, so a corrupted blob
-    /// that survived the integrity footer still cannot materialize an
-    /// inconsistent stream silently in validating builds.
-    pub(crate) fn from_raw_parts(totals: StreamTotals, words: Vec<u64>) -> MissStream {
+    /// base table is re-derived from the registry. Parts that
+    /// [`MissStream::check`] refuses are refused here: the blob's checksum
+    /// vouches for its bytes, not for the writer, and replay indexes and
+    /// steps by them.
+    pub(crate) fn from_raw_parts(
+        totals: StreamTotals,
+        words: Vec<u64>,
+    ) -> Result<MissStream, &'static str> {
         let ms = MissStream { records: MissRecords::new(&totals.regions, words), totals };
-        #[cfg(feature = "validate")]
-        ms.audit_invariants();
-        ms
+        ms.check()?;
+        Ok(ms)
     }
 
-    /// Feature `validate`: audit the structural invariants of the packed
-    /// event encoding and the pre-computed aggregates (DESIGN.md §3.13) —
-    /// record shape, kinds, region ids, run lengths, cycle-delta
-    /// monotonicity against the recorded total, and the cache accounting
-    /// identities.
-    #[cfg(feature = "validate")]
-    pub fn audit_invariants(&self) {
+    /// What is wrong with the stream, if anything: its totals pass
+    /// [`StreamTotals::check`], every record passes [`check_record`], the
+    /// runs cover `events` with `l2_misses` demands, and the cycle track
+    /// stays inside `core_cycles`. What [`MissStream::build`] must produce
+    /// and what a loaded blob must hold (DESIGN.md §3.12).
+    fn check(&self) -> Result<(), &'static str> {
         let t = &self.totals;
+        t.check()?;
         let MissRecords { bases, words } = &self.records;
-        debug_assert!(
-            words.len().is_multiple_of(2),
-            "miss stream holds {} words; records are word pairs",
-            words.len()
-        );
-        let mut events = 0u64;
-        let mut demands = 0u64;
-        let mut cycles = 0u64;
+        if !words.len().is_multiple_of(2) {
+            return Err("odd miss word count");
+        }
+        let (mut events, mut demands, mut cycles) = (0u64, 0u64, 0u64);
         for rec in words.chunks_exact(2) {
-            let kind = (rec[0] >> KIND_SHIFT) & KIND_MASK;
-            debug_assert!(kind <= KIND_WRITEBACK, "unknown miss-event kind {kind}");
-            let rl = run_len(rec[0]);
-            // `unpack` ignores the run bits, so the kind/run split is
-            // invisible to it.
-            let region = unpack(rec[0], bases).region;
-            debug_assert!(
-                (region as usize) < bases.len(),
-                "miss event references region {region} of {}",
-                bases.len()
-            );
-            let delta = rec[1] & MAX_MISS_DELTA;
-            cycles += delta * rl;
-            debug_assert!(
-                cycles <= t.core_cycles,
-                "decoded cycle track {cycles} exceeds the recorded total {}",
-                t.core_cycles
-            );
-            events += rl;
-            if kind != KIND_WRITEBACK {
-                demands += rl;
+            let run = check_record(rec, bases)?;
+            cycles = cycles.saturating_add((rec[1] & MAX_MISS_DELTA) * run);
+            if cycles > t.core_cycles {
+                return Err("cycle track past the core cycles");
+            }
+            events += run;
+            if (rec[0] >> KIND_SHIFT) & KIND_MASK != KIND_WRITEBACK {
+                demands += run;
             }
         }
-        debug_assert!(events == t.events, "runs cover {events} of {} events", t.events);
-        debug_assert!(
-            demands == t.l2_misses,
-            "demand events {demands} must equal LLC misses {}",
-            t.l2_misses
-        );
-        debug_assert!(
-            t.l1_hits + t.l1_misses == t.accesses,
-            "L1 accounting does not cover the stream"
-        );
-        debug_assert!(
-            t.l2_hits + t.l2_misses == t.l1_misses,
-            "L2 accounting does not cover the L1 miss stream"
-        );
-        let refs: u64 = t.tallies.iter().map(|t| t.refs).sum();
-        let llc: u64 = t.tallies.iter().map(|t| t.llc_misses).sum();
-        let l1m: u64 = t.tallies.iter().map(|t| t.l1_misses).sum();
-        debug_assert!(refs == t.accesses, "region refs {refs} != accesses {}", t.accesses);
-        debug_assert!(llc == t.l2_misses, "region LLC tallies do not sum to the miss count");
-        debug_assert!(l1m == t.l1_misses, "region L1 tallies do not sum to the miss count");
-        debug_assert!(t.instructions >= t.accesses, "each access retires an instruction");
+        if events != t.events {
+            return Err("runs do not cover the stream's events");
+        }
+        if demands != t.l2_misses {
+            return Err("demand events are not the LLC misses");
+        }
+        Ok(())
     }
 }
 
 /// Events the record whose first word is `w0` covers.
 pub(crate) fn run_len(w0: u64) -> u64 {
     ((w0 >> RUN_SHIFT) & (MAX_MISS_RUN as u64 - 1)) + 1
+}
+
+/// The write-back line of a record's first event: word 1's zigzag-coded
+/// line delta from the trigger line at `head_addr`.
+#[inline]
+pub(crate) fn wb_line0(head_addr: u64, w1: u64) -> i64 {
+    let zz = w1 >> WB_SHIFT;
+    (head_addr >> 6) as i64 + (((zz >> 1) as i64) ^ -((zz & 1) as i64))
+}
+
+/// Events the two-word record `rec` covers, or what is wrong with it: a
+/// kind the decoder does not know, a region outside `bases`, or a trigger
+/// or write-back line that leaves the address space while [`MissEvents`]
+/// steps through the run. Both readers of outside records — a stream's
+/// and a [`crate::simpoint::PhaseSample`]'s — check each one with this.
+pub(crate) fn check_record(rec: &[u64], bases: &[u64]) -> Result<u64, &'static str> {
+    let (w0, w1) = (rec[0], rec[1]);
+    if (w0 >> KIND_SHIFT) & KIND_MASK > KIND_WRITEBACK {
+        return Err("unknown miss-event kind");
+    }
+    let Some(&base) = bases.get(region_of(w0) as usize) else {
+        return Err("miss record region");
+    };
+    let run = run_len(w0);
+    if run_end(w0, base, run).is_none() {
+        return Err("miss record past the address space");
+    }
+    if wb_line0(unpack(w0, bases).addr, w1) < 0 {
+        return Err("write-back line below address 0");
+    }
+    Ok(run)
 }
 
 /// The base table [`unpack`] decodes a registry's records against.
@@ -652,11 +682,9 @@ impl MissEvents<'_> {
         self.kind_bits = (w0 >> KIND_SHIFT) & KIND_MASK;
         let head = unpack(w0, &self.ms.bases);
         self.delta = w1 & MAX_MISS_DELTA;
-        let zz = w1 >> WB_SHIFT;
-        let wb_delta = ((zz >> 1) as i64) ^ -((zz & 1) as i64);
         self.left = run.saturating_sub(skip);
         self.trigger = Access { addr: head.addr + 64 * skip as u64, ..head };
-        self.wb_line = ((head.addr >> 6) as i64 + wb_delta) as u64 + skip as u64;
+        self.wb_line = wb_line0(head.addr, w1) as u64 + skip as u64;
     }
 }
 

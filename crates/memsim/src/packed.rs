@@ -117,6 +117,15 @@ pub(crate) fn region_of(word: u64) -> RegionId {
     ((word >> REGION_SHIFT) & ((1 << REGION_BITS) - 1)) as RegionId
 }
 
+/// The address one line past the last access of the `run`-access run that
+/// `word` heads in the region based at `base` — `None` when stepping
+/// through the run would leave the address space. [`unpack`] and a replay
+/// stepping a run line by line add without a check, so a decoder of
+/// outside bytes asks this first.
+pub(crate) fn run_end(word: u64, base: u64, run: u64) -> Option<u64> {
+    (base & !63).checked_add(word >> OFFSET_SHIFT)?.checked_add(64 * run)
+}
+
 /// Unpack the head access of a word's run, given the per-region base
 /// table. Access `i` of the run is the head with `addr + 64 * i`.
 #[inline]
@@ -204,13 +213,15 @@ impl PackedTrace {
     /// per-region base table is re-derived from the registry and the flat
     /// word stream is re-segmented exactly as [`PackedBuilder`] lays it
     /// out, so a round-tripped trace is structurally identical to the
-    /// generated original.
+    /// generated original. Parts that [`PackedTrace::check`] refuses are
+    /// refused here: the blob's checksum vouches for its bytes, not for
+    /// the writer, and replay indexes and steps by them.
     pub(crate) fn from_raw_parts(
         regions: RegionMap,
         words: Vec<u64>,
         len: u64,
         instructions: u64,
-    ) -> PackedTrace {
+    ) -> Result<PackedTrace, &'static str> {
         let bases: Vec<u64> = regions.regions().iter().map(|r| r.base).collect();
         let mut segs: Vec<Box<[u64]>> = Vec::with_capacity(words.len().div_ceil(SEG_WORDS));
         let mut words = words;
@@ -222,53 +233,46 @@ impl PackedTrace {
             segs.push(words.into_boxed_slice());
         }
         let trace = PackedTrace { regions, bases, segs, len, instructions };
-        #[cfg(feature = "validate")]
-        trace.audit_invariants();
-        trace
+        trace.check()?;
+        Ok(trace)
     }
 
-    /// Feature `validate`: audit the packed encoding's structural
-    /// invariants (DESIGN.md §3.12) — segment shape, run lengths, offset
-    /// ranges, and the access/instruction accounting.
-    #[cfg(feature = "validate")]
-    pub fn audit_invariants(&self) {
+    /// What is wrong with the trace, if anything: full segments but the
+    /// last, runs of 1..=[`MAX_PACKED_RUN`] accesses that stay inside the
+    /// 33-bit offset range and the address space and name known regions,
+    /// runs that cover `len`, and an instruction per access at least. What
+    /// [`PackedBuilder::finish`] must produce and what a loaded blob must
+    /// hold (DESIGN.md §3.12).
+    fn check(&self) -> Result<(), &'static str> {
         let mut covered = 0u64;
         for (si, seg) in self.segs.iter().enumerate() {
-            debug_assert!(!seg.is_empty(), "packed segment {si} is empty");
-            debug_assert!(
-                si + 1 == self.segs.len() || seg.len() == SEG_WORDS,
-                "non-final packed segment {si} holds {} of {SEG_WORDS} words",
-                seg.len()
-            );
+            if seg.is_empty() || (si + 1 < self.segs.len() && seg.len() != SEG_WORDS) {
+                return Err("packed segment shape");
+            }
             for &word in seg.iter() {
                 let rl = run_len(word);
-                debug_assert!(
-                    (1..=MAX_PACKED_RUN).contains(&rl),
-                    "packed run length {rl} outside 1..={MAX_PACKED_RUN}"
-                );
-                let last_offset = (word >> OFFSET_SHIFT) + 64 * (rl as u64 - 1);
-                debug_assert!(
-                    last_offset <= MAX_PACKED_OFFSET,
-                    "run extends past the 33-bit offset range"
-                );
-                let region = ((word >> REGION_SHIFT) & ((1 << REGION_BITS) - 1)) as usize;
-                debug_assert!(
-                    region < self.bases.len(),
-                    "packed word references region {region} of {}",
-                    self.bases.len()
-                );
+                if !(1..=MAX_PACKED_RUN).contains(&rl) {
+                    return Err("packed run length");
+                }
+                if (word >> OFFSET_SHIFT) + 64 * (rl as u64 - 1) > MAX_PACKED_OFFSET {
+                    return Err("packed run past the 33-bit offset range");
+                }
+                let Some(&base) = self.bases.get(region_of(word) as usize) else {
+                    return Err("packed word region");
+                };
+                if run_end(word, base, rl as u64).is_none() {
+                    return Err("packed run past the address space");
+                }
                 covered += rl as u64;
             }
         }
-        debug_assert!(
-            covered == self.len,
-            "packed runs cover {covered} accesses but the trace claims {}",
-            self.len
-        );
-        debug_assert!(
-            self.instructions >= self.len,
-            "each access retires at least one instruction"
-        );
+        if covered != self.len {
+            return Err("packed runs do not cover the trace's accesses");
+        }
+        if self.instructions < self.len {
+            return Err("fewer instructions than accesses");
+        }
+        Ok(())
     }
 }
 
@@ -344,8 +348,7 @@ impl PackedBuilder {
             len: self.len,
             instructions: self.instructions,
         };
-        #[cfg(feature = "validate")]
-        trace.audit_invariants();
+        debug_assert_eq!(trace.check(), Ok(()), "packed trace");
         trace
     }
 }

@@ -51,10 +51,10 @@
 //! content-addressed by `(FilterKey, SimPointConfig)`.
 
 use crate::miss_stream::{
-    run_len, MissEvents, MissRecords, MissStream, RegionTally, SliceCursor, StreamTotals,
-    KIND_DEMAND, KIND_MASK, KIND_SHIFT, KIND_WRITEBACK, MAX_MISS_DELTA, WB_SHIFT,
+    check_record, run_len, wb_line0, MissEvents, MissRecords, MissStream, SliceCursor,
+    StreamTotals, KIND_DEMAND, KIND_MASK, KIND_SHIFT, KIND_WRITEBACK, MAX_MISS_DELTA, MAX_MISS_RUN,
 };
-use crate::packed::{region_of, unpack};
+use crate::packed::unpack;
 use std::sync::Arc;
 
 /// Parameters of the phase-sampling pass. All-integer (and therefore
@@ -170,8 +170,7 @@ impl SimPointSelection {
         } else {
             Self::select(ms, config, scan)
         };
-        #[cfg(feature = "validate")]
-        sel.audit_invariants();
+        debug_assert_eq!(sel.check(), Ok(()), "phase selection");
         sel
     }
 
@@ -336,9 +335,10 @@ impl SimPointSelection {
         self.events == ms.events()
     }
 
-    /// Crate-internal: rebuild from store-blob raw parts (audited under
-    /// `validate`, like [`MissStream::from_raw_parts`]).
-    pub(crate) fn from_raw_parts(parts: SimPointParts) -> SimPointSelection {
+    /// Crate-internal: rebuild from store-blob raw parts, refusing parts
+    /// that [`SimPointSelection::check`] refuses (as
+    /// [`MissStream::from_raw_parts`] does).
+    pub(crate) fn from_raw_parts(parts: SimPointParts) -> Result<SimPointSelection, &'static str> {
         let sel = SimPointSelection {
             config: parts.config,
             events: parts.events,
@@ -349,55 +349,56 @@ impl SimPointSelection {
             phases: parts.phases,
             est_error: parts.est_error,
         };
-        #[cfg(feature = "validate")]
-        sel.audit_invariants();
-        sel
+        sel.check()?;
+        Ok(sel)
     }
 
-    /// Feature `validate`: audit the structural invariants of the
-    /// selection — slices tile the event range exactly, weights sum to
-    /// one, phases are sorted, disjoint and in-range, scales are
-    /// positive and consistent with weights, and the error budget is a
-    /// valid fraction.
-    #[cfg(feature = "validate")]
-    pub fn audit_invariants(&self) {
+    /// What is wrong with the selection, if anything: its slices tile the
+    /// events exactly, with one assignment and one fingerprint row each;
+    /// its phases are sorted, disjoint, in range and start on slices, with
+    /// cursors at a record head, weights that sum to one and positive
+    /// scales that agree with them; and its error budget is a fraction.
+    /// What [`SimPointSelection::build`] must produce and what a loaded
+    /// blob must hold (DESIGN.md §3.12).
+    fn check(&self) -> Result<(), &'static str> {
         let interval = self.config.interval.max(1);
-        debug_assert!(
-            self.slices == self.events.div_ceil(interval),
-            "{} slices cannot tile {} events at interval {interval}",
-            self.slices,
-            self.events
-        );
-        debug_assert!(self.assignments.len() as u64 == self.slices, "one assignment per slice");
-        debug_assert!(
-            self.fingerprints.len() == self.slices as usize * self.dim,
-            "fingerprint matrix must be slices x dim"
-        );
+        if self.slices != self.events.div_ceil(interval) {
+            return Err("slices do not tile the events");
+        }
+        if self.assignments.len() as u64 != self.slices {
+            return Err("assignment count");
+        }
+        if (self.slices as usize).checked_mul(self.dim) != Some(self.fingerprints.len()) {
+            return Err("fingerprint count");
+        }
         if self.events == 0 {
-            debug_assert!(self.phases.is_empty(), "no events, no phases");
-            return;
+            return if self.phases.is_empty() { Ok(()) } else { Err("phases of no events") };
         }
         let weight_sum: f64 = self.phases.iter().map(|p| p.weight).sum();
-        debug_assert!((weight_sum - 1.0).abs() < 1e-9, "phase weights sum to {weight_sum}, not 1");
+        if (weight_sum - 1.0).abs() >= 1e-9 || weight_sum.is_nan() {
+            return Err("phase weights do not sum to 1");
+        }
         let mut prev_end = 0u64;
         for p in &self.phases {
-            debug_assert!(p.start >= prev_end, "phases must be sorted and disjoint");
-            debug_assert!(p.end > p.start && p.end <= self.events, "phase range out of stream");
-            debug_assert!(p.start.is_multiple_of(interval), "phase must start a slice");
-            debug_assert!(p.scale > 0.0, "non-positive phase scale");
+            if p.start < prev_end || p.end <= p.start || p.end > self.events {
+                return Err("phase range");
+            }
+            if !p.start.is_multiple_of(interval) {
+                return Err("phase does not start a slice");
+            }
+            if !p.cursor.idx.is_multiple_of(2) || p.cursor.run_pos >= MAX_MISS_RUN {
+                return Err("phase cursor off a record");
+            }
             let implied = p.weight * self.events as f64 / p.events() as f64;
-            debug_assert!(
-                (p.scale - implied).abs() <= 1e-9 * p.scale.max(1.0),
-                "phase scale {} disagrees with weight-implied {implied}",
-                p.scale
-            );
+            if !(p.scale > 0.0 && (p.scale - implied).abs() <= 1e-9 * p.scale.max(1.0)) {
+                return Err("phase scale");
+            }
             prev_end = p.end;
         }
-        debug_assert!(
-            (0.0..=1.0 + 1e-9).contains(&self.est_error),
-            "error budget {} outside [0, 1]",
-            self.est_error
-        );
+        if !(0.0..=1.0 + 1e-9).contains(&self.est_error) {
+            return Err("error budget outside [0, 1]");
+        }
+        Ok(())
     }
 }
 
@@ -462,8 +463,7 @@ impl PhaseSample {
             offsets,
             selection,
         };
-        #[cfg(feature = "validate")]
-        sample.audit_invariants();
+        debug_assert_eq!(sample.check(), Ok(()), "phase sample");
         sample
     }
 
@@ -516,8 +516,10 @@ impl PhaseSample {
 
     /// What is wrong with the sample, if anything: every word belongs to
     /// a slice, the slices sit in phase order, each covers its phase's
-    /// events with records that name known regions, and the totals agree
-    /// with the selection and with their own tallies.
+    /// events with records that pass [`check_record`] on a cycle track
+    /// inside the stream's core cycles, and the totals agree with the
+    /// selection and pass [`StreamTotals::check`]. The selection was
+    /// checked when it was built or loaded.
     fn check(&self) -> Result<(), &'static str> {
         let t = &self.totals;
         let MissRecords { bases, words } = &self.records;
@@ -525,16 +527,7 @@ impl PhaseSample {
         if t.events != self.selection.events() {
             return Err("sample and selection disagree on the stream's events");
         }
-        if t.tallies.len() != t.regions.regions().len() {
-            return Err("tally count");
-        }
-        let sum = |f: fn(&RegionTally) -> u64| -> u64 { t.tallies.iter().map(f).sum() };
-        if t.accesses != sum(|r| r.refs)
-            || t.l1_misses != sum(|r| r.l1_misses)
-            || t.l2_misses != sum(|r| r.llc_misses)
-        {
-            return Err("region tallies do not sum to the totals");
-        }
+        t.check()?;
         if !words.len().is_multiple_of(2) {
             return Err("odd sample word count");
         }
@@ -556,25 +549,23 @@ impl PhaseSample {
             if run_pos >= run_len(slice[0]) {
                 return Err("phase cursor past its record");
             }
-            let mut covered = 0u64;
+            // The cursor's track already holds the first record's events
+            // before it.
+            let (mut covered, mut cycles, mut before) = (0u64, ph.cursor().cycles, run_pos);
             for rec in slice.chunks_exact(2) {
-                if region_of(rec[0]) as usize >= bases.len() {
-                    return Err("sample record region");
-                }
-                covered += run_len(rec[0]);
+                let run = check_record(rec, bases)?;
+                covered += run;
+                cycles = cycles.saturating_add((rec[1] & MAX_MISS_DELTA) * (run - before));
+                before = 0;
             }
             if covered < run_pos + ph.events() {
                 return Err("slice short of its phase");
             }
+            if cycles > t.core_cycles {
+                return Err("slice cycle track past the core cycles");
+            }
         }
         Ok(())
-    }
-
-    /// Feature `validate`: audit what [`PhaseSample::condense`] built by
-    /// the rules a loaded sample must pass.
-    #[cfg(feature = "validate")]
-    pub fn audit_invariants(&self) {
-        debug_assert_eq!(self.check(), Ok(()), "phase sample parts do not fit together");
     }
 }
 
@@ -682,12 +673,9 @@ impl FingerprintScan {
             let kind = (w0 >> KIND_SHIFT) & KIND_MASK;
             let head = unpack(w0, bases);
             let delta = words[idx + 1] & MAX_MISS_DELTA;
-            // Write-back line of the run head (signed line delta from the
-            // trigger line, zigzag-encoded); successive run events write
+            // Write-back line of the run head; successive run events write
             // back successive lines.
-            let zz = words[idx + 1] >> WB_SHIFT;
-            let wb_delta = ((zz >> 1) as i64) ^ -((zz & 1) as i64);
-            let wb_line0 = (head.addr >> 6) as i64 + wb_delta;
+            let wb_line0 = wb_line0(head.addr, words[idx + 1]);
             let r = head.region as usize;
             let mut consumed = 0u64;
             while consumed < run {
@@ -897,7 +885,7 @@ fn kmeans(
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use crate::miss_stream::{MAX_MISS_RUN, RUN_SHIFT};
+    use crate::miss_stream::{RUN_SHIFT, WB_SHIFT};
     use crate::workloads::{DgemmParams, KernelKind, KernelParams};
 
     /// The referee: [`FingerprintScan::run`] as it stood before the

@@ -38,13 +38,15 @@
 //! for a fixed state, so a change confined to one aligned 8-byte word of
 //! the payload — every single-bit and single-byte flip — always changes
 //! it. The footer is verified on every load — length and checksum first,
-//! the header key digest against the requested key after, for a miss
-//! stream or a phase sample the geometry inside the payload against the
-//! key's last — and
-//! any mismatch (truncation, bit rot, digest collision, an older format
-//! version) **evicts** the entry: the file is deleted and the caller
-//! regenerates, so a corrupt blob is never deserialized into a wrong
-//! result. Writes go through a temp file of their own in the same
+//! the header key digest against the requested key after. A checksum
+//! vouches for the bytes, not for their writer, so the decoded artifact
+//! must then pass its own `check`, the one every debug build asserts where
+//! the artifact is built; for a miss stream or a phase sample the geometry
+//! inside the payload is compared against the key's last. Any mismatch
+//! (truncation, bit rot, digest collision, an older format version, parts
+//! that do not fit together) **evicts** the entry: the file is deleted and
+//! the caller regenerates, so a corrupt blob is never deserialized into a
+//! wrong result. Writes go through a temp file of their own in the same
 //! directory plus an atomic rename, so neither a crash mid-write nor a
 //! second writer of the same key leaves a partial artifact under an
 //! addressable name.
@@ -58,7 +60,7 @@ use crate::packed::PackedTrace;
 use crate::simpoint::{
     PhaseSample, SimPointConfig, SimPointParts, SimPointPhase, SimPointSelection,
 };
-use crate::trace::{Region, RegionMap};
+use crate::trace::{Region, RegionMap, PAGE_BYTES};
 use crate::trace_cache::FilterKey;
 use crate::workloads::KernelParams;
 use std::path::{Path, PathBuf};
@@ -295,9 +297,9 @@ fn get_bytes<'a>(cur: &mut &'a [u8], n: usize) -> Result<&'a [u8], StoreError> {
     Ok(head)
 }
 
-fn put_regions(buf: &mut Vec<u8>, regions: &RegionMap) {
-    put_varint(buf, regions.regions().len() as u64);
-    for r in regions.regions() {
+fn put_regions(buf: &mut Vec<u8>, regions: &[Region]) {
+    put_varint(buf, regions.len() as u64);
+    for r in regions {
         put_varint(buf, r.name.len() as u64);
         buf.extend_from_slice(r.name.as_bytes());
         put_varint(buf, r.base);
@@ -322,6 +324,11 @@ fn get_regions(cur: &mut &[u8]) -> Result<RegionMap, StoreError> {
             .to_string();
         let base = get_varint(cur)?;
         let bytes = get_varint(cur)?;
+        // `RegionMap::from_regions` places the next region a guard page
+        // past the last one's end, unchecked.
+        if base.checked_add(bytes).and_then(|end| end.checked_add(PAGE_BYTES)).is_none() {
+            return Err(StoreError::Malformed("region past the address space"));
+        }
         let (&flags, rest) = cur.split_first().ok_or(StoreError::Malformed("region flags"))?;
         *cur = rest;
         regions.push(Region {
@@ -371,7 +378,7 @@ fn get_words(cur: &mut &[u8], stride: usize) -> Result<Vec<u64>, StoreError> {
 }
 
 fn encode_trace(buf: &mut Vec<u8>, t: &PackedTrace) {
-    put_regions(buf, t.regions());
+    put_regions(buf, t.regions().regions());
     put_varint(buf, t.len());
     put_varint(buf, t.instructions());
     put_words(buf, t.words(), t.word_count(), 1);
@@ -385,12 +392,12 @@ fn decode_trace(mut cur: &[u8]) -> Result<PackedTrace, StoreError> {
     if !cur.is_empty() {
         return Err(StoreError::Malformed("trailing trace payload"));
     }
-    Ok(PackedTrace::from_raw_parts(regions, words, len, instructions))
+    PackedTrace::from_raw_parts(regions, words, len, instructions).map_err(StoreError::Malformed)
 }
 
 /// The head of a miss payload and of a `.simpoint` blob's sample section.
 fn put_totals(buf: &mut Vec<u8>, t: &StreamTotals) {
-    put_regions(buf, &t.regions);
+    put_regions(buf, t.regions.regions());
     put_varint(buf, t.events);
     put_varint(buf, t.accesses);
     put_varint(buf, t.instructions);
@@ -473,10 +480,7 @@ fn decode_miss(mut cur: &[u8]) -> Result<MissStream, StoreError> {
     if !cur.is_empty() {
         return Err(StoreError::Malformed("trailing miss payload"));
     }
-    if !words.len().is_multiple_of(2) {
-        return Err(StoreError::Malformed("odd miss word count"));
-    }
-    Ok(MissStream::from_raw_parts(totals, words))
+    MissStream::from_raw_parts(totals, words).map_err(StoreError::Malformed)
 }
 
 fn encode_simpoint(buf: &mut Vec<u8>, sel: &SimPointSelection) {
@@ -553,9 +557,6 @@ fn decode_simpoint(cur: &mut &[u8]) -> Result<SimPointSelection, StoreError> {
         let idx = get_varint(cur)? as usize;
         let run_pos = get_varint(cur)? as usize;
         let cycles = get_varint(cur)?;
-        if end <= start || end > events {
-            return Err(StoreError::Malformed("phase range"));
-        }
         phases.push(SimPointPhase {
             weight,
             start,
@@ -564,7 +565,7 @@ fn decode_simpoint(cur: &mut &[u8]) -> Result<SimPointSelection, StoreError> {
             cursor: SliceCursor::at(idx, run_pos, cycles),
         });
     }
-    Ok(SimPointSelection::from_raw_parts(SimPointParts {
+    SimPointSelection::from_raw_parts(SimPointParts {
         config,
         events,
         slices,
@@ -573,7 +574,8 @@ fn decode_simpoint(cur: &mut &[u8]) -> Result<SimPointSelection, StoreError> {
         assignments,
         phases,
         est_error,
-    }))
+    })
+    .map_err(StoreError::Malformed)
 }
 
 /// The sample section: the condensed stream's totals, the slices' records
@@ -778,8 +780,8 @@ impl ArtifactStore {
 
     /// Load a phase sample — all a sampled cell replays — or `None` when
     /// the blob is absent or evicted as corrupt. Beyond the framing checks
-    /// the parts must fit together (slice offsets, slice lengths, region
-    /// ids, tallies and event counts: `PhaseSample`'s own audit) and the
+    /// the parts must fit together (slice offsets, slice lengths, records,
+    /// tallies and event counts: `PhaseSample`'s own check) and the
     /// filter geometry inside the payload must be the key's, so a blob
     /// that would fail at replay is evicted here instead.
     pub fn load_sample(&self, key: &FilterKey, cfg: &SimPointConfig) -> Option<PhaseSample> {
@@ -933,6 +935,8 @@ impl ArtifactStore {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::miss_stream::{run_len, KIND_MASK, KIND_SHIFT, MAX_MISS_DELTA, WB_SHIFT};
+    use crate::packed::MAX_PACKED_OFFSET;
     use crate::workloads::DgemmParams;
     use std::sync::Arc;
 
@@ -1171,9 +1175,7 @@ mod tests {
     /// Damage that a checksum cannot see (the writer's own bug, or an
     /// attacker who recomputes it) must still come back as a typed error
     /// or a value, never a panic or an allocation sized by the payload's
-    /// own claims. `validate` builds audit what they reconstruct and are
-    /// meant to abort on an inconsistent artifact, so this runs without.
-    #[cfg(not(feature = "validate"))]
+    /// own claims — and a value that comes back must replay in full.
     #[test]
     fn payload_damage_under_a_matching_checksum_never_panics() {
         fn damage(write_payload: impl FnOnce(&mut Vec<u8>), decode: impl Fn(&[u8])) {
@@ -1187,11 +1189,24 @@ mod tests {
                 }
             }
         }
-        let (key, _, packed, ms, sample) = small_artifacts();
-        damage(|p| encode_trace(p, &packed), |p| drop(decode_trace(p)));
+        let (_, _, packed, ms, sample) = small_artifacts();
+        damage(
+            |p| encode_trace(p, &packed),
+            |p| {
+                if let Ok(t) = decode_trace(p) {
+                    let len = t.len();
+                    let back = crate::trace::Trace::from_source(&mut Arc::new(t).replay());
+                    assert_eq!(back.len() as u64, len);
+                }
+            },
+        );
         damage(
             |p| encode_miss(p, &ms),
-            |p| drop(decode_miss(p).map(|ms| ms.matches(&key.l1, &key.l2, key.threads))),
+            |p| {
+                if let Ok(ms) = decode_miss(p) {
+                    assert_eq!(ms.iter().count() as u64, ms.events());
+                }
+            },
         );
         damage(
             |p| {
@@ -1236,6 +1251,141 @@ mod tests {
         store.save_blob(&path, KIND_SIMPOINT, simpoint_key(key, sp), fill).unwrap();
     }
 
+    /// A payload built from damaged parts must be refused three ways: its
+    /// decoder calls it `Malformed`; framed as a current blob (`path`,
+    /// `kind`, `key`) it is not served by `load`; and that blob is deleted
+    /// and counted as one eviction.
+    fn assert_refused<T>(
+        store: &ArtifactStore,
+        (path, kind, key): (&Path, u32, u128),
+        payload: &[u8],
+        decode: fn(&[u8]) -> Result<T, StoreError>,
+        load: &dyn Fn() -> bool,
+        what: &str,
+    ) {
+        let decoded = decode(payload).map(drop);
+        assert!(matches!(decoded, Err(StoreError::Malformed(_))), "{what}: {decoded:?}");
+        let before = store.metrics().evictions;
+        store.save_blob(path, kind, key, |buf| buf.extend_from_slice(payload)).unwrap();
+        assert!(!load(), "{what}: served");
+        assert!(!path.exists(), "{what}: left in place");
+        assert_eq!(store.metrics().evictions, before + 1, "{what}");
+    }
+
+    /// `payload`, whose registry `regions` opens it, with `to` written
+    /// there instead — a registry a `RegionMap` could not even hold.
+    fn with_regions(payload: &[u8], regions: &[Region], to: &[Region]) -> Vec<u8> {
+        let (mut from, mut out) = (Vec::new(), Vec::new());
+        put_regions(&mut from, regions);
+        put_regions(&mut out, to);
+        assert!(payload.starts_with(&from), "the payload opens with its registry");
+        out.extend_from_slice(&payload[from.len()..]);
+        out
+    }
+
+    /// The cycles a miss stream's records step its cycle track through.
+    fn cycle_track(words: &[u64]) -> u64 {
+        words.chunks_exact(2).map(|r| (r[1] & MAX_MISS_DELTA) * run_len(r[0])).sum()
+    }
+
+    /// A base for every region at which the registry still fits below
+    /// 2^64 but a 33-bit offset from it does not.
+    const HIGH_BASE: u64 = (u64::MAX - (1 << 32)) & !(PAGE_BYTES - 1);
+
+    #[test]
+    fn a_well_checksummed_but_inconsistent_miss_stream_is_evicted() {
+        let store = temp_store("inconsistent-miss");
+        let (key, _, _, ms, _) = small_artifacts();
+        assert!(cycle_track(ms.raw_words()) > 0);
+        assert_eq!(ms.regions().regions().len(), 2);
+
+        // The totals, the records, and the registry the payload holds.
+        type Parts = (StreamTotals, Vec<u64>, Vec<Region>);
+        type Damage = fn(&mut Parts);
+        let cases: [(&str, Damage); 12] = [
+            ("a record of region 63 of 2", |p| p.1[0] |= 0x3f << 17),
+            ("a record of an unknown kind", |p| p.1[0] |= KIND_MASK << KIND_SHIFT),
+            ("an event too many", |p| p.0.events += 1),
+            ("an event too few", |p| p.0.events -= 1),
+            ("LLC misses that are not the demand events", |p| {
+                // One access more that missed both levels: the L1 and L2
+                // accounting and the tallies still add up.
+                let t = &mut p.0;
+                (t.accesses, t.l1_misses, t.l2_misses) =
+                    (t.accesses + 1, t.l1_misses + 1, t.l2_misses + 1);
+                let r = &mut t.tallies[0];
+                (r.refs, r.l1_misses, r.llc_misses) =
+                    (r.refs + 1, r.l1_misses + 1, r.llc_misses + 1);
+            }),
+            ("a cycle track past the core cycles", |p| p.0.core_cycles = cycle_track(&p.1) - 1),
+            ("tallies that do not sum to the totals", |p| p.0.tallies[1].refs += 1),
+            ("L1 hits and misses that are not the accesses", |p| p.0.l1_hits += 1),
+            ("an odd word count", |p| p.1.truncate(p.1.len() - 1)),
+            ("a region based at 2^64 - 65", |p| p.2[0].base = u64::MAX - 64),
+            ("a record past the address space", |p| {
+                p.2.iter_mut().for_each(|r| r.base = HIGH_BASE);
+                p.1[0] |= MAX_PACKED_OFFSET << 31;
+            }),
+            ("a write-back line below address 0", |p| p.1[1] |= u64::MAX << WB_SHIFT),
+        ];
+        let path = store.miss_path(&key);
+        let blob = (path.as_path(), KIND_MISS, miss_key(&key));
+        for (what, damage) in cases {
+            let regions = ms.regions().regions();
+            let mut parts = (ms.totals().clone(), ms.raw_words().to_vec(), regions.to_vec());
+            damage(&mut parts);
+            let mut payload = Vec::new();
+            put_totals(&mut payload, &parts.0);
+            put_words(&mut payload, parts.1.iter().copied(), parts.1.len() as u64, 2);
+            let payload = with_regions(&payload, regions, &parts.2);
+            let load = || store.load_miss(&key).is_some();
+            assert_refused(&store, blob, &payload, decode_miss, &load, what);
+        }
+    }
+
+    #[test]
+    fn a_well_checksummed_but_inconsistent_trace_is_evicted() {
+        let store = temp_store("inconsistent-trace");
+        let (key, _, packed, _, _) = small_artifacts();
+        assert!(packed.instructions() > packed.len() + 2);
+
+        // The accesses, the instructions, the words, and the registry.
+        type Parts = (u64, u64, Vec<u64>, Vec<Region>);
+        type Damage = fn(&mut Parts);
+        let cases: [(&str, Damage); 7] = [
+            ("a word of region 63 of 2", |p| p.2[0] |= 0x3f << 17),
+            ("an access too many", |p| p.0 += 1),
+            ("an access too few", |p| p.0 -= 1),
+            ("fewer instructions than accesses", |p| p.1 = p.0 - 1),
+            ("a run past the 33-bit offset range", |p| {
+                // The last offset and a run of two; the trace counts the
+                // run's accesses, so only the bound is wrong.
+                p.0 = p.0 + 2 - crate::packed::run_len(p.2[0]) as u64;
+                p.2[0] = (p.2[0] & ((1 << 23) - 1)) | (MAX_PACKED_OFFSET << 31) | (1 << 23);
+            }),
+            ("a region based at 2^64 - 65", |p| p.3[0].base = u64::MAX - 64),
+            ("a run past the address space", |p| {
+                p.3.iter_mut().for_each(|r| r.base = HIGH_BASE);
+                p.2[0] |= MAX_PACKED_OFFSET << 31;
+            }),
+        ];
+        let path = store.trace_path(key.params);
+        let blob = (path.as_path(), KIND_TRACE, trace_key(key.params));
+        for (what, damage) in cases {
+            let words = packed.words().collect();
+            let regions = packed.regions().regions().to_vec();
+            let mut parts = (packed.len(), packed.instructions(), words, regions);
+            damage(&mut parts);
+            let mut payload = Vec::new();
+            put_regions(&mut payload, &parts.3);
+            put_varint(&mut payload, parts.0);
+            put_varint(&mut payload, parts.1);
+            put_words(&mut payload, parts.2.iter().copied(), parts.2.len() as u64, 1);
+            let load = || store.load_trace(key.params).is_some();
+            assert_refused(&store, blob, &payload, decode_trace, &load, what);
+        }
+    }
+
     #[test]
     fn a_well_checksummed_but_inconsistent_sample_is_evicted() {
         let store = temp_store("inconsistent");
@@ -1246,7 +1396,7 @@ mod tests {
 
         type Parts = (StreamTotals, Vec<u64>, Vec<usize>);
         type Damage = fn(&mut Parts);
-        let cases: [(&str, Damage); 12] = [
+        let cases: [(&str, Damage); 14] = [
             ("an offset too few", |p| p.2.truncate(1)),
             ("an offset too many", |p| p.2.push(0)),
             ("an odd offset", |p| p.2[1] += 1),
@@ -1256,10 +1406,14 @@ mod tests {
             ("a slice short of its phase", |p| p.1.truncate(p.1.len() - 2)),
             ("an odd word count", |p| p.1.truncate(p.1.len() - 1)),
             ("a record of an unknown region", |p| p.1[0] |= 0x3f << 17),
+            ("a record of an unknown kind", |p| p.1[0] |= KIND_MASK << KIND_SHIFT),
+            ("a slice cycle track past the core cycles", |p| p.0.core_cycles = 0),
             ("a tally too few", |p| p.0.tallies.truncate(1)),
             ("tallies that do not sum to the totals", |p| p.0.accesses += 1),
             ("an event count that is not the selection's", |p| p.0.events += 1),
         ];
+        let path = store.simpoint_path(&key, &sp);
+        let blob = (path.as_path(), KIND_SIMPOINT, simpoint_key(&key, &sp));
         for (what, damage) in cases {
             let mut parts = (sample.totals().clone(), words.to_vec(), offsets.to_vec());
             damage(&mut parts);
@@ -1268,16 +1422,8 @@ mod tests {
             put_totals(&mut payload, &parts.0);
             put_words(&mut payload, parts.1.iter().copied(), parts.1.len() as u64, 2);
             parts.2.iter().for_each(|&at| put_varint(&mut payload, at as u64));
-            assert!(
-                matches!(decode_sample(&payload), Err(StoreError::Malformed(_))),
-                "{what}: {:?}",
-                decode_sample(&payload).map(drop)
-            );
-            let before = store.metrics().evictions;
-            write_simpoint_blob(&store, &key, &sp, &payload);
-            assert!(store.load_sample(&key, &sp).is_none(), "{what}: served");
-            assert!(!store.simpoint_path(&key, &sp).exists(), "{what}: left in place");
-            assert_eq!(store.metrics().evictions, before + 1, "{what}");
+            let load = || store.load_sample(&key, &sp).is_some();
+            assert_refused(&store, blob, &payload, decode_sample, &load, what);
         }
     }
 

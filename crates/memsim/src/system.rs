@@ -638,6 +638,7 @@ fn assemble_stats<P: ?Sized>(
 ) -> SimStats {
     let &StreamTotals { instructions, l1_hits, l1_misses, l2_hits, l2_misses, .. } = totals;
     let dram = &lane.dram;
+    dram.audit_state();
     // The lane's cycle counter: the walk's pure core cycles plus the
     // DRAM stalls the replay accumulated.
     let cycles = totals.core_cycles + lane.stall_acc;

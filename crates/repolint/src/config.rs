@@ -230,4 +230,67 @@ mod tests {
         assert!(Config::parse("[run]\nfrobnicate = \"x\"\n").is_err());
         assert!(Config::parse("[rules.DET001]\nseverity = \"error\"\n").is_err());
     }
+
+    /// The grammar's own pieces, known and unknown codes among them.
+    const PIECES: [&str; 18] = [
+        "[",
+        "]",
+        "rules.",
+        "run",
+        "=",
+        "\"",
+        ",",
+        "#",
+        "\n",
+        " ",
+        "exclude",
+        "crates",
+        "entry_points",
+        "DET001",
+        "PERF001",
+        "PERF002",
+        "NOPE",
+        "x",
+    ];
+    /// List items: anything without a quote, a comma or a bracket.
+    const NAMES: [&str; 7] =
+        ["abft-memsim", "Machine::simulate", "crates/compat", "", "a b", "é", "#x"];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn parse_never_panics_and_lists_round_trip(
+            bytes in proptest::collection::vec(0u8..=255, 0..64),
+            picks in proptest::collection::vec(0usize..PIECES.len(), 0..40),
+            names in proptest::collection::vec(0usize..NAMES.len(), 0..6),
+            multi_line: bool,
+        ) {
+            use proptest::prelude::*;
+            // Any text at all, and strings of the grammar's pieces: an
+            // answer, never a panic, and an answer with no section but the
+            // known ones.
+            let known: Vec<String> = Config::default().rules.into_keys().collect();
+            let soup: String = picks.iter().map(|&i| PIECES[i]).collect();
+            for text in [String::from_utf8_lossy(&bytes).into_owned(), soup] {
+                if let Ok(cfg) = Config::parse(&text) {
+                    prop_assert!(cfg.rules.keys().eq(&known), "{text:?}: {:?}", cfg.rules.keys());
+                }
+            }
+
+            // A list reads back as written, on one line or over several.
+            let names: Vec<String> = names.iter().map(|&i| NAMES[i].to_string()).collect();
+            let sep = if multi_line { ",\n    " } else { ", " };
+            let list: Vec<String> = names.iter().map(|n| format!("\"{n}\"")).collect();
+            let list = list.join(sep);
+            let text = format!(
+                "[run]\nexclude = [{list}]\n[rules.PERF001]\nentry_points = [{list}]\n\
+                 crates = [{list}]\n"
+            );
+            let cfg = Config::parse(&text).map_err(TestCaseError::fail)?;
+            prop_assert_eq!(&cfg.excludes, &names);
+            prop_assert_eq!(&cfg.rule("PERF003").entry_points, &names);
+            prop_assert_eq!(cfg.rule("PERF001").crates.as_ref(), Some(&names));
+        }
+    }
 }

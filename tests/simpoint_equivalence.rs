@@ -382,21 +382,30 @@ proptest! {
     }
 }
 
-#[cfg(feature = "validate")]
+/// Every selection and sample the grid builds under three sampling configs
+/// passes its own check: a debug build asserts it where each is built, and
+/// every build applies it when the store loads one back.
 #[test]
-fn selections_audit_clean_under_validate() {
+fn selections_audit_clean() {
     let cfg = SystemConfig::default();
+    let dir = std::env::temp_dir().join(format!("abft-it-audit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ArtifactStore::open(&dir).expect("open store");
     for params in small_grid() {
         let packed = Arc::new(params.build_packed());
         let ms = filter(&packed, &cfg);
+        let key = FilterKey::new(params, &cfg);
         for sp in [
             sampling(),
             SimPointConfig::default(),
             SimPointConfig { interval: 1024, max_phases: 3, ..SimPointConfig::default() },
         ] {
-            let sel = Arc::new(SimPointSelection::build(&ms, sp));
-            sel.audit_invariants();
-            PhaseSample::condense(&ms, sel).audit_invariants();
+            let sample = PhaseSample::condense(&ms, Arc::new(SimPointSelection::build(&ms, sp)));
+            store.save_simpoint(&key, &sp, &sample).expect("save sample");
+            let loaded = store.load_sample(&key, &sp);
+            assert_eq!(loaded.as_ref(), Some(&sample), "{} under {sp:?}", params.label());
         }
     }
+    assert_eq!(store.metrics().evictions, 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
