@@ -18,8 +18,9 @@
 //!   predictor — observe exactly the inputs the full path hands them, in
 //!   exactly DRAM-access order,
 //! * the *pure core-cycle* count at the event (compute work + L1/L2 hit
-//!   latencies under the thread-compression carry, with DRAM stalls
-//!   excluded), stored as a delta since the previous event.
+//!   latencies under thread compression, with DRAM stalls excluded),
+//!   stored as the gap in undivided *thread* cycles since the previous
+//!   event and divided by the thread count only as it is decoded.
 //!
 //! The cycle decomposition is exact because the full simulation adds DRAM
 //! stalls directly to the machine cycle counter (`cycles += stall`)
@@ -31,20 +32,23 @@
 //!
 //! Like [`crate::packed::PackedTrace`], the stream is packed and
 //! run-aware: one two-word record covers up to [`MAX_MISS_RUN`]
-//! consecutive-line events with identical attributes and cycle deltas
-//! (the shape LLC-missing line sweeps produce).
+//! consecutive-line events with identical attributes and thread-cycle
+//! gaps (the shape LLC-missing line sweeps produce).
 //!
 //! ```text
 //! word 0: bits 63..31 offset(33) | 30..29 kind(2) | 28..23 run-1(6)
 //!         | 22..17 region(6) | 16 write | 15..0 work(16)
-//! word 1: bits 63..31 zigzag write-back line delta(33) | 30..0 cycle delta(31)
+//! word 1: bits 63..31 zigzag write-back line delta(33) | 30..0 thread-cycle gap(31)
 //! ```
 //!
 //! Word 0 reuses the [`crate::packed`] field layout with the 8 run bits
 //! split into a 2-bit event kind and a 6-bit run length; word 1 carries
 //! the write-back line as a signed line-granular delta from the trigger
 //! line (victims sit within a cache capacity of the trigger, far inside
-//! the 33-bit range) and the per-event core-cycle delta.
+//! the 33-bit range) and the per-event thread-cycle gap. The gap is kept
+//! undivided because a regular sweep repeats it exactly, while its core
+//! cycles `⌊Σ / threads⌋` step unevenly (5, 5, 5, 6, … at four threads)
+//! and would cut the sweep into a record per step (DESIGN.md §3.13).
 
 use crate::cache::{Cache, CacheOutcome};
 use crate::config::CacheConfig;
@@ -65,8 +69,9 @@ pub(crate) const KIND_WRITEBACK: u64 = 2;
 
 /// Maximum events one miss-stream record can cover.
 pub const MAX_MISS_RUN: usize = 1 << RUN_BITS;
-/// Maximum core-cycle delta between consecutive DRAM events the encoding
-/// can hold (~2.1 G cycles — over a second of core time between misses).
+/// Maximum gap, in thread cycles, between consecutive DRAM events the
+/// encoding can hold (~2.1 G thread cycles: 0.54 G core cycles at four
+/// threads, a quarter second of core time between misses).
 pub const MAX_MISS_DELTA: u64 = (1 << DELTA_BITS) - 1;
 
 /// What a decoded miss-stream event asks of the memory system.
@@ -179,12 +184,23 @@ impl StreamTotals {
         if self.instructions < self.accesses {
             return Err("fewer instructions than accesses");
         }
+        if self.threads == 0 {
+            return Err("no threads");
+        }
         Ok(())
+    }
+
+    /// The largest thread-cycle track whose core cycles are still inside
+    /// `core_cycles`: the bound every record's track must keep.
+    pub fn last_track(&self) -> u64 {
+        let threads = self.threads as u64;
+        self.core_cycles.saturating_mul(threads).saturating_add(threads - 1)
     }
 }
 
 /// Drive `src` through fresh L1/L2 caches and hand every DRAM-visible
-/// event, in DRAM-access order, to `on_event` — the one cache-hierarchy
+/// event, in DRAM-access order, to `on_event` together with the undivided
+/// thread-cycle track at the event — the one cache-hierarchy
 /// walk, which [`MissStream::build`] records and the full path of
 /// [`crate::system::Machine::simulate`] services as it goes. The source
 /// is rewound first, so a fresh and a drained stream behave identically,
@@ -196,7 +212,8 @@ impl StreamTotals {
 /// instruction streams, so per-thread cycles (compute + cache latencies)
 /// compress by the thread count on the machine timeline, while every
 /// access still reaches the shared memory system. The core-cycle count is
-/// `⌊Σ thread cycles / threads⌋`, divided only where an event observes it:
+/// `⌊Σ thread cycles / threads⌋`, divided only where an event observes it
+/// (`Σ` is the track `on_event` receives):
 /// exactly what carrying the remainder from access to access yields, as
 /// `cycles · threads + carry = Σ` with `carry < threads` throughout. DRAM
 /// stalls are machine-level and never enter the sum; a consumer adds them
@@ -210,7 +227,7 @@ pub(crate) fn walk<S: AccessSource + ?Sized>(
     l1_cfg: CacheConfig,
     l2_cfg: CacheConfig,
     threads: usize,
-    mut on_event: impl FnMut(&MissEvent),
+    mut on_event: impl FnMut(&MissEvent, u64),
 ) -> StreamTotals {
     src.reset();
     // Copied before the walk's buffers exist: made after them, this small
@@ -251,17 +268,16 @@ pub(crate) fn walk<S: AccessSource + ?Sized>(
                     // line L2 evicts to make room reaches memory.
                     if let CacheOutcome::Miss { writeback: Some(wb2) } = l2.access(wb, true) {
                         let kind = MissEventKind::Writeback(wb2);
-                        on_event(&MissEvent {
-                            trigger: a,
-                            core_cycles: thread_cycles / threads,
-                            kind,
-                        });
+                        let ev =
+                            MissEvent { trigger: a, core_cycles: thread_cycles / threads, kind };
+                        on_event(&ev, thread_cycles);
                     }
                 }
                 if let CacheOutcome::Miss { writeback } = l2.access(a.addr, a.write) {
                     rt.llc_misses += 1;
                     let kind = MissEventKind::Demand { writeback };
-                    on_event(&MissEvent { trigger: a, core_cycles: thread_cycles / threads, kind });
+                    let ev = MissEvent { trigger: a, core_cycles: thread_cycles / threads, kind };
+                    on_event(&ev, thread_cycles);
                 }
                 thread_cycles += l2_cfg.latency_cycles;
             }
@@ -310,10 +326,11 @@ impl MissStream {
         );
         let bases = region_bases(src.regions());
         let mut enc = Encoder::new(&bases);
-        let mut totals = walk(src, l1_cfg, l2_cfg, threads, |ev| enc.push(ev));
+        let mut totals = walk(src, l1_cfg, l2_cfg, threads, |ev, track| enc.push(ev, track));
         let (words, events) = enc.finish();
         totals.events = events;
-        let ms = MissStream { totals, records: MissRecords { bases, words } };
+        let records = MissRecords { bases, words, threads: totals.threads as u64 };
+        let ms = MissStream { totals, records };
         debug_assert_eq!(ms.check(), Ok(()), "miss stream");
         ms
     }
@@ -368,10 +385,11 @@ impl MissStream {
     /// slice-replay entry point the SimPoint sampler uses. Because
     /// records are run-coalesced with delta-encoded cycle tracks, an
     /// event offset alone cannot seek; the cursor carries the decoder
-    /// state (record index, position within the run, accumulated cycle
-    /// track) captured when the slice boundary was scanned, so resuming
-    /// is O(1) and the decoded events are bit-identical to the same
-    /// positions of a full [`MissStream::iter`] walk.
+    /// state (record index, position within the run, accumulated
+    /// thread-cycle track) captured when the slice boundary was scanned,
+    /// so resuming is O(1) — one division — and the decoded events are
+    /// bit-identical to the same positions of a full [`MissStream::iter`]
+    /// walk.
     pub fn events_from(&self, cursor: SliceCursor) -> MissEvents<'_> {
         self.records.events_from(cursor)
     }
@@ -402,28 +420,29 @@ impl MissStream {
         totals: StreamTotals,
         words: Vec<u64>,
     ) -> Result<MissStream, &'static str> {
-        let ms = MissStream { records: MissRecords::new(&totals.regions, words), totals };
+        let ms = MissStream { records: MissRecords::new(&totals, words), totals };
         ms.check()?;
         Ok(ms)
     }
 
     /// What is wrong with the stream, if anything: its totals pass
     /// [`StreamTotals::check`], every record passes [`check_record`], the
-    /// runs cover `events` with `l2_misses` demands, and the cycle track
-    /// stays inside `core_cycles`. What [`MissStream::build`] must produce
-    /// and what a loaded blob must hold (DESIGN.md §3.12).
+    /// runs cover `events` with `l2_misses` demands, and the thread-cycle
+    /// track stays inside `core_cycles`. What [`MissStream::build`] must
+    /// produce and what a loaded blob must hold (DESIGN.md §3.12).
     fn check(&self) -> Result<(), &'static str> {
         let t = &self.totals;
         t.check()?;
-        let MissRecords { bases, words } = &self.records;
+        let MissRecords { bases, words, .. } = &self.records;
         if !words.len().is_multiple_of(2) {
             return Err("odd miss word count");
         }
-        let (mut events, mut demands, mut cycles) = (0u64, 0u64, 0u64);
+        let last = t.last_track();
+        let (mut events, mut demands, mut track) = (0u64, 0u64, 0u64);
         for rec in words.chunks_exact(2) {
             let run = check_record(rec, bases)?;
-            cycles = cycles.saturating_add((rec[1] & MAX_MISS_DELTA) * run);
-            if cycles > t.core_cycles {
+            track = track.saturating_add((rec[1] & MAX_MISS_DELTA) * run);
+            if track > last {
                 return Err("cycle track past the core cycles");
             }
             events += run;
@@ -495,9 +514,9 @@ struct Encoder<'a> {
     head: Access,
     /// Head write-back line of the pending run.
     wb_line: u64,
-    /// Per-event cycle delta of the pending run.
+    /// Per-event thread-cycle gap of the pending run.
     delta: u64,
-    last_cycles: u64,
+    last_track: u64,
     events: u64,
 }
 
@@ -511,13 +530,17 @@ impl<'a> Encoder<'a> {
             head: Access { addr: 0, region: 0, write: false, work: 0 },
             wb_line: 0,
             delta: 0,
-            last_cycles: 0,
+            last_track: 0,
             events: 0,
         }
     }
 
+    /// Append `ev`, at thread-cycle track `track`. A run is keyed on the
+    /// thread-cycle gap, which a regular sweep repeats whatever the thread
+    /// count; the core cycles `ev` carries are that track divided, and the
+    /// decoder derives them again.
     #[inline]
-    fn push(&mut self, ev: &MissEvent) {
+    fn push(&mut self, ev: &MissEvent, track: u64) {
         let a = &ev.trigger;
         let (kind, wb_line) = match ev.kind {
             MissEventKind::Demand { writeback: None } => (KIND_DEMAND, 0),
@@ -525,12 +548,13 @@ impl<'a> Encoder<'a> {
             MissEventKind::Writeback(wb) => (KIND_WRITEBACK, wb >> 6),
         };
         self.events += 1;
-        let delta = ev.core_cycles - self.last_cycles;
+        let delta = track - self.last_track;
         assert!(
             delta <= MAX_MISS_DELTA,
-            "miss stream: cycle delta {delta} exceeds the {DELTA_BITS}-bit range"
+            "miss stream: a gap of {delta} thread cycles between DRAM events exceeds the \
+             {DELTA_BITS}-bit range"
         );
-        self.last_cycles = ev.core_cycles;
+        self.last_track = track;
         // One test, no short circuit: nine compares cost less than nine
         // branches, and whether an event extends the run depends on the data.
         let (head, run) = (&self.head, self.run as u64);
@@ -584,8 +608,8 @@ impl<'a> Encoder<'a> {
 }
 
 /// Saved decoder state at an event boundary of a [`MissStream`]: the
-/// record index, the position inside the record's run, and the cycle
-/// track accumulated through the *previous* event. Captured once per
+/// record index, the position inside the record's run, and the
+/// thread-cycle track accumulated through the *previous* event. Captured once per
 /// slice by the SimPoint fingerprint scan
 /// ([`crate::simpoint::SimPointSelection::build`]) and handed back to
 /// [`MissStream::events_from`] for O(1) mid-stream resumption.
@@ -595,7 +619,8 @@ pub struct SliceCursor {
     pub(crate) idx: usize,
     /// Events of that record's run already consumed.
     pub(crate) run_pos: usize,
-    /// Pure core-cycle track accumulated through the previous event.
+    /// Thread-cycle track accumulated through the previous event (the
+    /// decoder's core cycles are this divided by the thread count).
     pub(crate) cycles: u64,
 }
 
@@ -613,20 +638,26 @@ impl SliceCursor {
     }
 }
 
-/// Two-word event records and the base table they decode against — what
-/// [`MissEvents`] walks. A [`MissStream`] holds all of a stream's; a
+/// Two-word event records, the base table they decode against and the
+/// thread count their gaps divide by — what [`MissEvents`] walks. A
+/// [`MissStream`] holds all of a stream's; a
 /// [`crate::simpoint::PhaseSample`] holds the slices it kept of one.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct MissRecords {
     pub bases: Vec<u64>,
     /// Two words per record (see the module docs for the layout).
     pub words: Box<[u64]>,
+    pub threads: u64,
 }
 
 impl MissRecords {
-    /// `words` as records of a stream over `regions`.
-    pub fn new(regions: &RegionMap, words: Vec<u64>) -> MissRecords {
-        MissRecords { bases: region_bases(regions), words: words.into_boxed_slice() }
+    /// `words` as records of the stream `totals` describes.
+    pub fn new(totals: &StreamTotals, words: Vec<u64>) -> MissRecords {
+        MissRecords {
+            bases: region_bases(&totals.regions),
+            words: words.into_boxed_slice(),
+            threads: totals.threads as u64,
+        }
     }
 
     /// Decode from `cursor` on (see [`MissStream::events_from`]).
@@ -635,12 +666,11 @@ impl MissRecords {
         let mut events = MissEvents {
             ms: self,
             idx: cursor.idx,
-            cycles: cursor.cycles,
+            clock: CoreClock::resume(self.threads, cursor.cycles),
             left: 0,
             trigger: Access { addr: 0, region: 0, write: false, work: 0 },
             wb_line: 0,
             kind_bits: KIND_DEMAND,
-            delta: 0,
         };
         if cursor.run_pos > 0 && cursor.idx + 1 < self.words.len() {
             events.load_record(cursor.run_pos);
@@ -649,24 +679,116 @@ impl MissRecords {
     }
 }
 
+/// The core cycles `⌊T / threads⌋` of a thread-cycle track `T`, stepped
+/// by a record's gap without a division per record or per event: the
+/// replay chain is latency-bound, and a divide there costs it a fifth
+/// (DESIGN.md §3.13). A record splits its gap once into a quotient and a
+/// remainder by `threads`, by a reciprocal multiply; an event adds both
+/// to the track's and carries one remainder overflow, branch-free.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CoreClock {
+    threads: u64,
+    /// `⌈2^63 / threads⌉`.
+    recip: u64,
+    /// `⌊T / threads⌋` and `T mod threads`.
+    core: u64,
+    rem: u64,
+    /// The gap's quotient and remainder by `threads`.
+    step: u64,
+    step_rem: u64,
+}
+
+impl CoreClock {
+    /// The clock at track `track` — the one division a decoder makes.
+    pub fn resume(threads: u64, track: u64) -> CoreClock {
+        let recip = (1u64 << 63).div_ceil(threads);
+        let (core, rem) = (track / threads, track % threads);
+        CoreClock { threads, recip, core, rem, step: 0, step_rem: 0 }
+    }
+
+    /// Make `gap` thread cycles the step of every [`CoreClock::tick`]
+    /// until the next call. `gap · recip / 2^63` overshoots
+    /// `gap / threads` by under `gap / 2^63 < 2^-32`; a quotient that is
+    /// not whole falls short of the next integer by at least
+    /// `1 / threads`, so below 2^32 threads the floor is exact, and above
+    /// it the gap is below `threads` and the product below 2^63.
+    #[inline]
+    pub fn set_gap(&mut self, gap: u64) {
+        debug_assert!(gap <= MAX_MISS_DELTA);
+        self.step = ((gap as u128 * self.recip as u128) >> 63) as u64;
+        self.step_rem = gap - self.step * self.threads;
+    }
+
+    /// Step the track by the gap.
+    #[inline(always)]
+    pub fn tick(&mut self) {
+        let rem = self.rem + self.step_rem;
+        let carry = rem >= self.threads;
+        self.rem = rem - if carry { self.threads } else { 0 };
+        self.core += self.step + carry as u64;
+    }
+
+    /// `⌊T / threads⌋` of the track so far.
+    #[inline(always)]
+    pub fn core(&self) -> u64 {
+        self.core
+    }
+
+    /// Take `n ≤ 64` ticks at once and return where they carried: bit `k`
+    /// is set iff tick `k` stepped the core cycles by one more than the
+    /// gap's quotient. The remainder repeats with a period of at most
+    /// `threads` ticks, so the mask is stepped through one period and
+    /// then copied by doubling shifts.
+    #[inline]
+    pub fn advance(&mut self, n: usize) -> u64 {
+        debug_assert!((1..=64).contains(&n));
+        let (rem0, mut rem) = (self.rem, self.rem);
+        let (mut mask, mut period) = (0u64, 0);
+        while period < n {
+            rem += self.step_rem;
+            let carry = rem >= self.threads;
+            rem -= if carry { self.threads } else { 0 };
+            mask |= (carry as u64) << period;
+            period += 1;
+            if rem == rem0 {
+                break;
+            }
+        }
+        while period < n {
+            mask |= mask << period;
+            period *= 2;
+        }
+        mask &= u64::MAX >> (64 - n);
+        let (n, carries) = (n as u64, mask.count_ones() as u64);
+        self.core += n * self.step + carries;
+        self.rem = rem0 + n * self.step_rem - carries * self.threads;
+        mask
+    }
+
+    /// The core cycles a tick steps by, without carry.
+    #[inline(always)]
+    pub fn step(&self) -> u64 {
+        self.step
+    }
+}
+
 /// Streaming decode of a [`MissStream`]'s events (runs expanded back into
-/// individual events; the cycle track accumulates deltas). A record is
-/// unpacked once, when its run starts; every event of the run is the
-/// previous one stepped by a line.
+/// individual events; the core cycles follow the thread-cycle track). A
+/// record is unpacked once, when its run starts; every event of the run is
+/// the previous one stepped by a line.
 #[derive(Debug)]
 pub struct MissEvents<'a> {
     ms: &'a MissRecords,
     /// Word index of the next record to unpack.
     idx: usize,
-    cycles: u64,
+    clock: CoreClock,
     /// Events of the unpacked record still to yield.
     left: usize,
     /// The next event of the unpacked record: its trigger, write-back
-    /// line, kind and cycle delta.
+    /// line and kind (its gap is the clock's).
     trigger: Access,
     wb_line: u64,
     kind_bits: u64,
-    delta: u64,
 }
 
 impl MissEvents<'_> {
@@ -681,7 +803,7 @@ impl MissEvents<'_> {
         let run = ((w0 >> RUN_SHIFT) as usize & (MAX_MISS_RUN - 1)) + 1;
         self.kind_bits = (w0 >> KIND_SHIFT) & KIND_MASK;
         let head = unpack(w0, &self.ms.bases);
-        self.delta = w1 & MAX_MISS_DELTA;
+        self.clock.set_gap(w1 & MAX_MISS_DELTA);
         self.left = run.saturating_sub(skip);
         self.trigger = Access { addr: head.addr + 64 * skip as u64, ..head };
         self.wb_line = wb_line0(head.addr, w1) as u64 + skip as u64;
@@ -691,7 +813,9 @@ impl MissEvents<'_> {
 impl Iterator for MissEvents<'_> {
     type Item = MissEvent;
 
-    #[inline]
+    // Always inlined: left to the heuristics, the larger body stays a call
+    // in `drive_miss`, and the exact replay of paper FT-CG pays ~17%.
+    #[inline(always)]
     fn next(&mut self) -> Option<MissEvent> {
         if self.left == 0 {
             if self.idx + 1 >= self.ms.words.len() {
@@ -699,13 +823,13 @@ impl Iterator for MissEvents<'_> {
             }
             self.load_record(0);
         }
-        self.cycles += self.delta;
+        self.clock.tick();
         let kind = match self.kind_bits {
             KIND_DEMAND => MissEventKind::Demand { writeback: None },
             KIND_DEMAND_WB => MissEventKind::Demand { writeback: Some(self.wb_line << 6) },
             _ => MissEventKind::Writeback(self.wb_line << 6),
         };
-        let ev = MissEvent { trigger: self.trigger, core_cycles: self.cycles, kind };
+        let ev = MissEvent { trigger: self.trigger, core_cycles: self.clock.core(), kind };
         self.left -= 1;
         self.trigger.addr += 64;
         self.wb_line += 1;
@@ -883,6 +1007,97 @@ mod tests {
             for (k, &cursor) in cursors.iter().enumerate() {
                 let tail: Vec<MissEvent> = ms.events_from(cursor).collect();
                 prop_assert!(tail == all[k..], "resumed at event {k} ({cursor:?})");
+            }
+        }
+    }
+
+    #[test]
+    fn a_sweep_is_one_record_per_64_events_whatever_the_thread_count() {
+        // 200 lines read once through caches they all miss, at 5 thread
+        // cycles an access (the L2 adds none): a thread-cycle gap of 5,
+        // whose core-cycle gaps step unevenly at 3, 4 and 6 threads.
+        let l1 = CacheConfig { capacity: 4096, ways: 4, line_bytes: 64, latency_cycles: 1 };
+        let l2 = CacheConfig { capacity: 8192, ways: 8, line_bytes: 64, latency_cycles: 0 };
+        let mut rm = RegionMap::new();
+        let r = rm.alloc("v", 200 * 64, true);
+        let base = rm.get(r).base;
+        let mut t = Trace::new(rm);
+        for i in 0..200 {
+            t.push(base + i * 64, r, false, 5);
+        }
+        for threads in [1, 3, 4, 6] {
+            let ms = MissStream::build(&mut t.replay(), l1, l2, threads);
+            assert_eq!(ms.events(), 200);
+            assert_eq!(ms.raw_words().len() / 2, 4, "{threads} threads: ⌈200 / 64⌉ records");
+            for (i, ev) in ms.iter().enumerate() {
+                let track = 5 * (i as u64 + 1);
+                assert_eq!(ev.core_cycles, track / threads as u64, "event {i}, {threads} threads");
+            }
+        }
+    }
+
+    /// A two-event stream of one region whose second event is `gap` thread
+    /// cycles after its first, encoded and decoded at four threads.
+    fn two_events_apart(gap: u64) -> Vec<MissEvent> {
+        let bases = [0u64];
+        let mut enc = Encoder::new(&bases);
+        let trigger = Access { addr: 0, region: 0, write: false, work: 0 };
+        let kind = MissEventKind::Demand { writeback: None };
+        for track in [1, 1 + gap] {
+            enc.push(&MissEvent { trigger, core_cycles: track / 4, kind }, track);
+        }
+        let (words, _) = enc.finish();
+        let records = MissRecords { bases: bases.to_vec(), words, threads: 4 };
+        records.events_from(SliceCursor::start()).collect()
+    }
+
+    #[test]
+    fn the_longest_gap_a_record_holds_round_trips() {
+        let events = two_events_apart(MAX_MISS_DELTA);
+        let core: Vec<u64> = events.iter().map(|ev| ev.core_cycles).collect();
+        assert_eq!(core, [0, (1 + MAX_MISS_DELTA) / 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "thread cycles between DRAM events exceeds the 31-bit range")]
+    fn a_gap_one_thread_cycle_longer_is_refused() {
+        two_events_apart(MAX_MISS_DELTA + 1);
+    }
+
+    #[test]
+    fn the_clock_divides_exactly_at_any_thread_count() {
+        use rand::{Rng, SeedableRng};
+        let rng = &mut rand_chacha::ChaCha8Rng::seed_from_u64(11);
+        for threads in [1, 2, 3, 4, 6, 7, 1000, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, 1 << 62] {
+            let mut track = rng.random_range(0..1u64 << 40);
+            let mut clock = CoreClock::resume(threads, track);
+            for _ in 0..200 {
+                // Gaps at both ends of the range, and multiples of the count.
+                let gap = match rng.random_range(0..4) {
+                    0 => MAX_MISS_DELTA - rng.random_range(0..threads.min(64)),
+                    1 => rng.random_range(0..threads.min(MAX_MISS_DELTA)),
+                    2 => threads.saturating_mul(rng.random_range(0..8)).min(MAX_MISS_DELTA),
+                    _ => rng.random_range(0..=MAX_MISS_DELTA),
+                };
+                clock.set_gap(gap);
+                let n = rng.random_range(1..=MAX_MISS_RUN);
+                // Tick by tick, or all at once with the carries reported.
+                if rng.random_range(0..2) == 0 {
+                    for _ in 0..n {
+                        clock.tick();
+                        track += gap;
+                        assert_eq!(clock.core(), track / threads, "{threads} threads, gap {gap}");
+                    }
+                } else {
+                    let carries = clock.advance(n);
+                    for k in 0..n {
+                        let step = (track + gap) / threads - track / threads;
+                        assert_eq!(step, clock.step() + (carries >> k & 1), "tick {k}");
+                        track += gap;
+                    }
+                    assert_eq!(carries >> (n - 1) >> 1, 0, "no carries past tick {n}");
+                    assert_eq!(clock.core(), track / threads, "{threads} threads, gap {gap}");
+                }
             }
         }
     }

@@ -15,10 +15,11 @@
 //!    fills, per-region write-backs, the write mix, the pure core-cycle
 //!    span (arrival density), a row-buffer-locality proxy (coarse row
 //!    granule switches over the demand and write-back address tracks —
-//!    the activate-energy driver), and the coalesced-run density
-//!    (burstiness — the queueing driver). Every dimension is normalized
-//!    by the slice's event count, so fingerprints compare *rates*, not
-//!    totals.
+//!    the activate-energy driver), and the core-run density (burstiness
+//!    — the queueing driver; a core run is a line sweep cut where its
+//!    core-cycle gap changes, DESIGN.md §3.15). Every dimension is
+//!    normalized by the slice's event count, so fingerprints compare
+//!    *rates*, not totals.
 //! 3. **Cluster**: seeded deterministic k-means (k-means++ init under a
 //!    splitmix64 stream, Lloyd iterations with index-ordered
 //!    tie-breaking) groups slices into at most
@@ -51,10 +52,12 @@
 //! content-addressed by `(FilterKey, SimPointConfig)`.
 
 use crate::miss_stream::{
-    check_record, run_len, wb_line0, MissEvents, MissRecords, MissStream, SliceCursor,
-    StreamTotals, KIND_DEMAND, KIND_MASK, KIND_SHIFT, KIND_WRITEBACK, MAX_MISS_DELTA, MAX_MISS_RUN,
+    check_record, run_len, wb_line0, CoreClock, MissEvents, MissRecords, MissStream, SliceCursor,
+    StreamTotals, KIND_DEMAND, KIND_DEMAND_WB, KIND_MASK, KIND_SHIFT, KIND_WRITEBACK,
+    MAX_MISS_DELTA, MAX_MISS_RUN,
 };
 use crate::packed::unpack;
+use crate::trace::Access;
 use std::sync::Arc;
 
 /// Parameters of the phase-sampling pass. All-integer (and therefore
@@ -457,12 +460,8 @@ impl PhaseSample {
             words.extend_from_slice(&all[cursor.idx..end]);
         }
         let totals = ms.totals().clone();
-        let sample = PhaseSample {
-            records: MissRecords::new(&totals.regions, words),
-            totals,
-            offsets,
-            selection,
-        };
+        let sample =
+            PhaseSample { records: MissRecords::new(&totals, words), totals, offsets, selection };
         debug_assert_eq!(sample.check(), Ok(()), "phase sample");
         sample
     }
@@ -505,7 +504,7 @@ impl PhaseSample {
         selection: SimPointSelection,
     ) -> Result<PhaseSample, &'static str> {
         let sample = PhaseSample {
-            records: MissRecords::new(&totals.regions, words),
+            records: MissRecords::new(&totals, words),
             totals,
             offsets,
             selection: Arc::new(selection),
@@ -516,13 +515,13 @@ impl PhaseSample {
 
     /// What is wrong with the sample, if anything: every word belongs to
     /// a slice, the slices sit in phase order, each covers its phase's
-    /// events with records that pass [`check_record`] on a cycle track
-    /// inside the stream's core cycles, and the totals agree with the
+    /// events with records that pass [`check_record`] on a thread-cycle
+    /// track inside the stream's core cycles, and the totals agree with the
     /// selection and pass [`StreamTotals::check`]. The selection was
     /// checked when it was built or loaded.
     fn check(&self) -> Result<(), &'static str> {
         let t = &self.totals;
-        let MissRecords { bases, words } = &self.records;
+        let MissRecords { bases, words, .. } = &self.records;
         let phases = self.selection.phases();
         if t.events != self.selection.events() {
             return Err("sample and selection disagree on the stream's events");
@@ -534,6 +533,7 @@ impl PhaseSample {
         if self.offsets.len() != phases.len() {
             return Err("offset count");
         }
+        let last = t.last_track();
         // The first slice starts at word 0; no slices, no words.
         if self.offsets.first().copied().unwrap_or(words.len()) != 0 {
             return Err("sample words outside every slice");
@@ -551,17 +551,17 @@ impl PhaseSample {
             }
             // The cursor's track already holds the first record's events
             // before it.
-            let (mut covered, mut cycles, mut before) = (0u64, ph.cursor().cycles, run_pos);
+            let (mut covered, mut track, mut before) = (0u64, ph.cursor().cycles, run_pos);
             for rec in slice.chunks_exact(2) {
                 let run = check_record(rec, bases)?;
                 covered += run;
-                cycles = cycles.saturating_add((rec[1] & MAX_MISS_DELTA) * (run - before));
+                track = track.saturating_add((rec[1] & MAX_MISS_DELTA) * (run - before));
                 before = 0;
             }
             if covered < run_pos + ph.events() {
                 return Err("slice short of its phase");
             }
-            if cycles > t.core_cycles {
+            if track > last {
                 return Err("slice cycle track past the core cycles");
             }
         }
@@ -582,9 +582,12 @@ pub(crate) struct SimPointParts {
 }
 
 /// One pass over the packed records: per-slice fingerprints plus the
-/// decoder cursor at every slice boundary. Runs are consumed in batches
-/// (a run never needs per-event decoding — all its events share region,
-/// kind, write flag and cycle delta), so the scan is O(records + slices).
+/// decoder cursor at every slice boundary. A record, or the part of one
+/// inside a slice, advances the thread-cycle clock ([`CoreClock::advance`])
+/// in one step that reports where its events carried, which is where their
+/// core-cycle steps change and so where core runs ([`Batch`]) start; the
+/// counts are added once per part, and only a batch of demands with
+/// write-backs takes its row switches on its own ([`Batch::close`]).
 struct FingerprintScan {
     dim: usize,
     fingerprints: Vec<f64>,
@@ -604,15 +607,87 @@ const ROW_GRANULE_SHIFT: u32 = 15;
 /// standing in for the channel × rank × bank row buffers).
 const ROW_TABLE: usize = 16;
 
+/// Open-row proxy: one granule id per table entry, carried across slice
+/// boundaries (the real row buffers carry state too). A touched granule
+/// that is not the one "open" in its entry counts as a row switch — the
+/// per-slice rate of these is the feature that separates streaming phases
+/// (long sequential runs, few switches) from scatter phases (a switch per
+/// event), which is what drives DRAM activate energy and timing.
+struct OpenRows([u64; ROW_TABLE]);
+
+impl OpenRows {
+    /// The row switches a sweep over `lo..=hi` makes, opening its granules.
+    fn switches(&mut self, lo: u64, hi: u64) -> u64 {
+        let mut n = 0u64;
+        let mut g = lo >> ROW_GRANULE_SHIFT;
+        let last = hi >> ROW_GRANULE_SHIFT;
+        loop {
+            let slot = (g as usize) % ROW_TABLE;
+            if self.0[slot] != g {
+                self.0[slot] = g;
+                n += 1;
+            }
+            if g >= last {
+                break;
+            }
+            g += 1;
+        }
+        n
+    }
+}
+
+/// The events one core run holds inside one slice: what the density
+/// dimension counts. A core run is a run as a stream keyed on *core*-cycle
+/// gaps would cut it (DESIGN.md §3.15): consecutive events of one kind,
+/// region, direction and work on consecutive trigger (and write-back)
+/// lines, with equal core-cycle gaps, at most [`MAX_MISS_RUN`] of them.
+struct Batch {
+    /// The first event's trigger, write-back line and kind.
+    head: Access,
+    wb_line: i64,
+    kind: u64,
+    len: u64,
+}
+
+impl Batch {
+    /// Whether an event of `kind` triggered by `a` with write-back line
+    /// `wb_line` follows the batch's last one in everything but its gap.
+    fn continued_by(&self, kind: u64, a: &Access, wb_line: i64) -> bool {
+        (self.kind == kind)
+            & (self.head.region == a.region)
+            & (self.head.write == a.write)
+            & (self.head.work == a.work)
+            & (a.addr == self.head.addr + 64 * self.len)
+            & ((kind == KIND_DEMAND) | (wb_line == self.wb_line + self.len as i64))
+    }
+
+    /// The row switches the batch makes as it closes. A batch of demands
+    /// with write-backs sweeps its trigger lines and then its write-back
+    /// lines, so where it ends decides what the two sweeps evict of each
+    /// other; a batch on one track sweeps it in the order its events came,
+    /// which [`FingerprintScan::run`] does record by record.
+    fn close(&self, rows: &mut OpenRows) -> u64 {
+        if self.kind != KIND_DEMAND_WB || self.len == 0 {
+            return 0;
+        }
+        let last = self.len - 1;
+        rows.switches(self.head.addr, self.head.addr + 64 * last)
+            + rows.switches((self.wb_line as u64) << 6, ((self.wb_line + last as i64) as u64) << 6)
+    }
+}
+
 impl FingerprintScan {
-    /// The scan counts down to the next slice boundary instead of dividing
-    /// each record's event index by `interval`, and tallies a slice's
-    /// counts in integers, converted and divided once per slice: every
-    /// count is below 2^53, so `tally as f64` is the f64 sum the counts
-    /// would have added up to. The cycle dimension is not a count — a
-    /// slice's cycles are not bounded by 2^53 — and stays an f64 sum in
-    /// record order. `simpoint::tests`' `reference_scan`, the scan as it
-    /// was, holds it to the same bits (DESIGN.md §3.15).
+    /// A fingerprint holds, per slice and normalized by its events, the
+    /// demand events and the write-backs of each region, its core cycles,
+    /// its writes, its row switches and its core runs. The scan counts down
+    /// to the next slice boundary instead of dividing by `interval`, and
+    /// tallies a slice's counts in integers, converted and divided once per
+    /// slice: every count is below 2^53, so `tally as f64` is the f64 sum
+    /// the counts would have added up to. A slice's core cycles are the
+    /// difference of the clock across it, which is exact in f64 wherever a
+    /// sum of its gaps is. `simpoint::tests`' `reference_scan`, the
+    /// definition expanded event by event, holds it to the same bits
+    /// (DESIGN.md §3.15).
     fn run(ms: &MissStream, interval: u64) -> FingerprintScan {
         let bases = ms.raw_bases();
         let regions = bases.len();
@@ -622,103 +697,142 @@ impl FingerprintScan {
         let slices = ms.events().div_ceil(interval) as usize;
         let mut fingerprints = Vec::with_capacity(slices * dim);
         let mut cursors: Vec<SliceCursor> = Vec::with_capacity(slices);
+        let mut rows = OpenRows([u64::MAX; ROW_TABLE]);
 
-        // Open-row proxy: one granule id per table entry, carried across
-        // slice boundaries (the real row buffers carry state too). A
-        // touched granule that is not the one "open" in its entry counts
-        // as a row switch — the per-slice rate of these is the feature
-        // that separates streaming phases (long sequential runs, few
-        // switches) from scatter phases (a switch per event), which is
-        // what drives DRAM activate energy and timing.
-        let mut open = [u64::MAX; ROW_TABLE];
-        let mut row_switches = |lo: u64, hi: u64| -> u64 {
-            let mut n = 0u64;
-            let mut g = lo >> ROW_GRANULE_SHIFT;
-            let last = hi >> ROW_GRANULE_SHIFT;
-            loop {
-                let slot = (g as usize) % ROW_TABLE;
-                if open[slot] != g {
-                    open[slot] = g;
-                    n += 1;
-                }
-                if g >= last {
-                    break;
-                }
-                g += 1;
-            }
-            n
-        };
-
-        // The slice being scanned: its counts (the cycle slot unused), its
-        // cycle sum, and how many of its `interval` events are still to
-        // come. Normalizing to rates lets a short final slice compare
-        // fairly with full ones.
+        // The slice being scanned: its counts (the cycle slot unused), the
+        // core cycles it opened at, and how many of its `interval` events
+        // are still to come. Normalizing to rates lets a short final slice
+        // compare fairly with full ones.
         let mut tally = vec![0u64; dim];
-        let mut slice_cycles = 0f64;
         let mut left = 0u64;
-        let mut flush = |tally: &mut [u64], slice_cycles: &mut f64, events: u64| {
+        let mut flush = |tally: &mut [u64], cycles: u64, events: u64| {
             let ev = events as f64;
             fingerprints.extend(tally.iter().map(|&n| n as f64 / ev));
             let row = fingerprints.len() - dim;
-            fingerprints[row + cycle_dim] = std::mem::take(slice_cycles) / ev;
+            fingerprints[row + cycle_dim] = cycles as f64 / ev;
             tally.fill(0);
         };
 
         let words = ms.raw_words();
-        let mut cycles = 0u64;
+        let mut clock = CoreClock::resume(ms.filter_config().2 as u64, 0);
+        let (mut track, mut slice_start) = (0u64, 0u64);
+        let head = Access { addr: 0, region: 0, write: false, work: 0 };
+        let mut batch = Batch { head, wb_line: 0, kind: KIND_DEMAND, len: 0 };
+        // The core run the last event fell in: its length and gap.
+        let (mut core_run, mut core_gap) = (0usize, 0u64);
         let mut idx = 0usize;
         while idx + 1 < words.len() {
-            let w0 = words[idx];
-            let run = run_len(w0);
-            let kind = (w0 >> KIND_SHIFT) & KIND_MASK;
+            let (w0, w1) = (words[idx], words[idx + 1]);
+            let (run, kind) = (run_len(w0) as usize, (w0 >> KIND_SHIFT) & KIND_MASK);
             let head = unpack(w0, bases);
-            let delta = words[idx + 1] & MAX_MISS_DELTA;
-            // Write-back line of the run head; successive run events write
+            let gap = w1 & MAX_MISS_DELTA;
+            // Write-back line of the record head; successive events write
             // back successive lines.
-            let wb_line0 = wb_line0(head.addr, words[idx + 1]);
+            let wb_head = wb_line0(head.addr, w1);
+            clock.set_gap(gap);
+            // Inside a record each event follows the one before in all
+            // but its core-cycle gap; whether its head does is asked once.
+            let joins = batch.len > 0 && batch.continued_by(kind, &head, wb_head);
             let r = head.region as usize;
-            let mut consumed = 0u64;
-            while consumed < run {
+            let mut pos = 0;
+            while pos < run {
+                // A slice boundary closes the batch without ending the run.
+                let mut cuts = 0u64;
                 if left == 0 {
                     if !cursors.is_empty() {
-                        flush(&mut tally, &mut slice_cycles, interval);
+                        tally[switch_dim] += batch.close(&mut rows);
+                        flush(&mut tally, clock.core() - slice_start, interval);
+                        slice_start = clock.core();
                     }
-                    cursors.push(SliceCursor::at(idx, consumed as usize, cycles));
+                    batch.len = 0;
+                    cursors.push(SliceCursor::at(idx, pos, track));
                     left = interval;
+                    cuts = 1;
                 }
-                let batch = (run - consumed).min(left);
-                let (lo, hi) = (consumed, consumed + batch - 1);
-                if kind == KIND_WRITEBACK {
-                    tally[regions + r] += batch;
-                } else {
-                    tally[r] += batch;
-                    tally[switch_dim] += row_switches(head.addr + 64 * lo, head.addr + 64 * hi);
-                    if kind != KIND_DEMAND {
-                        tally[regions + r] += batch;
+                // The record's events up to the boundary: bit `k` of `cuts`
+                // is set where event `pos + k` opens a batch. Inside a
+                // record an event's core-cycle step changes exactly where
+                // its carry does; the first event compares with the core
+                // run before, which only the 64-event cap can cut later.
+                let end = run.min(pos + left as usize);
+                let n = end - pos;
+                let carries = clock.advance(n);
+                let low = u64::MAX >> (64 - n);
+                let first = clock.step() + (carries & 1);
+                let joined = ((pos > 0) | joins) & (first == core_gap) & (core_run < MAX_MISS_RUN);
+                let mut starts = (carries ^ (carries << 1)) & low & !1;
+                if joined {
+                    let cap = MAX_MISS_RUN - core_run;
+                    if cap < n && starts & ((1 << cap) - 1) == 0 {
+                        starts |= 1 << cap;
                     }
+                } else {
+                    starts |= 1;
+                }
+                core_run = match starts {
+                    0 => core_run + n,
+                    _ => n - (63 - starts.leading_zeros() as usize),
+                };
+                core_gap = clock.step() + (carries >> (n - 1) & 1);
+                cuts |= starts;
+                track += gap * n as u64;
+                left -= n as u64;
+
+                // Close the batch the first cut ends, and every one after
+                // it but the last, which stays open for the next record.
+                let batch_at = |at: usize, len: usize| Batch {
+                    head: Access { addr: head.addr + 64 * (pos + at) as u64, ..head },
+                    wb_line: wb_head + (pos + at) as i64,
+                    kind,
+                    len: len as u64,
+                };
+                if cuts == 0 {
+                    batch.len += n as u64;
+                } else {
+                    let mut at = cuts.trailing_zeros() as usize;
+                    batch.len += at as u64;
+                    tally[switch_dim] += batch.close(&mut rows);
+                    tally[runs_dim] += cuts.count_ones() as u64;
+                    if kind == KIND_DEMAND_WB {
+                        let mut rest = cuts & (cuts - 1);
+                        while rest != 0 {
+                            let next = rest.trailing_zeros() as usize;
+                            tally[switch_dim] += batch_at(at, next - at).close(&mut rows);
+                            (at, rest) = (next, rest & (rest - 1));
+                        }
+                    } else {
+                        at = 63 - cuts.leading_zeros() as usize;
+                    }
+                    batch = batch_at(at, n - at);
+                }
+
+                // Everything else the piece adds, at once: its demand and
+                // write-back events, its writes, and — on one track — its
+                // row switches.
+                let (lo, hi) = (pos as u64, end as u64 - 1);
+                let n = n as u64;
+                if kind != KIND_WRITEBACK {
+                    tally[r] += n;
                 }
                 if kind != KIND_DEMAND {
-                    let wb_lo = ((wb_line0 + lo as i64) as u64) << 6;
-                    let wb_hi = ((wb_line0 + hi as i64) as u64) << 6;
-                    tally[switch_dim] += row_switches(wb_lo, wb_hi);
+                    tally[regions + r] += n;
                 }
-                slice_cycles += (delta * batch) as f64;
                 if head.write {
-                    tally[write_dim] += batch;
+                    tally[write_dim] += n;
                 }
-                // Record density: how many coalesced runs the slice's
-                // events arrive in (inverse mean run length) — bursty
-                // back-to-back streams vs isolated misses queue very
-                // differently at the controller.
-                tally[runs_dim] += 1;
-                cycles += delta * batch;
-                left -= batch;
-                consumed += batch;
+                if kind == KIND_DEMAND {
+                    tally[switch_dim] += rows.switches(head.addr + 64 * lo, head.addr + 64 * hi);
+                } else if kind == KIND_WRITEBACK {
+                    let (wb_lo, wb_hi) = (wb_head + lo as i64, wb_head + hi as i64);
+                    tally[switch_dim] += rows.switches((wb_lo as u64) << 6, (wb_hi as u64) << 6);
+                }
+                pos = end;
             }
             idx += 2;
         }
         if !cursors.is_empty() {
-            flush(&mut tally, &mut slice_cycles, interval - left);
+            tally[switch_dim] += batch.close(&mut rows);
+            flush(&mut tally, clock.core() - slice_start, interval - left);
         }
         FingerprintScan { dim, fingerprints, cursors }
     }
@@ -884,31 +998,82 @@ fn kmeans(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SystemConfig;
+    use crate::config::{CacheConfig, SystemConfig};
     use crate::miss_stream::{RUN_SHIFT, WB_SHIFT};
     use crate::workloads::{DgemmParams, KernelKind, KernelParams};
 
-    /// The referee: [`FingerprintScan::run`] as it stood before the
-    /// countdown and the integer tallies — a division and a remainder by
-    /// `interval` per batch, f64 read-modify-writes into the slice's row,
-    /// one normalizing pass at the end. Kept verbatim, as `dram.rs` keeps
-    /// `reference_access_kind` and `walk_reference` the stamp-LRU walk.
+    /// The referee: the fingerprint by its definition, event by event.
+    /// Every event is expanded from the records with its core cycles taken
+    /// by division, cut into core runs by the rule a stream keyed on
+    /// core-cycle gaps was encoded by, and those into slices by a division
+    /// and a remainder by `interval`; each stretch is then tallied as the
+    /// scan tallied a record before the records were keyed on thread
+    /// cycles — f64 read-modify-writes into the slice's row, one
+    /// normalizing pass at the end. It shares nothing with
+    /// [`FingerprintScan::run`] but `unpack`.
     fn reference_scan(ms: &MissStream, interval: u64) -> FingerprintScan {
         let bases = ms.raw_bases();
         let regions = bases.len();
         let dim = 2 * regions + 4;
         let total = ms.events();
         let slices = total.div_ceil(interval) as usize;
-        let mut fingerprints = vec![0f64; slices * dim];
-        let mut cursors: Vec<SliceCursor> = Vec::with_capacity(slices);
+        let threads = ms.filter_config().2 as u64;
 
-        // Open-row proxy: one granule id per table entry, carried across
-        // slice boundaries (the real row buffers carry state too). A
-        // touched granule that is not the one "open" in its entry counts
-        // as a row switch — the per-slice rate of these is the feature
-        // that separates streaming phases (long sequential runs, few
-        // switches) from scatter phases (a switch per event), which is
-        // what drives DRAM activate energy and timing.
+        // Every event: its trigger, kind, write-back line, core cycles and
+        // the cursor that resumes at it.
+        struct Event {
+            a: Access,
+            kind: u64,
+            wb_line: i64,
+            core: u64,
+            cursor: SliceCursor,
+        }
+        let mut events = Vec::new();
+        let mut track = 0u64;
+        for (rec, w) in ms.raw_words().chunks_exact(2).enumerate() {
+            let run = ((w[0] >> RUN_SHIFT) as usize & (MAX_MISS_RUN - 1)) + 1;
+            let head = unpack(w[0], bases);
+            let zz = w[1] >> WB_SHIFT;
+            let wb_line0 = (head.addr >> 6) as i64 + (((zz >> 1) as i64) ^ -((zz & 1) as i64));
+            for pos in 0..run {
+                let cursor = SliceCursor::at(2 * rec, pos, track);
+                track += w[1] & MAX_MISS_DELTA;
+                events.push(Event {
+                    a: Access { addr: head.addr + 64 * pos as u64, ..head },
+                    kind: (w[0] >> KIND_SHIFT) & KIND_MASK,
+                    wb_line: wb_line0 + pos as i64,
+                    core: track / threads,
+                    cursor,
+                });
+            }
+        }
+        assert_eq!(events.len() as u64, total);
+
+        // Core runs: an event extends its predecessor's run iff the run
+        // is short of 64 events and the event has the run head's kind,
+        // region, direction, work and core-cycle gap, on the next trigger
+        // line and, unless it is a plain demand, the next write-back line.
+        let gap = |i: usize| events[i].core - if i == 0 { 0 } else { events[i - 1].core };
+        let mut starts_run = vec![true; events.len()];
+        let mut head = 0;
+        for i in 1..events.len() {
+            let (h, e, n) = (&events[head], &events[i], (i - head) as u64);
+            let extends = n < MAX_MISS_RUN as u64
+                && e.kind == h.kind
+                && e.a.region == h.a.region
+                && e.a.write == h.a.write
+                && e.a.work == h.a.work
+                && e.a.addr == h.a.addr + 64 * n
+                && gap(i) == gap(head)
+                && (e.kind == KIND_DEMAND || e.wb_line == h.wb_line + n as i64);
+            if extends {
+                starts_run[i] = false;
+            } else {
+                head = i;
+            }
+        }
+
+        // Open-row proxy, as in the scan.
         let mut open = [u64::MAX; ROW_TABLE];
         let mut row_switches = |lo: u64, hi: u64| -> f64 {
             let mut n = 0u64;
@@ -928,63 +1093,43 @@ mod tests {
             n as f64
         };
 
-        let words = ms.raw_words();
-        let mut cycles = 0u64;
-        let mut event_idx = 0u64;
-        let mut idx = 0usize;
-        while idx + 1 < words.len() {
-            let w0 = words[idx];
-            let run = ((w0 >> RUN_SHIFT) as usize & (MAX_MISS_RUN - 1)) + 1;
-            let kind = (w0 >> KIND_SHIFT) & KIND_MASK;
-            let head = unpack(w0, bases);
-            let delta = words[idx + 1] & MAX_MISS_DELTA;
-            // Write-back line of the run head (signed line delta from the
-            // trigger line, zigzag-encoded); successive run events write
-            // back successive lines.
-            let zz = words[idx + 1] >> WB_SHIFT;
-            let wb_delta = ((zz >> 1) as i64) ^ -((zz & 1) as i64);
-            let wb_line0 = (head.addr >> 6) as i64 + wb_delta;
-            let mut consumed = 0usize;
-            while consumed < run {
-                let into_slice = event_idx % interval;
-                if into_slice == 0 {
-                    cursors.push(SliceCursor::at(idx, consumed, cycles));
-                }
-                let s = (event_idx / interval) as usize;
-                let batch = ((run - consumed) as u64).min(interval - into_slice);
-                let fp = &mut fingerprints[s * dim..(s + 1) * dim];
-                let b = batch as f64;
-                let r = head.region as usize;
-                let lo = consumed as u64;
-                let hi = lo + batch - 1;
-                if kind == KIND_WRITEBACK {
-                    fp[regions + r] += b;
-                } else {
-                    fp[r] += b;
-                    fp[2 * regions + 2] += row_switches(head.addr + 64 * lo, head.addr + 64 * hi);
-                    if kind != KIND_DEMAND {
-                        fp[regions + r] += b;
-                    }
-                }
-                if kind != KIND_DEMAND {
-                    let wb_lo = ((wb_line0 + lo as i64) as u64) << 6;
-                    let wb_hi = ((wb_line0 + hi as i64) as u64) << 6;
-                    fp[2 * regions + 2] += row_switches(wb_lo, wb_hi);
-                }
-                fp[2 * regions] += (delta * batch) as f64;
-                if head.write {
-                    fp[2 * regions + 1] += b;
-                }
-                // Record density: how many coalesced runs the slice's
-                // events arrive in (inverse mean run length) — bursty
-                // back-to-back streams vs isolated misses queue very
-                // differently at the controller.
-                fp[2 * regions + 3] += 1.0;
-                cycles += delta * batch;
-                event_idx += batch;
-                consumed += batch as usize;
+        let mut fingerprints = vec![0f64; slices * dim];
+        let mut cursors: Vec<SliceCursor> = Vec::with_capacity(slices);
+        let mut b = 0usize;
+        while b < events.len() {
+            let at = b as u64;
+            if at.is_multiple_of(interval) {
+                cursors.push(events[b].cursor);
             }
-            idx += 2;
+            // The stretch of one core run inside one slice.
+            let mut e = b + 1;
+            while e < events.len() && !starts_run[e] && !(e as u64).is_multiple_of(interval) {
+                e += 1;
+            }
+            let s = (at / interval) as usize;
+            let fp = &mut fingerprints[s * dim..(s + 1) * dim];
+            let (h, last) = (&events[b], &events[e - 1]);
+            let n = (e - b) as f64;
+            let r = h.a.region as usize;
+            if h.kind == KIND_WRITEBACK {
+                fp[regions + r] += n;
+            } else {
+                fp[r] += n;
+                fp[2 * regions + 2] += row_switches(h.a.addr, last.a.addr);
+                if h.kind != KIND_DEMAND {
+                    fp[regions + r] += n;
+                }
+            }
+            if h.kind != KIND_DEMAND {
+                let (wb_lo, wb_hi) = ((h.wb_line as u64) << 6, (last.wb_line as u64) << 6);
+                fp[2 * regions + 2] += row_switches(wb_lo, wb_hi);
+            }
+            fp[2 * regions] += (gap(b) * (e - b) as u64) as f64;
+            if h.a.write {
+                fp[2 * regions + 1] += n;
+            }
+            fp[2 * regions + 3] += 1.0;
+            b = e;
         }
 
         // Normalize each slice to rates so short final slices compare
@@ -1026,12 +1171,15 @@ mod tests {
         fn the_scan_is_reference_scan_bit_for_bit(seed: u64) {
             use proptest::prelude::*;
             use rand::{Rng, SeedableRng};
-            let ms = crate::miss_stream::few_line_stream(seed);
             let rng = &mut rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let threads = [1, 3, 4, 6][rng.random_range(0..4)];
+            let (t, l1, l2) = crate::miss_stream::few_line_trace(seed, 3);
+            let ms = MissStream::build(&mut t.replay(), l1, l2, threads);
             let beyond = ms.events() + rng.random_range(1..100);
             // What the intervals must have met: a run split across a slice
-            // boundary, a short final slice, a one-event slice.
-            let mut seen = [false; 3];
+            // boundary, a short final slice, a one-event slice — and, past
+            // one thread, core runs that are not the records.
+            let mut seen = [false, false, false, threads == 1];
             for interval in (1..64).chain([beyond]) {
                 prop_assert_eq!(scan_mismatch(&ms, interval), None);
                 let scan = FingerprintScan::run(&ms, interval);
@@ -1039,8 +1187,12 @@ mod tests {
                 let last = ms.events() - (scan.cursors.len() as u64 - 1) * interval;
                 seen[1] |= last < interval;
                 seen[2] |= interval == 1 || last == 1;
+                if interval == beyond {
+                    let core_runs = scan.fingerprints[scan.dim - 1] * ms.events() as f64;
+                    seen[3] |= core_runs != (ms.raw_words().len() / 2) as f64;
+                }
             }
-            prop_assert!(seen == [true; 3], "{} events too tame: {seen:?}", ms.events());
+            prop_assert!(seen == [true; 4], "{} events at {threads} threads too tame: {seen:?}", ms.events());
         }
     }
 
@@ -1054,6 +1206,38 @@ mod tests {
                 assert_eq!(scan_mismatch(&ms, interval), None, "{kind:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_core_run_through_three_records_is_cut_at_64_events_inside_the_third() {
+        // At six threads a line read for 6 thread cycles steps the core
+        // cycles by one, and so, from a remainder of 0, do five lines that a
+        // hit in between makes cost 7: records of their own, but not a core
+        // run of their own. The run that starts at line 0 goes on through
+        // them and reaches 64 events in the record after.
+        let l1 = CacheConfig { capacity: 4096, ways: 4, line_bytes: 64, latency_cycles: 1 };
+        let l2 = CacheConfig { capacity: 8192, ways: 8, line_bytes: 64, latency_cycles: 0 };
+        let mut rm = crate::trace::RegionMap::new();
+        let (v, hot) = (rm.alloc("v", 200 * 64, true), rm.alloc("hot", 64, true));
+        let (vb, hb) = (rm.get(v).base, rm.get(hot).base);
+        let mut t = crate::trace::Trace::new(rm);
+        t.push(hb, hot, false, 6);
+        for i in 0..200 {
+            if (30..35).contains(&i) {
+                t.push(hb, hot, false, 0);
+            }
+            t.push(vb + i * 64, v, false, 6);
+        }
+        let ms = MissStream::build(&mut t.replay(), l1, l2, 6);
+        assert_eq!(ms.events(), 201);
+        let runs: Vec<u64> = ms.raw_words().chunks_exact(2).map(|r| run_len(r[0])).collect();
+        assert_eq!(runs, [1, 30, 5, 64, 64, 37]);
+        for interval in [1000, 100, 50, 7] {
+            assert_eq!(scan_mismatch(&ms, interval), None);
+        }
+        // Core runs: the hot line, lines 0..64, 64..128, 128..192, the rest.
+        let scan = FingerprintScan::run(&ms, 1000);
+        assert_eq!(scan.fingerprints[scan.dim - 1] * 201.0, 5.0);
     }
 
     fn small_stream() -> MissStream {

@@ -70,10 +70,12 @@ const BLOB_MAGIC: &[u8; 8] = b"ABFTART1";
 const END_MAGIC: &[u8; 8] = b"ABFTEND1";
 /// Version 2 reframed the checksum from byte-wise to word-wise FNV-1a;
 /// version 3 put the phase sample behind the selection in `.simpoint`
-/// payloads (the other two kinds kept their bytes). Older blobs fail the
-/// version check and are evicted and regenerated like any other unusable
-/// blob.
-const FORMAT_VERSION: u32 = 3;
+/// payloads (the other two kinds kept their bytes); version 4 keeps every
+/// layout but counts a miss record's gap and a cursor's track in thread
+/// cycles, where version 3 counted core cycles — bytes the version alone
+/// tells apart. Older blobs fail the version check and are evicted and
+/// regenerated like any other unusable blob.
+const FORMAT_VERSION: u32 = 4;
 const KIND_TRACE: u32 = 1;
 const KIND_MISS: u32 = 2;
 const KIND_SIMPOINT: u32 = 3;
@@ -1283,7 +1285,7 @@ mod tests {
         out
     }
 
-    /// The cycles a miss stream's records step its cycle track through.
+    /// The thread cycles a miss stream's records step its track through.
     fn cycle_track(words: &[u64]) -> u64 {
         words.chunks_exact(2).map(|r| (r[1] & MAX_MISS_DELTA) * run_len(r[0])).sum()
     }
@@ -1296,13 +1298,14 @@ mod tests {
     fn a_well_checksummed_but_inconsistent_miss_stream_is_evicted() {
         let store = temp_store("inconsistent-miss");
         let (key, _, _, ms, _) = small_artifacts();
-        assert!(cycle_track(ms.raw_words()) > 0);
+        let threads = ms.filter_config().2 as u64;
+        assert!(cycle_track(ms.raw_words()) / threads > 0 && threads > 1);
         assert_eq!(ms.regions().regions().len(), 2);
 
         // The totals, the records, and the registry the payload holds.
         type Parts = (StreamTotals, Vec<u64>, Vec<Region>);
         type Damage = fn(&mut Parts);
-        let cases: [(&str, Damage); 12] = [
+        let cases: [(&str, Damage); 13] = [
             ("a record of region 63 of 2", |p| p.1[0] |= 0x3f << 17),
             ("a record of an unknown kind", |p| p.1[0] |= KIND_MASK << KIND_SHIFT),
             ("an event too many", |p| p.0.events += 1),
@@ -1317,7 +1320,10 @@ mod tests {
                 (r.refs, r.l1_misses, r.llc_misses) =
                     (r.refs + 1, r.l1_misses + 1, r.llc_misses + 1);
             }),
-            ("a cycle track past the core cycles", |p| p.0.core_cycles = cycle_track(&p.1) - 1),
+            ("a cycle track past the core cycles", |p| {
+                p.0.core_cycles = cycle_track(&p.1) / p.0.threads as u64 - 1;
+            }),
+            ("no threads", |p| p.0.threads = 0),
             ("tallies that do not sum to the totals", |p| p.0.tallies[1].refs += 1),
             ("L1 hits and misses that are not the accesses", |p| p.0.l1_hits += 1),
             ("an odd word count", |p| p.1.truncate(p.1.len() - 1)),
@@ -1452,11 +1458,11 @@ mod tests {
     #[test]
     fn the_checksum_is_pinned_to_the_format_version() {
         // 27 bytes: three whole words and a three-byte tail. A change to
-        // the sum is a new blob format and needs a version bump; version 3
-        // kept version 2's.
+        // the sum is a new blob format and needs a version bump; versions 3
+        // and 4 kept version 2's.
         let text = b"abft-coop artifact store v2";
         assert_eq!(text.len(), 27);
-        assert_eq!(FORMAT_VERSION, 3);
+        assert_eq!(FORMAT_VERSION, 4);
         assert_eq!(checksum(text), 0xb470_c350_285a_86eb);
         assert_ne!(checksum(text), checksum_v1(text));
         assert_eq!(checksum(b""), FNV64_OFFSET);
@@ -1488,6 +1494,76 @@ mod tests {
         assert!(loaded.words().eq(rebuilt.words()));
     }
 
+    /// `payload` framed as a blob of `kind` at format `version` under
+    /// `key`, with the word-wise checksum of versions 2 on.
+    fn framed(kind: u32, version: u32, key: u128, payload: &[u8]) -> Vec<u8> {
+        let mut blob = Vec::new();
+        blob.extend_from_slice(BLOB_MAGIC);
+        blob.extend_from_slice(&kind.to_le_bytes());
+        blob.extend_from_slice(&version.to_le_bytes());
+        blob.extend_from_slice(&key.to_le_bytes());
+        blob.extend_from_slice(payload);
+        blob.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        blob.extend_from_slice(&checksum(payload).to_le_bytes());
+        blob.extend_from_slice(END_MAGIC);
+        blob
+    }
+
+    // Version 3 wrote `.miss` and `.simpoint` payloads in today's layout,
+    // but with a record's gap and a cursor's track in core cycles: read as
+    // thread cycles, a four-thread stream would replay at a quarter of its
+    // core cycles. Only the version number tells the two apart, which the
+    // two tests below show by serving the very bytes under version 4.
+
+    #[test]
+    fn a_version_3_miss_blob_under_a_current_name_is_evicted_and_rebuilt() {
+        let store = Arc::new(temp_store("v3-miss"));
+        let cfg = SystemConfig::default();
+        let key = FilterKey::new(tiny(), &cfg);
+        let packed = Arc::new(tiny().build_packed());
+        let ms = MissStream::build(&mut packed.replay(), key.l1, key.l2, key.threads);
+        let mut payload = Vec::new();
+        encode_miss(&mut payload, &ms);
+        let path = store.miss_path(&key);
+        std::fs::write(&path, framed(KIND_MISS, 3, miss_key(&key), &payload)).unwrap();
+
+        let cache = crate::trace_cache::TraceCache::with_store(Arc::clone(&store));
+        let rebuilt = cache.get_filtered(tiny(), &cfg);
+        assert_eq!(cache.miss_builds(), 1, "the old blob must not be served");
+        assert_eq!(store.metrics().evictions, 1);
+        assert_eq!(store.metrics().writes, 2, "the trace, and the stream that replaces the blob");
+        let loaded = store.load_miss(&key).expect("the rewritten blob is current");
+        assert!(loaded.iter().eq(rebuilt.iter()));
+        std::fs::write(&path, framed(KIND_MISS, FORMAT_VERSION, miss_key(&key), &payload)).unwrap();
+        assert!(store.load_miss(&key).is_some(), "the same bytes at version 4 are a stream");
+    }
+
+    #[test]
+    fn a_version_3_simpoint_blob_under_a_current_name_is_evicted_and_rebuilt() {
+        let store = Arc::new(temp_store("v3-simpoint"));
+        let cfg = SystemConfig::default();
+        let key = FilterKey::new(tiny(), &cfg);
+        let sp = SimPointConfig { interval: 2048, max_phases: 4, ..Default::default() };
+        let packed = Arc::new(tiny().build_packed());
+        let ms = MissStream::build(&mut packed.replay(), key.l1, key.l2, key.threads);
+        let sample = PhaseSample::condense(&ms, Arc::new(SimPointSelection::build(&ms, sp)));
+        assert!(sample.selection().phases().iter().any(|p| p.cursor().cycles > 0));
+        let mut payload = Vec::new();
+        encode_simpoint(&mut payload, sample.selection());
+        encode_sample(&mut payload, &sample);
+        let (path, digest) = (store.simpoint_path(&key, &sp), simpoint_key(&key, &sp));
+        std::fs::write(&path, framed(KIND_SIMPOINT, 3, digest, &payload)).unwrap();
+
+        let cache = crate::trace_cache::TraceCache::with_store(Arc::clone(&store));
+        let rebuilt = cache.get_sampled(tiny(), &cfg, &sp);
+        assert_eq!(cache.simpoint_builds(), 1, "the old blob must not be served");
+        assert_eq!(store.metrics().evictions, 1);
+        assert_eq!(store.metrics().writes, 3, "trace, stream, and the selection with its sample");
+        assert_eq!(store.load_sample(&key, &sp).expect("the rewritten blob is current"), *rebuilt);
+        std::fs::write(&path, framed(KIND_SIMPOINT, FORMAT_VERSION, digest, &payload)).unwrap();
+        assert!(store.load_sample(&key, &sp).is_some(), "the same bytes at version 4 are a sample");
+    }
+
     #[test]
     fn a_version_2_simpoint_blob_is_evicted_and_rebuilt_with_its_sample() {
         let store = Arc::new(temp_store("v2"));
@@ -1499,15 +1575,7 @@ mod tests {
         // Exactly what version 2 wrote: the selection and nothing after.
         let mut payload = Vec::new();
         encode_simpoint(&mut payload, &SimPointSelection::build(&ms, sp));
-        let mut blob = Vec::new();
-        blob.extend_from_slice(BLOB_MAGIC);
-        blob.extend_from_slice(&KIND_SIMPOINT.to_le_bytes());
-        blob.extend_from_slice(&2u32.to_le_bytes());
-        blob.extend_from_slice(&simpoint_key(&key, &sp).to_le_bytes());
-        blob.extend_from_slice(&payload);
-        blob.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        blob.extend_from_slice(&checksum(&payload).to_le_bytes());
-        blob.extend_from_slice(END_MAGIC);
+        let mut blob = framed(KIND_SIMPOINT, 2, simpoint_key(&key, &sp), &payload);
         std::fs::write(store.simpoint_path(&key, &sp), &blob).unwrap();
 
         let cache = crate::trace_cache::TraceCache::with_store(Arc::clone(&store));

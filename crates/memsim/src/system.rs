@@ -490,7 +490,7 @@ fn drive_source<S: AccessSource + ?Sized, P: ProtectionPolicy + ?Sized>(
     lanes: &mut [Lane<'_, P>],
 ) -> Vec<SimStats> {
     let (map, clock) = (AddressMap::new(cfg), Clock::new(cfg));
-    let walked = miss_stream::walk(src, cfg.l1, cfg.l2, cfg.threads, |ev| {
+    let walked = miss_stream::walk(src, cfg.l1, cfg.l2, cfg.threads, |ev, _| {
         replay_event(&map, &clock, ev, lanes)
     });
     assemble_lanes(cfg, &walked, lanes)

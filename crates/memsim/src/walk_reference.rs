@@ -332,7 +332,12 @@ proptest::proptest! {
                     }
                     for (form, mut bare, mut hinted) in sources {
                         let mut events = Vec::new();
-                        let w = walk(&mut *bare, l1, l2, threads, |ev| events.push(*ev));
+                        let mut track_holds = true;
+                        let w = walk(&mut *bare, l1, l2, threads, |ev, track| {
+                            track_holds &= track / threads as u64 == ev.core_cycles;
+                            events.push(*ev)
+                        });
+                        prop_assert!(track_holds, "a track is not its event's core cycles {form}");
                         let got = Walked {
                             events,
                             core_cycles: w.core_cycles,

@@ -24,7 +24,7 @@ echo "=== cargo build --release --workspace ==="
 # the `repro` and `store_gate` binaries the stages below execute.
 cargo build --release --workspace
 
-echo "=== benchmarks/ (perfbench) builds, passes its tests and runs a cold grid and a sampled paper-scale run against these crates ==="
+echo "=== benchmarks/ (perfbench) builds, passes its tests and runs a cold grid, a sampled paper-scale run and a warm-store one against these crates ==="
 # perfbench is a package of its own outside the workspace, so nothing above
 # compiles it: a changed signature in memsim or core would otherwise break
 # the benchmark the PR pipeline runs without any stage here noticing.
@@ -42,6 +42,13 @@ cargo run --release -q --offline --manifest-path benchmarks/Cargo.toml -- \
 # stream, so a scan or stall-step change that moves bits fails here.
 cargo run --release -q --offline --manifest-path benchmarks/Cargo.toml -- \
     --workload paper_sampled --seconds 1 >/dev/null
+# And the one workload that reads a `.simpoint` blob back: a fresh process
+# over a store its set-up populated must load the selection and its sample
+# with no build and no miss, so a change to the blob formats — a record's
+# gap, a cursor's track — that the writer and the reader disagree on fails
+# here. About 3 s.
+cargo run --release -q --offline --manifest-path benchmarks/Cargo.toml -- \
+    --workload paper_warm_store --seconds 1 >/dev/null
 
 echo "=== drift gate (repro all vs the committed reproduction-output/) ==="
 # One process regenerates every experiment `repro list` names; each must
@@ -114,8 +121,8 @@ echo "=== the pinned memsim referees are still there, by name ==="
 # are pinned to — `dram::tests` (reference_access_kind), `walk_reference`
 # (stamp-LRU cache + carry-bump walk vs the one L1/L2 walker),
 # `reference_replay` (the stall step as it was spelled, division and
-# `f64::max` included) and `reference_scan` (the SimPoint fingerprint scan
-# as it was) — and the proptest that pins every lane of a row replay to the
+# `f64::max` included) and `reference_scan` (the SimPoint fingerprint by its
+# definition, event by event) — and the proptest that pins every lane of a row replay to the
 # simulation it would be alone; those, and the proptest that holds the
 # packed builder's sweep-level emission to line-by-line emission, ran in
 # the stage above and are listed here by name, so that a rename cannot
