@@ -46,6 +46,18 @@ impl Violation {
     }
 }
 
+/// The mathematical value at `(i, c)` of a matrix factored in place whose
+/// first `factored` columns store multipliers (LU's `L`, QR's reflectors)
+/// below the diagonal: zero there, the stored value everywhere else.
+#[inline]
+pub(crate) fn math_val(m: &Matrix, i: usize, c: usize, factored: usize) -> f64 {
+    if c < factored && i > c {
+        0.0
+    } else {
+        m[(i, c)]
+    }
+}
+
 /// Column sums of a matrix region (plain and weighted) over `rows` rows.
 pub fn column_sums(m: &Matrix, rows: usize) -> (Vec<f64>, Vec<f64>) {
     let mut plain = vec![0.0; m.cols()];
@@ -149,6 +161,39 @@ impl ColChecksums {
     pub fn right_multiply(&mut self, op: impl Fn(&mut [f64])) {
         op(&mut self.plain);
         op(&mut self.weighted);
+    }
+
+    /// Co-update for the trailing update `B -= L_i L_j^T`: each checksum
+    /// row updates as `chk -= (chk of L_i) L_j^T`, consuming the maintained
+    /// sums of the panel block.
+    pub(crate) fn rank_update(&mut self, panel: &ColChecksums, lj: &Matrix) {
+        let b = lj.rows();
+        for (dst, src) in [(&mut self.plain, &panel.plain), (&mut self.weighted, &panel.weighted)] {
+            for (jj, d) in dst.iter_mut().enumerate() {
+                let mut acc = 0.0;
+                for p in 0..b {
+                    acc += src[p] * lj[(jj, p)];
+                }
+                *d -= acc;
+            }
+        }
+    }
+
+    /// Verify every column of `m` over all its rows and repair the one
+    /// error each violated column locates. Returns `(corrected,
+    /// uncorrectable)` counts.
+    pub(crate) fn examine_and_correct(&self, m: &mut Matrix) -> (u64, u64) {
+        let rows = m.rows();
+        let mut corrected = 0;
+        let mut uncorrectable = 0;
+        for v in &self.verify(m, rows) {
+            if self.correct(m, rows, v).is_some() {
+                corrected += 1;
+            } else {
+                uncorrectable += 1;
+            }
+        }
+        (corrected, uncorrectable)
     }
 }
 

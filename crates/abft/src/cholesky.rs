@@ -18,9 +18,9 @@
 
 use crate::checksum::{ColChecksums, CHECK_RTOL};
 use crate::cost::{self, Cost};
-use crate::multichecksum::{ColumnFinding, MultiChecksums};
+use crate::multichecksum::MultiChecksums;
 use crate::verify::{due, FtStats, VerifyMode};
-use abft_linalg::cholesky::FactorError;
+use abft_linalg::cholesky::{potf2, FactorError};
 use abft_linalg::{gemm, Matrix, Trans};
 
 /// FT-Cholesky options.
@@ -60,18 +60,60 @@ pub struct FtCholeskyResult {
 }
 
 /// Per-block checksum state: the two-vector scheme or the four-vector
-/// multi-error scheme.
+/// multi-error scheme, each method the scheme's own.
 #[derive(Clone)]
 enum BlockChk {
     Two(ColChecksums),
     Multi(MultiChecksums),
 }
 
+impl BlockChk {
+    fn encode(blk: &Matrix, multi: bool) -> Self {
+        if multi {
+            BlockChk::Multi(MultiChecksums::encode(blk, blk.rows()))
+        } else {
+            BlockChk::Two(ColChecksums::encode(blk, blk.rows()))
+        }
+    }
+
+    fn right_multiply(&mut self, op: impl Fn(&mut [f64])) {
+        match self {
+            BlockChk::Two(c) => c.right_multiply(op),
+            BlockChk::Multi(c) => c.right_multiply(op),
+        }
+    }
+
+    fn rank_update(&mut self, panel: &BlockChk, lj: &Matrix) {
+        match (self, panel) {
+            (BlockChk::Two(c), BlockChk::Two(p)) => c.rank_update(p, lj),
+            (BlockChk::Multi(c), BlockChk::Multi(p)) => c.rank_update(p, lj),
+            _ => unreachable!("checksum kinds are uniform"),
+        }
+    }
+
+    /// Repair up to one (two-vector) or two (multi-error) errors per
+    /// column; `(corrected, uncorrectable)` counts.
+    fn examine_and_correct(&self, m: &mut Matrix) -> (u64, u64) {
+        match self {
+            BlockChk::Two(c) => c.examine_and_correct(m),
+            BlockChk::Multi(c) => c.examine_and_correct(m),
+        }
+    }
+
+    fn plain_sum(&self, j: usize) -> f64 {
+        match self {
+            BlockChk::Two(c) => c.plain[j],
+            BlockChk::Multi(c) => c.plain_sum(j),
+        }
+    }
+}
+
 /// The factorization state with per-block checksums.
 struct State {
     a: Matrix,
-    /// `chk[it * nt + jt]` for the lower-triangle blocks (`it >= jt`).
-    chk: Vec<Option<BlockChk>>,
+    /// Checksums of the lower-triangle blocks, packed row by row: block
+    /// `(it, jt)`, `jt <= it`, at `State::at(it, jt)`.
+    chk: Vec<BlockChk>,
     n: usize,
     b: usize,
     nt: usize,
@@ -81,26 +123,18 @@ struct State {
 }
 
 impl State {
+    /// Packed index of lower-triangle block `(it, jt)`.
+    fn at(it: usize, jt: usize) -> usize {
+        debug_assert!(jt <= it, "only lower-triangle blocks carry checksums");
+        it * (it + 1) / 2 + jt
+    }
+
     fn block(&self, it: usize, jt: usize) -> Matrix {
         self.a.submatrix(it * self.b, jt * self.b, self.b, self.b)
     }
 
     fn set_block(&mut self, it: usize, jt: usize, m: &Matrix) {
         self.a.set_submatrix(it * self.b, jt * self.b, m);
-    }
-
-    fn chk_of(&self, it: usize, jt: usize) -> &BlockChk {
-        // repolint:allow(PANIC001) construction invariant: every lower-triangle block is encoded
-        self.chk[it * self.nt + jt].as_ref().expect("checksum exists for lower block")
-    }
-
-    fn encode_block(&mut self, it: usize, jt: usize) {
-        let blk = self.block(it, jt);
-        self.chk[it * self.nt + jt] = Some(if self.multi {
-            BlockChk::Multi(MultiChecksums::encode(&blk, self.b))
-        } else {
-            BlockChk::Two(ColChecksums::encode(&blk, self.b))
-        });
     }
 
     /// Verify every lower-triangle block, correcting errors per block
@@ -110,44 +144,12 @@ impl State {
         for it in 0..self.nt {
             for jt in 0..=it {
                 stats.verify += self.sweep;
-                // repolint:allow(PANIC001) construction invariant: every lower-triangle block is encoded
-                let chk = self.chk[it * self.nt + jt].clone().expect("encoded");
                 let mut blk = self.block(it, jt);
-                let mut changed = false;
-                match &chk {
-                    BlockChk::Two(c) => {
-                        for v in &c.verify(&blk, self.b) {
-                            if c.correct(&mut blk, self.b, v).is_some() {
-                                stats.corrections += 1;
-                                changed = true;
-                            } else {
-                                stats.uncorrectable += 1;
-                            }
-                        }
-                    }
-                    BlockChk::Multi(c) => {
-                        for j in 0..self.b {
-                            match c.examine(&blk, j) {
-                                ColumnFinding::Clean => {}
-                                ColumnFinding::Single(e) => {
-                                    blk[(e.row, e.col)] -= e.delta;
-                                    stats.corrections += 1;
-                                    changed = true;
-                                }
-                                ColumnFinding::Double(e1, e2) => {
-                                    blk[(e1.row, e1.col)] -= e1.delta;
-                                    blk[(e2.row, e2.col)] -= e2.delta;
-                                    stats.corrections += 2;
-                                    changed = true;
-                                }
-                                ColumnFinding::DetectedUncorrectable { .. } => {
-                                    stats.uncorrectable += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                if changed {
+                let (corrected, uncorrectable) =
+                    self.chk[Self::at(it, jt)].examine_and_correct(&mut blk);
+                stats.corrections += corrected;
+                stats.uncorrectable += uncorrectable;
+                if corrected > 0 {
                     self.set_block(it, jt, &blk);
                 }
             }
@@ -180,13 +182,21 @@ where
     let sweep = cost::col_sums(b, b, v);
     let chk_trsm = cost::trsm(b + v, b) - cost::trsm(b, b);
     let chk_update = cost::gemm(b + v, b, b) - cost::gemm(b, b, b);
-    let mut st =
-        State { a: a.clone(), chk: vec![None; nt * nt], n, b, nt, multi: opts.multi_error, sweep };
+    let mut st = State {
+        a: a.clone(),
+        chk: Vec::with_capacity(nt * (nt + 1) / 2),
+        n,
+        b,
+        nt,
+        multi: opts.multi_error,
+        sweep,
+    };
 
-    // Initial encoding of every lower-triangle block.
+    // Initial encoding of every lower-triangle block, in packed order.
     for it in 0..nt {
         for jt in 0..=it {
-            st.encode_block(it, jt);
+            let chk = BlockChk::encode(&st.block(it, jt), st.multi);
+            st.chk.push(chk);
             stats.checksum += sweep;
         }
     }
@@ -194,11 +204,11 @@ where
     for kt in 0..nt {
         // (1) factor the diagonal block.
         let mut a11 = st.block(kt, kt);
-        potf2_block(&mut a11, kt * b)?;
+        potf2(&mut a11, kt * b)?;
         st.set_block(kt, kt, &a11);
         stats.compute += cost::potf2(b);
         // Re-encode its checksums (potf2 is nonlinear).
-        st.encode_block(kt, kt);
+        st.chk[State::at(kt, kt)] = BlockChk::encode(&a11, st.multi);
         stats.checksum += sweep;
 
         // (2) panel TRSM + checksum co-update.
@@ -217,11 +227,7 @@ where
                     *x = m[(0, j)];
                 }
             };
-            match st.chk[it * nt + kt].as_mut() {
-                Some(BlockChk::Two(chk)) => chk.right_multiply(transform),
-                Some(BlockChk::Multi(chk)) => chk.right_multiply(transform),
-                None => unreachable!("panel blocks are encoded"),
-            }
+            st.chk[State::at(it, kt)].right_multiply(transform);
         }
 
         // (3) trailing update + checksum co-update.
@@ -238,26 +244,8 @@ where
                 stats.checksum += chk_update;
 
                 // chk(it,jt) -= chk(it,kt) * L(jt,kt)^T  — row-vector gemm.
-                let chk_panel = st.chk_of(it, kt).clone();
-                match (st.chk[it * nt + jt].as_mut(), &chk_panel) {
-                    (Some(BlockChk::Two(chk)), BlockChk::Two(panel)) => {
-                        for (dst, src) in
-                            [(&mut chk.plain, &panel.plain), (&mut chk.weighted, &panel.weighted)]
-                        {
-                            for (jj, d) in dst.iter_mut().enumerate() {
-                                let mut s = 0.0;
-                                for p in 0..b {
-                                    s += src[p] * lj[(jj, p)];
-                                }
-                                *d -= s;
-                            }
-                        }
-                    }
-                    (Some(BlockChk::Multi(chk)), BlockChk::Multi(panel)) => {
-                        chk.rank_update(panel, &lj);
-                    }
-                    _ => unreachable!("checksum kinds are uniform"),
-                }
+                let chk_panel = st.chk[State::at(it, kt)].clone();
+                st.chk[State::at(it, jt)].rank_update(&chk_panel, &lj);
             }
         }
 
@@ -281,13 +269,9 @@ where
                                 continue;
                             }
                             let (it, jt) = (i / b, j / b);
-                            let chk = st.chk_of(it, jt).clone();
                             let mut blk = st.block(it, jt);
                             let (li, lj) = (i % b, j % b);
-                            let plain_sum = match &chk {
-                                BlockChk::Two(c) => c.plain[lj],
-                                BlockChk::Multi(c) => c.plain_sum(lj),
-                            };
+                            let plain_sum = st.chk[State::at(it, jt)].plain_sum(lj);
                             let others: f64 =
                                 (0..b).filter(|&r| r != li).map(|r| blk[(r, lj)]).sum();
                             stats.verify += cost::col_sums(b, 1, 1);
@@ -312,35 +296,6 @@ where
         }
     }
     Ok(FtCholeskyResult { l, stats })
-}
-
-/// Unblocked Cholesky of one diagonal block.
-fn potf2_block(a: &mut Matrix, offset: usize) -> Result<(), FactorError> {
-    let n = a.rows();
-    for j in 0..n {
-        let mut d = a[(j, j)];
-        for p in 0..j {
-            d -= a[(j, p)] * a[(j, p)];
-        }
-        if d <= 0.0 {
-            return Err(FactorError::NotPositiveDefinite { index: offset + j, value: d });
-        }
-        let d = d.sqrt();
-        a[(j, j)] = d;
-        for i in j + 1..n {
-            let mut s = a[(i, j)];
-            for p in 0..j {
-                s -= a[(i, p)] * a[(j, p)];
-            }
-            a[(i, j)] = s / d;
-        }
-    }
-    for j in 1..n {
-        for i in 0..j {
-            a[(i, j)] = 0.0;
-        }
-    }
-    Ok(())
 }
 
 /// FT-Cholesky without fault injection.

@@ -20,9 +20,11 @@
 //!   copies (we keep the archive current under later row swaps exactly as
 //!   the surviving processes do).
 
+use crate::checksum::math_val;
 use crate::cost;
 use crate::verify::{due, FtStats, VerifyMode};
 use abft_linalg::cholesky::FactorError;
+use abft_linalg::lu::panel_factor;
 use abft_linalg::Matrix;
 
 /// FT-HPL options.
@@ -94,17 +96,6 @@ fn encode(a: &Matrix, pcols: usize) -> Matrix {
         }
     }
     ext
-}
-
-/// The mathematical value of entry `(i, c)`: zero below the diagonal of a
-/// factored column (`c < factored_cols`), the stored value otherwise.
-#[inline]
-fn math_val(ext: &Matrix, i: usize, c: usize, factored_cols: usize) -> f64 {
-    if c < factored_cols && i > c {
-        0.0
-    } else {
-        ext[(i, c)]
-    }
 }
 
 /// Verify the row-checksum relationship on the mathematical matrix;
@@ -204,40 +195,12 @@ pub fn ft_hpl_with(
 
         // Panel factorization with partial pivoting; every row operation
         // spans all columns (including the checksum block-column).
-        for j in k..k + nb {
-            let mut piv = j;
-            let mut pmax = ext[(j, j)].abs();
-            for i in j + 1..n {
-                let v = ext[(i, j)].abs();
-                if v > pmax {
-                    pmax = v;
-                    piv = i;
-                }
-            }
-            if pmax == 0.0 {
-                return Err(FactorError::Singular { index: j });
-            }
-            pivots[j] = piv;
-            if piv != j {
-                ext.swap_rows(j, piv);
-                // Surviving processes apply the same interchange to their
-                // broadcast copies of earlier panels.
-                archive.swap_rows(j, piv);
-            }
-            let d = ext[(j, j)];
-            for i in j + 1..n {
-                ext[(i, j)] /= d;
-            }
-            // Eliminate: row-linear update over all remaining columns.
-            for c in j + 1..total_cols {
-                let ujc = ext[(j, c)];
-                if ujc == 0.0 {
-                    continue;
-                }
-                for i in j + 1..n {
-                    let l = ext[(i, j)];
-                    ext[(i, c)] -= l * ujc;
-                }
+        panel_factor(&mut ext, k, nb, total_cols, &mut pivots)?;
+        for (j, &p) in (k..).zip(&pivots[k..k + nb]) {
+            // Surviving processes apply the same interchanges, in order, to
+            // their broadcast copies of earlier panels.
+            if p != j {
+                archive.swap_rows(j, p);
             }
             // Column j's elimination; the checksum block-column rides inside it.
             let data = cost::eliminate(n - j - 1, n - j - 1);

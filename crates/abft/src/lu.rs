@@ -20,9 +20,11 @@
 //! factor is protected by other means — here, FT-HPL's broadcast-archive
 //! mechanism) and are reported as uncorrectable.
 
+use crate::checksum::math_val;
 use crate::cost;
 use crate::verify::{due, FtStats, VerifyMode};
 use abft_linalg::cholesky::FactorError;
+use abft_linalg::lu::panel_factor;
 use abft_linalg::Matrix;
 
 /// FT-LU options.
@@ -58,17 +60,6 @@ impl FtLuResult {
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
         let f = abft_linalg::LuFactors { lu: self.lu.clone(), pivots: self.pivots.clone() };
         f.solve(b)
-    }
-}
-
-/// Mathematical value at `(i, c)`: zeros below the diagonal of factored
-/// columns.
-#[inline]
-fn math_val(ext: &Matrix, i: usize, c: usize, factored: usize) -> f64 {
-    if c < factored && i > c {
-        0.0
-    } else {
-        ext[(i, c)]
     }
 }
 
@@ -149,38 +140,10 @@ where
 
     for kt in 0..nt {
         let k = kt * nb;
+        // The panel's eliminations span the encoded width: the two
+        // checksum columns ride inside every row operation.
+        panel_factor(&mut ext, k, nb, total_cols, &mut pivots)?;
         for j in k..k + nb {
-            let mut piv = j;
-            let mut pmax = ext[(j, j)].abs();
-            for i in j + 1..n {
-                let v = ext[(i, j)].abs();
-                if v > pmax {
-                    pmax = v;
-                    piv = i;
-                }
-            }
-            if pmax == 0.0 {
-                return Err(FactorError::Singular { index: j });
-            }
-            pivots[j] = piv;
-            if piv != j {
-                ext.swap_rows(j, piv);
-            }
-            let d = ext[(j, j)];
-            for i in j + 1..n {
-                ext[(i, j)] /= d;
-            }
-            for c in j + 1..total_cols {
-                let ujc = ext[(j, c)];
-                if ujc == 0.0 {
-                    continue;
-                }
-                for i in j + 1..n {
-                    let l = ext[(i, j)];
-                    ext[(i, c)] -= l * ujc;
-                }
-            }
-            // Column j's elimination; the two checksum columns ride inside it.
             let data = cost::eliminate(n - j - 1, n - j - 1);
             stats.compute += data;
             stats.checksum += cost::eliminate(n - j - 1, total_cols - j - 1) - data;
@@ -305,26 +268,24 @@ mod tests {
 
     #[test]
     fn l_multiplier_error_is_flagged_uncorrectable() {
+        // A mismatch pair (δ, δ (j + 1)) in row i > j locates column j,
+        // which is factored: the named entry is an L multiplier, outside
+        // the right-factor encoding, so the row is flagged and left alone.
+        // The strike lands after the last panel, so no later row operation
+        // spreads it to other rows.
         let n = 48;
         let a = random_diag_dominant(n, 50);
-        let r = ft_lu_with(
-            &a,
-            &FtLuOptions { block: 16, verify_interval: 1, ..Default::default() },
-            |kt, ext| {
-                if kt == 1 {
-                    // Below-diagonal entry of a factored column: an L
-                    // multiplier, outside the right-factor encoding.
-                    // Corrupt it *and* its checksum impact is nil (math
-                    // value is 0) so the row sums stay clean; the flag
-                    // comes from the locate path when we also corrupt the
-                    // checksum-visible region of the same row to force a
-                    // locate into the L region... simpler: corrupt the
-                    // checksum column itself to create an inconsistent row.
-                    ext[(40, 48)] += 3.0; // chk1 of row 40 (n = 48)
-                }
-            },
-        )
+        let opts = FtLuOptions { block: 16, verify_interval: 1, ..Default::default() };
+        let clean = ft_lu_with(&a, &opts, |_, _| {}).unwrap();
+        let (i, j, delta) = (40, 10, 3.0);
+        let r = ft_lu_with(&a, &opts, |kt, ext| {
+            if kt == 2 {
+                ext[(i, n)] += delta;
+                ext[(i, n + 1)] += delta * (j + 1) as f64;
+            }
+        })
         .unwrap();
-        assert!(r.stats.uncorrectable >= 1 || r.stats.corrections >= 1);
+        assert_eq!((r.stats.corrections, r.stats.uncorrectable), (0, 1));
+        assert_eq!(r.lu, clean.lu, "a flagged row is not repaired");
     }
 }

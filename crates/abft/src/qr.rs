@@ -16,6 +16,7 @@
 //! and `d` its magnitude. Stored reflector entries (below the diagonal of
 //! finished columns) are outside this encoding, like FT-LU's `L`.
 
+use crate::checksum::math_val;
 use crate::cost;
 use crate::verify::{due, FtStats, VerifyMode};
 use abft_linalg::qr::QrFactors;
@@ -147,18 +148,6 @@ where
         }
     });
     FtQrResult { factors, stats }
-}
-
-/// The mathematical value at `(i, col)`: finished columns (`col <
-/// frozen`) read as zero below the diagonal (their sub-diagonal storage
-/// holds reflector vectors, not matrix data).
-#[inline]
-fn math_val(w: &Matrix, i: usize, col: usize, frozen: usize) -> f64 {
-    if col < frozen && i > col {
-        0.0
-    } else {
-        w[(i, col)]
-    }
 }
 
 #[cfg(test)]

@@ -27,17 +27,17 @@ pub struct ChipkillX8Word {
 
 /// Encode 16 data bytes (one beat of a 64-byte line quarter).
 pub fn encode_word(data: &[u8; DATA_SYMBOLS]) -> ChipkillX8Word {
-    let v = rs::encode(data, CHECK_SYMBOLS);
     let mut symbols = [0u8; TOTAL_SYMBOLS];
-    symbols.copy_from_slice(&v);
+    symbols[..DATA_SYMBOLS].copy_from_slice(data);
+    rs::encode(&mut symbols, CHECK_SYMBOLS);
     ChipkillX8Word { symbols }
 }
 
 /// Decode: correct any single-chip error, detect double-chip errors.
 pub fn decode_word(word: &ChipkillX8Word) -> (ChipkillX8Word, EccOutcome) {
-    let mut buf = word.symbols;
-    let o = rs::decode_in_place(&mut buf, DATA_SYMBOLS, CHECK_SYMBOLS);
-    (ChipkillX8Word { symbols: buf }, o)
+    let mut fixed = *word;
+    let o = rs::decode_in_place(&mut fixed.symbols, CHECK_SYMBOLS);
+    (fixed, o)
 }
 
 /// The data payload of a word.

@@ -8,8 +8,9 @@
 //!   GF(2^8) giving single-symbol correct / double-symbol detect.
 //! * [`chipkill_x8`] — the x8 generalization: 3-check-symbol RS(19,16)
 //!   at 18.75% storage overhead (Sections 2.2 and 3.1).
-//! * [`rs`] — the shared generic Reed-Solomon machinery.
-//! * [`gf`] — the underlying GF(2^4) arithmetic.
+//! * [`rs`] — the one Reed-Solomon encoder and decoder both chipkill
+//!   variants run on.
+//! * `gf` — the underlying GF(2^8) arithmetic.
 //! * [`mod@line`] — 64-byte cache-line protection assembled from code words.
 //! * [`scheme`] — per-scheme cost/reliability attributes (chips per
 //!   access, channels, storage overhead) used by the memory simulator.
@@ -18,7 +19,7 @@
 
 pub mod chipkill;
 pub mod chipkill_x8;
-pub mod gf;
+mod gf;
 pub mod hsiao;
 pub mod line;
 pub mod outcome;

@@ -32,8 +32,10 @@ impl std::fmt::Display for FactorError {
 
 impl std::error::Error for FactorError {}
 
-/// Unblocked Cholesky of the leading block, in place on the lower triangle.
-fn potf2(a: &mut Matrix, offset: usize) -> Result<(), FactorError> {
+/// Unblocked Cholesky of a whole (diagonal-block) matrix, in place on the
+/// lower triangle, strict upper triangle zeroed; `offset` is the block's
+/// global index, reported in a [`FactorError::NotPositiveDefinite`].
+pub fn potf2(a: &mut Matrix, offset: usize) -> Result<(), FactorError> {
     let n = a.rows();
     for j in 0..n {
         let mut d = a[(j, j)];
@@ -66,23 +68,10 @@ fn potf2(a: &mut Matrix, offset: usize) -> Result<(), FactorError> {
 ///
 /// On success the lower triangle of `a` holds `L` and the strict upper
 /// triangle is zeroed. `block` is the panel width `b` from the paper.
-///
-/// Visits each step through `on_step`, which receives
-/// `(step_index, col_offset)` after the step's trailing update completes —
-/// this is the hook FT-Cholesky uses to verify checksums "at each step in
-/// each iteration".
-pub fn cholesky_blocked_with<F>(
-    a: &mut Matrix,
-    block: usize,
-    mut on_step: F,
-) -> Result<(), FactorError>
-where
-    F: FnMut(usize, usize, &mut Matrix) -> Result<(), FactorError>,
-{
+pub fn cholesky_blocked(a: &mut Matrix, block: usize) -> Result<(), FactorError> {
     assert!(a.is_square(), "Cholesky needs a square matrix");
     assert!(block > 0, "block size must be positive");
     let n = a.rows();
-    let mut step = 0;
     let mut k = 0;
     while k < n {
         let b = block.min(n - k);
@@ -103,8 +92,6 @@ where
             syrk_lower(-1.0, &a21, 1.0, &mut a22);
             a.set_submatrix(k + b, k + b, &a22);
         }
-        on_step(step, k, a)?;
-        step += 1;
         k += b;
     }
     // Clean the strict upper triangle (the factorization is in-place; the
@@ -115,11 +102,6 @@ where
         }
     }
     Ok(())
-}
-
-/// Blocked Cholesky without a step hook.
-pub fn cholesky_blocked(a: &mut Matrix, block: usize) -> Result<(), FactorError> {
-    cholesky_blocked_with(a, block, |_, _, _| Ok(()))
 }
 
 #[cfg(test)]
@@ -166,17 +148,5 @@ mod tests {
             FactorError::NotPositiveDefinite { index, .. } => assert_eq!(index, 2),
             other => panic!("unexpected error {other:?}"),
         }
-    }
-
-    #[test]
-    fn step_hook_sees_every_panel() {
-        let mut a = random_spd(20, 9);
-        let mut offsets = vec![];
-        cholesky_blocked_with(&mut a, 6, |step, k, _| {
-            offsets.push((step, k));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(offsets, vec![(0, 0), (1, 6), (2, 12), (3, 18)]);
     }
 }

@@ -10,9 +10,10 @@
 //! * [`Matrix`] — column-major dense matrices.
 //! * [`blas1`] / [`blas3`] — the BLAS subset the kernels are built from,
 //!   with a rayon-parallel GEMM.
-//! * [`cholesky`] — blocked right-looking `A = L L^T` with a per-step hook
-//!   (the ABFT verification point).
-//! * [`lu`] — blocked LU with partial pivoting + solve (the HPL core).
+//! * [`cholesky`] — blocked right-looking `A = L L^T` and its unblocked
+//!   `potf2`, which FT-Cholesky runs on its diagonal blocks.
+//! * [`lu`] — blocked LU with partial pivoting + solve (the HPL core); its
+//!   `panel_factor` is the elimination FT-LU and FT-HPL run.
 //! * [`cg`] — preconditioned conjugate gradient matching the paper's
 //!   Figure 1, with an observer hook for online invariant checking.
 //! * `sparse` — CSR matrices and the 2-D Poisson operator (the
@@ -34,8 +35,8 @@ pub use blas3::{gemm, matmul, Trans};
 pub use cg::{
     pcg, pcg_with, CgControl, CgResult, CgState, JacobiPrecond, LinearOperator, Preconditioner,
 };
-pub use cholesky::{cholesky_blocked, cholesky_blocked_with, FactorError};
-pub use lu::{lu_blocked, lu_blocked_with, LuFactors};
+pub use cholesky::{cholesky_blocked, FactorError};
+pub use lu::{lu_blocked, LuFactors};
 pub use matrix::Matrix;
 pub use qr::{householder_qr, householder_qr_with, QrFactors};
 pub use sparse::{poisson_2d, CsrMatrix};

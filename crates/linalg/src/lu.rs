@@ -17,13 +17,17 @@ pub struct LuFactors {
     pub pivots: Vec<usize>,
 }
 
-/// Unblocked panel factorization with partial pivoting on an `m x nb` panel
-/// located at `(k, k)` of `a`; pivoting is applied across the *whole* rows
-/// of `a` (and mirrored into `pivots`).
-fn panel_factor(
+/// Unblocked panel factorization with partial pivoting of columns
+/// `k..k + nb` of `a`, in place. Pivot `j` is searched in rows `j..`, the
+/// interchange spans the *whole* rows of `a` (and is recorded in
+/// `pivots[j]`), and the elimination updates columns `j + 1..cols`:
+/// `k + nb` for the panel of a blocked LU, the full encoded width for a
+/// checksum-extended matrix whose extra columns ride along.
+pub fn panel_factor(
     a: &mut Matrix,
     k: usize,
     nb: usize,
+    cols: usize,
     pivots: &mut [usize],
 ) -> Result<(), FactorError> {
     let n = a.rows();
@@ -50,7 +54,7 @@ fn panel_factor(
         for i in j + 1..n {
             a[(i, j)] /= piv;
         }
-        for c in j + 1..k + nb {
+        for c in j + 1..cols {
             let ujc = a[(j, c)];
             if ujc == 0.0 {
                 continue;
@@ -64,29 +68,16 @@ fn panel_factor(
     Ok(())
 }
 
-/// Blocked right-looking LU with partial pivoting, in place.
-///
-/// `on_step(step, k, a)` fires after each panel's trailing update — the hook
-/// FT-HPL uses to maintain/verify row checksums per iteration. The hook may
-/// mutate `a` (that is how fail-stop recovery re-injects reconstructed
-/// panels).
-pub fn lu_blocked_with<F>(
-    a: &mut Matrix,
-    block: usize,
-    mut on_step: F,
-) -> Result<LuFactors, FactorError>
-where
-    F: FnMut(usize, usize, &mut Matrix) -> Result<(), FactorError>,
-{
+/// Blocked right-looking LU with partial pivoting.
+pub fn lu_blocked(mut a: Matrix, block: usize) -> Result<LuFactors, FactorError> {
     assert!(a.is_square(), "LU needs a square matrix");
     assert!(block > 0, "block size must be positive");
     let n = a.rows();
     let mut pivots = vec![0usize; n];
-    let mut step = 0;
     let mut k = 0;
     while k < n {
         let nb = block.min(n - k);
-        panel_factor(a, k, nb, &mut pivots)?;
+        panel_factor(&mut a, k, nb, k + nb, &mut pivots)?;
 
         let rest = n - k - nb;
         if rest > 0 {
@@ -102,16 +93,9 @@ where
             gemm(-1.0, &l21, Trans::No, &a12, Trans::No, 1.0, &mut a22);
             a.set_submatrix(k + nb, k + nb, &a22);
         }
-        on_step(step, k, a)?;
-        step += 1;
         k += nb;
     }
-    Ok(LuFactors { lu: std::mem::replace(a, Matrix::zeros(0, 0)), pivots })
-}
-
-/// Blocked LU without a step hook.
-pub fn lu_blocked(mut a: Matrix, block: usize) -> Result<LuFactors, FactorError> {
-    lu_blocked_with(&mut a, block, |_, _, _| Ok(()))
+    Ok(LuFactors { lu: a, pivots })
 }
 
 impl LuFactors {
@@ -211,18 +195,5 @@ mod tests {
     fn singular_matrix_detected() {
         let a = Matrix::zeros(3, 3);
         assert!(matches!(lu_blocked(a, 1), Err(FactorError::Singular { index: 0 })));
-    }
-
-    #[test]
-    fn step_hook_fires_per_panel() {
-        let a = random_diag_dominant(16, 8);
-        let mut steps = vec![];
-        let mut a = a;
-        lu_blocked_with(&mut a, 4, |s, k, _| {
-            steps.push((s, k));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(steps, vec![(0, 0), (1, 4), (2, 8), (3, 12)]);
     }
 }

@@ -116,21 +116,25 @@ echo "=== cargo test -q --workspace (debug: every invariant check on) ==="
 # (dev profile at opt-level 3, debug assertions on) runs them too.
 cargo test -q --workspace
 
-echo "=== the pinned memsim referees are still there, by name ==="
-# The memsim unit tests include the independent references the fast paths
-# are pinned to — `dram::tests` (reference_access_kind), `walk_reference`
-# (stamp-LRU cache + carry-bump walk vs the one L1/L2 walker),
-# `reference_replay` (the stall step as it was spelled, division and
-# `f64::max` included) and `reference_scan` (the SimPoint fingerprint by its
-# definition, event by event) — and the proptest that pins every lane of a row replay to the
-# simulation it would be alone; those, and the proptest that holds the
-# packed builder's sweep-level emission to line-by-line emission, ran in
+echo "=== the pinned referees are still there, by name ==="
+# Some unit tests are the independent references a fast or shared path is
+# pinned to. In memsim: `dram::tests` (reference_access_kind),
+# `walk_reference` (stamp-LRU cache + carry-bump walk vs the one L1/L2
+# walker), `reference_replay` (the stall step as it was spelled, division
+# and `f64::max` included), `reference_scan` (the SimPoint fingerprint by
+# its definition, event by event), the proptest that pins every lane of a
+# row replay to the simulation it would be alone and the one that holds the
+# packed builder's sweep-level emission to line-by-line emission. In ecc,
+# the census that pins x4 chipkill's decode of 2-, 3- and 4-chip errors; in
+# abft, the FT-Cholesky run held to plain `cholesky_blocked`. They ran in
 # the stage above and are listed here by name, so that a rename cannot
 # silently drop them.
-listed="$(cargo test -q -p abft-memsim -- --list 2>/dev/null)"
+listed="$(cargo test -q --workspace -- --list 2>/dev/null)"
 for pinned in walk_reference:: every_lane_is_the_simulation_it_would_be_alone \
-    sweep_emission_packs_the_words_line_emission_packs reference_replay reference_scan; do
-    grep -Fq -- "$pinned" <<<"$listed" || { echo "no memsim test is named $pinned"; exit 1; }
+    sweep_emission_packs_the_words_line_emission_packs reference_replay reference_scan \
+    chipkill::tests::multi_chip_census_is_pinned \
+    cholesky::tests::injected_error_in_trailing_matrix_is_corrected; do
+    grep -Fq -- "$pinned" <<<"$listed" || { echo "no workspace test is named $pinned"; exit 1; }
 done
 
 echo "=== cargo clippy --workspace --all-targets -- -D warnings ==="

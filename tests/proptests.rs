@@ -264,14 +264,15 @@ proptest! {
         seed: u8,
     ) {
         use abft_coop::abft_ecc::rs;
-        let data: Vec<u8> = (0..data_len)
+        let mut clean: Vec<u8> = (0..data_len)
             .map(|i| seed.wrapping_add((i as u8).wrapping_mul(53)))
             .collect();
-        let clean = rs::encode(&data, check);
+        clean.resize(data_len + check, 0);
+        rs::encode(&mut clean, check);
         let idx = ((clean.len() - 1) as f64 * idx_frac) as usize;
         let mut bad = clean.clone();
         bad[idx] ^= pattern;
-        let o = rs::decode_in_place(&mut bad, data_len, check);
+        let o = rs::decode_in_place(&mut bad, check);
         let corrected = matches!(o, abft_coop::abft_ecc::EccOutcome::Corrected { .. });
         prop_assert!(corrected);
         prop_assert_eq!(bad, clean);
