@@ -28,7 +28,6 @@ impl Violation {
     /// Returns `None` if the mismatch does not look like a single error
     /// (e.g. the ratio is not close to an integer in `0..rows`).
     pub fn locate(&self, rows: usize) -> Option<usize> {
-        // repolint:allow(FP001) exact-zero division guard, not a tolerance check
         if self.delta == 0.0 {
             return None;
         }
@@ -198,6 +197,10 @@ impl ColChecksums {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "small-integer sums are exact in f64; the tests pin them bit for bit"
+)]
 mod tests {
     use super::*;
     use abft_linalg::gen::random_matrix;

@@ -145,6 +145,10 @@ pub(crate) fn poll() -> Cost {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "counted cycles are exact in f64; the tests pin them bit for bit"
+)]
 mod tests {
     use super::*;
 

@@ -20,6 +20,11 @@
 //! * [`overhead`] — the Figure 3 / Table 1 harness: each phase's counted
 //!   [`Cost`] (flops and words) and its roofline time.
 
+// Checksum and verify routines compare recomputed sums against an explicit
+// tolerance from the error model; an exact `==` on floats would make the
+// detector threshold-free and platform-dependent.
+#![deny(clippy::float_cmp)]
+
 pub mod cg;
 pub mod checksum;
 pub mod cholesky;

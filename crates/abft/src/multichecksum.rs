@@ -163,7 +163,6 @@ impl MultiChecksums {
         }
 
         // Single-error hypothesis: d1/d0 = x = d2/d1 = d3/d2.
-        // repolint:allow(FP001) exact-zero division guard, not a tolerance check
         if d[0] != 0.0 {
             let x = d[1] / d[0];
             let consistent = (d[2] / d[0] - x * x).abs() <= 1e-4 * x.abs().max(1.0).powi(2)

@@ -63,13 +63,14 @@ pub fn measure(kernel: FailContinueKernel, scale: &OverheadScale, mode: VerifyMo
             let b = random_matrix(scale.n, scale.n, 12);
             ft_dgemm(&a, &b, &FtDgemmOptions { panel: 16, verify_interval: 2, mode }).stats
         }
+        #[expect(clippy::expect_used, reason = "random_spd input is SPD by construction")]
         FailContinueKernel::Cholesky => {
             let a = random_spd(scale.n, 13);
             ft_cholesky(
                 &a,
                 &FtCholeskyOptions { block: 32, verify_interval: 2, mode, multi_error: false },
             )
-            .expect("SPD input factors") // repolint:allow(PANIC001) random_spd input is SPD by construction
+            .expect("SPD input factors")
             .stats
         }
         FailContinueKernel::PredCg => {

@@ -79,6 +79,7 @@ impl FtStats {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "an empty run's shares are exactly zero; the tests pin that")]
 mod tests {
     use super::*;
     use crate::cg::{ft_pcg, FtCgOptions};

@@ -6,6 +6,10 @@
 //! under `crates/compat/`. It is *not* a cryptographic or bit-for-bit
 //! replacement for the real `rand`; it only guarantees deterministic,
 //! well-distributed streams for the simulator's seeded experiments.
+//!
+//! It deliberately defines no entropy source — no `thread_rng`,
+//! `from_entropy` or `random` — so the compiler refuses every unseeded
+//! generator (the root crate's `compile_fail` doctests pin this).
 
 use core::ops::{Range, RangeInclusive};
 

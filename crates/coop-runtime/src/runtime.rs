@@ -287,7 +287,10 @@ impl EccRuntime {
             merged = merged.merge(o);
             for j in 0..8 {
                 if out.len() < len {
-                    // repolint:allow(PANIC001) 8-byte slice of a 64-byte line; infallible by construction
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "8-byte slice of a 64-byte line; infallible by construction"
+                    )]
                     out.push(f64::from_le_bytes(line[j * 8..j * 8 + 8].try_into().expect("8B")));
                 }
             }
@@ -298,7 +301,10 @@ impl EccRuntime {
     /// Flip one stored bit of element `elem` (fault injection at the
     /// physical level — redundancy is left stale, as a real upset would).
     pub fn inject_element_bit(&mut self, id: AllocId, elem: usize, bit: u32) {
-        // repolint:allow(PANIC001) injection API contract: callers pass a live AllocId
+        #[expect(
+            clippy::expect_used,
+            reason = "injection API contract: callers pass a live AllocId"
+        )]
         let a = self.allocs[id.0 as usize].as_ref().expect("live allocation");
         let byte_addr = a.paddr + elem as u64 * 8;
         let line = byte_addr & !63;

@@ -218,7 +218,8 @@ pub(crate) fn run_grid(
     let simpoint_hits0 = cache.simpoint_hits();
     let simpoint_builds0 = cache.simpoint_builds();
     let store0 = cache.store_metrics();
-    let start = Instant::now(); // repolint:allow(DET002) wall time is reporting-only progress metadata
+    #[expect(clippy::disallowed_methods, reason = "wall time is reporting-only progress metadata")]
+    let start = Instant::now();
 
     // Pre-build every distinct miss stream in parallel (each pulls its
     // packed trace through the first memo level on demand; a phase
@@ -255,7 +256,10 @@ pub(crate) fn run_grid(
             .into_par_iter()
             .map(|(workload, cfg_idx, chunk)| {
                 let (tag, cfg) = &configs[cfg_idx];
-                // repolint:allow(DET002) wall time is reporting-only progress metadata
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "wall time is reporting-only progress metadata"
+                )]
                 let job_start = Instant::now();
                 // One lookup per task: the row's lanes share the stream.
                 let (stats, phases, est_error) = match &sampling {
@@ -306,10 +310,14 @@ pub(crate) fn run_grid(
     };
 
     let cells: Vec<Cell> = match spec.threads {
+        #[expect(
+            clippy::expect_used,
+            reason = "no recovery path if OS thread spawn fails at startup"
+        )]
         Some(n) => rayon::ThreadPoolBuilder::new()
             .num_threads(n)
             .build()
-            .expect("thread pool") // repolint:allow(PANIC001) no recovery path if OS thread spawn fails at startup
+            .expect("thread pool")
             .install(execute),
         None => execute(),
     }

@@ -53,9 +53,14 @@ pub fn drill_matrix(scheme: EccScheme, elem: usize, bits: &[u32]) -> DrillResult
     let chk = ColChecksums::encode(&a, n);
 
     let bytes = (n * n * 8) as u64;
+    #[expect(clippy::expect_used, reason = "drill scaffolding; setup failure has no recovery path")]
     let (id, _vaddr): (AllocId, u64) =
-        rt.malloc_ecc("matrix_c", bytes, scheme).expect("allocation"); // repolint:allow(PANIC001) drill scaffolding; setup failure has no recovery path
-    rt.store_f64(id, a.as_slice()).expect("store"); // repolint:allow(PANIC001) drill scaffolding; setup failure has no recovery path
+        rt.malloc_ecc("matrix_c", bytes, scheme).expect("allocation");
+    #[expect(
+        clippy::expect_used,
+        reason = "drill scaffolding; setup failure has no recovery path"
+    )]
+    rt.store_f64(id, a.as_slice()).expect("store");
 
     // Inject: flip the requested bits of the element.
     for &b in bits {
@@ -63,7 +68,8 @@ pub fn drill_matrix(scheme: EccScheme, elem: usize, bits: &[u32]) -> DrillResult
     }
 
     // The application reads the matrix back (through the decoder).
-    let (data, outcome) = rt.load_f64(id, n * n, 0.0).expect("load"); // repolint:allow(PANIC001) drill scaffolding; setup failure has no recovery path
+    #[expect(clippy::expect_used, reason = "drill scaffolding; setup failure has no recovery path")]
+    let (data, outcome) = rt.load_f64(id, n * n, 0.0).expect("load");
     let mut m = Matrix::from_col_major(n, n, data);
     let ecc_corrections: u64 = rt.controller.corrections.iter().sum();
 

@@ -25,8 +25,11 @@ pub struct BasicTest {
 
 impl BasicTest {
     /// The row for a given strategy.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented API contract: a BasicTest holds one row per strategy"
+    )]
     pub fn row(&self, s: Strategy) -> &StrategyResult {
-        // repolint:allow(PANIC001) documented API contract: a BasicTest holds one row per strategy
         self.rows.iter().find(|r| r.strategy == s).expect("all strategies were run")
     }
 

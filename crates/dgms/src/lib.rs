@@ -15,7 +15,6 @@ use abft_ecc::EccScheme;
 use abft_memsim::dram::AccessKind;
 use abft_memsim::system::{Machine, SimStats};
 use abft_memsim::{EccAssignment, SimInput, SimRequest};
-use std::collections::HashMap;
 
 /// Size of the spatial-pattern tracking granule (one OS page).
 const GRANULE_BYTES: u64 = 4096;
@@ -33,6 +32,13 @@ struct PatternEntry {
     coarse_verdict: bool,
 }
 
+/// The predictor's per-granule entries.
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only: the table is never iterated, so its order cannot reach a result"
+)]
+type PatternTable = std::collections::HashMap<u64, PatternEntry>;
+
 /// The DGMS spatial pattern predictor.
 ///
 /// Prediction rule: if a granule shows dense spatial reuse — more than
@@ -42,7 +48,7 @@ struct PatternEntry {
 /// granules are serviced as fine-grained 16-byte SECDED transfers.
 #[derive(Debug)]
 pub struct SpatialPredictor {
-    table: HashMap<u64, PatternEntry>,
+    table: PatternTable,
     epoch_len: u64,
     access_count: u64,
     coarse_threshold: u32,
@@ -67,7 +73,7 @@ impl SpatialPredictor {
     /// accesses between bitmap decay.
     pub fn new(coarse_threshold: u32, epoch_len: u64) -> Self {
         SpatialPredictor {
-            table: HashMap::new(),
+            table: PatternTable::new(),
             epoch_len,
             access_count: 0,
             coarse_threshold,

@@ -43,8 +43,8 @@ pub fn encode_word(data: &[u8; DATA_BYTES]) -> ChipkillWord {
 }
 
 /// Extract the data bytes of a word.
+#[expect(clippy::expect_used, reason = "fixed-length split of a const-sized array; infallible")]
 pub fn word_data(word: &ChipkillWord) -> [u8; DATA_BYTES] {
-    // repolint:allow(PANIC001) fixed-length split of a const-sized array; infallible
     word.symbols[..DATA_SYMBOLS].try_into().expect("fixed split")
 }
 

@@ -41,8 +41,8 @@ pub fn decode_word(word: &ChipkillX8Word) -> (ChipkillX8Word, EccOutcome) {
 }
 
 /// The data payload of a word.
+#[expect(clippy::expect_used, reason = "fixed-length split of a const-sized array; infallible")]
 pub fn word_data(word: &ChipkillX8Word) -> [u8; DATA_SYMBOLS] {
-    // repolint:allow(PANIC001) fixed-length split of a const-sized array; infallible
     word.symbols[..DATA_SYMBOLS].try_into().expect("fixed split")
 }
 

@@ -71,8 +71,10 @@ impl Gf256 {
 /// Addition = XOR.
 impl std::ops::Add for Gf256 {
     type Output = Gf256;
-    // In characteristic 2, addition IS xor — not a typo'd `+`.
-    #[allow(clippy::suspicious_arithmetic_impl)]
+    #[expect(
+        clippy::suspicious_arithmetic_impl,
+        reason = "in characteristic 2, addition is xor, not a typo'd `+`"
+    )]
     #[inline]
     fn add(self, rhs: Gf256) -> Gf256 {
         Gf256(self.0 ^ rhs.0)
@@ -95,8 +97,10 @@ impl std::ops::Mul for Gf256 {
 /// Division `self / rhs` (panics on a zero divisor).
 impl std::ops::Div for Gf256 {
     type Output = Gf256;
-    // Field division is defined as multiplication by the inverse.
-    #[allow(clippy::suspicious_arithmetic_impl)]
+    #[expect(
+        clippy::suspicious_arithmetic_impl,
+        reason = "field division is defined as multiplication by the inverse"
+    )]
     #[inline]
     fn div(self, rhs: Gf256) -> Gf256 {
         self * rhs.inv()
@@ -116,7 +120,7 @@ mod tests256 {
 
     #[test]
     fn alpha_generates_the_group_256() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for k in 0..GROUP_ORDER_256 as i32 {
             seen.insert(Gf256::alpha_pow(k));
         }

@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn columns_are_odd_weight_and_distinct() {
         let cols = &super::columns().cols;
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for &c in cols.iter() {
             assert_eq!(c.count_ones() % 2, 1, "column weight must be odd");
             assert!(c.count_ones() >= 3, "columns must differ from unit vectors");

@@ -47,7 +47,10 @@ impl ProtectedLine {
             EccScheme::Secded => {
                 let mut words = [SecdedWord { data: 0, check: 0 }; 8];
                 for (w, chunk) in words.iter_mut().zip(data.chunks_exact(8)) {
-                    // repolint:allow(PANIC001) chunks_exact(8) guarantees the length; infallible
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "chunks_exact(8) guarantees the length; infallible"
+                    )]
                     let v = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
                     *w = hsiao::encode(v);
                 }
@@ -56,8 +59,12 @@ impl ProtectedLine {
             EccScheme::Chipkill => {
                 let mut words = [ChipkillWord { symbols: [0; chipkill::TOTAL_SYMBOLS] }; 2];
                 for (w, chunk) in words.iter_mut().zip(data.chunks_exact(DATA_BYTES)) {
-                    // repolint:allow(PANIC001) chunks_exact(DATA_BYTES) guarantees the length; infallible
-                    *w = chipkill::encode_word(chunk.try_into().expect("32-byte chunk"));
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "chunks_exact(DATA_BYTES) guarantees the length; infallible"
+                    )]
+                    let chunk = chunk.try_into().expect("32-byte chunk");
+                    *w = chipkill::encode_word(chunk);
                 }
                 ProtectedLine::Chipkill(words)
             }

@@ -35,8 +35,12 @@ impl CsrMatrix {
             let mut last: Option<usize> = None;
             for &(j, v) in row.iter() {
                 if last == Some(j) {
-                    // repolint:allow(PANIC001) `last == Some(j)` implies a prior push; infallible
-                    *values.last_mut().expect("entry exists") += v;
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "`last == Some(j)` implies a prior push; infallible"
+                    )]
+                    let value = values.last_mut().expect("entry exists");
+                    *value += v;
                 } else {
                     col_idx.push(j);
                     values.push(v);

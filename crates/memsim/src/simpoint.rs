@@ -878,7 +878,7 @@ fn mean_into(fp: &[f64], members: &[usize], dim: usize, mean: &mut [f64]) {
 }
 
 /// The splitmix64 step: a tiny, seeded, portable PRNG — deterministic by
-/// construction (never wall-clock or OS-entropy seeded, per DET001).
+/// construction (never wall-clock or OS-entropy seeded).
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;

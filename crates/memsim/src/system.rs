@@ -307,9 +307,12 @@ pub struct Machine {
 }
 
 /// Panic on impossible geometry ([`Machine::new`]'s contract).
+#[expect(
+    clippy::panic,
+    reason = "documented constructor contract; validate() is the fallible path"
+)]
 fn assert_valid(cfg: &SystemConfig) {
     if let Err(e) = cfg.validate() {
-        // repolint:allow(PANIC001) documented constructor contract; validate() is the fallible path
         panic!("{e}");
     }
 }
@@ -317,12 +320,12 @@ fn assert_valid(cfg: &SystemConfig) {
 /// Program `assign` into a controller whose range registers are clear.
 /// Panics when the registers refuse an override: more relaxed regions
 /// than slots, or a region listed twice.
+#[expect(clippy::panic, reason = "documented hardware contract: 8 disjoint range registers")]
 fn program(mc: &mut MemoryController, regions: &RegionMap, assign: &EccAssignment) {
     mc.set_default_scheme(assign.default_scheme);
     for &(rid, scheme) in &assign.overrides {
         let r = regions.get(rid);
         if let Err(e) = mc.program_range(r.base, r.end(), scheme) {
-            // repolint:allow(PANIC001) documented hardware contract: 8 disjoint range registers
             panic!("cannot relax region {rid} ({:?}) to {scheme:?}: {e}", r.name);
         }
     }

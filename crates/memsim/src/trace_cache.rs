@@ -123,7 +123,10 @@ impl TraceCache {
     /// — from the attached store when it has the blob, else by counting a
     /// build, building and persisting best-effort — while concurrent
     /// requesters of the same key block on the slot and count as hits.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "every memo level passes its own slots, counters and closures"
+    )]
     fn memo<K: Ord, V>(
         &self,
         slots: &SlotMap<K, V>,

@@ -92,7 +92,10 @@ pub fn abft_region_ids(regions: &RegionMap) -> Vec<RegionId> {
 /// Touch the lines of a `rows x cols` tile of a column-major matrix region
 /// whose full leading dimension is `ld` elements. `work_total` instructions
 /// are spread across the touches.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a tile is its region, placement, shape and work; a struct would only rename them"
+)]
 fn touch_tile<S: AccessSink + ?Sized>(
     t: &mut S,
     region: RegionId,
@@ -444,7 +447,10 @@ fn cg_layout(p: &CgParams) -> CgLayout {
 /// One SpMV: stream vals+cols, gather from `src` along the stencil's
 /// three bands (center row with strong locality, +/- grid neighbours),
 /// write `dst`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one SpMV is its layout, grid, operands and work; a struct would only rename them"
+)]
 fn cg_spmv<S: AccessSink + ?Sized>(
     t: &mut S,
     l: &CgLayout,

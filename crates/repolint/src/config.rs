@@ -8,10 +8,7 @@
 use std::collections::BTreeMap;
 
 /// All rule codes the engine knows about.
-pub const RULES: &[&str] = &[
-    "DET001", "DET002", "DET003", "PANIC001", "FP001", "API001", "PERF001", "PERF002", "PERF003",
-    "PERF004",
-];
+pub const RULES: &[&str] = &["API001", "PERF001", "PERF002", "PERF003", "PERF004"];
 
 /// The `[rules.CODE]` section a rule is configured under: its own,
 /// except that PERF001–PERF004 share one hot set and one crate scope,
@@ -27,12 +24,10 @@ fn section_of(code: &str) -> &str {
 /// Per-rule configuration.
 #[derive(Debug, Clone)]
 pub struct RuleCfg {
-    /// When set, the rule only applies to files of these crates.
+    /// When set, the rule only applies to files of these crates. A name
+    /// that matches no workspace package is a hard error, like an unknown
+    /// entry point.
     pub crates: Option<Vec<String>>,
-    /// FP001: path substrings that put a file in scope.
-    pub path_contains: Vec<String>,
-    /// FP001: function-name substrings that put a function in scope.
-    pub fn_contains: Vec<String>,
     /// PERF001: the hot set's roots, as `Type::method` or bare function
     /// names. Binaries print and allocate as their job, so only the
     /// replay entry points define hotness.
@@ -47,11 +42,6 @@ pub struct RuleCfg {
 
 impl RuleCfg {
     fn new(code: &str) -> RuleCfg {
-        let list = |names: &[&str]| names.iter().map(|s| (*s).to_string()).collect();
-        let (path_contains, fn_contains): (&[&str], &[&str]) = match code {
-            "FP001" => (&["checksum", "verify"], &["checksum", "verify", "residual"]),
-            _ => (&[], &[]),
-        };
         let entry_points: &[&str] = match code {
             "PERF001" => &[
                 "CampaignClient::run",
@@ -63,9 +53,7 @@ impl RuleCfg {
         };
         RuleCfg {
             crates: None,
-            path_contains: list(path_contains),
-            fn_contains: list(fn_contains),
-            entry_points: list(entry_points),
+            entry_points: entry_points.iter().map(|s| (*s).to_string()).collect(),
             entry_points_listed: false,
         }
     }
@@ -163,8 +151,6 @@ impl Config {
                     };
                     match key {
                         "crates" => rule.crates = Some(parse_list(value, lineno)?),
-                        "path_contains" => rule.path_contains = parse_list(value, lineno)?,
-                        "fn_contains" => rule.fn_contains = parse_list(value, lineno)?,
                         "entry_points" => {
                             rule.entry_points = parse_list(value, lineno)?;
                             rule.entry_points_listed = true;
@@ -211,13 +197,13 @@ mod tests {
     fn parses_sections_and_lists() {
         let cfg = Config::parse(
             "# comment\n[run]\nexclude = [\"crates/compat\", \"target\"]\n\n\
-             [rules.DET001]\ncrates = [\"abft-memsim\"]\n\
+             [rules.API001]\ncrates = [\"abft-memsim\"]\n\
              [rules.PERF001]\nentry_points = [\n    \"Engine::run\",\n]\n",
         )
         .unwrap();
         assert_eq!(cfg.excludes, vec!["crates/compat", "target"]);
-        assert!(cfg.rule("DET001").covers("abft-memsim") && !cfg.rule("DET001").covers("abft-ecc"));
-        assert!(cfg.rule("DET002").covers("abft-ecc"));
+        assert!(cfg.rule("API001").covers("abft-memsim") && !cfg.rule("API001").covers("abft-ecc"));
+        assert!(cfg.rule("PERF001").covers("abft-ecc"));
         // The PERF family reads the one section.
         assert_eq!(cfg.rule("PERF003").entry_points, vec!["Engine::run"]);
         assert!(cfg.rule("PERF003").entry_points_listed);
@@ -228,7 +214,8 @@ mod tests {
         assert!(Config::parse("[rules.NOPE]\n").is_err());
         assert!(Config::parse("[rules.PERF002]\n").is_err(), "the family's section is PERF001");
         assert!(Config::parse("[run]\nfrobnicate = \"x\"\n").is_err());
-        assert!(Config::parse("[rules.DET001]\nseverity = \"error\"\n").is_err());
+        assert!(Config::parse("[rules.API001]\nseverity = \"error\"\n").is_err());
+        assert!(Config::parse("[rules.DET002]\n").is_err(), "a retired rule's section is unknown");
     }
 
     /// The grammar's own pieces, known and unknown codes among them.
@@ -246,7 +233,7 @@ mod tests {
         "exclude",
         "crates",
         "entry_points",
-        "DET001",
+        "API001",
         "PERF001",
         "PERF002",
         "NOPE",

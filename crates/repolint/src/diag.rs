@@ -19,7 +19,7 @@ pub struct Related {
 /// One finding at a source location. Every finding fails the check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule code (`DET001`, ...).
+    /// Rule code (`API001`, `PERF001`, ..., or `ALLOW`).
     pub rule: &'static str,
     /// Repo-relative path with forward slashes.
     pub path: String,
@@ -27,8 +27,8 @@ pub struct Diagnostic {
     pub line: usize,
     /// Human-readable description of the violation.
     pub message: String,
-    /// Call-chain hops behind the finding, root first (empty for
-    /// per-site rules).
+    /// Call-chain hops behind the finding, root first (empty but for
+    /// PERF001–PERF004).
     pub related: Vec<Related>,
 }
 

@@ -1,21 +1,14 @@
-//! repolint: a syn-based lint engine for this workspace.
+//! repolint: the workspace analyses no compiler lint makes.
 //!
-//! The paper's evaluation (and PR 1's bit-identical parallel-vs-serial
-//! campaign promise) only means something if simulation results are
-//! reproducible. repolint turns the conventions that promise rests on
-//! into machine-checked rules:
-//!
-//! - **DET001** — no nondeterministic RNG (`thread_rng`, `from_entropy`)
-//! - **DET002** — no wall-clock reads in simulation library code
-//! - **DET003** — no `HashMap`/`HashSet` iteration feeding ordered
-//!   output or statistics aggregation
-//! - **PANIC001** — no `unwrap`/`expect`/`panic!` in library crates
-//! - **FP001** — no exact `f64` equality in checksum/verify code
-//!
-//! On top of the per-file rules sits a *semantic* layer built from a
-//! workspace-wide symbol table ([`symbols`]) and a call graph
-//! ([`callgraph`]) resolved from one token scan per function body
-//! ([`hotness`]):
+//! The paper's evaluation is a grid of kernel × ECC-strategy cells, and it
+//! only means something if every cell is bit-reproducible and no worker
+//! panics mid-grid. rustc and clippy enforce that with type information:
+//! the wall-clock and hash-container bans in `clippy.toml`, the panic lints
+//! in the root manifest's `[workspace.lints]`, `float_cmp` in the ABFT
+//! kernels, and a seeded-only `rand` that defines no entropy source.
+//! repolint checks what needs the whole workspace at once — a symbol table
+//! ([`symbols`]) and a call graph ([`callgraph`]) resolved from one token
+//! scan per function body ([`hotness`]):
 //!
 //! - **API001** — no dead `pub` items (never referenced from another
 //!   crate or another target: a binary, an example, a bench or an
@@ -55,8 +48,7 @@ pub struct ParsedFile {
     pub file: syn::File,
 }
 
-/// Every parsed file of the workspace: the input to both the per-file
-/// rules and the semantic (symbol-graph) passes.
+/// Every parsed file of the workspace: the input to the rules.
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// Parsed files, sorted by path.
@@ -65,7 +57,7 @@ pub struct Workspace {
 
 impl Workspace {
     /// Build a workspace from in-memory sources (`(rel_path, crate_name,
-    /// source)`); the fixture entry point for semantic-rule tests.
+    /// source)`); the fixture entry point for rule tests.
     pub fn from_sources(sources: &[(&str, &str, &str)]) -> Result<Workspace, String> {
         let mut files = Vec::new();
         for (rel, crate_name, src) in sources {
@@ -98,20 +90,17 @@ impl Workspace {
         Ok(Workspace { files })
     }
 
-    /// Run every rule (per-file and semantic) over the workspace, then
-    /// the check of the suppression comments themselves, in canonical
-    /// order. Fails on a config-listed entry point that names no
-    /// function (see [`rules::run_semantic`]).
+    /// Run every rule over the workspace, then the check of the
+    /// suppression comments themselves, in canonical order. Fails on a
+    /// config-listed crate or entry point that names nothing (see
+    /// [`rules::run_semantic`]).
     pub fn lint(&self, cfg: &Config) -> Result<Vec<Diagnostic>, String> {
         let ctxs: Vec<FileCtx<'_>> =
             self.files.iter().map(|p| FileCtx::new(&p.rel, &p.crate_name, &p.file)).collect();
         let mut out = Vec::new();
-        for ctx in &ctxs {
-            rules::run_all(ctx, cfg, &mut out);
-        }
         rules::run_semantic(self, &ctxs, cfg, &mut out)?;
         for ctx in &ctxs {
-            rules::check_allows(ctx, cfg, true, &mut out);
+            rules::check_allows(ctx, cfg, &mut out);
         }
         sort_diags(&mut out);
         Ok(out)
@@ -139,7 +128,7 @@ impl Report {
 /// Walk the workspace under `root` and lint every `.rs` file outside the
 /// configured excludes.
 pub fn check_workspace(root: &Path, cfg: &Config) -> Result<Report, String> {
-    // repolint:allow(DET002) analysis wall-time is reporting-only metadata
+    #[expect(clippy::disallowed_methods, reason = "analysis wall-time is reporting-only metadata")]
     let started = std::time::Instant::now();
     let ws = Workspace::load(root, cfg)?;
     let diagnostics = ws.lint(cfg)?;
@@ -219,37 +208,43 @@ fn crate_name_for(
     Ok(name)
 }
 
-/// Unit-test support: lint a source string.
 #[cfg(test)]
-pub(crate) mod engine_tests {
+mod tests {
     use super::*;
 
-    /// Lint one file's source text with the per-file rules (the semantic
-    /// rules need a [`Workspace`]); the unit-test fixtures go through it.
-    pub fn lint_source(
-        rel_path: &str,
-        crate_name: &str,
-        src: &str,
-        cfg: &Config,
-    ) -> Result<Vec<Diagnostic>, String> {
-        let file = syn::parse_file(src).map_err(|e| format!("{rel_path}:{e}"))?;
-        let ctx = FileCtx::new(rel_path, crate_name, &file);
-        let mut out = Vec::new();
-        rules::run_all(&ctx, cfg, &mut out);
-        rules::check_allows(&ctx, cfg, false, &mut out);
-        sort_diags(&mut out);
-        Ok(out)
+    /// A replay entry point (`Machine::simulate` is a default root) whose
+    /// doubly nested loop allocates on lines 7 and 11 but not on line 9;
+    /// `allows` fill lines 6, 8 and 10, each above one of the three.
+    fn hot(allows: [&str; 3]) -> String {
+        format!(
+            "struct Machine;\n\
+             impl Machine {{\n\
+             \x20   fn simulate(&self) {{\n\
+             \x20       for _ in 0..4 {{\n\
+             \x20           for _ in 0..4 {{\n\
+             \x20               {}\n\
+             \x20               let a: Vec<u8> = Vec::new();\n\
+             \x20               {}\n\
+             \x20               let n = a.len();\n\
+             \x20               {}\n\
+             \x20               let b: Vec<u8> = Vec::with_capacity(n);\n\
+             \x20               drop(b);\n\
+             \x20           }}\n\
+             \x20       }}\n\
+             \x20   }}\n\
+             }}\n",
+            allows[0], allows[1], allows[2]
+        )
     }
 
-    pub fn lint_str(rel_path: &str, crate_name: &str, src: &str) -> Vec<Diagnostic> {
-        lint_source(rel_path, crate_name, src, &Config::default()).expect("fixture parses")
+    fn lint(sources: &[(&str, &str, &str)], cfg: &Config) -> Vec<Diagnostic> {
+        Workspace::from_sources(sources).unwrap().lint(cfg).unwrap()
     }
 
     #[test]
     fn an_allow_that_names_no_rule_is_a_finding() {
-        let src =
-            "pub fn f() -> u32 {\n    // repolint:allow(NOSUCH) typo for PANIC001\n    1\n}\n";
-        let diags = lint_str("crates/memsim/src/x.rs", "abft-memsim", src);
+        let src = "fn f() -> u32 {\n    // repolint:allow(NOSUCH) typo for PERF001\n    1\n}\n";
+        let diags = lint(&[("crates/memsim/src/x.rs", "abft-memsim", src)], &Config::default());
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!((diags[0].rule, diags[0].line), ("ALLOW", 2));
         assert!(diags[0].message.contains("`repolint:allow(NOSUCH)` names no rule"), "{diags:?}");
@@ -257,56 +252,63 @@ pub(crate) mod engine_tests {
 
     #[test]
     fn an_allow_that_suppresses_nothing_is_a_finding() {
-        // Line 3 is suppressed and stays quiet; the allow on line 5 sits
-        // above code that no longer unwraps; the one on line 7 gives no
-        // reason, so it suppresses nothing and the unwrap fires as well.
-        let src = "pub fn f(x: Option<u32>) -> u32 {\n\
-                   \x20   // repolint:allow(PANIC001) checked by the caller\n\
-                   \x20   let a = x.unwrap();\n\
-                   \x20   // repolint:allow(PANIC001) was an unwrap once\n\
-                   \x20   let b = x.unwrap_or(0);\n\
-                   \x20   // repolint:allow(PANIC001)\n\
-                   \x20   a + b + x.unwrap()\n\
-                   }\n";
-        let diags = lint_str("crates/memsim/src/x.rs", "abft-memsim", src);
+        // Line 7 is suppressed and stays quiet; the allow on line 8 sits
+        // above code that no longer allocates; the one on line 10 gives no
+        // reason, so it suppresses nothing and line 11 fires as well.
+        let src = hot([
+            "// repolint:allow(PERF001) one buffer per event, measured",
+            "// repolint:allow(PERF001) was an allocation once",
+            "// repolint:allow(PERF001)",
+        ]);
+        let diags = lint(&[("crates/memsim/src/x.rs", "abft-memsim", &src)], &Config::default());
         let got: Vec<(&str, usize)> = diags.iter().map(|d| (d.rule, d.line)).collect();
-        assert_eq!(got, vec![("ALLOW", 4), ("ALLOW", 6), ("PANIC001", 7)], "{diags:?}");
-        assert!(diags[0].message.contains("stale `repolint:allow(PANIC001)`"), "{diags:?}");
-        assert!(diags[0].message.contains("line 5"), "{diags:?}");
+        assert_eq!(got, vec![("ALLOW", 8), ("ALLOW", 10), ("PERF001", 11)], "{diags:?}");
+        assert!(diags[0].message.contains("stale `repolint:allow(PERF001)`"), "{diags:?}");
+        assert!(diags[0].message.contains("line 9"), "{diags:?}");
     }
 
     #[test]
     fn an_unused_allow_is_stale_only_where_its_rule_was_checked() {
-        let src =
-            "pub fn f() -> u32 {\n    // repolint:allow(DET002,PERF001) not needed\n    1\n}\n";
+        let src = "fn f() -> u32 {\n    // repolint:allow(API001,PERF001) not needed\n    1\n}\n";
         let mut cfg = Config::default();
-        cfg.rules.get_mut("DET002").unwrap().crates = Some(vec!["abft-memsim".to_string()]);
-        // DET002 ran on this crate, so its half is stale; the PERF rules
-        // need the workspace, which `lint_source` does not have.
-        let diags = lint_source("crates/memsim/src/x.rs", "abft-memsim", src, &cfg).unwrap();
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0].message.contains("repolint:allow(DET002)"), "{diags:?}");
-        // Outside DET002's crate scope nothing checked it.
-        assert!(lint_source("crates/abft/src/x.rs", "abft-kernels", src, &cfg).unwrap().is_empty());
-        // With the workspace-wide rules run, the PERF half is stale too.
-        let ws =
-            Workspace::from_sources(&[("crates/abft/src/lib.rs", "abft-kernels", src)]).unwrap();
-        let diags = ws.lint(&cfg).unwrap();
-        let stale: Vec<_> = diags.iter().filter(|d| d.rule == "ALLOW").collect();
-        assert_eq!(stale.len(), 1, "{diags:?}");
-        assert!(stale[0].message.contains("repolint:allow(PERF001)"), "{diags:?}");
+        cfg.rules.get_mut("PERF001").unwrap().crates = Some(vec!["abft-memsim".to_string()]);
+        let diags = lint(
+            &[
+                ("crates/memsim/src/x.rs", "abft-memsim", src),
+                ("crates/abft/src/x.rs", "abft-kernels", src),
+            ],
+            &cfg,
+        );
+        let stale: Vec<(&str, bool)> = diags
+            .iter()
+            .map(|d| (d.path.as_str(), d.message.contains("repolint:allow(PERF001)")))
+            .collect();
+        // Both halves ran on memsim; outside the PERF rules' crate scope
+        // only API001 checked the comment.
+        assert_eq!(
+            stale,
+            vec![
+                ("crates/abft/src/x.rs", false),
+                ("crates/memsim/src/x.rs", false),
+                ("crates/memsim/src/x.rs", true)
+            ],
+            "{diags:?}"
+        );
+        assert!(diags.iter().all(|d| d.rule == "ALLOW" && d.line == 2), "{diags:?}");
     }
 
     #[test]
     fn crate_scoping_limits_rules() {
-        let src = "pub fn roll() -> u64 {\n    thread_rng().next_u64()\n}\n";
+        let src = hot(["", "", ""]);
+        let sources = [
+            ("crates/memsim/src/x.rs", "abft-memsim", src.as_str()),
+            ("crates/ecc/src/x.rs", "abft-ecc", &src),
+        ];
         let mut cfg = Config::default();
-        cfg.rules.get_mut("DET001").unwrap().crates = Some(vec!["abft-memsim".to_string()]);
-        assert!(!lint_source("crates/memsim/src/x.rs", "abft-memsim", src, &cfg)
-            .unwrap()
-            .is_empty());
-        assert!(lint_source("crates/analysis/src/x.rs", "abft-analysis", src, &cfg)
-            .unwrap()
-            .is_empty());
+        assert_eq!(lint(&sources, &cfg).len(), 4, "both crates are in scope by default");
+        cfg.rules.get_mut("PERF001").unwrap().crates = Some(vec!["abft-memsim".to_string()]);
+        let got: Vec<(String, &str)> =
+            lint(&sources, &cfg).into_iter().map(|d| (d.path, d.rule)).collect();
+        assert_eq!(got, vec![("crates/memsim/src/x.rs".to_string(), "PERF001"); 2]);
     }
 }

@@ -1,6 +1,6 @@
-//! The rule set. Each rule is a function that pushes [`Diagnostic`]s;
-//! crate scoping and suppressions are applied here so the rules
-//! themselves stay focused on pattern matching.
+//! The rule set: workspace-wide analyses over one symbol table, call
+//! graph and hot set. Suppressions and the config's name checks are
+//! applied here so the rules themselves stay focused on the analysis.
 
 use crate::callgraph::CallGraph;
 use crate::config::{Config, RuleCfg, RULES};
@@ -11,24 +11,7 @@ use crate::symbols::{FnSym, SymbolTable};
 use crate::Workspace;
 
 pub mod api001;
-pub mod det001;
-pub mod det002;
-pub mod det003;
-pub mod fp001;
-pub mod panic001;
 pub mod perf;
-
-type RuleFn = fn(&FileCtx<'_>, &RuleCfg, &mut Vec<Diagnostic>);
-
-/// Per-file rule codes in reporting order, paired with their check
-/// functions.
-pub const ALL: &[(&str, RuleFn)] = &[
-    ("DET001", det001::check),
-    ("DET002", det002::check),
-    ("DET003", det003::check),
-    ("PANIC001", panic001::check),
-    ("FP001", fp001::check),
-];
 
 /// Shared input to the workspace-wide (semantic) rules: the parsed
 /// workspace plus the symbol table, call graph and hot set built over it.
@@ -47,24 +30,10 @@ pub struct SemanticCtx<'a> {
 
 type SemanticFn = fn(&SemanticCtx<'_>, &RuleCfg, &mut Vec<Diagnostic>);
 
-/// Workspace-wide rules, run after the per-file passes, keyed by the
-/// config section they read (`perf::check` reports all of
-/// PERF001–PERF004). Crate scoping is interpreted *inside* each rule,
-/// so only suppressions are generic here.
+/// The rules, keyed by the config section they read (`perf::check`
+/// reports all of PERF001–PERF004). Crate scoping is interpreted *inside*
+/// each rule, so only suppressions are generic here.
 pub const SEMANTIC: &[(&str, SemanticFn)] = &[("API001", api001::check), ("PERF001", perf::check)];
-
-/// Run every per-file rule over one file; suppressions are applied here.
-pub fn run_all(ctx: &FileCtx<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
-    for (code, check) in ALL {
-        let rule_cfg = cfg.rule(code);
-        if !rule_cfg.covers(ctx.crate_name) {
-            continue;
-        }
-        let mut found = Vec::new();
-        check(ctx, rule_cfg, &mut found);
-        out.extend(found.into_iter().filter(|d| !ctx.suppressed(d.rule, d.line)));
-    }
-}
 
 /// Whether an `entry_points` name (`Type::method` or a bare function
 /// name) names `f`.
@@ -72,11 +41,11 @@ pub(crate) fn is_entry_point(entry: &str, f: &FnSym) -> bool {
     f.qual() == entry || f.name == entry
 }
 
-/// Run the semantic rules over the whole workspace; the symbol table,
-/// call graph and hot set are built once and shared. Fails when the
-/// config file lists an entry point that names no workspace function:
-/// the roots are matched by name, so a renamed function would otherwise
-/// disable the PERF rules without a single finding.
+/// Run the rules over the whole workspace; the symbol table, call graph
+/// and hot set are built once and shared. Fails when the config file
+/// lists a crate or an entry point that names nothing in the workspace:
+/// both are matched by name, so a renamed crate or function would
+/// otherwise drop out of the rules' scope without a single finding.
 pub fn run_semantic(
     ws: &Workspace,
     ctxs: &[FileCtx<'_>],
@@ -84,6 +53,16 @@ pub fn run_semantic(
     out: &mut Vec<Diagnostic>,
 ) -> Result<(), String> {
     let table = SymbolTable::build(ws);
+    for (section, rule) in &cfg.rules {
+        for c in rule.crates.iter().flatten() {
+            if !table.crates.contains(c) {
+                return Err(format!(
+                    "[rules.{section}] crates: `{c}` matches no package in the workspace \
+                     (renamed or deleted? the rules would silently skip it)"
+                ));
+            }
+        }
+    }
     // The hot set's roots are the configured entry points (`Type::method`
     // or bare names — binary `main`s are deliberately *not* roots: a
     // binary's own loops are its business).
@@ -117,17 +96,13 @@ pub fn run_semantic(
 }
 
 /// Report every `repolint:allow` comment of one file that names no rule,
-/// or that suppressed nothing although its rule was checked on the file
-/// (`semantic` says whether the workspace-wide rules ran, too). Call it
-/// after every rule has had its chance to use the comment.
-pub fn check_allows(ctx: &FileCtx<'_>, cfg: &Config, semantic: bool, out: &mut Vec<Diagnostic>) {
+/// or that suppressed nothing although its rule was checked on the file.
+/// Call it after every rule has had its chance to use the comment.
+pub fn check_allows(ctx: &FileCtx<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
     for s in &ctx.suppressions {
         let message = if !RULES.contains(&s.rule.as_str()) {
             format!("`repolint:allow({})` names no rule; known rules: {}", s.rule, RULES.join(", "))
-        } else if !s.used.get()
-            && (semantic || ALL.iter().any(|(code, _)| *code == s.rule))
-            && cfg.rule(&s.rule).covers(ctx.crate_name)
-        {
+        } else if !s.used.get() && cfg.rule(&s.rule).covers(ctx.crate_name) {
             format!(
                 "stale `repolint:allow({0})`: it suppresses nothing — {0} does not fire on line \
                  {1} (or the comment gives no reason); delete the comment",
@@ -136,21 +111,11 @@ pub fn check_allows(ctx: &FileCtx<'_>, cfg: &Config, semantic: bool, out: &mut V
         } else {
             continue;
         };
-        out.push(diag(ctx, "ALLOW", s.line, message));
+        out.push(diag_at("ALLOW", ctx.path, s.line, message));
     }
 }
 
 /// Shared constructor so every rule emits the same shape.
-pub(crate) fn diag(
-    ctx: &FileCtx<'_>,
-    rule: &'static str,
-    line: usize,
-    message: String,
-) -> Diagnostic {
-    diag_at(rule, ctx.path, line, message)
-}
-
-/// Constructor for semantic rules, which address files by path.
 pub(crate) fn diag_at(rule: &'static str, path: &str, line: usize, message: String) -> Diagnostic {
     Diagnostic { rule, path: path.to_string(), line, message, related: Vec::new() }
 }
@@ -159,38 +124,6 @@ pub(crate) fn diag_at(rule: &'static str, path: &str, line: usize, message: Stri
 /// `repolint explain RULEID`.
 pub fn explain(code: &str) -> Option<&'static str> {
     Some(match code {
-        "DET001" => {
-            "DET001 — nondeterministic RNG.\n\
-             Why: `thread_rng()`/`from_entropy()` seed from OS entropy, so two runs of the\n\
-             same campaign diverge and the parallel-equals-serial witness is void.\n\
-             Fix: thread an explicit `SmallRng::seed_from_u64(seed)` (or the workspace\n\
-             SplitMix stream) down from the campaign config."
-        }
-        "DET002" => {
-            "DET002 — wall-clock reads in simulation library code.\n\
-             Why: `Instant::now()`/`SystemTime::now()` make simulated results depend on\n\
-             host scheduling; timing belongs in binaries and reporting layers.\n\
-             Fix: model time in cycles inside the simulator; if a read is genuinely\n\
-             reporting-only, annotate it `// repolint:allow(DET002) reason`."
-        }
-        "DET003" => {
-            "DET003 — unordered hash iteration feeding ordered output.\n\
-             Why: `HashMap`/`HashSet` iteration order is randomized per process, so any\n\
-             aggregate built from it is run-dependent.\n\
-             Fix: use `BTreeMap`/`BTreeSet`, or collect and sort before aggregating."
-        }
-        "PANIC001" => {
-            "PANIC001 — `unwrap`/`expect`/`panic!` in library crates.\n\
-             Why: one poisoned cell aborts a whole multi-hour campaign instead of failing\n\
-             that cell.\n\
-             Fix: return a typed error; use `assert!` only for documented invariants."
-        }
-        "FP001" => {
-            "FP001 — exact `f64` equality in checksum/verify code.\n\
-             Why: ABFT residual checks compare recomputed sums; `==` on floats makes the\n\
-             detector threshold-free and platform-dependent.\n\
-             Fix: compare against an explicit tolerance derived from the error model."
-        }
         "API001" => {
             "API001 — dead `pub` items.\n\
              Why: an exported item that no other crate and no other target (binary,\n\

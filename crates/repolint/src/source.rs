@@ -1,9 +1,8 @@
 //! Per-file lint context: file classification, `#[cfg(test)]` line
-//! ranges, suppression comments, and token-stream helpers shared by the
-//! rules.
+//! ranges and suppression comments.
 
 use std::cell::Cell;
-use syn::{Comment, File, Item, Token, TokenKind};
+use syn::{Comment, File, Item, Token};
 
 /// What kind of target a `.rs` file belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,8 +58,6 @@ pub struct FileCtx<'a> {
     pub crate_name: &'a str,
     /// Target classification.
     pub kind: FileKind,
-    /// Parsed item tree + token stream.
-    pub file: &'a File,
     /// Line ranges of `#[cfg(test)]` / `#[test]` items.
     pub test_ranges: Vec<(usize, usize)>,
     /// Parsed `// repolint:allow(...)` comments.
@@ -73,7 +70,7 @@ impl<'a> FileCtx<'a> {
         let mut test_ranges = Vec::new();
         collect_test_ranges(&file.items, &mut test_ranges);
         let suppressions = collect_suppressions(&file.comments, &file.tokens);
-        FileCtx { path, crate_name, kind: file_kind(path), file, test_ranges, suppressions }
+        FileCtx { path, crate_name, kind: file_kind(path), test_ranges, suppressions }
     }
 
     /// True when the line falls inside a test-marked item.
@@ -92,26 +89,6 @@ impl<'a> FileCtx<'a> {
             }
         }
         hit
-    }
-
-    /// Name of the innermost `fn` whose token range contains `tok_idx`.
-    pub fn enclosing_fn(&self, tok_idx: usize) -> Option<&str> {
-        fn walk(items: &[Item], tok_idx: usize) -> Option<&str> {
-            for item in items {
-                let (lo, hi) = item.tokens;
-                if tok_idx < lo || tok_idx >= hi {
-                    continue;
-                }
-                if let Some(name) = walk(&item.children, tok_idx) {
-                    return Some(name);
-                }
-                if item.kind == syn::ItemKind::Fn {
-                    return item.ident.as_deref();
-                }
-            }
-            None
-        }
-        walk(&self.file.items, tok_idx)
     }
 }
 
@@ -158,54 +135,6 @@ fn collect_suppressions(comments: &[Comment], tokens: &[Token]) -> Vec<Suppressi
     out
 }
 
-/// True when `tokens[i]` is an identifier with this exact text.
-pub fn ident_at(tokens: &[Token], i: usize, text: &str) -> bool {
-    tokens.get(i).map(|t| t.is_ident(text)).unwrap_or(false)
-}
-
-/// True when `tokens[i]` is punctuation with this exact text.
-pub fn punct_at(tokens: &[Token], i: usize, text: &str) -> bool {
-    tokens.get(i).map(|t| t.is_punct(text)).unwrap_or(false)
-}
-
-/// Token index range of the statement around `i`: from just after the
-/// previous `;`/`{`/`}` to the next `;` at the same delimiter depth (or
-/// the end of the enclosing group).
-pub fn statement_window(tokens: &[Token], i: usize) -> (usize, usize) {
-    let mut lo = i;
-    while lo > 0 {
-        let t = &tokens[lo - 1];
-        if t.is_punct(";") || t.is_punct("{") || t.is_punct("}") {
-            break;
-        }
-        lo -= 1;
-    }
-    let mut hi = i;
-    let mut depth = 0usize;
-    while hi < tokens.len() {
-        let t = &tokens[hi];
-        if t.kind == TokenKind::Punct {
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" => depth = depth.saturating_sub(1),
-                "}" => {
-                    if depth == 0 {
-                        break;
-                    }
-                    depth -= 1;
-                }
-                ";" if depth == 0 => {
-                    hi += 1;
-                    break;
-                }
-                _ => {}
-            }
-        }
-        hi += 1;
-    }
-    (lo, hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,25 +162,14 @@ mod tests {
     #[test]
     fn suppression_targets_own_or_next_line() {
         let src =
-            "fn a() {\n    // repolint:allow(DET002) timing is metadata\n    let t = now();\n\
-                   \n    let u = now(); // repolint:allow(DET002) also fine\n\
-                   \n    // repolint:allow(DET002)\n    let v = now();\n}\n";
+            "fn a() {\n    // repolint:allow(PERF001) one buffer per call\n    let t = vec![];\n\
+                   \n    let u = vec![]; // repolint:allow(PERF001) also fine\n\
+                   \n    // repolint:allow(PERF001)\n    let v = vec![];\n}\n";
         let file = syn::parse_file(src).unwrap();
         let ctx = FileCtx::new("crates/x/src/lib.rs", "x", &file);
-        assert!(ctx.suppressed("DET002", 3), "standalone comment covers next code line");
-        assert!(ctx.suppressed("DET002", 5), "trailing comment covers its own line");
-        assert!(!ctx.suppressed("DET002", 8), "suppression without a reason is ignored");
-        assert!(!ctx.suppressed("DET001", 3), "other rules stay live");
-    }
-
-    #[test]
-    fn statement_window_spans_semicolons() {
-        let src = "fn f() { let a = 1; let b = g(a, h(2)); let c = 3; }";
-        let file = syn::parse_file(src).unwrap();
-        let toks = &file.tokens;
-        let b_idx = toks.iter().position(|t| t.is_ident("b")).unwrap();
-        let (lo, hi) = statement_window(toks, b_idx);
-        let text: Vec<&str> = toks[lo..hi].iter().map(|t| t.text.as_str()).collect();
-        assert_eq!(text.join(" "), "let b = g ( a , h ( 2 ) ) ;");
+        assert!(ctx.suppressed("PERF001", 3), "standalone comment covers next code line");
+        assert!(ctx.suppressed("PERF001", 5), "trailing comment covers its own line");
+        assert!(!ctx.suppressed("PERF001", 8), "suppression without a reason is ignored");
+        assert!(!ctx.suppressed("PERF002", 3), "other rules stay live");
     }
 }

@@ -165,7 +165,10 @@ struct WalkCtx<'a> {
     lib: bool,
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the recursive walk threads its module path, impl and trait context down"
+)]
 fn collect_items(
     ctx: &WalkCtx<'_>,
     items: &[Item],

@@ -3,6 +3,12 @@
 //! which calls into `util` — through plain paths, `use` renames, and
 //! trait methods.
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "fixture helpers outside `#[test]` fns: a broken fixture should fail the test"
+)]
+
 use repolint::callgraph::CallGraph;
 use repolint::symbols::SymbolTable;
 use repolint::Workspace;

@@ -9,6 +9,12 @@
 //! and transitive heat), a clean-tree green case, and a property test
 //! that code outside the hot set never fires, sinks or not.
 
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "fixture helpers outside `#[test]` fns: a broken fixture should fail the test"
+)]
+
 use proptest::prelude::*;
 use repolint::callgraph::CallGraph;
 use repolint::config::Config;

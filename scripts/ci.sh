@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# The full CI gate: formatting, the repolint static-analysis pass, release
-# build, the reproduction-output drift gate, the artifact-store gate, the
-# examples, the test suite (one debug run, every invariant check on) and
-# the pinned referees by name, a warning-free clippy pass, warning-free
-# rustdoc, and a clean working tree at the end.
+# The full CI gate: formatting, a warning-free clippy pass (the determinism
+# and panic lints), the repolint static-analysis pass, release build, the
+# reproduction-output drift gate, the artifact-store gate, the examples,
+# the test suite (one debug run, every invariant check on) and the pinned
+# referees by name, warning-free rustdoc, and a clean working tree at the
+# end.
 # Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -11,11 +12,22 @@ cd "$(dirname "$0")/.."
 echo "=== cargo fmt --check ==="
 cargo fmt --check
 
-echo "=== repolint (per-file lints + workspace semantic analysis) ==="
-# Every finding fails the stage — there is no grandfathering file; a site
-# that must stay carries `// repolint:allow(RULE) reason`, and an allow
-# that suppresses nothing is itself a finding. The last line printed is
-# the verdict with the file count and the analysis time.
+echo "=== cargo clippy --workspace --all-targets -- -D warnings ==="
+# The determinism and panic gates: clippy.toml bans the wall clock and the
+# hash containers everywhere, the root manifest's [workspace.lints] denies
+# unwrap / expect / panic in the library crates, and abft denies exact
+# float compares. A site that must stay carries a reasoned `#[expect]`; one
+# that no longer fires is an error here. --all-targets: tests, examples
+# and the `repro` binary are linted too. First after fmt, so a banned call
+# fails in about a minute.
+cargo clippy --workspace --all-targets -- -D warnings
+
+echo "=== repolint (dead pub items, hot-path performance) ==="
+# The two workspace analyses no compiler lint makes. Every finding fails
+# the stage — there is no grandfathering file; a site that must stay
+# carries `// repolint:allow(RULE) reason`, and an allow that suppresses
+# nothing is itself a finding. The last line printed is the verdict with
+# the file count and the analysis time.
 cargo repolint
 
 echo "=== cargo build --release --workspace ==="
@@ -136,10 +148,6 @@ for pinned in walk_reference:: every_lane_is_the_simulation_it_would_be_alone \
     cholesky::tests::injected_error_in_trailing_matrix_is_corrected; do
     grep -Fq -- "$pinned" <<<"$listed" || { echo "no workspace test is named $pinned"; exit 1; }
 done
-
-echo "=== cargo clippy --workspace --all-targets -- -D warnings ==="
-# --all-targets: tests, examples and the `repro` binary are linted too.
-cargo clippy --workspace --all-targets -- -D warnings
 
 echo "=== cargo doc --workspace --no-deps, warnings denied ==="
 # A doc comment that links to a deleted, renamed or private item is a

@@ -18,6 +18,31 @@
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every table and figure.
+//!
+//! ## Seeded randomness only
+//!
+//! Every campaign cell must replay bit for bit from its seed, so the
+//! vendored `rand` has no entropy source. A generator is built from a seed:
+//!
+//! ```
+//! use rand::SeedableRng;
+//! let _ = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+//! ```
+//!
+//! and none of the unseeded constructors compiles:
+//!
+//! ```compile_fail,E0425
+//! let _ = rand::thread_rng();
+//! ```
+//!
+//! ```compile_fail,E0425
+//! let _ = rand::random::<u64>();
+//! ```
+//!
+//! ```compile_fail,E0599
+//! use rand::SeedableRng;
+//! let _ = rand_chacha::ChaCha8Rng::from_entropy();
+//! ```
 
 pub use abft_analysis;
 pub use abft_coop_core;
