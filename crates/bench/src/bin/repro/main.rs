@@ -22,6 +22,12 @@
 //! traces/miss-streams across processes (`ABFT_SIMPOINT` likewise
 //! switches every grid to sampled replay).
 
+#![expect(
+    clippy::expect_used,
+    reason = "a driver: a campaign cell its own spec asked for, or an FT run it drives, that is \
+              missing is a bug to stop on, not a row to print"
+)]
+
 mod ablation_device_width;
 mod ablation_error_registers;
 mod ablation_mlp;

@@ -542,12 +542,8 @@ pub struct Item {
     pub attrs: Vec<Attribute>,
     /// 1-based line of the first token (attributes included).
     pub line: usize,
-    /// 1-based line of the last token.
-    pub end_line: usize,
     /// Token index range (into [`File::tokens`]) covering the whole item.
     pub tokens: (usize, usize),
-    /// Token index range of the brace body, when the item has one.
-    pub body: Option<(usize, usize)>,
     /// Nested items (populated for `mod`, `impl` and `trait` bodies).
     pub children: Vec<Item>,
 }
@@ -753,7 +749,6 @@ fn parse_items(tokens: &[Token], idx: &mut usize, end: usize) -> Vec<Item> {
             _ => Vec::new(),
         };
 
-        let last = (*idx).max(start + 1) - 1;
         items.push(Item {
             kind,
             ident,
@@ -761,9 +756,7 @@ fn parse_items(tokens: &[Token], idx: &mut usize, end: usize) -> Vec<Item> {
             vis,
             attrs,
             line: start_line,
-            end_line: tokens[last.min(tokens.len() - 1)].line,
             tokens: (start, *idx),
-            body,
             children,
         });
     }
@@ -910,7 +903,6 @@ mod tests {
         assert_eq!(kinds, vec![ItemKind::Use, ItemKind::Fn, ItemKind::Mod, ItemKind::Mod]);
         let alpha = &file.items[1];
         assert_eq!(alpha.ident.as_deref(), Some("alpha"));
-        assert!(alpha.body.is_some());
         let outer = &file.items[2];
         assert_eq!(outer.children.len(), 2);
         assert_eq!(outer.children[0].kind, ItemKind::Struct);
@@ -919,7 +911,6 @@ mod tests {
         let tests = &file.items[3];
         assert!(tests.attrs.iter().any(Attribute::is_test_marker));
         assert!(tests.children[0].attrs.iter().any(Attribute::is_test_marker));
-        assert!(tests.end_line > tests.line);
     }
 
     #[test]

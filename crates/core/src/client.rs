@@ -303,7 +303,6 @@ impl CampaignClient {
                 // Degrade to memory-only: a missing or unwritable store
                 // directory must never fail the simulation itself.
                 Err(e) => {
-                    // repolint:allow(PERF004) once per run, before any cell replays
                     eprintln!("[campaign] artifact store {} unavailable: {e}", dir.display())
                 }
             }
@@ -314,7 +313,6 @@ impl CampaignClient {
             // Degrade to exact replay: a malformed sampling knob must
             // never fail (or silently skew) the simulation.
             parse_simpoint_env(&raw)
-                // repolint:allow(PERF004) once per run, before any cell replays
                 .map_err(|e| eprintln!("[campaign] ignoring {SIMPOINT_ENV}={raw:?}: {e}"))
                 .ok()
         });

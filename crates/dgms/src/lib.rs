@@ -11,6 +11,10 @@
 //! simply bases its ECC decision on memory access tracing, which results
 //! in costly ECC assignment."
 
+// Library code returns data and leaves printing to the binaries and the
+// reporting layer (`abft-coop-core`); tests included.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 use abft_ecc::EccScheme;
 use abft_memsim::dram::AccessKind;
 use abft_memsim::system::{Machine, SimStats};

@@ -17,6 +17,10 @@
 //! * [`outcome`] — decode outcome classification, including ground-truth
 //!   comparison for silent-corruption accounting.
 
+// Library code returns data and leaves printing to the binaries and the
+// reporting layer (`abft-coop-core`); tests included.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod chipkill;
 pub mod chipkill_x8;
 mod gf;

@@ -16,6 +16,10 @@
 //!   mixes, producing ARE/ASE outcome distributions (the `FaultCampaign*`
 //!   namespace; the simulation-grid `CampaignSpec` lives in `abft-coop-core`).
 
+// Library code returns data and leaves printing to the binaries and the
+// reporting layer (`abft-coop-core`); tests included.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod campaign;
 pub mod fit;
 pub mod injector;

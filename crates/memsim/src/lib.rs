@@ -34,6 +34,10 @@
 //! * [`workloads`] — streaming trace generators replaying the blocked
 //!   loop nests of the paper's four ABFT kernels.
 
+// Library code returns data and leaves printing to the binaries and the
+// reporting layer (`abft-coop-core`); tests included.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod cache;
 pub mod config;
 pub mod controller;

@@ -298,12 +298,12 @@ impl PackedBuilder {
             regions.regions().len() <= MAX_PACKED_REGIONS,
             "packed trace: more than {MAX_PACKED_REGIONS} regions"
         );
-        let bases = regions.regions().iter().map(|r| r.base).collect(); // repolint:allow(PERF001) region table built once per builder
+        let bases = regions.regions().iter().map(|r| r.base).collect();
         PackedBuilder {
             regions,
             bases,
-            segs: Vec::new(), // repolint:allow(PERF001) one builder per trace-cache miss
-            cur: Vec::with_capacity(SEG_WORDS), // repolint:allow(PERF001) one builder per trace-cache miss
+            segs: Vec::new(),
+            cur: Vec::with_capacity(SEG_WORDS),
             pending: None,
             len: 0,
             instructions: 0,
@@ -323,7 +323,7 @@ impl PackedBuilder {
     fn push_word(&mut self, word: u64) {
         self.cur.push(word);
         if self.cur.len() == SEG_WORDS {
-            let full = std::mem::replace(&mut self.cur, Vec::with_capacity(SEG_WORDS)); // repolint:allow(PERF001) one segment per 64 K words; copying out of a reused buffer costs 1.5 MiB of peak RSS
+            let full = std::mem::replace(&mut self.cur, Vec::with_capacity(SEG_WORDS));
             self.segs.push(full.into_boxed_slice());
         }
     }

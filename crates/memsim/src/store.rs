@@ -694,7 +694,7 @@ impl ArtifactStore {
 
     /// On-disk path of a packed-trace artifact.
     pub fn trace_path(&self, params: KernelParams) -> PathBuf {
-        self.root.join(format!("{:032x}.trace", trace_key(params))) // repolint:allow(PERF001) one path string per store lookup
+        self.root.join(format!("{:032x}.trace", trace_key(params)))
     }
 
     /// On-disk path of a miss-stream artifact.
@@ -834,7 +834,7 @@ impl ArtifactStore {
         key: u128,
         write_payload: impl FnOnce(&mut Vec<u8>),
     ) -> Result<(), StoreError> {
-        let mut blob = Vec::with_capacity(HEADER_BYTES + FOOTER_BYTES); // repolint:allow(PERF001) one buffer per artifact write
+        let mut blob = Vec::with_capacity(HEADER_BYTES + FOOTER_BYTES);
         blob.extend_from_slice(BLOB_MAGIC);
         blob.extend_from_slice(&kind.to_le_bytes());
         blob.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -852,7 +852,7 @@ impl ArtifactStore {
         // one renames it while the other is still writing.
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp = path.with_extension(format!("tmp{}-{seq}", std::process::id())); // repolint:allow(PERF001) one temp-file name per artifact write
+        let tmp = path.with_extension(format!("tmp{}-{seq}", std::process::id()));
         std::fs::write(&tmp, &blob)?;
         if let Err(e) = std::fs::rename(&tmp, path) {
             let _ = std::fs::remove_file(&tmp);

@@ -70,7 +70,7 @@ impl RegionMap {
     /// Create an empty map; allocation starts at a nonzero base so that
     /// address 0 is never valid data.
     pub fn new() -> Self {
-        RegionMap { regions: Vec::new(), next_base: 0x1000_0000 } // repolint:allow(PERF001) one empty map per builder
+        RegionMap { regions: Vec::new(), next_base: 0x1000_0000 }
     }
 
     /// Allocate a new region of `bytes`, page aligned, returning its id.

@@ -110,7 +110,7 @@ impl TraceCache {
 
     /// The attached artifact store, if any.
     pub fn store(&self) -> Option<Arc<ArtifactStore>> {
-        self.store.lock().unwrap_or_else(|e| e.into_inner()).clone() // repolint:allow(PERF002) Arc refcount bump, not a deep copy
+        self.store.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
     /// Counter snapshot of the attached store (zeros when none is).

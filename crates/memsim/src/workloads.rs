@@ -759,7 +759,7 @@ impl KernelParams {
     /// direct emission.
     pub fn build_packed(self) -> PackedTrace {
         let layout = KernelLayout::new(self);
-        let mut b = PackedBuilder::new(layout.regions().clone()); // repolint:allow(PERF002) one region-table copy per trace build
+        let mut b = PackedBuilder::new(layout.regions().clone());
         for step in 0..self.steps() {
             emit_kernel_step(&self, &layout, step, &mut b);
         }

@@ -1,99 +1,32 @@
 //! `repolint.toml` parsing.
 //!
 //! The build environment vendors no `toml` crate, so the config format is
-//! the small TOML subset the file actually needs: `[run]` / `[rules.CODE]`
-//! section headers, `key = ["a", "b"]` assignments, `#` comments.
-//! Anything else is a hard error so typos cannot silently disable a rule.
-
-use std::collections::BTreeMap;
+//! the small TOML subset the file actually needs: one `[run]` section,
+//! `key = ["a", "b"]` assignments, `#` comments. Anything else is a hard
+//! error, so a section left over from a retired rule cannot sit there
+//! looking as if it still configured something.
 
 /// All rule codes the engine knows about.
-pub const RULES: &[&str] = &["API001", "PERF001", "PERF002", "PERF003", "PERF004"];
-
-/// The `[rules.CODE]` section a rule is configured under: its own,
-/// except that PERF001–PERF004 share one hot set and one crate scope,
-/// both set under `[rules.PERF001]`.
-fn section_of(code: &str) -> &str {
-    if code.starts_with("PERF") {
-        "PERF001"
-    } else {
-        code
-    }
-}
-
-/// Per-rule configuration.
-#[derive(Debug, Clone)]
-pub struct RuleCfg {
-    /// When set, the rule only applies to files of these crates. A name
-    /// that matches no workspace package is a hard error, like an unknown
-    /// entry point.
-    pub crates: Option<Vec<String>>,
-    /// PERF001: the hot set's roots, as `Type::method` or bare function
-    /// names. Binaries print and allocate as their job, so only the
-    /// replay entry points define hotness.
-    pub entry_points: Vec<String>,
-    /// Whether `entry_points` came from the config file rather than the
-    /// built-in defaults. A listed name that matches no workspace
-    /// function is a hard error (a rename would otherwise turn the rules
-    /// into a silent no-op); the defaults are exempt so fixture
-    /// workspaces need not define every root.
-    pub entry_points_listed: bool,
-}
-
-impl RuleCfg {
-    fn new(code: &str) -> RuleCfg {
-        let entry_points: &[&str] = match code {
-            "PERF001" => &[
-                "CampaignClient::run",
-                "Machine::simulate",
-                "MissStream::build",
-                "MissStream::events_from",
-            ],
-            _ => &[],
-        };
-        RuleCfg {
-            crates: None,
-            entry_points: entry_points.iter().map(|s| (*s).to_string()).collect(),
-            entry_points_listed: false,
-        }
-    }
-
-    /// Whether the rule's crate scope includes `crate_name`.
-    pub fn covers(&self, crate_name: &str) -> bool {
-        self.crates.as_ref().is_none_or(|crates| crates.iter().any(|c| c == crate_name))
-    }
-}
+pub const RULES: &[&str] = &["API001"];
 
 /// Whole-run configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Repo-relative path prefixes to skip entirely.
     pub excludes: Vec<String>,
-    /// Per-rule settings, keyed by config section (a rule code; the PERF
-    /// family has the one entry `PERF001`).
-    pub rules: BTreeMap<String, RuleCfg>,
 }
 
 impl Default for Config {
     fn default() -> Config {
-        let mut rules = BTreeMap::new();
-        for code in RULES.iter().filter(|code| section_of(code) == **code) {
-            rules.insert((*code).to_string(), RuleCfg::new(code));
-        }
-        Config { excludes: vec!["crates/compat".to_string(), "target".to_string()], rules }
+        Config { excludes: vec!["crates/compat".to_string(), "target".to_string()] }
     }
 }
 
 impl Config {
-    /// Look up a known rule's config.
-    pub fn rule(&self, code: &str) -> &RuleCfg {
-        &self.rules[section_of(code)]
-    }
-
     /// Parse the config file text.
     pub fn parse(text: &str) -> Result<Config, String> {
         let mut cfg = Config::default();
-        let mut section = String::new();
+        let mut in_run = false;
         let mut lines = text.lines().enumerate();
         while let Some((n, raw)) = lines.next() {
             let mut line = raw.trim().to_string();
@@ -120,45 +53,20 @@ impl Config {
                     .strip_suffix(']')
                     .ok_or_else(|| format!("line {lineno}: malformed section header"))?;
                 if name != "run" {
-                    let code = name
-                        .strip_prefix("rules.")
-                        .ok_or_else(|| format!("line {lineno}: unknown section [{name}]"))?;
-                    if !cfg.rules.contains_key(code) {
-                        let known: Vec<&str> = cfg.rules.keys().map(String::as_str).collect();
-                        return Err(format!(
-                            "line {lineno}: no section [rules.{code}]; there are: {}",
-                            known.join(", ")
-                        ));
-                    }
+                    return Err(format!(
+                        "line {lineno}: unknown section [{name}]; the only section is [run]"
+                    ));
                 }
-                section = name.to_string();
+                in_run = true;
                 continue;
             }
             let (key, value) = line
                 .split_once('=')
                 .ok_or_else(|| format!("line {lineno}: expected `key = value`"))?;
-            let key = key.trim();
-            let value = value.trim();
-            match section.as_str() {
-                "run" => match key {
-                    "exclude" => cfg.excludes = parse_list(value, lineno)?,
-                    _ => return Err(format!("line {lineno}: unknown [run] key {key}")),
-                },
-                s if s.starts_with("rules.") => {
-                    let code = &s["rules.".len()..];
-                    let Some(rule) = cfg.rules.get_mut(code) else {
-                        return Err(format!("line {lineno}: unknown rule {code}"));
-                    };
-                    match key {
-                        "crates" => rule.crates = Some(parse_list(value, lineno)?),
-                        "entry_points" => {
-                            rule.entry_points = parse_list(value, lineno)?;
-                            rule.entry_points_listed = true;
-                        }
-                        _ => return Err(format!("line {lineno}: unknown rule key {key}")),
-                    }
-                }
-                _ => return Err(format!("line {lineno}: assignment outside a section")),
+            match (in_run, key.trim()) {
+                (true, "exclude") => cfg.excludes = parse_list(value.trim(), lineno)?,
+                (true, key) => return Err(format!("line {lineno}: unknown [run] key {key}")),
+                (false, _) => return Err(format!("line {lineno}: assignment outside a section")),
             }
         }
         Ok(cfg)
@@ -194,50 +102,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_sections_and_lists() {
+    fn parses_the_run_section() {
         let cfg = Config::parse(
-            "# comment\n[run]\nexclude = [\"crates/compat\", \"target\"]\n\n\
-             [rules.API001]\ncrates = [\"abft-memsim\"]\n\
-             [rules.PERF001]\nentry_points = [\n    \"Engine::run\",\n]\n",
+            "# comment\n[run]\nexclude = [\n    \"crates/compat\",\n    \"target\",\n]\n",
         )
         .unwrap();
         assert_eq!(cfg.excludes, vec!["crates/compat", "target"]);
-        assert!(cfg.rule("API001").covers("abft-memsim") && !cfg.rule("API001").covers("abft-ecc"));
-        assert!(cfg.rule("PERF001").covers("abft-ecc"));
-        // The PERF family reads the one section.
-        assert_eq!(cfg.rule("PERF003").entry_points, vec!["Engine::run"]);
-        assert!(cfg.rule("PERF003").entry_points_listed);
     }
 
     #[test]
-    fn rejects_unknown_rules_and_keys() {
-        assert!(Config::parse("[rules.NOPE]\n").is_err());
-        assert!(Config::parse("[rules.PERF002]\n").is_err(), "the family's section is PERF001");
+    fn rejects_unknown_sections_and_keys() {
+        assert!(Config::parse("[rules.API001]\n").is_err());
+        assert!(Config::parse("[rules.PERF001]\n").is_err(), "a retired rule's section is unknown");
         assert!(Config::parse("[run]\nfrobnicate = \"x\"\n").is_err());
-        assert!(Config::parse("[rules.API001]\nseverity = \"error\"\n").is_err());
-        assert!(Config::parse("[rules.DET002]\n").is_err(), "a retired rule's section is unknown");
+        assert!(Config::parse("exclude = [\"x\"]\n").is_err());
     }
 
-    /// The grammar's own pieces, known and unknown codes among them.
-    const PIECES: [&str; 18] = [
-        "[",
-        "]",
-        "rules.",
-        "run",
-        "=",
-        "\"",
-        ",",
-        "#",
-        "\n",
-        " ",
-        "exclude",
-        "crates",
-        "entry_points",
-        "API001",
-        "PERF001",
-        "PERF002",
-        "NOPE",
-        "x",
+    /// The grammar's own pieces, known and unknown names among them.
+    const PIECES: [&str; 15] = [
+        "[", "]", "rules.", "run", "=", "\"", ",", "#", "\n", " ", "exclude", "crates", "API001",
+        "PERF001", "x",
     ];
     /// List items: anything without a quote, a comma or a bracket.
     const NAMES: [&str; 7] =
@@ -255,29 +139,19 @@ mod tests {
         ) {
             use proptest::prelude::*;
             // Any text at all, and strings of the grammar's pieces: an
-            // answer, never a panic, and an answer with no section but the
-            // known ones.
-            let known: Vec<String> = Config::default().rules.into_keys().collect();
+            // answer, never a panic.
             let soup: String = picks.iter().map(|&i| PIECES[i]).collect();
             for text in [String::from_utf8_lossy(&bytes).into_owned(), soup] {
-                if let Ok(cfg) = Config::parse(&text) {
-                    prop_assert!(cfg.rules.keys().eq(&known), "{text:?}: {:?}", cfg.rules.keys());
-                }
+                let _ = Config::parse(&text);
             }
 
             // A list reads back as written, on one line or over several.
             let names: Vec<String> = names.iter().map(|&i| NAMES[i].to_string()).collect();
             let sep = if multi_line { ",\n    " } else { ", " };
             let list: Vec<String> = names.iter().map(|n| format!("\"{n}\"")).collect();
-            let list = list.join(sep);
-            let text = format!(
-                "[run]\nexclude = [{list}]\n[rules.PERF001]\nentry_points = [{list}]\n\
-                 crates = [{list}]\n"
-            );
+            let text = format!("[run]\nexclude = [{}]\n", list.join(sep));
             let cfg = Config::parse(&text).map_err(TestCaseError::fail)?;
             prop_assert_eq!(&cfg.excludes, &names);
-            prop_assert_eq!(&cfg.rule("PERF003").entry_points, &names);
-            prop_assert_eq!(cfg.rule("PERF001").crates.as_ref(), Some(&names));
         }
     }
 }

@@ -2,24 +2,10 @@
 
 use std::fmt;
 
-/// A secondary location attached to a finding — one hop of a
-/// reconstructed call chain. The text rendering inlines the chain into
-/// the message; this is the same chain in structured form.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Related {
-    /// Repo-relative path with forward slashes.
-    pub path: String,
-    /// 1-based source line.
-    pub line: usize,
-    /// What this location contributes (e.g. "calls `replay_event` inside
-    /// a loop (x1)").
-    pub message: String,
-}
-
 /// One finding at a source location. Every finding fails the check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule code (`API001`, `PERF001`, ..., or `ALLOW`).
+    /// Rule code (`API001`, or `ALLOW` for a bad suppression comment).
     pub rule: &'static str,
     /// Repo-relative path with forward slashes.
     pub path: String,
@@ -27,9 +13,6 @@ pub struct Diagnostic {
     pub line: usize,
     /// Human-readable description of the violation.
     pub message: String,
-    /// Call-chain hops behind the finding, root first (empty but for
-    /// PERF001–PERF004).
-    pub related: Vec<Related>,
 }
 
 impl fmt::Display for Diagnostic {

@@ -1,31 +1,28 @@
-//! repolint: the workspace analyses no compiler lint makes.
+//! repolint: the workspace analysis no compiler lint makes.
 //!
 //! The paper's evaluation is a grid of kernel × ECC-strategy cells, and it
 //! only means something if every cell is bit-reproducible and no worker
 //! panics mid-grid. rustc and clippy enforce that with type information:
 //! the wall-clock and hash-container bans in `clippy.toml`, the panic lints
 //! in the root manifest's `[workspace.lints]`, `float_cmp` in the ABFT
-//! kernels, and a seeded-only `rand` that defines no entropy source.
-//! repolint checks what needs the whole workspace at once — a symbol table
-//! ([`symbols`]) and a call graph ([`callgraph`]) resolved from one token
-//! scan per function body ([`hotness`]):
+//! kernels, the print lints in the simulator crates, and a seeded-only
+//! `rand` that defines no entropy source. That replay allocates per run
+//! and never per event is measured, by the counting allocator of
+//! `tests/alloc_budget.rs`. repolint checks the one thing that needs the
+//! whole workspace at once, over a symbol table ([`symbols`]):
 //!
 //! - **API001** — no dead `pub` items (never referenced from another
 //!   crate or another target: a binary, an example, a bench or an
 //!   integration test — the crate's own unit tests do not count)
-//! - **PERF001–PERF004** — no allocation, clone or `dyn` dispatch in a
-//!   loop reachable from a replay entry point, and no formatted output
-//!   anywhere reachable; the diagnostic carries the hot call chain
 //!
 //! Every finding is an error. A violation is suppressed per site with a
 //! documented `repolint:allow(RULE) reason` line comment; a comment that
 //! names no rule, or that no longer suppresses anything, is itself a
-//! finding. Scoping lives in `repolint.toml`. See DESIGN.md §3.12.
+//! finding. `repolint.toml` sets only which paths to skip. See DESIGN.md
+//! §3.12.
 
-pub mod callgraph;
 pub mod config;
 pub mod diag;
-pub mod hotness;
 pub mod rules;
 pub mod source;
 pub mod symbols;
@@ -58,7 +55,8 @@ pub struct Workspace {
 impl Workspace {
     /// Build a workspace from in-memory sources (`(rel_path, crate_name,
     /// source)`); the fixture entry point for rule tests.
-    pub fn from_sources(sources: &[(&str, &str, &str)]) -> Result<Workspace, String> {
+    #[cfg(test)]
+    pub(crate) fn from_sources(sources: &[(&str, &str, &str)]) -> Result<Workspace, String> {
         let mut files = Vec::new();
         for (rel, crate_name, src) in sources {
             let file = syn::parse_file(src).map_err(|e| format!("{rel}:{e}"))?;
@@ -91,19 +89,17 @@ impl Workspace {
     }
 
     /// Run every rule over the workspace, then the check of the
-    /// suppression comments themselves, in canonical order. Fails on a
-    /// config-listed crate or entry point that names nothing (see
-    /// [`rules::run_semantic`]).
-    pub fn lint(&self, cfg: &Config) -> Result<Vec<Diagnostic>, String> {
+    /// suppression comments themselves, in canonical order.
+    pub fn lint(&self) -> Vec<Diagnostic> {
         let ctxs: Vec<FileCtx<'_>> =
-            self.files.iter().map(|p| FileCtx::new(&p.rel, &p.crate_name, &p.file)).collect();
+            self.files.iter().map(|p| FileCtx::new(&p.rel, &p.file)).collect();
         let mut out = Vec::new();
-        rules::run_semantic(self, &ctxs, cfg, &mut out)?;
+        rules::run_semantic(self, &ctxs, &mut out);
         for ctx in &ctxs {
-            rules::check_allows(ctx, cfg, &mut out);
+            rules::check_allows(ctx, &mut out);
         }
         sort_diags(&mut out);
-        Ok(out)
+        out
     }
 }
 
@@ -131,7 +127,7 @@ pub fn check_workspace(root: &Path, cfg: &Config) -> Result<Report, String> {
     #[expect(clippy::disallowed_methods, reason = "analysis wall-time is reporting-only metadata")]
     let started = std::time::Instant::now();
     let ws = Workspace::load(root, cfg)?;
-    let diagnostics = ws.lint(cfg)?;
+    let diagnostics = ws.lint();
     Ok(Report { diagnostics, files: ws.files.len(), analysis_ms: started.elapsed().as_millis() })
 }
 
@@ -212,39 +208,24 @@ fn crate_name_for(
 mod tests {
     use super::*;
 
-    /// A replay entry point (`Machine::simulate` is a default root) whose
-    /// doubly nested loop allocates on lines 7 and 11 but not on line 9;
-    /// `allows` fill lines 6, 8 and 10, each above one of the three.
-    fn hot(allows: [&str; 3]) -> String {
+    /// Three dead pub fns on lines 3, 5 and 7 of a library file that
+    /// nothing else reaches; `allows` fill lines 2, 4 and 6, each above
+    /// one of them, and line 9 holds a live one.
+    fn dead(allows: [&str; 3]) -> String {
         format!(
-            "struct Machine;\n\
-             impl Machine {{\n\
-             \x20   fn simulate(&self) {{\n\
-             \x20       for _ in 0..4 {{\n\
-             \x20           for _ in 0..4 {{\n\
-             \x20               {}\n\
-             \x20               let a: Vec<u8> = Vec::new();\n\
-             \x20               {}\n\
-             \x20               let n = a.len();\n\
-             \x20               {}\n\
-             \x20               let b: Vec<u8> = Vec::with_capacity(n);\n\
-             \x20               drop(b);\n\
-             \x20           }}\n\
-             \x20       }}\n\
-             \x20   }}\n\
-             }}\n",
+            "pub fn live() {{}}\n{}\npub fn a() {{}}\n{}\nfn private() {{}}\n{}\npub fn b() {{}}\n",
             allows[0], allows[1], allows[2]
         )
     }
 
-    fn lint(sources: &[(&str, &str, &str)], cfg: &Config) -> Vec<Diagnostic> {
-        Workspace::from_sources(sources).unwrap().lint(cfg).unwrap()
+    fn lint(sources: &[(&str, &str, &str)]) -> Vec<Diagnostic> {
+        Workspace::from_sources(sources).unwrap().lint()
     }
 
     #[test]
     fn an_allow_that_names_no_rule_is_a_finding() {
-        let src = "fn f() -> u32 {\n    // repolint:allow(NOSUCH) typo for PERF001\n    1\n}\n";
-        let diags = lint(&[("crates/memsim/src/x.rs", "abft-memsim", src)], &Config::default());
+        let src = "fn f() -> u32 {\n    // repolint:allow(NOSUCH) typo for API001\n    1\n}\n";
+        let diags = lint(&[("crates/memsim/src/x.rs", "abft-memsim", src)]);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!((diags[0].rule, diags[0].line), ("ALLOW", 2));
         assert!(diags[0].message.contains("`repolint:allow(NOSUCH)` names no rule"), "{diags:?}");
@@ -252,63 +233,22 @@ mod tests {
 
     #[test]
     fn an_allow_that_suppresses_nothing_is_a_finding() {
-        // Line 7 is suppressed and stays quiet; the allow on line 8 sits
-        // above code that no longer allocates; the one on line 10 gives no
-        // reason, so it suppresses nothing and line 11 fires as well.
-        let src = hot([
-            "// repolint:allow(PERF001) one buffer per event, measured",
-            "// repolint:allow(PERF001) was an allocation once",
-            "// repolint:allow(PERF001)",
+        // Line 3 is suppressed and stays quiet; the allow on line 4 sits
+        // above a private fn, which API001 never reports; the one on line
+        // 6 gives no reason, so it suppresses nothing and line 7 fires as
+        // well.
+        let src = dead([
+            "// repolint:allow(API001) reached from a sibling package",
+            "// repolint:allow(API001) was pub once",
+            "// repolint:allow(API001)",
         ]);
-        let diags = lint(&[("crates/memsim/src/x.rs", "abft-memsim", &src)], &Config::default());
+        let diags = lint(&[
+            ("crates/memsim/src/lib.rs", "abft-memsim", &src),
+            ("crates/memsim/src/bin/tool.rs", "abft-memsim", "fn main() { live(); }\n"),
+        ]);
         let got: Vec<(&str, usize)> = diags.iter().map(|d| (d.rule, d.line)).collect();
-        assert_eq!(got, vec![("ALLOW", 8), ("ALLOW", 10), ("PERF001", 11)], "{diags:?}");
-        assert!(diags[0].message.contains("stale `repolint:allow(PERF001)`"), "{diags:?}");
-        assert!(diags[0].message.contains("line 9"), "{diags:?}");
-    }
-
-    #[test]
-    fn an_unused_allow_is_stale_only_where_its_rule_was_checked() {
-        let src = "fn f() -> u32 {\n    // repolint:allow(API001,PERF001) not needed\n    1\n}\n";
-        let mut cfg = Config::default();
-        cfg.rules.get_mut("PERF001").unwrap().crates = Some(vec!["abft-memsim".to_string()]);
-        let diags = lint(
-            &[
-                ("crates/memsim/src/x.rs", "abft-memsim", src),
-                ("crates/abft/src/x.rs", "abft-kernels", src),
-            ],
-            &cfg,
-        );
-        let stale: Vec<(&str, bool)> = diags
-            .iter()
-            .map(|d| (d.path.as_str(), d.message.contains("repolint:allow(PERF001)")))
-            .collect();
-        // Both halves ran on memsim; outside the PERF rules' crate scope
-        // only API001 checked the comment.
-        assert_eq!(
-            stale,
-            vec![
-                ("crates/abft/src/x.rs", false),
-                ("crates/memsim/src/x.rs", false),
-                ("crates/memsim/src/x.rs", true)
-            ],
-            "{diags:?}"
-        );
-        assert!(diags.iter().all(|d| d.rule == "ALLOW" && d.line == 2), "{diags:?}");
-    }
-
-    #[test]
-    fn crate_scoping_limits_rules() {
-        let src = hot(["", "", ""]);
-        let sources = [
-            ("crates/memsim/src/x.rs", "abft-memsim", src.as_str()),
-            ("crates/ecc/src/x.rs", "abft-ecc", &src),
-        ];
-        let mut cfg = Config::default();
-        assert_eq!(lint(&sources, &cfg).len(), 4, "both crates are in scope by default");
-        cfg.rules.get_mut("PERF001").unwrap().crates = Some(vec!["abft-memsim".to_string()]);
-        let got: Vec<(String, &str)> =
-            lint(&sources, &cfg).into_iter().map(|d| (d.path, d.rule)).collect();
-        assert_eq!(got, vec![("crates/memsim/src/x.rs".to_string(), "PERF001"); 2]);
+        assert_eq!(got, vec![("ALLOW", 4), ("ALLOW", 6), ("API001", 7)], "{diags:?}");
+        assert!(diags[0].message.contains("stale `repolint:allow(API001)`"), "{diags:?}");
+        assert!(diags[0].message.contains("line 5"), "{diags:?}");
     }
 }

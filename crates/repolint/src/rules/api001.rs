@@ -26,7 +26,6 @@
 //! a lint gate. Trait-impl methods, trait-declaration methods and
 //! `main` are exempt (their liveness is structural, not referential).
 
-use crate::config::RuleCfg;
 use crate::diag::Diagnostic;
 use crate::rules::{diag_at, SemanticCtx};
 use crate::source::FileKind;
@@ -37,7 +36,7 @@ use syn::{Item, ItemKind, TokenKind};
 type DefUnit = (String, usize, (usize, usize));
 
 /// Run the rule over the workspace.
-pub fn check(sem: &SemanticCtx<'_>, cfg: &RuleCfg, out: &mut Vec<Diagnostic>) {
+pub fn check(sem: &SemanticCtx<'_>, out: &mut Vec<Diagnostic>) {
     let mut live: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
     for c in &sem.table.crates {
         live.insert(c.as_str(), seed_idents(sem, c));
@@ -77,11 +76,6 @@ pub fn check(sem: &SemanticCtx<'_>, cfg: &RuleCfg, out: &mut Vec<Diagnostic>) {
     for item in &sem.table.pub_items {
         if item.is_test || item.trait_impl.is_some() || item.in_trait_decl || item.name == "main" {
             continue;
-        }
-        if let Some(crates) = &cfg.crates {
-            if !crates.iter().any(|c| c == &item.crate_name) {
-                continue;
-            }
         }
         if live[item.crate_name.as_str()].contains(&item.name) {
             continue;
@@ -144,13 +138,11 @@ fn collect_units(items: &[Item], fi: usize, out: &mut Vec<(String, usize, (usize
 
 #[cfg(test)]
 mod tests {
-    use crate::config::Config;
     use crate::Workspace;
 
     fn api_findings(sources: &[(&str, &str, &str)]) -> Vec<(String, usize, String)> {
         let ws = Workspace::from_sources(sources).expect("fixture parses");
-        ws.lint(&Config::default())
-            .expect("lint")
+        ws.lint()
             .into_iter()
             .filter(|d| d.rule == "API001")
             .map(|d| (d.path, d.line, d.message))

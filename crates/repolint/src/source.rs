@@ -1,8 +1,7 @@
-//! Per-file lint context: file classification, `#[cfg(test)]` line
-//! ranges and suppression comments.
+//! Per-file lint context: file classification and suppression comments.
 
 use std::cell::Cell;
-use syn::{Comment, File, Item, Token};
+use syn::{Comment, File, Token};
 
 /// What kind of target a `.rs` file belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,28 +53,17 @@ pub struct Suppression {
 pub struct FileCtx<'a> {
     /// Repo-relative path, forward slashes.
     pub path: &'a str,
-    /// Cargo package name the file belongs to.
-    pub crate_name: &'a str,
     /// Target classification.
     pub kind: FileKind,
-    /// Line ranges of `#[cfg(test)]` / `#[test]` items.
-    pub test_ranges: Vec<(usize, usize)>,
     /// Parsed `// repolint:allow(...)` comments.
     pub suppressions: Vec<Suppression>,
 }
 
 impl<'a> FileCtx<'a> {
     /// Build the context for one parsed file.
-    pub fn new(path: &'a str, crate_name: &'a str, file: &'a File) -> FileCtx<'a> {
-        let mut test_ranges = Vec::new();
-        collect_test_ranges(&file.items, &mut test_ranges);
+    pub fn new(path: &'a str, file: &'a File) -> FileCtx<'a> {
         let suppressions = collect_suppressions(&file.comments, &file.tokens);
-        FileCtx { path, crate_name, kind: file_kind(path), test_ranges, suppressions }
-    }
-
-    /// True when the line falls inside a test-marked item.
-    pub fn in_test(&self, line: usize) -> bool {
-        self.test_ranges.iter().any(|&(lo, hi)| line >= lo && line <= hi)
+        FileCtx { path, kind: file_kind(path), suppressions }
     }
 
     /// True when a documented `repolint:allow` covers this rule + line;
@@ -89,15 +77,6 @@ impl<'a> FileCtx<'a> {
             }
         }
         hit
-    }
-}
-
-fn collect_test_ranges(items: &[Item], out: &mut Vec<(usize, usize)>) {
-    for item in items {
-        if item.attrs.iter().any(syn::Attribute::is_test_marker) {
-            out.push((item.line, item.end_line));
-        }
-        collect_test_ranges(&item.children, out);
     }
 }
 
@@ -150,26 +129,15 @@ mod tests {
     }
 
     #[test]
-    fn test_ranges_cover_cfg_test_mods() {
-        let src = "pub fn a() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n";
-        let file = syn::parse_file(src).unwrap();
-        let ctx = FileCtx::new("crates/x/src/lib.rs", "x", &file);
-        assert!(!ctx.in_test(1));
-        assert!(ctx.in_test(4));
-        assert!(ctx.in_test(5));
-    }
-
-    #[test]
     fn suppression_targets_own_or_next_line() {
-        let src =
-            "fn a() {\n    // repolint:allow(PERF001) one buffer per call\n    let t = vec![];\n\
-                   \n    let u = vec![]; // repolint:allow(PERF001) also fine\n\
-                   \n    // repolint:allow(PERF001)\n    let v = vec![];\n}\n";
+        let src = "// repolint:allow(API001) reached from a sibling package\npub fn a() {}\n\
+                   \npub fn b() {} // repolint:allow(API001) also reached\n\
+                   \n// repolint:allow(API001)\npub fn c() {}\n";
         let file = syn::parse_file(src).unwrap();
-        let ctx = FileCtx::new("crates/x/src/lib.rs", "x", &file);
-        assert!(ctx.suppressed("PERF001", 3), "standalone comment covers next code line");
-        assert!(ctx.suppressed("PERF001", 5), "trailing comment covers its own line");
-        assert!(!ctx.suppressed("PERF001", 8), "suppression without a reason is ignored");
-        assert!(!ctx.suppressed("PERF002", 3), "other rules stay live");
+        let ctx = FileCtx::new("crates/x/src/lib.rs", &file);
+        assert!(ctx.suppressed("API001", 2), "standalone comment covers next code line");
+        assert!(ctx.suppressed("API001", 4), "trailing comment covers its own line");
+        assert!(!ctx.suppressed("API001", 7), "suppression without a reason is ignored");
+        assert!(!ctx.suppressed("ALLOW", 2), "other rules stay live");
     }
 }

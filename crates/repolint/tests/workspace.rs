@@ -1,6 +1,6 @@
 //! End-to-end checks against a scratch mini-workspace on disk: the walk
-//! and its excludes, and the hard error on a config-listed entry point or
-//! crate that names nothing.
+//! and its excludes, and the hard error on a config section no rule
+//! reads.
 
 #![expect(
     clippy::expect_used,
@@ -79,71 +79,24 @@ fn clean_tree_passes() {
     assert!(report.diagnostics.is_empty());
 }
 
-/// A campaign crate whose entry point reaches `fold` through `tally`.
-fn campaign_ws(tag: &str) -> Scratch {
-    let ws = Scratch::new(tag);
+#[test]
+fn a_leftover_rule_section_is_a_hard_error() {
+    // An older repolint.toml configured the retired loop-heat rules; the
+    // CLI must refuse it by name (exit 2), not lint as if it applied.
+    let ws = Scratch::new("leftover");
     ws.write("Cargo.toml", MANIFEST);
-    ws.write("crates/core/Cargo.toml", "[package]\nname = \"demo-core\"\n");
+    ws.write("crates/demo/Cargo.toml", MANIFEST);
+    ws.write("crates/demo/src/lib.rs", "pub fn f() {}\n");
     ws.write(
-        "crates/core/src/lib.rs",
-        "pub struct CampaignClient;\n\
-         impl CampaignClient {\n\
-         \x20   pub fn run(&self) { tally(); }\n\
-         }\n\
-         fn tally() { fold(); }\n\
-         fn fold() {}\n",
+        "repolint.toml",
+        "[run]\nexclude = [\"target\"]\n\n[rules.PERF001]\nentry_points = [\"Machine::simulate\"]\n",
     );
-    ws
-}
-
-/// Run the CLI over `ws`, expecting a hard error (exit 2); its stderr.
-fn cli_hard_error(ws: &Scratch) -> String {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_repolint"))
         .args(["check", "--root"])
         .arg(&ws.root)
         .output()
         .expect("repolint runs");
     assert_eq!(out.status.code(), Some(2), "exit status {:?}", out.status);
-    String::from_utf8_lossy(&out.stderr).into_owned()
-}
-
-#[test]
-fn a_config_listed_entry_point_that_matches_nothing_is_a_hard_error() {
-    let ws = campaign_ws("stale");
-
-    // The pre-rename name: without the check the PERF rules would lose
-    // their only root and have nothing to call hot.
-    let stale = "[rules.PERF001]\nentry_points = [\"Campaign::run\"]\n";
-    let err = check_workspace(&ws.root, &Config::parse(stale).expect("parses"))
-        .expect_err("a stale entry point must not lint as clean");
-    assert!(err.contains("PERF001") && err.contains("`Campaign::run`"), "{err}");
-
-    // Through the CLI the same config exits 2, naming both.
-    ws.write("repolint.toml", stale);
-    let stderr = cli_hard_error(&ws);
-    assert!(stderr.contains("PERF001") && stderr.contains("`Campaign::run`"), "{stderr}");
-
-    // Listing the name the function really has resolves.
-    let live = "[rules.PERF001]\nentry_points = [\"CampaignClient::run\"]\n";
-    check_workspace(&ws.root, &Config::parse(live).expect("parses"))
-        .expect("a live entry point lints");
-}
-
-#[test]
-fn a_config_listed_crate_that_matches_no_package_is_a_hard_error() {
-    let ws = campaign_ws("crate");
-
-    // A renamed package: without the check it would silently leave the
-    // PERF rules' scope.
-    let stale = "[rules.PERF001]\ncrates = [\"demo-campaign\"]\n";
-    let err = check_workspace(&ws.root, &Config::parse(stale).expect("parses"))
-        .expect_err("a stale crate name must not lint as clean");
-    assert!(err.contains("PERF001") && err.contains("`demo-campaign`"), "{err}");
-
-    ws.write("repolint.toml", stale);
-    let stderr = cli_hard_error(&ws);
-    assert!(stderr.contains("PERF001") && stderr.contains("`demo-campaign`"), "{stderr}");
-
-    let live = "[rules.PERF001]\ncrates = [\"demo-core\"]\n";
-    check_workspace(&ws.root, &Config::parse(live).expect("parses")).expect("a live crate lints");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 4: unknown section [rules.PERF001]"), "{stderr}");
 }

@@ -3,9 +3,10 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use abft_coop::abft_coop_runtime::RuntimeError;
 use abft_coop::prelude::*;
 
-fn main() {
+fn main() -> Result<(), RuntimeError> {
     println!("== ABFT-coop quickstart ==\n");
 
     // 1. A fault-tolerant matrix multiplication. FT-DGEMM encodes the
@@ -37,8 +38,7 @@ fn main() {
     //    `malloc_ecc`, relaxing its ECC because ABFT already covers it.
     let cfg = SystemConfig::default();
     let mut rt = EccRuntime::new(&cfg);
-    let (_id, vaddr) =
-        rt.malloc_ecc("matrix_c", (n * n * 8) as u64, EccScheme::None).expect("allocation");
+    let (_id, vaddr) = rt.malloc_ecc("matrix_c", (n * n * 8) as u64, EccScheme::None)?;
     println!(
         "malloc_ecc: matrix_c at {vaddr:#x}, pages relaxed to {} (MC range registers in use: {}).",
         EccScheme::None,
@@ -64,4 +64,5 @@ fn main() {
         ours.ipc(),
         (1.0 - ours.mem_total_j() / wck.mem_total_j()) * 100.0
     );
+    Ok(())
 }

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# The full CI gate: formatting, a warning-free clippy pass (the determinism
-# and panic lints), the repolint static-analysis pass, release build, the
-# reproduction-output drift gate, the artifact-store gate, the examples,
-# the test suite (one debug run, every invariant check on) and the pinned
-# referees by name, warning-free rustdoc, and a clean working tree at the
-# end.
+# The full CI gate: formatting, a warning-free clippy pass (the determinism,
+# panic and print lints), the repolint dead-pub-item pass, release build,
+# the reproduction-output drift gate, the artifact-store gate, the
+# examples, the test suite (one debug run, every invariant check on, the
+# replay allocation budget among it) and the pinned referees by name,
+# warning-free rustdoc, and a clean working tree at the end.
 # Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -13,19 +13,21 @@ echo "=== cargo fmt --check ==="
 cargo fmt --check
 
 echo "=== cargo clippy --workspace --all-targets -- -D warnings ==="
-# The determinism and panic gates: clippy.toml bans the wall clock and the
-# hash containers everywhere, the root manifest's [workspace.lints] denies
-# unwrap / expect / panic in the library crates, and abft denies exact
-# float compares. A site that must stay carries a reasoned `#[expect]`; one
+# The determinism, panic and print gates: clippy.toml bans the wall clock
+# and the hash containers everywhere, the root manifest's [workspace.lints]
+# denies unwrap / expect / panic in every package outside test code, abft
+# denies exact float compares, and memsim, ecc, dgms and faultsim deny
+# printing. A site that must stay carries a reasoned `#[expect]`; one
 # that no longer fires is an error here. --all-targets: tests, examples
 # and the `repro` binary are linted too. First after fmt, so a banned call
 # fails in about a minute.
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "=== repolint (dead pub items, hot-path performance) ==="
-# The two workspace analyses no compiler lint makes. Every finding fails
-# the stage — there is no grandfathering file; a site that must stay
-# carries `// repolint:allow(RULE) reason`, and an allow that suppresses
+echo "=== repolint (dead pub items) ==="
+# API001, the one workspace analysis no compiler lint makes: a pub item no
+# other crate, binary, example or integration test reaches. Every finding
+# fails the stage — there is no grandfathering file; a site that must stay
+# carries `// repolint:allow(API001) reason`, and an allow that suppresses
 # nothing is itself a finding. The last line printed is the verdict with
 # the file count and the analysis time.
 cargo repolint
@@ -138,14 +140,17 @@ echo "=== the pinned referees are still there, by name ==="
 # row replay to the simulation it would be alone and the one that holds the
 # packed builder's sweep-level emission to line-by-line emission. In ecc,
 # the census that pins x4 chipkill's decode of 2-, 3- and 4-chip errors; in
-# abft, the FT-Cholesky run held to plain `cholesky_blocked`. They ran in
+# abft, the FT-Cholesky run held to plain `cholesky_blocked`. And the only
+# allocation gate: tests/alloc_budget.rs's three tests, which hold every
+# replay path to the same allocation count at N and 2N events. They ran in
 # the stage above and are listed here by name, so that a rename cannot
 # silently drop them.
 listed="$(cargo test -q --workspace -- --list 2>/dev/null)"
 for pinned in walk_reference:: every_lane_is_the_simulation_it_would_be_alone \
     sweep_emission_packs_the_words_line_emission_packs reference_replay reference_scan \
     chipkill::tests::multi_chip_census_is_pinned \
-    cholesky::tests::injected_error_in_trailing_matrix_is_corrected; do
+    cholesky::tests::injected_error_in_trailing_matrix_is_corrected \
+    miss_stream_replay_allocates_flat source_replay_allocates_flat sampled_replay_allocates_flat; do
     grep -Fq -- "$pinned" <<<"$listed" || { echo "no workspace test is named $pinned"; exit 1; }
 done
 

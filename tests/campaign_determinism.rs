@@ -4,6 +4,11 @@
 //! exactly once per (kernel, scale) regardless of how many jobs, runs, or
 //! threads ask for them.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "grid helpers outside `#[test]` fns: a poisoned report lock means a progress assertion already failed"
+)]
+
 use abft_coop::abft_memsim::workloads::{CholeskyParams, HplParams};
 use abft_coop::prelude::*;
 use std::sync::{Arc, Mutex};

@@ -1,5 +1,10 @@
 //! Shared by the integration suites that drive `EccRuntime`.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a test helper: a page the table maps without a scheme should fail the test"
+)]
+
 use abft_coop::abft_coop_runtime::PAGE_BYTES;
 use abft_coop::prelude::*;
 

@@ -2,6 +2,11 @@
 //! allocation, ECC relaxation, bit-true corruption, MC interrupt, OS
 //! reverse mapping, sysfs exposure, ABFT repair.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "fixture helpers outside `#[test]` fns: an allocation a fixture needs should fail the test"
+)]
+
 mod common;
 
 use abft_coop::abft_coop_runtime::{AllocId, RuntimeError};

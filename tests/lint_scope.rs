@@ -1,8 +1,14 @@
-//! The determinism and panic gates are clippy lints, so they hold only
-//! where clippy is told to check them: every library crate under
-//! `crates/` inherits the root manifest's `[workspace.lints]`, and
-//! `clippy.toml` bans the wall clock and the hash containers. A new or
-//! edited crate that drops out of either fails here, not silently.
+//! The determinism, panic and print gates are clippy lints, so they hold
+//! only where clippy is told to check them: every package — the root one
+//! and each under `crates/` — inherits the root manifest's
+//! `[workspace.lints]`, `clippy.toml` bans the wall clock and the hash
+//! containers, and the simulator crates deny printing. A new or edited
+//! crate that drops out of any of them fails here, not silently.
+
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside `#[test]` fns: a missing or malformed manifest should fail the test"
+)]
 
 use std::fs;
 use std::path::Path;
@@ -20,12 +26,12 @@ const PRODUCT_CRATES: [&str; 9] = [
     "abft-analysis",
 ];
 
-/// Packages under `crates/` that may leave the lints out: binaries only.
-const EXEMPT: [&str; 1] = ["abft-bench"];
+/// The simulator crates, whose library code returns data and never
+/// prints: the directories under `crates/` whose `lib.rs` must deny it.
+const SILENT_CRATES: [&str; 4] = ["memsim", "ecc", "dgms", "faultsim"];
 
 fn read(rel: &str) -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
-    fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)).expect(rel)
 }
 
 /// The `[package]` name of a manifest, and whether it has `[lints]
@@ -50,26 +56,23 @@ fn package(manifest: &str) -> (String, bool) {
 
 #[test]
 fn every_library_crate_inherits_the_workspace_lints() {
+    let mut manifests = vec!["Cargo.toml".to_string()];
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
-    let mut inheriting = Vec::new();
     for entry in fs::read_dir(&crates).expect("crates/") {
-        let dir = entry.expect("dir entry").path();
-        let manifest = dir.join("Cargo.toml");
-        if !manifest.exists() {
-            continue; // crates/compat holds vendored stand-ins, no package
-        }
-        let (name, inherits) = package(&fs::read_to_string(&manifest).expect("manifest"));
-        assert!(
-            inherits || EXEMPT.contains(&name.as_str()),
-            "{}: `{name}` needs `[lints] workspace = true`",
-            manifest.display()
-        );
-        if inherits {
-            inheriting.push(name);
+        let dir = entry.expect("dir entry").file_name().to_string_lossy().into_owned();
+        if crates.join(&dir).join("Cargo.toml").exists() {
+            // crates/compat holds vendored stand-ins, no package.
+            manifests.push(format!("crates/{dir}/Cargo.toml"));
         }
     }
-    for name in PRODUCT_CRATES {
-        assert!(inheriting.iter().any(|n| n == name), "no crate `{name}` inherits the lints");
+    let mut inheriting = Vec::new();
+    for manifest in &manifests {
+        let (name, inherits) = package(&read(manifest));
+        assert!(inherits, "{manifest}: `{name}` needs `[lints] workspace = true`");
+        inheriting.push(name);
+    }
+    for name in PRODUCT_CRATES.iter().chain(&["abft-coop", "abft-bench"]) {
+        assert!(inheriting.iter().any(|n| n == name), "no package `{name}` inherits the lints");
     }
 
     let root = read("Cargo.toml");
@@ -92,5 +95,16 @@ fn clippy_toml_bans_the_wall_clock_and_the_hash_containers() {
         let entries = clippy.split(&format!("{list} = [")).nth(1).expect(list);
         let entries = &entries[..entries.find("\n]").expect("closing bracket")];
         assert!(entries.contains(&format!("path = \"{path}\"")), "{list} does not ban {path}");
+    }
+}
+
+#[test]
+fn the_simulator_crates_deny_printing() {
+    for dir in SILENT_CRATES {
+        let lib = format!("crates/{dir}/src/lib.rs");
+        let denies = read(&lib)
+            .lines()
+            .any(|l| l.trim() == "#![deny(clippy::print_stdout, clippy::print_stderr)]");
+        assert!(denies, "{lib} must deny clippy::print_stdout and clippy::print_stderr");
     }
 }
