@@ -1,30 +1,43 @@
 //! Trace inspector: the composition of each kernel's default-scale trace
 //! — per-region reference counts, footprints, read/write mix, and
-//! compute intensity. Fully streaming: each packed trace is pulled
-//! through a bounded chunk buffer, so inspecting it costs one chunk of
-//! memory.
+//! compute intensity. Fully streaming: each kernel's generator emits
+//! straight into a counting sink, so inspecting a trace holds none of it.
 
 use abft_coop_core::report::{pct, Report, TextTable};
 use abft_memsim::workloads::{KernelKind, KernelParams};
-use abft_memsim::{AccessSource, TraceCache, DEFAULT_CHUNK};
+use abft_memsim::{AccessSink, RegionId};
+
+/// Per-region references and writes of an emitted stream, and the
+/// instructions it retires (work + one per access).
+struct Tally {
+    refs: Vec<u64>,
+    writes: Vec<u64>,
+    instructions: u64,
+}
+
+impl AccessSink for Tally {
+    fn emit(&mut self, addr: u64, region: RegionId, write: bool, work: u32) {
+        self.emit_lines(addr, region, write, work, 1);
+    }
+
+    fn emit_lines(&mut self, _addr: u64, region: RegionId, write: bool, work: u32, lines: u64) {
+        self.refs[region as usize] += lines;
+        self.writes[region as usize] += write as u64 * lines;
+        self.instructions += lines * (work as u64 + 1);
+    }
+}
 
 pub fn run(out: &mut Report) {
     for kind in KernelKind::ALL {
         eprintln!("[generating {} trace ...]", kind.label());
-        let trace = TraceCache::global().get(KernelParams::default_for(kind));
-        let regions = trace.regions().regions();
-        let mut refs = vec![0u64; regions.len()];
-        let mut writes = vec![0u64; regions.len()];
-        let mut total = 0u64;
-        let mut src = trace.replay();
-        let mut chunk = Vec::with_capacity(DEFAULT_CHUNK);
-        while src.fill(&mut chunk, DEFAULT_CHUNK) > 0 {
-            for a in &chunk {
-                refs[a.region as usize] += 1;
-                writes[a.region as usize] += a.write as u64;
-            }
-            total += chunk.len() as u64;
-        }
+        let params = KernelParams::default_for(kind);
+        let registry = params.regions();
+        let regions = registry.regions();
+        let mut tally =
+            Tally { refs: vec![0; regions.len()], writes: vec![0; regions.len()], instructions: 0 };
+        params.emit_into(&mut tally);
+        let Tally { refs, writes, instructions } = tally;
+        let total: u64 = refs.iter().sum();
         let mut t = TextTable::new(&[
             "region",
             "ABFT",
@@ -50,8 +63,8 @@ pub fn run(out: &mut Report) {
             out,
             "\ntotal: {} refs, {} instructions ({:.1} instructions/ref)",
             total,
-            trace.instructions(),
-            trace.instructions() as f64 / total as f64
+            instructions,
+            instructions as f64 / total as f64
         );
     }
 }

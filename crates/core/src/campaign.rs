@@ -9,10 +9,9 @@
 //! per task, each through [`run_cells`]: the strategies of a row replay
 //! one and the same miss stream, so a task decodes it once and services
 //! every event on one lane per strategy. Kernel
-//! traces — the dominant fixed cost — are generated once per process
-//! through the shared [`TraceCache`] in the packed 8-byte encoding, and
-//! the cache hierarchy is simulated once per (workload x cache geometry x
-//! thread count) by the second memo level ([`TraceCache::get_filtered`]):
+//! traces — the dominant fixed cost — are generated straight into the
+//! cache hierarchy once per (workload x cache geometry x thread count)
+//! through the shared [`TraceCache`] ([`TraceCache::get_filtered`]):
 //! cells replay only the `Arc<MissStream>` L2 miss tail through the
 //! memory controller and DRAM, which is bit-identical to the full path
 //! (cache outcomes are ECC-independent) at O(LLC misses) instead of
@@ -119,9 +118,10 @@ pub struct Progress {
     pub config_tag: String,
     /// Wall-clock of the job that just finished.
     pub job_wall: Duration,
-    /// Trace-cache hits so far (process-wide for the cache in use).
+    /// [`TraceCache::get`] memo hits so far (process-wide for the cache in
+    /// use; a campaign makes none).
     pub cache_hits: u64,
-    /// Traces generated so far (process-wide for the cache in use).
+    /// Workloads generated so far (process-wide for the cache in use).
     pub cache_builds: u64,
 }
 
@@ -130,9 +130,12 @@ pub struct Progress {
 pub struct CampaignMetrics {
     /// Jobs executed.
     pub jobs: usize,
-    /// Trace-cache lookups served without generating (delta over the run).
+    /// [`TraceCache::get`] memo hits during the run: 0 in every campaign,
+    /// whose filter passes generate into the cache walker (or walk a stored
+    /// `.trace`) and never look a trace up. Kept for the JSON export.
     pub cache_hits: u64,
-    /// Traces generated during the run.
+    /// Workloads generated during the run: one per filter pass that
+    /// neither the store's `.miss` nor its `.trace` blob served.
     pub cache_builds: u64,
     /// Miss-stream lookups served from the memo (delta over the run).
     pub filter_hits: u64,
@@ -221,9 +224,9 @@ pub(crate) fn run_grid(
     #[expect(clippy::disallowed_methods, reason = "wall time is reporting-only progress metadata")]
     let start = Instant::now();
 
-    // Pre-build every distinct miss stream in parallel (each pulls its
-    // packed trace through the first memo level on demand; a phase
-    // sample pulls its stream the same way, if the store has none). Without
+    // Pre-build every distinct miss stream in parallel (each generates its
+    // workload into the cache walker; a phase sample pulls its stream
+    // through the miss-stream memo, if the store has none). Without
     // this the workload-major job order makes all workers start on the
     // same kernel and serialize behind one memo slot's build; warming
     // first costs max(build times) instead of their sum. Config
@@ -579,7 +582,7 @@ mod tests {
         );
         assert_eq!(run.metrics.jobs, 4);
         assert_eq!(run.metrics.cache_builds, 1, "one workload = one generation");
-        assert_eq!(run.metrics.cache_hits, 0, "only the filter pre-warm touches the trace level");
+        assert_eq!(run.metrics.cache_hits, 0, "a campaign never looks a trace up");
         assert_eq!(
             run.metrics.filter_builds, 1,
             "both configs share the default cache geometry = one filter pass"

@@ -8,8 +8,8 @@
 //! * [`campaign`] — the one campaign engine: a [`CampaignSpec`]'s
 //!   (workload x config x strategy) grid expands into cells run on a rayon
 //!   pool, a chunk of one row's strategies at a time through [`run_cells`]
-//!   ([`run_cell`] is its one-strategy call), with traces and miss streams
-//!   shared through the `TraceCache`; results come back as a
+//!   ([`run_cell`] is its one-strategy call), with miss streams shared
+//!   through the `TraceCache`; results come back as a
 //!   [`CampaignRun`].
 //! * `experiment` — the Section 5.1 metrics ([`BasicTest`]), assembled
 //!   from a [`CampaignRun`].

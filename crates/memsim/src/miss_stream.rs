@@ -53,8 +53,8 @@
 use crate::cache::{Cache, CacheOutcome};
 use crate::config::CacheConfig;
 use crate::packed::{pack, region_of, run_end, unpack};
-use crate::stream::{AccessSource, RunChunk, RUN_CHUNK};
-use crate::trace::{Access, RegionMap};
+use crate::stream::{AccessSink, AccessSource, RunChunk, RUN_CHUNK};
+use crate::trace::{Access, RegionId, RegionMap};
 
 pub(crate) const KIND_SHIFT: u32 = 29;
 pub(crate) const KIND_MASK: u64 = 0b11;
@@ -198,112 +198,201 @@ impl StreamTotals {
     }
 }
 
-/// Drive `src` through fresh L1/L2 caches and hand every DRAM-visible
-/// event, in DRAM-access order, to `on_event` together with the undivided
-/// thread-cycle track at the event — the one cache-hierarchy
-/// walk, which [`MissStream::build`] records and the full path of
-/// [`crate::system::Machine::simulate`] services as it goes. The source
-/// is rewound first, so a fresh and a drained stream behave identically,
-/// and pulled a chunk of line sweeps at a time
-/// ([`AccessSource::fill_runs`]): a packed replay hands its runs out
-/// whole, any other source one access a run.
+/// What the walk hands each DRAM-visible event to, with the undivided
+/// thread-cycle track at the event: a closure (the full path services the
+/// event, a test collects it) or the [`Encoder`] that records it.
+pub(crate) trait OnEvent {
+    fn on_event(&mut self, ev: &MissEvent, track: u64);
+}
+
+impl<F: FnMut(&MissEvent, u64)> OnEvent for F {
+    #[inline(always)]
+    fn on_event(&mut self, ev: &MissEvent, track: u64) {
+        self(ev, track)
+    }
+}
+
+/// The one cache-hierarchy walk, as a sink: every access pushed into it
+/// goes through fresh L1/L2 caches, and every DRAM-visible event falls out,
+/// in DRAM-access order, to its [`OnEvent`] together with the undivided
+/// thread-cycle track at the event. [`MissStream::build`] records what it
+/// drives through it, the full path of [`crate::system::Machine::simulate`]
+/// services the events as they go, and a kernel generator pushes its
+/// sweeps straight in ([`MissStream::filter`]), so no trace is held.
 ///
 /// Thread-level concurrency: `threads` in-order workers interleave their
 /// instruction streams, so per-thread cycles (compute + cache latencies)
 /// compress by the thread count on the machine timeline, while every
 /// access still reaches the shared memory system. The core-cycle count is
 /// `⌊Σ thread cycles / threads⌋`, divided only where an event observes it
-/// (`Σ` is the track `on_event` receives):
+/// (`Σ` is the track the event handler receives):
 /// exactly what carrying the remainder from access to access yields, as
 /// `cycles · threads + carry = Σ` with `carry < threads` throughout. DRAM
 /// stalls are machine-level and never enter the sum; a consumer adds them
 /// on top ([`MissEvent::core_cycles`]).
-///
-/// Returns every policy-independent count of the run, with `events` left
-/// at 0: the walk hands events out, and it is `on_event` that knows what
-/// became of them.
+pub(crate) struct Walker<E> {
+    regions: RegionMap,
+    l1: Cache,
+    l2: Cache,
+    l1_cfg: CacheConfig,
+    l2_cfg: CacheConfig,
+    tallies: Vec<RegionTally>,
+    threads: u64,
+    thread_cycles: u64,
+    retired: u64,
+    accesses: u64,
+    on_event: E,
+}
+
+impl<E: OnEvent> Walker<E> {
+    /// A walk over accesses of `regions` through fresh caches.
+    pub fn new(
+        regions: &RegionMap,
+        l1_cfg: CacheConfig,
+        l2_cfg: CacheConfig,
+        threads: usize,
+        on_event: E,
+    ) -> Self {
+        // Copied before the walk's buffers exist: made after them, this small
+        // allocation pins the heap above them (+3.4 MiB peak RSS at paper scale).
+        let regions = regions.clone();
+        let (l1, l2) = (Cache::new(l1_cfg), Cache::new(l2_cfg));
+        let tallies = vec![RegionTally::default(); regions.regions().len()];
+        Walker {
+            regions,
+            l1,
+            l2,
+            l1_cfg,
+            l2_cfg,
+            tallies,
+            threads: threads.max(1) as u64,
+            thread_cycles: 0,
+            retired: 0,
+            accesses: 0,
+            on_event,
+        }
+    }
+
+    /// `len` accesses alike but for their addresses, `head` and the next
+    /// `len - 1` 64-byte lines: the walk's one per-line body, which every
+    /// entry — pulled run or pushed access or sweep — comes through. What
+    /// a sweep's accesses share (instructions retired, references, the
+    /// region whose tally they land in) is settled once per sweep.
+    #[inline]
+    fn sweep(&mut self, head: Access, len: u64) {
+        let (l1_latency, l2_latency) = (self.l1_cfg.latency_cycles, self.l2_cfg.latency_cycles);
+        let threads = self.threads;
+        self.accesses += len;
+        self.retired += len * (head.work as u64 + 1);
+        let mut thread_cycles = self.thread_cycles;
+        let Walker { l1, l2, tallies, on_event, .. } = self;
+        let rt = &mut tallies[head.region as usize];
+        rt.refs += len;
+        for i in 0..len {
+            let a = Access { addr: head.addr + 64 * i, ..head };
+            thread_cycles += a.work as u64;
+            let CacheOutcome::Miss { writeback } = l1.access(a.addr, a.write) else {
+                thread_cycles += l1_latency;
+                continue;
+            };
+            rt.l1_misses += 1;
+            if let Some(wb) = writeback {
+                // The L1 victim is installed dirty in L2 (the full line
+                // travels down, so no DRAM fill is needed); only a dirty
+                // line L2 evicts to make room reaches memory.
+                if let CacheOutcome::Miss { writeback: Some(wb2) } = l2.access(wb, true) {
+                    let kind = MissEventKind::Writeback(wb2);
+                    let ev = MissEvent { trigger: a, core_cycles: thread_cycles / threads, kind };
+                    on_event.on_event(&ev, thread_cycles);
+                }
+            }
+            if let CacheOutcome::Miss { writeback } = l2.access(a.addr, a.write) {
+                rt.llc_misses += 1;
+                let kind = MissEventKind::Demand { writeback };
+                let ev = MissEvent { trigger: a, core_cycles: thread_cycles / threads, kind };
+                on_event.on_event(&ev, thread_cycles);
+            }
+            thread_cycles += l2_latency;
+        }
+        self.thread_cycles = thread_cycles;
+    }
+
+    /// Every policy-independent count of the walk, with `events` left at
+    /// 0 (the walk hands events out, and it is the handler, returned
+    /// beside the counts, that knows what became of them). `instructions`
+    /// is the source's own total where it knows one: the sum the walk
+    /// keeps is the one [`crate::packed::PackedBuilder`] and
+    /// [`crate::trace::Trace::push`] keep, so the two agree.
+    pub fn finish(self, instructions: Option<u64>) -> (StreamTotals, E) {
+        // The L2's own counters include the L1 victims installed into it;
+        // as a level of the hierarchy it is asked once per L1 miss.
+        let l2_misses: u64 = self.tallies.iter().map(|t| t.llc_misses).sum();
+        let totals = StreamTotals {
+            regions: self.regions,
+            events: 0,
+            accesses: self.accesses,
+            instructions: instructions.unwrap_or(self.retired),
+            core_cycles: self.thread_cycles / self.threads,
+            l1_hits: self.l1.hits,
+            l1_misses: self.l1.misses,
+            l2_hits: self.l1.misses - l2_misses,
+            l2_misses,
+            tallies: self.tallies,
+            l1_cfg: self.l1_cfg,
+            l2_cfg: self.l2_cfg,
+            threads: self.threads as usize,
+        };
+        (totals, self.on_event)
+    }
+}
+
+impl<E: OnEvent> AccessSink for Walker<E> {
+    #[inline]
+    fn emit(&mut self, addr: u64, region: RegionId, write: bool, work: u32) {
+        self.sweep(Access { addr, region, write, work }, 1);
+    }
+
+    #[inline]
+    fn emit_lines(&mut self, addr: u64, region: RegionId, write: bool, work: u32, lines: u64) {
+        self.sweep(Access { addr, region, write, work }, lines);
+    }
+}
+
+/// Pull `src` through a [`Walker`] handing its events to `on_event`: the
+/// source is rewound first, so a fresh and a drained stream behave
+/// identically, and pulled a chunk of line sweeps at a time
+/// ([`AccessSource::fill_runs`]) — a packed replay hands its runs out
+/// whole, any other source one access a run. Returns the walk's counts
+/// ([`Walker::finish`]).
 pub(crate) fn walk<S: AccessSource + ?Sized>(
     src: &mut S,
     l1_cfg: CacheConfig,
     l2_cfg: CacheConfig,
     threads: usize,
-    mut on_event: impl FnMut(&MissEvent, u64),
+    on_event: impl FnMut(&MissEvent, u64),
 ) -> StreamTotals {
     src.reset();
-    // Copied before the walk's buffers exist: made after them, this small
-    // allocation pins the heap above them (+3.4 MiB peak RSS at paper scale).
-    let regions = src.regions().clone();
-    let mut l1 = Cache::new(l1_cfg);
-    let mut l2 = Cache::new(l2_cfg);
-    let mut tallies = vec![RegionTally::default(); src.regions().regions().len()];
-    let threads = threads.max(1) as u64;
-    let mut thread_cycles = 0u64;
-    let mut retired = 0u64;
-    let mut accesses = 0u64;
-
-    // What a sweep's accesses share — instructions retired, references,
-    // the region whose tally they land in — is settled once per sweep.
+    let mut walker = Walker::new(src.regions(), l1_cfg, l2_cfg, threads, on_event);
     let mut chunk = RunChunk::with_capacity(RUN_CHUNK);
-    loop {
-        let pulled = src.fill_runs(&mut chunk, RUN_CHUNK);
-        if pulled == 0 {
-            break;
-        }
-        accesses += pulled as u64;
+    while src.fill_runs(&mut chunk, RUN_CHUNK) > 0 {
         for run in &chunk.runs {
-            let (head, len) = (run.head, run.len as u64);
-            retired += len * (head.work as u64 + 1);
-            let rt = &mut tallies[head.region as usize];
-            rt.refs += len;
-            for a in run.accesses() {
-                thread_cycles += a.work as u64;
-                let CacheOutcome::Miss { writeback } = l1.access(a.addr, a.write) else {
-                    thread_cycles += l1_cfg.latency_cycles;
-                    continue;
-                };
-                rt.l1_misses += 1;
-                if let Some(wb) = writeback {
-                    // The L1 victim is installed dirty in L2 (the full line
-                    // travels down, so no DRAM fill is needed); only a dirty
-                    // line L2 evicts to make room reaches memory.
-                    if let CacheOutcome::Miss { writeback: Some(wb2) } = l2.access(wb, true) {
-                        let kind = MissEventKind::Writeback(wb2);
-                        let ev =
-                            MissEvent { trigger: a, core_cycles: thread_cycles / threads, kind };
-                        on_event(&ev, thread_cycles);
-                    }
-                }
-                if let CacheOutcome::Miss { writeback } = l2.access(a.addr, a.write) {
-                    rt.llc_misses += 1;
-                    let kind = MissEventKind::Demand { writeback };
-                    let ev = MissEvent { trigger: a, core_cycles: thread_cycles / threads, kind };
-                    on_event(&ev, thread_cycles);
-                }
-                thread_cycles += l2_cfg.latency_cycles;
-            }
+            walker.sweep(run.head, run.len as u64);
         }
     }
-    // The L2's own counters include the L1 victims installed into it; as
-    // a level of the hierarchy it is asked once per L1 miss.
-    let l2_misses: u64 = tallies.iter().map(|t| t.llc_misses).sum();
-    StreamTotals {
-        regions,
-        events: 0,
-        accesses,
-        // `push` maintains the same sum, so for sources that know their
-        // total this is exact, and for generators it is the identical
-        // accumulation.
-        instructions: src.instructions_hint().unwrap_or(retired),
-        core_cycles: thread_cycles / threads,
-        l1_hits: l1.hits,
-        l1_misses: l1.misses,
-        l2_hits: l1.misses - l2_misses,
-        l2_misses,
-        tallies,
-        l1_cfg,
-        l2_cfg,
-        threads: threads as usize,
-    }
+    walker.finish(src.instructions_hint()).0
+}
+
+/// Panic unless `l1` / `l2` lines are whole DRAM bursts: a record holds
+/// its write-back address in 64-byte units, and a shorter line has address
+/// bits below that.
+fn assert_burst_lines(l1: &CacheConfig, l2: &CacheConfig) {
+    assert!(
+        l1.line_bytes >= 64 && l2.line_bytes >= 64,
+        "miss stream: {}- / {}-byte cache lines are below the 64-byte DRAM burst its \
+         records hold write-back addresses at",
+        l1.line_bytes,
+        l2.line_bytes
+    );
 }
 
 impl MissStream {
@@ -315,19 +404,35 @@ impl MissStream {
         l2_cfg: CacheConfig,
         threads: usize,
     ) -> MissStream {
-        // A record holds its write-back address in 64-byte units (the DRAM
-        // burst); a shorter line has address bits below that.
-        assert!(
-            l1_cfg.line_bytes >= 64 && l2_cfg.line_bytes >= 64,
-            "miss stream: {}- / {}-byte cache lines are below the 64-byte DRAM burst its \
-             records hold write-back addresses at",
-            l1_cfg.line_bytes,
-            l2_cfg.line_bytes
-        );
-        let bases = region_bases(src.regions());
-        let mut enc = Encoder::new(&bases);
-        let mut totals = walk(src, l1_cfg, l2_cfg, threads, |ev, track| enc.push(ev, track));
-        let (words, events) = enc.finish();
+        assert_burst_lines(&l1_cfg, &l2_cfg);
+        let mut enc = Encoder::new(region_bases(src.regions()));
+        let totals = walk(src, l1_cfg, l2_cfg, threads, |ev, track| enc.push(ev, track));
+        MissStream::seal(totals, enc)
+    }
+
+    /// Record the DRAM-visible tail of what `feed` pushes into the walker
+    /// it is handed — accesses of `regions`, through L1/L2 once: the push
+    /// entry, by which a generator ([`crate::workloads::KernelParams::emit_into`])
+    /// is filtered without its trace ever being held. Bit-identical to
+    /// [`MissStream::build`] over the same accesses.
+    pub(crate) fn filter(
+        regions: &RegionMap,
+        l1_cfg: CacheConfig,
+        l2_cfg: CacheConfig,
+        threads: usize,
+        feed: impl FnOnce(&mut Walker<Encoder>),
+    ) -> MissStream {
+        assert_burst_lines(&l1_cfg, &l2_cfg);
+        let enc = Encoder::new(region_bases(regions));
+        let mut walker = Walker::new(regions, l1_cfg, l2_cfg, threads, enc);
+        feed(&mut walker);
+        let (totals, enc) = walker.finish(None);
+        MissStream::seal(totals, enc)
+    }
+
+    /// The stream of a finished walk and the encoder that recorded it.
+    fn seal(mut totals: StreamTotals, enc: Encoder) -> MissStream {
+        let (bases, words, events) = enc.finish();
         totals.events = events;
         let records = MissRecords { bases, words, threads: totals.threads as u64 };
         let ms = MissStream { totals, records };
@@ -502,8 +607,8 @@ fn region_bases(regions: &RegionMap) -> Vec<u64> {
 }
 
 /// Run-coalescing encoder for miss-stream records.
-struct Encoder<'a> {
-    bases: &'a [u64],
+pub(crate) struct Encoder {
+    bases: Vec<u64>,
     words: Vec<u64>,
     /// Events in the pending run; 0 when there is none, and then the four
     /// fields below are stale.
@@ -520,8 +625,15 @@ struct Encoder<'a> {
     events: u64,
 }
 
-impl<'a> Encoder<'a> {
-    fn new(bases: &'a [u64]) -> Self {
+impl OnEvent for Encoder {
+    #[inline(always)]
+    fn on_event(&mut self, ev: &MissEvent, track: u64) {
+        self.push(ev, track)
+    }
+}
+
+impl Encoder {
+    fn new(bases: Vec<u64>) -> Self {
         Encoder {
             bases,
             words: Vec::new(),
@@ -601,9 +713,10 @@ impl<'a> Encoder<'a> {
         ]);
     }
 
-    fn finish(mut self) -> (Box<[u64]>, u64) {
+    /// The base table, the records and the events they cover.
+    fn finish(mut self) -> (Vec<u64>, Box<[u64]>, u64) {
         self.flush();
-        (self.words.into_boxed_slice(), self.events)
+        (self.bases, self.words.into_boxed_slice(), self.events)
     }
 }
 
@@ -1039,15 +1152,14 @@ mod tests {
     /// A two-event stream of one region whose second event is `gap` thread
     /// cycles after its first, encoded and decoded at four threads.
     fn two_events_apart(gap: u64) -> Vec<MissEvent> {
-        let bases = [0u64];
-        let mut enc = Encoder::new(&bases);
+        let mut enc = Encoder::new(vec![0]);
         let trigger = Access { addr: 0, region: 0, write: false, work: 0 };
         let kind = MissEventKind::Demand { writeback: None };
         for track in [1, 1 + gap] {
             enc.push(&MissEvent { trigger, core_cycles: track / 4, kind }, track);
         }
-        let (words, _) = enc.finish();
-        let records = MissRecords { bases: bases.to_vec(), words, threads: 4 };
+        let (bases, words, _) = enc.finish();
+        let records = MissRecords { bases, words, threads: 4 };
         records.events_from(SliceCursor::start()).collect()
     }
 

@@ -140,9 +140,9 @@ pub fn unpack(word: u64, bases: &[u64]) -> Access {
 }
 
 /// A compact, immutable access stream: the region registry plus packed
-/// segments. This is what the [`crate::trace_cache::TraceCache`]
-/// memoizes — one 8-byte word per line-sweep run instead of 16 bytes per
-/// individual record.
+/// segments, one 8-byte word per line-sweep run instead of 16 bytes per
+/// individual record. This is what a `.trace` blob of the
+/// [`crate::store::ArtifactStore`] holds.
 #[derive(Debug, Clone)]
 pub struct PackedTrace {
     regions: RegionMap,

@@ -21,7 +21,7 @@
 //! under the store root):
 //!
 //! ```text
-//! header:  magic "ABFTART1" | u32 kind | u32 version (3) | u128 key digest
+//! header:  magic "ABFTART1" | u32 kind | u32 version (4) | u128 key digest
 //! payload: varint-compressed artifact body (xor-delta words)
 //! footer:  u64 payload length | u64 payload checksum | magic "ABFTEND1"
 //! ```
@@ -63,6 +63,8 @@ use crate::simpoint::{
 use crate::trace::{Region, RegionMap, PAGE_BYTES};
 use crate::trace_cache::FilterKey;
 use crate::workloads::KernelParams;
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -169,17 +171,23 @@ impl StableDigest {
 /// multiplication by the odd prime are both bijections of the state, so
 /// two payloads that differ inside a single step can never collide.
 fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = FNV64_OFFSET;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
+    let whole = bytes.len() & !7;
+    fold_bytes(fold_words(FNV64_OFFSET, &bytes[..whole]), &bytes[whole..])
+}
+
+/// Fold whole little-endian words into the checksum state `h`.
+fn fold_words(mut h: u64, words: &[u8]) -> u64 {
+    for w in words.chunks_exact(8) {
         let mut le = [0u8; 8];
         le.copy_from_slice(w);
         h = (h ^ u64::from_le_bytes(le)).wrapping_mul(FNV64_PRIME);
     }
-    for &b in words.remainder() {
-        h = (h ^ b as u64).wrapping_mul(FNV64_PRIME);
-    }
     h
+}
+
+/// Fold a payload's last `len % 8` bytes into the checksum state `h`.
+fn fold_bytes(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV64_PRIME))
 }
 
 fn digest_params(d: &mut StableDigest, params: KernelParams) {
@@ -261,16 +269,106 @@ pub fn simpoint_key(key: &FilterKey, cfg: &SimPointConfig) -> u128 {
 // Varint payload primitives (LEB128; xor-delta compresses the regular
 // word streams well — consecutive packed words share high bits).
 
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
+/// Bytes a blob's payload is buffered in on its way to disk: a
+/// [`BlobWriter`] writes once its buffer holds this many.
+const BLOB_BUF: usize = 64 * 1024;
+
+/// Where the encoders write a payload: a `Vec` that holds it whole (what
+/// the tests take apart), or a [`BlobWriter`] that streams it to disk.
+trait Payload {
+    /// The bytes not yet written out, to append to.
+    fn buf(&mut self) -> &mut Vec<u8>;
+
+    /// Called after every value appended: a streaming writer writes out a
+    /// full buffer here.
+    fn spill(&mut self) {}
+}
+
+impl Payload for Vec<u8> {
+    fn buf(&mut self) -> &mut Vec<u8> {
+        self
     }
+}
+
+/// One blob on its way to disk through a fixed buffer: the header is
+/// written first, the payload a full buffer at a time, the footer last, so
+/// no copy of the blob is ever held whole. A flush writes the buffer's
+/// 8-byte-aligned prefix, folds it into the checksum a word at a time and
+/// carries the rest over; the payload is therefore folded in exactly the
+/// aligned words [`checksum`] takes over it whole, and the sum in the
+/// footer is the same. The first I/O error is kept, every later write
+/// skipped, and [`BlobWriter::finish`] returns it.
+struct BlobWriter<W> {
+    out: W,
+    buf: Vec<u8>,
+    /// Payload bytes flushed so far.
+    len: u64,
+    /// Checksum state over them.
+    sum: u64,
+    err: Option<std::io::Error>,
+}
+
+impl<W: Write> BlobWriter<W> {
+    fn new(mut out: W, kind: u32, key: u128) -> Self {
+        let mut header = Vec::with_capacity(HEADER_BYTES);
+        header.extend_from_slice(BLOB_MAGIC);
+        header.extend_from_slice(&kind.to_le_bytes());
+        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        header.extend_from_slice(&key.to_le_bytes());
+        let err = out.write_all(&header).err();
+        // Room for a full buffer plus what may be appended after the last
+        // spill check: a region name (a loaded one is at most 4 KiB).
+        let buf = Vec::with_capacity(BLOB_BUF + 4096);
+        BlobWriter { out, buf, len: 0, sum: FNV64_OFFSET, err }
+    }
+
+    /// Write out and fold the buffer's whole words.
+    fn flush_words(&mut self) {
+        let whole = self.buf.len() & !7;
+        self.sum = fold_words(self.sum, &self.buf[..whole]);
+        self.len += whole as u64;
+        if self.err.is_none() {
+            self.err = self.out.write_all(&self.buf[..whole]).err();
+        }
+        self.buf.drain(..whole);
+    }
+
+    /// Write out the rest of the payload and the footer.
+    fn finish(mut self) -> std::io::Result<W> {
+        self.flush_words();
+        self.sum = fold_bytes(self.sum, &self.buf);
+        self.len += self.buf.len() as u64;
+        self.buf.extend_from_slice(&self.len.to_le_bytes());
+        self.buf.extend_from_slice(&self.sum.to_le_bytes());
+        self.buf.extend_from_slice(END_MAGIC);
+        match self.err {
+            Some(e) => Err(e),
+            None => self.out.write_all(&self.buf).map(|()| self.out),
+        }
+    }
+}
+
+impl<W: Write> Payload for BlobWriter<W> {
+    fn buf(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
+    #[inline]
+    fn spill(&mut self) {
+        if self.buf.len() >= BLOB_BUF {
+            self.flush_words();
+        }
+    }
+}
+
+fn put_varint(out: &mut impl Payload, mut v: u64) {
+    let buf = out.buf();
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+    out.spill();
 }
 
 fn get_varint(cur: &mut &[u8]) -> Result<u64, StoreError> {
@@ -299,14 +397,14 @@ fn get_bytes<'a>(cur: &mut &'a [u8], n: usize) -> Result<&'a [u8], StoreError> {
     Ok(head)
 }
 
-fn put_regions(buf: &mut Vec<u8>, regions: &[Region]) {
-    put_varint(buf, regions.len() as u64);
+fn put_regions(out: &mut impl Payload, regions: &[Region]) {
+    put_varint(out, regions.len() as u64);
     for r in regions {
-        put_varint(buf, r.name.len() as u64);
-        buf.extend_from_slice(r.name.as_bytes());
-        put_varint(buf, r.base);
-        put_varint(buf, r.bytes);
-        buf.push(r.abft_protected as u8 | ((r.abft_detectable as u8) << 1));
+        put_varint(out, r.name.len() as u64);
+        out.buf().extend_from_slice(r.name.as_bytes());
+        put_varint(out, r.base);
+        put_varint(out, r.bytes);
+        out.buf().push(r.abft_protected as u8 | ((r.abft_detectable as u8) << 1));
     }
 }
 
@@ -347,12 +445,8 @@ fn get_regions(cur: &mut &[u8]) -> Result<RegionMap, StoreError> {
 /// Xor-delta + varint encode a word stream; `stride` is the xor
 /// distance (1 for packed traces, 2 for two-word miss records so word-0s
 /// delta against word-0s and word-1s against word-1s).
-fn put_words(buf: &mut Vec<u8>, words: impl Iterator<Item = u64>, count: u64, stride: usize) {
+fn put_words(buf: &mut impl Payload, words: impl Iterator<Item = u64>, count: u64, stride: usize) {
     put_varint(buf, count);
-    // The words are nearly all of a blob: sized once here (a delta rarely
-    // needs more than its word's eight bytes), the buffer does not grow
-    // and copy itself while they are written.
-    buf.reserve(count as usize * 8 + FOOTER_BYTES);
     let mut prev = [0u64; 2];
     for (i, w) in words.enumerate() {
         let slot = i % stride;
@@ -379,7 +473,7 @@ fn get_words(cur: &mut &[u8], stride: usize) -> Result<Vec<u64>, StoreError> {
     Ok(words)
 }
 
-fn encode_trace(buf: &mut Vec<u8>, t: &PackedTrace) {
+fn encode_trace(buf: &mut impl Payload, t: &PackedTrace) {
     put_regions(buf, t.regions().regions());
     put_varint(buf, t.len());
     put_varint(buf, t.instructions());
@@ -398,7 +492,7 @@ fn decode_trace(mut cur: &[u8]) -> Result<PackedTrace, StoreError> {
 }
 
 /// The head of a miss payload and of a `.simpoint` blob's sample section.
-fn put_totals(buf: &mut Vec<u8>, t: &StreamTotals) {
+fn put_totals(buf: &mut impl Payload, t: &StreamTotals) {
     put_regions(buf, t.regions.regions());
     put_varint(buf, t.events);
     put_varint(buf, t.accesses);
@@ -423,7 +517,7 @@ fn put_totals(buf: &mut Vec<u8>, t: &StreamTotals) {
     put_varint(buf, t.threads as u64);
 }
 
-fn encode_miss(buf: &mut Vec<u8>, ms: &MissStream) {
+fn encode_miss(buf: &mut impl Payload, ms: &MissStream) {
     put_totals(buf, ms.totals());
     put_words(buf, ms.raw_words().iter().copied(), ms.raw_words().len() as u64, 2);
 }
@@ -485,7 +579,7 @@ fn decode_miss(mut cur: &[u8]) -> Result<MissStream, StoreError> {
     MissStream::from_raw_parts(totals, words).map_err(StoreError::Malformed)
 }
 
-fn encode_simpoint(buf: &mut Vec<u8>, sel: &SimPointSelection) {
+fn encode_simpoint(buf: &mut impl Payload, sel: &SimPointSelection) {
     let cfg = sel.config();
     put_varint(buf, cfg.interval);
     put_varint(buf, cfg.max_phases as u64);
@@ -582,7 +676,7 @@ fn decode_simpoint(cur: &mut &[u8]) -> Result<SimPointSelection, StoreError> {
 
 /// The sample section: the condensed stream's totals, the slices' records
 /// and where each slice starts.
-fn encode_sample(buf: &mut Vec<u8>, sample: &PhaseSample) {
+fn encode_sample(buf: &mut impl Payload, sample: &PhaseSample) {
     let (words, offsets) = sample.raw_parts();
     put_totals(buf, sample.totals());
     put_words(buf, words.iter().copied(), words.len() as u64, 2);
@@ -620,9 +714,10 @@ pub struct StoreMetrics {
     pub writes: u64,
     /// Corrupt blobs deleted instead of trusted.
     pub evictions: u64,
-    /// Artifacts a [`crate::trace_cache::TraceCache`] built and could not
-    /// persist (a full or read-only store, a refused key): the process was
-    /// served from memory, the next one rebuilds.
+    /// `save_*` calls that persisted nothing (a full or read-only store, a
+    /// write that failed mid-blob, a refused key): an artifact a
+    /// [`crate::trace_cache::TraceCache`] built is then served from memory,
+    /// and the next process rebuilds it.
     pub write_failures: u64,
 }
 
@@ -718,9 +813,11 @@ impl ArtifactStore {
         }
     }
 
-    /// Count an artifact that a `save_*` call returned an error for.
-    pub(crate) fn count_write_failure(&self) {
+    /// Refuse to save an artifact whose geometry is not its key's: no load
+    /// would ever accept it. Counted as a write failure.
+    fn refuse(&self) -> Result<(), StoreError> {
         self.write_failures.fetch_add(1, Ordering::Relaxed);
+        Err(StoreError::KeyMismatch)
     }
 
     /// Load a packed trace, or `None` when absent or evicted as corrupt.
@@ -729,11 +826,11 @@ impl ArtifactStore {
     }
 
     /// Persist a packed trace (best-effort; the caller already holds the
-    /// in-memory artifact either way).
+    /// in-memory artifact either way). Every `save_*` that fails counts a
+    /// [`StoreMetrics::write_failures`].
     pub fn save_trace(&self, params: KernelParams, t: &PackedTrace) -> Result<(), StoreError> {
-        self.save_blob(&self.trace_path(params), KIND_TRACE, trace_key(params), |buf| {
-            encode_trace(buf, t)
-        })
+        let path = self.trace_path(params);
+        self.save_blob(&path, KIND_TRACE, trace_key(params), |out| encode_trace(out, t))
     }
 
     /// Load a miss stream, or `None` when absent or evicted as corrupt.
@@ -756,9 +853,9 @@ impl ArtifactStore {
     /// would ever accept it.
     pub fn save_miss(&self, key: &FilterKey, ms: &MissStream) -> Result<(), StoreError> {
         if !ms.matches(&key.l1, &key.l2, key.threads) {
-            return Err(StoreError::KeyMismatch);
+            return self.refuse();
         }
-        self.save_blob(&self.miss_path(key), KIND_MISS, miss_key(key), |buf| encode_miss(buf, ms))
+        self.save_blob(&self.miss_path(key), KIND_MISS, miss_key(key), |out| encode_miss(out, ms))
     }
 
     /// Load the phase selection of a `.simpoint` blob, or `None` when the
@@ -812,50 +909,59 @@ impl ArtifactStore {
         sample: &PhaseSample,
     ) -> Result<(), StoreError> {
         if !sample.totals().matches(&key.l1, &key.l2, key.threads) {
-            return Err(StoreError::KeyMismatch);
+            return self.refuse();
         }
-        self.save_blob(
-            &self.simpoint_path(key, cfg),
-            KIND_SIMPOINT,
-            simpoint_key(key, cfg),
-            |buf| {
-                encode_simpoint(buf, sample.selection());
-                encode_sample(buf, sample);
-            },
-        )
+        let path = self.simpoint_path(key, cfg);
+        self.save_blob(&path, KIND_SIMPOINT, simpoint_key(key, cfg), |out| {
+            encode_simpoint(out, sample.selection());
+            encode_sample(out, sample);
+        })
     }
 
-    /// Frame and write one blob; `write_payload` appends the payload
-    /// straight after the header, so the artifact's bytes exist once.
+    /// Frame and write one blob: `write_payload` streams the payload
+    /// through a [`BlobWriter`] into a temp file, so the artifact's bytes
+    /// are never held whole a second time.
     fn save_blob(
         &self,
         path: &Path,
         kind: u32,
         key: u128,
-        write_payload: impl FnOnce(&mut Vec<u8>),
+        write_payload: impl FnOnce(&mut BlobWriter<File>),
     ) -> Result<(), StoreError> {
-        let mut blob = Vec::with_capacity(HEADER_BYTES + FOOTER_BYTES);
-        blob.extend_from_slice(BLOB_MAGIC);
-        blob.extend_from_slice(&kind.to_le_bytes());
-        blob.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        blob.extend_from_slice(&key.to_le_bytes());
-        write_payload(&mut blob);
-        let payload = &blob[HEADER_BYTES..];
-        let (len, sum) = (payload.len() as u64, checksum(payload));
-        blob.extend_from_slice(&len.to_le_bytes());
-        blob.extend_from_slice(&sum.to_le_bytes());
-        blob.extend_from_slice(END_MAGIC);
-        // Temp file + rename: a crash mid-write never leaves a partial
-        // blob under an addressable name, and the rename is atomic on
-        // the same filesystem. The name is unique per write, not per
-        // process: two writers of one key must not share a temp file, or
-        // one renames it while the other is still writing.
+        self.save_blob_with(path, kind, key, |tmp| File::create(tmp), write_payload)
+    }
+
+    /// [`ArtifactStore::save_blob`] into whatever `create` opens at the
+    /// temp path. A blob that is not written whole is counted as a write
+    /// failure.
+    fn save_blob_with<W: Write>(
+        &self,
+        path: &Path,
+        kind: u32,
+        key: u128,
+        create: impl FnOnce(&Path) -> std::io::Result<W>,
+        write_payload: impl FnOnce(&mut BlobWriter<W>),
+    ) -> Result<(), StoreError> {
+        // Temp file + rename: a crash or a failed write mid-blob never
+        // leaves a partial blob under an addressable name, and the rename
+        // is atomic on the same filesystem. The name is unique per write,
+        // not per process: two writers of one key must not share a temp
+        // file, or one renames it while the other is still writing.
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = path.with_extension(format!("tmp{}-{seq}", std::process::id()));
-        std::fs::write(&tmp, &blob)?;
-        if let Err(e) = std::fs::rename(&tmp, path) {
+        let written = create(&tmp).and_then(|out| {
+            let mut blob = BlobWriter::new(out, kind, key);
+            write_payload(&mut blob);
+            blob.finish()
+        });
+        // The writer is closed before its file is renamed.
+        if let Err(e) = written.and_then(|out| {
+            drop(out);
+            std::fs::rename(&tmp, path)
+        }) {
             let _ = std::fs::remove_file(&tmp);
+            self.write_failures.fetch_add(1, Ordering::Relaxed);
             return Err(e.into());
         }
         self.writes.fetch_add(1, Ordering::Relaxed);
@@ -1249,7 +1355,7 @@ mod tests {
         payload: &[u8],
     ) {
         let path = store.simpoint_path(key, sp);
-        let fill = |buf: &mut Vec<u8>| buf.extend_from_slice(payload);
+        let fill = |out: &mut BlobWriter<File>| out.buf().extend_from_slice(payload);
         store.save_blob(&path, KIND_SIMPOINT, simpoint_key(key, sp), fill).unwrap();
     }
 
@@ -1268,7 +1374,7 @@ mod tests {
         let decoded = decode(payload).map(drop);
         assert!(matches!(decoded, Err(StoreError::Malformed(_))), "{what}: {decoded:?}");
         let before = store.metrics().evictions;
-        store.save_blob(path, kind, key, |buf| buf.extend_from_slice(payload)).unwrap();
+        store.save_blob(path, kind, key, |out| out.buf().extend_from_slice(payload)).unwrap();
         assert!(!load(), "{what}: served");
         assert!(!path.exists(), "{what}: left in place");
         assert_eq!(store.metrics().evictions, before + 1, "{what}");
@@ -1631,7 +1737,8 @@ mod tests {
                     // Counted as finished even if a save fails, or the
                     // loader below would spin forever.
                     let failed = (0..200).find_map(|_| {
-                        let fill = |buf: &mut Vec<u8>| buf.extend_from_slice(&payload);
+                        let fill =
+                            |out: &mut BlobWriter<File>| out.buf().extend_from_slice(&payload);
                         store.save_blob(&path, KIND_TRACE, 7, fill).err()
                     });
                     writers_left.fetch_sub(1, Ordering::SeqCst);
@@ -1657,6 +1764,82 @@ mod tests {
         let left: Vec<_> =
             std::fs::read_dir(store.root()).unwrap().map(|e| e.unwrap().path()).collect();
         assert_eq!(left, [path], "temp files must not outlive their writes");
+    }
+
+    /// A file that takes `left` bytes and then refuses more, as a full disk
+    /// does.
+    struct FullAfter {
+        file: File,
+        left: usize,
+    }
+
+    impl Write for FullAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if buf.len() > self.left {
+                return Err(std::io::Error::new(std::io::ErrorKind::StorageFull, "disk full"));
+            }
+            self.left -= buf.len();
+            self.file.write_all(buf).map(|()| buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.file.flush()
+        }
+    }
+
+    #[test]
+    fn a_blob_whose_write_fails_mid_stream_leaves_no_temp_file_and_is_counted() {
+        let store = temp_store("full");
+        let payload: Vec<u8> = (0..5 * BLOB_BUF as u32).map(|i| (i % 251) as u8).collect();
+        let path = store.root().join("full.trace");
+        // Room for the header and about two buffers: a later flush fails.
+        let left = HEADER_BYTES + 2 * BLOB_BUF;
+        let mut written = 0;
+        let saved = store.save_blob_with(
+            &path,
+            KIND_TRACE,
+            7,
+            |tmp| Ok(FullAfter { file: File::create(tmp)?, left }),
+            |out| {
+                for piece in payload.chunks(1000) {
+                    out.buf().extend_from_slice(piece);
+                    out.spill();
+                    if out.err.is_none() {
+                        written = out.len;
+                    }
+                }
+            },
+        );
+        assert!(matches!(saved, Err(StoreError::Io(_))), "{saved:?}");
+        assert!(written >= BLOB_BUF as u64, "the write failed before the stream was under way");
+        assert!(written < payload.len() as u64, "the write never failed");
+        let left: Vec<_> = std::fs::read_dir(store.root()).unwrap().collect();
+        assert!(left.is_empty(), "a failed write left {left:?}");
+        let m = store.metrics();
+        assert_eq!((m.writes, m.write_failures), (0, 1));
+
+        // The same payload through a writer with room for it is a blob.
+        let fill = |out: &mut BlobWriter<File>| out.buf().extend_from_slice(&payload);
+        store.save_blob(&path, KIND_TRACE, 7, fill).unwrap();
+        let same = |p: &[u8]| (p == payload).then_some(()).ok_or(StoreError::BadKind);
+        assert!(store.load_blob(&path, KIND_TRACE, 7, same).is_some());
+    }
+
+    #[test]
+    fn a_streamed_blob_is_the_blob_framed_whole() {
+        // Payload lengths on both sides of a buffer and of a word: the
+        // footer's length and checksum are those of the payload whole.
+        for len in [0, 5, 8, BLOB_BUF - 3, BLOB_BUF, BLOB_BUF + 13, 3 * BLOB_BUF + 7] {
+            let payload: Vec<u8> =
+                (0..len as u32).map(|i| (i.wrapping_mul(2654435761) >> 24) as u8).collect();
+            let mut blob = BlobWriter::new(Vec::new(), KIND_MISS, 9);
+            for piece in payload.chunks(777) {
+                blob.buf().extend_from_slice(piece);
+                blob.spill();
+            }
+            let streamed = blob.finish().unwrap();
+            assert_eq!(streamed, framed(KIND_MISS, FORMAT_VERSION, 9, &payload), "{len} bytes");
+        }
     }
 
     #[test]

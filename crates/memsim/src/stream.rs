@@ -10,20 +10,23 @@
 //!   stream step by step, never materializing more than one outer-loop
 //!   iteration.
 //! * [`crate::packed::PackedReplay`] — replay a compact 8-byte-per-run
-//!   packed trace (what the [`crate::trace_cache::TraceCache`] memoizes).
+//!   packed trace (a `.trace` blob loaded back from the artifact store).
 //! * [`Trace::replay`] — replay a materialized [`Trace`], the reference
 //!   the equivalence suites compare the other two against
 //!   ([`Trace::from_source`] materializes any source).
 //!
 //! The dual trait [`AccessSink`] is the producer side: the kernels' step
-//! emitters write into any sink — the stream's chunk buffer or the packed
-//! builder — so the streaming and packed forms run the same emission code.
+//! emitters ([`crate::workloads::KernelParams::emit_into`]) write into any
+//! sink — the stream's chunk buffer, the packed builder, or the L1 → L2
+//! walker itself, which is how a miss stream is filtered without a trace
+//! ever being held — so every form runs the same emission code.
 //!
 //! The unit both traits also speak is the line sweep, a [`Run`]: the
 //! generators emit sweeps ([`AccessSink::emit_lines`]) and the cache walker
-//! pulls them ([`AccessSource::fill_runs`]). Both methods are provided in
-//! terms of the per-access ones; the packed builder and the packed replay,
-//! which store sweeps, override them and never take one apart.
+//! pulls them ([`AccessSource::fill_runs`]) or is handed them. Both methods
+//! are provided in terms of the per-access ones; the packed builder, the
+//! packed replay and the walker, which take sweeps whole, override them and
+//! never take one apart.
 
 use crate::trace::{Access, RegionId, RegionMap, Trace};
 
@@ -153,6 +156,24 @@ pub trait AccessSink {
 impl AccessSink for Vec<Access> {
     fn emit(&mut self, addr: u64, region: RegionId, write: bool, work: u32) {
         self.push(Access { addr, region, write, work });
+    }
+}
+
+/// Two sinks fed one stream: every access and every sweep goes to both, in
+/// order — one generation that is walked and packed at once.
+pub(crate) struct Tee<'a, A, B>(pub &'a mut A, pub &'a mut B);
+
+impl<A: AccessSink, B: AccessSink> AccessSink for Tee<'_, A, B> {
+    #[inline]
+    fn emit(&mut self, addr: u64, region: RegionId, write: bool, work: u32) {
+        self.0.emit(addr, region, write, work);
+        self.1.emit(addr, region, write, work);
+    }
+
+    #[inline]
+    fn emit_lines(&mut self, addr: u64, region: RegionId, write: bool, work: u32, lines: u64) {
+        self.0.emit_lines(addr, region, write, work, lines);
+        self.1.emit_lines(addr, region, write, work, lines);
     }
 }
 

@@ -1,28 +1,32 @@
-//! Process-wide memoization of generated kernel traces.
+//! Process-wide memoization of what campaigns replay: cache-filtered miss
+//! streams and phase samples.
 //!
-//! Trace generation is the dominant fixed cost of every harness binary:
-//! a default-scale FT-DGEMM trace is tens of millions of references, and
-//! the seed harness regenerated it once per binary per figure. The
-//! [`TraceCache`] generates each distinct [`KernelParams`] workload once
-//! per process and hands out `Arc<PackedTrace>` clones, so a campaign
-//! running 24 (kernel x strategy) jobs performs exactly 4 trace
-//! generations — and because the cache stores the packed run-coalesced
-//! encoding (built straight from the step emitters, never materializing
-//! `Vec<Access>`), its resident cost sits an order of magnitude below a
-//! materialized `Trace` (16 B per record plus `Vec` growth slack;
-//! perfbench reports the packed side as `packed.bytes_per_access`).
+//! Generating a kernel's reference stream and walking it through L1/L2 is
+//! the dominant fixed cost of every harness binary: a default-scale
+//! FT-DGEMM trace is tens of millions of references, and the seed harness
+//! regenerated it once per binary per figure. The [`TraceCache`] filters
+//! each distinct [`FilterKey`] once per process and hands out
+//! `Arc<MissStream>` clones, so a campaign running 24 (kernel x strategy)
+//! jobs performs exactly 4 generations and 4 filter passes. A generation
+//! feeds the walker directly ([`KernelParams::emit_into`]): the trace
+//! itself is never held, as the paper's Pin → McSim stack never holds one.
+//! With an [`ArtifactStore`] attached the same generation also feeds a
+//! [`PackedBuilder`], and the packed trace is written as a `.trace` blob
+//! and dropped — the packed form is a persistence format, not a memo level
+//! ([`TraceCache::get`] keeps a memo of it for callers that ask for one).
 //!
 //! Concurrency: the map lock is held only to look up or insert a
-//! per-key slot; the (expensive) generation itself runs outside the map
+//! per-key slot; the (expensive) build itself runs outside the map
 //! lock behind the slot's own mutex, so two workers asking for
 //! *different* kernels build concurrently while two workers asking for
 //! the *same* kernel serialize and share one build.
 
 use crate::config::{CacheConfig, SystemConfig};
 use crate::miss_stream::MissStream;
-use crate::packed::PackedTrace;
+use crate::packed::{PackedBuilder, PackedTrace};
 use crate::simpoint::{PhaseSample, SimPointConfig, SimPointSelection};
 use crate::store::{ArtifactStore, StoreError, StoreMetrics};
+use crate::stream::Tee;
 use crate::workloads::KernelParams;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,12 +60,12 @@ impl FilterKey {
 /// block on the same in-flight build instead of duplicating it.
 type SlotMap<K, V> = Mutex<BTreeMap<K, Arc<OnceLock<Arc<V>>>>>;
 
-/// Shared, lazily-built store of generated kernel traces in packed form,
-/// keyed by kernel + scale — plus a second memo level of cache-filtered
-/// [`MissStream`]s keyed by [`FilterKey`], so campaigns replay only the
-/// DRAM-visible miss tail per (kernel × policy) grid cell — and a third of
-/// [`PhaseSample`]s keyed by that and the [`SimPointConfig`], all a
-/// sampled cell replays.
+/// Shared, lazily-built memo of cache-filtered [`MissStream`]s keyed by
+/// [`FilterKey`], so campaigns replay only the DRAM-visible miss tail per
+/// (kernel × policy) grid cell, and of [`PhaseSample`]s keyed by that and
+/// the [`SimPointConfig`], all a sampled cell replays — plus a memo of
+/// packed traces keyed by kernel + scale, which only [`TraceCache::get`]'s
+/// own callers fill.
 #[derive(Debug, Default)]
 pub struct TraceCache {
     // Ordered maps so diagnostics that walk the cache (`resident_bytes`,
@@ -157,11 +161,9 @@ impl TraceCache {
             let value = Arc::new(build());
             if let Some(store) = self.store() {
                 // Best-effort persist: the in-memory artifact serves the
-                // process either way. A failed write is counted, so that a
-                // campaign over a full or read-only store says so.
-                if save(&store, &value).is_err() {
-                    store.count_write_failure();
-                }
+                // process either way. The store counts a failed write, so
+                // that a campaign over a full or read-only store says so.
+                let _ = save(&store, &value);
             }
             value
         });
@@ -173,9 +175,12 @@ impl TraceCache {
         Arc::clone(value)
     }
 
-    /// The packed trace for a workload: generated on first request, shared
-    /// (same allocation, pointer-equal `Arc`) on every subsequent one.
-    /// Replay it with [`PackedTrace::replay`].
+    /// The packed trace for a workload: loaded from the store's `.trace`
+    /// blob or generated on first request, shared (same allocation,
+    /// pointer-equal `Arc`) on every subsequent one. Replay it with
+    /// [`PackedTrace::replay`]. Nothing else fills or reads this memo —
+    /// [`TraceCache::get_filtered`] never holds a trace — so a packed trace
+    /// is resident only for a caller that asked for one here.
     pub fn get(&self, params: KernelParams) -> Arc<PackedTrace> {
         self.memo(
             &self.slots,
@@ -190,11 +195,18 @@ impl TraceCache {
 
     /// The cache-filtered miss stream for a workload under a system
     /// configuration's cache geometry and thread count: filtered on first
-    /// request (generating the packed trace through [`TraceCache::get`]
-    /// if needed), shared (pointer-equal `Arc`) on every subsequent one.
+    /// request, shared (pointer-equal `Arc`) on every subsequent one.
     /// A disk hit on this tier runs neither the cache filter nor the
     /// trace generation beneath it. Replay the stream with
     /// [`crate::system::Machine::simulate`].
+    ///
+    /// A filter pass walks a `.trace` blob the store holds, if it holds
+    /// one; otherwise it generates the workload straight into the L1 → L2
+    /// walker and counts a build ([`TraceCache::builds`]). No packed trace
+    /// is built without a store; with one, the generation also feeds a
+    /// packed builder whose trace is saved as a `.trace` blob and dropped.
+    /// Either way no trace outlives the call, and [`TraceCache::get`]'s
+    /// memo is neither read nor filled.
     ///
     /// Config variants differing only in DRAM organization, timing,
     /// energy or `stall_factor` — everything the cache hierarchy cannot
@@ -207,9 +219,33 @@ impl TraceCache {
             &self.miss_builds,
             key,
             |store| store.load_miss(&key),
-            || MissStream::build(&mut self.get(params).replay(), key.l1, key.l2, key.threads),
+            || self.filter(&key),
             |store, ms| store.save_miss(&key, ms),
         )
+    }
+
+    /// One filter pass for `key` (see [`TraceCache::get_filtered`]).
+    fn filter(&self, key: &FilterKey) -> MissStream {
+        let (params, l1, l2, threads) = (key.params, key.l1, key.l2, key.threads);
+        let store = self.store();
+        if let Some(trace) = store.as_ref().and_then(|store| store.load_trace(params)) {
+            return MissStream::build(&mut Arc::new(trace).replay(), l1, l2, threads);
+        }
+        self.builds.fetch_add(1, Ordering::Relaxed);
+        let regions = params.regions();
+        let Some(store) = store else {
+            return MissStream::filter(&regions, l1, l2, threads, |walker| {
+                params.emit_into(walker)
+            });
+        };
+        let mut packed = PackedBuilder::new(regions.clone());
+        let ms = MissStream::filter(&regions, l1, l2, threads, |walker| {
+            params.emit_into(&mut Tee(walker, &mut packed))
+        });
+        // Best-effort, as every persist (the store counts a failure): the
+        // stream serves the process.
+        let _ = store.save_trace(params, &packed.finish());
+        ms
     }
 
     /// The phase sample for a workload under a system configuration's
@@ -256,22 +292,25 @@ impl TraceCache {
         Arc::clone(self.get_sampled(params, cfg, sp).selection())
     }
 
-    /// Lookups served without generating a trace.
+    /// [`TraceCache::get`] lookups served from its memo (a filter pass
+    /// never makes one, so a campaign adds none).
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Traces actually generated.
+    /// Workloads actually generated: one per filter pass that generates
+    /// (into the walker, or the walker and a packed builder) and one per
+    /// [`TraceCache::get`] memo miss the store does not serve.
     pub fn builds(&self) -> u64 {
         self.builds.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct workloads currently cached.
+    /// Number of distinct workloads in [`TraceCache::get`]'s memo.
     pub fn len(&self) -> usize {
         self.slots.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
-    /// True when no trace has been cached yet.
+    /// True when [`TraceCache::get`] has memoized no trace.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -296,8 +335,8 @@ impl TraceCache {
         self.simpoint_builds.load(Ordering::Relaxed)
     }
 
-    /// Total bytes resident in cached packed traces.
-    // repolint:allow(API001) perfbench: benchmarks/README.md "API surface"
+    /// Total bytes resident in packed traces [`TraceCache::get`] memoized:
+    /// 0 unless something called it, since a filter pass holds no trace.
     pub fn resident_bytes(&self) -> u64 {
         let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
         slots.values().filter_map(|s| s.get()).map(|t| t.packed_bytes()).sum()
@@ -377,8 +416,10 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.miss_builds(), 1);
         assert_eq!(cache.miss_hits(), 1);
-        // The filter generated (and memoized) the packed trace underneath.
+        // The filter generated the workload into the walker and kept no
+        // trace of it.
         assert_eq!(cache.builds(), 1);
+        assert_eq!((cache.len(), cache.resident_bytes()), (0, 0));
         assert!(cache.miss_resident_bytes() > 0);
         assert_eq!(cache.miss_resident_bytes(), a.packed_bytes());
         assert!(a.matches(&base.l1, &base.l2, base.threads));
@@ -394,9 +435,83 @@ mod tests {
         let b = cache.get_filtered(tiny_dgemm(), &half_l2);
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(cache.miss_builds(), 2);
-        // Both filters share the single underlying packed trace.
-        assert_eq!(cache.builds(), 1);
-        assert_eq!(cache.hits(), 1);
+        // No trace is held between the two filter passes: each generates.
+        assert_eq!(cache.builds(), 2);
+        assert_eq!(cache.hits(), 0);
+        assert!(cache.is_empty());
+    }
+
+    /// The four kernels at small scale.
+    fn small_kernels() -> [KernelParams; 4] {
+        use crate::workloads::{CholeskyParams, HplParams};
+        [
+            DgemmParams { n: 192, nb: 64, abft: true, verify_interval: 2 }.into(),
+            CholeskyParams { n: 192, nb: 64, abft: true }.into(),
+            CgParams { grid: 48, iterations: 2, abft: true, verify_interval: 2 }.into(),
+            HplParams { n: 192, nb: 64, abft: true }.into(),
+        ]
+    }
+
+    #[test]
+    fn the_generator_fed_walk_and_the_pulled_walk_produce_one_stream() {
+        let dir = std::env::temp_dir().join(format!("abft-two-entries-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(ArtifactStore::open(&dir).unwrap());
+        let table3 = SystemConfig::default();
+        let small_l2 =
+            SystemConfig { l2: CacheConfig { capacity: 64 * 1024, ..table3.l2 }, ..table3.clone() };
+        for params in small_kernels() {
+            let packed = Arc::new(params.build_packed());
+            for geometry in [&table3, &small_l2] {
+                for threads in [1, 3, 4] {
+                    let cfg = SystemConfig { threads, ..geometry.clone() };
+                    let what = format!("{} under {:?}, {threads} threads", params.label(), cfg.l2);
+                    let (l1, l2) = (cfg.l1, cfg.l2);
+                    let pulled = MissStream::build(&mut packed.replay(), l1, l2, threads);
+                    let pushed = TraceCache::new().get_filtered(params, &cfg);
+                    assert!(pulled.events() > 0, "{what}: no event");
+                    assert_eq!(pushed.totals(), pulled.totals(), "{what}: totals");
+                    assert!(pushed.raw_words() == pulled.raw_words(), "{what}: records");
+
+                    // With a store the same generation also packs the trace.
+                    let _ = std::fs::remove_file(store.trace_path(params));
+                    let cache = TraceCache::with_store(Arc::clone(&store));
+                    let teed = cache.get_filtered(params, &cfg);
+                    assert_eq!(teed.totals(), pulled.totals(), "{what}: totals, teed");
+                    assert!(teed.raw_words() == pulled.raw_words(), "{what}: records, teed");
+                    assert_eq!((cache.builds(), cache.resident_bytes()), (1, 0), "{what}");
+                    let saved = store.load_trace(params).expect("the tee's trace was saved");
+                    assert!(saved.words().eq(packed.words()), "{what}: the tee's trace");
+                    assert_eq!(
+                        (saved.len(), saved.instructions()),
+                        (packed.len(), packed.instructions())
+                    );
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stored_trace_without_its_stream_is_walked_not_regenerated() {
+        let dir = std::env::temp_dir().join(format!("abft-trace-only-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(ArtifactStore::open(&dir).unwrap());
+        let cfg = SystemConfig::default();
+        let cold = TraceCache::with_store(Arc::clone(&store));
+        let built = cold.get_filtered(tiny_dgemm(), &cfg);
+        assert_eq!((cold.builds(), store.metrics().writes), (1, 2));
+
+        // The `.miss` blob alone goes: the `.trace` beside it is walked.
+        std::fs::remove_file(store.miss_path(&FilterKey::new(tiny_dgemm(), &cfg))).unwrap();
+        let warm = TraceCache::with_store(Arc::clone(&store));
+        let walked = warm.get_filtered(tiny_dgemm(), &cfg);
+        assert_eq!((warm.builds(), warm.miss_builds(), warm.resident_bytes()), (0, 1, 0));
+        assert_eq!(walked.totals(), built.totals());
+        assert!(walked.raw_words() == built.raw_words());
+        let m = store.metrics();
+        assert_eq!((m.hits, m.writes), (1, 3), "the trace loaded, the stream written again");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! factorizations, a CG iteration) that writes into any
 //! [`AccessSink`]. [`KernelParams::stream`] wraps the steps as a resumable
 //! [`AccessSource`] that never materializes more than one step;
-//! [`KernelParams::build_packed`] runs the *same* step emitters straight
-//! into packed storage, so the two produce the same reference sequence by
-//! construction (and a test holds them to it).
+//! [`KernelParams::emit_into`] runs the *same* step emitters straight into
+//! any sink — the L1 → L2 walker, or packed storage
+//! ([`KernelParams::build_packed`]) — so every form produces the same
+//! reference sequence by construction (and tests hold them to it).
 //!
 //! ABFT-protected structures per kernel (Section 2.1):
 //! * FT-DGEMM — the encoded matrices `A^c`, `B^c` and the result `C^f`.
@@ -673,9 +674,10 @@ fn hpl_step<S: AccessSink + ?Sized>(p: &HplParams, l: &HplLayout, kt: u64, t: &m
 
 /// Fully-specified workload: kernel + scale, in one hashable value.
 ///
-/// This is the key type of the process-wide trace cache
-/// ([`crate::trace_cache::TraceCache`]): two jobs that name the same
-/// `KernelParams` share one generated packed trace.
+/// This is the workload half of the process-wide trace cache's keys
+/// ([`crate::trace_cache::TraceCache`], [`crate::trace_cache::FilterKey`]):
+/// two jobs that name the same `KernelParams` under one cache geometry
+/// share one filtered miss stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum KernelParams {
     /// FT-DGEMM at the given scale.
@@ -751,18 +753,34 @@ impl KernelParams {
         }
     }
 
-    /// Generate straight into packed 8-byte storage without ever holding
-    /// `Access` records — what the [`crate::trace_cache::TraceCache`]
-    /// memoizes. The step emitters write into the packed builder directly,
-    /// not through [`KernelParams::stream`]'s step buffer, so "stream ==
-    /// packed, access for access" checks the chunked generator against
-    /// direct emission.
-    pub fn build_packed(self) -> PackedTrace {
+    /// The region registry the workload's accesses refer to.
+    pub fn regions(self) -> RegionMap {
+        KernelLayout::new(self).regions().clone()
+    }
+
+    /// Run the kernel's step emitters, every outer-loop step in order,
+    /// straight into `sink` — the whole reference stream with nothing in
+    /// between: no step buffer, no chunking, no `Access` record unless the
+    /// sink makes one. Into the L1 → L2 walker it is how
+    /// [`crate::trace_cache::TraceCache::get_filtered`] filters a workload
+    /// without holding its trace; into a [`PackedBuilder`] it is
+    /// [`KernelParams::build_packed`].
+    pub fn emit_into(self, sink: &mut impl AccessSink) {
         let layout = KernelLayout::new(self);
-        let mut b = PackedBuilder::new(layout.regions().clone());
         for step in 0..self.steps() {
-            emit_kernel_step(&self, &layout, step, &mut b);
+            emit_kernel_step(&self, &layout, step, sink);
         }
+    }
+
+    /// Generate straight into packed 8-byte storage without ever holding
+    /// `Access` records ([`KernelParams::emit_into`] a
+    /// [`PackedBuilder`]). The step emitters write into the packed builder
+    /// directly, not through [`KernelParams::stream`]'s step buffer, so
+    /// "stream == packed, access for access" checks the chunked generator
+    /// against direct emission.
+    pub fn build_packed(self) -> PackedTrace {
+        let mut b = PackedBuilder::new(self.regions());
+        self.emit_into(&mut b);
         b.finish()
     }
 }

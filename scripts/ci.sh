@@ -104,13 +104,19 @@ RAYON_NUM_THREADS=1 ./target/release/repro "${campaigns[@]}" --out "$CI_TMP/repr
 check_drift "$CI_TMP/repro-1-worker" "${campaigns[@]}"
 
 echo "=== artifact-store gate (fig07 grid, cold then warm disk, separate processes) ==="
-# Fresh processes over one store directory: the first populates it, the
+# Fresh processes over one store directory: the first populates it with
+# the blobs scripts/store_blobs.sha256 names, the
 # second must complete with zero regenerations, no store miss, >=90%
 # artifact hits, and byte-identical cell output (bit-identical SimStats
 # across processes). The grid is phase-sampled, and a sampled cell reads
 # its `.simpoint` blob and nothing else: the third run, after the traces
 # and miss streams are deleted, must pass the same checks.
 ./target/release/store_gate "$CI_TMP/store" "$CI_TMP/cold.txt"
+# The cold run's twelve blobs, byte for byte: a change to what a blob holds
+# or to how it is framed and written fails here by name, even where every
+# load would still succeed. To accept a deliberate format change (with its
+# FORMAT_VERSION bump), commit the sums this line prints in the diff.
+(cd "$CI_TMP/store" && sha256sum -- * | LC_ALL=C sort -k2) | diff - scripts/store_blobs.sha256
 ./target/release/store_gate "$CI_TMP/store" "$CI_TMP/warm.txt" --expect "$CI_TMP/cold.txt"
 rm "$CI_TMP/store"/*.miss "$CI_TMP/store"/*.trace
 ./target/release/store_gate "$CI_TMP/store" "$CI_TMP/sample.txt" --expect "$CI_TMP/cold.txt"
@@ -141,8 +147,9 @@ echo "=== the pinned referees are still there, by name ==="
 # packed builder's sweep-level emission to line-by-line emission. In ecc,
 # the census that pins x4 chipkill's decode of 2-, 3- and 4-chip errors; in
 # abft, the FT-Cholesky run held to plain `cholesky_blocked`. And the only
-# allocation gate: tests/alloc_budget.rs's three tests, which hold every
-# replay path to the same allocation count at N and 2N events. They ran in
+# allocation gate: tests/alloc_budget.rs's five tests, three of which hold
+# every replay path to the same allocation count at N and 2N events, and
+# two the filter and a blob write to the memory they may hold. They ran in
 # the stage above and are listed here by name, so that a rename cannot
 # silently drop them.
 listed="$(cargo test -q --workspace -- --list 2>/dev/null)"
@@ -150,7 +157,9 @@ for pinned in walk_reference:: every_lane_is_the_simulation_it_would_be_alone \
     sweep_emission_packs_the_words_line_emission_packs reference_replay reference_scan \
     chipkill::tests::multi_chip_census_is_pinned \
     cholesky::tests::injected_error_in_trailing_matrix_is_corrected \
-    miss_stream_replay_allocates_flat source_replay_allocates_flat sampled_replay_allocates_flat; do
+    miss_stream_replay_allocates_flat source_replay_allocates_flat sampled_replay_allocates_flat \
+    a_filter_pass_that_generates_holds_no_more_than_a_walk_of_a_built_trace \
+    a_blob_is_written_through_a_fixed_buffer; do
     grep -Fq -- "$pinned" <<<"$listed" || { echo "no workspace test is named $pinned"; exit 1; }
 done
 

@@ -10,10 +10,16 @@
 //! The workload is a small FT-CG under a 64 KiB L2: with the default
 //! 8 MiB L2 the whole grid stays resident and more iterations add no
 //! miss event, so the stream would not grow with them.
+//!
+//! The same allocator keeps each thread's live bytes and their high-water
+//! mark, which holds the memory the filter and the store need: a filter
+//! pass that generates its workload holds no more than a walk of a trace
+//! built beforehand, and a blob is written through a fixed buffer, not
+//! assembled whole.
 
 use abft_coop::abft_dgms::run_dgms;
 use abft_coop::abft_memsim::config::CacheConfig;
-use abft_coop::abft_memsim::PhaseSample;
+use abft_coop::abft_memsim::{ArtifactStore, FilterKey, PhaseSample};
 use abft_coop::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -26,6 +32,12 @@ struct Counting;
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread (a block freed on
+    /// another thread than its own makes it drift; the windows below
+    /// allocate and free on one).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The most `LIVE` has been since [`peak_bytes`] last reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Tally one request of `bytes`. A const thread-local holding a `Cell`
@@ -36,28 +48,41 @@ fn tally(bytes: usize) {
     let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
 }
 
+/// Move this thread's live bytes by `delta` and keep their high-water mark.
+fn live(delta: i64) {
+    let _ = LIVE.try_with(|l| {
+        let now = l.get() + delta;
+        l.set(now);
+        let _ = PEAK.try_with(|p| p.set(p.get().max(now)));
+    });
+}
+
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
 // the `GlobalAlloc` contract; the tally touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         tally(layout.size());
+        live(layout.size() as i64);
         // SAFETY: the caller's contract for `alloc`, passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         tally(layout.size());
+        live(layout.size() as i64);
         // SAFETY: the caller's contract for `alloc_zeroed`, passed through.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         tally(new_size);
+        live(new_size as i64 - layout.size() as i64);
         // SAFETY: the caller's contract for `realloc`, passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         // SAFETY: the caller's contract for `dealloc`, passed through.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -74,6 +99,17 @@ fn counted<T>(f: impl FnOnce() -> T) -> (u64, u64) {
     let counts = (ALLOCS.with(Cell::get) - n0, BYTES.with(Cell::get) - b0);
     drop(out);
     counts
+}
+
+/// The most bytes this thread held live at once while `f` ran, beyond what
+/// it held when `f` began; what `f` returns is dropped outside the window.
+fn peak_bytes<T>(f: impl FnOnce() -> T) -> u64 {
+    let start = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(start));
+    let out = f();
+    let peak = PEAK.with(Cell::get) - start;
+    drop(out);
+    peak as u64
 }
 
 /// Default node, L2 shrunk to 64 KiB so the CG grid misses it.
@@ -176,4 +212,36 @@ fn sampled_replay_allocates_flat() {
             "{name}: (allocations, bytes) at (N, 4 phases), (N, 8), (2N, 4), (2N, 8): {counts:?}"
         );
     }
+}
+
+#[test]
+fn a_filter_pass_that_generates_holds_no_more_than_a_walk_of_a_built_trace() {
+    let (cfg, [_, s]) = (cfg(), sizes());
+    // The trace is built before the window opens: only the walk's own
+    // buffers and the stream it records count against it.
+    let walk =
+        peak_bytes(|| MissStream::build(&mut s.packed.replay(), cfg.l1, cfg.l2, cfg.threads));
+    let generated = peak_bytes(|| TraceCache::new().get_filtered(s.params, &cfg));
+    assert!(
+        generated <= walk,
+        "a store-less filter pass peaked at {generated} bytes, the walk of a built trace at {walk} \
+         (the trace is {} bytes): it must not hold one",
+        s.packed.packed_bytes()
+    );
+}
+
+#[test]
+fn a_blob_is_written_through_a_fixed_buffer() {
+    /// What writing a blob may hold at once: its buffer and some slack.
+    const BOUND: u64 = 96 << 10;
+    let (cfg, [_, s]) = (cfg(), sizes());
+    let dir = std::env::temp_dir().join(format!("abft-alloc-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ArtifactStore::open(&dir).expect("open store");
+    let key = FilterKey::new(s.params, &cfg);
+    let peak = peak_bytes(|| store.save_miss(&key, &s.stream).expect("save"));
+    let blob = std::fs::metadata(store.miss_path(&key)).expect("the blob").len();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(blob > 2 * BOUND, "a {blob}-byte blob does not test the bound");
+    assert!(peak < BOUND, "writing a {blob}-byte blob held {peak} bytes at once");
 }

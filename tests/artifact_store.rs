@@ -9,7 +9,7 @@
 //! re-proves the same property across real processes).
 
 use abft_coop_core::{CampaignClient, CampaignSpec, Strategy};
-use abft_memsim::workloads::{CgParams, DgemmParams, KernelParams};
+use abft_memsim::workloads::{CgParams, CholeskyParams, DgemmParams, HplParams, KernelParams};
 use abft_memsim::{ArtifactStore, TraceCache};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -57,6 +57,42 @@ fn warm_disk_grid_is_bit_identical_with_zero_regenerations() {
             a.kernel.label(),
             a.strategy.label()
         );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What a cold grid over an empty store must do — the counters perfbench's
+/// `grid_cold` pins — and a warm one must not.
+#[test]
+fn a_cold_grid_generates_and_persists_each_kernel_once_and_holds_no_trace() {
+    let dir = temp_store("counters");
+    let kernels: [KernelParams; 4] = [
+        tiny(),
+        CholeskyParams { n: 128, nb: 64, abft: true }.into(),
+        CgParams { grid: 32, iterations: 2, abft: true, verify_interval: 2 }.into(),
+        HplParams { n: 128, nb: 64, abft: true }.into(),
+    ];
+    let spec = CampaignSpec::builder()
+        .workloads(kernels)
+        .strategy(Strategy::PartialChipkillSecded)
+        .threads(1)
+        .store(&dir)
+        .build();
+
+    let cache = Arc::new(TraceCache::new());
+    let cold = CampaignClient::with_cache(Arc::clone(&cache)).run(&spec);
+    let m = &cold.metrics;
+    assert_eq!((m.cache_builds, m.filter_builds), (4, 4), "one generation, one filter per kernel");
+    assert_eq!((m.store_writes, m.write_failures), (8, 0), "a .trace and a .miss per kernel");
+    assert_eq!(m.cache_hits, 0, "a campaign never looks a trace up");
+    assert_eq!((cache.len(), cache.resident_bytes()), (0, 0), "no packed trace is held");
+
+    let warm = CampaignClient::with_cache(Arc::new(TraceCache::new())).run(&spec);
+    let m = &warm.metrics;
+    assert_eq!((m.cache_builds, m.filter_builds, m.store_writes), (0, 0, 0));
+    assert_eq!((m.store_hits, m.store_misses), (4, 0), "the .miss blobs and nothing else");
+    for (a, b) in cold.results.iter().zip(&warm.results) {
+        assert_eq!(a.stats, b.stats, "{}: warm-disk stats must be bit-identical", a.kernel.label());
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

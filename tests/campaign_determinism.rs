@@ -119,7 +119,7 @@ fn trace_cache_shares_one_generation_per_workload() {
     let first = run_with_threads(&cache, 4);
     assert_eq!(first.metrics.jobs, 24);
     assert_eq!(first.metrics.cache_builds, 4, "one generation per workload");
-    assert_eq!(first.metrics.cache_hits, 0, "only the filter pre-warm touches the trace level");
+    assert_eq!(first.metrics.cache_hits, 0, "a campaign never looks a trace up");
     assert_eq!(first.metrics.filter_builds, 4, "one cache-hierarchy pass per workload");
     assert_eq!(
         first.metrics.filter_hits, 12,
