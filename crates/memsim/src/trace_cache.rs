@@ -282,7 +282,6 @@ impl TraceCache {
     /// lookup of it). Its cursors point into the full stream, so it pairs
     /// with [`TraceCache::get_filtered`] for
     /// [`crate::system::SimRequest::sampled`].
-    // repolint:allow(API001) perfbench: benchmarks/README.md "API surface"
     pub fn get_simpoints(
         &self,
         params: KernelParams,
@@ -344,7 +343,6 @@ impl TraceCache {
 
     /// Total bytes resident in cached miss-event records: whole miss
     /// streams, and the slices of phase samples.
-    // repolint:allow(API001) perfbench: benchmarks/README.md "API surface"
     pub fn miss_resident_bytes(&self) -> u64 {
         let streams: u64 = {
             let slots = self.miss_slots.lock().unwrap_or_else(|e| e.into_inner());

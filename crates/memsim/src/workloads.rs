@@ -149,7 +149,6 @@ impl DgemmParams {
     /// tile size). The trace runs to ~10^8 references — minutes per
     /// simulation; the scaled default reproduces the same cache pressure
     /// in seconds.
-    // repolint:allow(API001) perfbench: benchmarks/README.md "API surface"
     pub fn paper_scale() -> Self {
         DgemmParams { n: 3008, nb: 64, abft: true, verify_interval: 4 }
     }
@@ -243,7 +242,6 @@ impl Default for CholeskyParams {
 
 impl CholeskyParams {
     /// The paper's Table 3 problem size (see [`DgemmParams::paper_scale`]).
-    // repolint:allow(API001) perfbench: benchmarks/README.md "API surface"
     pub fn paper_scale() -> Self {
         CholeskyParams { n: 3008, nb: 64, abft: true }
     }
@@ -362,7 +360,6 @@ impl Default for CgParams {
 
 impl CgParams {
     /// A grid matching the paper's 3000x3000-operator memory footprint.
-    // repolint:allow(API001) perfbench: benchmarks/README.md "API surface"
     pub fn paper_scale() -> Self {
         CgParams { grid: 1024, iterations: 10, abft: true, verify_interval: 4 }
     }
@@ -558,7 +555,6 @@ impl Default for HplParams {
 impl HplParams {
     /// The paper's 8192x8192 HPL problem (one of the 2x2 grid's tasks
     /// holds a 4096-wide share; we trace the full-problem loop nest).
-    // repolint:allow(API001) perfbench: benchmarks/README.md "API surface"
     pub fn paper_scale() -> Self {
         HplParams { n: 4096, nb: 64, abft: true }
     }
@@ -703,7 +699,6 @@ impl KernelParams {
     }
 
     /// The paper's full Table 3 problem for a kernel.
-    // repolint:allow(API001) perfbench: benchmarks/README.md "API surface"
     pub fn paper_for(kind: KernelKind) -> Self {
         match kind {
             KernelKind::Dgemm => KernelParams::Dgemm(DgemmParams::paper_scale()),

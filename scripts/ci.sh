@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # The full CI gate: formatting, a warning-free clippy pass (the determinism,
-# panic and print lints), the repolint dead-pub-item pass, release build,
-# the reproduction-output drift gate, the artifact-store gate, the
-# examples, the test suite (one debug run, every invariant check on, the
-# replay allocation budget among it) and the pinned referees by name,
-# warning-free rustdoc, and a clean working tree at the end.
+# panic and print lints), release build, the reproduction-output drift gate,
+# the artifact-store gate, the examples, the test suite (one debug run,
+# every invariant check on, the replay allocation budget and the dead pub
+# item check among it) and the pinned referees by name, warning-free
+# rustdoc, and a clean working tree at the end.
 # Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -22,15 +22,6 @@ echo "=== cargo clippy --workspace --all-targets -- -D warnings ==="
 # and the `repro` binary are linted too. First after fmt, so a banned call
 # fails in about a minute.
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "=== repolint (dead pub items) ==="
-# API001, the one workspace analysis no compiler lint makes: a pub item no
-# other crate, binary, example or integration test reaches. Every finding
-# fails the stage — there is no grandfathering file; a site that must stay
-# carries `// repolint:allow(API001) reason`, and an allow that suppresses
-# nothing is itself a finding. The last line printed is the verdict with
-# the file count and the analysis time.
-cargo repolint
 
 echo "=== cargo build --release --workspace ==="
 # --workspace matters: the root manifest is both a package and a workspace,
@@ -122,9 +113,9 @@ rm "$CI_TMP/store"/*.miss "$CI_TMP/store"/*.trace
 ./target/release/store_gate "$CI_TMP/store" "$CI_TMP/sample.txt" --expect "$CI_TMP/cold.txt"
 
 echo "=== the four examples run ==="
-# They are compiled and linted above, and API001 counts them as reachers
-# (`Injector::plan`, `scheme_of`): a reacher that can panic unseen is not
-# a gate.
+# They are compiled and linted above, and tests/dead_pub.rs counts them as
+# reachers (`Injector::plan`, `scheme_of`): a reacher that can panic unseen
+# is not a gate.
 for example in quickstart fault_drill resilient_solver datacenter_policy; do
     cargo run --release -q --offline --example "$example" >/dev/null
 done
@@ -146,12 +137,13 @@ echo "=== the pinned referees are still there, by name ==="
 # row replay to the simulation it would be alone and the one that holds the
 # packed builder's sweep-level emission to line-by-line emission. In ecc,
 # the census that pins x4 chipkill's decode of 2-, 3- and 4-chip errors; in
-# abft, the FT-Cholesky run held to plain `cholesky_blocked`. And the only
+# abft, the FT-Cholesky run held to plain `cholesky_blocked`. The only
 # allocation gate: tests/alloc_budget.rs's five tests, three of which hold
 # every replay path to the same allocation count at N and 2N events, and
-# two the filter and a blob write to the memory they may hold. They ran in
-# the stage above and are listed here by name, so that a rename cannot
-# silently drop them.
+# two the filter and a blob write to the memory they may hold. And the dead
+# pub item gate, tests/dead_pub.rs's `no_dead_pub_items`. They ran in the
+# stage above and are listed here by name, so that a rename cannot silently
+# drop them.
 listed="$(cargo test -q --workspace -- --list 2>/dev/null)"
 for pinned in walk_reference:: every_lane_is_the_simulation_it_would_be_alone \
     sweep_emission_packs_the_words_line_emission_packs reference_replay reference_scan \
@@ -159,7 +151,7 @@ for pinned in walk_reference:: every_lane_is_the_simulation_it_would_be_alone \
     cholesky::tests::injected_error_in_trailing_matrix_is_corrected \
     miss_stream_replay_allocates_flat source_replay_allocates_flat sampled_replay_allocates_flat \
     a_filter_pass_that_generates_holds_no_more_than_a_walk_of_a_built_trace \
-    a_blob_is_written_through_a_fixed_buffer; do
+    a_blob_is_written_through_a_fixed_buffer no_dead_pub_items; do
     grep -Fq -- "$pinned" <<<"$listed" || { echo "no workspace test is named $pinned"; exit 1; }
 done
 
