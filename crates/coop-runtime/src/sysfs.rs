@@ -50,11 +50,6 @@ impl SysfsChannel {
     pub fn poll(&self) -> Vec<ErrorReport> {
         self.lock().drain(..).collect()
     }
-
-    /// Number of pending reports without draining.
-    pub fn pending(&self) -> usize {
-        self.lock().len()
-    }
 }
 
 #[cfg(test)]
@@ -76,10 +71,8 @@ mod tests {
         let ch = SysfsChannel::new();
         ch.publish(report(1));
         ch.publish(report(2));
-        assert_eq!(ch.pending(), 2);
         let got = ch.poll();
         assert_eq!(got.iter().map(|r| r.element).collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(ch.pending(), 0);
         assert!(ch.poll().is_empty());
     }
 

@@ -29,7 +29,11 @@
 //! growth slack (full segments are boxed exact-size). It converts two
 //! ways and no more: [`PackedTrace::from_source`] packs any stream (the
 //! kernels emit straight into a [`PackedBuilder`] instead) and
-//! [`PackedTrace::replay`] streams it back. Between the 8-byte
+//! [`PackedTrace::replay`] streams it back. The run-coalescing rule lives
+//! once, in the crate's `Coalescer`, generic over where a sealed word
+//! goes: a builder's segments, nowhere (a count), or a `.trace` blob on
+//! its way to disk, so a filter pass can write the blob without holding
+//! the trace. Between the 8-byte
 //! word (vs 16-byte `Access` structs plus up to 2x `Vec` doubling slack)
 //! and run coalescing, resident trace footprints drop well over 3x on
 //! the default kernel grid (`tests/streaming_equivalence.rs` holds the 3x
@@ -276,77 +280,185 @@ impl PackedTrace {
     }
 }
 
-/// Incremental [`PackedTrace`] builder; an [`AccessSink`], so kernel
-/// generators can emit straight into packed storage without ever
-/// materializing `Access` records.
-#[derive(Debug)]
-pub struct PackedBuilder {
-    regions: RegionMap,
-    bases: Vec<u64>,
-    segs: Vec<Box<[u64]>>,
-    cur: Vec<u64>,
-    /// The run being coalesced: head access plus length so far.
-    pending: Option<(Access, usize)>,
-    len: u64,
-    instructions: u64,
+/// What a packed stream comes to: its accesses, their retired
+/// instructions (work + one per access) and the words they pack into —
+/// what a `.trace` blob's header declares before the words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PackedCounts {
+    /// Accesses emitted.
+    pub len: u64,
+    /// Instructions they retire.
+    pub instructions: u64,
+    /// Packed words they make.
+    pub words: u64,
 }
 
-impl PackedBuilder {
-    /// Start a packed stream over a region registry.
-    pub fn new(regions: RegionMap) -> Self {
+/// Where a [`Coalescer`] puts each word it seals, in stream order.
+pub(crate) trait WordSink {
+    /// Take the next sealed word.
+    fn word(&mut self, word: u64);
+}
+
+/// Nowhere: a coalescer over `()` only counts what a stream packs into.
+impl WordSink for () {
+    #[inline]
+    fn word(&mut self, _: u64) {}
+}
+
+/// The run-coalescing rule, the one copy of it: accesses in, sealed packed
+/// words out to `W` — the segments a [`PackedBuilder`] keeps, nowhere
+/// (a count), or a `.trace` blob on its way to disk.
+#[derive(Debug)]
+pub(crate) struct Coalescer<W> {
+    bases: Vec<u64>,
+    /// The run being coalesced: its head access and its length, 0 before
+    /// the first access. An access extends it when it is the next 64-byte
+    /// line with identical attributes — with `run == 0`, when it is the
+    /// head itself, which starts the run it would start anyway.
+    head: Access,
+    run: u64,
+    counts: PackedCounts,
+    out: W,
+}
+
+impl<W: WordSink> Coalescer<W> {
+    /// Start coalescing accesses of `regions` into `out`.
+    pub(crate) fn new(regions: &RegionMap, out: W) -> Self {
         assert!(
             regions.regions().len() <= MAX_PACKED_REGIONS,
             "packed trace: more than {MAX_PACKED_REGIONS} regions"
         );
         let bases = regions.regions().iter().map(|r| r.base).collect();
-        PackedBuilder {
-            regions,
-            bases,
-            segs: Vec::new(),
-            cur: Vec::with_capacity(SEG_WORDS),
-            pending: None,
-            len: 0,
-            instructions: 0,
+        let counts = PackedCounts { len: 0, instructions: 0, words: 0 };
+        let head = Access { addr: 0, region: 0, write: false, work: 0 };
+        Coalescer { bases, head, run: 0, counts, out }
+    }
+
+    /// Whether the access is the next 64-byte line of the run with
+    /// identical attributes (what `emit_span` sweeps emit). The run is
+    /// plain fields, not an `Option`, so this is the whole per-access test.
+    #[inline]
+    fn continues(&self, addr: u64, region: RegionId, write: bool, work: u32) -> bool {
+        let h = &self.head;
+        addr == h.addr.wrapping_add(64 * self.run)
+            && region == h.region
+            && write == h.write
+            && work == h.work
+    }
+
+    #[inline]
+    fn flush_pending(&mut self) {
+        if self.run > 0 {
+            self.counts.words += 1;
+            let base = self.bases[self.head.region as usize];
+            self.out.word(pack_run(&self.head, base, self.run as usize));
         }
     }
 
-    /// Accesses emitted so far.
-    pub fn len(&self) -> u64 {
-        self.len
+    /// Seal the last run: what the stream came to, and where its words went.
+    pub(crate) fn finish(mut self) -> (PackedCounts, W) {
+        self.flush_pending();
+        (self.counts, self.out)
+    }
+}
+
+impl<W: WordSink> AccessSink for Coalescer<W> {
+    #[inline]
+    fn emit(&mut self, addr: u64, region: RegionId, write: bool, work: u32) {
+        self.counts.len += 1;
+        self.counts.instructions += work as u64 + 1;
+        if self.run < MAX_PACKED_RUN as u64 && self.continues(addr, region, write, work) {
+            self.run += 1;
+            return;
+        }
+        self.flush_pending();
+        self.head = Access { addr, region, write, work };
+        self.run = 1;
     }
 
-    /// True when nothing has been emitted yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// The sweep as `lines` [`emit`](AccessSink::emit)s would leave it:
+    /// the pending run takes what it has room for if the sweep continues
+    /// it, the rest goes out in whole runs.
+    #[inline]
+    fn emit_lines(&mut self, addr: u64, region: RegionId, write: bool, work: u32, lines: u64) {
+        self.counts.len += lines;
+        self.counts.instructions += lines * (work as u64 + 1);
+        let (mut addr, mut lines) = (addr, lines);
+        if self.continues(addr, region, write, work) {
+            let take = lines.min(MAX_PACKED_RUN as u64 - self.run);
+            self.run += take;
+            addr += 64 * take;
+            lines -= take;
+        }
+        while lines > 0 {
+            self.flush_pending();
+            let take = lines.min(MAX_PACKED_RUN as u64);
+            self.head = Access { addr, region, write, work };
+            self.run = take;
+            addr += 64 * take;
+            lines -= take;
+        }
     }
+}
 
-    fn push_word(&mut self, word: u64) {
+/// The words a [`PackedBuilder`] keeps: full segments boxed exact-size,
+/// and the one being filled.
+#[derive(Debug)]
+struct Segments {
+    segs: Vec<Box<[u64]>>,
+    cur: Vec<u64>,
+}
+
+impl WordSink for Segments {
+    #[inline]
+    fn word(&mut self, word: u64) {
         self.cur.push(word);
         if self.cur.len() == SEG_WORDS {
             let full = std::mem::replace(&mut self.cur, Vec::with_capacity(SEG_WORDS));
             self.segs.push(full.into_boxed_slice());
         }
     }
+}
 
-    fn flush_pending(&mut self) {
-        if let Some((head, run)) = self.pending.take() {
-            let word = pack_run(&head, self.bases[head.region as usize], run);
-            self.push_word(word);
-        }
+/// Incremental [`PackedTrace`] builder; an [`AccessSink`], so kernel
+/// generators can emit straight into packed storage without ever
+/// materializing `Access` records.
+#[derive(Debug)]
+pub struct PackedBuilder {
+    regions: RegionMap,
+    packer: Coalescer<Segments>,
+}
+
+impl PackedBuilder {
+    /// Start a packed stream over a region registry.
+    pub fn new(regions: RegionMap) -> Self {
+        let segments = Segments { segs: Vec::new(), cur: Vec::with_capacity(SEG_WORDS) };
+        PackedBuilder { packer: Coalescer::new(&regions, segments), regions }
+    }
+
+    /// Accesses emitted so far.
+    pub fn len(&self) -> u64 {
+        self.packer.counts.len
+    }
+
+    /// True when nothing has been emitted yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// Seal the stream.
-    pub fn finish(mut self) -> PackedTrace {
-        self.flush_pending();
-        if !self.cur.is_empty() {
-            self.segs.push(self.cur.into_boxed_slice());
+    pub fn finish(self) -> PackedTrace {
+        let bases = self.packer.bases.clone();
+        let (counts, Segments { mut segs, cur }) = self.packer.finish();
+        if !cur.is_empty() {
+            segs.push(cur.into_boxed_slice());
         }
         let trace = PackedTrace {
             regions: self.regions,
-            bases: self.bases,
-            segs: self.segs,
-            len: self.len,
-            instructions: self.instructions,
+            bases,
+            segs,
+            len: counts.len,
+            instructions: counts.instructions,
         };
         debug_assert_eq!(trace.check(), Ok(()), "packed trace");
         trace
@@ -354,52 +466,14 @@ impl PackedBuilder {
 }
 
 impl AccessSink for PackedBuilder {
+    #[inline]
     fn emit(&mut self, addr: u64, region: RegionId, write: bool, work: u32) {
-        self.len += 1;
-        self.instructions += work as u64 + 1;
-        // Extend the pending run when this access is its next 64-byte
-        // line with identical attributes (what `emit_span` sweeps emit).
-        if let Some((head, run)) = &mut self.pending {
-            if *run < MAX_PACKED_RUN
-                && head.region == region
-                && head.write == write
-                && head.work == work
-                && addr == head.addr + 64 * *run as u64
-            {
-                *run += 1;
-                return;
-            }
-        }
-        self.flush_pending();
-        self.pending = Some((Access { addr, region, write, work }, 1));
+        self.packer.emit(addr, region, write, work);
     }
 
-    /// The sweep as `lines` [`emit`](AccessSink::emit)s would leave it:
-    /// the pending run takes what it has room for if the sweep continues
-    /// it, the rest goes out in whole runs.
+    #[inline]
     fn emit_lines(&mut self, addr: u64, region: RegionId, write: bool, work: u32, lines: u64) {
-        self.len += lines;
-        self.instructions += lines * (work as u64 + 1);
-        let (mut addr, mut lines) = (addr, lines);
-        if let Some((head, run)) = &mut self.pending {
-            if head.region == region
-                && head.write == write
-                && head.work == work
-                && addr == head.addr + 64 * *run as u64
-            {
-                let take = lines.min((MAX_PACKED_RUN - *run) as u64);
-                *run += take as usize;
-                addr += 64 * take;
-                lines -= take;
-            }
-        }
-        while lines > 0 {
-            self.flush_pending();
-            let take = lines.min(MAX_PACKED_RUN as u64);
-            self.pending = Some((Access { addr, region, write, work }, take as usize));
-            addr += 64 * take;
-            lines -= take;
-        }
+        self.packer.emit_lines(addr, region, write, work, lines);
     }
 }
 

@@ -56,7 +56,7 @@
 
 use crate::config::CacheConfig;
 use crate::miss_stream::{MissStream, RegionTally, SliceCursor, StreamTotals};
-use crate::packed::PackedTrace;
+use crate::packed::{Coalescer, PackedCounts, PackedTrace, WordSink};
 use crate::simpoint::{
     PhaseSample, SimPointConfig, SimPointParts, SimPointPhase, SimPointSelection,
 };
@@ -102,6 +102,10 @@ pub enum StoreError {
     KeyMismatch,
     /// The payload failed structural decoding.
     Malformed(&'static str),
+    /// A streamed `.trace` payload's words did not come to the counts its
+    /// head declared: the generation that wrote them did not repeat the
+    /// one that counted them.
+    Miscounted,
 }
 
 impl std::fmt::Display for StoreError {
@@ -114,6 +118,7 @@ impl std::fmt::Display for StoreError {
             StoreError::ChecksumMismatch => write!(f, "artifact payload checksum mismatch"),
             StoreError::KeyMismatch => write!(f, "artifact key digest mismatch"),
             StoreError::Malformed(what) => write!(f, "artifact payload malformed: {what}"),
+            StoreError::Miscounted => write!(f, "streamed trace differs from its declared counts"),
         }
     }
 }
@@ -298,7 +303,7 @@ impl Payload for Vec<u8> {
 /// aligned words [`checksum`] takes over it whole, and the sum in the
 /// footer is the same. The first I/O error is kept, every later write
 /// skipped, and [`BlobWriter::finish`] returns it.
-struct BlobWriter<W> {
+pub(crate) struct BlobWriter<W> {
     out: W,
     buf: Vec<u8>,
     /// Payload bytes flushed so far.
@@ -443,8 +448,9 @@ fn get_regions(cur: &mut &[u8]) -> Result<RegionMap, StoreError> {
 }
 
 /// Xor-delta + varint encode a word stream; `stride` is the xor
-/// distance (1 for packed traces, 2 for two-word miss records so word-0s
-/// delta against word-0s and word-1s against word-1s).
+/// distance (1 for packed traces — the bytes [`TraceWords`] writes a word
+/// at a time — 2 for two-word miss records so word-0s delta against
+/// word-0s and word-1s against word-1s).
 fn put_words(buf: &mut impl Payload, words: impl Iterator<Item = u64>, count: u64, stride: usize) {
     put_varint(buf, count);
     let mut prev = [0u64; 2];
@@ -473,11 +479,41 @@ fn get_words(cur: &mut &[u8], stride: usize) -> Result<Vec<u64>, StoreError> {
     Ok(words)
 }
 
+/// A `.trace` payload's head: the regions, then the counts its words
+/// come to. The xor-delta words follow ([`TraceWords`]).
+fn put_trace_head(buf: &mut impl Payload, regions: &RegionMap, counts: PackedCounts) {
+    put_regions(buf, regions.regions());
+    put_varint(buf, counts.len);
+    put_varint(buf, counts.instructions);
+    put_varint(buf, counts.words);
+}
+
+/// A `.trace` payload's words, xor-delta varint coded into the payload as
+/// they come: [`put_words`] at stride 1, one word at a time, so a
+/// [`Coalescer`] can seal words straight into a blob.
+pub(crate) struct TraceWords<'a, P> {
+    out: &'a mut P,
+    prev: u64,
+}
+
+impl<P: Payload> WordSink for TraceWords<'_, P> {
+    #[inline]
+    fn word(&mut self, word: u64) {
+        put_varint(self.out, word ^ self.prev);
+        self.prev = word;
+    }
+}
+
+/// What [`ArtifactStore::save_trace_streamed`] hands its fill: the one
+/// coalescer, sealing words into a `.trace` blob on its way to disk.
+pub(crate) type TraceBlob<'a> = Coalescer<TraceWords<'a, BlobWriter<File>>>;
+
 fn encode_trace(buf: &mut impl Payload, t: &PackedTrace) {
-    put_regions(buf, t.regions().regions());
-    put_varint(buf, t.len());
-    put_varint(buf, t.instructions());
-    put_words(buf, t.words(), t.word_count(), 1);
+    let counts =
+        PackedCounts { len: t.len(), instructions: t.instructions(), words: t.word_count() };
+    put_trace_head(buf, t.regions(), counts);
+    let mut words = TraceWords { out: buf, prev: 0 };
+    t.words().for_each(|w| words.word(w));
 }
 
 fn decode_trace(mut cur: &[u8]) -> Result<PackedTrace, StoreError> {
@@ -830,7 +866,40 @@ impl ArtifactStore {
     /// [`StoreMetrics::write_failures`].
     pub fn save_trace(&self, params: KernelParams, t: &PackedTrace) -> Result<(), StoreError> {
         let path = self.trace_path(params);
-        self.save_blob(&path, KIND_TRACE, trace_key(params), |out| encode_trace(out, t))
+        self.save_blob(&path, KIND_TRACE, trace_key(params), |out| {
+            encode_trace(out, t);
+            Ok(())
+        })
+    }
+
+    /// Persist a packed trace that is never held: the payload's head
+    /// declares `counts`, and `fill` emits the workload into a sink that
+    /// coalesces it and writes each word as it is sealed — byte for byte
+    /// the blob [`ArtifactStore::save_trace`] writes of the trace packed
+    /// whole. `counts` come from a generation before (a walk teed into a
+    /// counting [`Coalescer`]); if `fill` emits a stream that comes to
+    /// other counts, the blob is refused ([`StoreError::Miscounted`]):
+    /// counted as a write failure, its temp file removed, nothing under
+    /// its name.
+    pub(crate) fn save_trace_streamed(
+        &self,
+        params: KernelParams,
+        regions: &RegionMap,
+        counts: PackedCounts,
+        fill: impl FnOnce(&mut TraceBlob<'_>),
+    ) -> Result<(), StoreError> {
+        let path = self.trace_path(params);
+        self.save_blob(&path, KIND_TRACE, trace_key(params), |out| {
+            put_trace_head(out, regions, counts);
+            let mut blob = Coalescer::new(regions, TraceWords { out, prev: 0 });
+            fill(&mut blob);
+            let (emitted, _) = blob.finish();
+            if emitted == counts {
+                Ok(())
+            } else {
+                Err(StoreError::Miscounted)
+            }
+        })
     }
 
     /// Load a miss stream, or `None` when absent or evicted as corrupt.
@@ -855,7 +924,10 @@ impl ArtifactStore {
         if !ms.matches(&key.l1, &key.l2, key.threads) {
             return self.refuse();
         }
-        self.save_blob(&self.miss_path(key), KIND_MISS, miss_key(key), |out| encode_miss(out, ms))
+        self.save_blob(&self.miss_path(key), KIND_MISS, miss_key(key), |out| {
+            encode_miss(out, ms);
+            Ok(())
+        })
     }
 
     /// Load the phase selection of a `.simpoint` blob, or `None` when the
@@ -914,18 +986,20 @@ impl ArtifactStore {
         self.save_blob(&path, KIND_SIMPOINT, simpoint_key(key, cfg), |out| {
             encode_simpoint(out, sample.selection());
             encode_sample(out, sample);
+            Ok(())
         })
     }
 
     /// Frame and write one blob: `write_payload` streams the payload
     /// through a [`BlobWriter`] into a temp file, so the artifact's bytes
-    /// are never held whole a second time.
+    /// are never held whole a second time. An `Err` from it abandons the
+    /// blob.
     fn save_blob(
         &self,
         path: &Path,
         kind: u32,
         key: u128,
-        write_payload: impl FnOnce(&mut BlobWriter<File>),
+        write_payload: impl FnOnce(&mut BlobWriter<File>) -> Result<(), StoreError>,
     ) -> Result<(), StoreError> {
         self.save_blob_with(path, kind, key, |tmp| File::create(tmp), write_payload)
     }
@@ -939,7 +1013,7 @@ impl ArtifactStore {
         kind: u32,
         key: u128,
         create: impl FnOnce(&Path) -> std::io::Result<W>,
-        write_payload: impl FnOnce(&mut BlobWriter<W>),
+        write_payload: impl FnOnce(&mut BlobWriter<W>) -> Result<(), StoreError>,
     ) -> Result<(), StoreError> {
         // Temp file + rename: a crash or a failed write mid-blob never
         // leaves a partial blob under an addressable name, and the rename
@@ -949,19 +1023,19 @@ impl ArtifactStore {
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = path.with_extension(format!("tmp{}-{seq}", std::process::id()));
-        let written = create(&tmp).and_then(|out| {
+        let written = create(&tmp).map_err(StoreError::from).and_then(|out| {
             let mut blob = BlobWriter::new(out, kind, key);
-            write_payload(&mut blob);
-            blob.finish()
+            write_payload(&mut blob)?;
+            Ok(blob.finish()?)
         });
         // The writer is closed before its file is renamed.
         if let Err(e) = written.and_then(|out| {
             drop(out);
-            std::fs::rename(&tmp, path)
+            Ok(std::fs::rename(&tmp, path)?)
         }) {
             let _ = std::fs::remove_file(&tmp);
             self.write_failures.fetch_add(1, Ordering::Relaxed);
-            return Err(e.into());
+            return Err(e);
         }
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -1044,6 +1118,7 @@ mod tests {
     use crate::config::SystemConfig;
     use crate::miss_stream::{run_len, KIND_MASK, KIND_SHIFT, MAX_MISS_DELTA, WB_SHIFT};
     use crate::packed::MAX_PACKED_OFFSET;
+    use crate::stream::{AccessSink, AccessSource, Run, RunChunk};
     use crate::workloads::DgemmParams;
     use std::sync::Arc;
 
@@ -1354,7 +1429,10 @@ mod tests {
         payload: &[u8],
     ) {
         let path = store.simpoint_path(key, sp);
-        let fill = |out: &mut BlobWriter<File>| out.buf().extend_from_slice(payload);
+        let fill = |out: &mut BlobWriter<File>| {
+            out.buf().extend_from_slice(payload);
+            Ok(())
+        };
         store.save_blob(&path, KIND_SIMPOINT, simpoint_key(key, sp), fill).unwrap();
     }
 
@@ -1373,7 +1451,11 @@ mod tests {
         let decoded = decode(payload).map(drop);
         assert!(matches!(decoded, Err(StoreError::Malformed(_))), "{what}: {decoded:?}");
         let before = store.metrics().evictions;
-        store.save_blob(path, kind, key, |out| out.buf().extend_from_slice(payload)).unwrap();
+        let fill = |out: &mut BlobWriter<File>| {
+            out.buf().extend_from_slice(payload);
+            Ok(())
+        };
+        store.save_blob(path, kind, key, fill).unwrap();
         assert!(!load(), "{what}: served");
         assert!(!path.exists(), "{what}: left in place");
         assert_eq!(store.metrics().evictions, before + 1, "{what}");
@@ -1711,7 +1793,8 @@ mod tests {
         // `key`'s geometry inside: a hit would panic at replay.
         store
             .save_blob(&store.miss_path(&other), KIND_MISS, miss_key(&other), |buf| {
-                encode_miss(buf, &ms)
+                encode_miss(buf, &ms);
+                Ok(())
             })
             .unwrap();
         assert!(store.load_miss(&other).is_none());
@@ -1736,8 +1819,10 @@ mod tests {
                     // Counted as finished even if a save fails, or the
                     // loader below would spin forever.
                     let failed = (0..200).find_map(|_| {
-                        let fill =
-                            |out: &mut BlobWriter<File>| out.buf().extend_from_slice(&payload);
+                        let fill = |out: &mut BlobWriter<File>| {
+                            out.buf().extend_from_slice(&payload);
+                            Ok(())
+                        };
                         store.save_blob(&path, KIND_TRACE, 7, fill).err()
                     });
                     writers_left.fetch_sub(1, Ordering::SeqCst);
@@ -1807,6 +1892,7 @@ mod tests {
                         written = out.len;
                     }
                 }
+                Ok(())
             },
         );
         assert!(matches!(saved, Err(StoreError::Io(_))), "{saved:?}");
@@ -1818,7 +1904,10 @@ mod tests {
         assert_eq!((m.writes, m.write_failures), (0, 1));
 
         // The same payload through a writer with room for it is a blob.
-        let fill = |out: &mut BlobWriter<File>| out.buf().extend_from_slice(&payload);
+        let fill = |out: &mut BlobWriter<File>| {
+            out.buf().extend_from_slice(&payload);
+            Ok(())
+        };
         store.save_blob(&path, KIND_TRACE, 7, fill).unwrap();
         let same = |p: &[u8]| (p == payload).then_some(()).ok_or(StoreError::BadKind);
         assert!(store.load_blob(&path, KIND_TRACE, 7, same).is_some());
@@ -1839,6 +1928,55 @@ mod tests {
             let streamed = blob.finish().unwrap();
             assert_eq!(streamed, framed(KIND_MISS, FORMAT_VERSION, 9, &payload), "{len} bytes");
         }
+    }
+
+    #[test]
+    fn a_streamed_trace_that_miscounts_is_refused() {
+        let store = temp_store("miscount");
+        let packed = Arc::new(tiny().build_packed());
+        let regions = tiny().regions();
+        let counts = PackedCounts {
+            len: packed.len(),
+            instructions: packed.instructions(),
+            words: packed.word_count(),
+        };
+        // The trace's words as runs, one per word: re-emitted, they
+        // coalesce into the same words.
+        let mut chunk = RunChunk::with_capacity(counts.words as usize);
+        packed.replay().fill_runs(&mut chunk, packed.len() as usize);
+        let runs = chunk.runs;
+        assert_eq!(runs.len() as u64, counts.words);
+        // The runs, and a stray access no run continues if `stray`.
+        let head = runs[0].head;
+        let emit = |blob: &mut TraceBlob<'_>, runs: &[Run], stray: bool| {
+            for r in runs {
+                let h = r.head;
+                blob.emit_lines(h.addr, h.region, h.write, h.work, r.len as u64);
+            }
+            if stray {
+                blob.emit(head.addr + 8, head.region, !head.write, head.work);
+            }
+        };
+        let all = runs.len();
+        for (what, upto, stray) in
+            [("one word fewer", all - 1, false), ("one word more", all, true)]
+        {
+            let before = store.metrics();
+            let fill = |blob: &mut TraceBlob<'_>| emit(blob, &runs[..upto], stray);
+            let saved = store.save_trace_streamed(tiny(), &regions, counts, fill);
+            assert!(matches!(saved, Err(StoreError::Miscounted)), "{what}: {saved:?}");
+            let m = store.metrics().since(&before);
+            assert_eq!((m.writes, m.write_failures), (0, 1), "{what}");
+            let left: Vec<_> = std::fs::read_dir(store.root()).unwrap().collect();
+            assert!(left.is_empty(), "{what}: a refused blob left {left:?}");
+        }
+        // The runs whole are the trace: its blob, byte for byte.
+        store
+            .save_trace_streamed(tiny(), &regions, counts, |blob| emit(blob, &runs, false))
+            .unwrap();
+        let streamed = std::fs::read(store.trace_path(tiny())).unwrap();
+        store.save_trace(tiny(), &packed).unwrap();
+        assert!(streamed == std::fs::read(store.trace_path(tiny())).unwrap());
     }
 
     #[test]

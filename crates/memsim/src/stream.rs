@@ -17,9 +17,10 @@
 //!
 //! The dual trait [`AccessSink`] is the producer side: the kernels' step
 //! emitters ([`crate::workloads::KernelParams::emit_into`]) write into any
-//! sink — the stream's chunk buffer, the packed builder, or the L1 → L2
-//! walker itself, which is how a miss stream is filtered without a trace
-//! ever being held — so every form runs the same emission code.
+//! sink — the stream's chunk buffer, the packed builder, a `.trace` blob
+//! being written, or the L1 → L2 walker itself, which is how a miss stream
+//! is filtered without a trace ever being held — so every form runs the
+//! same emission code.
 //!
 //! The unit both traits also speak is the line sweep, a [`Run`]: the
 //! generators emit sweeps ([`AccessSink::emit_lines`]) and the cache walker
@@ -132,9 +133,9 @@ pub trait AccessSink {
 
     /// Record `lines` references alike in `region`, `write` and `work`, at
     /// `addr`, `addr + 64`, … — one line sweep. Provided as that many
-    /// [`emit`](AccessSink::emit)s; a sink that stores sweeps
-    /// ([`crate::packed::PackedBuilder`]) overrides it with arithmetic on
-    /// the sweep, to the same stream.
+    /// [`emit`](AccessSink::emit)s; a sink that stores sweeps (the packed
+    /// coalescer behind [`crate::packed::PackedBuilder`]) overrides it with
+    /// arithmetic on the sweep, to the same stream.
     fn emit_lines(&mut self, addr: u64, region: RegionId, write: bool, work: u32, lines: u64) {
         let mut a = addr;
         for _ in 0..lines {
@@ -160,7 +161,8 @@ impl AccessSink for Vec<Access> {
 }
 
 /// Two sinks fed one stream: every access and every sweep goes to both, in
-/// order — one generation that is walked and packed at once.
+/// order — one generation that is walked and its packed words counted at
+/// once.
 pub(crate) struct Tee<'a, A, B>(pub &'a mut A, pub &'a mut B);
 
 impl<A: AccessSink, B: AccessSink> AccessSink for Tee<'_, A, B> {

@@ -10,10 +10,12 @@
 //! jobs performs exactly 4 generations and 4 filter passes. A generation
 //! feeds the walker directly ([`KernelParams::emit_into`]): the trace
 //! itself is never held, as the paper's Pin → McSim stack never holds one.
-//! With an [`ArtifactStore`] attached the same generation also feeds a
-//! [`PackedBuilder`], and the packed trace is written as a `.trace` blob
-//! and dropped — the packed form is a persistence format, not a memo level
-//! ([`TraceCache::get`] keeps a memo of it for callers that ask for one).
+//! With an [`ArtifactStore`] attached a filter pass generates twice and
+//! still holds no trace: the first generation also feeds a coalescer that
+//! only counts the packed words, and the second packs them straight into
+//! the `.trace` blob behind a head that declares those counts — the packed
+//! form is a persistence format, not a memo level ([`TraceCache::get`]
+//! keeps a memo of it for callers that ask for one).
 //!
 //! Concurrency: the map lock is held only to look up or insert a
 //! per-key slot; the (expensive) build itself runs outside the map
@@ -23,10 +25,10 @@
 
 use crate::config::{CacheConfig, SystemConfig};
 use crate::miss_stream::MissStream;
-use crate::packed::{PackedBuilder, PackedTrace};
+use crate::packed::{Coalescer, PackedTrace};
 use crate::simpoint::{PhaseSample, SimPointConfig, SimPointSelection};
 use crate::store::{ArtifactStore, StoreError, StoreMetrics};
-use crate::stream::Tee;
+use crate::stream::{AccessSink, Tee};
 use crate::workloads::KernelParams;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -201,12 +203,14 @@ impl TraceCache {
     /// [`crate::system::Machine::simulate`].
     ///
     /// A filter pass walks a `.trace` blob the store holds, if it holds
-    /// one; otherwise it generates the workload straight into the L1 → L2
-    /// walker and counts a build ([`TraceCache::builds`]). No packed trace
-    /// is built without a store; with one, the generation also feeds a
-    /// packed builder whose trace is saved as a `.trace` blob and dropped.
-    /// Either way no trace outlives the call, and [`TraceCache::get`]'s
-    /// memo is neither read nor filled.
+    /// one (and holds that loaded trace while it walks it); otherwise it
+    /// generates the workload straight into the L1 → L2 walker and counts
+    /// one build ([`TraceCache::builds`]). No packed trace is built either
+    /// way: with a store, the walk's generation also counts the packed
+    /// words, and a second generation packs them straight into the
+    /// `.trace` blob (a second generation that disagrees with the first is
+    /// a failed write, and the stream is served all the same).
+    /// [`TraceCache::get`]'s memo is neither read nor filled.
     ///
     /// Config variants differing only in DRAM organization, timing,
     /// energy or `stall_factor` — everything the cache hierarchy cannot
@@ -226,26 +230,13 @@ impl TraceCache {
 
     /// One filter pass for `key` (see [`TraceCache::get_filtered`]).
     fn filter(&self, key: &FilterKey) -> MissStream {
-        let (params, l1, l2, threads) = (key.params, key.l1, key.l2, key.threads);
+        let (l1, l2, threads) = (key.l1, key.l2, key.threads);
         let store = self.store();
-        if let Some(trace) = store.as_ref().and_then(|store| store.load_trace(params)) {
+        if let Some(trace) = store.as_ref().and_then(|store| store.load_trace(key.params)) {
             return MissStream::build(&mut Arc::new(trace).replay(), l1, l2, threads);
         }
         self.builds.fetch_add(1, Ordering::Relaxed);
-        let regions = params.regions();
-        let Some(store) = store else {
-            return MissStream::filter(&regions, l1, l2, threads, |walker| {
-                params.emit_into(walker)
-            });
-        };
-        let mut packed = PackedBuilder::new(regions.clone());
-        let ms = MissStream::filter(&regions, l1, l2, threads, |walker| {
-            params.emit_into(&mut Tee(walker, &mut packed))
-        });
-        // Best-effort, as every persist (the store counts a failure): the
-        // stream serves the process.
-        let _ = store.save_trace(params, &packed.finish());
-        ms
+        generate_and_filter(key, store.as_deref(), &key.params)
     }
 
     /// The phase sample for a workload under a system configuration's
@@ -297,8 +288,9 @@ impl TraceCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Workloads actually generated: one per filter pass that generates
-    /// (into the walker, or the walker and a packed builder) and one per
+    /// Workloads actually generated: one per filter pass that generates,
+    /// however many generations it runs (one into the walker; with a
+    /// store, a second into the `.trace` blob), and one per
     /// [`TraceCache::get`] memo miss the store does not serve.
     pub fn builds(&self) -> u64 {
         self.builds.load(Ordering::Relaxed)
@@ -351,6 +343,46 @@ impl TraceCache {
         let slots = self.simpoint_slots.lock().unwrap_or_else(|e| e.into_inner());
         streams + slots.values().filter_map(|s| s.get()).map(|p| p.packed_bytes()).sum::<u64>()
     }
+}
+
+/// A workload's reference stream, emitted anew on every call: a filter
+/// pass over a store generates it twice.
+trait Generate {
+    /// Emit the whole stream into `sink`.
+    fn generate(&self, sink: &mut impl AccessSink);
+}
+
+impl Generate for KernelParams {
+    fn generate(&self, sink: &mut impl AccessSink) {
+        self.emit_into(sink)
+    }
+}
+
+/// Filter what `work` generates under `key`'s geometry, holding no trace
+/// of it. Without a store that is one generation, straight into the walker.
+/// With one it is two: the first is teed into the walker and a coalescer
+/// that only counts the words, the second packs them into the `.trace`
+/// blob as they are sealed, behind a head that declares those counts.
+fn generate_and_filter(
+    key: &FilterKey,
+    store: Option<&ArtifactStore>,
+    work: &impl Generate,
+) -> MissStream {
+    let (l1, l2, threads) = (key.l1, key.l2, key.threads);
+    let regions = key.params.regions();
+    let Some(store) = store else {
+        return MissStream::filter(&regions, l1, l2, threads, |walker| work.generate(walker));
+    };
+    let mut counter = Coalescer::new(&regions, ());
+    let ms = MissStream::filter(&regions, l1, l2, threads, |walker| {
+        work.generate(&mut Tee(walker, &mut counter))
+    });
+    let (counts, ()) = counter.finish();
+    // Best-effort, as every persist (the store counts a failure, a second
+    // generation that disagrees with the first included): the stream
+    // serves the process.
+    let _ = store.save_trace_streamed(key.params, &regions, counts, |blob| work.generate(blob));
+    ms
 }
 
 #[cfg(test)]
@@ -454,12 +486,15 @@ mod tests {
     fn the_generator_fed_walk_and_the_pulled_walk_produce_one_stream() {
         let dir = std::env::temp_dir().join(format!("abft-two-entries-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(ArtifactStore::open(&dir).unwrap());
+        let store = Arc::new(ArtifactStore::open(dir.join("streamed")).unwrap());
+        let whole = ArtifactStore::open(dir.join("whole")).unwrap();
         let table3 = SystemConfig::default();
         let small_l2 =
             SystemConfig { l2: CacheConfig { capacity: 64 * 1024, ..table3.l2 }, ..table3.clone() };
         for params in small_kernels() {
             let packed = Arc::new(params.build_packed());
+            whole.save_trace(params, &packed).unwrap();
+            let blob = std::fs::read(whole.trace_path(params)).unwrap();
             for geometry in [&table3, &small_l2] {
                 for threads in [1, 3, 4] {
                     let cfg = SystemConfig { threads, ..geometry.clone() };
@@ -471,22 +506,57 @@ mod tests {
                     assert_eq!(pushed.totals(), pulled.totals(), "{what}: totals");
                     assert!(pushed.raw_words() == pulled.raw_words(), "{what}: records");
 
-                    // With a store the same generation also packs the trace.
+                    // With a store a second generation packs the trace
+                    // straight into its blob: byte for byte the blob of the
+                    // trace packed whole.
                     let _ = std::fs::remove_file(store.trace_path(params));
                     let cache = TraceCache::with_store(Arc::clone(&store));
                     let teed = cache.get_filtered(params, &cfg);
                     assert_eq!(teed.totals(), pulled.totals(), "{what}: totals, teed");
                     assert!(teed.raw_words() == pulled.raw_words(), "{what}: records, teed");
                     assert_eq!((cache.builds(), cache.resident_bytes()), (1, 0), "{what}");
-                    let saved = store.load_trace(params).expect("the tee's trace was saved");
-                    assert!(saved.words().eq(packed.words()), "{what}: the tee's trace");
-                    assert_eq!(
-                        (saved.len(), saved.instructions()),
-                        (packed.len(), packed.instructions())
-                    );
+                    let saved = std::fs::read(store.trace_path(params)).expect("a .trace blob");
+                    assert!(saved == blob, "{what}: the streamed blob");
                 }
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A workload whose second generation emits one access more than its
+    /// first, as a generator that does not repeat itself would.
+    struct Drifting {
+        params: KernelParams,
+        calls: std::cell::Cell<u32>,
+    }
+
+    impl Generate for Drifting {
+        fn generate(&self, sink: &mut impl AccessSink) {
+            self.params.emit_into(sink);
+            if self.calls.replace(self.calls.get() + 1) == 1 {
+                let base = self.params.regions().regions()[0].base;
+                sink.emit(base + 8, 0, true, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_second_generation_that_drifts_is_refused_and_the_stream_still_served() {
+        let dir = std::env::temp_dir().join(format!("abft-drifting-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::open(&dir).unwrap();
+        let cfg = SystemConfig::default();
+        let key = FilterKey::new(tiny_dgemm(), &cfg);
+        let drifting = Drifting { params: tiny_dgemm(), calls: Default::default() };
+        let served = generate_and_filter(&key, Some(&store), &drifting);
+        assert_eq!(drifting.calls.get(), 2);
+        let exact = TraceCache::new().get_filtered(tiny_dgemm(), &cfg);
+        assert_eq!(served.totals(), exact.totals());
+        assert!(served.raw_words() == exact.raw_words());
+        let m = store.metrics();
+        assert_eq!((m.writes, m.write_failures), (0, 1));
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(left.is_empty(), "a refused blob left {left:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -138,9 +138,10 @@ echo "=== the pinned referees are still there, by name ==="
 # packed builder's sweep-level emission to line-by-line emission. In ecc,
 # the census that pins x4 chipkill's decode of 2-, 3- and 4-chip errors; in
 # abft, the FT-Cholesky run held to plain `cholesky_blocked`. The only
-# allocation gate: tests/alloc_budget.rs's five tests, three of which hold
+# allocation gate: tests/alloc_budget.rs's six tests, three of which hold
 # every replay path to the same allocation count at N and 2N events, and
-# two the filter and a blob write to the memory they may hold. And the dead
+# three the filter (store-less and store-attached) and a blob write to the
+# memory they may hold. And the dead
 # pub item gate, tests/dead_pub.rs's `no_dead_pub_items`. They ran in the
 # stage above and are listed here by name, so that a rename cannot silently
 # drop them.
@@ -151,6 +152,7 @@ for pinned in walk_reference:: every_lane_is_the_simulation_it_would_be_alone \
     cholesky::tests::injected_error_in_trailing_matrix_is_corrected \
     miss_stream_replay_allocates_flat source_replay_allocates_flat sampled_replay_allocates_flat \
     a_filter_pass_that_generates_holds_no_more_than_a_walk_of_a_built_trace \
+    a_filter_pass_with_a_store_holds_no_trace \
     a_blob_is_written_through_a_fixed_buffer no_dead_pub_items; do
     grep -Fq -- "$pinned" <<<"$listed" || { echo "no workspace test is named $pinned"; exit 1; }
 done

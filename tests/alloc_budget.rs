@@ -14,8 +14,9 @@
 //! The same allocator keeps each thread's live bytes and their high-water
 //! mark, which holds the memory the filter and the store need: a filter
 //! pass that generates its workload holds no more than a walk of a trace
-//! built beforehand, and a blob is written through a fixed buffer, not
-//! assembled whole.
+//! built beforehand, with a store attached it holds no packed trace
+//! either, and a blob is written through a fixed buffer, not assembled
+//! whole.
 
 use abft_coop::abft_dgms::run_dgms;
 use abft_coop::abft_memsim::config::CacheConfig;
@@ -227,6 +228,30 @@ fn a_filter_pass_that_generates_holds_no_more_than_a_walk_of_a_built_trace() {
         "a store-less filter pass peaked at {generated} bytes, the walk of a built trace at {walk} \
          (the trace is {} bytes): it must not hold one",
         s.packed.packed_bytes()
+    );
+}
+
+#[test]
+fn a_filter_pass_with_a_store_holds_no_trace() {
+    /// What persisting may add: the blob buffer, a path and some slack.
+    const BOUND: u64 = 128 << 10;
+    let cfg = SystemConfig::default();
+    let params: KernelParams = CgParams::default().into();
+    let dir = std::env::temp_dir().join(format!("abft-alloc-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(ArtifactStore::open(&dir).expect("open store"));
+    let bare = peak_bytes(|| TraceCache::new().get_filtered(params, &cfg));
+    let cache = TraceCache::with_store(Arc::clone(&store));
+    let stored = peak_bytes(|| cache.get_filtered(params, &cfg));
+    let trace = std::fs::metadata(store.trace_path(params)).map(|m| m.len());
+    let m = store.metrics();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!((m.writes, m.write_failures), (2, 0), "the pass persisted its trace and stream");
+    assert!(trace.expect("the .trace blob") > 4 * BOUND, "a trace this small tests no bound");
+    assert!(
+        stored <= bare + BOUND,
+        "a store-attached filter pass peaked at {stored} bytes, a store-less one at {bare}: \
+         it may add its blob buffer, not a packed trace"
     );
 }
 

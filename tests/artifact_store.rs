@@ -82,7 +82,7 @@ fn a_cold_grid_generates_and_persists_each_kernel_once_and_holds_no_trace() {
     let cache = Arc::new(TraceCache::new());
     let cold = CampaignClient::with_cache(Arc::clone(&cache)).run(&spec);
     let m = &cold.metrics;
-    assert_eq!((m.cache_builds, m.filter_builds), (4, 4), "one generation, one filter per kernel");
+    assert_eq!((m.cache_builds, m.filter_builds), (4, 4), "one build, one filter per kernel");
     assert_eq!((m.store_writes, m.write_failures), (8, 0), "a .trace and a .miss per kernel");
     assert_eq!(m.cache_hits, 0, "a campaign never looks a trace up");
     assert_eq!((cache.len(), cache.resident_bytes()), (0, 0), "no packed trace is held");
