@@ -46,8 +46,8 @@ impl Violation {
 }
 
 /// The mathematical value at `(i, c)` of a matrix factored in place whose
-/// first `factored` columns store multipliers (LU's `L`, QR's reflectors)
-/// below the diagonal: zero there, the stored value everywhere else.
+/// first `factored` columns store multipliers (LU's `L`) below the
+/// diagonal: zero there, the stored value everywhere else.
 #[inline]
 pub(crate) fn math_val(m: &Matrix, i: usize, c: usize, factored: usize) -> f64 {
     if c < factored && i > c {

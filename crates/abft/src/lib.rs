@@ -9,10 +9,6 @@
 //! * [`cg`] — FT-CG / FT-Pred-CG: Online-ABFT invariant checks on
 //!   `r, p, q, x, b` (fail-continue).
 //! * [`hpl`] — FT-HPL: row-checksum-encoded LU for fail-stop recovery.
-//! * [`lu`] — FT-LU: online (fail-continue) soft-error correction in LU,
-//!   after Davies & Chen \[9\].
-//! * [`qr`] — FT-QR: checksum-maintained Householder QR, after Du et
-//!   al. \[14\].
 //! * [`multichecksum`] — power-sum checksum vectors correcting multiple
 //!   errors per column (Section 2.1's "sophisticated checksum vectors").
 //! * [`checksum`] — the shared plain + weighted checksum machinery.
@@ -31,10 +27,8 @@ pub mod cholesky;
 mod cost;
 pub mod dgemm;
 pub mod hpl;
-pub mod lu;
 pub mod multichecksum;
 pub mod overhead;
-pub mod qr;
 pub mod verify;
 
 pub use checksum::{ColChecksums, Violation};

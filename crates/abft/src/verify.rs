@@ -30,8 +30,7 @@ pub(crate) fn due(step: usize, steps: usize, interval: usize) -> bool {
 /// [`Cost`]), so two runs of one input return equal stats.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FtStats {
-    /// The numerical kernel itself. (FT-QR's reflectors run inside
-    /// `abft_linalg::qr` and are not counted.)
+    /// The numerical kernel itself.
     pub compute: Cost,
     /// Building and maintaining checksums, including the checksum rows
     /// and columns that ride inside the kernel's own updates.
@@ -86,8 +85,6 @@ mod tests {
     use crate::cholesky::{ft_cholesky, FtCholeskyOptions};
     use crate::dgemm::{ft_dgemm, FtDgemmOptions};
     use crate::hpl::{ft_hpl_with, FtHplOptions};
-    use crate::lu::{ft_lu_with, FtLuOptions};
-    use crate::qr::{ft_qr_with, FtQrOptions};
     use abft_linalg::gen::{random_diag_dominant, random_matrix, random_spd};
     use abft_linalg::poisson_2d;
 
@@ -124,12 +121,12 @@ mod tests {
         assert_eq!(examined(4, 9), [3]);
     }
 
-    /// `verify_interval: 0` used to be a remainder by zero in five of the
-    /// six kernels (FT-QR clamped it); now all six read it as 1.
+    /// `verify_interval: 0` used to be a remainder by zero in the kernels;
+    /// now all four read it as 1.
     #[test]
     fn interval_zero_examines_as_interval_one_in_every_kernel() {
         type Run = fn(usize) -> (Vec<f64>, FtStats);
-        let kernels: [(&str, Run); 6] = [
+        let kernels: [(&str, Run); 4] = [
             ("dgemm", |verify_interval| {
                 let (a, b) = (random_matrix(24, 24, 1), random_matrix(24, 24, 2));
                 let r = ft_dgemm(
@@ -150,16 +147,6 @@ mod tests {
                 let opts = FtCgOptions { verify_interval, ..Default::default() };
                 let r = ft_pcg(&a, &b, &vec![0.0; a.rows()], &opts);
                 (r.x, r.stats)
-            }),
-            ("lu", |verify_interval| {
-                let opts = FtLuOptions { block: 8, verify_interval, ..Default::default() };
-                let r = ft_lu_with(&random_diag_dominant(32, 4), &opts, |_, _| {}).unwrap();
-                (r.lu.as_slice().to_vec(), r.stats)
-            }),
-            ("qr", |verify_interval| {
-                let opts = FtQrOptions { verify_interval, ..Default::default() };
-                let r = ft_qr_with(&random_matrix(16, 16, 5), &opts, |_, _| {});
-                (r.factors.qr.as_slice().to_vec(), r.stats)
             }),
             ("hpl", |verify_interval| {
                 let opts = FtHplOptions { block: 8, verify_interval, ..Default::default() };

@@ -4,20 +4,13 @@
 //! overhead. This study reruns the FT-DGEMM basic test on both widths.
 
 use crate::run_grid;
+use abft_coop::studies::device_width_spec;
 use abft_coop_core::report::{norm, pct, Report, TextTable};
-use abft_coop_core::{CampaignSpec, Strategy};
-use abft_memsim::config::DeviceWidth;
-use abft_memsim::workloads::{DgemmParams, KernelKind};
-use abft_memsim::SystemConfig;
+use abft_coop_core::Strategy;
+use abft_memsim::workloads::KernelKind;
 
 pub fn run(out: &mut Report) {
-    let spec = CampaignSpec::builder()
-        .workload(DgemmParams { n: 768, nb: 64, abft: true, verify_interval: 4 })
-        .strategies([Strategy::NoEcc, Strategy::WholeChipkill, Strategy::PartialChipkillNoEcc])
-        .config("x4", SystemConfig::default().with_device_width(DeviceWidth::X4))
-        .config("x8", SystemConfig::default().with_device_width(DeviceWidth::X8))
-        .build();
-    let run = run_grid(&spec);
+    let run = run_grid(&device_width_spec());
     let mut t = TextTable::new(&["width", "strategy", "mem energy (norm)", "IPC (norm)"]);
     for label in ["x4", "x8"] {
         let cell = |s| &run.get(KernelKind::Dgemm, s, label).expect("campaign cell").stats;

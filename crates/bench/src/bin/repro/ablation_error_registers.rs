@@ -7,50 +7,19 @@
 //! arrive between examinations; any event overwritten in the ring before
 //! the drain is lost (ABFT must then fall back to full verification).
 
+use abft_coop::studies::{register_loss, REGISTER_TRIALS};
 use abft_coop_core::report::{pct, Report, TextTable};
-use abft_ecc::EccScheme;
-use abft_faultsim::Injector;
-use abft_memsim::controller::MemoryController;
-use abft_memsim::dram::AddressMap;
-use abft_memsim::SystemConfig;
 
 pub fn run(out: &mut Report) {
-    let cfg = SystemConfig::default();
-    let mut inj = Injector::new(7);
-    // Burst sizes drawn from a Poisson-ish schedule: mean 2 events per
-    // examination period (an aggressively high uncorrectable rate).
-    let trials = 2000;
-    let bursts: Vec<usize> = (0..trials).map(|_| inj.poisson_times(2.0, 1.0).len()).collect();
-
     let mut t = TextTable::new(&["n (registers)", "events lost", "periods with loss", "loss rate"]);
     for n in [1usize, 2, 4, 6, 8, 12] {
-        let mut lost = 0u64;
-        let mut bad_periods = 0u64;
-        let mut total = 0u64;
-        for &burst in &bursts {
-            let mut mc = MemoryController::new(AddressMap::new(&cfg), EccScheme::Secded);
-            mc.set_error_depth(n);
-            for k in 0..burst {
-                let addr = 0x100000 + (k as u64) * 64;
-                mc.write_line(addr, &[3u8; 64]);
-                mc.inject_bit_flip(addr, 1);
-                mc.inject_bit_flip(addr, 2);
-                let _ = mc.read_line(addr, k as f64);
-            }
-            total += burst as u64;
-            lost += mc.errors_overwritten;
-            if mc.errors_overwritten > 0 {
-                bad_periods += 1;
-            }
-        }
+        let loss = register_loss(n);
         t.row(&[
             n.to_string(),
-            lost.to_string(),
-            format!("{bad_periods}/{trials}"),
-            pct(lost as f64 / total.max(1) as f64),
+            loss.lost.to_string(),
+            format!("{}/{REGISTER_TRIALS}", loss.bad_periods),
+            pct(loss.lost as f64 / loss.total.max(1) as f64),
         ]);
     }
     write!(out, "{}", t.render());
-    writeln!(out, "\nAt the paper's n = 6 the loss rate collapses to ~0 even at two");
-    writeln!(out, "uncorrectable events per examination period — the design point.");
 }

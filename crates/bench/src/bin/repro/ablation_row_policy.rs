@@ -4,24 +4,13 @@
 //! counterfactual.
 
 use crate::run_grid;
+use abft_coop::studies::row_policy_spec;
 use abft_coop_core::report::{norm, Report, TextTable};
-use abft_coop_core::{CampaignSpec, Strategy};
-use abft_memsim::config::RowPolicy;
-use abft_memsim::workloads::{DgemmParams, KernelKind};
-use abft_memsim::SystemConfig;
-
-fn config_with_policy(policy: RowPolicy) -> SystemConfig {
-    SystemConfig { row_policy: policy, ..SystemConfig::default() }
-}
+use abft_coop_core::Strategy;
+use abft_memsim::workloads::KernelKind;
 
 pub fn run(out: &mut Report) {
-    let spec = CampaignSpec::builder()
-        .workload(DgemmParams { n: 768, nb: 64, abft: true, verify_interval: 4 })
-        .strategies([Strategy::WholeChipkill, Strategy::PartialChipkillNoEcc])
-        .config("open", config_with_policy(RowPolicy::Open))
-        .config("closed", config_with_policy(RowPolicy::Closed))
-        .build();
-    let run = run_grid(&spec);
+    let run = run_grid(&row_policy_spec());
     let mut t = TextTable::new(&[
         "policy",
         "strategy",

@@ -1,11 +1,11 @@
 //! Section 4 quantified: end-to-end error drills through the real stack
 //! (Cases 1-4) and an ARE-vs-ASE population summary.
 
+use abft_coop::studies::case_population;
 use abft_coop_core::report::{Report, TextTable};
 use abft_coop_core::{drill_matrix, summarize_cases, DetectedBy};
 use abft_ecc::EccScheme;
 use abft_faultsim::scenarios::RecoveryCosts;
-use abft_faultsim::{ErrorPattern, Injector};
 
 pub fn run(out: &mut Report) {
     writeln!(out, "End-to-end drills (bit-true ECC + OS interrupt path + ABFT repair):\n");
@@ -36,25 +36,7 @@ pub fn run(out: &mut Report) {
     write!(out, "{}", t.render());
 
     writeln!(out, "\nPopulation summary over sampled error patterns (Case 1-4 accounting):\n");
-    let mut inj = Injector::new(2013);
-    let mut patterns = Vec::new();
-    for _ in 0..900 {
-        patterns.push(ErrorPattern::SingleBit);
-    }
-    for _ in 0..60 {
-        let (e, _) = inj.random_target(36);
-        patterns.push(ErrorPattern::SingleChip { bits: (e % 8 + 1) as u32 });
-    }
-    for _ in 0..25 {
-        patterns.push(ErrorPattern::ScatteredOneLine { chips: 33 });
-    }
-    for _ in 0..10 {
-        patterns.push(ErrorPattern::RepeatedSameColumn { strikes: 6 });
-    }
-    for _ in 0..5 {
-        patterns.push(ErrorPattern::DispersedBurst { lines: 40, chips_per_line: 4 });
-    }
-    let s = summarize_cases(&patterns, 2, &RecoveryCosts::default());
+    let s = summarize_cases(&case_population(), 2, &RecoveryCosts::default());
     let mut t = TextTable::new(&["Metric", "ARE", "ASE (cooperative)", "ASE (traditional panic)"]);
     t.row(&[
         "recovery energy (kJ)".into(),

@@ -1,17 +1,14 @@
 //! The Section 1 motivation quantified: ABFT vs optimal (Young/Daly)
 //! periodic checkpointing across system MTTFs.
 
-use abft_analysis::checkpoint::sweep;
+use abft_coop::studies::checkpoint_sweep;
 use abft_coop_core::report::{pct, Report, TextTable};
 
 pub fn run(out: &mut Report) {
-    // Profile: 2-minute checkpoint writes, 5-minute restarts, a 3% ABFT
-    // tax (the basic tests' measured band), 1-second ABFT recoveries.
     let mttfs = [900.0, 1800.0, 3600.0, 4.0 * 3600.0, 24.0 * 3600.0];
-    let rows = sweep(120.0, 300.0, 0.03, 1.0, &mttfs);
     let mut t =
         TextTable::new(&["system MTTF", "Daly interval", "checkpoint overhead", "ABFT overhead"]);
-    for r in rows {
+    for r in checkpoint_sweep(&mttfs) {
         t.row(&[
             format!("{:.1} h", r.mttf_s / 3600.0),
             format!("{:.0} s", r.interval_s),
@@ -20,7 +17,4 @@ pub fn run(out: &mut Report) {
         ]);
     }
     write!(out, "{}", t.render());
-    writeln!(out, "\nThe paper's premise (Section 1): ABFT 'can reduce or even eliminate");
-    writeln!(out, "the expensive periodic checkpoint/rollback' — at every realistic MTTF");
-    writeln!(out, "the ABFT tax undercuts optimal checkpointing by a wide margin.");
 }

@@ -84,6 +84,4 @@ pub fn run(out: &mut Report) {
     writeln!(out, "\nThe same over problem size (panel / block width and examination period");
     writeln!(out, "fixed, so the number of examinations grows with n):\n");
     write!(out, "{}", curve.render());
-    writeln!(out, "\nPaper (Figure 3): verification is responsible for a large part of the");
-    writeln!(out, "overhead for all three kernels.");
 }

@@ -2,7 +2,7 @@
 //! strategies, normalized to No-ECC.
 
 use crate::all_basic_tests;
-use abft_coop_core::report::{norm, pct, Report, TextTable};
+use abft_coop_core::report::{norm, Report, TextTable};
 use abft_coop_core::Strategy;
 
 pub fn run(out: &mut Report) {
@@ -27,16 +27,4 @@ pub fn run(out: &mut Report) {
         }
     }
     out.table(&t);
-    writeln!(out, "\nHeadlines vs paper:");
-    for bt in &tests {
-        writeln!(
-            out,
-            "  {:12} partial-CK saves {} of W_CK memory energy (paper: DGEMM 49%, CG 38%); \
-             P_CK+P_SD saves {} (paper: DGEMM 48%, CG 33%); W_SD costs {} over No-ECC (paper: ~12%)",
-            bt.kernel.label(),
-            pct(bt.partial_mem_saving(Strategy::PartialChipkillNoEcc)),
-            pct(bt.partial_mem_saving(Strategy::PartialChipkillSecded)),
-            pct(bt.mem_energy_norm(Strategy::WholeSecded) - 1.0),
-        );
-    }
 }

@@ -2,7 +2,7 @@
 //! strategies, normalized to No-ECC.
 
 use crate::all_basic_tests;
-use abft_coop_core::report::{norm, pct, Report, TextTable};
+use abft_coop_core::report::{norm, Report, TextTable};
 use abft_coop_core::Strategy;
 
 pub fn run(out: &mut Report) {
@@ -27,14 +27,4 @@ pub fn run(out: &mut Report) {
         }
     }
     out.table(&t);
-    writeln!(out, "\nHeadlines vs paper (partial chipkill system-energy saving vs W_CK):");
-    let paper = ["22%", "8%", "25%", "10%"];
-    for (bt, p) in tests.iter().zip(paper) {
-        writeln!(
-            out,
-            "  {:12} measured {}  (paper: up to {p})",
-            bt.kernel.label(),
-            pct(bt.partial_system_saving(abft_coop_core::Strategy::PartialChipkillNoEcc)),
-        );
-    }
 }

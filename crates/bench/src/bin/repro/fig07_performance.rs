@@ -19,6 +19,4 @@ pub fn run(out: &mut Report) {
         }
     }
     out.table(&t);
-    writeln!(out, "Paper: partial-ECC performance is close to No-ECC (especially FT-DGEMM");
-    writeln!(out, "and FT-Cholesky); performance variance is smaller than energy variance.");
 }

@@ -30,7 +30,4 @@ pub fn run(out: &mut Report) {
         }
     }
     out.table(&t);
-    writeln!(out, "\nPaper shape: benefit and recovery both grow ~linearly with scale; the");
-    writeln!(out, "benefit stays well above the recovery cost; P_CK+P_SD has much lower");
-    writeln!(out, "recovery cost than the no-ECC-relaxed strategies.");
 }

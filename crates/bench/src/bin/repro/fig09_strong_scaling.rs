@@ -25,7 +25,4 @@ pub fn run(out: &mut Report) {
         }
     }
     out.table(&t);
-    writeln!(out, "\nPaper shape: the benefit rises to a sweet point then falls (caching");
-    writeln!(out, "erodes main-memory traffic as per-process problems shrink); recovery");
-    writeln!(out, "cost falls monotonically; P_CK+P_SD is the most energy efficient.");
 }

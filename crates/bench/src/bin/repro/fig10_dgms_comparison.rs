@@ -3,12 +3,10 @@
 //! (high spatial locality) and FT-Pred-CG (low spatial locality).
 
 use crate::run_grid;
+use abft_coop::studies::dgms_pass;
 use abft_coop_core::report::{norm, pct, Report, TextTable};
 use abft_coop_core::{CampaignSpec, Strategy};
-use abft_dgms::run_dgms;
-use abft_memsim::system::Machine;
-use abft_memsim::workloads::{KernelKind, KernelParams};
-use abft_memsim::{SimInput, SystemConfig, TraceCache};
+use abft_memsim::workloads::KernelKind;
 
 pub fn run(out: &mut Report) {
     let kinds = [KernelKind::Dgemm, KernelKind::Cg];
@@ -33,10 +31,7 @@ pub fn run(out: &mut Report) {
         // The campaign already filtered this kernel's miss stream into the
         // process-wide cache; the DGMS pass replays the same stream under
         // its granularity predictor (bit-identical to the full run).
-        let ms = TraceCache::global()
-            .get_filtered(KernelParams::default_for(kind), &SystemConfig::default());
-        let m = Machine::new(SystemConfig::default());
-        let (dgms, coarse) = run_dgms(&m, SimInput::MissStream(&ms));
+        let (dgms, coarse) = dgms_pass(kind);
         for (label, s, cf) in [
             ("W_CK", wck, String::new()),
             ("DGMS", &dgms, format!("{coarse:.2}")),
@@ -54,7 +49,7 @@ pub fn run(out: &mut Report) {
         let energy_save = 1.0 - ours.mem_total_j() / dgms.mem_total_j();
         writeln!(
             out,
-            "{}: ours vs DGMS — {} faster, {} less memory energy (paper: DGEMM +18% perf / 49% energy; CG perf close / DGMS +24% energy)",
+            "{}: ours vs DGMS — {} faster, {} less memory energy",
             kind.label(),
             pct(perf_gain),
             pct(energy_save)

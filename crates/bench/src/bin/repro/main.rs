@@ -36,7 +36,7 @@ mod ablation_verify_interval;
 mod arch_overview;
 mod cases_error_handling;
 mod checkpoint_vs_abft;
-mod extended_kernels;
+mod claims;
 mod fig03_overhead;
 mod fig05_memory_energy;
 mod fig06_system_energy;
@@ -94,8 +94,8 @@ const REGISTRY: [Experiment; 23] = [
     Experiment { name: "monte_carlo_campaign", title: "Monte-Carlo fault campaign — ARE vs ASE distributions", run: monte_carlo_campaign::run },
     Experiment { name: "checkpoint_vs_abft", title: "Checkpoint/restart vs ABFT — overhead across system MTTFs", run: checkpoint_vs_abft::run },
     Experiment { name: "arch_overview", title: "Figure 2 / Figure 4 — architecture overview (as implemented)", run: arch_overview::run },
-    Experiment { name: "extended_kernels", title: "Extension kernels — FT-LU, FT-QR, multi-error FT-Cholesky", run: extended_kernels::run },
     Experiment { name: "trace_stats", title: "Trace inspector", run: trace_stats::run },
+    Experiment { name: "claims", title: "Claims ledger — the paper's numbers against ours", run: claims::run },
 ];
 
 impl Experiment {
@@ -332,6 +332,31 @@ mod tests {
             for entry in entry_points {
                 assert!(test.contains(entry), "`{file}` never mentions `{entry}`\n{row}");
             }
+        }
+    }
+
+    /// The registry census: an experiment owns a row of the claims ledger,
+    /// or DESIGN.md §3.16 names it as infrastructure; and every row names a
+    /// registered experiment.
+    #[test]
+    fn every_experiment_owns_a_claim_or_is_infrastructure() {
+        use abft_coop_core::claims::{parse, LEDGER};
+        let claims = parse(LEDGER, |_| true).expect("crates/core/claims.tsv parses");
+        let owners: BTreeSet<&str> = claims.iter().map(|c| c.experiment.as_str()).collect();
+        let registered: BTreeSet<&str> = REGISTRY.iter().map(|e| e.name).collect();
+        let strays: Vec<_> = owners.difference(&registered).collect();
+        assert!(strays.is_empty(), "ledger rows name unregistered experiments: {strays:?}");
+        let design = std::fs::read_to_string(repo_root().join("DESIGN.md")).expect("DESIGN.md");
+        let census = &design[design.find("### 3.16").expect("section 3.16")..];
+        let infrastructure = census
+            .lines()
+            .find(|l| l.contains("**infrastructure**"))
+            .expect("an infrastructure row");
+        for name in registered.difference(&owners) {
+            assert!(
+                infrastructure.contains(&format!("`repro {name}`")),
+                "{name} owns no claim, and DESIGN.md §3.16 does not name it as infrastructure"
+            );
         }
     }
 

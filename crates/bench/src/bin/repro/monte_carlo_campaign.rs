@@ -2,12 +2,13 @@
 //! field-realistic error-pattern mix (the statistical form of Section 4's
 //! discussion).
 
+use abft_coop::studies::monte_carlo_config;
 use abft_coop_core::report::{pct, Report, TextTable};
-use abft_faultsim::{run_fault_campaign_with_progress, FaultCampaignConfig};
+use abft_faultsim::run_fault_campaign_with_progress;
 
 pub fn run(out: &mut Report) {
     for errors_per_run in [0.1, 0.5, 2.0, 10.0] {
-        let cfg = FaultCampaignConfig { errors_per_run, trials: 20_000, ..Default::default() };
+        let cfg = monte_carlo_config(errors_per_run);
         let r = run_fault_campaign_with_progress(&cfg, |p| {
             if p.trials_done % 5000 == 0 || p.trials_done == p.trials_total {
                 eprintln!(
@@ -37,8 +38,4 @@ pub fn run(out: &mut Report) {
         }
         write!(out, "{}", t.render());
     }
-    writeln!(out, "\n'Given the rareness of errors, ARE wins over ASE in terms of");
-    writeln!(out, "performance and energy for most of cases. ... if the error rates are");
-    writeln!(out, "extremely high ... ARE loses to ASE because of high recovery cost,");
-    writeln!(out, "which is rare in real cases.' — Section 4, reproduced above.");
 }

@@ -3,54 +3,23 @@
 //! fewer accumulate into SECDED-uncorrectable pairs that must fall back
 //! to the cooperative ABFT path.
 
+use abft_coop::studies::{scrub, SCRUB_LINES};
 use abft_coop_core::report::{pct, Report, TextTable};
-use abft_ecc::{EccOutcome, EccScheme};
-use abft_memsim::controller::MemoryController;
-use abft_memsim::dram::AddressMap;
-use abft_memsim::SystemConfig;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 
 pub fn run(out: &mut Report) {
-    let cfg = SystemConfig::default();
-    let lines = 4096u64; // a 256 KB SECDED-protected region
-    let strikes = 6000u32; // heavy accelerated fault load
     let mut t = TextTable::new(&[
         "scrub every N strikes",
         "corrected by scrub",
         "uncorrectable at read",
         "uncorrectable rate",
     ]);
-    for interval in [u32::MAX, 2000, 500, 100, 20] {
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let mut mc = MemoryController::new(AddressMap::new(&cfg), EccScheme::Secded);
-        for l in 0..lines {
-            mc.write_line(l * 64, &[0xE7u8; 64]);
-        }
-        let mut scrub_corrected = 0u64;
-        for k in 0..strikes {
-            let line = rng.random_range(0..lines) * 64;
-            let bit = rng.random_range(0..512usize);
-            mc.inject_bit_flip(line, bit);
-            if interval != u32::MAX && k % interval == interval - 1 {
-                let (_, c, _) = mc.scrub_range(0, lines * 64, k as f64);
-                scrub_corrected += c;
-            }
-        }
-        // Final read pass: what does the application see?
-        let mut bad = 0u64;
-        for l in 0..lines {
-            let (_, o) = mc.read_line(l * 64, strikes as f64);
-            if o == EccOutcome::DetectedUncorrectable {
-                bad += 1;
-            }
-        }
-        let label = if interval == u32::MAX { "never".into() } else { interval.to_string() };
+    for interval in [None, Some(2000), Some(500), Some(100), Some(20)] {
+        let (scrub_corrected, bad) = scrub(interval);
         t.row(&[
-            label,
+            interval.map_or("never".into(), |i| i.to_string()),
             scrub_corrected.to_string(),
             bad.to_string(),
-            pct(bad as f64 / lines as f64),
+            pct(bad as f64 / SCRUB_LINES as f64),
         ]);
     }
     write!(out, "{}", t.render());

@@ -3,48 +3,21 @@
 //! available to the simulator via `classify_against_truth`; this is the
 //! quantitative backdrop for the paper's Case 2/4 discussion.
 
+use abft_coop::studies::{sdc_study, SDC_BITS, SDC_SCHEMES};
 use abft_coop_core::report::{pct, Report, TextTable};
-use abft_ecc::{classify_against_truth, EccScheme, ProtectedLine, TruthOutcome};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 
 pub fn run(out: &mut Report) {
-    let mut rng = ChaCha8Rng::seed_from_u64(2013);
-    let trials = 4000;
     let mut t = TextTable::new(&["scheme", "bits", "corrected", "detected", "silent (SDC)"]);
-    for scheme in [EccScheme::Secded, EccScheme::Chipkill, EccScheme::None] {
-        for bits in [1usize, 2, 3, 4, 8] {
-            let mut corrected = 0u64;
-            let mut detected = 0u64;
-            let mut silent = 0u64;
-            for _ in 0..trials {
-                let mut data = [0u8; 64];
-                rng.fill(&mut data[..]);
-                let mut line = ProtectedLine::encode(scheme, &data);
-                let mut flipped = std::collections::BTreeSet::new();
-                while flipped.len() < bits {
-                    flipped.insert(rng.random_range(0..512usize));
-                }
-                for &b in &flipped {
-                    line.flip_data_bit(b);
-                }
-                let (out, o) = line.decode();
-                match classify_against_truth(o, out == data) {
-                    TruthOutcome::TrueCorrection => corrected += 1,
-                    TruthOutcome::TrueDetection => detected += 1,
-                    TruthOutcome::SilentCorruption => silent += 1,
-                    TruthOutcome::TrueClean => silent += 1, // flips landed, "clean" = SDC
-                }
-            }
-            let f = trials as f64;
-            t.row(&[
-                scheme.label().to_string(),
-                bits.to_string(),
-                pct(corrected as f64 / f),
-                pct(detected as f64 / f),
-                pct(silent as f64 / f),
-            ]);
-        }
+    let cells = sdc_study();
+    let rows = SDC_SCHEMES.iter().flat_map(|s| SDC_BITS.iter().map(move |b| (s, b)));
+    for ((scheme, bits), [corrected, detected, silent]) in rows.zip(cells) {
+        t.row(&[
+            scheme.label().to_string(),
+            bits.to_string(),
+            pct(corrected),
+            pct(detected),
+            pct(silent),
+        ]);
     }
     write!(out, "{}", t.render());
     writeln!(out, "\nReading: chipkill corrects multi-bit patterns that land in one chip");

@@ -19,16 +19,13 @@ pub fn run(out: &mut Report) {
         "verify cycles",
         "run cycles",
         "Improvement (model)",
-        "Paper",
     ]);
-    let paper = ["8.6%", "6.0%", "12.2%"];
-    for (k, p) in FailContinueKernel::ALL.iter().zip(paper) {
-        let full = measure(*k, &scale, VerifyMode::Full);
-        let assisted = measure(*k, &scale, VerifyMode::HardwareAssisted(SysfsChannel::new()));
+    for k in FailContinueKernel::ALL {
+        let full = measure(k, &scale, VerifyMode::Full);
+        let assisted = measure(k, &scale, VerifyMode::HardwareAssisted(SysfsChannel::new()));
         let gain = simplified_verification_improvement(&full, &assisted);
         assert!(gain > 0.0, "{}: {gain}", k.label());
-        for (mode, s, gain, paper) in
-            [("full", &full, String::new(), ""), ("assisted", &assisted, pct(gain), p)]
+        for (mode, s, gain) in [("full", &full, String::new()), ("assisted", &assisted, pct(gain))]
         {
             t.row(&[
                 k.label().to_string(),
@@ -38,7 +35,6 @@ pub fn run(out: &mut Report) {
                 format!("{:.0}", s.verify.cycles()),
                 format!("{:.0}", s.cycles()),
                 gain,
-                paper.to_string(),
             ]);
         }
     }

@@ -8,5 +8,4 @@ pub fn run(out: &mut Report) {
         t.row(&[label.to_string(), format!("{fit}")]);
     }
     write!(out, "{}", t.render());
-    writeln!(out, "\nPaper: No ECC 5000, Chipkill correct 0.02, SECDED 1300 (exact inputs).");
 }

@@ -59,12 +59,6 @@ impl BasicTest {
         let base = self.row(s.baseline()).stats.mem_total_j();
         1.0 - self.row(s).stats.mem_total_j() / base
     }
-
-    /// Same saving on system energy (Figure 6 discussion).
-    pub fn partial_system_saving(&self, s: Strategy) -> f64 {
-        let base = self.row(s.baseline()).stats.system_j();
-        1.0 - self.row(s).stats.system_j() / base
-    }
 }
 
 #[cfg(test)]

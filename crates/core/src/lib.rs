@@ -22,10 +22,13 @@
 //!   [`CampaignClient`] facade every harness binary runs it through
 //!   (trace cache + artifact store + sampling resolved from the spec or
 //!   the environment, then the engine).
+//! * [`claims`] — the claims ledger: every number the paper states, once,
+//!   with the check that judges the reproduction against it.
 //! * [`report`] — text tables and the [`Report`] the `repro` experiments
 //!   write through.
 
 pub mod campaign;
+pub mod claims;
 pub(crate) mod client;
 pub(crate) mod errorflow;
 pub(crate) mod experiment;

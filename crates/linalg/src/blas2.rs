@@ -1,5 +1,5 @@
 //! Level-2 BLAS kernels: dense matrix-vector products and the packed
-//! triangular solves shared by the Cholesky, LU and QR `solve` paths.
+//! triangular solves of the LU `solve` path.
 
 use crate::matrix::Matrix;
 

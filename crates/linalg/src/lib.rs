@@ -13,7 +13,7 @@
 //! * [`cholesky`] — blocked right-looking `A = L L^T` and its unblocked
 //!   `potf2`, which FT-Cholesky runs on its diagonal blocks.
 //! * [`lu`] — blocked LU with partial pivoting + solve (the HPL core); its
-//!   `panel_factor` is the elimination FT-LU and FT-HPL run.
+//!   `panel_factor` is the elimination FT-HPL runs.
 //! * [`cg`] — preconditioned conjugate gradient matching the paper's
 //!   Figure 1, with an observer hook for online invariant checking.
 //! * `sparse` — CSR matrices and the 2-D Poisson operator (the
@@ -28,7 +28,6 @@ pub mod cholesky;
 pub mod gen;
 pub mod lu;
 pub(crate) mod matrix;
-pub mod qr;
 pub(crate) mod sparse;
 
 pub use blas3::{gemm, matmul, Trans};
@@ -38,5 +37,4 @@ pub use cg::{
 pub use cholesky::{cholesky_blocked, FactorError};
 pub use lu::{lu_blocked, LuFactors};
 pub use matrix::Matrix;
-pub use qr::{householder_qr, householder_qr_with, QrFactors};
 pub use sparse::{poisson_2d, CsrMatrix};

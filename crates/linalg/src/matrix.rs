@@ -22,7 +22,8 @@ impl Matrix {
     }
 
     /// Create an identity matrix of order `n`.
-    pub fn identity(n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
@@ -122,7 +123,8 @@ impl Matrix {
     }
 
     /// Transposed copy.
-    pub fn transpose(&self) -> Matrix {
+    #[cfg(test)]
+    pub(crate) fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
     }
 

@@ -83,13 +83,13 @@ echo "=== drift gate, one worker (the campaign experiments as whole-row tasks) =
 # A campaign task replays ceil(strategies / workers) strategies of a row
 # side by side (campaign::run_grid), so the run above cut the rows by this
 # machine's core count. On one worker a task is a whole row — six lanes for
-# fig05-07 — and the ten experiments that run campaigns must print the same
+# fig05-07 — and the eleven experiments that run campaigns must print the same
 # committed bytes: a lane split that moves a digit of a figure fails here
 # by name.
 campaigns=(
     tab04_access_classification fig05_memory_energy fig06_system_energy fig07_performance
     fig08_weak_scaling fig09_strong_scaling fig10_dgms_comparison
-    ablation_row_policy ablation_mlp ablation_device_width
+    ablation_row_policy ablation_mlp ablation_device_width claims
 )
 RAYON_NUM_THREADS=1 ./target/release/repro "${campaigns[@]}" --out "$CI_TMP/repro-1-worker"
 check_drift "$CI_TMP/repro-1-worker" "${campaigns[@]}"
@@ -142,7 +142,8 @@ echo "=== the pinned referees are still there, by name ==="
 # every replay path to the same allocation count at N and 2N events, and
 # three the filter (store-less and store-attached) and a blob write to the
 # memory they may hold. And the dead
-# pub item gate, tests/dead_pub.rs's `no_dead_pub_items`. They ran in the
+# pub item gate, tests/dead_pub.rs's `no_dead_pub_items`, and the claims
+# ledger's judge, tests/claims.rs's `every_claim_holds_or_misses_as_the_ledger_says`. They ran in the
 # stage above and are listed here by name, so that a rename cannot silently
 # drop them.
 listed="$(cargo test -q --workspace -- --list 2>/dev/null)"
@@ -153,7 +154,8 @@ for pinned in walk_reference:: every_lane_is_the_simulation_it_would_be_alone \
     miss_stream_replay_allocates_flat source_replay_allocates_flat sampled_replay_allocates_flat \
     a_filter_pass_that_generates_holds_no_more_than_a_walk_of_a_built_trace \
     a_filter_pass_with_a_store_holds_no_trace \
-    a_blob_is_written_through_a_fixed_buffer no_dead_pub_items; do
+    a_blob_is_written_through_a_fixed_buffer no_dead_pub_items \
+    every_claim_holds_or_misses_as_the_ledger_says; do
     grep -Fq -- "$pinned" <<<"$listed" || { echo "no workspace test is named $pinned"; exit 1; }
 done
 

@@ -44,6 +44,9 @@
 //! let _ = rand_chacha::ChaCha8Rng::from_entropy();
 //! ```
 
+pub mod claims;
+pub mod studies;
+
 pub use abft_analysis;
 pub use abft_coop_core;
 pub use abft_coop_runtime;
@@ -70,9 +73,7 @@ pub mod prelude {
     pub use abft_kernels::cholesky::{ft_cholesky_with, FtCholeskyOptions};
     pub use abft_kernels::dgemm::{ft_dgemm_with, FtDgemmOptions};
     pub use abft_kernels::hpl::{ft_hpl_with, FailStop, FtHplOptions};
-    pub use abft_kernels::lu::{ft_lu_with, FtLuOptions};
     pub use abft_kernels::multichecksum::MultiChecksums;
-    pub use abft_kernels::qr::{ft_qr_with, FtQrOptions};
     pub use abft_kernels::VerifyMode;
     pub use abft_linalg::{poisson_2d, Matrix};
     pub use abft_memsim::system::Machine;

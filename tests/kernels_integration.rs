@@ -145,41 +145,3 @@ fn hardware_assisted_verification_uses_sysfs_reports_end_to_end() {
     assert_eq!(r.stats.corrections, 1);
     assert!(r.c.approx_eq(&reference, 1e-9, 1e-9));
 }
-
-#[test]
-fn ft_lu_and_ft_qr_under_scheduled_faults() {
-    use abft_coop::prelude::*;
-    let n = 96;
-    let a = abft_coop::abft_linalg::gen::random_diag_dominant(n, 91);
-    let x_true = abft_coop::abft_linalg::gen::random_vector(n, 92);
-    let b = a.matvec(&x_true);
-
-    let r = ft_lu_with(
-        &a,
-        &FtLuOptions { block: 16, verify_interval: 1, mode: VerifyMode::Full },
-        |kt, ext| {
-            if kt == 2 {
-                ext[(80, 85)] += 1e3;
-            }
-        },
-    )
-    .expect("factors");
-    assert!(r.stats.corrections >= 1);
-    let x = r.solve(&b);
-    for i in 0..n {
-        assert!((x[i] - x_true[i]).abs() < 1e-6);
-    }
-
-    let aq = abft_coop::abft_linalg::gen::random_matrix(n, n, 93);
-    let bq = aq.matvec(&x_true);
-    let rq = ft_qr_with(&aq, &FtQrOptions::default(), |j, w| {
-        if j == 30 {
-            w[(50, 70)] += 8.0;
-        }
-    });
-    assert!(rq.stats.corrections >= 1);
-    let xq = rq.factors.solve(&bq);
-    for i in 0..n {
-        assert!((xq[i] - x_true[i]).abs() < 1e-6);
-    }
-}

@@ -348,24 +348,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    // ----- QR --------------------------------------------------------
-
-    #[test]
-    fn qr_reconstructs_and_q_is_orthogonal(
-        m_extra in 0usize..8,
-        n in 2usize..16,
-        seed in 0u64..200,
-    ) {
-        use abft_coop::abft_linalg::{householder_qr, matmul, Matrix};
-        let m = n + m_extra;
-        let a = abft_coop::abft_linalg::gen::random_matrix(m, n, seed);
-        let f = householder_qr(&a);
-        prop_assert!(matmul(&f.q(), &f.r()).approx_eq(&a, 1e-9, 1e-9));
-        let q = f.q();
-        let qtq = matmul(&q.transpose(), &q);
-        prop_assert!(qtq.approx_eq(&Matrix::identity(n), 1e-9, 1e-9));
-    }
-
     // ----- x8 chipkill -------------------------------------------------
 
     #[test]
