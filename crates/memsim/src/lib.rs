@@ -42,6 +42,8 @@ pub mod cache;
 pub mod config;
 pub mod controller;
 pub mod dram;
+#[cfg(test)]
+mod miss_reference;
 pub mod miss_stream;
 pub mod packed;
 pub mod simpoint;

@@ -30,42 +30,57 @@
 //! reproduced at replay time by running only the recorded events through
 //! the memory controller and DRAM.
 //!
-//! Like [`crate::packed::PackedTrace`], the stream is packed and
-//! run-aware: one two-word record covers up to [`MAX_MISS_RUN`]
-//! consecutive-line events with identical attributes and thread-cycle
-//! gaps (the shape LLC-missing line sweeps produce).
+//! The stream is run-aware and coded against itself: one record covers up
+//! to [`MAX_MISS_RUN`] consecutive-line events with identical attributes
+//! and thread-cycle gaps (the shape LLC-missing line sweeps produce), and
+//! each record is a few bytes coded against the record before it.
 //!
 //! ```text
-//! word 0: bits 63..31 offset(33) | 30..29 kind(2) | 28..23 run-1(6)
-//!         | 22..17 region(6) | 16 write | 15..0 work(16)
-//! word 1: bits 63..31 zigzag write-back line delta(33) | 30..0 thread-cycle gap(31)
+//! header  1 byte   bits 7..4 run (1..=15; 0 = a LEB128 run follows)
+//!                  | bit 3 gap unchanged | bit 2 attributes unchanged
+//!                  | bits 1..0 kind
+//! run     LEB128   only under the escape (16..=64)
+//! attrs   LEB128   only if changed: addr & 63 (6) | work (16) | region (6) | write (1)
+//! gap     LEB128   only if changed: thread cycles from the previous event
+//! line    LEB128   zigzag head trigger line − where the previous record's run ended
+//! wb      LEB128   zigzag head write-back line − where the last write-back run ended
+//!                  (kinds with a write-back only)
 //! ```
 //!
-//! Word 0 reuses the [`crate::packed`] field layout with the 8 run bits
-//! split into a 2-bit event kind and a 6-bit run length; word 1 carries
-//! the write-back line as a signed line-granular delta from the trigger
-//! line (victims sit within a cache capacity of the trigger, far inside
-//! the 33-bit range) and the per-event thread-cycle gap. The gap is kept
-//! undivided because a regular sweep repeats it exactly, while its core
+//! The context a record is coded against (`RecordContext`) is what the
+//! record before it left behind: its attributes and gap, the line after
+//! its run, and the line after the last write-back run. A sweep cut by the
+//! 64-event cap costs three bytes a record; a one-event miss that changes
+//! nothing but its line, two to four. The gap is kept in undivided thread
+//! cycles because a regular sweep repeats it exactly, while its core
 //! cycles `⌊Σ / threads⌋` step unevenly (5, 5, 5, 6, … at four threads)
 //! and would cut the sweep into a record per step (DESIGN.md §3.13).
 
 use crate::cache::{Cache, CacheOutcome};
 use crate::config::CacheConfig;
-use crate::packed::{pack, region_of, run_end, unpack};
+use crate::packed::{MAX_PACKED_REGIONS, MAX_PACKED_WORK};
 use crate::stream::{AccessSink, AccessSource, RunChunk, RUN_CHUNK};
 use crate::trace::{Access, RegionId, RegionMap};
-
-pub(crate) const KIND_SHIFT: u32 = 29;
-pub(crate) const KIND_MASK: u64 = 0b11;
-pub(crate) const RUN_SHIFT: u32 = 23;
-const RUN_BITS: u32 = 6;
-pub(crate) const WB_SHIFT: u32 = 31;
-const DELTA_BITS: u32 = 31;
 
 pub(crate) const KIND_DEMAND: u64 = 0;
 pub(crate) const KIND_DEMAND_WB: u64 = 1;
 pub(crate) const KIND_WRITEBACK: u64 = 2;
+
+/// Header bits: the kind, "attributes unchanged", "gap unchanged", and
+/// where the 4-bit run sits.
+const KIND_MASK: u8 = 0b11;
+const ATTRS_SAME: u8 = 1 << 2;
+const GAP_SAME: u8 = 1 << 3;
+const RUN_SHIFT: u32 = 4;
+const RUN_BITS: u32 = 6;
+const DELTA_BITS: u32 = 31;
+/// Where an attribute word's fields sit (`write` is bit 0).
+const REGION_SHIFT: u32 = 1;
+const WORK_SHIFT: u32 = 7;
+const LOW_SHIFT: u32 = 23;
+const ATTRS_BITS: u32 = 29;
+/// The first 64-byte line whose byte address does not fit in 64 bits.
+const LINE_LIMIT: u64 = 1 << 58;
 
 /// Maximum events one miss-stream record can cover.
 pub const MAX_MISS_RUN: usize = 1 << RUN_BITS;
@@ -405,7 +420,7 @@ impl MissStream {
         threads: usize,
     ) -> MissStream {
         assert_burst_lines(&l1_cfg, &l2_cfg);
-        let mut enc = Encoder::new(region_bases(src.regions()));
+        let mut enc = Encoder::new();
         let totals = walk(src, l1_cfg, l2_cfg, threads, |ev, track| enc.push(ev, track));
         MissStream::seal(totals, enc)
     }
@@ -423,8 +438,7 @@ impl MissStream {
         feed: impl FnOnce(&mut Walker<Encoder>),
     ) -> MissStream {
         assert_burst_lines(&l1_cfg, &l2_cfg);
-        let enc = Encoder::new(region_bases(regions));
-        let mut walker = Walker::new(regions, l1_cfg, l2_cfg, threads, enc);
+        let mut walker = Walker::new(regions, l1_cfg, l2_cfg, threads, Encoder::new());
         feed(&mut walker);
         let (totals, enc) = walker.finish(None);
         MissStream::seal(totals, enc)
@@ -432,10 +446,9 @@ impl MissStream {
 
     /// The stream of a finished walk and the encoder that recorded it.
     fn seal(mut totals: StreamTotals, enc: Encoder) -> MissStream {
-        let (bases, words, events) = enc.finish();
+        let (bytes, events) = enc.finish();
         totals.events = events;
-        let records = MissRecords { bases, words, threads: totals.threads as u64 };
-        let ms = MissStream { totals, records };
+        let ms = MissStream { records: MissRecords::new(&totals, bytes), totals };
         debug_assert_eq!(ms.check(), Ok(()), "miss stream");
         ms
     }
@@ -467,7 +480,7 @@ impl MissStream {
 
     /// Bytes held by the packed event records.
     pub fn packed_bytes(&self) -> u64 {
-        self.records.words.len() as u64 * 8
+        self.records.bytes.len() as u64
     }
 
     /// The cache geometry and thread count the stream was filtered under
@@ -488,13 +501,13 @@ impl MissStream {
 
     /// Resume decoding mid-stream from a saved [`SliceCursor`] — the
     /// slice-replay entry point the SimPoint sampler uses. Because
-    /// records are run-coalesced with delta-encoded cycle tracks, an
-    /// event offset alone cannot seek; the cursor carries the decoder
-    /// state (record index, position within the run, accumulated
-    /// thread-cycle track) captured when the slice boundary was scanned,
-    /// so resuming is O(1) — one division — and the decoded events are
-    /// bit-identical to the same positions of a full [`MissStream::iter`]
-    /// walk.
+    /// records are run-coalesced and each is coded against the one
+    /// before, an event offset alone cannot seek; the cursor carries the
+    /// decoder state (record offset, position within the run, accumulated
+    /// thread-cycle track, and the context the record is coded against)
+    /// captured when the slice boundary was scanned, so resuming is O(1) —
+    /// one division — and the decoded events are bit-identical to the
+    /// same positions of a full [`MissStream::iter`] walk.
     pub fn events_from(&self, cursor: SliceCursor) -> MissEvents<'_> {
         self.records.events_from(cursor)
     }
@@ -505,54 +518,53 @@ impl MissStream {
         &self.totals
     }
 
-    /// Crate-internal: the raw two-word event records (store-blob
-    /// serialization writes them verbatim).
-    pub(crate) fn raw_words(&self) -> &[u64] {
-        &self.records.words
+    /// Crate-internal: the coded records (store-blob serialization writes
+    /// them verbatim).
+    pub(crate) fn raw_bytes(&self) -> &[u8] {
+        &self.records.bytes
     }
 
-    /// Crate-internal: the region base table `unpack` decodes against.
-    pub(crate) fn raw_bases(&self) -> &[u64] {
-        &self.records.bases
+    /// Crate-internal: the records one at a time, each with where it
+    /// starts and the context it is coded against.
+    pub(crate) fn records(&self) -> Records<'_> {
+        Records::new(&self.records.bytes, RecordContext::default())
     }
 
-    /// Crate-internal: rebuild a stream from store-blob raw parts. The
-    /// base table is re-derived from the registry. Parts that
-    /// [`MissStream::check`] refuses are refused here: the blob's checksum
-    /// vouches for its bytes, not for the writer, and replay indexes and
+    /// Crate-internal: rebuild a stream from store-blob raw parts. Parts
+    /// that [`MissStream::check`] refuses are refused here: the blob's
+    /// checksum vouches for its bytes, not for the writer, and replay
     /// steps by them.
     pub(crate) fn from_raw_parts(
         totals: StreamTotals,
-        words: Vec<u64>,
+        bytes: Vec<u8>,
     ) -> Result<MissStream, &'static str> {
-        let ms = MissStream { records: MissRecords::new(&totals, words), totals };
+        let ms = MissStream { records: MissRecords::new(&totals, bytes), totals };
         ms.check()?;
         Ok(ms)
     }
 
     /// What is wrong with the stream, if anything: its totals pass
-    /// [`StreamTotals::check`], every record passes [`check_record`], the
-    /// runs cover `events` with `l2_misses` demands, and the thread-cycle
-    /// track stays inside `core_cycles`. What [`MissStream::build`] must
-    /// produce and what a loaded blob must hold (DESIGN.md §3.12).
+    /// [`StreamTotals::check`], its bytes are whole records that each pass
+    /// [`Record::check`], the runs cover `events` with `l2_misses`
+    /// demands, and the thread-cycle track stays inside `core_cycles`.
+    /// What [`MissStream::build`] must produce and what a loaded blob must
+    /// hold (DESIGN.md §3.12).
     fn check(&self) -> Result<(), &'static str> {
         let t = &self.totals;
         t.check()?;
-        let MissRecords { bases, words, .. } = &self.records;
-        if !words.len().is_multiple_of(2) {
-            return Err("odd miss word count");
-        }
+        let regions = t.regions.regions().len();
         let last = t.last_track();
         let (mut events, mut demands, mut track) = (0u64, 0u64, 0u64);
-        for rec in words.chunks_exact(2) {
-            let run = check_record(rec, bases)?;
-            track = track.saturating_add((rec[1] & MAX_MISS_DELTA) * run);
+        for step in self.records() {
+            let rec = step?.rec;
+            rec.check(regions)?;
+            track = track.saturating_add(rec.gap * rec.run);
             if track > last {
                 return Err("cycle track past the core cycles");
             }
-            events += run;
-            if (rec[0] >> KIND_SHIFT) & KIND_MASK != KIND_WRITEBACK {
-                demands += run;
+            events += rec.run;
+            if rec.kind != KIND_WRITEBACK {
+                demands += rec.run;
             }
         }
         if events != t.events {
@@ -565,56 +577,288 @@ impl MissStream {
     }
 }
 
-/// Events the record whose first word is `w0` covers.
-pub(crate) fn run_len(w0: u64) -> u64 {
-    ((w0 >> RUN_SHIFT) & (MAX_MISS_RUN as u64 - 1)) + 1
+/// One miss-stream record, decoded: `run` events of one `kind` and one
+/// attribute word, `gap` thread cycles apart, whose triggers sit on the
+/// lines from `line` on and whose write-backs (unless the kind has none)
+/// on the lines from `wb` on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Record {
+    pub kind: u64,
+    /// `addr & 63` | work | region | write (see the module docs).
+    pub attrs: u64,
+    pub gap: u64,
+    pub line: u64,
+    /// 0 for a kind without one.
+    pub wb: u64,
+    pub run: u64,
 }
 
-/// The write-back line of a record's first event: word 1's zigzag-coded
-/// line delta from the trigger line at `head_addr`.
-#[inline]
-pub(crate) fn wb_line0(head_addr: u64, w1: u64) -> i64 {
-    let zz = w1 >> WB_SHIFT;
-    (head_addr >> 6) as i64 + (((zz >> 1) as i64) ^ -((zz & 1) as i64))
-}
-
-/// Events the two-word record `rec` covers, or what is wrong with it: a
-/// kind the decoder does not know, a region outside `bases`, or a trigger
-/// or write-back line that leaves the address space while [`MissEvents`]
-/// steps through the run. Both readers of outside records — a stream's
-/// and a [`crate::simpoint::PhaseSample`]'s — check each one with this.
-pub(crate) fn check_record(rec: &[u64], bases: &[u64]) -> Result<u64, &'static str> {
-    let (w0, w1) = (rec[0], rec[1]);
-    if (w0 >> KIND_SHIFT) & KIND_MASK > KIND_WRITEBACK {
-        return Err("unknown miss-event kind");
+impl Record {
+    /// The record of `run` events headed by `head`.
+    fn of(kind: u64, head: &Access, gap: u64, wb: u64, run: u64) -> Record {
+        assert!(
+            (head.region as usize) < MAX_PACKED_REGIONS && head.work <= MAX_PACKED_WORK,
+            "miss stream: region {} / work {} outside the record's 6 / 16 bits",
+            head.region,
+            head.work
+        );
+        let attrs = (head.addr & 63) << LOW_SHIFT
+            | (head.work as u64) << WORK_SHIFT
+            | (head.region as u64) << REGION_SHIFT
+            | head.write as u64;
+        Record { kind, attrs, gap, line: head.addr >> 6, wb, run }
     }
-    let Some(&base) = bases.get(region_of(w0) as usize) else {
-        return Err("miss record region");
+
+    /// The trigger of the record's event `k`.
+    #[inline(always)]
+    pub fn trigger(&self, k: u64) -> Access {
+        Access {
+            addr: (self.line.wrapping_add(k) << 6) | self.attrs >> LOW_SHIFT,
+            region: (self.attrs >> REGION_SHIFT & 63) as RegionId,
+            write: self.attrs & 1 != 0,
+            work: (self.attrs >> WORK_SHIFT & MAX_PACKED_WORK as u64) as u32,
+        }
+    }
+
+    /// What is wrong with the record, if anything: a kind the decoder
+    /// does not know, a run outside `1..=64`, attributes wider than their
+    /// fields or of a region outside the `regions` a stream registers, a
+    /// gap past [`MAX_MISS_DELTA`], or a trigger or write-back line that
+    /// leaves the address space while [`MissEvents`] steps through the
+    /// run. Both readers of outside records — a stream's and a
+    /// [`crate::simpoint::PhaseSample`]'s — check each one with this.
+    pub fn check(&self, regions: usize) -> Result<(), &'static str> {
+        if self.kind > KIND_WRITEBACK {
+            return Err("unknown miss-event kind");
+        }
+        if self.run == 0 || self.run > MAX_MISS_RUN as u64 {
+            return Err("miss record run outside 1..=64");
+        }
+        if self.attrs >> ATTRS_BITS != 0 {
+            return Err("miss record attributes");
+        }
+        if (self.attrs >> REGION_SHIFT & 63) as usize >= regions {
+            return Err("miss record region");
+        }
+        if self.gap > MAX_MISS_DELTA {
+            return Err("miss record gap");
+        }
+        // The decoder steps the trigger one line past the run's last event.
+        if self.line.checked_add(self.run).is_none_or(|end| end >= LINE_LIMIT) {
+            return Err("miss record past the address space");
+        }
+        if self.kind != KIND_DEMAND
+            && self.wb.checked_add(self.run).is_none_or(|end| end > LINE_LIMIT)
+        {
+            return Err("write-back line past the address space");
+        }
+        Ok(())
+    }
+}
+
+/// What a record is coded against: the attributes and gap of the record
+/// before it, the line after that record's run, and the line after the
+/// last write-back run. A stream starts from the default (all zero); so
+/// does every slice of a [`crate::simpoint::PhaseSample`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RecordContext {
+    pub(crate) attrs: u64,
+    pub(crate) gap: u64,
+    pub(crate) line: u64,
+    pub(crate) wb: u64,
+}
+
+impl RecordContext {
+    /// The context the record after `r` is coded against.
+    #[inline(always)]
+    fn after(&self, r: &Record) -> RecordContext {
+        let wb = if r.kind == KIND_DEMAND { self.wb } else { r.wb.wrapping_add(r.run) };
+        RecordContext { attrs: r.attrs, gap: r.gap, line: r.line.wrapping_add(r.run), wb }
+    }
+}
+
+/// Append `r`, coded against `ctx`, to `out` (the layout in the module
+/// docs); returns the context the next record is coded against.
+pub(crate) fn put_record(out: &mut Vec<u8>, ctx: &RecordContext, r: &Record) -> RecordContext {
+    // Assembled on the stack and appended at once: a header and five
+    // fields of at most ten bytes.
+    let (mut buf, mut len) = ([0u8; 51], 1);
+    let mut field = |v: u64| len += put_leb(&mut buf[len..], v);
+    let mut header = r.kind as u8;
+    if r.run < 16 {
+        header |= (r.run as u8) << RUN_SHIFT;
+    } else {
+        field(r.run);
+    }
+    if r.attrs == ctx.attrs {
+        header |= ATTRS_SAME;
+    } else {
+        field(r.attrs);
+    }
+    if r.gap == ctx.gap {
+        header |= GAP_SAME;
+    } else {
+        field(r.gap);
+    }
+    field(zigzag(r.line.wrapping_sub(ctx.line)));
+    if r.kind != KIND_DEMAND {
+        field(zigzag(r.wb.wrapping_sub(ctx.wb)));
+    }
+    buf[0] = header;
+    out.extend_from_slice(&buf[..len]);
+    ctx.after(r)
+}
+
+/// Decode the record at `*pos`, coded against `ctx`, and step `*pos` past
+/// it. Only the bytes are checked (a LEB128 field cut short or longer
+/// than 64 bits); what they say is [`Record::check`]'s to judge.
+#[inline(always)]
+pub(crate) fn get_record(
+    bytes: &[u8],
+    pos: &mut usize,
+    ctx: &RecordContext,
+) -> Result<Record, &'static str> {
+    let &header = bytes.get(*pos).ok_or("miss record cut short")?;
+    *pos += 1;
+    let kind = (header & KIND_MASK) as u64;
+    let run = match header >> RUN_SHIFT {
+        0 => get_leb(bytes, pos)?,
+        run => run as u64,
     };
-    let run = run_len(w0);
-    if run_end(w0, base, run).is_none() {
-        return Err("miss record past the address space");
-    }
-    if wb_line0(unpack(w0, bases).addr, w1) < 0 {
-        return Err("write-back line below address 0");
-    }
-    Ok(run)
+    let attrs = if header & ATTRS_SAME != 0 { ctx.attrs } else { get_leb(bytes, pos)? };
+    let gap = if header & GAP_SAME != 0 { ctx.gap } else { get_leb(bytes, pos)? };
+    let line = ctx.line.wrapping_add(unzigzag(get_leb(bytes, pos)?));
+    let wb =
+        if kind == KIND_DEMAND { 0 } else { ctx.wb.wrapping_add(unzigzag(get_leb(bytes, pos)?)) };
+    Ok(Record { kind, attrs, gap, line, wb, run })
 }
 
-/// The base table [`unpack`] decodes a registry's records against.
-fn region_bases(regions: &RegionMap) -> Vec<u64> {
-    regions.regions().iter().map(|r| r.base).collect()
+/// Write `v` as LEB128 at the head of `out`; returns the bytes written.
+fn put_leb(out: &mut [u8], mut v: u64) -> usize {
+    let mut len = 0;
+    while v >= 0x80 {
+        out[len] = v as u8 | 0x80;
+        v >>= 7;
+        len += 1;
+    }
+    out[len] = v as u8;
+    len + 1
+}
+
+/// The LEB128 field at `*pos`; `*pos` steps past it. A field of up to four
+/// bytes — nearly every one a stream holds — is decoded inline, byte by
+/// byte from one bounds check; a longer one, or one within four bytes of
+/// the end, out of line.
+#[inline(always)]
+fn get_leb(bytes: &[u8], pos: &mut usize) -> Result<u64, &'static str> {
+    if let Some(&[b0, b1, b2, b3]) = bytes.get(*pos..*pos + 4) {
+        let (b0, b1, b2, b3) = (b0 as u64, b1 as u64, b2 as u64, b3 as u64);
+        if b0 < 0x80 {
+            *pos += 1;
+            return Ok(b0);
+        }
+        let v = (b0 & 0x7f) | (b1 & 0x7f) << 7;
+        if b1 < 0x80 {
+            *pos += 2;
+            return Ok(v);
+        }
+        let v = v | (b2 & 0x7f) << 14;
+        if b2 < 0x80 {
+            *pos += 3;
+            return Ok(v);
+        }
+        let v = v | (b3 & 0x7f) << 21;
+        if b3 < 0x80 {
+            *pos += 4;
+            return Ok(v);
+        }
+    }
+    get_long_leb(bytes, pos)
+}
+
+fn get_long_leb(bytes: &[u8], pos: &mut usize) -> Result<u64, &'static str> {
+    let (mut v, mut shift) = (0u64, 0u32);
+    loop {
+        let &b = bytes.get(*pos).ok_or("miss record cut short")?;
+        *pos += 1;
+        if shift == 63 && b > 1 {
+            return Err("miss record field over 64 bits");
+        }
+        v |= ((b & 0x7f) as u64) << shift;
+        if b & 0x80 == 0 {
+            return Ok(v);
+        }
+        shift += 7;
+    }
+}
+
+/// A signed line delta (as its two's-complement bits) with its sign in
+/// bit 0, so that short steps either way are small numbers.
+fn zigzag(d: u64) -> u64 {
+    (d << 1) ^ ((d as i64 >> 63) as u64)
+}
+
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// One step of [`Records`]: a record, the byte offset it starts at, and
+/// the context it is coded against.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecordStep {
+    pub at: usize,
+    pub before: RecordContext,
+    pub rec: Record,
+}
+
+/// The records of a byte slice one at a time. An error ends the walk.
+pub(crate) struct Records<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    ctx: RecordContext,
+}
+
+impl<'a> Records<'a> {
+    /// The records of `bytes`, the first coded against `ctx`.
+    pub fn new(bytes: &'a [u8], ctx: RecordContext) -> Self {
+        Records { bytes, pos: 0, ctx }
+    }
+}
+
+impl Iterator for Records<'_> {
+    type Item = Result<RecordStep, &'static str>;
+
+    // Always inlined: the fingerprint scan walks every record of a stream
+    // through it, and a step returned through memory costs that loop more
+    // than the decode does.
+    #[inline(always)]
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.pos >= self.bytes.len() {
+            return None;
+        }
+        let (at, before) = (self.pos, self.ctx);
+        match get_record(self.bytes, &mut self.pos, &before) {
+            Ok(rec) => {
+                self.ctx = before.after(&rec);
+                Some(Ok(RecordStep { at, before, rec }))
+            }
+            Err(e) => {
+                self.pos = self.bytes.len();
+                Some(Err(e))
+            }
+        }
+    }
 }
 
 /// Run-coalescing encoder for miss-stream records.
 pub(crate) struct Encoder {
-    bases: Vec<u64>,
-    words: Vec<u64>,
+    bytes: Vec<u8>,
+    /// The context the next record is coded against.
+    ctx: RecordContext,
     /// Events in the pending run; 0 when there is none, and then the four
     /// fields below are stale.
     run: usize,
-    /// Head word 0 of the pending run (kind included, run field zero).
-    w0: u64,
+    kind: u64,
     /// Head trigger of the pending run (for the +64/line extension check).
     head: Access,
     /// Head write-back line of the pending run.
@@ -633,12 +877,12 @@ impl OnEvent for Encoder {
 }
 
 impl Encoder {
-    fn new(bases: Vec<u64>) -> Self {
+    fn new() -> Self {
         Encoder {
-            bases,
-            words: Vec::new(),
+            bytes: Vec::new(),
+            ctx: RecordContext::default(),
             run: 0,
-            w0: 0,
+            kind: KIND_DEMAND,
             head: Access { addr: 0, region: 0, write: false, work: 0 },
             wb_line: 0,
             delta: 0,
@@ -672,7 +916,7 @@ impl Encoder {
         let (head, run) = (&self.head, self.run as u64);
         let extends = (self.run != 0)
             & (self.run < MAX_MISS_RUN)
-            & ((self.w0 >> KIND_SHIFT) & KIND_MASK == kind)
+            & (self.kind == kind)
             & (head.region == a.region)
             & (head.write == a.write)
             & (head.work == a.work)
@@ -684,7 +928,7 @@ impl Encoder {
             return;
         }
         self.flush();
-        self.w0 = pack(a, self.bases[a.region as usize]) | (kind << KIND_SHIFT);
+        self.kind = kind;
         self.head = *a;
         self.wb_line = wb_line;
         self.delta = delta;
@@ -692,49 +936,39 @@ impl Encoder {
     }
 
     fn flush(&mut self) {
-        let run = std::mem::take(&mut self.run);
+        let run = std::mem::take(&mut self.run) as u64;
         if run == 0 {
             return;
         }
-        let kind = (self.w0 >> KIND_SHIFT) & KIND_MASK;
-        let wb_delta = if kind == KIND_DEMAND {
-            0i64
-        } else {
-            self.wb_line as i64 - (self.head.addr >> 6) as i64
-        };
-        let zz = ((wb_delta << 1) ^ (wb_delta >> 63)) as u64;
-        assert!(
-            zz < (1u64 << (64 - WB_SHIFT)),
-            "miss stream: write-back delta {wb_delta} lines exceeds the 33-bit range"
-        );
-        self.words.extend_from_slice(&[
-            self.w0 | (((run - 1) as u64) << RUN_SHIFT),
-            (zz << WB_SHIFT) | self.delta,
-        ]);
+        let rec = Record::of(self.kind, &self.head, self.delta, self.wb_line, run);
+        self.ctx = put_record(&mut self.bytes, &self.ctx, &rec);
     }
 
-    /// The base table, the records and the events they cover.
-    fn finish(mut self) -> (Vec<u64>, Box<[u64]>, u64) {
+    /// The records and the events they cover.
+    fn finish(mut self) -> (Vec<u8>, u64) {
         self.flush();
-        (self.bases, self.words.into_boxed_slice(), self.events)
+        (self.bytes, self.events)
     }
 }
 
 /// Saved decoder state at an event boundary of a [`MissStream`]: the
-/// record index, the position inside the record's run, and the
-/// thread-cycle track accumulated through the *previous* event. Captured once per
-/// slice by the SimPoint fingerprint scan
-/// ([`crate::simpoint::SimPointSelection::build`]) and handed back to
-/// [`MissStream::events_from`] for O(1) mid-stream resumption.
+/// record's byte offset and the context it is coded against, the position
+/// inside the record's run, and the thread-cycle track accumulated through
+/// the *previous* event. Captured once per slice by the SimPoint
+/// fingerprint scan ([`crate::simpoint::SimPointSelection::build`]) and
+/// handed back to [`MissStream::events_from`] for O(1) mid-stream
+/// resumption.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SliceCursor {
-    /// Word index of the record the next event decodes from.
+    /// Byte offset of the record the next event decodes from.
     pub(crate) idx: usize,
     /// Events of that record's run already consumed.
     pub(crate) run_pos: usize,
     /// Thread-cycle track accumulated through the previous event (the
     /// decoder's core cycles are this divided by the thread count).
     pub(crate) cycles: u64,
+    /// What the record at `idx` is coded against.
+    pub(crate) ctx: RecordContext,
 }
 
 impl SliceCursor {
@@ -746,47 +980,41 @@ impl SliceCursor {
 
     /// Crate-internal constructor for the fingerprint scan and the
     /// artifact-store decoder.
-    pub(crate) fn at(idx: usize, run_pos: usize, cycles: u64) -> SliceCursor {
-        SliceCursor { idx, run_pos, cycles }
+    pub(crate) fn at(idx: usize, run_pos: usize, cycles: u64, ctx: RecordContext) -> SliceCursor {
+        SliceCursor { idx, run_pos, cycles, ctx }
     }
 }
 
-/// Two-word event records, the base table they decode against and the
-/// thread count their gaps divide by — what [`MissEvents`] walks. A
-/// [`MissStream`] holds all of a stream's; a
+/// Coded event records and the thread count their gaps divide by — what
+/// [`MissEvents`] walks. A [`MissStream`] holds all of a stream's; a
 /// [`crate::simpoint::PhaseSample`] holds the slices it kept of one.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct MissRecords {
-    pub bases: Vec<u64>,
-    /// Two words per record (see the module docs for the layout).
-    pub words: Box<[u64]>,
+    /// The records, back to back (see the module docs for the layout).
+    pub bytes: Box<[u8]>,
     pub threads: u64,
 }
 
 impl MissRecords {
-    /// `words` as records of the stream `totals` describes.
-    pub fn new(totals: &StreamTotals, words: Vec<u64>) -> MissRecords {
-        MissRecords {
-            bases: region_bases(&totals.regions),
-            words: words.into_boxed_slice(),
-            threads: totals.threads as u64,
-        }
+    /// `bytes` as records of the stream `totals` describes.
+    pub fn new(totals: &StreamTotals, bytes: Vec<u8>) -> MissRecords {
+        MissRecords { bytes: bytes.into_boxed_slice(), threads: totals.threads as u64 }
     }
 
     /// Decode from `cursor` on (see [`MissStream::events_from`]).
     pub fn events_from(&self, cursor: SliceCursor) -> MissEvents<'_> {
-        debug_assert!(cursor.idx.is_multiple_of(2), "cursor must point at a record head");
         let mut events = MissEvents {
-            ms: self,
-            idx: cursor.idx,
+            bytes: &self.bytes,
+            pos: cursor.idx,
+            ctx: cursor.ctx,
             clock: CoreClock::resume(self.threads, cursor.cycles),
             left: 0,
             trigger: Access { addr: 0, region: 0, write: false, work: 0 },
             wb_line: 0,
             kind_bits: KIND_DEMAND,
         };
-        if cursor.run_pos > 0 && cursor.idx + 1 < self.words.len() {
-            events.load_record(cursor.run_pos);
+        if cursor.run_pos > 0 {
+            events.load_record(cursor.run_pos as u64);
         }
         events
     }
@@ -887,17 +1115,21 @@ impl CoreClock {
 
 /// Streaming decode of a [`MissStream`]'s events (runs expanded back into
 /// individual events; the core cycles follow the thread-cycle track). A
-/// record is unpacked once, when its run starts; every event of the run is
-/// the previous one stepped by a line.
+/// record is decoded once, when its run starts; every event of the run is
+/// the previous one stepped by a line. Bytes that do not decode end the
+/// iteration; a stream's or a sample's were checked when they were built
+/// or loaded.
 #[derive(Debug)]
 pub struct MissEvents<'a> {
-    ms: &'a MissRecords,
-    /// Word index of the next record to unpack.
-    idx: usize,
+    bytes: &'a [u8],
+    /// Byte offset of the next record to decode, and what it is coded
+    /// against.
+    pos: usize,
+    ctx: RecordContext,
     clock: CoreClock,
-    /// Events of the unpacked record still to yield.
-    left: usize,
-    /// The next event of the unpacked record: its trigger, write-back
+    /// Events of the decoded record still to yield.
+    left: u64,
+    /// The next event of the decoded record: its trigger, write-back
     /// line and kind (its gap is the clock's).
     trigger: Access,
     wb_line: u64,
@@ -905,21 +1137,23 @@ pub struct MissEvents<'a> {
 }
 
 impl MissEvents<'_> {
-    /// Unpack the record at `idx` and step past the `skip` events of its
-    /// run that were already consumed.
-    fn load_record(&mut self, skip: usize) {
-        let w0 = self.ms.words[self.idx];
-        let w1 = self.ms.words[self.idx + 1];
-        self.idx += 2;
-        // The packed 8-bit run field is split here: the kind occupies the
-        // high two bits, the 6-bit run length the low six.
-        let run = ((w0 >> RUN_SHIFT) as usize & (MAX_MISS_RUN - 1)) + 1;
-        self.kind_bits = (w0 >> KIND_SHIFT) & KIND_MASK;
-        let head = unpack(w0, &self.ms.bases);
-        self.clock.set_gap(w1 & MAX_MISS_DELTA);
-        self.left = run.saturating_sub(skip);
-        self.trigger = Access { addr: head.addr + 64 * skip as u64, ..head };
-        self.wb_line = wb_line0(head.addr, w1) as u64 + skip as u64;
+    /// Decode the record at `pos` and step past the `skip` events of its
+    /// run that were already consumed; `false` where no record decodes.
+    /// Inlined into [`MissEvents::next`], so that the decoder's state stays
+    /// in registers across a record.
+    #[inline(always)]
+    fn load_record(&mut self, skip: u64) -> bool {
+        let Ok(rec) = get_record(self.bytes, &mut self.pos, &self.ctx) else {
+            self.pos = self.bytes.len();
+            return false;
+        };
+        self.ctx = self.ctx.after(&rec);
+        self.kind_bits = rec.kind;
+        self.clock.set_gap(rec.gap & MAX_MISS_DELTA);
+        self.left = rec.run.saturating_sub(skip);
+        self.trigger = rec.trigger(skip);
+        self.wb_line = rec.wb.wrapping_add(skip);
+        true
     }
 }
 
@@ -930,11 +1164,10 @@ impl Iterator for MissEvents<'_> {
     // in `drive_miss`, and the exact replay of paper FT-CG pays ~17%.
     #[inline(always)]
     fn next(&mut self) -> Option<MissEvent> {
-        if self.left == 0 {
-            if self.idx + 1 >= self.ms.words.len() {
+        while self.left == 0 {
+            if self.pos >= self.bytes.len() || !self.load_record(0) {
                 return None;
             }
-            self.load_record(0);
         }
         self.clock.tick();
         let kind = match self.kind_bits {
@@ -944,8 +1177,8 @@ impl Iterator for MissEvents<'_> {
         };
         let ev = MissEvent { trigger: self.trigger, core_cycles: self.clock.core(), kind };
         self.left -= 1;
-        self.trigger.addr += 64;
-        self.wb_line += 1;
+        self.trigger.addr = self.trigger.addr.wrapping_add(64);
+        self.wb_line = self.wb_line.wrapping_add(1);
         Some(ev)
     }
 }
@@ -1104,17 +1337,18 @@ mod tests {
             let all: Vec<MissEvent> = ms.iter().collect();
             prop_assert_eq!(all.len() as u64, ms.events());
 
-            // One cursor per event, read off the raw records.
+            // One cursor per event, read off the records.
             let mut cursors = Vec::new();
-            let mut cycles = 0u64;
-            for (rec, w) in ms.raw_words().chunks_exact(2).enumerate() {
-                let run = ((w[0] >> RUN_SHIFT) as usize & (MAX_MISS_RUN - 1)) + 1;
-                for run_pos in 0..run {
-                    cursors.push(SliceCursor::at(2 * rec, run_pos, cycles));
-                    cycles += w[1] & MAX_MISS_DELTA;
+            let (mut cycles, mut end) = (0u64, RecordContext::default());
+            for step in ms.records() {
+                let RecordStep { at, before, rec } = step.unwrap();
+                for run_pos in 0..rec.run as usize {
+                    cursors.push(SliceCursor::at(at, run_pos, cycles, before));
+                    cycles += rec.gap;
                 }
+                end = before.after(&rec);
             }
-            cursors.push(SliceCursor::at(ms.raw_words().len(), 0, cycles));
+            cursors.push(SliceCursor::at(ms.raw_bytes().len(), 0, cycles, end));
             prop_assert_eq!(cursors.len(), all.len() + 1);
             prop_assert!(cursors.iter().any(|c| c.run_pos > 1), "no run was resumed mid-way");
             for (k, &cursor) in cursors.iter().enumerate() {
@@ -1141,7 +1375,7 @@ mod tests {
         for threads in [1, 3, 4, 6] {
             let ms = MissStream::build(&mut t.replay(), l1, l2, threads);
             assert_eq!(ms.events(), 200);
-            assert_eq!(ms.raw_words().len() / 2, 4, "{threads} threads: ⌈200 / 64⌉ records");
+            assert_eq!(ms.records().count(), 4, "{threads} threads: ⌈200 / 64⌉ records");
             for (i, ev) in ms.iter().enumerate() {
                 let track = 5 * (i as u64 + 1);
                 assert_eq!(ev.core_cycles, track / threads as u64, "event {i}, {threads} threads");
@@ -1152,14 +1386,14 @@ mod tests {
     /// A two-event stream of one region whose second event is `gap` thread
     /// cycles after its first, encoded and decoded at four threads.
     fn two_events_apart(gap: u64) -> Vec<MissEvent> {
-        let mut enc = Encoder::new(vec![0]);
+        let mut enc = Encoder::new();
         let trigger = Access { addr: 0, region: 0, write: false, work: 0 };
         let kind = MissEventKind::Demand { writeback: None };
         for track in [1, 1 + gap] {
             enc.push(&MissEvent { trigger, core_cycles: track / 4, kind }, track);
         }
-        let (bases, words, _) = enc.finish();
-        let records = MissRecords { bases, words, threads: 4 };
+        let (bytes, _) = enc.finish();
+        let records = MissRecords { bytes: bytes.into_boxed_slice(), threads: 4 };
         records.events_from(SliceCursor::start()).collect()
     }
 

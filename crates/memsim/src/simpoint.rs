@@ -52,11 +52,9 @@
 //! content-addressed by `(FilterKey, SimPointConfig)`.
 
 use crate::miss_stream::{
-    check_record, run_len, wb_line0, CoreClock, MissEvents, MissRecords, MissStream, SliceCursor,
-    StreamTotals, KIND_DEMAND, KIND_DEMAND_WB, KIND_MASK, KIND_SHIFT, KIND_WRITEBACK,
-    MAX_MISS_DELTA, MAX_MISS_RUN,
+    put_record, CoreClock, MissEvents, MissRecords, MissStream, RecordContext, RecordStep, Records,
+    SliceCursor, StreamTotals, KIND_DEMAND, KIND_DEMAND_WB, KIND_WRITEBACK, MAX_MISS_RUN,
 };
-use crate::packed::unpack;
 use crate::trace::Access;
 use std::sync::Arc;
 
@@ -359,7 +357,7 @@ impl SimPointSelection {
     /// What is wrong with the selection, if anything: its slices tile the
     /// events exactly, with one assignment and one fingerprint row each;
     /// its phases are sorted, disjoint, in range and start on slices, with
-    /// cursors at a record head, weights that sum to one and positive
+    /// cursors inside a run, weights that sum to one and positive
     /// scales that agree with them; and its error budget is a fraction.
     /// What [`SimPointSelection::build`] must produce and what a loaded
     /// blob must hold (DESIGN.md §3.12).
@@ -389,7 +387,7 @@ impl SimPointSelection {
             if !p.start.is_multiple_of(interval) {
                 return Err("phase does not start a slice");
             }
-            if !p.cursor.idx.is_multiple_of(2) || p.cursor.run_pos >= MAX_MISS_RUN {
+            if p.cursor.run_pos >= MAX_MISS_RUN {
                 return Err("phase cursor off a record");
             }
             let implied = p.weight * self.events as f64 / p.events() as f64;
@@ -414,21 +412,22 @@ impl SimPointSelection {
 /// else, so a process over a warm store never loads the miss stream.
 ///
 /// Slice `k` is the records from the one holding phase `k`'s first event
-/// to the one holding its last, `words[offsets[k]..offsets[k + 1]]` (the
-/// last slice runs to the end). A record decodes from its own two words
-/// and the cycle track before it, and a phase's
-/// [`SliceCursor`] carries that track and the position inside the first
-/// record, so the cursor survives condensing with only its record index
-/// rebased to `offsets[k]`: the slice decodes the very events the full
-/// stream decodes from the cursor. Two adjacent phases that share a
-/// record each hold a copy of it. The selection itself keeps its
-/// full-stream cursors and still pairs with the whole [`MissStream`].
+/// to the one holding its last, `bytes[offsets[k]..offsets[k + 1]]` (the
+/// last slice runs to the end), coded again against a fresh context from
+/// its first record on, so each slice decodes on its own. A phase's
+/// [`SliceCursor`] carries the cycle track before its first record and the
+/// position inside it, so the cursor survives condensing with its record
+/// offset rebased to `offsets[k]` and its context reset: the slice decodes
+/// the very events the full stream decodes from the cursor. Two adjacent
+/// phases that share a record each hold a copy of it. The selection itself
+/// keeps its full-stream cursors and still pairs with the whole
+/// [`MissStream`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSample {
     totals: StreamTotals,
     /// The slices' records, one slice after another.
     records: MissRecords,
-    /// Word index of each phase's first record, in phase order.
+    /// Byte offset of each phase's first record, in phase order.
     offsets: Vec<usize>,
     selection: Arc<SimPointSelection>,
 }
@@ -443,25 +442,27 @@ impl PhaseSample {
             selection.events(),
             ms.events()
         );
-        let all = ms.raw_words();
-        let mut words = Vec::new();
+        let all = ms.raw_bytes();
+        let mut bytes = Vec::new();
         let mut offsets = Vec::with_capacity(selection.phases().len());
         for ph in selection.phases() {
             let cursor = ph.cursor();
             // Events from the head of the first record through the
-            // phase's last one.
+            // phase's last one, coded again from a fresh context.
             let mut left = cursor.run_pos as u64 + ph.events();
-            let mut end = cursor.idx;
-            while left > 0 {
-                left = left.saturating_sub(run_len(all[end]));
-                end += 2;
+            let mut ctx = RecordContext::default();
+            offsets.push(bytes.len());
+            for step in Records::new(&all[cursor.idx..], cursor.ctx).map_while(Result::ok) {
+                ctx = put_record(&mut bytes, &ctx, &step.rec);
+                left = left.saturating_sub(step.rec.run);
+                if left == 0 {
+                    break;
+                }
             }
-            offsets.push(words.len());
-            words.extend_from_slice(&all[cursor.idx..end]);
         }
         let totals = ms.totals().clone();
         let sample =
-            PhaseSample { records: MissRecords::new(&totals, words), totals, offsets, selection };
+            PhaseSample { records: MissRecords::new(&totals, bytes), totals, offsets, selection };
         debug_assert_eq!(sample.check(), Ok(()), "phase sample");
         sample
     }
@@ -473,7 +474,7 @@ impl PhaseSample {
 
     /// Bytes held by the slices' records.
     pub fn packed_bytes(&self) -> u64 {
-        self.records.words.len() as u64 * 8
+        self.records.bytes.len() as u64
     }
 
     /// The totals of the stream the sample was condensed from.
@@ -483,15 +484,16 @@ impl PhaseSample {
 
     /// Crate-internal: the slices' records and where each starts (the
     /// store's serialization unit).
-    pub(crate) fn raw_parts(&self) -> (&[u64], &[usize]) {
-        (&self.records.words, &self.offsets)
+    pub(crate) fn raw_parts(&self) -> (&[u8], &[usize]) {
+        (&self.records.bytes, &self.offsets)
     }
 
     /// The decoder at phase `k`'s first event; the phase's
     /// [`SimPointPhase::events`] next events are the slice.
     pub(crate) fn open(&self, k: usize) -> MissEvents<'_> {
         let at = self.selection.phases()[k].cursor();
-        self.records.events_from(SliceCursor::at(self.offsets[k], at.run_pos, at.cycles))
+        let ctx = RecordContext::default();
+        self.records.events_from(SliceCursor::at(self.offsets[k], at.run_pos, at.cycles, ctx))
     }
 
     /// Crate-internal: assemble a sample from store-blob parts, refusing
@@ -499,12 +501,12 @@ impl PhaseSample {
     /// its bytes, not for the writer, and replay indexes by all of these.
     pub(crate) fn from_raw_parts(
         totals: StreamTotals,
-        words: Vec<u64>,
+        bytes: Vec<u8>,
         offsets: Vec<usize>,
         selection: SimPointSelection,
     ) -> Result<PhaseSample, &'static str> {
         let sample = PhaseSample {
-            records: MissRecords::new(&totals, words),
+            records: MissRecords::new(&totals, bytes),
             totals,
             offsets,
             selection: Arc::new(selection),
@@ -513,49 +515,48 @@ impl PhaseSample {
         Ok(sample)
     }
 
-    /// What is wrong with the sample, if anything: every word belongs to
-    /// a slice, the slices sit in phase order, each covers its phase's
-    /// events with records that pass [`check_record`] on a thread-cycle
-    /// track inside the stream's core cycles, and the totals agree with the
-    /// selection and pass [`StreamTotals::check`]. The selection was
-    /// checked when it was built or loaded.
+    /// What is wrong with the sample, if anything: every byte belongs to
+    /// a slice, the slices sit in phase order, each is whole records that
+    /// pass [`crate::miss_stream::Record::check`], cover its phase's events
+    /// and keep a thread-cycle track inside the stream's core cycles, and
+    /// the totals agree with the selection and pass
+    /// [`StreamTotals::check`]. The selection was checked when it was
+    /// built or loaded.
     fn check(&self) -> Result<(), &'static str> {
         let t = &self.totals;
-        let MissRecords { bases, words, .. } = &self.records;
+        let bytes = &self.records.bytes;
         let phases = self.selection.phases();
         if t.events != self.selection.events() {
             return Err("sample and selection disagree on the stream's events");
         }
         t.check()?;
-        if !words.len().is_multiple_of(2) {
-            return Err("odd sample word count");
-        }
         if self.offsets.len() != phases.len() {
             return Err("offset count");
         }
-        let last = t.last_track();
-        // The first slice starts at word 0; no slices, no words.
-        if self.offsets.first().copied().unwrap_or(words.len()) != 0 {
-            return Err("sample words outside every slice");
+        let (regions, last) = (t.regions.regions().len(), t.last_track());
+        // The first slice starts at byte 0; no slices, no bytes.
+        if self.offsets.first().copied().unwrap_or(bytes.len()) != 0 {
+            return Err("sample bytes outside every slice");
         }
         for (k, ph) in phases.iter().enumerate() {
             let start = self.offsets[k];
-            let end = self.offsets.get(k + 1).copied().unwrap_or(words.len());
-            if !start.is_multiple_of(2) || start >= end || end > words.len() {
+            let end = self.offsets.get(k + 1).copied().unwrap_or(bytes.len());
+            if start >= end || end > bytes.len() {
                 return Err("slice offsets");
             }
-            let slice = &words[start..end];
             let run_pos = ph.cursor().run_pos as u64;
-            if run_pos >= run_len(slice[0]) {
-                return Err("phase cursor past its record");
-            }
             // The cursor's track already holds the first record's events
             // before it.
             let (mut covered, mut track, mut before) = (0u64, ph.cursor().cycles, run_pos);
-            for rec in slice.chunks_exact(2) {
-                let run = check_record(rec, bases)?;
-                covered += run;
-                track = track.saturating_add((rec[1] & MAX_MISS_DELTA) * (run - before));
+            let slice = Records::new(&bytes[start..end], RecordContext::default());
+            for step in slice {
+                let rec = step?.rec;
+                rec.check(regions)?;
+                if before >= rec.run {
+                    return Err("phase cursor past its record");
+                }
+                covered += rec.run;
+                track = track.saturating_add(rec.gap * (rec.run - before));
                 before = 0;
             }
             if covered < run_pos + ph.events() {
@@ -689,8 +690,7 @@ impl FingerprintScan {
     /// definition expanded event by event, holds it to the same bits
     /// (DESIGN.md §3.15).
     fn run(ms: &MissStream, interval: u64) -> FingerprintScan {
-        let bases = ms.raw_bases();
-        let regions = bases.len();
+        let regions = ms.regions().regions().len();
         let dim = 2 * regions + 4;
         let (cycle_dim, write_dim, switch_dim, runs_dim) =
             (2 * regions, 2 * regions + 1, 2 * regions + 2, 2 * regions + 3);
@@ -713,22 +713,17 @@ impl FingerprintScan {
             tally.fill(0);
         };
 
-        let words = ms.raw_words();
         let mut clock = CoreClock::resume(ms.filter_config().2 as u64, 0);
         let (mut track, mut slice_start) = (0u64, 0u64);
         let head = Access { addr: 0, region: 0, write: false, work: 0 };
         let mut batch = Batch { head, wb_line: 0, kind: KIND_DEMAND, len: 0 };
         // The core run the last event fell in: its length and gap.
         let (mut core_run, mut core_gap) = (0usize, 0u64);
-        let mut idx = 0usize;
-        while idx + 1 < words.len() {
-            let (w0, w1) = (words[idx], words[idx + 1]);
-            let (run, kind) = (run_len(w0) as usize, (w0 >> KIND_SHIFT) & KIND_MASK);
-            let head = unpack(w0, bases);
-            let gap = w1 & MAX_MISS_DELTA;
+        for RecordStep { at, before, rec } in ms.records().map_while(Result::ok) {
+            let (run, kind, gap, head) = (rec.run as usize, rec.kind, rec.gap, rec.trigger(0));
             // Write-back line of the record head; successive events write
             // back successive lines.
-            let wb_head = wb_line0(head.addr, w1);
+            let wb_head = rec.wb as i64;
             clock.set_gap(gap);
             // Inside a record each event follows the one before in all
             // but its core-cycle gap; whether its head does is asked once.
@@ -745,7 +740,7 @@ impl FingerprintScan {
                         slice_start = clock.core();
                     }
                     batch.len = 0;
-                    cursors.push(SliceCursor::at(idx, pos, track));
+                    cursors.push(SliceCursor::at(at, pos, track, before));
                     left = interval;
                     cuts = 1;
                 }
@@ -828,7 +823,6 @@ impl FingerprintScan {
                 }
                 pos = end;
             }
-            idx += 2;
         }
         if !cursors.is_empty() {
             tally[switch_dim] += batch.close(&mut rows);
@@ -999,7 +993,7 @@ fn kmeans(
 mod tests {
     use super::*;
     use crate::config::{CacheConfig, SystemConfig};
-    use crate::miss_stream::{RUN_SHIFT, WB_SHIFT};
+    use crate::miss_stream::Record;
     use crate::workloads::{DgemmParams, KernelKind, KernelParams};
 
     /// The referee: the fingerprint by its definition, event by event.
@@ -1010,10 +1004,10 @@ mod tests {
     /// scan tallied a record before the records were keyed on thread
     /// cycles — f64 read-modify-writes into the slice's row, one
     /// normalizing pass at the end. It shares nothing with
-    /// [`FingerprintScan::run`] but `unpack`.
+    /// [`FingerprintScan::run`] but the record decoder, which
+    /// `miss_reference` holds to the two-word records it replaced.
     fn reference_scan(ms: &MissStream, interval: u64) -> FingerprintScan {
-        let bases = ms.raw_bases();
-        let regions = bases.len();
+        let regions = ms.regions().regions().len();
         let dim = 2 * regions + 4;
         let total = ms.events();
         let slices = total.div_ceil(interval) as usize;
@@ -1030,18 +1024,16 @@ mod tests {
         }
         let mut events = Vec::new();
         let mut track = 0u64;
-        for (rec, w) in ms.raw_words().chunks_exact(2).enumerate() {
-            let run = ((w[0] >> RUN_SHIFT) as usize & (MAX_MISS_RUN - 1)) + 1;
-            let head = unpack(w[0], bases);
-            let zz = w[1] >> WB_SHIFT;
-            let wb_line0 = (head.addr >> 6) as i64 + (((zz >> 1) as i64) ^ -((zz & 1) as i64));
-            for pos in 0..run {
-                let cursor = SliceCursor::at(2 * rec, pos, track);
-                track += w[1] & MAX_MISS_DELTA;
+        for step in ms.records() {
+            let RecordStep { at, before, rec } = step.unwrap();
+            let head = rec.trigger(0);
+            for pos in 0..rec.run as usize {
+                let cursor = SliceCursor::at(at, pos, track, before);
+                track += rec.gap;
                 events.push(Event {
                     a: Access { addr: head.addr + 64 * pos as u64, ..head },
-                    kind: (w[0] >> KIND_SHIFT) & KIND_MASK,
-                    wb_line: wb_line0 + pos as i64,
+                    kind: rec.kind,
+                    wb_line: rec.wb as i64 + pos as i64,
                     core: track / threads,
                     cursor,
                 });
@@ -1189,7 +1181,7 @@ mod tests {
                 seen[2] |= interval == 1 || last == 1;
                 if interval == beyond {
                     let core_runs = scan.fingerprints[scan.dim - 1] * ms.events() as f64;
-                    seen[3] |= core_runs != (ms.raw_words().len() / 2) as f64;
+                    seen[3] |= core_runs != ms.records().count() as f64;
                 }
             }
             prop_assert!(seen == [true; 4], "{} events at {threads} threads too tame: {seen:?}", ms.events());
@@ -1230,7 +1222,7 @@ mod tests {
         }
         let ms = MissStream::build(&mut t.replay(), l1, l2, 6);
         assert_eq!(ms.events(), 201);
-        let runs: Vec<u64> = ms.raw_words().chunks_exact(2).map(|r| run_len(r[0])).collect();
+        let runs: Vec<u64> = ms.records().map(|step| step.unwrap().rec.run).collect();
         assert_eq!(runs, [1, 30, 5, 64, 64, 37]);
         for interval in [1000, 100, 50, 7] {
             assert_eq!(scan_mismatch(&ms, interval), None);
@@ -1326,6 +1318,7 @@ mod tests {
             // phases holding a copy each of the record they share, the
             // short final slice, and every slice its own phase.
             let mut seen = [false; 5];
+            let stream_records = ms.records().count();
             let budgets = [usize::MAX, slices, rng.random_range(1..slices), 1];
             for max_phases in budgets {
                 let strata = rng.random_range(1..4);
@@ -1334,25 +1327,32 @@ mod tests {
                 let sample = PhaseSample::condense(&ms, Arc::clone(&sel));
                 prop_assert_eq!(sample.check(), Ok(()));
                 prop_assert_eq!(sample.offsets.len(), sel.phases().len());
+                let bytes = &sample.records.bytes;
+                let (mut prev_last, mut sample_records) = (None, 0);
                 for (k, ph) in sel.phases().iter().enumerate() {
                     let got: Vec<MissEvent> = sample.open(k).take(ph.events() as usize).collect();
                     prop_assert!(
                         got == all[ph.start as usize..ph.end as usize],
                         "phase {k} [{}, {}) of {cfg:?}", ph.start, ph.end
                     );
-                    let end = sample.offsets.get(k + 1).copied().unwrap_or(sample.records.words.len());
-                    let slice = &sample.records.words[sample.offsets[k]..end];
-                    let covered: u64 = slice.chunks_exact(2).map(|rec| run_len(rec[0])).sum();
+                    let end = sample.offsets.get(k + 1).copied().unwrap_or(bytes.len());
+                    let slice: Vec<Record> =
+                        Records::new(&bytes[sample.offsets[k]..end], RecordContext::default())
+                            .map(|step| step.unwrap().rec)
+                            .collect();
+                    let covered: u64 = slice.iter().map(|rec| rec.run).sum();
                     let run_pos = ph.cursor().run_pos as u64;
                     seen[0] |= run_pos > 0;
                     seen[1] |= covered > run_pos + ph.events();
                     seen[2] |= run_pos > 0
                         && k > 0
                         && sel.phases()[k - 1].end == ph.start
-                        && sample.records.words[sample.offsets[k] - 2..sample.offsets[k]] == slice[..2];
+                        && prev_last == Some(slice[0]);
                     seen[3] |= ph.end == ms.events() && ph.events() < interval;
+                    prev_last = slice.last().copied();
+                    sample_records += slice.len();
                 }
-                seen[4] |= sel.phases().len() == slices && sample.records.words.len() >= ms.raw_words().len();
+                seen[4] |= sel.phases().len() == slices && sample_records >= stream_records;
             }
             prop_assert!(seen == [true; 5], "slices too tame at interval {interval}: {seen:?}");
         }

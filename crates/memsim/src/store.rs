@@ -21,14 +21,15 @@
 //! under the store root):
 //!
 //! ```text
-//! header:  magic "ABFTART1" | u32 kind | u32 version (4) | u128 key digest
-//! payload: varint-compressed artifact body (xor-delta words)
+//! header:  magic "ABFTART1" | u32 kind | u32 version (5) | u128 key digest
+//! payload: varint-coded artifact body (a trace's words xor-delta coded,
+//!          a miss stream's records as the bytes they are held in)
 //! footer:  u64 payload length | u64 payload checksum | magic "ABFTEND1"
 //! ```
 //!
 //! A `.simpoint` payload is two sections: the selection, then the sample
-//! (the head of a miss payload, the slices' records xor-delta coded like a
-//! miss stream's, one word offset per phase).
+//! (the head of a miss payload, the slices' records as they are held, one
+//! byte offset per phase).
 //! [`ArtifactStore::load_simpoint`] decodes the first and stops;
 //! [`ArtifactStore::load_sample`] decodes both and checks that they fit
 //! each other and the key.
@@ -55,7 +56,7 @@
 //! [`crate::trace_cache::TraceCache`] into the campaign layer's metrics.
 
 use crate::config::CacheConfig;
-use crate::miss_stream::{MissStream, RegionTally, SliceCursor, StreamTotals};
+use crate::miss_stream::{MissStream, RecordContext, RegionTally, SliceCursor, StreamTotals};
 use crate::packed::{Coalescer, PackedCounts, PackedTrace, WordSink};
 use crate::simpoint::{
     PhaseSample, SimPointConfig, SimPointParts, SimPointPhase, SimPointSelection,
@@ -75,9 +76,12 @@ const END_MAGIC: &[u8; 8] = b"ABFTEND1";
 /// payloads (the other two kinds kept their bytes); version 4 keeps every
 /// layout but counts a miss record's gap and a cursor's track in thread
 /// cycles, where version 3 counted core cycles — bytes the version alone
-/// tells apart. Older blobs fail the version check and are evicted and
-/// regenerated like any other unusable blob.
-const FORMAT_VERSION: u32 = 4;
+/// tells apart; version 5 writes a miss stream's and a sample's records as
+/// the byte records they are held in, each coded against the one before,
+/// where version 4 xor-delta coded two words a record, and a cursor with
+/// the context its record is coded against. Older blobs fail the version
+/// check and are evicted and regenerated like any other unusable blob.
+const FORMAT_VERSION: u32 = 5;
 const KIND_TRACE: u32 = 1;
 const KIND_MISS: u32 = 2;
 const KIND_SIMPOINT: u32 = 3;
@@ -272,7 +276,7 @@ pub fn simpoint_key(key: &FilterKey, cfg: &SimPointConfig) -> u128 {
 
 // ---------------------------------------------------------------------
 // Varint payload primitives (LEB128; xor-delta compresses the regular
-// word streams well — consecutive packed words share high bits).
+// packed-trace words well — consecutive words share high bits).
 
 /// Bytes a blob's payload is buffered in on its way to disk: a
 /// [`BlobWriter`] writes once its buffer holds this many.
@@ -447,21 +451,8 @@ fn get_regions(cur: &mut &[u8]) -> Result<RegionMap, StoreError> {
     Ok(RegionMap::from_regions(regions))
 }
 
-/// Xor-delta + varint encode a word stream; `stride` is the xor
-/// distance (1 for packed traces — the bytes [`TraceWords`] writes a word
-/// at a time — 2 for two-word miss records so word-0s delta against
-/// word-0s and word-1s against word-1s).
-fn put_words(buf: &mut impl Payload, words: impl Iterator<Item = u64>, count: u64, stride: usize) {
-    put_varint(buf, count);
-    let mut prev = [0u64; 2];
-    for (i, w) in words.enumerate() {
-        let slot = i % stride;
-        put_varint(buf, w ^ prev[slot]);
-        prev[slot] = w;
-    }
-}
-
-fn get_words(cur: &mut &[u8], stride: usize) -> Result<Vec<u64>, StoreError> {
+/// A packed trace's xor-delta words ([`TraceWords`] writes them).
+fn get_words(cur: &mut &[u8]) -> Result<Vec<u64>, StoreError> {
     let count = get_varint(cur)?;
     // A word costs at least one payload byte; reject counts the
     // remaining payload cannot possibly hold before allocating.
@@ -469,14 +460,30 @@ fn get_words(cur: &mut &[u8], stride: usize) -> Result<Vec<u64>, StoreError> {
         return Err(StoreError::Malformed("word count"));
     }
     let mut words = Vec::with_capacity(count as usize);
-    let mut prev = [0u64; 2];
-    for i in 0..count as usize {
-        let slot = i % stride;
-        let w = get_varint(cur)? ^ prev[slot];
-        prev[slot] = w;
-        words.push(w);
+    let mut prev = 0u64;
+    for _ in 0..count {
+        prev ^= get_varint(cur)?;
+        words.push(prev);
     }
     Ok(words)
+}
+
+/// A miss stream's or a sample's records: their length, then the bytes as
+/// they are held, a buffer at a time.
+fn put_records(out: &mut impl Payload, bytes: &[u8]) {
+    put_varint(out, bytes.len() as u64);
+    for piece in bytes.chunks(BLOB_BUF) {
+        out.buf().extend_from_slice(piece);
+        out.spill();
+    }
+}
+
+fn get_records(cur: &mut &[u8]) -> Result<Vec<u8>, StoreError> {
+    let len = get_varint(cur)?;
+    if len > cur.len() as u64 {
+        return Err(StoreError::Malformed("record byte count"));
+    }
+    Ok(get_bytes(cur, len as usize)?.to_vec())
 }
 
 /// A `.trace` payload's head: the regions, then the counts its words
@@ -489,8 +496,8 @@ fn put_trace_head(buf: &mut impl Payload, regions: &RegionMap, counts: PackedCou
 }
 
 /// A `.trace` payload's words, xor-delta varint coded into the payload as
-/// they come: [`put_words`] at stride 1, one word at a time, so a
-/// [`Coalescer`] can seal words straight into a blob.
+/// they come, one word at a time, so a [`Coalescer`] can seal words
+/// straight into a blob.
 pub(crate) struct TraceWords<'a, P> {
     out: &'a mut P,
     prev: u64,
@@ -520,7 +527,7 @@ fn decode_trace(mut cur: &[u8]) -> Result<PackedTrace, StoreError> {
     let regions = get_regions(&mut cur)?;
     let len = get_varint(&mut cur)?;
     let instructions = get_varint(&mut cur)?;
-    let words = get_words(&mut cur, 1)?;
+    let words = get_words(&mut cur)?;
     if !cur.is_empty() {
         return Err(StoreError::Malformed("trailing trace payload"));
     }
@@ -555,7 +562,7 @@ fn put_totals(buf: &mut impl Payload, t: &StreamTotals) {
 
 fn encode_miss(buf: &mut impl Payload, ms: &MissStream) {
     put_totals(buf, ms.totals());
-    put_words(buf, ms.raw_words().iter().copied(), ms.raw_words().len() as u64, 2);
+    put_records(buf, ms.raw_bytes());
 }
 
 fn get_cache_cfg(cur: &mut &[u8]) -> Result<CacheConfig, StoreError> {
@@ -608,11 +615,11 @@ fn get_totals(cur: &mut &[u8]) -> Result<StreamTotals, StoreError> {
 
 fn decode_miss(mut cur: &[u8]) -> Result<MissStream, StoreError> {
     let totals = get_totals(&mut cur)?;
-    let words = get_words(&mut cur, 2)?;
+    let bytes = get_records(&mut cur)?;
     if !cur.is_empty() {
         return Err(StoreError::Malformed("trailing miss payload"));
     }
-    MissStream::from_raw_parts(totals, words).map_err(StoreError::Malformed)
+    MissStream::from_raw_parts(totals, bytes).map_err(StoreError::Malformed)
 }
 
 fn encode_simpoint(buf: &mut impl Payload, sel: &SimPointSelection) {
@@ -638,9 +645,10 @@ fn encode_simpoint(buf: &mut impl Payload, sel: &SimPointSelection) {
         put_varint(buf, p.start);
         put_varint(buf, p.end);
         put_varint(buf, p.scale.to_bits());
-        put_varint(buf, p.cursor.idx as u64);
-        put_varint(buf, p.cursor.run_pos as u64);
-        put_varint(buf, p.cursor.cycles);
+        let (c, ctx) = (&p.cursor, &p.cursor.ctx);
+        for v in [c.idx as u64, c.run_pos as u64, c.cycles, ctx.attrs, ctx.gap, ctx.line, ctx.wb] {
+            put_varint(buf, v);
+        }
     }
 }
 
@@ -689,13 +697,14 @@ fn decode_simpoint(cur: &mut &[u8]) -> Result<SimPointSelection, StoreError> {
         let idx = get_varint(cur)? as usize;
         let run_pos = get_varint(cur)? as usize;
         let cycles = get_varint(cur)?;
-        phases.push(SimPointPhase {
-            weight,
-            start,
-            end,
-            scale,
-            cursor: SliceCursor::at(idx, run_pos, cycles),
-        });
+        let ctx = RecordContext {
+            attrs: get_varint(cur)?,
+            gap: get_varint(cur)?,
+            line: get_varint(cur)?,
+            wb: get_varint(cur)?,
+        };
+        let cursor = SliceCursor::at(idx, run_pos, cycles, ctx);
+        phases.push(SimPointPhase { weight, start, end, scale, cursor });
     }
     SimPointSelection::from_raw_parts(SimPointParts {
         config,
@@ -713,9 +722,9 @@ fn decode_simpoint(cur: &mut &[u8]) -> Result<SimPointSelection, StoreError> {
 /// The sample section: the condensed stream's totals, the slices' records
 /// and where each slice starts.
 fn encode_sample(buf: &mut impl Payload, sample: &PhaseSample) {
-    let (words, offsets) = sample.raw_parts();
+    let (bytes, offsets) = sample.raw_parts();
     put_totals(buf, sample.totals());
-    put_words(buf, words.iter().copied(), words.len() as u64, 2);
+    put_records(buf, bytes);
     for &at in offsets {
         put_varint(buf, at as u64);
     }
@@ -726,7 +735,7 @@ fn encode_sample(buf: &mut impl Payload, sample: &PhaseSample) {
 fn decode_sample(mut cur: &[u8]) -> Result<PhaseSample, StoreError> {
     let selection = decode_simpoint(&mut cur)?;
     let totals = get_totals(&mut cur)?;
-    let words = get_words(&mut cur, 2)?;
+    let bytes = get_records(&mut cur)?;
     let mut offsets = Vec::with_capacity(selection.phases().len());
     for _ in selection.phases() {
         offsets.push(get_varint(&mut cur)? as usize);
@@ -734,7 +743,7 @@ fn decode_sample(mut cur: &[u8]) -> Result<PhaseSample, StoreError> {
     if !cur.is_empty() {
         return Err(StoreError::Malformed("trailing simpoint payload"));
     }
-    PhaseSample::from_raw_parts(totals, words, offsets, selection).map_err(StoreError::Malformed)
+    PhaseSample::from_raw_parts(totals, bytes, offsets, selection).map_err(StoreError::Malformed)
 }
 
 // ---------------------------------------------------------------------
@@ -1116,7 +1125,10 @@ impl ArtifactStore {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use crate::miss_stream::{run_len, KIND_MASK, KIND_SHIFT, MAX_MISS_DELTA, WB_SHIFT};
+    use crate::miss_reference::two_word_records;
+    use crate::miss_stream::{
+        get_record, put_record, Record, Records, KIND_DEMAND, KIND_DEMAND_WB, MAX_MISS_DELTA,
+    };
     use crate::packed::MAX_PACKED_OFFSET;
     use crate::stream::{AccessSink, AccessSource, Run, RunChunk};
     use crate::workloads::DgemmParams;
@@ -1195,7 +1207,7 @@ mod tests {
         store.save_miss(&key, &ms).unwrap();
         let loaded = store.load_miss(&key).expect("intact blob loads");
         assert_eq!(loaded.totals(), ms.totals());
-        assert_eq!(loaded.raw_words(), ms.raw_words());
+        assert_eq!(loaded.raw_bytes(), ms.raw_bytes());
         assert!(loaded.matches(&cfg.l1, &cfg.l2, cfg.threads));
         let evs: Vec<_> = loaded.iter().collect();
         let expect: Vec<_> = ms.iter().collect();
@@ -1410,10 +1422,12 @@ mod tests {
             },
         );
         // A count no payload could back is refused before any allocation:
-        // of words, of fingerprint rows (slices x dim), of phases.
+        // of words, of record bytes, of fingerprint rows (slices x dim), of
+        // phases.
         let mut huge = Vec::new();
         put_varint(&mut huge, u64::MAX);
-        assert!(matches!(get_words(&mut huge.as_slice(), 1), Err(StoreError::Malformed(_))));
+        assert!(matches!(get_words(&mut huge.as_slice()), Err(StoreError::Malformed(_))));
+        assert!(matches!(get_records(&mut huge.as_slice()), Err(StoreError::Malformed(_))));
         for field in [6, 7] {
             let mut p = Vec::new();
             (0..9).for_each(|i| put_varint(&mut p, if i == field { u64::MAX } else { 1 }));
@@ -1472,9 +1486,67 @@ mod tests {
         out
     }
 
+    /// The records `bytes` hold, each coded against the one before from a
+    /// fresh context.
+    fn decoded(bytes: &[u8]) -> Vec<Record> {
+        let records = Records::new(bytes, RecordContext::default());
+        records.map(|step| step.unwrap().rec).collect()
+    }
+
+    /// `records` coded from a fresh context.
+    fn coded(records: &[Record]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        records.iter().fold(RecordContext::default(), |ctx, r| put_record(&mut bytes, &ctx, r));
+        bytes
+    }
+
+    /// `bytes` with its records changed by `f`.
+    fn recode(bytes: &mut Vec<u8>, f: impl FnOnce(&mut Vec<Record>)) {
+        let mut records = decoded(bytes);
+        f(&mut records);
+        *bytes = coded(&records);
+    }
+
+    /// `bytes` with its first record spelled out field by field — nothing
+    /// taken from the context, the run escaped — with the run field as
+    /// `run` and the line field as `line`, or its own where `None`.
+    fn respell_first(bytes: &mut Vec<u8>, run: Option<&[u8]>, line: Option<&[u8]>) {
+        let mut pos = 0;
+        let r = get_record(bytes, &mut pos, &RecordContext::default()).unwrap();
+        let field = |v: u64| {
+            let mut out = Vec::new();
+            put_varint(&mut out, v);
+            out
+        };
+        // From a zero context a line delta is the line, zigzag-coded.
+        let mut out = vec![r.kind as u8];
+        out.extend_from_slice(run.unwrap_or(&field(r.run)));
+        out.extend(field(r.attrs));
+        out.extend(field(r.gap));
+        out.extend_from_slice(line.unwrap_or(&field(r.line << 1)));
+        if r.kind != KIND_DEMAND {
+            out.extend(field(r.wb << 1));
+        }
+        out.extend_from_slice(&bytes[pos..]);
+        *bytes = out;
+    }
+
+    /// A LEB128 field of eleven bytes: more than 64 bits.
+    const OVER_LONG: [u8; 11] = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 1];
+
     /// The thread cycles a miss stream's records step its track through.
-    fn cycle_track(words: &[u64]) -> u64 {
-        words.chunks_exact(2).map(|r| (r[1] & MAX_MISS_DELTA) * run_len(r[0])).sum()
+    fn cycle_track(bytes: &[u8]) -> u64 {
+        decoded(bytes).iter().map(|r| r.gap * r.run).sum()
+    }
+
+    /// A record that writes back: the first, made a demand with a
+    /// write-back if it is a plain demand (the LLC misses stay the same).
+    fn with_writeback(records: &mut [Record]) -> &mut Record {
+        let r = &mut records[0];
+        if r.kind == KIND_DEMAND {
+            r.kind = KIND_DEMAND_WB;
+        }
+        r
     }
 
     /// A base for every region at which the registry still fits below
@@ -1486,15 +1558,20 @@ mod tests {
         let store = temp_store("inconsistent-miss");
         let (key, _, _, ms, _) = small_artifacts();
         let threads = ms.filter_config().2 as u64;
-        assert!(cycle_track(ms.raw_words()) / threads > 0 && threads > 1);
+        assert!(cycle_track(ms.raw_bytes()) / threads > 0 && threads > 1);
         assert_eq!(ms.regions().regions().len(), 2);
+        assert_eq!(coded(&decoded(ms.raw_bytes())), ms.raw_bytes(), "records code back the same");
 
         // The totals, the records, and the registry the payload holds.
-        type Parts = (StreamTotals, Vec<u64>, Vec<Region>);
+        type Parts = (StreamTotals, Vec<u8>, Vec<Region>);
         type Damage = fn(&mut Parts);
-        let cases: [(&str, Damage); 13] = [
-            ("a record of region 63 of 2", |p| p.1[0] |= 0x3f << 17),
-            ("a record of an unknown kind", |p| p.1[0] |= KIND_MASK << KIND_SHIFT),
+        let cases: [(&str, Damage); 20] = [
+            ("a record of region 63 of 2", |p| recode(&mut p.1, |r| r[0].attrs |= 0x3f << 1)),
+            ("a record of an unknown kind", |p| recode(&mut p.1, |r| r[0].kind = 3)),
+            ("attributes wider than their fields", |p| recode(&mut p.1, |r| r[0].attrs |= 1 << 29)),
+            ("a gap past the 31-bit range", |p| {
+                recode(&mut p.1, |r| r[0].gap = MAX_MISS_DELTA + 1);
+            }),
             ("an event too many", |p| p.0.events += 1),
             ("an event too few", |p| p.0.events -= 1),
             ("LLC misses that are not the demand events", |p| {
@@ -1513,27 +1590,56 @@ mod tests {
             ("no threads", |p| p.0.threads = 0),
             ("tallies that do not sum to the totals", |p| p.0.tallies[1].refs += 1),
             ("L1 hits and misses that are not the accesses", |p| p.0.l1_hits += 1),
-            ("an odd word count", |p| p.1.truncate(p.1.len() - 1)),
+            ("a LEB128 field cut short", |p| *p.1.last_mut().unwrap() |= 0x80),
+            ("a LEB128 field over 64 bits", |p| respell_first(&mut p.1, None, Some(&OVER_LONG))),
+            ("a run of 0", |p| respell_first(&mut p.1, Some(&[0]), None)),
+            ("a run of 65", |p| respell_first(&mut p.1, Some(&[65]), None)),
             ("a region based at 2^64 - 65", |p| p.2[0].base = u64::MAX - 64),
             ("a record past the address space", |p| {
                 p.2.iter_mut().for_each(|r| r.base = HIGH_BASE);
-                p.1[0] |= MAX_PACKED_OFFSET << 31;
+                recode(&mut p.1, |r| r[0].line = (1 << 58) - r[0].run);
             }),
-            ("a write-back line below address 0", |p| p.1[1] |= u64::MAX << WB_SHIFT),
+            ("a write-back line below address 0", |p| {
+                recode(&mut p.1, |r| with_writeback(r).wb = u64::MAX - 2);
+            }),
+            ("a write-back line at or past 2^58", |p| {
+                // A trigger at the top of the address space and a
+                // write-back 2^32 - 1 lines above it: shifted to a byte
+                // address, the line would wrap far below the trigger.
+                p.2.iter_mut().for_each(|r| r.base = HIGH_BASE);
+                recode(&mut p.1, |r| {
+                    let r = with_writeback(r);
+                    r.line = HIGH_BASE >> 6;
+                    r.wb = r.line + (1 << 32) - 1;
+                });
+            }),
+            ("a last write-back line at 2^58", |p| {
+                recode(&mut p.1, |r| {
+                    let r = with_writeback(r);
+                    r.wb = (1 << 58) - r.run + 1;
+                });
+            }),
         ];
         let path = store.miss_path(&key);
         let blob = (path.as_path(), KIND_MISS, miss_key(&key));
         for (what, damage) in cases {
             let regions = ms.regions().regions();
-            let mut parts = (ms.totals().clone(), ms.raw_words().to_vec(), regions.to_vec());
+            let mut parts = (ms.totals().clone(), ms.raw_bytes().to_vec(), regions.to_vec());
             damage(&mut parts);
             let mut payload = Vec::new();
             put_totals(&mut payload, &parts.0);
-            put_words(&mut payload, parts.1.iter().copied(), parts.1.len() as u64, 2);
+            put_records(&mut payload, &parts.1);
             let payload = with_regions(&payload, regions, &parts.2);
             let load = || store.load_miss(&key).is_some();
             assert_refused(&store, blob, &payload, decode_miss, &load, what);
         }
+        // A write-back run that ends right at 2^58 is still whole.
+        let mut bytes = ms.raw_bytes().to_vec();
+        recode(&mut bytes, |r| {
+            let r = with_writeback(r);
+            r.wb = (1 << 58) - r.run;
+        });
+        assert!(MissStream::from_raw_parts(ms.totals().clone(), bytes).is_ok());
     }
 
     #[test]
@@ -1573,10 +1679,27 @@ mod tests {
             put_regions(&mut payload, &parts.3);
             put_varint(&mut payload, parts.0);
             put_varint(&mut payload, parts.1);
-            put_words(&mut payload, parts.2.iter().copied(), parts.2.len() as u64, 1);
+            put_varint(&mut payload, parts.2.len() as u64);
+            let mut words = TraceWords { out: &mut payload, prev: 0 };
+            parts.2.iter().for_each(|&w| words.word(w));
             let load = || store.load_trace(key.params).is_some();
             assert_refused(&store, blob, &payload, decode_trace, &load, what);
         }
+    }
+
+    /// Sample parts with slice `k`'s bytes changed by `f`, and the slices
+    /// after it moved along.
+    fn reslice(
+        p: &mut (StreamTotals, Vec<u8>, Vec<usize>),
+        k: usize,
+        f: impl FnOnce(&mut Vec<u8>),
+    ) {
+        let (start, end) = (p.2[k], p.2.get(k + 1).copied().unwrap_or(p.1.len()));
+        let mut slice = p.1[start..end].to_vec();
+        f(&mut slice);
+        let moved = slice.len() as isize - (end - start) as isize;
+        p.1.splice(start..end, slice);
+        p.2[k + 1..].iter_mut().for_each(|at| *at = at.checked_add_signed(moved).unwrap());
     }
 
     #[test]
@@ -1584,22 +1707,34 @@ mod tests {
         let store = temp_store("inconsistent");
         let (key, sp, _, _, sample) = small_artifacts();
         let sel = sample.selection();
-        let (words, offsets) = sample.raw_parts();
-        assert!(offsets.len() > 2 && words.len() > 4);
+        let (bytes, offsets) = sample.raw_parts();
+        assert!(offsets.len() > 2 && bytes.len() > offsets[2]);
 
-        type Parts = (StreamTotals, Vec<u64>, Vec<usize>);
+        type Parts = (StreamTotals, Vec<u8>, Vec<usize>);
         type Damage = fn(&mut Parts);
-        let cases: [(&str, Damage); 14] = [
+        let cases: [(&str, Damage); 17] = [
             ("an offset too few", |p| p.2.truncate(1)),
             ("an offset too many", |p| p.2.push(0)),
-            ("an odd offset", |p| p.2[1] += 1),
+            ("an offset off a record head", |p| p.2[1] += 1),
             ("offsets that do not ascend", |p| p.2[2] = p.2[1]),
-            ("a first slice that is not first", |p| p.2[0] = 2),
-            ("an offset past the words", |p| *p.2.last_mut().unwrap() = p.1.len() + 2),
-            ("a slice short of its phase", |p| p.1.truncate(p.1.len() - 2)),
-            ("an odd word count", |p| p.1.truncate(p.1.len() - 1)),
-            ("a record of an unknown region", |p| p.1[0] |= 0x3f << 17),
-            ("a record of an unknown kind", |p| p.1[0] |= KIND_MASK << KIND_SHIFT),
+            ("a first slice that is not first", |p| p.2[0] = 1),
+            ("an offset past the bytes", |p| *p.2.last_mut().unwrap() = p.1.len() + 2),
+            ("a slice short of its phase", |p| {
+                let last = p.2.len() - 1;
+                reslice(p, last, |s| recode(s, |r| r.truncate(r.len() - 1)));
+            }),
+            ("a LEB128 field cut short", |p| *p.1.last_mut().unwrap() |= 0x80),
+            ("a LEB128 field over 64 bits", |p| {
+                reslice(p, 1, |s| respell_first(s, None, Some(&OVER_LONG)));
+            }),
+            ("a run of 0", |p| reslice(p, 1, |s| respell_first(s, Some(&[0]), None))),
+            ("a record of an unknown region", |p| {
+                reslice(p, 0, |s| recode(s, |r| r[0].attrs |= 0x3f << 1));
+            }),
+            ("a record of an unknown kind", |p| reslice(p, 0, |s| recode(s, |r| r[0].kind = 3))),
+            ("a write-back line at or past 2^58", |p| {
+                reslice(p, 0, |s| recode(s, |r| with_writeback(r).wb = 1 << 58));
+            }),
             ("a slice cycle track past the core cycles", |p| p.0.core_cycles = 0),
             ("a tally too few", |p| p.0.tallies.truncate(1)),
             ("tallies that do not sum to the totals", |p| p.0.accesses += 1),
@@ -1608,12 +1743,12 @@ mod tests {
         let path = store.simpoint_path(&key, &sp);
         let blob = (path.as_path(), KIND_SIMPOINT, simpoint_key(&key, &sp));
         for (what, damage) in cases {
-            let mut parts = (sample.totals().clone(), words.to_vec(), offsets.to_vec());
+            let mut parts = (sample.totals().clone(), bytes.to_vec(), offsets.to_vec());
             damage(&mut parts);
             let mut payload = Vec::new();
             encode_simpoint(&mut payload, sel);
             put_totals(&mut payload, &parts.0);
-            put_words(&mut payload, parts.1.iter().copied(), parts.1.len() as u64, 2);
+            put_records(&mut payload, &parts.1);
             parts.2.iter().for_each(|&at| put_varint(&mut payload, at as u64));
             let load = || store.load_sample(&key, &sp).is_some();
             assert_refused(&store, blob, &payload, decode_sample, &load, what);
@@ -1646,10 +1781,10 @@ mod tests {
     fn the_checksum_is_pinned_to_the_format_version() {
         // 27 bytes: three whole words and a three-byte tail. A change to
         // the sum is a new blob format and needs a version bump; versions 3
-        // and 4 kept version 2's.
+        // to 5 kept version 2's.
         let text = b"abft-coop artifact store v2";
         assert_eq!(text.len(), 27);
-        assert_eq!(FORMAT_VERSION, 4);
+        assert_eq!(FORMAT_VERSION, 5);
         assert_eq!(checksum(text), 0xb470_c350_285a_86eb);
         assert_ne!(checksum(text), checksum_v1(text));
         assert_eq!(checksum(b""), FNV64_OFFSET);
@@ -1696,23 +1831,77 @@ mod tests {
         blob
     }
 
-    // Version 3 wrote `.miss` and `.simpoint` payloads in today's layout,
-    // but with a record's gap and a cursor's track in core cycles: read as
-    // thread cycles, a four-thread stream would replay at a quarter of its
-    // core cycles. Only the version number tells the two apart, which the
-    // two tests below show by serving the very bytes under version 4.
+    // Version 4 wrote a miss stream's and a sample's records two words
+    // each, xor-delta coded word 0 against word 0 and word 1 against word 1,
+    // and a cursor as a word index, a run position and a track. The two
+    // helpers below write exactly that from the two-word referee; the tests
+    // after them show a version-4 blob rebuilt, and its bytes framed at
+    // version 5 refused.
+
+    /// Two-word records as version 4 wrote them.
+    fn put_v4_records(out: &mut Vec<u8>, words: &[u64]) {
+        put_varint(out, words.len() as u64);
+        let mut prev = [0u64; 2];
+        for (i, &w) in words.iter().enumerate() {
+            put_varint(out, w ^ prev[i % 2]);
+            prev[i % 2] = w;
+        }
+    }
+
+    /// What version 4 wrote for `sample`, cut from `ms`: the selection,
+    /// the totals, each phase's records from the one holding its first
+    /// event through the one holding its last, and each slice's word offset.
+    fn v4_simpoint_payload(ms: &MissStream, sample: &PhaseSample) -> Vec<u8> {
+        let (sel, words) = (sample.selection(), two_word_records(ms));
+        let records: Vec<_> = ms.records().map(|step| step.unwrap()).collect();
+        let cfg = sel.config();
+        let mut p = Vec::new();
+        let (max_phases, iterations, strata) =
+            (cfg.max_phases as u64, cfg.iterations as u64, cfg.strata as u64);
+        for v in [cfg.interval, max_phases, cfg.seed, iterations, strata, sel.events()] {
+            put_varint(&mut p, v);
+        }
+        for v in [sel.slices(), sel.dim() as u64, sel.est_error().to_bits()] {
+            put_varint(&mut p, v);
+        }
+        sel.raw_fingerprints().iter().for_each(|v| put_varint(&mut p, v.to_bits()));
+        sel.assignments().iter().for_each(|&a| put_varint(&mut p, a as u64));
+        put_varint(&mut p, sel.phases().len() as u64);
+        let (mut slices, mut offsets) = (Vec::new(), Vec::new());
+        for ph in sel.phases() {
+            let c = ph.cursor();
+            let first = records.iter().position(|step| step.at == c.idx).unwrap();
+            let (weight, scale) = (ph.weight.to_bits(), ph.scale.to_bits());
+            for v in [weight, ph.start, ph.end, scale, 2 * first as u64, c.run_pos as u64, c.cycles]
+            {
+                put_varint(&mut p, v);
+            }
+            let (mut end, mut left) = (first, c.run_pos as u64 + ph.events());
+            while left > 0 {
+                left = left.saturating_sub(records[end].rec.run);
+                end += 1;
+            }
+            offsets.push(slices.len());
+            slices.extend_from_slice(&words[2 * first..2 * end]);
+        }
+        put_totals(&mut p, sample.totals());
+        put_v4_records(&mut p, &slices);
+        offsets.iter().for_each(|&at| put_varint(&mut p, at as u64));
+        p
+    }
 
     #[test]
-    fn a_version_3_miss_blob_under_a_current_name_is_evicted_and_rebuilt() {
-        let store = Arc::new(temp_store("v3-miss"));
+    fn a_version_4_miss_blob_under_a_current_name_is_evicted_and_rebuilt() {
+        let store = Arc::new(temp_store("v4-miss"));
         let cfg = SystemConfig::default();
         let key = FilterKey::new(tiny(), &cfg);
         let packed = Arc::new(tiny().build_packed());
         let ms = MissStream::build(&mut packed.replay(), key.l1, key.l2, key.threads);
         let mut payload = Vec::new();
-        encode_miss(&mut payload, &ms);
+        put_totals(&mut payload, ms.totals());
+        put_v4_records(&mut payload, &two_word_records(&ms));
         let path = store.miss_path(&key);
-        std::fs::write(&path, framed(KIND_MISS, 3, miss_key(&key), &payload)).unwrap();
+        std::fs::write(&path, framed(KIND_MISS, 4, miss_key(&key), &payload)).unwrap();
 
         let cache = crate::trace_cache::TraceCache::with_store(Arc::clone(&store));
         let rebuilt = cache.get_filtered(tiny(), &cfg);
@@ -1722,12 +1911,13 @@ mod tests {
         let loaded = store.load_miss(&key).expect("the rewritten blob is current");
         assert!(loaded.iter().eq(rebuilt.iter()));
         std::fs::write(&path, framed(KIND_MISS, FORMAT_VERSION, miss_key(&key), &payload)).unwrap();
-        assert!(store.load_miss(&key).is_some(), "the same bytes at version 4 are a stream");
+        assert!(store.load_miss(&key).is_none(), "the same bytes at version 5 are no stream");
+        assert_eq!(store.metrics().evictions, 2);
     }
 
     #[test]
-    fn a_version_3_simpoint_blob_under_a_current_name_is_evicted_and_rebuilt() {
-        let store = Arc::new(temp_store("v3-simpoint"));
+    fn a_version_4_simpoint_blob_under_a_current_name_is_evicted_and_rebuilt() {
+        let store = Arc::new(temp_store("v4-simpoint"));
         let cfg = SystemConfig::default();
         let key = FilterKey::new(tiny(), &cfg);
         let sp = SimPointConfig { interval: 2048, max_phases: 4, ..Default::default() };
@@ -1735,11 +1925,9 @@ mod tests {
         let ms = MissStream::build(&mut packed.replay(), key.l1, key.l2, key.threads);
         let sample = PhaseSample::condense(&ms, Arc::new(SimPointSelection::build(&ms, sp)));
         assert!(sample.selection().phases().iter().any(|p| p.cursor().cycles > 0));
-        let mut payload = Vec::new();
-        encode_simpoint(&mut payload, sample.selection());
-        encode_sample(&mut payload, &sample);
+        let payload = v4_simpoint_payload(&ms, &sample);
         let (path, digest) = (store.simpoint_path(&key, &sp), simpoint_key(&key, &sp));
-        std::fs::write(&path, framed(KIND_SIMPOINT, 3, digest, &payload)).unwrap();
+        std::fs::write(&path, framed(KIND_SIMPOINT, 4, digest, &payload)).unwrap();
 
         let cache = crate::trace_cache::TraceCache::with_store(Arc::clone(&store));
         let rebuilt = cache.get_sampled(tiny(), &cfg, &sp);
@@ -1748,7 +1936,11 @@ mod tests {
         assert_eq!(store.metrics().writes, 3, "trace, stream, and the selection with its sample");
         assert_eq!(store.load_sample(&key, &sp).expect("the rewritten blob is current"), *rebuilt);
         std::fs::write(&path, framed(KIND_SIMPOINT, FORMAT_VERSION, digest, &payload)).unwrap();
-        assert!(store.load_sample(&key, &sp).is_some(), "the same bytes at version 4 are a sample");
+        assert!(
+            store.load_sample(&key, &sp).is_none(),
+            "the same bytes at version 5 are no sample"
+        );
+        assert_eq!(store.metrics().evictions, 2);
     }
 
     #[test]

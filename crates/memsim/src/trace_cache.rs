@@ -504,7 +504,7 @@ mod tests {
                     let pushed = TraceCache::new().get_filtered(params, &cfg);
                     assert!(pulled.events() > 0, "{what}: no event");
                     assert_eq!(pushed.totals(), pulled.totals(), "{what}: totals");
-                    assert!(pushed.raw_words() == pulled.raw_words(), "{what}: records");
+                    assert!(pushed.raw_bytes() == pulled.raw_bytes(), "{what}: records");
 
                     // With a store a second generation packs the trace
                     // straight into its blob: byte for byte the blob of the
@@ -513,7 +513,7 @@ mod tests {
                     let cache = TraceCache::with_store(Arc::clone(&store));
                     let teed = cache.get_filtered(params, &cfg);
                     assert_eq!(teed.totals(), pulled.totals(), "{what}: totals, teed");
-                    assert!(teed.raw_words() == pulled.raw_words(), "{what}: records, teed");
+                    assert!(teed.raw_bytes() == pulled.raw_bytes(), "{what}: records, teed");
                     assert_eq!((cache.builds(), cache.resident_bytes()), (1, 0), "{what}");
                     let saved = std::fs::read(store.trace_path(params)).expect("a .trace blob");
                     assert!(saved == blob, "{what}: the streamed blob");
@@ -552,7 +552,7 @@ mod tests {
         assert_eq!(drifting.calls.get(), 2);
         let exact = TraceCache::new().get_filtered(tiny_dgemm(), &cfg);
         assert_eq!(served.totals(), exact.totals());
-        assert!(served.raw_words() == exact.raw_words());
+        assert!(served.raw_bytes() == exact.raw_bytes());
         let m = store.metrics();
         assert_eq!((m.writes, m.write_failures), (0, 1));
         let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
@@ -576,7 +576,7 @@ mod tests {
         let walked = warm.get_filtered(tiny_dgemm(), &cfg);
         assert_eq!((warm.builds(), warm.miss_builds(), warm.resident_bytes()), (0, 1, 0));
         assert_eq!(walked.totals(), built.totals());
-        assert!(walked.raw_words() == built.raw_words());
+        assert!(walked.raw_bytes() == built.raw_bytes());
         let m = store.metrics();
         assert_eq!((m.hits, m.writes), (1, 3), "the trace loaded, the stream written again");
         let _ = std::fs::remove_dir_all(&dir);

@@ -133,7 +133,9 @@ echo "=== the pinned referees are still there, by name ==="
 # `walk_reference` (stamp-LRU cache + carry-bump walk vs the one L1/L2
 # walker), `reference_replay` (the stall step as it was spelled, division
 # and `f64::max` included), `reference_scan` (the SimPoint fingerprint by
-# its definition, event by event), the proptest that pins every lane of a
+# its definition, event by event), `miss_reference` (the two-word miss
+# record the byte records replaced, event by event and resume by resume),
+# the proptest that pins every lane of a
 # row replay to the simulation it would be alone and the one that holds the
 # packed builder's sweep-level emission to line-by-line emission. In ecc,
 # the census that pins x4 chipkill's decode of 2-, 3- and 4-chip errors; in
@@ -149,6 +151,7 @@ echo "=== the pinned referees are still there, by name ==="
 listed="$(cargo test -q --workspace -- --list 2>/dev/null)"
 for pinned in walk_reference:: every_lane_is_the_simulation_it_would_be_alone \
     sweep_emission_packs_the_words_line_emission_packs reference_replay reference_scan \
+    byte_records_decode_as_the_two_word_records \
     chipkill::tests::multi_chip_census_is_pinned \
     cholesky::tests::injected_error_in_trailing_matrix_is_corrected \
     miss_stream_replay_allocates_flat source_replay_allocates_flat sampled_replay_allocates_flat \

@@ -119,7 +119,8 @@ fn cfg() -> SystemConfig {
     SystemConfig { l2: CacheConfig { capacity: 64 * 1024, ..base.l2 }, ..base }
 }
 
-/// FT-CG at `iterations`: 2 is the N-event stream, 4 the 2N one.
+/// FT-CG at `iterations`: 2 is the N-event stream, 4 the 2N one, 8 the
+/// stream whose blob a write must not hold.
 fn cg(iterations: usize) -> KernelParams {
     CgParams { grid: 96, iterations, abft: true, verify_interval: 2 }.into()
 }
@@ -259,12 +260,14 @@ fn a_filter_pass_with_a_store_holds_no_trace() {
 fn a_blob_is_written_through_a_fixed_buffer() {
     /// What writing a blob may hold at once: its buffer and some slack.
     const BOUND: u64 = 96 << 10;
-    let (cfg, [_, s]) = (cfg(), sizes());
+    // Eight iterations: the 2N stream's blob is under 2 * BOUND.
+    let (cfg, params) = (cfg(), cg(8));
+    let stream = TraceCache::new().get_filtered(params, &cfg);
     let dir = std::env::temp_dir().join(format!("abft-alloc-budget-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = ArtifactStore::open(&dir).expect("open store");
-    let key = FilterKey::new(s.params, &cfg);
-    let peak = peak_bytes(|| store.save_miss(&key, &s.stream).expect("save"));
+    let key = FilterKey::new(params, &cfg);
+    let peak = peak_bytes(|| store.save_miss(&key, &stream).expect("save"));
     let blob = std::fs::metadata(store.miss_path(&key)).expect("the blob").len();
     let _ = std::fs::remove_dir_all(&dir);
     assert!(blob > 2 * BOUND, "a {blob}-byte blob does not test the bound");

@@ -1,0 +1,156 @@
+//! Closed-form DRAM micro-traces: request streams whose row outcomes,
+//! latencies and joules can be written down by hand from `DramTiming`,
+//! `DramEnergy` and the chips each scheme makes busy — 16 x4 chips under
+//! No-ECC, 18 under SECDED, 36 under chipkill (a lock-stepped channel
+//! pair), hard-coded here rather than read from the model's own table.
+//! Every equivalence suite compares one path through `dram.rs` with
+//! another; these compare it with arithmetic.
+
+use abft_coop::abft_ecc::EccScheme;
+use abft_coop::abft_memsim::config::RowPolicy;
+use abft_coop::abft_memsim::dram::{DramLocation, RowOutcome, ServiceResult};
+use abft_coop::abft_memsim::{AddressMap, Dram, SystemConfig};
+
+/// Each scheme with the x4 chips one of its accesses busies.
+const CHIPS: [(EccScheme, f64); 3] =
+    [(EccScheme::None, 16.0), (EccScheme::Secded, 18.0), (EccScheme::Chipkill, 36.0)];
+
+/// Requests this far apart never queue behind each other, and starting
+/// at `FIRST_NS` the first eight stay clear of the first refresh
+/// blackout after time 0 (`t_rfc_ns` = 110 ns of every 7.8 us).
+const FIRST_NS: f64 = 200.0;
+const APART_NS: f64 = 100.0;
+
+/// The address of `col` in `row` of bank 0, rank 0, channel `channel`.
+fn addr(cfg: &SystemConfig, channel: u32, row: u64, col: u32) -> u64 {
+    AddressMap::new(cfg).encode(&DramLocation { channel, rank: 0, bank: 0, row, col })
+}
+
+/// What a `scheme` access costs beyond its row outcome: the burst, halved
+/// when a channel pair moves the line, and the ECC decode pipeline.
+fn tail_ns(cfg: &SystemConfig, scheme: EccScheme) -> f64 {
+    let t = cfg.timing;
+    let burst = if scheme == EccScheme::Chipkill { t.burst_ns() / 2.0 } else { t.burst_ns() };
+    burst + scheme.decode_latency_cycles() as f64 * t.tck_ns
+}
+
+/// `got` equals `want` up to the rounding of a sum taken in another order.
+fn close(got: f64, want: f64, what: &str) {
+    assert!((got - want).abs() <= 1e-9 * want.abs().max(1.0), "{what}: {got} vs {want}");
+}
+
+/// Reads of `rows[k % rows.len()]` (column `k`) on channel 0, one every
+/// `APART_NS`, and what each came back with.
+fn reads(
+    dram: &mut Dram,
+    cfg: &SystemConfig,
+    scheme: EccScheme,
+    rows: &[u64],
+    n: u32,
+) -> Vec<ServiceResult> {
+    (0..n)
+        .map(|k| {
+            let start = FIRST_NS + APART_NS * k as f64;
+            let row = rows[k as usize % rows.len()];
+            dram.access(start, addr(cfg, 0, row, k), false, scheme)
+        })
+        .collect()
+}
+
+#[test]
+fn reads_of_one_open_row_activate_once_and_hit_after() {
+    let cfg = SystemConfig::default();
+    let (t, e) = (cfg.timing, cfg.energy);
+    let n = 8;
+    for (scheme, chips) in CHIPS {
+        let mut dram = Dram::new(cfg.clone());
+        let got = reads(&mut dram, &cfg, scheme, &[5], n);
+        let s = dram.stats;
+        assert_eq!((s.reads, s.activations, s.row_hits), (n as u64, 1, n as u64 - 1), "{scheme:?}");
+        let outcomes: Vec<RowOutcome> = got.iter().map(|r| r.row).collect();
+        assert_eq!(outcomes[0], RowOutcome::Closed, "{scheme:?}");
+        assert!(outcomes[1..].iter().all(|&r| r == RowOutcome::Hit), "{scheme:?}: {outcomes:?}");
+        let closed = (t.t_rcd + t.t_cl) as f64 * t.tck_ns + tail_ns(&cfg, scheme);
+        let hit = t.t_cl as f64 * t.tck_ns + tail_ns(&cfg, scheme);
+        for (k, r) in got.iter().enumerate() {
+            let want = if k == 0 { closed } else { hit };
+            close(r.completion_ns - (FIRST_NS + APART_NS * k as f64), want, "latency");
+            assert_eq!(r.queue_ns, 0.0, "{scheme:?}: request {k} queued");
+        }
+        let correction_nj = scheme.correction_energy_pj() / 1000.0;
+        let want =
+            chips * (e.act_nj_per_chip + n as f64 * e.read_nj_per_chip) + n as f64 * correction_nj;
+        close(s.dynamic_nj, want, &format!("{scheme:?} dynamic energy"));
+    }
+}
+
+#[test]
+fn a_chipkill_read_holds_its_partner_channel() {
+    let cfg = SystemConfig::default();
+    let t = cfg.timing;
+    let closed = |scheme| (t.t_rcd + t.t_cl) as f64 * t.tck_ns + tail_ns(&cfg, scheme);
+    // Bank 1 on channel 1, so that only the channel, not the bank, is shared.
+    let other = AddressMap::new(&cfg).encode(&DramLocation {
+        channel: 1,
+        rank: 0,
+        bank: 1,
+        row: 9,
+        col: 0,
+    });
+    for first in CHIPS.map(|(scheme, _)| scheme) {
+        // The first request at FIRST_NS on channel 0, a No-ECC read of
+        // channel 1 at the same instant: it waits for the channel pair only
+        // when the first is a chipkill access.
+        let mut dram = Dram::new(cfg.clone());
+        let a = dram.access(FIRST_NS, addr(&cfg, 0, 5, 0), false, first);
+        let b = dram.access(FIRST_NS, other, false, EccScheme::None);
+        close(a.completion_ns - FIRST_NS, closed(first), "first latency");
+        let wait = if first == EccScheme::Chipkill { closed(first) } else { 0.0 };
+        close(b.queue_ns, wait, &format!("after a {first:?} read on channel 0"));
+        close(b.completion_ns - FIRST_NS, wait + closed(EccScheme::None), "second latency");
+    }
+    // And the other way round: a chipkill read waits for a busy partner.
+    let mut dram = Dram::new(cfg.clone());
+    let a = dram.access(FIRST_NS, other, false, EccScheme::None);
+    let b = dram.access(FIRST_NS, addr(&cfg, 0, 5, 0), false, EccScheme::Chipkill);
+    close(b.queue_ns, a.completion_ns - FIRST_NS, "chipkill behind its busy partner channel");
+}
+
+#[test]
+fn two_rows_ping_ponging_in_one_bank_pay_a_conflict_every_access() {
+    let cfg = SystemConfig::default();
+    let t = cfg.timing;
+    let n = 8;
+    for (scheme, _) in CHIPS {
+        let mut dram = Dram::new(cfg.clone());
+        let got = reads(&mut dram, &cfg, scheme, &[5, 6], n);
+        let s = dram.stats;
+        assert_eq!((s.activations, s.row_hits), (n as u64, 0), "{scheme:?}");
+        let conflict = (t.t_rp + t.t_rcd + t.t_cl) as f64 * t.tck_ns + tail_ns(&cfg, scheme);
+        for (k, r) in got.iter().enumerate().skip(1) {
+            assert_eq!(r.row, RowOutcome::Conflict, "{scheme:?}: request {k}");
+            close(r.completion_ns - (FIRST_NS + APART_NS * k as f64), conflict, "conflict latency");
+        }
+    }
+}
+
+#[test]
+fn the_closed_page_policy_never_hits() {
+    let cfg = SystemConfig { row_policy: RowPolicy::Closed, ..SystemConfig::default() };
+    let (t, e) = (cfg.timing, cfg.energy);
+    let n = 8;
+    for (scheme, chips) in CHIPS {
+        let mut dram = Dram::new(cfg.clone());
+        let got = reads(&mut dram, &cfg, scheme, &[5], n);
+        let s = dram.stats;
+        assert_eq!((s.activations, s.row_hits), (n as u64, 0), "{scheme:?}");
+        let closed = (t.t_rcd + t.t_cl) as f64 * t.tck_ns + tail_ns(&cfg, scheme);
+        for (k, r) in got.iter().enumerate() {
+            assert_eq!(r.row, RowOutcome::Closed, "{scheme:?}: request {k}");
+            close(r.completion_ns - (FIRST_NS + APART_NS * k as f64), closed, "closed latency");
+        }
+        let correction_nj = scheme.correction_energy_pj() / 1000.0;
+        let want = n as f64 * (chips * (e.act_nj_per_chip + e.read_nj_per_chip) + correction_nj);
+        close(s.dynamic_nj, want, &format!("{scheme:?} dynamic energy"));
+    }
+}
