@@ -1,8 +1,9 @@
 //! Test-only: the two-word miss record the byte records replaced.
 //!
-//! A [`MissStream`] codes each record in a few bytes against the record
-//! before it, so its decoder carries a context from record to record and a
-//! [`SliceCursor`] carries it across a resume. What pins that codec is kept
+//! A [`MissStream`] codes each record in a few bytes against the last
+//! record of its region, so its decoder carries a table of contexts from
+//! record to record and a [`SliceCursor`] rebuilds it from a reset point
+//! across a resume. What pins that codec is kept
 //! here, as `walk_reference.rs` keeps the cache walk: the two-word record
 //! exactly as it stood — word 0 the [`crate::packed`] layout with its run
 //! bits split into a 2-bit kind and a 6-bit run, word 1 a 33-bit zigzag
@@ -12,8 +13,8 @@
 //! a line with what it checks.
 
 use crate::miss_stream::{
-    walk, MissEvent, MissEventKind, MissStream, RecordStep, SliceCursor, KIND_DEMAND,
-    KIND_DEMAND_WB, KIND_WRITEBACK, MAX_MISS_DELTA, MAX_MISS_RUN,
+    walk, MissEvent, MissEventKind, MissStream, Record, SliceCursor, KIND_DEMAND, KIND_DEMAND_WB,
+    KIND_WRITEBACK, MAX_MISS_DELTA, MAX_MISS_RUN,
 };
 use crate::packed::{pack, unpack};
 use crate::trace::{Access, RegionMap};
@@ -133,7 +134,7 @@ fn two_word_events(words: &[u64], regions: &RegionMap, threads: u64) -> Vec<Miss
 /// The two-word records a stream's events code to: what a version-4
 /// `.miss` blob held for it. Its records keep their runs, so each event's
 /// track is the sum of its record's gaps.
-pub(crate) fn two_word_records(ms: &MissStream) -> Vec<u64> {
+fn two_word_records(ms: &MissStream) -> Vec<u64> {
     let mut enc = TwoWordEncoder::new(ms.regions());
     let gaps = ms.records().flat_map(|step| {
         let rec = step.unwrap().rec;
@@ -159,7 +160,7 @@ proptest::proptest! {
     fn byte_records_decode_as_the_two_word_records(seed: u64) {
         use proptest::prelude::*;
         let threads = [1, 3, 4][(seed % 3) as usize];
-        let (mut t, l1, l2) = crate::miss_stream::few_line_trace(seed, 3);
+        let (mut t, l1, l2) = crate::miss_stream::few_line_trace(seed, 3, 600);
         let base = t.regions.regions()[1].base;
         for line in 0..150 {
             t.push(base + line * 64, 1, seed.is_multiple_of(2), 1);
@@ -174,24 +175,29 @@ proptest::proptest! {
         prop_assert!(two_word_records(&ms) == words, "records and runs");
 
         // What the records must have met: each kind, a run at the cap, an
-        // escaped run short of it, and a record that keeps its
-        // predecessor's attributes but not its gap, and one the other way.
-        let mut seen = [false; 7];
-        let (mut cycles, mut k) = (0u64, 0usize);
+        // escaped run short of it, a record that keeps the attributes of
+        // its region's last record but not its gap, and one the other way,
+        // and a record back in a region it had left.
+        let mut seen = [false; 8];
+        let mut last: Vec<Option<Record>> = vec![None; t.regions.regions().len()];
+        let (mut cycles, mut k, mut region) = (0u64, 0usize, 0);
         for step in ms.records() {
-            let RecordStep { at, before, rec } = step.unwrap();
+            let step = step.unwrap();
+            let (rec, before) = (step.rec, last[step.rec.region as usize]);
             seen[rec.kind as usize] = true;
             seen[3] |= rec.run == MAX_MISS_RUN as u64;
             seen[4] |= (16..MAX_MISS_RUN as u64).contains(&rec.run);
-            seen[5] |= at > 0 && rec.attrs == before.attrs && rec.gap != before.gap;
-            seen[6] |= at > 0 && rec.attrs != before.attrs && rec.gap == before.gap;
+            seen[5] |= before.is_some_and(|b| rec.attrs == b.attrs && rec.gap != b.gap);
+            seen[6] |= before.is_some_and(|b| rec.attrs != b.attrs && rec.gap == b.gap);
+            seen[7] |= before.is_some() && rec.region != region;
+            (last[rec.region as usize], region) = (Some(rec), rec.region);
             for run_pos in 0..rec.run as usize {
-                let cursor = SliceCursor::at(at, run_pos, cycles, before);
+                let cursor = SliceCursor::at(&step, run_pos, cycles);
                 prop_assert!(ms.events_from(cursor).eq(want[k..].iter().copied()), "event {}", k);
                 cycles += rec.gap;
                 k += 1;
             }
         }
-        prop_assert!(seen == [true; 7], "{} events at {threads} threads too tame: {seen:?}", ms.events());
+        prop_assert!(seen == [true; 8], "{} events at {threads} threads too tame: {seen:?}", ms.events());
     }
 }

@@ -33,23 +33,30 @@
 //! The stream is run-aware and coded against itself: one record covers up
 //! to [`MAX_MISS_RUN`] consecutive-line events with identical attributes
 //! and thread-cycle gaps (the shape LLC-missing line sweeps produce), and
-//! each record is a few bytes coded against the record before it.
+//! each record is a few bytes coded against the record its own region
+//! last left.
 //!
 //! ```text
 //! header  1 byte   bits 7..4 run (1..=15; 0 = a LEB128 run follows)
 //!                  | bit 3 gap unchanged | bit 2 attributes unchanged
-//!                  | bits 1..0 kind
-//! run     LEB128   only under the escape (16..=64)
-//! attrs   LEB128   only if changed: addr & 63 (6) | work (16) | region (6) | write (1)
+//!                  | bits 1..0 kind (3 = another region: an escape byte follows)
+//! escape  1 byte   only under kind 3: region (bits 7..2) | kind (bits 1..0)
+//! run     LEB128   only under the run escape (16..=64)
+//! attrs   LEB128   only if changed: addr & 63 (6) | work (16) | write (1)
 //! gap     LEB128   only if changed: thread cycles from the previous event
-//! line    LEB128   zigzag head trigger line − where the previous record's run ended
-//! wb      LEB128   zigzag head write-back line − where the last write-back run ended
-//!                  (kinds with a write-back only)
+//! line    LEB128   zigzag head trigger line − where the region's last run ended
+//! wb      LEB128   zigzag head write-back line − where the region's last
+//!                  write-back run ended (kinds with a write-back only)
 //! ```
 //!
-//! The context a record is coded against (`RecordContext`) is what the
-//! record before it left behind: its attributes and gap, the line after
-//! its run, and the line after the last write-back run. A sweep cut by the
+//! A record is of the region of the record before it unless it escapes.
+//! What it is coded against (`RecordContext`) is what the last record of
+//! its region left behind: its attributes and gap, the line after its run,
+//! and the line after the region's last write-back run. The table of
+//! contexts (`Contexts`) starts empty, with region 0 current, and empties
+//! again every 1024 records (`RESET_RECORDS`), so a resume needs only the
+//! byte offset of the reset point at or before its record ([`SliceCursor`])
+//! and replays the contexts forward from there. A sweep cut by the
 //! 64-event cap costs three bytes a record; a one-event miss that changes
 //! nothing but its line, two to four. The gap is kept in undivided thread
 //! cycles because a regular sweep repeats it exactly, while its core
@@ -74,16 +81,26 @@ const GAP_SAME: u8 = 1 << 3;
 const RUN_SHIFT: u32 = 4;
 const RUN_BITS: u32 = 6;
 const DELTA_BITS: u32 = 31;
+/// The header kind that changes region: the escape byte after the header
+/// holds the region above the record's real kind.
+const KIND_ESCAPE: u8 = 3;
+const ESCAPE_REGION_SHIFT: u32 = 2;
 /// Where an attribute word's fields sit (`write` is bit 0).
-const REGION_SHIFT: u32 = 1;
-const WORK_SHIFT: u32 = 7;
-const LOW_SHIFT: u32 = 23;
-const ATTRS_BITS: u32 = 29;
+const WORK_SHIFT: u32 = 1;
+const LOW_SHIFT: u32 = 17;
+const ATTRS_BITS: u32 = 23;
 /// The first 64-byte line whose byte address does not fit in 64 bits.
 const LINE_LIMIT: u64 = 1 << 58;
 
 /// Maximum events one miss-stream record can cover.
 pub const MAX_MISS_RUN: usize = 1 << RUN_BITS;
+/// Records from one reset of the context table to the next: a resume
+/// replays at most this many less one to rebuild the table it needs
+/// (DESIGN.md §3.13).
+pub(crate) const RESET_RECORDS: usize = 1024;
+/// The most bytes a record takes: a header, an escape byte and five
+/// LEB128 fields of at most ten bytes.
+pub(crate) const MAX_RECORD_BYTES: usize = 52;
 /// Maximum gap, in thread cycles, between consecutive DRAM events the
 /// encoding can hold (~2.1 G thread cycles: 0.54 G core cycles at four
 /// threads, a quarter second of core time between misses).
@@ -501,13 +518,14 @@ impl MissStream {
 
     /// Resume decoding mid-stream from a saved [`SliceCursor`] — the
     /// slice-replay entry point the SimPoint sampler uses. Because
-    /// records are run-coalesced and each is coded against the one
-    /// before, an event offset alone cannot seek; the cursor carries the
-    /// decoder state (record offset, position within the run, accumulated
-    /// thread-cycle track, and the context the record is coded against)
-    /// captured when the slice boundary was scanned, so resuming is O(1) —
-    /// one division — and the decoded events are bit-identical to the
-    /// same positions of a full [`MissStream::iter`] walk.
+    /// records are run-coalesced and each is coded against the last of its
+    /// region, an event offset alone cannot seek; the cursor carries the
+    /// decoder state (the reset point before its record, the record offset,
+    /// position within the run and accumulated thread-cycle track)
+    /// captured when the slice boundary was scanned, so resuming costs one
+    /// division and the decode of fewer than 1024 records' contexts, and
+    /// the decoded events are bit-identical to the same positions of a
+    /// full [`MissStream::iter`] walk.
     pub fn events_from(&self, cursor: SliceCursor) -> MissEvents<'_> {
         self.records.events_from(cursor)
     }
@@ -525,9 +543,9 @@ impl MissStream {
     }
 
     /// Crate-internal: the records one at a time, each with where it
-    /// starts and the context it is coded against.
+    /// starts and the reset point before it.
     pub(crate) fn records(&self) -> Records<'_> {
-        Records::new(&self.records.bytes, RecordContext::default())
+        Records::new(&self.records.bytes)
     }
 
     /// Crate-internal: rebuild a stream from store-blob raw parts. Parts
@@ -577,14 +595,15 @@ impl MissStream {
     }
 }
 
-/// One miss-stream record, decoded: `run` events of one `kind` and one
-/// attribute word, `gap` thread cycles apart, whose triggers sit on the
-/// lines from `line` on and whose write-backs (unless the kind has none)
-/// on the lines from `wb` on.
+/// One miss-stream record, decoded: `run` events of one `kind`, region
+/// and attribute word, `gap` thread cycles apart, whose triggers sit on
+/// the lines from `line` on and whose write-backs (unless the kind has
+/// none) on the lines from `wb` on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Record {
     pub kind: u64,
-    /// `addr & 63` | work | region | write (see the module docs).
+    pub region: u64,
+    /// `addr & 63` | work | write (see the module docs).
     pub attrs: u64,
     pub gap: u64,
     pub line: u64,
@@ -602,11 +621,10 @@ impl Record {
             head.region,
             head.work
         );
-        let attrs = (head.addr & 63) << LOW_SHIFT
-            | (head.work as u64) << WORK_SHIFT
-            | (head.region as u64) << REGION_SHIFT
-            | head.write as u64;
-        Record { kind, attrs, gap, line: head.addr >> 6, wb, run }
+        let attrs =
+            (head.addr & 63) << LOW_SHIFT | (head.work as u64) << WORK_SHIFT | head.write as u64;
+        let region = head.region as u64;
+        Record { kind, region, attrs, gap, line: head.addr >> 6, wb, run }
     }
 
     /// The trigger of the record's event `k`.
@@ -614,7 +632,7 @@ impl Record {
     pub fn trigger(&self, k: u64) -> Access {
         Access {
             addr: (self.line.wrapping_add(k) << 6) | self.attrs >> LOW_SHIFT,
-            region: (self.attrs >> REGION_SHIFT & 63) as RegionId,
+            region: self.region as RegionId,
             write: self.attrs & 1 != 0,
             work: (self.attrs >> WORK_SHIFT & MAX_PACKED_WORK as u64) as u32,
         }
@@ -622,7 +640,7 @@ impl Record {
 
     /// What is wrong with the record, if anything: a kind the decoder
     /// does not know, a run outside `1..=64`, attributes wider than their
-    /// fields or of a region outside the `regions` a stream registers, a
+    /// fields, a region outside the `regions` a stream registers, a
     /// gap past [`MAX_MISS_DELTA`], or a trigger or write-back line that
     /// leaves the address space while [`MissEvents`] steps through the
     /// run. Both readers of outside records — a stream's and a
@@ -637,7 +655,7 @@ impl Record {
         if self.attrs >> ATTRS_BITS != 0 {
             return Err("miss record attributes");
         }
-        if (self.attrs >> REGION_SHIFT & 63) as usize >= regions {
+        if self.region >= regions as u64 {
             return Err("miss record region");
         }
         if self.gap > MAX_MISS_DELTA {
@@ -656,20 +674,20 @@ impl Record {
     }
 }
 
-/// What a record is coded against: the attributes and gap of the record
-/// before it, the line after that record's run, and the line after the
-/// last write-back run. A stream starts from the default (all zero); so
-/// does every slice of a [`crate::simpoint::PhaseSample`].
+/// What a record is coded against: the attributes and gap of the last
+/// record of its region, the line after that record's run, and the line
+/// after the region's last write-back run. A region starts from the
+/// default (all zero) after every reset.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct RecordContext {
-    pub(crate) attrs: u64,
-    pub(crate) gap: u64,
-    pub(crate) line: u64,
-    pub(crate) wb: u64,
+struct RecordContext {
+    attrs: u64,
+    gap: u64,
+    line: u64,
+    wb: u64,
 }
 
 impl RecordContext {
-    /// The context the record after `r` is coded against.
+    /// The context the region's record after `r` is coded against.
     #[inline(always)]
     fn after(&self, r: &Record) -> RecordContext {
         let wb = if r.kind == KIND_DEMAND { self.wb } else { r.wb.wrapping_add(r.run) };
@@ -677,14 +695,74 @@ impl RecordContext {
     }
 }
 
-/// Append `r`, coded against `ctx`, to `out` (the layout in the module
-/// docs); returns the context the next record is coded against.
-pub(crate) fn put_record(out: &mut Vec<u8>, ctx: &RecordContext, r: &Record) -> RecordContext {
-    // Assembled on the stack and appended at once: a header and five
-    // fields of at most ten bytes.
-    let (mut buf, mut len) = ([0u8; 51], 1);
-    let mut field = |v: u64| len += put_leb(&mut buf[len..], v);
+/// The coder's and every decoder's state between records: the current
+/// region and its context, held apart so that a run of records in one
+/// region never touches the table, the contexts the other regions left,
+/// and the records left before the table resets. It lives inline in what
+/// carries it (an encoder, a decoder), so a resume allocates nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct Contexts {
+    region: u64,
+    cur: RecordContext,
+    /// What each region left, where bit `r` of `live` is set; a region
+    /// without its bit starts from the default.
+    table: [RecordContext; MAX_PACKED_REGIONS],
+    live: u64,
+    /// Records before the next reset; 0 at a reset point.
+    left: usize,
+}
+
+impl Contexts {
+    /// The state at a reset point.
+    pub fn new() -> Self {
+        let cur = RecordContext::default();
+        Contexts { region: 0, cur, table: [cur; MAX_PACKED_REGIONS], live: 0, left: 0 }
+    }
+
+    /// Whether the next record starts a reset interval.
+    #[inline(always)]
+    pub fn at_reset(&self) -> bool {
+        self.left == 0
+    }
+
+    /// Step to the next record, emptying the table at a reset point.
+    #[inline(always)]
+    fn next_record(&mut self) {
+        if self.left == 0 {
+            (self.region, self.cur, self.live) = (0, RecordContext::default(), 0);
+            self.left = RESET_RECORDS;
+        }
+        self.left -= 1;
+    }
+
+    /// Make `region` (below 64) current: the current context goes to the
+    /// table and `region`'s comes out of it. Inlined: FT-CG's streams
+    /// change region on most records, and as an out-of-line call the
+    /// switch cost paper FT-CG's decode half again (DESIGN.md §3.13).
+    #[inline(always)]
+    fn switch(&mut self, region: u64) {
+        self.table[self.region as usize] = self.cur;
+        self.live |= 1 << self.region;
+        let live = self.live >> region & 1 != 0;
+        self.cur = if live { self.table[region as usize] } else { RecordContext::default() };
+        self.region = region;
+    }
+}
+
+/// Append `r`, coded against `ctxs`, to `out` (the layout in the module
+/// docs), and step `ctxs` past it.
+pub(crate) fn put_record(out: &mut Vec<u8>, ctxs: &mut Contexts, r: &Record) {
+    // Assembled on the stack and appended at once.
+    let (mut buf, mut len) = ([0u8; MAX_RECORD_BYTES], 1);
+    ctxs.next_record();
     let mut header = r.kind as u8;
+    if r.region != ctxs.region {
+        ctxs.switch(r.region);
+        buf[1] = (r.region as u8) << ESCAPE_REGION_SHIFT | header;
+        (header, len) = (KIND_ESCAPE, 2);
+    }
+    let ctx = &ctxs.cur;
+    let mut field = |v: u64| len += put_leb(&mut buf[len..], v);
     if r.run < 16 {
         header |= (r.run as u8) << RUN_SHIFT;
     } else {
@@ -706,21 +784,34 @@ pub(crate) fn put_record(out: &mut Vec<u8>, ctx: &RecordContext, r: &Record) -> 
     }
     buf[0] = header;
     out.extend_from_slice(&buf[..len]);
-    ctx.after(r)
+    ctxs.cur = ctxs.cur.after(r);
 }
 
-/// Decode the record at `*pos`, coded against `ctx`, and step `*pos` past
-/// it. Only the bytes are checked (a LEB128 field cut short or longer
-/// than 64 bits); what they say is [`Record::check`]'s to judge.
+/// Decode the record at `*pos`, coded against `ctxs`, and step `*pos` and
+/// `ctxs` past it. Only the bytes are checked (a field cut short, a
+/// LEB128 field longer than 64 bits, an escape to kind 3); what they say
+/// is [`Record::check`]'s to judge.
 #[inline(always)]
 pub(crate) fn get_record(
     bytes: &[u8],
     pos: &mut usize,
-    ctx: &RecordContext,
+    ctxs: &mut Contexts,
 ) -> Result<Record, &'static str> {
     let &header = bytes.get(*pos).ok_or("miss record cut short")?;
     *pos += 1;
-    let kind = (header & KIND_MASK) as u64;
+    ctxs.next_record();
+    let mut kind = header & KIND_MASK;
+    if kind == KIND_ESCAPE {
+        let &escape = bytes.get(*pos).ok_or("miss record cut short")?;
+        *pos += 1;
+        kind = escape & KIND_MASK;
+        if kind == KIND_ESCAPE {
+            return Err("miss record escape of kind 3");
+        }
+        ctxs.switch((escape >> ESCAPE_REGION_SHIFT) as u64);
+    }
+    let kind = kind as u64;
+    let ctx = &ctxs.cur;
     let run = match header >> RUN_SHIFT {
         0 => get_leb(bytes, pos)?,
         run => run as u64,
@@ -730,7 +821,9 @@ pub(crate) fn get_record(
     let line = ctx.line.wrapping_add(unzigzag(get_leb(bytes, pos)?));
     let wb =
         if kind == KIND_DEMAND { 0 } else { ctx.wb.wrapping_add(unzigzag(get_leb(bytes, pos)?)) };
-    Ok(Record { kind, attrs, gap, line, wb, run })
+    let rec = Record { kind, region: ctxs.region, attrs, gap, line, wb, run };
+    ctxs.cur = ctx.after(&rec);
+    Ok(rec)
 }
 
 /// Write `v` as LEB128 at the head of `out`; returns the bytes written.
@@ -803,25 +896,31 @@ fn unzigzag(z: u64) -> u64 {
 }
 
 /// One step of [`Records`]: a record, the byte offset it starts at, and
-/// the context it is coded against.
+/// the reset point before it — its byte offset and the events before it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RecordStep {
     pub at: usize,
-    pub before: RecordContext,
+    pub reset: usize,
+    pub reset_event: u64,
     pub rec: Record,
 }
 
-/// The records of a byte slice one at a time. An error ends the walk.
+/// The records of a byte slice that starts at a reset point, one at a
+/// time. An error ends the walk.
 pub(crate) struct Records<'a> {
     bytes: &'a [u8],
     pos: usize,
-    ctx: RecordContext,
+    ctxs: Contexts,
+    /// The last reset point, and the events before it and before `pos`.
+    reset: usize,
+    reset_event: u64,
+    events: u64,
 }
 
 impl<'a> Records<'a> {
-    /// The records of `bytes`, the first coded against `ctx`.
-    pub fn new(bytes: &'a [u8], ctx: RecordContext) -> Self {
-        Records { bytes, pos: 0, ctx }
+    /// The records of `bytes`, the first at a reset point.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Records { bytes, pos: 0, ctxs: Contexts::new(), reset: 0, reset_event: 0, events: 0 }
     }
 }
 
@@ -836,11 +935,14 @@ impl Iterator for Records<'_> {
         if self.pos >= self.bytes.len() {
             return None;
         }
-        let (at, before) = (self.pos, self.ctx);
-        match get_record(self.bytes, &mut self.pos, &before) {
+        let at = self.pos;
+        if self.ctxs.at_reset() {
+            (self.reset, self.reset_event) = (at, self.events);
+        }
+        match get_record(self.bytes, &mut self.pos, &mut self.ctxs) {
             Ok(rec) => {
-                self.ctx = before.after(&rec);
-                Some(Ok(RecordStep { at, before, rec }))
+                self.events += rec.run;
+                Some(Ok(RecordStep { at, reset: self.reset, reset_event: self.reset_event, rec }))
             }
             Err(e) => {
                 self.pos = self.bytes.len();
@@ -853,8 +955,8 @@ impl Iterator for Records<'_> {
 /// Run-coalescing encoder for miss-stream records.
 pub(crate) struct Encoder {
     bytes: Vec<u8>,
-    /// The context the next record is coded against.
-    ctx: RecordContext,
+    /// What the next record is coded against.
+    ctxs: Contexts,
     /// Events in the pending run; 0 when there is none, and then the four
     /// fields below are stale.
     run: usize,
@@ -880,7 +982,7 @@ impl Encoder {
     fn new() -> Self {
         Encoder {
             bytes: Vec::new(),
-            ctx: RecordContext::default(),
+            ctxs: Contexts::new(),
             run: 0,
             kind: KIND_DEMAND,
             head: Access { addr: 0, region: 0, write: false, work: 0 },
@@ -941,7 +1043,7 @@ impl Encoder {
             return;
         }
         let rec = Record::of(self.kind, &self.head, self.delta, self.wb_line, run);
-        self.ctx = put_record(&mut self.bytes, &self.ctx, &rec);
+        put_record(&mut self.bytes, &mut self.ctxs, &rec);
     }
 
     /// The records and the events they cover.
@@ -952,14 +1054,19 @@ impl Encoder {
 }
 
 /// Saved decoder state at an event boundary of a [`MissStream`]: the
-/// record's byte offset and the context it is coded against, the position
+/// reset point at or before the record the event is in (its byte offset
+/// and the events before it), the record's byte offset, the position
 /// inside the record's run, and the thread-cycle track accumulated through
 /// the *previous* event. Captured once per slice by the SimPoint
 /// fingerprint scan ([`crate::simpoint::SimPointSelection::build`]) and
-/// handed back to [`MissStream::events_from`] for O(1) mid-stream
-/// resumption.
+/// handed back to [`MissStream::events_from`], which replays the contexts
+/// of at most 1023 records from the reset point and resumes there.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SliceCursor {
+    /// Byte offset of the reset point the record's contexts replay from.
+    pub(crate) reset: usize,
+    /// Events before the reset point.
+    pub(crate) reset_event: u64,
     /// Byte offset of the record the next event decodes from.
     pub(crate) idx: usize,
     /// Events of that record's run already consumed.
@@ -967,8 +1074,6 @@ pub struct SliceCursor {
     /// Thread-cycle track accumulated through the previous event (the
     /// decoder's core cycles are this divided by the thread count).
     pub(crate) cycles: u64,
-    /// What the record at `idx` is coded against.
-    pub(crate) ctx: RecordContext,
 }
 
 impl SliceCursor {
@@ -978,10 +1083,11 @@ impl SliceCursor {
         SliceCursor::default()
     }
 
-    /// Crate-internal constructor for the fingerprint scan and the
-    /// artifact-store decoder.
-    pub(crate) fn at(idx: usize, run_pos: usize, cycles: u64, ctx: RecordContext) -> SliceCursor {
-        SliceCursor { idx, run_pos, cycles, ctx }
+    /// Crate-internal constructor for the fingerprint scan: event
+    /// `run_pos` of the record `step` decoded, at track `cycles`.
+    pub(crate) fn at(step: &RecordStep, run_pos: usize, cycles: u64) -> SliceCursor {
+        let (reset, reset_event, idx) = (step.reset, step.reset_event, step.at);
+        SliceCursor { reset, reset_event, idx, run_pos, cycles }
     }
 }
 
@@ -1001,19 +1107,29 @@ impl MissRecords {
         MissRecords { bytes: bytes.into_boxed_slice(), threads: totals.threads as u64 }
     }
 
-    /// Decode from `cursor` on (see [`MissStream::events_from`]).
+    /// Decode from `cursor` on (see [`MissStream::events_from`]): the
+    /// records from its reset point up to its own are decoded for their
+    /// contexts alone, in the iterator's own table. A cursor whose walk
+    /// does not land on a record head decodes nothing.
     pub fn events_from(&self, cursor: SliceCursor) -> MissEvents<'_> {
         let mut events = MissEvents {
             bytes: &self.bytes,
-            pos: cursor.idx,
-            ctx: cursor.ctx,
+            pos: cursor.reset,
+            ctxs: Contexts::new(),
             clock: CoreClock::resume(self.threads, cursor.cycles),
             left: 0,
             trigger: Access { addr: 0, region: 0, write: false, work: 0 },
             wb_line: 0,
             kind_bits: KIND_DEMAND,
         };
-        if cursor.run_pos > 0 {
+        while events.pos < cursor.idx {
+            if get_record(&self.bytes, &mut events.pos, &mut events.ctxs).is_err() {
+                break;
+            }
+        }
+        if events.pos != cursor.idx {
+            events.pos = self.bytes.len();
+        } else if cursor.run_pos > 0 {
             events.load_record(cursor.run_pos as u64);
         }
         events
@@ -1125,7 +1241,7 @@ pub struct MissEvents<'a> {
     /// Byte offset of the next record to decode, and what it is coded
     /// against.
     pos: usize,
-    ctx: RecordContext,
+    ctxs: Contexts,
     clock: CoreClock,
     /// Events of the decoded record still to yield.
     left: u64,
@@ -1143,11 +1259,10 @@ impl MissEvents<'_> {
     /// in registers across a record.
     #[inline(always)]
     fn load_record(&mut self, skip: u64) -> bool {
-        let Ok(rec) = get_record(self.bytes, &mut self.pos, &self.ctx) else {
+        let Ok(rec) = get_record(self.bytes, &mut self.pos, &mut self.ctxs) else {
             self.pos = self.bytes.len();
             return false;
         };
-        self.ctx = self.ctx.after(&rec);
         self.kind_bits = rec.kind;
         self.clock.set_gap(rec.gap & MAX_MISS_DELTA);
         self.left = rec.run.saturating_sub(skip);
@@ -1183,15 +1298,16 @@ impl Iterator for MissEvents<'_> {
     }
 }
 
-/// Test input: a short seeded trace of write sweeps and scattered
-/// accesses over `regions` regions, with the few-line L1 and L2 it is
-/// meant to be filtered through, so that its stream holds demand,
-/// demand + write-back and stand-alone write-back records, single events
-/// and runs.
+/// Test input: a seeded trace of at least `accesses` accesses in write
+/// sweeps and scattered accesses over `regions` regions, with the few-line
+/// L1 and L2 it is meant to be filtered through, so that its stream holds
+/// demand, demand + write-back and stand-alone write-back records, single
+/// events and runs.
 #[cfg(test)]
 pub(crate) fn few_line_trace(
     seed: u64,
     regions: usize,
+    accesses: usize,
 ) -> (crate::trace::Trace, CacheConfig, CacheConfig) {
     use rand::{Rng, SeedableRng};
     let l1 = CacheConfig { capacity: 512, ways: 2, line_bytes: 64, latency_cycles: 1 };
@@ -1202,7 +1318,7 @@ pub(crate) fn few_line_trace(
         (0..regions).map(|i| rm.alloc(&format!("r{i}"), 64 * 256, i == 0)).collect();
     let bases: Vec<u64> = regions.iter().map(|&r| rm.get(r).base).collect();
     let mut t = crate::trace::Trace::new(rm);
-    while t.accesses.len() < 600 {
+    while t.accesses.len() < accesses {
         let r = rng.random_range(0..regions.len());
         let (write, work) = (rng.random_bool(0.5), rng.random_range(0..3));
         let first = rng.random_range(0..200u64);
@@ -1225,7 +1341,7 @@ pub(crate) fn few_line_trace(
 /// [`few_line_trace`] over three regions, filtered on one thread.
 #[cfg(test)]
 pub(crate) fn few_line_stream(seed: u64) -> MissStream {
-    let (t, l1, l2) = few_line_trace(seed, 3);
+    let (t, l1, l2) = few_line_trace(seed, 3, 600);
     MissStream::build(&mut t.replay(), l1, l2, 1)
 }
 
@@ -1337,18 +1453,18 @@ mod tests {
             let all: Vec<MissEvent> = ms.iter().collect();
             prop_assert_eq!(all.len() as u64, ms.events());
 
-            // One cursor per event, read off the records.
+            // One cursor per event, read off the records, and one at the end.
             let mut cursors = Vec::new();
-            let (mut cycles, mut end) = (0u64, RecordContext::default());
+            let mut cycles = 0u64;
             for step in ms.records() {
-                let RecordStep { at, before, rec } = step.unwrap();
-                for run_pos in 0..rec.run as usize {
-                    cursors.push(SliceCursor::at(at, run_pos, cycles, before));
-                    cycles += rec.gap;
+                let step = step.unwrap();
+                for run_pos in 0..step.rec.run as usize {
+                    cursors.push(SliceCursor::at(&step, run_pos, cycles));
+                    cycles += step.rec.gap;
                 }
-                end = before.after(&rec);
             }
-            cursors.push(SliceCursor::at(ms.raw_bytes().len(), 0, cycles, end));
+            let reset = cursors.last().copied().unwrap_or_default();
+            cursors.push(SliceCursor { idx: ms.raw_bytes().len(), run_pos: 0, cycles, ..reset });
             prop_assert_eq!(cursors.len(), all.len() + 1);
             prop_assert!(cursors.iter().any(|c| c.run_pos > 1), "no run was resumed mid-way");
             for (k, &cursor) in cursors.iter().enumerate() {
@@ -1356,6 +1472,38 @@ mod tests {
                 prop_assert!(tail == all[k..], "resumed at event {k} ({cursor:?})");
             }
         }
+    }
+
+    #[test]
+    fn a_resume_at_every_record_of_three_reset_intervals_decodes_the_tail() {
+        let (t, l1, l2) = few_line_trace(5, 3, 14_000);
+        let ms = MissStream::build(&mut t.replay(), l1, l2, 3);
+        let all: Vec<MissEvent> = ms.iter().collect();
+        let steps: Vec<RecordStep> = ms.records().map(|step| step.unwrap()).collect();
+        let intervals = steps.len().div_ceil(RESET_RECORDS);
+        assert!(intervals >= 3, "{} records", steps.len());
+        let (mut cycles, mut event, mut reset, mut escapes) = (0u64, 0usize, (0, 0), 0);
+        for (n, step) in steps.iter().enumerate() {
+            if n % RESET_RECORDS == 0 {
+                reset = (step.at, event as u64);
+                escapes += (step.rec.region != 0) as usize;
+            }
+            assert_eq!((step.reset, step.reset_event), reset, "record {n}");
+            if [0, intervals / 2, intervals - 1].contains(&(n / RESET_RECORDS)) {
+                let last = step.rec.run as usize - 1;
+                for run_pos in [0, last] {
+                    let track = cycles + step.rec.gap * run_pos as u64;
+                    let tail = ms.events_from(SliceCursor::at(step, run_pos, track));
+                    assert!(
+                        tail.eq(all[event + run_pos..].iter().copied()),
+                        "record {n}+{run_pos}"
+                    );
+                }
+            }
+            cycles += step.rec.gap * step.rec.run;
+            event += step.rec.run as usize;
+        }
+        assert!(escapes > 0, "no reset point fell on a record of another region");
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //!    each segment is represented by its member nearest the segment
 //!    mean; a [`SimPointPhase`] records the representative's event
 //!    range, the segment's event weight, and a saved
-//!    [`SliceCursor`] so replay can
-//!    seek into the run-coalesced delta-encoded records in O(1).
+//!    [`SliceCursor`] so replay can seek into the run-coalesced
+//!    context-coded records from the reset point before it.
 //!
 //! [`crate::system::Machine::simulate`] replays only the representative
 //! slices through the MC + DRAM and scales each phase's accumulated
@@ -52,8 +52,9 @@
 //! content-addressed by `(FilterKey, SimPointConfig)`.
 
 use crate::miss_stream::{
-    put_record, CoreClock, MissEvents, MissRecords, MissStream, RecordContext, RecordStep, Records,
-    SliceCursor, StreamTotals, KIND_DEMAND, KIND_DEMAND_WB, KIND_WRITEBACK, MAX_MISS_RUN,
+    put_record, Contexts, CoreClock, MissEvents, MissRecords, MissStream, Records, SliceCursor,
+    StreamTotals, KIND_DEMAND, KIND_DEMAND_WB, KIND_WRITEBACK, MAX_MISS_RUN, MAX_RECORD_BYTES,
+    RESET_RECORDS,
 };
 use crate::trace::Access;
 use std::sync::Arc;
@@ -331,9 +332,33 @@ impl SimPointSelection {
     }
 
     /// Whether the selection was built for (a stream shaped exactly
-    /// like) `ms`.
+    /// like) `ms`: the same events, and every phase's cursor walks from its
+    /// reset point onto a record head of `ms` and onto the phase's first
+    /// event there.
     pub fn matches(&self, ms: &MissStream) -> bool {
-        self.events == ms.events()
+        self.fit(ms).is_ok()
+    }
+
+    /// What [`SimPointSelection::matches`] asks, with what is wrong, which
+    /// names the phase.
+    pub(crate) fn fit(&self, ms: &MissStream) -> Result<(), String> {
+        if self.events != ms.events() {
+            return Err(format!(
+                "the selection was built for a {}-event stream, but this stream has {} events",
+                self.events,
+                ms.events()
+            ));
+        }
+        for (k, ph) in self.phases.iter().enumerate() {
+            land(ms.raw_bytes(), ph).map_err(|e| format!("phase {k}: {e}"))?;
+        }
+        Ok(())
+    }
+
+    /// Test-only: the selection with `phases` in place of its own, unchecked.
+    #[cfg(test)]
+    pub(crate) fn with_phases(&self, phases: Vec<SimPointPhase>) -> SimPointSelection {
+        SimPointSelection { phases, ..self.clone() }
     }
 
     /// Crate-internal: rebuild from store-blob raw parts, refusing parts
@@ -390,6 +415,15 @@ impl SimPointSelection {
             if p.cursor.run_pos >= MAX_MISS_RUN {
                 return Err("phase cursor off a record");
             }
+            // What a resume walks is bounded here by bytes, and by records
+            // where the selection meets its stream (`fit`).
+            match p.cursor.idx.checked_sub(p.cursor.reset) {
+                None => return Err("phase cursor before its reset point"),
+                Some(d) if d > (RESET_RECORDS - 1) * MAX_RECORD_BYTES => {
+                    return Err("phase cursor more than 1023 records after its reset point")
+                }
+                _ => {}
+            }
             let implied = p.weight * self.events as f64 / p.events() as f64;
             if !(p.scale > 0.0 && (p.scale - implied).abs() <= 1e-9 * p.scale.max(1.0)) {
                 return Err("phase scale");
@@ -413,15 +447,14 @@ impl SimPointSelection {
 ///
 /// Slice `k` is the records from the one holding phase `k`'s first event
 /// to the one holding its last, `bytes[offsets[k]..offsets[k + 1]]` (the
-/// last slice runs to the end), coded again against a fresh context from
-/// its first record on, so each slice decodes on its own. A phase's
+/// last slice runs to the end), coded again from a reset point of its own
+/// at its first record, so each slice decodes on its own. A phase's
 /// [`SliceCursor`] carries the cycle track before its first record and the
-/// position inside it, so the cursor survives condensing with its record
-/// offset rebased to `offsets[k]` and its context reset: the slice decodes
-/// the very events the full stream decodes from the cursor. Two adjacent
-/// phases that share a record each hold a copy of it. The selection itself
-/// keeps its full-stream cursors and still pairs with the whole
-/// [`MissStream`].
+/// position inside it, so the cursor survives condensing with its reset
+/// point and its record both at `offsets[k]`: the slice decodes the very
+/// events the full stream decodes from the cursor. Two adjacent phases
+/// that share a record each hold a copy of it. The selection itself keeps
+/// its full-stream cursors and still pairs with the whole [`MissStream`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSample {
     totals: StreamTotals,
@@ -436,24 +469,21 @@ impl PhaseSample {
     /// Copy out of `ms` what replaying `selection` reads of it. With
     /// `max_phases >= slices` that is the whole stream.
     pub fn condense(ms: &MissStream, selection: Arc<SimPointSelection>) -> PhaseSample {
-        assert!(
-            selection.matches(ms),
-            "phase selection was built for a {}-event stream, but this stream has {} events",
-            selection.events(),
-            ms.events()
-        );
+        let fit = selection.fit(ms);
+        assert!(fit.is_ok(), "phase selection does not fit this stream: {fit:?}");
         let all = ms.raw_bytes();
         let mut bytes = Vec::new();
         let mut offsets = Vec::with_capacity(selection.phases().len());
         for ph in selection.phases() {
-            let cursor = ph.cursor();
             // Events from the head of the first record through the
-            // phase's last one, coded again from a fresh context.
-            let mut left = cursor.run_pos as u64 + ph.events();
-            let mut ctx = RecordContext::default();
+            // phase's last one, coded again from a reset point.
+            let c = ph.cursor();
+            let mut left = c.run_pos as u64 + ph.events();
+            let mut ctxs = Contexts::new();
             offsets.push(bytes.len());
-            for step in Records::new(&all[cursor.idx..], cursor.ctx).map_while(Result::ok) {
-                ctx = put_record(&mut bytes, &ctx, &step.rec);
+            let records = Records::new(&all[c.reset..]).map_while(Result::ok);
+            for step in records.skip_while(|step| c.reset + step.at < c.idx) {
+                put_record(&mut bytes, &mut ctxs, &step.rec);
                 left = left.saturating_sub(step.rec.run);
                 if left == 0 {
                     break;
@@ -491,9 +521,8 @@ impl PhaseSample {
     /// The decoder at phase `k`'s first event; the phase's
     /// [`SimPointPhase::events`] next events are the slice.
     pub(crate) fn open(&self, k: usize) -> MissEvents<'_> {
-        let at = self.selection.phases()[k].cursor();
-        let ctx = RecordContext::default();
-        self.records.events_from(SliceCursor::at(self.offsets[k], at.run_pos, at.cycles, ctx))
+        let (c, at) = (self.selection.phases()[k].cursor(), self.offsets[k]);
+        self.records.events_from(SliceCursor { reset: at, idx: at, ..c })
     }
 
     /// Crate-internal: assemble a sample from store-blob parts, refusing
@@ -548,8 +577,7 @@ impl PhaseSample {
             // The cursor's track already holds the first record's events
             // before it.
             let (mut covered, mut track, mut before) = (0u64, ph.cursor().cycles, run_pos);
-            let slice = Records::new(&bytes[start..end], RecordContext::default());
-            for step in slice {
+            for step in Records::new(&bytes[start..end]) {
                 let rec = step?.rec;
                 rec.check(regions)?;
                 if before >= rec.run {
@@ -568,6 +596,39 @@ impl PhaseSample {
         }
         Ok(())
     }
+}
+
+/// What is wrong with phase `ph`'s cursor into the stream records
+/// `bytes`, if anything: walked from its reset point, it must land on a
+/// record head within 1023 records, inside that record's run, and on the
+/// phase's first event — the events before the
+/// reset point, those of the records walked and the cursor's position in
+/// its run together.
+fn land(bytes: &[u8], ph: &SimPointPhase) -> Result<(), &'static str> {
+    let c = ph.cursor;
+    let mut event = c.reset_event;
+    let records = Records::new(bytes.get(c.reset..).unwrap_or(&[]));
+    for (n, step) in records.enumerate() {
+        if n == RESET_RECORDS {
+            return Err("phase cursor more than 1023 records after its reset point");
+        }
+        let step = step?;
+        let at = c.reset + step.at;
+        if at > c.idx {
+            return Err("phase cursor off a record head");
+        }
+        if at == c.idx {
+            if c.run_pos as u64 >= step.rec.run {
+                return Err("phase cursor past its record");
+            }
+            if event.checked_add(c.run_pos as u64) != Some(ph.start) {
+                return Err("phase cursor off its first event");
+            }
+            return Ok(());
+        }
+        event = event.saturating_add(step.rec.run);
+    }
+    Err("phase cursor past the stream")
 }
 
 /// Crate-internal serializable bundle (the artifact store's unit).
@@ -719,7 +780,8 @@ impl FingerprintScan {
         let mut batch = Batch { head, wb_line: 0, kind: KIND_DEMAND, len: 0 };
         // The core run the last event fell in: its length and gap.
         let (mut core_run, mut core_gap) = (0usize, 0u64);
-        for RecordStep { at, before, rec } in ms.records().map_while(Result::ok) {
+        for step in ms.records().map_while(Result::ok) {
+            let rec = step.rec;
             let (run, kind, gap, head) = (rec.run as usize, rec.kind, rec.gap, rec.trigger(0));
             // Write-back line of the record head; successive events write
             // back successive lines.
@@ -740,7 +802,7 @@ impl FingerprintScan {
                         slice_start = clock.core();
                     }
                     batch.len = 0;
-                    cursors.push(SliceCursor::at(at, pos, track, before));
+                    cursors.push(SliceCursor::at(&step, pos, track));
                     left = interval;
                     cuts = 1;
                 }
@@ -1025,10 +1087,10 @@ mod tests {
         let mut events = Vec::new();
         let mut track = 0u64;
         for step in ms.records() {
-            let RecordStep { at, before, rec } = step.unwrap();
-            let head = rec.trigger(0);
+            let step = step.unwrap();
+            let (rec, head) = (step.rec, step.rec.trigger(0));
             for pos in 0..rec.run as usize {
-                let cursor = SliceCursor::at(at, pos, track, before);
+                let cursor = SliceCursor::at(&step, pos, track);
                 track += rec.gap;
                 events.push(Event {
                     a: Access { addr: head.addr + 64 * pos as u64, ..head },
@@ -1165,7 +1227,7 @@ mod tests {
             use rand::{Rng, SeedableRng};
             let rng = &mut rand_chacha::ChaCha8Rng::seed_from_u64(seed);
             let threads = [1, 3, 4, 6][rng.random_range(0..4)];
-            let (t, l1, l2) = crate::miss_stream::few_line_trace(seed, 3);
+            let (t, l1, l2) = crate::miss_stream::few_line_trace(seed, 3, 600);
             let ms = MissStream::build(&mut t.replay(), l1, l2, threads);
             let beyond = ms.events() + rng.random_range(1..100);
             // What the intervals must have met: a run split across a slice
@@ -1336,10 +1398,9 @@ mod tests {
                         "phase {k} [{}, {}) of {cfg:?}", ph.start, ph.end
                     );
                     let end = sample.offsets.get(k + 1).copied().unwrap_or(bytes.len());
-                    let slice: Vec<Record> =
-                        Records::new(&bytes[sample.offsets[k]..end], RecordContext::default())
-                            .map(|step| step.unwrap().rec)
-                            .collect();
+                    let slice: Vec<Record> = Records::new(&bytes[sample.offsets[k]..end])
+                        .map(|step| step.unwrap().rec)
+                        .collect();
                     let covered: u64 = slice.iter().map(|rec| rec.run).sum();
                     let run_pos = ph.cursor().run_pos as u64;
                     seen[0] |= run_pos > 0;

@@ -464,13 +464,9 @@ fn replay<P: ProtectionPolicy + ?Sized>(
         SimInput::Source(s) => drive_source(cfg, s, lanes),
         SimInput::MissStream(ms) => drive_miss(cfg, ms, lanes),
         SimInput::SampledMissStream { stream, selection } => {
-            assert!(
-                selection.matches(stream),
-                // Documented replay contract: the selection is keyed on the stream.
-                "phase selection was built for a {}-event stream, but this stream has {} events",
-                selection.events(),
-                stream.events()
-            );
+            let fit = selection.fit(stream);
+            // Documented replay contract: the selection is keyed on the stream.
+            assert!(fit.is_ok(), "phase selection does not fit this stream: {fit:?}");
             let phases = selection.phases();
             let open = |k: usize| stream.events_from(phases[k].cursor());
             drive_sampled(cfg, stream.totals(), phases, open, lanes)
@@ -858,6 +854,36 @@ mod tests {
     use crate::controller::ECC_RANGE_SLOTS;
     use crate::trace::{RegionMap, Trace};
 
+    #[test]
+    fn a_phase_cursor_that_does_not_decode_to_its_first_event_is_refused() {
+        use crate::miss_stream::{few_line_trace, SliceCursor};
+        use crate::simpoint::SimPointConfig;
+        let (trace, l1, l2) = few_line_trace(7, 3, 600);
+        let m = Machine::new(SystemConfig { l1, l2, threads: 1, ..SystemConfig::default() });
+        let ms = MissStream::build(&mut trace.replay(), l1, l2, 1);
+        let sp = SimPointConfig { interval: 32, max_phases: 4, ..SimPointConfig::default() };
+        let sel = SimPointSelection::build(&ms, sp);
+        let chipkill = EccAssignment::uniform(EccScheme::Chipkill);
+        m.simulate(SimRequest::sampled(&ms, &sel, chipkill.clone()));
+        let mut heads: Vec<usize> = ms.records().map(|step| step.unwrap().at).collect();
+        heads.push(ms.raw_bytes().len());
+        // Every cursor one byte on, or on the record head after its own.
+        type Plant = fn(&mut SliceCursor, &[usize]);
+        let plants: [(&str, Plant); 2] = [
+            ("shifted a byte", |c, _| c.idx += 1),
+            ("moved a record on", |c, heads| c.idx = heads[heads.partition_point(|&h| h <= c.idx)]),
+        ];
+        for (what, plant) in plants {
+            let mut phases = sel.phases().to_vec();
+            phases.iter_mut().for_each(|ph| plant(&mut ph.cursor, &heads));
+            let bad = sel.with_phases(phases);
+            let replay = || m.simulate(SimRequest::sampled(&ms, &bad, chipkill.clone()));
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(replay));
+            let why = *refused.expect_err(what).downcast::<String>().unwrap();
+            assert!(why.contains("phase 0: "), "{what}: {why}");
+        }
+    }
+
     /// `trace` through the full hierarchy of `m` under `assign`.
     fn run(m: &Machine, trace: &Trace, assign: EccAssignment) -> SimStats {
         m.simulate(SimRequest::source(&mut trace.replay(), assign))
@@ -1055,7 +1081,7 @@ mod tests {
 
             // Table 3, a small power-of-two node, and the 6-channel x
             // 3-DIMM node only the division decode can address.
-            let (trace, l1, l2) = few_line_trace(seed, ECC_RANGE_SLOTS);
+            let (trace, l1, l2) = few_line_trace(seed, ECC_RANGE_SLOTS, 600);
             let node = SystemConfig {
                 l1,
                 l2,
@@ -1211,7 +1237,7 @@ mod tests {
             use proptest::prelude::*;
             use rand::{Rng, SeedableRng};
             let rng = &mut rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let (trace, l1, l2) = few_line_trace(seed, ECC_RANGE_SLOTS);
+            let (trace, l1, l2) = few_line_trace(seed, ECC_RANGE_SLOTS, 600);
             let ms = MissStream::build(&mut trace.replay(), l1, l2, 1);
             let every_slice = crate::simpoint::SimPointConfig {
                 interval: rng.random_range(5..48),
@@ -1274,7 +1300,7 @@ mod tests {
         fn a_policy_sees_the_same_lines_from_a_source_and_from_its_miss_stream(seed: u64) {
             use crate::miss_stream::few_line_trace;
             use proptest::prelude::*;
-            let (trace, l1, l2) = few_line_trace(seed, 3);
+            let (trace, l1, l2) = few_line_trace(seed, 3, 600);
             let m = Machine::new(SystemConfig { l1, l2, threads: 1, ..SystemConfig::default() });
             let ms = MissStream::build(&mut trace.replay(), l1, l2, 1);
             // What the seam carries, read off the records: an event's demand

@@ -9,11 +9,17 @@
 use abft_coop::abft_ecc::EccScheme;
 use abft_coop::abft_memsim::config::RowPolicy;
 use abft_coop::abft_memsim::dram::{DramLocation, RowOutcome, ServiceResult};
-use abft_coop::abft_memsim::{AddressMap, Dram, SystemConfig};
+use abft_coop::abft_memsim::{
+    AddressMap, Dram, EccAssignment, Machine, RegionMap, SimRequest, SystemConfig, Trace,
+};
 
 /// Each scheme with the x4 chips one of its accesses busies.
 const CHIPS: [(EccScheme, f64); 3] =
     [(EccScheme::None, 16.0), (EccScheme::Secded, 18.0), (EccScheme::Chipkill, 36.0)];
+
+/// The x4 chips of a rank that hold data, and the ones that hold ECC.
+const DATA_CHIPS: f64 = 16.0;
+const ECC_CHIPS: f64 = 2.0;
 
 /// Requests this far apart never queue behind each other, and starting
 /// at `FIRST_NS` the first eight stay clear of the first refresh
@@ -152,5 +158,78 @@ fn the_closed_page_policy_never_hits() {
         let correction_nj = scheme.correction_energy_pj() / 1000.0;
         let want = n as f64 * (chips * (e.act_nj_per_chip + e.read_nj_per_chip) + correction_nj);
         close(s.dynamic_nj, want, &format!("{scheme:?} dynamic energy"));
+    }
+}
+
+#[test]
+fn a_stream_over_four_refresh_intervals_meets_exactly_their_blackouts() {
+    let cfg = SystemConfig::default();
+    let (refi, rfc) = (cfg.timing.t_refi_ns, cfg.timing.t_rfc_ns);
+    let mut dram = Dram::new(cfg.clone());
+    let (mut stalls, mut col) = (0, 0);
+    for k in 0..4u32 {
+        let at = k as f64 * refi;
+        // In interval k: a read `k / 4` of the way into the blackout, which
+        // waits for its end; one as it ends, on another channel so that it
+        // does not queue behind the first; and one mid-interval.
+        let phase = rfc * k as f64 / 4.0;
+        let reads = [(0, at + phase, rfc - phase), (1, at + rfc, 0.0), (0, at + refi / 2.0, 0.0)];
+        for (channel, start, delay) in reads {
+            let r = dram.access(start, addr(&cfg, channel, 5, col), false, EccScheme::None);
+            close(r.queue_ns, delay, &format!("interval {k}: the read at {start} ns"));
+            stalls += (delay > 0.0) as u64;
+            col += 1;
+        }
+    }
+    assert_eq!((stalls, dram.stats.refresh_stalls), (4, 4));
+}
+
+#[test]
+fn idle_ranks_draw_power_down_and_ecc_chips_stay_down_without_ecc() {
+    let cfg = SystemConfig::default();
+    let e = cfg.energy;
+    let ranks = (cfg.channels * cfg.dimms_per_channel * cfg.ranks_per_dimm) as f64;
+    // A millisecond; mW x ns is pJ.
+    let t = 1e6;
+    let idle = ranks * (DATA_CHIPS + ECC_CHIPS) * e.powerdown_mw_per_chip * t / 1000.0;
+    let dram = Dram::new(cfg.clone());
+    for powered in [false, true] {
+        close(dram.standby_nj(t, powered), idle, &format!("idle, ECC chips powered {powered}"));
+    }
+    // One read keeps its rank busy for its latency: for that long the
+    // rank's data chips draw standby power, and its ECC chips only when
+    // ECC is on.
+    let mut dram = Dram::new(cfg.clone());
+    let r = dram.access(FIRST_NS, addr(&cfg, 0, 5, 0), false, EccScheme::None);
+    let busy = r.completion_ns - FIRST_NS;
+    let up = (e.standby_mw_per_chip - e.powerdown_mw_per_chip) * busy / 1000.0;
+    for (powered, chips) in [(false, DATA_CHIPS), (true, DATA_CHIPS + ECC_CHIPS)] {
+        let what = format!("one read, ECC chips powered {powered}");
+        close(dram.standby_nj(t, powered), idle + chips * up, &what);
+    }
+}
+
+#[test]
+fn one_demand_miss_stalls_the_core_for_its_latency_times_the_stall_factor() {
+    let t = SystemConfig::default().timing;
+    for stall_factor in [0.0, 1.0] {
+        let cfg = SystemConfig { threads: 1, stall_factor, ..SystemConfig::default() };
+        // One read after 400 cycles of work: it misses both caches and
+        // reaches DRAM at FIRST_NS (2 GHz), into a closed row.
+        let mut regions = RegionMap::new();
+        let r = regions.alloc("x", 4096, false);
+        let base = regions.get(r).base;
+        let mut trace = Trace::new(regions);
+        trace.push(base, r, false, 400);
+        let assign = EccAssignment::uniform(EccScheme::None);
+        let stats =
+            Machine::new(cfg.clone()).simulate(SimRequest::source(&mut trace.replay(), assign));
+        assert_eq!(stats.dram_reads, 1);
+        close(400.0 * cfg.cycle_ns(), FIRST_NS, "arrival");
+        // The core's own cycles: the work, then the L2's latency.
+        let core = 400 + cfg.l2.latency_cycles;
+        let latency = (t.t_rcd + t.t_cl) as f64 * t.tck_ns + tail_ns(&cfg, EccScheme::None);
+        let stall = (latency * stall_factor / cfg.cycle_ns()) as u64;
+        assert_eq!(stats.cycles, core + stall, "stall factor {stall_factor}");
     }
 }
