@@ -16,11 +16,12 @@
 //! [`CampaignSpec`]s and run them through the shared [`CampaignClient`]
 //! facade (see [`run_grid`]), so traces are generated once per process
 //! (shared through the `TraceCache`, across experiments under `all`),
-//! the (kernel x strategy x config) cells run on a rayon pool — set
-//! `RAYON_NUM_THREADS` to bound the workers — and setting
+//! the (kernel x strategy x config) cells run on the campaign's worker
+//! pool — set `ABFT_THREADS` to bound the workers — and setting
 //! `ABFT_ARTIFACT_STORE` to a directory persists and reuses generated
 //! traces/miss-streams across processes (`ABFT_SIMPOINT` likewise
-//! switches every grid to sampled replay).
+//! switches every grid to sampled replay). A cell whose task panicked is
+//! named on stderr, and `repro` then exits non-zero.
 
 #![expect(
     clippy::expect_used,
@@ -60,6 +61,10 @@ use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Set once any grid of this process has a failed cell.
+static CELLS_FAILED: AtomicBool = AtomicBool::new(false);
 
 /// One row of the experiment index.
 struct Experiment {
@@ -133,9 +138,22 @@ fn report_progress(p: &Progress) {
 /// standard progress line. This is the one entry point the experiments
 /// use: the client resolves the artifact store (spec-level `store(..)`
 /// or the `ABFT_ARTIFACT_STORE` env var) and executes on the
-/// process-wide `TraceCache`.
+/// process-wide `TraceCache`. Each failed cell is named on stderr and
+/// fails the process, whether or not an experiment reads its row.
 fn run_grid(spec: &CampaignSpec) -> CampaignRun {
-    CampaignClient::local().on_progress(report_progress).run(spec)
+    let run = CampaignClient::local().on_progress(report_progress).run(spec);
+    for f in &run.failed {
+        eprintln!(
+            "[campaign] FAILED {} / {} / {} ({:?}): {}",
+            f.kernel.label(),
+            f.strategy.label(),
+            f.config_tag,
+            f.workload,
+            f.message
+        );
+        CELLS_FAILED.store(true, Ordering::Relaxed);
+    }
+    run
 }
 
 /// Run the basic tests for all four kernels at the default scale, in
@@ -239,6 +257,10 @@ fn main() -> ExitCode {
         }
     }
     match execute(cmd) {
+        Ok(()) if CELLS_FAILED.load(Ordering::Relaxed) => {
+            eprintln!("repro: campaign cells failed (named above)");
+            ExitCode::FAILURE
+        }
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("repro: {e}");

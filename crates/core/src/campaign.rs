@@ -5,10 +5,11 @@
 //! [`CampaignSpec`] names the workloads, strategies and config variants;
 //! `run_grid` — reached through [`crate::CampaignClient::run`], the
 //! only caller — expands them into independent cells and executes them on
-//! a rayon worker pool, a chunk of one (workload, config) row's strategies
-//! per task, each through [`run_cells`]: the strategies of a row replay
-//! one and the same miss stream, so a task decodes it once and services
-//! every event on one lane per strategy. Kernel
+//! the campaign's own scoped worker pool (`run_pool`), a chunk of one
+//! (workload, config) row's strategies per task, each through
+//! [`run_cells`]: the strategies of a row replay one and the same miss
+//! stream, so a task decodes it once and services every event on one lane
+//! per strategy. Kernel
 //! traces — the dominant fixed cost — are generated straight into the
 //! cache hierarchy once per (workload x cache geometry x thread count)
 //! through the shared [`TraceCache`] ([`TraceCache::get_filtered`]):
@@ -24,7 +25,8 @@
 //! with its neighbours but the read-only stream — so results are
 //! bit-identical regardless of worker count, lane split or completion
 //! order (the simulator itself is deterministic; see
-//! `tests/campaign_determinism.rs`).
+//! `tests/campaign_determinism.rs`). A task that panics fails only its own
+//! cells, each a [`FailedCell`]; every other cell completes.
 //!
 //! ```no_run
 //! use abft_coop_core::{CampaignClient, CampaignSpec, Strategy};
@@ -47,7 +49,8 @@ use abft_memsim::system::{Machine, SimInput, SimStats};
 use abft_memsim::trace_cache::{FilterKey, TraceCache};
 use abft_memsim::workloads::{abft_region_ids, KernelKind, KernelParams};
 use abft_memsim::SystemConfig;
-use rayon::prelude::*;
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -102,6 +105,22 @@ pub struct CampaignResult {
     pub wall: Duration,
 }
 
+/// A cell whose task panicked. Its task's other cells fail with it; the
+/// rest of the grid completes.
+#[derive(Debug, Clone)]
+pub struct FailedCell {
+    /// The kernel the workload models.
+    pub kernel: KernelKind,
+    /// The full workload (kernel + scale).
+    pub workload: KernelParams,
+    /// The ECC strategy that was to be simulated.
+    pub strategy: Strategy,
+    /// Tag of the system-config variant.
+    pub config_tag: String,
+    /// What the task panicked with.
+    pub message: String,
+}
+
 /// Progress snapshot handed to the [`crate::CampaignClient::on_progress`]
 /// hook after every completed job.
 #[derive(Debug, Clone)]
@@ -130,6 +149,8 @@ pub struct Progress {
 pub struct CampaignMetrics {
     /// Jobs executed.
     pub jobs: usize,
+    /// Cells whose task panicked ([`CampaignRun::failed`]).
+    pub cells_failed: usize,
     /// [`TraceCache::get`] memo hits during the run: 0 in every campaign,
     /// whose filter passes generate into the cache walker (or walk a stored
     /// `.trace`) and never look a trace up. Kept for the JSON export.
@@ -190,22 +211,28 @@ struct Cell {
 
 /// The engine: expand `spec` into cells, pre-warm every distinct miss
 /// stream (or, when `sampling` is on, phase sample), replay the cells on
-/// the worker pool — a chunk of one row's strategies per task, through
-/// [`run_cells`] — and assemble the counters. `sampling` is passed beside
-/// the spec because the caller resolves it (the spec's own setting, else
-/// the environment's).
+/// `workers` workers ([`run_pool`]) — a chunk of one row's strategies per
+/// task, through [`run_cells`] — and assemble the counters. `workers`
+/// (at least 1) and `sampling` are passed beside the spec because the
+/// caller resolves them (the spec's own setting, else the environment's).
+/// A task that panics turns its cells into [`FailedCell`]s; a panic while
+/// pre-warming is caught too, and the row's tasks then fail on their own
+/// lookup.
 ///
 /// **How a row is cut.** With `S` strategies on `W` workers a task takes
 /// `ceil(S / W)` consecutive strategies of one (workload, config) row, so
-/// every row is cut into the same number of chunks and the pool — which
-/// deals tasks out round-robin — gives each worker an equal share of
-/// *every* row. Rows differ in length by an order of magnitude (the
-/// default grid's four are 1.24 / 0.59 / 5.89 / 0.53 M events), so whole
-/// rows per task would fuse more and balance far worse; this is the most
-/// fusion that keeps the per-cell split's balance (1 worker: the whole
-/// row in one pass; `W >= S`: one cell per task).
+/// every row is cut into the same number of chunks, and the workers —
+/// each taking the next task as it comes free — take a row's chunks about
+/// at once. Rows differ in length by an order of magnitude (the default
+/// grid's four are 1.24 / 0.59 / 5.89 / 0.53 M events), so whole rows per
+/// task would fuse more and balance far worse, whoever takes them: on two
+/// workers one would replay the 5.89 M row while the other finished the
+/// other three rows' 2.36 M and idled. This is the most fusion that keeps
+/// the per-cell split's balance (1 worker: the whole row in one pass;
+/// `W >= S`: one cell per task).
 pub(crate) fn run_grid(
     spec: &CampaignSpec,
+    workers: usize,
     sampling: Option<SimPointConfig>,
     cache: &TraceCache,
     progress: Option<&ProgressHook>,
@@ -241,96 +268,95 @@ pub(crate) fn run_grid(
             }
         }
     }
-
-    let execute = || -> Vec<Vec<Cell>> {
-        distinct.into_par_iter().for_each(|(w, c, _)| match &sampling {
+    run_pool(workers, distinct.len(), |i| {
+        let (w, c, _) = distinct[i];
+        match &sampling {
             Some(sp) => drop(cache.get_sampled(w, &configs[c].1, sp)),
             None => drop(cache.get_filtered(w, &configs[c].1)),
-        });
-        // Deterministic nested order: workload, then config, then strategy.
-        let lanes = strategies.len().div_ceil(rayon::current_num_threads());
-        let mut tasks: Vec<(KernelParams, usize, &[Strategy])> = Vec::new();
-        for &w in workloads {
-            for c in 0..configs.len() {
-                tasks.extend(strategies.chunks(lanes).map(|chunk| (w, c, chunk)));
+        }
+    });
+
+    // Deterministic nested order: workload, then config, then strategy.
+    let lanes = strategies.len().div_ceil(workers);
+    let mut tasks: Vec<(KernelParams, usize, &[Strategy])> = Vec::new();
+    for &w in workloads {
+        for c in 0..configs.len() {
+            tasks.extend(strategies.chunks(lanes).map(|chunk| (w, c, chunk)));
+        }
+    }
+    let outcomes = run_pool(workers, tasks.len(), |t| {
+        let (workload, cfg_idx, chunk) = tasks[t];
+        let (tag, cfg) = &configs[cfg_idx];
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall time is reporting-only progress metadata"
+        )]
+        let job_start = Instant::now();
+        // One lookup per task: the row's lanes share the stream.
+        let (stats, phases, est_error) = match &sampling {
+            Some(sp) => {
+                let sample = cache.get_sampled(workload, cfg, sp);
+                let sel = sample.selection();
+                let stats = run_cells(SimInput::Sample(&sample), cfg, chunk);
+                (stats, sel.phases().len() as u64, sel.est_error())
+            }
+            None => {
+                let ms = cache.get_filtered(workload, cfg);
+                (run_cells(SimInput::MissStream(&ms), cfg, chunk), 0, 0.0)
+            }
+        };
+        let wall = job_start.elapsed() / chunk.len() as u32;
+        if let Some(hook) = progress {
+            let mut report = Progress {
+                completed: 0,
+                total,
+                kernel: workload.kind(),
+                strategy: chunk[0],
+                config_tag: tag.clone(),
+                job_wall: wall,
+                cache_hits: cache.hits(),
+                cache_builds: cache.builds(),
+            };
+            for &strategy in chunk {
+                report.completed = completed.fetch_add(1, Ordering::SeqCst) + 1;
+                report.strategy = strategy;
+                hook(&report);
             }
         }
-        tasks
-            .into_par_iter()
-            .map(|(workload, cfg_idx, chunk)| {
-                let (tag, cfg) = &configs[cfg_idx];
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "wall time is reporting-only progress metadata"
-                )]
-                let job_start = Instant::now();
-                // One lookup per task: the row's lanes share the stream.
-                let (stats, phases, est_error) = match &sampling {
-                    Some(sp) => {
-                        let sample = cache.get_sampled(workload, cfg, sp);
-                        let sel = sample.selection();
-                        let stats = run_cells(SimInput::Sample(&sample), cfg, chunk);
-                        (stats, sel.phases().len() as u64, sel.est_error())
-                    }
-                    None => {
-                        let ms = cache.get_filtered(workload, cfg);
-                        (run_cells(SimInput::MissStream(&ms), cfg, chunk), 0, 0.0)
-                    }
-                };
-                let wall = job_start.elapsed() / chunk.len() as u32;
-                if let Some(hook) = progress {
-                    let mut report = Progress {
-                        completed: 0,
-                        total,
-                        kernel: workload.kind(),
-                        strategy: chunk[0],
-                        config_tag: tag.clone(),
-                        job_wall: wall,
-                        cache_hits: cache.hits(),
-                        cache_builds: cache.builds(),
-                    };
-                    for &strategy in chunk {
-                        report.completed = completed.fetch_add(1, Ordering::SeqCst) + 1;
-                        report.strategy = strategy;
-                        hook(&report);
-                    }
-                }
-                chunk
-                    .iter()
-                    .zip(stats)
-                    .map(|(&strategy, stats)| Cell {
-                        workload,
-                        cfg_idx,
-                        strategy,
-                        stats,
-                        wall,
-                        phases,
-                        est_error,
-                    })
-                    .collect()
+        chunk
+            .iter()
+            .zip(stats)
+            .map(|(&strategy, stats)| Cell {
+                workload,
+                cfg_idx,
+                strategy,
+                stats,
+                wall,
+                phases,
+                est_error,
             })
-            .collect()
-    };
+            .collect::<Vec<_>>()
+    });
 
-    let cells: Vec<Cell> = match spec.threads {
-        #[expect(
-            clippy::expect_used,
-            reason = "no recovery path if OS thread spawn fails at startup"
-        )]
-        Some(n) => rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build()
-            .expect("thread pool")
-            .install(execute),
-        None => execute(),
+    let mut cells = Vec::with_capacity(total);
+    let mut failed = Vec::new();
+    for ((workload, cfg_idx, chunk), outcome) in tasks.into_iter().zip(outcomes) {
+        match outcome {
+            Ok(done) => cells.extend(done),
+            Err(message) => failed.extend(chunk.iter().map(|&strategy| FailedCell {
+                kernel: workload.kind(),
+                workload,
+                strategy,
+                config_tag: configs[cfg_idx].0.clone(),
+                message: message.clone(),
+            })),
+        }
     }
-    .into_iter()
-    .flatten()
-    .collect();
 
     let store = cache.store_metrics().since(&store0);
     let metrics = CampaignMetrics {
         jobs: total,
+        cells_failed: failed.len(),
         cache_hits: cache.hits() - hits0,
         cache_builds: cache.builds() - builds0,
         filter_hits: cache.miss_hits() - filter_hits0,
@@ -358,15 +384,79 @@ pub(crate) fn run_grid(
             wall: cell.wall,
         })
         .collect();
-    CampaignRun { results, metrics }
+    CampaignRun { results, failed, metrics }
+}
+
+/// Run tasks `0..tasks` on at most `workers` workers and hand back one
+/// outcome per task, in task order: what `task(i)` returned, or the
+/// message it panicked with — a panicking task fails only its own slot.
+///
+/// Each worker takes the next untaken task until none is left, so a
+/// worker that finishes early takes more. The calling thread is worker 0:
+/// it spawns `min(workers, tasks) - 1` scoped threads, so one worker (or
+/// one task) runs everything inline and spawns none, and the pool never
+/// runs more threads than it has tasks, whatever `workers` asks. A spawn
+/// the OS refuses leaves fewer workers to take the same tasks.
+pub(crate) fn run_pool<R: Send>(
+    workers: usize,
+    tasks: usize,
+    task: impl Fn(usize) -> R + Sync,
+) -> Vec<Result<R, String>> {
+    // The index only hands out task numbers; the outcomes travel back
+    // through `join`, so it publishes nothing and may be relaxed.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= tasks {
+                return done;
+            }
+            done.push((i, catch_unwind(AssertUnwindSafe(|| task(i))).map_err(panic_message)));
+        }
+    };
+    let mut slots: Vec<Option<Result<R, String>>> = (0..tasks).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers.min(tasks))
+            .map_while(|_| std::thread::Builder::new().spawn_scoped(scope, work).ok())
+            .collect();
+        let mut done = work();
+        for helper in helpers {
+            // A helper catches every task's panic; should it die anyway,
+            // the tasks it took are reported below as lost.
+            done.extend(helper.join().unwrap_or_default());
+        }
+        for (i, outcome) in done {
+            slots[i] = Some(outcome);
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.unwrap_or_else(|| Err("its worker thread died".to_string())))
+        .collect()
+}
+
+/// The text a panic carries: its message when it has one (`panic!` and
+/// `assert!` payloads are a `&str` or a `String`).
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => match payload.downcast_ref::<&str>() {
+            Some(message) => message.to_string(),
+            None => "a panic without a message".to_string(),
+        },
+    }
 }
 
 /// The results of a finished campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignRun {
-    /// All cells, in the deterministic grid order
+    /// Every completed cell, in the deterministic grid order
     /// (workload-major, then config, then strategy).
     pub results: Vec<CampaignResult>,
+    /// Every cell whose task panicked, in the same order (empty in a
+    /// clean run).
+    pub failed: Vec<FailedCell>,
     /// Aggregate counters.
     pub metrics: CampaignMetrics,
 }
@@ -410,7 +500,7 @@ impl CampaignRun {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"metrics\": {");
         out.push_str(&format!(
-            "\"jobs\": {}, \"cache_hits\": {}, \"cache_builds\": {}, \
+            "\"jobs\": {}, \"cells_failed\": {}, \"cache_hits\": {}, \"cache_builds\": {}, \
              \"filter_hits\": {}, \"filter_builds\": {}, \
              \"store_hits\": {}, \"store_misses\": {}, \"store_writes\": {}, \
              \"store_evictions\": {}, \"write_failures\": {}, \
@@ -418,6 +508,7 @@ impl CampaignRun {
              \"sampled_cells\": {}, \"slices_replayed\": {}, \
              \"est_error_budget\": {:.6}, \"wall_seconds\": {:.6}",
             self.metrics.jobs,
+            self.metrics.cells_failed,
             self.metrics.cache_hits,
             self.metrics.cache_builds,
             self.metrics.filter_hits,
@@ -556,6 +647,73 @@ mod tests {
     /// Run a spec over `tiny()` against a private cache.
     fn run_tiny(cache: &Arc<TraceCache>, spec: CampaignSpecBuilder) -> CampaignRun {
         CampaignClient::with_cache(Arc::clone(cache)).run(&spec.workload(tiny()).build())
+    }
+
+    /// A task whose cost depends on its number: `i` rounds of a hash.
+    fn uneven(i: usize) -> u64 {
+        let rounds = (i * 7919) % 50_000;
+        (0..rounds as u64).fold(i as u64, |h, r| std::hint::black_box(h.rotate_left(5) ^ r))
+    }
+
+    #[test]
+    fn the_pool_hands_results_back_in_task_order() {
+        let expected: Vec<u64> = (0..40).map(uneven).collect();
+        for workers in [1, 2, 3, 16] {
+            let got: Vec<u64> = run_pool(workers, 40, uneven)
+                .into_iter()
+                .map(|r| r.unwrap_or_else(|e| panic!("{workers} worker(s): {e}")))
+                .collect();
+            assert_eq!(got, expected, "{workers} worker(s)");
+        }
+        assert!(run_pool(4, 0, uneven).is_empty(), "no task, no outcome");
+    }
+
+    #[test]
+    fn a_panicking_task_fails_only_its_own_slot() {
+        let task = |i: usize| match i {
+            3 => panic!("task {i} is poisoned"),
+            7 => std::panic::panic_any(7u8),
+            _ => i * 10,
+        };
+        for workers in [1, 3] {
+            let got = run_pool(workers, 10, task);
+            for (i, outcome) in got.iter().enumerate() {
+                match i {
+                    3 => assert_eq!(outcome, &Err("task 3 is poisoned".to_string())),
+                    7 => assert_eq!(outcome, &Err("a panic without a message".to_string())),
+                    _ => assert_eq!(outcome, &Ok(i * 10), "{workers} worker(s), task {i}"),
+                }
+            }
+        }
+        let literal = run_pool(1, 1, |_| -> () { panic!("a literal message") });
+        assert_eq!(literal, [Err("a literal message".to_string())]);
+    }
+
+    #[test]
+    fn the_pool_spawns_no_more_threads_than_it_has_tasks() {
+        use std::sync::{Barrier, Mutex};
+        use std::thread::ThreadId;
+        let caller = std::thread::current().id();
+        let on_caller = |workers: usize, tasks: usize| {
+            let ids = run_pool(workers, tasks, |_| std::thread::current().id());
+            ids.into_iter().all(|id| id == Ok(caller))
+        };
+        assert!(on_caller(1, 8), "one worker runs every task inline");
+        // A helper spawned for a lone task could take it before the caller.
+        for _ in 0..20 {
+            assert!(on_caller(16, 1), "one task spawns no helper");
+        }
+        // Three tasks that all wait for each other: three threads must hold
+        // one each at once, and the caller is one of them.
+        let barrier = Barrier::new(3);
+        let seen: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+        run_pool(16, 3, |_| {
+            seen.lock().unwrap().push(std::thread::current().id());
+            barrier.wait();
+        });
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len(), 3);
+        assert!(seen.contains(&caller), "16 workers over 3 tasks = the caller + 2 helpers");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! sampling and an on-disk artifact store — built with
 //! [`CampaignSpec::builder`]. [`CampaignClient::run`] resolves the
 //! environment (a store directory from the spec or `ABFT_ARTIFACT_STORE`,
-//! sampling from the spec or `ABFT_SIMPOINT`) and hands the spec to the
+//! sampling from the spec or `ABFT_SIMPOINT`, the worker count from the
+//! spec or `ABFT_THREADS`) and hands the spec to the
 //! one engine in [`crate::campaign`], over the process-wide `TraceCache`
 //! ([`CampaignClient::local`]) or a private one
 //! ([`CampaignClient::with_cache`]).
@@ -47,6 +48,47 @@ pub const STORE_ENV: &str = "ABFT_ARTIFACT_STORE";
 /// degrade to exact replay with a warning — sampling is an accelerator,
 /// never a correctness dependency.
 pub const SIMPOINT_ENV: &str = "ABFT_SIMPOINT";
+
+/// Environment variable bounding the campaign's workers for every grid
+/// run whose spec does not pin them ([`CampaignSpecBuilder::threads`]
+/// wins when both are set). Unset, or malformed with a warning, it falls
+/// back to [`std::thread::available_parallelism`]. A grid never spawns
+/// more threads than it has tasks, whatever the value.
+pub const THREADS_ENV: &str = "ABFT_THREADS";
+
+/// Why a [`THREADS_ENV`]-style value was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ThreadsEnvError {
+    /// Not an unsigned integer of `usize`'s range (an empty value
+    /// included); carries the value.
+    NotANumber(String),
+    /// Zero workers would run nothing.
+    Zero,
+}
+
+impl std::fmt::Display for ThreadsEnvError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ThreadsEnvError::NotANumber(value) => {
+                write!(f, "not an unsigned integer: {value:?}")
+            }
+            ThreadsEnvError::Zero => write!(f, "the worker count must be at least 1"),
+        }
+    }
+}
+
+impl std::error::Error for ThreadsEnvError {}
+
+/// Parse a [`THREADS_ENV`]-style value: a worker count of at least 1,
+/// surrounding whitespace allowed.
+pub fn parse_threads_env(value: &str) -> Result<usize, ThreadsEnvError> {
+    let v = value.trim();
+    match v.parse::<usize>() {
+        Ok(0) => Err(ThreadsEnvError::Zero),
+        Ok(n) => Ok(n),
+        Err(_) => Err(ThreadsEnvError::NotANumber(v.to_string())),
+    }
+}
 
 /// Why a [`SIMPOINT_ENV`]-style value was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -215,8 +257,9 @@ impl CampaignSpecBuilder {
         self
     }
 
-    /// Pin the worker count (default: the rayon global default, which
-    /// honours `RAYON_NUM_THREADS`). `threads(1)` is the serial path.
+    /// Pin the worker count (default: [`THREADS_ENV`] when set, else the
+    /// machine's available parallelism). `threads(1)` is the serial path:
+    /// every task runs on the calling thread and no thread is spawned.
     pub fn threads(mut self, n: usize) -> Self {
         self.spec.threads = Some(n.max(1));
         self
@@ -291,7 +334,8 @@ impl CampaignClient {
 
     /// Execute a spec and collect the full run: attach the artifact
     /// store when the spec or [`STORE_ENV`] names a directory, resolve
-    /// sampling from the spec or [`SIMPOINT_ENV`], then run the grid.
+    /// sampling from the spec or [`SIMPOINT_ENV`] and the worker count
+    /// from the spec or [`THREADS_ENV`], then run the grid.
     pub fn run(&self, spec: &CampaignSpec) -> CampaignRun {
         let cache = match &self.cache {
             Some(cache) => cache,
@@ -316,7 +360,16 @@ impl CampaignClient {
                 .map_err(|e| eprintln!("[campaign] ignoring {SIMPOINT_ENV}={raw:?}: {e}"))
                 .ok()
         });
-        run_grid(spec, sampling, cache, self.progress.as_ref())
+        let workers = spec.threads.or_else(|| {
+            let raw = std::env::var_os(THREADS_ENV)?;
+            let raw = raw.to_string_lossy();
+            parse_threads_env(&raw)
+                .map_err(|e| eprintln!("[campaign] ignoring {THREADS_ENV}={raw:?}: {e}"))
+                .ok()
+        });
+        let workers =
+            workers.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        run_grid(spec, workers, sampling, cache, self.progress.as_ref())
     }
 }
 
@@ -327,6 +380,22 @@ mod tests {
 
     fn tiny() -> KernelParams {
         KernelParams::Dgemm(DgemmParams { n: 128, nb: 64, abft: true, verify_interval: 2 })
+    }
+
+    #[test]
+    fn threads_env_values_parse_or_say_why_not() {
+        use ThreadsEnvError::{NotANumber, Zero};
+        assert_eq!(parse_threads_env("1"), Ok(1));
+        assert_eq!(parse_threads_env(" 6 "), Ok(6));
+        assert_eq!(parse_threads_env("0"), Err(Zero));
+        assert_eq!(parse_threads_env("  "), Err(NotANumber(String::new())), "empty, once trimmed");
+        let nan = |value: &str| Err(NotANumber(value.to_string()));
+        for value in ["", "abc", "-1", "2.5", "4,8", "+", "99999999999999999999"] {
+            assert_eq!(parse_threads_env(value), nan(value), "{value}");
+        }
+        let shown = parse_threads_env("abc").unwrap_err().to_string();
+        assert!(shown.contains("\"abc\""), "{shown}");
+        assert!(parse_threads_env("0").unwrap_err().to_string().contains("at least 1"));
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! * [`strategy`] — the six basic-test ECC strategies (No ECC, W_CK,
 //!   P_CK+No_ECC, W_SD, P_SD+No_ECC, P_CK+P_SD).
 //! * [`campaign`] — the one campaign engine: a [`CampaignSpec`]'s
-//!   (workload x config x strategy) grid expands into cells run on a rayon
-//!   pool, a chunk of one row's strategies at a time through [`run_cells`]
+//!   (workload x config x strategy) grid expands into cells run on the
+//!   campaign's own scoped worker pool (`ABFT_THREADS` bounds it), a chunk
+//!   of one row's strategies at a time through [`run_cells`]
 //!   ([`run_cell`] is its one-strategy call), with miss streams shared
 //!   through the `TraceCache`; results come back as a
-//!   [`CampaignRun`].
+//!   [`CampaignRun`], where a panicking task's cells are [`FailedCell`]s.
 //! * `experiment` — the Section 5.1 metrics ([`BasicTest`]), assembled
 //!   from a [`CampaignRun`].
 //! * `errorflow` — end-to-end Case 1-4 drills against the real stack
@@ -37,11 +38,12 @@ pub mod report;
 pub mod strategy;
 
 pub use campaign::{
-    run_cell, run_cells, CampaignMetrics, CampaignResult, CampaignRun, Progress, ProgressHook,
+    run_cell, run_cells, CampaignMetrics, CampaignResult, CampaignRun, FailedCell, Progress,
+    ProgressHook,
 };
 pub use client::{
-    parse_simpoint_env, CampaignClient, CampaignSpec, CampaignSpecBuilder, SimPointEnvError,
-    SIMPOINT_ENV, STORE_ENV,
+    parse_simpoint_env, parse_threads_env, CampaignClient, CampaignSpec, CampaignSpecBuilder,
+    SimPointEnvError, ThreadsEnvError, SIMPOINT_ENV, STORE_ENV, THREADS_ENV,
 };
 pub use errorflow::{drill_matrix, summarize_cases, CaseSummary, DetectedBy, DrillResult};
 pub use experiment::{BasicTest, StrategyResult};

@@ -1,8 +1,7 @@
-//! Level-3 BLAS kernels: blocked, rayon-parallel GEMM plus the SYRK/TRSM
+//! Level-3 BLAS kernels: a column-at-a-time GEMM plus the SYRK/TRSM
 //! building blocks the blocked factorizations are made of.
 
 use crate::matrix::Matrix;
-use rayon::prelude::*;
 
 /// Transposition flag for [`gemm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -12,11 +11,6 @@ pub enum Trans {
     /// Use the transpose of the operand.
     Yes,
 }
-
-/// Column-tile width for the parallel GEMM. One tile of C columns is one
-/// rayon work item; 32 doubles keeps a tile of C plus the A panel resident
-/// in L1/L2 for the problem sizes in the paper's Table 3.
-const GEMM_COL_TILE: usize = 32;
 
 /// General matrix multiply: `C = alpha * op(A) * op(B) + beta * C`.
 ///
@@ -40,57 +34,51 @@ pub fn gemm(alpha: f64, a: &Matrix, ta: Trans, b: &Matrix, tb: Trans, beta: f64,
         return;
     }
 
-    // Hot path: both operands as stored. Parallel over column tiles of C;
-    // the inner loop is a column-major axpy (jki order), which streams A's
+    // Hot path: both operands as stored. One column of C at a time; the
+    // inner loop is a column-major axpy (jki order), which streams A's
     // columns contiguously.
     match (ta, tb) {
         (Trans::No, Trans::No) => {
             let a_data = a.as_slice();
             let b_data = b.as_slice();
-            c.as_mut_slice().par_chunks_mut(m * GEMM_COL_TILE).enumerate().for_each(
-                |(tile, c_tile)| {
-                    let j0 = tile * GEMM_COL_TILE;
-                    for (jj, c_col) in c_tile.chunks_mut(m).enumerate() {
-                        let j = j0 + jj;
-                        if beta != 1.0 {
-                            if beta == 0.0 {
-                                c_col.fill(0.0);
-                            } else {
-                                for x in c_col.iter_mut() {
-                                    *x *= beta;
-                                }
-                            }
-                        }
-                        for l in 0..k {
-                            let blj = alpha * b_data[j * k + l];
-                            if blj == 0.0 {
-                                continue;
-                            }
-                            let a_col = &a_data[l * m..l * m + m];
-                            for (ci, &ail) in c_col.iter_mut().zip(a_col) {
-                                *ci += ail * blj;
-                            }
+            for (j, c_col) in c.as_mut_slice().chunks_mut(m).enumerate() {
+                if beta != 1.0 {
+                    if beta == 0.0 {
+                        c_col.fill(0.0);
+                    } else {
+                        for x in c_col.iter_mut() {
+                            *x *= beta;
                         }
                     }
-                },
-            );
+                }
+                for l in 0..k {
+                    let blj = alpha * b_data[j * k + l];
+                    if blj == 0.0 {
+                        continue;
+                    }
+                    let a_col = &a_data[l * m..l * m + m];
+                    for (ci, &ail) in c_col.iter_mut().zip(a_col) {
+                        *ci += ail * blj;
+                    }
+                }
+            }
         }
         (Trans::Yes, Trans::No) => {
             // C[i,j] = sum_l A[l,i] * B[l,j]: dot of two contiguous columns.
             let a_data = a.as_slice();
             let b_data = b.as_slice();
-            c.as_mut_slice().par_chunks_mut(m).enumerate().for_each(|(j, c_col)| {
+            for (j, c_col) in c.as_mut_slice().chunks_mut(m).enumerate() {
                 let b_col = &b_data[j * k..j * k + k];
                 for (i, ci) in c_col.iter_mut().enumerate() {
                     let a_col = &a_data[i * k..i * k + k];
                     let s: f64 = a_col.iter().zip(b_col).map(|(x, y)| x * y).sum();
                     *ci = alpha * s + beta * *ci;
                 }
-            });
+            }
         }
         (Trans::No, Trans::Yes) => {
             let a_data = a.as_slice();
-            c.as_mut_slice().par_chunks_mut(m).enumerate().for_each(|(j, c_col)| {
+            for (j, c_col) in c.as_mut_slice().chunks_mut(m).enumerate() {
                 if beta != 1.0 {
                     if beta == 0.0 {
                         c_col.fill(0.0);
@@ -110,10 +98,10 @@ pub fn gemm(alpha: f64, a: &Matrix, ta: Trans, b: &Matrix, tb: Trans, beta: f64,
                         *ci += ail * blj;
                     }
                 }
-            });
+            }
         }
         (Trans::Yes, Trans::Yes) => {
-            c.as_mut_slice().par_chunks_mut(m).enumerate().for_each(|(j, c_col)| {
+            for (j, c_col) in c.as_mut_slice().chunks_mut(m).enumerate() {
                 for (i, ci) in c_col.iter_mut().enumerate() {
                     let mut s = 0.0;
                     for l in 0..k {
@@ -121,7 +109,7 @@ pub fn gemm(alpha: f64, a: &Matrix, ta: Trans, b: &Matrix, tb: Trans, beta: f64,
                     }
                     *ci = alpha * s + beta * *ci;
                 }
-            });
+            }
         }
     }
 }
@@ -141,9 +129,9 @@ pub fn syrk_lower(alpha: f64, a: &Matrix, beta: f64, c: &mut Matrix) {
     let n = a.rows();
     let k = a.cols();
     assert_eq!(c.shape(), (n, n), "syrk output must be n x n");
-    // Parallel over columns of C's lower triangle.
+    // One column of C's lower triangle at a time.
     let a_data = a.as_slice();
-    c.as_mut_slice().par_chunks_mut(n).enumerate().for_each(|(j, c_col)| {
+    for (j, c_col) in c.as_mut_slice().chunks_mut(n).enumerate() {
         for (i, ci) in c_col.iter_mut().enumerate().skip(j) {
             let mut s = 0.0;
             for l in 0..k {
@@ -151,7 +139,7 @@ pub fn syrk_lower(alpha: f64, a: &Matrix, beta: f64, c: &mut Matrix) {
             }
             *ci = alpha * s + beta * *ci;
         }
-    });
+    }
 }
 
 /// Solve `X * op(L)^T = B` in place where `L` is lower triangular with a

@@ -9,7 +9,7 @@
 //!
 //! * [`Matrix`] — column-major dense matrices.
 //! * [`blas1`] / [`blas3`] — the BLAS subset the kernels are built from,
-//!   with a rayon-parallel GEMM.
+//!   GEMM included.
 //! * [`cholesky`] — blocked right-looking `A = L L^T` and its unblocked
 //!   `potf2`, which FT-Cholesky runs on its diagonal blocks.
 //! * [`lu`] — blocked LU with partial pivoting + solve (the HPL core); its

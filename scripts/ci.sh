@@ -91,7 +91,7 @@ campaigns=(
     fig08_weak_scaling fig09_strong_scaling fig10_dgms_comparison
     ablation_row_policy ablation_mlp ablation_device_width claims
 )
-RAYON_NUM_THREADS=1 ./target/release/repro "${campaigns[@]}" --out "$CI_TMP/repro-1-worker"
+ABFT_THREADS=1 ./target/release/repro "${campaigns[@]}" --out "$CI_TMP/repro-1-worker"
 check_drift "$CI_TMP/repro-1-worker" "${campaigns[@]}"
 
 echo "=== artifact-store gate (fig07 grid, cold then warm disk, separate processes) ==="

@@ -197,3 +197,44 @@ fn sampled_campaign_is_bit_identical_across_workers_and_looks_each_selection_up_
         }
     }
 }
+
+#[test]
+fn a_panicking_cell_fails_only_itself() {
+    // `dgemm_layout` asserts n % nb == 0: this workload panics in its
+    // filter pass, in the pre-warm and again in each of its tasks' lookups.
+    let planted: KernelParams =
+        DgemmParams { n: 100, nb: 64, abft: true, verify_interval: 2 }.into();
+    let good: KernelParams =
+        CgParams { grid: 96, iterations: 2, abft: true, verify_interval: 2 }.into();
+    let strategies = [Strategy::NoEcc, Strategy::WholeChipkill, Strategy::PartialChipkillSecded];
+    let spec = |workloads: &[KernelParams], threads: usize| {
+        CampaignSpec::builder()
+            .workloads(workloads.iter().copied())
+            .strategies(strategies)
+            .threads(threads)
+            .build()
+    };
+    let run = |spec| CampaignClient::with_cache(Arc::new(TraceCache::new())).run(&spec);
+    let clean = run(spec(&[good], 1));
+    assert!(clean.failed.is_empty());
+    for threads in [1, 3] {
+        let mixed = run(spec(&[planted, good], threads));
+        assert_eq!(mixed.results.len(), strategies.len(), "{threads} worker(s): the good row");
+        for (got, want) in mixed.results.iter().zip(&clean.results) {
+            assert_eq!(got.workload, good);
+            assert_eq!(got.strategy, want.strategy);
+            assert_eq!(got.stats, want.stats, "{threads} worker(s): {}", got.strategy.label());
+        }
+        assert_eq!(mixed.metrics.cells_failed, strategies.len());
+        assert!(mixed.to_json().contains("\"cells_failed\": 3"));
+        let failed: Vec<Strategy> = mixed.failed.iter().map(|f| f.strategy).collect();
+        assert_eq!(failed, strategies, "{threads} worker(s): the planted row, in grid order");
+        for f in &mixed.failed {
+            assert_eq!(
+                (f.kernel, f.workload, f.config_tag.as_str()),
+                (KernelKind::Dgemm, planted, "default")
+            );
+            assert!(f.message.contains("n must be a multiple of nb"), "{}", f.message);
+        }
+    }
+}
