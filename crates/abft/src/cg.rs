@@ -19,8 +19,31 @@
 //!    cost "is comparable to compute a matrix-vector multiplication");
 //!    anything the checksums could not repair is corrected by
 //!    recomputation (`r := b - A x`, `q := A p`).
+//!
+//! Every comparison is the detection rule of [`crate::checksum`]. Each
+//! maintained sum carries a magnitude through the recurrences it rides
+//! (the sum of the absolute values of every term it took, so at least
+//! `sum |v_i|` of its vector and of every update's rounding) and the
+//! rounding steps on it:
+//!
+//! * `q = A p`: `S_q = (A e) . p` with magnitude `(|A| e) . |p|`, which
+//!   also bounds `e^T |A| |p|`, the rounding of the data's `A p` summed
+//!   (`A` is symmetric); `2n` steps;
+//! * `x += alpha p`, `r -= alpha q`, `p = z + beta p`: the magnitude adds
+//!   `|alpha|` (or `|beta|`) times the other operand's, and the steps
+//!   become the larger operand's plus 2 (the data's and the sum's update
+//!   round once each, and the older rounding is carried in the
+//!   magnitude); `S_z` takes `sum |z_i|` in the sweep that forms it.
+//!
+//! The Eq. (1) backstop checks `r_i + (A x)_i - b_i` against
+//! `|r_i| + (|A| e)_i max|x| + |b_i|`, plus the gap the recursive residual
+//! may have drifted from `b - A x` since the last rebaseline: each
+//! iteration's `x` and `r` updates and `A p` round every element by at
+//! most `u (|alpha| (||A|| M_p + M_q) + M_r + ||A|| M_x)` times `n` steps,
+//! with `M` the magnitudes above (bounds on max-norms too) and `||A||` the
+//! largest absolute row sum.
 
-use crate::checksum::{vector_sums, Violation};
+use crate::checksum::{repair_reported, significant, Sums, Violation};
 use crate::cost;
 use crate::verify::{due, FtStats, VerifyMode};
 use abft_linalg::blas1::dot;
@@ -60,38 +83,49 @@ pub struct FtCgResult {
     pub stats: FtStats,
 }
 
-/// Relative tolerance for the scalar-checksum comparison.
-const SUM_RTOL: f64 = 1e-7;
-
-/// Plain and weighted sums of one tracked vector.
+/// Plain and weighted sums of one tracked vector, with the bound their
+/// rounding carries (module doc): `mag` and the steps `terms` on it.
 #[derive(Debug, Clone, Copy, Default)]
-struct Sums {
+struct Tracked {
     s: f64,
     ws: f64,
+    mag: f64,
+    terms: usize,
 }
 
-impl Sums {
+impl Tracked {
     fn of(v: &[f64]) -> Self {
-        let (s, ws) = vector_sums(v);
-        Sums { s, ws }
+        let x = Sums::of(v);
+        Tracked { s: x.plain, ws: x.weighted, mag: x.abs, terms: v.len() }
+    }
+
+    /// `self + c * other`, the sums riding an axpy.
+    fn axpy(self, c: f64, other: Tracked) -> Self {
+        Tracked {
+            s: self.s + c * other.s,
+            ws: self.ws + c * other.ws,
+            mag: self.mag + c.abs() * other.mag,
+            terms: self.terms.max(other.terms) + 2,
+        }
+    }
+
+    /// Compare `v` with the maintained sums.
+    fn violation(&self, v: &[f64]) -> Option<Violation> {
+        Violation::of(0, Sums::of(v), (self.s, self.ws), self.mag, self.terms)
     }
 }
 
 /// Verify one vector against its maintained sums, repairing a single
 /// corrupted element. `Ok(true)` = repaired, `Ok(false)` = clean,
 /// `Err(())` = mismatch the sums could not localize.
-fn check_vector(v: &mut [f64], maintained: Sums, stats: &mut FtStats) -> Result<bool, ()> {
-    let (s, ws) = vector_sums(v);
-    stats.verify += cost::col_sums(v.len(), 1, 2);
-    let scale = s.abs().max(maintained.s.abs()).max(1.0);
-    let d = s - maintained.s;
-    if d.abs() <= SUM_RTOL * scale * (v.len() as f64).sqrt() {
+fn check_vector(v: &mut [f64], maintained: Tracked, stats: &mut FtStats) -> Result<bool, ()> {
+    stats.verify += cost::col_sums(v.len(), 1, 2) + cost::abs_sums(v.len(), 1);
+    let Some(viol) = maintained.violation(v) else {
         return Ok(false);
-    }
-    let viol = Violation { index: 0, delta: d, weighted_delta: ws - maintained.ws };
+    };
     match viol.locate(v.len()) {
         Some(i) => {
-            v[i] -= d;
+            v[i] -= viol.delta;
             stats.corrections += 1;
             Ok(true)
         }
@@ -105,12 +139,19 @@ struct Carrier {
     a_e: Vec<f64>,
     /// `A w` with `w = (1, 2, ..., n)`.
     a_w: Vec<f64>,
+    /// `|A| e`.
+    abs_a_e: Vec<f64>,
+    /// `||A||`: the largest absolute row sum.
+    a_norm: f64,
     /// Jacobi inverse diagonal (for `S_z` from `r`).
     inv_diag: Vec<f64>,
-    r: Sums,
-    p: Sums,
-    q: Sums,
-    x: Sums,
+    r: Tracked,
+    p: Tracked,
+    q: Tracked,
+    x: Tracked,
+    /// The magnitude of the drift between the recursive `r` and
+    /// `b - A x` since the last rebaseline (module doc).
+    gap: f64,
     /// Copy of `p` at the end of the previous iteration (the `p` that this
     /// iteration's `q = A p` consumed).
     p_prev: Vec<f64>,
@@ -120,9 +161,20 @@ impl Carrier {
     /// Advance the maintained sums across one CG iteration, *without*
     /// reading the updated vectors.
     fn advance(&mut self, alpha: f64) {
-        self.q = Sums { s: dot(&self.a_e, &self.p_prev), ws: dot(&self.a_w, &self.p_prev) };
-        self.x = Sums { s: self.x.s + alpha * self.p.s, ws: self.x.ws + alpha * self.p.ws };
-        self.r = Sums { s: self.r.s - alpha * self.q.s, ws: self.r.ws - alpha * self.q.ws };
+        let (mut s, mut ws, mut mag) = (0.0, 0.0, 0.0);
+        for ((&pi, &ae), (&aw, &abs)) in
+            self.p_prev.iter().zip(&self.a_e).zip(self.a_w.iter().zip(&self.abs_a_e))
+        {
+            s += ae * pi;
+            ws += aw * pi;
+            mag += abs * pi.abs();
+        }
+        self.q = Tracked { s, ws, mag, terms: 2 * self.p_prev.len() };
+        self.x = self.x.axpy(alpha, self.p);
+        self.r = self.r.axpy(-alpha, self.q);
+        self.gap += alpha.abs() * (self.a_norm * self.p.mag + self.q.mag)
+            + self.r.mag
+            + self.a_norm * self.x.mag;
     }
 
     /// Complete the p-sum recurrence: `S_p = S_z + beta S_p` with the z
@@ -132,23 +184,24 @@ impl Carrier {
     /// propagated error stays consistent with `p` while an independent
     /// `r` strike is still caught by the maintained `S_r`.
     fn refresh_p_from(&mut self, r: &[f64], beta: f64) {
-        let mut sz = 0.0;
-        let mut wsz = 0.0;
+        let mut z = Tracked { terms: r.len(), ..Tracked::default() };
         for (i, (&ri, &di)) in r.iter().zip(&self.inv_diag).enumerate() {
             let zi = ri * di;
-            sz += zi;
-            wsz += (i + 1) as f64 * zi;
+            z.s += zi;
+            z.ws += (i + 1) as f64 * zi;
+            z.mag += zi.abs();
         }
-        self.p = Sums { s: sz + beta * self.p.s, ws: wsz + beta * self.p.ws };
+        self.p = z.axpy(beta, self.p);
     }
 
     /// Re-derive every sum from vectors known to be consistent (after a
     /// repair-by-recomputation).
     fn rebaseline(&mut self, st: &CgState) {
-        self.r = Sums::of(&st.r);
-        self.p = Sums::of(&st.p);
-        self.q = Sums::of(&st.q);
-        self.x = Sums::of(&st.x);
+        self.r = Tracked::of(&st.r);
+        self.p = Tracked::of(&st.p);
+        self.q = Tracked::of(&st.q);
+        self.x = Tracked::of(&st.x);
+        self.gap = 0.0;
     }
 }
 
@@ -193,18 +246,23 @@ where
     let m = JacobiPrecond::new(diag);
     let mut stats = FtStats::default();
     let apply = cost::spmv(a.nnz(), n);
-    let sums = cost::col_sums(n, 1, 2);
+    // The plain, weighted and absolute sums of one vector.
+    let sums = cost::col_sums(n, 1, 2) + cost::abs_sums(n, 1);
     // Figure 1, lines 3-11: q = A p; p . q, r . z and the convergence norm;
     // the x, r and p updates; the Jacobi solve.
     let iteration = apply + cost::dot(n) * 3 + cost::axpy(n) * 3 + cost::diag_solve(n);
-    // Carrying the sums across it: two dots against p for S_q; the plain
-    // and weighted sums of z = M^{-1} r, formed and summed in one sweep.
-    let maintenance = cost::dot(n) * 2 + cost::weighted_dot(n);
+    // Carrying the sums across it: three dots against p for S_q and its
+    // magnitude, in one sweep (p and the three operator vectors streamed
+    // once); the plain, weighted and absolute sums of z = M^{-1} r,
+    // formed and summed in one sweep.
+    let maintenance = cost::dots(n, 3) + cost::weighted_dot(n) + cost::abs_sums(n, 1);
 
     // --- checksum setup -------------------------------------------------
     let ones = vec![1.0; n];
     let wvec: Vec<f64> = (1..=n).map(|i| i as f64).collect();
     let inv_diag: Vec<f64> = diag.iter().map(|d| 1.0 / d).collect();
+    let abs_a_e = a.abs_row_sums();
+    let a_norm = abs_a_e.iter().fold(0.0, |m: f64, &v| m.max(v));
     // Initial state mirrors pcg's line 1: r0 = b - A x0, p0 = z0.
     let mut r0 = a.apply_vec(x0);
     for (ri, &bi) in r0.iter_mut().zip(b) {
@@ -215,17 +273,20 @@ where
     let mut carrier = Carrier {
         a_e: a.apply_vec(&ones),
         a_w: a.apply_vec(&wvec),
+        abs_a_e,
+        a_norm,
         inv_diag,
-        r: Sums::of(&r0),
-        p: Sums::of(&z0),
-        q: Sums::default(),
-        x: Sums::of(x0),
+        r: Tracked::of(&r0),
+        p: Tracked::of(&z0),
+        q: Tracked::default(),
+        x: Tracked::of(x0),
+        gap: 0.0,
         p_prev: z0,
     };
-    let b_sums = Sums::of(b);
-    // r0 and z0 as line 1 computes them, A e and A w, the inverse
-    // diagonal, and the sums of r0, z0, x0 and b.
-    stats.checksum += apply * 3 + cost::axpy(n) + cost::diag_solve(n) + cost::scal(n) + sums * 4;
+    let b_sums = Tracked::of(b);
+    // r0 and z0 as line 1 computes them, A e, A w and |A| e, the inverse
+    // diagonal, and the sums of r0, z0, x0 and b with their magnitudes.
+    stats.checksum += apply * 4 + cost::axpy(n) + cost::diag_solve(n) + cost::scal(n) + sums * 4;
 
     // Line 1: r0 = b - A x0, z0 = M^{-1} r0, rho0 = r0 . z0.
     stats.compute += apply + cost::axpy(n) + cost::diag_solve(n) + cost::dot(n);
@@ -258,26 +319,26 @@ where
                     }
                     // b is read-only: verify against its static sums.
                     // (b is owned by the caller; corruption of b is
-                    // detected and reported, not repaired here.) The max
-                    // |b| scale of the backstop below rides this sweep.
-                    let (sb, _) = vector_sums(b);
+                    // detected and reported, not repaired here.)
                     stats.verify += sums;
-                    if (sb - b_sums.s).abs() > SUM_RTOL * sb.abs().max(1.0) * (n as f64).sqrt() {
+                    if b_sums.violation(b).is_some() {
                         stats.uncorrectable += 1;
                     }
                     if check_vector(&mut st.p, carrier.p, &mut stats).is_err() {
                         need_recompute = true;
                     }
 
-                    // Equation (1) backstop: r + A x =? b, one SpMV.
+                    // Equation (1) backstop: r + A x =? b, one SpMV; the
+                    // max |x| of its bound rides the same sweep.
                     let ax = a.apply_vec(&st.x);
                     stats.verify += apply + cost::axpy(n);
-                    let scale = b.iter().fold(1.0_f64, |mm, &v| mm.max(v.abs()));
-                    let mut worst: f64 = 0.0;
-                    for i in 0..n {
-                        worst = worst.max((st.r[i] + ax[i] - b[i]).abs());
-                    }
-                    if need_recompute || worst > 1e-6 * scale {
+                    let x_max = st.x.iter().fold(0.0, |m: f64, v| m.max(v.abs()));
+                    let drifted = (0..n).any(|i| {
+                        let bound =
+                            st.r[i].abs() + carrier.abs_a_e[i] * x_max + b[i].abs() + carrier.gap;
+                        significant(st.r[i] + ax[i] - b[i], bound, n + 2)
+                    });
+                    if need_recompute || drifted {
                         // Correct by recomputation, and restart the Krylov
                         // direction from the repaired residual: a corrupted
                         // history breaks conjugacy, and CG can stagnate on
@@ -291,43 +352,41 @@ where
                         a.apply(&st.p, &mut st.q);
                         st.rho = dot(&st.r, &z);
                         st.z = z;
-                        stats.corrections += 1;
+                        // Recomputation cannot repair a non-finite iterate:
+                        // x is what it starts from.
+                        if st.x.iter().all(|v| v.is_finite()) {
+                            stats.corrections += 1;
+                        } else {
+                            stats.uncorrectable += 1;
+                        }
                         carrier.rebaseline(st);
                         stats.verify +=
                             cost::axpy(n) + cost::diag_solve(n) + apply + cost::dot(n) + sums * 4;
                     }
                 }
                 VerifyMode::HardwareAssisted(ch) => {
-                    // Repair only the OS-reported locations: rebuild each
-                    // named element from the maintained sums.
+                    // Repair only the OS-reported locations: in the named
+                    // line, the element the maintained sums name.
                     let reports = ch.poll();
                     stats.verify += cost::poll();
                     for rep in reports {
-                        let (vec, maintained): (&mut Vec<f64>, Sums) = match rep.name.as_str() {
+                        let (vec, maintained): (&mut Vec<f64>, Tracked) = match rep.name.as_str() {
                             "vector_r" => (&mut st.r, carrier.r),
                             "vector_p" => (&mut st.p, carrier.p),
                             "vector_q" => (&mut st.q, carrier.q),
                             "vector_x" => (&mut st.x, carrier.x),
                             _ => continue,
                         };
-                        let (s, ws) = vector_sums(vec);
                         stats.verify += sums;
-                        let d = s - maintained.s;
-                        if d.abs() <= SUM_RTOL * s.abs().max(1.0) {
+                        let Some(v) = maintained.violation(vec) else {
                             continue;
-                        }
-                        // The report pins the corrupted cache line; the sum
-                        // delta repairs the element within it: the one whose
-                        // repair restores the weighted sum too.
-                        let lo = rep.element;
-                        let hi = (rep.element + 8).min(vec.len());
-                        let wd = ws - maintained.ws;
-                        for (e, v) in vec.iter_mut().enumerate().take(hi).skip(lo) {
-                            if ((e + 1) as f64 * d - wd).abs() <= 1e-6 * wd.abs().max(1.0) {
-                                *v -= d;
-                                stats.corrections += 1;
-                                break;
-                            }
+                        };
+                        let line = rep.element..(rep.element + 8).min(vec.len());
+                        if repair_reported(vec, &v, line, maintained.s).is_some() {
+                            stats.verify += cost::col_sums(n, 1, 1);
+                            stats.corrections += 1;
+                        } else {
+                            stats.uncorrectable += 1;
                         }
                     }
                 }

@@ -15,8 +15,13 @@
 //!
 //! Periodic examination recomputes block column sums, locates the row of a
 //! mismatched column through the weighted sum, and repairs in place.
+//!
+//! The checksum rows carry a magnitude row beside them through the TRSM
+//! and the trailing updates, updated with the absolute value of each
+//! update (`m <- m + m_i |L_j^T|` for a trailing update): see
+//! `checksum::Bound`, which also widens the rule's `terms` per update.
 
-use crate::checksum::{ColChecksums, CHECK_RTOL};
+use crate::checksum::{repair_reported, ColChecksums, Violation};
 use crate::cost::{self, Cost};
 use crate::multichecksum::MultiChecksums;
 use crate::verify::{due, FtStats, VerifyMode};
@@ -76,10 +81,10 @@ impl BlockChk {
         }
     }
 
-    fn right_multiply(&mut self, op: impl Fn(&mut [f64])) {
+    fn trsm(&mut self, l: &Matrix) {
         match self {
-            BlockChk::Two(c) => c.right_multiply(op),
-            BlockChk::Multi(c) => c.right_multiply(op),
+            BlockChk::Two(c) => c.trsm(l),
+            BlockChk::Multi(c) => c.trsm(l),
         }
     }
 
@@ -104,6 +109,14 @@ impl BlockChk {
         match self {
             BlockChk::Two(c) => c.plain[j],
             BlockChk::Multi(c) => c.plain_sum(j),
+        }
+    }
+
+    /// The plain-sum check of column `j` of the block.
+    fn verify_column(&self, blk: &Matrix, j: usize) -> Option<Violation> {
+        match self {
+            BlockChk::Two(c) => c.verify_column(blk, blk.rows(), j),
+            BlockChk::Multi(c) => c.verify_column(blk, j),
         }
     }
 }
@@ -177,11 +190,12 @@ where
 
     let mut stats = FtStats::default();
     // Checksum rows per block: two vectors, or four under the multi-error
-    // scheme; what they add to a TRSM and to a trailing update.
+    // scheme, and the magnitude row beside them; what they add to a TRSM
+    // and to a trailing update. A sweep also takes the absolute sums.
     let v = if opts.multi_error { 4 } else { 2 };
-    let sweep = cost::col_sums(b, b, v);
-    let chk_trsm = cost::trsm(b + v, b) - cost::trsm(b, b);
-    let chk_update = cost::gemm(b + v, b, b) - cost::gemm(b, b, b);
+    let sweep = cost::col_sums(b, b, v) + cost::abs_sums(b, b);
+    let chk_trsm = cost::trsm(b + v + 1, b) - cost::trsm(b, b);
+    let chk_update = cost::gemm(b + v + 1, b, b) - cost::gemm(b, b, b);
     let mut st = State {
         a: a.clone(),
         chk: Vec::with_capacity(nt * (nt + 1) / 2),
@@ -218,16 +232,7 @@ where
             let mut blk = st.block(it, kt);
             abft_linalg::blas3::trsm_right_lower_trans(&a11, &mut blk);
             st.set_block(it, kt, &blk);
-            let l11 = a11.clone();
-            let transform = |row: &mut [f64]| {
-                // row <- row * L11^{-T}: solve x L11^T = row.
-                let mut m = Matrix::from_fn(1, row.len(), |_, j| row[j]);
-                abft_linalg::blas3::trsm_right_lower_trans(&l11, &mut m);
-                for (j, x) in row.iter_mut().enumerate() {
-                    *x = m[(0, j)];
-                }
-            };
-            st.chk[State::at(it, kt)].right_multiply(transform);
+            st.chk[State::at(it, kt)].trsm(&a11);
         }
 
         // (3) trailing update + checksum co-update.
@@ -260,26 +265,34 @@ where
                     let reports = ch.poll();
                     stats.verify += cost::poll();
                     for rep in &reports {
-                        // The report names elements of the matrix region
-                        // (column-major, leading dimension n): repair each
-                        // covered element from its block checksum.
-                        for e in rep.element..rep.element + 8 {
+                        // The report names a line of the matrix region
+                        // (column-major, leading dimension n): in each block
+                        // column it covers, repair the error it narrows to.
+                        let mut e = rep.element;
+                        while e < rep.element + 8 {
                             let (i, j) = (e % st.n, e / st.n);
-                            if j >= st.n || i < j {
+                            // The line's rows in this column and block.
+                            let run = (rep.element + 8 - e).min(b - i % b);
+                            e += run;
+                            if j >= st.n || i + run <= j {
                                 continue;
                             }
-                            let (it, jt) = (i / b, j / b);
+                            let (it, jt, lj) = (i / b, j / b, j % b);
+                            let chk = &st.chk[State::at(it, jt)];
                             let mut blk = st.block(it, jt);
-                            let (li, lj) = (i % b, j % b);
-                            let plain_sum = st.chk[State::at(it, jt)].plain_sum(lj);
-                            let others: f64 =
-                                (0..b).filter(|&r| r != li).map(|r| blk[(r, lj)]).sum();
-                            stats.verify += cost::col_sums(b, 1, 1);
-                            let fixed = plain_sum - others;
-                            if (blk[(li, lj)] - fixed).abs() > CHECK_RTOL * fixed.abs().max(1.0) {
-                                blk[(li, lj)] = fixed;
+                            stats.verify += cost::col_sums(b, 1, 2) + cost::abs_sums(b, 1);
+                            let Some(v) = chk.verify_column(&blk, lj) else {
+                                continue;
+                            };
+                            let plain = chk.plain_sum(lj);
+                            let (lo, hi) = (i % b, i % b + run);
+                            let lo = if it == jt { lo.max(lj) } else { lo };
+                            if repair_reported(blk.col_mut(lj), &v, lo..hi, plain).is_some() {
+                                stats.verify += cost::col_sums(b, 1, 1);
                                 st.set_block(it, jt, &blk);
                                 stats.corrections += 1;
+                            } else {
+                                stats.uncorrectable += 1;
                             }
                         }
                     }
@@ -474,6 +487,37 @@ mod tests {
         assert_eq!(r.stats.corrections, 0);
         assert_eq!(r.stats.uncorrectable, 0);
         assert!(reconstruct(&r.l).approx_eq(&a, 1e-9, 1e-9));
+    }
+
+    #[test]
+    fn a_report_is_repaired_at_the_row_the_weighted_sum_names_within_the_line() {
+        // The struck element is the fourth of its reported line: the
+        // line's first element must not take the repair.
+        let a = random_spd(64, 3);
+        let channel = abft_coop_runtime::SysfsChannel::new();
+        let tx = channel.clone();
+        let opts = FtCholeskyOptions {
+            block: 16,
+            verify_interval: 1,
+            mode: VerifyMode::HardwareAssisted(channel),
+            multi_error: false,
+        };
+        let r = ft_cholesky_with(&a, &opts, |kt, m| {
+            if kt == 1 {
+                m[(51, 40)] += 100.0;
+                let e = 40 * 64 + 51;
+                tx.publish(abft_coop_runtime::ErrorReport {
+                    vaddr: (e * 8) as u64,
+                    alloc_vaddr: 0,
+                    element: e - e % 8,
+                    name: "matrix_a".into(),
+                    time_s: 0.0,
+                });
+            }
+        })
+        .unwrap();
+        assert_eq!((r.stats.corrections, r.stats.uncorrectable), (1, 0));
+        assert!(reconstruct(&r.l).approx_eq(&a, 1e-8, 1e-8));
     }
 
     #[test]

@@ -102,9 +102,22 @@ pub(crate) fn col_sums(rows: usize, cols: usize, vectors: usize) -> Cost {
     cost(rows * cols * (2 * vectors - 1), rows * cols + vectors * cols)
 }
 
+/// The absolute sums that ride a checksum sweep (the rounding bound of
+/// `checksum::significant`): an addition per element of a `rows x cols`
+/// region the sweep already streams, and one word per sum.
+pub(crate) fn abs_sums(rows: usize, cols: usize) -> Cost {
+    cost(rows * cols, cols)
+}
+
 /// `x . y`.
 pub(crate) fn dot(n: usize) -> Cost {
     cost(2 * n, 2 * n)
+}
+
+/// `k` dot products against one shared vector in one sweep: the shared
+/// vector and the `k` others streamed once.
+pub(crate) fn dots(n: usize, k: usize) -> Cost {
+    cost(2 * k * n, (k + 1) * n)
 }
 
 /// `sum x_i y_i` and `sum (i + 1) x_i y_i` in one sweep.

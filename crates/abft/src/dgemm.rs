@@ -7,8 +7,14 @@
 //! row-checksum column (`C e`). Every few k-panels the algorithm examines
 //! the checksums, locating an error by the intersection of the violated
 //! column and row and repairing it in place.
+//!
+//! The detection rule's magnitudes are computed once at encode, as two
+//! vector products: column `j` of `C` and its checksum round by at most
+//! `gamma_(m+k) g_j`, `g_j = sum_l (sum_i |a_il|) |b_lj|`, and row `i` by
+//! `gamma_(n+k) h_i`, `h_i = sum_l |a_il| (sum_j |b_lj|)`. Both hold for
+//! any summation order and for every partial product, so mid-run too.
 
-use crate::checksum::CHECK_RTOL;
+use crate::checksum::{restore, significant, Sums};
 use crate::cost;
 use crate::verify::{due, FtStats, VerifyMode};
 use abft_linalg::{gemm, Matrix, Trans};
@@ -68,115 +74,158 @@ pub fn encode_b(b: &Matrix) -> Matrix {
     bc
 }
 
-/// One verification pass over the full-checksum product: locate violated
-/// columns and rows, correct single errors at their intersections.
-/// `m x n` is the logical (unencoded) size of `C`; `cf` is `(m+1) x (n+1)`.
-fn verify_and_correct(cf: &mut Matrix, m: usize, n: usize, stats: &mut FtStats) {
-    stats.verify += cost::col_sums(m, n, 1) + cost::col_sums(n, m, 1);
-    // Column checksums: e^T C vs row m.
-    let mut bad_cols: Vec<(usize, f64)> = Vec::new();
-    for j in 0..n {
-        let col = cf.col(j);
-        let sum: f64 = col[..m].iter().sum();
-        let scale = sum.abs().max(col[m].abs()).max(1.0);
-        let d = sum - col[m];
-        if d.abs() > CHECK_RTOL * scale * m as f64 {
-            bad_cols.push((j, d));
-        }
-    }
-    // Row checksums: C e vs column n.
-    let mut bad_rows: Vec<(usize, f64)> = Vec::new();
-    for i in 0..m {
-        let mut sum = 0.0;
-        for j in 0..n {
-            sum += cf[(i, j)];
-        }
-        let scale = sum.abs().max(cf[(i, n)].abs()).max(1.0);
-        let d = sum - cf[(i, n)];
-        if d.abs() > CHECK_RTOL * scale * n as f64 {
-            bad_rows.push((i, d));
-        }
-    }
-    if bad_cols.is_empty() && bad_rows.is_empty() {
-        return;
-    }
-    // Greedy intersection matching: a single error at (i, j) produces one
-    // violated row i and one violated column j with equal deltas.
-    let mut used_rows = vec![false; bad_rows.len()];
-    for &(j, dj) in &bad_cols {
-        let mut matched = false;
-        for (ri, &(i, di)) in bad_rows.iter().enumerate() {
-            if used_rows[ri] {
-                continue;
-            }
-            let scale = dj.abs().max(di.abs()).max(1.0);
-            if (dj - di).abs() <= 1e-6 * scale {
-                cf[(i, j)] -= dj;
-                stats.corrections += 1;
-                used_rows[ri] = true;
-                matched = true;
-                break;
-            }
-        }
-        if !matched {
-            // Column violated with no matching row: the error sits in the
-            // checksum row itself (harmless to C) or is a multi-error
-            // pattern — rebuild the column checksum from the data.
-            let sum: f64 = cf.col(j)[..m].iter().sum();
-            cf[(m, j)] = sum;
-            stats.verify += cost::col_sums(m, 1, 1);
-            stats.uncorrectable += 1;
-        }
-    }
-    for (ri, &(i, _)) in bad_rows.iter().enumerate() {
-        if !used_rows[ri] {
-            // Row violated alone: repair the row-checksum entry.
-            let mut sum = 0.0;
-            for j in 0..n {
-                sum += cf[(i, j)];
-            }
-            cf[(i, n)] = sum;
-            stats.verify += cost::col_sums(n, 1, 1);
-            stats.uncorrectable += 1;
-        }
-    }
-}
-
-/// Hardware-assisted repair: the OS report pins the corrupted cache line;
-/// the column checksum of each covered column gives the error magnitude,
-/// and the *row* checksum mismatch locates the row within the line — a
-/// handful of O(n) sums instead of a full verification sweep.
-fn assisted_repair(
-    cf: &mut Matrix,
+/// The full-checksum product with the rounding magnitudes of its checks.
+struct Product {
+    /// `(m+1) x (n+1)`: `C`, its checksum row and its checksum column.
+    cf: Matrix,
     m: usize,
     n: usize,
-    reports: &[abft_coop_runtime::ErrorReport],
-    stats: &mut FtStats,
-) {
-    for rep in reports {
-        for e in rep.element..rep.element + 8 {
-            let (i, j) = (e % (m + 1), e / (m + 1)); // column-major layout
-            if i >= m || j >= n {
-                continue;
+    k: usize,
+    /// `g_j`: column `j`'s magnitude (module doc).
+    g: Vec<f64>,
+    /// `h_i`: row `i`'s magnitude.
+    h: Vec<f64>,
+}
+
+impl Product {
+    /// The zero product of `A (m x k)` and `B (k x n)` with the magnitudes
+    /// of its checks: `g = (e^T |A|) |B|`, `h = |A| (|B| e)`.
+    fn new(a: &Matrix, b: &Matrix) -> Self {
+        let ((m, k), n) = (a.shape(), b.cols());
+        let a_abs: Vec<f64> = (0..k).map(|l| a.col(l).iter().map(|v| v.abs()).sum()).collect();
+        let mut b_abs = vec![0.0; k];
+        let mut g = vec![0.0; n];
+        for (j, gj) in g.iter_mut().enumerate() {
+            for (l, (&v, s)) in b.col(j).iter().zip(b_abs.iter_mut()).enumerate() {
+                *gj += a_abs[l] * v.abs();
+                *s += v.abs();
             }
-            // Column mismatch: the candidate error magnitude.
-            let col = cf.col(j);
-            let csum: f64 = col[..m].iter().sum();
-            stats.verify += cost::col_sums(m, 1, 1);
-            let dj = csum - col[m];
-            if dj.abs() <= CHECK_RTOL * csum.abs().max(1.0) * m as f64 {
-                continue;
+        }
+        let mut h = vec![0.0; m];
+        for (l, &s) in b_abs.iter().enumerate() {
+            for (hi, &v) in h.iter_mut().zip(a.col(l)) {
+                *hi += v.abs() * s;
             }
-            // Row mismatch for this candidate row must agree.
-            let mut rsum = 0.0;
-            for c in 0..n {
-                rsum += cf[(i, c)];
+        }
+        Product { cf: Matrix::zeros(m + 1, n + 1), m, n, k, g, h }
+    }
+
+    /// Column `j`'s mismatch with its checksum, if significant, and the
+    /// magnitude it was judged on: the larger of `g_j` and the column's
+    /// absolute sum, taken in the same pass (a struck element rounds the
+    /// recomputed sum by its own size).
+    fn col_delta(&self, j: usize, stats: &mut FtStats) -> Option<(f64, f64)> {
+        stats.verify += cost::col_sums(self.m, 1, 1) + cost::abs_sums(self.m, 1);
+        let col = self.cf.col(j);
+        let s = Sums::of(&col[..self.m]);
+        let (d, mag) = (s.plain - col[self.m], self.g[j].max(s.abs));
+        significant(d, mag, self.m + self.k).then_some((d, mag))
+    }
+
+    /// Row `i`'s mismatch with its checksum and its magnitude, as
+    /// [`Product::col_delta`].
+    fn row_delta(&self, i: usize, stats: &mut FtStats) -> Option<(f64, f64)> {
+        stats.verify += cost::col_sums(self.n, 1, 1) + cost::abs_sums(self.n, 1);
+        let (mut sum, mut abs) = (0.0, 0.0);
+        for j in 0..self.n {
+            sum += self.cf[(i, j)];
+            abs += self.cf[(i, j)].abs();
+        }
+        let (d, mag) = (sum - self.cf[(i, self.n)], self.h[i].max(abs));
+        significant(d, mag, self.n + self.k).then_some((d, mag))
+    }
+
+    /// Whether violated column `(dj, mj)` and row `(di, mi)` name the same
+    /// element: their mismatches agree up to both bounds, or both are
+    /// non-finite (a NaN or an infinity poisons exactly its own row and
+    /// column sums).
+    fn agree(&self, (dj, mj): (f64, f64), (di, mi): (f64, f64)) -> bool {
+        if dj.is_finite() && di.is_finite() {
+            !significant(dj - di, mj + mi, self.m + self.n + self.k)
+        } else {
+            !dj.is_finite() && !di.is_finite()
+        }
+    }
+
+    /// Repair the element `(i, j)` a row/column intersection or a report
+    /// names: the column checksum minus the column's other elements.
+    fn repair(&mut self, i: usize, j: usize, stats: &mut FtStats) {
+        let m = self.m;
+        let col = self.cf.col_mut(j);
+        let plain = col[m];
+        restore(&mut col[..m], i, plain);
+        stats.verify += cost::col_sums(m, 1, 1);
+        stats.corrections += 1;
+    }
+
+    /// One verification pass: locate violated columns and rows, correct
+    /// single errors at their intersections.
+    fn verify_and_correct(&mut self, stats: &mut FtStats) {
+        let (m, n) = (self.m, self.n);
+        let bad_cols: Vec<(usize, (f64, f64))> =
+            (0..n).filter_map(|j| Some((j, self.col_delta(j, stats)?))).collect();
+        let bad_rows: Vec<(usize, (f64, f64))> =
+            (0..m).filter_map(|i| Some((i, self.row_delta(i, stats)?))).collect();
+        // Greedy intersection matching: a single error at (i, j) produces
+        // one violated row i and one violated column j with equal deltas.
+        let mut used_rows = vec![false; bad_rows.len()];
+        for &(j, dj) in &bad_cols {
+            let hit = bad_rows
+                .iter()
+                .enumerate()
+                .find(|&(ri, &(_, di))| !used_rows[ri] && self.agree(dj, di));
+            if let Some((ri, &(i, _))) = hit {
+                used_rows[ri] = true;
+                self.repair(i, j, stats);
+            } else {
+                // Column violated with no matching row: the error sits in
+                // the checksum row itself (harmless to C) or is a
+                // multi-error pattern — rebuild the column checksum from
+                // the data.
+                self.cf[(m, j)] = self.cf.col(j)[..m].iter().sum();
+                stats.verify += cost::col_sums(m, 1, 1);
+                stats.uncorrectable += 1;
             }
-            stats.verify += cost::col_sums(n, 1, 1);
-            let di = rsum - cf[(i, n)];
-            if (di - dj).abs() <= 1e-6 * dj.abs().max(di.abs()).max(1.0) {
-                cf[(i, j)] -= dj;
-                stats.corrections += 1;
+        }
+        for (ri, &(i, _)) in bad_rows.iter().enumerate() {
+            if !used_rows[ri] {
+                // Row violated alone: repair the row-checksum entry.
+                let mut sum = 0.0;
+                for j in 0..n {
+                    sum += self.cf[(i, j)];
+                }
+                self.cf[(i, n)] = sum;
+                stats.verify += cost::col_sums(n, 1, 1);
+                stats.uncorrectable += 1;
+            }
+        }
+    }
+
+    /// Hardware-assisted repair: the OS report pins the corrupted cache
+    /// line; in each column it covers, the column checksum tells whether
+    /// the column holds an error, and the *row* checksum whose mismatch
+    /// agrees names its row within the line — a handful of O(n) sums
+    /// instead of a full verification sweep.
+    fn assisted_repair(&mut self, reports: &[abft_coop_runtime::ErrorReport], stats: &mut FtStats) {
+        let (m, n) = (self.m, self.n);
+        for rep in reports {
+            // The line's elements, column-major, grouped by column.
+            let covered: Vec<(usize, usize)> = (rep.element..rep.element + 8)
+                .map(|e| (e % (m + 1), e / (m + 1)))
+                .filter(|&(i, j)| i < m && j < n)
+                .collect();
+            for (j, rows) in covered.chunk_by(|a, b| a.1 == b.1).map(|c| (c[0].1, c)) {
+                let Some(dj) = self.col_delta(j, stats) else {
+                    continue;
+                };
+                let named = rows
+                    .iter()
+                    .map(|&(i, _)| i)
+                    .find(|&i| self.row_delta(i, stats).is_some_and(|di| self.agree(dj, di)));
+                match named {
+                    Some(i) => self.repair(i, j, stats),
+                    None => stats.uncorrectable += 1,
+                }
             }
         }
     }
@@ -204,34 +253,38 @@ where
     let bc = encode_b(b);
     let mut stats = FtStats::default();
     stats.checksum += cost::col_sums(m, k, 1) + cost::col_sums(n, k, 1);
+    // The magnitudes: the absolute column sums of A and row sums of B ride
+    // the encode sweeps; then two vector products.
+    let mut prod = Product::new(a, b);
+    stats.checksum +=
+        cost::abs_sums(m, k) + cost::abs_sums(n, k) + cost::gemm(1, n, k) + cost::gemm(m, 1, k);
 
-    let mut cf = Matrix::zeros(m + 1, n + 1);
     let panels = k.div_ceil(opts.panel);
     for p in 0..panels {
         let k0 = p * opts.panel;
         let kw = opts.panel.min(k - k0);
         let ap = ac.submatrix(0, k0, m + 1, kw);
         let bp = bc.submatrix(k0, 0, kw, n + 1);
-        gemm(1.0, &ap, Trans::No, &bp, Trans::No, 1.0, &mut cf);
+        gemm(1.0, &ap, Trans::No, &bp, Trans::No, 1.0, &mut prod.cf);
         // The checksum row and column ride inside the panel product.
         stats.compute += cost::gemm(m, n, kw);
         stats.checksum += cost::gemm(m + 1, n + 1, kw) - cost::gemm(m, n, kw);
 
-        inject(p, &mut cf);
+        inject(p, &mut prod.cf);
 
         if due(p, panels, opts.verify_interval) {
             stats.verifications += 1;
             match &opts.mode {
-                VerifyMode::Full => verify_and_correct(&mut cf, m, n, &mut stats),
+                VerifyMode::Full => prod.verify_and_correct(&mut stats),
                 VerifyMode::HardwareAssisted(ch) => {
                     let reports = ch.poll();
                     stats.verify += cost::poll();
-                    assisted_repair(&mut cf, m, n, &reports, &mut stats);
+                    prod.assisted_repair(&reports, &mut stats);
                 }
             }
         }
     }
-    FtDgemmResult { c: cf.submatrix(0, 0, m, n), stats }
+    FtDgemmResult { c: prod.cf.submatrix(0, 0, m, n), stats }
 }
 
 /// FT-DGEMM without fault injection.

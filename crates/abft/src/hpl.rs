@@ -19,8 +19,16 @@
 //!   process row before the trailing update, so surviving processes hold
 //!   copies (we keep the archive current under later row swaps exactly as
 //!   the surviving processes do).
+//!
+//! The detection rule's magnitude rides beside the checksum block-column:
+//! `M[i, j]` starts as `sum_p |A[i, j + p*w]|` and takes the absolute value
+//! of every row operation the checksums take (a swap swaps it, an
+//! elimination adds `|l_ij| M[j, :]` to row `i`), so it bounds the
+//! mathematical entries it sums. Each elimination rounds the data and the
+//! checksums by two steps each, and a row carries the rounding its pivot
+//! rows brought in the magnitude: `process_cols + 4n` steps in all.
 
-use crate::checksum::math_val;
+use crate::checksum::{math_val, significant};
 use crate::cost;
 use crate::verify::{due, FtStats, VerifyMode};
 use abft_linalg::cholesky::FactorError;
@@ -80,41 +88,68 @@ pub struct FailStop {
     pub process: usize,
 }
 
-/// Extend `a` with the checksum block-column.
-fn encode(a: &Matrix, pcols: usize) -> Matrix {
+/// Extend `a` with the checksum block-column; also returns the
+/// checksums' magnitudes (module doc).
+fn encode(a: &Matrix, pcols: usize) -> (Matrix, Matrix) {
     let n = a.rows();
     let w = a.cols() / pcols;
     let mut ext = Matrix::zeros(n, a.cols() + w);
+    let mut mag = Matrix::zeros(n, w);
     ext.set_submatrix(0, 0, a);
     for j in 0..w {
         for i in 0..n {
             let mut s = 0.0;
+            let mut abs = 0.0;
             for p in 0..pcols {
                 s += a[(i, j + p * w)];
+                abs += a[(i, j + p * w)].abs();
             }
             ext[(i, a.cols() + j)] = s;
+            mag[(i, j)] = abs;
         }
     }
-    ext
+    (ext, mag)
 }
 
-/// Verify the row-checksum relationship on the mathematical matrix;
-/// returns the max relative violation.
-fn checksum_violation(ext: &Matrix, n: usize, pcols: usize, factored_cols: usize) -> f64 {
+/// Ride panel `k..k + nb`'s row operations on the magnitudes: its swaps,
+/// then its eliminations with the final multipliers (partial pivoting
+/// swaps whole rows, so this is the same elimination of the permuted
+/// rows).
+fn ride_panel(mag: &mut Matrix, ext: &Matrix, k: usize, nb: usize, pivots: &[usize]) {
+    for (j, &p) in (k..).zip(&pivots[k..k + nb]) {
+        if p != j {
+            mag.swap_rows(j, p);
+        }
+    }
+    for j in k..k + nb {
+        for c in 0..mag.cols() {
+            let pivot_row = mag[(j, c)];
+            for i in j + 1..ext.rows() {
+                mag[(i, c)] += ext[(i, j)].abs() * pivot_row;
+            }
+        }
+    }
+}
+
+/// Whether any entry of the row-checksum relationship on the mathematical
+/// matrix is significant against its magnitude.
+fn checksum_violation(
+    ext: &Matrix,
+    mag: &Matrix,
+    n: usize,
+    pcols: usize,
+    factored_cols: usize,
+) -> bool {
     let w = n / pcols;
-    let mut worst: f64 = 0.0;
-    for j in 0..w {
-        for i in 0..n {
+    (0..w).any(|j| {
+        (0..n).any(|i| {
             let mut s = 0.0;
             for p in 0..pcols {
                 s += math_val(ext, i, j + p * w, factored_cols);
             }
-            let d = (s - ext[(i, n + j)]).abs();
-            let scale = s.abs().max(ext[(i, n + j)].abs()).max(1.0);
-            worst = worst.max(d / scale);
-        }
-    }
-    worst
+            significant(s - ext[(i, n + j)], mag[(i, j)], pcols + 4 * n)
+        })
+    })
 }
 
 /// Rebuild a lost process block-column: U/trailing entries from the
@@ -153,6 +188,21 @@ pub fn ft_hpl_with(
     opts: &FtHplOptions,
     failures: &[FailStop],
 ) -> Result<FtHplResult, FactorError> {
+    ft_hpl_injected(a, opts, failures, |_, _| {})
+}
+
+/// [`ft_hpl_with`] with a fail-continue hook: `inject` fires after each
+/// panel's factorization, before its verification, with the extended
+/// working matrix (data and checksum block-column).
+pub fn ft_hpl_injected<F>(
+    a: &Matrix,
+    opts: &FtHplOptions,
+    failures: &[FailStop],
+    mut inject: F,
+) -> Result<FtHplResult, FactorError>
+where
+    F: FnMut(usize, &mut Matrix),
+{
     let n = a.rows();
     assert!(a.is_square(), "HPL factors a square system");
     assert!(opts.block > 0, "panel width must be positive");
@@ -160,12 +210,14 @@ pub fn ft_hpl_with(
     assert!(n.is_multiple_of(opts.process_cols), "dimension must split across process columns");
 
     let mut stats = FtStats::default();
-    let mut ext = encode(a, opts.process_cols);
+    let (mut ext, mut mag) = encode(a, opts.process_cols);
     // One sweep of the matrix against the checksum block-column: every
     // checksum entry is the sum of its `process_cols` members. Encoding,
-    // a recovery and a verification each cost one.
-    let sweep = cost::col_sums(opts.process_cols, n * (n / opts.process_cols), 1);
-    stats.checksum += sweep;
+    // a recovery and a verification each cost one; encoding also takes
+    // the absolute sums.
+    let w = n / opts.process_cols;
+    let sweep = cost::col_sums(opts.process_cols, n * w, 1);
+    stats.checksum += sweep + cost::abs_sums(opts.process_cols, n * w);
 
     let total_cols = ext.cols();
     let nb = opts.block;
@@ -180,7 +232,6 @@ pub fn ft_hpl_with(
         // Fail-stop strikes scheduled before this panel.
         for f in failures.iter().filter(|f| f.at_step == kt) {
             assert!(f.process < opts.process_cols, "bad process index");
-            let w = n / opts.process_cols;
             // Lose the block-column...
             for j in 0..w {
                 for i in 0..n {
@@ -202,11 +253,14 @@ pub fn ft_hpl_with(
             if p != j {
                 archive.swap_rows(j, p);
             }
-            // Column j's elimination; the checksum block-column rides inside it.
+            // Column j's elimination; the checksum block-column rides inside
+            // it, and its magnitudes take the same rank-1 update.
             let data = cost::eliminate(n - j - 1, n - j - 1);
             stats.compute += data;
-            stats.checksum += cost::eliminate(n - j - 1, total_cols - j - 1) - data;
+            stats.checksum +=
+                cost::eliminate(n - j - 1, total_cols - j - 1) - data + cost::gemm(n - j - 1, w, 1);
         }
+        ride_panel(&mut mag, &ext, k, nb, &pivots);
 
         // Archive this panel's columns (the broadcast copy HPL makes with
         // or without fault tolerance: a copy, not counted).
@@ -216,14 +270,15 @@ pub fn ft_hpl_with(
             }
         }
 
+        inject(kt, &mut ext);
+
         // Periodic verification of the checksum relationship (cheap for
         // fail-stop FT-HPL — no error location needed).
         if due(kt, nt, opts.verify_interval) {
             stats.verifications += 1;
             if let VerifyMode::Full = opts.mode {
                 stats.verify += sweep;
-                let v = checksum_violation(&ext, n, opts.process_cols, k + nb);
-                if v > 1e-6 {
+                if checksum_violation(&ext, &mag, n, opts.process_cols, k + nb) {
                     stats.uncorrectable += 1;
                 }
             }

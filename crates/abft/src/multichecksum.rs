@@ -15,11 +15,13 @@
 //! `r_j` and magnitudes `d_j`, the error-locator quadratic
 //! `x^2 - p x + q` has `p = r_1 + r_2`, `q = r_1 r_2` from the Hankel
 //! system `D_2 = p D_1 - q D_0`, `D_3 = p D_2 - q D_1`.
+//!
+//! Every comparison below is the detection rule of [`crate::checksum`]. The
+//! k-th power sum weighs a row by at most `rows^k`, so its rounding scales
+//! with `rows^k` times the plain sum's magnitude.
 
+use crate::checksum::{significant, Bound, Sums, Violation};
 use abft_linalg::Matrix;
-
-/// Relative tolerance for floating-point checksum comparison.
-const RTOL: f64 = 1e-8;
 
 /// A located and measured error.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,6 +40,7 @@ pub struct LocatedError {
 pub struct MultiChecksums {
     sums: [Vec<f64>; 4],
     rows: usize,
+    bound: Bound,
 }
 
 /// Result of examining one column.
@@ -56,9 +59,18 @@ pub enum ColumnFinding {
     },
 }
 
-fn powers(i: usize) -> [f64; 4] {
-    let x = (i + 1) as f64;
-    [1.0, x, x * x, x * x * x]
+/// The four power sums of a column and its absolute sum, in one pass.
+fn power_sums(col: &[f64]) -> ([f64; 4], f64) {
+    let mut acc = [0.0f64; 4];
+    let mut abs = 0.0;
+    for (i, &v) in col.iter().enumerate() {
+        let x = (i + 1) as f64;
+        for (a, pw) in acc.iter_mut().zip([1.0, x, x * x, x * x * x]) {
+            *a += pw * v;
+        }
+        abs += v.abs();
+    }
+    (acc, abs)
 }
 
 impl MultiChecksums {
@@ -81,77 +93,62 @@ impl MultiChecksums {
     pub fn encode(m: &Matrix, rows: usize) -> Self {
         let mut sums =
             [vec![0.0; m.cols()], vec![0.0; m.cols()], vec![0.0; m.cols()], vec![0.0; m.cols()]];
+        let mut abs = vec![0.0; m.cols()];
         for j in 0..m.cols() {
-            let col = m.col(j);
-            let mut acc = [0.0f64; 4];
-            for (i, &v) in col.iter().take(rows).enumerate() {
-                let p = powers(i);
-                for (a, pw) in acc.iter_mut().zip(p) {
-                    *a += pw * v;
-                }
-            }
+            let (acc, a) = power_sums(&m.col(j)[..rows]);
             for (s, a) in sums.iter_mut().zip(acc) {
                 s[j] = a;
             }
+            abs[j] = a;
         }
-        MultiChecksums { sums, rows }
+        MultiChecksums { sums, rows, bound: Bound::encoded(abs, rows) }
     }
 
     /// Examine one column of the current matrix content.
     pub fn examine(&self, m: &Matrix, j: usize) -> ColumnFinding {
-        let col = m.col(j);
-        let mut acc = [0.0f64; 4];
-        for (i, &v) in col.iter().take(self.rows).enumerate() {
-            let p = powers(i);
-            for (a, pw) in acc.iter_mut().zip(p) {
-                *a += pw * v;
-            }
-        }
+        let (acc, abs) = power_sums(&m.col(j)[..self.rows]);
         let d: Vec<f64> = (0..4).map(|k| acc[k] - self.sums[k][j]).collect();
-        let scale = acc[0].abs().max(self.sums[0][j].abs()).max(1.0) * self.rows as f64;
-        let significant = |v: f64, extra: f64| v.abs() > RTOL * scale * extra.max(1.0);
+        let n = self.rows as f64;
+        let terms = self.bound.terms;
+        let mag = self.bound.magnitude[j].max(abs);
+        // The rounding magnitude of the k-th power sum.
+        let of_power = |k: i32| n.powi(k) * mag;
 
-        if !significant(d[0], 1.0) && !significant(d[1], self.rows as f64) {
+        if !significant(d[0], of_power(0), terms) && !significant(d[1], of_power(1), terms) {
             return ColumnFinding::Clean;
         }
-
-        let n = self.rows as f64;
-        // Floating-point noise floors per power sum (the m-th sum
-        // accumulates terms up to scale * rows^m).
-        let noise = |m: i32| 1e-12 * scale * n.powi(m);
 
         // Double-error hypothesis: solve the Hankel system
         //   p d1 - q d0 = d2
         //   p d2 - q d1 = d3
         // for the locator coefficients; a genuine single error makes the
-        // determinant vanish.
+        // determinant vanish up to the syndromes' rounding.
         let det = d[1] * d[1] - d[0] * d[2];
-        if det.abs() > noise(2).powi(1).max(1e-9 * (d[1] * d[1]).abs().max((d[0] * d[2]).abs())) {
+        let det_mag =
+            2.0 * d[1].abs() * of_power(1) + d[0].abs() * of_power(2) + d[2].abs() * of_power(0);
+        if significant(det, det_mag, terms) {
             let p = (d[0] * d[3] - d[1] * d[2]) / -det;
             let q = (d[1] * d[3] - d[2] * d[2]) / -det;
             let disc = p * p - 4.0 * q;
             if disc >= 0.0 {
                 let sq = disc.sqrt();
-                let x1 = (p - sq) / 2.0;
-                let x2 = (p + sq) / 2.0;
-                let (r1, r2) = (x1.round(), x2.round());
+                let (r1, r2) = (((p - sq) / 2.0).round(), ((p + sq) / 2.0).round());
                 let in_range = |x: f64| x >= 1.0 && x <= n;
-                if (x1 - r1).abs() < 1e-3
-                    && (x2 - r2).abs() < 1e-3
-                    && in_range(r1)
-                    && in_range(r2)
-                    && (r2 - r1).abs() > 0.5
-                {
-                    // Magnitudes: a + b = d0, r1 a + r2 b = d1.
+                if in_range(r1) && in_range(r2) && r2 > r1 {
+                    // The roots are only candidates. Magnitudes from
+                    // a + b = d0, r1 a + r2 b = d1 carry d0's and d1's
+                    // rounding times at most 3 rows; the pair is a location
+                    // when they are errors and reproduce d2 and d3, whose
+                    // fits weigh that by rows^k more: within 6 rows^(k+1)
+                    // times the magnitude.
                     let b = (d[1] - r1 * d[0]) / (r2 - r1);
                     let a = d[0] - b;
-                    // Validate against the two highest power sums.
                     let c2 = a * r1 * r1 + b * r2 * r2;
                     let c3 = a * r1 * r1 * r1 + b * r2 * r2 * r2;
-                    if (c2 - d[2]).abs() <= 1e-6 * d[2].abs().max(noise(2) / RTOL * 1e-4)
-                        && (c3 - d[3]).abs() <= 1e-6 * d[3].abs().max(noise(3) / RTOL * 1e-4)
-                        && a.abs() > RTOL * scale
-                        && b.abs() > RTOL * scale
+                    if !significant(c2 - d[2], 6.0 * of_power(3), terms)
+                        && !significant(c3 - d[3], 6.0 * of_power(4), terms)
+                        && significant(a, 3.0 * of_power(1), terms)
+                        && significant(b, 3.0 * of_power(1), terms)
                     {
                         return ColumnFinding::Double(
                             LocatedError { row: r1 as usize - 1, col: j, delta: a },
@@ -162,21 +159,32 @@ impl MultiChecksums {
             }
         }
 
-        // Single-error hypothesis: d1/d0 = x = d2/d1 = d3/d2.
-        if d[0] != 0.0 {
-            let x = d[1] / d[0];
-            let consistent = (d[2] / d[0] - x * x).abs() <= 1e-4 * x.abs().max(1.0).powi(2)
-                && (d[3] / d[0] - x * x * x).abs() <= 1e-4 * x.abs().max(1.0).powi(3);
-            let r = x.round();
-            if consistent && (x - r).abs() < 1e-3 && r >= 1.0 && r <= n {
-                return ColumnFinding::Single(LocatedError {
-                    row: r as usize - 1,
-                    col: j,
-                    delta: d[0],
-                });
+        // Single-error hypothesis: d1 / d0 locates the row as in
+        // `Violation::locate`, and the row r must then explain the higher
+        // syndromes, d2 = r d1 and d3 = r d2, within their rounding.
+        let single =
+            Violation { index: j, delta: d[0], weighted_delta: d[1], magnitude: mag, terms };
+        if let Some(row) = single.locate(self.rows) {
+            let r = (row + 1) as f64;
+            if !significant(d[2] - r * d[1], 2.0 * of_power(2), terms)
+                && !significant(d[3] - r * d[2], 2.0 * of_power(3), terms)
+            {
+                return ColumnFinding::Single(LocatedError { row, col: j, delta: d[0] });
             }
         }
         ColumnFinding::DetectedUncorrectable { delta: d[0] }
+    }
+
+    /// The plain-sum check of column `j` as a [`Violation`] (the first
+    /// power sum is the weighted one), for a repair an error report names.
+    pub(crate) fn verify_column(&self, m: &Matrix, j: usize) -> Option<Violation> {
+        Violation::of(
+            j,
+            Sums::of(&m.col(j)[..self.rows]),
+            (self.sums[0][j], self.sums[1][j]),
+            self.bound.magnitude[j],
+            self.bound.terms,
+        )
     }
 
     /// The plain (zeroth power) sum of column `j`.
@@ -184,19 +192,20 @@ impl MultiChecksums {
         self.sums[0][j]
     }
 
-    /// Apply `chk <- chk * op` for a right-multiplication applied to the
-    /// protected block: every power-sum row is a covector `w_m^T B` and
-    /// transforms exactly like a row of `B`.
-    pub fn right_multiply(&mut self, mut op: impl FnMut(&mut [f64])) {
+    /// Ride the TRSM `B <- B L^{-T}` applied to the protected block: every
+    /// power-sum row is a covector `w_m^T B` and transforms exactly like a
+    /// row of `B`.
+    pub(crate) fn trsm(&mut self, l: &Matrix) {
         for s in self.sums.iter_mut() {
-            op(s);
+            crate::checksum::solve_row(l, s);
         }
+        self.bound.trsm(l);
     }
 
     /// Co-update for the trailing update `B -= L_i L_j^T`: each power-sum
     /// row updates as `chk_m -= (chk_m of L_i) L_j^T`, consuming the
     /// maintained sums of the panel block.
-    pub fn rank_update(&mut self, panel: &MultiChecksums, lj: &Matrix) {
+    pub(crate) fn rank_update(&mut self, panel: &MultiChecksums, lj: &Matrix) {
         let b = lj.rows();
         for (dst, src) in self.sums.iter_mut().zip(&panel.sums) {
             for (jj, d) in dst.iter_mut().enumerate() {
@@ -207,6 +216,7 @@ impl MultiChecksums {
                 *d -= acc;
             }
         }
+        self.bound.rank_update(&panel.bound, lj);
     }
 
     /// Examine every column, repairing up to two errors per column in

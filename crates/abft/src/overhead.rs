@@ -174,11 +174,14 @@ mod tests {
         assert_eq!(s.verifications, 2); // after panel 2, and the last
         assert_eq!(s.compute.flops, 2 * m * n * k);
         assert_eq!(s.compute.words, m * k + k * n + panels * 2 * m * n);
-        let encode = m * k + k * n; // e^T A and B e: one addition per element
+        // e^T A and B e, and the absolute sums beside them: one addition per
+        // element each; then the magnitudes (e^T |A|) |B| and |A| (|B| e).
+        let encode = 2 * (m * k + k * n) + 2 * (k * n + m * k);
         assert_eq!(s.compute.flops + s.checksum.flops - encode, 2 * (m + 1) * (n + 1) * k);
-        // Column sums and row sums of the m x n product, per examination.
-        assert_eq!(s.verify.flops, s.verifications * 2 * m * n);
-        assert_eq!(s.verify.words, s.verifications * (2 * m * n + m + n));
+        // Column sums and row sums of the m x n product, each with its
+        // absolute sum, per examination.
+        assert_eq!(s.verify.flops, s.verifications * 4 * m * n);
+        assert_eq!(s.verify.words, s.verifications * (2 * m * n + 2 * (m + n)));
     }
 
     #[test]
@@ -201,14 +204,16 @@ mod tests {
         // updates and the Jacobi solve.
         assert_eq!(s.compute.flops, (2 * nnz + 5 * n) + iters * (2 * nnz + 13 * n));
         assert_eq!(s.compute.words, (nnz + 10 * n) + iters * (nnz + 20 * n));
-        // Set-up (three SpMVs, r0, z0, 1/d, four vector sums), then per
-        // iteration two dots for S_q and the summed Jacobi solve for S_p.
-        assert_eq!(s.checksum.flops, (6 * nnz + 16 * n) + iters * 8 * n);
-        assert_eq!(s.checksum.words, (3 * nnz + 18 * n + 8) + iters * 6 * n);
-        // Per examination five vector sums, the r + A x = b SpMV and its
-        // comparison sweep.
-        assert_eq!(s.verify.flops, s.verifications * (2 * nnz + 17 * n));
-        assert_eq!(s.verify.words, s.verifications * (nnz + 10 * n + 10));
+        // Set-up (three SpMVs and |A| e, r0, z0, 1/d, four vector sums with
+        // their absolute sums), then per iteration three dots against p in
+        // one sweep for S_q and its magnitude, and the summed Jacobi solve
+        // for S_p.
+        assert_eq!(s.checksum.flops, (8 * nnz + 20 * n) + iters * 11 * n);
+        assert_eq!(s.checksum.words, (4 * nnz + 20 * n + 12) + iters * (6 * n + 1));
+        // Per examination five vector sums with their absolute sums, the
+        // r + A x = b SpMV and its comparison sweep.
+        assert_eq!(s.verify.flops, s.verifications * (2 * nnz + 22 * n));
+        assert_eq!(s.verify.words, s.verifications * (nnz + 10 * n + 15));
     }
 
     /// Bosilca et al.'s form, on the counts: with the panel width and the

@@ -22,5 +22,8 @@ pub fn run(out: &mut Report) {
     write!(out, "{}", t.render());
     writeln!(out, "\nReading: chipkill corrects multi-bit patterns that land in one chip");
     writeln!(out, "and detects the rest; SECDED silently passes some >=3-bit patterns;");
-    writeln!(out, "no-ECC is 100% silent — exactly the exposure ABFT's checksums cover.");
+    writeln!(
+        out,
+        "no-ECC is 100% silent: only an application-level check can still see these errors."
+    );
 }

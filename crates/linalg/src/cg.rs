@@ -13,6 +13,9 @@ pub trait LinearOperator {
     fn nnz(&self) -> usize;
     /// Apply the operator into `y`.
     fn apply(&self, x: &[f64], y: &mut [f64]);
+    /// `|A| e`: each row's sum of absolute entries, what the rounding of
+    /// one application scales with.
+    fn abs_row_sums(&self) -> Vec<f64>;
     /// Apply and allocate.
     fn apply_vec(&self, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.dim()];
@@ -32,6 +35,15 @@ impl LinearOperator for Matrix {
         y.fill(0.0);
         crate::blas2::gemv(1.0, self, x, 1.0, y);
     }
+    fn abs_row_sums(&self) -> Vec<f64> {
+        let mut sums = vec![0.0; self.rows()];
+        for j in 0..self.cols() {
+            for (s, v) in sums.iter_mut().zip(self.col(j)) {
+                *s += v.abs();
+            }
+        }
+        sums
+    }
 }
 
 impl LinearOperator for CsrMatrix {
@@ -43,6 +55,9 @@ impl LinearOperator for CsrMatrix {
     }
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         self.spmv_into(x, y);
+    }
+    fn abs_row_sums(&self) -> Vec<f64> {
+        CsrMatrix::abs_row_sums(self)
     }
 }
 

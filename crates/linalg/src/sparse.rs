@@ -80,6 +80,15 @@ impl CsrMatrix {
         }
     }
 
+    /// `|A| e`: each row's sum of absolute entries.
+    pub(crate) fn abs_row_sums(&self) -> Vec<f64> {
+        (0..self.rows)
+            .map(|i| {
+                self.values[self.row_ptr[i]..self.row_ptr[i + 1]].iter().map(|v| v.abs()).sum()
+            })
+            .collect()
+    }
+
     /// Extract the diagonal (zero where absent).
     pub fn diagonal(&self) -> Vec<f64> {
         let mut d = vec![0.0; self.rows.min(self.cols)];

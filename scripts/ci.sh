@@ -129,7 +129,9 @@ cargo test -q --workspace
 
 echo "=== the pinned referees are still there, by name ==="
 # Some unit tests are the independent references a fast or shared path is
-# pinned to. In memsim: `dram::tests` (reference_access_kind),
+# pinned to. In memsim: `dram::tests`'
+# `production_path_is_bit_identical_to_the_reference_model` (against
+# reference_access_kind),
 # `walk_reference` (stamp-LRU cache + carry-bump walk vs the one L1/L2
 # walker), `reference_replay` (the stall step as it was spelled, division
 # and `f64::max` included), `reference_scan` (the SimPoint fingerprint by
@@ -139,7 +141,10 @@ echo "=== the pinned referees are still there, by name ==="
 # row replay to the simulation it would be alone and the one that holds the
 # packed builder's sweep-level emission to line-by-line emission. In ecc,
 # the census that pins x4 chipkill's decode of 2-, 3- and 4-chip errors; in
-# abft, the FT-Cholesky run held to plain `cholesky_blocked`. The only
+# abft, the FT-Cholesky run held to plain `cholesky_blocked`, and the
+# detection rule's judges: tests/abft_detection.rs (single-bit flips at
+# any scale, a NaN in every kernel, clean runs up to n = 192) and
+# crates/abft/tests/clean_runs.rs (clean runs at n = 384 and 768). The only
 # allocation gate: tests/alloc_budget.rs's six tests, three of which hold
 # every replay path to the same allocation count at N and 2N events, and
 # three the filter (store-less and store-attached) and a blob write to the
@@ -150,6 +155,7 @@ echo "=== the pinned referees are still there, by name ==="
 # drop them.
 listed="$(cargo test -q --workspace -- --list 2>/dev/null)"
 for pinned in walk_reference:: every_lane_is_the_simulation_it_would_be_alone \
+    production_path_is_bit_identical_to_the_reference_model \
     sweep_emission_packs_the_words_line_emission_packs reference_replay reference_scan \
     byte_records_decode_as_the_two_word_records \
     chipkill::tests::multi_chip_census_is_pinned \
@@ -158,7 +164,13 @@ for pinned in walk_reference:: every_lane_is_the_simulation_it_would_be_alone \
     a_filter_pass_that_generates_holds_no_more_than_a_walk_of_a_built_trace \
     a_filter_pass_with_a_store_holds_no_trace \
     a_blob_is_written_through_a_fixed_buffer no_dead_pub_items \
-    every_claim_holds_or_misses_as_the_ledger_says; do
+    every_claim_holds_or_misses_as_the_ledger_says \
+    most_single_bit_flips_are_detected_at_any_scale a_nan_fails_the_encoded_checksums \
+    a_nan_in_ft_dgemm_is_restored_where_row_and_column_meet_or_a_report_names_it \
+    a_nan_in_ft_cholesky_is_restored_from_a_report_and_flagged_otherwise \
+    a_nan_in_ft_cg_is_restored_from_a_report_and_flagged_otherwise a_nan_in_ft_hpl_is_flagged \
+    clean_runs_up_to_n_192_trip_no_check clean_runs_at_n_384_trip_no_check \
+    clean_runs_at_n_768_trip_no_check; do
     grep -Fq -- "$pinned" <<<"$listed" || { echo "no workspace test is named $pinned"; exit 1; }
 done
 

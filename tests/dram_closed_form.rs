@@ -2,13 +2,14 @@
 //! latencies and joules can be written down by hand from `DramTiming`,
 //! `DramEnergy` and the chips each scheme makes busy — 16 x4 chips under
 //! No-ECC, 18 under SECDED, 36 under chipkill (a lock-stepped channel
-//! pair), hard-coded here rather than read from the model's own table.
+//! pair), 5 x4 or 3 x8 chips for a fine-grained SECDED access,
+//! hard-coded here rather than read from the model's own table.
 //! Every equivalence suite compares one path through `dram.rs` with
 //! another; these compare it with arithmetic.
 
 use abft_coop::abft_ecc::EccScheme;
-use abft_coop::abft_memsim::config::RowPolicy;
-use abft_coop::abft_memsim::dram::{DramLocation, RowOutcome, ServiceResult};
+use abft_coop::abft_memsim::config::{DeviceWidth, RowPolicy};
+use abft_coop::abft_memsim::dram::{AccessKind, DramLocation, RowOutcome, ServiceResult};
 use abft_coop::abft_memsim::{
     AddressMap, Dram, EccAssignment, Machine, RegionMap, SimRequest, SystemConfig, Trace,
 };
@@ -207,6 +208,49 @@ fn idle_ranks_draw_power_down_and_ecc_chips_stay_down_without_ecc() {
         let what = format!("one read, ECC chips powered {powered}");
         close(dram.standby_nj(t, powered), idle + chips * up, &what);
     }
+}
+
+#[test]
+fn a_fine_grained_secded_read_busies_a_quarter_rank_for_a_quarter_burst() {
+    // DGMS's sub-ranked 16-byte access: 4 data + 1 ECC x4 chips, or 2 + 1
+    // x8 chips, and a quarter of the channel's burst, behind SECDED's
+    // decode.
+    for (width, chips) in [(DeviceWidth::X4, 5.0), (DeviceWidth::X8, 3.0)] {
+        let cfg = SystemConfig::default().with_device_width(width);
+        let (t, e) = (cfg.timing, cfg.energy);
+        let mut dram = Dram::new(cfg.clone());
+        let r = dram.access_kind(FIRST_NS, addr(&cfg, 0, 5, 0), false, AccessKind::FineSecded);
+        let secded = EccScheme::Secded;
+        let closed = (t.t_rcd + t.t_cl) as f64 * t.tck_ns
+            + t.burst_ns() / 4.0
+            + secded.decode_latency_cycles() as f64 * t.tck_ns;
+        close(r.completion_ns - FIRST_NS, closed, &format!("{width:?} latency"));
+        let want = chips * (e.act_nj_per_chip + e.read_nj_per_chip)
+            + secded.correction_energy_pj() / 1000.0;
+        close(dram.stats.dynamic_nj, want, &format!("{width:?} dynamic energy"));
+    }
+}
+
+#[test]
+fn a_queued_read_keeps_its_rank_busy_for_its_service_not_its_wait() {
+    // Two reads of one row of one bank at the same instant: the second
+    // waits for the first, then hits. The rank is busy for the two
+    // service latencies; the wait is the first read's, not more.
+    let cfg = SystemConfig::default();
+    let (t, e) = (cfg.timing, cfg.energy);
+    let mut dram = Dram::new(cfg.clone());
+    let a = dram.access(FIRST_NS, addr(&cfg, 0, 5, 0), false, EccScheme::None);
+    let b = dram.access(FIRST_NS, addr(&cfg, 0, 5, 1), false, EccScheme::None);
+    let closed = (t.t_rcd + t.t_cl) as f64 * t.tck_ns + tail_ns(&cfg, EccScheme::None);
+    let hit = t.t_cl as f64 * t.tck_ns + tail_ns(&cfg, EccScheme::None);
+    close(a.completion_ns - FIRST_NS, closed, "first latency");
+    close(b.queue_ns, closed, "second wait");
+    close(b.completion_ns - FIRST_NS, closed + hit, "second completion");
+    let ranks = (cfg.channels * cfg.dimms_per_channel * cfg.ranks_per_dimm) as f64;
+    let elapsed = 1e6;
+    let idle = ranks * (DATA_CHIPS + ECC_CHIPS) * e.powerdown_mw_per_chip * elapsed / 1000.0;
+    let up = (e.standby_mw_per_chip - e.powerdown_mw_per_chip) * (closed + hit) / 1000.0;
+    close(dram.standby_nj(elapsed, false), idle + DATA_CHIPS * up, "standby after two reads");
 }
 
 #[test]
