@@ -109,6 +109,11 @@ pub(crate) fn abs_sums(rows: usize, cols: usize) -> Cost {
     cost(rows * cols, cols)
 }
 
+/// `n` stored values compared with `n` kept copies: both read.
+pub(crate) fn compare(n: usize) -> Cost {
+    cost(0, 2 * n)
+}
+
 /// `x . y`.
 pub(crate) fn dot(n: usize) -> Cost {
     cost(2 * n, 2 * n)

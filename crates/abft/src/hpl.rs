@@ -20,6 +20,10 @@
 //!   copies (we keep the archive current under later row swaps exactly as
 //!   the surviving processes do).
 //!
+//! The checksums cannot see a multiplier, so each verification also
+//! compares the stored multipliers with the archive's copy, bit for bit,
+//! and restores one that disagrees from it.
+//!
 //! The detection rule's magnitude rides beside the checksum block-column:
 //! `M[i, j]` starts as `sum_p |A[i, j + p*w]|` and takes the absolute value
 //! of every row operation the checksums take (a swap swaps it, an
@@ -152,6 +156,22 @@ fn checksum_violation(
     })
 }
 
+/// Restore every stored `L` multiplier of the first `factored_cols`
+/// columns that differs from the broadcast archive's copy (by bit
+/// pattern, so a NaN differs too); returns how many it restored.
+fn restore_multipliers(ext: &mut Matrix, archive: &Matrix, n: usize, factored_cols: usize) -> u64 {
+    let mut restored = 0;
+    for c in 0..factored_cols {
+        for i in c + 1..n {
+            if ext[(i, c)].to_bits() != archive[(i, c)].to_bits() {
+                ext[(i, c)] = archive[(i, c)];
+                restored += 1;
+            }
+        }
+    }
+    restored
+}
+
 /// Rebuild a lost process block-column: U/trailing entries from the
 /// checksum relationship, L multipliers from the broadcast archive.
 fn recover_process(
@@ -277,8 +297,12 @@ where
         if due(kt, nt, opts.verify_interval) {
             stats.verifications += 1;
             if let VerifyMode::Full = opts.mode {
-                stats.verify += sweep;
-                if checksum_violation(&ext, &mag, n, opts.process_cols, k + nb) {
+                // The checksum sweep, and the multipliers against the archive.
+                let factored = k + nb;
+                let multipliers = factored * (n - 1) - factored * (factored - 1) / 2;
+                stats.verify += sweep + cost::compare(multipliers);
+                stats.corrections += restore_multipliers(&mut ext, &archive, n, factored);
+                if checksum_violation(&ext, &mag, n, opts.process_cols, factored) {
                     stats.uncorrectable += 1;
                 }
             }
@@ -305,6 +329,20 @@ mod tests {
             assert!((x[i] - x_true[i]).abs() < 1e-8, "x[{i}]");
         }
         assert_eq!(r.recoveries, 0);
+    }
+
+    #[test]
+    fn each_verification_sweeps_the_checksums_and_compares_every_stored_multiplier() {
+        let (n, nb) = (64, 16);
+        let opts = FtHplOptions { block: nb, ..Default::default() };
+        let r = ft_hpl_with(&random_diag_dominant(n, 1), &opts, &[]).unwrap();
+        let sweep = cost::col_sums(2, n * n / 2, 1);
+        // After `panels` panels, the first `nb * panels` columns hold
+        // multipliers below their diagonal.
+        let multipliers: usize =
+            (1..=n / nb).map(|panels| (0..nb * panels).map(|c| n - 1 - c).sum::<usize>()).sum();
+        assert_eq!(r.stats.verify, sweep * 4 + cost::compare(multipliers));
+        assert_eq!((r.stats.corrections, r.stats.uncorrectable), (0, 0));
     }
 
     #[test]

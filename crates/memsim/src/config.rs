@@ -1,5 +1,7 @@
 //! Simulation parameters (the paper's Table 3).
 
+use crate::dram::{latency_ns, AccessKind};
+
 /// DRAM device data width — the paper's design "easily generalizes to
 /// other DRAM chips (e.g., x8 chips)" (Section 3.1); the x8 chipkill uses
 /// the 3-check-symbol code of Section 2.2.
@@ -326,7 +328,29 @@ fn validate_cache(prefix: &'static str, c: &CacheConfig) -> Result<(), ConfigErr
     Ok(())
 }
 
+/// `ns` as a count of `clock_ghz` core cycles, if it is a whole one below
+/// 2^53 (where every count is an exact f64): the one conversion
+/// [`SystemConfig::validate`] checks and [`crate::dram::Dram::new`] makes.
+pub(crate) fn whole_cycles(ns: f64, clock_ghz: f64) -> Option<u64> {
+    let cycles = ns * clock_ghz;
+    let whole = (0.0..=(1u64 << 53) as f64).contains(&cycles) && cycles.fract() == 0.0;
+    whole.then_some(cycles as u64)
+}
+
 impl SystemConfig {
+    /// Panic on a configuration [`SystemConfig::validate`] refuses: the
+    /// contract of [`crate::system::Machine::new`] and
+    /// [`crate::dram::Dram::new`].
+    #[expect(
+        clippy::panic,
+        reason = "documented constructor contract; validate() is the fallible path"
+    )]
+    pub(crate) fn assert_valid(&self) {
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
+    }
+
     /// Check every geometric and physical constraint the simulator relies
     /// on. [`crate::system::Machine::new`] calls this, so an impossible
     /// configuration fails fast with a named parameter instead of an
@@ -426,9 +450,9 @@ impl SystemConfig {
                 "tCK (ns) is not a positive finite normal number",
             ));
         }
-        // The refresh check is `start % t_refi_ns < t_rfc_ns`: a zero or
-        // non-finite interval turns it off silently (`% 0.0` is NaN), and
-        // a blackout as long as the interval stalls every request.
+        // The refresh check is `start % tREFI < tRFC`: a zero interval is a
+        // remainder by zero, and a blackout as long as the interval stalls
+        // every request.
         let (t_refi, t_rfc) = (self.timing.t_refi_ns, self.timing.t_rfc_ns);
         if !(t_refi.is_finite() && t_refi > 0.0) {
             return Err(err("timing.t_refi_ns", t_refi, "refresh interval (ns) is not positive"));
@@ -442,6 +466,27 @@ impl SystemConfig {
                 t_rfc,
                 format!("refresh blackout is not shorter than the refresh interval ({t_refi} ns)"),
             ));
+        }
+        // The DRAM model keeps time in whole core cycles (DESIGN.md §3.13),
+        // so every timing it converts must be one.
+        let off_the_clock = |ns: f64| whole_cycles(ns, self.clock_ghz).is_none();
+        let timings = [
+            ("timing.tck_ns", self.timing.tck_ns),
+            ("timing.t_refi_ns", t_refi),
+            ("timing.t_rfc_ns", t_rfc),
+        ];
+        for (field, ns) in timings {
+            if off_the_clock(ns) {
+                let cycles = ns * self.clock_ghz;
+                let why = format!("{ns} ns is {cycles} cycles of the core clock, not a whole one");
+                return Err(err(field, ns, why));
+            }
+        }
+        // With tCK whole, a service latency falls between edges only by
+        // its burst's half (chipkill) or quarter (fine-grained).
+        if AccessKind::ALL.into_iter().flat_map(|kind| latency_ns(kind, self)).any(off_the_clock) {
+            let why = "a burst of these beats, halved or quartered, is not whole core cycles";
+            return Err(err("timing.burst_beats", self.timing.burst_beats, why));
         }
         // Joules are sums and products of these: one NaN poisons a cell,
         // one negative coefficient quietly subtracts energy.
@@ -698,6 +743,35 @@ mod tests {
         // No refresh blackout at all is a legal model.
         with(7800.0, 0.0).unwrap();
         with(7812.5, 110.0).unwrap();
+    }
+
+    #[test]
+    fn dram_timings_off_the_core_clock_are_refused() {
+        let node =
+            |clock_ghz, timing| SystemConfig { clock_ghz, timing, ..SystemConfig::default() };
+        let ddr3 = DramTiming::default;
+        // At 2.5 GHz DDR3-667's 3 ns tCK is 7.5 core cycles.
+        let e = rejected(node(2.5, ddr3()));
+        assert_eq!((e.field, e.value.as_str()), ("timing.tck_ns", "3"));
+        assert!(e.reason.contains("3 ns is 7.5 cycles of the core clock"), "{e}");
+        // tREFI = 7812.5 ns is 15,625 cycles at 2 GHz, and half a cycle
+        // off at 1 GHz; 7800.1 ns is off at both.
+        node(2.0, DramTiming { t_refi_ns: 7812.5, ..ddr3() }).validate().unwrap();
+        for (clock_ghz, t_refi_ns) in [(1.0, 7812.5), (2.0, 7800.1)] {
+            let e = rejected(node(clock_ghz, DramTiming { t_refi_ns, ..ddr3() }));
+            assert_eq!(e.field, "timing.t_refi_ns", "{t_refi_ns} ns at {clock_ghz} GHz");
+        }
+        let e = rejected(node(2.0, DramTiming { t_rfc_ns: 110.25, ..ddr3() }));
+        assert_eq!((e.field, e.value.as_str()), ("timing.t_rfc_ns", "110.25"));
+        // Seven beats are 10.5 ns of burst: 21 cycles, but a chipkill
+        // half-burst is 10.5.
+        let e = rejected(node(2.0, DramTiming { burst_beats: 7, ..ddr3() }));
+        assert_eq!((e.field, e.value.as_str()), ("timing.burst_beats", "7"));
+        // Every DDR3-667 timing is whole at 1, 2, 3 and 4 GHz (tCK = 3,
+        // 6, 9 and 12 cycles).
+        for clock_ghz in [1.0, 2.0, 3.0, 4.0] {
+            node(clock_ghz, ddr3()).validate().unwrap();
+        }
     }
 
     // The six configs below each used to pass `validate` and then print a

@@ -10,7 +10,7 @@
 //! halving effective channel-level parallelism — the paper's stated
 //! performance mechanism.
 
-use crate::config::SystemConfig;
+use crate::config::{whole_cycles, SystemConfig};
 use abft_ecc::EccScheme;
 
 /// How one memory request is serviced.
@@ -30,7 +30,7 @@ pub enum AccessKind {
 
 impl AccessKind {
     /// Every kind, in [`AccessKind::index`] order.
-    const ALL: [AccessKind; 4] = [
+    pub(crate) const ALL: [AccessKind; 4] = [
         AccessKind::Scheme(EccScheme::None),
         AccessKind::Scheme(EccScheme::Secded),
         AccessKind::Scheme(EccScheme::Chipkill),
@@ -177,7 +177,8 @@ pub enum RowOutcome {
     Conflict,
 }
 
-/// Result of servicing one access.
+/// Result of servicing one access, in nanoseconds: what the public
+/// [`Dram::access`] / [`Dram::access_kind`] adapter hands back.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceResult {
     /// Absolute completion time (ns).
@@ -186,6 +187,17 @@ pub struct ServiceResult {
     pub queue_ns: f64,
     /// Row-buffer outcome.
     pub row: RowOutcome,
+}
+
+/// Result of [`Dram::service`], in core cycles.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Serviced {
+    /// Absolute completion time.
+    pub(crate) completion: u64,
+    /// Queueing delay before the command could start.
+    pub(crate) queue: u64,
+    /// Row-buffer outcome.
+    pub(crate) row: RowOutcome,
 }
 
 /// Aggregated DRAM statistics and energy. Plain numbers throughout, and
@@ -207,59 +219,28 @@ pub struct DramStats {
     pub per_scheme: [u64; 3],
     /// Accesses delayed by a refresh blackout.
     pub refresh_stalls: u64,
-    /// Total queueing delay across accesses (ns).
-    pub queue_ns_total: f64,
-    /// Total service latency across accesses (ns).
-    pub latency_ns_total: f64,
-}
-
-impl DramStats {
-    /// Mean service latency per access (ns).
-    pub fn avg_latency_ns(&self) -> f64 {
-        let t = self.reads + self.writes;
-        if t == 0 {
-            0.0
-        } else {
-            self.latency_ns_total / t as f64
-        }
-    }
-
-    /// Mean queueing delay per access (ns).
-    pub fn avg_queue_ns(&self) -> f64 {
-        let t = self.reads + self.writes;
-        if t == 0 {
-            0.0
-        } else {
-            self.queue_ns_total / t as f64
-        }
-    }
-
-    /// Row-buffer hit rate.
-    pub fn row_hit_rate(&self) -> f64 {
-        let t = self.reads + self.writes;
-        if t == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / t as f64
-        }
-    }
+    /// Total queueing delay across accesses (core cycles).
+    pub queue_cycles: u64,
+    /// Total service latency across accesses, queueing included (core
+    /// cycles).
+    pub latency_cycles: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct BankState {
     open_row: Option<u64>,
-    free_ns: f64,
+    /// The core cycle the bank is free from.
+    free: u64,
 }
 
 /// What one request of a given [`AccessKind`] costs — everything about
-/// it that is fixed once the configuration is. Each entry is evaluated in
-/// [`Dram::new`] with the expression, in the operand order, that the
-/// per-request model (kept as the tests' `reference_access_kind`)
-/// evaluates, so the f64s are the same bits.
+/// it that is fixed once the configuration is, worked out in
+/// [`Dram::new`].
 #[derive(Debug, Clone, Copy)]
 struct KindCosts {
-    /// Service latency (ns) by [`RowOutcome`] (`Hit`, `Closed`, `Conflict`).
-    latency_ns: [f64; 3],
+    /// Service latency (core cycles) by [`RowOutcome`] (`Hit`, `Closed`,
+    /// `Conflict`).
+    latency: [u64; 3],
     /// Dynamic energy (nJ), `[write][row miss]`.
     nj: [[f64; 2]; 2],
     /// Slot in [`DramStats::per_scheme`].
@@ -268,21 +249,33 @@ struct KindCosts {
     lockstep: bool,
 }
 
+/// Service latency (ns) of one `kind` request by [`RowOutcome`], each the
+/// per-request expression operand for operand (the tests'
+/// `reference_access_kind` evaluates it the same way). Lock-stepped
+/// 144-bit transfers move 64 B in half the beats; fine-grained sub-ranked
+/// transfers occupy a quarter of the channel's width-time; the ECC
+/// pipeline adds its decode latency.
+pub(crate) fn latency_ns(kind: AccessKind, cfg: &SystemConfig) -> [f64; 3] {
+    let t = cfg.timing;
+    let (burst_ns, scheme) = match kind {
+        AccessKind::Scheme(EccScheme::Chipkill) => (t.burst_ns() / 2.0, EccScheme::Chipkill),
+        AccessKind::Scheme(s) => (t.burst_ns(), s),
+        AccessKind::FineSecded => (t.burst_ns() / 4.0, EccScheme::Secded),
+    };
+    let decode_cycles = scheme.decode_latency_cycles();
+    [t.hit_ns(), t.closed_ns(), t.conflict_ns()]
+        .map(|array_ns| array_ns - t.burst_ns() + burst_ns + decode_cycles as f64 * t.tck_ns)
+}
+
 impl KindCosts {
     fn new(kind: AccessKind, cfg: &SystemConfig) -> KindCosts {
-        let t = cfg.timing;
-        // Lock-stepped 144-bit transfers move 64 B in half the beats;
-        // fine-grained sub-ranked transfers occupy a quarter of the
-        // channel's width-time; the ECC pipeline adds its decode latency.
-        let (burst_ns, scheme) = match kind {
-            AccessKind::Scheme(EccScheme::Chipkill) => (t.burst_ns() / 2.0, EccScheme::Chipkill),
-            AccessKind::Scheme(s) => (t.burst_ns(), s),
-            AccessKind::FineSecded => (t.burst_ns() / 4.0, EccScheme::Secded),
+        let latency = latency_ns(kind, cfg).map(|ns| whole_cycles_of(ns, cfg));
+        let scheme = match kind {
+            AccessKind::Scheme(s) => s,
+            AccessKind::FineSecded => EccScheme::Secded,
         };
-        let decode_cycles = scheme.decode_latency_cycles();
-        let latency_ns = [t.hit_ns(), t.closed_ns(), t.conflict_ns()]
-            .map(|array_ns| array_ns - t.burst_ns() + burst_ns + decode_cycles as f64 * t.tck_ns);
-        // Energy: per-chip coefficients x chips the request makes busy.
+        // Energy: per-chip coefficients x chips the request makes busy,
+        // summed in the per-request model's order.
         let e = cfg.energy;
         let chips = kind.chips(cfg);
         let nj = [e.read_nj_per_chip, e.write_nj_per_chip].map(|burst_nj_per_chip| {
@@ -296,7 +289,7 @@ impl KindCosts {
             })
         });
         KindCosts {
-            latency_ns,
+            latency,
             nj,
             scheme_slot: scheme_index(scheme),
             lockstep: kind == AccessKind::Scheme(EccScheme::Chipkill),
@@ -304,7 +297,14 @@ impl KindCosts {
     }
 }
 
-/// The memory device array.
+/// `ns` in core cycles of a config [`SystemConfig::validate`] accepted,
+/// which makes every DRAM timing a whole number of them.
+fn whole_cycles_of(ns: f64, cfg: &SystemConfig) -> u64 {
+    whole_cycles(ns, cfg.clock_ghz).unwrap_or_else(|| unreachable!("validate() refuses {ns} ns"))
+}
+
+/// The memory device array. It keeps time in whole core cycles: every
+/// instant, busy time and queueing total below is a count of them.
 #[derive(Debug, Clone)]
 pub struct Dram {
     cfg: SystemConfig,
@@ -317,34 +317,21 @@ pub struct Dram {
     banks_per_rank: usize,
     /// `[channel][rank][bank]`, flattened.
     banks: Vec<BankState>,
-    channel_free_ns: Vec<f64>,
+    /// The core cycle each channel is free from.
+    channel_free: Vec<u64>,
+    /// tREFI and tRFC.
+    refresh_interval: u64,
+    refresh_blackout: u64,
     /// `[lo, hi)`: start times the last refresh check that found no
     /// stall proved refresh-free (see [`Dram::past_refresh`]). Empty until
     /// the first such check.
-    refresh_free_ns: (f64, f64),
+    refresh_free: (u64, u64),
     /// Accumulated busy time per rank (`[channel][rank]`, flattened):
     /// while a rank is idle its CKE is dropped and it sits in precharge
     /// power-down, the DRAMSim2 behaviour the standby model follows.
-    rank_busy_ns: Vec<f64>,
+    rank_busy: Vec<u64>,
     /// Statistics.
     pub stats: DramStats,
-}
-
-/// The later of two instants — `f64::max` as a compare and a select,
-/// without the NaN fix-up `maxnum` costs on the request's critical path.
-/// The two differ only when an operand is NaN, or on `max(0.0, -0.0)`;
-/// every instant a replay under a validated [`SystemConfig`] produces is a
-/// sum of non-negative finite products (`cycles · cycle_ns`, latencies,
-/// blackouts), so neither happens, and `dram::tests`' referee, which keeps
-/// `f64::max`, holds `service` to it bit for bit.
-#[inline(always)]
-fn later(a: f64, b: f64) -> f64 {
-    debug_assert!(!a.is_nan() && !b.is_nan(), "a NaN instant: {a} vs {b}");
-    if b > a {
-        b
-    } else {
-        a
-    }
 }
 
 fn scheme_index(s: EccScheme) -> usize {
@@ -356,8 +343,11 @@ fn scheme_index(s: EccScheme) -> usize {
 }
 
 impl Dram {
-    /// Build the device array.
+    /// Build the device array. Panics on a configuration
+    /// [`SystemConfig::validate`] refuses — among them one whose DRAM
+    /// timings are not whole core cycles.
     pub fn new(cfg: SystemConfig) -> Self {
+        cfg.assert_valid();
         let map = AddressMap::new(&cfg);
         let ranks_per_chan = cfg.dimms_per_channel * cfg.ranks_per_dimm;
         let nranks = cfg.channels * ranks_per_chan;
@@ -367,16 +357,19 @@ impl Dram {
             keep_open: cfg.row_policy == crate::config::RowPolicy::Open,
             ranks_per_chan,
             banks_per_rank: cfg.banks_per_rank,
-            banks: vec![BankState { open_row: None, free_ns: 0.0 }; nranks * cfg.banks_per_rank],
-            channel_free_ns: vec![0.0; cfg.channels],
-            refresh_free_ns: (0.0, 0.0),
-            rank_busy_ns: vec![0.0; nranks],
+            banks: vec![BankState { open_row: None, free: 0 }; nranks * cfg.banks_per_rank],
+            channel_free: vec![0; cfg.channels],
+            refresh_interval: whole_cycles_of(cfg.timing.t_refi_ns, &cfg),
+            refresh_blackout: whole_cycles_of(cfg.timing.t_rfc_ns, &cfg),
+            refresh_free: (0, 0),
+            rank_busy: vec![0; nranks],
             stats: DramStats::default(),
             cfg,
         }
     }
 
-    /// Service one 64-byte access under `scheme`, arriving at `start_ns`.
+    /// Service one 64-byte access under `scheme`, arriving at `start_ns`
+    /// (see [`Dram::access_kind`]).
     pub fn access(
         &mut self,
         start_ns: f64,
@@ -387,7 +380,11 @@ impl Dram {
         self.access_kind(start_ns, paddr, write, AccessKind::Scheme(scheme))
     }
 
-    /// Service one request of the given kind, arriving at `start_ns`.
+    /// Service one request of the given kind, arriving at `start_ns`. The
+    /// device keeps time in core cycles, and this is its nanosecond face:
+    /// an arrival between two edges of the core clock is taken at the next
+    /// edge, and the queueing delay is counted from there. Panics on an
+    /// arrival that is NaN, negative, infinite or 2^53 cycles away.
     pub fn access_kind(
         &mut self,
         start_ns: f64,
@@ -395,31 +392,36 @@ impl Dram {
         write: bool,
         kind: AccessKind,
     ) -> ServiceResult {
-        self.service(start_ns, self.map.decode(paddr), write, kind)
+        let start = (start_ns * self.cfg.clock_ghz).ceil();
+        assert!(
+            start_ns >= 0.0 && start <= (1u64 << 53) as f64,
+            "arrival at {start_ns} ns is not an instant of the next 2^53 core cycles"
+        );
+        let start = start as u64;
+        let s = self.service(start, self.map.decode(paddr), write, kind);
+        let ns = |cycles: u64| cycles as f64 * self.cfg.cycle_ns();
+        ServiceResult { completion_ns: ns(s.completion), queue_ns: ns(s.queue), row: s.row }
     }
 
-    /// [`Dram::access_kind`] for a line whose coordinates are already
-    /// decoded. Where the line lives depends on the geometry alone, how it
-    /// is serviced on this device's state: a row replay
-    /// ([`crate::system::Machine::simulate_lanes`]) decodes each line once
-    /// and services it on every lane's `Dram`.
+    /// Service a request arriving at core cycle `start` to a line whose
+    /// coordinates are already decoded. Where the line lives depends on
+    /// the geometry alone, how it is serviced on this device's state: a
+    /// row replay ([`crate::system::Machine::simulate_lanes`]) decodes each
+    /// line once and services it on every lane's `Dram`.
     ///
     /// `#[inline(always)]` is measured, not habit (DESIGN.md §3.13): as an
     /// outlined call, or left to the compiler's own choice, a one-lane
     /// replay merely matched the per-cell loop it replaced and six lanes
     /// ran 0.80x; inlined into the lane loop, one lane ran 0.91x and six
     /// lanes 0.62x.
-    ///
-    /// `start_ns` must not be NaN (see `later`); a replay under a
-    /// validated config never hands it one.
     #[inline(always)]
     pub(crate) fn service(
         &mut self,
-        start_ns: f64,
+        start: u64,
         loc: DramLocation,
         write: bool,
         kind: AccessKind,
-    ) -> ServiceResult {
+    ) -> Serviced {
         let costs = self.costs[kind.index()];
         // Chipkill locks a channel pair; the partner channel services the
         // same bank coordinates.
@@ -430,20 +432,20 @@ impl Dram {
         // Earliest start: all involved channels and banks free, and not
         // inside the rank's periodic refresh window (tREFI cadence, tRFC
         // blackout — the rank is unavailable while refreshing).
-        let mut avail = later(start_ns, self.channel_free_ns[c0]);
+        let mut avail = start.max(self.channel_free[c0]);
         if lockstep {
-            avail = later(avail, self.channel_free_ns[c1]);
+            avail = avail.max(self.channel_free[c1]);
         }
         avail = self.past_refresh(avail);
         let rank0 = c0 * self.ranks_per_chan + loc.rank as usize;
         let rank1 = rank0 + self.ranks_per_chan;
         let bi0 = rank0 * self.banks_per_rank + loc.bank as usize;
         let bi1 = rank1 * self.banks_per_rank + loc.bank as usize;
-        avail = later(avail, self.banks[bi0].free_ns);
+        avail = avail.max(self.banks[bi0].free);
         if lockstep {
-            avail = later(avail, self.banks[bi1].free_ns);
+            avail = avail.max(self.banks[bi1].free);
         }
-        let queue_ns = avail - start_ns;
+        let queue = avail - start;
 
         // Row-buffer outcome (the lock-stepped banks track identical state).
         let row = match self.banks[bi0].open_row {
@@ -451,23 +453,23 @@ impl Dram {
             Some(_) => RowOutcome::Conflict,
             None => RowOutcome::Closed,
         };
-        let completion = avail + costs.latency_ns[row as usize];
+        let busy = costs.latency[row as usize];
+        let completion = avail + busy;
 
         // Occupancy: the channel(s) carry the burst; the bank is busy until
-        // the access completes (open-page: row stays open).
+        // the access completes (open-page: row stays open); the rank is
+        // busy for the service, not the wait (the standby model).
         let bank = BankState {
             open_row: if self.keep_open { Some(loc.row) } else { None },
-            free_ns: completion,
+            free: completion,
         };
-        // Rank busy accounting for the power-down standby model.
-        let busy = completion - avail;
-        self.channel_free_ns[c0] = completion;
+        self.channel_free[c0] = completion;
         self.banks[bi0] = bank;
-        self.rank_busy_ns[rank0] += busy;
+        self.rank_busy[rank0] += busy;
         if lockstep {
-            self.channel_free_ns[c1] = completion;
+            self.channel_free[c1] = completion;
             self.banks[bi1] = bank;
-            self.rank_busy_ns[rank1] += busy;
+            self.rank_busy[rank1] += busy;
         }
 
         let row_miss = row != RowOutcome::Hit;
@@ -477,38 +479,33 @@ impl Dram {
         self.stats.dynamic_nj += costs.nj[write as usize][row_miss as usize];
         self.stats.writes += write as u64;
         self.stats.reads += !write as u64;
-        self.stats.queue_ns_total += queue_ns;
-        self.stats.latency_ns_total += completion - start_ns;
+        self.stats.queue_cycles += queue;
+        self.stats.latency_cycles += completion - start;
 
         self.audit_counts();
-        ServiceResult { completion_ns: completion, queue_ns, row }
+        Serviced { completion, queue, row }
     }
 
     /// Push a start time out of the refresh blackout it falls in, if any.
     ///
-    /// `avail % t_refi_ns` decides, and is the only thing that does. A
-    /// check that finds phase `p >= t_rfc_ns` also proves every start in
-    /// `[avail, avail + (t_refi_ns - p))` refresh-free: `%` is exact, so
-    /// those starts have phases in `[p, t_refi_ns)`. The interval is
-    /// remembered, pulled in by four ulps to cover the rounding of its
-    /// own end point, and the `%` is skipped while starts stay inside it —
-    /// so the shortcut only ever answers "no stall" where `%` already
-    /// did, for any `0 <= t_rfc_ns < t_refi_ns`
-    /// ([`SystemConfig::validate`] requires that).
+    /// `avail % tREFI` decides, and is the only thing that does. A check
+    /// that finds phase `p >= tRFC` also proves every start in `[avail,
+    /// avail + (tREFI - p))` refresh-free, since those starts have phases
+    /// in `[p, tREFI)`; the interval is remembered and the `%` skipped
+    /// while starts stay inside it. In whole cycles that is exact, with
+    /// nothing to round.
     #[inline]
-    fn past_refresh(&mut self, avail: f64) -> f64 {
-        let (lo, hi) = self.refresh_free_ns;
+    fn past_refresh(&mut self, avail: u64) -> u64 {
+        let (lo, hi) = self.refresh_free;
         if lo <= avail && avail < hi {
             return avail;
         }
-        let t = &self.cfg.timing;
-        let phase = avail % t.t_refi_ns;
-        if phase < t.t_rfc_ns {
+        let phase = avail % self.refresh_interval;
+        if phase < self.refresh_blackout {
             self.stats.refresh_stalls += 1;
-            return avail + (t.t_rfc_ns - phase);
+            return avail + (self.refresh_blackout - phase);
         }
-        let free_until = (avail + (t.t_refi_ns - phase)) * (1.0 - 4.0 * f64::EPSILON);
-        self.refresh_free_ns = (avail, free_until);
+        self.refresh_free = (avail, avail + (self.refresh_interval - phase));
         avail
     }
 
@@ -536,9 +533,8 @@ impl Dram {
     }
 
     /// Debug builds: the device state a replay leaves — no row open under
-    /// the closed-page policy, every bank and channel free at a finite,
-    /// non-negative instant (DESIGN.md §3.12). A scan of every bank, so it
-    /// runs once per lane, when the lane's stats are assembled, not per
+    /// the closed-page policy (DESIGN.md §3.12). A scan of every bank, so
+    /// it runs once per lane, when the lane's stats are assembled, not per
     /// access: per access it made the debug suites four times slower.
     pub(crate) fn audit_state(&self) {
         if self.cfg.row_policy == crate::config::RowPolicy::Closed {
@@ -547,17 +543,10 @@ impl Dram {
                 "closed-page policy left a row open"
             );
         }
-        debug_assert!(
-            self.banks.iter().all(|b| b.free_ns.is_finite() && b.free_ns >= 0.0),
-            "bank free time must be finite and non-negative"
-        );
-        debug_assert!(
-            self.channel_free_ns.iter().all(|c| c.is_finite() && *c >= 0.0),
-            "channel free time must be finite and non-negative"
-        );
     }
 
-    /// Standby (background) energy for a wall-clock interval.
+    /// Standby (background) energy (nJ) for a wall-clock interval, from
+    /// this device's own rank busy times.
     ///
     /// Idle ranks drop CKE and sit in precharge power-down (as DRAMSim2
     /// models); each rank draws full standby power only for the fraction of
@@ -565,42 +554,49 @@ impl Dram {
     /// is configured; under whole-node No-ECC they are parked in power-down
     /// for the entire run (the "8 bits disabled" of Section 3.1).
     pub fn standby_nj(&self, elapsed_ns: f64, ecc_chips_powered: bool) -> f64 {
-        if elapsed_ns <= 0.0 {
-            return 0.0;
-        }
-        let e = self.cfg.energy;
-        let data_chips = self.cfg.data_chips_per_rank as f64;
-        let ecc_chips = self.cfg.ecc_chips_per_rank as f64;
-        let mut mw = 0.0;
-        for &busy in &self.rank_busy_ns {
-            let frac = (busy / elapsed_ns).clamp(0.0, 1.0);
-            let per_chip =
-                e.powerdown_mw_per_chip + (e.standby_mw_per_chip - e.powerdown_mw_per_chip) * frac;
-            mw += data_chips * per_chip;
-            mw += ecc_chips * if ecc_chips_powered { per_chip } else { e.powerdown_mw_per_chip };
-        }
-        // mW * ns = pJ; convert to nJ.
-        mw * elapsed_ns / 1000.0
+        let busy = self.rank_busy.iter().map(|&cycles| cycles as f64);
+        standby_nj(&self.cfg, busy, elapsed_ns, ecc_chips_powered)
     }
 
-    /// Crate-internal: the per-rank busy-time track, borrowed. The
-    /// sampled replay ([`crate::system::Machine::simulate`]) snapshots
-    /// it around each phase so busy time can be weight-scaled exactly
-    /// like the [`DramStats`] deltas — [`Dram::standby_nj`] divides it
-    /// by the *scaled* wall time, so leaving it unscaled would park
-    /// mostly-idle ranks in power-down and bias the standby account
-    /// low. Callers that need a copy take one into a reused buffer; the
-    /// accessor itself must not allocate (it used to clone, once per
-    /// replayed phase).
-    pub(crate) fn rank_busy(&self) -> &[f64] {
-        &self.rank_busy_ns
+    /// Crate-internal: the per-rank busy-time track (core cycles),
+    /// borrowed. The sampled replay
+    /// ([`crate::system::Machine::simulate`]) snapshots it around each
+    /// phase so busy time can be weight-scaled exactly like the
+    /// [`DramStats`] deltas — [`standby_nj`] divides it by the *scaled*
+    /// wall time, so leaving it unscaled would park mostly-idle ranks in
+    /// power-down and bias the standby account low. Callers that need a
+    /// copy take one into a reused buffer; the accessor itself must not
+    /// allocate.
+    pub(crate) fn rank_busy(&self) -> &[u64] {
+        &self.rank_busy
     }
+}
 
-    /// Crate-internal: replace the per-rank busy-time track with a scaled
-    /// reconstruction (see [`Dram::rank_busy`]).
-    pub(crate) fn set_rank_busy(&mut self, busy: &[f64]) {
-        self.rank_busy_ns.copy_from_slice(busy);
+/// Standby (background) energy (nJ) of a node of `cfg` over `elapsed_ns`,
+/// its ranks busy for `rank_busy` core cycles each (the model of
+/// [`Dram::standby_nj`]).
+pub(crate) fn standby_nj(
+    cfg: &SystemConfig,
+    rank_busy: impl IntoIterator<Item = f64>,
+    elapsed_ns: f64,
+    ecc_chips_powered: bool,
+) -> f64 {
+    if elapsed_ns <= 0.0 {
+        return 0.0;
     }
+    let e = cfg.energy;
+    let data_chips = cfg.data_chips_per_rank as f64;
+    let ecc_chips = cfg.ecc_chips_per_rank as f64;
+    let mut mw = 0.0;
+    for busy in rank_busy {
+        let frac = (busy * cfg.cycle_ns() / elapsed_ns).clamp(0.0, 1.0);
+        let per_chip =
+            e.powerdown_mw_per_chip + (e.standby_mw_per_chip - e.powerdown_mw_per_chip) * frac;
+        mw += data_chips * per_chip;
+        mw += ecc_chips * if ecc_chips_powered { per_chip } else { e.powerdown_mw_per_chip };
+    }
+    // mW * ns = pJ; convert to nJ.
+    mw * elapsed_ns / 1000.0
 }
 
 #[cfg(test)]
@@ -615,12 +611,47 @@ pub(crate) mod tests {
         SystemConfig::default()
     }
 
+    /// The referee's device: per-bank open row and free time, per-channel
+    /// free time, per-rank busy time and the queueing and latency totals,
+    /// all in f64 nanoseconds, as the model kept them before it counted
+    /// core cycles.
+    #[derive(Debug, Clone)]
+    pub(crate) struct RefDram {
+        cfg: SystemConfig,
+        map: AddressMap,
+        /// `[channel][rank][bank]`: open row and free time (ns).
+        banks: Vec<(Option<u64>, f64)>,
+        channel_free_ns: Vec<f64>,
+        pub(crate) rank_busy_ns: Vec<f64>,
+        /// Counts and energy; its cycle totals stay zero.
+        pub(crate) stats: DramStats,
+        pub(crate) queue_ns_total: f64,
+        pub(crate) latency_ns_total: f64,
+    }
+
+    impl RefDram {
+        pub(crate) fn new(cfg: SystemConfig) -> RefDram {
+            let ranks = cfg.channels * cfg.dimms_per_channel * cfg.ranks_per_dimm;
+            RefDram {
+                map: AddressMap::new(&cfg),
+                banks: vec![(None, 0.0); ranks * cfg.banks_per_rank],
+                channel_free_ns: vec![0.0; cfg.channels],
+                rank_busy_ns: vec![0.0; ranks],
+                stats: DramStats::default(),
+                queue_ns_total: 0.0,
+                latency_ns_total: 0.0,
+                cfg,
+            }
+        }
+    }
+
     /// The referee: the per-request model as it stood before the cost
-    /// tables, the shift/mask decode and the refresh-free window — division
-    /// decode, every cost re-derived from `cfg`, an unconditional `%`.
+    /// tables, the shift/mask decode, the refresh-free window and the
+    /// core-cycle time base — division decode, every cost re-derived from
+    /// `cfg`, an unconditional `%`, `f64::max`, f64 nanoseconds throughout.
     /// `system`'s `reference_replay` drives it too.
     pub(crate) fn reference_access_kind(
-        d: &mut Dram,
+        d: &mut RefDram,
         start_ns: f64,
         paddr: u64,
         write: bool,
@@ -649,13 +680,13 @@ pub(crate) mod tests {
         }
         let bi0 = bank_index(&d.cfg, &DramLocation { channel: c0, ..loc });
         let bi1 = bank_index(&d.cfg, &DramLocation { channel: c1, ..loc });
-        avail = avail.max(d.banks[bi0].free_ns);
+        avail = avail.max(d.banks[bi0].1);
         if lockstep {
-            avail = avail.max(d.banks[bi1].free_ns);
+            avail = avail.max(d.banks[bi1].1);
         }
         let queue_ns = avail - start_ns;
 
-        let row = match d.banks[bi0].open_row {
+        let row = match d.banks[bi0].0 {
             Some(r) if r == loc.row => RowOutcome::Hit,
             Some(_) => RowOutcome::Conflict,
             None => RowOutcome::Closed,
@@ -680,12 +711,10 @@ pub(crate) mod tests {
         for c in c0..=c1 {
             d.channel_free_ns[c as usize] = completion;
         }
-        let keep_open = d.cfg.row_policy == RowPolicy::Open;
-        d.banks[bi0].open_row = if keep_open { Some(loc.row) } else { None };
-        d.banks[bi0].free_ns = completion;
+        let open_row = if d.cfg.row_policy == RowPolicy::Open { Some(loc.row) } else { None };
+        d.banks[bi0] = (open_row, completion);
         if lockstep {
-            d.banks[bi1].open_row = if keep_open { Some(loc.row) } else { None };
-            d.banks[bi1].free_ns = completion;
+            d.banks[bi1] = (open_row, completion);
         }
         let busy = completion - avail;
         let ranks_per_chan = d.cfg.dimms_per_channel * d.cfg.ranks_per_dimm;
@@ -716,8 +745,8 @@ pub(crate) mod tests {
         } else {
             d.stats.reads += 1;
         }
-        d.stats.queue_ns_total += queue_ns;
-        d.stats.latency_ns_total += completion - start_ns;
+        d.queue_ns_total += queue_ns;
+        d.latency_ns_total += completion - start_ns;
         ServiceResult { completion_ns: completion, queue_ns, row }
     }
 
@@ -733,7 +762,8 @@ pub(crate) mod tests {
         }
     }
 
-    fn stats_bits(s: &DramStats) -> ([u64; 8], [u64; 3]) {
+    /// `d`'s counters and time totals, the totals as f64 nanoseconds.
+    fn stats_bits(s: &DramStats, queue_ns: f64, latency_ns: f64) -> ([u64; 8], [u64; 3]) {
         (
             [
                 s.reads,
@@ -742,8 +772,8 @@ pub(crate) mod tests {
                 s.activations,
                 s.refresh_stalls,
                 s.dynamic_nj.to_bits(),
-                s.queue_ns_total.to_bits(),
-                s.latency_ns_total.to_bits(),
+                queue_ns.to_bits(),
+                latency_ns.to_bits(),
             ],
             s.per_scheme,
         )
@@ -758,37 +788,45 @@ pub(crate) mod tests {
             which in 0usize..4,
             x8: bool,
             closed_page: bool,
-            t_refi_ns in prop::sample::select(vec![7800.0, 7812.5, 7800.1]),
+            // Power-of-two clocks, where a core cycle is an exact f64 of
+            // nanoseconds, and tREFI a whole number of their cycles.
+            clock in prop::sample::select(vec![
+                (1.0, 7800.0), (2.0, 7800.0), (2.0, 7812.5), (4.0, 7800.0), (4.0, 7812.5),
+            ]),
             // A 3 us mean gap walks 4000 requests across ~1500 refresh
             // boundaries; the short gaps queue requests behind each other.
-            mean_gap_ns in prop::sample::select(vec![0.0, 25.0, 3000.0]),
+            mean_gap_ns in prop::sample::select(vec![0u64, 25, 3000]),
         ) {
+            let (clock_ghz, t_refi_ns): (f64, f64) = clock;
             let cfg = SystemConfig {
+                clock_ghz,
                 row_policy: if closed_page { RowPolicy::Closed } else { RowPolicy::Open },
                 timing: DramTiming { t_refi_ns, ..DramTiming::default() },
                 ..geometry(which)
             }
             .with_device_width(if x8 { DeviceWidth::X8 } else { DeviceWidth::X4 });
             cfg.validate().unwrap();
-            let t_rfc_ns = cfg.timing.t_rfc_ns;
+            let cycles = |ns: f64| (ns * clock_ghz) as u64;
+            let (t_refi, t_rfc) = (cycles(t_refi_ns), cycles(cfg.timing.t_rfc_ns));
+            let mean_gap = cycles(mean_gap_ns as f64);
+            let cycle_ns = cfg.cycle_ns();
             let mut fast = Dram::new(cfg.clone());
-            let mut slow = Dram::new(cfg);
+            let mut slow = RefDram::new(cfg);
             let rng = &mut ChaCha8Rng::seed_from_u64(seed);
-            let mut now_ns = 0.0f64;
+            let mut now = 0u64;
             let mut paddr = 0u64;
             for i in 0..4000 {
-                now_ns += rng.random_range(0.0..=2.0 * mean_gap_ns);
-                // Arrivals run backwards (a request issued at an earlier
-                // timestamp than its predecessor, as a write-back behind a
-                // demand is) and land on the edges of refresh blackouts.
-                let start_ns = match rng.random_range(0..8) {
-                    0 => (now_ns - rng.random_range(0.0..500.0)).max(0.0),
-                    1 => {
-                        let boundary = (now_ns / t_refi_ns).ceil() * t_refi_ns;
-                        boundary + rng.random_range(-2.0..t_rfc_ns + 2.0)
-                    }
-                    _ => now_ns,
+                now += rng.random_range(0..=2 * mean_gap);
+                // Arrivals, on whole cycles, run backwards (a request issued
+                // at an earlier timestamp than its predecessor, as a
+                // write-back behind a demand is) and land on the edges of
+                // refresh blackouts.
+                let start = match rng.random_range(0..8) {
+                    0 => now.saturating_sub(rng.random_range(0..500 * clock_ghz as u64)),
+                    1 => (now.div_ceil(t_refi) * t_refi + rng.random_range(0..t_rfc + 8)).saturating_sub(4),
+                    _ => now,
                 };
+                let start_ns = start as f64 * cycle_ns;
                 // Line sweeps (row hits, channel rotation) broken by jumps.
                 paddr = if rng.random_bool(0.7) {
                     paddr + 64
@@ -805,11 +843,17 @@ pub(crate) mod tests {
                     "request {i} at {start_ns} ns, paddr {paddr:#x}, {kind:?}: {got:?} != {want:?}"
                 );
             }
-            prop_assert_eq!(stats_bits(&fast.stats), stats_bits(&slow.stats));
-            let busy = |d: &Dram| d.rank_busy().iter().map(|b| b.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(busy(&fast), busy(&slow));
-            if mean_gap_ns == 3000.0 {
-                prop_assert!(now_ns > 1000.0 * t_refi_ns, "walked {} ns", now_ns);
+            let ns = |cycles: u64| cycles as f64 * cycle_ns;
+            let s = fast.stats;
+            prop_assert_eq!(
+                stats_bits(&s, ns(s.queue_cycles), ns(s.latency_cycles)),
+                stats_bits(&slow.stats, slow.queue_ns_total, slow.latency_ns_total)
+            );
+            let busy: Vec<u64> = fast.rank_busy().iter().map(|&b| ns(b).to_bits()).collect();
+            let want: Vec<u64> = slow.rank_busy_ns.iter().map(|b| b.to_bits()).collect();
+            prop_assert_eq!(busy, want);
+            if mean_gap_ns == 3000 {
+                prop_assert!(now > 1000 * t_refi, "walked {} cycles", now);
                 prop_assert!(slow.stats.refresh_stalls > 0);
             }
         }
@@ -832,19 +876,47 @@ pub(crate) mod tests {
 
     #[test]
     fn refresh_free_window_never_hides_a_stall() {
-        // Sweep start times in sub-ns steps across many refresh periods,
-        // with an interval that is not a whole number of steps: the window
-        // must give way to `%` before each blackout, wherever it falls.
-        let timing = DramTiming { t_refi_ns: 7800.1, ..DramTiming::default() };
+        // Every start cycle across four refresh periods of 15,625 cycles
+        // (7812.5 ns at 2 GHz): the window must give way to `%` at each
+        // blackout, and answer as `%` does everywhere else.
+        let timing = DramTiming { t_refi_ns: 7812.5, ..DramTiming::default() };
         let mut d = Dram::new(SystemConfig { timing, ..cfg() });
+        let (t_refi, t_rfc) = (15_625, 220);
+        assert_eq!((d.refresh_interval, d.refresh_blackout), (t_refi, t_rfc));
         let mut stalls = 0u64;
-        for i in 0..400_000u64 {
-            let avail = i as f64 * 0.37;
-            let stalled = avail % timing.t_refi_ns < timing.t_rfc_ns;
+        for avail in 0..4 * t_refi + 1000 {
+            let stalled = avail % t_refi < t_rfc;
             stalls += stalled as u64;
-            assert_eq!(d.past_refresh(avail) != avail, stalled, "start {avail} ns");
+            assert_eq!(d.past_refresh(avail) != avail, stalled, "start {avail}");
         }
-        assert!(stalls > 1000 && d.stats.refresh_stalls == stalls);
+        assert_eq!((stalls, d.stats.refresh_stalls), (5 * t_rfc, 5 * t_rfc));
+    }
+
+    #[test]
+    fn the_ns_adapter_refuses_an_arrival_that_is_not_an_instant() {
+        for bad in [f64::NAN, -0.1, -1.0, f64::NEG_INFINITY, f64::INFINITY, 1e300] {
+            let refused = std::panic::catch_unwind(|| {
+                Dram::new(cfg()).access(bad, 0, false, EccScheme::None);
+            });
+            let why =
+                *refused.expect_err("a bad arrival was serviced").downcast::<String>().unwrap();
+            assert!(why.contains(&format!("arrival at {bad} ns")), "{bad}: {why}");
+        }
+    }
+
+    #[test]
+    fn an_arrival_between_clock_edges_is_taken_at_the_next_edge() {
+        // 2 GHz: edges every 0.5 ns. 1000.1 and 1000.5 ns are one arrival,
+        // serviced and queued alike, and 1000.0 ns one edge earlier.
+        let serve = |start_ns| Dram::new(cfg()).access(start_ns, 0, false, EccScheme::None);
+        let (between, edge, earlier) = (serve(1000.1), serve(1000.5), serve(1000.0));
+        assert_eq!(between, edge);
+        assert_eq!(edge.completion_ns - earlier.completion_ns, 0.5);
+        // Queued behind a busy bank, the wait counts from the edge.
+        let mut d = Dram::new(cfg());
+        let first = d.access(1000.0, 0, false, EccScheme::None);
+        let queued = d.access(1000.1, 256, false, EccScheme::None);
+        assert_eq!(queued.queue_ns, first.completion_ns - 1000.5);
     }
 
     #[test]

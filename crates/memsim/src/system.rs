@@ -4,7 +4,7 @@
 use crate::config::CacheConfig;
 use crate::config::SystemConfig;
 use crate::controller::MemoryController;
-use crate::dram::{AccessKind, AddressMap, Dram, DramStats};
+use crate::dram::{self, AccessKind, AddressMap, Dram, DramStats};
 use crate::miss_stream::{
     self, MissEvent, MissEventKind, MissEvents, MissStream, RegionTally, StreamTotals,
 };
@@ -306,17 +306,6 @@ pub struct Machine {
     pub controller: MemoryController,
 }
 
-/// Panic on impossible geometry ([`Machine::new`]'s contract).
-#[expect(
-    clippy::panic,
-    reason = "documented constructor contract; validate() is the fallible path"
-)]
-fn assert_valid(cfg: &SystemConfig) {
-    if let Err(e) = cfg.validate() {
-        panic!("{e}");
-    }
-}
-
 /// Program `assign` into a controller whose range registers are clear.
 /// Panics when the registers refuse an override: more relaxed regions
 /// than slots, or a region listed twice.
@@ -336,7 +325,7 @@ impl Machine {
     /// Panics on impossible geometry; call [`SystemConfig::validate`]
     /// first to reject a bad configuration as a value instead.
     pub fn new(cfg: SystemConfig) -> Self {
-        assert_valid(&cfg);
+        cfg.assert_valid();
         let controller = MemoryController::new(AddressMap::new(&cfg), EccScheme::Chipkill);
         Machine { controller, cfg }
     }
@@ -408,7 +397,7 @@ impl Machine {
         input: SimInput<'_>,
         assigns: &[EccAssignment],
     ) -> Vec<SimStats> {
-        assert_valid(cfg);
+        cfg.assert_valid();
         // Every lane starts from the same pristine node: built once, copied.
         let mut controllers =
             vec![MemoryController::new(AddressMap::new(cfg), EccScheme::Chipkill); assigns.len()];
@@ -440,8 +429,7 @@ struct Lane<'a, P: ?Sized> {
     /// decomposition. At each event the lane's timeline reads `pure core
     /// cycles + stalls so far`, exactly as the full path's `cycles` does
     /// (stalls are added outside the thread-compression carry there, so
-    /// the pure track is policy-independent). The sampled replay leaves
-    /// its weight-scaled estimate here.
+    /// the pure track is policy-independent).
     stall_acc: u64,
 }
 
@@ -488,11 +476,12 @@ fn drive_source<S: AccessSource + ?Sized, P: ProtectionPolicy + ?Sized>(
     src: &mut S,
     lanes: &mut [Lane<'_, P>],
 ) -> Vec<SimStats> {
-    let (map, clock) = (AddressMap::new(cfg), Clock::new(cfg));
+    let map = AddressMap::new(cfg);
     let walked = miss_stream::walk(src, cfg.l1, cfg.l2, cfg.threads, |ev, _| {
-        replay_event(&map, &clock, ev, lanes)
+        replay_event(&map, cfg.stall_factor, ev, lanes)
     });
-    assemble_lanes(cfg, &walked, lanes)
+    let accounts: Vec<_> = lanes.iter().map(DramAccount::exact).collect();
+    assemble_lanes(cfg, &walked, lanes, &accounts)
 }
 
 /// Panic unless a stream filtered under `(l1, l2, threads)` may replay
@@ -529,38 +518,113 @@ fn drive_miss<P: ProtectionPolicy + ?Sized>(
     lanes: &mut [Lane<'_, P>],
 ) -> Vec<SimStats> {
     assert_geometry(cfg, ms.filter_config());
-    let (map, clock) = (AddressMap::new(cfg), Clock::new(cfg));
+    let map = AddressMap::new(cfg);
     for ev in ms.iter() {
-        replay_event(&map, &clock, &ev, lanes);
+        replay_event(&map, cfg.stall_factor, &ev, lanes);
     }
-    assemble_lanes(cfg, ms.totals(), lanes)
+    let accounts: Vec<_> = lanes.iter().map(DramAccount::exact).collect();
+    assemble_lanes(cfg, ms.totals(), lanes, &accounts)
 }
 
-/// What the sampled replay keeps per lane: the weight-scaled estimate so
-/// far, and the lane's counters as they stood when the current phase
-/// opened.
+/// A lane's counters as they stood at some event: its [`DramStats`], its
+/// stall cycles and its ranks' busy cycles.
+#[derive(Clone)]
+struct Mark {
+    stats: DramStats,
+    stalls: u64,
+    rank_busy: Vec<u64>,
+}
+
+impl Mark {
+    /// A quiet device of `ranks` ranks: nothing done yet.
+    fn zero(ranks: usize) -> Mark {
+        Mark { stats: DramStats::default(), stalls: 0, rank_busy: vec![0; ranks] }
+    }
+
+    /// Move the mark to where `lane` stands now, into the buffers it has.
+    fn set<P: ?Sized>(&mut self, lane: &Lane<'_, P>) {
+        self.stats = lane.dram.stats;
+        self.stalls = lane.stall_acc;
+        self.rank_busy.copy_from_slice(lane.dram.rank_busy());
+    }
+}
+
+/// What [`assemble_stats`] reads of one lane: its DRAM counters, dynamic
+/// energy, queueing, latency and per-rank busy totals and its stall
+/// cycles, times in core cycles. Each is a sum of deltas since a [`Mark`],
+/// scaled: an exact replay's one delta since time zero at scale 1, or the
+/// sampled replay's per-phase deltas at each phase's cluster weight. The
+/// sums are f64; a count is rounded where [`SimStats`] holds an integer.
 #[derive(Clone, Default)]
-struct PhaseFold {
-    est: ScaledDram,
-    before: DramStats,
-    stalls_before: u64,
+struct DramAccount {
+    reads: f64,
+    writes: f64,
+    row_hits: f64,
+    activations: f64,
+    dynamic_nj: f64,
+    per_scheme: [f64; 3],
+    queue_cycles: f64,
+    latency_cycles: f64,
+    stalls: f64,
+    rank_busy: Vec<f64>,
+}
+
+impl DramAccount {
+    /// Nothing yet, on a device of `ranks` ranks.
+    fn new(ranks: usize) -> DramAccount {
+        DramAccount { rank_busy: vec![0.0; ranks], ..DramAccount::default() }
+    }
+
+    /// What an exact replay left on `lane`: its whole run, at scale 1.
+    fn exact<P: ?Sized>(lane: &Lane<'_, P>) -> DramAccount {
+        let ranks = lane.dram.rank_busy().len();
+        let mut account = DramAccount::new(ranks);
+        account.add_since(&Mark::zero(ranks), lane, 1.0);
+        account
+    }
+
+    /// Add `scale` times what `lane` did since `mark`.
+    fn add_since<P: ?Sized>(&mut self, mark: &Mark, lane: &Lane<'_, P>, scale: f64) {
+        let (before, after) = (&mark.stats, &lane.dram.stats);
+        self.reads += (after.reads - before.reads) as f64 * scale;
+        self.writes += (after.writes - before.writes) as f64 * scale;
+        self.row_hits += (after.row_hits - before.row_hits) as f64 * scale;
+        self.activations += (after.activations - before.activations) as f64 * scale;
+        self.dynamic_nj += (after.dynamic_nj - before.dynamic_nj) * scale;
+        for (acc, (a, b)) in
+            self.per_scheme.iter_mut().zip(after.per_scheme.iter().zip(&before.per_scheme))
+        {
+            *acc += (a - b) as f64 * scale;
+        }
+        self.queue_cycles += (after.queue_cycles - before.queue_cycles) as f64 * scale;
+        self.latency_cycles += (after.latency_cycles - before.latency_cycles) as f64 * scale;
+        self.stalls += (lane.stall_acc - mark.stalls) as f64 * scale;
+        // Rank busy time feeds the standby-energy activity fraction
+        // against the *scaled* wall time, so it is scaled like every other
+        // delta.
+        for (acc, (a, b)) in
+            self.rank_busy.iter_mut().zip(lane.dram.rank_busy().iter().zip(&mark.rank_busy))
+        {
+            *acc += (a - b) as f64 * scale;
+        }
+    }
 }
 
 /// The sampled-replay engine: drives only the representative slice of
 /// each selected phase through MC + DRAM, scales every phase's DRAM
-/// statistic deltas and stall cycles by its cluster weight, and folds
-/// the scaled totals through the same [`assemble_lanes`] the exact paths
-/// use. Reference counters (instructions, cache tallies, region stats,
-/// pure core cycles) stay exact — they were recorded at filter time; only
-/// the DRAM-derived quantities are estimates. With `max_phases >= slices`
-/// every slice is its own phase at scale 1 and the estimate coincides
-/// with exact replay (modulo the f64 delta-summation of the energy
-/// account).
+/// statistic deltas and stall cycles by its cluster weight into a
+/// [`DramAccount`], and folds the account through the same
+/// [`assemble_stats`] the exact paths use. Reference counters
+/// (instructions, cache tallies, region stats, pure core cycles) stay
+/// exact — they were recorded at filter time; only the DRAM-derived
+/// quantities are estimates. With `max_phases >= slices` every slice is
+/// its own phase at scale 1 and the estimate coincides with exact replay
+/// (modulo the f64 delta-summation of the energy account).
 ///
 /// It reads the stream through `totals` and `open(k)` — the decoder at
 /// phase `k`'s first event — alone, so the full stream with its selection
 /// and a [`PhaseSample`] are replayed by the same loop. Each phase is
-/// opened once, whatever the lane count; the snapshots and the fold around
+/// opened once, whatever the lane count; the marks and the accounts around
 /// it are per lane.
 fn drive_sampled<'a, P: ProtectionPolicy + ?Sized>(
     cfg: &SystemConfig,
@@ -570,84 +634,76 @@ fn drive_sampled<'a, P: ProtectionPolicy + ?Sized>(
     lanes: &mut [Lane<'_, P>],
 ) -> Vec<SimStats> {
     assert_geometry(cfg, (totals.l1_cfg, totals.l2_cfg, totals.threads));
-    let (map, clock) = (AddressMap::new(cfg), Clock::new(cfg));
-    // Per-lane snapshots, made before the phase loop, which must not
-    // allocate (`tests/alloc_budget.rs` holds it to the same count at 4
-    // and 8 phases) — only copy into these. Rank busy time is kept flat,
-    // lane `i`'s ranks at `busy(i)`.
-    let mut folds = vec![PhaseFold::default(); lanes.len()];
+    let map = AddressMap::new(cfg);
+    // Per-lane marks and accounts, made before the phase loop, which must
+    // not allocate (`tests/alloc_budget.rs` holds it to the same count at
+    // 4 and 8 phases) — only copy into these.
     let ranks = lanes.first().map_or(0, |lane| lane.dram.rank_busy().len());
-    let busy = |i: usize| i * ranks..(i + 1) * ranks;
-    let mut busy_est = vec![0.0f64; lanes.len() * ranks];
-    let mut busy_before = vec![0.0f64; lanes.len() * ranks];
+    let mut marks = vec![Mark::zero(ranks); lanes.len()];
+    let mut accounts = vec![DramAccount::new(ranks); lanes.len()];
     for (k, ph) in phases.iter().enumerate() {
-        for (i, (lane, fold)) in lanes.iter().zip(&mut folds).enumerate() {
-            fold.before = lane.dram.stats;
-            busy_before[busy(i)].copy_from_slice(lane.dram.rank_busy());
-            fold.stalls_before = lane.stall_acc;
+        for (lane, mark) in lanes.iter().zip(&mut marks) {
+            mark.set(lane);
         }
         for ev in open(k).take(ph.events() as usize) {
-            replay_event(&map, &clock, &ev, lanes);
+            replay_event(&map, cfg.stall_factor, &ev, lanes);
         }
-        for (i, (lane, fold)) in lanes.iter().zip(&mut folds).enumerate() {
-            fold.est.add_delta(&fold.before, &lane.dram.stats, ph.scale());
-            // Rank busy time feeds the standby-energy activity fraction
-            // against the *scaled* wall time, so it must be scaled like
-            // every other per-phase delta.
-            for (acc, (a, b)) in busy_est[busy(i)]
-                .iter_mut()
-                .zip(lane.dram.rank_busy().iter().zip(&busy_before[busy(i)]))
-            {
-                *acc += (a - b) * ph.scale();
-            }
-            fold.est.stalls += (lane.stall_acc - fold.stalls_before) as f64 * ph.scale();
+        for ((lane, mark), account) in lanes.iter().zip(&marks).zip(&mut accounts) {
+            account.add_since(mark, lane, ph.scale());
         }
     }
-    for (i, (lane, fold)) in lanes.iter_mut().zip(folds).enumerate() {
-        lane.stall_acc = fold.est.stalls.round() as u64;
-        lane.dram.stats = fold.est.into_stats();
-        lane.dram.set_rank_busy(&busy_est[busy(i)]);
-    }
-    assemble_lanes(cfg, totals, lanes)
+    assemble_lanes(cfg, totals, lanes, &accounts)
 }
 
-/// Every lane's [`SimStats`], in lane order. The per-region rows are
-/// policy-independent: tallied once, one copy per lane.
+/// Every lane's [`SimStats`] from its account, in lane order. The
+/// per-region rows are policy-independent: tallied once, one copy per
+/// lane.
 fn assemble_lanes<P: ?Sized>(
     cfg: &SystemConfig,
     totals: &StreamTotals,
     lanes: &[Lane<'_, P>],
+    accounts: &[DramAccount],
 ) -> Vec<SimStats> {
     let regions = tally_regions(&totals.regions, &totals.tallies);
     lanes
         .iter()
+        .zip(accounts)
         .zip(std::iter::repeat_n(regions, lanes.len()))
-        .map(|(lane, regions)| assemble_stats(cfg, totals, lane, regions))
+        .map(|((lane, account), regions)| {
+            lane.dram.audit_state();
+            assemble_stats(cfg, totals, account, lane.ecc_chips_powered, regions)
+        })
         .collect()
 }
 
-/// Fold the run counters and one lane's DRAM state into a [`SimStats`] —
-/// the single implementation the full path, the filtered replay and the
-/// sampled replay use, so their derived metrics share every formula bit
-/// for bit.
-fn assemble_stats<P: ?Sized>(
+/// Fold the run counters and one lane's DRAM account into a
+/// [`SimStats`] — the single implementation the full path, the filtered
+/// replay and the sampled replay use, so their derived metrics share every
+/// formula bit for bit. Core cycles become nanoseconds here and nowhere
+/// else in a replay.
+fn assemble_stats(
     cfg: &SystemConfig,
     totals: &StreamTotals,
-    lane: &Lane<'_, P>,
+    account: &DramAccount,
+    ecc_chips_powered: bool,
     regions: Vec<RegionStats>,
 ) -> SimStats {
     let &StreamTotals { instructions, l1_hits, l1_misses, l2_hits, l2_misses, .. } = totals;
-    let dram = &lane.dram;
-    dram.audit_state();
     // The lane's cycle counter: the walk's pure core cycles plus the
     // DRAM stalls the replay accumulated.
-    let cycles = totals.core_cycles + lane.stall_acc;
+    let cycles = totals.core_cycles + account.stalls.round() as u64;
     let cycle_ns = cfg.cycle_ns();
-    let seconds = cycles as f64 * cycle_ns * 1e-9;
+    let elapsed_ns = cycles as f64 * cycle_ns;
+    let seconds = elapsed_ns * 1e-9;
     let ipc = if cycles == 0 { 0.0 } else { instructions as f64 / cycles as f64 };
-    let mem_dynamic_j = dram.stats.dynamic_nj * 1e-9;
-    let mem_standby_j = dram.standby_nj(cycles as f64 * cycle_ns, lane.ecc_chips_powered) * 1e-9;
+    let mem_dynamic_j = account.dynamic_nj * 1e-9;
+    let busy = account.rank_busy.iter().copied();
+    let mem_standby_j = dram::standby_nj(cfg, busy, elapsed_ns, ecc_chips_powered) * 1e-9;
     let proc_j = cfg.proc_power.watts_at(ipc) * seconds;
+    let count = |v: f64| v.round() as u64;
+    let (dram_reads, dram_writes) = (count(account.reads), count(account.writes));
+    let accesses = dram_reads + dram_writes;
+    let per_access = |total: f64| if accesses == 0 { 0.0 } else { total / accesses as f64 };
 
     SimStats {
         instructions,
@@ -667,20 +723,16 @@ fn assemble_stats<P: ?Sized>(
         } else {
             l2_hits as f64 / (l2_hits + l2_misses) as f64
         },
-        row_hit_rate: dram.stats.row_hit_rate(),
-        dram_reads: dram.stats.reads,
-        dram_writes: dram.stats.writes,
-        per_scheme: dram.stats.per_scheme,
-        avg_dram_latency_ns: dram.stats.avg_latency_ns(),
-        avg_dram_queue_ns: dram.stats.avg_queue_ns(),
-        dram_bandwidth_gbps: {
-            let bytes = (dram.stats.reads + dram.stats.writes) * 64;
-            let ns = cycles as f64 * cycle_ns;
-            if ns > 0.0 {
-                bytes as f64 / ns
-            } else {
-                0.0
-            }
+        row_hit_rate: per_access(count(account.row_hits) as f64),
+        dram_reads,
+        dram_writes,
+        per_scheme: account.per_scheme.map(count),
+        avg_dram_latency_ns: per_access(account.latency_cycles * cycle_ns),
+        avg_dram_queue_ns: per_access(account.queue_cycles * cycle_ns),
+        dram_bandwidth_gbps: if elapsed_ns > 0.0 {
+            (accesses * 64) as f64 / elapsed_ns
+        } else {
+            0.0
         },
         regions,
     }
@@ -692,11 +744,13 @@ fn assemble_stats<P: ?Sized>(
 /// one or two lines live is the same for every lane and is worked out
 /// once, outside the lane loop; inside it, each lane does what a replay
 /// of its own would: its timeline from its own stalls, then demand,
-/// stall, coupled write-back, in that order.
+/// stall, coupled write-back, in that order. Time is whole core cycles
+/// throughout; a demand serviced in `lat` cycles stalls the core
+/// `lat · stall_factor` of them, truncated.
 #[inline(always)]
 fn replay_event<P: ProtectionPolicy + ?Sized>(
     map: &AddressMap,
-    clock: &Clock,
+    stall_factor: f64,
     ev: &MissEvent,
     lanes: &mut [Lane<'_, P>],
 ) {
@@ -704,7 +758,7 @@ fn replay_event<P: ProtectionPolicy + ?Sized>(
         MissEventKind::Writeback(wb) => {
             let loc = map.decode(wb);
             for lane in lanes {
-                let now = clock.now_ns(ev.core_cycles + lane.stall_acc);
+                let now = ev.core_cycles + lane.stall_acc;
                 let kind = lane.policy.choose(wb);
                 lane.dram.service(now, loc, true, kind);
             }
@@ -713,70 +767,20 @@ fn replay_event<P: ProtectionPolicy + ?Sized>(
             let loc = map.decode(ev.trigger.addr);
             let writeback = writeback.map(|wb| (wb, map.decode(wb)));
             for lane in lanes {
-                let now = clock.now_ns(ev.core_cycles + lane.stall_acc);
+                let now = ev.core_cycles + lane.stall_acc;
                 let kind = lane.policy.choose(ev.trigger.addr);
                 let res = lane.dram.service(now, loc, false, kind);
-                lane.stall_acc += clock.stall_cycles(res.completion_ns - now);
+                // Through `i64`, the crossing to f64 and back is 2 and 7
+                // instructions on x86-64 where `u64` takes 6 and 14: the
+                // same values, for a latency and a stall below 2^63 cycles.
+                let lat = (res.completion - now) as i64 as f64;
+                lane.stall_acc += (lat * stall_factor) as i64 as u64;
                 if let Some((wb, wb_loc)) = writeback {
                     let kind = lane.policy.choose(wb);
                     lane.dram.service(now, wb_loc, true, kind);
                 }
             }
         }
-    }
-}
-
-/// The core clock a replay runs every lane's timeline on, built once per
-/// replay from the config: core cycles to an arrival time, and a demand's
-/// DRAM latency to the core cycles it stalls. Each step is the old
-/// spelling's bits by a shorter chain (DESIGN.md §3.13, "The chain,
-/// shortened"); `system::tests`' `reference_replay` holds it there.
-#[derive(Debug, Clone, Copy)]
-struct Clock {
-    cycle_ns: f64,
-    stall_factor: f64,
-    /// `stall_factor / cycle_ns`, kept iff multiplying by it rounds like
-    /// multiplying by `stall_factor` and then dividing by `cycle_ns`.
-    stall_per_ns: Option<f64>,
-}
-
-impl Clock {
-    fn new(cfg: &SystemConfig) -> Clock {
-        let (cycle_ns, stall_factor) = (cfg.cycle_ns(), cfg.stall_factor);
-        // Scaling by 2^k commutes with rounding while no result leaves the
-        // normal range, so with `cycle_ns` = 2^k (Table 3's 2 GHz is 2^-1)
-        // `x · s / 2^k` and `x · (s / 2^k)` are the same f64 once
-        // `s / 2^k` is exact (zero or normal) and `x · s` is normal
-        // whenever the stall reaches ½ cycle (`cycle_ns` ≥ 2^-1021); a
-        // stall below ½ cycle truncates to 0 on either side. Any other
-        // clock keeps the division — chosen from the config, as
-        // `AddressMap::new` chooses shift-and-mask.
-        const MANTISSA: u64 = (1 << 52) - 1;
-        let pow2 = cycle_ns.to_bits() & MANTISSA == 0 && cycle_ns.is_normal();
-        let per_ns = stall_factor / cycle_ns;
-        let exact = pow2 && cycle_ns > f64::MIN_POSITIVE && (per_ns == 0.0 || per_ns.is_normal());
-        Clock { cycle_ns, stall_factor, stall_per_ns: exact.then_some(per_ns) }
-    }
-
-    /// The lane's arrival time at `cycles`: crossing to f64 through `i64`
-    /// (one instruction; `u64` is a sequence) is the same rounding of the
-    /// same value below 2^63.
-    #[inline(always)]
-    fn now_ns(&self, cycles: u64) -> f64 {
-        debug_assert!(cycles < 1 << 63, "{cycles} cycles do not fit an i64");
-        cycles as i64 as f64 * self.cycle_ns
-    }
-
-    /// Core cycles a demand serviced in `lat_ns` stalls, truncated; back
-    /// through `i64`, which truncates a value in `[0, 2^63)` as `u64` does.
-    #[inline(always)]
-    fn stall_cycles(&self, lat_ns: f64) -> u64 {
-        let stall = match self.stall_per_ns {
-            Some(per_ns) => lat_ns * per_ns,
-            None => lat_ns * self.stall_factor / self.cycle_ns,
-        };
-        debug_assert!((0.0..(1u64 << 63) as f64).contains(&stall), "stall {stall} cycles");
-        stall as i64 as u64
     }
 }
 
@@ -796,56 +800,6 @@ fn tally_regions(regions: &RegionMap, tallies: &[RegionTally]) -> Vec<RegionStat
             llc_misses: t.llc_misses,
         })
         .collect()
-}
-
-/// Weight-scaled DRAM statistic accumulator for sampled replay: per-phase
-/// deltas of every [`DramStats`] field (and the stall cycles) are summed
-/// in f64 under the phase's cluster scale, then rounded back into a
-/// synthetic [`DramStats`] for [`assemble_stats`].
-#[derive(Clone, Default)]
-struct ScaledDram {
-    reads: f64,
-    writes: f64,
-    row_hits: f64,
-    activations: f64,
-    dynamic_nj: f64,
-    per_scheme: [f64; 3],
-    refresh_stalls: f64,
-    queue_ns_total: f64,
-    latency_ns_total: f64,
-    stalls: f64,
-}
-
-impl ScaledDram {
-    fn add_delta(&mut self, before: &DramStats, after: &DramStats, scale: f64) {
-        self.reads += (after.reads - before.reads) as f64 * scale;
-        self.writes += (after.writes - before.writes) as f64 * scale;
-        self.row_hits += (after.row_hits - before.row_hits) as f64 * scale;
-        self.activations += (after.activations - before.activations) as f64 * scale;
-        self.dynamic_nj += (after.dynamic_nj - before.dynamic_nj) * scale;
-        for (acc, (a, b)) in
-            self.per_scheme.iter_mut().zip(after.per_scheme.iter().zip(&before.per_scheme))
-        {
-            *acc += (a - b) as f64 * scale;
-        }
-        self.refresh_stalls += (after.refresh_stalls - before.refresh_stalls) as f64 * scale;
-        self.queue_ns_total += (after.queue_ns_total - before.queue_ns_total) * scale;
-        self.latency_ns_total += (after.latency_ns_total - before.latency_ns_total) * scale;
-    }
-
-    fn into_stats(self) -> DramStats {
-        DramStats {
-            reads: self.reads.round() as u64,
-            writes: self.writes.round() as u64,
-            row_hits: self.row_hits.round() as u64,
-            activations: self.activations.round() as u64,
-            dynamic_nj: self.dynamic_nj,
-            per_scheme: self.per_scheme.map(|v| v.round() as u64),
-            refresh_stalls: self.refresh_stalls.round() as u64,
-            queue_ns_total: self.queue_ns_total,
-            latency_ns_total: self.latency_ns_total,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1160,71 +1114,109 @@ mod tests {
         }
     }
 
-    /// The referee for the stall step: a one-lane replay of `input` (a miss
-    /// stream, or a phase sample) under `assign` whose per-event body is
-    /// the one that stood before [`Clock`] and `dram::later` — `u64 as f64`
-    /// arrivals, `reference_access_kind`'s `f64::max`, and
-    /// `(lat * stall_factor / cycle_ns) as u64`, operand for operand. The
-    /// sample's phase fold is `drive_sampled`'s.
+    /// The referee for the replay step: a one-lane replay of `input` (a
+    /// miss stream, or a phase sample) under `assign` whose per-event body
+    /// is the one that stood before the core-cycle time base — f64
+    /// nanoseconds on a `RefDram`, `u64 as f64` arrivals,
+    /// `reference_access_kind`'s `f64::max`, and `(lat * stall_factor /
+    /// cycle_ns) as u64`, operand for operand; the sample's phase fold is
+    /// the one `drive_sampled` kept, in nanoseconds. Its totals go to
+    /// `assemble_stats` as core cycles.
     fn reference_replay(
         cfg: &SystemConfig,
         input: SimInput<'_>,
         assign: &EccAssignment,
     ) -> SimStats {
-        use crate::dram::tests::reference_access_kind;
+        use crate::dram::tests::{reference_access_kind, RefDram};
         let mut mc = MemoryController::new(AddressMap::new(cfg), EccScheme::Chipkill);
         program(&mut mc, input.regions(), assign);
         let mut policy = RangeRegisterPolicy::new(&mc);
-        let mut lane = Lane::new(Dram::new(cfg.clone()), &mut policy, assign.any_ecc());
+        let mut dram = RefDram::new(cfg.clone());
+        let mut stall_acc = 0u64;
         let (cycle_ns, stall_factor) = (cfg.cycle_ns(), cfg.stall_factor);
-        let step = |lane: &mut Lane<'_, RangeRegisterPolicy<'_>>, ev: &MissEvent| {
-            let now = (ev.core_cycles + lane.stall_acc) as f64 * cycle_ns;
+        let mut step = |dram: &mut RefDram, stall_acc: &mut u64, ev: &MissEvent| {
+            let now = (ev.core_cycles + *stall_acc) as f64 * cycle_ns;
             match ev.kind {
                 MissEventKind::Writeback(wb) => {
-                    let kind = lane.policy.choose(wb);
-                    reference_access_kind(&mut lane.dram, now, wb, true, kind);
+                    let kind = policy.choose(wb);
+                    reference_access_kind(dram, now, wb, true, kind);
                 }
                 MissEventKind::Demand { writeback } => {
-                    let kind = lane.policy.choose(ev.trigger.addr);
-                    let res =
-                        reference_access_kind(&mut lane.dram, now, ev.trigger.addr, false, kind);
+                    let kind = policy.choose(ev.trigger.addr);
+                    let res = reference_access_kind(dram, now, ev.trigger.addr, false, kind);
                     let lat_ns = res.completion_ns - now;
-                    lane.stall_acc += (lat_ns * stall_factor / cycle_ns) as u64;
+                    *stall_acc += (lat_ns * stall_factor / cycle_ns) as u64;
                     if let Some(wb) = writeback {
-                        let kind = lane.policy.choose(wb);
-                        reference_access_kind(&mut lane.dram, now, wb, true, kind);
+                        let kind = policy.choose(wb);
+                        reference_access_kind(dram, now, wb, true, kind);
                     }
                 }
             }
         };
+        // What one phase (scale 1 for an exact replay) adds, in ns: the
+        // counts, energy, queueing and latency, stall cycles, rank busy.
+        let ranks = dram.rank_busy_ns.len();
+        let (mut est, mut busy) = ([0.0f64; 11], vec![0.0f64; ranks]);
+        let mut fold =
+            |before: &RefDram, stalls_before: u64, after: &RefDram, stalls: u64, scale: f64| {
+                let (b, a) = (&before.stats, &after.stats);
+                let deltas = [
+                    (a.reads - b.reads) as f64,
+                    (a.writes - b.writes) as f64,
+                    (a.row_hits - b.row_hits) as f64,
+                    (a.activations - b.activations) as f64,
+                    a.dynamic_nj - b.dynamic_nj,
+                    (a.per_scheme[0] - b.per_scheme[0]) as f64,
+                    (a.per_scheme[1] - b.per_scheme[1]) as f64,
+                    (a.per_scheme[2] - b.per_scheme[2]) as f64,
+                    after.queue_ns_total - before.queue_ns_total,
+                    after.latency_ns_total - before.latency_ns_total,
+                    (stalls - stalls_before) as f64,
+                ];
+                for (acc, delta) in est.iter_mut().zip(deltas) {
+                    *acc += delta * scale;
+                }
+                for (acc, (a, b)) in
+                    busy.iter_mut().zip(after.rank_busy_ns.iter().zip(&before.rank_busy_ns))
+                {
+                    *acc += (a - b) * scale;
+                }
+            };
         let totals = match input {
             SimInput::MissStream(ms) => {
-                ms.iter().for_each(|ev| step(&mut lane, &ev));
+                let quiet = dram.clone();
+                ms.iter().for_each(|ev| step(&mut dram, &mut stall_acc, &ev));
+                fold(&quiet, 0, &dram, stall_acc, 1.0);
                 ms.totals()
             }
             SimInput::Sample(sample) => {
-                let (mut est, mut busy) =
-                    (ScaledDram::default(), vec![0.0; lane.dram.rank_busy().len()]);
                 for (k, ph) in sample.selection().phases().iter().enumerate() {
-                    let (before, stalls_before) = (lane.dram.stats, lane.stall_acc);
-                    let busy_before = lane.dram.rank_busy().to_vec();
-                    sample.open(k).take(ph.events() as usize).for_each(|ev| step(&mut lane, &ev));
-                    est.add_delta(&before, &lane.dram.stats, ph.scale());
-                    for (acc, (a, b)) in
-                        busy.iter_mut().zip(lane.dram.rank_busy().iter().zip(&busy_before))
-                    {
-                        *acc += (a - b) * ph.scale();
-                    }
-                    est.stalls += (lane.stall_acc - stalls_before) as f64 * ph.scale();
+                    let (before, stalls_before) = (dram.clone(), stall_acc);
+                    sample
+                        .open(k)
+                        .take(ph.events() as usize)
+                        .for_each(|ev| step(&mut dram, &mut stall_acc, &ev));
+                    fold(&before, stalls_before, &dram, stall_acc, ph.scale());
                 }
-                lane.stall_acc = est.stalls.round() as u64;
-                lane.dram.stats = est.into_stats();
-                lane.dram.set_rank_busy(&busy);
                 sample.totals()
             }
             _ => unreachable!("the referee replays a miss stream or a sample"),
         };
-        assemble_lanes(cfg, totals, std::slice::from_ref(&lane)).remove(0)
+        let cycles = |ns: f64| ns * cfg.clock_ghz;
+        let account = DramAccount {
+            reads: est[0],
+            writes: est[1],
+            row_hits: est[2],
+            activations: est[3],
+            dynamic_nj: est[4],
+            per_scheme: [est[5], est[6], est[7]],
+            queue_cycles: cycles(est[8]),
+            latency_cycles: cycles(est[9]),
+            stalls: est[10],
+            rank_busy: busy.into_iter().map(cycles).collect(),
+        };
+        let regions = tally_regions(&totals.regions, &totals.tallies);
+        assemble_stats(cfg, totals, &account, assign.any_ecc(), regions)
     }
 
     proptest::proptest! {
@@ -1259,18 +1251,16 @@ mod tests {
                 EccAssignment::relaxed(Secded, NoEcc, &regions),
             ];
 
-            // Power-of-two cycles take the multiply arm, the rest divide.
-            let mut arms = [false; 2];
-            for (clock_ghz, multiplies) in
-                [(0.5, true), (1.0, true), (2.0, true), (4.0, true), (1.7, false), (2.5, false), (3.0, false)]
+            // Power-of-two clocks, where a core cycle is an exact f64 of
+            // nanoseconds, and a tREFI of whole cycles at each.
+            for (clock_ghz, t_refi_ns) in
+                [(1.0, 7800.0), (2.0, 7800.0), (2.0, 7812.5), (4.0, 7800.0), (4.0, 7812.5)]
             {
                 for stall_factor in [0.0, 0.35, 1.0, rng.random_range(0.0..1.0)] {
                     for row_policy in [RowPolicy::Open, RowPolicy::Closed] {
-                        let cfg = SystemConfig { l1, l2, threads: 1, clock_ghz, stall_factor, row_policy, ..SystemConfig::default() };
+                        let timing = crate::config::DramTiming { t_refi_ns, ..Default::default() };
+                        let cfg = SystemConfig { l1, l2, threads: 1, clock_ghz, stall_factor, row_policy, timing, ..SystemConfig::default() };
                         cfg.validate().unwrap();
-                        let clock = Clock::new(&cfg);
-                        prop_assert!(clock.stall_per_ns.is_some() == multiplies, "{clock_ghz} GHz");
-                        arms[clock.stall_per_ns.is_some() as usize] = true;
                         // By bit pattern: `{:?}` prints the shortest string
                         // that reads back as the same f64.
                         for sampled in [false, true] {
@@ -1282,14 +1272,13 @@ mod tests {
                             let got: Vec<String> = row.iter().map(|s| format!("{s:?}")).collect();
                             prop_assert!(
                                 got == want,
-                                "sampled {sampled} at {clock_ghz} GHz, stall factor {stall_factor}, \
-                                 {row_policy:?}:\n{got:#?}\n{want:#?}"
+                                "sampled {sampled} at {clock_ghz} GHz, tREFI {t_refi_ns} ns, \
+                                 stall factor {stall_factor}, {row_policy:?}:\n{got:#?}\n{want:#?}"
                             );
                         }
                     }
                 }
             }
-            prop_assert!(arms == [true; 2], "stall arms taken: {arms:?}");
         }
     }
 

@@ -132,7 +132,8 @@ pub struct DgemmParams {
     pub n: usize,
     /// Tile size.
     pub nb: usize,
-    /// Include ABFT checksum/verification traffic.
+    /// Include ABFT checksum/verification traffic. Without it no region
+    /// is ABFT-protected, so a partial strategy relaxes nothing.
     pub abft: bool,
     /// Verify the checksum relationship every `verify_interval` k-panels.
     pub verify_interval: usize,
@@ -177,9 +178,9 @@ fn dgemm_layout(p: &DgemmParams) -> DgemmLayout {
     let lda = n + 1;
     let ldc = n + 1;
     let mut rm = RegionMap::new();
-    let ra = rm.alloc("matrix_a", lda * n * F64, true);
-    let rb = rm.alloc("matrix_b", n * (n + 1) * F64, true);
-    let rc = rm.alloc("matrix_c", ldc * (n + 1) * F64, true);
+    let ra = rm.alloc("matrix_a", lda * n * F64, p.abft);
+    let rb = rm.alloc("matrix_b", n * (n + 1) * F64, p.abft);
+    let rc = rm.alloc("matrix_c", ldc * (n + 1) * F64, p.abft);
     let re = rm.alloc("checksum_e", (n + 1) * F64, false);
     let rw = rm.alloc("verify_workspace", (n + 1) * F64 * 4, false);
     let (ba, bb, bc, be, bw) =
@@ -231,6 +232,7 @@ pub struct CholeskyParams {
     /// Panel width.
     pub nb: usize,
     /// Include checksum maintenance + per-step verification traffic.
+    /// Without it no region is ABFT-protected.
     pub abft: bool,
 }
 
@@ -267,7 +269,7 @@ fn cholesky_layout(p: &CholeskyParams) -> CholeskyLayout {
     let chk_rows = 2 * nt;
     let lda = n + chk_rows;
     let mut rm = RegionMap::new();
-    let ra = rm.alloc("matrix_a", lda * n * F64, true);
+    let ra = rm.alloc("matrix_a", lda * n * F64, p.abft);
     // The packed panel every ScaLAPACK-style implementation broadcasts to
     // the process column/row before the trailing update.
     let rws = rm.alloc("panel_broadcast", (nb * n) * F64, false);
@@ -346,7 +348,8 @@ pub struct CgParams {
     pub grid: usize,
     /// Iterations to trace.
     pub iterations: usize,
-    /// Include the Online-ABFT invariant verification traffic.
+    /// Include the Online-ABFT invariant verification traffic. Without it
+    /// no region is ABFT-protected or ABFT-detectable.
     pub abft: bool,
     /// Verify every `verify_interval` iterations.
     pub verify_interval: usize,
@@ -398,15 +401,15 @@ fn cg_layout(p: &CgParams) -> CgLayout {
     // ABFT-*detectable* ("they can also be used to detect errors in M and
     // p", Section 2.1) — the Table 4 classification counts them as blocks
     // with ABFT protection.
-    let rvals = rm.alloc_with("csr_values", nnz * F64, false, true);
+    let rvals = rm.alloc_with("csr_values", nnz * F64, false, p.abft);
     let rcols = rm.alloc("csr_colidx", nnz * 4, false);
-    let rm_diag = rm.alloc_with("precond_m", n * F64, false, true);
+    let rm_diag = rm.alloc_with("precond_m", n * F64, false, p.abft);
     let rz = rm.alloc("vector_z", n * F64, false);
-    let rr = rm.alloc("vector_r", n * F64, true);
-    let rp = rm.alloc("vector_p", n * F64, true);
-    let rq = rm.alloc("vector_q", n * F64, true);
-    let rx = rm.alloc("vector_x", n * F64, true);
-    let rb = rm.alloc("vector_b", n * F64, true);
+    let rr = rm.alloc("vector_r", n * F64, p.abft);
+    let rp = rm.alloc("vector_p", n * F64, p.abft);
+    let rq = rm.alloc("vector_q", n * F64, p.abft);
+    let rx = rm.alloc("vector_x", n * F64, p.abft);
+    let rb = rm.alloc("vector_b", n * F64, p.abft);
     let b_of = |rm: &RegionMap, id: RegionId| rm.get(id).base;
     let (bvals, bcols, bm, bz, br, bp, bq, bx, bb) = (
         b_of(&rm, rvals),
@@ -542,7 +545,8 @@ pub struct HplParams {
     pub n: usize,
     /// Panel width.
     pub nb: usize,
-    /// Include row-checksum maintenance traffic.
+    /// Include row-checksum maintenance traffic. Without it no region is
+    /// ABFT-protected.
     pub abft: bool,
 }
 
@@ -578,12 +582,12 @@ fn hpl_layout(p: &HplParams) -> HplLayout {
     let ncols = n + 2;
     let lda = n;
     let mut rm = RegionMap::new();
-    let ra = rm.alloc("matrix_a", lda * ncols * F64, true);
+    let ra = rm.alloc("matrix_a", lda * ncols * F64, p.abft);
     let rpiv = rm.alloc("pivot_array", n * 8, false);
     // HPL's panel broadcast buffer: the factored panel is packed, sent and
     // unpacked every step (non-ABFT runtime data).
     let rws = rm.alloc("panel_broadcast", nb * n * F64, false);
-    let _rbx = rm.alloc("rhs_b", n * F64, true);
+    let _rbx = rm.alloc("rhs_b", n * F64, p.abft);
     let (ba, bpiv, bws) = (rm.get(ra).base, rm.get(rpiv).base, rm.get(rws).base);
     HplLayout { regions: rm, ra, rpiv, rws, ba, bpiv, bws }
 }
@@ -993,6 +997,7 @@ mod tests {
         let off = trace_of(DgemmParams { n: 256, nb: 64, abft: false, verify_interval: 1 });
         assert!(on.len() > off.len());
         assert!(on.instructions > off.instructions);
+        assert!(abft_region_ids(&off.regions).is_empty(), "nothing checks the matrices");
     }
 
     #[test]

@@ -133,8 +133,10 @@ echo "=== the pinned referees are still there, by name ==="
 # `production_path_is_bit_identical_to_the_reference_model` (against
 # reference_access_kind),
 # `walk_reference` (stamp-LRU cache + carry-bump walk vs the one L1/L2
-# walker), `reference_replay` (the stall step as it was spelled, division
-# and `f64::max` included), `reference_scan` (the SimPoint fingerprint by
+# walker), `reference_replay` (the replay step as it was spelled in f64
+# nanoseconds, division and `f64::max` included), the refresh-free
+# window swept cycle by cycle, and `validate` refusing DRAM timings that
+# are not whole core cycles, `reference_scan` (the SimPoint fingerprint by
 # its definition, event by event), `miss_reference` (the two-word miss
 # record the byte records replaced, event by event and resume by resume),
 # the proptest that pins every lane of a
@@ -148,7 +150,11 @@ echo "=== the pinned referees are still there, by name ==="
 # allocation gate: tests/alloc_budget.rs's six tests, three of which hold
 # every replay path to the same allocation count at N and 2N events, and
 # three the filter (store-less and store-attached) and a blob write to the
-# memory they may hold. And the dead
+# memory they may hold. The DRAM model's arithmetic judges: the nine
+# closed-form micro-traces of tests/dram_closed_form.rs, and
+# tests/metamorphic.rs's two relations between strategies (no stall, no
+# difference in cycles; no ABFT, no relaxation). FT-HPL's multiplier
+# check against its broadcast archive. And the dead
 # pub item gate, tests/dead_pub.rs's `no_dead_pub_items`, and the claims
 # ledger's judge, tests/claims.rs's `every_claim_holds_or_misses_as_the_ledger_says`. They ran in the
 # stage above and are listed here by name, so that a rename cannot silently
@@ -170,7 +176,19 @@ for pinned in walk_reference:: every_lane_is_the_simulation_it_would_be_alone \
     a_nan_in_ft_cholesky_is_restored_from_a_report_and_flagged_otherwise \
     a_nan_in_ft_cg_is_restored_from_a_report_and_flagged_otherwise a_nan_in_ft_hpl_is_flagged \
     clean_runs_up_to_n_192_trip_no_check clean_runs_at_n_384_trip_no_check \
-    clean_runs_at_n_768_trip_no_check; do
+    clean_runs_at_n_768_trip_no_check \
+    refresh_free_window_never_hides_a_stall dram_timings_off_the_core_clock_are_refused \
+    reads_of_one_open_row_activate_once_and_hit_after a_chipkill_read_holds_its_partner_channel \
+    two_rows_ping_ponging_in_one_bank_pay_a_conflict_every_access \
+    the_closed_page_policy_never_hits \
+    a_stream_over_four_refresh_intervals_meets_exactly_their_blackouts \
+    idle_ranks_draw_power_down_and_ecc_chips_stay_down_without_ecc \
+    a_fine_grained_secded_read_busies_a_quarter_rank_for_a_quarter_burst \
+    a_queued_read_keeps_its_rank_busy_for_its_service_not_its_wait \
+    one_demand_miss_stalls_the_core_for_its_latency_times_the_stall_factor \
+    without_stalls_every_strategy_runs_the_same_cycles \
+    without_abft_a_partial_strategy_is_its_whole_baseline \
+    a_flipped_ft_hpl_multiplier_is_restored_from_the_broadcast_archive; do
     grep -Fq -- "$pinned" <<<"$listed" || { echo "no workspace test is named $pinned"; exit 1; }
 done
 

@@ -226,6 +226,24 @@ fn a_nan_in_ft_hpl_is_flagged() {
 }
 
 #[test]
+fn a_flipped_ft_hpl_multiplier_is_restored_from_the_broadcast_archive() {
+    // The checksum relation reads a factored column's L multipliers as
+    // zero, so only the archive's copy can see one move: +1.0 on a
+    // multiplier of panel 0, after panel 1.
+    let a = random_diag_dominant(64, 6);
+    let opts = FtHplOptions { block: 16, ..Default::default() };
+    let clean = ft_hpl_injected(&a, &opts, &[], |_, _| {}).unwrap();
+    let r = ft_hpl_injected(&a, &opts, &[], |kt, ext| {
+        if kt == 1 {
+            ext[(50, 5)] += 1.0;
+        }
+    })
+    .unwrap();
+    assert_eq!((r.stats.corrections, r.stats.uncorrectable), (1, 0));
+    assert!(r.lu.as_slice() == clean.lu.as_slice(), "the factors differ from a clean run's");
+}
+
+#[test]
 fn clean_runs_up_to_n_192_trip_no_check() {
     for n in [96, 192] {
         clean::every_kernel_is_silent(n, 0..20);
