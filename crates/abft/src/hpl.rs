@@ -24,6 +24,12 @@
 //! compares the stored multipliers with the archive's copy, bit for bit,
 //! and restores one that disagrees from it.
 //!
+//! Under [`VerifyMode::HardwareAssisted`] there is no sweep: each error
+//! report names a line of `matrix_a` (column-major, leading dimension
+//! `n`), and each element of it is repaired on its own — a multiplier from
+//! the archive, any other entry from its row's checksum relation, which
+//! with the location known is one equation in one unknown.
+//!
 //! The detection rule's magnitude rides beside the checksum block-column:
 //! `M[i, j]` starts as `sum_p |A[i, j + p*w]|` and takes the absolute value
 //! of every row operation the checksums take (a swap swaps it, an
@@ -147,13 +153,41 @@ fn checksum_violation(
     let w = n / pcols;
     (0..w).any(|j| {
         (0..n).any(|i| {
-            let mut s = 0.0;
-            for p in 0..pcols {
-                s += math_val(ext, i, j + p * w, factored_cols);
-            }
+            let s = row_sum(ext, i, j, pcols, factored_cols);
             significant(s - ext[(i, n + j)], mag[(i, j)], pcols + 4 * n)
         })
     })
+}
+
+/// The members of row `i`'s checksum entry `j` summed on the mathematical
+/// matrix.
+fn row_sum(ext: &Matrix, i: usize, j: usize, pcols: usize, factored_cols: usize) -> f64 {
+    let w = ext.rows() / pcols;
+    let mut s = 0.0;
+    for p in 0..pcols {
+        s += math_val(ext, i, j + p * w, factored_cols);
+    }
+    s
+}
+
+/// Member `lost` of row `i`'s checksum entry `j`, rebuilt as the checksum
+/// minus the other members.
+fn from_checksum(
+    ext: &Matrix,
+    i: usize,
+    j: usize,
+    lost: usize,
+    pcols: usize,
+    factored_cols: usize,
+) -> f64 {
+    let (n, w) = (ext.rows(), ext.rows() / pcols);
+    let mut s = ext[(i, n + j)];
+    for p in 0..pcols {
+        if p != lost {
+            s -= math_val(ext, i, j + p * w, factored_cols);
+        }
+    }
+    s
 }
 
 /// Restore every stored `L` multiplier of the first `factored_cols`
@@ -172,6 +206,35 @@ fn restore_multipliers(ext: &mut Matrix, archive: &Matrix, n: usize, factored_co
     restored
 }
 
+/// Repair element `(i, c)` of the extended working matrix, which an
+/// error report names: a multiplier that differs from the archive's copy
+/// is restored from it; any other entry whose row-checksum relation is
+/// violated is restored from that relation (a checksum entry re-summed
+/// from its row). Returns whether it repaired anything.
+fn repair_element(
+    ext: &mut Matrix,
+    mag: &Matrix,
+    archive: &Matrix,
+    pcols: usize,
+    factored_cols: usize,
+    (i, c): (usize, usize),
+) -> bool {
+    let n = ext.rows();
+    if c < factored_cols && i > c {
+        let stored = ext[(i, c)].to_bits() != archive[(i, c)].to_bits();
+        ext[(i, c)] = archive[(i, c)];
+        return stored;
+    }
+    let w = n / pcols;
+    let j = c % w;
+    let sum = row_sum(ext, i, j, pcols, factored_cols);
+    if !significant(sum - ext[(i, n + j)], mag[(i, j)], pcols + 4 * n) {
+        return false;
+    }
+    ext[(i, c)] = if c >= n { sum } else { from_checksum(ext, i, j, c / w, pcols, factored_cols) };
+    true
+}
+
 /// Rebuild a lost process block-column: U/trailing entries from the
 /// checksum relationship, L multipliers from the broadcast archive.
 fn recover_process(
@@ -186,18 +249,12 @@ fn recover_process(
     for j in 0..w {
         let c = j + lost * w;
         for i in 0..n {
-            if c < factored_cols && i > c {
+            ext[(i, c)] = if c < factored_cols && i > c {
                 // L multiplier: the surviving processes' broadcast copy.
-                ext[(i, c)] = archive[(i, c)];
+                archive[(i, c)]
             } else {
-                let mut s = ext[(i, n + j)];
-                for p in 0..pcols {
-                    if p != lost {
-                        s -= math_val(ext, i, j + p * w, factored_cols);
-                    }
-                }
-                ext[(i, c)] = s;
-            }
+                from_checksum(ext, i, j, lost, pcols, factored_cols)
+            };
         }
     }
 }
@@ -296,14 +353,39 @@ where
         // fail-stop FT-HPL — no error location needed).
         if due(kt, nt, opts.verify_interval) {
             stats.verifications += 1;
-            if let VerifyMode::Full = opts.mode {
-                // The checksum sweep, and the multipliers against the archive.
-                let factored = k + nb;
-                let multipliers = factored * (n - 1) - factored * (factored - 1) / 2;
-                stats.verify += sweep + cost::compare(multipliers);
-                stats.corrections += restore_multipliers(&mut ext, &archive, n, factored);
-                if checksum_violation(&ext, &mag, n, opts.process_cols, factored) {
-                    stats.uncorrectable += 1;
+            let factored = k + nb;
+            match &opts.mode {
+                VerifyMode::Full => {
+                    // The checksum sweep, and the multipliers against the archive.
+                    let multipliers = factored * (n - 1) - factored * (factored - 1) / 2;
+                    stats.verify += sweep + cost::compare(multipliers);
+                    stats.corrections += restore_multipliers(&mut ext, &archive, n, factored);
+                    if checksum_violation(&ext, &mag, n, opts.process_cols, factored) {
+                        stats.uncorrectable += 1;
+                    }
+                }
+                VerifyMode::HardwareAssisted(ch) => {
+                    let reports = ch.poll();
+                    stats.verify += cost::poll();
+                    let pcols = opts.process_cols;
+                    for rep in &reports {
+                        // Each element of the named line on its own; a line
+                        // outside the matrix, or one in which nothing is
+                        // wrong, cannot be located.
+                        let line = rep.element..rep.element.saturating_add(8);
+                        let mut repaired = 0;
+                        if rep.name == "matrix_a" && line.end <= n * total_cols {
+                            for e in line {
+                                stats.verify += cost::col_sums(pcols, 1, 1);
+                                let at = (e % n, e / n);
+                                let fixed =
+                                    repair_element(&mut ext, &mag, &archive, pcols, factored, at);
+                                repaired += fixed as u64;
+                            }
+                        }
+                        stats.corrections += repaired;
+                        stats.uncorrectable += (repaired == 0) as u64;
+                    }
                 }
             }
         }

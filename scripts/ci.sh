@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full CI gate: formatting, a warning-free clippy pass (the determinism,
 # panic and print lints), release build, the reproduction-output drift gate,
-# the artifact-store gate, the examples, the test suite (one debug run,
+# the artifact-store gate, the examples, the test suite (one run,
 # every invariant check on, the replay allocation budget and the dead pub
 # item check among it) and the pinned referees by name, warning-free
 # rustdoc, and a clean working tree at the end.
@@ -12,22 +12,22 @@ cd "$(dirname "$0")/.."
 echo "=== cargo fmt --check ==="
 cargo fmt --check
 
-echo "=== cargo clippy --workspace --all-targets -- -D warnings ==="
+echo "=== cargo clippy --all-targets -- -D warnings ==="
 # The determinism, panic and print gates: clippy.toml bans the wall clock
 # and the hash containers everywhere, the root manifest's [workspace.lints]
 # denies unwrap / expect / panic in every package outside test code, abft
 # denies exact float compares, and memsim, ecc, dgms and faultsim deny
 # printing. A site that must stay carries a reasoned `#[expect]`; one
 # that no longer fires is an error here. --all-targets: tests, examples
-# and the `repro` binary are linted too. First after fmt, so a banned call
-# fails in about a minute.
-cargo clippy --workspace --all-targets -- -D warnings
+# and the `repro` binary are linted too, in every crate (the root
+# manifest's `default-members` takes them all in). First after fmt, so a
+# banned call fails in about a minute.
+cargo clippy --all-targets -- -D warnings
 
-echo "=== cargo build --release --workspace ==="
-# --workspace matters: the root manifest is both a package and a workspace,
-# so a bare `cargo build` only covers the root package and never produces
-# the `repro` and `store_gate` binaries the stages below execute.
-cargo build --release --workspace
+echo "=== cargo build --release ==="
+# The root manifest's `default-members` takes in every crate, so this
+# builds the `repro` and `store_gate` binaries the stages below execute.
+cargo build --release
 
 echo "=== benchmarks/ (perfbench) builds, passes its tests and runs a cold grid, a sampled paper-scale run and a warm-store one against these crates ==="
 # perfbench is a package of its own outside the workspace, so nothing above
@@ -120,12 +120,13 @@ for example in quickstart fault_drill resilient_solver datacenter_policy; do
     cargo run --release -q --offline --example "$example" >/dev/null
 done
 
-echo "=== cargo test -q --workspace (debug: every invariant check on) ==="
-# One run, one build configuration: a debug build asserts each artifact's
-# `check` where the artifact is built and the DRAM / controller audits
-# where their state moves (DESIGN.md §3.12); perfbench's `cargo test` above
-# (dev profile at opt-level 3, debug assertions on) runs them too.
-cargo test -q --workspace
+echo "=== cargo test -q (every crate's tests, every invariant check on) ==="
+# One run, one build configuration: the test profile (opt-level 1, debug
+# assertions on) asserts each artifact's `check` where the artifact is
+# built and the DRAM / controller audits where their state moves
+# (DESIGN.md §3.12); perfbench's `cargo test` above (dev profile at
+# opt-level 3, debug assertions on) runs them too.
+cargo test -q
 
 echo "=== the pinned referees are still there, by name ==="
 # Some unit tests are the independent references a fast or shared path is
@@ -145,21 +146,23 @@ echo "=== the pinned referees are still there, by name ==="
 # the census that pins x4 chipkill's decode of 2-, 3- and 4-chip errors; in
 # abft, the FT-Cholesky run held to plain `cholesky_blocked`, and the
 # detection rule's judges: tests/abft_detection.rs (single-bit flips at
-# any scale, a NaN in every kernel, clean runs up to n = 192) and
-# crates/abft/tests/clean_runs.rs (clean runs at n = 384 and 768). The only
+# any scale, a NaN in every kernel, FT-HPL's reports acted on) and
+# crates/abft/tests/clean_runs.rs (clean runs from n = 96 to 768). The only
 # allocation gate: tests/alloc_budget.rs's six tests, three of which hold
 # every replay path to the same allocation count at N and 2N events, and
 # three the filter (store-less and store-attached) and a blob write to the
 # memory they may hold. The DRAM model's arithmetic judges: the nine
 # closed-form micro-traces of tests/dram_closed_form.rs, and
-# tests/metamorphic.rs's two relations between strategies (no stall, no
-# difference in cycles; no ABFT, no relaxation). FT-HPL's multiplier
-# check against its broadcast archive. And the dead
-# pub item gate, tests/dead_pub.rs's `no_dead_pub_items`, and the claims
-# ledger's judge, tests/claims.rs's `every_claim_holds_or_misses_as_the_ledger_says`. They ran in the
-# stage above and are listed here by name, so that a rename cannot silently
-# drop them.
-listed="$(cargo test -q --workspace -- --list 2>/dev/null)"
+# tests/metamorphic.rs's three relations (no stall, no difference in
+# cycles; no ABFT, no relaxation; doubled burst and activation energy,
+# doubled dynamic energy and nothing else). FT-HPL's multiplier check
+# against its broadcast archive. The dead pub item gate,
+# tests/dead_pub.rs's `no_dead_pub_items`, the claims ledger's judge,
+# tests/claims.rs's `every_claim_holds_or_misses_as_the_ledger_says`, and
+# tests/lint_scope.rs's guard that the test build keeps debug assertions
+# on. They ran in the stage above and are listed here by name, so that a
+# rename cannot silently drop them.
+listed="$(cargo test -q -- --list 2>/dev/null)"
 for pinned in walk_reference:: every_lane_is_the_simulation_it_would_be_alone \
     production_path_is_bit_identical_to_the_reference_model \
     sweep_emission_packs_the_words_line_emission_packs reference_replay reference_scan \
@@ -188,14 +191,17 @@ for pinned in walk_reference:: every_lane_is_the_simulation_it_would_be_alone \
     one_demand_miss_stalls_the_core_for_its_latency_times_the_stall_factor \
     without_stalls_every_strategy_runs_the_same_cycles \
     without_abft_a_partial_strategy_is_its_whole_baseline \
-    a_flipped_ft_hpl_multiplier_is_restored_from_the_broadcast_archive; do
-    grep -Fq -- "$pinned" <<<"$listed" || { echo "no workspace test is named $pinned"; exit 1; }
+    a_flipped_ft_hpl_multiplier_is_restored_from_the_broadcast_archive \
+    a_reported_ft_hpl_error_is_restored_where_the_report_names_it \
+    doubled_burst_and_activation_energy_doubles_dynamic_energy_and_nothing_else \
+    the_test_build_keeps_debug_assertions_on; do
+    grep -Fq -- "$pinned" <<<"$listed" || { echo "no test is named $pinned"; exit 1; }
 done
 
-echo "=== cargo doc --workspace --no-deps, warnings denied ==="
+echo "=== cargo doc --no-deps, warnings denied ==="
 # A doc comment that links to a deleted, renamed or private item is a
 # rustdoc warning and nothing else: no build, test or clippy stage sees it.
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
 
 echo "=== the run left the tree clean ==="
 # Every stage above writes only to ignored paths or a temp dir; a tracked

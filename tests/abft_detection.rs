@@ -1,9 +1,7 @@
 //! The ABFT detection rule (`abft_kernels::checksum`) held to what it
 //! promises: it catches most single-bit flips whatever the data's units,
-//! a NaN never passes a check silently, and a clean run trips nothing.
-
-#[path = "../crates/abft/tests/common/clean.rs"]
-mod clean;
+//! and a NaN never passes a check silently. That a clean run trips
+//! nothing is `crates/abft/tests/clean_runs.rs`.
 
 use abft_coop::abft_coop_runtime::{ErrorReport, SysfsChannel};
 use abft_coop::abft_kernels::cg::{ft_pcg_with, FtCgOptions};
@@ -226,6 +224,41 @@ fn a_nan_in_ft_hpl_is_flagged() {
 }
 
 #[test]
+fn a_reported_ft_hpl_error_is_restored_where_the_report_names_it() {
+    // +1.0 after panel 0 on an entry of the trailing matrix and on a
+    // multiplier of panel 0, each with a report naming its line of
+    // `matrix_a` (column-major, leading dimension 64): with the location
+    // known, the row's checksum restores the first and the archive the
+    // second, with no sweep.
+    let n = 64;
+    let a = random_diag_dominant(n, 6);
+    let opts = FtHplOptions { block: 16, ..Default::default() };
+    let clean = ft_hpl_injected(&a, &opts, &[], |_, _| {}).unwrap();
+    for (i, j) in [(40, 50), (50, 5)] {
+        let channel = SysfsChannel::new();
+        let opts = FtHplOptions { mode: VerifyMode::HardwareAssisted(channel.clone()), ..opts };
+        let r = ft_hpl_injected(&a, &opts, &[], |kt, ext| {
+            if kt == 0 {
+                ext[(i, j)] += 1.0;
+                channel.publish(report("matrix_a", j * n + i));
+            }
+        })
+        .unwrap();
+        let s = r.stats;
+        assert_eq!((s.corrections, s.uncorrectable), (1, 0), "({i}, {j})");
+        let off = r.lu.as_slice().iter().zip(clean.lu.as_slice()).map(|(x, y)| (x - y).abs());
+        let off = off.fold(0.0, f64::max);
+        assert!(off < 1e-12, "({i}, {j}): the factors are {off} off a clean run's");
+    }
+    // A report the matrix cannot place is flagged, not dropped.
+    let channel = SysfsChannel::new();
+    let opts = FtHplOptions { mode: VerifyMode::HardwareAssisted(channel.clone()), ..opts };
+    channel.publish(report("rhs_b", 0));
+    let r = ft_hpl_injected(&a, &opts, &[], |_, _| {}).unwrap();
+    assert_eq!((r.stats.corrections, r.stats.uncorrectable), (0, 1));
+}
+
+#[test]
 fn a_flipped_ft_hpl_multiplier_is_restored_from_the_broadcast_archive() {
     // The checksum relation reads a factored column's L multipliers as
     // zero, so only the archive's copy can see one move: +1.0 on a
@@ -241,11 +274,4 @@ fn a_flipped_ft_hpl_multiplier_is_restored_from_the_broadcast_archive() {
     .unwrap();
     assert_eq!((r.stats.corrections, r.stats.uncorrectable), (1, 0));
     assert!(r.lu.as_slice() == clean.lu.as_slice(), "the factors differ from a clean run's");
-}
-
-#[test]
-fn clean_runs_up_to_n_192_trip_no_check() {
-    for n in [96, 192] {
-        clean::every_kernel_is_silent(n, 0..20);
-    }
 }

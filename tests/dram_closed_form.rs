@@ -107,7 +107,8 @@ fn a_chipkill_read_holds_its_partner_channel() {
     for first in CHIPS.map(|(scheme, _)| scheme) {
         // The first request at FIRST_NS on channel 0, a No-ECC read of
         // channel 1 at the same instant: it waits for the channel pair only
-        // when the first is a chipkill access.
+        // when the first is a chipkill access. A read of channel 2 at that
+        // instant, outside the pair, never waits.
         let mut dram = Dram::new(cfg.clone());
         let a = dram.access(FIRST_NS, addr(&cfg, 0, 5, 0), false, first);
         let b = dram.access(FIRST_NS, other, false, EccScheme::None);
@@ -115,6 +116,8 @@ fn a_chipkill_read_holds_its_partner_channel() {
         let wait = if first == EccScheme::Chipkill { closed(first) } else { 0.0 };
         close(b.queue_ns, wait, &format!("after a {first:?} read on channel 0"));
         close(b.completion_ns - FIRST_NS, wait + closed(EccScheme::None), "second latency");
+        let c = dram.access(FIRST_NS, addr(&cfg, 2, 5, 0), false, EccScheme::None);
+        close(c.queue_ns, 0.0, &format!("channel 2 after a {first:?} read on channel 0"));
     }
     // And the other way round: a chipkill read waits for a busy partner.
     let mut dram = Dram::new(cfg.clone());
@@ -190,13 +193,17 @@ fn idle_ranks_draw_power_down_and_ecc_chips_stay_down_without_ecc() {
     let cfg = SystemConfig::default();
     let e = cfg.energy;
     let ranks = (cfg.channels * cfg.dimms_per_channel * cfg.ranks_per_dimm) as f64;
-    // A millisecond; mW x ns is pJ.
+    // Idle for a millisecond and for two seconds; mW x ns is pJ.
+    let dram = Dram::new(cfg.clone());
+    for t in [1e6, 2e9] {
+        let idle = ranks * (DATA_CHIPS + ECC_CHIPS) * e.powerdown_mw_per_chip * t / 1000.0;
+        for powered in [false, true] {
+            let what = format!("idle for {t} ns, ECC chips powered {powered}");
+            close(dram.standby_nj(t, powered), idle, &what);
+        }
+    }
     let t = 1e6;
     let idle = ranks * (DATA_CHIPS + ECC_CHIPS) * e.powerdown_mw_per_chip * t / 1000.0;
-    let dram = Dram::new(cfg.clone());
-    for powered in [false, true] {
-        close(dram.standby_nj(t, powered), idle, &format!("idle, ECC chips powered {powered}"));
-    }
     // One read keeps its rank busy for its latency: for that long the
     // rank's data chips draw standby power, and its ECC chips only when
     // ECC is on.
@@ -233,24 +240,28 @@ fn a_fine_grained_secded_read_busies_a_quarter_rank_for_a_quarter_burst() {
 
 #[test]
 fn a_queued_read_keeps_its_rank_busy_for_its_service_not_its_wait() {
-    // Two reads of one row of one bank at the same instant: the second
-    // waits for the first, then hits. The rank is busy for the two
-    // service latencies; the wait is the first read's, not more.
+    // Three reads of one row of one bank at the same instant: each waits
+    // for the ones before it, then hits. The rank is busy for the three
+    // service latencies; the waits are the earlier reads', not more.
     let cfg = SystemConfig::default();
     let (t, e) = (cfg.timing, cfg.energy);
     let mut dram = Dram::new(cfg.clone());
-    let a = dram.access(FIRST_NS, addr(&cfg, 0, 5, 0), false, EccScheme::None);
-    let b = dram.access(FIRST_NS, addr(&cfg, 0, 5, 1), false, EccScheme::None);
+    let got: Vec<ServiceResult> = (0..3)
+        .map(|col| dram.access(FIRST_NS, addr(&cfg, 0, 5, col), false, EccScheme::None))
+        .collect();
     let closed = (t.t_rcd + t.t_cl) as f64 * t.tck_ns + tail_ns(&cfg, EccScheme::None);
     let hit = t.t_cl as f64 * t.tck_ns + tail_ns(&cfg, EccScheme::None);
-    close(a.completion_ns - FIRST_NS, closed, "first latency");
-    close(b.queue_ns, closed, "second wait");
-    close(b.completion_ns - FIRST_NS, closed + hit, "second completion");
+    for (k, r) in got.iter().enumerate() {
+        let wait = if k == 0 { 0.0 } else { closed + (k - 1) as f64 * hit };
+        let service = if k == 0 { closed } else { hit };
+        close(r.queue_ns, wait, &format!("read {k}'s wait"));
+        close(r.completion_ns - FIRST_NS, wait + service, &format!("read {k}'s completion"));
+    }
     let ranks = (cfg.channels * cfg.dimms_per_channel * cfg.ranks_per_dimm) as f64;
     let elapsed = 1e6;
     let idle = ranks * (DATA_CHIPS + ECC_CHIPS) * e.powerdown_mw_per_chip * elapsed / 1000.0;
-    let up = (e.standby_mw_per_chip - e.powerdown_mw_per_chip) * (closed + hit) / 1000.0;
-    close(dram.standby_nj(elapsed, false), idle + DATA_CHIPS * up, "standby after two reads");
+    let up = (e.standby_mw_per_chip - e.powerdown_mw_per_chip) * (closed + 2.0 * hit) / 1000.0;
+    close(dram.standby_nj(elapsed, false), idle + DATA_CHIPS * up, "standby after three reads");
 }
 
 #[test]

@@ -3,7 +3,8 @@
 //! and each under `crates/` — inherits the root manifest's
 //! `[workspace.lints]`, `clippy.toml` bans the wall clock and the hash
 //! containers, and the simulator crates deny printing. A new or edited
-//! crate that drops out of any of them fails here, not silently.
+//! crate that drops out of any of them fails here, not silently. So does
+//! a test build that turns off the `debug_assert!` audits.
 
 #![expect(
     clippy::expect_used,
@@ -107,4 +108,16 @@ fn the_simulator_crates_deny_printing() {
             .any(|l| l.trim() == "#![deny(clippy::print_stdout, clippy::print_stderr)]");
         assert!(denies, "{lib} must deny clippy::print_stdout and clippy::print_stderr");
     }
+}
+
+/// The test profile optimises, but the `Dram`, `MemoryController` and
+/// artifact `check` audits are `debug_assert!`s: a `[profile.test]` that
+/// turned debug assertions off would skip every one of them unseen.
+#[test]
+#[expect(
+    clippy::assertions_on_constants,
+    reason = "the constant is the build's setting; a failing test names it, a const block would stop the build"
+)]
+fn the_test_build_keeps_debug_assertions_on() {
+    assert!(cfg!(debug_assertions), "the test profile turned debug assertions off");
 }

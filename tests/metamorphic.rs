@@ -1,10 +1,10 @@
-//! Metamorphic relations of the ECC strategies: pairs of cells whose
-//! results must agree for a reason the model states, whatever the numbers
-//! are. Each row below is one pass over a small kernel's miss stream (a
-//! 64 KiB L2, so that the kernels reach DRAM) with the six strategies
-//! side by side.
+//! Metamorphic relations of the ECC strategies and the energy model:
+//! pairs of cells whose results must agree for a reason the model states,
+//! whatever the numbers are. Each row below is one pass over a small
+//! kernel's miss stream (a 64 KiB L2, so that the kernels reach DRAM),
+//! with the six strategies side by side or one strategy on two configs.
 
-use abft_coop::abft_memsim::config::CacheConfig;
+use abft_coop::abft_memsim::config::{CacheConfig, DramEnergy};
 use abft_coop::abft_memsim::system::SimStats;
 use abft_coop::abft_memsim::workloads::{CholeskyParams, HplParams};
 use abft_coop::prelude::*;
@@ -82,5 +82,43 @@ fn without_abft_a_partial_strategy_is_its_whole_baseline() {
         let row = row(params, &cfg());
         let (partial, whole) = (Strategy::PartialChipkillNoEcc, Strategy::WholeChipkill);
         assert!(row[at(partial)] != row[at(whole)], "{}: relaxed nothing", params.label());
+    }
+}
+
+#[test]
+fn doubled_burst_and_activation_energy_doubles_dynamic_energy_and_nothing_else() {
+    // Under No-ECC an access costs its chips' burst and activation energy
+    // and no correction energy, so doubling the three per-chip
+    // coefficients doubles every term of the dynamic sum: exactly, since
+    // x2 only moves the exponent. Time, standby energy and every count
+    // stay as they were.
+    let base = cfg();
+    let e = base.energy;
+    let doubled = SystemConfig {
+        energy: DramEnergy {
+            act_nj_per_chip: 2.0 * e.act_nj_per_chip,
+            read_nj_per_chip: 2.0 * e.read_nj_per_chip,
+            write_nj_per_chip: 2.0 * e.write_nj_per_chip,
+            ..e
+        },
+        ..base.clone()
+    };
+    for params in kernels(true) {
+        let ms = MissStream::build(&mut params.stream(), base.l1, base.l2, base.threads);
+        let [want, got] = [&base, &doubled]
+            .map(|cfg| run_cells(SimInput::MissStream(&ms), cfg, &[Strategy::NoEcc]).remove(0));
+        let dynamic_j = want.mem_dynamic_j();
+        assert!(dynamic_j > 0.0, "{}: no dynamic energy to double", params.label());
+        assert_eq!(
+            got.mem_dynamic_j().to_bits(),
+            (2.0 * dynamic_j).to_bits(),
+            "{}",
+            params.label()
+        );
+        let want = format!("{want:?}").replace(
+            &format!("mem_dynamic_j: {dynamic_j:?}"),
+            &format!("mem_dynamic_j: {:?}", 2.0 * dynamic_j),
+        );
+        assert!(format!("{got:?}") == want, "{}:\n{got:?}\n{want}", params.label());
     }
 }

@@ -212,16 +212,6 @@ proptest! {
         prop_assert_eq!(back.instructions, built.instructions);
         prop_assert_eq!(back.regions.regions(), built.regions.regions());
     }
-
-    // ----- dram address map ---------------------------------------------
-
-    #[test]
-    fn address_map_bijective(line in 0u64..100_000_000) {
-        use abft_coop::abft_memsim::AddressMap;
-        let map = AddressMap::new(&SystemConfig::default());
-        let paddr = line * 64;
-        prop_assert_eq!(map.encode(&map.decode(paddr)), paddr);
-    }
 }
 
 proptest! {
