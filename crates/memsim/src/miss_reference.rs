@@ -1,8 +1,9 @@
 //! Test-only: the two-word miss record the byte records replaced.
 //!
-//! A [`MissStream`] codes each record in a few bytes against the last
-//! record of its region, so its decoder carries a table of contexts from
-//! record to record and a [`SliceCursor`] rebuilds it from a reset point
+//! A [`MissStream`] codes each record in a header byte and a few fields
+//! against the last record of its region and the region predicted to
+//! follow, so its decoder carries tables of contexts and successors from
+//! record to record and a [`SliceCursor`] rebuilds them from a reset point
 //! across a resume. What pins that codec is kept
 //! here, as `walk_reference.rs` keeps the cache walk: the two-word record
 //! exactly as it stood — word 0 the [`crate::packed`] layout with its run
@@ -174,8 +175,8 @@ proptest::proptest! {
         prop_assert!(ms.iter().eq(want.iter().copied()), "full decode");
         prop_assert!(two_word_records(&ms) == words, "records and runs");
 
-        // What the records must have met: each kind, a run at the cap, an
-        // escaped run short of it, a record that keeps the attributes of
+        // What the records must have met: each kind, a run at the cap, a
+        // run of 16 or more short of it, a record that keeps the attributes of
         // its region's last record but not its gap, and one the other way,
         // and a record back in a region it had left.
         let mut seen = [false; 8];

@@ -33,35 +33,44 @@
 //! The stream is run-aware and coded against itself: one record covers up
 //! to [`MAX_MISS_RUN`] consecutive-line events with identical attributes
 //! and thread-cycle gaps (the shape LLC-missing line sweeps produce), and
-//! each record is a few bytes coded against the record its own region
-//! last left.
+//! each record is a header byte, plus a byte or a field for only what its
+//! region's context did not predict.
 //!
 //! ```text
-//! header  1 byte   bits 7..4 run (1..=15; 0 = a LEB128 run follows)
-//!                  | bit 3 gap unchanged | bit 2 attributes unchanged
-//!                  | bits 1..0 kind (3 = another region: an escape byte follows)
-//! escape  1 byte   only under kind 3: region (bits 7..2) | kind (bits 1..0)
-//! run     LEB128   only under the run escape (16..=64)
-//! attrs   LEB128   only if changed: addr & 63 (6) | work (16) | write (1)
+//! header  1 byte   bits 7..5 run: 0 = the region's last run, 1..=6 = that
+//!                      run, 7 = a LEB128 run follows
+//!                  | bit 4 line continues (head line = where the region's
+//!                      last run ended)
+//!                  | bit 3 gap unchanged
+//!                  | bit 2 region as predicted
+//!                  | bits 1..0 kind (3 = the attributes change: a LEB128
+//!                      attrs << 2 | kind follows)
+//! region  1 byte   only if not as predicted
+//! run     LEB128   only under run code 7 (7..=64)
+//! attrs   LEB128   only under kind 3: addr & 63 (6) | work (16) | write (1),
+//!                  above the record's kind (2)
 //! gap     LEB128   only if changed: thread cycles from the previous event
-//! line    LEB128   zigzag head trigger line − where the region's last run ended
+//! line    LEB128   only if it does not continue: zigzag head trigger line
+//!                  − where the region's last run ended
 //! wb      LEB128   zigzag head write-back line − where the region's last
 //!                  write-back run ended (kinds with a write-back only)
 //! ```
 //!
-//! A record is of the region of the record before it unless it escapes.
-//! What it is coded against (`RecordContext`) is what the last record of
-//! its region left behind: its attributes and gap, the line after its run,
-//! and the line after the region's last write-back run. The table of
-//! contexts (`Contexts`) starts empty, with region 0 current, and empties
-//! again every 1024 records (`RESET_RECORDS`), so a resume needs only the
-//! byte offset of the reset point at or before its record ([`SliceCursor`])
-//! and replays the contexts forward from there. A sweep cut by the
-//! 64-event cap costs three bytes a record; a one-event miss that changes
-//! nothing but its line, two to four. The gap is kept in undivided thread
-//! cycles because a regular sweep repeats it exactly, while its core
-//! cycles `⌊Σ / threads⌋` step unevenly (5, 5, 5, 6, … at four threads)
-//! and would cut the sweep into a record per step (DESIGN.md §3.13).
+//! A record's region is predicted to be the one whose record followed the
+//! current region's last. What it is coded against is what the last
+//! record of its region left behind: its attributes, gap and run, the line
+//! after its run, and the line after the region's last write-back run. The
+//! tables of contexts, runs and successors (`Contexts`) start empty, with
+//! region 0 current and every region predicting itself, and empty again
+//! every 1024 records (`RESET_RECORDS`), so a resume needs only the byte
+//! offset of the reset point at or before its record ([`SliceCursor`]) and
+//! replays the contexts forward from there. A sweep
+//! cut by the 64-event cap costs one or two bytes a record, and so does a
+//! one-event miss in a cycle of regions that continues each one's line.
+//! The gap is kept in undivided thread cycles because a regular sweep
+//! repeats it exactly, while its core cycles `⌊Σ / threads⌋` step unevenly
+//! (5, 5, 5, 6, … at four threads) and would cut the sweep into a record
+//! per step (DESIGN.md §3.13).
 
 use crate::cache::{Cache, CacheOutcome};
 use crate::config::CacheConfig;
@@ -73,18 +82,22 @@ pub(crate) const KIND_DEMAND: u64 = 0;
 pub(crate) const KIND_DEMAND_WB: u64 = 1;
 pub(crate) const KIND_WRITEBACK: u64 = 2;
 
-/// Header bits: the kind, "attributes unchanged", "gap unchanged", and
-/// where the 4-bit run sits.
+/// Header bits: the kind, "region as predicted", "gap unchanged", "line
+/// continues", and where the 3-bit run code sits.
 const KIND_MASK: u8 = 0b11;
-const ATTRS_SAME: u8 = 1 << 2;
+const REGION_SAME: u8 = 1 << 2;
 const GAP_SAME: u8 = 1 << 3;
-const RUN_SHIFT: u32 = 4;
+const LINE_SAME: u8 = 1 << 4;
+const RUN_SHIFT: u32 = 5;
+/// Run codes: 0 repeats the region's last run, this one has a LEB128 run
+/// follow, and the ones between are that run.
+const RUN_FIELD: u8 = 7;
 const RUN_BITS: u32 = 6;
 const DELTA_BITS: u32 = 31;
-/// The header kind that changes region: the escape byte after the header
-/// holds the region above the record's real kind.
-const KIND_ESCAPE: u8 = 3;
-const ESCAPE_REGION_SHIFT: u32 = 2;
+/// The header kind that changes the attributes: the LEB128 field holds
+/// them above the record's real kind.
+const KIND_ATTRS: u8 = 3;
+const ATTRS_KIND_SHIFT: u32 = 2;
 /// Where an attribute word's fields sit (`write` is bit 0).
 const WORK_SHIFT: u32 = 1;
 const LOW_SHIFT: u32 = 17;
@@ -98,9 +111,10 @@ pub const MAX_MISS_RUN: usize = 1 << RUN_BITS;
 /// replays at most this many less one to rebuild the table it needs
 /// (DESIGN.md §3.13).
 pub(crate) const RESET_RECORDS: usize = 1024;
-/// The most bytes a record takes: a header, an escape byte and five
-/// LEB128 fields of at most ten bytes.
-pub(crate) const MAX_RECORD_BYTES: usize = 52;
+/// The most bytes a record that decodes takes: a header, a region byte and
+/// five LEB128 fields (run, attributes, gap, line, write-back) of at most
+/// ten bytes.
+pub(crate) const MAX_RECORD_BYTES: usize = 2 + 5 * 10;
 /// Maximum gap, in thread cycles, between consecutive DRAM events the
 /// encoding can hold (~2.1 G thread cycles: 0.54 G core cycles at four
 /// threads, a quarter second of core time between misses).
@@ -677,8 +691,10 @@ impl Record {
 /// What a record is coded against: the attributes and gap of the last
 /// record of its region, the line after that record's run, and the line
 /// after the region's last write-back run. A region starts from the
-/// default (all zero) after every reset.
+/// default (all zero) after every reset. Aligned to its 32 bytes, so that
+/// no context in the table straddles a cache line (DESIGN.md §3.13).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[repr(align(32))]
 struct RecordContext {
     attrs: u64,
     gap: u64,
@@ -695,11 +711,23 @@ impl RecordContext {
     }
 }
 
+/// Every region predicting itself: the successor table at a reset point.
+const SELF_SUCCESSORS: [u8; MAX_PACKED_REGIONS] = {
+    let mut next = [0; MAX_PACKED_REGIONS];
+    let mut r = 0;
+    while r < MAX_PACKED_REGIONS {
+        next[r] = r as u8;
+        r += 1;
+    }
+    next
+};
+
 /// The coder's and every decoder's state between records: the current
 /// region and its context, held apart so that a run of records in one
 /// region never touches the table, the contexts the other regions left,
-/// and the records left before the table resets. It lives inline in what
-/// carries it (an encoder, a decoder), so a resume allocates nothing.
+/// the region whose record followed each region's last, and the records
+/// left before the tables reset. It lives inline in what carries it (an
+/// encoder, a decoder), so a resume allocates nothing.
 #[derive(Debug, Clone)]
 pub(crate) struct Contexts {
     region: u64,
@@ -708,6 +736,15 @@ pub(crate) struct Contexts {
     /// without its bit starts from the default.
     table: [RecordContext; MAX_PACKED_REGIONS],
     live: u64,
+    /// The region whose record followed each region's last; every region
+    /// itself at a reset point. Beside the contexts, not in them: read by
+    /// the current region alone, the prediction is one load, where copied
+    /// through a switch it sat on the chain from record to record and cost
+    /// paper FT-CG's decode a third (DESIGN.md §3.13).
+    next: [u8; MAX_PACKED_REGIONS],
+    /// The run of each region's last record, 0 before its first since the
+    /// reset point: beside the contexts, which stay 32 bytes.
+    runs: [u8; MAX_PACKED_REGIONS],
     /// Records before the next reset; 0 at a reset point.
     left: usize,
 }
@@ -715,8 +752,9 @@ pub(crate) struct Contexts {
 impl Contexts {
     /// The state at a reset point.
     pub fn new() -> Self {
-        let cur = RecordContext::default();
-        Contexts { region: 0, cur, table: [cur; MAX_PACKED_REGIONS], live: 0, left: 0 }
+        let (cur, next, runs) =
+            (RecordContext::default(), SELF_SUCCESSORS, [0; MAX_PACKED_REGIONS]);
+        Contexts { region: 0, cur, table: [cur; MAX_PACKED_REGIONS], live: 0, next, runs, left: 0 }
     }
 
     /// Whether the next record starts a reset interval.
@@ -725,20 +763,57 @@ impl Contexts {
         self.left == 0
     }
 
-    /// Step to the next record, emptying the table at a reset point.
+    /// Step to the next record, emptying the tables at a reset point.
     #[inline(always)]
     fn next_record(&mut self) {
         if self.left == 0 {
             (self.region, self.cur, self.live) = (0, RecordContext::default(), 0);
+            (self.next, self.runs) = (SELF_SUCCESSORS, [0; MAX_PACKED_REGIONS]);
             self.left = RESET_RECORDS;
         }
         self.left -= 1;
     }
 
-    /// Make `region` (below 64) current: the current context goes to the
-    /// table and `region`'s comes out of it. Inlined: FT-CG's streams
-    /// change region on most records, and as an out-of-line call the
-    /// switch cost paper FT-CG's decode half again (DESIGN.md §3.13).
+    /// The region the next record is predicted to be of: the one whose
+    /// record followed the current region's last.
+    #[inline(always)]
+    fn predicted(&self) -> u64 {
+        self.next[self.region as usize] as u64
+    }
+
+    /// Note that a record of `region` followed the current region's last,
+    /// where [`Contexts::predicted`] named another. Where it named this one
+    /// the table already says so, and neither coder writes it.
+    #[inline(always)]
+    fn follow(&mut self, region: u64) {
+        self.next[self.region as usize] = region as u8;
+    }
+
+    /// Make `region` (below 64) current.
+    #[inline(always)]
+    fn enter(&mut self, region: u64) {
+        if region != self.region {
+            self.switch(region);
+        }
+    }
+
+    /// The run of the current region's last record, 0 before its first.
+    #[inline(always)]
+    fn last_run(&self) -> u64 {
+        self.runs[self.region as usize] as u64
+    }
+
+    /// Step the current region's context past its record `r`.
+    #[inline(always)]
+    fn close(&mut self, r: &Record) {
+        self.cur = self.cur.after(r);
+        self.runs[self.region as usize] = r.run as u8;
+    }
+
+    /// The current context goes to the table and `region`'s comes out of
+    /// it. Inlined: FT-CG's streams change region on most records, and as
+    /// an out-of-line call the switch cost paper FT-CG's decode half again
+    /// (DESIGN.md §3.13).
     #[inline(always)]
     fn switch(&mut self, region: u64) {
         self.table[self.region as usize] = self.cur;
@@ -755,42 +830,54 @@ pub(crate) fn put_record(out: &mut Vec<u8>, ctxs: &mut Contexts, r: &Record) {
     // Assembled on the stack and appended at once.
     let (mut buf, mut len) = ([0u8; MAX_RECORD_BYTES], 1);
     ctxs.next_record();
-    let mut header = r.kind as u8;
-    if r.region != ctxs.region {
-        ctxs.switch(r.region);
-        buf[1] = (r.region as u8) << ESCAPE_REGION_SHIFT | header;
-        (header, len) = (KIND_ESCAPE, 2);
+    let mut header = 0;
+    if r.region == ctxs.predicted() {
+        header |= REGION_SAME;
+    } else {
+        ctxs.follow(r.region);
+        (buf[1], len) = (r.region as u8, 2);
     }
+    ctxs.enter(r.region);
     let ctx = &ctxs.cur;
     let mut field = |v: u64| len += put_leb(&mut buf[len..], v);
-    if r.run < 16 {
-        header |= (r.run as u8) << RUN_SHIFT;
+    let run = if r.run == ctxs.last_run() {
+        0
+    } else if r.run < RUN_FIELD as u64 {
+        r.run as u8
     } else {
         field(r.run);
-    }
+        RUN_FIELD
+    };
+    header |= run << RUN_SHIFT;
     if r.attrs == ctx.attrs {
-        header |= ATTRS_SAME;
+        header |= r.kind as u8;
     } else {
-        field(r.attrs);
+        header |= KIND_ATTRS;
+        field(r.attrs << ATTRS_KIND_SHIFT | r.kind);
     }
     if r.gap == ctx.gap {
         header |= GAP_SAME;
     } else {
         field(r.gap);
     }
-    field(zigzag(r.line.wrapping_sub(ctx.line)));
+    if r.line == ctx.line {
+        header |= LINE_SAME;
+    } else {
+        field(zigzag(r.line.wrapping_sub(ctx.line)));
+    }
     if r.kind != KIND_DEMAND {
         field(zigzag(r.wb.wrapping_sub(ctx.wb)));
     }
     buf[0] = header;
     out.extend_from_slice(&buf[..len]);
-    ctxs.cur = ctxs.cur.after(r);
+    ctxs.close(r);
 }
 
 /// Decode the record at `*pos`, coded against `ctxs`, and step `*pos` and
 /// `ctxs` past it. Only the bytes are checked (a field cut short, a
-/// LEB128 field longer than 64 bits, an escape to kind 3); what they say
-/// is [`Record::check`]'s to judge.
+/// LEB128 field longer than 64 bits, a region byte past 63); what they say
+/// — a kind of 3, a run of 0 where the region has had none, a region the
+/// stream does not register — is [`Record::check`]'s to judge.
 #[inline(always)]
 pub(crate) fn get_record(
     bytes: &[u8],
@@ -800,29 +887,43 @@ pub(crate) fn get_record(
     let &header = bytes.get(*pos).ok_or("miss record cut short")?;
     *pos += 1;
     ctxs.next_record();
-    let mut kind = header & KIND_MASK;
-    if kind == KIND_ESCAPE {
-        let &escape = bytes.get(*pos).ok_or("miss record cut short")?;
+    let region = if header & REGION_SAME != 0 {
+        ctxs.predicted()
+    } else {
+        let &region = bytes.get(*pos).ok_or("miss record cut short")?;
         *pos += 1;
-        kind = escape & KIND_MASK;
-        if kind == KIND_ESCAPE {
-            return Err("miss record escape of kind 3");
+        if region as usize >= MAX_PACKED_REGIONS {
+            return Err("miss record region byte past 63");
         }
-        ctxs.switch((escape >> ESCAPE_REGION_SHIFT) as u64);
-    }
-    let kind = kind as u64;
-    let ctx = &ctxs.cur;
-    let run = match header >> RUN_SHIFT {
-        0 => get_leb(bytes, pos)?,
-        run => run as u64,
+        ctxs.follow(region as u64);
+        region as u64
     };
-    let attrs = if header & ATTRS_SAME != 0 { ctx.attrs } else { get_leb(bytes, pos)? };
+    ctxs.enter(region);
+    let ctx = &ctxs.cur;
+    // Whether a run repeats the region's last is data-dependent, so it is
+    // a select, not a branch; only the rare run field branches.
+    let code = header >> RUN_SHIFT;
+    let mut run = if code == 0 { ctxs.last_run() } else { code as u64 };
+    if code == RUN_FIELD {
+        run = get_leb(bytes, pos)?;
+    }
+    let (kind, attrs) = match header & KIND_MASK {
+        KIND_ATTRS => {
+            let v = get_leb(bytes, pos)?;
+            (v & KIND_MASK as u64, v >> ATTRS_KIND_SHIFT)
+        }
+        kind => (kind as u64, ctx.attrs),
+    };
     let gap = if header & GAP_SAME != 0 { ctx.gap } else { get_leb(bytes, pos)? };
-    let line = ctx.line.wrapping_add(unzigzag(get_leb(bytes, pos)?));
+    let line = if header & LINE_SAME != 0 {
+        ctx.line
+    } else {
+        ctx.line.wrapping_add(unzigzag(get_leb(bytes, pos)?))
+    };
     let wb =
         if kind == KIND_DEMAND { 0 } else { ctx.wb.wrapping_add(unzigzag(get_leb(bytes, pos)?)) };
-    let rec = Record { kind, region: ctxs.region, attrs, gap, line, wb, run };
-    ctxs.cur = ctx.after(&rec);
+    let rec = Record { kind, region, attrs, gap, line, wb, run };
+    ctxs.close(&rec);
     Ok(rec)
 }
 
@@ -1338,6 +1439,36 @@ pub(crate) fn few_line_trace(
     (t, l1, l2)
 }
 
+/// Test-only: what the header byte `h` says, one name per field — the run
+/// code, the region, the line, the attributes and the gap.
+#[cfg(test)]
+pub(crate) fn header_codes(h: u8) -> [&'static str; 5] {
+    [
+        match h >> RUN_SHIFT {
+            0 => "run repeated",
+            RUN_FIELD => "run field",
+            _ => "run literal",
+        },
+        if h & REGION_SAME != 0 { "region predicted" } else { "region byte" },
+        if h & LINE_SAME != 0 { "line continues" } else { "line field" },
+        if h & KIND_MASK == KIND_ATTRS { "attributes escaped" } else { "attributes kept" },
+        if h & GAP_SAME != 0 { "gap kept" } else { "gap field" },
+    ]
+}
+
+/// Test-only: the [`header_codes`] the records of `bytes`, which start at a
+/// reset point, meet.
+#[cfg(test)]
+pub(crate) fn header_codes_of(bytes: &[u8]) -> std::collections::BTreeSet<&'static str> {
+    Records::new(bytes).flat_map(|step| header_codes(bytes[step.unwrap().at])).collect()
+}
+
+/// Test-only: every name [`header_codes`] gives some header byte.
+#[cfg(test)]
+pub(crate) fn every_header_code() -> std::collections::BTreeSet<&'static str> {
+    (0..=u8::MAX).flat_map(header_codes).collect()
+}
+
 /// [`few_line_trace`] over three regions, filtered on one thread.
 #[cfg(test)]
 pub(crate) fn few_line_stream(seed: u64) -> MissStream {
@@ -1504,6 +1635,31 @@ mod tests {
             event += step.rec.run as usize;
         }
         assert!(escapes > 0, "no reset point fell on a record of another region");
+    }
+
+    #[test]
+    fn every_header_code_round_trips_on_both_sides_of_a_reset_point() {
+        let (t, l1, l2) = few_line_trace(7, 3, 14_000);
+        let mut want = Vec::new();
+        walk(&mut t.replay(), l1, l2, 2, |ev, _| want.push(*ev));
+        let ms = MissStream::build(&mut t.replay(), l1, l2, 2);
+        assert!(ms.iter().eq(want.iter().copied()), "full decode");
+        let bytes = ms.raw_bytes();
+        // The codes met before the first reset point, and after it.
+        let mut seen = [std::collections::BTreeSet::new(), std::collections::BTreeSet::new()];
+        let (mut cycles, mut event) = (0u64, 0usize);
+        for (n, step) in ms.records().enumerate() {
+            let step = step.unwrap();
+            seen[(n >= RESET_RECORDS) as usize].extend(header_codes(bytes[step.at]));
+            let tail = ms.events_from(SliceCursor::at(&step, 0, cycles));
+            assert!(tail.eq(want[event..].iter().copied()), "record {n}");
+            cycles += step.rec.gap * step.rec.run;
+            event += step.rec.run as usize;
+        }
+        assert_eq!(event, want.len());
+        for (side, codes) in ["before", "after"].iter().zip(&seen) {
+            assert_eq!(*codes, every_header_code(), "{side} the first reset point");
+        }
     }
 
     #[test]

@@ -140,7 +140,10 @@ echo "=== the pinned referees are still there, by name ==="
 # are not whole core cycles, `reference_scan` (the SimPoint fingerprint by
 # its definition, event by event), `miss_reference` (the two-word miss
 # record the byte records replaced, event by event and resume by resume),
-# the proptest that pins every lane of a
+# the round trip of every miss-record header code on both sides of a
+# reset point, the store's refusal of malformed headers and of damaged
+# payloads, and its eviction of version-6 blobs written byte for byte as
+# version 6 wrote them, the proptest that pins every lane of a
 # row replay to the simulation it would be alone and the one that holds the
 # packed builder's sweep-level emission to line-by-line emission. In ecc,
 # the census that pins x4 chipkill's decode of 2-, 3- and 4-chip errors; in
@@ -167,6 +170,11 @@ for pinned in walk_reference:: every_lane_is_the_simulation_it_would_be_alone \
     production_path_is_bit_identical_to_the_reference_model \
     sweep_emission_packs_the_words_line_emission_packs reference_replay reference_scan \
     byte_records_decode_as_the_two_word_records \
+    every_header_code_round_trips_on_both_sides_of_a_reset_point \
+    a_well_checksummed_but_inconsistent_miss_stream_is_evicted \
+    payload_damage_under_a_matching_checksum_never_panics \
+    a_version_6_miss_blob_under_a_current_name_is_evicted_and_rebuilt \
+    a_version_6_simpoint_blob_under_a_current_name_is_evicted_and_rebuilt \
     chipkill::tests::multi_chip_census_is_pinned \
     cholesky::tests::injected_error_in_trailing_matrix_is_corrected \
     miss_stream_replay_allocates_flat source_replay_allocates_flat sampled_replay_allocates_flat \
