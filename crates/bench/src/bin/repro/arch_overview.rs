@@ -43,10 +43,10 @@ Figure 4 — simulation framework:
         ECC_RANGE_SLOTS,
         ERROR_REGISTERS,
         cfg.channels - 2,
-        cfg.data_chips_per_rank,
-        cfg.ecc_chips_per_rank,
-        cfg.data_chips_per_rank,
-        cfg.ecc_chips_per_rank,
+        cfg.device_width.data_chips_per_rank(),
+        cfg.device_width.ecc_chips_per_rank(),
+        cfg.device_width.data_chips_per_rank(),
+        cfg.device_width.ecc_chips_per_rank(),
         cfg.chips_per_access(EccScheme::None),
         cfg.chips_per_access(EccScheme::Secded),
         cfg.chips_per_access(EccScheme::Chipkill),

@@ -72,8 +72,6 @@ pub struct DramTiming {
     pub t_cl: u64,
     /// Row precharge.
     pub t_rp: u64,
-    /// Row active minimum.
-    pub t_ras: u64,
     /// Data burst length in beats (BL8).
     pub burst_beats: u64,
     /// Average refresh interval per rank (ns; DDR3 tREFI = 7.8 us).
@@ -113,7 +111,6 @@ impl Default for DramTiming {
             t_rcd: 5,
             t_cl: 5,
             t_rp: 5,
-            t_ras: 15,
             burst_beats: 8,
             t_refi_ns: 7800.0,
             t_rfc_ns: 110.0,
@@ -221,11 +218,7 @@ pub struct SystemConfig {
     /// ("memory parallelism can partially hide memory access latency",
     /// Section 5.1).
     pub stall_factor: f64,
-    /// Data chips per rank (16 for x4 on a 64-bit channel).
-    pub data_chips_per_rank: usize,
-    /// ECC chips per rank (2 for x4 on a 72-bit channel).
-    pub ecc_chips_per_rank: usize,
-    /// DRAM device width.
+    /// DRAM device width (its chips per rank: [`DeviceWidth`]'s methods).
     pub device_width: DeviceWidth,
     /// Row-buffer policy (Table 3: open).
     pub row_policy: RowPolicy,
@@ -254,8 +247,6 @@ impl Default for SystemConfig {
             energy: DramEnergy::default(),
             proc_power: ProcessorPower::default(),
             stall_factor: 0.35,
-            data_chips_per_rank: 16,
-            ecc_chips_per_rank: 2,
             device_width: DeviceWidth::X4,
             row_policy: RowPolicy::Open,
         }
@@ -421,28 +412,6 @@ impl SystemConfig {
         if !(0.0..=1.0).contains(&self.stall_factor) || !self.stall_factor.is_finite() {
             return Err(err("stall_factor", self.stall_factor, "not a fraction in [0, 1]"));
         }
-        if self.data_chips_per_rank != self.device_width.data_chips_per_rank() {
-            return Err(err(
-                "data_chips_per_rank",
-                self.data_chips_per_rank,
-                format!(
-                    "does not match the {:?} device width ({} expected; use with_device_width)",
-                    self.device_width,
-                    self.device_width.data_chips_per_rank()
-                ),
-            ));
-        }
-        if self.ecc_chips_per_rank != self.device_width.ecc_chips_per_rank() {
-            return Err(err(
-                "ecc_chips_per_rank",
-                self.ecc_chips_per_rank,
-                format!(
-                    "does not match the {:?} device width ({} expected; use with_device_width)",
-                    self.device_width,
-                    self.device_width.ecc_chips_per_rank()
-                ),
-            ));
-        }
         if !(self.timing.tck_ns.is_normal() && self.timing.tck_ns > 0.0) {
             return Err(err(
                 "timing.tck_ns",
@@ -517,14 +486,6 @@ impl SystemConfig {
         Ok(())
     }
 
-    /// Reconfigure for a device width (adjusts the per-rank chip counts).
-    pub fn with_device_width(mut self, width: DeviceWidth) -> Self {
-        self.device_width = width;
-        self.data_chips_per_rank = width.data_chips_per_rank();
-        self.ecc_chips_per_rank = width.ecc_chips_per_rank();
-        self
-    }
-
     /// Chips one 64-byte access makes busy under `scheme` on this node's
     /// devices. For x4 this matches Section 2.2's 16/18/36; for x8 the
     /// chipkill group is 16 data + 3 check chips (the 3-check-symbol
@@ -552,10 +513,10 @@ impl SystemConfig {
             "Processor          : {} in-order cores, {} GHz\n\
              L1 cache           : {} KB, {}-way, {} B lines (split I/D, private)\n\
              L2 cache           : {} MB, {}-way, {} B lines (unified, shared)\n\
-             DRAM device        : DDR3-667, x4, 1.5 V\n\
+             DRAM device        : DDR3-667, {}, 1.5 V\n\
              Memory organization: {} channels, {} DIMMs/channel, {} ranks/DIMM, {} banks/rank\n\
              Capacity           : {} GB\n\
-             Row buffer policy  : open\n\
+             Row buffer policy  : {}\n\
              Chipkill           : 128b data + 16b ECC, 2 channels\n\
              SECDED             : 64b data + 8b ECC, 1 channel",
             self.cores,
@@ -566,11 +527,19 @@ impl SystemConfig {
             self.l2.capacity / (1024 * 1024),
             self.l2.ways,
             self.l2.line_bytes,
+            match self.device_width {
+                DeviceWidth::X4 => "x4",
+                DeviceWidth::X8 => "x8",
+            },
             self.channels,
             self.dimms_per_channel,
             self.ranks_per_dimm,
             self.banks_per_rank,
             self.capacity_bytes / (1024 * 1024 * 1024),
+            match self.row_policy {
+                RowPolicy::Open => "open",
+                RowPolicy::Closed => "closed",
+            },
         )
     }
 }
@@ -589,16 +558,30 @@ mod tests {
     }
 
     #[test]
+    fn table3_prints_the_device_width_and_row_policy_it_is_given() {
+        let node = SystemConfig {
+            device_width: DeviceWidth::X8,
+            row_policy: RowPolicy::Closed,
+            ..SystemConfig::default()
+        };
+        let table = node.table3();
+        assert!(table.contains("DRAM device        : DDR3-667, x8, 1.5 V\n"), "{table}");
+        assert!(table.contains("Row buffer policy  : closed\n"), "{table}");
+        let default = SystemConfig::default().table3();
+        assert!(default.contains(", x4, ") && default.contains("policy  : open\n"), "{default}");
+    }
+
+    #[test]
     fn device_width_generalization() {
         use abft_ecc::EccScheme;
         let x4 = SystemConfig::default();
         assert_eq!(x4.chips_per_access(EccScheme::Chipkill), 36);
-        let x8 = SystemConfig::default().with_device_width(DeviceWidth::X8);
+        let x8 = SystemConfig { device_width: DeviceWidth::X8, ..SystemConfig::default() };
         assert_eq!(x8.chips_per_access(EccScheme::None), 8);
         assert_eq!(x8.chips_per_access(EccScheme::Secded), 9);
         assert_eq!(x8.chips_per_access(EccScheme::Chipkill), 19);
-        assert_eq!(x8.data_chips_per_rank, 8);
-        assert_eq!(x8.ecc_chips_per_rank, 1);
+        assert_eq!(x8.device_width.data_chips_per_rank(), 8);
+        assert_eq!(x8.device_width.ecc_chips_per_rank(), 1);
         // x8 chipkill's relative overfetch (19/8) is *worse* than x4's
         // (36/16) per Section 2.2's storage-overhead discussion.
         let x4_ratio = 36.0 / 16.0;
@@ -617,7 +600,9 @@ mod tests {
     #[test]
     fn default_and_ablation_configs_validate() {
         SystemConfig::default().validate().unwrap();
-        SystemConfig::default().with_device_width(DeviceWidth::X8).validate().unwrap();
+        SystemConfig { device_width: DeviceWidth::X8, ..SystemConfig::default() }
+            .validate()
+            .unwrap();
         SystemConfig { stall_factor: 0.5, ..SystemConfig::default() }.validate().unwrap();
         SystemConfig { row_policy: RowPolicy::Closed, ..SystemConfig::default() }
             .validate()
@@ -631,13 +616,13 @@ mod tests {
             channels: 2,
             l1: CacheConfig { capacity: 32 * 1024, ways: 8, line_bytes: 64, latency_cycles: 2 },
             stall_factor: 0.2,
+            device_width: DeviceWidth::X8,
             ..SystemConfig::default()
-        }
-        .with_device_width(DeviceWidth::X8);
+        };
         cfg.validate().unwrap();
         assert_eq!(cfg.threads, 2);
         assert_eq!(cfg.l1.sets(), 64);
-        assert_eq!(cfg.data_chips_per_rank, 8);
+        assert_eq!(cfg.device_width.data_chips_per_rank(), 8);
     }
 
     /// The error `validate` rejects `cfg` with.
@@ -705,10 +690,6 @@ mod tests {
             assert!(e.reason.contains("Chipkill lock-steps channel pairs"), "{e}");
         }
         SystemConfig { channels: 6, ..node() }.validate().unwrap();
-
-        // Chip counts must track the device width.
-        let e = rejected(SystemConfig { data_chips_per_rank: 8, ..node() });
-        assert_eq!((e.field, e.value.as_str()), ("data_chips_per_rank", "8"));
 
         // The rendered error names the field AND the rejected value.
         let err = rejected(SystemConfig { row_bytes: 100, ..node() });

@@ -249,9 +249,7 @@ struct KindCosts {
     lockstep: bool,
 }
 
-/// Service latency (ns) of one `kind` request by [`RowOutcome`], each the
-/// per-request expression operand for operand (the tests'
-/// `reference_access_kind` evaluates it the same way). Lock-stepped
+/// Service latency (ns) of one `kind` request by [`RowOutcome`]. Lock-stepped
 /// 144-bit transfers move 64 B in half the beats; fine-grained sub-ranked
 /// transfers occupy a quarter of the channel's width-time; the ECC
 /// pipeline adds its decode latency.
@@ -585,8 +583,8 @@ pub(crate) fn standby_nj(
         return 0.0;
     }
     let e = cfg.energy;
-    let data_chips = cfg.data_chips_per_rank as f64;
-    let ecc_chips = cfg.ecc_chips_per_rank as f64;
+    let data_chips = cfg.device_width.data_chips_per_rank() as f64;
+    let ecc_chips = cfg.device_width.ecc_chips_per_rank() as f64;
     let mut mw = 0.0;
     for busy in rank_busy {
         let frac = (busy * cfg.cycle_ns() / elapsed_ns).clamp(0.0, 1.0);
@@ -600,154 +598,13 @@ pub(crate) fn standby_nj(
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use crate::config::{DeviceWidth, DramTiming, RowPolicy};
+    use crate::config::{DeviceWidth, DramTiming};
     use proptest::prelude::*;
-    use rand::{Rng, SeedableRng};
-    use rand_chacha::ChaCha8Rng;
 
     fn cfg() -> SystemConfig {
         SystemConfig::default()
-    }
-
-    /// The referee's device: per-bank open row and free time, per-channel
-    /// free time, per-rank busy time and the queueing and latency totals,
-    /// all in f64 nanoseconds, as the model kept them before it counted
-    /// core cycles.
-    #[derive(Debug, Clone)]
-    pub(crate) struct RefDram {
-        cfg: SystemConfig,
-        map: AddressMap,
-        /// `[channel][rank][bank]`: open row and free time (ns).
-        banks: Vec<(Option<u64>, f64)>,
-        channel_free_ns: Vec<f64>,
-        pub(crate) rank_busy_ns: Vec<f64>,
-        /// Counts and energy; its cycle totals stay zero.
-        pub(crate) stats: DramStats,
-        pub(crate) queue_ns_total: f64,
-        pub(crate) latency_ns_total: f64,
-    }
-
-    impl RefDram {
-        pub(crate) fn new(cfg: SystemConfig) -> RefDram {
-            let ranks = cfg.channels * cfg.dimms_per_channel * cfg.ranks_per_dimm;
-            RefDram {
-                map: AddressMap::new(&cfg),
-                banks: vec![(None, 0.0); ranks * cfg.banks_per_rank],
-                channel_free_ns: vec![0.0; cfg.channels],
-                rank_busy_ns: vec![0.0; ranks],
-                stats: DramStats::default(),
-                queue_ns_total: 0.0,
-                latency_ns_total: 0.0,
-                cfg,
-            }
-        }
-    }
-
-    /// The referee: the per-request model as it stood before the cost
-    /// tables, the shift/mask decode, the refresh-free window and the
-    /// core-cycle time base — division decode, every cost re-derived from
-    /// `cfg`, an unconditional `%`, `f64::max`, f64 nanoseconds throughout.
-    /// `system`'s `reference_replay` drives it too.
-    pub(crate) fn reference_access_kind(
-        d: &mut RefDram,
-        start_ns: f64,
-        paddr: u64,
-        write: bool,
-        kind: AccessKind,
-    ) -> ServiceResult {
-        let bank_index = |cfg: &SystemConfig, loc: &DramLocation| {
-            ((loc.channel as usize * cfg.dimms_per_channel * cfg.ranks_per_dimm)
-                + loc.rank as usize)
-                * cfg.banks_per_rank
-                + loc.bank as usize
-        };
-        let t = d.cfg.timing;
-        let loc = d.map.decode_by_division(paddr);
-        let lockstep = kind == AccessKind::Scheme(EccScheme::Chipkill);
-        let c0 = if lockstep { loc.channel & !1 } else { loc.channel };
-        let c1 = if lockstep { c0 + 1 } else { c0 };
-
-        let mut avail = start_ns;
-        for c in c0..=c1 {
-            avail = avail.max(d.channel_free_ns[c as usize]);
-        }
-        let phase = avail % t.t_refi_ns;
-        if phase < t.t_rfc_ns {
-            avail += t.t_rfc_ns - phase;
-            d.stats.refresh_stalls += 1;
-        }
-        let bi0 = bank_index(&d.cfg, &DramLocation { channel: c0, ..loc });
-        let bi1 = bank_index(&d.cfg, &DramLocation { channel: c1, ..loc });
-        avail = avail.max(d.banks[bi0].1);
-        if lockstep {
-            avail = avail.max(d.banks[bi1].1);
-        }
-        let queue_ns = avail - start_ns;
-
-        let row = match d.banks[bi0].0 {
-            Some(r) if r == loc.row => RowOutcome::Hit,
-            Some(_) => RowOutcome::Conflict,
-            None => RowOutcome::Closed,
-        };
-        let array_ns = match row {
-            RowOutcome::Hit => t.hit_ns(),
-            RowOutcome::Closed => t.closed_ns(),
-            RowOutcome::Conflict => t.conflict_ns(),
-        };
-        let (burst_ns, decode_cycles) = match kind {
-            AccessKind::Scheme(EccScheme::Chipkill) => {
-                (t.burst_ns() / 2.0, EccScheme::Chipkill.decode_latency_cycles())
-            }
-            AccessKind::Scheme(s) => (t.burst_ns(), s.decode_latency_cycles()),
-            AccessKind::FineSecded => {
-                (t.burst_ns() / 4.0, EccScheme::Secded.decode_latency_cycles())
-            }
-        };
-        let latency_ns = array_ns - t.burst_ns() + burst_ns + decode_cycles as f64 * t.tck_ns;
-        let completion = avail + latency_ns;
-
-        for c in c0..=c1 {
-            d.channel_free_ns[c as usize] = completion;
-        }
-        let open_row = if d.cfg.row_policy == RowPolicy::Open { Some(loc.row) } else { None };
-        d.banks[bi0] = (open_row, completion);
-        if lockstep {
-            d.banks[bi1] = (open_row, completion);
-        }
-        let busy = completion - avail;
-        let ranks_per_chan = d.cfg.dimms_per_channel * d.cfg.ranks_per_dimm;
-        d.rank_busy_ns[c0 as usize * ranks_per_chan + loc.rank as usize] += busy;
-        if lockstep {
-            d.rank_busy_ns[c1 as usize * ranks_per_chan + loc.rank as usize] += busy;
-        }
-
-        let e = d.cfg.energy;
-        let chips = kind.chips(&d.cfg);
-        let mut nj = if write { e.write_nj_per_chip } else { e.read_nj_per_chip } * chips;
-        if row != RowOutcome::Hit {
-            nj += e.act_nj_per_chip * chips;
-            d.stats.activations += 1;
-        } else {
-            d.stats.row_hits += 1;
-        }
-        if let AccessKind::Scheme(s) = kind {
-            nj += s.correction_energy_pj() / 1000.0;
-            d.stats.per_scheme[scheme_index(s)] += 1;
-        } else {
-            nj += EccScheme::Secded.correction_energy_pj() / 1000.0;
-            d.stats.per_scheme[scheme_index(EccScheme::Secded)] += 1;
-        }
-        d.stats.dynamic_nj += nj;
-        if write {
-            d.stats.writes += 1;
-        } else {
-            d.stats.reads += 1;
-        }
-        d.queue_ns_total += queue_ns;
-        d.latency_ns_total += completion - start_ns;
-        ServiceResult { completion_ns: completion, queue_ns, row }
     }
 
     /// Table 3, a small power-of-two node, and two nodes whose channel or
@@ -762,101 +619,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// `d`'s counters and time totals, the totals as f64 nanoseconds.
-    fn stats_bits(s: &DramStats, queue_ns: f64, latency_ns: f64) -> ([u64; 8], [u64; 3]) {
-        (
-            [
-                s.reads,
-                s.writes,
-                s.row_hits,
-                s.activations,
-                s.refresh_stalls,
-                s.dynamic_nj.to_bits(),
-                queue_ns.to_bits(),
-                latency_ns.to_bits(),
-            ],
-            s.per_scheme,
-        )
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
-
-        #[test]
-        fn production_path_is_bit_identical_to_the_reference_model(
-            seed: u64,
-            which in 0usize..4,
-            x8: bool,
-            closed_page: bool,
-            // Power-of-two clocks, where a core cycle is an exact f64 of
-            // nanoseconds, and tREFI a whole number of their cycles.
-            clock in prop::sample::select(vec![
-                (1.0, 7800.0), (2.0, 7800.0), (2.0, 7812.5), (4.0, 7800.0), (4.0, 7812.5),
-            ]),
-            // A 3 us mean gap walks 4000 requests across ~1500 refresh
-            // boundaries; the short gaps queue requests behind each other.
-            mean_gap_ns in prop::sample::select(vec![0u64, 25, 3000]),
-        ) {
-            let (clock_ghz, t_refi_ns): (f64, f64) = clock;
-            let cfg = SystemConfig {
-                clock_ghz,
-                row_policy: if closed_page { RowPolicy::Closed } else { RowPolicy::Open },
-                timing: DramTiming { t_refi_ns, ..DramTiming::default() },
-                ..geometry(which)
-            }
-            .with_device_width(if x8 { DeviceWidth::X8 } else { DeviceWidth::X4 });
-            cfg.validate().unwrap();
-            let cycles = |ns: f64| (ns * clock_ghz) as u64;
-            let (t_refi, t_rfc) = (cycles(t_refi_ns), cycles(cfg.timing.t_rfc_ns));
-            let mean_gap = cycles(mean_gap_ns as f64);
-            let cycle_ns = cfg.cycle_ns();
-            let mut fast = Dram::new(cfg.clone());
-            let mut slow = RefDram::new(cfg);
-            let rng = &mut ChaCha8Rng::seed_from_u64(seed);
-            let mut now = 0u64;
-            let mut paddr = 0u64;
-            for i in 0..4000 {
-                now += rng.random_range(0..=2 * mean_gap);
-                // Arrivals, on whole cycles, run backwards (a request issued
-                // at an earlier timestamp than its predecessor, as a
-                // write-back behind a demand is) and land on the edges of
-                // refresh blackouts.
-                let start = match rng.random_range(0..8) {
-                    0 => now.saturating_sub(rng.random_range(0..500 * clock_ghz as u64)),
-                    1 => (now.div_ceil(t_refi) * t_refi + rng.random_range(0..t_rfc + 8)).saturating_sub(4),
-                    _ => now,
-                };
-                let start_ns = start as f64 * cycle_ns;
-                // Line sweeps (row hits, channel rotation) broken by jumps.
-                paddr = if rng.random_bool(0.7) {
-                    paddr + 64
-                } else {
-                    rng.random_range(0..1u64 << 28) * 64
-                };
-                let kind = AccessKind::ALL[rng.random_range(0..4)];
-                let write = rng.random_bool(0.3);
-                let got = fast.access_kind(start_ns, paddr, write, kind);
-                let want = reference_access_kind(&mut slow, start_ns, paddr, write, kind);
-                let bits = |r: ServiceResult| (r.completion_ns.to_bits(), r.queue_ns.to_bits(), r.row);
-                prop_assert!(
-                    bits(got) == bits(want),
-                    "request {i} at {start_ns} ns, paddr {paddr:#x}, {kind:?}: {got:?} != {want:?}"
-                );
-            }
-            let ns = |cycles: u64| cycles as f64 * cycle_ns;
-            let s = fast.stats;
-            prop_assert_eq!(
-                stats_bits(&s, ns(s.queue_cycles), ns(s.latency_cycles)),
-                stats_bits(&slow.stats, slow.queue_ns_total, slow.latency_ns_total)
-            );
-            let busy: Vec<u64> = fast.rank_busy().iter().map(|&b| ns(b).to_bits()).collect();
-            let want: Vec<u64> = slow.rank_busy_ns.iter().map(|b| b.to_bits()).collect();
-            prop_assert_eq!(busy, want);
-            if mean_gap_ns == 3000 {
-                prop_assert!(now > 1000 * t_refi, "walked {} cycles", now);
-                prop_assert!(slow.stats.refresh_stalls > 0);
-            }
-        }
 
         #[test]
         fn shift_decode_matches_division_and_round_trips(which in 0usize..4, line: u64) {
@@ -934,7 +698,7 @@ pub(crate) mod tests {
 
     #[test]
     fn x8_devices_scale_chipkill_energy() {
-        let x8 = cfg().with_device_width(DeviceWidth::X8);
+        let x8 = SystemConfig { device_width: DeviceWidth::X8, ..cfg() };
         let mut d = Dram::new(x8.clone());
         for i in 0..64u64 {
             d.access(i as f64 * 1000.0, i * 64, false, EccScheme::None);

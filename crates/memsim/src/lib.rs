@@ -42,8 +42,6 @@ pub mod cache;
 pub mod config;
 pub mod controller;
 pub mod dram;
-#[cfg(test)]
-mod miss_reference;
 pub mod miss_stream;
 pub mod packed;
 pub mod simpoint;
@@ -52,8 +50,6 @@ pub mod stream;
 pub mod system;
 pub mod trace;
 pub mod trace_cache;
-#[cfg(test)]
-mod walk_reference;
 pub mod workloads;
 
 pub use config::{ConfigError, SystemConfig};

@@ -102,12 +102,6 @@ pub fn pack_run(a: &Access, region_base: u64, run_len: usize) -> u64 {
         | a.work as u64
 }
 
-/// Pack one access into a single-access word.
-#[inline]
-pub fn pack(a: &Access, region_base: u64) -> u64 {
-    pack_run(a, region_base, 1)
-}
-
 /// Number of accesses a packed word covers.
 #[inline]
 pub fn run_len(word: u64) -> usize {
@@ -582,7 +576,7 @@ mod tests {
         let t = sample_trace(1000);
         let bases: Vec<u64> = t.regions.regions().iter().map(|r| r.base).collect();
         for a in &t.accesses {
-            let w = pack(a, bases[a.region as usize]);
+            let w = pack_run(a, bases[a.region as usize], 1);
             assert_eq!(&unpack(w, &bases), a);
         }
     }
@@ -620,7 +614,7 @@ mod tests {
     #[should_panic(expected = "work annotation")]
     fn oversized_work_is_rejected_loudly() {
         let a = Access { addr: 0x1000_0000, region: 0, write: false, work: u32::MAX };
-        pack(&a, 0x1000_0000);
+        pack_run(&a, 0x1000_0000, 1);
     }
 
     #[test]

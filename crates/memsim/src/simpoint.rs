@@ -1066,8 +1066,8 @@ mod tests {
     /// scan tallied a record before the records were keyed on thread
     /// cycles — f64 read-modify-writes into the slice's row, one
     /// normalizing pass at the end. It shares nothing with
-    /// [`FingerprintScan::run`] but the record decoder, which
-    /// `miss_reference` holds to the two-word records it replaced.
+    /// [`FingerprintScan::run`] but the record decoder, whose events
+    /// `tests/reference_machine.rs` holds to its own cache walk's.
     fn reference_scan(ms: &MissStream, interval: u64) -> FingerprintScan {
         let regions = ms.regions().regions().len();
         let dim = 2 * regions + 4;

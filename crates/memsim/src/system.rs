@@ -560,7 +560,6 @@ struct DramAccount {
     reads: f64,
     writes: f64,
     row_hits: f64,
-    activations: f64,
     dynamic_nj: f64,
     per_scheme: [f64; 3],
     queue_cycles: f64,
@@ -589,7 +588,6 @@ impl DramAccount {
         self.reads += (after.reads - before.reads) as f64 * scale;
         self.writes += (after.writes - before.writes) as f64 * scale;
         self.row_hits += (after.row_hits - before.row_hits) as f64 * scale;
-        self.activations += (after.activations - before.activations) as f64 * scale;
         self.dynamic_nj += (after.dynamic_nj - before.dynamic_nj) * scale;
         for (acc, (a, b)) in
             self.per_scheme.iter_mut().zip(after.per_scheme.iter().zip(&before.per_scheme))
@@ -1041,9 +1039,9 @@ mod tests {
                 l2,
                 threads: 1,
                 row_policy: if closed_page { RowPolicy::Closed } else { RowPolicy::Open },
+                device_width: if x8 { DeviceWidth::X8 } else { DeviceWidth::X4 },
                 ..SystemConfig::default()
-            }
-            .with_device_width(if x8 { DeviceWidth::X8 } else { DeviceWidth::X4 });
+            };
             let cfg = match geometry {
                 0 => node,
                 1 => SystemConfig { channels: 2, dimms_per_channel: 1, ranks_per_dimm: 1, ..node },
@@ -1109,174 +1107,6 @@ mod tests {
                         *lane == alone,
                         "{form}: lane {i} of {assigns:?}\n in the row: {lane:?}\n alone: {alone:?}"
                     );
-                }
-            }
-        }
-    }
-
-    /// The referee for the replay step: a one-lane replay of `input` (a
-    /// miss stream, or a phase sample) under `assign` whose per-event body
-    /// is the one that stood before the core-cycle time base — f64
-    /// nanoseconds on a `RefDram`, `u64 as f64` arrivals,
-    /// `reference_access_kind`'s `f64::max`, and `(lat * stall_factor /
-    /// cycle_ns) as u64`, operand for operand; the sample's phase fold is
-    /// the one `drive_sampled` kept, in nanoseconds. Its totals go to
-    /// `assemble_stats` as core cycles.
-    fn reference_replay(
-        cfg: &SystemConfig,
-        input: SimInput<'_>,
-        assign: &EccAssignment,
-    ) -> SimStats {
-        use crate::dram::tests::{reference_access_kind, RefDram};
-        let mut mc = MemoryController::new(AddressMap::new(cfg), EccScheme::Chipkill);
-        program(&mut mc, input.regions(), assign);
-        let mut policy = RangeRegisterPolicy::new(&mc);
-        let mut dram = RefDram::new(cfg.clone());
-        let mut stall_acc = 0u64;
-        let (cycle_ns, stall_factor) = (cfg.cycle_ns(), cfg.stall_factor);
-        let mut step = |dram: &mut RefDram, stall_acc: &mut u64, ev: &MissEvent| {
-            let now = (ev.core_cycles + *stall_acc) as f64 * cycle_ns;
-            match ev.kind {
-                MissEventKind::Writeback(wb) => {
-                    let kind = policy.choose(wb);
-                    reference_access_kind(dram, now, wb, true, kind);
-                }
-                MissEventKind::Demand { writeback } => {
-                    let kind = policy.choose(ev.trigger.addr);
-                    let res = reference_access_kind(dram, now, ev.trigger.addr, false, kind);
-                    let lat_ns = res.completion_ns - now;
-                    *stall_acc += (lat_ns * stall_factor / cycle_ns) as u64;
-                    if let Some(wb) = writeback {
-                        let kind = policy.choose(wb);
-                        reference_access_kind(dram, now, wb, true, kind);
-                    }
-                }
-            }
-        };
-        // What one phase (scale 1 for an exact replay) adds, in ns: the
-        // counts, energy, queueing and latency, stall cycles, rank busy.
-        let ranks = dram.rank_busy_ns.len();
-        let (mut est, mut busy) = ([0.0f64; 11], vec![0.0f64; ranks]);
-        let mut fold =
-            |before: &RefDram, stalls_before: u64, after: &RefDram, stalls: u64, scale: f64| {
-                let (b, a) = (&before.stats, &after.stats);
-                let deltas = [
-                    (a.reads - b.reads) as f64,
-                    (a.writes - b.writes) as f64,
-                    (a.row_hits - b.row_hits) as f64,
-                    (a.activations - b.activations) as f64,
-                    a.dynamic_nj - b.dynamic_nj,
-                    (a.per_scheme[0] - b.per_scheme[0]) as f64,
-                    (a.per_scheme[1] - b.per_scheme[1]) as f64,
-                    (a.per_scheme[2] - b.per_scheme[2]) as f64,
-                    after.queue_ns_total - before.queue_ns_total,
-                    after.latency_ns_total - before.latency_ns_total,
-                    (stalls - stalls_before) as f64,
-                ];
-                for (acc, delta) in est.iter_mut().zip(deltas) {
-                    *acc += delta * scale;
-                }
-                for (acc, (a, b)) in
-                    busy.iter_mut().zip(after.rank_busy_ns.iter().zip(&before.rank_busy_ns))
-                {
-                    *acc += (a - b) * scale;
-                }
-            };
-        let totals = match input {
-            SimInput::MissStream(ms) => {
-                let quiet = dram.clone();
-                ms.iter().for_each(|ev| step(&mut dram, &mut stall_acc, &ev));
-                fold(&quiet, 0, &dram, stall_acc, 1.0);
-                ms.totals()
-            }
-            SimInput::Sample(sample) => {
-                for (k, ph) in sample.selection().phases().iter().enumerate() {
-                    let (before, stalls_before) = (dram.clone(), stall_acc);
-                    sample
-                        .open(k)
-                        .take(ph.events() as usize)
-                        .for_each(|ev| step(&mut dram, &mut stall_acc, &ev));
-                    fold(&before, stalls_before, &dram, stall_acc, ph.scale());
-                }
-                sample.totals()
-            }
-            _ => unreachable!("the referee replays a miss stream or a sample"),
-        };
-        let cycles = |ns: f64| ns * cfg.clock_ghz;
-        let account = DramAccount {
-            reads: est[0],
-            writes: est[1],
-            row_hits: est[2],
-            activations: est[3],
-            dynamic_nj: est[4],
-            per_scheme: [est[5], est[6], est[7]],
-            queue_cycles: cycles(est[8]),
-            latency_cycles: cycles(est[9]),
-            stalls: est[10],
-            rank_busy: busy.into_iter().map(cycles).collect(),
-        };
-        let regions = tally_regions(&totals.regions, &totals.tallies);
-        assemble_stats(cfg, totals, &account, assign.any_ecc(), regions)
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
-
-        #[test]
-        fn every_lane_is_reference_replay_bit_for_bit(seed: u64) {
-            use crate::config::RowPolicy;
-            use crate::miss_stream::few_line_trace;
-            use proptest::prelude::*;
-            use rand::{Rng, SeedableRng};
-            let rng = &mut rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let (trace, l1, l2) = few_line_trace(seed, ECC_RANGE_SLOTS, 600);
-            let ms = MissStream::build(&mut trace.replay(), l1, l2, 1);
-            let every_slice = crate::simpoint::SimPointConfig {
-                interval: rng.random_range(5..48),
-                max_phases: usize::MAX,
-                ..Default::default()
-            };
-            let selection = std::sync::Arc::new(SimPointSelection::build(&ms, every_slice));
-            let sample = PhaseSample::condense(&ms, selection);
-            let input = |sampled: bool| {
-                if sampled { SimInput::Sample(&sample) } else { SimInput::MissStream(&ms) }
-            };
-            use EccScheme::{Chipkill, None as NoEcc, Secded};
-            let mut regions: Vec<RegionId> = (0..ECC_RANGE_SLOTS as RegionId).collect();
-            regions.retain(|_| rng.random_bool(0.5));
-            let assigns = [
-                EccAssignment::uniform(NoEcc),
-                EccAssignment::uniform(Chipkill),
-                EccAssignment::relaxed(Chipkill, NoEcc, &regions),
-                EccAssignment::relaxed(Secded, NoEcc, &regions),
-            ];
-
-            // Power-of-two clocks, where a core cycle is an exact f64 of
-            // nanoseconds, and a tREFI of whole cycles at each.
-            for (clock_ghz, t_refi_ns) in
-                [(1.0, 7800.0), (2.0, 7800.0), (2.0, 7812.5), (4.0, 7800.0), (4.0, 7812.5)]
-            {
-                for stall_factor in [0.0, 0.35, 1.0, rng.random_range(0.0..1.0)] {
-                    for row_policy in [RowPolicy::Open, RowPolicy::Closed] {
-                        let timing = crate::config::DramTiming { t_refi_ns, ..Default::default() };
-                        let cfg = SystemConfig { l1, l2, threads: 1, clock_ghz, stall_factor, row_policy, timing, ..SystemConfig::default() };
-                        cfg.validate().unwrap();
-                        // By bit pattern: `{:?}` prints the shortest string
-                        // that reads back as the same f64.
-                        for sampled in [false, true] {
-                            let want: Vec<String> = assigns
-                                .iter()
-                                .map(|assign| format!("{:?}", reference_replay(&cfg, input(sampled), assign)))
-                                .collect();
-                            let row = Machine::simulate_lanes(&cfg, input(sampled), &assigns);
-                            let got: Vec<String> = row.iter().map(|s| format!("{s:?}")).collect();
-                            prop_assert!(
-                                got == want,
-                                "sampled {sampled} at {clock_ghz} GHz, tREFI {t_refi_ns} ns, \
-                                 stall factor {stall_factor}, {row_policy:?}:\n{got:#?}\n{want:#?}"
-                            );
-                        }
-                    }
                 }
             }
         }

@@ -129,18 +129,19 @@ echo "=== cargo test -q (every crate's tests, every invariant check on) ==="
 cargo test -q
 
 echo "=== the pinned referees are still there, by name ==="
-# Some unit tests are the independent references a fast or shared path is
-# pinned to. In memsim: `dram::tests`'
-# `production_path_is_bit_identical_to_the_reference_model` (against
-# reference_access_kind),
-# `walk_reference` (stamp-LRU cache + carry-bump walk vs the one L1/L2
-# walker), `reference_replay` (the replay step as it was spelled in f64
-# nanoseconds, division and `f64::max` included), the refresh-free
+# Some tests are the independent references a fast or shared path is
+# pinned to. In memsim: the reference machine, tests/reference_machine.rs,
+# which models the node again from the public API alone —
+# `the_machine_is_the_reference_machine_bit_for_bit` referees the cache
+# walk, the thread clock, the miss-record decoder, the range registers,
+# the replay step, the sampled fold and every lane of a row, through every
+# input form; `the_device_serves_each_request_as_the_reference_device`
+# referees the DRAM device request by request, arrivals running backwards
+# and landing on refresh edges among them. Then the refresh-free
 # window swept cycle by cycle, and `validate` refusing DRAM timings that
 # are not whole core cycles, `reference_scan` (the SimPoint fingerprint by
-# its definition, event by event), `miss_reference` (the two-word miss
-# record the byte records replaced, event by event and resume by resume),
-# the round trip of every miss-record header code on both sides of a
+# its definition, event by event), a resume at every record of three
+# reset intervals, the round trip of every miss-record header code on both sides of a
 # reset point, the store's refusal of malformed headers and of damaged
 # payloads, and its eviction of version-6 blobs written byte for byte as
 # version 6 wrote them, the proptest that pins every lane of a
@@ -163,13 +164,15 @@ echo "=== the pinned referees are still there, by name ==="
 # tests/dead_pub.rs's `no_dead_pub_items`, the claims ledger's judge,
 # tests/claims.rs's `every_claim_holds_or_misses_as_the_ledger_says`, and
 # tests/lint_scope.rs's guard that the test build keeps debug assertions
-# on. They ran in the stage above and are listed here by name, so that a
+# on, and tests/doc_paths.rs's check that every `.rs` file the docs name
+# exists. They ran in the stage above and are listed here by name, so that a
 # rename cannot silently drop them.
 listed="$(cargo test -q -- --list 2>/dev/null)"
-for pinned in walk_reference:: every_lane_is_the_simulation_it_would_be_alone \
-    production_path_is_bit_identical_to_the_reference_model \
-    sweep_emission_packs_the_words_line_emission_packs reference_replay reference_scan \
-    byte_records_decode_as_the_two_word_records \
+for pinned in the_machine_is_the_reference_machine_bit_for_bit \
+    the_device_serves_each_request_as_the_reference_device \
+    every_lane_is_the_simulation_it_would_be_alone \
+    sweep_emission_packs_the_words_line_emission_packs reference_scan \
+    a_resume_at_every_record_of_three_reset_intervals_decodes_the_tail \
     every_header_code_round_trips_on_both_sides_of_a_reset_point \
     a_well_checksummed_but_inconsistent_miss_stream_is_evicted \
     payload_damage_under_a_matching_checksum_never_panics \
@@ -202,7 +205,7 @@ for pinned in walk_reference:: every_lane_is_the_simulation_it_would_be_alone \
     a_flipped_ft_hpl_multiplier_is_restored_from_the_broadcast_archive \
     a_reported_ft_hpl_error_is_restored_where_the_report_names_it \
     doubled_burst_and_activation_energy_doubles_dynamic_energy_and_nothing_else \
-    the_test_build_keeps_debug_assertions_on; do
+    the_test_build_keeps_debug_assertions_on every_rust_file_the_docs_name_exists; do
     grep -Fq -- "$pinned" <<<"$listed" || { echo "no test is named $pinned"; exit 1; }
 done
 

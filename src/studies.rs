@@ -145,8 +145,8 @@ pub fn device_width_spec() -> CampaignSpec {
     CampaignSpec::builder()
         .workload(ABLATION_DGEMM)
         .strategies([Strategy::NoEcc, Strategy::WholeChipkill, Strategy::PartialChipkillNoEcc])
-        .config("x4", SystemConfig::default().with_device_width(DeviceWidth::X4))
-        .config("x8", SystemConfig::default().with_device_width(DeviceWidth::X8))
+        .config("x4", SystemConfig { device_width: DeviceWidth::X4, ..SystemConfig::default() })
+        .config("x8", SystemConfig { device_width: DeviceWidth::X8, ..SystemConfig::default() })
         .build()
 }
 

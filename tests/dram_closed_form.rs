@@ -223,7 +223,7 @@ fn a_fine_grained_secded_read_busies_a_quarter_rank_for_a_quarter_burst() {
     // x8 chips, and a quarter of the channel's burst, behind SECDED's
     // decode.
     for (width, chips) in [(DeviceWidth::X4, 5.0), (DeviceWidth::X8, 3.0)] {
-        let cfg = SystemConfig::default().with_device_width(width);
+        let cfg = SystemConfig { device_width: width, ..SystemConfig::default() };
         let (t, e) = (cfg.timing, cfg.energy);
         let mut dram = Dram::new(cfg.clone());
         let r = dram.access_kind(FIRST_NS, addr(&cfg, 0, 5, 0), false, AccessKind::FineSecded);
