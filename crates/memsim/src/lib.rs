@@ -52,6 +52,19 @@ pub mod trace;
 pub mod trace_cache;
 pub mod workloads;
 
+// The reference machine of `tests/reference/mod.rs` names this crate by its
+// public name; the unit tests below and in `system` hold the walker, the
+// cache, the miss-record decoder and every lane of a row to it.
+#[cfg(test)]
+extern crate self as abft_memsim;
+#[cfg(test)]
+mod miss_reference;
+#[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+mod reference;
+#[cfg(test)]
+mod walk_reference;
+
 pub use config::{ConfigError, SystemConfig};
 pub use controller::{MemoryController, ERROR_REGISTERS};
 pub use dram::{AddressMap, Dram, DramLocation};

@@ -1015,6 +1015,87 @@ mod tests {
     }
 
     proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// Every lane of a row of the six strategies, exact and sampled, on
+        /// nodes of every shape under both row policies, held to the replay
+        /// of the reference machine (`tests/reference/mod.rs`): `{:?}` of
+        /// each `SimStats`, which prints the shortest string that reads back
+        /// as the same f64.
+        #[test]
+        fn every_lane_is_reference_replay_bit_for_bit(seed: u64) {
+            use crate::config::RowPolicy;
+            use crate::reference::{caches, hostile_trace, input, node, scheme_of, simulate, walk, Seen};
+            use crate::simpoint::SimPointConfig;
+            use proptest::prelude::*;
+            use rand::{Rng, SeedableRng};
+            use EccScheme::{Chipkill, None as NoEcc, Secded};
+            let rng = &mut rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let trace = hostile_trace(rng);
+            let mut abft: Vec<RegionId> = (0..trace.regions.regions().len() as RegionId).collect();
+            abft.retain(|_| rng.random_bool(0.5));
+            let assigns = [
+                EccAssignment::uniform(NoEcc),
+                EccAssignment::uniform(Secded),
+                EccAssignment::uniform(Chipkill),
+                EccAssignment::relaxed(Chipkill, NoEcc, &abft),
+                EccAssignment::relaxed(Secded, NoEcc, &abft),
+                EccAssignment::relaxed(Chipkill, Secded, &abft),
+            ];
+            let mut seen = Seen::default();
+            for row_policy in [RowPolicy::Open, RowPolicy::Closed] {
+                for shape in 0..3 {
+                    let (l1, l2) = caches(rng.random_range(0..5));
+                    let threads = [1, 3, 4][rng.random_range(0..3)];
+                    let cfg = SystemConfig { row_policy, ..node(rng, shape, (l1, l2), threads) };
+                    cfg.validate().unwrap();
+                    let w = walk(&trace, l1, l2, threads as u64);
+                    let ms = MissStream::build(&mut trace.replay(), l1, l2, threads);
+                    let sp = SimPointConfig {
+                        interval: rng.random_range(8..40),
+                        max_phases: 3,
+                        ..SimPointConfig::default()
+                    };
+                    let selection = std::sync::Arc::new(SimPointSelection::build(&ms, sp));
+                    let sample = PhaseSample::condense(&ms, std::sync::Arc::clone(&selection));
+                    let sampled: Vec<_> =
+                        selection.phases().iter().map(|ph| (ph.start, ph.end, ph.scale())).collect();
+                    let exact = [(0, w.events.len() as u64, 1.0)];
+                    for form in ["trace", "miss stream", "sampled miss stream", "sample"] {
+                        let phases: &[_] = if form.contains("sample") { &sampled } else { &exact };
+                        let mut src = trace.replay();
+                        let row = Machine::simulate_lanes(
+                            &cfg,
+                            input(form, &mut src, &ms, &selection, &sample),
+                            &assigns,
+                        );
+                        for (lane, assign) in row.iter().zip(&assigns) {
+                            let mut registers =
+                                |paddr| AccessKind::Scheme(scheme_of(&trace.regions, assign, paddr));
+                            let (powered, regions) = (assign.any_ecc(), &trace.regions);
+                            let want =
+                                simulate(&cfg, regions, &w, phases, &mut registers, powered, &mut seen);
+                            let got = format!("{lane:?}");
+                            prop_assert!(got == want, "{form} under {assign:?}, {cfg:?}:\n{got}\n{want}");
+                        }
+                    }
+                }
+            }
+            let guard = [
+                ("every scheme", seen.kinds[..3] == [true; 3]),
+                ("a lock-stepped chipkill pair", seen.lockstep),
+                ("a refresh stall", seen.refresh_stall),
+                ("a row conflict", seen.conflict),
+                ("a closed-page run", seen.closed_page),
+                ("a write-back queued behind its demand", seen.queued_writeback),
+            ];
+            for (what, met) in guard {
+                prop_assert!(met, "the draw met no {what}");
+            }
+        }
+    }
+
+    proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
         #[test]

@@ -137,7 +137,13 @@ echo "=== the pinned referees are still there, by name ==="
 # the replay step, the sampled fold and every lane of a row, through every
 # input form; `the_device_serves_each_request_as_the_reference_device`
 # referees the DRAM device request by request, arrivals running backwards
-# and landing on refresh edges among them. Then the refresh-free
+# and landing on refresh edges among them. The machine's parts
+# (tests/reference/mod.rs) are included by memsim's unit tests too, where
+# `walk_reference::` judges the walker on four source forms and
+# `Cache::access` outcome for outcome, `byte_records_decode_as_the_two_word_records`
+# the miss-record decoder and a resume at every event, and
+# `every_lane_is_reference_replay_bit_for_bit` each lane of a row on exact
+# and sampled input. Then the refresh-free
 # window swept cycle by cycle, and `validate` refusing DRAM timings that
 # are not whole core cycles, `reference_scan` (the SimPoint fingerprint by
 # its definition, event by event), a resume at every record of three
@@ -170,6 +176,10 @@ echo "=== the pinned referees are still there, by name ==="
 listed="$(cargo test -q -- --list 2>/dev/null)"
 for pinned in the_machine_is_the_reference_machine_bit_for_bit \
     the_device_serves_each_request_as_the_reference_device \
+    walk_reference::walker_matches_the_stamp_lru_carry_bump_reference \
+    walk_reference::recency_ordered_sets_match_stamp_lru_outcome_for_outcome \
+    miss_reference::byte_records_decode_as_the_two_word_records \
+    every_lane_is_reference_replay_bit_for_bit \
     every_lane_is_the_simulation_it_would_be_alone \
     sweep_emission_packs_the_words_line_emission_packs reference_scan \
     a_resume_at_every_record_of_three_reset_intervals_decodes_the_tail \
