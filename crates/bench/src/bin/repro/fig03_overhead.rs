@@ -4,6 +4,7 @@
 //! machine's roofline, then the same shares are printed over a range of
 //! problem sizes.
 
+use crate::min_of;
 use abft_coop_core::report::{pct, Report, TextTable};
 use abft_kernels::overhead::{measure, FailContinueKernel, OverheadScale};
 use abft_kernels::{Cost, FtStats, VerifyMode};
@@ -24,8 +25,10 @@ pub fn run(out: &mut Report) {
         "Verification overhead",
         "FT overhead vs compute",
     ]);
+    let mut verify_shares = Vec::new();
     for k in FailContinueKernel::ALL {
         let s = measure(k, &scale, VerifyMode::Full);
+        verify_shares.push(s.verify_share());
         for (phase, c) in [("compute", s.compute), ("checksum", s.checksum), ("verify", s.verify)] {
             counts.row(&[
                 k.label().to_string(),
@@ -48,6 +51,7 @@ pub fn run(out: &mut Report) {
     write!(out, "{}", counts.render());
     writeln!(out, "\nShares of the roofline time:\n");
     write!(out, "{}", split.render());
+    out.quantity("min_verify_share", min_of(verify_shares));
 
     let mut curve = TextTable::new(&[
         "Kernel",

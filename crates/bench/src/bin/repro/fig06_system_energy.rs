@@ -1,9 +1,10 @@
 //! Figure 6: system energy (processor + memory) for the six ECC
 //! strategies, normalized to No-ECC.
 
-use crate::all_basic_tests;
+use crate::{all_basic_tests, record_savings};
 use abft_coop_core::report::{norm, Report, TextTable};
 use abft_coop_core::Strategy;
+use abft_memsim::system::SimStats;
 
 pub fn run(out: &mut Report) {
     let tests = all_basic_tests(out);
@@ -27,4 +28,5 @@ pub fn run(out: &mut Report) {
         }
     }
     out.table(&t);
+    record_savings(out, &tests, "system_energy", SimStats::system_j);
 }

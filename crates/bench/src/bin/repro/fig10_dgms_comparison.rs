@@ -3,18 +3,16 @@
 //! (high spatial locality) and FT-Pred-CG (low spatial locality).
 
 use crate::run_grid;
-use abft_coop::studies::dgms_pass;
 use abft_coop_core::report::{norm, pct, Report, TextTable};
 use abft_coop_core::{CampaignSpec, Strategy};
-use abft_memsim::workloads::KernelKind;
+use abft_dgms::run_dgms;
+use abft_memsim::system::Machine;
+use abft_memsim::workloads::{KernelKind, KernelParams};
+use abft_memsim::{SimInput, SystemConfig, TraceCache};
 
 pub fn run(out: &mut Report) {
     let kinds = [KernelKind::Dgemm, KernelKind::Cg];
-    let spec = CampaignSpec::builder()
-        .kernels(kinds)
-        .strategies([Strategy::NoEcc, Strategy::WholeChipkill, Strategy::PartialChipkillSecded])
-        .build();
-    let run = run_grid(&spec);
+    let run = run_grid(&CampaignSpec::basic(KernelKind::ALL));
     let mut t = TextTable::new(&[
         "Kernel",
         "Config",
@@ -31,7 +29,9 @@ pub fn run(out: &mut Report) {
         // The campaign already filtered this kernel's miss stream into the
         // process-wide cache; the DGMS pass replays the same stream under
         // its granularity predictor (bit-identical to the full run).
-        let (dgms, coarse) = dgms_pass(kind);
+        let cfg = SystemConfig::default();
+        let ms = TraceCache::global().get_filtered(KernelParams::default_for(kind), &cfg);
+        let (dgms, coarse) = run_dgms(&Machine::new(cfg), SimInput::MissStream(&ms));
         for (label, s, cf) in [
             ("W_CK", wck, String::new()),
             ("DGMS", &dgms, format!("{coarse:.2}")),
@@ -54,6 +54,14 @@ pub fn run(out: &mut Report) {
             pct(perf_gain),
             pct(energy_save)
         );
+        let k = kind.label();
+        out.quantity(format!("dgms_speedup/{k}"), perf_gain);
+        out.quantity(format!("dgms_energy_saving/{k}"), energy_save);
+        out.quantity(
+            format!("dgms_energy_cost/{k}"),
+            dgms.mem_total_j() / ours.mem_total_j() - 1.0,
+        );
+        out.quantity(format!("dgms_over_wck/{k}"), dgms.mem_total_j() / wck.mem_total_j());
     }
     out.table(&t);
     out.artifact("fig10_cells.csv", &run.to_csv());

@@ -2,13 +2,12 @@
 //! field-realistic error-pattern mix (the statistical form of Section 4's
 //! discussion).
 
-use abft_coop::studies::monte_carlo_config;
 use abft_coop_core::report::{pct, Report, TextTable};
-use abft_faultsim::run_fault_campaign_with_progress;
+use abft_faultsim::{run_fault_campaign_with_progress, FaultCampaignConfig};
 
 pub fn run(out: &mut Report) {
     for errors_per_run in [0.1, 0.5, 2.0, 10.0] {
-        let cfg = monte_carlo_config(errors_per_run);
+        let cfg = FaultCampaignConfig { errors_per_run, trials: 20_000, ..Default::default() };
         let r = run_fault_campaign_with_progress(&cfg, |p| {
             if p.trials_done % 5000 == 0 || p.trials_done == p.trials_total {
                 eprintln!(
@@ -37,5 +36,13 @@ pub fn run(out: &mut Report) {
             ]);
         }
         write!(out, "{}", t.render());
+        let sides =
+            [("ARE", &r.are), ("ASE_cooperative", &r.ase_coop), ("ASE_traditional", &r.ase_blind)];
+        for (a, sa) in sides {
+            for (b, sb) in sides.iter().filter(|(b, _)| *b != a) {
+                let ratio = sa.restart_fraction / sb.restart_fraction;
+                out.quantity(format!("monte_carlo_restarts/{a}/{b}/{errors_per_run}"), ratio);
+            }
+        }
     }
 }

@@ -25,6 +25,7 @@ pub fn run(out: &mut Report) {
         let assisted = measure(k, &scale, VerifyMode::HardwareAssisted(SysfsChannel::new()));
         let gain = simplified_verification_improvement(&full, &assisted);
         assert!(gain > 0.0, "{}: {gain}", k.label());
+        out.quantity(format!("assisted_gain/{}", k.label()), gain);
         for (mode, s, gain) in [("full", &full, String::new()), ("assisted", &assisted, pct(gain))]
         {
             t.row(&[

@@ -3,11 +3,12 @@
 //! check that judges the reproduction against it.
 //!
 //! A row is tab-separated columns: `id`, `experiment` (the `repro`
-//! experiment whose output the number is read from), `quantity` (a key the
-//! measuring side resolves), `paper` (the paper's statement), `check` and,
-//! on a row that knowingly misses, `deviation`. This module parses rows and judges a measured number; what
-//! each quantity key measures lives with the code that can run the
-//! experiments (`abft_coop::claims`).
+//! experiment whose output the number is read from), `quantity` (a key
+//! that experiment records beside its text, `report::Report::quantity`),
+//! `paper` (the paper's statement), `check` and, on a row that knowingly
+//! misses, `deviation`. This module parses rows and judges a measured
+//! number; the number itself is the one the row's experiment printed, as
+//! `repro claims` collects it.
 //!
 //! `check` is one predicate on one number:
 //!
@@ -81,7 +82,8 @@ pub enum LedgerError {
     /// The `paper` column has no single number where the check needs one,
     /// or the `check` column is not one of the predicates above.
     Value { line: usize, text: String },
-    /// The measuring side knows no quantity by this key.
+    /// The row's experiment records no quantity by this key (another
+    /// experiment recording it does not count).
     UnknownQuantity { line: usize, key: String },
     /// Another row already has this id.
     DuplicateId { line: usize, id: String },
@@ -129,9 +131,10 @@ fn parse_check(text: &str) -> Option<(Check, bool)> {
     Some((check, percent))
 }
 
-/// Read the ledger. `known` says whether the measuring side resolves a
-/// quantity key; blank lines and `#` comments are skipped.
-pub fn parse(text: &str, known: impl Fn(&str) -> bool) -> Result<Vec<Claim>, LedgerError> {
+/// Read the ledger. `known(experiment, key)` says whether the experiment a
+/// row names records the row's quantity key; blank lines and `#` comments
+/// are skipped.
+pub fn parse(text: &str, known: impl Fn(&str, &str) -> bool) -> Result<Vec<Claim>, LedgerError> {
     let mut claims = Vec::new();
     let mut ids = BTreeSet::new();
     for (i, row) in text.lines().enumerate() {
@@ -153,7 +156,7 @@ pub fn parse(text: &str, known: impl Fn(&str) -> bool) -> Result<Vec<Claim>, Led
             (Check::Band(_) | Check::Factor(_) | Check::Equal, _) => return Err(bad(paper)),
             _ => None,
         };
-        if !known(quantity) {
+        if !known(experiment, quantity) {
             return Err(LedgerError::UnknownQuantity { line, key: quantity.to_string() });
         }
         if !ids.insert(id) {
@@ -214,7 +217,7 @@ mod tests {
     const KNOWN: [&str; 2] = ["saving", "ratio"];
 
     fn ledger(rows: &[&str]) -> Result<Vec<Claim>, LedgerError> {
-        parse(&rows.join("\n"), |k| KNOWN.contains(&k))
+        parse(&rows.join("\n"), |_, k| KNOWN.contains(&k))
     }
 
     fn one(row: &str) -> Claim {
@@ -296,7 +299,7 @@ mod tests {
 
     #[test]
     fn the_checked_in_ledger_parses_with_unique_ids() {
-        let claims = parse(LEDGER, |_| true).expect("claims.tsv");
+        let claims = parse(LEDGER, |_, _| true).expect("claims.tsv");
         assert!(claims.len() >= 40, "{} rows", claims.len());
     }
 }

@@ -173,8 +173,9 @@ pub fn parse_simpoint_env(value: &str) -> Result<SimPointConfig, SimPointEnvErro
 /// under which configs, with which ECC strategies, and where (if
 /// anywhere) to persist the generated artifacts. Only
 /// [`CampaignSpecBuilder::build`] makes one, so the three lists are
-/// never empty.
-#[derive(Debug, Clone)]
+/// never empty. Two specs are equal when every field is: the config tags
+/// *and* the whole configs they label.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
     pub(crate) workloads: Vec<KernelParams>,
     pub(crate) strategies: Vec<Strategy>,

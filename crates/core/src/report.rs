@@ -1,7 +1,9 @@
 //! Report emission for the `repro` experiments (one per paper
 //! table/figure): plain-text table rendering plus the [`Report`] every
-//! experiment routes its text and JSON/CSV artifacts through.
+//! experiment routes its text, its JSON/CSV artifacts and the quantities
+//! the claims ledger reads through.
 
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::Path;
 
@@ -71,17 +73,20 @@ pub fn norm(x: f64) -> String {
 /// `write!` / `writeln!` work on a `Report` directly. The experiment
 /// bodies do not handle I/O errors line by line: the first one is kept,
 /// later output is dropped, and [`Report::finish`] returns it.
+/// Beside its text an experiment records the numbers the claims ledger
+/// reads ([`Report::quantity`]); [`Report::finish`] hands them back.
 pub struct Report<'a> {
     writer: &'a mut dyn Write,
     artifact_dir: Option<&'a Path>,
     error: Option<std::io::Error>,
+    quantities: BTreeMap<String, f64>,
 }
 
 impl<'a> Report<'a> {
     /// Report into `writer`; artifacts are written only when
     /// `artifact_dir` is given.
     pub fn new(writer: &'a mut dyn Write, artifact_dir: Option<&'a Path>) -> Self {
-        Report { writer, artifact_dir, error: None }
+        Report { writer, artifact_dir, error: None, quantities: BTreeMap::new() }
     }
 
     /// The target of `write!(report, ..)` / `writeln!(report, ..)`.
@@ -110,11 +115,23 @@ impl<'a> Report<'a> {
         }
     }
 
-    /// Flush the writer and return the first I/O error met, if any.
-    pub fn finish(mut self) -> std::io::Result<()> {
+    /// Record a number the claims ledger may read, once per key: a name and
+    /// its arguments joined by `/`, in the labels the text prints
+    /// (`saving/mem_energy/FT-CG/P_CK+No_ECC`).
+    pub fn quantity(&mut self, key: impl Into<String>, x: f64) {
+        let key = key.into();
+        assert!(
+            self.quantities.insert(key.clone(), x).is_none(),
+            "quantity `{key}` recorded twice"
+        );
+    }
+
+    /// Flush the writer and return the recorded quantities, or the first
+    /// I/O error met.
+    pub fn finish(mut self) -> std::io::Result<BTreeMap<String, f64>> {
         match self.error.take() {
             Some(e) => Err(e),
-            None => self.writer.flush(),
+            None => self.writer.flush().map(|()| self.quantities),
         }
     }
 }
@@ -155,7 +172,9 @@ mod tests {
             report.table(&t);
             writeln!(report, "caveat {}", 7);
             report.artifact("cells.csv", "a,b\n1,2\n");
-            report.finish().expect("no I/O error");
+            report.quantity("caveat", 7.0);
+            let quantities = report.finish().expect("no I/O error");
+            assert_eq!(quantities, BTreeMap::from([("caveat".to_string(), 7.0)]));
             String::from_utf8(text).expect("utf-8")
         };
 
@@ -185,6 +204,15 @@ mod tests {
         writeln!(report, "lost");
         writeln!(report, "also lost");
         assert_eq!(report.finish().expect_err("write failed").to_string(), "disk full");
+    }
+
+    #[test]
+    #[should_panic(expected = "recorded twice")]
+    fn a_quantity_key_is_recorded_once() {
+        let mut text = Vec::new();
+        let mut report = Report::new(&mut text, None);
+        report.quantity("saving/FT-CG", 0.3);
+        report.quantity("saving/FT-CG", 0.4);
     }
 
     #[test]

@@ -76,23 +76,41 @@ check_drift() {
         exit 1
     fi
 }
-./target/release/repro all --out "$CI_TMP/repro"
+# check_once ERR: no two `[campaign N/M]` progress lines of the run whose
+# stderr is ERR name the same kernel / strategy / config tag. `repro`
+# simulates each grid once per process and the experiments share the
+# basic grid, so a later experiment that simulates a grid again fails here
+# by name.
+check_once() {
+    local repeats
+    repeats="$(sed -n 's/^\[campaign [0-9]*\/[0-9]*\] \(.*\) ([0-9.]*s;.*/\1/p' "$1" | sort | uniq -d)"
+    if [ -n "$repeats" ]; then
+        echo "cells simulated more than once in one process ($1):"
+        printf '  %s\n' "$repeats"
+        exit 1
+    fi
+}
+./target/release/repro all --out "$CI_TMP/repro" 2>"$CI_TMP/repro.err" ||
+    { cat "$CI_TMP/repro.err"; exit 1; }
 check_drift "$CI_TMP/repro" $(./target/release/repro list | awk '{ print $1 }')
+check_once "$CI_TMP/repro.err"
 
 echo "=== drift gate, one worker (the campaign experiments as whole-row tasks) ==="
 # A campaign task replays ceil(strategies / workers) strategies of a row
 # side by side (campaign::run_grid), so the run above cut the rows by this
 # machine's core count. On one worker a task is a whole row — six lanes for
-# fig05-07 — and the eleven experiments that run campaigns must print the same
-# committed bytes: a lane split that moves a digit of a figure fails here
-# by name.
+# the basic grid — and the ten experiments that read campaigns must print
+# the same committed bytes, as must `claims`, which judges the numbers they
+# recorded: a lane split that moves a digit of a figure fails here by name.
 campaigns=(
     tab04_access_classification fig05_memory_energy fig06_system_energy fig07_performance
     fig08_weak_scaling fig09_strong_scaling fig10_dgms_comparison
     ablation_row_policy ablation_mlp ablation_device_width claims
 )
-ABFT_THREADS=1 ./target/release/repro "${campaigns[@]}" --out "$CI_TMP/repro-1-worker"
+ABFT_THREADS=1 ./target/release/repro "${campaigns[@]}" --out "$CI_TMP/repro-1-worker" \
+    2>"$CI_TMP/repro-1-worker.err" || { cat "$CI_TMP/repro-1-worker.err"; exit 1; }
 check_drift "$CI_TMP/repro-1-worker" "${campaigns[@]}"
+check_once "$CI_TMP/repro-1-worker.err"
 
 echo "=== artifact-store gate (fig07 grid, cold then warm disk, separate processes) ==="
 # Fresh processes over one store directory: the first populates it with
@@ -168,7 +186,8 @@ echo "=== the pinned referees are still there, by name ==="
 # doubled dynamic energy and nothing else). FT-HPL's multiplier check
 # against its broadcast archive. The dead pub item gate,
 # tests/dead_pub.rs's `no_dead_pub_items`, the claims ledger's judge,
-# tests/claims.rs's `every_claim_holds_or_misses_as_the_ledger_says`, and
+# crates/bench/tests/claims.rs's `every_claim_holds_or_misses_as_the_ledger_says`
+# (it runs `repro claims`), and
 # tests/lint_scope.rs's guard that the test build keeps debug assertions
 # on, and tests/doc_paths.rs's check that every `.rs` file the docs name
 # exists. They ran in the stage above and are listed here by name, so that a

@@ -16,8 +16,11 @@
 //! * [`abft_coop_core`] — strategies, experiments, error flows, policy.
 //! * [`abft_analysis`] — the Section 5.2 scaling engine.
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-vs-measured record of every table and figure.
+//! This package is the facade: the re-exports above and a [`prelude`] for
+//! examples and tests. The experiments, and the claims ledger's judge,
+//! live in the `repro` driver (`crates/bench`). See `DESIGN.md` for the
+//! system inventory and `EXPERIMENTS.md` for the paper-vs-measured record
+//! of every table and figure.
 //!
 //! ## Seeded randomness only
 //!
@@ -43,9 +46,6 @@
 //! use rand::SeedableRng;
 //! let _ = rand_chacha::ChaCha8Rng::from_entropy();
 //! ```
-
-pub mod claims;
-pub mod studies;
 
 pub use abft_analysis;
 pub use abft_coop_core;
